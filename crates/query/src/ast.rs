@@ -1,6 +1,10 @@
 //! The MMQL abstract syntax tree.
 
+use std::fmt;
+
 use mmdb_types::Value;
+
+use crate::plan::Plan;
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,6 +69,9 @@ pub enum Expr {
     Object(Vec<(String, Expr)>),
     /// `( FOR … RETURN … )` — subquery producing an array.
     Subquery(Box<Query>),
+    /// A subquery the optimizer has already planned, once, in the scope
+    /// of the clause that holds it. The parser never produces this.
+    SubPlan(Box<Plan>),
     /// `cond ? a : b`
     Ternary(Box<Expr>, Box<Expr>, Box<Expr>),
 }
@@ -83,6 +90,80 @@ impl Expr {
     /// Field access helper.
     pub fn field(self, name: &str) -> Expr {
         Expr::Field(Box::new(self), name.to_string())
+    }
+}
+
+impl fmt::Display for BinOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            BinOp::Eq => "==",
+            BinOp::Ne => "!=",
+            BinOp::Lt => "<",
+            BinOp::Le => "<=",
+            BinOp::Gt => ">",
+            BinOp::Ge => ">=",
+            BinOp::And => "&&",
+            BinOp::Or => "||",
+            BinOp::Add => "+",
+            BinOp::Sub => "-",
+            BinOp::Mul => "*",
+            BinOp::Div => "/",
+            BinOp::Mod => "%",
+            BinOp::In => "IN",
+            BinOp::Like => "LIKE",
+        })
+    }
+}
+
+/// MMQL text of the expression, for plan descriptions. Operands that are
+/// themselves operators are parenthesized; subquery bodies are elided
+/// (EXPLAIN lists their operators on lines of their own).
+impl fmt::Display for Expr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fn operand(e: &Expr, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            if matches!(e, Expr::Binary(..) | Expr::Ternary(..)) {
+                write!(f, "({e})")
+            } else {
+                write!(f, "{e}")
+            }
+        }
+        fn list(items: &[Expr]) -> String {
+            items.iter().map(Expr::to_string).collect::<Vec<_>>().join(", ")
+        }
+        match self {
+            Expr::Literal(v) => write!(f, "{v}"),
+            Expr::Var(name) => f.write_str(name),
+            Expr::Field(base, name) => write!(f, "{base}.{name}"),
+            Expr::Index(base, idx) => write!(f, "{base}[{idx}]"),
+            Expr::Spread(base) => write!(f, "{base}[*]"),
+            Expr::Binary(op, l, r) => {
+                operand(l, f)?;
+                write!(f, " {op} ")?;
+                operand(r, f)
+            }
+            Expr::Not(e) => {
+                f.write_str("!")?;
+                operand(e, f)
+            }
+            Expr::Neg(e) => {
+                f.write_str("-")?;
+                operand(e, f)
+            }
+            Expr::Call(name, args) => write!(f, "{name}({})", list(args)),
+            Expr::Array(items) => write!(f, "[{}]", list(items)),
+            Expr::Object(fields) => {
+                let fields: Vec<String> = fields.iter().map(|(k, v)| format!("{k}: {v}")).collect();
+                write!(f, "{{{}}}", fields.join(", "))
+            }
+            Expr::Subquery(_) | Expr::SubPlan(_) => f.write_str("(subquery)"),
+            Expr::Ternary(c, a, b) => {
+                operand(c, f)?;
+                f.write_str(" ? ")?;
+                operand(a, f)?;
+                f.write_str(" : ")?;
+                operand(b, f)
+            }
+        }
     }
 }
 

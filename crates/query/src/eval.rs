@@ -8,12 +8,12 @@
 use mmdb_types::{Error, Number, Result, Value};
 
 use crate::ast::{BinOp, Expr};
-use crate::exec::Env;
+use crate::exec::{execute_subquery, Env, ExecCtx};
 use crate::functions::call_function;
-use crate::world::World;
+use crate::plan::build_plan;
 
-/// Evaluate an expression in an environment.
-pub fn eval_expr(world: &World, env: &Env, expr: &Expr) -> Result<Value> {
+/// Evaluate an expression in an environment, within one execution.
+pub fn eval_expr(cx: &ExecCtx, env: &Env, expr: &Expr) -> Result<Value> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
         Expr::Var(name) => env
@@ -21,12 +21,12 @@ pub fn eval_expr(world: &World, env: &Env, expr: &Expr) -> Result<Value> {
             .cloned()
             .ok_or_else(|| Error::Query(format!("unbound variable '{name}'"))),
         Expr::Field(base, name) => {
-            let b = eval_expr(world, env, base)?;
+            let b = eval_expr(cx, env, base)?;
             Ok(get_field_mapping(&b, name))
         }
         Expr::Index(base, idx) => {
-            let b = eval_expr(world, env, base)?;
-            let i = eval_expr(world, env, idx)?;
+            let b = eval_expr(cx, env, base)?;
+            let i = eval_expr(cx, env, idx)?;
             match &i {
                 Value::Number(n) => Ok(b.get_index(n.as_i64().ok_or_else(|| {
                     Error::Type("array index must be an integer".into())
@@ -40,16 +40,16 @@ pub fn eval_expr(world: &World, env: &Env, expr: &Expr) -> Result<Value> {
             }
         }
         Expr::Spread(base) => {
-            let b = eval_expr(world, env, base)?;
+            let b = eval_expr(cx, env, base)?;
             Ok(match b {
                 Value::Array(items) => Value::Array(items),
                 _ => Value::Array(Vec::new()),
             })
         }
-        Expr::Binary(op, l, r) => eval_binary(world, env, *op, l, r),
-        Expr::Not(e) => Ok(Value::Bool(!eval_expr(world, env, e)?.is_truthy())),
+        Expr::Binary(op, l, r) => eval_binary(cx, env, *op, l, r),
+        Expr::Not(e) => Ok(Value::Bool(!eval_expr(cx, env, e)?.is_truthy())),
         Expr::Neg(e) => {
-            let v = eval_expr(world, env, e)?;
+            let v = eval_expr(cx, env, e)?;
             match v {
                 Value::Number(Number::Int(i)) => Ok(Value::int(-i)),
                 Value::Number(Number::Float(f)) => Ok(Value::float(-f)),
@@ -60,15 +60,15 @@ pub fn eval_expr(world: &World, env: &Env, expr: &Expr) -> Result<Value> {
             let mut vals = Vec::with_capacity(args.len());
             // lint: allow(tick, iterates call arguments in the AST, bounded by query text)
             for a in args {
-                vals.push(eval_expr(world, env, a)?);
+                vals.push(eval_expr(cx, env, a)?);
             }
-            call_function(world, name, vals)
+            call_function(cx.world, name, vals)
         }
         Expr::Array(items) => {
             let mut out = Vec::with_capacity(items.len());
             // lint: allow(tick, iterates array-literal elements in the AST, bounded by query text)
             for i in items {
-                out.push(eval_expr(world, env, i)?);
+                out.push(eval_expr(cx, env, i)?);
             }
             Ok(Value::Array(out))
         }
@@ -76,18 +76,21 @@ pub fn eval_expr(world: &World, env: &Env, expr: &Expr) -> Result<Value> {
             let mut obj = mmdb_types::value::ObjectMap::new();
             // lint: allow(tick, iterates object-literal fields in the AST, bounded by query text)
             for (k, e) in fields {
-                obj.insert(k.clone(), eval_expr(world, env, e)?);
+                obj.insert(k.clone(), eval_expr(cx, env, e)?);
             }
             Ok(Value::Object(obj))
         }
+        Expr::SubPlan(plan) => Ok(Value::Array(execute_subquery(cx, plan, env.clone())?)),
+        // Only a plan that never went through `optimize` still holds a
+        // parsed subquery; it runs as parsed, every FOR a nested loop.
         Expr::Subquery(q) => {
-            Ok(Value::Array(crate::exec::execute_subquery(world, q, env.clone())?))
+            Ok(Value::Array(execute_subquery(cx, &build_plan(q)?, env.clone())?))
         }
         Expr::Ternary(c, a, b) => {
-            if eval_expr(world, env, c)?.is_truthy() {
-                eval_expr(world, env, a)
+            if eval_expr(cx, env, c)?.is_truthy() {
+                eval_expr(cx, env, a)
             } else {
-                eval_expr(world, env, b)
+                eval_expr(cx, env, b)
             }
         }
     }
@@ -104,27 +107,27 @@ fn get_field_mapping(base: &Value, name: &str) -> Value {
     }
 }
 
-fn eval_binary(world: &World, env: &Env, op: BinOp, l: &Expr, r: &Expr) -> Result<Value> {
+fn eval_binary(cx: &ExecCtx, env: &Env, op: BinOp, l: &Expr, r: &Expr) -> Result<Value> {
     // Short-circuit booleans first.
     match op {
         BinOp::And => {
-            let lv = eval_expr(world, env, l)?;
+            let lv = eval_expr(cx, env, l)?;
             if !lv.is_truthy() {
                 return Ok(Value::Bool(false));
             }
-            return Ok(Value::Bool(eval_expr(world, env, r)?.is_truthy()));
+            return Ok(Value::Bool(eval_expr(cx, env, r)?.is_truthy()));
         }
         BinOp::Or => {
-            let lv = eval_expr(world, env, l)?;
+            let lv = eval_expr(cx, env, l)?;
             if lv.is_truthy() {
                 return Ok(Value::Bool(true));
             }
-            return Ok(Value::Bool(eval_expr(world, env, r)?.is_truthy()));
+            return Ok(Value::Bool(eval_expr(cx, env, r)?.is_truthy()));
         }
         _ => {}
     }
-    let lv = eval_expr(world, env, l)?;
-    let rv = eval_expr(world, env, r)?;
+    let lv = eval_expr(cx, env, l)?;
+    let rv = eval_expr(cx, env, r)?;
     Ok(match op {
         BinOp::Eq => Value::Bool(lv == rv),
         BinOp::Ne => Value::Bool(lv != rv),
@@ -229,7 +232,7 @@ mod tests {
     use crate::parse::parse_expr;
 
     fn ev(text: &str) -> Result<Value> {
-        let w = World::in_memory();
+        let w = crate::World::in_memory();
         let mut env = Env::new();
         env.insert(
             "doc".to_string(),
@@ -238,7 +241,7 @@ mod tests {
             )
             .unwrap(),
         );
-        eval_expr(&w, &env, &parse_expr(text)?)
+        eval_expr(&ExecCtx::new(&w), &env, &parse_expr(text)?)
     }
 
     #[test]

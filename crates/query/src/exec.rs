@@ -1,7 +1,10 @@
 //! The MMQL plan interpreter: a pipeline over binding environments.
 
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
+use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
+use std::rc::Rc;
+use std::time::Instant;
 
 use mmdb_graph::Direction;
 use mmdb_types::{Error, Result, Value};
@@ -9,7 +12,8 @@ use mmdb_types::{Error, Result, Value};
 use crate::ast::{AggFunc, Expr, Query, SortOrder, TraversalDirection};
 use crate::cancel;
 use crate::eval::eval_expr;
-use crate::plan::{build_plan, Plan, PlanBound, PlanNode};
+use crate::plan::{build_plan, line_prefix, Plan, PlanBound, PlanNode};
+use crate::stats::{ExecStats, OpStats};
 use crate::world::World;
 
 /// A binding environment: variable → value.
@@ -77,141 +81,149 @@ impl Env {
     }
 }
 
-/// Execute a parsed query (plans and optimizes it first).
-pub fn execute_query(world: &World, query: &Query) -> Result<Vec<Value>> {
-    execute_query_with_env(world, query, Env::new())
+/// The state of one top-level execution: the world, the hash joins'
+/// build tables and, when tracing, the subquery operator profile. Each
+/// `execute_plan*` entry point creates one and drops it on return, so
+/// nothing a query built is visible to the next.
+pub struct ExecCtx<'w> {
+    pub(crate) world: &'w World,
+    /// Build tables by `HashJoin` slot: built on the first probe, shared
+    /// by every later one — including every re-evaluation of the subquery
+    /// that holds the join.
+    joins: RefCell<HashMap<usize, Rc<JoinTable>>>,
+    /// Present for [`execute_plan_traced`] only.
+    trace: Option<RefCell<SubTrace>>,
 }
 
-/// Execute a query with initial bindings (correlated subqueries pass the
-/// enclosing scope here).
-pub fn execute_query_with_env(world: &World, query: &Query, env: Env) -> Result<Vec<Value>> {
-    let plan = crate::optimize::optimize(build_plan(query)?, world);
-    execute_plan_with_env(world, &plan, env)
-}
-
-/// Evaluate an inline subquery (a `LET x = (FOR ...)` body or a
-/// parenthesized pipeline in expression position). Outside a traced
-/// execution this is exactly [`execute_query_with_env`]. Inside
-/// [`execute_plan_traced`] the subquery pipeline is profiled too: its
-/// operators are aggregated across per-row evaluations, indented one
-/// level per nesting depth, and spliced into the parent's profile right
-/// after the operator that evaluated them — so EXPLAIN ANALYZE no
-/// longer hides subquery work inside the parent operator's elapsed time.
-pub fn execute_subquery(world: &World, query: &Query, env: Env) -> Result<Vec<Value>> {
-    if !SUB_TRACE.with(|t| t.borrow().is_some()) {
-        return execute_query_with_env(world, query, env);
+impl<'w> ExecCtx<'w> {
+    /// A context for one untraced execution.
+    pub fn new(world: &'w World) -> Self {
+        ExecCtx { world, joins: RefCell::default(), trace: None }
     }
-    let plan = crate::optimize::optimize(build_plan(query)?, world);
-    let depth = SUB_TRACE.with(|t| {
-        let mut slot = t.borrow_mut();
-        match slot.as_mut() {
-            Some(trace) => {
-                trace.depth += 1;
-                trace.depth
-            }
-            None => 0,
-        }
-    });
-    let result = execute_plan_traced_sub(world, &plan, env, depth);
-    SUB_TRACE.with(|t| {
-        if let Some(trace) = t.borrow_mut().as_mut() {
-            trace.depth = trace.depth.saturating_sub(1);
-        }
-    });
-    result
 }
 
-thread_local! {
-    /// Active only for the duration of [`execute_plan_traced`]: collects
-    /// the per-operator stats of subqueries evaluated from expressions.
-    /// The traced executor drains it after each plan node, splicing the
-    /// subquery operators into the profile in execution order.
-    static SUB_TRACE: std::cell::RefCell<Option<SubTrace>> = const { std::cell::RefCell::new(None) };
+/// The build side of one hash join.
+struct JoinTable {
+    /// Source items by key; a bucket keeps the source's scan order.
+    buckets: HashMap<Value, Vec<Value>>,
+    /// Source items hashed.
+    rows: usize,
+    /// Incoming rows looked up so far (EXPLAIN ANALYZE).
+    probes: Cell<usize>,
 }
 
+/// Operator stats of the subqueries evaluated since the traced executor
+/// last drained them; it splices them into the profile right below the
+/// operator that evaluated them.
+#[derive(Default)]
 struct SubTrace {
     /// Current subquery nesting depth (0 = the traced top-level plan).
     depth: usize,
-    entries: Vec<crate::stats::OpStats>,
+    entries: Vec<OpStats>,
 }
 
-/// Installs the subquery trace sink on construction (if none is active)
-/// and clears it on drop, so an error return mid-trace cannot leak an
-/// active sink into the next query on this thread.
-struct SubTraceGuard {
-    installed: bool,
+/// Execute a parsed query (plans and optimizes it first).
+pub fn execute_query(world: &World, query: &Query) -> Result<Vec<Value>> {
+    execute_plan(world, &crate::optimize::optimize(build_plan(query)?, world))
 }
 
-impl SubTraceGuard {
-    fn install() -> SubTraceGuard {
-        SUB_TRACE.with(|t| {
-            let mut slot = t.borrow_mut();
-            if slot.is_none() {
-                *slot = Some(SubTrace { depth: 0, entries: Vec::new() });
-                SubTraceGuard { installed: true }
-            } else {
-                SubTraceGuard { installed: false }
-            }
-        })
-    }
-}
-
-impl Drop for SubTraceGuard {
-    fn drop(&mut self) {
-        if self.installed {
-            SUB_TRACE.with(|t| *t.borrow_mut() = None);
-        }
-    }
+/// Evaluate a subquery's plan (a `LET x = (FOR ...)` body or a
+/// parenthesized pipeline in expression position) from the enclosing
+/// row's environment. Inside [`execute_plan_traced`] the subquery
+/// pipeline is profiled too: its operators are aggregated across per-row
+/// evaluations, indented one level per nesting depth, and spliced into
+/// the parent's profile right after the operator that evaluated them —
+/// so EXPLAIN ANALYZE does not hide subquery work inside the parent
+/// operator's elapsed time.
+pub(crate) fn execute_subquery(cx: &ExecCtx, plan: &Plan, env: Env) -> Result<Vec<Value>> {
+    let Some(trace) = &cx.trace else {
+        return run_pipeline(cx, plan, env);
+    };
+    let depth = {
+        let mut t = trace.borrow_mut();
+        t.depth += 1;
+        t.depth
+    };
+    let result = run_pipeline_traced_sub(cx, plan, env, depth);
+    trace.borrow_mut().depth -= 1;
+    result
 }
 
 /// Take the subquery operator stats accumulated since the last drain.
-fn drain_sub_trace() -> Vec<crate::stats::OpStats> {
-    SUB_TRACE.with(|t| {
-        t.borrow_mut().as_mut().map(|trace| std::mem::take(&mut trace.entries)).unwrap_or_default()
-    })
+fn drain_sub_trace(cx: &ExecCtx) -> Vec<OpStats> {
+    cx.trace.as_ref().map(|t| std::mem::take(&mut t.borrow_mut().entries)).unwrap_or_default()
 }
 
-/// Record one subquery operator evaluation into the active sink,
-/// merging repeats: a `LET` body re-evaluated for every parent row
-/// shows up as one line with summed rows and elapsed time, not N lines.
-fn record_sub_op(op: String, rows_in: usize, rows_out: usize, elapsed: std::time::Duration, access_path: Option<String>) {
-    SUB_TRACE.with(|t| {
-        if let Some(trace) = t.borrow_mut().as_mut() {
-            if let Some(existing) = trace.entries.iter_mut().find(|e| e.op == op) {
-                existing.rows_in += rows_in;
-                existing.rows_out += rows_out;
-                existing.elapsed += elapsed;
-                if existing.access_path.is_none() {
-                    existing.access_path = access_path;
-                }
-            } else {
-                trace.entries.push(crate::stats::OpStats { op, rows_in, rows_out, elapsed, access_path });
-            }
+/// Record one subquery operator evaluation, merging repeats: a `LET`
+/// body re-evaluated for every parent row shows up as one line with
+/// summed rows and elapsed time, not N lines. The access path is the
+/// latest one: a hash join's probe count grows with every evaluation.
+fn record_sub_op(cx: &ExecCtx, new: OpStats) {
+    let Some(trace) = &cx.trace else { return };
+    let entries = &mut trace.borrow_mut().entries;
+    if let Some(existing) = entries.iter_mut().find(|e| e.op == new.op) {
+        existing.rows_in += new.rows_in;
+        existing.rows_out += new.rows_out;
+        existing.elapsed += new.elapsed;
+        if new.access_path.is_some() {
+            existing.access_path = new.access_path;
         }
-    });
+    } else {
+        entries.push(new);
+    }
+}
+
+/// Apply one node and describe what it did.
+fn apply_node_traced(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<(Vec<Env>, OpStats)> {
+    let rows_in = envs.len();
+    let first = envs.first().cloned();
+    let started = Instant::now();
+    let out = apply_node(cx, node, envs)?;
+    let stats = OpStats {
+        op: node.describe(),
+        rows_in,
+        rows_out: out.len(),
+        elapsed: started.elapsed(),
+        access_path: describe_access_path(cx, node, first.as_ref()),
+    };
+    Ok((out, stats))
+}
+
+/// [`project_return`], described.
+fn project_return_traced(cx: &ExecCtx, plan: &Plan, envs: &[Env]) -> Result<(Vec<Value>, OpStats)> {
+    let started = Instant::now();
+    let out = project_return(cx, plan, envs)?;
+    let stats = OpStats {
+        op: plan.describe_return(),
+        rows_in: envs.len(),
+        rows_out: out.len(),
+        elapsed: started.elapsed(),
+        access_path: None,
+    };
+    Ok((out, stats))
 }
 
 /// The traced executor for subquery plans: same shape as the top-level
-/// traced loop, but operator stats go to the thread-local sink (indented
-/// by nesting depth) instead of a local `ops` vector.
-fn execute_plan_traced_sub(world: &World, plan: &Plan, env: Env, depth: usize) -> Result<Vec<Value>> {
-    let indent = "  ".repeat(depth.max(1) - 1);
+/// traced loop, but operator stats go to the context's sink (indented by
+/// nesting depth) instead of a local `ops` vector.
+fn run_pipeline_traced_sub(cx: &ExecCtx, plan: &Plan, env: Env, depth: usize) -> Result<Vec<Value>> {
+    let prefix = line_prefix(depth);
+    let record = |mut stats: OpStats| {
+        stats.op.insert_str(0, &prefix);
+        record_sub_op(cx, stats);
+    };
     let mut envs = vec![env];
     // lint: allow(tick, iterates plan operators, bounded by query size; apply_node ticks per row)
     for node in &plan.nodes {
-        let rows_in = envs.len();
-        let access_path = describe_access_path(world, node, envs.first());
-        let node_started = std::time::Instant::now();
-        envs = apply_node(world, node, envs)?;
-        record_sub_op(format!("{indent}└ {}", node.describe()), rows_in, envs.len(), node_started.elapsed(), access_path);
+        let (out, stats) = apply_node_traced(cx, node, envs)?;
+        envs = out;
+        record(stats);
         if envs.is_empty() {
             break;
         }
     }
-    let rows_in = envs.len();
-    let ret_started = std::time::Instant::now();
-    let out = project_return(world, plan, &envs)?;
-    record_sub_op(format!("{indent}└ {}", plan.describe_return()), rows_in, out.len(), ret_started.elapsed(), None);
+    let (out, stats) = project_return_traced(cx, plan, &envs)?;
+    record(stats);
     Ok(out)
 }
 
@@ -222,36 +234,36 @@ pub fn execute_plan(world: &World, plan: &Plan) -> Result<Vec<Value>> {
 
 /// Execute a plan from an initial environment.
 pub fn execute_plan_with_env(world: &World, plan: &Plan, env: Env) -> Result<Vec<Value>> {
+    run_pipeline(&ExecCtx::new(world), plan, env)
+}
+
+/// Run one pipeline — the top-level plan or a subquery's — untraced.
+fn run_pipeline(cx: &ExecCtx, plan: &Plan, env: Env) -> Result<Vec<Value>> {
     let mut envs = vec![env];
     // lint: allow(tick, iterates plan operators, bounded by query size; apply_node ticks per row)
     for node in &plan.nodes {
-        envs = apply_node(world, node, envs)?;
+        envs = apply_node(cx, node, envs)?;
         if envs.is_empty() {
             break;
         }
     }
-    project_return(world, plan, &envs)
+    project_return(cx, plan, &envs)
 }
 
 /// Evaluate the RETURN expression over the surviving environments and
 /// apply DISTINCT (the pipeline's final step, shared by the plain and
 /// traced executors).
-fn project_return(world: &World, plan: &Plan, envs: &[Env]) -> Result<Vec<Value>> {
+fn project_return(cx: &ExecCtx, plan: &Plan, envs: &[Env]) -> Result<Vec<Value>> {
     let mut out = Vec::with_capacity(envs.len());
     for env in envs {
         cancel::tick()?;
-        out.push(eval_expr(world, env, &plan.ret)?);
+        out.push(eval_expr(cx, env, &plan.ret)?);
     }
     if plan.distinct {
-        let mut seen = Vec::new();
-        out.retain(|v| {
-            if seen.contains(v) {
-                false
-            } else {
-                seen.push(v.clone());
-                true
-            }
-        });
+        // Keep first occurrences, in order.
+        let mut seen = HashSet::new();
+        let mut first = out.iter().map(|v| seen.insert(v)).collect::<Vec<bool>>().into_iter();
+        out.retain(|_| first.next().unwrap_or(false));
     }
     Ok(out)
 }
@@ -260,68 +272,51 @@ fn project_return(world: &World, plan: &Plan, envs: &[Env]) -> Result<Vec<Value>
 /// rows in/out, wall time, and the access path taken. The overhead is
 /// O(plan nodes) — two clock reads and one struct push per operator —
 /// so tracing every server-side query is affordable; the untraced
-/// [`execute_plan_with_env`] path is left byte-for-byte alone.
-pub fn execute_plan_traced(
-    world: &World,
-    plan: &Plan,
-    env: Env,
-) -> Result<(Vec<Value>, crate::stats::ExecStats)> {
-    use crate::stats::{ExecStats, OpStats};
-    let _sub_trace = SubTraceGuard::install();
-    let started = std::time::Instant::now();
+/// [`execute_plan_with_env`] path does none of it.
+pub fn execute_plan_traced(world: &World, plan: &Plan, env: Env) -> Result<(Vec<Value>, ExecStats)> {
+    let cx = &ExecCtx { trace: Some(RefCell::default()), ..ExecCtx::new(world) };
+    let started = Instant::now();
     let mut envs = vec![env];
     let mut ops: Vec<OpStats> = Vec::with_capacity(plan.nodes.len() + 1);
     // lint: allow(tick, iterates plan operators, bounded by query size; apply_node ticks per row)
     for node in &plan.nodes {
-        let rows_in = envs.len();
-        let access_path = describe_access_path(world, node, envs.first());
-        let node_started = std::time::Instant::now();
-        envs = apply_node(world, node, envs)?;
-        ops.push(OpStats {
-            op: node.describe(),
-            rows_in,
-            rows_out: envs.len(),
-            elapsed: node_started.elapsed(),
-            access_path,
-        });
+        let (out, stats) = apply_node_traced(cx, node, envs)?;
+        envs = out;
+        ops.push(stats);
         // Subqueries evaluated while this node ran (LET bodies, inline
         // pipelines) traced themselves into the sink; splice their
         // operators in right below the node that evaluated them.
-        ops.extend(drain_sub_trace());
+        ops.extend(drain_sub_trace(cx));
         if envs.is_empty() {
             break;
         }
     }
-    let rows_in = envs.len();
-    let ret_started = std::time::Instant::now();
-    let out = project_return(world, plan, &envs)?;
-    ops.push(OpStats {
-        op: plan.describe_return(),
-        rows_in,
-        rows_out: out.len(),
-        elapsed: ret_started.elapsed(),
-        access_path: None,
-    });
-    ops.extend(drain_sub_trace());
+    let (out, stats) = project_return_traced(cx, plan, &envs)?;
+    ops.push(stats);
+    ops.extend(drain_sub_trace(cx));
     let stats = ExecStats { ops, rows_returned: out.len(), total: started.elapsed() };
     Ok((out, stats))
 }
 
-/// How a node will read its source, resolved against the world and the
+/// How a node read its source, resolved against the world and the first
 /// incoming environment — the "which path actually ran" annotation.
-fn describe_access_path(world: &World, node: &PlanNode, env: Option<&Env>) -> Option<String> {
+fn describe_access_path(cx: &ExecCtx, node: &PlanNode, env: Option<&Env>) -> Option<String> {
     match node {
         PlanNode::For { source: Expr::Var(name), .. } => {
             if env.is_some_and(|e| e.get(name).is_some()) {
                 Some(format!("bound variable '{name}'"))
             } else {
-                world.resolve_source(name).map(|kind| format!("full scan ({kind} '{name}')"))
+                cx.world.resolve_source(name).map(|kind| format!("full scan ({kind} '{name}')"))
             }
         }
         PlanNode::For { .. } => Some("expression".to_string()),
         PlanNode::IndexScan { source, path, .. } => {
             Some(format!("index '{path}' on '{source}'"))
         }
+        PlanNode::HashJoin { slot, .. } => Some(match cx.joins.borrow().get(slot) {
+            Some(t) => format!("hash build: {} rows once, {} probes", t.rows, t.probes.get()),
+            None => "hash build: none, no row to probe with".to_string(),
+        }),
         PlanNode::Traverse { edges, .. } => {
             Some(format!("graph traversal via edge collection '{edges}'"))
         }
@@ -329,12 +324,51 @@ fn describe_access_path(world: &World, node: &PlanNode, env: Option<&Env>) -> Op
     }
 }
 
-fn apply_node(world: &World, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>> {
+/// The build table of the hash join in `slot`: `build` runs on the first
+/// call of an execution and never again.
+fn join_table(
+    cx: &ExecCtx,
+    slot: usize,
+    build: impl FnOnce() -> Result<JoinTable>,
+) -> Result<Rc<JoinTable>> {
+    if let Some(table) = cx.joins.borrow().get(&slot) {
+        return Ok(Rc::clone(table));
+    }
+    // No borrow is held while building: evaluating the source may run
+    // other joins.
+    let table = Rc::new(build()?);
+    cx.joins.borrow_mut().insert(slot, Rc::clone(&table));
+    Ok(table)
+}
+
+/// Read a hash join's source as the first probing row sees it — one full
+/// scan when it names a store — and bucket the items by key.
+fn build_join_table(
+    cx: &ExecCtx,
+    env: &Env,
+    var: &str,
+    source: &str,
+    build_key: &Expr,
+) -> Result<JoinTable> {
+    let items = resolve_name(cx, env, source)?;
+    let rows = items.len();
+    let mut buckets: HashMap<Value, Vec<Value>> = HashMap::new();
+    for item in items {
+        cancel::tick()?;
+        let mut e = Env::new();
+        e.insert(var.to_string(), item.clone());
+        buckets.entry(eval_expr(cx, &e, build_key)?).or_default().push(item);
+    }
+    Ok(JoinTable { buckets, rows, probes: Cell::new(0) })
+}
+
+fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>> {
+    let world = cx.world;
     match node {
         PlanNode::For { var, source } => {
             let mut out = Vec::new();
             for env in envs {
-                let items = resolve_source(world, &env, source)?;
+                let items = resolve_source(cx, &env, source)?;
                 for item in items {
                     cancel::tick()?;
                     let mut e = env.clone();
@@ -364,14 +398,27 @@ fn apply_node(world: &World, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>
                 };
                 for doc in docs {
                     cancel::tick()?;
-                    let mut e = env.clone();
-                    e.insert(var.clone(), doc);
-                    if let Some(res) = residual {
-                        if !eval_expr(world, &e, res)?.is_truthy() {
-                            continue;
-                        }
-                    }
-                    out.push(e);
+                    out.extend(bind_if(cx, &env, var, doc, residual)?);
+                }
+            }
+            Ok(out)
+        }
+        PlanNode::HashJoin { var, source, build_key, probe_key, residual, slot } => {
+            let mut out = Vec::new();
+            for env in envs {
+                cancel::tick()?;
+                let table = join_table(cx, *slot, || {
+                    build_join_table(cx, &env, var, source, build_key)
+                })?;
+                // Over an empty source the nested loop evaluates nothing.
+                if table.rows == 0 {
+                    continue;
+                }
+                table.probes.set(table.probes.get() + 1);
+                let key = eval_expr(cx, &env, probe_key)?;
+                for item in table.buckets.get(&key).into_iter().flatten() {
+                    cancel::tick()?;
+                    out.extend(bind_if(cx, &env, var, item.clone(), residual)?);
                 }
             }
             Ok(out)
@@ -391,7 +438,7 @@ fn apply_node(world: &World, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>
             };
             let mut out = Vec::new();
             for env in envs {
-                let start_v = eval_expr(world, &env, start)?;
+                let start_v = eval_expr(cx, &env, start)?;
                 let Value::String(handle) = start_v else {
                     if start_v.is_null() {
                         continue; // null start traverses nothing
@@ -420,7 +467,7 @@ fn apply_node(world: &World, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>
             let mut out = Vec::new();
             for env in envs {
                 cancel::tick()?;
-                if eval_expr(world, &env, pred)?.is_truthy() {
+                if eval_expr(cx, &env, pred)?.is_truthy() {
                     out.push(env);
                 }
             }
@@ -430,7 +477,7 @@ fn apply_node(world: &World, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>
             let mut out = Vec::new();
             for env in envs {
                 cancel::tick()?;
-                let v = eval_expr(world, &env, value)?;
+                let v = eval_expr(cx, &env, value)?;
                 let mut e = env;
                 e.insert(var.clone(), v);
                 out.push(e);
@@ -444,7 +491,7 @@ fn apply_node(world: &World, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>
                 let mut ks = Vec::with_capacity(keys.len());
                 // lint: allow(tick, iterates ORDER BY keys, bounded by query text; outer loop ticks per row)
                 for (e, _) in keys {
-                    ks.push(eval_expr(world, &env, e)?);
+                    ks.push(eval_expr(cx, &env, e)?);
                 }
                 decorated.push((ks, env));
             }
@@ -471,7 +518,7 @@ fn apply_node(world: &World, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>
             for env in envs {
                 cancel::tick()?;
                 let k = match key {
-                    Some((_, e)) => eval_expr(world, &env, e)?,
+                    Some((_, e)) => eval_expr(cx, &env, e)?,
                     None => Value::Null,
                 };
                 if !groups.contains_key(&k) {
@@ -505,15 +552,32 @@ fn apply_node(world: &World, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>
                     let mut vals = Vec::with_capacity(members.len());
                     for m in &members {
                         cancel::tick()?;
-                        vals.push(eval_expr(world, m, argexpr)?);
+                        vals.push(eval_expr(cx, m, argexpr)?);
                     }
-                    env.insert(var.clone(), aggregate(*func, &vals)?);
+                    env.insert(var.clone(), aggregate(*func, &vals));
                 }
                 out.push(env);
             }
             Ok(out)
         }
     }
+}
+
+/// `env` with `var` bound to `item`, if the residual predicate (when
+/// there is one) holds for it.
+fn bind_if(
+    cx: &ExecCtx,
+    env: &Env,
+    var: &str,
+    item: Value,
+    residual: &Option<Expr>,
+) -> Result<Option<Env>> {
+    let mut e = env.clone();
+    e.insert(var.to_string(), item);
+    Ok(match residual {
+        Some(res) if !eval_expr(cx, &e, res)?.is_truthy() => None,
+        _ => Some(e),
+    })
 }
 
 fn plan_bound(b: &PlanBound) -> Bound<&Value> {
@@ -524,15 +588,19 @@ fn plan_bound(b: &PlanBound) -> Bound<&Value> {
     }
 }
 
-fn resolve_source(world: &World, env: &Env, source: &Expr) -> Result<Vec<Value>> {
-    // A bare identifier: bound variable first, then store name.
-    if let Expr::Var(name) = source {
-        if let Some(v) = env.get(name) {
-            return as_iterable(v.clone());
-        }
-        return world.scan_source(name);
+fn resolve_source(cx: &ExecCtx, env: &Env, source: &Expr) -> Result<Vec<Value>> {
+    match source {
+        Expr::Var(name) => resolve_name(cx, env, name),
+        _ => as_iterable(eval_expr(cx, env, source)?),
     }
-    as_iterable(eval_expr(world, env, source)?)
+}
+
+/// A bare identifier: bound variable first, then store name.
+fn resolve_name(cx: &ExecCtx, env: &Env, name: &str) -> Result<Vec<Value>> {
+    match env.get(name) {
+        Some(v) => as_iterable(v.clone()),
+        None => cx.world.scan_source(name),
+    }
 }
 
 fn as_iterable(v: Value) -> Result<Vec<Value>> {
@@ -546,14 +614,10 @@ fn as_iterable(v: Value) -> Result<Vec<Value>> {
     }
 }
 
-fn aggregate(func: AggFunc, vals: &[Value]) -> Result<Value> {
-    Ok(match func {
+fn aggregate(func: AggFunc, vals: &[Value]) -> Value {
+    match func {
         AggFunc::Count => Value::int(vals.len() as i64),
-        AggFunc::Sum => crate::functions::call_function(
-            World::in_memory_static(),
-            "SUM",
-            vec![Value::Array(vals.to_vec())],
-        )?,
+        AggFunc::Sum => crate::functions::sum_values(vals),
         AggFunc::Min => vals.iter().filter(|v| !v.is_null()).min().cloned().unwrap_or(Value::Null),
         AggFunc::Max => vals.iter().max().cloned().unwrap_or(Value::Null),
         AggFunc::Avg => {
@@ -570,15 +634,6 @@ fn aggregate(func: AggFunc, vals: &[Value]) -> Result<Value> {
                 Value::float(nums.iter().sum::<f64>() / nums.len() as f64)
             }
         }
-    })
-}
-
-impl World {
-    /// A process-wide empty world used where builtins need a `World`
-    /// reference but only touch pure functions (aggregate SUM).
-    fn in_memory_static() -> &'static World {
-        static EMPTY: std::sync::OnceLock<World> = std::sync::OnceLock::new();
-        EMPTY.get_or_init(World::in_memory)
     }
 }
 
@@ -688,6 +743,25 @@ mod tests {
         // The scope guard restored the default token: the same query runs
         // clean afterwards on this thread.
         assert!(run(&w, "FOR c IN customers RETURN c.name").is_ok());
+    }
+
+    #[test]
+    fn an_expired_token_aborts_a_hash_join_build() {
+        let w = paper_world();
+        let cx = ExecCtx::new(&w);
+        let key = Expr::var("o").field("_key");
+        let built = build_join_table(&cx, &Env::new(), "o", "orders", &key).unwrap();
+        assert_eq!((built.rows, built.buckets.len()), (2, 2));
+
+        let token = mmdb_types::CancelToken::with_timeout(std::time::Duration::ZERO);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let _scope = cancel::scope(&token);
+        let scans_before = w.access.full_scans();
+        let err = build_join_table(&cx, &Env::new(), "o", "orders", &key)
+            .err()
+            .expect("the build loop ticks");
+        assert_eq!(err.kind(), "deadline_exceeded");
+        assert_eq!(w.access.full_scans() - scans_before, 1, "it stopped in the build, past the scan");
     }
 
     #[test]
@@ -804,7 +878,8 @@ mod tests {
     #[test]
     fn untraced_execution_leaves_no_subquery_trace_behind() {
         let w = paper_world();
-        // A plain run after a traced one must not see a stale sink.
+        // The sink lives in the traced call's context: a plain run after
+        // a traced one has none to see.
         let (_, stats) = crate::run_traced(
             &w,
             "LET a = (FOR c IN customers RETURN c.id) RETURN LENGTH(a)",
@@ -814,8 +889,6 @@ mod tests {
         assert!(stats.ops.iter().any(|o| o.op.starts_with("└ ")));
         let got = run(&w, "LET a = (FOR c IN customers RETURN c.id) RETURN LENGTH(a)").unwrap();
         assert_eq!(got, vec![Value::int(3)]);
-        // Running untraced did not record anything (sink is inactive).
-        assert!(drain_sub_trace().is_empty());
     }
 
     #[test]

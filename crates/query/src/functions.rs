@@ -25,7 +25,7 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
                 _ => 1,
             }))
         }
-        "SUM" => fold_numeric(&args, |acc, x| acc + x, 0.0),
+        "SUM" => Ok(sum_values(array_arg(&args, 0)?)),
         "AVG" | "AVERAGE" => {
             let items = array_arg(&args, 0)?;
             let nums: Vec<f64> = numeric_items(items);
@@ -335,16 +335,15 @@ fn numeric_items(items: &[Value]) -> Vec<f64> {
         .collect()
 }
 
-fn fold_numeric(args: &[Value], f: impl Fn(f64, f64) -> f64, init: f64) -> Result<Value> {
-    let items = array_arg(args, 0)?;
-    let nums = numeric_items(items);
-    let total = nums.iter().fold(init, |acc, &x| f(acc, x));
-    // Preserve int-ness when every input was an integer.
+/// `SUM` over the numbers among `items` (the builtin and the COLLECT
+/// aggregate). The result is an integer when every number was one.
+pub fn sum_values(items: &[Value]) -> Value {
+    let total: f64 = numeric_items(items).iter().sum();
     let all_int = items.iter().all(|v| !matches!(v, Value::Number(n) if !n.is_int()));
     if all_int && total.fract() == 0.0 && total.abs() < 9.0e18 {
-        Ok(Value::int(total as i64))
+        Value::int(total as i64)
     } else {
-        Ok(Value::float(total))
+        Value::float(total)
     }
 }
 

@@ -16,8 +16,9 @@
 //! ```
 //!
 //! Pipeline: [`lex`] → [`parse`] → [`plan`] (logical operators) →
-//! [`optimize`] (predicate pushdown + index selection) → [`exec`]
-//! (bindings interpreter over a [`world::World`] of model stores).
+//! [`optimize`] (constant folding, subquery planning, index selection,
+//! hash joins) → [`exec`] (bindings interpreter over a [`world::World`]
+//! of model stores).
 //! [`sql`] is a second frontend: a SQL `SELECT` subset compiling onto the
 //! same logical plan, demonstrating the "one algebra, many syntaxes"
 //! architecture the tutorial ascribes to multi-model engines.

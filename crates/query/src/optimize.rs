@@ -4,38 +4,105 @@
 //!
 //! 1. **Constant folding** — literal subexpressions collapse
 //!    (`2 * 3 > 5` → `true`).
-//! 2. **Filter merging** — adjacent FILTERs conjoin, so later rules see
+//! 2. **Subquery planning** — every `( FOR … RETURN … )` is planned and
+//!    optimized here, once, in the scope of the clause that holds it, and
+//!    stored as an [`Expr::SubPlan`]; the executor never plans.
+//! 3. **Filter merging** — adjacent FILTERs conjoin, so later rules see
 //!    one predicate.
-//! 3. **Index selection** — a `For` over a named source immediately
+//! 4. **Index selection** — a `For` over a named source immediately
 //!    followed by a `Filter` whose conjuncts include `var.path op literal`
 //!    becomes an `IndexScan` when the source has a matching persistent
 //!    (document) or secondary (relational) index; leftover conjuncts stay
 //!    as the scan's residual predicate. This is the tutorial's
 //!    "query optimization = pick the right index" story in miniature.
+//! 5. **Hash join** — a `For` + `Filter` pair that rule 4 left alone
+//!    becomes a `HashJoin` when the source is the same for every row, the
+//!    node can see more than one row, and a conjunct equates a path of the
+//!    loop variable with an expression over earlier variables (see
+//!    [`try_hash_join`]). This covers the in-pipeline nested `FOR`, SQL
+//!    `JOIN … ON a = b`, and — through rule 2's scope — the
+//!    equi-correlated subquery.
+//!
+//! Every rewrite keeps the rows and their order: a plan straight from
+//! `build_plan` and its optimized form return the same vector.
 
 use mmdb_types::Value;
 
 use crate::ast::{BinOp, Expr};
 use crate::eval::like_match;
-use crate::plan::{Plan, PlanBound, PlanNode};
+use crate::plan::{build_plan, Plan, PlanBound, PlanNode};
 use crate::world::World;
 
 /// Optimize a plan against a world (index metadata lookups only).
-pub fn optimize(mut plan: Plan, world: &World) -> Plan {
-    // 1. Constant folding everywhere.
-    for node in &mut plan.nodes {
+pub fn optimize(plan: Plan, world: &World) -> Plan {
+    optimize_in(plan, world, Scope::default(), &mut 0)
+}
+
+/// What the optimizer knows about the rows reaching a node.
+#[derive(Clone, Default)]
+struct Scope {
+    /// Variables bound so far, innermost last, each with "holds one value
+    /// for the whole execution": true only for a `LET` evaluated before
+    /// any row-multiplying node, i.e. at most once.
+    bound: Vec<(String, bool)>,
+    /// Has a node that can emit several rows per input row been passed —
+    /// here or in an enclosing pipeline?
+    multiplied: bool,
+}
+
+impl Scope {
+    fn is_bound(&self, name: &str) -> bool {
+        self.bound.iter().any(|(n, _)| n == name)
+    }
+
+    /// Does `FOR x IN name` read the same items for every row? True for a
+    /// store name (not shadowed) and for a variable bound once.
+    fn is_row_invariant(&self, name: &str) -> bool {
+        self.bound.iter().rev().find(|(n, _)| n == name).is_none_or(|(_, once)| *once)
+    }
+
+    /// Move past `node`: record what it binds.
+    fn enter(&mut self, node: &PlanNode) {
         match node {
-            PlanNode::For { source, .. } => fold(source),
-            PlanNode::Filter(e) => fold(e),
-            PlanNode::Let { value, .. } => fold(value),
-            PlanNode::Sort(keys) => keys.iter_mut().for_each(|(e, _)| fold(e)),
-            PlanNode::Traverse { start, .. } => fold(start),
-            _ => {}
+            PlanNode::For { var, .. }
+            | PlanNode::IndexScan { var, .. }
+            | PlanNode::HashJoin { var, .. }
+            | PlanNode::Traverse { var, .. } => {
+                self.multiplied = true;
+                self.bound.push((var.clone(), false));
+            }
+            PlanNode::Let { var, .. } => self.bound.push((var.clone(), !self.multiplied)),
+            // COLLECT starts its groups from an empty environment.
+            PlanNode::Collect { key, into, aggregates } => {
+                self.multiplied = true;
+                self.bound.clear();
+                let vars = key
+                    .iter()
+                    .map(|(v, _)| v)
+                    .chain(into)
+                    .chain(aggregates.iter().map(|(v, _, _)| v));
+                self.bound.extend(vars.map(|v| (v.clone(), false)));
+            }
+            PlanNode::Filter(_) | PlanNode::Sort(_) | PlanNode::Limit { .. } => {}
         }
     }
-    fold(&mut plan.ret);
+}
 
-    // 2. Merge adjacent filters. Both sides are moved, not cloned: the
+/// Optimize one pipeline whose first row arrives in `scope`. `slots`
+/// numbers the hash joins of the whole top-level plan.
+fn optimize_in(mut plan: Plan, world: &World, scope: Scope, slots: &mut usize) -> Plan {
+    // 1 + 2. Fold constants and plan subqueries, each expression in the
+    //    scope of its own node.
+    let mut at = scope.clone();
+    for node in &mut plan.nodes {
+        for e in node.exprs_mut() {
+            fold_in(e, &mut |sub| plan_subquery(sub, world, &at, slots));
+        }
+        at.enter(node);
+    }
+    fold_in(&mut plan.ret, &mut |sub| plan_subquery(sub, world, &at, slots));
+
+    // 3. Merge adjacent filters. Both sides are moved, not cloned: the
     //    accumulated conjunction is taken out of the vec and rebuilt with
     //    the incoming predicate, so merging a chain of N filters is O(N)
     //    in total AST size instead of quadratic.
@@ -53,23 +120,37 @@ pub fn optimize(mut plan: Plan, world: &World) -> Plan {
         }
     }
 
-    // 3. Index selection on For+Filter pairs.
+    // 4 + 5. Index selection, then hash join, on For+Filter pairs.
+    let mut at = scope;
     let mut out: Vec<PlanNode> = Vec::with_capacity(merged.len());
     let mut iter = merged.into_iter().peekable();
-    while let Some(node) = iter.next() {
+    while let Some(mut node) = iter.next() {
         if let PlanNode::For { var, source: Expr::Var(name) } = &node {
             if let Some(PlanNode::Filter(pred)) = iter.peek() {
-                if let Some(scan) = try_index_scan(world, var, name, pred) {
+                let rewritten = try_index_scan(world, &at, var, name, pred)
+                    .or_else(|| try_hash_join(&at, var, name, pred, slots));
+                if let Some(join) = rewritten {
                     iter.next(); // consume the filter
-                    out.push(scan);
-                    continue;
+                    node = join;
                 }
             }
         }
+        at.enter(&node);
         out.push(node);
     }
     plan.nodes = out;
     plan
+}
+
+/// Rule 2: replace an `Expr::Subquery` by its optimized plan.
+fn plan_subquery(e: &mut Expr, world: &World, scope: &Scope, slots: &mut usize) {
+    if let Expr::Subquery(q) = e {
+        // `build_plan` is total today; were it ever to fail, the
+        // subquery stays as parsed and the executor reports the error.
+        if let Ok(plan) = build_plan(q) {
+            *e = Expr::SubPlan(Box::new(optimize_in(plan, world, scope.clone(), slots)));
+        }
+    }
 }
 
 /// A single extracted comparison `var.path op literal`.
@@ -79,11 +160,19 @@ struct PathCmp {
     value: Value,
 }
 
-fn try_index_scan(world: &World, var: &str, source: &str, pred: &Expr) -> Option<PlanNode> {
-    // The name must be a real store (not a bound variable at runtime) —
-    // conservative: only document collections and tables are indexable,
-    // and a bound variable shadowing a store name would change semantics,
-    // so require the name to resolve.
+fn try_index_scan(
+    world: &World,
+    scope: &Scope,
+    var: &str,
+    source: &str,
+    pred: &Expr,
+) -> Option<PlanNode> {
+    // The name must be a real store, not a variable: only document
+    // collections and tables are indexable, and a binding that shadows a
+    // store name is what the `For` would read.
+    if scope.is_bound(source) {
+        return None;
+    }
     let indexed_paths: Vec<String> = if let Ok(coll) = world.collection(source) {
         coll.indexed_paths()
     } else if let Ok(table) = world.catalog.table(source) {
@@ -115,13 +204,7 @@ fn try_index_scan(world: &World, var: &str, source: &str, pred: &Expr) -> Option
         BinOp::Ge => (PlanBound::Included(pc.value), PlanBound::Unbounded),
         _ => return None,
     };
-    // Rebuild the residual from the remaining conjuncts.
-    let residual = conjuncts
-        .into_iter()
-        .enumerate()
-        .filter(|(i, _)| *i != idx)
-        .map(|(_, e)| e.clone())
-        .reduce(|a, b| Expr::Binary(BinOp::And, Box::new(a), Box::new(b)));
+    let residual = conjoin_except(&conjuncts, idx);
     Some(PlanNode::IndexScan {
         var: var.to_string(),
         source: source.to_string(),
@@ -130,6 +213,108 @@ fn try_index_scan(world: &World, var: &str, source: &str, pred: &Expr) -> Option
         hi,
         residual,
     })
+}
+
+/// Rule 5. `For var IN source` + `Filter pred` becomes a `HashJoin` when
+///
+/// * `source` reads the same items for every row ([`Scope::is_row_invariant`]),
+///   so one build serves every probe;
+/// * more than one row can arrive (a single probe cannot repay a build);
+/// * some conjunct is `build == probe` (either way round) where `build`
+///   is a path of `var` and `probe` reads earlier variables, at least
+///   one, and never `var`;
+/// * both keys, and every conjunct ahead of that one, cannot fail
+///   ([`infallible`]): the join evaluates keys for rows the nested loop's
+///   short-circuit `&&` might never have reached, and the conjuncts ahead
+///   only for matching pairs, so neither may be able to raise an error.
+///
+/// The other conjuncts become the residual, in their original order.
+fn try_hash_join(
+    scope: &Scope,
+    var: &str,
+    source: &str,
+    pred: &Expr,
+    slots: &mut usize,
+) -> Option<PlanNode> {
+    if !scope.multiplied || !scope.is_row_invariant(source) {
+        return None;
+    }
+    let mut conjuncts = Vec::new();
+    split_conjuncts(pred, &mut conjuncts);
+    let inner = |name: &str| name == var || scope.is_bound(name);
+    let mut chosen = None;
+    for (i, c) in conjuncts.iter().enumerate() {
+        if let Expr::Binary(BinOp::Eq, l, r) = c {
+            let keys = [(l, r), (r, l)].into_iter().find(|(build, probe)| {
+                let reads_outer = std::cell::Cell::new(false);
+                path_of(build, var).is_some()
+                    && infallible(probe, &|name| {
+                        reads_outer.set(true);
+                        name != var && scope.is_bound(name)
+                    })
+                    && reads_outer.get()
+            });
+            if let Some((build, probe)) = keys {
+                chosen = Some((i, (**build).clone(), (**probe).clone()));
+                break;
+            }
+        }
+        if !infallible(c, &inner) {
+            return None;
+        }
+    }
+    let (idx, build_key, probe_key) = chosen?;
+    let residual = conjoin_except(&conjuncts, idx);
+    let slot = *slots;
+    *slots += 1;
+    Some(PlanNode::HashJoin {
+        var: var.to_string(),
+        source: source.to_string(),
+        build_key,
+        probe_key,
+        residual,
+        slot,
+    })
+}
+
+/// Can evaluating `e` never return an error, given that every variable
+/// it reads satisfies `bound`? Navigation, comparisons and boolean
+/// operators cannot fail; arithmetic, negation, calls, computed indexes
+/// and subqueries can.
+fn infallible(e: &Expr, bound: &dyn Fn(&str) -> bool) -> bool {
+    match e {
+        Expr::Literal(_) => true,
+        Expr::Var(name) => bound(name),
+        Expr::Field(a, _) | Expr::Spread(a) | Expr::Not(a) => infallible(a, bound),
+        Expr::Index(a, idx) => {
+            infallible(a, bound)
+                && match &**idx {
+                    Expr::Literal(Value::Number(n)) => n.as_i64().is_some(),
+                    Expr::Literal(Value::String(_)) => true,
+                    _ => false,
+                }
+        }
+        Expr::Binary(op, l, r) => {
+            !matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod)
+                && infallible(l, bound)
+                && infallible(r, bound)
+        }
+        Expr::Ternary(c, a, b) => [c, a, b].into_iter().all(|x| infallible(x, bound)),
+        Expr::Array(items) => items.iter().all(|x| infallible(x, bound)),
+        Expr::Object(fields) => fields.iter().all(|(_, x)| infallible(x, bound)),
+        Expr::Neg(_) | Expr::Call(..) | Expr::Subquery(_) | Expr::SubPlan(_) => false,
+    }
+}
+
+/// The residual predicate: every conjunct but the one a rewrite consumed,
+/// in order.
+fn conjoin_except(conjuncts: &[&Expr], consumed: usize) -> Option<Expr> {
+    conjuncts
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| *i != consumed)
+        .map(|(_, e)| (*e).clone())
+        .reduce(|a, b| Expr::Binary(BinOp::And, Box::new(a), Box::new(b)))
 }
 
 fn split_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
@@ -187,6 +372,12 @@ fn path_of(e: &Expr, var: &str) -> Option<String> {
 
 /// Fold constant subexpressions in place.
 pub fn fold(e: &mut Expr) {
+    fold_in(e, &mut |_| {});
+}
+
+/// [`fold`], handing every subquery met on the way to `on_subquery`.
+fn fold_in(e: &mut Expr, on_subquery: &mut dyn FnMut(&mut Expr)) {
+    let mut fold = |e: &mut Expr| fold_in(e, on_subquery);
     match e {
         Expr::Binary(op, l, r) => {
             fold(l);
@@ -219,9 +410,8 @@ pub fn fold(e: &mut Expr) {
             fold(base);
             fold(idx);
         }
-        Expr::Array(items) => items.iter_mut().for_each(fold),
+        Expr::Array(items) | Expr::Call(_, items) => items.iter_mut().for_each(fold),
         Expr::Object(fields) => fields.iter_mut().for_each(|(_, v)| fold(v)),
-        Expr::Call(_, args) => args.iter_mut().for_each(fold),
         Expr::Ternary(c, a, b) => {
             fold(c);
             fold(a);
@@ -230,7 +420,8 @@ pub fn fold(e: &mut Expr) {
                 *e = if cv.is_truthy() { (**a).clone() } else { (**b).clone() };
             }
         }
-        Expr::Literal(_) | Expr::Var(_) | Expr::Subquery(_) => {}
+        Expr::Subquery(_) => on_subquery(e),
+        Expr::Literal(_) | Expr::Var(_) | Expr::SubPlan(_) => {}
     }
 }
 
@@ -430,5 +621,212 @@ mod tests {
         let q = parse_query("FOR c IN customers FILTER c.credit_limit > 3000 RETURN c").unwrap();
         let plan = optimize(build_plan(&q).unwrap(), &w);
         assert!(matches!(&plan.nodes[0], PlanNode::IndexScan { source, .. } if source == "customers"));
+    }
+
+    fn optimized(text: &str) -> Plan {
+        optimize(build_plan(&parse_query(text).unwrap()).unwrap(), &World::in_memory())
+    }
+
+    /// The plan of the first subquery in a `LET`, as the optimizer left it.
+    fn let_body(plan: &Plan) -> &Plan {
+        plan.nodes
+            .iter()
+            .find_map(|n| match n {
+                PlanNode::Let { value, .. } => find_sub_plan(value),
+                _ => None,
+            })
+            .expect("a LET holding a planned subquery")
+    }
+
+    fn find_sub_plan(e: &Expr) -> Option<&Plan> {
+        match e {
+            Expr::SubPlan(p) => Some(p),
+            Expr::Call(_, args) => args.iter().find_map(find_sub_plan),
+            _ => None,
+        }
+    }
+
+    fn kinds(plan: &Plan) -> Vec<&'static str> {
+        plan.nodes
+            .iter()
+            .map(|n| match n {
+                PlanNode::For { .. } => "For",
+                PlanNode::IndexScan { .. } => "IndexScan",
+                PlanNode::HashJoin { .. } => "HashJoin",
+                PlanNode::Traverse { .. } => "Traverse",
+                PlanNode::Filter(_) => "Filter",
+                PlanNode::Let { .. } => "Let",
+                PlanNode::Sort(_) => "Sort",
+                PlanNode::Limit { .. } => "Limit",
+                PlanNode::Collect { .. } => "Collect",
+            })
+            .collect()
+    }
+
+    const Q4_NAIVE: &str = "FOR c IN customers \
+        LET total = SUM((FOR o IN orders FILTER o.customer_id == c.id RETURN o.total)) \
+        RETURN {name: c.name, total: total}";
+
+    #[test]
+    fn equi_correlated_subquery_becomes_a_hash_join() {
+        let plan = optimized(Q4_NAIVE);
+        assert_eq!(kinds(&plan), ["For", "Let"]);
+        let body = let_body(&plan);
+        assert_eq!(body.nodes.len(), 1);
+        assert_eq!(body.nodes[0].describe(), "HashJoin o IN orders ON o.customer_id == c.id");
+        assert_eq!(
+            plan.explain(),
+            "For c IN customers\nLet total\n\
+             └ HashJoin o IN orders ON o.customer_id == c.id\n└ Return\nReturn"
+        );
+    }
+
+    #[test]
+    fn a_let_bound_before_any_for_is_a_join_source() {
+        // Q4-grouped's shape: `totals` is evaluated once, so its value is
+        // the same for every customer.
+        let plan = optimized(
+            "LET totals = (FOR o IN orders COLLECT cid = o.customer_id AGGREGATE t = SUM(o.total) \
+               RETURN {cid: cid, t: t}) \
+             FOR c IN customers LET hit = (FOR x IN totals FILTER x.cid == c.id RETURN x.t) \
+             RETURN hit",
+        );
+        assert_eq!(kinds(&plan), ["Let", "For", "Let"]);
+        let PlanNode::Let { value: Expr::SubPlan(totals), .. } = &plan.nodes[0] else {
+            panic!("expected a planned subquery, got {:?}", plan.nodes[0]);
+        };
+        assert_eq!(kinds(totals), ["For", "Collect"], "one row reaches it: nothing to join");
+        let PlanNode::Let { value: Expr::SubPlan(hit), .. } = &plan.nodes[2] else {
+            panic!("expected a planned subquery, got {:?}", plan.nodes[2]);
+        };
+        assert_eq!(hit.nodes[0].describe(), "HashJoin x IN totals ON x.cid == c.id");
+    }
+
+    #[test]
+    fn nested_for_and_sql_join_become_hash_joins_with_a_residual() {
+        let plan = optimized(
+            "FOR c IN customers FOR o IN orders \
+             FILTER o.total > 10 && c.id == o.customer_id FILTER o.open RETURN o",
+        );
+        assert_eq!(kinds(&plan), ["For", "HashJoin"]);
+        let PlanNode::HashJoin { build_key, probe_key, residual, .. } = &plan.nodes[1] else {
+            unreachable!()
+        };
+        assert_eq!(build_key.to_string(), "o.customer_id");
+        assert_eq!(probe_key.to_string(), "c.id");
+        assert_eq!(residual.as_ref().unwrap().to_string(), "(o.total > 10) && o.open");
+
+        let sql = crate::sql::parse_sql(
+            "SELECT c.name, p.total FROM customers c JOIN purchases p ON p.customer_id = c.id \
+             JOIN loyalty l ON l.customer_id = c.id WHERE p.total >= 75",
+        )
+        .unwrap();
+        let plan = optimize(build_plan(&sql).unwrap(), &World::in_memory());
+        assert_eq!(kinds(&plan), ["For", "HashJoin", "HashJoin"]);
+        let slots: Vec<usize> = plan
+            .nodes
+            .iter()
+            .filter_map(|n| match n {
+                PlanNode::HashJoin { slot, .. } => Some(*slot),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(slots, [0, 1], "each join of a plan has a build table of its own");
+    }
+
+    #[test]
+    fn hash_join_does_not_fire_when_unsound_or_useless() {
+        let nested_loop = |text: &str, why: &str| {
+            let plan = optimized(text);
+            let all = plan.explain();
+            assert!(!all.contains("HashJoin"), "{why}: {all}");
+        };
+        nested_loop(
+            "FOR c IN customers FOR o IN orders FOR l IN o.orderlines FILTER l.p == c.id RETURN l",
+            "a source computed from the row differs from row to row",
+        );
+        nested_loop(
+            "FOR c IN customers LET orders = c.history \
+             LET t = (FOR o IN orders FILTER o.customer_id == c.id RETURN o) RETURN t",
+            "a per-row LET shadows the store name",
+        );
+        nested_loop(
+            "FOR c IN customers LET mine = c.history FOR o IN mine FILTER o.k == c.id RETURN o",
+            "a LET bound after a FOR holds a value per row",
+        );
+        nested_loop(
+            "FOR c IN customers FOR o IN orders FILTER o.customer_id < c.id RETURN o",
+            "not an equality",
+        );
+        nested_loop(
+            "FOR c IN customers FOR o IN orders FILTER o.customer_id != c.id RETURN o",
+            "not an equality",
+        );
+        nested_loop(
+            "FOR c IN customers FOR o IN orders \
+             FILTER o.customer_id == c.id || o.open RETURN o",
+            "a disjunction has no conjunct to hash on",
+        );
+        nested_loop(
+            "FOR c IN customers FOR o IN orders FILTER o.customer_id == o.payer RETURN o",
+            "both sides read the loop variable",
+        );
+        nested_loop(
+            "FOR c IN customers FOR o IN orders FILTER o.customer_id == 7 RETURN o",
+            "no side reads an earlier variable",
+        );
+        nested_loop(
+            "LET k = 7 FOR o IN orders FILTER o.customer_id == k RETURN o",
+            "a single row probes: one scan either way",
+        );
+        nested_loop(
+            "FOR c IN customers FOR o IN orders FILTER o.customer_id == c.id + 1 RETURN o",
+            "a key that can fail must stay behind the nested loop's short-circuit",
+        );
+        nested_loop(
+            "FOR c IN customers FOR o IN orders \
+             FILTER LENGTH(o.lines) > 0 && o.customer_id == c.id RETURN o",
+            "a conjunct that can fail ahead of the equality guards it",
+        );
+        nested_loop(
+            "FOR c IN customers FOR o IN orders FILTER o.customer_id == nobody.id RETURN o",
+            "an unbound variable is the nested loop's error to report",
+        );
+    }
+
+    #[test]
+    fn a_shadowed_store_name_is_not_index_scanned() {
+        let w = World::in_memory();
+        let c = w.create_collection("products").unwrap();
+        c.insert_json(r#"{"_key":"a","price":9}"#).unwrap();
+        c.create_persistent_index("price").unwrap();
+        let text = "LET products = [{price: 7}] FOR p IN products FILTER p.price > 5 RETURN p.price";
+        let plan = optimize(build_plan(&parse_query(text).unwrap()).unwrap(), &w);
+        assert_eq!(kinds(&plan), ["Let", "For", "Filter"]);
+        assert_eq!(crate::run(&w, text).unwrap(), vec![Value::int(7)]);
+    }
+
+    #[test]
+    fn the_benchmark_queries_without_an_equi_join_keep_their_plans() {
+        // Q2, Q3 and Q5 of `benchmark/src/data.rs`: none joins a
+        // row-invariant source on an equality, so each plan is its clause
+        // list with adjacent filters merged (none are adjacent), as before.
+        let q2 = "FOR c IN customers FILTER c.credit_limit > 3000 \
+             FOR friend IN 1..1 OUTBOUND CONCAT(\"persons/\", c.id) knows \
+             LET order = DOC(\"orders\", KV_GET(\"cart\", friend._key)) FILTER order != NULL \
+             FOR line IN order.orderlines RETURN DISTINCT line.product_no";
+        assert_eq!(kinds(&optimized(q2)), ["For", "Filter", "Traverse", "Let", "Filter", "For"]);
+        let q3 = "FOR f IN FULLTEXT(\"feedback_text\", \"good\") FILTER f.rating >= 4 \
+             LET p = DOC(\"products\", f.product_no) FILTER p.category == \"toys\" \
+             RETURN DISTINCT p._key";
+        assert_eq!(kinds(&optimized(q3)), ["For", "Filter", "Let", "Filter"]);
+        let q5 = "FOR friend IN 1..2 ANY \"persons/17\" knows \
+             LET order = DOC(\"orders\", KV_GET(\"cart\", friend._key)) FILTER order != NULL \
+             FOR line IN order.orderlines RETURN DISTINCT line.product_no";
+        assert_eq!(kinds(&optimized(q5)), ["Traverse", "Let", "Filter", "For"]);
+        for text in [q2, q3, q5] {
+            let parsed = build_plan(&parse_query(text).unwrap()).unwrap();
+            assert_eq!(optimized(text), parsed, "nothing to fold, merge or rewrite in {text}");
+        }
     }
 }

@@ -1,7 +1,8 @@
 //! The logical plan: a pipeline of operators over binding environments.
 //!
 //! `build_plan` maps AST clauses onto plan nodes 1:1; the optimizer then
-//! rewrites node sequences (e.g. `Scan + Filter` into `IndexScan`).
+//! rewrites node sequences (`For` + `Filter` into `IndexScan` or
+//! `HashJoin`) and plans every subquery into an [`Expr::SubPlan`].
 
 use mmdb_types::{Result, Value};
 
@@ -19,7 +20,7 @@ pub enum PlanBound {
 }
 
 /// Logical plan operators.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PlanNode {
     /// `FOR var IN <expr>` — iterate an expression (collection name as a
     /// bare `Var` resolves to a store scan at runtime unless the variable
@@ -45,6 +46,25 @@ pub enum PlanNode {
         hi: PlanBound,
         /// Remaining predicate conjuncts, re-checked per row.
         residual: Option<Expr>,
+    },
+    /// Equi-join of the incoming rows with a row-invariant source,
+    /// produced by the optimizer from `For` + `Filter`: the source is read
+    /// and hashed on `build_key` once per execution, however many rows
+    /// (and re-evaluations of the enclosing subquery) probe it. Output is
+    /// what the nested loop would produce, in the same order.
+    HashJoin {
+        /// Loop variable, bound to each matching source item.
+        var: String,
+        /// Store or variable name; the same items for every incoming row.
+        source: String,
+        /// Key of a source item (reads only `var`).
+        build_key: Expr,
+        /// Key of an incoming row (never reads `var`).
+        probe_key: Expr,
+        /// Remaining predicate conjuncts, checked per matching pair.
+        residual: Option<Expr>,
+        /// Names this node's build table within one execution.
+        slot: usize,
     },
     /// Graph traversal.
     Traverse {
@@ -91,7 +111,7 @@ pub enum PlanNode {
 }
 
 /// A complete plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plan {
     /// Operator pipeline.
     pub nodes: Vec<PlanNode>,
@@ -106,10 +126,14 @@ impl PlanNode {
     /// `EXPLAIN ANALYZE` renderer.
     pub fn describe(&self) -> String {
         match self {
-            PlanNode::For { var, source } => format!("For {var} IN {source:?}"),
+            PlanNode::For { var, source } => format!("For {var} IN {source}"),
             PlanNode::IndexScan { var, source, path, lo, hi, residual } => format!(
                 "IndexScan {var} IN {source} ON {path} [{lo:?}, {hi:?}] residual={}",
                 residual.is_some()
+            ),
+            PlanNode::HashJoin { var, source, build_key, probe_key, residual, .. } => format!(
+                "HashJoin {var} IN {source} ON {build_key} == {probe_key}{}",
+                if residual.is_some() { " residual=true" } else { "" }
             ),
             PlanNode::Traverse { var, min_depth, max_depth, direction, edges, .. } => {
                 format!("Traverse {var} {min_depth}..{max_depth} {direction:?} {edges}")
@@ -125,6 +149,78 @@ impl PlanNode {
             ),
         }
     }
+
+    /// The expressions the node evaluates (keep in step with
+    /// [`PlanNode::exprs_mut`]).
+    fn exprs(&self) -> Vec<&Expr> {
+        match self {
+            PlanNode::For { source, .. } => vec![source],
+            PlanNode::IndexScan { residual, .. } => residual.iter().collect(),
+            PlanNode::HashJoin { build_key, probe_key, residual, .. } => {
+                [build_key, probe_key].into_iter().chain(residual).collect()
+            }
+            PlanNode::Traverse { start, .. } => vec![start],
+            PlanNode::Filter(e) => vec![e],
+            PlanNode::Let { value, .. } => vec![value],
+            PlanNode::Sort(keys) => keys.iter().map(|(e, _)| e).collect(),
+            PlanNode::Limit { .. } => Vec::new(),
+            PlanNode::Collect { key, aggregates, .. } => key
+                .iter()
+                .map(|(_, e)| e)
+                .chain(aggregates.iter().map(|(_, _, e)| e))
+                .collect(),
+        }
+    }
+
+    /// [`PlanNode::exprs`], for the optimizer to rewrite in place.
+    pub(crate) fn exprs_mut(&mut self) -> Vec<&mut Expr> {
+        match self {
+            PlanNode::For { source, .. } => vec![source],
+            PlanNode::IndexScan { residual, .. } => residual.iter_mut().collect(),
+            PlanNode::HashJoin { build_key, probe_key, residual, .. } => {
+                [build_key, probe_key].into_iter().chain(residual).collect()
+            }
+            PlanNode::Traverse { start, .. } => vec![start],
+            PlanNode::Filter(e) => vec![e],
+            PlanNode::Let { value, .. } => vec![value],
+            PlanNode::Sort(keys) => keys.iter_mut().map(|(e, _)| e).collect(),
+            PlanNode::Limit { .. } => Vec::new(),
+            PlanNode::Collect { key, aggregates, .. } => key
+                .iter_mut()
+                .map(|(_, e)| e)
+                .chain(aggregates.iter_mut().map(|(_, _, e)| e))
+                .collect(),
+        }
+    }
+}
+
+/// The prefix of an operator line at subquery nesting `depth` (0 = the
+/// top-level pipeline), shared by `EXPLAIN` and the traced executor.
+pub(crate) fn line_prefix(depth: usize) -> String {
+    match depth {
+        0 => String::new(),
+        d => format!("{}└ ", "  ".repeat(d - 1)),
+    }
+}
+
+/// Append the planned subqueries inside `e`, outermost first.
+fn sub_plans<'e>(e: &'e Expr, out: &mut Vec<&'e Plan>) {
+    match e {
+        Expr::SubPlan(p) => out.push(p),
+        Expr::Literal(_) | Expr::Var(_) | Expr::Subquery(_) => {}
+        Expr::Field(a, _) | Expr::Spread(a) | Expr::Not(a) | Expr::Neg(a) => sub_plans(a, out),
+        Expr::Index(a, b) | Expr::Binary(_, a, b) => {
+            sub_plans(a, out);
+            sub_plans(b, out);
+        }
+        Expr::Ternary(a, b, c) => {
+            sub_plans(a, out);
+            sub_plans(b, out);
+            sub_plans(c, out);
+        }
+        Expr::Call(_, items) | Expr::Array(items) => items.iter().for_each(|i| sub_plans(i, out)),
+        Expr::Object(fields) => fields.iter().for_each(|(_, v)| sub_plans(v, out)),
+    }
 }
 
 impl Plan {
@@ -133,15 +229,27 @@ impl Plan {
         if self.distinct { "Return DISTINCT".to_string() } else { "Return".to_string() }
     }
 
-    /// One-line-per-node textual form (EXPLAIN).
+    /// One-line-per-node textual form (EXPLAIN). A planned subquery's
+    /// operators follow the operator that evaluates it, one `└` level
+    /// deeper — the layout `EXPLAIN ANALYZE` uses.
     pub fn explain(&self) -> String {
-        let mut out = String::new();
+        let mut lines = Vec::new();
+        self.explain_into(0, &mut lines);
+        lines.join("\n")
+    }
+
+    fn explain_into(&self, depth: usize, lines: &mut Vec<String>) {
+        let prefix = line_prefix(depth);
+        let mut emit = |text: String, exprs: Vec<&Expr>| {
+            lines.push(format!("{prefix}{text}"));
+            let mut subs = Vec::new();
+            exprs.into_iter().for_each(|e| sub_plans(e, &mut subs));
+            subs.into_iter().for_each(|p| p.explain_into(depth + 1, lines));
+        };
         for n in &self.nodes {
-            out.push_str(&n.describe());
-            out.push('\n');
+            emit(n.describe(), n.exprs());
         }
-        out.push_str(&self.describe_return());
-        out
+        emit(self.describe_return(), vec![&self.ret]);
     }
 }
 

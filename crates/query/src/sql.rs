@@ -269,7 +269,7 @@ fn qualify(e: &Expr, aliases: &[String]) -> Result<Expr> {
             Box::new(qualify(a, aliases)?),
             Box::new(qualify(b, aliases)?),
         ),
-        Expr::Literal(_) | Expr::Subquery(_) => e.clone(),
+        Expr::Literal(_) | Expr::Subquery(_) | Expr::SubPlan(_) => e.clone(),
     })
 }
 

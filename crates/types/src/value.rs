@@ -24,7 +24,9 @@ use crate::error::{Error, Result};
 pub enum Number {
     /// 64-bit signed integer.
     Int(i64),
-    /// 64-bit IEEE-754 float. NaN is rejected at construction.
+    /// 64-bit IEEE-754 float. [`Value::float`] turns NaN into null; a NaN
+    /// that arrives another way (decoded bytes, this variant built by
+    /// hand) is one value ordered above every other number.
     Float(f64),
 }
 
@@ -71,12 +73,14 @@ impl Ord for Number {
     /// for integral values near or above 2^53) the exact integer values
     /// break the tie, so e.g. `Int(i64::MAX - 1) < Int(i64::MAX)` even
     /// though both round to the same f64. This keeps the order total and
-    /// transitive across mixed int/float operands.
+    /// transitive across mixed int/float operands. Every NaN is the same
+    /// value and sorts above all other numbers.
     fn cmp(&self, other: &Self) -> Ordering {
         let (a, b) = (self.as_f64(), other.as_f64());
         match a.partial_cmp(&b) {
-            Some(Ordering::Equal) | None => self.exact_tiebreak().cmp(&other.exact_tiebreak()),
+            Some(Ordering::Equal) => self.exact_tiebreak().cmp(&other.exact_tiebreak()),
             Some(o) => o,
+            None => a.is_nan().cmp(&b.is_nan()),
         }
     }
 }
@@ -101,6 +105,9 @@ impl Hash for Number {
         let f = self.as_f64();
         if f.fract() == 0.0 && f.abs() < 1.0e30 {
             self.exact_tiebreak().hash(state)
+        } else if f.is_nan() {
+            // All NaN bit patterns are equal under `cmp`.
+            f64::NAN.to_bits().hash(state)
         } else {
             f.to_bits().hash(state)
         }
@@ -650,5 +657,49 @@ mod tests {
             s.finish()
         }
         assert_eq!(h(&Value::int(42)), h(&Value::float(42.0)));
+    }
+
+    #[test]
+    fn number_eq_ord_and_hash_agree_on_edge_values() {
+        use std::collections::hash_map::DefaultHasher;
+        fn h(n: &Number) -> u64 {
+            let mut s = DefaultHasher::new();
+            n.hash(&mut s);
+            s.finish()
+        }
+        let two53 = 1i64 << 53;
+        let xs = [
+            Number::Float(f64::NAN),
+            Number::Float(-f64::NAN),
+            Number::Float(0.0),
+            Number::Float(-0.0),
+            Number::Float(0.5),
+            Number::Float(0.7),
+            Number::Int(1),
+            Number::Float(1.0),
+            Number::Int(two53 + 1),
+            Number::Float(two53 as f64),
+        ];
+        for a in &xs {
+            assert_eq!(a.cmp(a), Ordering::Equal, "{a:?} is not equal to itself");
+            for b in &xs {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} vs {b:?}");
+                if a == b {
+                    assert_eq!(h(a), h(b), "{a:?} == {b:?} but their hashes differ");
+                }
+                for c in &xs {
+                    if a <= b && b <= c {
+                        assert!(a <= c, "{a:?} <= {b:?} <= {c:?} is not transitive");
+                    }
+                    if a == b && b == c {
+                        assert!(a == c, "{a:?} == {b:?} == {c:?} is not transitive");
+                    }
+                }
+            }
+        }
+        assert_ne!(Number::Float(f64::NAN), Number::Float(0.5));
+        assert_eq!(Number::Float(f64::NAN), Number::Float(-f64::NAN));
+        assert!(Number::Float(f64::NAN) > Number::Float(f64::INFINITY));
+        assert_ne!(Number::Int(two53 + 1), Number::Float(two53 as f64));
     }
 }

@@ -5,8 +5,10 @@
 #   scripts/ci.sh
 #
 # Everything must pass before a PR lands: a warning-free release build,
-# the full test suite (unit + integration + property + doc tests), and
-# clippy with warnings promoted to errors.
+# the full test suite of every workspace crate (unit + integration +
+# property + doc tests), clippy with warnings promoted to errors, and
+# the benchmark of record still building and running against the
+# engine's public items.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -14,8 +16,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test -q --workspace"
+# Every member's suites, not just the root package's: crate-level tests
+# such as crates/lint/tests/self_scan.rs gate a PR too.
+cargo test -q --workspace
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -74,5 +78,16 @@ echo "==> workload P pipelining smoke (reduced: 200 idle, 8 hot)"
 # is `unibench --workload p`; EXPERIMENTS.md records its numbers.
 cargo run -q --release -p mmdb-bench --bin unibench -- --scale 0.05 --workload p \
   --idle-conns 200 --hot-conns 8 --pipeline-ops 200 --seed 21
+
+echo "==> benchmark of record: unit tests + quick smoke (benchmark/, a package of its own)"
+# Not a performance gate either. The harness compiles against public
+# items of the engine (parse_query / build_plan / optimize / execute_plan,
+# Database::query_traced_with, ExecStats, World::access, ...) and checks
+# every answer against an oracle: a PR that breaks one of those seams, or
+# an answer, fails here instead of at the benchmark gate. `run --quick`
+# is every workload, untraced and traced, one second each (< 1 min).
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- \
+  run --quick --out target/bench-quick.json > target/bench-quick.txt
 
 echo "==> tier-1 gate passed"

@@ -91,6 +91,47 @@ fn explain_analyze_reports_rows_timings_and_access_paths() {
     server.shutdown().unwrap();
 }
 
+/// Q4-naive of `benchmark/src/data.rs`.
+const Q4_NAIVE: &str = "FOR c IN customers \
+     LET total = SUM((FOR o IN orders FILTER o.customer_id == c.id RETURN o.total)) \
+     RETURN {name: c.name, total: total}";
+
+#[test]
+fn explain_analyze_shows_the_hash_join_and_its_single_build() {
+    let (db, server, addr) = start(ServerConfig::default());
+    for (i, cid) in [1, 1, 2, 1, 9].into_iter().enumerate() {
+        db.insert_json("orders", &format!(r#"{{"_key":"o{i}","customer_id":{cid},"total":10}}"#))
+            .unwrap();
+    }
+    let mut client = Client::connect(&addr).unwrap();
+
+    let plan = client.explain(Q4_NAIVE).unwrap();
+    assert!(plan.contains("└ HashJoin o IN orders ON o.customer_id == c.id"), "{plan}");
+
+    // 3 customers probe one build over all 6 orders: one scan of each
+    // store, however many customers there are.
+    let scans_before = db.world().access.full_scans();
+    let report = client.explain_analyze(Q4_NAIVE).unwrap();
+    assert_eq!(db.world().access.full_scans() - scans_before, 2, "{report}");
+    let join = report
+        .lines()
+        .find(|l| l.contains("HashJoin o IN orders ON o.customer_id == c.id"))
+        .unwrap_or_else(|| panic!("no HashJoin line in {report}"));
+    assert!(join.starts_with("└ "), "spliced under the LET that evaluates it: {report}");
+    assert!(join.contains("[hash build: 6 rows once, 3 probes]"), "{report}");
+    assert!(join.contains("rows: 3 -> 4"), "{report}");
+    assert_eq!(
+        client.query(Q4_NAIVE).unwrap(),
+        vec![
+            mmdb::from_json(r#"{"name":"Mary","total":30}"#).unwrap(),
+            mmdb::from_json(r#"{"name":"John","total":10}"#).unwrap(),
+            mmdb::from_json(r#"{"name":"Anne","total":0}"#).unwrap(),
+        ]
+    );
+
+    server.shutdown().unwrap();
+}
+
 #[test]
 fn slow_query_log_records_queries_over_the_threshold() {
     // Threshold zero: every query is "slow", so the log fills.
