@@ -22,9 +22,8 @@ use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use mmdb_protocol::{
-    frame, schema_to_value, DdlOp, Request, Response, SessionOp, PROTOCOL_VERSION,
-};
+use mmdb_protocol::frame::{self, FrameReader};
+use mmdb_protocol::{schema_to_value, DdlOp, Request, Response, SessionOp, PROTOCOL_VERSION};
 use mmdb_relational::Schema;
 use mmdb_types::{Error, Result, Value};
 
@@ -49,9 +48,16 @@ impl Default for ClientConfig {
     }
 }
 
+/// Size a connection's read and send buffers return to once drained:
+/// room for a pipelined window of small messages per `read` / `write`.
+const IDLE_BUF_BYTES: usize = 8 * 1024;
+
 /// One connection to a mmdb server.
 pub struct Client {
     stream: TcpStream,
+    /// Every read of the socket goes through this buffer: a burst of
+    /// pipelined responses (or pushed changes) costs one `read`.
+    frames: FrameReader,
     config: ClientConfig,
     server: String,
     /// Set after an I/O or framing failure: the stream position is
@@ -99,6 +105,7 @@ impl Client {
         stream.set_nodelay(true)?;
         let mut client = Client {
             stream,
+            frames: FrameReader::new(IDLE_BUF_BYTES),
             config,
             server: String::new(),
             poisoned: false,
@@ -152,8 +159,8 @@ impl Client {
         }
         let result = (|| {
             frame::write_frame(&mut self.stream, &req.encode(), self.config.max_frame_len)?;
-            let payload = frame::read_frame(&mut self.stream, self.config.max_frame_len)?;
-            Response::decode(&payload)
+            let payload = self.frames.read_frame(&mut self.stream, self.config.max_frame_len)?;
+            Response::decode(payload)
         })();
         match result {
             Ok(Response::Err { kind, message }) => {
@@ -219,8 +226,9 @@ impl Client {
                 "connection poisoned by an earlier I/O failure".into(),
             ));
         }
-        let buf = std::mem::take(&mut self.send_buf);
-        if let Err(e) = self.stream.write_all(&buf) {
+        let written = self.stream.write_all(&self.send_buf);
+        frame::release(&mut self.send_buf, IDLE_BUF_BYTES);
+        if let Err(e) = written {
             self.poisoned = true;
             return Err(e.into());
         }
@@ -251,8 +259,9 @@ impl Client {
                 ));
             }
             let result = (|| {
-                let payload = frame::read_frame(&mut self.stream, self.config.max_frame_len)?;
-                Response::decode_with_id(&payload)
+                let payload =
+                    self.frames.read_frame(&mut self.stream, self.config.max_frame_len)?;
+                Response::decode_with_id(payload)
             })();
             match result {
                 Ok((Some(got), resp)) if got == id => {
@@ -505,8 +514,8 @@ impl Client {
             ));
         }
         let result = (|| {
-            let payload = frame::read_frame(&mut self.stream, self.config.max_frame_len)?;
-            Response::decode(&payload)
+            let payload = self.frames.read_frame(&mut self.stream, self.config.max_frame_len)?;
+            Response::decode(payload)
         })();
         match result {
             Ok(Response::Change(v)) => Ok(v),

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use mmdb_query::World;
 use mmdb_relational::Schema;
-use mmdb_txn::{CommittedWrite, Transaction};
+use mmdb_txn::{CommittedWrite, IsolationLevel, Transaction};
 use mmdb_types::codec::{encode_composite_key, key_of};
 use mmdb_types::{CancelToken, Error, Result, Value};
 
@@ -73,6 +73,18 @@ impl Session {
     /// Abort the transaction.
     pub fn abort(self) {
         self.txn.abort()
+    }
+
+    /// Close a session that only read: no WAL trace, no commit or abort
+    /// counted, and no path into the commit sequencer (see
+    /// [`Transaction::end_read`]).
+    pub fn end_read(self) {
+        self.txn.end_read()
+    }
+
+    /// The isolation level the session was begun at.
+    pub fn isolation(&self) -> IsolationLevel {
+        self.txn.isolation()
     }
 
     /// Number of writes staged so far (0 means read-only).
@@ -336,7 +348,7 @@ pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
                 }
             }
             "kv" => {
-                if !world.kv.buckets().contains(&rest.to_string()) {
+                if !world.kv.has_bucket(rest) {
                     world.kv.create_bucket(rest)?;
                 }
                 let key = std::str::from_utf8(&w.key)

@@ -55,6 +55,11 @@ impl KvStore {
             .ok_or_else(|| Error::NotFound(format!("bucket '{name}'")))
     }
 
+    /// Whether a bucket of this name exists.
+    pub fn has_bucket(&self, name: &str) -> bool {
+        self.buckets.read().contains_key(name)
+    }
+
     /// List bucket names (sorted).
     pub fn buckets(&self) -> Vec<String> {
         let mut names: Vec<String> = self.buckets.read().keys().cloned().collect();
@@ -187,6 +192,7 @@ mod tests {
         assert!(s.create_bucket("cart").is_err());
         s.create_bucket("sessions").unwrap();
         assert_eq!(s.buckets(), vec!["cart", "sessions"]);
+        assert!(s.has_bucket("cart") && !s.has_bucket("nope"));
         s.drop_bucket("sessions").unwrap();
         assert!(s.drop_bucket("sessions").is_err());
         assert!(s.put("sessions", "k", Value::Null).is_err());

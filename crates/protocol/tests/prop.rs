@@ -3,7 +3,8 @@
 //! contract — truncated or random bytes must come back as errors, never
 //! as panics or hangs.
 
-use mmdb_protocol::{frame, DdlOp, Request, Response, SessionOp};
+use mmdb_protocol::frame::{self, FrameReader};
+use mmdb_protocol::{DdlOp, Request, Response, SessionOp};
 use mmdb_types::codec::{value_from_bytes, value_to_bytes};
 use mmdb_types::Value;
 use proptest::prelude::*;
@@ -65,8 +66,96 @@ fn arb_response() -> impl Strategy<Value = Response> {
     ]
 }
 
+/// A stream that hands out its bytes in reads of the given sizes
+/// (cycled), however large the caller's buffer is.
+struct Chunked<'a> {
+    bytes: &'a [u8],
+    sizes: &'a [usize],
+    reads: usize,
+}
+
+impl std::io::Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.reads % self.sizes.len()];
+        self.reads += 1;
+        let n = size.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Every frame a buffered reader finds in `stream`, then how it ended.
+fn buffered_frames(mut stream: impl std::io::Read, idle: usize) -> (Vec<Vec<u8>>, bool) {
+    let mut reader = FrameReader::new(idle);
+    let mut frames = Vec::new();
+    loop {
+        match reader.read_frame(&mut stream, frame::MAX_FRAME_LEN) {
+            Ok(payload) => frames.push(payload.to_vec()),
+            Err(_) => return (frames, reader.has_partial()),
+        }
+    }
+}
+
+fn wire_of(payloads: &[Vec<u8>]) -> Vec<u8> {
+    let mut wire = Vec::new();
+    for p in payloads {
+        frame::write_frame(&mut wire, p, frame::MAX_FRAME_LEN).unwrap();
+    }
+    wire
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn any_split_of_a_frame_stream_decodes_like_one_frame_per_read(
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..200), 0..8),
+        sizes in prop::collection::vec(1usize..300, 1..6),
+        idle in 4usize..256,
+    ) {
+        // The oracle reads exactly one frame per call, byte-exact.
+        let wire = wire_of(&payloads);
+        let mut exact = &wire[..];
+        let oracle: Vec<Vec<u8>> = (0..payloads.len())
+            .map(|_| frame::read_frame(&mut exact, frame::MAX_FRAME_LEN).unwrap())
+            .collect();
+        prop_assert_eq!(&oracle, &payloads);
+        // Many frames per read, or many reads per frame: same frames.
+        let stream = Chunked { bytes: &wire, sizes: &sizes, reads: 0 };
+        let (frames, partial) = buffered_frames(stream, idle);
+        prop_assert_eq!(&frames, &payloads);
+        prop_assert!(!partial, "the stream ended on a frame boundary");
+    }
+
+    #[test]
+    fn a_frame_stream_cut_at_every_byte_boundary_decodes_identically(
+        payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 1..5),
+    ) {
+        let wire = wire_of(&payloads);
+        for cut in 0..=wire.len() {
+            // Two reads: everything before the cut, everything after.
+            let sizes = [cut.max(1), wire.len()];
+            let stream = Chunked { bytes: &wire, sizes: &sizes, reads: 0 };
+            let (frames, partial) = buffered_frames(stream, 16);
+            prop_assert_eq!(&frames, &payloads, "cut at {}", cut);
+            prop_assert!(!partial);
+            // And a stream that *ends* at the cut yields exactly the
+            // frames complete by then, and knows whether it ended inside one.
+            let (frames, partial) = buffered_frames(&wire[..cut], 16);
+            let mut whole = 0;
+            let mut end = 0;
+            for p in &payloads {
+                if end + frame::HEADER_LEN + p.len() > cut {
+                    break;
+                }
+                end += frame::HEADER_LEN + p.len();
+                whole += 1;
+            }
+            prop_assert_eq!(&frames[..], &payloads[..whole], "stream ends at {}", cut);
+            prop_assert_eq!(partial, end < cut);
+        }
+    }
 
     #[test]
     fn frame_roundtrip(payload in prop::collection::vec(any::<u8>(), 0..600)) {

@@ -247,7 +247,7 @@ impl World {
             Some("document-collection")
         } else if self.catalog.table(name).is_ok() {
             Some("relational-table")
-        } else if self.kv.buckets().contains(&name.to_string()) {
+        } else if self.kv.has_bucket(name) {
             Some("kv-bucket")
         } else {
             None
@@ -271,7 +271,7 @@ impl World {
                 .map(|row| schema.object_from_row(row))
                 .collect());
         }
-        if self.kv.buckets().contains(&name.to_string()) {
+        if self.kv.has_bucket(name) {
             self.access.note_full_scan();
             return Ok(self
                 .kv

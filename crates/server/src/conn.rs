@@ -3,9 +3,14 @@
 //! Each connection is three cooperating parts:
 //!
 //! * a **reader** thread (spawned at accept) that blocks on the socket,
-//!   decodes frames, and enqueues requests onto the shared executor
-//!   pool — stopping at `pipeline_depth` requests in flight, which is
-//!   the whole backpressure story;
+//!   parses every frame one `read` delivered, and is the executor of
+//!   first resort: while the connection is *quiescent* (nothing admitted
+//!   is unanswered or unwritten) it runs requests that cannot block
+//!   itself ([`run_inline`]) and writes their replies with one write
+//!   before it next blocks or hands anything to the pool. Everything
+//!   else it enqueues onto the shared executor pool — stopping at
+//!   `pipeline_depth` requests in flight, which is the whole
+//!   backpressure story;
 //! * the **executor pool** (shared, `workers` threads) that runs the
 //!   requests: stateless tagged requests in parallel, everything
 //!   touching session state (and every untagged request, to preserve
@@ -13,8 +18,8 @@
 //!   lane* — a queue drained by at most one pool job at a time;
 //! * a lazily-spawned **writer** thread that batches completed
 //!   responses off the outbound queue and writes them with one syscall
-//!   per batch. Connections that never pipeline past the handshake
-//!   (e.g. thousands of idle clients) never get a writer.
+//!   per batch. Connections whose requests all ran on the reader (idle
+//!   clients, depth-1 point reads, pure-read pipelines) never get one.
 //!
 //! A connection owns at most one [`Session`]. When the reader retires
 //! with the session still open — client vanished, protocol error,
@@ -22,7 +27,7 @@
 //! `mmdb_core::session`), and the reap is counted in the metrics.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -30,7 +35,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mmdb_core::Session;
-use mmdb_protocol::{frame, DdlOp, Request, Response, SessionOp, PROTOCOL_VERSION};
+use mmdb_protocol::frame::{self, FrameReader};
+use mmdb_protocol::{DdlOp, Request, Response, SessionOp, PROTOCOL_VERSION};
 use mmdb_repl::feed::{self, CdcBuffer};
 use mmdb_types::codec::value_to_bytes;
 use mmdb_types::{CancelToken, Error, Result, Value};
@@ -39,6 +45,15 @@ use mmdb_txn::IsolationLevel;
 use parking_lot::{Condvar, Mutex};
 
 use crate::{Job, ServerInner, SERVER_NAME};
+
+/// A connection's read buffer and its reader's reply buffer are this
+/// large while idle (they grow to what one message needs and shrink
+/// back): 10 000 parked connections must stay cheap.
+const IDLE_BUF_BYTES: usize = 1024;
+
+/// The reader writes its replies out early once this many bytes wait:
+/// one `read` can deliver many requests, each with a large answer.
+const REPLY_FLUSH_BYTES: usize = 64 * 1024;
 
 /// One request parked on a connection's serial lane.
 struct LaneJob {
@@ -74,6 +89,20 @@ struct ConnShared {
     dead: bool,
     /// No more requests will arrive; the writer drains and exits.
     closing: bool,
+}
+
+impl ConnShared {
+    /// Nothing admitted is unanswered and nothing answered is unwritten.
+    /// Only the reader admits requests, so until it does, no pool job,
+    /// lane job or writer touches the socket or the session: the reader
+    /// may use both.
+    fn quiescent(&self) -> bool {
+        self.inflight == 0
+            && self.lane.is_empty()
+            && !self.lane_running
+            && self.out.is_empty()
+            && !self.writer_busy
+    }
 }
 
 /// Everything the reaper, shutdown, and executor jobs need to reach a
@@ -148,8 +177,29 @@ impl ConnHandle {
         if self.mid_frame.load(Ordering::Relaxed) || self.streaming.load(Ordering::Relaxed) { // lint: allow(relaxed, reaper heuristic; a racing frame start is re-checked next tick)
             return false;
         }
-        let st = self.state.lock();
-        st.inflight == 0 && st.out.is_empty() && st.lane.is_empty() && !st.writer_busy
+        self.state.lock().quiescent()
+    }
+
+    /// Whether the connection is quiescent, giving a writer that has
+    /// written its last batch (or a lane drainer that ran its last job)
+    /// but has not yet been scheduled to say so a moment to say so: the
+    /// peer can answer a reply faster than the thread that sent it gets
+    /// the CPU back, and without this a depth-1 client that follows a
+    /// pooled request with cheap ones could stay on the pool path.
+    fn settled(&self) -> bool {
+        for _ in 0..3 {
+            {
+                let st = self.state.lock();
+                if st.quiescent() {
+                    return true;
+                }
+                if st.inflight > 0 || !st.lane.is_empty() || !st.out.is_empty() {
+                    return false;
+                }
+            }
+            std::thread::yield_now();
+        }
+        false
     }
 
     fn note_activity(&self) {
@@ -164,24 +214,28 @@ impl ConnHandle {
     }
 }
 
-/// Encode `resp` (tagged with `id` when present) as one wire frame. A
-/// response too large for the frame limit degrades to a framed error —
-/// the request id is preserved so a pipelining client still gets its
-/// answer.
-fn encode_frame(inner: &ServerInner, id: Option<u64>, resp: &Response) -> Vec<u8> {
+/// Append `resp` (tagged with `id` when present) to `buf` as one wire
+/// frame. A response too large for the frame limit degrades to a framed
+/// error — the request id is preserved so a pipelining client still
+/// gets its answer.
+fn append_frame(inner: &ServerInner, buf: &mut Vec<u8>, id: Option<u64>, resp: &Response) {
     let max = inner.config.max_frame_len;
     let payload = resp.encode_with_id(id);
-    let mut buf = Vec::with_capacity(payload.len() + frame::HEADER_LEN);
-    if frame::write_frame(&mut buf, &payload, max).is_ok() {
-        return buf;
+    // An oversized payload is refused before a byte of it is appended.
+    if frame::write_frame(buf, &payload, max).is_ok() {
+        return;
     }
     let err = Response::from_error(&Error::Protocol(format!(
         "response of {} bytes exceeds the {} byte frame limit",
         payload.len(),
         max
     )));
-    buf.clear();
-    let _ = frame::write_frame(&mut buf, &err.encode_with_id(id), max);
+    let _ = frame::write_frame(buf, &err.encode_with_id(id), max);
+}
+
+fn encode_frame(inner: &ServerInner, id: Option<u64>, resp: &Response) -> Vec<u8> {
+    let mut buf = Vec::new();
+    append_frame(inner, &mut buf, id, resp);
     buf
 }
 
@@ -328,105 +382,72 @@ fn write_all_bounded(stream: &TcpStream, buf: &[u8], timeout: Duration) -> Resul
     Ok(())
 }
 
-/// Outcome of one blocking frame read.
-enum FrameRead {
-    Frame(Vec<u8>),
-    /// Clean end: EOF between frames, idle reap, or shutdown.
-    Closed,
-}
-
-/// Read one frame. Blocks indefinitely for the first byte (idle is the
-/// reaper's job — it shuts the socket down under us, which reads as
-/// EOF); once a frame has started, the *whole frame* must arrive within
-/// `read_timeout` or the connection is cut off with a stall error.
-fn read_frame_blocking(inner: &ServerInner, conn: &ConnHandle) -> Result<FrameRead> {
-    let stream = &conn.stream;
-    let mut r = stream;
-    let mut header = [0u8; frame::HEADER_LEN];
-    // Phase 1: first byte, no deadline.
-    let _ = stream.set_read_timeout(None);
-    loop {
-        match r.read(&mut header[..1]) {
-            Ok(0) => return Ok(FrameRead::Closed),
-            Ok(_) => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            // A stray timeout despite no deadline: just keep waiting.
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) => return Err(e.into()),
-        }
+/// Write out the replies the reader produced itself. The caller holds
+/// the invariant that makes this safe: `replies` is non-empty only while
+/// the connection is quiescent, so nobody else is writing the socket.
+/// Same rule as the writer's: a peer that stopped reading is
+/// disconnected after `write_timeout`, not buffered. False means the
+/// connection is dead.
+fn flush_replies(inner: &ServerInner, conn: &ConnHandle, replies: &mut Vec<u8>) -> bool {
+    if replies.is_empty() {
+        return true;
     }
-    // Phase 2: the rest of the frame, under one shared deadline.
-    conn.mid_frame.store(true, Ordering::Relaxed); // lint: allow(relaxed, reaper heuristic flag; no synchronization role)
-    let deadline = Instant::now() + inner.config.read_timeout;
-    let result = (|| {
-        read_exact_deadline(inner, stream, &mut header[1..], deadline)?;
-        let len = u32::from_be_bytes(header);
-        if len > inner.config.max_frame_len {
-            return Err(Error::Protocol(format!(
-                "incoming frame announces {len} bytes, exceeding the {} byte limit",
-                inner.config.max_frame_len
-            )));
-        }
-        let mut payload = vec![0u8; len as usize];
-        read_exact_deadline(inner, stream, &mut payload, deadline)?;
-        Ok(FrameRead::Frame(payload))
-    })();
-    conn.mid_frame.store(false, Ordering::Relaxed); // lint: allow(relaxed, reaper heuristic flag; no synchronization role)
-    result
-}
-
-fn read_exact_deadline(
-    inner: &ServerInner,
-    stream: &TcpStream,
-    buf: &mut [u8],
-    deadline: Instant,
-) -> Result<()> {
-    let mut r = stream;
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(Error::Storage(format!(
-                "read stalled mid-frame for {:?}",
-                inner.config.read_timeout
-            )));
-        }
-        let _ = stream.set_read_timeout(Some(remaining));
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => return Err(Error::Protocol("connection closed mid-frame".into())),
-            Ok(n) => filled += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
+    let sent = write_all_bounded(&conn.stream, replies, inner.config.write_timeout);
+    frame::release(replies, IDLE_BUF_BYTES);
+    if sent.is_err() {
+        conn.state.lock().dead = true;
+        let _ = conn.stream.shutdown(Shutdown::Both);
     }
-    Ok(())
+    sent.is_ok()
 }
 
-/// The connection's reader loop: decode frames, admit them under the
-/// pipeline-depth cap, route to the serial lane or the parallel pool.
-/// Owns the connection's whole lifecycle — on exit it flushes a
-/// terminal error (if any), drains and joins the writer, aborts an
-/// orphaned transaction, and unregisters.
+/// The connection's reader loop: parse frames, run what cannot block
+/// right here, admit the rest under the pipeline-depth cap and route it
+/// to the serial lane or the parallel pool. Owns the connection's whole
+/// lifecycle — on exit it flushes a terminal error (if any), drains and
+/// joins the writer, aborts an orphaned transaction, and unregisters.
 pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
     inner.metrics.connections_active.fetch_add(1, Ordering::Relaxed); // lint: allow(relaxed, metric gauge read only by ADMIN STATS; no synchronization role)
     conn.note_activity();
+    let max_frame = inner.config.max_frame_len;
+    let mut frames = FrameReader::new(IDLE_BUF_BYTES);
+    // Framed replies to the requests this thread ran itself, waiting for
+    // one write. Non-empty only while the connection is quiescent, and
+    // never across a blocking call: flushed before every `read`, every
+    // hand-off to the pool and every wait.
+    let mut replies: Vec<u8> = Vec::new();
     let mut hello_done = false;
     // A fatal protocol/stall error to report before closing, tagged
     // with the offending request's id when one was decoded.
     let mut fatal: Option<(Option<u64>, Error)> = None;
 
-    loop {
-        let payload = match read_frame_blocking(inner, conn) {
-            Ok(FrameRead::Frame(p)) => p,
-            Ok(FrameRead::Closed) => break,
-            Err(e) => {
-                fatal = Some((None, e));
-                break;
+    'conn: loop {
+        // The next request: out of the buffer while whole frames are in
+        // it, else off the socket.
+        let decoded = loop {
+            match frames.next_frame(max_frame) {
+                Ok(Some(payload)) => break Request::decode_with_id(payload),
+                Ok(None) => {}
+                Err(e) => break Err(e),
+            }
+            if !flush_replies(inner, conn, &mut replies) {
+                break 'conn;
+            }
+            conn.mid_frame.store(frames.has_partial(), Ordering::Relaxed); // lint: allow(relaxed, reaper heuristic flag; no synchronization role)
+            // Blocks indefinitely between frames (idle is the reaper's
+            // job — it shuts the socket down under us, which reads as
+            // EOF); a frame that has started must arrive whole within
+            // `read_timeout` or the connection is cut off.
+            match frames.fill_socket(&conn.stream, max_frame, inner.config.read_timeout) {
+                Ok(0) if frames.has_partial() => {
+                    break Err(Error::Protocol("connection closed mid-frame".into()))
+                }
+                Ok(0) => break 'conn,
+                Ok(_) => conn.note_activity(),
+                Err(e) => break Err(e),
             }
         };
-        conn.note_activity();
-        let (id, request) = match Request::decode_with_id(&payload) {
+        let (id, request) = match decoded {
             Ok(decoded) => decoded,
             Err(e) => {
                 fatal = Some((None, e));
@@ -434,8 +455,8 @@ pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
             }
         };
 
-        // The handshake happens inline on the reader: no writer exists
-        // yet (nothing has been enqueued), so the reader may write.
+        // The handshake is answered by the reader: nothing has been
+        // enqueued yet, so the connection is quiescent by construction.
         if !hello_done {
             let started = Instant::now();
             let result = match &request {
@@ -448,20 +469,37 @@ pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
                 ))),
                 _ => Err(Error::Protocol("first request must be 'hello'".into())),
             };
-            let resp = match result {
-                Ok(r) => r,
-                Err(e) => Response::from_error(&e),
-            };
-            let ok = !matches!(resp, Response::Err { .. });
-            inner.metrics.record_request(&request, ok, started.elapsed());
-            let mut w = &conn.stream;
-            if frame::write_frame(&mut w, &resp.encode_with_id(id), inner.config.max_frame_len)
-                .is_err()
-                || !hello_done
-            {
+            let resp = result.unwrap_or_else(|e| Response::from_error(&e));
+            inner.metrics.record_request(&request, hello_done, started.elapsed());
+            append_frame(inner, &mut replies, id, &resp);
+            if !hello_done {
                 break;
             }
             continue;
+        }
+
+        // Executor of first resort: on a quiescent connection the reader
+        // owns the session and the socket, so a request that cannot
+        // block is run here and its reply joins `replies`.
+        let started = Instant::now();
+        if conn.settled() {
+            let result = run_inline(inner, &mut conn.session.lock(), &request);
+            if let Some(result) = result {
+                let resp = result.unwrap_or_else(|e| Response::from_error(&e));
+                let ok = !matches!(resp, Response::Err { .. });
+                inner.metrics.record_request(&request, ok, started.elapsed());
+                inner.metrics.inline_requests.fetch_add(1, Ordering::Relaxed); // lint: allow(relaxed, monotonic metric counter; no synchronization role)
+                append_frame(inner, &mut replies, id, &resp);
+                if replies.len() >= REPLY_FLUSH_BYTES && !flush_replies(inner, conn, &mut replies) {
+                    break;
+                }
+                continue;
+            }
+        }
+        // Everything below waits or hands the request to the pool, whose
+        // answers leave through the writer: the reader's own go first.
+        if !flush_replies(inner, conn, &mut replies) {
+            break;
         }
 
         // Stream requests flip the connection into push mode and never
@@ -492,9 +530,7 @@ pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
             let result = serve_stream(inner, conn, *from_lsn, cdc);
             inner.metrics.record_request(&request, result.is_ok(), started.elapsed());
             if let Err(e) = result {
-                let resp = Response::from_error(&e);
-                let mut w = &conn.stream;
-                let _ = frame::write_frame(&mut w, &resp.encode(), inner.config.max_frame_len);
+                append_frame(inner, &mut replies, None, &Response::from_error(&e));
             }
             break;
         }
@@ -561,18 +597,19 @@ pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
         }
     }
 
-    // Retirement. Report the fatal error (pre-handshake: inline, no
-    // writer can exist; post-handshake: through the queue so it cannot
-    // interleave with a concurrent writer flush), then drain.
+    // Retirement. Report the fatal error: behind the reader's own
+    // replies when the connection is quiescent (always, before the
+    // handshake), else through the queue so it cannot interleave with a
+    // concurrent writer flush — `replies` is empty then.
     if let Some((fatal_id, e)) = fatal {
         let resp = Response::from_error(&e);
-        if hello_done {
-            push_frame(inner, conn, encode_frame(inner, fatal_id, &resp));
+        if conn.settled() {
+            append_frame(inner, &mut replies, fatal_id, &resp);
         } else {
-            let mut w = &conn.stream;
-            let _ = frame::write_frame(&mut w, &resp.encode(), inner.config.max_frame_len);
+            push_frame(inner, conn, encode_frame(inner, fatal_id, &resp));
         }
     }
+    flush_replies(inner, conn, &mut replies);
     let writer = {
         let mut st = conn.state.lock();
         st.closing = true;
@@ -680,32 +717,76 @@ fn run_stateless(
     })
 }
 
-/// Full dispatch for serial-lane jobs: session-affecting requests plus
-/// anything stateless an untagged client sent (delegated).
+/// The requests a connection's reader may run itself, because they
+/// cannot wait: `Ping`, `Begin`, `Abort`, operations staged in or read
+/// through an open snapshot session, and session-less point reads
+/// served from a snapshot of their own. None of them reaches the commit
+/// sequencer, an fsync or a lock queue. `None` means the request is not
+/// one of these and must take the lane/pool path: `Commit`, auto-commit
+/// writes, a serializable session's operations (they queue for locks),
+/// DDL, queries, admin. `crates/lint/tests/self_scan.rs` checks that no
+/// call to the commit path is written in this function.
+fn run_inline(
+    inner: &ServerInner,
+    session: &mut Option<Session>,
+    req: &Request,
+) -> Option<Result<Response>> {
+    Some(match req {
+        Request::Ping => Ok(Response::Pong),
+        Request::Begin { .. } if session.is_some() => Err(Error::TxnClosed(
+            "a transaction is already open on this connection".into(),
+        )),
+        Request::Begin { serializable } => {
+            let isolation = if *serializable {
+                IsolationLevel::Serializable
+            } else {
+                IsolationLevel::Snapshot
+            };
+            let s = inner.db.begin(isolation);
+            let txn_id = s.id() as i64;
+            *session = Some(s);
+            Ok(Response::TxnBegun { txn_id })
+        }
+        Request::Abort => match session.take() {
+            Some(s) => {
+                s.abort();
+                Ok(Response::Aborted)
+            }
+            None => Err(Error::TxnClosed("no open transaction to abort".into())),
+        },
+        Request::Op(op) => {
+            let result = match session.as_mut() {
+                Some(s) if s.isolation() == IsolationLevel::Snapshot => apply_op(s, op),
+                None if is_point_read(op) => {
+                    let mut s = inner.db.begin(IsolationLevel::Snapshot);
+                    let result = apply_op(&mut s, op);
+                    s.end_read();
+                    result
+                }
+                _ => return None,
+            };
+            inner.metrics.record_model_op(op_model(op));
+            result
+        }
+        _ => return None,
+    })
+}
+
+/// Full dispatch for serial-lane jobs: whatever [`run_inline`] takes
+/// (the lane runs it when the connection was not quiescent), the
+/// session-affecting requests it leaves, plus anything stateless an
+/// untagged client sent (delegated).
 fn run_session_request(
     inner: &ServerInner,
     session: &mut Option<Session>,
     req: &Request,
     token: Option<CancelToken>,
 ) -> Result<Response> {
+    if let Some(result) = run_inline(inner, session, req) {
+        return result;
+    }
     let db = &inner.db;
     Ok(match req {
-        Request::Begin { serializable } => {
-            if session.is_some() {
-                return Err(Error::TxnClosed(
-                    "a transaction is already open on this connection".into(),
-                ));
-            }
-            let isolation = if *serializable {
-                IsolationLevel::Serializable
-            } else {
-                IsolationLevel::Snapshot
-            };
-            let s = db.begin(isolation);
-            let txn_id = s.id() as i64;
-            *session = Some(s);
-            Response::TxnBegun { txn_id }
-        }
         Request::Commit => {
             let s = session
                 .take()
@@ -717,16 +798,10 @@ fn run_session_request(
             let lsn = db.wal().map(|_| db.last_commit_lsn());
             Response::Committed { commit_ts, lsn }
         }
-        Request::Abort => {
-            let s = session
-                .take()
-                .ok_or_else(|| Error::TxnClosed("no open transaction to abort".into()))?;
-            s.abort();
-            Response::Aborted
-        }
         Request::Op(op) => {
             inner.metrics.record_model_op(op_model(op));
             match session.as_mut() {
+                // A serializable session: the operation may queue for a lock.
                 Some(s) => apply_op(s, op)?,
                 // No explicit transaction: auto-commit the single op,
                 // retrying conflicts like the embedded `transact` helper.
@@ -940,6 +1015,14 @@ fn apply_ddl(db: &mmdb_core::Database, op: &DdlOp) -> Result<Response> {
         }
     }
     Ok(Response::Ok)
+}
+
+/// The typed operations that only read.
+fn is_point_read(op: &SessionOp) -> bool {
+    matches!(
+        op,
+        SessionOp::GetDocument { .. } | SessionOp::KvGet { .. } | SessionOp::GetRow { .. }
+    )
 }
 
 /// The data model a typed operation belongs to, for the per-model

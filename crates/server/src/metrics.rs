@@ -244,6 +244,10 @@ pub struct Metrics {
     /// Times a connection's reader hit the `pipeline_depth` cap and
     /// stopped pulling frames (backpressure engaging).
     pub pipeline_stalls: AtomicU64,
+    /// Requests a connection's reader ran itself instead of handing them
+    /// to the executor pool (see `conn::run_inline`). They are counted in
+    /// `requests_total` and the per-command stats like any other.
+    pub inline_requests: AtomicU64,
     commands: [CommandStats; COMMAND_LABELS.len()],
     /// Typed data operations served, by data model (see [`MODEL_LABELS`]).
     model_ops: [AtomicU64; MODEL_LABELS.len()],
@@ -339,6 +343,10 @@ impl Metrics {
                         (
                             "depth_stalls",
                             Value::int(self.pipeline_stalls.load(Ordering::Relaxed) as i64),
+                        ),
+                        (
+                            "inline_requests",
+                            Value::int(self.inline_requests.load(Ordering::Relaxed) as i64),
                         ),
                     ])
                 },

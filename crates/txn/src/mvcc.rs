@@ -839,6 +839,11 @@ impl Transaction {
         self.start_ts
     }
 
+    /// The isolation level this transaction was begun at.
+    pub fn isolation(&self) -> IsolationLevel {
+        self.isolation
+    }
+
     fn check_open(&self) -> Result<()> {
         if self.closed {
             return Err(Error::TxnClosed(format!("transaction {} is closed", self.txid)));
@@ -945,6 +950,18 @@ impl Transaction {
     /// Abort: discard buffered writes, release locks, log the abort.
     pub fn abort(mut self) {
         self.abort_in_place();
+    }
+
+    /// Close a transaction that only read. Like committing it — an empty
+    /// write set never enters the commit sequencer and counts as neither
+    /// a commit nor an abort — but with no way to reach the sequencer at
+    /// all, so it is safe on a thread that must not wait. A transaction
+    /// that did stage writes is aborted.
+    pub fn end_read(mut self) {
+        if self.writes.is_empty() {
+            self.closed = true;
+            self.release_locks();
+        }
     }
 
     /// Shared abort path. Also runs on [`Drop`], so a transaction that goes

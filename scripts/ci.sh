@@ -45,8 +45,9 @@ cargo test -q --features failpoints --test group_commit
 echo "==> checkpoint torture suite (--features failpoints)"
 cargo test -q --features failpoints --test checkpoint
 
-echo "==> pipelining suite (out-of-order completion, backpressure, legacy frames)"
+echo "==> pipelining suite (out-of-order completion, backpressure, legacy frames, the reader's inline path)"
 cargo test -q --test pipeline
+cargo test -q --test wire_path
 
 echo "==> failpoints stay a no-op when the feature is off"
 cargo test -q -p mmdb-fault
