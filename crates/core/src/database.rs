@@ -15,16 +15,15 @@ use mmdb_storage::snapshot::{self, SnapshotEntry};
 use mmdb_storage::wal::{self, Lsn, Wal};
 use mmdb_txn::{ConsistencyPolicy, IsolationLevel, MvccStore};
 use mmdb_types::codec::value_to_bytes;
-use mmdb_types::{CancelToken, Error, Result, Value};
+use mmdb_types::{lock_rank, CancelToken, Error, Result, Value};
 
 use crate::session::{apply_committed, Session};
 
 /// Checkpoint bookkeeping: serialization and the `ADMIN STATS` /
 /// `ADMIN HEALTH` counters.
-#[derive(Default)]
 struct CheckpointState {
     /// One checkpoint at a time. Ordered *outside* the MVCC commit
-    /// mutex: the holder calls `quiesce_commits` (see lint.toml).
+    /// mutex: the holder calls `quiesce_commits`.
     serial: Mutex<()>,
     count: AtomicU64,
     total_micros: AtomicU64,
@@ -35,6 +34,18 @@ struct CheckpointState {
     /// a directory that already holds one (so `ADMIN HEALTH` keeps
     /// reporting checkpoint staleness across restarts).
     last_at: Mutex<Option<(Instant, Duration)>>,
+}
+
+impl Default for CheckpointState {
+    fn default() -> Self {
+        CheckpointState {
+            serial: Mutex::with_rank(lock_rank::CHECKPOINT_SERIAL, ()),
+            count: AtomicU64::new(0),
+            total_micros: AtomicU64::new(0),
+            bytes_reclaimed: AtomicU64::new(0),
+            last_at: Mutex::new(None),
+        }
+    }
 }
 
 /// What one [`Database::checkpoint`] accomplished.
@@ -152,12 +163,18 @@ impl Database {
         let world = Arc::new(World::in_memory());
         let mvcc = MvccStore::new(wal.clone());
         let hook_world = Arc::clone(&world);
+        // The store owns its hooks, so the hook reaches back through a
+        // weak handle (a strong one would keep the store alive forever).
+        let latch = mvcc.downgrade();
         mvcc.add_commit_hook(move |writes| {
-            // Commit hooks must not fail; surface problems loudly in debug
-            // builds, skip-and-continue in release (the version store stays
-            // authoritative either way).
+            // The write set is committed and durable by now. If the model
+            // stores cannot take it they no longer agree with the version
+            // store, and every later write would widen the gap: stop
+            // accepting writes and say why. Reads keep serving.
             if let Err(e) = apply_committed(&hook_world, writes) {
-                debug_assert!(false, "commit hook failed: {e}");
+                if let Some(store) = latch.upgrade() {
+                    store.latch_read_only(&format!("commit hook failed: {e}"));
+                }
             }
         });
         Database { world, mvcc, wal, dir, ckpt: CheckpointState::default() }
@@ -521,6 +538,36 @@ mod tests {
         assert!(db.mvcc().get_latest("doc/c", b"k").is_some());
         let (commits, _) = db.mvcc().stats();
         assert_eq!(commits, 1);
+    }
+
+    #[test]
+    fn a_failing_commit_hook_latches_the_engine_read_only() {
+        let db = Database::in_memory();
+        db.create_bucket("cart").unwrap();
+        db.create_table(
+            "t",
+            Schema::new(vec![ColumnDef::new("id", DataType::Int)], "id").unwrap(),
+        )
+        .unwrap();
+        db.kv_put("cart", "1", Value::str("o1")).unwrap();
+        assert!(!db.is_degraded());
+
+        // Straight through the version store, past `Session`'s checks: a
+        // row value the table cannot decode. The commit itself succeeds
+        // (validated, logged, installed) and then the hook cannot apply it.
+        let mut txn = db.mvcc().begin(IsolationLevel::Snapshot);
+        txn.put("rel/t", b"k", Value::int(7)).unwrap();
+        txn.commit().unwrap();
+
+        assert!(db.is_degraded());
+        let reason = db.degraded_reason().expect("a reason is recorded");
+        assert!(reason.starts_with("commit hook failed: "), "{reason}");
+        // Reads still serve; the next write fails fast.
+        assert_eq!(db.kv().get("cart", "1").unwrap(), Some(Value::str("o1")));
+        assert_eq!(db.query("FOR r IN t RETURN r").unwrap(), Vec::<Value>::new());
+        let err = db.kv_put("cart", "2", Value::str("o2")).unwrap_err();
+        assert_eq!(err.kind(), "read_only");
+        assert!(err.to_string().contains("commit hook failed"), "{err}");
     }
 
     #[test]

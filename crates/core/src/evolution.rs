@@ -107,9 +107,10 @@ pub fn collection_to_graph(
 pub fn table_to_rdf(db: &Database, table: &str) -> Result<usize> {
     let t = db.world().catalog.table(table)?;
     let schema = t.schema().clone();
+    let rows = t.scan()?;
     let mut store = db.world().rdf.write();
     let mut n = 0;
-    for row in t.scan()? {
+    for row in rows {
         let pk = &row[schema.primary_key()];
         let subject = format!("{table}:{pk}");
         for (col, value) in schema.columns().iter().zip(&row) {

@@ -378,17 +378,9 @@ pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
                         }
                     }
                     None => {
-                        // The key is the encoded pk; recover the pk from a scan
-                        // is wasteful — instead keep pk inside deletes' keys:
-                        // delete_row encodes key_of(pk), so match by encoding.
-                        let rows = table.scan()?;
-                        for row in rows {
-                            let pk = &row[table.schema().primary_key()];
-                            if key_of(pk) == w.key {
-                                table.delete(pk)?;
-                                break;
-                            }
-                        }
+                        // `delete_row` staged `key_of(pk)`: the primary
+                        // index's own key.
+                        table.delete_by_key(&w.key)?;
                     }
                 }
             }
@@ -677,5 +669,35 @@ mod tests {
             .query(r#"FOR v IN 1..1 OUTBOUND "persons/1" knows RETURN v._key"#)
             .unwrap();
         assert_eq!(got, vec![Value::str("2")]);
+    }
+
+    #[test]
+    fn delete_row_leaves_both_indexes_and_spares_the_other_rows() {
+        use mmdb_relational::Predicate;
+
+        let db = db_with_stores();
+        let customers = db.world().catalog.table("customers").unwrap();
+        customers.create_index("credit_limit").unwrap();
+        for (id, name, limit) in [(1, "Mary", 5000), (2, "John", 3000), (3, "Anne", 5000)] {
+            let row = format!(r#"{{"id":{id},"name":"{name}","credit_limit":{limit}}}"#);
+            db.insert_row("customers", &mmdb_types::from_json(&row).unwrap()).unwrap();
+        }
+        db.transact(IsolationLevel::Snapshot, 3, |s| s.delete_row("customers", &Value::int(1)))
+            .unwrap();
+
+        // Gone from the primary index...
+        assert_eq!(customers.get(&Value::int(1)).unwrap(), None);
+        // ...and from the secondary one, which still serves the row that
+        // shares the deleted row's value.
+        let (rows, used_index) =
+            customers.select(&Predicate::Eq("credit_limit".into(), Value::int(5000))).unwrap();
+        assert!(used_index);
+        assert_eq!(rows, vec![vec![Value::int(3), Value::str("Anne"), Value::int(5000)]]);
+        assert_eq!(customers.len(), 2);
+        assert!(customers.get(&Value::int(2)).unwrap().is_some());
+        // Deleting a row that is not there is not an error.
+        db.transact(IsolationLevel::Snapshot, 3, |s| s.delete_row("customers", &Value::int(1)))
+            .unwrap();
+        assert!(!db.is_degraded());
     }
 }

@@ -11,7 +11,7 @@ use mmdb_index::gin::DocId;
 use mmdb_index::{BPlusTree, ExtendibleHashMap, GinIndex, GinMode};
 use mmdb_storage::{BufferPool, HeapFile, RecordId};
 use mmdb_types::codec::{key_of, value_from_bytes, value_to_bytes};
-use mmdb_types::{Error, Path, Result, Value};
+use mmdb_types::{lock_rank, Error, Path, Result, Value};
 
 /// The reserved primary-key attribute, as in ArangoDB.
 pub const KEY_FIELD: &str = "_key";
@@ -60,11 +60,14 @@ impl Collection {
         Ok(Collection {
             name: name.to_string(),
             heap: HeapFile::create(pool)?,
-            indexes: RwLock::new(CollectionIndexes {
-                primary: ExtendibleHashMap::new(),
-                persistent: HashMap::new(),
-                gin: None,
-            }),
+            indexes: RwLock::with_rank(
+                lock_rank::DOCUMENT_INDEXES,
+                CollectionIndexes {
+                    primary: ExtendibleHashMap::new(),
+                    persistent: HashMap::new(),
+                    gin: None,
+                },
+            ),
             next_key: AtomicU64::new(1),
         })
     }

@@ -7,7 +7,7 @@ use parking_lot::RwLock;
 
 use mmdb_document::Collection;
 use mmdb_storage::BufferPool;
-use mmdb_types::{Error, Result, Value};
+use mmdb_types::{lock_rank, Error, Result, Value};
 
 /// Reserved edge attribute naming the source vertex (`coll/key`).
 pub const FROM_FIELD: &str = "_from";
@@ -64,8 +64,8 @@ impl Graph {
         Graph {
             name: name.to_string(),
             pool,
-            vertices: RwLock::new(HashMap::new()),
-            edges: RwLock::new(HashMap::new()),
+            vertices: RwLock::with_rank(lock_rank::GRAPH_VERTICES, HashMap::new()),
+            edges: RwLock::with_rank(lock_rank::GRAPH_EDGES, HashMap::new()),
             edge_index: RwLock::new(EdgeIndex::default()),
         }
     }

@@ -16,7 +16,7 @@ use parking_lot::RwLock;
 
 use mmdb_storage::lsm::{LsmConfig, LsmStats, LsmTree};
 use mmdb_types::codec::{value_from_bytes, value_to_bytes};
-use mmdb_types::{Error, Result, Value};
+use mmdb_types::{lock_rank, Error, Result, Value};
 
 /// A key/value store of named buckets.
 pub struct KvStore {
@@ -33,7 +33,7 @@ impl Default for KvStore {
 impl KvStore {
     /// New store; each bucket gets its own LSM tree with this config.
     pub fn new(config: LsmConfig) -> Self {
-        KvStore { buckets: RwLock::new(HashMap::new()), config }
+        KvStore { buckets: RwLock::with_rank(lock_rank::KV_BUCKETS, HashMap::new()), config }
     }
 
     /// Create a bucket. Errors if it already exists.

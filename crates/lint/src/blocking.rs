@@ -159,7 +159,7 @@ mod tests {
 
     fn run(src: &str, cfg: &Config) -> Vec<Diagnostic> {
         let files = vec![analyze("crates/x/src/lib.rs", src)];
-        let items = parse_items(&files, cfg);
+        let items = parse_items(&files);
         let graph = CallGraph::build(&items);
         let mut used = PragmaUse::default();
         let mut out = Vec::new();

@@ -7,7 +7,8 @@
 //! method name collides with a collection method. [`OPAQUE_METHODS`]
 //! lists the names that are never resolved; everything else resolves
 //! to the union of all same-named workspace functions (an
-//! over-approximation that is sound for may-acquire summaries).
+//! over-approximation: the `blocking` rule may reach too much, never
+//! too little of what the name-based view can see).
 
 use std::collections::BTreeMap;
 
@@ -111,7 +112,6 @@ impl CallGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
     use crate::lex::analyze;
     use crate::parse::parse_items;
 
@@ -121,7 +121,7 @@ mod tests {
             "crates/x/src/lib.rs",
             "fn get(&self) { self.a.lock(); }\nfn fetch(&self) { self.b.lock(); }\n",
         );
-        let items = parse_items(&[file], &Config::default());
+        let items = parse_items(&[file]);
         let graph = CallGraph::build(&items);
         assert!(graph.resolve("get").is_empty(), "std-shaped `get` must stay opaque");
         assert_eq!(graph.resolve("fetch").len(), 1);

@@ -1,22 +1,11 @@
 //! `lint.toml` — the linter's declarative configuration.
 //!
 //! A deliberately tiny TOML subset parser (zero dependencies): bare
-//! tables `[name]`, array-of-tables `[[name]]`, string values, and
-//! string arrays (single- or multi-line). That is everything the
-//! config needs; anything else in the file is a hard error so typos
-//! cannot silently disable a rule.
+//! tables `[name]`, string values, and string arrays (single- or
+//! multi-line). That is everything the config needs; anything else in
+//! the file is a hard error so typos cannot silently disable a rule.
 
 use std::collections::BTreeMap;
-
-/// One `outer` lock may be held while acquiring `inner`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LockEdge {
-    pub outer: String,
-    pub inner: String,
-    /// The `[[lock_order]]` header's 1-based line in `lint.toml`, so
-    /// stale-declaration warnings point at the entry to delete.
-    pub line: usize,
-}
 
 /// Parsed `lint.toml`.
 #[derive(Debug, Default, Clone)]
@@ -34,13 +23,6 @@ pub struct Config {
     pub relaxed_allowed: Vec<String>,
     /// Files whose loops must call `cancel::tick()` (executors).
     pub tick_files: Vec<String>,
-    /// Path prefixes exempt from the lock-nesting rule.
-    pub locks_exempt: Vec<String>,
-    /// The declared lock-order table: permitted nestings.
-    pub lock_order: Vec<LockEdge>,
-    /// When true, every declared lock edge must be observed somewhere
-    /// in the scan or it warns as a stale declaration.
-    pub locks_require_observed: bool,
     /// Blocking-call tokens for the `blocking` rule (`.sync()`, `sleep`).
     pub blocking_ops: Vec<String>,
     /// Locks whose acquisition counts as blocking (declared contended).
@@ -53,9 +35,7 @@ impl Config {
     /// Parse `lint.toml` text.
     pub fn parse(text: &str) -> Result<Config, String> {
         let mut sections: BTreeMap<String, BTreeMap<String, Vec<String>>> = BTreeMap::new();
-        let mut lock_order: Vec<LockEdge> = Vec::new();
         let mut current: Option<String> = None;
-        let mut in_lock_order = false;
         let mut pending_key: Option<(String, Vec<String>)> = None;
 
         for (lineno, raw) in text.lines().enumerate() {
@@ -68,27 +48,16 @@ impl Config {
                 let (more, done) = parse_array_items(&line)?;
                 items.extend(more);
                 if done {
-                    insert_value(&mut sections, &mut lock_order, &current, in_lock_order, &key, items, lineno)?;
+                    insert_value(&mut sections, &current, &key, items, lineno)?;
                 } else {
                     pending_key = Some((key, items));
                 }
                 continue;
             }
             if let Some(name) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
-                if name.trim() != "lock_order" {
-                    return Err(format!("lint.toml:{}: unknown array-of-tables [[{}]]", lineno + 1, name.trim()));
-                }
-                in_lock_order = true;
-                current = None;
-                lock_order.push(LockEdge {
-                    outer: String::new(),
-                    inner: String::new(),
-                    line: lineno + 1,
-                });
-                continue;
+                return Err(format!("lint.toml:{}: unknown array-of-tables [[{}]]", lineno + 1, name.trim()));
             }
             if let Some(name) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-                in_lock_order = false;
                 current = Some(name.trim().to_string());
                 continue;
             }
@@ -100,14 +69,14 @@ impl Config {
             if let Some(open) = value.strip_prefix('[') {
                 let (items, done) = parse_array_items(open)?;
                 if done {
-                    insert_value(&mut sections, &mut lock_order, &current, in_lock_order, &key, items, lineno)?;
+                    insert_value(&mut sections, &current, &key, items, lineno)?;
                 } else {
                     pending_key = Some((key, items));
                 }
             } else {
                 let s = parse_string(value)
                     .ok_or_else(|| format!("lint.toml:{}: expected a quoted string", lineno + 1))?;
-                insert_value(&mut sections, &mut lock_order, &current, in_lock_order, &key, vec![s], lineno)?;
+                insert_value(&mut sections, &current, &key, vec![s], lineno)?;
             }
         }
         if pending_key.is_some() {
@@ -117,60 +86,26 @@ impl Config {
         let get = |section: &str, key: &str| -> Vec<String> {
             sections.get(section).and_then(|s| s.get(key)).cloned().unwrap_or_default()
         };
-        for (i, e) in lock_order.iter().enumerate() {
-            if e.outer.is_empty() || e.inner.is_empty() {
-                return Err(format!("lint.toml: [[lock_order]] entry {} needs both `outer` and `inner`", i + 1));
-            }
-        }
         Ok(Config {
             skip: get("scan", "skip"),
             no_panic_exempt: get("no_panic", "exempt"),
             failpoints_exempt: get("failpoints", "exempt"),
             relaxed_allowed: get("relaxed", "allowed"),
             tick_files: get("executor_tick", "files"),
-            locks_exempt: get("locks", "exempt"),
-            locks_require_observed: get("locks", "require_observed").first()
-                .is_some_and(|v| v == "true"),
             blocking_ops: get("blocking", "ops"),
             blocking_contended: get("blocking", "contended"),
             hot_fns: get("hot_contexts", "fns"),
-            lock_order,
         })
-    }
-
-    /// Is the declared lock order table happy with `outer` held while
-    /// acquiring `inner`?
-    pub fn lock_edge_declared(&self, outer: &str, inner: &str) -> bool {
-        self.lock_order.iter().any(|e| e.outer == outer && e.inner == inner)
     }
 }
 
 fn insert_value(
     sections: &mut BTreeMap<String, BTreeMap<String, Vec<String>>>,
-    lock_order: &mut [LockEdge],
     current: &Option<String>,
-    in_lock_order: bool,
     key: &str,
     items: Vec<String>,
     lineno: usize,
 ) -> Result<(), String> {
-    if in_lock_order {
-        let entry = lock_order
-            .last_mut()
-            .ok_or_else(|| format!("lint.toml:{}: key outside a table", lineno + 1))?;
-        let value = items
-            .first()
-            .cloned()
-            .ok_or_else(|| format!("lint.toml:{}: [[lock_order]] values must be strings", lineno + 1))?;
-        match key {
-            "outer" => entry.outer = value,
-            "inner" => entry.inner = value,
-            other => {
-                return Err(format!("lint.toml:{}: unknown [[lock_order]] key `{other}`", lineno + 1))
-            }
-        }
-        return Ok(());
-    }
     let section = current
         .clone()
         .ok_or_else(|| format!("lint.toml:{}: key `{key}` outside a [section]", lineno + 1))?;
@@ -250,45 +185,26 @@ allowed = ["crates/server/src/metrics.rs"]
 [executor_tick]
 files = ["crates/query/src/exec.rs"]
 
-[locks]
-require_observed = "true"
-
 [blocking]
 ops = [".sync()", "sleep"]
 contended = ["commit_mutex"]
 
 [hot_contexts]
 fns = ["conn_reader"]
-
-[[lock_order]]
-outer = "queue"
-inner = "slowlog"
-
-[[lock_order]]
-outer = "versions"
-inner = "wal"
 "#,
         )
         .unwrap();
         assert_eq!(cfg.skip, vec!["target", "crates/lint/fixtures"]);
         assert_eq!(cfg.no_panic_exempt, vec!["shims/", "crates/bench/"]);
-        assert!(cfg.lock_edge_declared("queue", "slowlog"));
-        assert!(cfg.lock_edge_declared("versions", "wal"));
-        assert!(!cfg.lock_edge_declared("slowlog", "queue"));
-        assert!(cfg.locks_require_observed);
         assert_eq!(cfg.blocking_ops, vec![".sync()", "sleep"]);
         assert_eq!(cfg.blocking_contended, vec!["commit_mutex"]);
         assert_eq!(cfg.hot_fns, vec!["conn_reader"]);
-        // Each edge remembers its declaration line for stale warnings.
-        assert!(cfg.lock_order.iter().all(|e| e.line > 0));
-        assert!(cfg.lock_order[0].line < cfg.lock_order[1].line);
     }
 
     #[test]
     fn rejects_unknown_shapes() {
         assert!(Config::parse("[scan]\nskip = 3\n").is_err());
         assert!(Config::parse("key = \"x\"\n").is_err());
-        assert!(Config::parse("[[locks]]\n").is_err());
-        assert!(Config::parse("[[lock_order]]\nouter = \"a\"\n").is_err());
+        assert!(Config::parse("[[lock_order]]\nouter = \"a\"\ninner = \"b\"\n").is_err());
     }
 }

@@ -4,16 +4,16 @@
 //! hand-maintained cross-cutting invariants: failpoint rosters that
 //! must mirror every `fail_point!` literal, executor loops that must
 //! stay cancellable, relaxed atomics that are only sound in counter
-//! modules, a no-panic discipline on durability paths, lock
-//! acquisition orders that must not deadlock, and blocking operations
-//! that must stay off hot paths. `mmdb-lint` walks every `.rs` file in
-//! the workspace with its own lightweight lexer (string-, comment-,
-//! and `#[cfg(test)]`-aware), parses fn items into event streams
-//! ([`parse`]), builds a workspace call graph ([`callgraph`]), and
-//! propagates lock summaries to a fixpoint ([`summaries`]) so
-//! cross-function nestings — including guards returned to callers —
-//! are checked against the declared order. See [`rules`] for the rule
-//! catalogue and `lint.toml` for the per-rule configuration.
+//! modules, a no-panic discipline on durability paths, and blocking
+//! operations that must stay off hot paths. `mmdb-lint` walks every
+//! `.rs` file in the workspace with its own lightweight lexer (string-,
+//! comment-, and `#[cfg(test)]`-aware); five of its six rules are
+//! lexical, and `blocking` parses fn items into call/acquire events
+//! ([`parse`]) and walks a name-based call graph ([`callgraph`]) from
+//! the hot contexts. See [`rules`] for the rule catalogue and
+//! `lint.toml` for the per-rule configuration. Lock order is not
+//! checked here: debug builds check it where locks are taken
+//! (`mmdb_types::lock_rank`, DESIGN.md "Lock hierarchy").
 //!
 //! Suppression is pragma-only and always carries a reason:
 //!
@@ -30,7 +30,6 @@ pub mod config;
 pub mod lex;
 pub mod parse;
 pub mod rules;
-pub mod summaries;
 
 pub use config::Config;
 pub use rules::{Diagnostic, Severity};

@@ -4,7 +4,7 @@
 //! cargo run --release -p mmdb-lint            # from the repo root
 //! cargo run --release -p mmdb-lint -- --root /path/to/repo
 //! cargo run --release -p mmdb-lint -- --format json
-//! cargo run --release -p mmdb-lint -- --explain lock
+//! cargo run --release -p mmdb-lint -- --explain blocking
 //! ```
 //!
 //! Prints `file:line: rule: message` per violation (warnings prefixed

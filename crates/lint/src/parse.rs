@@ -1,19 +1,16 @@
 //! Item-level parsing on top of the lexer: every `fn` in the scanned
-//! set becomes a [`FnItem`] with an ordered stream of the events the
-//! interprocedural rules care about — lock acquisitions, calls, and
-//! explicit guard drops — each tagged with its line, its brace depth,
-//! and whether it sits in return position.
+//! set becomes a [`FnItem`] with the stream of events the `blocking`
+//! rule walks — the calls it names and the locks it acquires, each
+//! tagged with its line.
 //!
 //! This is deliberately not a Rust parser. It reuses the lexer's
 //! masked per-line view (strings blanked, comments stripped) and a
-//! brace/paren scanner, which is enough to name receivers, track guard
-//! lifetimes by scope depth, and find call sites by `ident(` /
-//! `.ident(` shape. What it cannot see (dyn dispatch, macro-generated
-//! functions, guards smuggled through fields) is documented in
-//! KNOWN_ISSUES.md as the residual blind spots.
+//! brace/paren scanner, which is enough to name an acquisition's
+//! receiver and find call sites by `ident(` / `.ident(` shape. What it
+//! cannot see (dyn dispatch, macro-generated functions, closures run by
+//! a callee) is listed in KNOWN_ISSUES.md.
 
-use crate::config::Config;
-use crate::lex::{find_token, is_ident, SourceFile};
+use crate::lex::{is_ident, SourceFile};
 
 /// One parsed function item.
 #[derive(Debug)]
@@ -23,16 +20,11 @@ pub struct FnItem {
     pub name: String,
     /// Index of the containing file in the scanned slice.
     pub file: usize,
-    /// 0-based line of the `fn` keyword.
-    pub line: usize,
     /// 0-based first and last body lines (inclusive).
     pub first_line: usize,
     pub last_line: usize,
     /// Ordered event stream (line, then column order within a line).
     pub events: Vec<Event>,
-    /// When the body's tail expression is a bare identifier, its name —
-    /// the `let g = self.a.lock(); g` return shape.
-    pub tail_var: Option<String>,
 }
 
 /// One analysis-relevant event inside a function body.
@@ -43,32 +35,12 @@ pub enum Event {
         /// Last path segment of the receiver (`versions` for
         /// `self.store.versions.write()`).
         lock: String,
-        /// Binding variable when the guard was `let`-bound.
-        var: Option<String>,
-        /// Brace depth at the acquisition site.
-        depth: i32,
         /// 0-based line.
         line: usize,
-        /// Guard survives the statement (a plain `let g = ...();`).
-        held: bool,
-        /// The acquisition is the returned expression — the guard
-        /// escapes to the caller.
-        ret_pos: bool,
     },
     /// A call to a named function or method that may resolve into the
     /// workspace call graph.
-    Call {
-        name: String,
-        depth: i32,
-        line: usize,
-        /// Binding variable when the call's result was `let`-bound
-        /// (a returned guard then lives past the statement).
-        bound: Option<String>,
-        /// The call is the returned expression.
-        ret_pos: bool,
-    },
-    /// `drop(var)` — the named guard dies here.
-    Release { var: String, line: usize },
+    Call { name: String, line: usize },
 }
 
 const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write"];
@@ -80,16 +52,13 @@ const NOT_CALLS: &[&str] = &[
     "Err", "Box", "Vec", "String", "assert", "debug_assert",
 ];
 
-/// Parse every production `fn` in the scanned files. Test-path files,
-/// lock-exempt paths (vendored shims implement the lock types
-/// themselves), and `#[cfg(test)]` regions are skipped so the call
-/// graph only contains engine code.
-pub fn parse_items(files: &[SourceFile], cfg: &Config) -> Vec<FnItem> {
+/// Parse every production `fn` in the scanned files. Test-path files
+/// and `#[cfg(test)]` regions are skipped so the call graph only
+/// contains production code.
+pub fn parse_items(files: &[SourceFile]) -> Vec<FnItem> {
     let mut out = Vec::new();
     for (fi, file) in files.iter().enumerate() {
-        if crate::rules::is_test_path(&file.path)
-            || cfg.locks_exempt.iter().any(|p| file.path.starts_with(p.as_str()))
-        {
+        if crate::rules::is_test_path(&file.path) {
             continue;
         }
         let (text, line_of) = file.masked_text();
@@ -101,16 +70,8 @@ pub fn parse_items(files: &[SourceFile], cfg: &Config) -> Vec<FnItem> {
             if file.lines[sig_line].in_test || file.lines[first_line].in_test {
                 continue;
             }
-            let (events, tail_var) = scan_body(file, first_line, last_line);
-            out.push(FnItem {
-                name,
-                file: fi,
-                line: sig_line,
-                first_line,
-                last_line,
-                events,
-                tail_var,
-            });
+            let events = scan_body(file, first_line, last_line);
+            out.push(FnItem { name, file: fi, first_line, last_line, events });
         }
     }
     out
@@ -119,7 +80,7 @@ pub fn parse_items(files: &[SourceFile], cfg: &Config) -> Vec<FnItem> {
 /// Every `fn` item in the masked text: (name, keyword pos, body open
 /// brace pos, body close brace pos). Bodyless signatures (traits,
 /// externs) are skipped.
-pub fn find_fn_items(chars: &[char]) -> Vec<(String, usize, usize, usize)> {
+fn find_fn_items(chars: &[char]) -> Vec<(String, usize, usize, usize)> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i + 1 < chars.len() {
@@ -185,38 +146,14 @@ pub fn find_fn_items(chars: &[char]) -> Vec<(String, usize, usize, usize)> {
 }
 
 /// Scan one body's lines into an event stream.
-fn scan_body(file: &SourceFile, first_line: usize, last_line: usize) -> (Vec<Event>, Option<String>) {
+fn scan_body(file: &SourceFile, first_line: usize, last_line: usize) -> Vec<Event> {
     let mut events = Vec::new();
-    // The tail line: the last line in the body whose code is more than
-    // closing punctuation. Events there with no trailing `;` are in
-    // return position.
-    let mut tail_line = None;
-    for idx in (first_line..=last_line).rev() {
-        let t = file.lines[idx].masked.trim();
-        if !t.is_empty() && !t.chars().all(|c| matches!(c, '}' | ')' | ';' | ',')) {
-            tail_line = Some(idx);
-            break;
-        }
-    }
-    let tail_var = tail_line.and_then(|idx| {
-        let t = file.lines[idx].masked.trim().trim_end_matches('}').trim_end();
-        (!t.is_empty() && t.chars().all(is_ident) && !t.chars().next().is_some_and(|c| c.is_ascii_digit()))
-            .then(|| t.to_string())
-    });
-
     for idx in first_line..=last_line {
         let line = &file.lines[idx];
         if line.in_test {
             continue;
         }
         let lchars: Vec<char> = line.masked.chars().collect();
-        let trimmed = line.masked.trim();
-        let is_tail = tail_line == Some(idx);
-        let stmt_returns = trimmed.starts_with("return")
-            && !trimmed.chars().nth(6).is_some_and(is_ident);
-        let let_at = find_token(&line.masked, "let", 0);
-        let bound_var = let_binding(&line.masked);
-
         let mut k = 0usize;
         while k < lchars.len() {
             let c = lchars[k];
@@ -232,57 +169,21 @@ fn scan_body(file: &SourceFile, first_line: usize, last_line: usize) -> (Vec<Eve
             if lchars.get(k) != Some(&'(') {
                 continue;
             }
-            let depth_here = line.depth
-                + lchars[..start].iter().filter(|&&c| c == '{').count() as i32
-                - lchars[..start].iter().filter(|&&c| c == '}').count() as i32;
-            let preceded_by_dot = start > 0 && lchars[start - 1] == '.';
             // `recv.lock()` / `.read()` / `.write()` with an empty
             // argument list is an acquisition, not a call.
-            if preceded_by_dot
+            if start > 0
+                && lchars[start - 1] == '.'
                 && ACQUIRE_METHODS.contains(&ident.as_str())
                 && lchars.get(k + 1) == Some(&')')
             {
-                let lock = receiver_name(&lchars, start - 1);
-                if lock == "<expr>" {
-                    // An acquisition on an unnameable receiver (a call
-                    // chain's result) cannot be matched against the
-                    // order table — a documented blind spot.
-                    k += 2;
-                    continue;
+                // An acquisition on an unnameable receiver (a call
+                // chain's result) cannot be matched against
+                // `[blocking] contended`.
+                if let Some(lock) = receiver_name(&lchars, start - 1) {
+                    events.push(Event::Acquire { lock, line: idx });
                 }
-                let after: String = lchars[k + 2..].iter().collect();
-                let after = after.trim_start();
-                let has_let = let_at.is_some_and(|l| l < start);
-                let held = after.starts_with(';') && has_let;
-                let ret_pos = !after.starts_with(';')
-                    && (stmt_returns || (is_tail && (after.is_empty() || after.starts_with('}'))));
-                events.push(Event::Acquire {
-                    lock,
-                    var: bound_var.clone(),
-                    depth: depth_here,
-                    line: idx,
-                    held,
-                    ret_pos,
-                });
                 k += 2;
                 continue;
-            }
-            if ident == "drop" && !preceded_by_dot {
-                // `drop(var)` / `drop(&var)` releases the named guard.
-                let mut m = k + 1;
-                if lchars.get(m) == Some(&'&') {
-                    m += 1;
-                }
-                let vstart = m;
-                while m < lchars.len() && is_ident(lchars[m]) {
-                    m += 1;
-                }
-                if m > vstart && lchars.get(m) == Some(&')') {
-                    let var: String = lchars[vstart..m].iter().collect();
-                    events.push(Event::Release { var, line: idx });
-                    k = m;
-                    continue;
-                }
             }
             if NOT_CALLS.contains(&ident.as_str()) {
                 continue;
@@ -299,55 +200,20 @@ fn scan_body(file: &SourceFile, first_line: usize, last_line: usize) -> (Vec<Eve
             if prev_word_is_fn {
                 continue;
             }
-            let has_let = let_at.is_some_and(|l| l < start);
-            events.push(Event::Call {
-                name: ident,
-                depth: depth_here,
-                line: idx,
-                bound: if has_let { bound_var.clone() } else { None },
-                ret_pos: stmt_returns || (is_tail && !trimmed.ends_with(';')),
-            });
+            events.push(Event::Call { name: ident, line: idx });
         }
     }
-    (events, tail_var)
+    events
 }
 
 /// The identifier immediately left of the acquisition's dot: the lock's
 /// field name (`versions` for `self.store.versions.write()`).
-pub fn receiver_name(chars: &[char], dot_at: usize) -> String {
+fn receiver_name(chars: &[char], dot_at: usize) -> Option<String> {
     let mut start = dot_at;
     while start > 0 && is_ident(chars[start - 1]) {
         start -= 1;
     }
-    if start == dot_at {
-        return "<expr>".to_string();
-    }
-    chars[start..dot_at].iter().collect()
-}
-
-/// The variable bound by a `let [mut] name = ...` line, if any.
-pub fn let_binding(masked: &str) -> Option<String> {
-    let at = find_token(masked, "let", 0)?;
-    let rest: Vec<char> = masked.chars().skip(at + 3).collect();
-    let mut i = 0usize;
-    while i < rest.len() && rest[i].is_whitespace() {
-        i += 1;
-    }
-    // Skip a `mut` keyword.
-    if rest.len() >= i + 4 && rest[i..i + 3] == ['m', 'u', 't'] && rest[i + 3].is_whitespace() {
-        i += 4;
-        while i < rest.len() && rest[i].is_whitespace() {
-            i += 1;
-        }
-    }
-    let start = i;
-    while i < rest.len() && is_ident(rest[i]) {
-        i += 1;
-    }
-    if i == start {
-        return None; // tuple/struct pattern — treated as unnamed
-    }
-    Some(rest[start..i].iter().collect())
+    (start < dot_at).then(|| chars[start..dot_at].iter().collect())
 }
 
 #[cfg(test)]
@@ -357,7 +223,7 @@ mod tests {
 
     fn items(src: &str) -> Vec<FnItem> {
         let file = analyze("crates/x/src/lib.rs", src);
-        parse_items(&[file], &Config::default())
+        parse_items(&[file])
     }
 
     #[test]
@@ -368,44 +234,20 @@ mod tests {
     }
 
     #[test]
-    fn acquires_calls_and_releases_stream_in_order() {
+    fn acquires_and_calls_stream_in_order() {
         let its = items(
-            "fn f(&self) {\n    let g = self.a.lock();\n    self.helper();\n    drop(g);\n}\n",
+            "fn f(&self) {\n    let g = self.store.a.lock();\n    self.helper();\n    drop(g);\n}\n",
         );
         assert_eq!(its.len(), 1);
-        let kinds: Vec<&str> = its[0]
+        let seen: Vec<String> = its[0]
             .events
             .iter()
             .map(|e| match e {
-                Event::Acquire { .. } => "acquire",
-                Event::Call { .. } => "call",
-                Event::Release { .. } => "release",
+                Event::Acquire { lock, line } => format!("acquire {lock}@{line}"),
+                Event::Call { name, line } => format!("call {name}@{line}"),
             })
             .collect();
-        assert_eq!(kinds, ["acquire", "call", "release"]);
-        match &its[0].events[0] {
-            Event::Acquire { lock, held, var, .. } => {
-                assert_eq!(lock, "a");
-                assert!(*held);
-                assert_eq!(var.as_deref(), Some("g"));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn return_position_acquires_are_marked() {
-        let its = items("fn lock_a(&self) -> Guard<'_> {\n    self.a.lock()\n}\n");
-        match &its[0].events[0] {
-            Event::Acquire { ret_pos, held, .. } => {
-                assert!(*ret_pos);
-                assert!(!*held);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        // The `let g = ...; g` shape is caught by tail_var instead.
-        let its = items("fn lock_a(&self) -> Guard<'_> {\n    let g = self.a.lock();\n    g\n}\n");
-        assert_eq!(its[0].tail_var.as_deref(), Some("g"));
+        assert_eq!(seen, ["acquire a@1", "call helper@2", "call drop@3"]);
     }
 
     #[test]

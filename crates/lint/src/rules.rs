@@ -1,5 +1,6 @@
-//! The rule engine: six project-specific invariants plus the pragma
-//! meta-rule.
+//! The rule engine: five project-specific invariants plus the pragma
+//! meta-rule. (Lock order is not a lint rule: debug builds check it where
+//! locks are taken — see `mmdb_types::lock_rank`.)
 //!
 //! | rule        | invariant                                                      |
 //! |-------------|----------------------------------------------------------------|
@@ -7,7 +8,6 @@
 //! | `failpoint` | every `fail_point!`/`mmdb_fault::eval*` site is rostered in its crate's `FAILPOINT_SITES`, has a live call site, and is exercised by a test under `tests/` |
 //! | `relaxed`   | `Ordering::Relaxed` only in the designated counter modules     |
 //! | `tick`      | every loop in the executor files contains a `cancel::tick()` (or tick-forwarding) call |
-//! | `lock`      | every observed lock nesting — including cross-function nestings found through the call graph — follows the declared lock-order table, which must be acyclic and (in workspace scans) fully observed |
 //! | `blocking`  | no blocking operation reachable from an annotated hot context without a reasoned pragma |
 //! | `pragma`    | every `// lint: allow(rule, reason)` names a known rule, gives a reason, and suppresses at least one diagnostic |
 //!
@@ -24,8 +24,7 @@ use crate::config::Config;
 use crate::lex::{contains_token, find_token, is_ident, string_literals, SourceFile};
 
 /// Every rule name a pragma may reference.
-pub const RULE_NAMES: &[&str] =
-    &["panic", "failpoint", "relaxed", "tick", "lock", "blocking", "pragma"];
+pub const RULE_NAMES: &[&str] = &["panic", "failpoint", "relaxed", "tick", "blocking", "pragma"];
 
 /// Finding severity: errors gate CI; warnings inform.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -85,9 +84,8 @@ pub fn check_files(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
         check_relaxed(fi, file, cfg, &mut used, &mut out);
         check_tick(fi, file, cfg, &mut used, &mut out);
     }
-    let items = crate::parse::parse_items(files, cfg);
+    let items = crate::parse::parse_items(files);
     let graph = CallGraph::build(&items);
-    crate::summaries::check_locks(files, &items, &graph, cfg, &mut used, &mut out);
     crate::blocking::check_blocking(files, &items, &graph, cfg, &mut used, &mut out);
     check_failpoints(files, cfg, &mut used, &mut out);
     check_unused_pragmas(files, &used, &mut out);
@@ -733,24 +731,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              cancellable and deadlines hold. Loops that provably do not iterate rows\n\
              carry `// lint: allow(tick, <reason>)`."
         }
-        "lock" => {
-            "lock: every observed lock nesting must follow the [[lock_order]] table in\n\
-             lint.toml. The analysis is interprocedural: per-fn summaries record which\n\
-             locks a fn (or anything it calls) may acquire and which guards it returns\n\
-             to its caller, propagated through the workspace call graph to a fixpoint;\n\
-             a call made while a guard is held attributes all of the callee's\n\
-             acquisitions to the held set. Declared edges close transitively (serial ->\n\
-             commit_mutex plus commit_mutex -> versions blesses serial -> versions).\n\
-             Undeclared observed nestings are errors; a cycle in declared+observed\n\
-             edges is an error; with [locks] require_observed = \"true\", declared\n\
-             edges nothing observes are stale-declaration warnings.\n\
-             \n\
-             Residual blind spots (see KNOWN_ISSUES.md): dyn-dispatch and\n\
-             macro-generated fns are invisible; calls through std-shaped method names\n\
-             (get, insert, ...) are deliberately not resolved; locks reached through\n\
-             closures invoked by a callee are attributed to the closure's lexical\n\
-             context, not its caller."
-        }
         "blocking" => {
             "blocking: no blocking operation reachable from an annotated hot context\n\
              without a reasoned pragma. [hot_contexts] fns names the entry points\n\
@@ -828,47 +808,6 @@ mod tests {
         assert_eq!(d[0].rule, "tick");
         let src = "fn f() { for x in items { cancel::tick()?; use_it(x); } }\n";
         assert!(scan_one("crates/q/src/exec.rs", src, &cfg).is_empty());
-    }
-
-    #[test]
-    fn lock_nesting_against_the_table() {
-        let mut cfg = Config::default();
-        let src = "fn f(&self) {\n    let a = self.queue.lock();\n    let b = self.slowlog.lock();\n}\n";
-        let d = scan_one("crates/x/src/lib.rs", src, &cfg);
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert_eq!(d[0].rule, "lock");
-        assert_eq!(d[0].line, 3);
-        cfg.lock_order.push(crate::config::LockEdge {
-            outer: "queue".to_string(),
-            inner: "slowlog".to_string(),
-            line: 0,
-        });
-        assert!(scan_one("crates/x/src/lib.rs", src, &cfg).is_empty());
-    }
-
-    #[test]
-    fn temporary_guard_does_not_nest() {
-        let cfg = Config::default();
-        let src = "fn f(&self) {\n    self.queue.lock().push(1);\n    let b = self.slowlog.lock();\n}\n";
-        assert!(scan_one("crates/x/src/lib.rs", src, &cfg).is_empty());
-        // ...but two acquisitions inside one statement do nest.
-        let src = "fn f(&self) { self.a.lock().push(self.b.lock().pop()); }\n";
-        let d = scan_one("crates/x/src/lib.rs", src, &cfg);
-        assert_eq!(d.len(), 1, "{d:?}");
-    }
-
-    #[test]
-    fn dropped_guard_releases() {
-        let cfg = Config::default();
-        let src = "fn f(&self) {\n    let a = self.queue.lock();\n    drop(a);\n    let b = self.slowlog.lock();\n}\n";
-        assert!(scan_one("crates/x/src/lib.rs", src, &cfg).is_empty());
-    }
-
-    #[test]
-    fn scoped_guard_releases_at_block_end() {
-        let cfg = Config::default();
-        let src = "fn f(&self) {\n    {\n        let a = self.queue.lock();\n        a.push(1);\n    }\n    let b = self.slowlog.lock();\n}\n";
-        assert!(scan_one("crates/x/src/lib.rs", src, &cfg).is_empty(), "guard scope ended");
     }
 
     #[test]

@@ -21,10 +21,6 @@ allowed = ["crates/engine/src/metrics.rs"]
 
 [executor_tick]
 files = ["crates/engine/src/exec.rs"]
-
-[[lock_order]]
-outer = "accounts"
-inner = "ledger"
 "#,
     )
     .expect("fixture config parses")
@@ -177,97 +173,6 @@ fn tick_suppressed() {
 fn tick_rule_only_applies_to_configured_files() {
     let d = lint("crates/engine/src/lib.rs", include_str!("../fixtures/tick/fail.rs"));
     assert!(d.is_empty(), "{d:?}");
-}
-
-// ---- lock ------------------------------------------------------------------
-
-#[test]
-fn lock_pass_declared_order() {
-    let d = lint("crates/engine/src/lib.rs", include_str!("../fixtures/lock/pass.rs"));
-    assert!(d.is_empty(), "{d:?}");
-}
-
-#[test]
-fn lock_fail_undeclared_nesting() {
-    let d = lint("crates/engine/src/lib.rs", include_str!("../fixtures/lock/fail.rs"));
-    assert_eq!(rules(&d), ["lock"], "{d:?}");
-    assert!(d[0].msg.contains("'journal'"), "{d:?}");
-    assert!(d[0].msg.contains("'cache'"), "{d:?}");
-}
-
-#[test]
-fn lock_suppressed() {
-    let d = lint("crates/engine/src/lib.rs", include_str!("../fixtures/lock/suppressed.rs"));
-    assert!(d.is_empty(), "{d:?}");
-}
-
-#[test]
-fn lock_declared_order_is_directional() {
-    // The declared order is accounts -> ledger; the reverse still
-    // fails — both as an undeclared nesting and as a cycle against the
-    // declared edge.
-    let text = "pub fn f(b: &Bank) {\n    let ledger = b.ledger.lock();\n    let accounts = b.accounts.lock();\n    drop(accounts);\n    drop(ledger);\n}\n";
-    let d = lint("crates/engine/src/lib.rs", text);
-    assert_eq!(rules(&d), ["lock", "lock"], "{d:?}");
-    assert!(d.iter().any(|x| x.msg.contains("undeclared lock nesting")), "{d:?}");
-    assert!(d.iter().any(|x| x.msg.contains("lock-order cycle")), "{d:?}");
-}
-
-#[test]
-fn lock_cross_function_nesting_is_detected() {
-    // Neither fn acquires both locks lexically — only the call graph
-    // sees the nesting.
-    let d = lint("crates/engine/src/lib.rs", include_str!("../fixtures/lock/cross_fn_fail.rs"));
-    assert_eq!(rules(&d), ["lock"], "{d:?}");
-    assert!(d[0].msg.contains("'journal'"), "{d:?}");
-    assert!(d[0].msg.contains("'cache'"), "{d:?}");
-    assert!(d[0].msg.contains("flush_journal"), "{d:?}");
-}
-
-#[test]
-fn lock_guard_returning_helper_ab_ba_inversion_is_detected() {
-    // The acceptance case: a helper RETURNS its guard, so the caller
-    // holds `cache` with no visible acquisition. `ab` and `ba` nest
-    // the two locks in opposite orders — a deadlock the per-fn lexical
-    // heuristic provably missed (no fn body contains both patterns).
-    let d =
-        lint("crates/engine/src/lib.rs", include_str!("../fixtures/lock/guard_return_fail.rs"));
-    let msgs: Vec<&str> = d.iter().map(|x| x.msg.as_str()).collect();
-    assert!(
-        msgs.iter().any(|m| m.contains("'journal' acquired while 'cache' is held")),
-        "{msgs:?}"
-    );
-    assert!(
-        msgs.iter().any(|m| m.contains("'cache' acquired while 'journal' is held")),
-        "{msgs:?}"
-    );
-    assert!(msgs.iter().any(|m| m.contains("lock-order cycle")), "{msgs:?}");
-}
-
-#[test]
-fn lock_cross_function_suppressed() {
-    let d = lint(
-        "crates/engine/src/lib.rs",
-        include_str!("../fixtures/lock/cross_fn_suppressed.rs"),
-    );
-    assert!(d.is_empty(), "{d:?}");
-}
-
-#[test]
-fn lock_stale_declaration_warns_when_observation_is_required() {
-    let mut stale_cfg = cfg();
-    stale_cfg.locks_require_observed = true;
-    // The fixture never nests accounts -> ledger, so the declared edge
-    // (lint.toml line 11 in the inline config) warns as stale.
-    let d = scan_sources(
-        &[("crates/engine/src/lib.rs", "pub fn f() { let a = 1; }\n")],
-        &stale_cfg,
-    );
-    assert_eq!(d.len(), 1, "{d:?}");
-    assert_eq!(d[0].rule, "lock");
-    assert_eq!(d[0].path, "lint.toml");
-    assert_eq!(d[0].severity, mmdb_lint::Severity::Warning);
-    assert!(d[0].msg.contains("never observed"), "{d:?}");
 }
 
 // ---- blocking --------------------------------------------------------------

@@ -33,7 +33,7 @@ fn the_inline_dispatcher_names_no_call_that_can_wait() {
     let path = "crates/server/src/conn.rs";
     let text = std::fs::read_to_string(root.join(path)).expect("conn.rs");
     let file = mmdb_lint::lex::analyze(path, &text);
-    let items = parse_items(std::slice::from_ref(&file), &cfg);
+    let items = parse_items(std::slice::from_ref(&file));
     let inline: Vec<_> = items.iter().filter(|i| i.name == "run_inline").collect();
     assert_eq!(inline.len(), 1, "exactly one `run_inline` in {path}");
     let reader = items.iter().find(|i| i.name == "conn_reader").expect("conn_reader");

@@ -20,7 +20,7 @@ use mmdb_relational::Catalog;
 use mmdb_storage::{BufferPool, DiskManager};
 use mmdb_text::inverted::DocId as TextDocId;
 use mmdb_text::TextIndex;
-use mmdb_types::{Error, Result, Value};
+use mmdb_types::{lock_rank, Error, Result, Value};
 use mmdb_xml::Tree;
 
 /// A registered full-text index: over one field of one collection.
@@ -108,11 +108,11 @@ impl World {
             catalog: Catalog::new(Arc::clone(&pool)),
             pool,
             collections: RwLock::new(HashMap::new()),
-            graphs: RwLock::new(HashMap::new()),
+            graphs: RwLock::with_rank(lock_rank::WORLD_GRAPHS, HashMap::new()),
             kv: KvStore::default(),
             rdf: RwLock::new(TripleStore::default()),
             xml_docs: RwLock::new(HashMap::new()),
-            fulltext: RwLock::new(HashMap::new()),
+            fulltext: RwLock::with_rank(lock_rank::WORLD_FULLTEXT, HashMap::new()),
             spatial: RwLock::new(HashMap::new()),
             access: AccessStats::default(),
         }

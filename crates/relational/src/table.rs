@@ -10,7 +10,7 @@ use parking_lot::RwLock;
 use mmdb_index::BPlusTree;
 use mmdb_storage::{BufferPool, HeapFile, RecordId};
 use mmdb_types::codec::{key_of, value_from_bytes, value_to_bytes};
-use mmdb_types::{Error, Result, Value};
+use mmdb_types::{lock_rank, Error, Result, Value};
 
 use crate::schema::Schema;
 
@@ -92,7 +92,10 @@ impl Table {
             name: name.to_string(),
             schema,
             heap: HeapFile::create(pool)?,
-            indexes: RwLock::new(Indexes { primary: BPlusTree::new(), secondary: HashMap::new() }),
+            indexes: RwLock::with_rank(
+                lock_rank::RELATIONAL_INDEXES,
+                Indexes { primary: BPlusTree::new(), secondary: HashMap::new() },
+            ),
         })
     }
 
@@ -160,11 +163,18 @@ impl Table {
 
     /// Delete by primary key; returns whether a row was removed.
     pub fn delete(&self, pk: &Value) -> Result<bool> {
-        let pk_key = key_of(pk);
+        self.delete_by_key(&key_of(pk))
+    }
+
+    /// Delete the row the primary index files under `pk_key`, i.e.
+    /// `key_of(pk)` — all a replayed commit knows a deleted row by.
+    pub fn delete_by_key(&self, pk_key: &[u8]) -> Result<bool> {
+        let pk_key = pk_key.to_vec();
         let rid = { self.indexes.read().primary.get(&pk_key).copied() };
         let Some(rid) = rid else { return Ok(false) };
         let row = self.fetch(rid)?;
         self.heap.delete(rid)?;
+        let pk = &row[self.schema.primary_key()];
         let mut idx = self.indexes.write();
         idx.primary.remove(&pk_key);
         for (col, tree) in idx.secondary.iter_mut() {

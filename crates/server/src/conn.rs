@@ -39,7 +39,7 @@ use mmdb_protocol::frame::{self, FrameReader};
 use mmdb_protocol::{DdlOp, Request, Response, SessionOp, PROTOCOL_VERSION};
 use mmdb_repl::feed::{self, CdcBuffer};
 use mmdb_types::codec::value_to_bytes;
-use mmdb_types::{CancelToken, Error, Result, Value};
+use mmdb_types::{lock_rank, CancelToken, Error, Result, Value};
 use mmdb_txn::IsolationLevel;
 
 use parking_lot::{Condvar, Mutex};
@@ -152,7 +152,7 @@ impl ConnHandle {
             last_activity_ms: AtomicU64::new(0),
             mid_frame: AtomicBool::new(false),
             streaming: AtomicBool::new(false),
-            session: Mutex::new(None),
+            session: Mutex::with_rank(lock_rank::SERVER_SESSION, None),
         }
     }
 

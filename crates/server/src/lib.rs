@@ -54,7 +54,7 @@ use parking_lot::{Condvar, Mutex};
 
 use mmdb_core::Database;
 use mmdb_protocol::{frame, Request, Response};
-use mmdb_types::{CancelToken, Error, Result};
+use mmdb_types::{lock_rank, CancelToken, Error, Result};
 
 use conn::ConnHandle;
 
@@ -276,7 +276,7 @@ impl Server {
             active: AtomicU64::new(0),
             jobs: Mutex::new(VecDeque::new()),
             jobs_ready: Condvar::new(),
-            registry: Mutex::new(HashMap::new()),
+            registry: Mutex::with_rank(lock_rank::SERVER_REGISTRY, HashMap::new()),
             next_conn_id: AtomicU64::new(1),
             lifecycle: Mutex::new(()),
             lifecycle_done: Condvar::new(),

@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 
 use crate::disk::{DiskManager, PageId, PAGE_SIZE};
 use crate::page::SlottedPage;
-use mmdb_types::{Error, Result};
+use mmdb_types::{lock_rank, Error, Result};
 
 struct Frame {
     page_id: PageId,
@@ -52,13 +52,16 @@ impl BufferPool {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         BufferPool {
             disk,
-            inner: Mutex::new(PoolInner {
-                frames: (0..capacity).map(|_| None).collect(),
-                map: HashMap::new(),
-                clock_hand: 0,
-                hits: 0,
-                misses: 0,
-            }),
+            inner: Mutex::with_rank(
+                lock_rank::POOL_INNER,
+                PoolInner {
+                    frames: (0..capacity).map(|_| None).collect(),
+                    map: HashMap::new(),
+                    clock_hand: 0,
+                    hits: 0,
+                    misses: 0,
+                },
+            ),
             capacity,
         }
     }

@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 
 use crate::buffer::BufferPool;
 use crate::disk::PageId;
-use mmdb_types::{Error, Result};
+use mmdb_types::{lock_rank, Error, Result};
 
 /// Stable address of a record: page number plus slot within the page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -45,12 +45,13 @@ struct HeapState {
 }
 
 impl HeapFile {
+    fn with_state(pool: Arc<BufferPool>, state: HeapState) -> Self {
+        HeapFile { pool, state: Mutex::with_rank(lock_rank::HEAP_STATE, state) }
+    }
+
     /// Create an empty heap over the given pool.
     pub fn create(pool: Arc<BufferPool>) -> Result<Self> {
-        Ok(HeapFile {
-            pool,
-            state: Mutex::new(HeapState { pages: Vec::new(), free_pages: Vec::new(), len: 0 }),
-        })
+        Ok(Self::with_state(pool, HeapState { pages: Vec::new(), free_pages: Vec::new(), len: 0 }))
     }
 
     /// Rebuild heap bookkeeping from an explicit page list (used when a
@@ -66,7 +67,7 @@ impl HeapFile {
                 free_pages.push(pid);
             }
         }
-        Ok(HeapFile { pool, state: Mutex::new(HeapState { pages, free_pages, len }) })
+        Ok(Self::with_state(pool, HeapState { pages, free_pages, len }))
     }
 
     /// Pages owned by this heap (for catalog persistence).

@@ -29,7 +29,9 @@ pub mod mvcc;
 
 pub use consistency::{ConsistencyLevel, ConsistencyPolicy};
 pub use locks::{LockManager, LockMode};
-pub use mvcc::{CommittedWrite, GroupCommitStats, IsolationLevel, MvccStore, Transaction};
+pub use mvcc::{
+    CommittedWrite, GroupCommitStats, IsolationLevel, MvccStore, Transaction, WeakMvccStore,
+};
 
 /// Every failpoint site this crate declares (see `mmdb-fault`). The
 /// crash-recovery torture suite iterates this roster, so adding a

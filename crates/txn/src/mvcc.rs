@@ -27,7 +27,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use mmdb_storage::wal::{self, Lsn, Wal, WalRecord};
 use mmdb_types::codec::{value_from_bytes, value_to_bytes};
-use mmdb_types::{Error, Result, Value};
+use mmdb_types::{lock_rank, Error, Result, Value};
 
 use crate::consistency::{ConsistencyLevel, ConsistencyPolicy};
 use crate::locks::{LockManager, LockMode};
@@ -38,7 +38,8 @@ pub enum IsolationLevel {
     /// Snapshot isolation (default): consistent reads, FCW write conflicts.
     #[default]
     Snapshot,
-    /// Serializable: snapshot + strict 2PL on reads and writes.
+    /// Serializable: strict 2PL on reads and writes on top of the FCW
+    /// check; a read sees the latest committed version, under its lock.
     Serializable,
 }
 
@@ -468,6 +469,19 @@ pub struct MvccStore {
     inner: Arc<StoreInner>,
 }
 
+/// A handle that does not keep the store alive: how a commit hook,
+/// which the store owns, reaches back into it.
+pub struct WeakMvccStore {
+    inner: std::sync::Weak<StoreInner>,
+}
+
+impl WeakMvccStore {
+    /// The store, unless its last strong handle is gone.
+    pub fn upgrade(&self) -> Option<MvccStore> {
+        self.inner.upgrade().map(|inner| MvccStore { inner })
+    }
+}
+
 impl Default for MvccStore {
     fn default() -> Self {
         Self::new(None)
@@ -485,9 +499,9 @@ impl MvccStore {
                 next_txid: AtomicU64::new(1),
                 wal,
                 locks: LockManager::new(),
-                policy: RwLock::new(ConsistencyPolicy::default()),
-                hooks: RwLock::new(Vec::new()),
-                commit_mutex: Mutex::new(()),
+                policy: RwLock::with_rank(lock_rank::TXN_POLICY, ConsistencyPolicy::default()),
+                hooks: RwLock::with_rank(lock_rank::TXN_HOOKS, Vec::new()),
+                commit_mutex: Mutex::with_rank(lock_rank::TXN_COMMIT, ()),
                 group: Mutex::new(GroupQueue::default()),
                 group_batches: AtomicU64::new(0),
                 group_txns: AtomicU64::new(0),
@@ -502,8 +516,14 @@ impl MvccStore {
         }
     }
 
+    /// A weak handle to this store (see [`WeakMvccStore`]).
+    pub fn downgrade(&self) -> WeakMvccStore {
+        WeakMvccStore { inner: Arc::downgrade(&self.inner) }
+    }
+
     /// Register a commit hook (fired after every successful commit with
-    /// its write set).
+    /// its write set). A hook cannot return an error; one that fails
+    /// latches the store read-only through a [`WeakMvccStore`].
     pub fn add_commit_hook(&self, hook: impl Fn(&[CommittedWrite]) + Send + Sync + 'static) {
         self.inner.hooks.write().push(Box::new(hook));
     }
@@ -863,14 +883,20 @@ impl Transaction {
         if self.isolation == IsolationLevel::Serializable {
             self.store.locks.acquire(self.txid, tkey.clone(), LockMode::Shared)?;
         }
-        let level = self.store.policy.read().level(domain);
+        // A serializable read holds the key's shared lock until commit, so
+        // what is committed now is what it must see: its begin-time
+        // snapshot may predate the writer it just waited out (a deadlock
+        // victim's retry would otherwise commit the write skew).
+        let latest = self.isolation == IsolationLevel::Serializable
+            || self.store.policy.read().level(domain) == ConsistencyLevel::Eventual;
         let versions = self.store.versions.read();
         let chain = versions.get(&tkey);
-        Ok(match level {
-            ConsistencyLevel::Eventual => chain.and_then(|c| c.last()).and_then(|v| v.value.clone()),
-            ConsistencyLevel::Strong => chain
+        Ok(if latest {
+            chain.and_then(|c| c.last()).and_then(|v| v.value.clone())
+        } else {
+            chain
                 .and_then(|c| c.iter().rev().find(|v| v.commit_ts <= self.start_ts))
-                .and_then(|v| v.value.clone()),
+                .and_then(|v| v.value.clone())
         })
     }
 
@@ -1002,6 +1028,21 @@ mod tests {
 
     fn store() -> MvccStore {
         MvccStore::new(None)
+    }
+
+    /// The lock-rank witness (`mmdb_types::lock_rank`) is live on the
+    /// engine's own locks: `versions` is a leaf, a commit takes the
+    /// sequencer's locks. Debug only — without the witness this is the
+    /// self-deadlock it reports (the leader installs under `versions.write()`).
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock order violation")]
+    fn committing_while_holding_versions_trips_the_lock_witness() {
+        let s = store();
+        let mut t = s.begin(IsolationLevel::Snapshot);
+        t.put("kv/cart", b"1", Value::int(1)).unwrap();
+        let _versions = s.inner.versions.read();
+        let _ = t.commit();
     }
 
     #[test]

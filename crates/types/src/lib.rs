@@ -17,6 +17,7 @@ pub mod cancel;
 pub mod codec;
 pub mod error;
 pub mod json;
+pub mod lock_rank;
 pub mod path;
 pub mod value;
 

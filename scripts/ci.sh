@@ -6,9 +6,9 @@
 #
 # Everything must pass before a PR lands: a warning-free release build,
 # the full test suite of every workspace crate (unit + integration +
-# property + doc tests), clippy with warnings promoted to errors, and
-# the benchmark of record still building and running against the
-# engine's public items.
+# property + doc tests, with lock order checked as they run), clippy
+# with warnings promoted to errors, and the benchmark of record still
+# building and running against the engine's public items.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -18,8 +18,16 @@ cargo build --release
 
 echo "==> cargo test -q --workspace"
 # Every member's suites, not just the root package's: crate-level tests
-# such as crates/lint/tests/self_scan.rs gate a PR too.
+# such as crates/lint/tests/self_scan.rs gate a PR too. These are debug
+# builds, so every suite here and every --features failpoints suite
+# below runs with the lock-rank witness armed (shims/parking_lot,
+# DESIGN.md "Lock hierarchy"): a lock taken out of rank order panics.
 cargo test -q --workspace
+
+echo "==> the lock-rank witness compiles out of release builds"
+# The one test that only exists without debug assertions: Mutex/RwLock
+# are the size of std's, and an inversion goes unnoticed.
+cargo test -q --release -p parking_lot
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings

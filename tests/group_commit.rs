@@ -153,14 +153,18 @@ fn sixty_four_writers_share_fsyncs_and_lose_nothing() {
 
 #[test]
 fn eight_writers_triple_serial_fsync_throughput() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     const TXNS: usize = 96;
     const WRITERS: usize = 8;
 
     let _serial = lock();
-    fault::set("wal.sync", "delay(1)").unwrap();
+    // A 5ms sync, not 1ms: both runs then spend their time in syncs, so
+    // the throughput ratio below follows from the sync counts and not
+    // from how this box schedules eight threads on two vCPUs.
+    fault::set("wal.sync", "delay(5)").unwrap();
 
     // Serial-fsync baseline: one writer, so every batch is a singleton
-    // and every commit pays the full 1ms sync.
+    // and every commit pays the full 5ms sync.
     let serial = MvccStore::new(Some(Arc::new(Wal::in_memory())));
     let syncs0 = fault::hits("wal.sync");
     let started = Instant::now();
@@ -174,20 +178,30 @@ fn eight_writers_triple_serial_fsync_throughput() {
     assert_eq!(serial_syncs, TXNS as u64, "a lone writer must pay one fsync per commit");
 
     // Same commit count across eight writers: batches amortize the sync.
+    // The writers draw from one counter instead of owning a twelfth each:
+    // a leader commits nothing of its own while the queue keeps it
+    // leading, and a fixed share would be left over as a tail of
+    // one-commit batches (33-35 fsyncs against the bound of 32). Drawn
+    // this way the worst steady state is seven writers in two alternating
+    // batches, 96 / 7 * 2 = 28 fsyncs.
     let grouped = MvccStore::new(Some(Arc::new(Wal::in_memory())));
     let syncs0 = fault::hits("wal.sync");
     let gate = Barrier::new(WRITERS);
+    let next = AtomicUsize::new(0);
     let started = Instant::now();
     std::thread::scope(|scope| {
-        for w in 0..WRITERS {
+        for _ in 0..WRITERS {
             let store = grouped.clone();
-            let gate = &gate;
+            let (gate, next) = (&gate, &next);
             scope.spawn(move || {
                 gate.wait();
-                for i in 0..TXNS / WRITERS {
+                loop {
+                    let i = next.fetch_add(1, Ordering::SeqCst);
+                    if i >= TXNS {
+                        break;
+                    }
                     let mut t = store.begin(IsolationLevel::Snapshot);
-                    t.put("kv/bench", format!("g{w}-{i}").as_bytes(), Value::int(i as i64))
-                        .unwrap();
+                    t.put("kv/bench", format!("g{i}").as_bytes(), Value::int(i as i64)).unwrap();
                     t.commit().unwrap();
                 }
             });

@@ -251,10 +251,18 @@ fn multi_statement_transaction_over_the_wire() {
             s.update_row("customers", anne)
         })
         .unwrap();
+    // Spatial indexes have no wire DDL: built embedded on both sides, then
+    // queried through the connection (which holds its session lock across
+    // the call — the one nesting no other suite drives over the wire).
+    for side in [&*db, &reference] {
+        side.create_spatial_index("shops").unwrap();
+        side.spatial_insert("shops", 1.0, 2.0, Value::str("toyshop")).unwrap();
+    }
     for q in [
         RECOMMENDATION,
         "FOR c IN customers SORT c.id RETURN c.credit_limit",
         "FOR o IN orders SORT o._key RETURN o._key",
+        r#"RETURN GEO_WITHIN("shops", 0, 0, 5, 5)"#,
     ] {
         let remote = observer.query(q).unwrap();
         let local = reference.query(q).unwrap();
