@@ -75,13 +75,6 @@ impl Session {
         self.txn.abort()
     }
 
-    /// Close a session that only read: no WAL trace, no commit or abort
-    /// counted, and no path into the commit sequencer (see
-    /// [`Transaction::end_read`]).
-    pub fn end_read(self) {
-        self.txn.end_read()
-    }
-
     /// The isolation level the session was begun at.
     pub fn isolation(&self) -> IsolationLevel {
         self.txn.isolation()

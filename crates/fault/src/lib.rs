@@ -213,7 +213,6 @@ mod registry {
             Action::Short => Decision::Short,
             Action::Panic => panic!("failpoint {site}: injected panic"), // lint: allow(panic, Action..Panic IS the injected fault; panicking here is the feature)
             Action::Delay(ms) => {
-                // lint: allow(blocking, Action..Delay IS the injected fault: a test asked this site to stall, wherever it sits)
                 std::thread::sleep(std::time::Duration::from_millis(ms));
                 Decision::Proceed
             }

@@ -23,12 +23,6 @@ pub struct Config {
     pub relaxed_allowed: Vec<String>,
     /// Files whose loops must call `cancel::tick()` (executors).
     pub tick_files: Vec<String>,
-    /// Blocking-call tokens for the `blocking` rule (`.sync()`, `sleep`).
-    pub blocking_ops: Vec<String>,
-    /// Locks whose acquisition counts as blocking (declared contended).
-    pub blocking_contended: Vec<String>,
-    /// Hot-context fn names: entry points the `blocking` rule walks from.
-    pub hot_fns: Vec<String>,
 }
 
 impl Config {
@@ -92,9 +86,6 @@ impl Config {
             failpoints_exempt: get("failpoints", "exempt"),
             relaxed_allowed: get("relaxed", "allowed"),
             tick_files: get("executor_tick", "files"),
-            blocking_ops: get("blocking", "ops"),
-            blocking_contended: get("blocking", "contended"),
-            hot_fns: get("hot_contexts", "fns"),
         })
     }
 }
@@ -184,21 +175,13 @@ allowed = ["crates/server/src/metrics.rs"]
 
 [executor_tick]
 files = ["crates/query/src/exec.rs"]
-
-[blocking]
-ops = [".sync()", "sleep"]
-contended = ["commit_mutex"]
-
-[hot_contexts]
-fns = ["conn_reader"]
 "#,
         )
         .unwrap();
         assert_eq!(cfg.skip, vec!["target", "crates/lint/fixtures"]);
         assert_eq!(cfg.no_panic_exempt, vec!["shims/", "crates/bench/"]);
-        assert_eq!(cfg.blocking_ops, vec![".sync()", "sleep"]);
-        assert_eq!(cfg.blocking_contended, vec!["commit_mutex"]);
-        assert_eq!(cfg.hot_fns, vec!["conn_reader"]);
+        assert_eq!(cfg.relaxed_allowed, vec!["crates/server/src/metrics.rs"]);
+        assert_eq!(cfg.tick_files, vec!["crates/query/src/exec.rs"]);
     }
 
     #[test]

@@ -28,8 +28,6 @@ pub struct Line {
     pub comment: String,
     /// Inside a `#[cfg(test)]`- or `#[test]`-marked item's braces.
     pub in_test: bool,
-    /// Brace depth at the start of the line (code braces only).
-    pub depth: i32,
 }
 
 /// A lexed source file.
@@ -281,7 +279,6 @@ pub fn analyze(path: &str, src: &str) -> SourceFile {
     flush_line!();
 
     mark_test_regions(&mut lines);
-    compute_depths(&mut lines);
     SourceFile { path: path.to_string(), lines }
 }
 
@@ -383,21 +380,6 @@ fn attr_names_test(content: &str) -> bool {
         i += 1;
     }
     false
-}
-
-/// Record each line's starting brace depth (masked view).
-fn compute_depths(lines: &mut [Line]) {
-    let mut depth: i32 = 0;
-    for line in lines.iter_mut() {
-        line.depth = depth;
-        for c in line.masked.chars() {
-            match c {
-                '{' => depth += 1,
-                '}' => depth -= 1,
-                _ => {}
-            }
-        }
-    }
 }
 
 /// Collect the string literals appearing in a `code` view line.

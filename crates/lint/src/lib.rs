@@ -4,16 +4,14 @@
 //! hand-maintained cross-cutting invariants: failpoint rosters that
 //! must mirror every `fail_point!` literal, executor loops that must
 //! stay cancellable, relaxed atomics that are only sound in counter
-//! modules, a no-panic discipline on durability paths, and blocking
-//! operations that must stay off hot paths. `mmdb-lint` walks every
-//! `.rs` file in the workspace with its own lightweight lexer (string-,
-//! comment-, and `#[cfg(test)]`-aware); five of its six rules are
-//! lexical, and `blocking` parses fn items into call/acquire events
-//! ([`parse`]) and walks a name-based call graph ([`callgraph`]) from
-//! the hot contexts. See [`rules`] for the rule catalogue and
-//! `lint.toml` for the per-rule configuration. Lock order is not
-//! checked here: debug builds check it where locks are taken
-//! (`mmdb_types::lock_rank`, DESIGN.md "Lock hierarchy").
+//! modules, and a no-panic discipline on durability paths. `mmdb-lint`
+//! walks every `.rs` file in the workspace with its own lightweight
+//! lexer (string-, comment-, and `#[cfg(test)]`-aware); every rule is
+//! lexical. See [`rules`] for the rule catalogue and `lint.toml` for the
+//! per-rule configuration. Lock order and "the connection reader never
+//! waits" are not checked here: debug builds check them where locks are
+//! taken and where threads wait (`mmdb_types::lock_rank`, DESIGN.md
+//! "Lock hierarchy").
 //!
 //! Suppression is pragma-only and always carries a reason:
 //!
@@ -24,15 +22,12 @@
 //! The binary (`cargo run -p mmdb-lint`) exits nonzero on any
 //! unsuppressed violation; `scripts/ci.sh` runs it after clippy.
 
-pub mod blocking;
-pub mod callgraph;
 pub mod config;
 pub mod lex;
-pub mod parse;
 pub mod rules;
 
 pub use config::Config;
-pub use rules::{Diagnostic, Severity};
+pub use rules::Diagnostic;
 
 use std::path::{Path, PathBuf};
 

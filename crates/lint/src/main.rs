@@ -4,19 +4,17 @@
 //! cargo run --release -p mmdb-lint            # from the repo root
 //! cargo run --release -p mmdb-lint -- --root /path/to/repo
 //! cargo run --release -p mmdb-lint -- --format json
-//! cargo run --release -p mmdb-lint -- --explain blocking
+//! cargo run --release -p mmdb-lint -- --explain tick
 //! ```
 //!
-//! Prints `file:line: rule: message` per violation (warnings prefixed
-//! `warning:`) and exits nonzero only if *errors* were found.
+//! Prints `file:line: rule: message` per violation and exits nonzero if
+//! there is one.
 //! Configuration lives in `<root>/lint.toml`; see DESIGN.md "Static
 //! analysis" for the rule catalogue and the pragma grammar.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
-
-use mmdb_lint::Severity;
 
 fn main() {
     let mut root = PathBuf::from(".");
@@ -69,49 +67,45 @@ fn main() {
         }
     };
     let files = mmdb_lint::count_rs_files(&root).unwrap_or(0);
-    let errors = diags.iter().filter(|d| d.severity == Severity::Error).count();
-    let warnings = diags.len() - errors;
+    let by_rule = count_by_rule(&diags);
 
     if json {
-        println!("{}", render_json(files, &diags));
+        println!("{}", render_json(files, &diags, &by_rule));
     } else {
         for d in &diags {
-            match d.severity {
-                Severity::Error => println!("{d}"),
-                Severity::Warning => println!("warning: {d}"),
-            }
+            println!("{d}");
         }
     }
 
     // Per-rule summary table, on stderr so it never pollutes the report.
-    let mut by_rule: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-    for d in &diags {
-        let e = by_rule.entry(d.rule).or_default();
-        match d.severity {
-            Severity::Error => e.0 += 1,
-            Severity::Warning => e.1 += 1,
-        }
-    }
     let elapsed = started.elapsed();
     if diags.is_empty() {
         eprintln!("mmdb-lint: {files} files clean in {elapsed:.2?}");
     } else {
-        eprintln!("mmdb-lint: rule        errors  warnings");
-        for (rule, (e, w)) in &by_rule {
-            eprintln!("mmdb-lint: {rule:<12}{e:>6}{w:>10}");
+        eprintln!("mmdb-lint: rule        errors");
+        for (rule, n) in &by_rule {
+            eprintln!("mmdb-lint: {rule:<12}{n:>6}");
         }
-        eprintln!(
-            "mmdb-lint: {errors} error(s), {warnings} warning(s) across {files} files in {elapsed:.2?}"
-        );
-    }
-    if errors > 0 {
+        eprintln!("mmdb-lint: {} error(s) across {files} files in {elapsed:.2?}", diags.len());
         std::process::exit(1);
     }
 }
 
+fn count_by_rule(diags: &[mmdb_lint::Diagnostic]) -> BTreeMap<&'static str, usize> {
+    let mut by_rule = BTreeMap::new();
+    for d in diags {
+        *by_rule.entry(d.rule).or_default() += 1;
+    }
+    by_rule
+}
+
 /// Hand-rolled JSON (the workspace takes no dependencies): a stable
 /// shape for CI to archive and summarize.
-fn render_json(files: usize, diags: &[mmdb_lint::Diagnostic]) -> String {
+fn render_json(
+    files: usize,
+    diags: &[mmdb_lint::Diagnostic],
+    by_rule: &BTreeMap<&'static str, usize>,
+) -> String {
     let mut out = String::new();
     out.push_str(&format!("{{\n  \"files\": {files},\n  \"violations\": ["));
     for (i, d) in diags.iter().enumerate() {
@@ -119,11 +113,10 @@ fn render_json(files: usize, diags: &[mmdb_lint::Diagnostic]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{\"path\": {}, \"line\": {}, \"rule\": {}, \"severity\": {}, \"msg\": {}}}",
+            "\n    {{\"path\": {}, \"line\": {}, \"rule\": {}, \"msg\": {}}}",
             json_str(&d.path),
             d.line,
             json_str(d.rule),
-            json_str(&d.severity.to_string()),
             json_str(&d.msg),
         ));
     }
@@ -131,22 +124,11 @@ fn render_json(files: usize, diags: &[mmdb_lint::Diagnostic]) -> String {
         out.push_str("\n  ");
     }
     out.push_str("],\n  \"summary\": {");
-    let mut by_rule: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-    for d in diags {
-        let e = by_rule.entry(d.rule).or_default();
-        match d.severity {
-            Severity::Error => e.0 += 1,
-            Severity::Warning => e.1 += 1,
-        }
-    }
-    for (i, (rule, (e, w))) in by_rule.iter().enumerate() {
+    for (i, (rule, n)) in by_rule.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "\n    {}: {{\"errors\": {e}, \"warnings\": {w}}}",
-            json_str(rule)
-        ));
+        out.push_str(&format!("\n    {}: {{\"errors\": {n}}}", json_str(rule)));
     }
     if !by_rule.is_empty() {
         out.push_str("\n  ");

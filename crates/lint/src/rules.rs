@@ -1,6 +1,7 @@
-//! The rule engine: five project-specific invariants plus the pragma
-//! meta-rule. (Lock order is not a lint rule: debug builds check it where
-//! locks are taken — see `mmdb_types::lock_rank`.)
+//! The rule engine: four project-specific invariants plus the pragma
+//! meta-rule, all lexical. (Lock order and "the connection reader never
+//! waits" are not lint rules: debug builds check them where locks are
+//! taken and where threads wait — see `mmdb_types::lock_rank`.)
 //!
 //! | rule        | invariant                                                      |
 //! |-------------|----------------------------------------------------------------|
@@ -8,7 +9,6 @@
 //! | `failpoint` | every `fail_point!`/`mmdb_fault::eval*` site is rostered in its crate's `FAILPOINT_SITES`, has a live call site, and is exercised by a test under `tests/` |
 //! | `relaxed`   | `Ordering::Relaxed` only in the designated counter modules     |
 //! | `tick`      | every loop in the executor files contains a `cancel::tick()` (or tick-forwarding) call |
-//! | `blocking`  | no blocking operation reachable from an annotated hot context without a reasoned pragma |
 //! | `pragma`    | every `// lint: allow(rule, reason)` names a known rule, gives a reason, and suppresses at least one diagnostic |
 //!
 //! Suppression is pragma-only and always carries a reason:
@@ -19,30 +19,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::CallGraph;
 use crate::config::Config;
 use crate::lex::{contains_token, find_token, is_ident, string_literals, SourceFile};
 
 /// Every rule name a pragma may reference.
-pub const RULE_NAMES: &[&str] = &["panic", "failpoint", "relaxed", "tick", "blocking", "pragma"];
+pub const RULE_NAMES: &[&str] = &["panic", "failpoint", "relaxed", "tick", "pragma"];
 
-/// Finding severity: errors gate CI; warnings inform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    Error,
-    Warning,
-}
-
-impl std::fmt::Display for Severity {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Severity::Error => write!(f, "error"),
-            Severity::Warning => write!(f, "warning"),
-        }
-    }
-}
-
-/// One `file:line: rule: message` finding.
+/// One `file:line: rule: message` finding. Every finding is an error.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Diagnostic {
     pub path: String,
@@ -50,7 +33,6 @@ pub struct Diagnostic {
     pub line: usize,
     pub rule: &'static str,
     pub msg: String,
-    pub severity: Severity,
 }
 
 impl std::fmt::Display for Diagnostic {
@@ -84,9 +66,6 @@ pub fn check_files(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
         check_relaxed(fi, file, cfg, &mut used, &mut out);
         check_tick(fi, file, cfg, &mut used, &mut out);
     }
-    let items = crate::parse::parse_items(files);
-    let graph = CallGraph::build(&items);
-    crate::blocking::check_blocking(files, &items, &graph, cfg, &mut used, &mut out);
     check_failpoints(files, cfg, &mut used, &mut out);
     check_unused_pragmas(files, &used, &mut out);
     out.sort();
@@ -173,7 +152,6 @@ fn check_pragmas(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 line: idx + 1,
                 rule: "pragma",
                 msg: "`lint:` comment without an `allow(rule, reason)` clause".to_string(),
-                severity: Severity::Error,
             });
             continue;
         }
@@ -187,7 +165,6 @@ fn check_pragmas(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                         "unknown rule '{rule}' in lint pragma (known: {})",
                         RULE_NAMES.join(", ")
                     ),
-                    severity: Severity::Error,
                 });
             } else if !has_reason {
                 out.push(Diagnostic {
@@ -197,7 +174,6 @@ fn check_pragmas(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                     msg: format!(
                         "lint pragma for '{rule}' needs a reason: `lint: allow({rule}, <why>)`"
                     ),
-                    severity: Severity::Error,
                 });
             }
         }
@@ -233,7 +209,6 @@ fn check_unused_pragmas(files: &[SourceFile], used: &PragmaUse, out: &mut Vec<Di
                              `lint: allow({rule}, ...)` so suppressions cannot outlive \
                              the code they excused"
                         ),
-                        severity: Severity::Error,
                     });
                 }
             }
@@ -286,7 +261,6 @@ fn check_no_panic(
                  `// lint: allow(panic, <reason>)`",
                 found.join(" and ")
             ),
-            severity: Severity::Error,
         });
     }
 }
@@ -318,7 +292,6 @@ fn check_relaxed(
             msg: "Ordering::Relaxed outside the designated counter modules; use a \
                   stronger ordering or annotate `// lint: allow(relaxed, <reason>)`"
                 .to_string(),
-            severity: Severity::Error,
         });
     }
 }
@@ -358,7 +331,6 @@ fn check_tick(
                   escape deadlines; tick per item or annotate \
                   `// lint: allow(tick, <reason>)`"
                 .to_string(),
-            severity: Severity::Error,
         });
     }
 }
@@ -630,7 +602,6 @@ fn check_failpoints(
                     "failpoint site \"{site}\" is not in {krate}'s FAILPOINT_SITES \
                      roster — the torture suite cannot find it"
                 ),
-                severity: Severity::Error,
             });
         }
     }
@@ -648,7 +619,6 @@ fn check_failpoints(
                     "rostered failpoint site \"{site}\" has no live call site in \
                      {krate} — stale roster entry"
                 ),
-                severity: Severity::Error,
             });
         }
     }
@@ -690,7 +660,6 @@ fn check_failpoints(
                      reference the literal (or chain {short}::FAILPOINT_SITES) from \
                      a torture test under tests/"
                 ),
-                severity: Severity::Error,
             });
         }
     }
@@ -730,17 +699,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              a cancel::tick() or tick-forwarding call, so row iteration stays\n\
              cancellable and deadlines hold. Loops that provably do not iterate rows\n\
              carry `// lint: allow(tick, <reason>)`."
-        }
-        "blocking" => {
-            "blocking: no blocking operation reachable from an annotated hot context\n\
-             without a reasoned pragma. [hot_contexts] fns names the entry points\n\
-             (reader threads, executor lanes, the group-commit leader); [blocking] ops\n\
-             lists the blocking vocabulary (.sync(), sleep, .wait_for(, ...);\n\
-             [blocking] contended lists locks whose waits count as blocking. The rule\n\
-             walks the call graph breadth-first from each hot fn and reports each\n\
-             direct blocking site with the call path. Deliberate blocking (the leader's\n\
-             one fsync per batch) carries `// lint: allow(blocking, <reason>)` — the\n\
-             reason is the design argument, kept next to the code."
         }
         "pragma" => {
             "pragma: every `// lint: allow(rule, reason)` must name a known rule and\n\

@@ -26,21 +26,6 @@ files = ["crates/engine/src/exec.rs"]
     .expect("fixture config parses")
 }
 
-/// The blocking-rule config: a hot context plus a blocking vocabulary.
-fn cfg_blocking() -> Config {
-    Config::parse(
-        r#"
-[blocking]
-ops = [".sync()", "sleep"]
-contended = ["commit_mutex"]
-
-[hot_contexts]
-fns = ["reader_loop"]
-"#,
-    )
-    .expect("blocking fixture config parses")
-}
-
 /// Lint one fixture under the given synthetic path.
 fn lint(path: &str, text: &str) -> Vec<Diagnostic> {
     scan_sources(&[(path, text)], &cfg())
@@ -175,37 +160,6 @@ fn tick_rule_only_applies_to_configured_files() {
     assert!(d.is_empty(), "{d:?}");
 }
 
-// ---- blocking --------------------------------------------------------------
-
-#[test]
-fn blocking_pass_off_hot_path() {
-    let d = scan_sources(
-        &[("crates/engine/src/lib.rs", include_str!("../fixtures/blocking/pass.rs"))],
-        &cfg_blocking(),
-    );
-    assert!(d.is_empty(), "{d:?}");
-}
-
-#[test]
-fn blocking_fail_reachable_fsync() {
-    let d = scan_sources(
-        &[("crates/engine/src/lib.rs", include_str!("../fixtures/blocking/fail.rs"))],
-        &cfg_blocking(),
-    );
-    assert_eq!(rules(&d), ["blocking"], "{d:?}");
-    assert!(d[0].msg.contains(".sync()"), "{d:?}");
-    assert!(d[0].msg.contains("reader_loop -> persist_frame"), "{d:?}");
-}
-
-#[test]
-fn blocking_suppressed() {
-    let d = scan_sources(
-        &[("crates/engine/src/lib.rs", include_str!("../fixtures/blocking/suppressed.rs"))],
-        &cfg_blocking(),
-    );
-    assert!(d.is_empty(), "{d:?}");
-}
-
 // ---- failpoint test coverage -----------------------------------------------
 
 #[test]
@@ -249,9 +203,11 @@ fn pragma_pass() {
 #[test]
 fn pragma_fail() {
     let d = lint("crates/engine/src/lib.rs", include_str!("../fixtures/pragma/fail.rs"));
-    // The typo'd rule and the reasonless pragma are violations, and
-    // neither suppresses its unwrap (diagnostics sort by rule per line).
-    assert_eq!(rules(&d), ["panic", "pragma", "panic", "pragma"], "{d:?}");
+    // The typo'd rule, the reasonless pragma and the retired `blocking`
+    // rule are violations, and none suppresses its unwrap (diagnostics
+    // sort by rule per line).
+    assert_eq!(rules(&d), ["panic", "pragma", "panic", "pragma", "panic", "pragma"], "{d:?}");
+    assert!(d[5].msg.contains("unknown rule 'blocking'"), "{d:?}");
 }
 
 #[test]

@@ -23,9 +23,9 @@
 //! Resume correctness: a replica's `applied_lsn` only ever advances
 //! past *complete* transactions (the primary serializes each
 //! `Begin..Write*..Commit` block under its commit mutex, so blocks
-//! never interleave in the log; only single `Abort` records can), so
-//! reconnecting with `REPLICA HELLO <applied_lsn>` never re-applies a
-//! half-seen transaction and never skips one.
+//! never interleave in the log; only an older log's single `Abort`
+//! records can), so reconnecting with `REPLICA HELLO <applied_lsn>` never
+//! re-applies a half-seen transaction and never skips one.
 
 pub mod feed;
 pub mod replica;

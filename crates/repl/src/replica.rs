@@ -152,7 +152,7 @@ impl Worker {
 
         // Writes of transactions whose commit record hasn't arrived yet.
         // The primary serializes Begin..Write*..Commit blocks in its log
-        // (only lone Aborts interleave), so at most a handful are open.
+        // (only the lone Aborts of older logs interleave), so at most a handful are open.
         let mut pending: HashMap<TxId, Vec<CommittedWrite>> = HashMap::new();
 
         while !self.stopped() {

@@ -10,7 +10,12 @@
 //!   before it next blocks or hands anything to the pool. Everything
 //!   else it enqueues onto the shared executor pool — stopping at
 //!   `pipeline_depth` requests in flight, which is the whole
-//!   backpressure story;
+//!   backpressure story. The thread is marked *hot* for its life
+//!   (`parking_lot::hot_thread`): in debug builds a park, a lock held
+//!   across an fsync or an fsync reached from it panics, except under
+//!   the three `permit_wait`s below. Lane, pool and writer threads are
+//!   deliberately *not* marked: they are where everything that may wait
+//!   is sent;
 //! * the **executor pool** (shared, `workers` threads) that runs the
 //!   requests: stateless tagged requests in parallel, everything
 //!   touching session state (and every untagged request, to preserve
@@ -182,7 +187,7 @@ impl ConnHandle {
 
     /// Whether the connection is quiescent, giving a writer that has
     /// written its last batch (or a lane drainer that ran its last job)
-    /// but has not yet been scheduled to say so a moment to say so: the
+    /// but has not yet been scheduled a moment to say so: the
     /// peer can answer a reply faster than the thread that sent it gets
     /// the CPU back, and without this a depth-1 client that follows a
     /// pooled request with cheap ones could stay on the pool path.
@@ -329,7 +334,6 @@ fn writer_loop(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
                 if st.closing && st.inflight == 0 {
                     return;
                 }
-                // lint: allow(blocking, the writer parks between batches by design; it runs on its own thread, not the reader)
                 conn.cv.wait(&mut st);
             }
         };
@@ -407,6 +411,7 @@ fn flush_replies(inner: &ServerInner, conn: &ConnHandle, replies: &mut Vec<u8>) 
 /// lifecycle — on exit it flushes a terminal error (if any), drains and
 /// joins the writer, aborts an orphaned transaction, and unregisters.
 pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
+    let _hot = parking_lot::hot_thread("server.conn_reader");
     inner.metrics.connections_active.fetch_add(1, Ordering::Relaxed); // lint: allow(relaxed, metric gauge read only by ADMIN STATS; no synchronization role)
     conn.note_activity();
     let max_frame = inner.config.max_frame_len;
@@ -515,9 +520,11 @@ pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
             // Quiesce: every admitted request answered and flushed
             // before the reader takes over the write side.
             {
+                // Nothing is read off this connection again, so no request
+                // is kept waiting by the drain.
+                let _permit = parking_lot::permit_wait("one-time drain before the stream handoff");
                 let mut st = conn.state.lock();
                 while !st.dead && (st.inflight > 0 || !st.out.is_empty() || st.writer_busy) {
-                    // lint: allow(blocking, one-time drain before the SUBSCRIBE handoff; the connection becomes a dedicated stream after this)
                     conn.cv.wait(&mut st);
                 }
                 if st.dead {
@@ -527,7 +534,12 @@ pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
             conn.streaming.store(true, Ordering::Relaxed); // lint: allow(relaxed, reaper heuristic flag; no synchronization role)
             let started = Instant::now();
             let cdc = matches!(request, Request::Subscribe { .. });
-            let result = serve_stream(inner, conn, *from_lsn, cdc);
+            let result = {
+                // The bootstrap quiesces commits and syncs the WAL, the
+                // tail loop sleeps — on a connection that serves nothing else.
+                let _permit = parking_lot::permit_wait("a dedicated push stream to its end");
+                serve_stream(inner, conn, *from_lsn, cdc)
+            };
             inner.metrics.record_request(&request, result.is_ok(), started.elapsed());
             if let Err(e) = result {
                 append_frame(inner, &mut replies, None, &Response::from_error(&e));
@@ -548,12 +560,12 @@ pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
         // off the socket until a slot frees. This is the backpressure.
         {
             let depth = inner.config.pipeline_depth.max(1);
+            let _permit = parking_lot::permit_wait("pipeline-depth backpressure");
             let mut st = conn.state.lock();
             if st.inflight >= depth {
                 inner.metrics.pipeline_stalls.fetch_add(1, Ordering::Relaxed); // lint: allow(relaxed, monotonic metric counter; no synchronization role)
             }
             while st.inflight >= depth && !st.dead {
-                // lint: allow(blocking, pipeline-depth backpressure; the reader must stop pulling frames until a slot frees)
                 conn.cv.wait(&mut st);
             }
             if st.dead {
@@ -724,8 +736,9 @@ fn run_stateless(
 /// sequencer, an fsync or a lock queue. `None` means the request is not
 /// one of these and must take the lane/pool path: `Commit`, auto-commit
 /// writes, a serializable session's operations (they queue for locks),
-/// DDL, queries, admin. `crates/lint/tests/self_scan.rs` checks that no
-/// call to the commit path is written in this function.
+/// DDL, queries, admin. Debug builds hold this function to its word: the
+/// reader is a hot thread, so a request accepted here that does reach a
+/// wait panics where it waits.
 fn run_inline(
     inner: &ServerInner,
     session: &mut Option<Session>,
@@ -760,8 +773,9 @@ fn run_inline(
                 None if is_point_read(op) => {
                     let mut s = inner.db.begin(IsolationLevel::Snapshot);
                     let result = apply_op(&mut s, op);
-                    s.end_read();
-                    result
+                    // Nothing staged: returns before the commit sequencer
+                    // and counts as neither a commit nor an abort.
+                    s.commit().and(result)
                 }
                 _ => return None,
             };
@@ -871,9 +885,7 @@ fn serve_stream(inner: &ServerInner, conn: &ConnHandle, from_lsn: u64, cdc: bool
         // primary — don't survive as ghosts.
         let (snap_lsn, live) = {
             let db = &inner.db;
-            // lint: allow(blocking, replica bootstrap snapshot needs the commit-quiesced window; post-SUBSCRIBE the connection is dedicated to streaming)
             db.mvcc().quiesce_commits(|| -> Result<_> {
-                // lint: allow(blocking, the bootstrap LSN must be durable before it is advertised to the replica)
                 wal.sync()?;
                 Ok((wal.tail_lsn(), db.mvcc().latest_committed_writes()))
             })?
@@ -914,7 +926,6 @@ fn serve_stream(inner: &ServerInner, conn: &ConnHandle, from_lsn: u64, cdc: bool
                 send_change(inner, stream, feed::heartbeat_frame(wal.durable_lsn()))?;
                 last_beat = Instant::now();
             }
-            // lint: allow(blocking, change-feed poll cadence on a dedicated streaming connection)
             std::thread::sleep(inner.config.poll_interval.min(HEARTBEAT_EVERY));
             continue;
         }

@@ -66,9 +66,7 @@ impl Backend for FileBackend {
     }
 
     fn sync(&self) -> Result<()> {
-        self.file
-            .sync_data()
-            .map_err(|e| Error::Storage(format!("fsync: {e}")))
+        crate::durable_sync(&self.file, File::sync_data).map_err(|e| Error::Storage(format!("fsync: {e}")))
     }
 }
 

@@ -19,6 +19,8 @@
 //!   optimization + index selection into one storage-view-selection
 //!   problem. Benchmarked as ablation E7.
 
+use std::fs::File;
+
 pub mod buffer;
 pub mod disk;
 pub mod heap;
@@ -33,6 +35,19 @@ pub use disk::{DiskManager, PageId, PAGE_SIZE};
 pub use heap::{HeapFile, RecordId};
 pub use snapshot::SnapshotEntry;
 pub use wal::{Lsn, TailedRecord, Wal, WalRecord};
+
+/// The storage layer's one way to fsync; `sync` is `File::sync_data`
+/// (contents and length, all an append-only log or a fixed-size page file
+/// needs) or `File::sync_all`. Announced first to the hot-thread witness
+/// (`parking_lot::about_to_wait`, debug builds): a thread that must never
+/// wait may not be the one that syncs.
+pub(crate) fn durable_sync(
+    file: &File,
+    sync: fn(&File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    parking_lot::about_to_wait("fsyncing a file");
+    sync(file)
+}
 
 /// Every failpoint site this crate declares (see `mmdb-fault`). The
 /// crash-recovery torture suite iterates this roster, so adding a

@@ -25,6 +25,7 @@ use std::path::{Path, PathBuf};
 
 use mmdb_types::{Error, Result};
 
+use crate::durable_sync;
 use crate::wal::{crc32, Lsn};
 
 /// File name of the current snapshot inside a database directory.
@@ -91,8 +92,7 @@ pub fn write_snapshot(dir: &Path, snapshot_lsn: Lsn, entries: &[SnapshotEntry]) 
     let mut out =
         File::create(&tmp).map_err(|e| Error::Storage(format!("snapshot tmp: {e}")))?;
     out.write_all(&framed[..write_len])
-        // lint: allow(blocking, snapshot durability is the contract; only reached via an explicit checkpoint)
-        .and_then(|()| out.sync_all())
+        .and_then(|()| durable_sync(&out, File::sync_all))
         .map_err(|e| Error::Storage(format!("snapshot write: {e}")))?;
     drop(out);
     if write_len < framed.len() {
@@ -106,8 +106,7 @@ pub fn write_snapshot(dir: &Path, snapshot_lsn: Lsn, entries: &[SnapshotEntry]) 
     std::fs::rename(&tmp, snapshot_path(dir))
         .map_err(|e| Error::Storage(format!("snapshot rename: {e}")))?;
     if let Ok(d) = File::open(dir) {
-        // lint: allow(blocking, directory fsync publishes the snapshot rename; checkpoint path only)
-        let _ = d.sync_all();
+        let _ = durable_sync(&d, File::sync_all);
     }
     Ok(framed.len() as u64)
 }

@@ -19,7 +19,9 @@ use std::path::{Path, PathBuf};
 use bytes::{Buf, BufMut, BytesMut};
 use parking_lot::Mutex;
 
-use mmdb_types::{Error, Result};
+use mmdb_types::{lock_rank, Error, Result};
+
+use crate::durable_sync;
 
 /// Log sequence number: byte offset of a record in the log.
 pub type Lsn = u64;
@@ -45,7 +47,9 @@ pub enum WalRecord {
     },
     /// Transaction commit — the durability point.
     Commit { txid: TxId },
-    /// Transaction abort.
+    /// Transaction abort. Nothing writes this any more (an aborting
+    /// transaction's writes never reached the log, so there is nothing to
+    /// cancel); it is decoded and skipped for logs that already hold one.
     Abort { txid: TxId },
     /// Checkpoint marker: a consistent snapshot of all engine state as
     /// of `snapshot_lsn` exists (in `mmdb.snapshot`), so recovery may
@@ -288,13 +292,9 @@ impl Wal {
             None => (0, 0),
         };
         let next_lsn = base_lsn + len.saturating_sub(data_start);
+        let inner = WalInner { backend: WalBackend::File(file), next_lsn, base_lsn, data_start };
         Ok(Wal {
-            inner: Mutex::new(WalInner {
-                backend: WalBackend::File(file),
-                next_lsn,
-                base_lsn,
-                data_start,
-            }),
+            inner: Mutex::with_rank(lock_rank::WAL_INNER, inner),
             path: Some(path.as_ref().to_path_buf()),
             // Everything already in the file survived a previous run's
             // syncs (recovery truncated any torn tail before this open).
@@ -304,13 +304,10 @@ impl Wal {
 
     /// An in-memory WAL (tests; volatile databases).
     pub fn in_memory() -> Self {
+        let inner =
+            WalInner { backend: WalBackend::Memory(Vec::new()), next_lsn: 0, base_lsn: 0, data_start: 0 };
         Wal {
-            inner: Mutex::new(WalInner {
-                backend: WalBackend::Memory(Vec::new()),
-                next_lsn: 0,
-                base_lsn: 0,
-                data_start: 0,
-            }),
+            inner: Mutex::with_rank(lock_rank::WAL_INNER, inner),
             path: None,
             durable_lsn: std::sync::atomic::AtomicU64::new(0),
         }
@@ -413,7 +410,7 @@ impl Wal {
         mmdb_fault::fail_point!("wal.sync", |msg| Error::Storage(format!("wal fsync: {msg}")));
         let inner = self.inner.lock();
         if let WalBackend::File(f) = &inner.backend {
-            f.sync_data().map_err(|e| Error::Storage(format!("wal fsync: {e}")))?;
+            durable_sync(f, File::sync_data).map_err(|e| Error::Storage(format!("wal fsync: {e}")))?;
         }
         // Everything appended before this sync is now durable. Published
         // under the inner lock so the watermark never races past a
@@ -548,7 +545,6 @@ impl Wal {
             "checkpoint marker append: {msg}"
         )));
         let lsn = self.append(&WalRecord::Checkpoint { snapshot_lsn })?;
-        // lint: allow(blocking, the checkpoint marker must be durable before truncation may proceed)
         self.sync()?;
         Ok(lsn)
     }
@@ -613,8 +609,7 @@ impl Wal {
             File::create(&tmp).map_err(|e| Error::Storage(format!("wal truncate tmp: {e}")))?;
         out.write_all(&encode_wal_header(horizon))
             .and_then(|()| out.write_all(&suffix))
-            // lint: allow(blocking, the truncated log must be durable before the rename swaps it in; checkpoint path only)
-            .and_then(|()| out.sync_all())
+            .and_then(|()| durable_sync(&out, File::sync_all))
             .map_err(|e| Error::Storage(format!("wal truncate write: {e}")))?;
         std::fs::rename(&tmp, path)
             .map_err(|e| Error::Storage(format!("wal truncate rename: {e}")))?;
@@ -623,8 +618,7 @@ impl Wal {
         // handle at the new inode.
         if let Some(dir) = path.parent() {
             if let Ok(d) = File::open(dir) {
-                // lint: allow(blocking, directory fsync publishes the truncation rename; checkpoint path only)
-                let _ = d.sync_all();
+                let _ = durable_sync(&d, File::sync_all);
             }
         }
         let file = OpenOptions::new()

@@ -214,7 +214,6 @@ impl StoreInner {
             if let Some(outcome) = r.take() {
                 return outcome;
             }
-            // lint: allow(blocking, a committer parks for the leader's outcome; batching K commits onto one fsync is the design)
             slot.ready.wait(&mut r);
         }
     }
@@ -284,7 +283,6 @@ impl StoreInner {
 
         // Serializes with `apply_replicated` (and keeps WAL Begin..Commit
         // blocks contiguous across the two paths).
-        // lint: allow(blocking, one leader sequences per batch; followers park on their slots instead of contending here)
         let _commit_guard = self.commit_mutex.lock();
         if self.degraded.load(Ordering::SeqCst) {
             self.aborts.fetch_add(batch.len() as u64, Ordering::SeqCst);
@@ -378,7 +376,6 @@ impl StoreInner {
             if let Some(msg) = mmdb_fault::eval_to_error("txn.group_commit.before_sync") {
                 return Err(Error::Storage(format!("group commit: {msg}")));
             }
-            // lint: allow(blocking, the single fsync per batch IS the group-commit throughput win)
             wal.sync()?;
             Ok(commit_record_at.iter().map(|&at| Some(ends[at])).collect())
         })();
@@ -651,7 +648,6 @@ impl MvccStore {
     /// state extracted inside `f` is consistent with the tail LSN read
     /// inside `f`.
     pub fn quiesce_commits<R>(&self, f: impl FnOnce() -> R) -> R {
-        // lint: allow(blocking, quiescing the commit pipeline is this function's purpose; callers opt into the stall)
         let _guard = self.inner.commit_mutex.lock();
         f()
     }
@@ -973,38 +969,25 @@ impl Transaction {
         result
     }
 
-    /// Abort: discard buffered writes, release locks, log the abort.
+    /// Abort: discard buffered writes, release locks.
     pub fn abort(mut self) {
         self.abort_in_place();
     }
 
-    /// Close a transaction that only read. Like committing it — an empty
-    /// write set never enters the commit sequencer and counts as neither
-    /// a commit nor an abort — but with no way to reach the sequencer at
-    /// all, so it is safe on a thread that must not wait. A transaction
-    /// that did stage writes is aborted.
-    pub fn end_read(mut self) {
-        if self.writes.is_empty() {
-            self.closed = true;
-            self.release_locks();
-        }
-    }
-
     /// Shared abort path. Also runs on [`Drop`], so a transaction that goes
     /// out of scope uncommitted (a crashed request handler, a client that
-    /// disconnected mid-transaction) leaves the same WAL trace as an
-    /// explicit `ABORT` and never holds locks past its lifetime.
+    /// disconnected mid-transaction) ends like an explicit `ABORT` and
+    /// never holds locks past its lifetime. Nothing is logged: writes are
+    /// buffered here until a commit leader lands `Begin..Commit`, so the
+    /// WAL has never seen this transaction — and an append would wait out
+    /// whichever fsync holds the log, on a thread (a connection's reader)
+    /// that must not.
     fn abort_in_place(&mut self) {
         if self.closed {
             return;
         }
         self.closed = true;
         self.store.aborts.fetch_add(1, Ordering::SeqCst);
-        if let Some(wal) = &self.store.wal {
-            if !self.writes.is_empty() {
-                let _ = wal.append(&WalRecord::Abort { txid: self.txid });
-            }
-        }
         self.writes.clear();
         self.release_locks();
     }
@@ -1043,6 +1026,44 @@ mod tests {
         t.put("kv/cart", b"1", Value::int(1)).unwrap();
         let _versions = s.inner.versions.read();
         let _ = t.commit();
+    }
+
+    /// The hot-thread witness is live on the commit path: a thread that
+    /// has declared it never waits may close a transaction that staged
+    /// nothing, but not lead (or park for) a batch. Debug only.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(
+        expected = "\"test.reader\" must never wait, but is acquiring \"txn.commit_mutex\" (rank 40)"
+    )]
+    fn a_hot_thread_may_close_a_read_but_not_commit_writes() {
+        let s = store();
+        let _hot = parking_lot::hot_thread("test.reader");
+        let r = s.begin(IsolationLevel::Snapshot);
+        assert_eq!(r.get("kv/cart", b"1").unwrap(), None);
+        r.commit().unwrap();
+        let mut t = s.begin(IsolationLevel::Snapshot);
+        t.put("kv/cart", b"1", Value::int(1)).unwrap();
+        let _ = t.commit();
+    }
+
+    /// ...and on the wait no static rule saw: a serializable write that
+    /// must queue behind another transaction's lock parks in
+    /// `LockManager::acquire`, which `put` reaches through `write`.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(
+        expected = "\"test.reader\" must never wait, but is parking on a condition variable of leaf lock \"mmdb_txn::locks::LmInner\""
+    )]
+    fn a_hot_thread_may_not_queue_for_a_serializable_lock() {
+        let s = store();
+        let mut holder = s.begin(IsolationLevel::Serializable);
+        holder.put("kv/cart", b"1", Value::int(1)).unwrap();
+        let _hot = parking_lot::hot_thread("test.reader");
+        let mut waiter = s.begin(IsolationLevel::Serializable);
+        // A lock nobody holds is granted without a wait.
+        waiter.put("kv/cart", b"2", Value::int(2)).unwrap();
+        let _ = waiter.put("kv/cart", b"1", Value::int(2));
     }
 
     #[test]
@@ -1183,20 +1204,23 @@ mod tests {
     #[test]
     fn drop_aborts_like_explicit_abort() {
         // A write transaction that falls out of scope (handler panic,
-        // client disconnect) must leave the same trace as `abort()`:
-        // nothing installed, an Abort record in the WAL, locks released.
+        // client disconnect) must end like `abort()`: nothing installed,
+        // the abort counted, locks released — and no WAL bytes, because
+        // the log never saw the transaction begin.
         let wal = Arc::new(Wal::in_memory());
         let s = MvccStore::new(Some(Arc::clone(&wal)));
         {
             let mut t = s.begin(IsolationLevel::Serializable);
             t.put("doc/orders", b"orphan", Value::int(1)).unwrap();
         } // dropped uncommitted
+        let mut t = s.begin(IsolationLevel::Serializable);
+        t.put("doc/orders", b"orphan-2", Value::int(1)).unwrap();
+        t.abort();
         assert_eq!(s.get_latest("doc/orders", b"orphan"), None);
+        assert_eq!(s.get_latest("doc/orders", b"orphan-2"), None);
         let (_, aborts) = s.stats();
-        assert_eq!(aborts, 1);
-        let recovery = wal::recover_from_bytes(&wal.snapshot_bytes());
-        let s2 = MvccStore::new(None);
-        assert_eq!(s2.recover(&recovery).unwrap(), 0, "orphan writes never replayed");
+        assert_eq!(aborts, 2);
+        assert!(wal.snapshot_bytes().is_empty(), "an abort leaves no WAL trace");
         // The exclusive lock is gone: a new serializable txn acquires it
         // immediately rather than deadlocking.
         let mut t2 = s.begin(IsolationLevel::Serializable);

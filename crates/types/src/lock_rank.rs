@@ -15,6 +15,12 @@
 //! the engine call may checkpoint or commit, the commit leader runs the
 //! commit hooks, and the hooks apply the write set to the model stores,
 //! which sit on heap files on the buffer pool.
+//!
+//! A rank marked `.held_across_waits()` is a lock its holders keep
+//! through an fsync or a park, so taking it can last that long. The same
+//! witness refuses those to a *hot* thread — the server's connection
+//! reader, which runs only requests that cannot wait (DESIGN.md "Hot
+//! threads").
 
 pub use parking_lot::Rank;
 
@@ -39,7 +45,7 @@ pub const SERVER_SESSION: Rank = Rank::new(20, "server.session");
 /// hierarchy: the holder quiesces commits through `commit_mutex` to pick
 /// the snapshot LSN, syncs and truncates the WAL, vacuums `versions` and
 /// stamps `last_at` before it lets go.
-pub const CHECKPOINT_SERIAL: Rank = Rank::new(30, "core.checkpoint.serial");
+pub const CHECKPOINT_SERIAL: Rank = Rank::new(30, "core.checkpoint.serial").held_across_waits();
 
 // ---- txn: the commit pipeline ----------------------------------------------
 
@@ -49,8 +55,9 @@ pub const CHECKPOINT_SERIAL: Rank = Rank::new(30, "core.checkpoint.serial");
 /// `versions`, latch `degraded_reason` on a post-append failure, run the
 /// hooks. The sequencer's queue (`group`) and the committers' `result`
 /// slots are leaves released before this is taken; so are the lock
-/// manager's table, the WAL's `inner`, `versions` and `degraded_reason`.
-pub const TXN_COMMIT: Rank = Rank::new(40, "txn.commit_mutex");
+/// manager's table, `versions` and `degraded_reason`. Held across the
+/// batch's fsync.
+pub const TXN_COMMIT: Rank = Rank::new(40, "txn.commit_mutex").held_across_waits();
 
 /// The per-domain consistency policy, read around each `versions` lookup.
 pub const TXN_POLICY: Rank = Rank::new(50, "txn.policy");
@@ -104,3 +111,10 @@ pub const HEAP_STATE: Rank = Rank::new(140, "storage.heap.state");
 /// The buffer pool's frame table, held across the disk manager's page
 /// reads and writes (the in-memory backend's `pages` is a leaf).
 pub const POOL_INNER: Rank = Rank::new(150, "storage.pool.inner");
+
+/// The WAL's `inner`. Nothing is taken under it, but it is not an
+/// anonymous leaf: `Wal::sync` holds it across `sync_data` (so that the
+/// durable watermark cannot pass an append the sync did not cover), which
+/// makes every append, tail read and LSN peek a possible wait for someone
+/// else's fsync.
+pub const WAL_INNER: Rank = Rank::new(160, "storage.wal.inner").held_across_waits();

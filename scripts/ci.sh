@@ -6,7 +6,8 @@
 #
 # Everything must pass before a PR lands: a warning-free release build,
 # the full test suite of every workspace crate (unit + integration +
-# property + doc tests, with lock order checked as they run), clippy
+# property + doc tests, with lock order and "the connection reader never
+# waits" checked as they run), clippy
 # with warnings promoted to errors, and the benchmark of record still
 # building and running against the engine's public items.
 set -eu
@@ -20,13 +21,16 @@ echo "==> cargo test -q --workspace"
 # Every member's suites, not just the root package's: crate-level tests
 # such as crates/lint/tests/self_scan.rs gate a PR too. These are debug
 # builds, so every suite here and every --features failpoints suite
-# below runs with the lock-rank witness armed (shims/parking_lot,
-# DESIGN.md "Lock hierarchy"): a lock taken out of rank order panics.
+# below runs with both witnesses armed (shims/parking_lot, DESIGN.md
+# "Lock hierarchy"): a lock taken out of rank order panics (rank
+# witness), and so does a park, a lock held across an fsync or an fsync
+# on a server connection's reader thread (hot-thread witness).
 cargo test -q --workspace
 
-echo "==> the lock-rank witness compiles out of release builds"
-# The one test that only exists without debug assertions: Mutex/RwLock
-# are the size of std's, and an inversion goes unnoticed.
+echo "==> both witnesses compile out of release builds"
+# The one test that only exists without debug assertions: Mutex/RwLock/
+# Condvar are the size of std's, the hot mark and the wait permit are
+# zero-sized, and an inversion or a hot thread's wait goes unnoticed.
 cargo test -q --release -p parking_lot
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
@@ -34,7 +38,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> mmdb-lint (workspace invariant rules; see DESIGN.md 'Static analysis')"
 # JSON report archived for attribution; the per-rule summary table goes
-# to stderr. The binary exits nonzero on any error-severity finding.
+# to stderr. The binary exits nonzero on any finding: since PR 16 there
+# is no warning severity, so the report's per-rule summary has lost its
+# `warnings` field and its violations their constant `severity`.
 mkdir -p target
 cargo run -q --release -p mmdb-lint -- --format json > target/lint-report.json
 

@@ -30,7 +30,22 @@
 //! process actually executes, nothing else; it exists only under
 //! `cfg(debug_assertions)`, so release builds carry no rank, no held set
 //! and no `Drop` on guards — `Mutex<T>` is `std::sync::Mutex<T>` there.
+//!
+//! # The hot-thread witness
+//!
+//! The same debug-only machinery holds a second rule: a thread that has
+//! declared itself *hot* ([`hot_thread`]; the server's connection reader)
+//! never waits. While the mark is set, [`Condvar::wait`]/`wait_for`,
+//! `lock()`/`read()`/`write()` on a lock whose rank is
+//! [`Rank::held_across_waits`] (its holders keep it through an fsync or a
+//! park, so taking it can last that long) and [`about_to_wait`] (called
+//! ahead of an fsync) panic, naming the hot context and the wait. A wait
+//! that is the design is wrapped in a scoped [`permit_wait`]. Only waits
+//! that pass through this crate or announce themselves are seen:
+//! `std::thread::sleep`, socket IO and `std::sync` are not. Release
+//! builds compile the mark, the permit and every check to nothing.
 
+use std::marker::PhantomData;
 use std::sync;
 
 /// A lock's place in the workspace lock hierarchy: a level (outer locks
@@ -40,13 +55,31 @@ use std::sync;
 pub struct Rank {
     level: u16,
     name: &'static str,
+    held_across_waits: bool,
 }
 
 impl Rank {
     /// A rank at `level`. `u16::MAX` is reserved for leaf locks.
     pub const fn new(level: u16, name: &'static str) -> Rank {
         assert!(level < u16::MAX, "u16::MAX is the leaf rank");
-        Rank { level, name }
+        Rank {
+            level,
+            name,
+            held_across_waits: false,
+        }
+    }
+
+    /// Mark the lock as one its holders keep through IO or a park: taking
+    /// it can take that long, so a hot thread may not (see the crate docs).
+    pub const fn held_across_waits(self) -> Rank {
+        Rank {
+            held_across_waits: true,
+            ..self
+        }
+    }
+
+    pub const fn is_held_across_waits(&self) -> bool {
+        self.held_across_waits
     }
 
     pub const fn level(&self) -> u16 {
@@ -61,7 +94,7 @@ impl Rank {
 #[cfg(debug_assertions)]
 mod witness {
     use super::Rank;
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::panic::Location;
 
     /// The rank of every lock made without one. Its name is filled in
@@ -69,6 +102,7 @@ mod witness {
     pub const LEAF: Rank = Rank {
         level: u16::MAX,
         name: "",
+        held_across_waits: false,
     };
 
     #[derive(Clone, Copy)]
@@ -81,9 +115,29 @@ mod witness {
 
     thread_local! {
         static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
+        /// The context this thread is hot in; `None` when it is not, or
+        /// while a wait permit is in scope.
+        static HOT: Cell<Option<&'static str>> = const { Cell::new(None) };
     }
 
-    fn describe(rank: Rank) -> String {
+    /// Set this thread's hot mark, returning the one it replaces.
+    pub fn set_hot(mark: Option<&'static str>) -> Option<&'static str> {
+        HOT.try_with(|hot| hot.replace(mark)).unwrap_or(None)
+    }
+
+    /// Panic if this thread is hot: it is about to wait for `what`.
+    #[track_caller]
+    pub fn check_hot(what: impl FnOnce() -> String) {
+        if let Ok(Some(context)) = HOT.try_with(Cell::get) {
+            panic!(
+                "hot thread violation: \"{context}\" must never wait, but is {}; run this on \
+                 a thread that may wait, or wrap a wait that is the design in `permit_wait`",
+                what(),
+            );
+        }
+    }
+
+    pub fn describe(rank: Rank) -> String {
         if rank.level == LEAF.level {
             format!("leaf lock \"{}\"", rank.name)
         } else {
@@ -92,10 +146,19 @@ mod witness {
     }
 
     /// Panic unless `rank` exceeds the rank of every lock this thread
-    /// holds. Runs before the acquisition, so nothing new is held when
-    /// it unwinds. Silent once the thread's locals are gone.
+    /// holds, and the thread may wait as long as `rank`'s holders can.
+    /// Runs before the acquisition, so nothing new is held when it
+    /// unwinds. Silent once the thread's locals are gone.
     #[track_caller]
     pub fn check(rank: Rank) {
+        if rank.held_across_waits {
+            check_hot(|| {
+                format!(
+                    "acquiring {}, which is held across IO or a park",
+                    describe(rank)
+                )
+            });
+        }
         let highest =
             HELD.try_with(|held| held.borrow().iter().max_by_key(|h| h.rank.level).copied());
         let Ok(Some(h)) = highest else { return };
@@ -143,6 +206,63 @@ fn named<T: ?Sized>(rank: Rank) -> Rank {
     } else {
         rank
     }
+}
+
+/// A scope of the calling thread's hot mark, made by [`hot_thread`] or
+/// [`permit_wait`]; dropping it puts back the mark it replaced. Tied to
+/// its thread; in release builds zero-sized and inert.
+#[must_use = "the mark lasts only while this is alive"]
+pub struct HotScope {
+    #[cfg(debug_assertions)]
+    outer: Option<&'static str>,
+    _this_thread: PhantomData<*const ()>,
+}
+
+impl HotScope {
+    #[inline]
+    fn set(mark: Option<&'static str>) -> HotScope {
+        #[cfg(not(debug_assertions))]
+        let _ = mark;
+        HotScope {
+            #[cfg(debug_assertions)]
+            outer: witness::set_hot(mark),
+            _this_thread: PhantomData,
+        }
+    }
+}
+
+/// Declare the calling thread hot in `context` (the name violations are
+/// reported under) until the returned scope drops.
+#[inline]
+pub fn hot_thread(context: &'static str) -> HotScope {
+    HotScope::set(Some(context))
+}
+
+/// Let the calling thread wait until the returned scope drops, hot or
+/// not. `reason` is for whoever reads the call site: why this wait, on
+/// this thread, is the design.
+#[inline]
+pub fn permit_wait(reason: &'static str) -> HotScope {
+    let _ = reason;
+    HotScope::set(None)
+}
+
+#[cfg(debug_assertions)]
+impl Drop for HotScope {
+    fn drop(&mut self) {
+        witness::set_hot(self.outer);
+    }
+}
+
+/// Announce a wait this crate cannot see (an fsync): panics on a hot
+/// thread, naming `what`.
+#[inline]
+#[cfg_attr(debug_assertions, track_caller)]
+pub fn about_to_wait(what: &'static str) {
+    #[cfg(debug_assertions)]
+    witness::check_hot(|| what.to_string());
+    #[cfg(not(debug_assertions))]
+    let _ = what;
 }
 
 /// A mutex whose `lock` never returns a poison error.
@@ -287,7 +407,8 @@ impl Condvar {
 
     /// A wait gives the mutex up and takes it again: to the witness that
     /// is a release and a fresh acquisition under whatever else the
-    /// thread still holds, checked before the thread parks.
+    /// thread still holds, checked before the thread parks — which a hot
+    /// thread may not do at all.
     #[cfg_attr(debug_assertions, track_caller)]
     fn waiting<'a, T, R>(
         guard: &mut MutexGuard<'a, T>,
@@ -295,6 +416,12 @@ impl Condvar {
     ) -> R {
         #[cfg(debug_assertions)]
         {
+            witness::check_hot(|| {
+                format!(
+                    "parking on a condition variable of {}",
+                    witness::describe(guard.rank)
+                )
+            });
             witness::released(guard.id);
             // A violation unwinds from here with the mutex still locked
             // but already out of the held set; the guard's own release on
@@ -549,6 +676,7 @@ mod tests {
 
     const OUTER: Rank = Rank::new(10, "test.outer");
     const INNER: Rank = Rank::new(20, "test.inner");
+    const SLOW: Rank = Rank::new(30, "test.slow").held_across_waits();
 
     /// The witness, armed: `cargo test` builds with debug assertions.
     #[cfg(debug_assertions)]
@@ -675,19 +803,86 @@ mod tests {
             let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cv.wait(&mut o)));
             assert!(waited.is_err());
         }
+
+        fn panics(f: impl FnOnce()) -> bool {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+        }
+
+        #[test]
+        #[should_panic(
+            expected = "\"test.reader\" must never wait, but is parking on a condition variable of leaf lock \"u8\""
+        )]
+        fn a_hot_thread_may_not_park_on_a_condvar() {
+            let m = Mutex::new(0u8);
+            let cv = Condvar::new();
+            let mut g = m.lock();
+            let _hot = hot_thread("test.reader");
+            cv.wait_for(&mut g, Duration::from_millis(1));
+        }
+
+        #[test]
+        #[should_panic(
+            expected = "\"test.reader\" must never wait, but is acquiring \"test.slow\" (rank 30), which is held across IO or a park"
+        )]
+        fn a_hot_thread_may_not_take_a_lock_held_across_waits() {
+            let slow = Mutex::with_rank(SLOW, ());
+            let _hot = hot_thread("test.reader");
+            let _g = slow.lock();
+        }
+
+        #[test]
+        fn the_hot_mark_is_scoped_and_so_is_a_permit() {
+            let plain = Mutex::with_rank(OUTER, ());
+            let slow = RwLock::with_rank(SLOW, ());
+            let cv = Condvar::new();
+            let hot = hot_thread("test.reader");
+            // Locks nobody holds across a wait stay free, a `try_*` cannot
+            // wait, and an announced wait is refused like the others.
+            let mut g = plain.lock();
+            drop(slow.try_write().expect("uncontended"));
+            assert!(panics(|| drop(slow.read())));
+            assert!(panics(|| drop(slow.write())));
+            assert!(panics(|| cv.wait(&mut g)));
+            assert!(panics(|| about_to_wait("fsync")));
+            {
+                let _permit = permit_wait("the test waits on purpose");
+                cv.wait_for(&mut g, Duration::from_millis(1));
+                drop(slow.write());
+                about_to_wait("fsync");
+            }
+            // The permit is gone, the thread is hot again...
+            assert!(panics(|| about_to_wait("fsync")));
+            drop(hot);
+            // ...and cold once its own scope ends. Other threads never were.
+            about_to_wait("fsync");
+            let _hot = hot_thread("test.reader");
+            std::thread::scope(|s| {
+                s.spawn(|| drop(slow.read()));
+            });
+        }
     }
 
-    /// The witness, compiled out: `scripts/ci.sh` runs this crate's tests
-    /// once with `--release`.
+    /// Both witnesses, compiled out: `scripts/ci.sh` runs this crate's
+    /// tests once with `--release`.
     #[cfg(not(debug_assertions))]
     #[test]
     fn release_builds_carry_no_witness() {
         use std::mem::size_of;
         assert_eq!(size_of::<Mutex<u64>>(), size_of::<sync::Mutex<u64>>());
         assert_eq!(size_of::<RwLock<u64>>(), size_of::<sync::RwLock<u64>>());
+        assert_eq!(size_of::<Condvar>(), size_of::<sync::Condvar>());
+        assert_eq!(size_of::<HotScope>(), 0);
+        assert!(!std::mem::needs_drop::<HotScope>());
         let outer = Mutex::with_rank(OUTER, ());
         let inner = RwLock::with_rank(INNER, ());
         let _inner = inner.read();
         let _outer = outer.lock();
+        // A hot thread waits unnoticed, with or without a permit.
+        let _hot = hot_thread("test.reader");
+        let slow = Mutex::with_rank(SLOW, ());
+        let mut g = slow.lock();
+        Condvar::new().wait_for(&mut g, Duration::from_millis(1));
+        about_to_wait("fsync");
+        let _permit = permit_wait("sizes only");
     }
 }

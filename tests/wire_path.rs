@@ -26,6 +26,10 @@ fn start_server(config: ServerConfig) -> (Arc<Database>, Server, String) {
     for i in 0..50 {
         db.insert_json("items", &format!("{{\"_key\": \"i{i}\", \"n\": {i}}}")).unwrap();
     }
+    serve(db, config)
+}
+
+fn serve(db: Arc<Database>, config: ServerConfig) -> (Arc<Database>, Server, String) {
     let server = Server::start(Arc::clone(&db), config).unwrap();
     let addr = server.local_addr().to_string();
     (db, server, addr)
@@ -346,4 +350,84 @@ fn session_less_reads_leave_no_trace_in_the_transaction_counters() {
     }
     assert_eq!(db.mvcc().stats(), before);
     server.shutdown().unwrap();
+}
+
+/// A file-backed database (commits fsync a real WAL) behind a server.
+/// Debug builds mark every connection's reader hot, so in the two tests
+/// below a reader that parked, or queued behind another connection's
+/// fsync, would panic instead of answering.
+fn start_wal_backed_server(tag: &str) -> (std::path::PathBuf, Arc<Database>, Server, String) {
+    let dir = std::env::temp_dir().join(format!("mmdb-wire-path-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Arc::new(Database::open(&dir).unwrap());
+    db.create_bucket("cart").unwrap();
+    let (db, server, addr) = serve(db, ServerConfig::default());
+    (dir, db, server, addr)
+}
+
+#[test]
+fn a_serializable_op_queues_for_its_lock_on_the_lane_and_completes_after_the_holder_commits() {
+    let (dir, _db, server, addr) = start_wal_backed_server("contend");
+    let mut holder = Client::connect(&addr).unwrap();
+    let mut waiter = Client::connect(&addr).unwrap();
+    holder.begin(true).unwrap();
+    holder.kv_put("cart", "k", Value::str("holder")).unwrap();
+    waiter.begin(true).unwrap();
+
+    let (granted_tx, granted_rx) = std::sync::mpsc::channel();
+    let waiting = std::thread::spawn(move || {
+        waiter.kv_put("cart", "k", Value::str("waiter")).unwrap();
+        granted_tx.send(()).unwrap();
+        waiter.abort().unwrap();
+    });
+    // The waiter's op is admitted and unanswered: it sits in the lock
+    // queue on a pool thread, and stays there while the holder is open.
+    eventually("the waiter's op is in flight", || {
+        server.metrics().inflight_requests.current() == 1
+    });
+    assert!(granted_rx.try_recv().is_err(), "granted while the holder still holds the lock");
+    holder.commit().unwrap();
+    granted_rx.recv_timeout(Duration::from_secs(5)).expect("granted once the holder committed");
+    waiting.join().unwrap();
+    assert_eq!(holder.kv_get("cart", "k").unwrap(), Some(Value::str("holder")));
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+#[test]
+fn the_reader_aborts_a_session_with_staged_writes_while_another_connection_fsyncs() {
+    let (dir, db, server, addr) = start_wal_backed_server("abort");
+    let commits = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let committer = {
+        let (commits, stop, addr) = (Arc::clone(&commits), Arc::clone(&stop), addr.clone());
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&addr).unwrap();
+            while !stop.load(Ordering::SeqCst) {
+                client.kv_put("cart", "durable", Value::int(1)).unwrap();
+                commits.fetch_add(1, Ordering::SeqCst);
+            }
+        })
+    };
+    // Every request of this connection is one its reader runs itself, so
+    // it stays quiescent and the ABORT is handled where it was read —
+    // round after round, until 25 commits have fsynced alongside.
+    let mut client = Client::connect(&addr).unwrap();
+    let inline = inline_requests(&server);
+    let (_, aborts) = db.mvcc().stats();
+    let mut rounds = 0u64;
+    while commits.load(Ordering::SeqCst) < 25 && !committer.is_finished() {
+        client.begin(false).unwrap();
+        client.kv_put("cart", "staged", Value::int(rounds as i64)).unwrap();
+        client.abort().unwrap();
+        rounds += 1;
+    }
+    stop.store(true, Ordering::SeqCst);
+    committer.join().unwrap();
+    assert!(rounds > 0);
+    assert_eq!(inline_requests(&server) - inline, 3 * rounds);
+    assert_eq!(db.mvcc().stats().1 - aborts, rounds);
+    assert_eq!(client.kv_get("cart", "staged").unwrap(), None);
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(dir);
 }
