@@ -328,7 +328,7 @@ pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
                     .map_err(|_| Error::Internal("non-utf8 doc key".into()))?;
                 match &w.value {
                     Some(doc) => {
-                        if coll.get(key)?.is_some() {
+                        if coll.contains_key(key) {
                             coll.update(key, doc.clone())?;
                         } else {
                             coll.insert(doc.clone())?;
@@ -388,14 +388,19 @@ pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
                 };
                 match kind {
                     "v" => {
-                        if graph.vertex(&format!("{coll}/{}", String::from_utf8_lossy(&w.key))).is_err()
-                        {
-                            graph.create_vertex_collection(coll)?;
-                        }
+                        let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
+                        // An index probe; it fails only for a collection
+                        // the graph does not have yet.
+                        let exists = match graph.has_vertex(&handle) {
+                            Ok(exists) => exists,
+                            Err(_) => {
+                                graph.create_vertex_collection(coll)?;
+                                false
+                            }
+                        };
                         match &w.value {
                             Some(doc) => {
-                                let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
-                                if graph.vertex(&handle)?.is_some() {
+                                if exists {
                                     // Vertex docs update in place via the
                                     // underlying collection semantics: remove
                                     // + re-add keeps edges (no cascade here).
@@ -405,7 +410,6 @@ pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
                                 }
                             }
                             None => {
-                                let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
                                 graph.remove_vertex(&handle)?;
                             }
                         }

@@ -143,6 +143,12 @@ impl Collection {
         rid.map(|r| value_from_bytes(&self.heap.get(r)?)).transpose()
     }
 
+    /// Whether a document with this `_key` exists: a primary-index probe,
+    /// no heap fetch and no decode.
+    pub fn contains_key(&self, key: &str) -> bool {
+        self.indexes.read().primary.get(&key.to_string()).is_some()
+    }
+
     /// Replace a document wholesale (the `_key` in `doc`, if present, must
     /// match).
     pub fn update(&self, key: &str, mut doc: Value) -> Result<()> {

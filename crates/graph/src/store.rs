@@ -41,12 +41,42 @@ pub fn split_handle(h: &str) -> Result<(&str, &str)> {
         .ok_or_else(|| Error::Schema(format!("'{h}' is not a 'collection/key' handle")))
 }
 
+/// Whether the edge with this handle is in `edge_collection` (`None` = any).
+fn in_collection(edge: &str, edge_collection: Option<&str>) -> bool {
+    edge_collection.is_none_or(|ec| split_handle(edge).is_ok_and(|(coll, _)| coll == ec))
+}
+
 /// ArangoDB's edge index: two hash multimaps, `_from → edges` and
-/// `_to → edges`.
+/// `_to → edges`. An entry is `(edge handle, far endpoint)`, so adjacency
+/// is answered from the index alone; only a caller that reads edge
+/// properties fetches the edge document.
+///
+/// Handles are shared, not copied: an edge's handle is one allocation
+/// for both of its entries, and a vertex's handle is one allocation for
+/// its map keys and every entry naming it as the far endpoint.
 #[derive(Default)]
 struct EdgeIndex {
-    out: HashMap<String, Vec<EdgeHandle>>,
-    inn: HashMap<String, Vec<EdgeHandle>>,
+    out: HashMap<Arc<str>, Vec<EdgeEntry>>,
+    inn: HashMap<Arc<str>, Vec<EdgeEntry>>,
+}
+
+/// `(edge handle, far endpoint)`.
+type EdgeEntry = (Arc<str>, Arc<str>);
+
+impl EdgeIndex {
+    /// The shared handle of `vertex`: the one a map is already keyed by,
+    /// if either is.
+    fn vertex_handle(&self, vertex: &str) -> Arc<str> {
+        let key = self.out.get_key_value(vertex).or_else(|| self.inn.get_key_value(vertex));
+        key.map_or_else(|| Arc::from(vertex), |(k, _)| Arc::clone(k))
+    }
+
+    /// The entries of `vertex` in `dir`, outbound ones first.
+    fn incident(&self, vertex: &str, dir: Direction) -> impl Iterator<Item = &EdgeEntry> {
+        let out = if dir == Direction::Inbound { None } else { self.out.get(vertex) };
+        let inn = if dir == Direction::Outbound { None } else { self.inn.get(vertex) };
+        out.into_iter().chain(inn).flatten()
+    }
 }
 
 /// A named property graph.
@@ -131,6 +161,13 @@ impl Graph {
         self.vertex_collection(coll)?.get(key)
     }
 
+    /// Whether a vertex with this handle exists, without fetching it.
+    /// Errors like [`vertex`](Self::vertex) on an unknown collection.
+    pub fn has_vertex(&self, h: &str) -> Result<bool> {
+        let (coll, key) = split_handle(h)?;
+        Ok(self.vertex_collection(coll)?.contains_key(key))
+    }
+
     /// Replace a vertex document wholesale (edges are untouched).
     pub fn update_vertex(&self, h: &str, doc: Value) -> Result<()> {
         let (coll, key) = split_handle(h)?;
@@ -146,11 +183,10 @@ impl Graph {
         to: &str,
         mut properties: Value,
     ) -> Result<EdgeHandle> {
-        if self.vertex(from)?.is_none() {
-            return Err(Error::NotFound(format!("vertex '{from}'")));
-        }
-        if self.vertex(to)?.is_none() {
-            return Err(Error::NotFound(format!("vertex '{to}'")));
+        for endpoint in [from, to] {
+            if !self.has_vertex(endpoint)? {
+                return Err(Error::NotFound(format!("vertex '{endpoint}'")));
+            }
         }
         let coll = self.edge_collection(collection)?;
         {
@@ -161,8 +197,10 @@ impl Graph {
         let key = coll.insert(properties)?;
         let eh = handle(collection, &key);
         let mut idx = self.edge_index.write();
-        idx.out.entry(from.to_string()).or_default().push(eh.clone());
-        idx.inn.entry(to.to_string()).or_default().push(eh.clone());
+        let (from, to) = (idx.vertex_handle(from), idx.vertex_handle(to));
+        let edge: Arc<str> = Arc::from(eh.as_str());
+        idx.out.entry(Arc::clone(&from)).or_default().push((Arc::clone(&edge), Arc::clone(&to)));
+        idx.inn.entry(to).or_default().push((edge, from));
         Ok(eh)
     }
 
@@ -180,12 +218,12 @@ impl Graph {
         let mut idx = self.edge_index.write();
         if let Ok(from) = doc.get_field(FROM_FIELD).as_str() {
             if let Some(v) = idx.out.get_mut(from) {
-                v.retain(|e| e != h);
+                v.retain(|(e, _)| &**e != h);
             }
         }
         if let Ok(to) = doc.get_field(TO_FIELD).as_str() {
             if let Some(v) = idx.inn.get_mut(to) {
-                v.retain(|e| e != h);
+                v.retain(|(e, _)| &**e != h);
             }
         }
         Ok(true)
@@ -199,13 +237,7 @@ impl Graph {
         if existed {
             let incident: Vec<EdgeHandle> = {
                 let idx = self.edge_index.read();
-                idx.out
-                    .get(h)
-                    .into_iter()
-                    .chain(idx.inn.get(h))
-                    .flatten()
-                    .cloned()
-                    .collect()
+                idx.incident(h, Direction::Any).map(|(e, _)| e.to_string()).collect()
             };
             for e in incident {
                 self.remove_edge(&e)?;
@@ -222,21 +254,15 @@ impl Graph {
         dir: Direction,
         edge_collection: Option<&str>,
     ) -> Result<Vec<Value>> {
-        let idx = self.edge_index.read();
-        let mut handles: Vec<EdgeHandle> = Vec::new();
-        if matches!(dir, Direction::Outbound | Direction::Any) {
-            handles.extend(idx.out.get(vertex).into_iter().flatten().cloned());
-        }
-        if matches!(dir, Direction::Inbound | Direction::Any) {
-            handles.extend(idx.inn.get(vertex).into_iter().flatten().cloned());
-        }
-        drop(idx);
+        let handles: Vec<Arc<str>> = {
+            let idx = self.edge_index.read();
+            idx.incident(vertex, dir)
+                .filter(|(edge, _)| in_collection(edge, edge_collection))
+                .map(|(edge, _)| Arc::clone(edge))
+                .collect()
+        };
         let mut out = Vec::with_capacity(handles.len());
         for h in handles {
-            let (coll, _) = split_handle(&h)?;
-            if edge_collection.is_some_and(|ec| ec != coll) {
-                continue;
-            }
             if let Some(doc) = self.edge(&h)? {
                 out.push(doc);
             }
@@ -245,26 +271,23 @@ impl Graph {
     }
 
     /// Neighbouring vertex handles of `vertex` in `dir` via one edge
-    /// collection (`None` = all).
+    /// collection (`None` = all), sorted and deduplicated. Answered from
+    /// the edge index alone.
     pub fn neighbors(
         &self,
         vertex: &str,
         dir: Direction,
         edge_collection: Option<&str>,
     ) -> Result<Vec<VertexHandle>> {
-        let mut out = Vec::new();
-        for edge in self.edges_of(vertex, dir, edge_collection)? {
-            let from = edge.get_field(FROM_FIELD).as_str()?.to_string();
-            let to = edge.get_field(TO_FIELD).as_str()?.to_string();
-            match dir {
-                Direction::Outbound => out.push(to),
-                Direction::Inbound => out.push(from),
-                Direction::Any => out.push(if from == vertex { to } else { from }),
-            }
-        }
-        out.sort();
-        out.dedup();
-        Ok(out)
+        let idx = self.edge_index.read();
+        let mut far: Vec<&str> = idx
+            .incident(vertex, dir)
+            .filter(|(edge, _)| in_collection(edge, edge_collection))
+            .map(|(_, other)| &**other)
+            .collect();
+        far.sort_unstable();
+        far.dedup();
+        Ok(far.into_iter().map(str::to_string).collect())
     }
 
     /// Whether an edge collection with this name exists.

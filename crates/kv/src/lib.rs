@@ -85,7 +85,7 @@ impl KvStore {
     /// Fetch a value.
     pub fn get(&self, bucket: &str, key: &str) -> Result<Option<Value>> {
         self.with_bucket(bucket, |b| {
-            b.write()
+            b.read()
                 .get(key.as_bytes())
                 .map(|bytes| value_from_bytes(&bytes))
                 .transpose()
@@ -197,6 +197,25 @@ mod tests {
         assert!(s.drop_bucket("sessions").is_err());
         assert!(s.put("sessions", "k", Value::Null).is_err());
         assert!(matches!(s.get("nope", "k"), Err(Error::NotFound(_))));
+    }
+
+    #[test]
+    fn a_get_completes_while_another_reader_holds_the_bucket() {
+        let s = store();
+        s.put("cart", "1", Value::str("34e5e759")).unwrap();
+        let buckets = s.buckets.read();
+        let held = buckets.get("cart").unwrap().read();
+        let got = std::thread::scope(|scope| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let s = &s;
+            scope.spawn(move || tx.send(s.get("cart", "1")));
+            let got = rx.recv_timeout(std::time::Duration::from_secs(10));
+            // Released before the verdict, so that a `get` that did wait
+            // for the guard fails the test instead of hanging it.
+            drop(held);
+            got
+        });
+        assert_eq!(got.expect("get must not wait for a reader").unwrap(), Some(Value::str("34e5e759")));
     }
 
     #[test]

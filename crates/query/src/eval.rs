@@ -5,99 +5,124 @@
 //! auto-mapping field access over arrays (so `orders[*].product_no` works
 //! as in the paper's AQL example).
 
+use std::borrow::Cow;
+
 use mmdb_types::{Error, Number, Result, Value};
 
 use crate::ast::{BinOp, Expr};
-use crate::exec::{execute_subquery, Env, ExecCtx};
+use crate::exec::{execute_subquery, ExecCtx, Scope};
 use crate::functions::call_function;
 use crate::plan::build_plan;
 
-/// Evaluate an expression in an environment, within one execution.
-pub fn eval_expr(cx: &ExecCtx, env: &Env, expr: &Expr) -> Result<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Var(name) => env
-            .get(name)
-            .cloned()
-            .ok_or_else(|| Error::Query(format!("unbound variable '{name}'"))),
+/// Evaluate an expression in a scope, within one execution.
+///
+/// Navigation borrows: a literal is lent by the plan, a variable by the
+/// scope, and a field or index of a borrowed value is a borrow into it;
+/// comparisons, truthiness and function calls read their operands
+/// through the borrow. Only what makes a new value allocates —
+/// constructors, calls, arithmetic, subqueries and field access mapped
+/// over an array — and a field or index of such an owned value is moved
+/// out of it rather than cloned.
+pub fn eval_expr<'a>(cx: &ExecCtx, scope: Scope<'a>, expr: &'a Expr) -> Result<Cow<'a, Value>> {
+    Ok(match expr {
+        Expr::Literal(v) => Cow::Borrowed(v),
+        Expr::Var(name) => Cow::Borrowed(
+            scope
+                .get(name)
+                .ok_or_else(|| Error::Query(format!("unbound variable '{name}'")))?,
+        ),
         Expr::Field(base, name) => {
-            let b = eval_expr(cx, env, base)?;
-            Ok(get_field_mapping(&b, name))
+            let b = eval_expr(cx, scope, base)?;
+            match &*b {
+                // `array.field` maps the access over the elements (this
+                // is what makes `x[*].f` chains work).
+                Value::Array(_) => Cow::Owned(get_field_mapping(&b, name)),
+                _ => field_of(b, name),
+            }
         }
         Expr::Index(base, idx) => {
-            let b = eval_expr(cx, env, base)?;
-            let i = eval_expr(cx, env, idx)?;
-            match &i {
-                Value::Number(n) => Ok(b.get_index(n.as_i64().ok_or_else(|| {
-                    Error::Type("array index must be an integer".into())
-                })?)
-                .clone()),
-                Value::String(s) => Ok(b.get_field(s).clone()),
-                _ => Err(Error::Type(format!(
-                    "cannot index with a {}",
-                    i.type_name()
-                ))),
+            let b = eval_expr(cx, scope, base)?;
+            let i = eval_expr(cx, scope, idx)?;
+            match &*i {
+                Value::Number(n) => {
+                    let n = n
+                        .as_i64()
+                        .ok_or_else(|| Error::Type("array index must be an integer".into()))?;
+                    match b {
+                        Cow::Borrowed(b) => Cow::Borrowed(b.get_index(n)),
+                        Cow::Owned(b) => Cow::Owned(b.into_index(n)),
+                    }
+                }
+                Value::String(s) => field_of(b, s),
+                _ => {
+                    return Err(Error::Type(format!("cannot index with a {}", i.type_name())));
+                }
             }
         }
         Expr::Spread(base) => {
-            let b = eval_expr(cx, env, base)?;
-            Ok(match b {
-                Value::Array(items) => Value::Array(items),
-                _ => Value::Array(Vec::new()),
-            })
-        }
-        Expr::Binary(op, l, r) => eval_binary(cx, env, *op, l, r),
-        Expr::Not(e) => Ok(Value::Bool(!eval_expr(cx, env, e)?.is_truthy())),
-        Expr::Neg(e) => {
-            let v = eval_expr(cx, env, e)?;
-            match v {
-                Value::Number(Number::Int(i)) => Ok(Value::int(-i)),
-                Value::Number(Number::Float(f)) => Ok(Value::float(-f)),
-                other => Err(Error::Type(format!("cannot negate {}", other.type_name()))),
+            let b = eval_expr(cx, scope, base)?;
+            match &*b {
+                Value::Array(_) => b,
+                _ => Cow::Owned(Value::Array(Vec::new())),
             }
         }
+        Expr::Binary(op, l, r) => Cow::Owned(eval_binary(cx, scope, *op, l, r)?),
+        Expr::Not(e) => Cow::Owned(Value::Bool(!eval_expr(cx, scope, e)?.is_truthy())),
+        Expr::Neg(e) => Cow::Owned(match &*eval_expr(cx, scope, e)? {
+            Value::Number(Number::Int(i)) => Value::int(-i),
+            Value::Number(Number::Float(f)) => Value::float(-f),
+            other => return Err(Error::Type(format!("cannot negate {}", other.type_name()))),
+        }),
         Expr::Call(name, args) => {
             let mut vals = Vec::with_capacity(args.len());
             // lint: allow(tick, iterates call arguments in the AST, bounded by query text)
             for a in args {
-                vals.push(eval_expr(cx, env, a)?);
+                vals.push(eval_expr(cx, scope, a)?);
             }
-            call_function(cx.world, name, vals)
+            Cow::Owned(call_function(cx.world, name, &vals)?)
         }
         Expr::Array(items) => {
             let mut out = Vec::with_capacity(items.len());
             // lint: allow(tick, iterates array-literal elements in the AST, bounded by query text)
             for i in items {
-                out.push(eval_expr(cx, env, i)?);
+                out.push(eval_expr(cx, scope, i)?.into_owned());
             }
-            Ok(Value::Array(out))
+            Cow::Owned(Value::Array(out))
         }
         Expr::Object(fields) => {
             let mut obj = mmdb_types::value::ObjectMap::new();
             // lint: allow(tick, iterates object-literal fields in the AST, bounded by query text)
             for (k, e) in fields {
-                obj.insert(k.clone(), eval_expr(cx, env, e)?);
+                obj.insert(k.clone(), eval_expr(cx, scope, e)?.into_owned());
             }
-            Ok(Value::Object(obj))
+            Cow::Owned(Value::Object(obj))
         }
-        Expr::SubPlan(plan) => Ok(Value::Array(execute_subquery(cx, plan, env.clone())?)),
+        Expr::SubPlan(plan) => Cow::Owned(Value::Array(execute_subquery(cx, plan, scope.to_env())?)),
         // Only a plan that never went through `optimize` still holds a
         // parsed subquery; it runs as parsed, every FOR a nested loop.
         Expr::Subquery(q) => {
-            Ok(Value::Array(execute_subquery(cx, &build_plan(q)?, env.clone())?))
+            Cow::Owned(Value::Array(execute_subquery(cx, &build_plan(q)?, scope.to_env())?))
         }
         Expr::Ternary(c, a, b) => {
-            if eval_expr(cx, env, c)?.is_truthy() {
-                eval_expr(cx, env, a)
+            if eval_expr(cx, scope, c)?.is_truthy() {
+                eval_expr(cx, scope, a)?
             } else {
-                eval_expr(cx, env, b)
+                eval_expr(cx, scope, b)?
             }
         }
+    })
+}
+
+/// `base.name` where `base` is not an array: a borrow into a borrowed
+/// base, the field itself out of an owned one.
+fn field_of<'a>(base: Cow<'a, Value>, name: &str) -> Cow<'a, Value> {
+    match base {
+        Cow::Borrowed(b) => Cow::Borrowed(b.get_field(name)),
+        Cow::Owned(b) => Cow::Owned(b.into_field(name)),
     }
 }
 
-/// Field access with auto-mapping over arrays: `array.field` maps the
-/// access over elements (this is what makes `x[*].f` chains work).
+/// Field access with auto-mapping over arrays, nested arrays included.
 fn get_field_mapping(base: &Value, name: &str) -> Value {
     match base {
         Value::Array(items) => {
@@ -107,27 +132,23 @@ fn get_field_mapping(base: &Value, name: &str) -> Value {
     }
 }
 
-fn eval_binary(cx: &ExecCtx, env: &Env, op: BinOp, l: &Expr, r: &Expr) -> Result<Value> {
+fn eval_binary(cx: &ExecCtx, scope: Scope, op: BinOp, l: &Expr, r: &Expr) -> Result<Value> {
     // Short-circuit booleans first.
     match op {
         BinOp::And => {
-            let lv = eval_expr(cx, env, l)?;
-            if !lv.is_truthy() {
-                return Ok(Value::Bool(false));
-            }
-            return Ok(Value::Bool(eval_expr(cx, env, r)?.is_truthy()));
+            return Ok(Value::Bool(
+                eval_expr(cx, scope, l)?.is_truthy() && eval_expr(cx, scope, r)?.is_truthy(),
+            ));
         }
         BinOp::Or => {
-            let lv = eval_expr(cx, env, l)?;
-            if lv.is_truthy() {
-                return Ok(Value::Bool(true));
-            }
-            return Ok(Value::Bool(eval_expr(cx, env, r)?.is_truthy()));
+            return Ok(Value::Bool(
+                eval_expr(cx, scope, l)?.is_truthy() || eval_expr(cx, scope, r)?.is_truthy(),
+            ));
         }
         _ => {}
     }
-    let lv = eval_expr(cx, env, l)?;
-    let rv = eval_expr(cx, env, r)?;
+    let (lv, rv) = (eval_expr(cx, scope, l)?, eval_expr(cx, scope, r)?);
+    let (lv, rv) = (&*lv, &*rv);
     Ok(match op {
         BinOp::Eq => Value::Bool(lv == rv),
         BinOp::Ne => Value::Bool(lv != rv),
@@ -135,19 +156,19 @@ fn eval_binary(cx: &ExecCtx, env: &Env, op: BinOp, l: &Expr, r: &Expr) -> Result
         BinOp::Le => Value::Bool(lv <= rv),
         BinOp::Gt => Value::Bool(lv > rv),
         BinOp::Ge => Value::Bool(lv >= rv),
-        BinOp::In => match &rv {
-            Value::Array(items) => Value::Bool(items.contains(&lv)),
+        BinOp::In => match rv {
+            Value::Array(items) => Value::Bool(items.contains(lv)),
             _ => Value::Bool(false),
         },
-        BinOp::Like => Value::Bool(match (&lv, &rv) {
+        BinOp::Like => Value::Bool(match (lv, rv) {
             (Value::String(s), Value::String(p)) => like_match(s, p),
             _ => false,
         }),
-        BinOp::Add => arith(&lv, &rv, op)?,
-        BinOp::Sub => arith(&lv, &rv, op)?,
-        BinOp::Mul => arith(&lv, &rv, op)?,
-        BinOp::Div => arith(&lv, &rv, op)?,
-        BinOp::Mod => arith(&lv, &rv, op)?,
+        BinOp::Add => arith(lv, rv, op)?,
+        BinOp::Sub => arith(lv, rv, op)?,
+        BinOp::Mul => arith(lv, rv, op)?,
+        BinOp::Div => arith(lv, rv, op)?,
+        BinOp::Mod => arith(lv, rv, op)?,
         // lint: allow(panic, And/Or short-circuit in the caller before this match)
         BinOp::And | BinOp::Or => unreachable!("handled above"),
     })
@@ -233,7 +254,7 @@ mod tests {
 
     fn ev(text: &str) -> Result<Value> {
         let w = crate::World::in_memory();
-        let mut env = Env::new();
+        let mut env = crate::exec::Env::new();
         env.insert(
             "doc".to_string(),
             mmdb_types::from_json(
@@ -241,7 +262,7 @@ mod tests {
             )
             .unwrap(),
         );
-        eval_expr(&ExecCtx::new(&w), &env, &parse_expr(text)?)
+        Ok(eval_expr(&ExecCtx::new(&w), env.scope(), &parse_expr(text)?)?.into_owned())
     }
 
     #[test]

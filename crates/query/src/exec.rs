@@ -1,5 +1,6 @@
 //! The MMQL plan interpreter: a pipeline over binding environments.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::ops::Bound;
@@ -63,6 +64,17 @@ impl Env {
         }));
     }
 
+    /// This environment as an evaluation scope.
+    pub fn scope(&self) -> Scope<'_> {
+        Scope { env: self, top: None }
+    }
+
+    /// This environment with `var` bound to `value` on top of it, as an
+    /// evaluation scope: nothing is cloned and no frame is made.
+    pub fn with<'a>(&'a self, var: &'a str, value: &'a Value) -> Scope<'a> {
+        Scope { env: self, top: Some((var, value)) }
+    }
+
     /// Visible bindings (shadowed frames skipped), outermost-first order
     /// not guaranteed.
     pub fn bindings(&self) -> Vec<(&str, &Value)> {
@@ -78,6 +90,40 @@ impl Env {
             cur = f.parent.as_deref();
         }
         out
+    }
+}
+
+/// What an expression's variables resolve against: an environment and,
+/// optionally, one binding on top of it that is only borrowed — a
+/// candidate row a join key or residual predicate is evaluated on
+/// before (and unless it passes, instead of) being cloned into a frame.
+///
+/// `Env` itself still owns its values: frames are shared between the
+/// rows an operator fans out and outlive the operator that made them,
+/// so they cannot borrow from a scan's result.
+#[derive(Clone, Copy)]
+pub struct Scope<'a> {
+    env: &'a Env,
+    top: Option<(&'a str, &'a Value)>,
+}
+
+impl<'a> Scope<'a> {
+    /// Look up a variable (the borrowed binding shadows the environment).
+    pub fn get(self, name: &str) -> Option<&'a Value> {
+        match self.top {
+            Some((var, value)) if var == name => Some(value),
+            _ => self.env.get(name),
+        }
+    }
+
+    /// An owned environment with the same bindings, for a subquery to
+    /// run from.
+    pub(crate) fn to_env(self) -> Env {
+        let mut env = self.env.clone();
+        if let Some((var, value)) = self.top {
+            env.insert(var.to_string(), value.clone());
+        }
+        env
     }
 }
 
@@ -257,7 +303,7 @@ fn project_return(cx: &ExecCtx, plan: &Plan, envs: &[Env]) -> Result<Vec<Value>>
     let mut out = Vec::with_capacity(envs.len());
     for env in envs {
         cancel::tick()?;
-        out.push(eval_expr(cx, env, &plan.ret)?);
+        out.push(eval_expr(cx, env.scope(), &plan.ret)?.into_owned());
     }
     if plan.distinct {
         // Keep first occurrences, in order.
@@ -353,11 +399,12 @@ fn build_join_table(
     let items = resolve_name(cx, env, source)?;
     let rows = items.len();
     let mut buckets: HashMap<Value, Vec<Value>> = HashMap::new();
+    let outer = Env::new();
     for item in items {
         cancel::tick()?;
-        let mut e = Env::new();
-        e.insert(var.to_string(), item.clone());
-        buckets.entry(eval_expr(cx, &e, build_key)?).or_default().push(item);
+        // The key is a path of `var`: navigate the item where it is.
+        let key = eval_expr(cx, outer.with(var, &item), build_key)?.into_owned();
+        buckets.entry(key).or_default().push(item);
     }
     Ok(JoinTable { buckets, rows, probes: Cell::new(0) })
 }
@@ -398,7 +445,7 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                 };
                 for doc in docs {
                     cancel::tick()?;
-                    out.extend(bind_if(cx, &env, var, doc, residual)?);
+                    out.extend(bind_if(cx, &env, var, Cow::Owned(doc), residual)?);
                 }
             }
             Ok(out)
@@ -415,10 +462,10 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                     continue;
                 }
                 table.probes.set(table.probes.get() + 1);
-                let key = eval_expr(cx, &env, probe_key)?;
-                for item in table.buckets.get(&key).into_iter().flatten() {
+                let key = eval_expr(cx, env.scope(), probe_key)?;
+                for item in table.buckets.get(&*key).into_iter().flatten() {
                     cancel::tick()?;
-                    out.extend(bind_if(cx, &env, var, item.clone(), residual)?);
+                    out.extend(bind_if(cx, &env, var, Cow::Borrowed(item), residual)?);
                 }
             }
             Ok(out)
@@ -438,8 +485,8 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
             };
             let mut out = Vec::new();
             for env in envs {
-                let start_v = eval_expr(cx, &env, start)?;
-                let Value::String(handle) = start_v else {
+                let start_v = eval_expr(cx, env.scope(), start)?;
+                let Value::String(handle) = &*start_v else {
                     if start_v.is_null() {
                         continue; // null start traverses nothing
                     }
@@ -448,7 +495,7 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                         start_v.type_name()
                     )));
                 };
-                for visited in mmdb_graph::traverse(&graph, &handle, &spec)? {
+                for visited in mmdb_graph::traverse(&graph, handle, &spec)? {
                     cancel::tick()?;
                     let Some(mut doc) = graph.vertex(&visited.vertex)? else { continue };
                     // Attach the handle and depth, like AQL's `_id`.
@@ -467,7 +514,7 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
             let mut out = Vec::new();
             for env in envs {
                 cancel::tick()?;
-                if eval_expr(cx, &env, pred)?.is_truthy() {
+                if eval_expr(cx, env.scope(), pred)?.is_truthy() {
                     out.push(env);
                 }
             }
@@ -477,7 +524,7 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
             let mut out = Vec::new();
             for env in envs {
                 cancel::tick()?;
-                let v = eval_expr(cx, &env, value)?;
+                let v = eval_expr(cx, env.scope(), value)?.into_owned();
                 let mut e = env;
                 e.insert(var.clone(), v);
                 out.push(e);
@@ -491,7 +538,7 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                 let mut ks = Vec::with_capacity(keys.len());
                 // lint: allow(tick, iterates ORDER BY keys, bounded by query text; outer loop ticks per row)
                 for (e, _) in keys {
-                    ks.push(eval_expr(cx, &env, e)?);
+                    ks.push(eval_expr(cx, env.scope(), e)?.into_owned());
                 }
                 decorated.push((ks, env));
             }
@@ -518,7 +565,7 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
             for env in envs {
                 cancel::tick()?;
                 let k = match key {
-                    Some((_, e)) => eval_expr(cx, &env, e)?,
+                    Some((_, e)) => eval_expr(cx, env.scope(), e)?.into_owned(),
                     None => Value::Null,
                 };
                 if !groups.contains_key(&k) {
@@ -552,7 +599,7 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                     let mut vals = Vec::with_capacity(members.len());
                     for m in &members {
                         cancel::tick()?;
-                        vals.push(eval_expr(cx, m, argexpr)?);
+                        vals.push(eval_expr(cx, m.scope(), argexpr)?.into_owned());
                     }
                     env.insert(var.clone(), aggregate(*func, &vals));
                 }
@@ -564,20 +611,23 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
 }
 
 /// `env` with `var` bound to `item`, if the residual predicate (when
-/// there is one) holds for it.
+/// there is one) holds for it. A borrowed item is cloned only once it
+/// has passed.
 fn bind_if(
     cx: &ExecCtx,
     env: &Env,
     var: &str,
-    item: Value,
+    item: Cow<'_, Value>,
     residual: &Option<Expr>,
 ) -> Result<Option<Env>> {
+    if let Some(res) = residual {
+        if !eval_expr(cx, env.with(var, &item), res)?.is_truthy() {
+            return Ok(None);
+        }
+    }
     let mut e = env.clone();
-    e.insert(var.to_string(), item);
-    Ok(match residual {
-        Some(res) if !eval_expr(cx, &e, res)?.is_truthy() => None,
-        _ => Some(e),
-    })
+    e.insert(var.to_string(), item.into_owned());
+    Ok(Some(e))
 }
 
 fn plan_bound(b: &PlanBound) -> Bound<&Value> {
@@ -591,7 +641,9 @@ fn plan_bound(b: &PlanBound) -> Bound<&Value> {
 fn resolve_source(cx: &ExecCtx, env: &Env, source: &Expr) -> Result<Vec<Value>> {
     match source {
         Expr::Var(name) => resolve_name(cx, env, name),
-        _ => as_iterable(eval_expr(cx, env, source)?),
+        // An array the evaluator made is moved into the rows; one it only
+        // borrowed is copied element by element, and nothing around it.
+        _ => as_iterable(eval_expr(cx, env.scope(), source)?.into_owned()),
     }
 }
 
@@ -1047,6 +1099,184 @@ mod tests {
         let w = paper_world();
         let got = run(&w, "FOR e IN cart SORT e._key RETURN e.value").unwrap();
         assert_eq!(got, vec![Value::str("34e5e759"), Value::str("0c6df508")]);
+    }
+
+    // ---- what borrowed evaluation can get wrong ---------------------------
+
+    /// One JSON value out of a one-row query.
+    fn one(w: &World, text: &str) -> Value {
+        let mut rows = run(w, text).unwrap();
+        assert_eq!(rows.len(), 1, "{text}");
+        rows.remove(0)
+    }
+
+    fn json(text: &str) -> Value {
+        mmdb_types::from_json(text).unwrap()
+    }
+
+    #[test]
+    fn shadowing_reads_the_old_binding_while_making_the_new_one() {
+        let w = World::in_memory();
+        // The value of the new `x` is a borrow into the old `x`.
+        assert_eq!(one(&w, "LET x = {f: {f: 1}} LET x = x.f RETURN x"), json(r#"{"f":1}"#));
+        assert_eq!(one(&w, "LET x = {f: {f: 1}} LET x = x.f LET x = x.f RETURN x"), Value::int(1));
+        // The loop variable shadows the container it iterates.
+        assert_eq!(
+            run(&w, "LET x = {items: [{items: [1, 2]}, {items: [3]}]} FOR x IN x.items RETURN x.items")
+                .unwrap(),
+            vec![json("[1,2]"), json("[3]")]
+        );
+        // An inner shadow ends with its pipeline: the outer `x` is intact.
+        assert_eq!(
+            one(&w, "LET x = [1, 2] LET n = (FOR x IN x RETURN x * 10) RETURN [x, n]"),
+            json("[[1,2],[10,20]]")
+        );
+    }
+
+    #[test]
+    fn field_access_on_an_owned_base() {
+        let w = paper_world();
+        assert_eq!(one(&w, r#"RETURN DOC("orders", "0c6df508").orderlines[0].price"#), Value::int(66));
+        assert_eq!(
+            one(&w, r#"RETURN (FOR o IN orders FILTER o._key == "34e5e759" RETURN o)[0].orderlines[0].product_no"#),
+            Value::str("9999x")
+        );
+        assert_eq!(one(&w, r#"RETURN {a: {b: [10, 20]}}.a.b[1]"#), Value::int(20));
+        assert_eq!(one(&w, r#"RETURN MERGE({a: 1}, {b: {c: "deep"}}).b.c"#), Value::str("deep"));
+        // Moving a field out of an owned base must not disturb its siblings'
+        // later use: each reference re-evaluates the call.
+        assert_eq!(
+            one(&w, r#"RETURN [DOC("orders", "34e5e759")._key, DOC("orders", "34e5e759").orderlines[0].price]"#),
+            json(r#"["34e5e759",5]"#)
+        );
+    }
+
+    #[test]
+    fn auto_mapping_over_borrowed_and_owned_arrays() {
+        let w = paper_world();
+        for base in [r#"FOR o IN orders FILTER o._key == "0c6df508""#, r#"LET o = DOC("orders", "0c6df508")"#] {
+            assert_eq!(one(&w, &format!("{base} RETURN o.orderlines[*].price")), json("[66,40]"));
+            assert_eq!(one(&w, &format!("{base} RETURN o.orderlines.price")), json("[66,40]"));
+            assert_eq!(one(&w, &format!("{base} RETURN o.orderlines[*].missing")), json("[null,null]"));
+        }
+        assert_eq!(one(&w, r#"RETURN DOC("orders", "0c6df508").orderlines.price"#), json("[66,40]"));
+        // Arrays of arrays map all the way down.
+        assert_eq!(one(&w, "RETURN [[{p: 1}, {p: 2}], [{p: 3}]].p"), json("[[1,2],[3]]"));
+        // `[*]` of a non-array is the empty array, borrowed or owned.
+        assert_eq!(one(&w, r#"LET o = DOC("orders", "0c6df508") RETURN o._key[*]"#), json("[]"));
+        assert_eq!(one(&w, r#"RETURN DOC("orders", "0c6df508")._key[*]"#), json("[]"));
+        // The mapped array is a new value; the document it came from is not.
+        assert_eq!(
+            one(&w, r#"LET o = DOC("orders", "34e5e759") LET p = o.orderlines.price RETURN [p, o.orderlines[0].price]"#),
+            json("[[5],5]")
+        );
+    }
+
+    #[test]
+    fn negative_and_string_indexes() {
+        let w = paper_world();
+        for base in [r#"LET o = DOC("orders", "0c6df508") RETURN o"#, r#"RETURN DOC("orders", "0c6df508")"#] {
+            assert_eq!(one(&w, &format!("{base}.orderlines[-1].price")), Value::int(40));
+            assert_eq!(one(&w, &format!("{base}.orderlines[-2].price")), Value::int(66));
+            assert_eq!(one(&w, &format!("{base}.orderlines[-3].price")), Value::Null);
+            assert_eq!(one(&w, &format!("{base}.orderlines[2].price")), Value::Null);
+            assert_eq!(one(&w, &format!(r#"{base}["orderlines"][1]["product_no"]"#)), Value::str("3424g"));
+            // A string index reads one field; it does not map over arrays.
+            assert_eq!(one(&w, &format!(r#"{base}.orderlines["price"]"#)), Value::Null);
+            assert_eq!(one(&w, &format!(r#"{base}["nope"]"#)), Value::Null);
+        }
+        assert_eq!(one(&w, "RETURN [1, 2, 3][-1]"), Value::int(3));
+        assert_eq!(one(&w, "RETURN RANGE(1, 3)[-1]"), Value::int(3));
+        assert_eq!(one(&w, "RETURN RANGE(1, 3)[0]"), Value::int(1));
+        assert_eq!(one(&w, "RETURN RANGE(1, 3)[3]"), Value::Null);
+        assert_eq!(one(&w, "LET i = 1 RETURN RANGE(1, 3)[i]"), Value::int(2));
+        assert!(run(&w, "RETURN [1, 2][1.5]").is_err());
+        assert!(run(&w, "RETURN [1, 2][true]").is_err());
+    }
+
+    #[test]
+    fn null_and_missing_bases() {
+        let w = paper_world();
+        assert_eq!(one(&w, "RETURN NULL.f"), Value::Null);
+        assert_eq!(one(&w, "RETURN NULL[0]"), Value::Null);
+        assert_eq!(one(&w, r#"RETURN DOC("orders", "nope").orderlines[0].price"#), Value::Null);
+        assert_eq!(one(&w, r#"LET o = DOC("orders", "nope") RETURN o.a.b[1].c"#), Value::Null);
+        assert_eq!(one(&w, r#"LET o = DOC("orders", "0c6df508") RETURN o.missing.deeper[0]["x"]"#), Value::Null);
+        assert_eq!(one(&w, r#"RETURN 7.f"#), Value::Null);
+        // A missing array iterates as empty, borrowed or owned; a scalar does not.
+        assert!(run(&w, r#"FOR l IN DOC("orders", "nope").orderlines RETURN l"#).unwrap().is_empty());
+        assert!(run(&w, r#"LET o = DOC("orders", "nope") FOR l IN o.orderlines RETURN l"#).unwrap().is_empty());
+        assert!(run(&w, r#"LET o = DOC("orders", "0c6df508") FOR l IN o._key RETURN l"#).is_err());
+        assert!(run(&w, r#"FOR l IN DOC("orders", "0c6df508")._key RETURN l"#).is_err());
+        // `!= NULL` on a whole document, the benchmark's guard.
+        assert_eq!(
+            run(&w, "FOR o IN orders FILTER o != NULL SORT o._key RETURN o._key").unwrap(),
+            vec![Value::str("0c6df508"), Value::str("34e5e759")]
+        );
+    }
+
+    #[test]
+    fn in_and_like_with_both_operands_borrowed() {
+        let w = paper_world();
+        assert_eq!(
+            run(&w, r#"LET ks = ["34e5e759", "zz"] FOR o IN orders FILTER o._key IN ks RETURN o._key"#).unwrap(),
+            vec![Value::str("34e5e759")]
+        );
+        assert_eq!(
+            run(&w, r#"LET p = "0c%" FOR o IN orders FILTER o._key LIKE p RETURN o._key"#).unwrap(),
+            vec![Value::str("0c6df508")]
+        );
+        // A whole borrowed object as the needle of a borrowed array.
+        assert_eq!(
+            one(&w, r#"LET o = DOC("orders", "0c6df508") RETURN [o.orderlines[1] IN o.orderlines, o IN o.orderlines]"#),
+            json("[true,false]")
+        );
+        // Borrowed against owned, both ways round.
+        assert_eq!(
+            run(&w, r#"FOR o IN orders FILTER "2724f" IN o.orderlines[*].product_no RETURN o._key"#).unwrap(),
+            vec![Value::str("0c6df508")]
+        );
+        assert_eq!(
+            run(&w, r#"FOR o IN orders FILTER CONCAT(o._key, "") LIKE "34e_e759" RETURN o._key"#).unwrap(),
+            vec![Value::str("34e5e759")]
+        );
+        assert_eq!(one(&w, r#"LET a = [1, 2] RETURN [3 IN a, a IN a, NULL LIKE "%", "x" IN NULL]"#), json("[false,false,false,false]"));
+    }
+
+    #[test]
+    fn distinct_over_borrowed_then_owned_strings() {
+        let w = paper_world();
+        // The same string reaches RETURN as a borrow into a document and as
+        // a fresh CONCAT result; DISTINCT sees one value, first one first.
+        let got = run(
+            &w,
+            r#"FOR o IN orders SORT o._key
+                 FOR l IN o.orderlines
+                   FOR v IN [l.product_no, CONCAT("27", "24f"), CONCAT(l.product_no, "")]
+                     RETURN DISTINCT v"#,
+        )
+        .unwrap();
+        assert_eq!(got, vec![Value::str("2724f"), Value::str("3424g"), Value::str("9999x")]);
+    }
+
+    #[test]
+    fn a_borrowed_candidate_row_shadows_the_environment() {
+        let w = World::in_memory();
+        let cx = ExecCtx::new(&w);
+        let mut env = Env::new();
+        env.insert("x".to_string(), Value::int(1));
+        env.insert("y".to_string(), Value::int(10));
+        let item = Value::int(2);
+        let bound = |residual: &str| {
+            let residual = Some(crate::parse::parse_expr(residual).unwrap());
+            bind_if(&cx, &env, "x", Cow::Borrowed(&item), &residual).unwrap()
+        };
+        let e = bound("x == 2 && y == 10").expect("the candidate is the `x` the residual sees");
+        assert_eq!((e.get("x"), e.get("y")), (Some(&Value::int(2)), Some(&Value::int(10))));
+        assert!(bound("x == 1").is_none());
+        // A subquery in the residual runs from an environment that has it too.
+        assert!(bound("LENGTH((FOR z IN [x] FILTER z == 2 RETURN z)) == 1").is_some());
+        assert_eq!(env.get("x"), Some(&Value::int(1)), "the outer binding is untouched");
     }
 
     #[test]

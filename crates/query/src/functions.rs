@@ -6,17 +6,20 @@
 //! `FULLTEXT_RANKED` (text), `SHORTEST_PATH` / `NEIGHBORS` (graph) and
 //! `GEO_WITHIN` (spatial rectangles).
 
+use std::borrow::Cow;
+
 use mmdb_graph::Direction;
 use mmdb_types::{Error, Result, Value};
 
 use crate::world::World;
 
-/// Dispatch a builtin by (uppercased) name.
-pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Value> {
+/// Dispatch a builtin by (uppercased) name. Arguments arrive as the
+/// evaluator produced them, borrowed or owned, and are only read.
+pub fn call_function(world: &World, name: &str, args: &[Cow<'_, Value>]) -> Result<Value> {
     match name {
         // ---- generic -----------------------------------------------------
         "LENGTH" | "COUNT" => {
-            let v = arg(&args, 0)?;
+            let v = arg(args, 0)?;
             Ok(Value::int(match v {
                 Value::Array(a) => a.len() as i64,
                 Value::Object(o) => o.len() as i64,
@@ -25,9 +28,9 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
                 _ => 1,
             }))
         }
-        "SUM" => Ok(sum_values(array_arg(&args, 0)?)),
+        "SUM" => Ok(sum_values(array_arg(args, 0)?)),
         "AVG" | "AVERAGE" => {
-            let items = array_arg(&args, 0)?;
+            let items = array_arg(args, 0)?;
             let nums: Vec<f64> = numeric_items(items);
             if nums.is_empty() {
                 Ok(Value::Null)
@@ -35,10 +38,10 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
                 Ok(Value::float(nums.iter().sum::<f64>() / nums.len() as f64))
             }
         }
-        "MIN" => Ok(array_arg(&args, 0)?.iter().filter(|v| !v.is_null()).min().cloned().unwrap_or(Value::Null)),
-        "MAX" => Ok(array_arg(&args, 0)?.iter().max().cloned().unwrap_or(Value::Null)),
+        "MIN" => Ok(array_arg(args, 0)?.iter().filter(|v| !v.is_null()).min().cloned().unwrap_or(Value::Null)),
+        "MAX" => Ok(array_arg(args, 0)?.iter().max().cloned().unwrap_or(Value::Null)),
         "UNIQUE" => {
-            let mut items = array_arg(&args, 0)?.to_vec();
+            let mut items = array_arg(args, 0)?.to_vec();
             let mut seen = Vec::new();
             items.retain(|v| {
                 if seen.contains(v) {
@@ -51,7 +54,7 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
             Ok(Value::Array(items))
         }
         "FLATTEN" => {
-            let items = array_arg(&args, 0)?;
+            let items = array_arg(args, 0)?;
             let mut out = Vec::new();
             for i in items {
                 match i {
@@ -61,25 +64,25 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
             }
             Ok(Value::Array(out))
         }
-        "FIRST" => Ok(array_arg(&args, 0)?.first().cloned().unwrap_or(Value::Null)),
-        "LAST" => Ok(array_arg(&args, 0)?.last().cloned().unwrap_or(Value::Null)),
+        "FIRST" => Ok(array_arg(args, 0)?.first().cloned().unwrap_or(Value::Null)),
+        "LAST" => Ok(array_arg(args, 0)?.last().cloned().unwrap_or(Value::Null)),
         "APPEND" => {
-            let mut a = array_arg(&args, 0)?.to_vec();
-            a.push(arg(&args, 1)?.clone());
+            let mut a = array_arg(args, 0)?.to_vec();
+            a.push(arg(args, 1)?.clone());
             Ok(Value::Array(a))
         }
         "RANGE" => {
-            let lo = arg(&args, 0)?.as_int()?;
-            let hi = arg(&args, 1)?.as_int()?;
+            let lo = arg(args, 0)?.as_int()?;
+            let hi = arg(args, 1)?.as_int()?;
             Ok(Value::Array((lo..=hi).map(Value::int).collect()))
         }
-        "TYPENAME" => Ok(Value::str(arg(&args, 0)?.type_name())),
-        "NOT_NULL" => Ok(args.into_iter().find(|v| !v.is_null()).unwrap_or(Value::Null)),
+        "TYPENAME" => Ok(Value::str(arg(args, 0)?.type_name())),
+        "NOT_NULL" => Ok(args.iter().find(|v| !v.is_null()).map_or(Value::Null, |v| v.as_ref().clone())),
         // ---- strings -----------------------------------------------------
         "CONCAT" => {
             let mut s = String::new();
-            for a in &args {
-                match a {
+            for a in args {
+                match a.as_ref() {
                     Value::String(x) => s.push_str(x),
                     Value::Null => {}
                     other => s.push_str(&other.to_string()),
@@ -87,24 +90,24 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
             }
             Ok(Value::String(s))
         }
-        "UPPER" => Ok(Value::String(arg(&args, 0)?.as_str()?.to_uppercase())),
-        "LOWER" => Ok(Value::String(arg(&args, 0)?.as_str()?.to_lowercase())),
+        "UPPER" => Ok(Value::String(arg(args, 0)?.as_str()?.to_uppercase())),
+        "LOWER" => Ok(Value::String(arg(args, 0)?.as_str()?.to_lowercase())),
         "CONTAINS_TEXT" => {
-            let hay = arg(&args, 0)?.as_str()?;
-            let needle = arg(&args, 1)?.as_str()?;
+            let hay = arg(args, 0)?.as_str()?;
+            let needle = arg(args, 1)?.as_str()?;
             Ok(Value::Bool(hay.contains(needle)))
         }
         "SPLIT" => {
-            let s = arg(&args, 0)?.as_str()?;
-            let sep = arg(&args, 1)?.as_str()?;
+            let s = arg(args, 0)?.as_str()?;
+            let sep = arg(args, 1)?.as_str()?;
             Ok(Value::Array(s.split(sep).map(Value::str).collect()))
         }
-        "TO_STRING" => Ok(Value::String(match arg(&args, 0)? {
+        "TO_STRING" => Ok(Value::String(match arg(args, 0)? {
             Value::String(s) => s.clone(),
             other => other.to_string(),
         })),
         "TO_NUMBER" => {
-            let v = arg(&args, 0)?;
+            let v = arg(args, 0)?;
             Ok(match v {
                 Value::Number(_) => v.clone(),
                 Value::String(s) => s
@@ -119,15 +122,15 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
         // ---- documents (jsonb operators as functions) ---------------------
         "CONTAINS" => {
             // PostgreSQL @>: CONTAINS(doc, pattern).
-            Ok(Value::Bool(arg(&args, 0)?.contains(arg(&args, 1)?)))
+            Ok(Value::Bool(arg(args, 0)?.contains(arg(args, 1)?)))
         }
         "HAS_KEY" => {
-            let doc = arg(&args, 0)?;
-            let key = arg(&args, 1)?.as_str()?;
+            let doc = arg(args, 0)?;
+            let key = arg(args, 1)?.as_str()?;
             Ok(Value::Bool(matches!(doc, Value::Object(o) if o.contains_key(key))))
         }
         "MERGE" => {
-            let mut out = arg(&args, 0)?.as_object()?.clone();
+            let mut out = arg(args, 0)?.as_object()?.clone();
             for a in &args[1..] {
                 for (k, v) in a.as_object()?.iter() {
                     out.insert(k.to_string(), v.clone());
@@ -135,12 +138,12 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
             }
             Ok(Value::Object(out))
         }
-        "JSON_PARSE" => mmdb_types::from_json(arg(&args, 0)?.as_str()?),
-        "JSON_STRINGIFY" => Ok(Value::String(mmdb_types::to_json(arg(&args, 0)?))),
+        "JSON_PARSE" => mmdb_types::from_json(arg(args, 0)?.as_str()?),
+        "JSON_STRINGIFY" => Ok(Value::String(mmdb_types::to_json(arg(args, 0)?))),
         // ---- cross-model bridges ------------------------------------------
         "KV_GET" => {
-            let bucket = arg(&args, 0)?.as_str()?;
-            let key = arg(&args, 1)?;
+            let bucket = arg(args, 0)?.as_str()?;
+            let key = arg(args, 1)?;
             let key_str = match key {
                 Value::String(s) => s.clone(),
                 other => other.to_string(),
@@ -148,8 +151,8 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
             Ok(world.kv.get(bucket, &key_str)?.unwrap_or(Value::Null))
         }
         "DOC" => {
-            let coll = arg(&args, 0)?.as_str()?;
-            match arg(&args, 1)? {
+            let coll = arg(args, 0)?.as_str()?;
+            match arg(args, 1)? {
                 Value::String(key) => Ok(world.collection(coll)?.get(key)?.unwrap_or(Value::Null)),
                 Value::Null => Ok(Value::Null),
                 other => Err(Error::Type(format!("DOC key must be a string, got {}", other.type_name()))),
@@ -158,9 +161,9 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
         "VERTEX" => {
             // VERTEX("graph", "coll/key") or VERTEX("coll/key") searching
             // all graphs.
-            let handle = arg(&args, args.len() - 1)?.as_str()?;
+            let handle = arg(args, args.len() - 1)?.as_str()?;
             if args.len() == 2 {
-                let g = world.graph(arg(&args, 0)?.as_str()?)?;
+                let g = world.graph(arg(args, 0)?.as_str()?)?;
                 Ok(g.vertex(handle)?.unwrap_or(Value::Null))
             } else {
                 for g in world.graphs.read().values() {
@@ -173,9 +176,9 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
         }
         "NEIGHBORS" => {
             // NEIGHBORS(handle, edge_collection, direction?)
-            let handle = arg(&args, 0)?.as_str()?;
-            let edges = arg(&args, 1)?.as_str()?;
-            let dir = direction_arg(&args, 2)?;
+            let handle = arg(args, 0)?.as_str()?;
+            let edges = arg(args, 1)?.as_str()?;
+            let dir = direction_arg(args, 2)?;
             let g = world.graph_with_edges(edges)?;
             Ok(Value::Array(
                 g.neighbors(handle, dir, Some(edges))?
@@ -186,9 +189,9 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
         }
         "SHORTEST_PATH" => {
             // SHORTEST_PATH(from, to, edge_collection, weight_field?)
-            let from = arg(&args, 0)?.as_str()?;
-            let to = arg(&args, 1)?.as_str()?;
-            let edges = arg(&args, 2)?.as_str()?;
+            let from = arg(args, 0)?.as_str()?;
+            let to = arg(args, 1)?.as_str()?;
+            let edges = arg(args, 2)?.as_str()?;
             let weight = args.get(3).and_then(|v| v.as_str().ok());
             let g = world.graph_with_edges(edges)?;
             match mmdb_graph::shortest_path(&g, from, to, Direction::Outbound, Some(edges), weight)? {
@@ -204,9 +207,8 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
         }
         "TRIPLES" => {
             // TRIPLES(s|null, p|null, o|null) → array of {s, p, o}.
-            let s = args.first().filter(|v| !v.is_null());
-            let p = args.get(1).filter(|v| !v.is_null());
-            let o = args.get(2).filter(|v| !v.is_null());
+            let pattern = |i: usize| args.get(i).map(Cow::as_ref).filter(|v| !v.is_null());
+            let (s, p, o) = (pattern(0), pattern(1), pattern(2));
             let store = world.rdf.read();
             let candidates: Vec<&mmdb_rdf::Triple> = match (&s, &p, &o) {
                 (Some(Value::String(s)), Some(Value::String(p)), _) => {
@@ -236,16 +238,16 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
         }
         "XPATH" => {
             // XPATH(doc_name, xpath) → array of values.
-            let name = arg(&args, 0)?.as_str()?;
-            let xp = arg(&args, 1)?.as_str()?;
+            let name = arg(args, 0)?.as_str()?;
+            let xp = arg(args, 1)?.as_str()?;
             let tree = world.xml_doc(name)?;
             let path = mmdb_xml::XPath::parse(xp)?;
             Ok(Value::Array(path.values(&tree, tree.root())?))
         }
         "FULLTEXT" => {
             // FULLTEXT(index_name, query) → array of matching documents.
-            let name = arg(&args, 0)?.as_str()?;
-            let query = arg(&args, 1)?.as_str()?;
+            let name = arg(args, 0)?.as_str()?;
+            let query = arg(args, 1)?.as_str()?;
             let ft = world.fulltext.read();
             let idx = ft
                 .get(name)
@@ -261,9 +263,9 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
         }
         "FULLTEXT_RANKED" => {
             // FULLTEXT_RANKED(index, query, limit) → [{doc, score}].
-            let name = arg(&args, 0)?.as_str()?;
-            let query = arg(&args, 1)?.as_str()?;
-            let limit = arg(&args, 2)?.as_int()? as usize;
+            let name = arg(args, 0)?.as_str()?;
+            let query = arg(args, 1)?.as_str()?;
+            let limit = arg(args, 2)?.as_int()? as usize;
             let ft = world.fulltext.read();
             let idx = ft
                 .get(name)
@@ -279,12 +281,12 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
         }
         "GEO_WITHIN" => {
             // GEO_WITHIN(index, x1, y1, x2, y2) → payloads in the window.
-            let name = arg(&args, 0)?.as_str()?;
+            let name = arg(args, 0)?.as_str()?;
             let (x1, y1, x2, y2) = (
-                arg(&args, 1)?.as_f64()?,
-                arg(&args, 2)?.as_f64()?,
-                arg(&args, 3)?.as_f64()?,
-                arg(&args, 4)?.as_f64()?,
+                arg(args, 1)?.as_f64()?,
+                arg(args, 2)?.as_f64()?,
+                arg(args, 3)?.as_f64()?,
+                arg(args, 4)?.as_f64()?,
             );
             let sp = world.spatial.read();
             let tree = sp
@@ -297,9 +299,9 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
         }
         "GEO_NEAREST" => {
             // GEO_NEAREST(index, x, y, k) → the k nearest payloads.
-            let name = arg(&args, 0)?.as_str()?;
-            let (x, y) = (arg(&args, 1)?.as_f64()?, arg(&args, 2)?.as_f64()?);
-            let k = arg(&args, 3)?.as_int()? as usize;
+            let name = arg(args, 0)?.as_str()?;
+            let (x, y) = (arg(args, 1)?.as_f64()?, arg(args, 2)?.as_f64()?);
+            let k = arg(args, 3)?.as_int()? as usize;
             let sp = world.spatial.read();
             let tree = sp
                 .get(name)
@@ -312,12 +314,13 @@ pub fn call_function(world: &World, name: &str, args: Vec<Value>) -> Result<Valu
     }
 }
 
-fn arg(args: &[Value], i: usize) -> Result<&Value> {
+fn arg<'a>(args: &'a [Cow<'_, Value>], i: usize) -> Result<&'a Value> {
     args.get(i)
+        .map(Cow::as_ref)
         .ok_or_else(|| Error::Query(format!("missing argument {}", i + 1)))
 }
 
-fn array_arg(args: &[Value], i: usize) -> Result<&[Value]> {
+fn array_arg<'a>(args: &'a [Cow<'_, Value>], i: usize) -> Result<&'a [Value]> {
     match arg(args, i)? {
         Value::Array(a) => Ok(a),
         Value::Null => Ok(&[]),
@@ -347,8 +350,8 @@ pub fn sum_values(items: &[Value]) -> Value {
     }
 }
 
-fn direction_arg(args: &[Value], i: usize) -> Result<Direction> {
-    match args.get(i) {
+fn direction_arg(args: &[Cow<'_, Value>], i: usize) -> Result<Direction> {
+    match args.get(i).map(Cow::as_ref) {
         None | Some(Value::Null) => Ok(Direction::Outbound),
         Some(Value::String(s)) => match s.to_uppercase().as_str() {
             "OUTBOUND" => Ok(Direction::Outbound),

@@ -33,6 +33,9 @@ pub struct FulltextIndex {
     pub index: TextIndex,
     /// Text doc id → document `_key`.
     pub keys: HashMap<TextDocId, String>,
+    /// Document `_key` → text doc id, the inverse of `keys`: re-indexing
+    /// a document finds its id here instead of searching `keys`.
+    ids: HashMap<String, TextDocId>,
     next_id: TextDocId,
 }
 
@@ -167,8 +170,6 @@ impl World {
     /// name only the edge collection, as AQL does).
     pub fn graph_with_edges(&self, edge_collection: &str) -> Result<Arc<Graph>> {
         for g in self.graphs.read().values() {
-            // Probe: Graph::edges_of errors NotFound for unknown collections
-            // only on use; instead check via a sentinel lookup.
             if g.edge_collection_exists(edge_collection) {
                 return Ok(Arc::clone(g));
             }
@@ -202,6 +203,7 @@ impl World {
             field: field.to_string(),
             index: TextIndex::default(),
             keys: HashMap::new(),
+            ids: HashMap::new(),
             next_id: 0,
         };
         for doc in coll.all()? {
@@ -295,17 +297,16 @@ impl FulltextIndex {
             other => other.to_string(),
         };
         // Reuse the id when re-indexing the same key.
-        let id = self
-            .keys
-            .iter()
-            .find(|(_, k)| k.as_str() == key)
-            .map(|(&id, _)| id)
-            .unwrap_or_else(|| {
+        let id = match self.ids.get(key) {
+            Some(&id) => id,
+            None => {
                 self.next_id += 1;
+                self.ids.insert(key.to_string(), self.next_id);
+                self.keys.insert(self.next_id, key.to_string());
                 self.next_id
-            });
+            }
+        };
         self.index.index(id, &text);
-        self.keys.insert(id, key.to_string());
     }
 
     /// Matching document keys for a text query string.
@@ -398,5 +399,34 @@ mod tests {
         w.fulltext_touch("products", &doc);
         let ft = w.fulltext.read();
         assert_eq!(ft.get("product_text").unwrap().search("robot"), vec!["p3"]);
+    }
+
+    #[test]
+    fn reindexing_a_key_reuses_its_id_and_replaces_its_postings() {
+        let w = World::in_memory();
+        let c = w.create_collection("products").unwrap();
+        c.insert_json(r#"{"_key":"p1","description":"a wooden toy train"}"#).unwrap();
+        c.insert_json(r#"{"_key":"p2","description":"a paperback book"}"#).unwrap();
+        w.create_fulltext_index("product_text", "products", "description").unwrap();
+        let id_of = |key: &str| {
+            let ft = w.fulltext.read();
+            let idx = ft.get("product_text").unwrap();
+            let ids: Vec<TextDocId> =
+                idx.keys.iter().filter(|(_, k)| k.as_str() == key).map(|(&id, _)| id).collect();
+            assert_eq!(ids.len(), 1, "one id per key, got {ids:?} for {key}");
+            assert_eq!(idx.ids.get(key), Some(&ids[0]), "both maps agree");
+            ids[0]
+        };
+        let before = id_of("p1");
+        let doc = mmdb_types::from_json(r#"{"_key":"p1","description":"a steel robot"}"#).unwrap();
+        w.fulltext_touch("products", &doc);
+        assert_eq!(id_of("p1"), before);
+        let ft = w.fulltext.read();
+        let idx = ft.get("product_text").unwrap();
+        assert_eq!((idx.keys.len(), idx.ids.len(), idx.index.doc_count()), (2, 2, 2));
+        assert_eq!(idx.search("robot"), vec!["p1"]);
+        assert!(idx.search("toy").is_empty(), "the old postings are gone");
+        assert!(idx.search("train").is_empty());
+        assert_eq!(idx.search("book"), vec!["p2"]);
     }
 }

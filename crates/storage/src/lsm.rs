@@ -10,6 +10,7 @@
 //! The key/value model (`mmdb-kv`) runs on this engine.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use mmdb_types::{Error, Result};
 
@@ -137,7 +138,10 @@ pub struct LsmTree {
     memtable_bytes: usize,
     /// Runs from newest (index 0) to oldest.
     tables: Vec<SsTable>,
-    stats: LsmStats,
+    flushes: u64,
+    compactions: u64,
+    /// Atomic so that a lookup, which counts here, needs only `&self`.
+    bloom_skips: AtomicU64,
 }
 
 impl LsmTree {
@@ -148,7 +152,9 @@ impl LsmTree {
             memtable: BTreeMap::new(),
             memtable_bytes: 0,
             tables: Vec::new(),
-            stats: LsmStats::default(),
+            flushes: 0,
+            compactions: 0,
+            bloom_skips: AtomicU64::new(0),
         }
     }
 
@@ -175,13 +181,13 @@ impl LsmTree {
     }
 
     /// Point lookup across memtable then runs, newest first.
-    pub fn get(&mut self, key: &[u8]) -> Option<Vec<u8>> {
+    pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         if let Some(e) = self.memtable.get(key) {
             return e.clone();
         }
         for t in &self.tables {
             if !t.bloom.may_contain(key) {
-                self.stats.bloom_skips += 1;
+                self.bloom_skips.fetch_add(1, Ordering::Relaxed); // lint: allow(relaxed, monotonic statistic bumped by concurrent readers; publishes nothing)
                 continue;
             }
             if let Some(e) = t.get(key) {
@@ -202,7 +208,7 @@ impl LsmTree {
         let entries: Vec<(Vec<u8>, Entry)> = std::mem::take(&mut self.memtable).into_iter().collect();
         self.memtable_bytes = 0;
         self.tables.insert(0, SsTable::from_sorted(entries));
-        self.stats.flushes += 1;
+        self.flushes += 1;
         self.maybe_compact()
     }
 
@@ -219,7 +225,7 @@ impl LsmTree {
             let drop_tombstones = self.tables.is_empty();
             let merged = merge_runs(group, drop_tombstones);
             self.tables.insert(0, merged);
-            self.stats.compactions += 1;
+            self.compactions += 1;
             if self.tables.len() < self.config.tier_fanout {
                 break;
             }
@@ -237,13 +243,13 @@ impl LsmTree {
             // Still rewrite a single run to purge tombstones.
             if let Some(t) = self.tables.pop() {
                 self.tables.push(merge_runs(vec![t], true));
-                self.stats.compactions += 1;
+                self.compactions += 1;
             }
             return Ok(());
         }
         let group: Vec<SsTable> = self.tables.drain(..).collect();
         self.tables.push(merge_runs(group, true));
-        self.stats.compactions += 1;
+        self.compactions += 1;
         Ok(())
     }
 
@@ -278,7 +284,11 @@ impl LsmTree {
 
     /// Engine counters.
     pub fn stats(&self) -> LsmStats {
-        self.stats
+        LsmStats {
+            flushes: self.flushes,
+            compactions: self.compactions,
+            bloom_skips: self.bloom_skips.load(Ordering::Relaxed), // lint: allow(relaxed, monotonic statistic; publishes nothing)
+        }
     }
 }
 

@@ -436,16 +436,27 @@ impl Value {
     /// count from the end (like AQL and JSONPath).
     pub fn get_index(&self, idx: i64) -> &Value {
         match self {
-            Value::Array(a) => {
-                let n = a.len() as i64;
-                let i = if idx < 0 { n + idx } else { idx };
-                if i >= 0 && i < n {
-                    &a[i as usize]
-                } else {
-                    &Value::Null
-                }
-            }
+            Value::Array(a) => array_position(a.len(), idx).map_or(&Value::Null, |i| &a[i]),
             _ => &Value::Null,
+        }
+    }
+
+    /// [`get_field`](Self::get_field) on a value the caller owns: the
+    /// field is moved out instead of borrowed.
+    pub fn into_field(self, name: &str) -> Value {
+        match self {
+            Value::Object(mut o) => o.remove(name).unwrap_or(Value::Null),
+            _ => Value::Null,
+        }
+    }
+
+    /// [`get_index`](Self::get_index) on a value the caller owns.
+    pub fn into_index(self, idx: i64) -> Value {
+        match self {
+            Value::Array(mut a) => {
+                array_position(a.len(), idx).map_or(Value::Null, |i| a.swap_remove(i))
+            }
+            _ => Value::Null,
         }
     }
 
@@ -475,6 +486,13 @@ impl Value {
             _ => 1,
         }
     }
+}
+
+/// Where `idx` lands in an array of `len` elements, counting from the end
+/// when negative; `None` when it is out of range.
+fn array_position(len: usize, idx: i64) -> Option<usize> {
+    let i = if idx < 0 { len as i64 + idx } else { idx };
+    usize::try_from(i).ok().filter(|&i| i < len)
 }
 
 impl PartialOrd for Value {

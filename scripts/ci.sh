@@ -68,6 +68,10 @@ cargo test -q -p mmdb-fault
 # Deadline checks ride the same feature: a default build must run the
 # query cancellation scaffolding as free no-ops.
 cargo test -q -p mmdb-query cancel
+# The evaluator's allocation budget (tests/query_allocs.rs: referring to
+# a bound document must not copy it) ran in the debug pass above; this is
+# the optimized build, the one the benchmark of record measures.
+cargo test -q --release --test query_allocs
 # The ckpt.* sites ride it too: a default build must checkpoint with the
 # failpoint scaffolding compiled out.
 cargo test -q -p mmdb-core checkpoint
