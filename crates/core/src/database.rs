@@ -11,10 +11,9 @@ use mmdb_graph::Graph;
 use mmdb_kv::KvStore;
 use mmdb_query::World;
 use mmdb_relational::{Schema, Table};
-use mmdb_storage::snapshot::{self, SnapshotEntry};
+use mmdb_storage::snapshot;
 use mmdb_storage::wal::{self, Lsn, Wal};
 use mmdb_txn::{ConsistencyPolicy, IsolationLevel, MvccStore};
-use mmdb_types::codec::value_to_bytes;
 use mmdb_types::{lock_rank, CancelToken, Error, Result, Value};
 
 use crate::session::{apply_committed, Session};
@@ -127,19 +126,10 @@ impl Database {
                 .map_err(|e| Error::Storage(format!("truncate wal: {e}")))?;
         }
         // Snapshot state replays first, through the same apply path as
-        // WAL redo (txid 0 marks snapshot provenance), then the suffix.
-        if let Some((_, entries)) = snap {
-            let mut redo: Vec<wal::RedoOp> = entries
-                .into_iter()
-                .map(|e| wal::RedoOp {
-                    txid: 0,
-                    domain: e.domain,
-                    key: e.key,
-                    value: Some(e.value),
-                })
-                .collect();
-            redo.append(&mut recovery.redo);
-            recovery.redo = redo;
+        // WAL redo, then the suffix.
+        if let Some((_, mut state)) = snap {
+            state.append(&mut recovery.redo);
+            recovery.redo = state;
         }
         let wal = Arc::new(Wal::open(&wal_path)?);
         let db = Self::build(Some(wal), Some(dir.to_path_buf()));
@@ -414,23 +404,13 @@ impl Database {
                     wal.sync()?;
                     let lsn = wal.tail_lsn();
                     let live = self.mvcc.latest_committed_writes();
-                    let encoded: Vec<SnapshotEntry> = live
-                        .iter()
-                        .filter_map(|w| {
-                            w.value.as_ref().map(|v| SnapshotEntry {
-                                domain: w.domain.clone(),
-                                key: w.key.clone(),
-                                value: value_to_bytes(v).to_vec(),
-                            })
-                        })
-                        .collect();
                     let mut snapshot_bytes = 0;
                     if let Some(dir) = &self.dir {
-                        snapshot_bytes = snapshot::write_snapshot(dir, lsn, &encoded)?;
+                        snapshot_bytes = snapshot::write_snapshot(dir, lsn, &live)?;
                     }
                     wal.append_checkpoint(lsn)?;
                     let reclaimed = wal.truncate_below(lsn)?;
-                    Ok((lsn, encoded.len(), snapshot_bytes, reclaimed))
+                    Ok((lsn, live.len(), snapshot_bytes, reclaimed))
                 })?;
             summary.snapshot_lsn = lsn;
             summary.entries = entries;

@@ -1,12 +1,15 @@
 //! Cross-model transactional sessions.
 //!
 //! A [`Session`] wraps one MVCC transaction and gives it model-typed
-//! operations. All writes are staged in the transaction (snapshot reads
-//! see them); at commit they reach the WAL, the version store, and — via
-//! the commit hook [`apply_committed`] — the model stores and their
-//! indexes. This is UniBench Workload C's "cross-model transaction": one
-//! atomic unit touching the relation, the cart, the order document and
-//! the graph.
+//! operations. All writes are staged in the transaction as
+//! [`CommittedWrite`]s (snapshot reads see them); at commit that same
+//! slice is logged, installed in the version store, and handed to the
+//! commit hook [`apply_committed`], which updates the model stores and
+//! their indexes — and replicated transactions, snapshot loads and WAL
+//! replay arrive at the hook in the same shape (DESIGN.md "A
+//! transaction's road"). This is UniBench Workload C's "cross-model
+//! transaction": one atomic unit touching the relation, the cart, the
+//! order document and the graph.
 //!
 //! Domain encoding: `doc/<coll>`, `kv/<bucket>`, `rel/<table>`,
 //! `graph/<graph>/v/<coll>`, `graph/<graph>/e/<coll>`, `rdf`, and
@@ -26,9 +29,9 @@ use mmdb_types::{CancelToken, Error, Result, Value};
 /// A `Session` is an owned value: whichever component holds it (an
 /// embedded caller, a server connection) owns the transaction. Dropping
 /// an uncommitted session aborts it completely — staged writes are
-/// discarded, locks released, and a WAL abort record written if anything
-/// was staged — so disconnecting clients can simply be dropped and never
-/// leak a half-open transaction.
+/// discarded and locks released; the WAL never saw them — so
+/// disconnecting clients can simply be dropped and never leak a
+/// half-open transaction.
 pub struct Session {
     world: Arc<World>,
     txn: Transaction,

@@ -15,9 +15,7 @@
 //!   `"write"` events; [`CdcBuffer`] holds writes back until their
 //!   commit record arrives.
 
-use std::collections::HashMap;
-
-use mmdb_storage::wal::{Lsn, TailedRecord, TxId, WalRecord};
+use mmdb_storage::wal::{BlockAssembler, LoggedWrite, Lsn, TailedRecord, WalRecord};
 use mmdb_types::codec::value_from_bytes;
 use mmdb_types::{Error, Result, Value};
 
@@ -82,25 +80,20 @@ pub fn record_frame(t: &TailedRecord) -> Value {
 /// any replicated transaction, and the commit frame's `next_lsn`
 /// (`snapshot_lsn`) positions its resume cursor at the live tail.
 ///
-/// `writes` are `(domain, key, encoded live value)` triples — snapshots
-/// carry no deletes, so the replica applies txid 0 as a full state
-/// *replace* (`MvccStore::apply_snapshot_replace`): keys it still holds
-/// that are absent from the snapshot get synthesized tombstones, which
-/// is how deletes that happened inside the truncated gap reach a stale
+/// `writes` is `MvccStore::latest_committed_writes` — snapshots carry no
+/// deletes, so the replica applies txid 0 as a full state *replace*
+/// (`MvccStore::apply_snapshot_replace`): keys it still holds that are
+/// absent from the snapshot get synthesized tombstones, which is how
+/// deletes that happened inside the truncated gap reach a stale
 /// non-empty replica.
-pub fn bootstrap_frames(snapshot_lsn: Lsn, writes: &[(String, Vec<u8>, Vec<u8>)]) -> Vec<Value> {
+pub fn bootstrap_frames(snapshot_lsn: Lsn, writes: Vec<LoggedWrite>) -> Vec<Value> {
     let at = |record: WalRecord| {
         record_frame(&TailedRecord { lsn: snapshot_lsn, next_lsn: snapshot_lsn, record })
     };
     let mut frames = Vec::with_capacity(writes.len() + 2);
     frames.push(at(WalRecord::Begin { txid: 0 }));
-    for (domain, key, value) in writes {
-        frames.push(at(WalRecord::Write {
-            txid: 0,
-            domain: domain.clone(),
-            key: key.clone(),
-            value: Some(value.clone()),
-        }));
+    for LoggedWrite { domain, key, value } in writes {
+        frames.push(at(WalRecord::Write { txid: 0, domain, key, value }));
     }
     frames.push(at(WalRecord::Commit { txid: 0 }));
     frames
@@ -176,77 +169,46 @@ pub fn parse_frame(v: &Value) -> Result<Frame> {
 
 /// Turns the raw record stream into committed-only CDC events.
 ///
-/// Writes are buffered per transaction and released as `"write"`
-/// event values only when that transaction's commit record arrives;
-/// aborted transactions are dropped. Each released event carries the
-/// commit record's `next_lsn` as its resume cursor — resubscribing
-/// from an event's `lsn` replays nothing of the transaction that
-/// produced it and everything after.
+/// Records go through the log's one [`BlockAssembler`], so a write
+/// surfaces as a `"write"` event value only once its transaction's commit
+/// record arrives; aborted and orphaned blocks never do. Each released
+/// event carries the commit record's `next_lsn` as its resume cursor —
+/// resubscribing from an event's `lsn` replays nothing of the
+/// transaction that produced it and everything after.
 #[derive(Debug, Default)]
 pub struct CdcBuffer {
-    pending: HashMap<TxId, Vec<BufferedWrite>>,
+    blocks: BlockAssembler,
 }
 
-/// One buffered `Write` record: `(domain, key, encoded value)`.
-type BufferedWrite = (String, Vec<u8>, Option<Vec<u8>>);
-
 impl CdcBuffer {
-    /// A buffer with no in-flight transactions.
+    /// A buffer with no in-flight transaction.
     pub fn new() -> CdcBuffer {
         CdcBuffer::default()
     }
 
-    /// Number of transactions seen but not yet committed or aborted.
-    pub fn pending_txns(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Feed one record; returns the CDC events it releases (empty for
     /// everything except a commit of a transaction with writes).
-    pub fn push(&mut self, t: &TailedRecord) -> Result<Vec<Value>> {
-        match &t.record {
-            WalRecord::Begin { txid } => {
-                // Blocks are contiguous in the log (written whole under
-                // the primary's commit mutex): a fresh Begin means any
-                // still-open block is a crash artifact whose Commit can
-                // never arrive. Drop it instead of buffering it forever.
-                self.pending.retain(|t, _| t == txid);
-                self.pending.entry(*txid).or_default();
-                Ok(Vec::new())
-            }
-            WalRecord::Write { txid, domain, key, value } => {
-                self.pending
-                    .entry(*txid)
-                    .or_default()
-                    .push((domain.clone(), key.clone(), value.clone()));
-                Ok(Vec::new())
-            }
-            WalRecord::Abort { txid } => {
-                self.pending.remove(txid);
-                Ok(Vec::new())
-            }
-            WalRecord::Checkpoint { .. } => Ok(Vec::new()),
-            WalRecord::Commit { txid } => {
-                let writes = self.pending.remove(txid).unwrap_or_default();
-                let mut events = Vec::with_capacity(writes.len());
-                for (domain, key, value) in writes {
-                    let value = match value {
-                        Some(bytes) => value_from_bytes(&bytes)?,
-                        None => Value::Null,
-                    };
-                    events.push(Value::object([
-                        ("type", Value::str("write")),
-                        ("lsn", Value::int(t.next_lsn as i64)),
-                        ("txid", Value::int(*txid as i64)),
-                        ("domain", Value::str(domain)),
-                        ("key", Value::str(String::from_utf8_lossy(&key).into_owned())),
-                        ("deleted", Value::Bool(value.is_null())),
-                        ("value", value),
-                    ]));
-                }
-                Ok(events)
-            }
+    pub fn push(&mut self, t: TailedRecord) -> Result<Vec<Value>> {
+        let Some(block) = self.blocks.push(t.record, t.next_lsn) else {
+            return Ok(Vec::new());
+        };
+        let mut events = Vec::with_capacity(block.writes.len());
+        for LoggedWrite { domain, key, value } in block.writes {
+            let value = match value {
+                Some(bytes) => value_from_bytes(&bytes)?,
+                None => Value::Null,
+            };
+            events.push(Value::object([
+                ("type", Value::str("write")),
+                ("lsn", Value::int(block.end_lsn as i64)),
+                ("txid", Value::int(block.txid as i64)),
+                ("domain", Value::str(domain)),
+                ("key", Value::str(String::from_utf8_lossy(&key).into_owned())),
+                ("deleted", Value::Bool(value.is_null())),
+                ("value", value),
+            ]));
         }
+        Ok(events)
     }
 }
 
@@ -315,9 +277,9 @@ mod tests {
         let payload = value_to_bytes(&Value::int(42)).to_vec();
 
         // An aborted transaction never surfaces.
-        assert!(buf.push(&rec(0, 10, WalRecord::Begin { txid: 1 })).unwrap().is_empty());
+        assert!(buf.push(rec(0, 10, WalRecord::Begin { txid: 1 })).unwrap().is_empty());
         assert!(buf
-            .push(&rec(
+            .push(rec(
                 10,
                 40,
                 WalRecord::Write {
@@ -329,14 +291,14 @@ mod tests {
             ))
             .unwrap()
             .is_empty());
-        assert_eq!(buf.pending_txns(), 1);
-        assert!(buf.push(&rec(40, 50, WalRecord::Abort { txid: 1 })).unwrap().is_empty());
-        assert_eq!(buf.pending_txns(), 0);
+        assert!(buf.blocks.is_open());
+        assert!(buf.push(rec(40, 50, WalRecord::Abort { txid: 1 })).unwrap().is_empty());
+        assert!(!buf.blocks.is_open());
 
         // A committed one surfaces decoded, stamped with the commit's
         // next_lsn as the resume cursor.
-        buf.push(&rec(50, 60, WalRecord::Begin { txid: 2 })).unwrap();
-        buf.push(&rec(
+        buf.push(rec(50, 60, WalRecord::Begin { txid: 2 })).unwrap();
+        buf.push(rec(
             60,
             90,
             WalRecord::Write {
@@ -347,7 +309,7 @@ mod tests {
             },
         ))
         .unwrap();
-        buf.push(&rec(
+        buf.push(rec(
             90,
             120,
             WalRecord::Write {
@@ -358,7 +320,7 @@ mod tests {
             },
         ))
         .unwrap();
-        let events = buf.push(&rec(120, 130, WalRecord::Commit { txid: 2 })).unwrap();
+        let events = buf.push(rec(120, 130, WalRecord::Commit { txid: 2 })).unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].get_field("type").as_str().unwrap(), "write");
         assert_eq!(events[0].get_field("lsn").as_int().unwrap(), 130);
@@ -368,5 +330,26 @@ mod tests {
         assert_eq!(events[0].get_field("deleted"), &Value::Bool(false));
         assert_eq!(events[1].get_field("key").as_str().unwrap(), "gone");
         assert_eq!(events[1].get_field("deleted"), &Value::Bool(true));
+    }
+
+    #[test]
+    fn cdc_buffer_ignores_a_block_a_fresh_begin_superseded() {
+        // `Begin{1} Write{1}` orphaned by a torn batch, then a later
+        // incarnation's own txid 1: only the second block's write surfaces.
+        let mut buf = CdcBuffer::new();
+        let write = |key: &str| WalRecord::Write {
+            txid: 1,
+            domain: "kv/cart".into(),
+            key: key.as_bytes().to_vec(),
+            value: Some(value_to_bytes(&Value::int(1)).to_vec()),
+        };
+        buf.push(rec(0, 10, WalRecord::Begin { txid: 1 })).unwrap();
+        buf.push(rec(10, 40, write("orphan"))).unwrap();
+        buf.push(rec(40, 50, WalRecord::Begin { txid: 1 })).unwrap();
+        buf.push(rec(50, 80, write("real"))).unwrap();
+        let events = buf.push(rec(80, 90, WalRecord::Commit { txid: 1 })).unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].get_field("key").as_str().unwrap(), "real");
+        assert_eq!(events[0].get_field("lsn").as_int().unwrap(), 90);
     }
 }

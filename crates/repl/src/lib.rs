@@ -21,11 +21,11 @@
 //!   the life of the process — and reports growing staleness.
 //!
 //! Resume correctness: a replica's `applied_lsn` only ever advances
-//! past *complete* transactions (the primary serializes each
-//! `Begin..Write*..Commit` block under its commit mutex, so blocks
-//! never interleave in the log; only an older log's single `Abort`
-//! records can), so reconnecting with `REPLICA HELLO <applied_lsn>` never
-//! re-applies a half-seen transaction and never skips one.
+//! past *complete* transactions — it moves only while the log's
+//! [`mmdb_storage::wal::BlockAssembler`], the same one recovery and the
+//! CDC feed read the stream through, is between blocks — so reconnecting
+//! with `REPLICA HELLO <applied_lsn>` never re-applies a half-seen
+//! transaction and never skips one.
 
 pub mod feed;
 pub mod replica;

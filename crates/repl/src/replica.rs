@@ -1,6 +1,5 @@
 //! The replica side: connect, catch up, tail, reconnect.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -8,11 +7,9 @@ use std::time::Duration;
 
 use mmdb_client::{Client, ClientConfig};
 use mmdb_core::Database;
-use mmdb_storage::wal::{TxId, WalRecord};
+use mmdb_storage::wal::{BlockAssembler, TailedRecord, WalRecord};
 use mmdb_txn::CommittedWrite;
-use mmdb_types::codec::value_from_bytes;
 use mmdb_types::{Error, Result, Value};
-use parking_lot::Mutex;
 
 use crate::feed::{parse_frame, Frame};
 use crate::status::ReplStatus;
@@ -80,7 +77,6 @@ impl ReplicaRunner {
             opts,
             status: Arc::clone(&status),
             stop: Arc::clone(&stop),
-            last_error: Arc::new(Mutex::new(None)),
         };
         let handle = std::thread::Builder::new()
             .name("mmdb-replica".into())
@@ -122,7 +118,6 @@ struct Worker {
     opts: ReplicaOptions,
     status: Arc<ReplStatus>,
     stop: Arc<AtomicBool>,
-    last_error: Arc<Mutex<Option<String>>>,
 }
 
 impl Worker {
@@ -132,9 +127,9 @@ impl Worker {
 
     fn run(&self) {
         while !self.stopped() {
-            if let Err(e) = self.stream_once() {
-                *self.last_error.lock() = Some(e.to_string());
-            }
+            // Any error just ends this connection: the next one resumes
+            // from the last applied transaction boundary.
+            let _ = self.stream_once();
             self.status.set_connected(false);
             if self.stopped() {
                 break;
@@ -150,104 +145,72 @@ impl Worker {
         client.replica_hello(self.status.applied_lsn())?;
         self.status.set_connected(true);
 
-        // Writes of transactions whose commit record hasn't arrived yet.
-        // The primary serializes Begin..Write*..Commit blocks in its log
-        // (only the lone Aborts of older logs interleave), so at most a handful are open.
-        let mut pending: HashMap<TxId, Vec<CommittedWrite>> = HashMap::new();
-
+        // Per connection: a reconnect resumes at a block boundary.
+        let mut blocks = BlockAssembler::default();
         while !self.stopped() {
             let frame = client.next_change()?;
             self.status.note_contact();
             match parse_frame(&frame)? {
                 Frame::Heartbeat { tail_lsn } => self.status.observe_tail(tail_lsn),
-                Frame::Record(rec) => {
-                    self.status.observe_tail(rec.next_lsn);
-                    match &rec.record {
-                        WalRecord::Begin { txid } => {
-                            // The primary logs whole Begin..Write*..Commit
-                            // blocks under its commit mutex, so a fresh
-                            // Begin means any earlier open block is a
-                            // crash artifact whose Commit can never
-                            // arrive. Drop it — primary recovery ignores
-                            // such blocks too — or it would pin
-                            // `pending` non-empty and freeze the resume
-                            // watermark forever.
-                            pending.retain(|t, _| t == txid);
-                            pending.entry(*txid).or_default();
-                        }
-                        WalRecord::Write { txid, domain, key, value } => {
-                            let value = match value {
-                                Some(bytes) => Some(value_from_bytes(bytes)?),
-                                None => None,
-                            };
-                            pending.entry(*txid).or_default().push(CommittedWrite {
-                                domain: domain.clone(),
-                                key: key.clone(),
-                                value,
-                            });
-                        }
-                        WalRecord::Commit { txid } => {
-                            let writes = pending.remove(txid).unwrap_or_default();
-                            // Dropping the connection here (error/crash)
-                            // is safe: applied_lsn hasn't advanced, so the
-                            // reconnect replays the block and the apply
-                            // repeats idempotently onto newer versions.
-                            mmdb_fault::fail_point!("repl.apply", |msg| {
-                                mmdb_types::Error::Storage(format!("replica apply: {msg}"))
-                            });
-                            if *txid == 0 {
-                                // Txid 0 is the synthetic snapshot-bootstrap
-                                // transaction: the primary's complete live
-                                // state. Apply it as a full replace so keys
-                                // this replica still holds from before the
-                                // truncation horizon — including ones the
-                                // primary deleted inside the gap — don't
-                                // survive as ghosts.
-                                self.db.mvcc().apply_snapshot_replace(&writes)?;
-                            } else {
-                                self.db.mvcc().apply_replicated(&writes)?;
-                            }
-                            self.status.note_txn_applied();
-                        }
-                        WalRecord::Abort { txid } => {
-                            pending.remove(txid);
-                        }
-                        WalRecord::Checkpoint { .. } => {
-                            // The primary checkpointed and truncated its
-                            // log; do the same locally so replica logs
-                            // stay bounded too. A checkpoint is not a
-                            // commit, so the read-only latch doesn't
-                            // apply; failure is non-fatal (worst case the
-                            // local log keeps growing until the next
-                            // marker) but worth surfacing in status.
-                            if let Err(e) = self.db.checkpoint() {
-                                *self.last_error.lock() =
-                                    Some(format!("local checkpoint: {e}"));
-                            }
-                        }
-                    }
-                    // Only a transaction boundary is a safe resume point:
-                    // `REPLICA HELLO` replays whole records, and a Begin or
-                    // Write we've buffered but not applied must be streamed
-                    // again if this connection dies.
-                    if pending.is_empty() {
-                        self.status.advance_applied(rec.next_lsn);
-                        // Mirror the watermark into the store so
-                        // `Database::last_commit_lsn` answers "how far
-                        // along is this node" on a replica too — and a
-                        // future runner on this database resumes here.
-                        self.db.mvcc().note_commit_lsn(rec.next_lsn);
-                    }
-                }
+                Frame::Record(rec) => apply_record(&self.db, &self.status, &mut blocks, rec)?,
             }
         }
         Ok(())
     }
+}
 
-    #[allow(dead_code)]
-    fn last_error(&self) -> Option<String> {
-        self.last_error.lock().clone()
+/// Take one streamed record: feed it to the log's block assembler (so a
+/// block a fresh `Begin` superseded is ignored here exactly as primary
+/// recovery ignores it), apply the transaction it commits, if any, and
+/// advance the resume watermark when the stream is between blocks.
+fn apply_record(
+    db: &Database,
+    status: &ReplStatus,
+    blocks: &mut BlockAssembler,
+    rec: TailedRecord,
+) -> Result<()> {
+    status.observe_tail(rec.next_lsn);
+    if matches!(rec.record, WalRecord::Checkpoint { .. }) {
+        // The primary checkpointed and truncated its log; do the same
+        // locally so replica logs stay bounded too. A checkpoint is not a
+        // commit, so the read-only latch doesn't apply; failure is
+        // non-fatal (worst case the local log keeps growing until the
+        // next marker).
+        let _ = db.checkpoint();
     }
+    if let Some(block) = blocks.push(rec.record, rec.next_lsn) {
+        // Dropping the connection here (error/crash) is safe: applied_lsn
+        // hasn't advanced, so the reconnect replays the block and the
+        // apply repeats idempotently onto newer versions.
+        mmdb_fault::fail_point!("repl.apply", |msg| {
+            mmdb_types::Error::Storage(format!("replica apply: {msg}"))
+        });
+        let writes =
+            block.writes.iter().map(CommittedWrite::decode).collect::<Result<Vec<_>>>()?;
+        if block.txid == 0 {
+            // Txid 0 is the synthetic snapshot-bootstrap transaction: the
+            // primary's complete live state. Apply it as a full replace
+            // so keys this replica still holds from before the truncation
+            // horizon — including ones the primary deleted inside the
+            // gap — don't survive as ghosts.
+            db.mvcc().apply_snapshot_replace(&writes)?;
+        } else {
+            db.mvcc().apply_replicated(&writes)?;
+        }
+        status.note_txn_applied();
+    }
+    // Only a transaction boundary is a safe resume point: `REPLICA HELLO`
+    // replays whole records, and a Begin or Write we've buffered but not
+    // applied must be streamed again if this connection dies.
+    if !blocks.is_open() {
+        status.advance_applied(rec.next_lsn);
+        // Mirror the watermark into the store so
+        // `Database::last_commit_lsn` answers "how far along is this
+        // node" on a replica too — and a future runner on this database
+        // resumes here.
+        db.mvcc().note_commit_lsn(rec.next_lsn);
+    }
+    Ok(())
 }
 
 /// Convenience for tests and tools: dump a database's current change
@@ -257,4 +220,42 @@ impl Worker {
 /// stream never ships them.
 pub fn current_cursor(db: &Database) -> Value {
     Value::int(db.wal().map(|w| w.durable_lsn()).unwrap_or(0) as i64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmdb_types::codec::value_to_bytes;
+
+    #[test]
+    fn the_apply_loop_ignores_a_superseded_block_and_the_watermark_still_advances() {
+        let db = Database::in_memory();
+        let status = ReplStatus::new("primary:0");
+        let mut blocks = BlockAssembler::default();
+        let write = |key: &str| WalRecord::Write {
+            txid: 1,
+            domain: "kv/cart".into(),
+            key: key.as_bytes().to_vec(),
+            value: Some(value_to_bytes(&Value::int(1)).to_vec()),
+        };
+        // `Begin{1} Write{1}` orphaned on the primary by a torn batch,
+        // then a later incarnation's own txid 1.
+        let records = [
+            WalRecord::Begin { txid: 1 },
+            write("orphan"),
+            WalRecord::Begin { txid: 1 },
+            write("real"),
+            WalRecord::Commit { txid: 1 },
+        ];
+        for (i, record) in records.into_iter().enumerate() {
+            let (lsn, next_lsn) = (i as u64 * 10, i as u64 * 10 + 10);
+            apply_record(&db, &status, &mut blocks, TailedRecord { lsn, next_lsn, record }).unwrap();
+            // Mid-block is never a resume point, orphan or not.
+            assert_eq!(status.applied_lsn(), if next_lsn == 50 { 50 } else { 0 });
+        }
+        assert_eq!(db.mvcc().get_latest("kv/cart", b"orphan"), None);
+        assert_eq!(db.mvcc().get_latest("kv/cart", b"real"), Some(Value::int(1)));
+        assert_eq!(status.txns_applied(), 1);
+        assert_eq!(db.last_commit_lsn(), 50);
+    }
 }

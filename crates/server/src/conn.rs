@@ -43,7 +43,6 @@ use mmdb_core::Session;
 use mmdb_protocol::frame::{self, FrameReader};
 use mmdb_protocol::{DdlOp, Request, Response, SessionOp, PROTOCOL_VERSION};
 use mmdb_repl::feed::{self, CdcBuffer};
-use mmdb_types::codec::value_to_bytes;
 use mmdb_types::{lock_rank, CancelToken, Error, Result, Value};
 use mmdb_txn::IsolationLevel;
 
@@ -890,11 +889,7 @@ fn serve_stream(inner: &ServerInner, conn: &ConnHandle, from_lsn: u64, cdc: bool
                 Ok((wal.tail_lsn(), db.mvcc().latest_committed_writes()))
             })?
         };
-        let writes: Vec<(String, Vec<u8>, Vec<u8>)> = live
-            .into_iter()
-            .filter_map(|w| w.value.map(|v| (w.domain, w.key, value_to_bytes(&v).to_vec())))
-            .collect();
-        for event in feed::bootstrap_frames(snap_lsn, &writes) {
+        for event in feed::bootstrap_frames(snap_lsn, live) {
             send_change(inner, stream, event)?;
         }
         cursor = snap_lsn;
@@ -929,15 +924,16 @@ fn serve_stream(inner: &ServerInner, conn: &ConnHandle, from_lsn: u64, cdc: bool
             std::thread::sleep(inner.config.poll_interval.min(HEARTBEAT_EVERY));
             continue;
         }
-        for rec in &records {
+        for rec in records {
+            let next_lsn = rec.next_lsn;
             if cdc {
                 for event in cdc_buf.push(rec)? {
                     send_change(inner, stream, event)?;
                 }
             } else {
-                send_change(inner, stream, feed::record_frame(rec))?;
+                send_change(inner, stream, feed::record_frame(&rec))?;
             }
-            cursor = rec.next_lsn;
+            cursor = next_lsn;
         }
         // Records just flowed; the next heartbeat can wait a full period.
         last_beat = Instant::now();

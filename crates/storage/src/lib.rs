@@ -33,8 +33,7 @@ pub mod wal;
 pub use buffer::BufferPool;
 pub use disk::{DiskManager, PageId, PAGE_SIZE};
 pub use heap::{HeapFile, RecordId};
-pub use snapshot::SnapshotEntry;
-pub use wal::{Lsn, TailedRecord, Wal, WalRecord};
+pub use wal::{LoggedWrite, Lsn, TailedRecord, Wal, WalRecord};
 
 /// The storage layer's one way to fsync; `sync` is `File::sync_data`
 /// (contents and length, all an append-only log or a fixed-size page file

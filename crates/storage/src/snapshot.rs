@@ -17,7 +17,9 @@
 //! `snapshot_lsn: u64 | count: u64 | count × entry` and each entry is
 //! `domain_len: u32 | domain | key_len: u32 | key | value_len: u32 |
 //! value` (all little-endian). Only live values appear — a snapshot has
-//! no tombstones, deletes exist only in the log.
+//! no tombstones, deletes exist only in the log. In memory an entry is a
+//! [`LoggedWrite`], the shape the WAL's redo set carries, so snapshot load
+//! and WAL replay are one list through one apply path.
 
 use std::fs::File;
 use std::io::{Read, Write};
@@ -26,7 +28,7 @@ use std::path::{Path, PathBuf};
 use mmdb_types::{Error, Result};
 
 use crate::durable_sync;
-use crate::wal::{crc32, Lsn};
+use crate::wal::{crc32, LoggedWrite, Lsn};
 
 /// File name of the current snapshot inside a database directory.
 pub const SNAPSHOT_FILE: &str = "mmdb.snapshot";
@@ -36,34 +38,23 @@ pub const SNAPSHOT_TMP_FILE: &str = "mmdb.snapshot.tmp";
 
 const SNAPSHOT_MAGIC: [u8; 8] = *b"MMDBSNP1";
 
-/// One live (domain, key, value) triple of engine state. The same shape
-/// the WAL's redo ops carry, so snapshot load reuses the recovery
-/// apply path unchanged.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotEntry {
-    /// Model routing tag, e.g. `"doc/orders"`.
-    pub domain: String,
-    /// Encoded key.
-    pub key: Vec<u8>,
-    /// Encoded live value (snapshots never hold deletes).
-    pub value: Vec<u8>,
-}
-
 fn snapshot_path(dir: &Path) -> PathBuf {
     dir.join(SNAPSHOT_FILE)
 }
 
-fn encode_body(snapshot_lsn: Lsn, entries: &[SnapshotEntry]) -> Vec<u8> {
+/// Tombstones are skipped: in a snapshot a deleted key is an absent one.
+fn encode_body(snapshot_lsn: Lsn, entries: &[LoggedWrite]) -> Vec<u8> {
+    let live = || entries.iter().filter_map(|e| e.value.as_ref().map(|v| (e, v)));
     let mut b = Vec::new();
     b.extend_from_slice(&snapshot_lsn.to_le_bytes());
-    b.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-    for e in entries {
+    b.extend_from_slice(&(live().count() as u64).to_le_bytes());
+    for (e, value) in live() {
         b.extend_from_slice(&(e.domain.len() as u32).to_le_bytes());
         b.extend_from_slice(e.domain.as_bytes());
         b.extend_from_slice(&(e.key.len() as u32).to_le_bytes());
         b.extend_from_slice(&e.key);
-        b.extend_from_slice(&(e.value.len() as u32).to_le_bytes());
-        b.extend_from_slice(&e.value);
+        b.extend_from_slice(&(value.len() as u32).to_le_bytes());
+        b.extend_from_slice(value);
     }
     b
 }
@@ -71,7 +62,7 @@ fn encode_body(snapshot_lsn: Lsn, entries: &[SnapshotEntry]) -> Vec<u8> {
 /// Write a snapshot of `entries` at `snapshot_lsn` into `dir`,
 /// crash-safely (write-temp + fsync + atomic rename + dir fsync).
 /// Returns the snapshot's size in bytes.
-pub fn write_snapshot(dir: &Path, snapshot_lsn: Lsn, entries: &[SnapshotEntry]) -> Result<u64> {
+pub fn write_snapshot(dir: &Path, snapshot_lsn: Lsn, entries: &[LoggedWrite]) -> Result<u64> {
     let body = encode_body(snapshot_lsn, entries);
     let mut framed = Vec::with_capacity(body.len() + 12);
     framed.extend_from_slice(&SNAPSHOT_MAGIC);
@@ -114,7 +105,7 @@ pub fn write_snapshot(dir: &Path, snapshot_lsn: Lsn, entries: &[SnapshotEntry]) 
 /// Load the snapshot from `dir`. `Ok(None)` when no snapshot exists;
 /// [`Error::Corruption`] when one exists but fails its integrity checks
 /// (a published snapshot is never torn, so that is real corruption).
-pub fn read_snapshot(dir: &Path) -> Result<Option<(Lsn, Vec<SnapshotEntry>)>> {
+pub fn read_snapshot(dir: &Path) -> Result<Option<(Lsn, Vec<LoggedWrite>)>> {
     let mut data = Vec::new();
     match File::open(snapshot_path(dir)) {
         Ok(mut f) => {
@@ -156,8 +147,8 @@ pub fn read_snapshot(dir: &Path) -> Result<Option<(Lsn, Vec<SnapshotEntry>)>> {
         let klen = u32_at(take(&mut buf, 4).ok_or_else(short)?) as usize;
         let key = take(&mut buf, klen).ok_or_else(short)?.to_vec();
         let vlen = u32_at(take(&mut buf, 4).ok_or_else(short)?) as usize;
-        let value = take(&mut buf, vlen).ok_or_else(short)?.to_vec();
-        entries.push(SnapshotEntry { domain, key, value });
+        let value = Some(take(&mut buf, vlen).ok_or_else(short)?.to_vec());
+        entries.push(LoggedWrite { domain, key, value });
     }
     if !buf.is_empty() {
         return Err(corrupt("trailing bytes"));
@@ -185,15 +176,16 @@ pub fn snapshot_age(dir: &Path) -> Option<std::time::Duration> {
 mod tests {
     use super::*;
 
-    fn entries() -> Vec<SnapshotEntry> {
+    fn entries() -> Vec<LoggedWrite> {
+        let entry = |domain: &str, key: &[u8], value: &[u8]| LoggedWrite {
+            domain: domain.into(),
+            key: key.to_vec(),
+            value: Some(value.to_vec()),
+        };
         vec![
-            SnapshotEntry { domain: "ddl/table".into(), key: b"t".to_vec(), value: b"s".to_vec() },
-            SnapshotEntry {
-                domain: "doc/orders".into(),
-                key: b"o1".to_vec(),
-                value: b"{\"total\":9}".to_vec(),
-            },
-            SnapshotEntry { domain: "kv/cache".into(), key: b"k".to_vec(), value: vec![] },
+            entry("ddl/table", b"t", b"s"),
+            entry("doc/orders", b"o1", b"{\"total\":9}"),
+            entry("kv/cache", b"k", b""),
         ]
     }
 

@@ -10,7 +10,9 @@
 //! string (e.g. `"doc/orders"`, `"graph/knows/edge"`) so recovery can route
 //! each write back to the owning model. Recovery replays the writes of
 //! committed transactions in log order and discards uncommitted tails —
-//! including torn final records, which are detected by the CRC.
+//! including torn final records, which are detected by the CRC. What
+//! "committed" means is stated once, by [`BlockAssembler`]; recovery, the
+//! replica apply loop and the CDC feed all read the log through it.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -644,27 +646,85 @@ pub struct TailedRecord {
     pub record: WalRecord,
 }
 
-/// One redo operation surfaced by recovery.
+/// One logged write: the *encoded* shape of a write, as the WAL, the
+/// snapshot file and the replication stream all carry it. Its decoded
+/// twin is `mmdb_txn::CommittedWrite` (DESIGN.md "A transaction's road").
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RedoOp {
-    /// Committing transaction.
-    pub txid: TxId,
-    /// Model routing tag.
+pub struct LoggedWrite {
+    /// Model routing tag, e.g. `"doc/orders"`.
     pub domain: String,
     /// Encoded key.
     pub key: Vec<u8>,
-    /// New value; `None` is a delete.
+    /// Encoded new value; `None` is a delete.
     pub value: Option<Vec<u8>>,
+}
+
+/// One whole committed transaction, as [`BlockAssembler`] releases it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CommittedBlock {
+    /// The transaction id the block was logged under. Not unique across
+    /// restarts (the counter restarts at 1 on every open), so it names a
+    /// block only while that block is open.
+    pub txid: TxId,
+    /// LSN just past the block's `Commit` record — a safe resume point.
+    pub end_lsn: Lsn,
+    /// The block's writes, in log order.
+    pub writes: Vec<LoggedWrite>,
+}
+
+/// Turns a record stream back into committed transactions. This is the
+/// one statement of what "committed" means in the log, shared by
+/// recovery, the replica apply loop and the CDC feed:
+///
+/// A block is `Begin{t} Write{t}* Commit{t}`, and it is committed iff its
+/// own `Commit` follows its `Begin` with no other `Begin` between. Blocks
+/// are appended whole under the commit mutex, so a `Begin` while a block
+/// is open means that block is an orphan (a torn batch, a crash) whose
+/// `Commit` never made it; a later `Commit` carrying the same txid belongs
+/// to a later incarnation's block, not to the orphan. A legacy `Abort{t}`
+/// closes block `t` without releasing it; records naming any other
+/// transaction, and checkpoint markers, leave the open block alone.
+#[derive(Debug, Default)]
+pub struct BlockAssembler {
+    open: Option<(TxId, Vec<LoggedWrite>)>,
+}
+
+impl BlockAssembler {
+    /// Feed the next record and the LSN just past it; returns the
+    /// transaction that record committed, if it committed one.
+    pub fn push(&mut self, record: WalRecord, end_lsn: Lsn) -> Option<CommittedBlock> {
+        let open_txid = self.open.as_ref().map(|(txid, _)| *txid);
+        match record {
+            WalRecord::Begin { txid } => self.open = Some((txid, Vec::new())),
+            WalRecord::Write { txid, domain, key, value } if open_txid == Some(txid) => {
+                if let Some((_, writes)) = &mut self.open {
+                    writes.push(LoggedWrite { domain, key, value });
+                }
+            }
+            WalRecord::Commit { txid } if open_txid == Some(txid) => {
+                let (txid, writes) = self.open.take()?;
+                return Some(CommittedBlock { txid, end_lsn, writes });
+            }
+            WalRecord::Abort { txid } if open_txid == Some(txid) => self.open = None,
+            // Another transaction's record, or a checkpoint marker.
+            _ => {}
+        }
+        None
+    }
+
+    /// True between a `Begin` and the record that closes its block: the
+    /// stream position is mid-transaction and not a safe resume point.
+    pub fn is_open(&self) -> bool {
+        self.open.is_some()
+    }
 }
 
 /// Outcome of scanning a log for recovery.
 #[derive(Debug, Default)]
 pub struct Recovery {
-    /// Redo operations of committed transactions, in log order, starting
-    /// at the last checkpoint.
-    pub redo: Vec<RedoOp>,
-    /// Transactions that began but never committed (work to discard).
-    pub losers: Vec<TxId>,
+    /// Writes of committed transactions (see [`BlockAssembler`]), in log
+    /// order, starting at the last checkpoint.
+    pub redo: Vec<LoggedWrite>,
     /// Records dropped because the log ended mid-record (torn write).
     pub torn_tail: bool,
     /// *Physical* byte length of the valid log prefix (v2 header
@@ -679,12 +739,12 @@ pub struct Recovery {
 }
 
 /// Scan record bytes (no file header) whose first byte sits at logical
-/// LSN `base`, skipping committed writes of records that end at or below
-/// `min_lsn` — those are already captured by the snapshot the caller
-/// loaded. `valid_len` in the result counts only the bytes of `data`.
+/// LSN `base`, skipping committed blocks that end at or below `min_lsn` —
+/// those are already captured by the snapshot the caller loaded.
+/// `valid_len` in the result counts only the bytes of `data`.
 fn recover_scan(data: &[u8], base: Lsn, min_lsn: Lsn) -> Recovery {
-    // (record, logical end LSN) pairs of the intact prefix.
-    let mut records: Vec<(WalRecord, Lsn)> = Vec::new();
+    let mut blocks = BlockAssembler::default();
+    let mut redo = Vec::new();
     let mut torn = false;
     let mut valid_len = 0u64;
     let mut rest = data;
@@ -696,19 +756,24 @@ fn recover_scan(data: &[u8], base: Lsn, min_lsn: Lsn) -> Recovery {
             break;
         }
         let payload = &rest[8..8 + len];
-        if crc32(payload) != crc {
+        let intact = (crc32(payload) == crc).then(|| WalRecord::decode(payload).ok()).flatten();
+        let Some(record) = intact else {
             // Corrupt record: everything after it is untrustworthy.
             torn = true;
             break;
+        };
+        valid_len += 8 + len as u64;
+        // Replay starts at the last checkpoint marker.
+        if matches!(record, WalRecord::Checkpoint { .. }) {
+            redo.clear();
         }
-        match WalRecord::decode(payload) {
-            Ok(r) => {
-                valid_len += 8 + len as u64;
-                records.push((r, base + valid_len));
-            }
-            Err(_) => {
-                torn = true;
-                break;
+        // Skip blocks the snapshot already reflects: replay is not
+        // idempotent for every model (graph edges accumulate). Blocks are
+        // appended whole and a checkpoint quiesces commits, so a block
+        // never straddles the snapshot LSN.
+        if let Some(block) = blocks.push(record, base + valid_len) {
+            if block.end_lsn > min_lsn {
+                redo.extend(block.writes);
             }
         }
         rest = &rest[8 + len..];
@@ -716,57 +781,7 @@ fn recover_scan(data: &[u8], base: Lsn, min_lsn: Lsn) -> Recovery {
     if !rest.is_empty() && rest.len() < 8 {
         torn = true;
     }
-
-    // Start replay at the last checkpoint marker.
-    let start = records
-        .iter()
-        .rposition(|(r, _)| matches!(r, WalRecord::Checkpoint { .. }))
-        .map(|i| i + 1)
-        .unwrap_or(0);
-
-    let mut committed = std::collections::HashSet::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut aborted = std::collections::HashSet::new();
-    for (r, _) in &records[start..] {
-        match r {
-            WalRecord::Begin { txid } => {
-                seen.insert(*txid);
-            }
-            WalRecord::Commit { txid } => {
-                committed.insert(*txid);
-            }
-            WalRecord::Abort { txid } => {
-                aborted.insert(*txid);
-            }
-            _ => {}
-        }
-    }
-    let mut redo = Vec::new();
-    for (r, end) in &records[start..] {
-        if let WalRecord::Write { txid, domain, key, value } = r {
-            // Skip writes the snapshot already reflects: replay is not
-            // idempotent for every model (graph edges accumulate), so a
-            // record wholly below the snapshot LSN must not re-apply.
-            // Group commit appends each Begin..Commit block contiguously,
-            // so a block never straddles the snapshot LSN.
-            if *end <= min_lsn {
-                continue;
-            }
-            if committed.contains(txid) {
-                redo.push(RedoOp {
-                    txid: *txid,
-                    domain: domain.clone(),
-                    key: key.clone(),
-                    value: value.clone(),
-                });
-            }
-        }
-    }
-    let losers = seen
-        .into_iter()
-        .filter(|t| !committed.contains(t) && !aborted.contains(t))
-        .collect();
-    Recovery { redo, losers, torn_tail: torn, valid_len, base_lsn: base }
+    Recovery { redo, torn_tail: torn, valid_len, base_lsn: base }
 }
 
 /// Scan raw headerless log bytes and compute the redo set.
@@ -794,11 +809,6 @@ pub fn recover_from_file_after(path: impl AsRef<Path>, min_lsn: Lsn) -> Result<R
     let mut rec = recover_scan(body, base, min_lsn);
     rec.valid_len += header_len;
     Ok(rec)
-}
-
-/// Recover from a file-backed log (no snapshot).
-pub fn recover_from_file(path: impl AsRef<Path>) -> Result<Recovery> {
-    recover_from_file_after(path, 0)
 }
 
 #[cfg(test)]
@@ -846,15 +856,42 @@ mod tests {
         let wal = Wal::in_memory();
         wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
         wal.append(&w(1, "a", Some("1"))).unwrap();
+        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
         wal.append(&WalRecord::Begin { txid: 2 }).unwrap();
         wal.append(&w(2, "b", Some("2"))).unwrap();
-        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
         // txn 2 never commits.
         let rec = recover_from_bytes(&wal.snapshot_bytes());
         assert_eq!(rec.redo.len(), 1);
         assert_eq!(rec.redo[0].key, b"a");
-        assert_eq!(rec.losers, vec![2]);
         assert!(!rec.torn_tail);
+    }
+
+    #[test]
+    fn an_orphan_block_is_not_adopted_by_a_later_commit_of_the_same_txid() {
+        // A torn batch leaves `Begin{1} Write{1}` behind; the next
+        // incarnation restarts its txid counter and commits its own txid 1.
+        // That Commit closes the block its own Begin opened, not the orphan.
+        let wal = Wal::in_memory();
+        wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
+        wal.append(&w(1, "orphan", Some("x"))).unwrap();
+        wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
+        wal.append(&w(1, "real", Some("y"))).unwrap();
+        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
+        let rec = recover_from_bytes(&wal.snapshot_bytes());
+        let keys: Vec<&[u8]> = rec.redo.iter().map(|r| r.key.as_slice()).collect();
+        assert_eq!(keys, [b"real".as_slice()]);
+
+        // Record by record: what the replica loop and the CDC feed see.
+        let mut blocks = BlockAssembler::default();
+        let tailed = wal.read_records_from(0, usize::MAX).unwrap();
+        let released: Vec<CommittedBlock> =
+            tailed.into_iter().filter_map(|t| blocks.push(t.record, t.next_lsn)).collect();
+        assert!(!blocks.is_open(), "the Commit closed the block");
+        assert_eq!(released.len(), 1);
+        assert_eq!(released[0].end_lsn, wal.tail_lsn());
+        assert_eq!(released[0].writes, rec.redo);
+        // A Commit nobody opened a block for releases nothing.
+        assert_eq!(blocks.push(WalRecord::Commit { txid: 1 }, 0), None);
     }
 
     #[test]
@@ -865,7 +902,6 @@ mod tests {
         wal.append(&WalRecord::Abort { txid: 3 }).unwrap();
         let rec = recover_from_bytes(&wal.snapshot_bytes());
         assert!(rec.redo.is_empty());
-        assert!(rec.losers.is_empty());
     }
 
     #[test]
@@ -932,7 +968,7 @@ mod tests {
             wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
             wal.sync().unwrap();
         }
-        let rec = recover_from_file(&path).unwrap();
+        let rec = recover_from_file_after(&path, 0).unwrap();
         assert_eq!(rec.redo.len(), 1);
         assert_eq!(rec.redo[0].domain, "doc/orders");
         // Appending after reopen extends, not truncates.
@@ -944,14 +980,14 @@ mod tests {
             wal.append(&WalRecord::Commit { txid: 2 }).unwrap();
             wal.sync().unwrap();
         }
-        let rec = recover_from_file(&path).unwrap();
+        let rec = recover_from_file_after(&path, 0).unwrap();
         assert_eq!(rec.redo.len(), 2);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn recovery_of_missing_file_is_empty() {
-        let rec = recover_from_file("/nonexistent/path/to.wal").unwrap();
+        let rec = recover_from_file_after("/nonexistent/path/to.wal", 0).unwrap();
         assert!(rec.redo.is_empty());
         assert!(!rec.torn_tail);
     }
@@ -1185,7 +1221,7 @@ mod tests {
         // recovery scan reports the base.
         let tail2 = commit_one(&wal, 3, "more");
         assert!(tail2 > tail);
-        let rec = recover_from_file(&path).unwrap();
+        let rec = recover_from_file_after(&path, 0).unwrap();
         assert_eq!(rec.base_lsn, h);
         assert_eq!(rec.redo.len(), 2, "only records past the horizon remain");
         assert_eq!(rec.valid_len, wal.size_bytes());

@@ -18,6 +18,11 @@
 //! registered commit hooks so model stores can update their indexes.
 //! K concurrent commits cost one fsync instead of K; losers get the
 //! usual retryable conflict error.
+//!
+//! Logging and installing are one private step each
+//! ([`StoreInner::log`], [`StoreInner::install`]): the leader, a
+//! replicated apply and startup recovery all reach the WAL and the
+//! version map through them (DESIGN.md "A transaction's road").
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -25,7 +30,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use mmdb_storage::wal::{self, Lsn, Wal, WalRecord};
+use mmdb_storage::wal::{self, LoggedWrite, Lsn, Wal, WalRecord};
 use mmdb_types::codec::{value_from_bytes, value_to_bytes};
 use mmdb_types::{lock_rank, Error, Result, Value};
 
@@ -52,7 +57,10 @@ struct Version {
     value: Option<Value>,
 }
 
-/// One committed write, as passed to commit hooks.
+/// One write in its *decoded* shape: what a transaction stages, what the
+/// version store installs and what commit hooks are handed. Its encoded
+/// twin — in the WAL, the snapshot file and the replication stream — is
+/// [`LoggedWrite`] (DESIGN.md "A transaction's road").
 #[derive(Debug, Clone)]
 pub struct CommittedWrite {
     /// Model domain, e.g. `"doc/orders"`.
@@ -61,6 +69,35 @@ pub struct CommittedWrite {
     pub key: Vec<u8>,
     /// New value; `None` is a delete.
     pub value: Option<Value>,
+}
+
+impl CommittedWrite {
+    /// Decode a write read back from the log, a snapshot or the stream.
+    pub fn decode(w: &LoggedWrite) -> Result<CommittedWrite> {
+        let value = w.value.as_deref().map(value_from_bytes).transpose()?;
+        Ok(CommittedWrite { domain: w.domain.clone(), key: w.key.clone(), value })
+    }
+}
+
+/// Load order of a domain's writes when a whole state is applied at once:
+/// DDL first (tables before their rows), graph edges last (edges need
+/// their endpoint vertices). Deletes go in the reverse order.
+fn load_class(domain: &str) -> u8 {
+    if domain.starts_with("ddl/") {
+        0
+    } else if domain.contains("/e/") {
+        2
+    } else {
+        1
+    }
+}
+
+/// One validated transaction on its way into the store: the log step
+/// reads `txid`, the install step `commit_ts`, both the same writes.
+struct Commit<'a> {
+    txid: u64,
+    commit_ts: u64,
+    writes: &'a [CommittedWrite],
 }
 
 type CommitHook = Box<dyn Fn(&[CommittedWrite]) + Send + Sync>;
@@ -84,7 +121,7 @@ impl CommitSlot {
 struct CommitRequest {
     txid: u64,
     start_ts: u64,
-    writes: Vec<PendingWrite>,
+    writes: Vec<CommittedWrite>,
     slot: Arc<CommitSlot>,
 }
 
@@ -194,7 +231,7 @@ impl StoreInner {
 
     /// Enqueue one transaction's writes and wait for the sequencing
     /// leader (possibly this thread) to publish the outcome.
-    fn group_commit(&self, txid: u64, start_ts: u64, writes: Vec<PendingWrite>) -> Result<u64> {
+    fn group_commit(&self, txid: u64, start_ts: u64, writes: Vec<CommittedWrite>) -> Result<u64> {
         let slot = Arc::new(CommitSlot::default());
         let lead = {
             let mut q = self.group.lock();
@@ -298,29 +335,28 @@ impl StoreInner {
         {
             let policy = self.policy.read();
             let versions = self.versions.read();
-            let mut claimed: std::collections::HashSet<&TxnKey> = std::collections::HashSet::new();
+            let mut claimed: std::collections::HashSet<(&str, &[u8])> =
+                std::collections::HashSet::new();
             for (i, req) in batch.iter().enumerate() {
-                let conflict = req.writes.iter().find(|w| {
-                    policy.level(&w.key.0) == ConsistencyLevel::Strong
-                        && (claimed.contains(&w.key)
-                            || versions
-                                .get(&w.key)
-                                .and_then(|chain| chain.last())
-                                .is_some_and(|last| last.commit_ts > req.start_ts))
+                let strong = || {
+                    req.writes.iter().filter(|w| policy.level(&w.domain) == ConsistencyLevel::Strong)
+                };
+                let conflict = strong().find(|w| {
+                    claimed.contains(&(w.domain.as_str(), w.key.as_slice()))
+                        || versions
+                            .get(&(w.domain.clone(), w.key.clone()))
+                            .and_then(|chain| chain.last())
+                            .is_some_and(|last| last.commit_ts > req.start_ts)
                 });
                 match conflict {
                     Some(w) => {
                         results[i] = Some(Err(Error::TxnConflict(format!(
                             "write-write conflict on {}/{:?}",
-                            w.key.0, w.key.1
+                            w.domain, w.key
                         ))));
                     }
                     None => {
-                        for w in &req.writes {
-                            if policy.level(&w.key.0) == ConsistencyLevel::Strong {
-                                claimed.insert(&w.key);
-                            }
-                        }
+                        claimed.extend(strong().map(|w| (w.domain.as_str(), w.key.as_slice())));
                         winners.push(i);
                     }
                 }
@@ -335,57 +371,18 @@ impl StoreInner {
         }
 
         // Contiguous commit timestamps in batch order.
-        let commit_ts: Vec<u64> = winners
+        let commits: Vec<Commit> = winners
             .iter()
-            .map(|_| self.clock.fetch_add(1, Ordering::SeqCst) + 1)
+            .map(|&i| Commit {
+                txid: batch[i].txid,
+                commit_ts: self.clock.fetch_add(1, Ordering::SeqCst) + 1,
+                writes: &batch[i].writes,
+            })
             .collect();
-
-        // One contiguous WAL append for every winner's Begin..Commit
-        // block, then exactly one sync. A failed append aborts the whole
-        // batch cleanly (nothing ambiguous reached the log — the batch
-        // append is atomic on failure); anything that fails *after* the
-        // append leaves commit records of unknown durability in the log,
-        // which is exactly the fsyncgate condition: latch degraded.
-        let mut appended = false;
-        let wal_result: Result<Vec<Option<Lsn>>> = (|| {
-            let Some(wal) = &self.wal else {
-                return Ok(vec![None; winners.len()]);
-            };
-            let mut records = Vec::new();
-            let mut commit_record_at = Vec::with_capacity(winners.len());
-            for &i in &winners {
-                let req = &batch[i];
-                records.push(WalRecord::Begin { txid: req.txid });
-                for w in &req.writes {
-                    records.push(WalRecord::Write {
-                        txid: req.txid,
-                        domain: w.key.0.clone(),
-                        key: w.key.1.clone(),
-                        value: w.value.as_ref().map(|v| value_to_bytes(v).to_vec()),
-                    });
-                }
-                records.push(WalRecord::Commit { txid: req.txid });
-                commit_record_at.push(records.len() - 1);
-            }
-            let ends = wal.append_batch(&records)?;
-            appended = true;
-            // Failpoint `txn.group_commit.before_sync`: the batch is in
-            // the log but not yet durable — crash here and recovery
-            // replays it (the appended bytes are in the file); error
-            // here and durability is unknowable, so the store latches.
-            if let Some(msg) = mmdb_fault::eval_to_error("txn.group_commit.before_sync") {
-                return Err(Error::Storage(format!("group commit: {msg}")));
-            }
-            wal.sync()?;
-            Ok(commit_record_at.iter().map(|&at| Some(ends[at])).collect())
-        })();
-        let commit_lsns = match wal_result {
-            Ok(lsns) => lsns,
+        let commit_lsn = match self.log(&commits) {
+            Ok(lsn) => lsn,
             Err(e) => {
                 self.aborts.fetch_add(winners.len() as u64, Ordering::SeqCst);
-                if appended {
-                    self.latch_degraded(&e.to_string());
-                }
                 for &i in &winners {
                     results[i] = Some(Err(e.clone()));
                 }
@@ -398,56 +395,87 @@ impl StoreInner {
         mmdb_fault::fail_point!("txn.commit.after_wal");
         mmdb_fault::fail_point!("txn.group_commit.after_sync");
 
-        // Install every winner under one write lock, in commit-ts order.
-        let committed_sets: Vec<Vec<CommittedWrite>> = {
-            let mut versions = self.versions.write();
-            winners
-                .iter()
-                .zip(&commit_ts)
-                .map(|(&i, &ts)| {
-                    batch[i]
-                        .writes
-                        .iter()
-                        .map(|w| {
-                            versions
-                                .entry(w.key.clone())
-                                .or_default()
-                                .push(Version { commit_ts: ts, value: w.value.clone() });
-                            CommittedWrite {
-                                domain: w.key.0.clone(),
-                                key: w.key.1.clone(),
-                                value: w.value.clone(),
-                            }
-                        })
-                        .collect()
-                })
-                .collect()
-        };
-        // Only now that every version is in the map may new snapshots
-        // cover these timestamps (see `snapshot_ts`). A WAL failure
-        // above leaves a permanent gap between `snapshot_ts` and
-        // `clock` for the wasted allocations, which is harmless — the
-        // next successful batch jumps the watermark past it.
-        if let Some(&ts) = commit_ts.last() {
-            self.snapshot_ts.fetch_max(ts, Ordering::SeqCst);
-        }
         self.commits.fetch_add(winners.len() as u64, Ordering::SeqCst);
         self.fsyncs_saved.fetch_add(winners.len() as u64 - 1, Ordering::SeqCst);
-        for lsn in commit_lsns.iter().flatten() {
-            self.last_commit_lsn.fetch_max(*lsn, Ordering::SeqCst);
+        if let Some(lsn) = commit_lsn {
+            self.last_commit_lsn.fetch_max(lsn, Ordering::SeqCst);
         }
+        self.install(&commits);
+        for (&i, c) in winners.iter().zip(&commits) {
+            results[i] = Some(Ok(c.commit_ts));
+        }
+        seal_results(results)
+    }
+
+    /// The log step — the only way a transaction reaches the WAL. Frames
+    /// every commit as a `Begin..Commit` block, lands all of them with one
+    /// contiguous batch append and makes them durable with exactly one
+    /// sync. Returns the LSN just past the last `Commit` record (`None`
+    /// without a WAL).
+    ///
+    /// A failed append rejects every block cleanly (nothing ambiguous
+    /// reached the log — the batch append is atomic on failure); anything
+    /// that fails *after* the append leaves commit records of unknown
+    /// durability in the log, which is exactly the fsyncgate condition:
+    /// the store latches degraded.
+    fn log(&self, commits: &[Commit]) -> Result<Option<Lsn>> {
+        let Some(wal) = &self.wal else { return Ok(None) };
+        let mut records = Vec::new();
+        for c in commits {
+            records.push(WalRecord::Begin { txid: c.txid });
+            records.extend(c.writes.iter().map(|w| WalRecord::Write {
+                txid: c.txid,
+                domain: w.domain.clone(),
+                key: w.key.clone(),
+                value: w.value.as_ref().map(|v| value_to_bytes(v).to_vec()),
+            }));
+            records.push(WalRecord::Commit { txid: c.txid });
+        }
+        let ends = wal.append_batch(&records)?;
+        // Failpoint `txn.group_commit.before_sync`: the batch is in the
+        // log but not yet durable — crash here and recovery replays it
+        // (the appended bytes are in the file); error here and durability
+        // is unknowable, so the store latches.
+        let synced = match mmdb_fault::eval_to_error("txn.group_commit.before_sync") {
+            Some(msg) => Err(Error::Storage(format!("group commit: {msg}"))),
+            None => wal.sync(),
+        };
+        if let Err(e) = synced {
+            self.latch_degraded(&e.to_string());
+            return Err(e);
+        }
+        Ok(ends.last().copied())
+    }
+
+    /// The install step — the only way versions enter the store and the
+    /// only caller of commit hooks. Pushes every commit's versions under
+    /// one write lock, in commit-ts order; only then lets new snapshots
+    /// cover those timestamps (see `snapshot_ts` — a failed log step
+    /// leaves a permanent gap between `snapshot_ts` and `clock` for the
+    /// wasted allocations, which is harmless: the next install jumps the
+    /// watermark past it); then hands each hook each transaction's own
+    /// write slice.
+    fn install(&self, commits: &[Commit]) {
         {
-            let hooks = self.hooks.read();
-            for set in &committed_sets {
-                for h in hooks.iter() {
-                    h(set);
+            let mut versions = self.versions.write();
+            for c in commits {
+                for w in c.writes {
+                    versions
+                        .entry((w.domain.clone(), w.key.clone()))
+                        .or_default()
+                        .push(Version { commit_ts: c.commit_ts, value: w.value.clone() });
                 }
             }
         }
-        for (&i, &ts) in winners.iter().zip(&commit_ts) {
-            results[i] = Some(Ok(ts));
+        if let Some(last) = commits.last() {
+            self.snapshot_ts.fetch_max(last.commit_ts, Ordering::SeqCst);
         }
-        seal_results(results)
+        let hooks = self.hooks.read();
+        for c in commits {
+            for h in hooks.iter() {
+                h(c.writes);
+            }
+        }
     }
 }
 
@@ -652,40 +680,31 @@ impl MvccStore {
         f()
     }
 
-    /// The newest committed live value of every key, as `CommittedWrite`s
-    /// (deletes are absent — a snapshot has no tombstones). This is the
-    /// checkpoint extraction path: call inside [`MvccStore::quiesce_commits`]
-    /// so the result is consistent with [`Wal::tail_lsn`].
+    /// The newest committed live value of every key, encoded (deletes are
+    /// absent — a snapshot has no tombstones): what a checkpoint writes
+    /// to the snapshot file and what a stale replica is bootstrapped
+    /// from. Call inside [`MvccStore::quiesce_commits`] so the result is
+    /// consistent with [`Wal::tail_lsn`].
     ///
-    /// Ordering matters because snapshot load replays these through the
-    /// same apply path as recovery: DDL first (tables before their rows),
-    /// graph edges last (edges need their endpoint vertices installed),
-    /// and (domain, key) within each class for determinism.
-    pub fn latest_committed_writes(&self) -> Vec<CommittedWrite> {
+    /// Ordering matters because a snapshot is replayed through the same
+    /// apply path as recovery: [`load_class`] order, and (domain, key)
+    /// within each class for determinism.
+    pub fn latest_committed_writes(&self) -> Vec<LoggedWrite> {
         let versions = self.inner.versions.read();
-        let mut out: Vec<CommittedWrite> = Vec::new();
-        for ((domain, key), chain) in versions.iter() {
-            if let Some(v) = chain.last() {
-                if let Some(value) = &v.value {
-                    out.push(CommittedWrite {
-                        domain: domain.clone(),
-                        key: key.clone(),
-                        value: Some(value.clone()),
-                    });
-                }
-            }
-        }
-        let class = |domain: &str| -> u8 {
-            if domain.starts_with("ddl/") {
-                0
-            } else if domain.contains("/e/") {
-                2
-            } else {
-                1
-            }
-        };
+        let mut out: Vec<LoggedWrite> = versions
+            .iter()
+            .filter_map(|((domain, key), chain)| {
+                let live = chain.last()?.value.as_ref()?;
+                Some(LoggedWrite {
+                    domain: domain.clone(),
+                    key: key.clone(),
+                    value: Some(value_to_bytes(live).to_vec()),
+                })
+            })
+            .collect();
         out.sort_by(|a, b| {
-            (class(&a.domain), &a.domain, &a.key).cmp(&(class(&b.domain), &b.domain, &b.key))
+            (load_class(&a.domain), &a.domain, &a.key)
+                .cmp(&(load_class(&b.domain), &b.domain, &b.key))
         });
         out
     }
@@ -707,49 +726,27 @@ impl MvccStore {
         self.inner.last_commit_lsn.fetch_max(lsn, Ordering::SeqCst);
     }
 
-    /// Install one replicated transaction's writes — the replica-side
-    /// twin of [`MvccStore::recover`], applied incrementally as committed
-    /// transactions arrive off the primary's log stream. Bypasses conflict
-    /// validation (the primary already serialized the log), takes a fresh
-    /// local commit timestamp, re-logs to this store's own WAL when it has
-    /// one, and fires commit hooks so model stores apply the writes through
-    /// the same path recovery uses.
+    /// Install one replicated transaction's writes, as they arrive off
+    /// the primary's log stream. Bypasses conflict validation (the primary
+    /// already serialized the log) and the read-only latch, takes a fresh
+    /// local txid and commit timestamp, and then travels the same road as
+    /// a local commit: one log step (this store's own WAL, when it has
+    /// one, gets the block whole or not at all), one install step.
     pub fn apply_replicated(&self, writes: &[CommittedWrite]) -> Result<u64> {
         if writes.is_empty() {
             return Ok(self.now());
         }
-        let _guard = self.inner.commit_mutex.lock();
-        let txid = self.inner.next_txid.fetch_add(1, Ordering::SeqCst);
-        let commit_ts = self.inner.clock.fetch_add(1, Ordering::SeqCst) + 1;
-        if let Some(wal) = &self.inner.wal {
-            wal.append(&WalRecord::Begin { txid })?;
-            for w in writes {
-                wal.append(&WalRecord::Write {
-                    txid,
-                    domain: w.domain.clone(),
-                    key: w.key.clone(),
-                    value: w.value.as_ref().map(|v| value_to_bytes(v).to_vec()),
-                })?;
-            }
-            wal.append(&WalRecord::Commit { txid })?;
-            wal.sync()?;
-        }
-        {
-            let mut versions = self.inner.versions.write();
-            for w in writes {
-                versions
-                    .entry((w.domain.clone(), w.key.clone()))
-                    .or_default()
-                    .push(Version { commit_ts, value: w.value.clone() });
-            }
-        }
-        self.inner.snapshot_ts.fetch_max(commit_ts, Ordering::SeqCst);
-        self.inner.commits.fetch_add(1, Ordering::SeqCst);
-        let hooks = self.inner.hooks.read();
-        for h in hooks.iter() {
-            h(writes);
-        }
-        Ok(commit_ts)
+        let inner = &self.inner;
+        let _guard = inner.commit_mutex.lock();
+        let commit = Commit {
+            txid: inner.next_txid.fetch_add(1, Ordering::SeqCst),
+            commit_ts: inner.clock.fetch_add(1, Ordering::SeqCst) + 1,
+            writes,
+        };
+        inner.log(std::slice::from_ref(&commit))?;
+        inner.commits.fetch_add(1, Ordering::SeqCst);
+        inner.install(std::slice::from_ref(&commit));
+        Ok(commit.commit_ts)
     }
 
     /// Install a snapshot bootstrap as a full state *replace* — the
@@ -780,58 +777,27 @@ impl MvccStore {
                 }
             }
         }
-        // Deletes first, in reverse dependency order (edges before their
-        // vertices, DDL last — the mirror image of the snapshot's
-        // DDL-first/edges-last load order), then the snapshot upserts.
-        let class = |domain: &str| -> u8 {
-            if domain.starts_with("ddl/") {
-                2
-            } else if domain.contains("/e/") {
-                0
-            } else {
-                1
-            }
-        };
+        // Deletes first, in reverse load order (edges before their
+        // vertices, DDL last), then the snapshot upserts.
         doomed.sort_by(|a, b| {
-            (class(&a.domain), &a.domain, &a.key).cmp(&(class(&b.domain), &b.domain, &b.key))
+            (std::cmp::Reverse(load_class(&a.domain)), &a.domain, &a.key)
+                .cmp(&(std::cmp::Reverse(load_class(&b.domain)), &b.domain, &b.key))
         });
         let mut combined = doomed;
         combined.extend(writes.iter().cloned());
         self.apply_replicated(&combined)
     }
 
-    /// Apply WAL recovery output: reinstall the committed writes of the
-    /// log (used at startup). Fires commit hooks so model stores rebuild.
+    /// Apply WAL recovery output at startup: decode the redo set (snapshot
+    /// state first when the caller prepended it, then the log suffix) and
+    /// install it as one commit. Nothing is logged — it came from the log.
     pub fn recover(&self, recovery: &wal::Recovery) -> Result<usize> {
-        let mut by_txn: Vec<CommittedWrite> = Vec::new();
-        for op in &recovery.redo {
-            let value = op.value.as_deref().map(value_from_bytes).transpose()?;
-            by_txn.push(CommittedWrite { domain: op.domain.clone(), key: op.key.clone(), value });
-        }
-        let ts = self.inner.clock.fetch_add(1, Ordering::SeqCst) + 1;
-        {
-            let mut versions = self.inner.versions.write();
-            for w in &by_txn {
-                versions
-                    .entry((w.domain.clone(), w.key.clone()))
-                    .or_default()
-                    .push(Version { commit_ts: ts, value: w.value.clone() });
-            }
-        }
-        self.inner.snapshot_ts.fetch_max(ts, Ordering::SeqCst);
-        let hooks = self.inner.hooks.read();
-        for h in hooks.iter() {
-            h(&by_txn);
-        }
-        Ok(by_txn.len())
+        let writes =
+            recovery.redo.iter().map(CommittedWrite::decode).collect::<Result<Vec<_>>>()?;
+        let commit_ts = self.inner.clock.fetch_add(1, Ordering::SeqCst) + 1;
+        self.inner.install(&[Commit { txid: 0, commit_ts, writes: &writes }]);
+        Ok(writes.len())
     }
-}
-
-/// A buffered write.
-#[derive(Debug, Clone)]
-struct PendingWrite {
-    key: TxnKey,
-    value: Option<Value>,
 }
 
 /// An open transaction.
@@ -840,7 +806,7 @@ pub struct Transaction {
     txid: u64,
     start_ts: u64,
     isolation: IsolationLevel,
-    writes: Vec<PendingWrite>,
+    writes: Vec<CommittedWrite>,
     closed: bool,
 }
 
@@ -872,10 +838,10 @@ impl Transaction {
     /// not snapshot-stable).
     pub fn get(&self, domain: &str, key: &[u8]) -> Result<Option<Value>> {
         self.check_open()?;
-        let tkey: TxnKey = (domain.to_string(), key.to_vec());
-        if let Some(w) = self.writes.iter().rev().find(|w| w.key == tkey) {
+        if let Some(w) = self.writes.iter().rev().find(|w| w.domain == domain && w.key == key) {
             return Ok(w.value.clone());
         }
+        let tkey: TxnKey = (domain.to_string(), key.to_vec());
         if self.isolation == IsolationLevel::Serializable {
             self.store.locks.acquire(self.txid, tkey.clone(), LockMode::Shared)?;
         }
@@ -911,11 +877,12 @@ impl Transaction {
         if self.store.degraded.load(Ordering::SeqCst) {
             return Err(self.store.read_only_error());
         }
-        let tkey: TxnKey = (domain.to_string(), key.to_vec());
+        let write = CommittedWrite { domain: domain.to_string(), key: key.to_vec(), value };
         if self.isolation == IsolationLevel::Serializable {
-            self.store.locks.acquire(self.txid, tkey.clone(), LockMode::Exclusive)?;
+            let lock_key = (write.domain.clone(), write.key.clone());
+            self.store.locks.acquire(self.txid, lock_key, LockMode::Exclusive)?;
         }
-        self.writes.push(PendingWrite { key: tkey, value });
+        self.writes.push(write);
         Ok(())
     }
 

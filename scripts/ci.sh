@@ -25,6 +25,15 @@ echo "==> cargo test -q --workspace"
 # "Lock hierarchy"): a lock taken out of rank order panics (rank
 # witness), and so does a park, a lock held across an fsync or an fsync
 # on a server connection's reader thread (hot-thread witness).
+# This one pass is also where the suites that must hold in a *default*
+# build run, so none of them is repeated below: the pipelining suites
+# (tests/pipeline.rs, tests/wire_path.rs: out-of-order completion,
+# backpressure, legacy frames, the reader's inline path); mmdb-fault's
+# own tests (failpoints stay a no-op when the feature is off); the query
+# cancellation scaffolding, whose deadline checks ride the same feature
+# and must run as free no-ops; and the checkpoint/snapshot unit tests of
+# mmdb-core and mmdb-storage (the ckpt.* sites ride it too: a default
+# build must checkpoint with the failpoint scaffolding compiled out).
 cargo test -q --workspace
 
 echo "==> both witnesses compile out of release builds"
@@ -59,23 +68,11 @@ cargo test -q --features failpoints --test group_commit
 echo "==> checkpoint torture suite (--features failpoints)"
 cargo test -q --features failpoints --test checkpoint
 
-echo "==> pipelining suite (out-of-order completion, backpressure, legacy frames, the reader's inline path)"
-cargo test -q --test pipeline
-cargo test -q --test wire_path
-
-echo "==> failpoints stay a no-op when the feature is off"
-cargo test -q -p mmdb-fault
-# Deadline checks ride the same feature: a default build must run the
-# query cancellation scaffolding as free no-ops.
-cargo test -q -p mmdb-query cancel
-# The evaluator's allocation budget (tests/query_allocs.rs: referring to
-# a bound document must not copy it) ran in the debug pass above; this is
-# the optimized build, the one the benchmark of record measures.
+echo "==> the evaluator's allocation budget, optimized build"
+# tests/query_allocs.rs (referring to a bound document must not copy it)
+# ran in the debug pass above; this is the optimized build, the one the
+# benchmark of record measures.
 cargo test -q --release --test query_allocs
-# The ckpt.* sites ride it too: a default build must checkpoint with the
-# failpoint scaffolding compiled out.
-cargo test -q -p mmdb-core checkpoint
-cargo test -q -p mmdb-storage snapshot
 
 echo "==> cargo clippy --features failpoints (lints the torture suite)"
 cargo clippy -p mmdb --all-targets --features failpoints -- -D warnings

@@ -18,7 +18,9 @@
 //!      older than the session's own last commit LSN, even while the
 //!      replica is artificially lagged;
 //!   4. `SUBSCRIBE` delivers exactly the committed writes (aborted
-//!      transactions invisible) and resumes from a supplied LSN.
+//!      transactions invisible) and resumes from a supplied LSN;
+//!   5. a replicated apply whose log append fails leaves the replica's
+//!      own WAL and version store untouched, and its retry converges.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -343,6 +345,39 @@ fn replica_resumes_by_lsn_after_an_apply_failure() {
 
     runner.stop();
     server.shutdown().unwrap();
+}
+
+#[test]
+fn a_replicated_apply_reaches_the_replicas_own_log_whole_or_not_at_all() {
+    use mmdb::substrate::storage::wal::recover_from_bytes;
+    use mmdb::substrate::txn::CommittedWrite;
+
+    let _serial = lock();
+    let db = Database::in_memory_logged();
+    let wal = db.wal().unwrap();
+    let writes: Vec<CommittedWrite> = ["1", "2"]
+        .iter()
+        .map(|k| CommittedWrite {
+            domain: "kv/cart".into(),
+            key: k.as_bytes().to_vec(),
+            value: Some(Value::str("o1")),
+        })
+        .collect();
+
+    // Fail the block's second record: record-by-record logging would
+    // already have landed an orphan `Begin`.
+    let tail = wal.tail_lsn();
+    fault::set("wal.append", &format!("{}:error", fault::hits("wal.append") + 2)).unwrap();
+    assert!(db.mvcc().apply_replicated(&writes).is_err());
+    fault::clear_all();
+    assert_eq!(wal.tail_lsn(), tail, "a failed apply leaves nothing in the log");
+    assert_eq!(db.mvcc().get_latest("kv/cart", b"1"), None);
+    assert_eq!(db.mvcc().stats().0, 0);
+
+    // The stream replays the same block; this time it lands, once.
+    db.mvcc().apply_replicated(&writes).unwrap();
+    assert_eq!(db.kv().get("cart", "2").unwrap(), Some(Value::str("o1")));
+    assert_eq!(recover_from_bytes(&wal.snapshot_bytes()).redo.len(), 2);
 }
 
 #[test]
