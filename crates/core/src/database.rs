@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use mmdb_index::GinMode;
 use mmdb_kv::KvStore;
 use mmdb_query::World;
 use mmdb_relational::Schema;
@@ -205,11 +206,12 @@ impl Database {
     }
 
     /// The query-visible world of model stores: the read view MMQL runs
-    /// against, plus the handles secondary-index DDL needs
-    /// (`create_persistent_index`, `create_index`). Every document, row,
-    /// key, vertex, edge and triple in it arrived through the log and the
-    /// commit hook; write through a [`Session`] or the auto-commit calls,
-    /// never into these stores.
+    /// against. Every container, index, tree, document, row, key, vertex,
+    /// edge and triple in it arrived through the log and the commit hook;
+    /// define through the DDL methods and write through a [`Session`] or
+    /// the auto-commit calls, never into these stores. The one exception
+    /// is the spatial R-trees (`World::create_spatial_index`), a
+    /// process-local fixture outside the log.
     pub fn world(&self) -> &Arc<World> {
         &self.world
     }
@@ -236,78 +238,139 @@ impl Database {
     }
 
     // ---- DDL -------------------------------------------------------------
+    //
+    // Every container and index is a definition: one write to a `ddl/*`
+    // domain, committed through the log like any other, which the commit
+    // hook turns into the store or index (`session::apply_committed`). So
+    // the catalog survives a reopen and a checkpoint and reaches replicas.
+    // Each method first checks what the hook would fail on.
+
+    /// Commit one definition: `value` at `key` in `domain`. It is
+    /// `AlreadyExists` if `key`, or its `rival` (a definition it would
+    /// clash with), is already defined. The reads are serializable, so a
+    /// concurrent definer of either key makes one of the two retry and
+    /// see the other.
+    fn define(&self, domain: &str, key: &str, rival: Option<&str>, value: Value) -> Result<()> {
+        self.mvcc.run(IsolationLevel::Serializable, 3, |txn| {
+            for k in std::iter::once(key).chain(rival) {
+                if txn.get(domain, k.as_bytes())?.is_some() {
+                    let what = domain.trim_start_matches("ddl/");
+                    return Err(Error::AlreadyExists(format!("{what} '{k}'")));
+                }
+            }
+            txn.put(domain, key.as_bytes(), value.clone())
+        })
+    }
 
     /// Create a document collection.
     pub fn create_collection(&self, name: &str) -> Result<()> {
-        self.world.create_collection(name).map(|_| ())
+        self.define("ddl/collection", name, None, no_params())
     }
 
-    /// Create a relational table. The schema is committed through MVCC as
-    /// a `ddl/table` write, so it reaches the WAL and recovery can rebuild
-    /// the table before replaying its rows — reopening a database never
-    /// requires re-issuing `create_table`.
+    /// Create a relational table. The definition holds the schema, so
+    /// the table comes back, constraints included, before its rows do.
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<()> {
-        if self.world.catalog.table(name).is_ok() {
-            return Err(Error::AlreadyExists(format!("table '{name}'")));
-        }
-        let schema_value = schema.to_value();
-        self.mvcc.run(IsolationLevel::Snapshot, 3, |txn| {
-            // A concurrent creator may have won since the check above.
-            if txn.get("ddl/table", name.as_bytes())?.is_some() {
-                return Err(Error::AlreadyExists(format!("table '{name}'")));
-            }
-            // The commit hook creates the table (see apply_committed).
-            txn.put("ddl/table", name.as_bytes(), schema_value.clone())
-        })
+        self.define("ddl/table", name, None, schema.to_value())
     }
 
     /// Create a key/value bucket.
     pub fn create_bucket(&self, name: &str) -> Result<()> {
-        self.world.kv.create_bucket(name)
+        self.define("ddl/bucket", name, None, no_params())
     }
 
-    /// Create a property graph.
+    /// Create a property graph. Its name may not contain `/`, which
+    /// separates it from its collections' names in their domains.
     pub fn create_graph(&self, name: &str) -> Result<()> {
-        self.world.create_graph(name).map(|_| ())
+        if name.contains('/') {
+            return Err(Error::Schema(format!("graph name '{name}' contains '/'")));
+        }
+        self.define("ddl/graph", name, None, no_params())
     }
 
-    /// Create a vertex collection in a graph.
+    /// Create a vertex collection in a graph. No edge collection of the
+    /// graph may have its name.
     pub fn create_vertex_collection(&self, graph: &str, name: &str) -> Result<()> {
-        self.world.graph(graph)?.create_vertex_collection(name)
+        self.define_graph_collection(graph, ["v", "e"], name)
     }
 
-    /// Create an edge collection in a graph.
+    /// Create an edge collection in a graph. No vertex collection of the
+    /// graph may have its name.
     pub fn create_edge_collection(&self, graph: &str, name: &str) -> Result<()> {
-        self.world.graph(graph)?.create_edge_collection(name)
+        self.define_graph_collection(graph, ["e", "v"], name)
     }
 
-    /// Create a full-text index over a collection field.
+    /// Define `<graph>/<kind>/<name>` in an existing graph, unless
+    /// `<graph>/<rival>/<name>` is defined.
+    fn define_graph_collection(
+        &self,
+        graph: &str,
+        [kind, rival]: [&str; 2],
+        name: &str,
+    ) -> Result<()> {
+        self.world.graph(graph)?;
+        let key = |k: &str| format!("{graph}/{k}/{name}");
+        self.define("ddl/graph", &key(kind), Some(&key(rival)), no_params())
+    }
+
+    /// Create a secondary index on `path` of `source`, built from the
+    /// current data: a persistent (B+-tree) index when `source` is a
+    /// document collection, whose `path` must name one value (no `[*]`),
+    /// and a column index when it is a table, whose `path` is a column.
+    pub fn create_index(&self, source: &str, path: &str) -> Result<()> {
+        let kind = if self.world.collection(source).is_ok() {
+            if !mmdb_types::Path::parse(path)?.is_point() {
+                return Err(Error::Unsupported("wildcard paths cannot be indexed yet".into()));
+            }
+            "persistent"
+        } else if let Ok(table) = self.world.catalog.table(source) {
+            table.schema().column_index(path)?;
+            "column"
+        } else {
+            return Err(Error::NotFound(format!("'{source}' is not a collection or table")));
+        };
+        let def = Value::object([
+            ("kind", Value::str(kind)),
+            ("source", Value::str(source)),
+            ("path", Value::str(path)),
+        ]);
+        self.define("ddl/index", &format!("{kind}/{source}/{path}"), None, def)
+    }
+
+    /// Create a collection's GIN index (one per collection), built from
+    /// its current documents.
+    pub fn create_gin_index(&self, collection: &str, mode: GinMode) -> Result<()> {
+        self.world.collection(collection)?;
+        let def = Value::object([
+            ("kind", Value::str("gin")),
+            ("source", Value::str(collection)),
+            ("mode", Value::str(mode.name())),
+        ]);
+        self.define("ddl/index", &format!("gin/{collection}"), None, def)
+    }
+
+    /// Create a full-text index named `name` over a collection field,
+    /// built from the collection's current documents.
     pub fn create_fulltext_index(&self, name: &str, collection: &str, field: &str) -> Result<()> {
-        self.world.create_fulltext_index(name, collection, field)
+        self.world.collection(collection)?;
+        let def = Value::object([
+            ("kind", Value::str("fulltext")),
+            ("source", Value::str(collection)),
+            ("field", Value::str(field)),
+        ]);
+        self.define("ddl/index", &format!("fulltext/{name}"), None, def)
     }
 
-    /// Register an XML document (parsed) under a name.
+    /// Register an XML document under a name, for `XPATH`. The text is
+    /// parsed here, so a malformed one is refused before it is logged.
     pub fn register_xml(&self, name: &str, xml_text: &str) -> Result<()> {
-        let tree = mmdb_xml::parse_xml(xml_text)?;
-        self.world.register_xml(name, tree);
-        Ok(())
+        mmdb_xml::parse_xml(xml_text)?;
+        self.define("ddl/tree", name, None, Value::object([("xml", Value::str(xml_text))]))
     }
 
     /// Register a JSON document as a queryable tree under a name.
     pub fn register_json_tree(&self, name: &str, json_text: &str) -> Result<()> {
-        let v = mmdb_types::from_json(json_text)?;
-        self.world.register_xml(name, mmdb_xml::Tree::from_json(&v));
-        Ok(())
-    }
-
-    /// Create a named spatial (R-tree) index for `GEO_WITHIN`/`GEO_NEAREST`.
-    pub fn create_spatial_index(&self, name: &str) -> Result<()> {
-        self.world.create_spatial_index(name)
-    }
-
-    /// Insert a point with a payload into a spatial index.
-    pub fn spatial_insert(&self, index: &str, x: f64, y: f64, payload: Value) -> Result<()> {
-        self.world.spatial_insert(index, x, y, payload)
+        let json = mmdb_types::from_json(json_text)?;
+        self.define("ddl/tree", name, None, Value::object([("json", json)]))
     }
 
     /// The key/value store, as a read view (see [`Database::world`]).
@@ -525,6 +588,12 @@ impl Database {
     }
 }
 
+/// The value of a definition that is nothing but its name: a collection,
+/// a bucket, a graph, a vertex or edge collection.
+fn no_params() -> Value {
+    Value::Object(Default::default())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,10 +616,12 @@ mod tests {
         let db = Database::in_memory();
         db.create_collection("c").unwrap();
         db.insert_json("c", r#"{"_key":"k","v":1}"#).unwrap();
-        // The version store holds the document too (snapshot source).
+        // The version store holds the document too (snapshot source), and
+        // the collection's definition.
         assert!(db.mvcc().get_latest("doc/c", b"k").is_some());
+        assert!(db.mvcc().get_latest("ddl/collection", b"c").is_some());
         let (commits, _) = db.mvcc().stats();
-        assert_eq!(commits, 1);
+        assert_eq!(commits, 2);
     }
 
     #[test]
@@ -596,9 +667,8 @@ mod tests {
         }
         {
             let db = Database::open(&dir).unwrap();
-            // Model stores are rebuilt from the WAL alone: schemaless
-            // stores (collections, buckets) are recreated on demand and
-            // tables replay from their ddl/table records.
+            // Model stores are rebuilt from the WAL alone: every
+            // container comes back from its definition, then its data.
             assert_eq!(
                 db.get_document("orders", "o1").unwrap().unwrap().get_field("total"),
                 &Value::int(66)
@@ -719,7 +789,7 @@ mod tests {
         db.insert_json("p", r#"{"_key":"a","price":5}"#).unwrap();
         let before = db.explain("FOR x IN p FILTER x.price > 1 RETURN x").unwrap();
         assert!(before.contains("For x"));
-        db.world().collection("p").unwrap().create_persistent_index("price").unwrap();
+        db.create_index("p", "price").unwrap();
         let after = db.explain("FOR x IN p FILTER x.price > 1 RETURN x").unwrap();
         assert!(after.contains("IndexScan"), "{after}");
     }
@@ -735,7 +805,7 @@ mod tests {
         let before = db.explain_analyze(q).unwrap();
         assert!(before.contains("full scan"), "{before}");
         assert!(before.contains("rows returned: 2"), "{before}");
-        db.world().collection("p").unwrap().create_persistent_index("price").unwrap();
+        db.create_index("p", "price").unwrap();
         let after = db.explain_analyze(q).unwrap();
         assert!(after.contains("index 'price'"), "{after}");
         assert!(!after.contains("full scan"), "{after}");

@@ -11,10 +11,19 @@
 //! transaction": one atomic unit touching the relation, the cart, the
 //! order document and the graph.
 //!
-//! Domain encoding: `doc/<coll>`, `kv/<bucket>`, `rel/<table>`,
-//! `graph/<graph>/v/<coll>`, `graph/<graph>/e/<coll>`, `rdf`, and
-//! `ddl/table` for WAL-logged schema changes (key = table name, value =
-//! the schema as a `Value`; see [`mmdb_relational::Schema::to_value`]).
+//! Data domains: `doc/<coll>`, `kv/<bucket>`, `rel/<table>`,
+//! `graph/<graph>/v/<coll>`, `graph/<graph>/e/<coll>` and `rdf`. Every
+//! Session write needs its container to exist (`rdf` has none): a write
+//! to a missing one is `NotFound` before anything is staged.
+//!
+//! Definition domains, written by the `Database` DDL methods:
+//! `ddl/table` (key = name, value = the schema, see
+//! [`mmdb_relational::Schema::to_value`]), `ddl/collection` and
+//! `ddl/bucket` (key = name), `ddl/graph` (keys `<graph>`,
+//! `<graph>/v/<coll>` and `<graph>/e/<coll>`), `ddl/tree` (key = name,
+//! value `{xml: text}` or `{json: value}`) and `ddl/index` (key
+//! `<kind>/<source>/<path>`, `gin/<source>` or `fulltext/<name>`, value
+//! `{kind: persistent|column|gin|fulltext, source, path|mode|field}`).
 
 use std::sync::Arc;
 
@@ -84,10 +93,43 @@ impl Session {
         self.txn.write_count()
     }
 
+    // ---- containers --------------------------------------------------------
+
+    /// `doc/<collection>`, once the collection is found.
+    fn doc_domain(&self, collection: &str) -> Result<String> {
+        self.world.collection(collection)?;
+        Ok(format!("doc/{collection}"))
+    }
+
+    /// `kv/<bucket>`, once the bucket is found.
+    fn kv_domain(&self, bucket: &str) -> Result<String> {
+        if !self.world.kv.has_bucket(bucket) {
+            return Err(Error::NotFound(format!("bucket '{bucket}'")));
+        }
+        Ok(format!("kv/{bucket}"))
+    }
+
+    /// `graph/<graph>/<kind>/<collection>`, once the graph is found with a
+    /// vertex (`kind` `v`) or edge (`e`) collection of that name.
+    fn graph_domain(&self, graph: &str, kind: &str, collection: &str) -> Result<String> {
+        let g = self.world.graph(graph)?;
+        let (found, what) = match kind {
+            "v" => (g.vertex_collection_exists(collection), "vertex"),
+            _ => (g.edge_collection_exists(collection), "edge"),
+        };
+        if !found {
+            return Err(Error::NotFound(format!(
+                "{what} collection '{collection}' in graph '{graph}'"
+            )));
+        }
+        Ok(format!("graph/{graph}/{kind}/{collection}"))
+    }
+
     // ---- documents ---------------------------------------------------------
 
     /// Stage a document insert; returns the (possibly generated) `_key`.
     pub fn insert_document(&mut self, collection: &str, mut doc: Value) -> Result<String> {
+        let domain = self.doc_domain(collection)?;
         let obj = doc.as_object_mut()?;
         let key = match obj.get("_key") {
             Some(Value::String(k)) => k.clone(),
@@ -104,7 +146,6 @@ impl Session {
                 k
             }
         };
-        let domain = format!("doc/{collection}");
         if self.txn.get(&domain, key.as_bytes())?.is_some() {
             return Err(Error::AlreadyExists(format!("document '{key}' in '{collection}'")));
         }
@@ -114,7 +155,7 @@ impl Session {
 
     /// Stage a wholesale document update.
     pub fn update_document(&mut self, collection: &str, key: &str, mut doc: Value) -> Result<()> {
-        let domain = format!("doc/{collection}");
+        let domain = self.doc_domain(collection)?;
         if self.txn.get(&domain, key.as_bytes())?.is_none() {
             return Err(Error::NotFound(format!("document '{key}' in '{collection}'")));
         }
@@ -124,7 +165,8 @@ impl Session {
 
     /// Stage a document removal.
     pub fn remove_document(&mut self, collection: &str, key: &str) -> Result<()> {
-        self.txn.delete(&format!("doc/{collection}"), key.as_bytes())
+        let domain = self.doc_domain(collection)?;
+        self.txn.delete(&domain, key.as_bytes())
     }
 
     /// Snapshot read of a document (sees own staged writes).
@@ -136,12 +178,14 @@ impl Session {
 
     /// Stage a key/value put.
     pub fn kv_put(&mut self, bucket: &str, key: &str, value: Value) -> Result<()> {
-        self.txn.put(&format!("kv/{bucket}"), key.as_bytes(), value)
+        let domain = self.kv_domain(bucket)?;
+        self.txn.put(&domain, key.as_bytes(), value)
     }
 
     /// Stage a key/value delete.
     pub fn kv_delete(&mut self, bucket: &str, key: &str) -> Result<()> {
-        self.txn.delete(&format!("kv/{bucket}"), key.as_bytes())
+        let domain = self.kv_domain(bucket)?;
+        self.txn.delete(&domain, key.as_bytes())
     }
 
     /// Snapshot read of a key.
@@ -186,6 +230,7 @@ impl Session {
 
     /// Stage a relational delete by primary key.
     pub fn delete_row(&mut self, table: &str, pk: &Value) -> Result<()> {
+        self.world.catalog.table(table)?;
         self.txn.delete(&format!("rel/{table}"), &key_of(pk))
     }
 
@@ -198,6 +243,7 @@ impl Session {
 
     /// Stage a vertex insert; returns the vertex handle.
     pub fn add_vertex(&mut self, graph: &str, collection: &str, mut doc: Value) -> Result<String> {
+        let domain = self.graph_domain(graph, "v", collection)?;
         let obj = doc.as_object_mut()?;
         let key = match obj.get("_key") {
             Some(Value::String(k)) => k.clone(),
@@ -208,15 +254,15 @@ impl Session {
                 k
             }
         };
-        self.txn
-            .put(&format!("graph/{graph}/v/{collection}"), key.as_bytes(), doc)?;
+        self.txn.put(&domain, key.as_bytes(), doc)?;
         Ok(format!("{collection}/{key}"))
     }
 
-    /// Stage an edge insert; returns the edge key. Both endpoints must be
-    /// vertices this transaction staged or that are committed (the newest
-    /// version, not the snapshot: the graph the commit hook will add the
-    /// edge to); otherwise it is `NotFound` and nothing is staged.
+    /// Stage an edge insert; returns the edge key. The edge collection
+    /// must exist, and both endpoints must be vertices this transaction
+    /// staged or that are committed (the newest version, not the
+    /// snapshot: the graph the commit hook will add the edge to);
+    /// otherwise it is `NotFound` and nothing is staged.
     pub fn add_edge(
         &mut self,
         graph: &str,
@@ -225,6 +271,7 @@ impl Session {
         to: &str,
         mut properties: Value,
     ) -> Result<String> {
+        let domain = self.graph_domain(graph, "e", collection)?;
         for endpoint in [from, to] {
             let (coll, key) = split_handle(endpoint)?;
             if !self.txn.exists_latest(&format!("graph/{graph}/v/{coll}"), key.as_bytes())? {
@@ -242,8 +289,7 @@ impl Session {
             }
         }
         let key = properties.get_field("_key").as_str()?.to_string();
-        self.txn
-            .put(&format!("graph/{graph}/e/{collection}"), key.as_bytes(), properties)?;
+        self.txn.put(&domain, key.as_bytes(), properties)?;
         Ok(key)
     }
 
@@ -275,46 +321,22 @@ impl Session {
     }
 }
 
-/// Apply a committed write set to the model stores. Called from the MVCC
-/// commit hook and from WAL recovery; creates missing schemaless stores
-/// (collections, buckets, graphs) on demand. Relational tables carry
-/// their schema in WAL-logged `ddl/table` writes (see
-/// `Database::create_table`), which recovery installs ahead of the rows
-/// they govern (`MvccStore::recover` sorts DDL first) — recovery needs
-/// no help from the application.
+/// Apply a committed write set to the model stores: the MVCC commit hook,
+/// for a live commit, a replicated transaction, a snapshot load and WAL
+/// replay alike. Its `ddl` arm ([`apply_definition`]) is the only code
+/// that creates a container or an index. The data arms find their
+/// container or fail: a Session never stages a write to a missing one,
+/// and replay and snapshot load install every definition (load class 0)
+/// ahead of the data, and index definitions (class 3) after it.
 pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
     for w in writes {
         let mut parts = w.domain.splitn(2, '/');
         let model = parts.next().unwrap_or_default();
         let rest = parts.next().unwrap_or_default();
         match model {
-            "ddl" => {
-                if rest != "table" {
-                    return Err(Error::Internal(format!("unknown ddl domain '{rest}'")));
-                }
-                let name = std::str::from_utf8(&w.key)
-                    .map_err(|_| Error::Internal("non-utf8 table name".into()))?;
-                match &w.value {
-                    Some(schema_value) => {
-                        // Idempotent: live commits race nobody (the hook
-                        // runs post-validation), but recovery may replay a
-                        // create the application already issued.
-                        if world.catalog.table(name).is_err() {
-                            world
-                                .catalog
-                                .create_table(name, Schema::from_value(schema_value)?)?;
-                        }
-                    }
-                    None => {
-                        let _ = world.catalog.drop_table(name);
-                    }
-                }
-            }
+            "ddl" => apply_definition(world, rest, &w.key, w.value.as_ref())?,
             "doc" => {
-                let coll = match world.collection(rest) {
-                    Ok(c) => c,
-                    Err(_) => world.create_collection(rest)?,
-                };
+                let coll = world.collection(rest)?;
                 let key = std::str::from_utf8(&w.key)
                     .map_err(|_| Error::Internal("non-utf8 doc key".into()))?;
                 match &w.value {
@@ -332,9 +354,6 @@ pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
                 }
             }
             "kv" => {
-                if !world.kv.has_bucket(rest) {
-                    world.kv.create_bucket(rest)?;
-                }
                 let key = std::str::from_utf8(&w.key)
                     .map_err(|_| Error::Internal("non-utf8 kv key".into()))?;
                 match &w.value {
@@ -373,22 +392,11 @@ pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
                 let gname = seg.next().unwrap_or_default();
                 let kind = seg.next().unwrap_or_default();
                 let coll = seg.next().unwrap_or_default();
-                let graph = match world.graph(gname) {
-                    Ok(g) => g,
-                    Err(_) => world.create_graph(gname)?,
-                };
+                let graph = world.graph(gname)?;
                 match kind {
                     "v" => {
                         let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
-                        // An index probe; it fails only for a collection
-                        // the graph does not have yet.
-                        let exists = match graph.has_vertex(&handle) {
-                            Ok(exists) => exists,
-                            Err(_) => {
-                                graph.create_vertex_collection(coll)?;
-                                false
-                            }
-                        };
+                        let exists = graph.has_vertex(&handle)?;
                         match &w.value {
                             Some(doc) => {
                                 if exists {
@@ -405,22 +413,17 @@ pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
                             }
                         }
                     }
-                    "e" => {
-                        if !graph.edge_collection_exists(coll) {
-                            graph.create_edge_collection(coll)?;
+                    "e" => match &w.value {
+                        Some(doc) => {
+                            let from = doc.get_field("_from").as_str()?.to_string();
+                            let to = doc.get_field("_to").as_str()?.to_string();
+                            graph.add_edge(coll, &from, &to, doc.clone())?;
                         }
-                        match &w.value {
-                            Some(doc) => {
-                                let from = doc.get_field("_from").as_str()?.to_string();
-                                let to = doc.get_field("_to").as_str()?.to_string();
-                                graph.add_edge(coll, &from, &to, doc.clone())?;
-                            }
-                            None => {
-                                let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
-                                graph.remove_edge(&handle)?;
-                            }
+                        None => {
+                            let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
+                            graph.remove_edge(&handle)?;
                         }
-                    }
+                    },
                     other => {
                         return Err(Error::Internal(format!("bad graph domain kind '{other}'")))
                     }
@@ -465,6 +468,61 @@ pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
     Ok(())
 }
 
+/// The hook's `ddl` arm: a definition's put creates its container, index
+/// or tree, and a `ddl/table` delete drops the table (no other definition
+/// is ever deleted). A definition already in place is applied: a stale
+/// replica's snapshot replace hands over every definition it holds.
+fn apply_definition(world: &World, kind: &str, key: &[u8], def: Option<&Value>) -> Result<()> {
+    let name = std::str::from_utf8(key)
+        .map_err(|_| Error::Internal(format!("non-utf8 {kind} definition")))?;
+    let Some(def) = def else {
+        return match kind {
+            "table" => world.catalog.drop_table(name).or(Ok(())),
+            _ => Err(Error::Unsupported(format!("dropping {kind} '{name}'"))),
+        };
+    };
+    let created = match kind {
+        "table" => world.catalog.create_table(name, Schema::from_value(def)?).map(drop),
+        "collection" => world.create_collection(name).map(drop),
+        "bucket" => world.kv.create_bucket(name),
+        "graph" => match name.splitn(3, '/').collect::<Vec<_>>()[..] {
+            [graph] => world.create_graph(graph).map(drop),
+            [graph, "v", coll] => world.graph(graph)?.create_vertex_collection(coll),
+            [graph, "e", coll] => world.graph(graph)?.create_edge_collection(coll),
+            _ => return Err(Error::Internal(format!("bad graph definition '{name}'"))),
+        },
+        "tree" => {
+            let tree = match (def.get_field("xml"), def.get_field("json")) {
+                (Value::String(xml), _) => mmdb_xml::parse_xml(xml)?,
+                (_, json) => mmdb_xml::Tree::from_json(json),
+            };
+            world.register_xml(name, tree);
+            Ok(())
+        }
+        "index" => {
+            let source = def.get_field("source").as_str()?;
+            let arg = |field: &str| def.get_field(field).as_str();
+            match def.get_field("kind").as_str()? {
+                "persistent" => world.collection(source)?.create_persistent_index(arg("path")?),
+                "column" => world.catalog.table(source)?.create_index(arg("path")?),
+                "gin" => world
+                    .collection(source)?
+                    .create_gin_index(mmdb_index::GinMode::from_name(arg("mode")?)?),
+                "fulltext" => {
+                    let index = name.strip_prefix("fulltext/").unwrap_or(name);
+                    world.create_fulltext_index(index, source, arg("field")?)
+                }
+                other => return Err(Error::Internal(format!("unknown index kind '{other}'"))),
+            }
+        }
+        other => return Err(Error::Internal(format!("unknown ddl domain '{other}'"))),
+    };
+    match created {
+        Err(Error::AlreadyExists(_)) => Ok(()),
+        created => created,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,7 +531,7 @@ mod tests {
     use mmdb_txn::IsolationLevel;
 
     fn db_with_stores() -> Database {
-        let db = Database::in_memory();
+        let db = Database::in_memory_logged();
         db.create_collection("orders").unwrap();
         db.create_bucket("cart").unwrap();
         db.create_table(
@@ -580,7 +638,7 @@ mod tests {
     #[test]
     fn updates_and_deletes_flow_to_stores_and_indexes() {
         let db = db_with_stores();
-        db.world().collection("orders").unwrap().create_persistent_index("total").unwrap();
+        db.create_index("orders", "total").unwrap();
         db.insert_json("orders", r#"{"_key":"o1","total":10}"#).unwrap();
         db.transact(IsolationLevel::Snapshot, 3, |s| {
             s.update_document("orders", "o1", mmdb_types::from_json(r#"{"total":99}"#).unwrap())
@@ -658,8 +716,8 @@ mod tests {
         use mmdb_relational::Predicate;
 
         let db = db_with_stores();
+        db.create_index("customers", "credit_limit").unwrap();
         let customers = db.world().catalog.table("customers").unwrap();
-        customers.create_index("credit_limit").unwrap();
         for (id, name, limit) in [(1, "Mary", 5000), (2, "John", 3000), (3, "Anne", 5000)] {
             let row = format!(r#"{{"id":{id},"name":"{name}","credit_limit":{limit}}}"#);
             db.insert_row("customers", &mmdb_types::from_json(&row).unwrap()).unwrap();
@@ -715,6 +773,91 @@ mod tests {
         db.kv_put("cart", "1", Value::str("o1")).unwrap();
         let got = db.query(r#"FOR v IN 1..1 OUTBOUND "persons/1" knows RETURN v._key"#).unwrap();
         assert_eq!(got, vec![Value::str("2"), Value::str("3")]);
+    }
+
+    #[test]
+    fn a_write_to_a_missing_container_is_refused_before_it_is_staged() {
+        let db = db_with_stores();
+        db.transact(IsolationLevel::Snapshot, 3, |s| {
+            s.add_vertex("social", "persons", mmdb_types::from_json(r#"{"_key":"1"}"#).unwrap())
+        })
+        .unwrap();
+        let doc = || mmdb_types::from_json(r#"{"_key":"k"}"#).unwrap();
+        let row = || mmdb_types::from_json(r#"{"id":1,"name":"Mary","credit_limit":1}"#).unwrap();
+        let edge = || Value::Object(Default::default());
+        let mut s = db.begin(IsolationLevel::Snapshot);
+        let refused: Vec<(&str, Result<()>)> = vec![
+            ("insert_document", s.insert_document("nowhere", doc()).map(drop)),
+            ("update_document", s.update_document("nowhere", "k", doc())),
+            ("remove_document", s.remove_document("nowhere", "k")),
+            ("kv_put", s.kv_put("nowhere", "k", Value::int(1))),
+            ("kv_delete", s.kv_delete("nowhere", "k")),
+            ("insert_row", s.insert_row("nowhere", row())),
+            ("update_row", s.update_row("nowhere", row())),
+            ("delete_row", s.delete_row("nowhere", &Value::int(1))),
+            ("add_vertex, no graph", s.add_vertex("nowhere", "persons", doc()).map(drop)),
+            ("add_vertex, no collection", s.add_vertex("social", "nowhere", doc()).map(drop)),
+            ("add_vertex, edge collection", s.add_vertex("social", "knows", doc()).map(drop)),
+            (
+                "add_edge, no graph",
+                s.add_edge("nowhere", "knows", "persons/1", "persons/1", edge()).map(drop),
+            ),
+            (
+                "add_edge, no collection",
+                s.add_edge("social", "nowhere", "persons/1", "persons/1", edge()).map(drop),
+            ),
+            (
+                "add_edge, vertex collection",
+                s.add_edge("social", "persons", "persons/1", "persons/1", edge()).map(drop),
+            ),
+        ];
+        for (write, outcome) in refused {
+            let err = outcome.expect_err(write);
+            assert_eq!(err.kind(), "not_found", "{write}: {err}");
+        }
+        assert_eq!(s.write_count(), 0, "nothing staged");
+        s.commit().unwrap();
+        assert!(!db.is_degraded(), "{:?}", db.degraded_reason());
+    }
+
+    #[test]
+    fn an_invalid_definition_is_refused_before_anything_commits() {
+        let db = db_with_stores();
+        let tail = || db.wal().unwrap().tail_lsn();
+        let before = tail();
+        let gin = mmdb_index::GinMode::JsonbOps;
+        let refused: Vec<(&str, &str, Result<()>)> = vec![
+            ("index on a missing collection", "not_found", db.create_index("nowhere", "total")),
+            ("[*] persistent path", "unsupported", db.create_index("orders", "lines[*].price")),
+            ("index on a missing column", "not_found", db.create_index("customers", "nowhere")),
+            ("gin on a missing collection", "not_found", db.create_gin_index("nowhere", gin)),
+            ("fulltext, missing collection", "not_found", db.create_fulltext_index("t", "no", "f")),
+            (
+                "vertex collection named like an edge collection",
+                "already_exists",
+                db.create_vertex_collection("social", "knows"),
+            ),
+            (
+                "edge collection named like a vertex collection",
+                "already_exists",
+                db.create_edge_collection("social", "persons"),
+            ),
+            (
+                "vertex collection in a missing graph",
+                "not_found",
+                db.create_vertex_collection("nowhere", "persons"),
+            ),
+            ("graph name with '/'", "schema", db.create_graph("a/v/b")),
+            ("a second collection of one name", "already_exists", db.create_collection("orders")),
+            ("malformed XML", "parse", db.register_xml("bad", "<a><b></a>")),
+        ];
+        for (definition, kind, outcome) in refused {
+            let err = outcome.expect_err(definition);
+            assert_eq!(err.kind(), kind, "{definition}: {err}");
+        }
+        assert_eq!(tail(), before, "nothing reached the log");
+        assert!(!db.is_degraded(), "{:?}", db.degraded_reason());
+        assert!(db.world().xml_doc("bad").is_err());
     }
 
     #[test]

@@ -290,6 +290,11 @@ impl Graph {
         Ok(far.into_iter().map(str::to_string).collect())
     }
 
+    /// Whether a vertex collection with this name exists.
+    pub fn vertex_collection_exists(&self, name: &str) -> bool {
+        self.vertices.read().contains_key(name)
+    }
+
     /// Whether an edge collection with this name exists.
     pub fn edge_collection_exists(&self, name: &str) -> bool {
         self.edges.read().contains_key(name)

@@ -33,6 +33,25 @@ pub enum GinMode {
     JsonbPathOps,
 }
 
+impl GinMode {
+    /// PostgreSQL's name for the operator class.
+    pub fn name(self) -> &'static str {
+        match self {
+            GinMode::JsonbOps => "jsonb_ops",
+            GinMode::JsonbPathOps => "jsonb_path_ops",
+        }
+    }
+
+    /// The operator class [`GinMode::name`] names.
+    pub fn from_name(name: &str) -> Result<GinMode> {
+        match name {
+            "jsonb_ops" => Ok(GinMode::JsonbOps),
+            "jsonb_path_ops" => Ok(GinMode::JsonbPathOps),
+            other => Err(Error::Schema(format!("unknown gin operator class '{other}'"))),
+        }
+    }
+}
+
 /// An index entry key.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 enum Item {

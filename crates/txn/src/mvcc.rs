@@ -28,7 +28,7 @@
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -82,10 +82,14 @@ impl CommittedWrite {
 }
 
 /// Load order of a domain's writes when a whole state is applied at once:
-/// DDL first (tables before their rows), graph edges last (edges need
-/// their endpoint vertices). Deletes go in the reverse order.
+/// container definitions first (a table before its rows), then data,
+/// then graph edges (edges need their endpoint vertices), then index
+/// definitions (each built once, from the loaded view). Deletes go in
+/// the reverse order.
 fn load_class(domain: &str) -> u8 {
-    if domain.starts_with("ddl/") {
+    if domain == "ddl/index" {
+        3
+    } else if domain.starts_with("ddl/") {
         0
     } else if domain.contains("/e/") {
         2
@@ -783,8 +787,9 @@ impl MvccStore {
                 }
             }
         }
-        // Deletes first, in reverse load order (edges before their
-        // vertices, DDL last), then the snapshot upserts.
+        // Deletes first, in reverse load order (index definitions, edges
+        // before their vertices, container definitions last), then the
+        // snapshot upserts.
         doomed.sort_by(|a, b| {
             (std::cmp::Reverse(load_class(&a.domain)), &a.domain, &a.key)
                 .cmp(&(std::cmp::Reverse(load_class(&b.domain)), &b.domain, &b.key))
@@ -802,13 +807,11 @@ impl MvccStore {
     ///   position of its **first**, so keys reach the model stores in the
     ///   order they first appeared;
     /// - a key whose last write is a delete is dropped: the store starts
-    ///   empty, so the tombstone has nothing to remove — except that a
-    ///   domain none of whose keys survive keeps one tombstone, so the
-    ///   commit hook still sees the domain and recreates its container
-    ///   (collections, buckets and graphs are not logged; deleting an
-    ///   absent key is a no-op);
-    /// - the survivors are stable-sorted by load class (DDL, then rows,
-    ///   documents, keys and vertices, then edges).
+    ///   empty, so the tombstone has nothing to remove. A container whose
+    ///   every key was deleted still comes back, from its definition;
+    /// - the survivors are stable-sorted by load class (container
+    ///   definitions, then rows, documents, keys and vertices, then edges,
+    ///   then index definitions).
     ///
     /// They are then decoded and installed as one commit, so each commit
     /// hook sees every live key once — the same keys a checkpoint
@@ -836,19 +839,13 @@ impl MvccStore {
                 }
             }
         }
-        let live: HashSet<&str> =
-            folded.iter().filter(|w| w.value.is_some()).map(|w| w.domain.as_str()).collect();
-        let mut emptied = HashSet::new();
-        folded.retain(|w| {
-            w.value.is_some()
-                || (!live.contains(w.domain.as_str()) && emptied.insert(w.domain.as_str()))
-        });
+        folded.retain(|w| w.value.is_some());
         folded.sort_by_cached_key(|w| load_class(&w.domain));
         let writes = folded.into_iter().map(CommittedWrite::decode).collect::<Result<Vec<_>>>()?;
         self.inner.versions.write().reserve(writes.len());
         let commit_ts = self.inner.clock.fetch_add(1, Ordering::SeqCst) + 1;
         self.inner.install(&[Commit { txid: 0, commit_ts, writes: &writes }]);
-        Ok(writes.len() - emptied.len())
+        Ok(writes.len())
     }
 }
 
@@ -1415,7 +1412,7 @@ mod tests {
     }
 
     #[test]
-    fn a_domain_whose_every_key_was_deleted_keeps_one_tombstone() {
+    fn recover_installs_no_tombstone_not_even_for_an_emptied_domain() {
         let wal = Arc::new(Wal::in_memory());
         let s = MvccStore::new(Some(Arc::clone(&wal)));
         let mut t = s.begin(IsolationLevel::Snapshot);
@@ -1441,12 +1438,8 @@ mod tests {
         assert_eq!(s2.recover(&recovery).unwrap(), 1, "one live key");
         assert_eq!(
             *replayed.lock(),
-            vec![
-                ("kv/emptied".to_string(), b"a".to_vec(), false),
-                ("kv/cart".to_string(), b"c1".to_vec(), true),
-            ],
-            "the emptied domain reaches the hook through one tombstone; \
-             a tombstone in a domain with live keys folds away"
+            vec![("kv/cart".to_string(), b"c1".to_vec(), true)],
+            "every tombstone folds away, the emptied domain's too"
         );
         assert_eq!(s2.get_latest("kv/emptied", b"a"), None);
         assert_eq!(s2.get_latest("kv/cart", b"c2"), None);

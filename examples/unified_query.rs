@@ -56,7 +56,7 @@ fn main() -> Result<()> {
     println!("   SELECT … ⇒ {sql:?}");
 
     println!("\n— EXPLAIN shows plan and index choice —");
-    db.world().collection("orders")?.create_persistent_index("total")?;
+    db.create_index("orders", "total")?;
     println!("{}", indent(&db.explain("FOR o IN orders FILTER o.total > 50 RETURN o")?));
 
     Ok(())

@@ -55,10 +55,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> crash-recovery torture suite (--features failpoints)"
 cargo test -q --features failpoints --test crash_recovery
 
-echo "==> folded replay = live = snapshot (--features failpoints)"
-# The fold in MvccStore::recover must stay clean with the failpoint
-# scaffolding compiled in, as every torture suite's reopen relies on it.
-cargo test -q --features failpoints --test durability folded_replay_matches_live_and_snapshot_state
+echo "==> durability suite (--features failpoints)"
+# The fold in MvccStore::recover and the logged catalog (live = log
+# reopen = checkpoint reopen = replica) must stay clean with the failpoint
+# scaffolding compiled in, as every torture suite's reopen relies on them.
+cargo test -q --features failpoints --test durability
 
 echo "==> request-lifecycle torture suite (--features failpoints)"
 cargo test -q --features failpoints --test lifecycle_torture

@@ -13,8 +13,9 @@
 //!   2. the transaction in flight at the crash either vanishes entirely
 //!      (crash before the durability point) or lands atomically across
 //!      all models (crash at/after it) — never partially;
-//!   3. relational DDL comes back from the WAL alone: nobody re-issues
-//!      `create_table` before querying.
+//!   3. the catalog comes back from the WAL alone: nobody re-issues
+//!      `create_table` before querying, and every index — one per model
+//!      — is back, so the probes' `EXPLAIN` texts are the oracle's.
 //!
 //! Site coverage is enforced from the registry itself: the doomed-op
 //! table panics on any site it does not know, so registering a new
@@ -97,6 +98,14 @@ fn seed(db: &Database) {
     db.create_graph("social").unwrap();
     db.create_vertex_collection("social", "persons").unwrap();
     db.create_edge_collection("social", "knows").unwrap();
+    // The doomed transaction's stores.
+    db.create_collection("doomed").unwrap();
+    db.create_bucket("scratch").unwrap();
+    // One index per model, defined before the data it covers: replay
+    // installs each after that data.
+    db.create_index("orders", "orderlines[0].price").unwrap();
+    db.create_index("customers", "credit_limit").unwrap();
+    db.create_fulltext_index("order_text", "orders", "orderlines").unwrap();
     // One committed cross-model transaction per customer, so recovery
     // replays genuinely mixed write sets.
     for (id, name, limit) in [(1, "Mary", 5000), (2, "John", 3000), (3, "Anne", 2000)] {
@@ -165,6 +174,13 @@ fn seed(db: &Database) {
     t.commit().unwrap();
 }
 
+/// A query served by each of `seed`'s indexes.
+const INDEXED: [&str; 3] = [
+    "FOR o IN orders FILTER o.orderlines[0].price >= 3 SORT o._key RETURN o._key",
+    "FOR c IN customers FILTER c.credit_limit > 2200 SORT c.id RETURN c.id",
+    r#"FOR o IN FULLTEXT("order_text", "toy") SORT o._key RETURN o._key"#,
+];
+
 /// Cross-model answers over the committed state, serialized to JSON so
 /// oracle comparisons are byte-identical, not merely structurally equal.
 /// Deliberately blind to the doomed markers (separate collection/bucket,
@@ -191,6 +207,10 @@ fn probes(db: &Database) -> String {
     ];
     for key in ["1", "2", "3"] {
         out.push(db.kv().get("cart", key).unwrap().unwrap_or(Value::Null));
+    }
+    for q in INDEXED {
+        out.push(Value::str(db.explain(q).unwrap()));
+        out.push(Value::Array(db.query(q).unwrap()));
     }
     mmdb::to_json(&Value::Array(out))
 }
@@ -262,6 +282,11 @@ fn every_site_crash_recovers_to_the_oracle() {
     let oracle = {
         let db = Database::open(&oracle_dir).unwrap();
         seed(&db);
+        for q in &INDEXED[..2] {
+            let plan = db.explain(q).unwrap();
+            assert!(plan.contains("IndexScan"), "{q} uses no index: {plan}");
+        }
+        assert_eq!(db.query(INDEXED[2]).unwrap(), vec![Value::str("0c6df508")]);
         probes(&db)
     };
     for site in all_sites() {

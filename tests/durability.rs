@@ -60,10 +60,10 @@ fn uncommitted_transactions_do_not_survive() {
     }
     {
         let db = Database::open(&dir).unwrap();
-        // Nothing was committed, so recovery created no stores; DDL is the
-        // application's job on open (see Session docs).
-        db.create_collection("orders").unwrap();
+        // The collection's definition was committed, the document never
+        // was: the collection comes back empty.
         assert!(db.get_document("orders", "ghost").unwrap().is_none());
+        assert_eq!(db.query("FOR o IN orders RETURN o").unwrap(), Vec::<Value>::new());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -356,6 +356,158 @@ fn every_migration_survives_reopen() {
     assert!(before.iter().all(|rows| !rows.is_empty()), "{before:?}");
     let db = Database::open(&dir).unwrap();
     assert_eq!(answers(&db), before);
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every kind of definition — a table, collections, buckets, a graph
+/// with its vertex and edge collections, a persistent, a column, a GIN
+/// and a full-text index, an XML and a JSON tree — with data, some
+/// indexes defined before it and some after; then every key of one
+/// bucket and of one collection is deleted.
+fn catalog_history(db: &Database) {
+    use mmdb::substrate::index::GinMode;
+    use mmdb::substrate::relational::{ColumnDef, DataType, Schema};
+    let json = |s: &str| mmdb::from_json(s).unwrap();
+    db.create_table(
+        "customers",
+        Schema::new(
+            vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("credit_limit", DataType::Int)],
+            "id",
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    db.create_index("customers", "credit_limit").unwrap();
+    for name in ["orders", "drafts"] {
+        db.create_collection(name).unwrap();
+    }
+    db.create_fulltext_index("order_notes", "orders", "note").unwrap();
+    for name in ["cart", "sessions"] {
+        db.create_bucket(name).unwrap();
+    }
+    db.create_graph("social").unwrap();
+    db.create_vertex_collection("social", "persons").unwrap();
+    db.create_edge_collection("social", "knows").unwrap();
+    db.register_xml("catalog", r#"<catalog><product no="2724f"><name>Toy</name></product></catalog>"#)
+        .unwrap();
+    db.register_json_tree("config", r#"{"shop":{"name":"mmdb","tags":["toys","books"]}}"#).unwrap();
+    db.transact(IsolationLevel::Snapshot, 3, |s| {
+        for id in 1..=4 {
+            let row = format!(r#"{{"id":{id},"credit_limit":{}}}"#, id * 1000);
+            s.insert_row("customers", json(&row))?;
+            let note = ["a wooden toy", "two books", "a toy train", "socks"][id - 1];
+            let order = format!(r#"{{"_key":"o{id}","total":{},"note":"{note}"}}"#, id * 10);
+            s.insert_document("orders", json(&order))?;
+            s.insert_document("drafts", json(&format!(r#"{{"_key":"d{id}"}}"#)))?;
+            s.kv_put("cart", &id.to_string(), Value::str(format!("o{id}")))?;
+            s.kv_put("sessions", &id.to_string(), Value::int(id as i64))?;
+            s.add_vertex("social", "persons", json(&format!(r#"{{"_key":"{id}"}}"#)))?;
+        }
+        s.add_edge("social", "knows", "persons/1", "persons/2", json("{}"))?;
+        s.add_edge("social", "knows", "persons/1", "persons/3", json("{}"))
+            .map(drop)
+    })
+    .unwrap();
+    db.create_index("orders", "total").unwrap();
+    db.create_gin_index("orders", GinMode::JsonbOps).unwrap();
+    db.transact(IsolationLevel::Snapshot, 3, |s| {
+        for id in 1..=4 {
+            s.remove_document("drafts", &format!("d{id}"))?;
+            s.kv_delete("sessions", &id.to_string())?;
+        }
+        s.update_document("orders", "o2", json(r#"{"total":25,"note":"three toy books"}"#))
+    })
+    .unwrap();
+}
+
+/// Queries served by `catalog_history`'s persistent and column indexes.
+const CATALOG_INDEXED: [&str; 2] = [
+    "FOR o IN orders FILTER o.total > 15 SORT o._key RETURN o._key",
+    "FOR c IN customers FILTER c.credit_limit >= 2000 SORT c.id RETURN c.id",
+];
+
+/// What `catalog_history` left, serialized so comparisons are
+/// byte-identical: data probes, the `EXPLAIN` text and answer of a query
+/// per index, the GIN probe, `FULLTEXT` and `XPATH` answers, and the two
+/// emptied containers.
+fn catalog_probes(db: &Database) -> String {
+    let mut out: Vec<Value> = [
+        "FOR o IN orders SORT o._key RETURN o",
+        "FOR c IN customers SORT c.id RETURN c",
+        "FOR k IN cart SORT k._key RETURN k",
+        r#"FOR p IN 1..1 OUTBOUND "persons/1" knows SORT p._key RETURN p._key"#,
+        r#"FOR o IN FULLTEXT("order_notes", "toy") SORT o._key RETURN o._key"#,
+        r#"RETURN XPATH("catalog", "/catalog/product/name")"#,
+        r#"RETURN XPATH("config", "/shop/tags")"#,
+        "FOR x IN drafts RETURN x",
+        "FOR x IN sessions RETURN x",
+    ]
+    .iter()
+    .map(|q| Value::Array(db.query(q).unwrap()))
+    .collect();
+    for q in CATALOG_INDEXED {
+        out.push(Value::str(db.explain(q).unwrap()));
+        out.push(Value::Array(db.query(q).unwrap()));
+    }
+    let orders = db.world().collection("orders").unwrap();
+    let (docs, used_gin) = orders.by_example(&mmdb::from_json(r#"{"total":40}"#).unwrap()).unwrap();
+    out.push(Value::Array(docs));
+    out.push(Value::Bool(used_gin));
+    mmdb::to_json(&Value::Array(out))
+}
+
+#[test]
+fn every_definition_survives_reopen_checkpoint_and_replication() {
+    use mmdb::substrate::repl::{ReplicaOptions, ReplicaRunner};
+    use mmdb_server::{Server, ServerConfig};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    let dir = tmpdir("catalog");
+    let live = {
+        let db = Arc::new(Database::open(&dir).unwrap());
+        let config = ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() };
+        let server = Server::start(Arc::clone(&db), config).unwrap();
+        let replica = Arc::new(Database::in_memory());
+        let runner = ReplicaRunner::start(
+            Arc::clone(&replica),
+            server.local_addr().to_string(),
+            ReplicaOptions::default(),
+        )
+        .unwrap();
+        catalog_history(&db);
+        let live = catalog_probes(&db);
+        for q in CATALOG_INDEXED {
+            let plan = db.explain(q).unwrap();
+            assert!(plan.contains("IndexScan"), "{q} uses no index: {plan}");
+        }
+        assert!(live.ends_with("true]"), "the GIN probe used no index: {live}");
+        for emptied in ["drafts", "sessions"] {
+            let rows = db.query(&format!("FOR x IN {emptied} RETURN x")).unwrap();
+            assert_eq!(rows, Vec::<Value>::new(), "{emptied}");
+        }
+
+        let tail = db.wal().unwrap().tail_lsn();
+        let deadline = Instant::now() + Duration::from_secs(15);
+        while runner.status().applied_lsn() < tail {
+            assert!(Instant::now() < deadline, "the replica did not catch up");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(catalog_probes(&replica), live, "the replica diverged from its primary");
+        assert!(!replica.degraded_reason().is_some_and(|r| r.contains("hook")));
+        runner.stop();
+        server.shutdown().unwrap();
+        live
+    };
+
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(catalog_probes(&db), live, "log replay diverged from the live database");
+    db.checkpoint().unwrap();
+    drop(db);
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(catalog_probes(&db), live, "snapshot load diverged from the live database");
+    assert!(!db.is_degraded(), "{:?}", db.degraded_reason());
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }

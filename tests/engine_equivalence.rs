@@ -68,7 +68,7 @@ proptest! {
             "FOR x IN d FILTER x.price >= {lo} && x.price <= {hi} SORT x._key RETURN x._key"
         );
         let unindexed = db.query(&q).unwrap();
-        db.world().collection("d").unwrap().create_persistent_index("price").unwrap();
+        db.create_index("d", "price").unwrap();
         let indexed = db.query(&q).unwrap();
         prop_assert_eq!(unindexed, indexed);
     }

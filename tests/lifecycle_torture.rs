@@ -347,7 +347,7 @@ fn tick_db() -> Database {
         Ok(())
     })
     .unwrap();
-    db.world().collection("items").unwrap().create_persistent_index("n").unwrap();
+    db.create_index("items", "n").unwrap();
     db
 }
 

@@ -71,7 +71,7 @@ fn explain_analyze_reports_rows_timings_and_access_paths() {
 
     // After an index on the filtered field appears, the same query's
     // access path flips from a full collection scan to the named index.
-    db.world().collection("customers").unwrap().create_persistent_index("credit_limit").unwrap();
+    db.create_index("customers", "credit_limit").unwrap();
     let report = client.explain_analyze(RECOMMENDATION).unwrap();
     assert!(report.contains("index 'credit_limit'"), "{report}");
     assert!(!report.contains("full scan (document-collection 'customers')"), "{report}");
@@ -201,7 +201,7 @@ fn admin_stats_reports_access_paths_and_model_ops() {
     assert!(paths.get_field("rdf_scans").as_int().unwrap() >= 1, "{paths:?}");
 
     // With an index, re-running the query bumps the index-scan counter.
-    db.world().collection("customers").unwrap().create_persistent_index("credit_limit").unwrap();
+    db.create_index("customers", "credit_limit").unwrap();
     client.query("FOR c IN customers FILTER c.credit_limit > 3000 RETURN c._key").unwrap();
     let stats = client.admin_stats().unwrap();
     let paths = stats.get_field("access_paths");

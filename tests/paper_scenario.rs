@@ -65,7 +65,7 @@ fn mmdb_serve_demo_restarts_on_a_directory_that_holds_the_data_set() {
 fn indexes_do_not_change_answers() {
     let db = paper_db();
     let before = db.query(RECOMMENDATION).unwrap();
-    db.world().catalog.table("customers").unwrap().create_index("credit_limit").unwrap();
+    db.create_index("customers", "credit_limit").unwrap();
     let after = db.query(RECOMMENDATION).unwrap();
     assert_eq!(before, after);
     // EXPLAIN confirms the relational index is picked.

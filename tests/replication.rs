@@ -132,6 +132,9 @@ fn seed(db: &Database) {
     db.create_graph("social").unwrap();
     db.create_vertex_collection("social", "persons").unwrap();
     db.create_edge_collection("social", "knows").unwrap();
+    // The doomed transaction's stores.
+    db.create_collection("doomed").unwrap();
+    db.create_bucket("scratch").unwrap();
     for (id, name, limit) in [(1, "Mary", 5000), (2, "John", 3000), (3, "Anne", 2000)] {
         db.transact(IsolationLevel::Snapshot, 3, |s| {
             s.insert_row(
@@ -378,14 +381,16 @@ fn a_replicated_apply_reaches_the_replicas_own_log_whole_or_not_at_all() {
     let _serial = lock();
     let db = Database::in_memory_logged();
     let wal = db.wal().unwrap();
-    let writes: Vec<CommittedWrite> = ["1", "2"]
-        .iter()
-        .map(|k| CommittedWrite {
-            domain: "kv/cart".into(),
-            key: k.as_bytes().to_vec(),
-            value: Some(Value::str("o1")),
-        })
-        .collect();
+    let write = |domain: &str, key: &str, value: Value| CommittedWrite {
+        domain: domain.into(),
+        key: key.as_bytes().to_vec(),
+        value: Some(value),
+    };
+    let writes = [
+        write("ddl/bucket", "cart", Value::Object(Default::default())),
+        write("kv/cart", "1", Value::str("o1")),
+        write("kv/cart", "2", Value::str("o1")),
+    ];
 
     // Fail the block's second record: record-by-record logging would
     // already have landed an orphan `Begin`.
@@ -400,7 +405,7 @@ fn a_replicated_apply_reaches_the_replicas_own_log_whole_or_not_at_all() {
     // The stream replays the same block; this time it lands, once.
     db.mvcc().apply_replicated(&writes).unwrap();
     assert_eq!(db.kv().get("cart", "2").unwrap(), Some(Value::str("o1")));
-    assert_eq!(recover_from_bytes(&wal.snapshot_bytes()).redo.len(), 2);
+    assert_eq!(recover_from_bytes(&wal.snapshot_bytes()).redo.len(), 3);
 }
 
 #[test]

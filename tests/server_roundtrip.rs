@@ -210,12 +210,13 @@ fn multi_statement_transaction_over_the_wire() {
             s.update_row("customers", anne)
         })
         .unwrap();
-    // Spatial indexes have no wire DDL: built embedded on both sides, then
-    // queried through the connection (which holds its session lock across
-    // the call — the one nesting no other suite drives over the wire).
+    // Spatial R-trees are a process-local `World` fixture outside the log:
+    // built in each side's view, then queried through the connection
+    // (which holds its session lock across the call — the one nesting no
+    // other suite drives over the wire).
     for side in [&*db, &reference] {
-        side.create_spatial_index("shops").unwrap();
-        side.spatial_insert("shops", 1.0, 2.0, Value::str("toyshop")).unwrap();
+        side.world().create_spatial_index("shops").unwrap();
+        side.world().spatial_insert("shops", 1.0, 2.0, Value::str("toyshop")).unwrap();
     }
     for q in [
         RECOMMENDATION,
