@@ -18,7 +18,7 @@ use mmdb_document::Collection;
 use mmdb_graph::{Direction, Graph};
 use mmdb_kv::KvStore;
 use mmdb_relational::{Catalog, ColumnDef, DataType, Predicate, Schema, Table};
-use mmdb_storage::{BufferPool, DiskManager};
+use mmdb_storage::BufferPool;
 use mmdb_types::{Result, Value};
 
 use crate::gen::Dataset;
@@ -44,9 +44,9 @@ impl PolyglotStores {
     pub fn new() -> Result<PolyglotStores> {
         // Each "system" gets its own buffer pool — they are separate
         // engines in this architecture.
-        let rel_pool = Arc::new(BufferPool::new(Arc::new(DiskManager::in_memory()), 1024));
-        let doc_pool = Arc::new(BufferPool::new(Arc::new(DiskManager::in_memory()), 1024));
-        let graph_pool = Arc::new(BufferPool::new(Arc::new(DiskManager::in_memory()), 1024));
+        let rel_pool = Arc::new(BufferPool::default());
+        let doc_pool = Arc::new(BufferPool::default());
+        let graph_pool = Arc::new(BufferPool::default());
         let catalog = Catalog::new(rel_pool);
         let customers = catalog.create_table(
             "customers",

@@ -262,7 +262,8 @@ impl Session {
     /// must exist, and both endpoints must be vertices this transaction
     /// staged or that are committed (the newest version, not the
     /// snapshot: the graph the commit hook will add the edge to);
-    /// otherwise it is `NotFound` and nothing is staged.
+    /// otherwise it is `NotFound` and nothing is staged. A `_key` that
+    /// already names an edge is `AlreadyExists`, as for documents.
     pub fn add_edge(
         &mut self,
         graph: &str,
@@ -289,6 +290,9 @@ impl Session {
             }
         }
         let key = properties.get_field("_key").as_str()?.to_string();
+        if self.txn.get(&domain, key.as_bytes())?.is_some() {
+            return Err(Error::AlreadyExists(format!("edge '{key}' in '{collection}'")));
+        }
         self.txn.put(&domain, key.as_bytes(), properties)?;
         Ok(key)
     }
@@ -350,6 +354,7 @@ pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
                     }
                     None => {
                         coll.remove(key)?;
+                        world.fulltext_remove(rest, key);
                     }
                 }
             }
@@ -773,6 +778,32 @@ mod tests {
         db.kv_put("cart", "1", Value::str("o1")).unwrap();
         let got = db.query(r#"FOR v IN 1..1 OUTBOUND "persons/1" knows RETURN v._key"#).unwrap();
         assert_eq!(got, vec![Value::str("2"), Value::str("3")]);
+    }
+
+    #[test]
+    fn an_edge_key_that_exists_is_refused_before_it_is_staged() {
+        let db = db_with_stores();
+        let keyed = |k: &str| mmdb_types::from_json(&format!(r#"{{"_key":"{k}"}}"#)).unwrap();
+        db.transact(IsolationLevel::Snapshot, 3, |s| {
+            s.add_vertex("social", "persons", keyed("1"))?;
+            s.add_vertex("social", "persons", keyed("2"))?;
+            s.add_edge("social", "knows", "persons/1", "persons/2", keyed("e1")).map(drop)
+        })
+        .unwrap();
+        let add = |s: &mut Session, key: &str| {
+            s.add_edge("social", "knows", "persons/2", "persons/1", keyed(key))
+        };
+        let mut s = db.begin(IsolationLevel::Snapshot);
+        assert_eq!(add(&mut s, "e1").unwrap_err().kind(), "already_exists", "a committed key");
+        assert_eq!(s.write_count(), 0, "nothing staged");
+        add(&mut s, "e2").unwrap();
+        assert_eq!(add(&mut s, "e2").unwrap_err().kind(), "already_exists", "a key staged earlier");
+        assert_eq!(s.write_count(), 1, "only the first e2 was staged");
+        s.commit().unwrap();
+        assert!(!db.is_degraded(), "{:?}", db.degraded_reason());
+        db.kv_put("cart", "1", Value::str("o1")).unwrap();
+        let got = db.query(r#"FOR v IN 1..1 OUTBOUND "persons/2" knows RETURN v._key"#).unwrap();
+        assert_eq!(got, vec![Value::str("1")]);
     }
 
     #[test]

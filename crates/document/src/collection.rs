@@ -421,12 +421,10 @@ impl Collection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb_storage::DiskManager;
     use mmdb_types::from_json;
 
     fn coll() -> Collection {
-        let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::in_memory()), 64));
-        Collection::create("orders", pool).unwrap()
+        Collection::create("orders", Arc::default()).unwrap()
     }
 
     fn paper_order() -> Value {

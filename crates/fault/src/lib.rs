@@ -2,7 +2,7 @@
 //!
 //! Named failpoints for crash-recovery testing, in the spirit of the
 //! `fail` crate but with zero dependencies. A *site* is a string naming a
-//! spot on a durability path (`"wal.append"`, `"txn.commit.before_wal"`,
+//! spot on a durability path (`"wal.append"`, `"txn.group_commit.enqueue"`,
 //! …). Instrumented code calls [`eval`] (or the [`fail_point!`] macro) at
 //! the site; tests arm sites with an [`Action`] and the call site then
 //! errors, panics, truncates its write, or sleeps — deterministically.
@@ -254,7 +254,7 @@ pub fn eval_to_error(site: &str) -> Option<String> {
 
 /// [`eval`] for call sites with nothing to return: only `panic` and
 /// `delay` actions are meaningful; `error`/`short` act as `off`. Used at
-/// crash-only sites such as `txn.commit.after_wal`, where the operation
+/// crash-only sites such as `txn.group_commit.after_sync`, where the operation
 /// is already durable and "fail" would be a lie.
 #[inline]
 pub fn eval_unit(site: &str) {

@@ -128,14 +128,12 @@ impl GraphPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb_storage::{BufferPool, DiskManager};
     use mmdb_types::from_json;
     use std::sync::Arc;
 
     /// Mary —knows→ John —knows→ Anne; Mary —knows→ Anne.
     fn triangle() -> Graph {
-        let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::in_memory()), 64));
-        let g = Graph::create("g", pool);
+        let g = Graph::create("g", Arc::default());
         g.create_vertex_collection("c").unwrap();
         g.create_edge_collection("knows").unwrap();
         for (k, n, limit) in [("1", "Mary", 5000), ("2", "John", 3000), ("3", "Anne", 2000)] {

@@ -326,13 +326,11 @@ impl Graph {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use mmdb_storage::DiskManager;
     use mmdb_types::from_json;
 
     pub(crate) fn paper_graph() -> Graph {
         // Slide 27: Mary knows John, Anne knows Mary.
-        let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::in_memory()), 64));
-        let g = Graph::create("social", pool);
+        let g = Graph::create("social", Arc::default());
         g.create_vertex_collection("customers").unwrap();
         g.create_edge_collection("knows").unwrap();
         for (key, name) in [("1", "Mary"), ("2", "John"), ("3", "Anne")] {

@@ -162,15 +162,13 @@ pub fn shortest_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb_storage::{BufferPool, DiskManager};
     use mmdb_types::from_json;
     use std::sync::Arc;
 
     /// A small weighted road network:
     ///   a →1→ b →1→ c →1→ d,  a →10→ d (direct but heavy)
     fn roads() -> Graph {
-        let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::in_memory()), 64));
-        let g = Graph::create("roads", pool);
+        let g = Graph::create("roads", Arc::default());
         g.create_vertex_collection("city").unwrap();
         g.create_edge_collection("road").unwrap();
         for k in ["a", "b", "c", "d"] {

@@ -8,7 +8,6 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use mmdb_graph::{Direction, Graph};
-use mmdb_storage::{BufferPool, DiskManager};
 use mmdb_types::from_json;
 
 const VERTICES: usize = 5;
@@ -73,8 +72,7 @@ proptest! {
 
     #[test]
     fn neighbors_match_the_surviving_edge_documents(ops in arb_ops()) {
-        let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::in_memory()), 64));
-        let g = Graph::create("g", pool);
+        let g = Graph::create("g", Arc::default());
         g.create_vertex_collection("p").unwrap();
         for ec in EDGE_COLLECTIONS {
             g.create_edge_collection(ec).unwrap();

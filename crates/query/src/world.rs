@@ -17,7 +17,7 @@ use mmdb_graph::Graph;
 use mmdb_kv::KvStore;
 use mmdb_rdf::TripleStore;
 use mmdb_relational::Catalog;
-use mmdb_storage::{BufferPool, DiskManager};
+use mmdb_storage::BufferPool;
 use mmdb_text::inverted::DocId as TextDocId;
 use mmdb_text::TextIndex;
 use mmdb_types::{lock_rank, Error, Result, Value};
@@ -106,7 +106,7 @@ impl Default for World {
 impl World {
     /// A fully in-memory world.
     pub fn in_memory() -> World {
-        let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::in_memory()), 4096));
+        let pool = Arc::new(BufferPool::default());
         World {
             catalog: Catalog::new(Arc::clone(&pool)),
             pool,
@@ -223,6 +223,16 @@ impl World {
         }
     }
 
+    /// Drop a removed document from its collection's full-text indexes.
+    pub fn fulltext_remove(&self, collection: &str, key: &str) {
+        let mut ft = self.fulltext.write();
+        for idx in ft.values_mut() {
+            if idx.collection == collection {
+                idx.remove_document(key);
+            }
+        }
+    }
+
     /// Create an empty named spatial index.
     pub fn create_spatial_index(&self, name: &str) -> Result<()> {
         let mut sp = self.spatial.write();
@@ -293,7 +303,7 @@ impl FulltextIndex {
         let Ok(key) = doc.get_field("_key").as_str() else { return };
         let text = match doc.get_field(&self.field) {
             Value::String(s) => s.clone(),
-            Value::Null => return,
+            Value::Null => return self.remove_document(key),
             other => other.to_string(),
         };
         // Reuse the id when re-indexing the same key.
@@ -307,6 +317,13 @@ impl FulltextIndex {
             }
         };
         self.index.index(id, &text);
+    }
+
+    fn remove_document(&mut self, key: &str) {
+        if let Some(id) = self.ids.remove(key) {
+            self.keys.remove(&id);
+            self.index.remove(id);
+        }
     }
 
     /// Matching document keys for a text query string.
@@ -428,5 +445,23 @@ mod tests {
         assert!(idx.search("toy").is_empty(), "the old postings are gone");
         assert!(idx.search("train").is_empty());
         assert_eq!(idx.search("book"), vec!["p2"]);
+    }
+
+    #[test]
+    fn a_removed_document_or_field_leaves_no_postings() {
+        let w = World::in_memory();
+        let c = w.create_collection("products").unwrap();
+        for (key, text) in [("p1", "a wooden toy"), ("p2", "a toy train"), ("p3", "a book")] {
+            c.insert(Value::object([("_key", Value::str(key)), ("description", Value::str(text))]))
+                .unwrap();
+        }
+        w.create_fulltext_index("product_text", "products", "description").unwrap();
+        w.fulltext_remove("products", "p1");
+        w.fulltext_touch("products", &Value::object([("_key", Value::str("p2"))]));
+        let ft = w.fulltext.read();
+        let idx = ft.get("product_text").unwrap();
+        assert_eq!((idx.keys.len(), idx.ids.len(), idx.index.doc_count()), (1, 1, 1));
+        assert!(idx.search("toy").is_empty());
+        assert_eq!(idx.search("book"), vec!["p3"]);
     }
 }

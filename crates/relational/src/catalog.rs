@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use mmdb_storage::{BufferPool, DiskManager};
+use mmdb_storage::BufferPool;
 use mmdb_types::{Error, Result};
 
 use crate::schema::Schema;
@@ -21,16 +21,6 @@ impl Catalog {
     /// Catalog over an existing buffer pool.
     pub fn new(pool: Arc<BufferPool>) -> Self {
         Catalog { pool, tables: RwLock::new(HashMap::new()) }
-    }
-
-    /// In-memory catalog (own pool, RAM pages).
-    pub fn in_memory() -> Self {
-        Self::new(Arc::new(BufferPool::new(Arc::new(DiskManager::in_memory()), 1024)))
-    }
-
-    /// The shared buffer pool.
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
     }
 
     /// Create a table.
@@ -81,7 +71,7 @@ mod tests {
 
     #[test]
     fn create_lookup_drop() {
-        let c = Catalog::in_memory();
+        let c = Catalog::new(Arc::default());
         c.create_table("a", schema()).unwrap();
         c.create_table("b", schema()).unwrap();
         assert!(c.create_table("a", schema()).is_err());
@@ -94,7 +84,7 @@ mod tests {
 
     #[test]
     fn tables_share_the_pool() {
-        let c = Catalog::in_memory();
+        let c = Catalog::new(Arc::default());
         let a = c.create_table("a", schema()).unwrap();
         let b = c.create_table("b", schema()).unwrap();
         for i in 0..100 {

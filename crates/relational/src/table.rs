@@ -401,10 +401,8 @@ fn index_range(pred: &Predicate) -> Option<(&str, Bound<&Value>, Bound<&Value>)>
 mod tests {
     use super::*;
     use crate::schema::{ColumnDef, DataType};
-    use mmdb_storage::DiskManager;
 
     fn customers_table() -> Table {
-        let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::in_memory()), 64));
         let schema = Schema::new(
             vec![
                 ColumnDef::new("id", DataType::Int),
@@ -414,7 +412,7 @@ mod tests {
             "id",
         )
         .unwrap();
-        let t = Table::create("customers", schema, pool).unwrap();
+        let t = Table::create("customers", schema, Arc::default()).unwrap();
         // The paper's running example (slide 27).
         for (id, name, limit) in [(1, "Mary", 5000), (2, "John", 3000), (3, "Anne", 2000)] {
             t.insert(vec![Value::int(id), Value::str(name), Value::int(limit)]).unwrap();
@@ -454,13 +452,12 @@ mod tests {
 
     #[test]
     fn index_handles_duplicates_and_ranges() {
-        let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::in_memory()), 64));
         let schema = Schema::new(
             vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("grp", DataType::Int)],
             "id",
         )
         .unwrap();
-        let t = Table::create("t", schema, pool).unwrap();
+        let t = Table::create("t", schema, Arc::default()).unwrap();
         for i in 0..100 {
             t.insert(vec![Value::int(i), Value::int(i % 5)]).unwrap();
         }

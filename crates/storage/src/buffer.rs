@@ -1,239 +1,108 @@
-//! A CLOCK buffer pool over a [`DiskManager`].
+//! The buffer pool: the one home of every slotted page the heap files use.
 //!
-//! The pool caches a fixed number of pages. Callers access pages through
-//! [`BufferPool::with_page`] / [`BufferPool::with_page_mut`], which pin the
-//! frame for the duration of the closure; eviction (second-chance CLOCK)
-//! only considers unpinned frames and writes dirty victims back first.
-
-use std::collections::HashMap;
-use std::sync::Arc;
+//! Pages sit in a table indexed by [`PageId`] for the life of the pool;
+//! nothing is evicted, copied or written back. The write-ahead log is the
+//! engine's only durable copy of the data, and the heaps on these pages
+//! are views the commit hook rebuilds from it on open. Callers reach a
+//! page through [`BufferPool::with_page`] / [`BufferPool::with_page_mut`],
+//! which hold the pool's lock (a leaf) for the closure's duration.
 
 use parking_lot::Mutex;
 
-use crate::disk::{DiskManager, PageId, PAGE_SIZE};
-use crate::page::SlottedPage;
-use mmdb_types::{lock_rank, Error, Result};
+use crate::page::{PageId, SlottedPage};
+use mmdb_types::{Error, Result};
 
-struct Frame {
-    page_id: PageId,
-    page: SlottedPage,
-    dirty: bool,
-    pins: u32,
-    referenced: bool,
-}
-
+#[derive(Default)]
 struct PoolInner {
-    frames: Vec<Option<Frame>>,
-    map: HashMap<PageId, usize>,
-    clock_hand: usize,
+    pages: Vec<SlottedPage>,
     hits: u64,
-    misses: u64,
 }
 
-/// Shared, thread-safe buffer pool of slotted pages.
+/// Shared, thread-safe table of slotted pages.
+#[derive(Default)]
 pub struct BufferPool {
-    disk: Arc<DiskManager>,
     inner: Mutex<PoolInner>,
-    capacity: usize,
 }
 
-/// Cache statistics for observability and the storage benches.
+/// Access counters for observability and the benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Lookups served from memory.
+    /// Page accesses.
     pub hits: u64,
-    /// Lookups that had to read from the backend.
+    /// Always 0: every page stays in the pool, so no access misses. The
+    /// field is kept because the benchmark reports it.
     pub misses: u64,
 }
 
+fn unallocated(id: PageId) -> Error {
+    Error::Storage(format!("access to unallocated page {id}"))
+}
+
 impl BufferPool {
-    /// Create a pool of `capacity` frames over `disk`.
-    pub fn new(disk: Arc<DiskManager>, capacity: usize) -> Self {
-        assert!(capacity > 0, "buffer pool needs at least one frame");
-        BufferPool {
-            disk,
-            inner: Mutex::with_rank(
-                lock_rank::POOL_INNER,
-                PoolInner {
-                    frames: (0..capacity).map(|_| None).collect(),
-                    map: HashMap::new(),
-                    clock_hand: 0,
-                    hits: 0,
-                    misses: 0,
-                },
-            ),
-            capacity,
-        }
+    /// Allocate a fresh, empty slotted page.
+    pub fn allocate_page(&self) -> PageId {
+        let mut inner = self.inner.lock();
+        inner.pages.push(SlottedPage::new());
+        (inner.pages.len() - 1) as PageId
     }
 
-    /// The underlying disk manager (for page allocation).
-    pub fn disk(&self) -> &Arc<DiskManager> {
-        &self.disk
-    }
-
-    /// Allocate a fresh page and format it as an empty slotted page.
-    pub fn allocate_page(&self) -> Result<PageId> {
-        let id = self.disk.allocate();
-        // Materialize the empty page so later reads of it succeed.
-        self.disk.write_page(id, SlottedPage::new().bytes().as_slice())?;
-        Ok(id)
-    }
-
-    /// Read access to a page. The frame is pinned for the closure's
-    /// duration (the pool mutex is held, keeping the implementation simple;
-    /// closures must not re-enter the pool for the *same* pool instance).
+    /// Read access to a page. Closures must not re-enter the same pool.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&SlottedPage) -> R) -> Result<R> {
         let mut inner = self.inner.lock();
-        let idx = self.load(&mut inner, id)?;
-        #[expect(clippy::expect_used, reason = "load() just pinned this frame index, so the slot is occupied")]
-        let frame = inner.frames[idx].as_mut().expect("loaded");
-        frame.referenced = true;
-        Ok(f(&frame.page))
+        inner.hits += 1;
+        let page = inner.pages.get(id as usize).ok_or_else(|| unallocated(id))?;
+        Ok(f(page))
     }
 
-    /// Write access to a page; marks the frame dirty.
+    /// Write access to a page.
     pub fn with_page_mut<R>(
         &self,
         id: PageId,
         f: impl FnOnce(&mut SlottedPage) -> R,
     ) -> Result<R> {
         let mut inner = self.inner.lock();
-        let idx = self.load(&mut inner, id)?;
-        #[expect(clippy::expect_used, reason = "load() just pinned this frame index, so the slot is occupied")]
-        let frame = inner.frames[idx].as_mut().expect("loaded");
-        frame.referenced = true;
-        frame.dirty = true;
-        Ok(f(&mut frame.page))
+        inner.hits += 1;
+        let page = inner.pages.get_mut(id as usize).ok_or_else(|| unallocated(id))?;
+        Ok(f(page))
     }
 
-    fn load(&self, inner: &mut PoolInner, id: PageId) -> Result<usize> {
-        if let Some(&idx) = inner.map.get(&id) {
-            inner.hits += 1;
-            return Ok(idx);
-        }
-        inner.misses += 1;
-        let idx = self.find_victim(inner)?;
-        if let Some(old) = inner.frames[idx].take() {
-            if old.dirty {
-                self.disk.write_page(old.page_id, old.page.bytes().as_slice())?;
-            }
-            inner.map.remove(&old.page_id);
-        }
-        let mut buf = vec![0u8; PAGE_SIZE];
-        self.disk.read_page(id, &mut buf)?;
-        let page = SlottedPage::from_bytes(&buf)?;
-        inner.frames[idx] = Some(Frame {
-            page_id: id,
-            page,
-            dirty: false,
-            pins: 0,
-            referenced: true,
-        });
-        inner.map.insert(id, idx);
-        Ok(idx)
-    }
-
-    fn find_victim(&self, inner: &mut PoolInner) -> Result<usize> {
-        // First pass: any empty frame.
-        if let Some(idx) = inner.frames.iter().position(Option::is_none) {
-            return Ok(idx);
-        }
-        // CLOCK: sweep until a frame with referenced == false and no pins.
-        // Two full sweeps guarantee termination when nothing is pinned.
-        for _ in 0..self.capacity * 2 {
-            let idx = inner.clock_hand;
-            inner.clock_hand = (inner.clock_hand + 1) % self.capacity;
-            #[expect(clippy::expect_used, reason = "eviction only runs once every frame slot is occupied")]
-            let frame = inner.frames[idx].as_mut().expect("full");
-            if frame.pins > 0 {
-                continue;
-            }
-            if frame.referenced {
-                frame.referenced = false;
-            } else {
-                return Ok(idx);
-            }
-        }
-        Err(Error::Storage("buffer pool exhausted: all frames pinned".into()))
-    }
-
-    /// Write all dirty frames back and fsync.
-    pub fn flush_all(&self) -> Result<()> {
-        mmdb_fault::fail_point!("buffer.flush", |msg| Error::Storage(format!(
-            "buffer flush: {msg}"
-        )));
-        let mut inner = self.inner.lock();
-        for frame in inner.frames.iter_mut().flatten() {
-            if frame.dirty {
-                self.disk.write_page(frame.page_id, frame.page.bytes().as_slice())?;
-                frame.dirty = false;
-            }
-        }
-        self.disk.sync()
-    }
-
-    /// Current hit/miss counters.
+    /// Current access counters.
     pub fn stats(&self) -> PoolStats {
-        let inner = self.inner.lock();
-        PoolStats { hits: inner.hits, misses: inner.misses }
+        PoolStats { hits: self.inner.lock().hits, misses: 0 }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pool(frames: usize) -> BufferPool {
-        BufferPool::new(Arc::new(DiskManager::in_memory()), frames)
-    }
+    use std::sync::Arc;
 
     #[test]
-    fn read_your_writes_through_cache() {
-        let bp = pool(4);
-        let id = bp.allocate_page().unwrap();
-        let slot = bp.with_page_mut(id, |p| p.insert(b"cached")).unwrap().unwrap();
+    fn read_your_writes() {
+        let bp = BufferPool::default();
+        let id = bp.allocate_page();
+        let slot = bp.with_page_mut(id, |p| p.insert(b"kept")).unwrap().unwrap();
         let data = bp.with_page(id, |p| p.get(slot).map(<[u8]>::to_vec)).unwrap().unwrap();
-        assert_eq!(data, b"cached");
+        assert_eq!(data, b"kept");
     }
 
     #[test]
-    fn eviction_writes_dirty_pages_back() {
-        let bp = pool(2);
-        let ids: Vec<_> = (0..6).map(|_| bp.allocate_page().unwrap()).collect();
-        let mut slots = Vec::new();
-        for (i, &id) in ids.iter().enumerate() {
-            let rec = format!("record-{i}");
-            slots.push(bp.with_page_mut(id, |p| p.insert(rec.as_bytes())).unwrap().unwrap());
-        }
-        // With 2 frames and 6 pages, most pages were evicted; re-read all.
-        for (i, &id) in ids.iter().enumerate() {
-            let rec = bp
-                .with_page(id, |p| p.get(slots[i]).map(<[u8]>::to_vec))
-                .unwrap()
-                .unwrap();
-            assert_eq!(rec, format!("record-{i}").as_bytes());
-        }
-        let s = bp.stats();
-        assert!(s.misses >= 6, "evictions should force re-reads: {s:?}");
-    }
-
-    #[test]
-    fn hits_counted_for_resident_pages() {
-        let bp = pool(4);
-        let id = bp.allocate_page().unwrap();
+    fn every_access_is_a_hit_and_unallocated_pages_are_errors() {
+        let bp = BufferPool::default();
+        let id = bp.allocate_page();
         bp.with_page_mut(id, |p| p.insert(b"x")).unwrap().unwrap();
         for _ in 0..10 {
             bp.with_page(id, |_| ()).unwrap();
         }
-        let s = bp.stats();
-        assert!(s.hits >= 10);
+        assert_eq!(bp.stats(), PoolStats { hits: 11, misses: 0 });
+        assert_eq!(bp.with_page(id + 1, |_| ()).unwrap_err().kind(), "storage");
+        assert_eq!(bp.with_page_mut(id + 1, |_| ()).unwrap_err().kind(), "storage");
     }
 
     #[test]
     fn concurrent_access_is_safe_and_consistent() {
-        use std::sync::Arc as A;
-        let bp = A::new(pool(4));
-        let ids: Vec<_> = (0..8).map(|_| bp.allocate_page().unwrap()).collect();
+        let bp = Arc::new(BufferPool::default());
+        let ids: Vec<_> = (0..8).map(|_| bp.allocate_page()).collect();
         // Seed one record per page.
         let slots: Vec<u16> = ids
             .iter()
@@ -241,7 +110,7 @@ mod tests {
             .collect();
         let threads: Vec<_> = (0..4)
             .map(|t| {
-                let bp = A::clone(&bp);
+                let bp = Arc::clone(&bp);
                 let ids = ids.clone();
                 let slots = slots.clone();
                 std::thread::spawn(move || {
@@ -269,19 +138,5 @@ mod tests {
             let data = bp.with_page(*id, |p| p.get(*slot).map(<[u8]>::to_vec)).unwrap().unwrap();
             assert_eq!(data, b"seed");
         }
-    }
-
-    #[test]
-    fn flush_all_persists_to_disk() {
-        let disk = Arc::new(DiskManager::in_memory());
-        let bp = BufferPool::new(Arc::clone(&disk), 2);
-        let id = bp.allocate_page().unwrap();
-        let slot = bp.with_page_mut(id, |p| p.insert(b"durable")).unwrap().unwrap();
-        bp.flush_all().unwrap();
-        // Bypass the pool and read the raw page.
-        let mut buf = vec![0u8; PAGE_SIZE];
-        disk.read_page(id, &mut buf).unwrap();
-        let page = SlottedPage::from_bytes(&buf).unwrap();
-        assert_eq!(page.get(slot).unwrap(), b"durable");
     }
 }

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::buffer::BufferPool;
-use crate::disk::PageId;
+use crate::page::PageId;
 use mmdb_types::{lock_rank, Error, Result};
 
 /// Stable address of a record: page number plus slot within the page.
@@ -45,32 +45,13 @@ struct HeapState {
 }
 
 impl HeapFile {
-    fn with_state(pool: Arc<BufferPool>, state: HeapState) -> Self {
-        HeapFile { pool, state: Mutex::with_rank(lock_rank::HEAP_STATE, state) }
-    }
-
     /// Create an empty heap over the given pool.
     pub fn create(pool: Arc<BufferPool>) -> Result<Self> {
-        Ok(Self::with_state(pool, HeapState { pages: Vec::new(), free_pages: Vec::new(), len: 0 }))
+        let state = HeapState { pages: Vec::new(), free_pages: Vec::new(), len: 0 };
+        Ok(HeapFile { pool, state: Mutex::with_rank(lock_rank::HEAP_STATE, state) })
     }
 
-    /// Rebuild heap bookkeeping from an explicit page list (used when a
-    /// catalog re-opens a persisted heap).
-    pub fn open(pool: Arc<BufferPool>, pages: Vec<PageId>) -> Result<Self> {
-        let mut len = 0usize;
-        let mut free_pages = Vec::new();
-        for &pid in &pages {
-            let (live, has_room) =
-                pool.with_page(pid, |p| (p.iter().count(), p.fits(64)))?;
-            len += live;
-            if has_room {
-                free_pages.push(pid);
-            }
-        }
-        Ok(Self::with_state(pool, HeapState { pages, free_pages, len }))
-    }
-
-    /// Pages owned by this heap (for catalog persistence).
+    /// Pages owned by this heap, in allocation order.
     pub fn pages(&self) -> Vec<PageId> {
         self.state.lock().pages.clone()
     }
@@ -108,7 +89,7 @@ impl HeapFile {
             }
         }
         // No page had room: allocate a new one.
-        let pid = self.pool.allocate_page()?;
+        let pid = self.pool.allocate_page();
         let slot = self.pool.with_page_mut(pid, |p| p.insert(record))??;
         state.pages.push(pid);
         state.free_pages.push(pid);
@@ -166,11 +147,9 @@ impl HeapFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disk::DiskManager;
 
     fn heap() -> HeapFile {
-        let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::in_memory()), 8));
-        HeapFile::create(pool).unwrap()
+        HeapFile::create(Arc::default()).unwrap()
     }
 
     #[test]
@@ -239,21 +218,5 @@ mod tests {
             h.insert(&vec![8u8; 700]).unwrap();
         }
         assert_eq!(h.pages().len(), pages_before, "reinserts should reuse freed pages");
-    }
-
-    #[test]
-    fn open_rebuilds_state() {
-        let pool = Arc::new(BufferPool::new(Arc::new(DiskManager::in_memory()), 8));
-        let h = HeapFile::create(Arc::clone(&pool)).unwrap();
-        let id = h.insert(b"persisted").unwrap();
-        h.insert(b"two").unwrap();
-        let pages = h.pages();
-        drop(h);
-        let h2 = HeapFile::open(pool, pages).unwrap();
-        assert_eq!(h2.len(), 2);
-        assert_eq!(h2.get(id).unwrap(), b"persisted");
-        // New inserts land in existing free space.
-        h2.insert(b"three").unwrap();
-        assert_eq!(h2.len(), 3);
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! Every storage strategy the EDBT 2017 tutorial surveys lives here:
 //!
-//! * [`page`] / [`disk`] / [`buffer`] / [`heap`] — the classical
-//!   relational-style stack: 8 KiB slotted pages in files, a CLOCK buffer
-//!   pool, heap record files addressed by [`heap::RecordId`]. PostgreSQL,
-//!   Oracle and DB2 store their relational *and* their JSON/XML payloads
-//!   this way, so every mmdb model can too.
+//! * [`page`] / [`buffer`] / [`heap`] — the classical relational-style
+//!   record layout: 8 KiB slotted pages, held once in the buffer pool's
+//!   page table (never evicted or written to a page file: the WAL is the
+//!   durable copy), and heap record files addressed by
+//!   [`heap::RecordId`]. PostgreSQL, Oracle and DB2 store their relational
+//!   *and* their JSON/XML payloads this way, so every mmdb model can too.
 //! * [`wal`] — a redo-only write-ahead log with CRC-checked records and
 //!   crash recovery, shared by all models (the tutorial's "one system
 //!   implements fault tolerance" argument for multi-model databases).
@@ -21,7 +22,6 @@
 use std::fs::File;
 
 pub mod buffer;
-pub mod disk;
 pub mod heap;
 pub mod lsm;
 pub mod page;
@@ -29,13 +29,13 @@ pub mod snapshot;
 pub mod wal;
 
 pub use buffer::BufferPool;
-pub use disk::{DiskManager, PageId, PAGE_SIZE};
 pub use heap::{HeapFile, RecordId};
+pub use page::{PageId, PAGE_SIZE};
 pub use wal::{LoggedWrite, Lsn, TailedRecord, Wal, WalRecord};
 
 /// The storage layer's one way to fsync; `sync` is `File::sync_data`
-/// (contents and length, all an append-only log or a fixed-size page file
-/// needs) or `File::sync_all`. Announced first to the hot-thread witness
+/// (contents and length, all an append-only log needs) or
+/// `File::sync_all`. Announced first to the hot-thread witness
 /// (`parking_lot::about_to_wait`, debug builds): a thread that must never
 /// wait may not be the one that syncs.
 pub(crate) fn durable_sync(
@@ -52,8 +52,6 @@ pub(crate) fn durable_sync(
 pub const FAILPOINT_SITES: &[&str] = &[
     "wal.append",
     "wal.sync",
-    "disk.write_page",
-    "buffer.flush",
     "lsm.flush",
     "lsm.compact",
     "ckpt.snapshot_write",

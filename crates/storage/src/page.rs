@@ -14,8 +14,13 @@
 //! slot array; [`SlottedPage::compact`] reclaims holes left by deletes and
 //! in-place-shrink updates.
 
-use crate::disk::PAGE_SIZE;
 use mmdb_types::{Error, Result};
+
+/// Fixed page size, 8 KiB like PostgreSQL's default.
+pub const PAGE_SIZE: usize = 8192;
+
+/// Identifier of a page within one buffer pool.
+pub type PageId = u64;
 
 const HEADER_SIZE: usize = 16;
 const SLOT_SIZE: usize = 4;
@@ -25,7 +30,7 @@ pub const MAX_RECORD_SIZE: usize = PAGE_SIZE - HEADER_SIZE - SLOT_SIZE;
 /// A typed view over one page's bytes providing slotted-record operations.
 ///
 /// The page owns its buffer (a boxed array) so it can live in the buffer
-/// pool frame table.
+/// pool's page table.
 pub struct SlottedPage {
     data: Box<[u8; PAGE_SIZE]>,
 }
@@ -46,32 +51,6 @@ impl SlottedPage {
         p.set_slot_count(0);
         p.set_free_end(PAGE_SIZE as u16);
         p
-    }
-
-    /// Wrap raw page bytes read from disk.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() != PAGE_SIZE {
-            return Err(Error::Storage(format!(
-                "page must be {PAGE_SIZE} bytes, got {}",
-                bytes.len()
-            )));
-        }
-        let mut data = vec![0u8; PAGE_SIZE].into_boxed_slice();
-        data.copy_from_slice(bytes);
-        #[expect(clippy::expect_used, reason = "a boxed slice of exactly PAGE_SIZE bytes; the fixed-size conversion is infallible")]
-        let p = SlottedPage { data: data.try_into().expect("size") };
-        // Sanity-check the header so corrupt pages fail fast.
-        let slots = p.slot_count() as usize;
-        let free_end = p.free_end() as usize;
-        if HEADER_SIZE + slots * SLOT_SIZE > free_end || free_end > PAGE_SIZE {
-            return Err(Error::Corruption("corrupt page header".into()));
-        }
-        Ok(p)
-    }
-
-    /// The raw bytes (for writing back to disk).
-    pub fn bytes(&self) -> &[u8; PAGE_SIZE] {
-        &self.data
     }
 
     fn slot_count(&self) -> u16 {
@@ -319,23 +298,6 @@ mod tests {
         for s in slots.iter().skip(1).step_by(2) {
             assert_eq!(p.get(*s).unwrap(), &rec[..]);
         }
-    }
-
-    #[test]
-    fn disk_roundtrip_via_bytes() {
-        let mut p = SlottedPage::new();
-        let s = p.insert(b"persist me").unwrap();
-        let copy = SlottedPage::from_bytes(p.bytes().as_slice()).unwrap();
-        assert_eq!(copy.get(s).unwrap(), b"persist me");
-    }
-
-    #[test]
-    fn corrupt_header_rejected() {
-        let mut bytes = vec![0u8; PAGE_SIZE];
-        bytes[0] = 0xFF; // absurd slot count
-        bytes[1] = 0xFF;
-        assert!(SlottedPage::from_bytes(&bytes).is_err());
-        assert!(SlottedPage::from_bytes(&[0u8; 7]).is_err());
     }
 
     #[test]

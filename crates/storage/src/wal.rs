@@ -106,9 +106,6 @@ impl WalRecord {
         let rec = match tag {
             T_BEGIN => WalRecord::Begin { txid: read_u64(&mut buf)? },
             T_COMMIT => WalRecord::Commit { txid: read_u64(&mut buf)? },
-            // Pre-truncation logs carried a bare checkpoint marker with
-            // no payload; tolerate it as "snapshot at LSN 0".
-            T_CHECKPOINT if buf.is_empty() => WalRecord::Checkpoint { snapshot_lsn: 0 },
             T_CHECKPOINT => WalRecord::Checkpoint { snapshot_lsn: read_u64(&mut buf)? },
             T_WRITE => {
                 let txid = read_u64(&mut buf)?;
@@ -847,11 +844,8 @@ mod tests {
         ] {
             assert_eq!(WalRecord::decode(&r.encode()).unwrap(), r);
         }
-        // Legacy logs carry payload-less checkpoint markers.
-        assert_eq!(
-            WalRecord::decode(&[5u8]).unwrap(),
-            WalRecord::Checkpoint { snapshot_lsn: 0 }
-        );
+        // A checkpoint marker without its snapshot LSN is corrupt.
+        assert!(WalRecord::decode(&[T_CHECKPOINT]).is_err());
         // Tag 4 (the retired `Abort`) is as unknown as any other.
         assert!(WalRecord::decode(&[4, 0, 0, 0, 0, 0, 0, 0, 9]).is_err());
     }

@@ -32,7 +32,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A slotted page behaves like a map slot → bytes, across inserts,
-    /// deletes, updates, compactions and a disk round-trip.
+    /// deletes, updates and compactions.
     #[test]
     fn slotted_page_matches_shadow(ops in arb_page_ops()) {
         let mut page = SlottedPage::new();
@@ -66,12 +66,10 @@ proptest! {
                 }
             }
         }
-        // Round-trip through bytes like a disk write.
-        let restored = SlottedPage::from_bytes(page.bytes().as_slice()).unwrap();
         for (&slot, data) in &shadow {
-            prop_assert_eq!(restored.get(slot).unwrap(), &data[..]);
+            prop_assert_eq!(page.get(slot).unwrap(), &data[..]);
         }
-        prop_assert_eq!(restored.iter().count(), shadow.len());
+        prop_assert_eq!(page.iter().count(), shadow.len());
     }
 
     /// The LSM tree equals a BTreeMap under random put/delete/scan,

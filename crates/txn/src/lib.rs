@@ -31,8 +31,6 @@ pub use mvcc::{
 /// crash-recovery torture suite iterates this roster, so adding a
 /// `fail_point!` here without extending the list fails that suite.
 pub const FAILPOINT_SITES: &[&str] = &[
-    "txn.commit.before_wal",
-    "txn.commit.after_wal",
     "txn.group_commit.enqueue",
     "txn.group_commit.before_sync",
     "txn.group_commit.after_sync",

@@ -406,10 +406,7 @@ impl StoreInner {
                 return seal_results(results);
             }
         };
-        // The durability point has passed. Both crash-only sites fire
-        // per batch: the legacy per-commit one (so existing schedules
-        // keep covering the commit path) and the batch-scoped one.
-        mmdb_fault::fail_point!("txn.commit.after_wal");
+        // The durability point has passed: a crash-only site.
         mmdb_fault::fail_point!("txn.group_commit.after_sync");
 
         self.commits.fetch_add(winners.len() as u64, Ordering::SeqCst);
@@ -966,15 +963,9 @@ impl Transaction {
             self.store.aborts.fetch_add(1, Ordering::SeqCst);
             return Err(self.store.read_only_error());
         }
-        // Failpoint `txn.commit.before_wal`: a crash or error here loses
-        // the transaction entirely — nothing has reached the log.
-        if let Some(msg) = mmdb_fault::eval_to_error("txn.commit.before_wal") {
-            self.store.aborts.fetch_add(1, Ordering::SeqCst);
-            return Err(Error::Storage(format!("commit: {msg}")));
-        }
-        // Failpoint `txn.group_commit.enqueue`: same no-trace window as
-        // `before_wal`, but scoped to the sequencer hand-off — a crash or
-        // error here means the request never reached a leader.
+        // Failpoint `txn.group_commit.enqueue`: a crash or error here loses
+        // the transaction entirely — the request never reached a leader,
+        // and nothing has reached the log.
         if let Some(msg) = mmdb_fault::eval_to_error("txn.group_commit.enqueue") {
             self.store.aborts.fetch_add(1, Ordering::SeqCst);
             return Err(Error::Storage(format!("commit enqueue: {msg}")));

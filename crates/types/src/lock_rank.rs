@@ -101,13 +101,9 @@ pub const RELATIONAL_INDEXES: Rank = Rank::new(130, "relational.table.indexes");
 
 // ---- storage -------------------------------------------------------------------
 
-/// A heap file's allocator state, held while its pages are pinned in the
-/// buffer pool.
+/// A heap file's allocator state, held while it reads and writes its
+/// pages in the buffer pool (whose page table is a leaf).
 pub const HEAP_STATE: Rank = Rank::new(140, "storage.heap.state");
-
-/// The buffer pool's frame table, held across the disk manager's page
-/// reads and writes (the in-memory backend's `pages` is a leaf).
-pub const POOL_INNER: Rank = Rank::new(150, "storage.pool.inner");
 
 /// The WAL's `inner`. Nothing is taken under it, but it is not an
 /// anonymous leaf: `Wal::sync` holds it across `sync_data` (so that the

@@ -52,26 +52,16 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings (panic disciplin
 # #[expect] or a stale one (unfulfilled_lint_expectations) an error.
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> crash-recovery torture suite (--features failpoints)"
-cargo test -q --features failpoints --test crash_recovery
-
-echo "==> durability suite (--features failpoints)"
-# The fold in MvccStore::recover and the logged catalog (live = log
-# reopen = checkpoint reopen = replica) must stay clean with the failpoint
-# scaffolding compiled in, as every torture suite's reopen relies on them.
-cargo test -q --features failpoints --test durability
-
-echo "==> request-lifecycle torture suite (--features failpoints)"
-cargo test -q --features failpoints --test lifecycle_torture
-
-echo "==> replication failover torture suite (--features failpoints)"
-cargo test -q --features failpoints --test replication
-
-echo "==> group-commit torture & property suite (--features failpoints)"
-cargo test -q --features failpoints --test group_commit
-
-echo "==> checkpoint torture suite (--features failpoints)"
-cargo test -q --features failpoints --test checkpoint
+echo "==> torture suites (--features failpoints)"
+# Crash recovery at every rostered site, request lifecycle, replication
+# failover, the group-commit torture & property suite and checkpoints;
+# plus the durability suite, because the fold in MvccStore::recover and
+# the logged catalog (live = log reopen = checkpoint reopen = replica)
+# must stay clean with the failpoint scaffolding compiled in, as every
+# torture suite's reopen relies on them.
+cargo test -q --features failpoints \
+  --test crash_recovery --test durability --test lifecycle_torture \
+  --test replication --test group_commit --test checkpoint
 
 echo "==> the evaluator's allocation budget, optimized build"
 # tests/query_allocs.rs (referring to a bound document must not copy it)

@@ -226,8 +226,6 @@ fn doomed_op(db: &Database, site: &str) -> mmdb::Result<()> {
         // this same thread.
         "wal.append"
         | "wal.sync"
-        | "txn.commit.before_wal"
-        | "txn.commit.after_wal"
         | "txn.group_commit.enqueue"
         | "txn.group_commit.before_sync"
         | "txn.group_commit.after_sync" => db
@@ -240,9 +238,6 @@ fn doomed_op(db: &Database, site: &str) -> mmdb::Result<()> {
                 )
             })
             .map(|_| ()),
-        // Page-path sites: flushing the buffer pool writes every dirty
-        // relational page through `disk.write_page`.
-        "disk.write_page" | "buffer.flush" => db.world().catalog.pool().flush_all(),
         // LSM sites: compaction first flushes the memtable, then merges.
         "lsm.flush" | "lsm.compact" => db.kv().compact("cart"),
         // Query-path site: every executor loop iteration ticks it, so any
@@ -314,20 +309,18 @@ fn every_site_crash_recovers_to_the_oracle() {
         );
         match site {
             // Crash before the durability point: no trace.
-            "txn.commit.before_wal" | "txn.group_commit.enqueue" | "wal.append" => {
+            "txn.group_commit.enqueue" | "wal.append" => {
                 assert!(!doc, "site {site}: uncommitted transaction resurfaced")
             }
             // Crash at/after it: the records reached the log file (for
             // `wal.sync` and `txn.group_commit.before_sync`, unsynced but
             // readable on the same machine), so recovery replays the
             // transaction in full.
-            "txn.commit.after_wal"
-            | "txn.group_commit.before_sync"
-            | "txn.group_commit.after_sync"
-            | "wal.sync" => {
+            "txn.group_commit.before_sync" | "txn.group_commit.after_sync" | "wal.sync" => {
                 assert!(doc, "site {site}: durable transaction lost")
             }
-            // Page/LSM maintenance writes no new logical state.
+            // LSM maintenance, queries and checkpoints write no new
+            // logical state.
             _ => assert!(!doc, "site {site}: phantom transaction appeared"),
         }
 
@@ -350,7 +343,7 @@ fn error_injection_fails_cleanly_with_no_partial_state() {
         match site {
             // Crash-only sites: they sit past the durability point, where
             // returning an error would disown an already-durable commit.
-            "txn.commit.after_wal" | "txn.group_commit.after_sync" => continue,
+            "txn.group_commit.after_sync" => continue,
             // An error between the batch append and its fsync is the same
             // condition as a failed fsync: the appended records' durability
             // is unknowable, so the store latches degraded rather than
@@ -477,7 +470,7 @@ fn ddl_survives_a_crash_without_recreating_tables() {
             .unwrap();
         // Crash while creating a second table, just past the durability
         // point: the DDL record is in the log, the catalog never saw it.
-        fault::set("txn.commit.after_wal", "panic").unwrap();
+        fault::set("txn.group_commit.after_sync", "panic").unwrap();
         let crashed = catch_crash(|| {
             db.create_table(
                 "audit",
@@ -516,7 +509,6 @@ fn the_workload_exercises_every_registered_site() {
     let db = Database::open(&dir).unwrap();
     seed(&db);
     let _ = probes(&db);
-    db.world().catalog.pool().flush_all().unwrap();
     db.kv().compact("cart").unwrap();
     db.checkpoint().unwrap();
     drop(db);
@@ -550,7 +542,7 @@ fn server_surfaces_injected_commit_failure_as_a_clean_error() {
 
     client.begin(false).unwrap();
     client.kv_put("cart", "k", Value::int(1)).unwrap();
-    fault::set("txn.commit.before_wal", "error").unwrap();
+    fault::set("txn.group_commit.enqueue", "error").unwrap();
     // The commit must come back as an error response — no hang, no
     // dropped connection — and the server-side transaction is aborted.
     let err = client.commit().unwrap_err();

@@ -364,7 +364,7 @@ fn every_migration_survives_reopen() {
 /// with its vertex and edge collections, a persistent, a column, a GIN
 /// and a full-text index, an XML and a JSON tree — with data, some
 /// indexes defined before it and some after; then every key of one
-/// bucket and of one collection is deleted.
+/// bucket and of one collection is deleted, and so is one full-text match.
 fn catalog_history(db: &Database) {
     use mmdb::substrate::index::GinMode;
     use mmdb::substrate::relational::{ColumnDef, DataType, Schema};
@@ -404,6 +404,8 @@ fn catalog_history(db: &Database) {
             s.kv_put("sessions", &id.to_string(), Value::int(id as i64))?;
             s.add_vertex("social", "persons", json(&format!(r#"{{"_key":"{id}"}}"#)))?;
         }
+        // Matches the full-text probes until the next transaction removes it.
+        s.insert_document("orders", json(r#"{"_key":"o5","total":50,"note":"a toy box"}"#))?;
         s.add_edge("social", "knows", "persons/1", "persons/2", json("{}"))?;
         s.add_edge("social", "knows", "persons/1", "persons/3", json("{}"))
             .map(drop)
@@ -416,6 +418,7 @@ fn catalog_history(db: &Database) {
             s.remove_document("drafts", &format!("d{id}"))?;
             s.kv_delete("sessions", &id.to_string())?;
         }
+        s.remove_document("orders", "o5")?;
         s.update_document("orders", "o2", json(r#"{"total":25,"note":"three toy books"}"#))
     })
     .unwrap();
@@ -429,8 +432,8 @@ const CATALOG_INDEXED: [&str; 2] = [
 
 /// What `catalog_history` left, serialized so comparisons are
 /// byte-identical: data probes, the `EXPLAIN` text and answer of a query
-/// per index, the GIN probe, `FULLTEXT` and `XPATH` answers, and the two
-/// emptied containers.
+/// per index, the GIN probe, `FULLTEXT` answers and BM25 scores, `XPATH`
+/// answers, and the two emptied containers.
 fn catalog_probes(db: &Database) -> String {
     let mut out: Vec<Value> = [
         "FOR o IN orders SORT o._key RETURN o",
@@ -438,6 +441,7 @@ fn catalog_probes(db: &Database) -> String {
         "FOR k IN cart SORT k._key RETURN k",
         r#"FOR p IN 1..1 OUTBOUND "persons/1" knows SORT p._key RETURN p._key"#,
         r#"FOR o IN FULLTEXT("order_notes", "toy") SORT o._key RETURN o._key"#,
+        r#"FOR h IN FULLTEXT_RANKED("order_notes", "toy", 10) SORT h.doc._key RETURN [h.doc._key, h.score]"#,
         r#"RETURN XPATH("catalog", "/catalog/product/name")"#,
         r#"RETURN XPATH("config", "/shop/tags")"#,
         "FOR x IN drafts RETURN x",

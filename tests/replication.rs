@@ -73,7 +73,7 @@ fn wal_sites() -> Vec<&'static str> {
         .iter()
         .chain(mmdb::substrate::txn::FAILPOINT_SITES)
         .copied()
-        .filter(|s| s.starts_with("wal.") || s.starts_with("txn.commit."))
+        .filter(|s| s.starts_with("wal.") || s.starts_with("txn.group_commit."))
         .collect();
     sites.sort_unstable();
     assert!(!sites.is_empty(), "no WAL-path failpoint sites registered");
