@@ -7,8 +7,8 @@
 //! transaction domain and one query language.
 //!
 //! Writes flow through the MVCC store (version chains + WAL) and fan out
-//! to the model stores via commit hooks, so the model stores always show
-//! the latest *committed* state — they are, in OctopusDB terms, the
+//! to the model stores via commit hooks, applied in commit order, and a
+//! commit returns only once its writes are in them — they are, in OctopusDB terms, the
 //! materialized storage views of the transaction log. [`Session`] exposes
 //! cross-model transactions (UniBench Workload C); [`Database::query`]
 //! runs MMQL; [`evolution`] maps data *between* models (the tutorial's

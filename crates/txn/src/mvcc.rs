@@ -16,15 +16,18 @@
 //! was written by an earlier winner of the same batch), appends every
 //! winner's Begin/Write*/Commit block with
 //! one contiguous WAL batch write, issues a **single** `wal.sync()`,
-//! installs the version chains in commit order, and fires the
-//! registered commit hooks so model stores can update their indexes.
+//! gives the winners their commit timestamps, installs the version
+//! chains in commit order and hands each winner its write set back.
 //! K concurrent commits cost one fsync instead of K; losers get the
-//! usual retryable conflict error.
+//! usual retryable conflict error. Each winner then runs the registered
+//! commit hooks (the model stores) on its own thread, in commit order,
+//! outside the sequencer's critical section.
 //!
-//! Logging and installing are one private step each
-//! ([`StoreInner::log`], [`StoreInner::install`]): the leader, a
-//! replicated apply and startup recovery all reach the WAL and the
-//! version map through them (DESIGN.md "A transaction's road").
+//! Logging, installing and applying are one private step each
+//! ([`StoreInner::log`], [`StoreInner::install`], [`StoreInner::apply`]):
+//! the leader and its committers, a replicated apply and startup
+//! recovery all reach the WAL, the version map and the hooks through
+//! them (DESIGN.md "A transaction's road").
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -99,27 +102,47 @@ fn load_class(domain: &str) -> u8 {
 }
 
 /// One validated transaction on its way into the store: the log step
-/// reads `txid`, the install step `commit_ts`, both the same writes.
+/// frames its writes under `txid`, the install step pushes them at the
+/// next commit timestamp.
 struct Commit<'a> {
     txid: u64,
-    commit_ts: u64,
     writes: &'a [CommittedWrite],
 }
 
 type CommitHook = Box<dyn Fn(&[CommittedWrite]) + Send + Sync>;
 
+/// What a parked committer is woken with.
+enum Wake {
+    /// Leadership, handed over by the previous leader: sequence the
+    /// queue, which holds this committer's own request.
+    Lead,
+    /// This committer's outcome; a winner gets its commit timestamp and
+    /// its write set back, for its own apply step.
+    Done(Result<(u64, Vec<CommittedWrite>)>),
+}
+
 /// A committer's parking slot: the group-commit leader publishes the
-/// outcome here and wakes the owner.
+/// outcome, or leadership, here and wakes the owner.
 #[derive(Default)]
 struct CommitSlot {
-    result: Mutex<Option<Result<u64>>>,
+    wake: Mutex<Option<Wake>>,
     ready: Condvar,
 }
 
 impl CommitSlot {
-    fn publish(&self, outcome: Result<u64>) {
-        *self.result.lock() = Some(outcome);
+    fn publish(&self, wake: Wake) {
+        *self.wake.lock() = Some(wake);
         self.ready.notify_all();
+    }
+
+    fn wait(&self) -> Wake {
+        let mut wake = self.wake.lock();
+        loop {
+            if let Some(w) = wake.take() {
+                return w;
+            }
+            self.ready.wait(&mut wake);
+        }
     }
 }
 
@@ -136,8 +159,11 @@ struct CommitRequest {
 
 /// The group-commit queue. Committers enqueue under this lock and the
 /// first to find no leader running becomes the leader; everyone else
-/// parks on their slot. The lock is only ever held for queue surgery —
-/// never across validation, WAL writes, or hooks.
+/// parks on their slot. A leader sequences one batch, then hands
+/// leadership to the oldest committer queued behind it, or clears
+/// `leader_active` if there is none. The lock is only ever held for
+/// queue surgery — never across validation, WAL writes, or the apply
+/// step.
 #[derive(Default)]
 struct GroupQueue {
     pending: Vec<CommitRequest>,
@@ -160,22 +186,27 @@ pub struct GroupCommitStats {
 
 struct StoreInner {
     versions: RwLock<HashMap<TxnKey, Vec<Version>>>,
-    clock: AtomicU64,
-    /// Visibility watermark: the highest commit timestamp whose versions
-    /// are fully installed. `begin` snapshots read this, not `clock` —
-    /// the sequencer allocates timestamps *before* the WAL append and
-    /// install, so a snapshot taken from `clock` in that window would
-    /// cover an allocated-but-uninstalled commit and watch the key
-    /// change under it mid-read. Advanced (fetch_max) only after the
-    /// corresponding versions are in the map.
+    /// The commit clock and the visibility watermark in one: the highest
+    /// commit timestamp whose versions are installed. `begin` snapshots
+    /// read it; [`StoreInner::install`] hands out the next timestamps
+    /// from it and stores the last one after the versions are in the
+    /// map. That happens under `commit_mutex` and after the log step, so
+    /// a snapshot never covers an uninstalled commit, and a failed or
+    /// crashed log step allocates no timestamp.
     snapshot_ts: AtomicU64,
     next_txid: AtomicU64,
     wal: Option<Arc<Wal>>,
     hooks: RwLock<Vec<CommitHook>>,
+    /// The apply turn: the highest commit timestamp whose hooks have run.
+    /// Commit `t` runs its hooks once this reads `t − 1` (see
+    /// [`StoreInner::apply`]). A leaf: nothing is taken under it.
+    applied: Mutex<u64>,
+    /// Signalled whenever `applied` advances.
+    turn: Condvar,
     /// Serializes batch sequencing with [`MvccStore::apply_replicated`]
-    /// and guards the validate+install critical section. Individual
-    /// committers no longer take it — only the group-commit leader does,
-    /// once per batch.
+    /// and guards the validate, log and install critical section. Only
+    /// the group-commit leader takes it, once per batch; nobody holds it
+    /// while hooks run.
     commit_mutex: Mutex<()>,
     /// The group-commit sequencer queue (see [`GroupQueue`]).
     group: Mutex<GroupQueue>,
@@ -230,15 +261,18 @@ impl StoreInner {
     // leader running drains the queue, validates every transaction
     // (first committer wins — within the batch, earlier queue position
     // wins), lands all surviving WAL blocks with one contiguous batch
-    // append and a *single* `wal.sync()`, installs the versions, fires
-    // the hooks in commit order, and wakes everyone. K concurrent
-    // commits therefore cost one fsync instead of K, and conflict
-    // detection happens per transaction at sequencing time instead of
-    // each committer serializing on the version map.
+    // append and a *single* `wal.sync()`, installs the versions, wakes
+    // everyone, and hands leadership to whoever queued meanwhile. K
+    // concurrent commits therefore cost one fsync instead of K, and
+    // conflict detection happens per transaction at sequencing time
+    // instead of each committer serializing on the version map. Every
+    // winner then applies its own write set to the hooks in commit
+    // order, so the next batch's log step overlaps this one's hooks.
 
-    /// Enqueue one transaction's writes (and serializable reads) and wait
+    /// Enqueue one transaction's writes (and serializable reads), wait
     /// for the sequencing leader (possibly this thread) to publish the
-    /// outcome.
+    /// outcome, and apply a win: this returns only once the hooks of this
+    /// commit, and so of every earlier one, have run.
     fn group_commit(
         &self,
         txid: u64,
@@ -251,38 +285,38 @@ impl StoreInner {
             let mut q = self.group.lock();
             let req = CommitRequest { txid, start_ts, writes, reads, slot: Arc::clone(&slot) };
             q.pending.push(req);
-            if q.leader_active {
-                false
-            } else {
-                q.leader_active = true;
-                true
-            }
+            !std::mem::replace(&mut q.leader_active, true)
         };
         if lead {
-            self.lead_group();
+            self.lead_batch();
         }
-        let mut r = slot.result.lock();
-        loop {
-            if let Some(outcome) = r.take() {
-                return outcome;
+        let (commit_ts, writes) = loop {
+            match slot.wait() {
+                Wake::Lead => self.lead_batch(),
+                Wake::Done(outcome) => break outcome?,
             }
-            slot.ready.wait(&mut r);
-        }
+        };
+        self.apply(commit_ts, &writes);
+        Ok(commit_ts)
     }
 
-    /// Leader loop: sequence batches until the queue drains, then step
-    /// down. Runs on the committer thread that found no leader active.
-    fn lead_group(&self) {
-        loop {
-            let batch = {
-                let mut q = self.group.lock();
-                if q.pending.is_empty() {
-                    q.leader_active = false;
-                    return;
-                }
-                std::mem::take(&mut q.pending)
-            };
-            self.commit_batch(batch);
+    /// One leader turn, on a committer's thread: sequence everything
+    /// queued (this committer's own request among it), then hand
+    /// leadership to the oldest committer that queued meanwhile, or step
+    /// down. Leading one batch only lets this committer's apply step run
+    /// beside the next batch's log step, and a leader never waits for an
+    /// apply turn.
+    fn lead_batch(&self) {
+        let batch = std::mem::take(&mut self.group.lock().pending);
+        self.commit_batch(batch);
+        let next = {
+            let mut q = self.group.lock();
+            let next = q.pending.first().map(|req| Arc::clone(&req.slot));
+            q.leader_active = next.is_some();
+            next
+        };
+        if let Some(slot) = next {
+            slot.publish(Wake::Lead);
         }
     }
 
@@ -301,7 +335,7 @@ impl StoreInner {
                 let Some(slots) = self.slots.take() else { return };
                 let crashed = || Error::Storage("commit leader crashed mid-batch".into());
                 for slot in &slots {
-                    slot.publish(Err(crashed()));
+                    slot.publish(Wake::Done(Err(crashed())));
                 }
                 let stranded = {
                     let mut q = self.store.group.lock();
@@ -309,7 +343,7 @@ impl StoreInner {
                     std::mem::take(&mut q.pending)
                 };
                 for req in &stranded {
-                    req.slot.publish(Err(crashed()));
+                    req.slot.publish(Wake::Done(Err(crashed())));
                 }
             }
         }
@@ -321,13 +355,15 @@ impl StoreInner {
         // Everything that can panic (the crash failpoints) is behind us:
         // defuse the guard and publish for real.
         unwind.slots = None;
-        for (req, outcome) in batch.iter().zip(outcomes) {
-            req.slot.publish(outcome);
+        for (req, outcome) in batch.into_iter().zip(outcomes) {
+            req.slot.publish(Wake::Done(outcome.map(|commit_ts| (commit_ts, req.writes))));
         }
     }
 
     /// Validate, log, sync, and install one batch; returns one outcome
-    /// per request, in batch order.
+    /// per request, in batch order. A winner's timestamp is allocated
+    /// only past the last crash site, so every allocated timestamp
+    /// reaches a committer that applies it.
     fn sequence_batch(&self, batch: &[CommitRequest]) -> Vec<Result<u64>> {
         self.group_batches.fetch_add(1, Ordering::SeqCst);
         self.group_txns.fetch_add(batch.len() as u64, Ordering::SeqCst);
@@ -387,14 +423,9 @@ impl StoreInner {
             return seal_results(results);
         }
 
-        // Contiguous commit timestamps in batch order.
         let commits: Vec<Commit> = winners
             .iter()
-            .map(|&i| Commit {
-                txid: batch[i].txid,
-                commit_ts: self.clock.fetch_add(1, Ordering::SeqCst) + 1,
-                writes: &batch[i].writes,
-            })
+            .map(|&i| Commit { txid: batch[i].txid, writes: &batch[i].writes })
             .collect();
         let commit_lsn = match self.log(&commits) {
             Ok(lsn) => lsn,
@@ -414,9 +445,10 @@ impl StoreInner {
         if let Some(lsn) = commit_lsn {
             self.last_commit_lsn.fetch_max(lsn, Ordering::SeqCst);
         }
-        self.install(&commits);
-        for (&i, c) in winners.iter().zip(&commits) {
-            results[i] = Some(Ok(c.commit_ts));
+        // Contiguous commit timestamps in batch order.
+        let first_ts = self.install(&commits);
+        for (&i, commit_ts) in winners.iter().zip(first_ts..) {
+            results[i] = Some(Ok(commit_ts));
         }
         seal_results(results)
     }
@@ -462,33 +494,63 @@ impl StoreInner {
     }
 
     /// The install step — the only way versions enter the store and the
-    /// only caller of commit hooks. Pushes every commit's versions under
-    /// one write lock, in commit-ts order; only then lets new snapshots
-    /// cover those timestamps (see `snapshot_ts` — a failed log step
-    /// leaves a permanent gap between `snapshot_ts` and `clock` for the
-    /// wasted allocations, which is harmless: the next install jumps the
-    /// watermark past it); then hands each hook each transaction's own
-    /// write slice.
-    fn install(&self, commits: &[Commit]) {
+    /// only place commit timestamps are allocated. Gives the commits the
+    /// timestamps after `snapshot_ts`, one each in order, pushes their
+    /// versions under one write lock, and only then lets new snapshots
+    /// cover them. Returns the first commit's timestamp; the rest follow
+    /// it contiguously. The caller holds `commit_mutex` and is past the
+    /// log step, so timestamps follow log order and every one allocated
+    /// is installed; it must hand each one to [`StoreInner::apply`].
+    fn install(&self, commits: &[Commit]) -> u64 {
+        let first_ts = self.snapshot_ts.load(Ordering::SeqCst) + 1;
         {
             let mut versions = self.versions.write();
-            for c in commits {
+            for (commit_ts, c) in (first_ts..).zip(commits) {
                 for w in c.writes {
                     versions
                         .entry((w.domain.clone(), w.key.clone()))
                         .or_default()
-                        .push(Version { commit_ts: c.commit_ts, value: w.value.clone() });
+                        .push(Version { commit_ts, value: w.value.clone() });
                 }
             }
         }
-        if let Some(last) = commits.last() {
-            self.snapshot_ts.fetch_max(last.commit_ts, Ordering::SeqCst);
+        self.snapshot_ts.store(first_ts - 1 + commits.len() as u64, Ordering::SeqCst);
+        first_ts
+    }
+
+    /// The apply step — the only caller of commit hooks, run once for
+    /// every installed commit, on the thread that committed it and with
+    /// no lock of the commit path held: wait until every earlier commit
+    /// has been applied, hand each hook this commit's write set, pass
+    /// the turn on. So the model stores take commits in commit order
+    /// while the next batch is already being logged. A hook that panics
+    /// still passes the turn on (a stranded turn would wedge every later
+    /// commit) and latches the store read-only, because the model stores
+    /// now miss a committed write.
+    fn apply(&self, commit_ts: u64, writes: &[CommittedWrite]) {
+        struct Turn<'a> {
+            store: &'a StoreInner,
+            commit_ts: u64,
         }
-        let hooks = self.hooks.read();
-        for c in commits {
-            for h in hooks.iter() {
-                h(c.writes);
+        impl Drop for Turn<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    let reason = format!("commit hook panicked on commit {}", self.commit_ts);
+                    self.store.latch_degraded(&reason);
+                }
+                *self.store.applied.lock() = self.commit_ts;
+                self.store.turn.notify_all();
             }
+        }
+        {
+            let mut applied = self.applied.lock();
+            while *applied < commit_ts - 1 {
+                self.turn.wait(&mut applied);
+            }
+        }
+        let _turn = Turn { store: self, commit_ts };
+        for hook in self.hooks.read().iter() {
+            hook(writes);
         }
     }
 }
@@ -533,11 +595,12 @@ impl MvccStore {
         MvccStore {
             inner: Arc::new(StoreInner {
                 versions: RwLock::new(HashMap::new()),
-                clock: AtomicU64::new(1),
                 snapshot_ts: AtomicU64::new(1),
                 next_txid: AtomicU64::new(1),
                 wal,
                 hooks: RwLock::with_rank(lock_rank::TXN_HOOKS, Vec::new()),
+                applied: Mutex::new(1),
+                turn: Condvar::new(),
                 commit_mutex: Mutex::with_rank(lock_rank::TXN_COMMIT, ()),
                 group: Mutex::new(GroupQueue::default()),
                 group_batches: AtomicU64::new(0),
@@ -558,9 +621,11 @@ impl MvccStore {
         WeakMvccStore { inner: Arc::downgrade(&self.inner) }
     }
 
-    /// Register a commit hook (fired after every successful commit with
-    /// its write set). A hook cannot return an error; one that fails
-    /// latches the store read-only through a [`WeakMvccStore`].
+    /// Register a commit hook, run with the write set of every commit
+    /// installed after this call: in commit order, on the committing
+    /// thread, before its `commit` returns. A hook cannot return an
+    /// error; one that fails latches the store read-only through a
+    /// [`WeakMvccStore`], and one that panics latches it too.
     pub fn add_commit_hook(&self, hook: impl Fn(&[CommittedWrite]) + Send + Sync + 'static) {
         self.inner.hooks.write().push(Box::new(hook));
     }
@@ -681,7 +746,8 @@ impl MvccStore {
     /// apply while `f` runs. This is the checkpoint window — between two
     /// commits the WAL tail and the version store agree exactly, so
     /// state extracted inside `f` is consistent with the tail LSN read
-    /// inside `f`.
+    /// inside `f`. The commit hooks of installed commits may still be
+    /// running, so `f` reads the version store, not the model stores.
     pub fn quiesce_commits<R>(&self, f: impl FnOnce() -> R) -> R {
         let _guard = self.inner.commit_mutex.lock();
         f()
@@ -736,24 +802,24 @@ impl MvccStore {
     /// Install one replicated transaction's writes, as they arrive off
     /// the primary's log stream. Bypasses conflict validation (the primary
     /// already serialized the log) and the read-only latch, takes a fresh
-    /// local txid and commit timestamp, and then travels the same road as
-    /// a local commit: one log step (this store's own WAL, when it has
-    /// one, gets the block whole or not at all), one install step.
+    /// local txid, and then travels the same road as a local commit: one
+    /// log step (this store's own WAL, when it has one, gets the block
+    /// whole or not at all), one install step, one apply step.
     pub fn apply_replicated(&self, writes: &[CommittedWrite]) -> Result<u64> {
         if writes.is_empty() {
             return Ok(self.now());
         }
         let inner = &self.inner;
-        let _guard = inner.commit_mutex.lock();
-        let commit = Commit {
-            txid: inner.next_txid.fetch_add(1, Ordering::SeqCst),
-            commit_ts: inner.clock.fetch_add(1, Ordering::SeqCst) + 1,
-            writes,
+        let commit_ts = {
+            let _guard = inner.commit_mutex.lock();
+            let commit =
+                Commit { txid: inner.next_txid.fetch_add(1, Ordering::SeqCst), writes };
+            inner.log(std::slice::from_ref(&commit))?;
+            inner.commits.fetch_add(1, Ordering::SeqCst);
+            inner.install(std::slice::from_ref(&commit))
         };
-        inner.log(std::slice::from_ref(&commit))?;
-        inner.commits.fetch_add(1, Ordering::SeqCst);
-        inner.install(std::slice::from_ref(&commit));
-        Ok(commit.commit_ts)
+        inner.apply(commit_ts, writes);
+        Ok(commit_ts)
     }
 
     /// Install a snapshot bootstrap as a full state *replace* — the
@@ -810,8 +876,8 @@ impl MvccStore {
     ///   definitions, then rows, documents, keys and vertices, then edges,
     ///   then index definitions).
     ///
-    /// They are then decoded and installed as one commit, so each commit
-    /// hook sees every live key once — the same keys a checkpoint
+    /// They are then decoded, installed and applied as one commit, so
+    /// each commit hook sees every live key once — the same keys a checkpoint
     /// snapshot holds ([`MvccStore::latest_committed_writes`]). Cascades
     /// the model stores ran on the history are not re-run: a raw
     /// `ddl/table` delete leaves the table's rows live, and an edge whose
@@ -839,9 +905,12 @@ impl MvccStore {
         folded.retain(|w| w.value.is_some());
         folded.sort_by_cached_key(|w| load_class(&w.domain));
         let writes = folded.into_iter().map(CommittedWrite::decode).collect::<Result<Vec<_>>>()?;
-        self.inner.versions.write().reserve(writes.len());
-        let commit_ts = self.inner.clock.fetch_add(1, Ordering::SeqCst) + 1;
-        self.inner.install(&[Commit { txid: 0, commit_ts, writes: &writes }]);
+        let commit_ts = {
+            let _guard = self.inner.commit_mutex.lock();
+            self.inner.versions.write().reserve(writes.len());
+            self.inner.install(&[Commit { txid: 0, writes: &writes }])
+        };
+        self.inner.apply(commit_ts, &writes);
         Ok(writes.len())
     }
 }
@@ -948,7 +1017,9 @@ impl Transaction {
     /// The heavy lifting happens in the group-commit sequencer: this
     /// thread enqueues its write set (and, when serializable, its read
     /// set) and either leads the batch or parks until a leader publishes
-    /// the outcome (see [`StoreInner::group_commit`]). A read-only
+    /// the outcome, then runs the commit hooks on its writes in commit
+    /// order (see [`StoreInner::group_commit`]): once this returns, the
+    /// model stores hold this commit and every earlier one. A read-only
     /// transaction returns here unvalidated even when serializable: it
     /// read one committed prefix of the commit order, its snapshot.
     pub fn commit(mut self) -> Result<u64> {
@@ -1499,6 +1570,42 @@ mod tests {
         let before = wal.tail_lsn();
         s.apply_replicated(&[]).unwrap();
         assert_eq!(wal.tail_lsn(), before);
+    }
+
+    /// A failed log step allocates no commit timestamp, and neither does
+    /// a crash just past the durability point: the next commit gets the
+    /// previous timestamp + 1 and `now()` reads it. An allocated but
+    /// never-applied timestamp would wedge every later apply. Failpoints
+    /// are process-global, so `scripts/ci.sh` runs this module with the
+    /// feature on and one test thread.
+    #[test]
+    #[cfg(feature = "failpoints")]
+    fn a_failed_or_crashed_log_step_allocates_no_timestamp() {
+        let s = MvccStore::new(Some(Arc::new(Wal::in_memory())));
+        let commit = |v: i64| {
+            let mut t = s.begin(IsolationLevel::Snapshot);
+            t.put("kv/cart", b"1", Value::int(v)).unwrap();
+            t.commit()
+        };
+        let first = commit(1).unwrap();
+
+        mmdb_fault::set("wal.append", "error").unwrap();
+        let refused = commit(2);
+        mmdb_fault::clear_all();
+        assert_eq!(refused.unwrap_err().kind(), "storage");
+        assert!(!s.is_degraded(), "nothing reached the log, nothing to latch");
+        assert_eq!(s.now(), first);
+
+        mmdb_fault::set("txn.group_commit.after_sync", "panic").unwrap();
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| commit(3)));
+        mmdb_fault::clear_all();
+        assert!(crashed.is_err(), "the leader crashed past the durability point");
+        assert_eq!(s.now(), first, "the crashed batch holds no timestamp");
+
+        let next = commit(4).unwrap();
+        assert_eq!(next, first + 1);
+        assert_eq!(s.now(), next);
+        assert_eq!(s.get_latest("kv/cart", b"1"), Some(Value::int(4)));
     }
 
     #[test]

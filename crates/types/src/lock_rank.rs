@@ -10,11 +10,12 @@
 //! — no rank literals at call sites. Levels leave gaps for a lock that
 //! has to go between two others.
 //!
-//! Read top to bottom, this is the longest path a request can take: a
-//! lane executor holds its connection's session across the engine call,
-//! the engine call may checkpoint or commit, the commit leader runs the
-//! commit hooks, and the hooks apply the write set to the model stores,
-//! which sit on heap files on the buffer pool.
+//! Read top to bottom, these are the paths a request can take: a lane
+//! executor holds its connection's session across the engine call; the
+//! engine call may checkpoint, or commit — the leader takes the commit
+//! mutex, then the committer, with the mutex released, runs the commit
+//! hooks; and the hooks apply the write set to the model stores, which
+//! sit on heap files on the buffer pool.
 //!
 //! A rank marked `.held_across_waits()` is a lock its holders keep
 //! through an fsync or a park, so taking it can last that long. The same
@@ -49,22 +50,24 @@ pub const CHECKPOINT_SERIAL: Rank = Rank::new(30, "core.checkpoint.serial").held
 
 // ---- txn: the commit pipeline ----------------------------------------------
 
-/// The top of the txn hierarchy, held by the group-commit leader for a
-/// whole batch (and by `apply_replicated` / `quiesce_commits`): validate
-/// under `versions`, append and sync the WAL, install into
-/// `versions`, latch `degraded_reason` on a post-append failure, run the
-/// hooks. The sequencer's queue (`group`) and the committers' `result`
-/// slots are leaves released before this is taken; so are `versions`
-/// and `degraded_reason`. Held across the
-/// batch's fsync.
-pub const TXN_COMMIT: Rank = Rank::new(40, "txn.commit_mutex").held_across_waits();
+/// The commit-hook list, read-held by a committer while its hooks run
+/// (the apply step, in each commit, recovery and replicated apply). The
+/// hooks are `dyn Fn`s: `Database`'s applies the write set to the model
+/// stores, so every store lock below nests under this one. A hook that
+/// fails latches `degraded_reason` from in here. Ranked *above*
+/// `commit_mutex`: the apply step runs after the commit mutex is
+/// released, and a hook run under it is an order violation. The apply
+/// turn (`applied`, waited for before this is taken) is a leaf.
+pub const TXN_HOOKS: Rank = Rank::new(35, "txn.hooks");
 
-/// The commit-hook list, read-held by the leader while every hook runs.
-/// The hooks are `dyn Fn`s: `Database`'s applies the write set to the
-/// model stores, so every store lock below nests under this one (and
-/// under `commit_mutex`) in each commit, recovery and replicated apply. A
-/// hook that fails latches `degraded_reason` from in here.
-pub const TXN_HOOKS: Rank = Rank::new(60, "txn.hooks");
+/// Held by the group-commit leader for a whole batch (and by
+/// `apply_replicated` / `recover` / `quiesce_commits`): validate under
+/// `versions`, append and sync the WAL, latch `degraded_reason` on a
+/// post-append failure, install into `versions`. The sequencer's queue
+/// (`group`) and the committers' `result` slots are leaves released
+/// before this is taken; so are `versions` and `degraded_reason`. Held
+/// across the batch's fsync.
+pub const TXN_COMMIT: Rank = Rank::new(40, "txn.commit_mutex").held_across_waits();
 
 // ---- the model stores --------------------------------------------------------
 

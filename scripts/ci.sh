@@ -63,6 +63,17 @@ cargo test -q --features failpoints \
   --test crash_recovery --test durability --test lifecycle_torture \
   --test replication --test group_commit --test checkpoint
 
+echo "==> ordered apply, optimized build, and mmdb-txn's failpoint unit tests"
+# The ordered-apply test ran above with the lock witness armed; the
+# optimized build is where its commits race tightly enough for a hook
+# run out of commit order, or a commit returning before its hooks, to
+# show. The mvcc unit tests run again with failpoints compiled in, on one
+# thread because failpoints are process-global: a failed or crashed log
+# step must allocate no commit timestamp.
+cargo test -q --release --features failpoints --test group_commit \
+  concurrent_writers_read_their_own_commits_from_every_model_view
+cargo test -q -p mmdb-txn --features failpoints --lib -- --test-threads=1
+
 echo "==> the evaluator's allocation budget, optimized build"
 # tests/query_allocs.rs (referring to a bound document must not copy it)
 # ran in the debug pass above; this is the optimized build, the one the

@@ -26,20 +26,30 @@
 //!      commit/abort, snapshot and serializable, across overlapping keys
 //!      match the serial first-committer-wins model exactly — written
 //!      keys validated always, read keys when serializable, one winner
-//!      per conflict — and the WAL the group path writes replays to the
-//!      identical committed state.
+//!      per conflict, the commit hook sees the winners in commit order —
+//!      and the WAL the group path writes replays to the identical
+//!      committed state;
+//!   7. each committer applies its own writes to the model stores, in
+//!      commit order, before its `commit` returns: concurrent Session
+//!      writers on overlapping keys of four models read their own write
+//!      (or a later one) back through MMQL and the kv view, and the
+//!      views end equal to the version store; a hook that panics on one
+//!      committer latches the store read-only without wedging the
+//!      commits sequenced behind it.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
+use std::sync::{mpsc, Arc, Barrier, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
+use mmdb::substrate::relational::{ColumnDef, DataType, Schema};
 use mmdb::substrate::repl::{ReplicaOptions, ReplicaRunner};
 use mmdb::substrate::storage::wal::recover_from_bytes;
 use mmdb::substrate::storage::Wal;
 use mmdb::substrate::txn::{IsolationLevel, MvccStore};
+use mmdb::substrate::types::codec::key_of;
 use mmdb::{fault, Database, Value};
 use mmdb_client::ClientConfig;
 use mmdb_server::{Server, ServerConfig};
@@ -179,12 +189,12 @@ fn eight_writers_triple_serial_fsync_throughput() {
     assert_eq!(serial_syncs, TXNS as u64, "a lone writer must pay one fsync per commit");
 
     // Same commit count across eight writers: batches amortize the sync.
-    // The writers draw from one counter instead of owning a twelfth each:
-    // a leader commits nothing of its own while the queue keeps it
-    // leading, and a fixed share would be left over as a tail of
-    // one-commit batches (33-35 fsyncs against the bound of 32). Drawn
-    // this way the worst steady state is seven writers in two alternating
-    // batches, 96 / 7 * 2 = 28 fsyncs.
+    // The writers draw from one counter instead of owning a twelfth each,
+    // so a writer that falls behind is not left with a tail of
+    // one-commit batches of its own (with fixed shares, and a leader that
+    // kept leading until the queue drained, that tail cost 33-35 fsyncs
+    // against the bound of 32). Drawn this way the worst steady state is
+    // seven writers in two alternating batches, 96 / 7 * 2 = 28 fsyncs.
     let grouped = MvccStore::new(Some(Arc::new(Wal::in_memory())));
     let syncs0 = fault::hits("wal.sync");
     let gate = Barrier::new(WRITERS);
@@ -508,6 +518,201 @@ fn replicas_converge_byte_for_byte_over_a_group_committed_stream() {
     server.shutdown().unwrap();
 }
 
+/// `n` and `w` of the one `{n, w}` object a query answered with.
+fn n_and_w(rows: Vec<Value>) -> (i64, i64) {
+    assert_eq!(rows.len(), 1, "{rows:?}");
+    let field = |f: &str| rows[0].get_field(f).as_int().unwrap();
+    (field("n"), field("w"))
+}
+
+/// Six Session writers, three overlapping keys, four models. Every
+/// transaction on key `i` reads the document's counter `n` at its
+/// snapshot and writes `n + 1` (with its writer id `w`) to the document,
+/// the kv key and the row of `i`, plus a new vertex `v{i}-{n}` and an
+/// edge `e{i}-{n}` from `persons/p{i}` to it; racers on one key collide
+/// on all of them and first-committer-wins retries the losers. So on
+/// every key the counter rises in commit order, and as soon as `commit`
+/// returns, MMQL and the kv view must show the writer its own `{n, w}`
+/// or a larger `n`: a commit that returned before its hooks ran, or
+/// hooks applied out of commit order, read back a smaller one (or end
+/// with the views behind the version store). Runs in the debug failpoints
+/// pass, with the lock witness armed, and again with `--release`, where
+/// the interleavings are tighter (`scripts/ci.sh`).
+#[test]
+fn concurrent_writers_read_their_own_commits_from_every_model_view() {
+    const WRITERS: i64 = 6;
+    const TXNS_EACH: i64 = 32;
+    const KEYS: i64 = 3;
+
+    let _serial = lock();
+    let dir = fresh_dir("ordered-apply");
+    let db = Database::open(&dir).unwrap();
+    let schema = ["id", "n", "w"].map(|c| ColumnDef::new(c, DataType::Int)).to_vec();
+    db.create_table("accounts", Schema::new(schema, "id").unwrap()).unwrap();
+    db.create_collection("orders").unwrap();
+    db.create_bucket("cart").unwrap();
+    db.create_graph("social").unwrap();
+    db.create_vertex_collection("social", "persons").unwrap();
+    db.create_edge_collection("social", "knows").unwrap();
+    let counter = |n: i64, w: i64| Value::object([("n", Value::int(n)), ("w", Value::int(w))]);
+    db.transact(IsolationLevel::Snapshot, 0, |s| {
+        for i in 0..KEYS {
+            let mut doc = counter(0, -1);
+            doc.as_object_mut()?.insert("_key", Value::str(format!("k{i}")));
+            s.insert_document("orders", doc)?;
+            s.kv_put("cart", &format!("k{i}"), counter(0, -1))?;
+            s.insert_row("accounts", mmdb::from_json(&format!(r#"{{"id":{i},"n":0,"w":-1}}"#))?)?;
+            s.add_vertex("social", "persons", mmdb::from_json(&format!(r#"{{"_key":"p{i}"}}"#))?)?;
+        }
+        Ok(())
+    })
+    .unwrap();
+
+    let gate = Barrier::new(WRITERS as usize);
+    std::thread::scope(|scope| {
+        for w in 0..WRITERS {
+            let (db, gate) = (&db, &gate);
+            scope.spawn(move || {
+                gate.wait();
+                for j in 0..TXNS_EACH {
+                    let i = (w + j) % KEYS;
+                    let k = format!("k{i}");
+                    let n = db
+                        .transact(IsolationLevel::Snapshot, 1000, |s| {
+                            let n = s.get_document("orders", &k)?.unwrap().get_field("n").as_int()? + 1;
+                            s.update_document("orders", &k, counter(n, w))?;
+                            s.kv_put("cart", &k, counter(n, w))?;
+                            let row = format!(r#"{{"id":{i},"n":{n},"w":{w}}}"#);
+                            s.update_row("accounts", mmdb::from_json(&row)?)?;
+                            let vertex = format!(r#"{{"_key":"v{i}-{n}"}}"#);
+                            s.add_vertex("social", "persons", mmdb::from_json(&vertex)?)?;
+                            let edge = mmdb::from_json(&format!(r#"{{"_key":"e{i}-{n}"}}"#))?;
+                            let (from, to) = (format!("persons/p{i}"), format!("persons/v{i}-{n}"));
+                            s.add_edge("social", "knows", &from, &to, edge)?;
+                            Ok(n)
+                        })
+                        .unwrap();
+                    // Mine, or a later commit's on the same key.
+                    let seen = [
+                        n_and_w(db.query(&format!(r#"FOR d IN orders FILTER d._key == "{k}" RETURN d"#)).unwrap()),
+                        n_and_w(vec![db.kv().get("cart", &k).unwrap().unwrap()]),
+                        n_and_w(db.query(&format!("FOR r IN accounts FILTER r.id == {i} RETURN r")).unwrap()),
+                    ];
+                    for (model, (seen_n, seen_w)) in ["document", "kv", "row"].into_iter().zip(seen) {
+                        assert!(
+                            seen_n > n || (seen_n, seen_w) == (n, w),
+                            "writer {w} committed n={n} on {k} but the {model} view shows n={seen_n} by writer {seen_w}"
+                        );
+                    }
+                    let reached = db
+                        .query(&format!(r#"FOR v IN 1..1 OUTBOUND "persons/p{i}" knows RETURN v._key"#))
+                        .unwrap();
+                    assert!(reached.contains(&Value::str(format!("v{i}-{n}"))), "writer {w}: edge e{i}-{n} missing");
+                }
+            });
+        }
+    });
+
+    // The views end equal to the version store, key by key.
+    let mvcc = db.mvcc();
+    let graph = db.world().graph("social").unwrap();
+    for i in 0..KEYS {
+        let k = format!("k{i}");
+        assert_eq!(db.get_document("orders", &k).unwrap(), mvcc.get_latest("doc/orders", k.as_bytes()));
+        assert_eq!(db.kv().get("cart", &k).unwrap(), mvcc.get_latest("kv/cart", k.as_bytes()));
+        let row = db.query(&format!("FOR r IN accounts FILTER r.id == {i} RETURN r")).unwrap();
+        assert_eq!(row.first().cloned(), mvcc.get_latest("rel/accounts", &key_of(&Value::int(i))));
+        let last = row[0].get_field("n").as_int().unwrap();
+        for n in 1..=last {
+            let (v, e) = (format!("v{i}-{n}"), format!("e{i}-{n}"));
+            let view_vertex = graph.vertex(&format!("persons/{v}")).unwrap();
+            assert_eq!(view_vertex, mvcc.get_latest("graph/social/v/persons", v.as_bytes()));
+            let view_edge = graph.edge(&format!("knows/{e}")).unwrap();
+            assert_eq!(view_edge, mvcc.get_latest("graph/social/e/knows", e.as_bytes()));
+        }
+        assert!(mvcc.get_latest("graph/social/e/knows", format!("e{i}-{}", last + 1).as_bytes()).is_none());
+    }
+    let total: i64 = (0..KEYS)
+        .map(|i| mvcc.get_latest("kv/cart", format!("k{i}").as_bytes()).unwrap().get_field("n").as_int().unwrap())
+        .sum();
+    assert_eq!(total, WRITERS * TXNS_EACH, "every acknowledged commit counted once");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A hook that panics on its committer's thread still passes the apply
+/// turn on: the four commits sequenced behind it apply and return, the
+/// store latches read-only with a reason, later writes fail fast, and
+/// the database drops. Every wait is bounded, so a wedged turn fails
+/// the test instead of hanging it.
+#[test]
+fn a_hook_that_panics_latches_read_only_and_wedges_no_commit() {
+    const FOLLOWERS: usize = 4;
+    let deadline = Duration::from_secs(20);
+    let _serial = lock();
+    let db = Arc::new(Database::in_memory_logged());
+    db.create_bucket("t").unwrap();
+    // The hook holds the doomed commit's apply turn until the followers
+    // are installed behind it, then panics.
+    let entered = Arc::new(Barrier::new(2));
+    let release = Arc::new(Barrier::new(2));
+    let (hook_entered, hook_release) = (Arc::clone(&entered), Arc::clone(&release));
+    db.mvcc().add_commit_hook(move |ws| {
+        if ws.iter().any(|w| w.key == b"doomed") {
+            hook_entered.wait();
+            hook_release.wait();
+            panic!("injected hook failure");
+        }
+    });
+
+    silence_panics(|| {
+        let doomed = {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || db.kv_put("t", "doomed", Value::int(0)))
+        };
+        entered.wait();
+        let doomed_ts = db.mvcc().now();
+        let (tx, rx) = mpsc::channel();
+        let followers: Vec<_> = (0..FOLLOWERS)
+            .map(|f| {
+                let (db, tx) = (Arc::clone(&db), tx.clone());
+                std::thread::spawn(move || tx.send(db.kv_put("t", &format!("f{f}"), Value::int(1))))
+            })
+            .collect();
+        let started = Instant::now();
+        while db.mvcc().now() < doomed_ts + FOLLOWERS as u64 {
+            assert!(started.elapsed() < deadline, "the followers were never sequenced");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release.wait();
+        assert!(doomed.join().is_err(), "the hook's panic reaches its own committer");
+        for _ in 0..FOLLOWERS {
+            let followed =
+                rx.recv_timeout(deadline).expect("a commit wedged behind the panicked hook");
+            followed.expect("a commit sequenced before the latch is acknowledged");
+        }
+        for follower in followers {
+            follower.join().unwrap().unwrap();
+        }
+    });
+
+    let reason = db.degraded_reason().expect("the panic latched the store");
+    assert!(db.is_degraded());
+    assert!(reason.contains("commit hook panicked"), "{reason}");
+    for f in 0..FOLLOWERS {
+        assert_eq!(db.kv().get("t", &format!("f{f}")).unwrap(), Some(Value::int(1)), "follower {f} not applied");
+    }
+    let err = db.kv_put("t", "later", Value::int(2)).unwrap_err();
+    assert_eq!(err.kind(), "read_only", "{err}");
+
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        drop(db);
+        tx.send(()).unwrap();
+    });
+    rx.recv_timeout(deadline).expect("dropping the database hung");
+}
+
 /// One transaction slot in the shadow-model property test.
 struct OpenSlot {
     txn: mmdb::substrate::txn::Transaction,
@@ -522,6 +727,10 @@ struct OpenSlot {
 /// The shadow model's committed state: per key every winner's
 /// `(commit_ts, value)`, oldest first.
 type History = std::collections::BTreeMap<u8, Vec<(u64, Option<i64>)>>;
+
+/// One transaction's writes in the shadow model: `(key, value)`, in
+/// staging order.
+type WriteSet = Vec<(u8, Option<i64>)>;
 
 fn committed_after(committed: &History, key: u8, snapshot: u64) -> bool {
     committed.get(&key).and_then(|h| h.last()).is_some_and(|(ts, _)| *ts > snapshot)
@@ -548,10 +757,19 @@ proptest! {
         let _serial = lock();
         let wal = Arc::new(Wal::in_memory());
         let store = MvccStore::new(Some(Arc::clone(&wal)));
+        // Every write set the commit hook is handed, in the order it is.
+        let applied: Arc<Mutex<Vec<WriteSet>>> = Arc::default();
+        let sink = Arc::clone(&applied);
+        store.add_commit_hook(move |ws| {
+            let set = ws.iter().map(|w| (w.key[1], w.value.as_ref().map(|v| v.as_int().unwrap())));
+            sink.lock().unwrap().push(set.collect());
+        });
         // The shadow model: a logical clock that ticks once per winning
-        // commit, and the committed history.
+        // commit, the committed history, and the winners' write sets in
+        // commit order.
         let mut clock: u64 = 1;
         let mut committed = History::new();
+        let mut winners: Vec<WriteSet> = Vec::new();
         let mut open: Vec<Option<OpenSlot>> = (0..3).map(|_| None).collect();
         for (slot, key, action, value) in script {
             let kb = [b'k', key];
@@ -601,6 +819,7 @@ proptest! {
                     } else {
                         clock += 1;
                         prop_assert_eq!(result.unwrap(), clock, "commit ts diverged from the model");
+                        winners.push(s.writes.clone());
                         for (k, v) in s.writes {
                             committed.entry(k).or_default().push((clock, v));
                         }
@@ -628,6 +847,9 @@ proptest! {
             }
         }
         drop(open);
+        // The hook ran once per winner, in commit order, and never for
+        // a loser or a read-only commit.
+        prop_assert_eq!(&*applied.lock().unwrap(), &winners, "the hook saw another history");
         // Exactly one winner per conflict and nothing else: the final
         // state is the model's, key by key.
         for key in 0u8..3 {
