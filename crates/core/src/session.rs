@@ -216,7 +216,7 @@ impl Session {
         if self.txn.get(&domain, &key)?.is_some() {
             return Err(Error::AlreadyExists(format!("primary key {pk} in '{table}'")));
         }
-        self.txn.put(&domain, &key, t.schema().object_from_row(&row))
+        self.txn.put(&domain, &key, t.schema().object_from_row(row))
     }
 
     /// Stage a relational update (full row object; pk identifies the row).
@@ -225,7 +225,7 @@ impl Session {
         let mut row = t.schema().row_from_object(&row_object)?;
         t.schema().validate(&mut row)?;
         let (key, _) = self.row_key(table, &row_object)?;
-        self.txn.put(&format!("rel/{table}"), &key, t.schema().object_from_row(&row))
+        self.txn.put(&format!("rel/{table}"), &key, t.schema().object_from_row(row))
     }
 
     /// Stage a relational delete by primary key.
@@ -379,7 +379,7 @@ pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
                     Some(obj) => {
                         let row = table.schema().row_from_object(obj)?;
                         let pk = row[table.schema().primary_key()].clone();
-                        if table.get(&pk)?.is_some() {
+                        if table.contains_key(&pk) {
                             table.update(&pk, row)?;
                         } else {
                             table.insert(row)?;

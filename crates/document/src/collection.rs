@@ -137,16 +137,21 @@ impl Collection {
         self.insert(mmdb_types::from_json(json)?)
     }
 
+    /// Decode the document at `rid` straight from its page.
+    fn fetch(&self, rid: RecordId) -> Result<Value> {
+        self.heap.get_with(rid, value_from_bytes)?
+    }
+
     /// Fetch by `_key`.
     pub fn get(&self, key: &str) -> Result<Option<Value>> {
-        let rid = { self.indexes.read().primary.get(&key.to_string()).copied() };
-        rid.map(|r| value_from_bytes(&self.heap.get(r)?)).transpose()
+        let rid = { self.indexes.read().primary.get(key).copied() };
+        rid.map(|r| self.fetch(r)).transpose()
     }
 
     /// Whether a document with this `_key` exists: a primary-index probe,
     /// no heap fetch and no decode.
     pub fn contains_key(&self, key: &str) -> bool {
-        self.indexes.read().primary.get(&key.to_string()).is_some()
+        self.indexes.read().primary.get(key).is_some()
     }
 
     /// Replace a document wholesale (the `_key` in `doc`, if present, must
@@ -166,11 +171,11 @@ impl Collection {
             self.indexes
                 .read()
                 .primary
-                .get(&key.to_string())
+                .get(key)
                 .copied()
                 .ok_or_else(|| Error::NotFound(format!("document '{key}'")))?
         };
-        let old = value_from_bytes(&self.heap.get(rid)?)?;
+        let old = self.fetch(rid)?;
         let new_rid = self.heap.update(rid, &value_to_bytes(&doc))?;
         let mut idx = self.indexes.write();
         if new_rid != rid {
@@ -204,7 +209,7 @@ impl Collection {
                 if k == KEY_FIELD {
                     continue;
                 }
-                obj.insert(k.to_string(), v.clone());
+                obj.insert(k, v.clone());
             }
         }
         self.update(key, doc)
@@ -212,12 +217,12 @@ impl Collection {
 
     /// Remove by `_key`; returns whether it existed.
     pub fn remove(&self, key: &str) -> Result<bool> {
-        let rid = { self.indexes.read().primary.get(&key.to_string()).copied() };
+        let rid = { self.indexes.read().primary.get(key).copied() };
         let Some(rid) = rid else { return Ok(false) };
-        let old = value_from_bytes(&self.heap.get(rid)?)?;
+        let old = self.fetch(rid)?;
         self.heap.delete(rid)?;
         let mut idx = self.indexes.write();
-        idx.primary.remove(&key.to_string());
+        idx.primary.remove(key);
         for (path_text, tree) in idx.persistent.iter_mut() {
             let path = Path::parse(path_text)?;
             tree.remove(&sec_key(path.eval_point(&old)?, key));
@@ -233,11 +238,12 @@ impl Collection {
 
     /// All documents (unordered).
     pub fn all(&self) -> Result<Vec<Value>> {
-        self.heap
-            .scan()?
-            .into_iter()
-            .map(|(_, bytes)| value_from_bytes(&bytes))
-            .collect()
+        let mut docs = Vec::with_capacity(self.len());
+        self.heap.scan_with(|_, bytes| {
+            docs.push(value_from_bytes(bytes)?);
+            Ok(())
+        })?;
+        Ok(docs)
     }
 
     /// Create a persistent (B+-tree) index on a path, backfilling.
@@ -251,11 +257,12 @@ impl Collection {
             return Err(Error::AlreadyExists(format!("index on '{path_text}'")));
         }
         let mut tree = BPlusTree::new();
-        for (rid, bytes) in self.heap.scan()? {
-            let doc = value_from_bytes(&bytes)?;
-            let key = doc.get_field(KEY_FIELD).as_str().unwrap_or("").to_string();
-            tree.insert(sec_key(path.eval_point(&doc)?, &key), rid);
-        }
+        self.heap.scan_with(|rid, bytes| {
+            let doc = value_from_bytes(bytes)?;
+            let key = doc.get_field(KEY_FIELD).as_str().unwrap_or("");
+            tree.insert(sec_key(path.eval_point(&doc)?, key), rid);
+            Ok(())
+        })?;
         idx.persistent.insert(path_text.to_string(), tree);
         Ok(())
     }
@@ -267,14 +274,15 @@ impl Collection {
             return Err(Error::AlreadyExists("gin index".into()));
         }
         let mut gin = GinState { index: GinIndex::new(mode), by_key: HashMap::new(), by_id: HashMap::new() };
-        for (_, bytes) in self.heap.scan()? {
-            let doc = value_from_bytes(&bytes)?;
+        self.heap.scan_with(|_, bytes| {
+            let doc = value_from_bytes(bytes)?;
             let key = doc.get_field(KEY_FIELD).as_str().unwrap_or("").to_string();
             let id: DocId = self.next_key.fetch_add(1, Ordering::SeqCst);
             gin.index.insert(id, &doc);
             gin.by_key.insert(key.clone(), id);
             gin.by_id.insert(id, key);
-        }
+            Ok(())
+        })?;
         idx.gin = Some(gin);
         Ok(())
     }
@@ -339,7 +347,7 @@ impl Collection {
                 drop(idx);
                 let mut docs = Vec::with_capacity(rids.len());
                 for rid in rids {
-                    docs.push(value_from_bytes(&self.heap.get(rid)?)?);
+                    docs.push(self.fetch(rid)?);
                 }
                 return Ok((docs, true));
             }

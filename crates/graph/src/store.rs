@@ -279,15 +279,27 @@ impl Graph {
         dir: Direction,
         edge_collection: Option<&str>,
     ) -> Result<Vec<VertexHandle>> {
+        let far = self.neighbor_handles(vertex, dir, edge_collection);
+        Ok(far.iter().map(|h| String::from(&**h)).collect())
+    }
+
+    /// [`neighbors`](Self::neighbors) as the edge index's own shared
+    /// handles: a reference count each, no copy of a name.
+    pub(crate) fn neighbor_handles(
+        &self,
+        vertex: &str,
+        dir: Direction,
+        edge_collection: Option<&str>,
+    ) -> Vec<Arc<str>> {
         let idx = self.edge_index.read();
-        let mut far: Vec<&str> = idx
+        let mut far: Vec<&Arc<str>> = idx
             .incident(vertex, dir)
             .filter(|(edge, _)| in_collection(edge, edge_collection))
-            .map(|(_, other)| &**other)
+            .map(|(_, other)| other)
             .collect();
         far.sort_unstable();
         far.dedup();
-        Ok(far.into_iter().map(str::to_string).collect())
+        far.into_iter().map(Arc::clone).collect()
     }
 
     /// Whether a vertex collection with this name exists.

@@ -2,6 +2,7 @@
 //! edges`), unweighted and weighted shortest paths.
 
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use mmdb_types::{Result, Value};
 
@@ -44,24 +45,23 @@ pub struct Visited {
 
 /// Breadth-first bounded traversal from `start`, emitting each reachable
 /// vertex once, at its minimal depth, for depths in `min..=max`.
+///
+/// The walk holds the edge index's shared handles; a handle is copied
+/// into a `String` only when it is emitted.
 pub fn traverse(graph: &Graph, start: &str, spec: &TraversalSpec) -> Result<Vec<Visited>> {
     let mut out = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut queue: VecDeque<(String, usize)> = VecDeque::new();
-    seen.insert(start.to_string());
-    queue.push_back((start.to_string(), 0));
+    let start: Arc<str> = Arc::from(start);
+    let mut seen: HashSet<Arc<str>> = HashSet::from([Arc::clone(&start)]);
+    let mut queue: VecDeque<(Arc<str>, usize)> = VecDeque::from([(start, 0)]);
     while let Some((v, depth)) = queue.pop_front() {
-        if depth >= spec.min_depth && depth <= spec.max_depth && depth > 0 {
-            out.push(Visited { vertex: v.clone(), depth });
-        }
-        if depth == 0 && spec.min_depth == 0 {
-            out.push(Visited { vertex: v.clone(), depth });
+        if depth >= spec.min_depth {
+            out.push(Visited { vertex: String::from(&*v), depth });
         }
         if depth == spec.max_depth {
             continue;
         }
-        for n in graph.neighbors(&v, spec.direction, spec.edge_collection.as_deref())? {
-            if seen.insert(n.clone()) {
+        for n in graph.neighbor_handles(&v, spec.direction, spec.edge_collection.as_deref()) {
+            if seen.insert(Arc::clone(&n)) {
                 queue.push_back((n, depth + 1));
             }
         }

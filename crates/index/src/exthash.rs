@@ -11,6 +11,7 @@
 //! ops, no range scans (`range` simply doesn't exist here — the tutorial's
 //! ArangoDB note: hash indexes ⇒ "no range queries").
 
+use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 
 const BUCKET_CAPACITY: usize = 8;
@@ -49,7 +50,7 @@ impl<K: Hash + Eq + Clone, V> ExtendibleHashMap<K, V> {
         }
     }
 
-    fn hash(key: &K) -> u64 {
+    fn hash<Q: Hash + ?Sized>(key: &Q) -> u64 {
         // FNV-1a-seeded SipHash-free hasher: use the std DefaultHasher for
         // quality; determinism within a process is all we need.
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -77,13 +78,17 @@ impl<K: Hash + Eq + Clone, V> ExtendibleHashMap<K, V> {
         self.directory.len()
     }
 
-    /// Point lookup.
-    pub fn get(&self, key: &K) -> Option<&V> {
+    /// Point lookup, by any borrowed form of the key (`&str` for a
+    /// `String` key), so a probe need not build a `K`.
+    pub fn get<Q: Hash + Eq + ?Sized>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+    {
         let b = self.directory[self.dir_index(Self::hash(key))];
         self.buckets[b]
             .entries
             .iter()
-            .find(|(k, _)| k == key)
+            .find(|(k, _)| k.borrow() == key)
             .map(|(_, v)| v)
     }
 
@@ -107,11 +112,14 @@ impl<K: Hash + Eq + Clone, V> ExtendibleHashMap<K, V> {
         }
     }
 
-    /// Remove a key, returning its value.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
+    /// Remove a key, returning its value; takes the key like [`get`](Self::get).
+    pub fn remove<Q: Hash + Eq + ?Sized>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+    {
         let bi = self.directory[self.dir_index(Self::hash(key))];
         let bucket = &mut self.buckets[bi];
-        let pos = bucket.entries.iter().position(|(k, _)| k == key)?;
+        let pos = bucket.entries.iter().position(|(k, _)| k.borrow() == key)?;
         self.len -= 1;
         Some(bucket.entries.swap_remove(pos).1)
     }
@@ -232,5 +240,20 @@ mod tests {
             m.insert(format!("cart:{i}"), format!("order:{i}"));
         }
         assert_eq!(m.get(&"cart:250".to_string()), Some(&"order:250".to_string()));
+    }
+
+    #[test]
+    fn string_keys_are_found_and_removed_by_str() {
+        let mut m: ExtendibleHashMap<String, usize> = ExtendibleHashMap::new();
+        for i in 0..500 {
+            m.insert(format!("order-{i}"), i);
+        }
+        for i in (0..500).step_by(7) {
+            assert_eq!(m.get(format!("order-{i}").as_str()), Some(&i));
+        }
+        assert_eq!(m.get("order-500"), None);
+        assert_eq!(m.remove("order-250"), Some(250));
+        assert_eq!(m.get("order-250"), None);
+        assert_eq!(m.len(), 499);
     }
 }

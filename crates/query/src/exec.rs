@@ -8,7 +8,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use mmdb_graph::Direction;
-use mmdb_types::{Error, Result, Value};
+use mmdb_types::{Error, Key, Result, Value};
 
 use crate::ast::{AggFunc, Expr, Query, SortOrder, TraversalDirection};
 use crate::cancel;
@@ -31,7 +31,8 @@ pub struct Env {
 }
 
 struct EnvFrame {
-    name: String,
+    /// A variable name: inline in the frame, not a copy on the heap.
+    name: Key,
     value: Value,
     parent: Option<std::sync::Arc<EnvFrame>>,
 }
@@ -46,7 +47,7 @@ impl Env {
     pub fn get(&self, name: &str) -> Option<&Value> {
         let mut cur = self.head.as_deref();
         while let Some(f) = cur {
-            if f.name == name {
+            if *f.name == *name {
                 return Some(&f.value);
             }
             cur = f.parent.as_deref();
@@ -55,9 +56,9 @@ impl Env {
     }
 
     /// Bind (or shadow) a variable. O(1); earlier clones are unaffected.
-    pub fn insert(&mut self, name: String, value: Value) {
+    pub fn insert(&mut self, name: impl Into<Key>, value: Value) {
         self.head = Some(std::sync::Arc::new(EnvFrame {
-            name,
+            name: name.into(),
             value,
             parent: self.head.take(),
         }));
@@ -82,7 +83,7 @@ impl Env {
         let mut cur = self.head.as_deref();
         while let Some(f) = cur {
             if !seen.contains(&f.name.as_str()) {
-                seen.push(&f.name);
+                seen.push(f.name.as_str());
                 out.push((f.name.as_str(), &f.value));
             }
             cur = f.parent.as_deref();
@@ -119,7 +120,7 @@ impl<'a> Scope<'a> {
     pub(crate) fn to_env(self) -> Env {
         let mut env = self.env.clone();
         if let Some((var, value)) = self.top {
-            env.insert(var.to_string(), value.clone());
+            env.insert(var, value.clone());
         }
         env
     }
@@ -414,7 +415,7 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                 for item in items {
                     cancel::tick()?;
                     let mut e = env.clone();
-                    e.insert(var.clone(), item);
+                    e.insert(var, item);
                     out.push(e);
                 }
             }
@@ -430,13 +431,8 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                     coll.range_bounds(path, lo_b, hi_b)?.0
                 } else {
                     let table = world.catalog.table(source)?;
-                    let schema = table.schema().clone();
-                    table
-                        .select_range(path, lo_b, hi_b)?
-                        .0
-                        .iter()
-                        .map(|row| schema.object_from_row(row))
-                        .collect()
+                    let rows = table.select_range(path, lo_b, hi_b)?.0;
+                    rows.into_iter().map(|row| table.schema().object_from_row(row)).collect()
                 };
                 for doc in docs {
                     cancel::tick()?;
@@ -495,11 +491,11 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                     let Some(mut doc) = graph.vertex(&visited.vertex)? else { continue };
                     // Attach the handle and depth, like AQL's `_id`.
                     if let Ok(obj) = doc.as_object_mut() {
-                        obj.insert("_id", Value::str(&visited.vertex));
+                        obj.insert("_id", Value::String(visited.vertex));
                         obj.insert("_depth", Value::int(visited.depth as i64));
                     }
                     let mut e = env.clone();
-                    e.insert(var.clone(), doc);
+                    e.insert(var, doc);
                     out.push(e);
                 }
             }
@@ -521,7 +517,7 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                 cancel::tick()?;
                 let v = eval_expr(cx, env.scope(), value)?.into_owned();
                 let mut e = env;
-                e.insert(var.clone(), v);
+                e.insert(var, v);
                 out.push(e);
             }
             Ok(out)
@@ -575,18 +571,18 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                 let Some(members) = groups.remove(&k) else { continue };
                 let mut env = Env::new();
                 if let Some((var, _)) = key {
-                    env.insert(var.clone(), k);
+                    env.insert(var, k);
                 }
                 if let Some(into_var) = into {
                     let scopes: Vec<Value> = members
                         .iter()
                         .map(|m| {
                             Value::object(
-                                m.bindings().into_iter().map(|(k, v)| (k.to_string(), v.clone())),
+                                m.bindings().into_iter().map(|(k, v)| (k, v.clone())),
                             )
                         })
                         .collect();
-                    env.insert(into_var.clone(), Value::Array(scopes));
+                    env.insert(into_var, Value::Array(scopes));
                 }
                 for (var, func, argexpr) in aggregates {
                     let mut vals = Vec::with_capacity(members.len());
@@ -594,7 +590,7 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                         cancel::tick()?;
                         vals.push(eval_expr(cx, m.scope(), argexpr)?.into_owned());
                     }
-                    env.insert(var.clone(), aggregate(*func, &vals));
+                    env.insert(var, aggregate(*func, &vals));
                 }
                 out.push(env);
             }
@@ -619,7 +615,7 @@ fn bind_if(
         }
     }
     let mut e = env.clone();
-    e.insert(var.to_string(), item.into_owned());
+    e.insert(var, item.into_owned());
     Ok(Some(e))
 }
 

@@ -133,7 +133,7 @@ pub fn call_function(world: &World, name: &str, args: &[Cow<'_, Value>]) -> Resu
             let mut out = arg(args, 0)?.as_object()?.clone();
             for a in &args[1..] {
                 for (k, v) in a.as_object()?.iter() {
-                    out.insert(k.to_string(), v.clone());
+                    out.insert(k, v.clone());
                 }
             }
             Ok(Value::Object(out))
@@ -145,8 +145,8 @@ pub fn call_function(world: &World, name: &str, args: &[Cow<'_, Value>]) -> Resu
             let bucket = arg(args, 0)?.as_str()?;
             let key = arg(args, 1)?;
             let key_str = match key {
-                Value::String(s) => s.clone(),
-                other => other.to_string(),
+                Value::String(s) => Cow::Borrowed(s.as_str()),
+                other => Cow::Owned(other.to_string()),
             };
             Ok(world.kv.get(bucket, &key_str)?.unwrap_or(Value::Null))
         }

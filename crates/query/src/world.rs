@@ -276,12 +276,8 @@ impl World {
         }
         if let Ok(table) = self.catalog.table(name) {
             self.access.note_full_scan();
-            let schema = table.schema().clone();
-            return Ok(table
-                .scan()?
-                .iter()
-                .map(|row| schema.object_from_row(row))
-                .collect());
+            let rows = table.scan()?;
+            return Ok(rows.into_iter().map(|row| table.schema().object_from_row(row)).collect());
         }
         if self.kv.has_bucket(name) {
             self.access.note_full_scan();

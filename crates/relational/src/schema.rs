@@ -1,5 +1,7 @@
 //! Table schemas: column definitions, type checking and coercion.
 
+use std::borrow::Cow;
+
 use mmdb_types::{Error, Result, Value};
 
 /// Column data types. `Json` is the multi-model bridge: a typed relational
@@ -196,14 +198,16 @@ impl Schema {
         Ok(row)
     }
 
-    /// Turn an ordered row back into an object.
-    pub fn object_from_row(&self, row: &[Value]) -> Value {
-        Value::object(
-            self.columns
-                .iter()
-                .zip(row)
-                .map(|(c, v)| (c.name.clone(), v.clone())),
-        )
+    /// Turn an ordered row back into an object. An owned row's values
+    /// are moved into it, a borrowed row's cloned; column names are
+    /// copied as [`Key`](mmdb_types::Key)s, which holds a short one
+    /// without allocating.
+    pub fn object_from_row<'r>(&self, row: impl Into<Cow<'r, [Value]>>) -> Value {
+        let names = self.columns.iter().map(|c| c.name.as_str());
+        match row.into() {
+            Cow::Borrowed(row) => Value::object(names.zip(row.iter().cloned())),
+            Cow::Owned(row) => Value::object(names.zip(row)),
+        }
     }
 
     /// Encode the schema as a `Value` object:

@@ -78,6 +78,14 @@ pub struct Table {
     indexes: RwLock<Indexes>,
 }
 
+/// Decode a heap record into a row, straight from the page.
+fn decode_row(bytes: &[u8]) -> Result<Vec<Value>> {
+    match value_from_bytes(bytes)? {
+        Value::Array(row) => Ok(row),
+        _ => Err(Error::Internal("table record is not a row".into())),
+    }
+}
+
 fn sec_key(value: &Value, pk: &Value) -> Vec<u8> {
     let mut k = key_of(value);
     k.push(0);
@@ -149,16 +157,19 @@ impl Table {
     }
 
     fn fetch(&self, rid: RecordId) -> Result<Vec<Value>> {
-        match value_from_bytes(&self.heap.get(rid)?)? {
-            Value::Array(row) => Ok(row),
-            _ => Err(Error::Internal("table record is not a row".into())),
-        }
+        self.heap.get_with(rid, decode_row)?
     }
 
     /// Point lookup by primary key.
     pub fn get(&self, pk: &Value) -> Result<Option<Vec<Value>>> {
         let rid = { self.indexes.read().primary.get(&key_of(pk)).copied() };
         rid.map(|r| self.fetch(r)).transpose()
+    }
+
+    /// Whether a row with this primary key exists: a primary-index probe,
+    /// no heap fetch and no decode.
+    pub fn contains_key(&self, pk: &Value) -> bool {
+        self.indexes.read().primary.contains_key(&key_of(pk))
     }
 
     /// Delete by primary key; returns whether a row was removed.
@@ -170,16 +181,16 @@ impl Table {
     /// `key_of(pk)` — all a replayed commit knows a deleted row by.
     pub fn delete_by_key(&self, pk_key: &[u8]) -> Result<bool> {
         let pk_key = pk_key.to_vec();
-        let rid = { self.indexes.read().primary.get(&pk_key).copied() };
-        let Some(rid) = rid else { return Ok(false) };
-        let row = self.fetch(rid)?;
-        self.heap.delete(rid)?;
-        let pk = &row[self.schema.primary_key()];
+        // Held throughout, like `update`'s.
         let mut idx = self.indexes.write();
+        let Some(rid) = idx.primary.get(&pk_key).copied() else { return Ok(false) };
+        // Only a secondary index needs the old row's values.
+        let row = if idx.secondary.is_empty() { Vec::new() } else { self.fetch(rid)? };
+        self.heap.delete(rid)?;
         idx.primary.remove(&pk_key);
         for (col, tree) in idx.secondary.iter_mut() {
             let ci = self.schema.column_index(col)?;
-            tree.remove(&sec_key(&row[ci], pk));
+            tree.remove(&sec_key(&row[ci], &row[self.schema.primary_key()]));
         }
         Ok(true)
     }
@@ -191,17 +202,17 @@ impl Table {
             return Err(Error::Schema("update must not change the primary key".into()));
         }
         let pk_key = key_of(pk);
-        let rid = {
-            self.indexes
-                .read()
-                .primary
-                .get(&pk_key)
-                .copied()
-                .ok_or_else(|| Error::NotFound(format!("primary key {pk} in '{}'", self.name)))?
-        };
-        let old_row = self.fetch(rid)?;
-        let new_rid = self.heap.update(rid, &value_to_bytes(&Value::Array(new_row.clone())))?;
+        // Held throughout, so the set of secondary indexes cannot change
+        // between deciding whether the old row is needed and using it.
         let mut idx = self.indexes.write();
+        let rid = idx
+            .primary
+            .get(&pk_key)
+            .copied()
+            .ok_or_else(|| Error::NotFound(format!("primary key {pk} in '{}'", self.name)))?;
+        // Only a secondary index needs the old row's values.
+        let old_row = if idx.secondary.is_empty() { Vec::new() } else { self.fetch(rid)? };
+        let new_rid = self.heap.update(rid, &value_to_bytes(&Value::Array(new_row.clone())))?;
         if new_rid != rid {
             idx.primary.insert(pk_key, new_rid);
         }
@@ -225,11 +236,11 @@ impl Table {
         let mut tree = BPlusTree::new();
         let ci = self.schema.column_index(column)?;
         let pk_i = self.schema.primary_key();
-        for (rid, bytes) in self.heap.scan()? {
-            if let Value::Array(row) = value_from_bytes(&bytes)? {
-                tree.insert(sec_key(&row[ci], &row[pk_i]), rid);
-            }
-        }
+        self.heap.scan_with(|rid, bytes| {
+            let row = decode_row(bytes)?;
+            tree.insert(sec_key(&row[ci], &row[pk_i]), rid);
+            Ok(())
+        })?;
         idx.secondary.insert(column.to_string(), tree);
         Ok(())
     }
@@ -299,13 +310,13 @@ impl Table {
         }
         // Fallback: full scan.
         let mut rows = Vec::new();
-        for (_, bytes) in self.heap.scan()? {
-            if let Value::Array(row) = value_from_bytes(&bytes)? {
-                if pred.matches(&self.schema, &row) {
-                    rows.push(row);
-                }
+        self.heap.scan_with(|_, bytes| {
+            let row = decode_row(bytes)?;
+            if pred.matches(&self.schema, &row) {
+                rows.push(row);
             }
-        }
+            Ok(())
+        })?;
         Ok((rows, false))
     }
 
@@ -364,24 +375,24 @@ impl Table {
             }
         }
         let mut rows = Vec::new();
-        for (_, bytes) in self.heap.scan()? {
-            if let Value::Array(row) = value_from_bytes(&bytes)? {
-                let v = &row[ci];
-                let above = match lo {
-                    Bound::Included(l) => v >= l,
-                    Bound::Excluded(l) => v > l,
-                    Bound::Unbounded => true,
-                };
-                let below = match hi {
-                    Bound::Included(h) => v <= h,
-                    Bound::Excluded(h) => v < h,
-                    Bound::Unbounded => true,
-                };
-                if above && below {
-                    rows.push(row);
-                }
+        self.heap.scan_with(|_, bytes| {
+            let row = decode_row(bytes)?;
+            let v = &row[ci];
+            let above = match lo {
+                Bound::Included(l) => v >= l,
+                Bound::Excluded(l) => v > l,
+                Bound::Unbounded => true,
+            };
+            let below = match hi {
+                Bound::Included(h) => v <= h,
+                Bound::Excluded(h) => v < h,
+                Bound::Unbounded => true,
+            };
+            if above && below {
+                rows.push(row);
             }
-        }
+            Ok(())
+        })?;
         Ok((rows, false))
     }
 }

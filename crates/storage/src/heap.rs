@@ -11,7 +11,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::buffer::BufferPool;
-use crate::page::PageId;
+use crate::page::{PageId, SlottedPage};
 use mmdb_types::{lock_rank, Error, Result};
 
 /// Stable address of a record: page number plus slot within the page.
@@ -97,10 +97,11 @@ impl HeapFile {
         Ok(RecordId { page: pid, slot })
     }
 
-    /// Fetch a record by id.
-    pub fn get(&self, id: RecordId) -> Result<Vec<u8>> {
-        self.pool
-            .with_page(id.page, |p| p.get(id.slot).map(<[u8]>::to_vec))?
+    /// Read a record by id in place: `read` gets the record's bytes on
+    /// the page, under the pool's lock, a leaf, so `read` takes no lock.
+    /// Callers decode here instead of copying the bytes out first.
+    pub fn get_with<R>(&self, id: RecordId, read: impl FnOnce(&[u8]) -> R) -> Result<R> {
+        self.pool.with_page(id.page, |p| p.get(id.slot).map(read))?
     }
 
     /// Delete a record by id.
@@ -129,18 +130,22 @@ impl HeapFile {
         self.insert(record)
     }
 
-    /// Full scan, materializing `(id, record)` pairs page by page.
-    pub fn scan(&self) -> Result<Vec<(RecordId, Vec<u8>)>> {
+    /// Full scan in place: `visit` gets each live record's id and bytes,
+    /// in page and slot order, under the pool's lock, a leaf, so `visit`
+    /// takes no lock. The lock is taken once per record, not per page, so
+    /// a scan holds it for one record's decode at a time.
+    pub fn scan_with(&self, mut visit: impl FnMut(RecordId, &[u8]) -> Result<()>) -> Result<()> {
         let pages = self.state.lock().pages.clone();
-        let mut out = Vec::new();
-        for pid in pages {
-            self.pool.with_page(pid, |p| {
-                for (slot, rec) in p.iter() {
-                    out.push((RecordId { page: pid, slot }, rec.to_vec()));
-                }
-            })?;
+        for page in pages {
+            let slots = self.pool.with_page(page, SlottedPage::slots)?;
+            for slot in 0..slots {
+                self.pool.with_page(page, |p| match p.live(slot) {
+                    Some(rec) => visit(RecordId { page, slot }, rec),
+                    None => Ok(()),
+                })??;
+            }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -156,10 +161,10 @@ mod tests {
     fn insert_get_delete() {
         let h = heap();
         let id = h.insert(b"record one").unwrap();
-        assert_eq!(h.get(id).unwrap(), b"record one");
+        assert_eq!(h.get_with(id, <[u8]>::to_vec).unwrap(), b"record one");
         assert_eq!(h.len(), 1);
         h.delete(id).unwrap();
-        assert!(h.get(id).is_err());
+        assert!(h.get_with(id, <[u8]>::to_vec).is_err());
         assert!(h.is_empty());
     }
 
@@ -170,7 +175,7 @@ mod tests {
         let ids: Vec<_> = (0..20).map(|_| h.insert(&big).unwrap()).collect();
         assert!(h.pages().len() >= 8, "3000B records should spread over pages");
         for id in &ids {
-            assert_eq!(h.get(*id).unwrap().len(), 3000);
+            assert_eq!(h.get_with(*id, <[u8]>::len).unwrap(), 3000);
         }
         assert_eq!(h.len(), 20);
     }
@@ -182,9 +187,20 @@ mod tests {
         let b = h.insert(b"b").unwrap();
         let c = h.insert(b"c").unwrap();
         h.delete(b).unwrap();
-        let got = h.scan().unwrap();
-        let ids: Vec<_> = got.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, vec![a, c]);
+        let mut got = Vec::new();
+        h.scan_with(|id, rec| {
+            got.push((id, rec.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(got, vec![(a, b"a".to_vec()), (c, b"c".to_vec())]);
+        // A visitor's error ends the scan and is returned.
+        let mut seen = 0;
+        let err = h.scan_with(|_, _| {
+            seen += 1;
+            Err(Error::Storage("stop".into()))
+        });
+        assert_eq!((err.unwrap_err().kind(), seen), ("storage", 1));
     }
 
     #[test]
@@ -203,7 +219,7 @@ mod tests {
         assert_eq!(shrunk, id, "shrinking update stays in place");
         let grown = h.update(shrunk, &vec![3u8; 7000]).unwrap();
         assert_ne!(grown.page, id.page, "growing update must relocate");
-        assert_eq!(h.get(grown).unwrap(), vec![3u8; 7000]);
+        assert_eq!(h.get_with(grown, <[u8]>::to_vec).unwrap(), vec![3u8; 7000]);
     }
 
     #[test]

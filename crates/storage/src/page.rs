@@ -154,11 +154,8 @@ impl SlottedPage {
         if slot >= self.slot_count() {
             return Err(Error::Storage(format!("slot {slot} out of range")));
         }
-        let (off, len) = self.slot(slot);
-        if len == 0 {
-            return Err(Error::NotFound(format!("slot {slot} is deleted")));
-        }
-        Ok(&self.data[off as usize..off as usize + len as usize])
+        self.live(slot)
+            .ok_or_else(|| Error::NotFound(format!("slot {slot} is deleted")))
     }
 
     /// Delete a record; the slot is reusable and its space reclaimable.
@@ -199,16 +196,19 @@ impl SlottedPage {
         Ok(())
     }
 
+    /// The record in `slot`, or `None` when the slot is dead or past the
+    /// last one.
+    pub fn live(&self, slot: u16) -> Option<&[u8]> {
+        if slot >= self.slot_count() {
+            return None;
+        }
+        let (off, len) = self.slot(slot);
+        (len != 0).then(|| &self.data[off as usize..off as usize + len as usize])
+    }
+
     /// Iterate live `(slot, record)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> {
-        (0..self.slot_count()).filter_map(move |i| {
-            let (off, len) = self.slot(i);
-            if len == 0 {
-                None
-            } else {
-                Some((i, &self.data[off as usize..off as usize + len as usize]))
-            }
-        })
+        (0..self.slot_count()).filter_map(move |i| Some((i, self.live(i)?)))
     }
 
     /// Rewrite all live records contiguously at the page end, eliminating

@@ -84,16 +84,17 @@ fn take<'a>(buf: &mut &'a [u8], len: usize) -> Result<&'a [u8]> {
     Ok(head)
 }
 
+/// Split a length-prefixed UTF-8 string off the front of `buf`, in place.
+fn take_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
+    let len = get_varint(buf)? as usize;
+    std::str::from_utf8(take(buf, len)?).map_err(|_| Error::Storage("corrupt value encoding".into()))
+}
+
 /// Decode one value from the front of `buf`, advancing it.
 pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
     let corrupt = || Error::Storage("corrupt value encoding".into());
     let (&tag, rest) = buf.split_first().ok_or_else(corrupt)?;
     *buf = rest;
-    let string = |buf: &mut &[u8]| -> Result<String> {
-        let len = get_varint(buf)? as usize;
-        let bytes = take(buf, len)?;
-        Ok(std::str::from_utf8(bytes).map_err(|_| corrupt())?.to_string())
-    };
     Ok(match tag {
         TAG_NULL => Value::Null,
         TAG_FALSE => Value::Bool(false),
@@ -104,7 +105,7 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
             raw.copy_from_slice(take(buf, 8)?);
             Value::Number(Number::Float(f64::from_bits(u64::from_be_bytes(raw))))
         }
-        TAG_STRING => Value::String(string(buf)?),
+        TAG_STRING => Value::String(take_str(buf)?.to_string()),
         TAG_BYTES => {
             let len = get_varint(buf)? as usize;
             Value::Bytes(take(buf, len)?.to_vec())
@@ -119,9 +120,11 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
         }
         TAG_OBJECT => {
             let n = get_varint(buf)? as usize;
-            let mut obj = ObjectMap::new();
+            let mut obj = ObjectMap::with_capacity(n.min(1024));
             for _ in 0..n {
-                let k = string(buf)?;
+                // The name is read in place: a short one lives inline in
+                // its `Key` and costs no allocation.
+                let k = take_str(buf)?;
                 obj.insert(k, decode_value(buf)?);
             }
             Value::Object(obj)
@@ -316,6 +319,26 @@ mod tests {
             roundtrip(&from_json(text).unwrap());
         }
         roundtrip(&Value::Bytes(vec![0, 1, 2, 255]));
+    }
+
+    #[test]
+    fn objects_with_short_and_long_names_round_trip() {
+        let long = "x".repeat(23);
+        let nested = Value::object([
+            ("", Value::Null),
+            ("k", Value::int(1)),
+            ("exactly_22_bytes_long_", Value::str("inline")),
+            (long.as_str(), Value::object([("é".repeat(12), Value::array([Value::int(2)]))])),
+        ]);
+        roundtrip(&nested);
+        let back = value_from_bytes(&value_to_bytes(&nested)).unwrap();
+        let names: Vec<&str> = back.as_object().unwrap().keys().collect();
+        assert_eq!(names, ["", "k", "exactly_22_bytes_long_", long.as_str()], "insertion order survives");
+        // A name whose bytes are not UTF-8 is corruption, not a panic.
+        let mut bad = value_to_bytes(&Value::object([("ab", Value::Null)]));
+        let at = bad.iter().position(|&b| b == b'a').unwrap();
+        bad[at] = 0xFF;
+        assert!(value_from_bytes(&bad).is_err());
     }
 
     #[test]

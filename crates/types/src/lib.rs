@@ -19,6 +19,7 @@ pub mod cancel;
 pub mod codec;
 pub mod error;
 pub mod json;
+pub mod key;
 pub mod lock_rank;
 pub mod path;
 pub mod value;
@@ -26,5 +27,6 @@ pub mod value;
 pub use cancel::CancelToken;
 pub use error::{Error, Result};
 pub use json::{from_json, to_json, to_json_pretty};
+pub use key::Key;
 pub use path::{Path, PathStep};
 pub use value::{Number, Value};

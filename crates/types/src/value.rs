@@ -18,6 +18,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use crate::error::{Error, Result};
+use crate::key::Key;
 
 /// A JSON-style number that remembers whether it was an integer.
 #[derive(Debug, Clone, Copy)]
@@ -160,20 +161,29 @@ pub enum Value {
     Object(ObjectMap),
 }
 
+// Field names moved from `String` to `Key` without growing a value.
+const _: () = assert!(std::mem::size_of::<Value>() == 32);
+
 /// Insertion-ordered string-keyed map used for [`Value::Object`].
 ///
 /// Lookup is linear for small objects (the overwhelmingly common case in
 /// document workloads) — profiling typical UniBench documents (≤ 20 keys)
-/// shows linear scans beat hashing at this size.
+/// shows linear scans beat hashing at this size. Field names are
+/// [`Key`]s, so a short name costs no allocation of its own.
 #[derive(Debug, Clone, Default)]
 pub struct ObjectMap {
-    entries: Vec<(String, Value)>,
+    entries: Vec<(Key, Value)>,
 }
 
 impl ObjectMap {
     /// Empty object.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty object with room for `n` fields.
+    pub fn with_capacity(n: usize) -> Self {
+        ObjectMap { entries: Vec::with_capacity(n) }
     }
 
     /// Number of fields.
@@ -188,19 +198,19 @@ impl ObjectMap {
 
     /// Get a field by name.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.entries.iter().find(|(k, _)| **k == *key).map(|(_, v)| v)
     }
 
     /// Mutable access to a field by name.
     pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
         self.entries
             .iter_mut()
-            .find(|(k, _)| k == key)
+            .find(|(k, _)| **k == *key)
             .map(|(_, v)| v)
     }
 
     /// Insert or overwrite a field, returning the previous value if any.
-    pub fn insert(&mut self, key: impl Into<String>, value: Value) -> Option<Value> {
+    pub fn insert(&mut self, key: impl Into<Key>, value: Value) -> Option<Value> {
         let key = key.into();
         for (k, v) in &mut self.entries {
             if *k == key {
@@ -213,13 +223,13 @@ impl ObjectMap {
 
     /// Remove a field, returning its value if it existed.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        let pos = self.entries.iter().position(|(k, _)| k == key)?;
+        let pos = self.entries.iter().position(|(k, _)| **k == *key)?;
         Some(self.entries.remove(pos).1)
     }
 
     /// True when the field exists.
     pub fn contains_key(&self, key: &str) -> bool {
-        self.entries.iter().any(|(k, _)| k == key)
+        self.entries.iter().any(|(k, _)| **k == *key)
     }
 
     /// Iterate fields in insertion order.
@@ -269,9 +279,10 @@ impl Hash for ObjectMap {
     }
 }
 
-impl FromIterator<(String, Value)> for ObjectMap {
-    fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
-        let mut m = ObjectMap::new();
+impl<K: Into<Key>> FromIterator<(K, Value)> for ObjectMap {
+    fn from_iter<T: IntoIterator<Item = (K, Value)>>(iter: T) -> Self {
+        let iter = iter.into_iter();
+        let mut m = ObjectMap::with_capacity(iter.size_hint().0);
         for (k, v) in iter {
             m.insert(k, v);
         }
@@ -280,8 +291,8 @@ impl FromIterator<(String, Value)> for ObjectMap {
 }
 
 impl IntoIterator for ObjectMap {
-    type Item = (String, Value);
-    type IntoIter = std::vec::IntoIter<(String, Value)>;
+    type Item = (Key, Value);
+    type IntoIter = std::vec::IntoIter<(Key, Value)>;
     fn into_iter(self) -> Self::IntoIter {
         self.entries.into_iter()
     }
@@ -309,8 +320,8 @@ impl Value {
     }
 
     /// Object builder from pairs.
-    pub fn object(pairs: impl IntoIterator<Item = (impl Into<String>, Value)>) -> Value {
-        Value::Object(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    pub fn object(pairs: impl IntoIterator<Item = (impl Into<Key>, Value)>) -> Value {
+        Value::Object(pairs.into_iter().collect())
     }
 
     /// Array builder.
@@ -664,6 +675,35 @@ mod tests {
         let v = Value::object([("a", Value::array([Value::int(1), Value::int(2)]))]);
         // object + array + 2 scalars
         assert_eq!(v.node_count(), 4);
+    }
+
+    #[test]
+    fn where_a_field_name_is_stored_never_shows() {
+        use std::collections::hash_map::DefaultHasher;
+        fn h(v: &Value) -> u64 {
+            let mut s = DefaultHasher::new();
+            v.hash(&mut s);
+            s.finish()
+        }
+        let long = "a_field_name_longer_than_the_inline_limit";
+        let short = "zip";
+        assert!(!Key::new(long).is_inline() && Key::new(short).is_inline());
+        // Built from owned `String`s in one order, decoded in another.
+        let built = Value::object([(long.to_string(), Value::int(1)), (short.to_string(), Value::int(2))]);
+        let decoded = crate::codec::value_from_bytes(&crate::codec::value_to_bytes(&Value::object([
+            (short, Value::int(2)),
+            (long, Value::int(1)),
+        ])))
+        .unwrap();
+        assert_eq!(built, decoded);
+        assert_eq!(h(&built), h(&decoded));
+        assert_eq!(built.cmp(&decoded), Ordering::Equal);
+        // The long name sorts first as text, whatever its storage.
+        let only_long = Value::object([(long, Value::int(9))]);
+        let only_short = Value::object([(short, Value::int(0))]);
+        assert!(only_long < only_short);
+        assert_ne!(h(&only_long), h(&only_short));
+        assert_eq!(decoded.get_field(long), &Value::int(1));
     }
 
     #[test]

@@ -74,11 +74,18 @@ cargo test -q --release --features failpoints --test group_commit \
   concurrent_writers_read_their_own_commits_from_every_model_view
 cargo test -q -p mmdb-txn --features failpoints --lib -- --test-threads=1
 
-echo "==> the evaluator's allocation budget, optimized build"
-# tests/query_allocs.rs (referring to a bound document must not copy it)
-# ran in the debug pass above; this is the optimized build, the one the
-# benchmark of record measures.
+echo "==> the read path's allocation budget and mmdb-types, optimized build"
+# tests/query_allocs.rs ran in the debug pass above; this is the
+# optimized build, the one the benchmark of record measures. It counts
+# allocator calls per examined row for a scan, Q2, Q4 as a hash join and
+# Q5's traversal (9.19, 8.42, 13.68 and 9.53; the commit before inline
+# field names: 18.6, 15.7, 25.7 and 16.7), with budgets that fail if a
+# copied document, field name, bound name, lookup key, record or edge
+# handle comes back. mmdb-types runs again optimized because its inline
+# `Key` reads names with `from_utf8_unchecked`, and the optimized build
+# is where a wrong `unsafe` would show.
 cargo test -q --release --test query_allocs
+cargo test -q --release -p mmdb-types
 
 echo "==> cargo clippy --features failpoints (torture suites + feature-gated #[expect]s)"
 # The only pass that compiles mmdb-fault's registry, so the only one that
