@@ -552,11 +552,11 @@ fn workload_c_writers(data: &Dataset, writer_counts: &[usize]) {
 }
 
 /// Time-to-reopen: how long `Database::open` takes to bring a durable
-/// database back, replaying the full WAL vs loading a checkpoint
-/// snapshot plus the (empty) log suffix. The no-checkpoint reopen replays
-/// every record the load produced.
+/// database back, replaying the full history vs a checkpointed log — its
+/// image block (the history's fold) plus the marker. The no-checkpoint
+/// reopen replays every record the load produced.
 fn workload_recovery(data: &Dataset) {
-    println!("== Recovery: time-to-reopen, full WAL replay vs checkpoint ==");
+    println!("== Recovery: time-to-reopen, full history vs checkpointed log ==");
     let dir =
         std::env::temp_dir().join(format!("mmdb-unibench-recovery-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -570,16 +570,16 @@ fn workload_recovery(data: &Dataset) {
     let t0 = Instant::now();
     let db = Database::open(&dir).expect("reopen");
     let replay = t0.elapsed();
-    table.row(&["full WAL replay".into(), wal_replay_bytes.to_string(), fmt_duration(replay)]);
+    table.row(&["full history".into(), wal_replay_bytes.to_string(), fmt_duration(replay)]);
 
     db.checkpoint().expect("checkpoint");
-    let wal_snap_bytes = db.wal_size_bytes();
+    let wal_image_bytes = db.wal_size_bytes();
     drop(db);
     let t0 = Instant::now();
     let db = Database::open(&dir).expect("reopen");
-    let snap = t0.elapsed();
+    let image = t0.elapsed();
     drop(db);
-    table.row(&["checkpoint snapshot".into(), wal_snap_bytes.to_string(), fmt_duration(snap)]);
+    table.row(&["checkpoint image".into(), wal_image_bytes.to_string(), fmt_duration(image)]);
     println!("{}", table.render());
     let _ = std::fs::remove_dir_all(&dir);
 }

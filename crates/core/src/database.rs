@@ -1,6 +1,6 @@
 //! The [`Database`] facade.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -11,8 +11,7 @@ use mmdb_index::GinMode;
 use mmdb_kv::KvStore;
 use mmdb_query::World;
 use mmdb_relational::Schema;
-use mmdb_storage::snapshot;
-use mmdb_storage::wal::{self, Lsn, Wal};
+use mmdb_storage::wal::{Lsn, Wal};
 use mmdb_txn::{IsolationLevel, MvccStore};
 use mmdb_types::{lock_rank, CancelToken, Error, Result, Value};
 
@@ -21,16 +20,16 @@ use crate::session::{apply_committed, Session};
 /// Checkpoint bookkeeping: serialization and the `ADMIN STATS` /
 /// `ADMIN HEALTH` counters.
 struct CheckpointState {
-    /// One checkpoint at a time. Ordered *outside* the MVCC commit
-    /// mutex: the holder calls `quiesce_commits`.
+    /// One checkpoint at a time: the log's prefix is rewritten by one
+    /// checkpoint only. Never held with the MVCC commit mutex.
     serial: Mutex<()>,
     count: AtomicU64,
     total_micros: AtomicU64,
     bytes_reclaimed: AtomicU64,
     /// When the last successful checkpoint finished: a stamp instant
     /// plus how old the checkpoint already was *at* the stamp — zero for
-    /// an in-process checkpoint, the snapshot file's age when reopening
-    /// a directory that already holds one (so `ADMIN HEALTH` keeps
+    /// an in-process checkpoint, the age of the time in the log's header
+    /// when reopening a checkpointed log (so `ADMIN HEALTH` keeps
     /// reporting checkpoint staleness across restarts).
     last_at: Mutex<Option<(Instant, Duration)>>,
 }
@@ -50,14 +49,14 @@ impl Default for CheckpointState {
 /// What one [`Database::checkpoint`] accomplished.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointSummary {
-    /// The WAL LSN the snapshot captures (0 for wal-less databases).
+    /// The horizon `T`: the log below it is now its image block (0 for
+    /// wal-less databases).
     pub snapshot_lsn: Lsn,
-    /// Live (domain, key) pairs serialized into the snapshot.
+    /// Live (domain, key) pairs in the image.
     pub entries: usize,
-    /// Size of the written snapshot file in bytes (0 when the database
-    /// has no directory to write one into).
+    /// Size of the image block, `T − B` for the log's new base `B`.
     pub snapshot_bytes: u64,
-    /// WAL prefix bytes reclaimed by truncation.
+    /// Bytes of history the rewrite dropped: how far the base moved.
     pub wal_bytes_reclaimed: u64,
     /// MVCC versions dropped by the post-checkpoint vacuum.
     pub versions_vacuumed: usize,
@@ -70,9 +69,6 @@ pub struct Database {
     world: Arc<World>,
     mvcc: MvccStore,
     wal: Option<Arc<Wal>>,
-    /// The data directory for durable databases (`None` in memory) —
-    /// where `mmdb.snapshot` lives.
-    dir: Option<PathBuf>,
     ckpt: CheckpointState,
     /// Declared last: fields drop in declaration order, so this runs
     /// once the stores above have freed their memory.
@@ -107,7 +103,7 @@ impl Drop for ReleaseOnDrop {
 impl Database {
     /// A volatile in-memory database.
     pub fn in_memory() -> Database {
-        Self::build(None, None)
+        Self::build(None)
     }
 
     /// A volatile in-memory database that still keeps a (memory-backed)
@@ -116,68 +112,36 @@ impl Database {
     /// use this to serve `SUBSCRIBE` and replica streams without a data
     /// directory.
     pub fn in_memory_logged() -> Database {
-        Self::build(Some(Arc::new(Wal::in_memory())), None)
+        Self::build(Some(Arc::new(Wal::in_memory())))
     }
 
-    /// A database with a durable write-ahead log at `dir/mmdb.wal`.
-    /// If a checkpoint snapshot (`dir/mmdb.snapshot`) exists it is loaded
-    /// first, then the WAL suffix past its LSN is replayed — so restart
-    /// time is bounded by the write volume since the last checkpoint,
-    /// not by all of history.
+    /// A database with a durable write-ahead log at `dir/mmdb.wal`,
+    /// recovered from every committed block the log holds. A checkpointed
+    /// log starts with its image block, so restart time is bounded by the
+    /// live state plus the writes since the last checkpoint, not by all
+    /// of history. A log in the retired `WAL2` layout is refused with an
+    /// `unsupported` error and left untouched.
     pub fn open(dir: impl AsRef<Path>) -> Result<Database> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::Storage(format!("create {dir:?}: {e}")))?;
-        // A crash between snapshot write and rename leaves a stale tmp;
-        // it was never published, so it is garbage.
-        snapshot::remove_stale_tmp(dir);
-        let snap = snapshot::read_snapshot(dir)?;
-        let snapshot_lsn = snap.as_ref().map(|(lsn, _)| *lsn).unwrap_or(0);
-        let wal_path = dir.join("mmdb.wal");
-        let mut recovery = wal::recover_from_file_after(&wal_path, snapshot_lsn)?;
-        if recovery.base_lsn > snapshot_lsn {
-            // The log prefix was truncated away but the snapshot that
-            // replaced it is missing or older: state is unrecoverable.
-            return Err(Error::Corruption(format!(
-                "wal truncated at {} but snapshot covers only {}",
-                recovery.base_lsn, snapshot_lsn
-            )));
-        }
-        if recovery.torn_tail {
-            // Truncate the corrupt tail so new appends extend the valid
-            // prefix instead of hiding behind garbage.
-            let f = std::fs::OpenOptions::new()
-                .write(true)
-                .open(&wal_path)
-                .map_err(|e| Error::Storage(format!("truncate wal: {e}")))?;
-            f.set_len(recovery.valid_len)
-                .map_err(|e| Error::Storage(format!("truncate wal: {e}")))?;
-        }
-        // Snapshot state replays first, through the same apply path as
-        // WAL redo, then the suffix.
-        if let Some((_, mut state)) = snap {
-            state.append(&mut recovery.redo);
-            recovery.redo = state;
-        }
-        let wal = Arc::new(Wal::open(&wal_path)?);
-        let db = Self::build(Some(wal), Some(dir.to_path_buf()));
-        // The snapshot's mtime (stamped by the atomic rename at checkpoint
-        // completion) dates the last checkpoint, so `ADMIN HEALTH` keeps
-        // answering `seconds_since_checkpoint` across restarts instead of
-        // reporting null until the first in-process checkpoint.
-        if let Some(age) = snapshot::snapshot_age(dir) {
-            *db.ckpt.last_at.lock() = Some((Instant::now(), age));
+        let (wal, recovery) = Wal::recover(dir.join("mmdb.wal"))?;
+        let (checkpointed_at, tail) = (wal.checkpointed_at(), wal.tail_lsn());
+        let db = Self::build(Some(Arc::new(wal)));
+        // The header of a checkpointed log dates the checkpoint, so
+        // `ADMIN HEALTH` keeps answering `seconds_since_checkpoint` across
+        // restarts instead of reporting null until the next checkpoint.
+        if let Some(at) = checkpointed_at {
+            *db.ckpt.last_at.lock() = Some((Instant::now(), at.elapsed().unwrap_or_default()));
         }
         db.mvcc.recover(&recovery)?;
         // Replication watermark: everything up to the recovered tail is
         // committed history a replica may resume from.
-        if let Some(w) = &db.wal {
-            db.mvcc.note_commit_lsn(w.tail_lsn());
-        }
+        db.mvcc.note_commit_lsn(tail);
         Ok(db)
     }
 
-    fn build(wal: Option<Arc<Wal>>, dir: Option<PathBuf>) -> Database {
+    fn build(wal: Option<Arc<Wal>>) -> Database {
         let world = Arc::new(World::in_memory());
         let mvcc = MvccStore::new(wal.clone());
         let hook_world = Arc::clone(&world);
@@ -199,7 +163,6 @@ impl Database {
             world,
             mvcc,
             wal,
-            dir,
             ckpt: CheckpointState::default(),
             _release: ReleaseOnDrop,
         }
@@ -477,47 +440,31 @@ impl Database {
 
     // ---- checkpointing -------------------------------------------------------
 
-    /// Take a checkpoint: quiesce commits, capture every live key at the
-    /// WAL tail LSN, write `mmdb.snapshot` crash-safely (write-temp +
-    /// fsync + atomic rename), append a durable `Checkpoint` marker, and
-    /// truncate the WAL prefix below the snapshot LSN. Afterwards (outside
-    /// the quiesce window) MVCC version chains are vacuumed to the same
-    /// horizon.
+    /// Take a checkpoint: rewrite the log's prefix below its durable tail
+    /// `T` as one image block holding the prefix's fold
+    /// ([`Wal::fold_prefix`]), append a durable `Checkpoint` marker — the
+    /// cue for replicas to checkpoint too — and vacuum MVCC version chains
+    /// to the visibility horizon.
     ///
-    /// Crash-safe at every step: until the rename publishes the new
-    /// snapshot the old snapshot+log pair recovers; after it, recovery
-    /// skips redo below the snapshot LSN whether or not the marker or the
-    /// truncation landed. Databases without a directory (in-memory logged
-    /// primaries) skip the snapshot file but still truncate their memory
-    /// log — a replica that falls below the horizon bootstraps over the
-    /// wire instead.
+    /// Commits keep going throughout: the rewrite reads a prefix no
+    /// commit touches any more, and only its final rename waits for the
+    /// log's lock. A crash at any point leaves the old log or the new
+    /// one, and both recover the same state. In-memory logged databases
+    /// rewrite their memory log the same way.
     pub fn checkpoint(&self) -> Result<CheckpointSummary> {
         let _one_at_a_time = self.ckpt.serial.lock();
         let started = Instant::now();
         let mut summary = CheckpointSummary::default();
         if let Some(wal) = &self.wal {
-            let (lsn, entries, snapshot_bytes, reclaimed) =
-                self.mvcc.quiesce_commits(|| -> Result<(Lsn, usize, u64, u64)> {
-                    // Make the tail durable so the snapshot LSN is a
-                    // point no crash can roll back behind.
-                    wal.sync()?;
-                    let lsn = wal.tail_lsn();
-                    let live = self.mvcc.latest_committed_writes();
-                    let mut snapshot_bytes = 0;
-                    if let Some(dir) = &self.dir {
-                        snapshot_bytes = snapshot::write_snapshot(dir, lsn, &live)?;
-                    }
-                    wal.append_checkpoint(lsn)?;
-                    let reclaimed = wal.truncate_below(lsn)?;
-                    Ok((lsn, live.len(), snapshot_bytes, reclaimed))
-                })?;
-            summary.snapshot_lsn = lsn;
-            summary.entries = entries;
-            summary.snapshot_bytes = snapshot_bytes;
-            summary.wal_bytes_reclaimed = reclaimed;
+            let folded = wal.fold_prefix()?;
+            wal.append_checkpoint(folded.horizon)?;
+            summary.snapshot_lsn = folded.horizon;
+            summary.entries = folded.entries;
+            summary.snapshot_bytes = folded.image_bytes;
+            summary.wal_bytes_reclaimed = folded.reclaimed;
         }
-        // Version chains below the current visibility horizon are now
-        // redundant with the snapshot — trim them (ROADMAP: first step
+        // Version chains below the current visibility horizon are
+        // redundant with the log's image — trim them (ROADMAP: first step
         // toward epoch-based reclamation).
         summary.versions_vacuumed = self.mvcc.vacuum(self.mvcc.now());
         summary.micros = started.elapsed().as_micros() as u64;
@@ -539,15 +486,15 @@ impl Database {
     }
 
     /// Seconds since the last successful checkpoint — `ADMIN HEALTH`.
-    /// `None` only when no checkpoint has ever happened *and* the data
-    /// directory holds no snapshot: reopening a checkpointed database
-    /// resumes the clock from the snapshot file's mtime.
+    /// `None` only when no checkpoint has ever happened *and* the log has
+    /// never been checkpointed: reopening a checkpointed database resumes
+    /// the clock from the time in the log's header.
     pub fn seconds_since_checkpoint(&self) -> Option<u64> {
         self.ckpt.last_at.lock().map(|(at, base)| (base + at.elapsed()).as_secs())
     }
 
-    /// Physical WAL size in bytes (0 without a WAL) — the auto-checkpoint
-    /// trigger input and an `ADMIN STATS` gauge.
+    /// Physical WAL size in bytes, image included (0 without a WAL) — an
+    /// `ADMIN STATS` gauge.
     pub fn wal_size_bytes(&self) -> u64 {
         self.wal.as_ref().map(|w| w.size_bytes()).unwrap_or(0)
     }
@@ -679,7 +626,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_truncates_wal_and_reopen_loads_snapshot() {
+    fn checkpoint_rewrites_the_log_and_reopen_reads_its_image() {
         let dir = std::env::temp_dir().join(format!("mmdb-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
@@ -726,18 +673,33 @@ mod tests {
     }
 
     #[test]
-    fn truncated_wal_without_snapshot_is_corruption() {
-        let dir = std::env::temp_dir().join(format!("mmdb-ckpt-nosnap-{}", std::process::id()));
+    fn a_wal2_log_is_refused_and_a_stale_snapshot_file_is_ignored() {
+        let dir = std::env::temp_dir().join(format!("mmdb-ckpt-format-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
             let db = Database::open(&dir).unwrap();
             db.create_collection("c").unwrap();
             db.insert_json("c", r#"{"_key":"k","v":1}"#).unwrap();
-            db.checkpoint().unwrap();
         }
-        std::fs::remove_file(dir.join("mmdb.snapshot")).unwrap();
+        // A headerless log holds its whole history: a snapshot file left
+        // beside it by the retired layout changes nothing.
+        std::fs::write(dir.join("mmdb.snapshot"), b"MMDBSNP1 stale").unwrap();
+        let db = Database::open(&dir).unwrap();
+        assert_eq!(db.get_document("c", "k").unwrap().unwrap().get_field("v"), &Value::int(1));
+        drop(db);
+
+        // The retired layout kept its prefix in that file: refused, and
+        // nothing on disk changes.
+        let wal = dir.join("mmdb.wal");
+        let mut bytes = vec![0xFF, 0xFF, 0xFF, 0xFF, b'W', b'A', b'L', b'2'];
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        bytes.extend_from_slice(&std::fs::read(&wal).unwrap());
+        std::fs::write(&wal, &bytes).unwrap();
         let err = Database::open(&dir).map(|_| ()).unwrap_err();
-        assert_eq!(err.kind(), "corruption");
+        assert_eq!(err.kind(), "unsupported", "{err}");
+        assert_eq!(Wal::open(&wal).err().map(|e| e.kind()), Some("unsupported"));
+        assert_eq!(std::fs::read(&wal).unwrap(), bytes);
+        assert_eq!(std::fs::read(dir.join("mmdb.snapshot")).unwrap(), b"MMDBSNP1 stale");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -751,7 +713,8 @@ mod tests {
         let before = db.wal_size_bytes();
         let summary = db.checkpoint().unwrap();
         assert!(summary.wal_bytes_reclaimed > 0);
-        assert_eq!(summary.snapshot_bytes, 0, "no directory, no snapshot file");
+        assert!(summary.snapshot_bytes > 0, "the memory log holds its image too");
+        assert_eq!(summary.entries, 11, "ten documents and the collection");
         assert!(db.wal_size_bytes() < before);
         // State is untouched.
         assert_eq!(

@@ -438,12 +438,18 @@ pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
                 let mut store = world.rdf.write();
                 match &w.value {
                     Some(t) => {
-                        store.insert(mmdb_rdf::Triple {
+                        let triple = mmdb_rdf::Triple {
                             subject: t.get_field("s").as_str()?.to_string(),
                             predicate: t.get_field("p").as_str()?.to_string(),
                             object: t.get_field("o").clone(),
                             graph: None,
-                        })?;
+                        };
+                        // The key is the triple, so a put of a key the
+                        // store already holds (a replica applying a
+                        // checkpoint image over its own state) adds nothing.
+                        if !store.contains(&triple) {
+                            store.insert(triple)?;
+                        }
                     }
                     None => {
                         // Without the value we can't know (s,p,o); rdf_remove

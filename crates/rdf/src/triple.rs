@@ -169,6 +169,17 @@ impl TripleStore {
         Ok(())
     }
 
+    /// Whether the store holds `t`'s (s, p, o) in any graph. Not a query
+    /// lookup, so the path counters don't move.
+    pub fn contains(&self, t: &Triple) -> bool {
+        let same = |x: &Triple| x.subject == t.subject && x.predicate == t.predicate && x.object == t.object;
+        if self.paths.direct_primary {
+            self.collect(self.by_s.get(&t.subject)).into_iter().any(same)
+        } else {
+            self.triples.iter().flatten().any(same)
+        }
+    }
+
     /// Remove all triples matching the exact (s, p, o) in any graph;
     /// returns how many were removed.
     pub fn remove(&mut self, s: &str, p: &str, o: &Value) -> usize {

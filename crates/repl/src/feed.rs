@@ -68,33 +68,6 @@ pub fn record_frame(t: &TailedRecord) -> Value {
     Value::object(fields)
 }
 
-/// Frames for a snapshot bootstrap: the primary's live state at
-/// `snapshot_lsn`, shipped as one synthetic transaction (txid 0) over
-/// the ordinary record framing. A replica whose `REPLICA HELLO` LSN
-/// fell below the primary's truncation horizon receives these instead
-/// of the vanished log prefix: its normal apply path installs them like
-/// any replicated transaction, and the commit frame's `next_lsn`
-/// (`snapshot_lsn`) positions its resume cursor at the live tail.
-///
-/// `writes` is `MvccStore::latest_committed_writes` — snapshots carry no
-/// deletes, so the replica applies txid 0 as a full state *replace*
-/// (`MvccStore::apply_snapshot_replace`): keys it still holds that are
-/// absent from the snapshot get synthesized tombstones, which is how
-/// deletes that happened inside the truncated gap reach a stale
-/// non-empty replica.
-pub fn bootstrap_frames(snapshot_lsn: Lsn, writes: Vec<LoggedWrite>) -> Vec<Value> {
-    let at = |record: WalRecord| {
-        record_frame(&TailedRecord { lsn: snapshot_lsn, next_lsn: snapshot_lsn, record })
-    };
-    let mut frames = Vec::with_capacity(writes.len() + 2);
-    frames.push(at(WalRecord::Begin { txid: 0 }));
-    for LoggedWrite { domain, key, value } in writes {
-        frames.push(at(WalRecord::Write { txid: 0, domain, key, value }));
-    }
-    frames.push(at(WalRecord::Commit { txid: 0 }));
-    frames
-}
-
 /// Encode an idle heartbeat carrying the primary's WAL tail.
 pub fn heartbeat_frame(tail_lsn: Lsn) -> Value {
     Value::object([
@@ -146,10 +119,7 @@ pub fn parse_frame(v: &Value) -> Result<Frame> {
                     },
                 },
                 "commit" => WalRecord::Commit { txid: field_u64(v, "txid")? },
-                // Older primaries omit snapshot_lsn; treat as 0.
-                "checkpoint" => WalRecord::Checkpoint {
-                    snapshot_lsn: field_u64(v, "snapshot_lsn").unwrap_or(0),
-                },
+                "checkpoint" => WalRecord::Checkpoint { snapshot_lsn: field_u64(v, "snapshot_lsn")? },
                 other => {
                     return Err(Error::Protocol(format!(
                         "unknown replication record kind {other:?}"

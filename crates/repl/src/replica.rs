@@ -171,8 +171,8 @@ fn apply_record(
 ) -> Result<()> {
     status.observe_tail(rec.next_lsn);
     if matches!(rec.record, WalRecord::Checkpoint { .. }) {
-        // The primary checkpointed and truncated its log; do the same
-        // locally so replica logs stay bounded too. A checkpoint is not a
+        // The primary checkpointed its log; do the same locally so
+        // replica logs stay bounded too. A checkpoint is not a
         // commit, so the read-only latch doesn't apply; failure is
         // non-fatal (worst case the local log keeps growing until the
         // next marker).
@@ -188,11 +188,11 @@ fn apply_record(
         let writes =
             block.writes.iter().map(CommittedWrite::decode).collect::<Result<Vec<_>>>()?;
         if block.txid == 0 {
-            // Txid 0 is the synthetic snapshot-bootstrap transaction: the
-            // primary's complete live state. Apply it as a full replace
-            // so keys this replica still holds from before the truncation
-            // horizon — including ones the primary deleted inside the
-            // gap — don't survive as ghosts.
+            // Txid 0 is the primary's checkpoint image: its complete live
+            // state at the horizon, reached by tailing from the log's
+            // first byte. Apply it as a full replace so keys this replica
+            // still holds from the folded history — including ones the
+            // primary deleted there — don't survive as ghosts.
             db.mvcc().apply_snapshot_replace(&writes)?;
         } else {
             db.mvcc().apply_replicated(&writes)?;

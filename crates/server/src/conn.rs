@@ -534,8 +534,8 @@ pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
             let started = Instant::now();
             let cdc = matches!(request, Request::Subscribe { .. });
             let result = {
-                // The bootstrap quiesces commits and syncs the WAL, the
-                // tail loop sleeps — on a connection that serves nothing else.
+                // The tail loop reads the WAL under its lock and sleeps —
+                // on a connection that serves nothing else.
                 let _permit = parking_lot::permit_wait("a dedicated push stream to its end");
                 serve_stream(inner, conn, *from_lsn, cdc)
             };
@@ -851,41 +851,27 @@ fn serve_stream(inner: &ServerInner, conn: &ConnHandle, from_lsn: u64, cdc: bool
     };
     let mut cursor = from_lsn;
     let mut cdc_buf = CdcBuffer::new();
-    // A cursor below the truncation horizon points into a log prefix a
-    // checkpoint has deleted; those records cannot be shipped.
+    // A cursor below the checkpoint horizon points into history a
+    // checkpoint has folded away; those records cannot be shipped.
     let horizon = wal.truncated_lsn();
     if cursor < horizon {
         if cdc {
-            // A change feed cannot be rebuilt from a snapshot — the
+            // A change feed cannot be rebuilt from the image — the
             // intermediate writes between the cursor and the horizon are
             // gone — so tell the subscriber instead of silently skipping
             // ahead and dropping events.
             return Err(Error::LogTruncated(format!(
-                "subscribe cursor {cursor} predates the WAL truncation horizon {horizon}; \
+                "subscribe cursor {cursor} predates the checkpoint horizon {horizon}; \
                  resubscribe from the current tail"
             )));
         }
-        // Replica bootstrap: ship the primary's live state at a
-        // consistent LSN as one synthetic transaction, then tail from
-        // there. State is extracted under the commit quiesce so no
-        // commit can land between the state read and the chosen LSN;
-        // the network sends happen after release so a slow replica
-        // cannot stall the primary's writers. The replica applies the
-        // synthetic transaction as a full state *replace* (see
-        // `mmdb_repl::replica`), so keys it holds from inside the
-        // truncation gap — including ones since deleted on the
-        // primary — don't survive as ghosts.
-        let (snap_lsn, live) = {
-            let db = &inner.db;
-            db.mvcc().quiesce_commits(|| -> Result<_> {
-                wal.sync()?;
-                Ok((wal.tail_lsn(), db.mvcc().latest_committed_writes()))
-            })?
-        };
-        for event in feed::bootstrap_frames(snap_lsn, live) {
-            send_change(inner, stream, event)?;
-        }
-        cursor = snap_lsn;
+        // Replica bootstrap is tailing from the log's first byte: the
+        // image block (txid 0), which the replica applies as a full state
+        // replace (see `mmdb_repl::replica`), then the records from the
+        // horizon on. A checkpoint that rewrites the log under a stream
+        // still inside it makes the next read `log_truncated`, and the
+        // replica reconnects and starts over from the new base.
+        cursor = wal.base_lsn();
     }
     // Immediate first heartbeat: tells the subscriber the current tail
     // even when the cursor starts caught-up. Everything this stream
@@ -1158,8 +1144,8 @@ fn run_admin(inner: &ServerInner, command: &str) -> Result<Response> {
                 fields.push(("reason".to_string(), Value::str(&reason)));
             }
             // How stale the last checkpoint is; Null until the first one
-            // runs (the stamp survives restarts via the snapshot file's
-            // mtime). Operators alert on this growing unbounded while
+            // runs (the stamp survives restarts via the time in the log's
+            // header). Operators alert on this growing unbounded while
             // the WAL keeps expanding.
             fields.push((
                 "seconds_since_checkpoint".to_string(),
@@ -1170,8 +1156,8 @@ fn run_admin(inner: &ServerInner, command: &str) -> Result<Response> {
             ));
             Ok(Response::Stats(Value::object(fields)))
         }
-        // Take a checkpoint right now: snapshot live state, append the
-        // marker, truncate the WAL prefix, vacuum dead versions. Returns
+        // Take a checkpoint right now: fold the WAL prefix into its
+        // image block, append the marker, vacuum dead versions. Returns
         // what it cost and what it reclaimed.
         "CHECKPOINT" => {
             let summary = inner.db.checkpoint()?;

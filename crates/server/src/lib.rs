@@ -115,8 +115,8 @@ pub struct ServerConfig {
     /// be cleared at runtime with `ADMIN SLOWLOG RESET`.
     pub slow_query_log_size: usize,
     /// When set, a background thread checkpoints the database whenever
-    /// the WAL grows past this many bytes, bounding both the log's disk
-    /// footprint and recovery replay time. `None` (the default) leaves
+    /// the WAL grows this many bytes past the last checkpoint's horizon,
+    /// bounding both the log's disk footprint and recovery replay time. `None` (the default) leaves
     /// checkpointing to `ADMIN CHECKPOINT`.
     pub checkpoint_wal_bytes: Option<u64>,
 }
@@ -313,8 +313,8 @@ impl Server {
                 .map_err(|e| spawn_failed(&inner, "reaper", e))?
         };
 
-        // Size-triggered checkpointing: poll the WAL footprint and
-        // checkpoint past the threshold. Polling (rather than hooking
+        // Growth-triggered checkpointing: poll the WAL's growth past the
+        // last horizon and checkpoint past the threshold. Polling (rather than hooking
         // the commit path) keeps commits oblivious to checkpoint policy;
         // the WAL may overshoot by up to one poll tick of writes.
         let checkpointer = match config.checkpoint_wal_bytes {
@@ -400,14 +400,18 @@ impl Server {
     }
 }
 
-/// Background loop for [`ServerConfig::checkpoint_wal_bytes`]: poll the
-/// WAL size and checkpoint once it passes `threshold`. Checkpoint
-/// failures don't kill the loop — a durability failure has already
-/// latched the store degraded (and the next pass repeats the error) —
-/// but they are counted in the metrics.
+/// Background loop for [`ServerConfig::checkpoint_wal_bytes`]: poll how
+/// far the WAL has grown past the last checkpoint's horizon and
+/// checkpoint once that passes `threshold`. The growth, not the file
+/// size: the file holds the image block too, and a live state larger
+/// than the threshold would otherwise checkpoint on every poll.
+/// Checkpoint failures don't kill the loop — a durability failure has
+/// already latched the store degraded (and the next pass repeats the
+/// error) — but they are counted in the metrics.
 fn checkpoint_loop(inner: &ServerInner, threshold: u64) {
     while !inner.shutting_down() {
-        if inner.db.wal_size_bytes() > threshold && inner.db.checkpoint().is_err() {
+        let grown = inner.db.wal().map_or(0, |w| w.bytes_since_checkpoint());
+        if grown > threshold && inner.db.checkpoint().is_err() {
             inner.metrics.checkpoint_failures.fetch_add(1, Ordering::Relaxed); // relaxed: monotonic metric counter; no synchronization role
         }
         std::thread::sleep(inner.config.poll_interval);

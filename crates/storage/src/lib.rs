@@ -25,7 +25,6 @@ pub mod buffer;
 pub mod heap;
 pub mod lsm;
 pub mod page;
-pub mod snapshot;
 pub mod wal;
 
 pub use buffer::BufferPool;
@@ -54,8 +53,6 @@ pub const FAILPOINT_SITES: &[&str] = &[
     "wal.sync",
     "lsm.flush",
     "lsm.compact",
-    "ckpt.snapshot_write",
-    "ckpt.snapshot_rename",
+    "ckpt.wal_rewrite",
     "ckpt.marker_append",
-    "ckpt.wal_truncate",
 ];

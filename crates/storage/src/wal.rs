@@ -11,12 +11,18 @@
 //! each write back to the owning model. Recovery replays the writes of
 //! committed transactions in log order and discards uncommitted tails —
 //! including torn final records, which are detected by the CRC. What
-//! "committed" means is stated once, by [`BlockAssembler`]; recovery, the
-//! replica apply loop and the CDC feed all read the log through it.
+//! "committed" means is stated once, by [`BlockAssembler`], which
+//! recovery, the checkpoint, the replica apply loop and the CDC feed all
+//! read the log through. The log is also its own snapshot: a checkpoint
+//! ([`Wal::fold_prefix`]) rewrites its prefix as one block holding the
+//! prefix's [`fold`], the same fold recovery installs.
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use parking_lot::Mutex;
 
@@ -48,13 +54,12 @@ pub enum WalRecord {
     },
     /// Transaction commit — the durability point.
     Commit { txid: TxId },
-    /// Checkpoint marker: a consistent snapshot of all engine state as
-    /// of `snapshot_lsn` exists (in `mmdb.snapshot`), so recovery may
-    /// start here and the log prefix below `snapshot_lsn` may be
-    /// truncated. Replicas react by checkpointing locally.
+    /// Checkpoint marker: the log's prefix below `snapshot_lsn` has been
+    /// folded into an image block. Recovery ignores it; replicas react by
+    /// checkpointing locally.
     Checkpoint {
-        /// The LSN the snapshot captures — every record below it is
-        /// reflected in the snapshot, no record at or past it is.
+        /// The checkpoint's horizon: every committed block below it is
+        /// in the image, no record at or past it is.
         snapshot_lsn: Lsn,
     },
 }
@@ -81,20 +86,7 @@ impl WalRecord {
                 b.extend_from_slice(&snapshot_lsn.to_be_bytes());
             }
             WalRecord::Write { txid, domain, key, value } => {
-                b.push(T_WRITE);
-                b.extend_from_slice(&txid.to_be_bytes());
-                b.extend_from_slice(&(domain.len() as u32).to_be_bytes());
-                b.extend_from_slice(domain.as_bytes());
-                b.extend_from_slice(&(key.len() as u32).to_be_bytes());
-                b.extend_from_slice(key);
-                match value {
-                    Some(v) => {
-                        b.push(1);
-                        b.extend_from_slice(&(v.len() as u32).to_be_bytes());
-                        b.extend_from_slice(v);
-                    }
-                    None => b.push(0),
-                }
+                encode_write(&mut b, *txid, domain, key, value.as_deref())
             }
         }
         b
@@ -130,6 +122,32 @@ impl WalRecord {
         }
         Ok(rec)
     }
+}
+
+/// The payload of a `Write` record, from borrowed parts: the checkpoint
+/// image encodes the writes it folded without copying them into records.
+fn encode_write(b: &mut Vec<u8>, txid: TxId, domain: &str, key: &[u8], value: Option<&[u8]>) {
+    b.push(T_WRITE);
+    b.extend_from_slice(&txid.to_be_bytes());
+    b.extend_from_slice(&(domain.len() as u32).to_be_bytes());
+    b.extend_from_slice(domain.as_bytes());
+    b.extend_from_slice(&(key.len() as u32).to_be_bytes());
+    b.extend_from_slice(key);
+    match value {
+        Some(v) => {
+            b.push(1);
+            b.extend_from_slice(&(v.len() as u32).to_be_bytes());
+            b.extend_from_slice(v);
+        }
+        None => b.push(0),
+    }
+}
+
+/// Append `payload` to `out` framed as `len | crc32 | payload`.
+fn frame(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// Split `len` bytes off the front of `buf`, advancing it.
@@ -186,8 +204,8 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 }
 
 /// CRC-32 (IEEE 802.3 polynomial), slice-by-8: eight bytes per step,
-/// then the tail byte by byte. The engine's one checksum — WAL records,
-/// snapshot files and disk pages.
+/// then the tail byte by byte. The engine's one checksum — WAL records
+/// and disk pages.
 pub fn crc32(data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let byte = |x: u32, shift: u32| ((x >> shift) & 0xFF) as usize;
@@ -216,45 +234,76 @@ enum WalBackend {
     Memory(Vec<u8>),
 }
 
-/// Magic opening a truncated ("v2") WAL file. The first four bytes are
+/// Magic opening a checkpointed log. The first four bytes are
 /// `0xFFFFFFFF` — an impossible frame length, so a header can never be
-/// confused with a legacy headerless log whose first record it would
-/// otherwise shadow. The header is [`WAL_HEADER_LEN`] bytes: the magic
-/// followed by the file's base LSN as `u64` little-endian.
-pub const WAL2_MAGIC: [u8; 8] = [0xFF, 0xFF, 0xFF, 0xFF, b'W', b'A', b'L', b'2'];
+/// confused with a headerless log whose first record it would otherwise
+/// shadow.
+const WAL_MAGIC: [u8; 8] = [0xFF, 0xFF, 0xFF, 0xFF, b'W', b'A', b'L', b'3'];
 
-/// Size of the v2 file header (magic + base LSN).
-pub const WAL_HEADER_LEN: u64 = 16;
+/// Magic of the retired layout whose prefix lived in `mmdb.snapshot`.
+/// Such a log is refused: this code does not read that file.
+const WAL2_MAGIC: [u8; 8] = [0xFF, 0xFF, 0xFF, 0xFF, b'W', b'A', b'L', b'2'];
 
-/// Parse a v2 header from the start of a log file's bytes. Returns the
-/// base LSN when the magic matches, `None` for legacy headerless logs.
-pub fn parse_wal_header(data: &[u8]) -> Option<Lsn> {
-    if data.len() >= WAL_HEADER_LEN as usize && data[..8] == WAL2_MAGIC {
-        Some(u64::from_le_bytes(data[8..16].try_into().unwrap_or([0; 8])))
-    } else {
-        None
+/// Size of the header: the magic, then base, horizon and checkpoint
+/// time, each a `u64` little-endian.
+const WAL_HEADER_LEN: u64 = 32;
+
+/// A checkpointed log's header: the image block's base `B`, the horizon
+/// `T` where the records kept verbatim start, and when the checkpoint
+/// ran (Unix milliseconds). A never-checkpointed log has none; its
+/// `Default` (`B = T = 0`, never) stands in.
+#[derive(Debug, Clone, Copy, Default)]
+struct Header {
+    base: Lsn,
+    horizon: Lsn,
+    at_ms: u64,
+}
+
+impl Header {
+    /// `None` for a headerless log; an `unsupported` error for the
+    /// retired `WAL2` layout.
+    fn parse(data: &[u8]) -> Result<Option<Header>> {
+        if data.starts_with(&WAL2_MAGIC) {
+            return Err(Error::Unsupported(
+                "the log has the retired WAL2 layout, whose prefix lives in mmdb.snapshot; \
+                 this version reads neither"
+                    .into(),
+            ));
+        }
+        if !data.starts_with(&WAL_MAGIC) {
+            return Ok(None);
+        }
+        let field = |i: usize| data.get(8 * i..8 * i + 8)?.try_into().ok().map(u64::from_le_bytes);
+        match (field(1), field(2), field(3)) {
+            (Some(base), Some(horizon), Some(at_ms)) => Ok(Some(Header { base, horizon, at_ms })),
+            _ => Err(Error::Corruption("wal: short header".into())),
+        }
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        [WAL_MAGIC, self.base.to_le_bytes(), self.horizon.to_le_bytes(), self.at_ms.to_le_bytes()]
+            .concat()
     }
 }
 
-fn encode_wal_header(base_lsn: Lsn) -> [u8; WAL_HEADER_LEN as usize] {
-    let mut h = [0u8; WAL_HEADER_LEN as usize];
-    h[..8].copy_from_slice(&WAL2_MAGIC);
-    h[8..].copy_from_slice(&base_lsn.to_le_bytes());
-    h
+/// Where a checkpoint writes the new file before renaming it over the log.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
 }
 
 /// The write-ahead log.
 ///
 /// LSNs are *logical*: they keep counting monotonically across
-/// [`Wal::truncate_below`], which rewrites the file to hold only the
-/// suffix at or past a checkpoint horizon. A truncated file starts with
-/// a [`WAL2_MAGIC`] header recording its base LSN, and
-/// `physical offset = header + (lsn - base)`. Fresh logs are headerless
-/// with base 0, so pre-truncation files stay readable unchanged.
+/// [`Wal::fold_prefix`], which replaces the prefix below a horizon `T`
+/// with its fold. A checkpointed file starts with a header recording its
+/// base `B` and `T`, and `physical offset = header + (lsn - B)`.
+/// Never-checkpointed logs are headerless with `B = T = 0`.
 pub struct Wal {
     inner: Mutex<WalInner>,
     /// The file path for file-backed logs (`None` in memory) — needed by
-    /// [`Wal::truncate_below`] to rewrite-and-rename in place.
+    /// [`Wal::fold_prefix`] to rewrite-and-rename in place.
     path: Option<PathBuf>,
     /// Logical LSN up to which the log is known durable: the tail as of
     /// the last successful [`Wal::sync`]. Replication streams are capped
@@ -267,95 +316,117 @@ struct WalInner {
     backend: WalBackend,
     /// Next logical LSN to be assigned.
     next_lsn: Lsn,
-    /// Logical LSN of the first byte stored in the backend: the last
-    /// truncation horizon (0 until the first truncation).
-    base_lsn: Lsn,
+    /// The last checkpoint's `B`, `T` and time; `[B, T)` is its image.
+    header: Header,
     /// Physical offset where record data starts: [`WAL_HEADER_LEN`] for
-    /// truncated files, 0 for legacy files and the memory backend.
+    /// checkpointed files, 0 for headerless files and the memory backend.
     data_start: u64,
+    /// The first failed sync, kept: every later sync fails with it.
+    sync_failure: Option<String>,
 }
 
 impl WalInner {
+    fn new(backend: WalBackend, header: Header, data_start: u64, len: u64) -> Mutex<WalInner> {
+        let next_lsn = header.base + len - data_start;
+        let inner = WalInner { backend, next_lsn, header, data_start, sync_failure: None };
+        Mutex::with_rank(lock_rank::WAL_INNER, inner)
+    }
+
+    /// Fails once a sync has: with the first failure, which every later
+    /// sync returns until the log is reopened.
+    fn check_synced(&self) -> Result<()> {
+        match &self.sync_failure {
+            Some(first) => Err(Error::Storage(format!(
+                "wal fsync: an earlier sync failed ({first}); reopen to recover"
+            ))),
+            None => Ok(()),
+        }
+    }
+
     /// Physical backend offset of logical LSN `lsn`.
     fn physical(&self, lsn: Lsn) -> u64 {
-        self.data_start + (lsn - self.base_lsn)
+        self.data_start + (lsn - self.header.base)
+    }
+
+    /// The bytes at logical LSNs `[from, to)`.
+    fn read_bytes(&self, from: Lsn, to: Lsn) -> Result<Vec<u8>> {
+        let at = self.physical(from);
+        match &self.backend {
+            WalBackend::Memory(v) => Ok(v[at as usize..(at + to - from) as usize].to_vec()),
+            WalBackend::File(f) => {
+                use std::os::unix::fs::FileExt;
+                let mut b = vec![0u8; (to - from) as usize];
+                f.read_exact_at(&mut b, at).map_err(|e| Error::Storage(format!("wal read: {e}")))?;
+                Ok(b)
+            }
+        }
     }
 }
 
+/// What one [`Wal::fold_prefix`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FoldedPrefix {
+    /// `T`: every committed block below it is in the image.
+    pub horizon: Lsn,
+    /// Writes in the image: one per live key.
+    pub entries: usize,
+    /// Size of the image block, `T − B`.
+    pub image_bytes: u64,
+    /// How far the file's base moved: bytes of history dropped.
+    pub reclaimed: u64,
+}
+
 impl Wal {
-    /// Open (or create) a file-backed WAL, appending after existing content.
+    /// Open (or create) a file-backed WAL, appending after existing
+    /// content. A log with the retired `WAL2` header is refused with an
+    /// `unsupported` error and left as it is.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(path.as_ref())
-            .map_err(|e| Error::Storage(format!("open wal {:?}: {e}", path.as_ref())))?;
-        let len = file.metadata().map_err(|e| Error::Storage(e.to_string()))?.len();
-        // A truncated log opens with the v2 header; its records' logical
-        // LSNs continue from the recorded base.
-        let mut header = [0u8; WAL_HEADER_LEN as usize];
-        let got = {
-            use std::os::unix::fs::FileExt;
-            file.read_at(&mut header, 0).map_err(|e| Error::Storage(e.to_string()))?
-        };
-        let (base_lsn, data_start) = match parse_wal_header(&header[..got]) {
-            Some(base) => (base, WAL_HEADER_LEN),
-            None => (0, 0),
-        };
-        let next_lsn = base_lsn + len.saturating_sub(data_start);
-        let inner = WalInner { backend: WalBackend::File(file), next_lsn, base_lsn, data_start };
-        Ok(Wal {
-            inner: Mutex::with_rank(lock_rank::WAL_INNER, inner),
-            path: Some(path.as_ref().to_path_buf()),
-            // Everything already in the file survived a previous run's
-            // syncs (recovery truncated any torn tail before this open).
-            durable_lsn: std::sync::atomic::AtomicU64::new(next_lsn),
-        })
+        Ok(Wal::recover(path)?.0)
+    }
+
+    /// [`Wal::open`], also returning what the file recovers: every
+    /// committed block in it (see [`Recovery`]). A torn tail is cut off
+    /// first, so appends extend the valid prefix instead of hiding behind
+    /// garbage that the next recovery would stop at.
+    pub fn recover(path: impl AsRef<Path>) -> Result<(Self, Recovery)> {
+        let path = path.as_ref();
+        let io = |e: std::io::Error| Error::Storage(format!("open wal {path:?}: {e}"));
+        let mut file =
+            OpenOptions::new().read(true).append(true).create(true).open(path).map_err(io)?;
+        let mut data = Vec::new();
+        file.read_to_end(&mut data).map_err(io)?;
+        let header = Header::parse(&data)?;
+        let data_start = if header.is_some() { WAL_HEADER_LEN } else { 0 };
+        let recovery = recover_from_bytes(&data[data_start as usize..]);
+        if recovery.torn_tail {
+            file.set_len(data_start + recovery.valid_len).map_err(io)?;
+        }
+        // A checkpoint that died before its rename left this behind; the
+        // log it would have replaced is the one just opened.
+        let _ = std::fs::remove_file(tmp_path(path));
+        let len = data_start + recovery.valid_len;
+        let inner = WalInner::new(WalBackend::File(file), header.unwrap_or_default(), data_start, len);
+        // Everything left in the file survived a previous run's syncs.
+        let durable_lsn = std::sync::atomic::AtomicU64::new(inner.lock().next_lsn);
+        Ok((Wal { inner, path: Some(path.to_path_buf()), durable_lsn }, recovery))
     }
 
     /// An in-memory WAL (tests; volatile databases).
     pub fn in_memory() -> Self {
-        let inner =
-            WalInner { backend: WalBackend::Memory(Vec::new()), next_lsn: 0, base_lsn: 0, data_start: 0 };
         Wal {
-            inner: Mutex::with_rank(lock_rank::WAL_INNER, inner),
+            inner: WalInner::new(WalBackend::Memory(Vec::new()), Header::default(), 0, 0),
             path: None,
             durable_lsn: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
     /// Append one record, returning its LSN. Not yet durable — call
-    /// [`Wal::sync`] (commit does).
+    /// [`Wal::sync`] (commit does). A batch of one (see
+    /// [`Wal::append_batch`]).
     pub fn append(&self, record: &WalRecord) -> Result<Lsn> {
-        let payload = record.encode();
-        let mut framed = Vec::with_capacity(payload.len() + 8);
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&crc32(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
-        // Failpoint `wal.append`: `short` tears the record mid-frame —
-        // the bytes land in the log, so recovery must detect and truncate
-        // the torn tail.
-        let write_len = match mmdb_fault::eval("wal.append") {
-            mmdb_fault::Decision::Proceed => framed.len(),
-            mmdb_fault::Decision::Fail(msg) => {
-                return Err(Error::Storage(format!("wal append: {msg}")))
-            }
-            mmdb_fault::Decision::Short => framed.len() / 2,
-        };
-        let mut inner = self.inner.lock();
-        let lsn = inner.next_lsn;
-        match &mut inner.backend {
-            WalBackend::File(f) => f
-                .write_all(&framed[..write_len])
-                .map_err(|e| Error::Storage(format!("wal append: {e}")))?,
-            WalBackend::Memory(v) => v.extend_from_slice(&framed[..write_len]),
-        }
-        inner.next_lsn += write_len as u64;
-        if write_len < framed.len() {
-            return Err(Error::Storage("wal append: torn write (injected)".into()));
-        }
-        Ok(lsn)
+        let end = self.append_batch(std::slice::from_ref(record))?;
+        let end = end.first().ok_or_else(|| Error::Internal("wal append: no record".into()))?;
+        Ok(end - 8 - record.encode().len() as u64)
     }
 
     /// Append a run of records as one contiguous write, returning for
@@ -365,10 +436,10 @@ impl Wal {
     /// single backend write, so the batch occupies one gap-free LSN run
     /// that no concurrent append can interleave.
     ///
-    /// Failure atomicity mirrors [`Wal::append`]: an injected `fail` on
-    /// `wal.append` rejects the whole batch before any byte lands, and
-    /// an injected `short` tears the log at the affected record's frame
-    /// (everything framed before it still lands, recovery truncates).
+    /// Failure atomicity: an injected `fail` on `wal.append` rejects the
+    /// whole batch before any byte lands, and an injected `short` tears
+    /// the log mid-frame at the affected record (half its frame lands,
+    /// after everything framed before it; recovery truncates).
     pub fn append_batch(&self, records: &[WalRecord]) -> Result<Vec<Lsn>> {
         if records.is_empty() {
             return Ok(Vec::new());
@@ -378,9 +449,10 @@ impl Wal {
         let mut torn = false;
         for record in records {
             let payload = record.encode();
-            // The same `wal.append` failpoint guards every record of the
-            // batch, so existing crash schedules (`1in5`, `short`) reach
-            // mid-batch offsets too.
+            // Failpoint `wal.append`, once per record, so crash schedules
+            // (`N:short`) reach mid-batch offsets too: `short` tears the
+            // record mid-frame — the bytes land in the log, so recovery
+            // must detect and truncate the torn tail.
             match mmdb_fault::eval("wal.append") {
                 mmdb_fault::Decision::Proceed => {}
                 mmdb_fault::Decision::Fail(msg) => {
@@ -389,12 +461,10 @@ impl Wal {
                 mmdb_fault::Decision::Short => torn = true,
             }
             let frame_start = buf.len();
-            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-            buf.extend_from_slice(&payload);
+            frame(&mut buf, &payload);
             if torn {
-                // Same tear as the single-record path: half the frame
-                // lands, the rest of the batch never gets framed.
+                // Half the frame lands; the rest of the batch never gets
+                // framed.
                 buf.truncate(frame_start + (payload.len() + 8) / 2);
                 break;
             }
@@ -416,13 +486,27 @@ impl Wal {
     }
 
     /// Durably flush appended records.
+    ///
+    /// A failure is sticky: every later sync on this `Wal` fails too,
+    /// until the log is reopened. After a failed fsync the kernel may
+    /// have dropped the dirty pages, so a later fsync that succeeds
+    /// proves nothing about them — whoever syncs next (a commit leader,
+    /// the checkpoint's marker) must not acknowledge a batch the failure
+    /// may have lost.
     pub fn sync(&self) -> Result<()> {
         // Failpoint `wal.sync`: `delay(ms)` models a slow fsync, `error`
         // a failed one.
-        mmdb_fault::fail_point!("wal.sync", |msg| Error::Storage(format!("wal fsync: {msg}")));
-        let inner = self.inner.lock();
-        if let WalBackend::File(f) = &inner.backend {
-            durable_sync(f, File::sync_data).map_err(|e| Error::Storage(format!("wal fsync: {e}")))?;
+        let injected = mmdb_fault::eval_to_error("wal.sync");
+        let mut inner = self.inner.lock();
+        inner.check_synced()?;
+        let synced = match (&inner.backend, injected) {
+            (_, Some(msg)) => Err(msg),
+            (WalBackend::File(f), None) => durable_sync(f, File::sync_data).map_err(|e| e.to_string()),
+            (WalBackend::Memory(_), None) => Ok(()),
+        };
+        if let Err(msg) = synced {
+            inner.sync_failure = Some(msg.clone());
+            return Err(Error::Storage(format!("wal fsync: {msg}")));
         }
         // Everything appended before this sync is now durable. Published
         // under the inner lock so the watermark never races past a
@@ -458,51 +542,53 @@ impl Wal {
     /// feed — a primary streams the result to replicas and change-feed
     /// subscribers, who resume from the last `next_lsn` they saw.
     ///
+    /// `from` must be a record the log still holds: the base `B` (the
+    /// image block's `Begin`) or an LSN at or past the horizon `T`. Below
+    /// `B` the history is gone, and inside the image every LSN names a
+    /// byte of the fold rather than of the history; both are
+    /// [`Error::LogTruncated`].
+    ///
     /// The scan stops cleanly (no error) at a torn or partial tail record,
     /// exactly like recovery: such bytes only exist transiently between a
     /// failed append and the crash/truncate that follows, and must never be
     /// shipped. Reads never move the append cursor.
     pub fn read_records_from(&self, from: Lsn, max_records: usize) -> Result<Vec<TailedRecord>> {
+        self.read_records(from, max_records, false)
+    }
+
+    /// [`Wal::read_records_from`], except that `inside_image` lets `from`
+    /// fall inside the image block: how the checkpoint reads its prefix.
+    fn read_records(
+        &self,
+        from: Lsn,
+        max_records: usize,
+        inside_image: bool,
+    ) -> Result<Vec<TailedRecord>> {
         /// Per-call read budget: bounds memory when a replica is far
         /// behind. A record larger than the chunk is re-read at its exact
         /// size below, so oversized records slow tailing down rather than
         /// stall it.
-        const TAIL_CHUNK: usize = 1 << 20;
+        const TAIL_CHUNK: u64 = 1 << 20;
 
         let inner = self.inner.lock();
         let end = inner.next_lsn;
         if from >= end || max_records == 0 {
             return Ok(Vec::new());
         }
-        if from < inner.base_lsn {
+        let Header { base, horizon, .. } = inner.header;
+        if from < base || (from < horizon && from != base && !inside_image) {
             return Err(Error::LogTruncated(format!(
-                "LSN {from} is below the truncation horizon {}",
-                inner.base_lsn
+                "LSN {from} is below the checkpoint horizon {horizon}; the log restarts at {base}"
             )));
         }
-        let read_chunk = |inner: &WalInner, want: usize| -> Result<Vec<u8>> {
-            let at = inner.physical(from);
-            match &inner.backend {
-                WalBackend::Memory(v) => Ok(v[at as usize..at as usize + want].to_vec()),
-                WalBackend::File(f) => {
-                    use std::os::unix::fs::FileExt;
-                    let mut b = vec![0u8; want];
-                    let n = f
-                        .read_at(&mut b, at)
-                        .map_err(|e| Error::Storage(format!("wal tail read: {e}")))?;
-                    b.truncate(n);
-                    Ok(b)
-                }
-            }
-        };
-        let remaining = (end - from) as usize;
-        let mut buf = read_chunk(&inner, remaining.min(TAIL_CHUNK))?;
+        let mut buf = inner.read_bytes(from, end.min(from + TAIL_CHUNK))?;
         // A single record can exceed the chunk (one huge value): re-read
         // with exactly that record's size so the cursor always advances.
         if buf.len() >= 8 {
-            let first_len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-            if 8 + first_len > buf.len() && 8 + first_len <= remaining {
-                buf = read_chunk(&inner, 8 + first_len)?;
+            let first_len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as u64;
+            let whole = from + 8 + first_len;
+            if 8 + first_len > buf.len() as u64 && whole <= end {
+                buf = inner.read_bytes(from, whole)?;
             }
         }
         drop(inner);
@@ -535,24 +621,44 @@ impl Wal {
         Ok(out)
     }
 
-    /// Physical size of the log in bytes (header included, if any).
+    /// Physical size of the log in bytes (header and image included).
     pub fn size_bytes(&self) -> u64 {
         let inner = self.inner.lock();
-        inner.data_start + (inner.next_lsn - inner.base_lsn)
+        inner.data_start + (inner.next_lsn - inner.header.base)
     }
 
-    /// The truncation horizon: the lowest logical LSN still present in
-    /// the log (0 until the first [`Wal::truncate_below`]).
+    /// The checkpoint horizon `T`: the lowest LSN a change feed can
+    /// resume at (0 until the first checkpoint).
     pub fn truncated_lsn(&self) -> Lsn {
-        self.inner.lock().base_lsn
+        self.inner.lock().header.horizon
+    }
+
+    /// The base `B`: the LSN of the log's first record, the image block's
+    /// `Begin`. A replica below the horizon restarts here.
+    pub fn base_lsn(&self) -> Lsn {
+        self.inner.lock().header.base
+    }
+
+    /// Bytes appended past the horizon, `tail − T`: how much the log has
+    /// grown since the last checkpoint, image excluded.
+    pub fn bytes_since_checkpoint(&self) -> u64 {
+        let inner = self.inner.lock();
+        inner.next_lsn - inner.header.horizon
+    }
+
+    /// When the last checkpoint ran — read from the header of a reopened
+    /// log, so it survives a restart. `None` before the first.
+    pub fn checkpointed_at(&self) -> Option<SystemTime> {
+        let at_ms = self.inner.lock().header.at_ms;
+        (at_ms > 0).then(|| UNIX_EPOCH + Duration::from_millis(at_ms))
     }
 
     /// Append a checkpoint marker carrying `snapshot_lsn` and make it
     /// durable. Returns the marker's LSN.
     pub fn append_checkpoint(&self, snapshot_lsn: Lsn) -> Result<Lsn> {
-        // Failpoint `ckpt.marker_append`: the snapshot file exists but
-        // the marker never lands — recovery must still be consistent
-        // (the snapshot is simply newer than the last marker).
+        // Failpoint `ckpt.marker_append`: the log is rewritten but the
+        // marker never lands — recovery ignores markers, and replicas
+        // simply skip one local checkpoint.
         mmdb_fault::fail_point!("ckpt.marker_append", |msg| Error::Storage(format!(
             "checkpoint marker append: {msg}"
         )));
@@ -561,88 +667,132 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Drop the log prefix below `horizon`, keeping LSNs stable: the
-    /// suffix is rewritten to a temp file carrying a [`WAL2_MAGIC`]
-    /// header with `base = horizon`, fsynced, and atomically renamed
-    /// over the log. Returns the number of bytes reclaimed.
-    ///
-    /// The caller must guarantee `horizon` is record-aligned and at or
-    /// below [`Wal::durable_lsn`] — `Database::checkpoint` calls this
-    /// under commit quiesce right after a sync, so both hold there. A
-    /// crash anywhere inside leaves either the old or the new file,
-    /// each a complete, recoverable log.
-    pub fn truncate_below(&self, horizon: Lsn) -> Result<u64> {
-        // Failpoint `ckpt.wal_truncate`: the checkpoint marker is
-        // durable but the prefix survives — recovery just replays more
-        // than strictly needed.
-        mmdb_fault::fail_point!("ckpt.wal_truncate", |msg| Error::Storage(format!(
-            "wal truncate: {msg}"
-        )));
-        let mut inner = self.inner.lock();
-        if horizon <= inner.base_lsn {
-            return Ok(0);
-        }
-        if horizon > inner.next_lsn {
-            return Err(Error::Storage(format!(
-                "wal truncate horizon {horizon} past tail {}",
-                inner.next_lsn
-            )));
-        }
-        let reclaimed = horizon - inner.base_lsn;
-        let at = inner.physical(horizon);
-        if let WalBackend::Memory(v) = &mut inner.backend {
-            v.drain(..reclaimed as usize);
-            inner.base_lsn = horizon;
-            return Ok(reclaimed);
-        }
-        let path =
-            self.path.as_ref().ok_or_else(|| Error::Storage("file wal has no path".into()))?;
-        let suffix = {
-            use std::os::unix::fs::FileExt;
-            let WalBackend::File(f) = &inner.backend else {
-                return Err(Error::Storage("wal truncate: no file backend".into()));
-            };
-            let want = (inner.next_lsn - horizon) as usize;
-            let mut b = vec![0u8; want];
-            let mut done = 0;
-            while done < want {
-                let n = f
-                    .read_at(&mut b[done..], at + done as u64)
-                    .map_err(|e| Error::Storage(format!("wal truncate read: {e}")))?;
-                if n == 0 {
-                    return Err(Error::Storage("wal truncate: short read".into()));
-                }
-                done += n;
-            }
-            b
+    /// Checkpoint the log: replace the prefix below the durable tail `T`
+    /// (a batch edge, so no sync is needed) with one `txid 0` block
+    /// holding its [`fold`], keeping every LSN at or past `T` where it
+    /// was. Each image write is the size of a write it replaces, and the
+    /// prefix held a `Begin`/`Commit` pair for the image's, so the new
+    /// base `T − image` is at least the old one. A file is rewritten to
+    /// `<log>.tmp` and renamed over the log; appends wait only for the
+    /// rename, and a crash on either side of it leaves a complete log of
+    /// the same state (DESIGN.md "Checkpointing"). Callers serialize
+    /// checkpoints (`Database::checkpoint` holds its checkpoint lock).
+    pub fn fold_prefix(&self) -> Result<FoldedPrefix> {
+        let horizon = self.durable_lsn();
+        let old_base = {
+            let inner = self.inner.lock();
+            inner.check_synced()?;
+            inner.header.base
         };
-        let tmp = path.with_file_name("mmdb.wal.tmp");
-        let mut out =
-            File::create(&tmp).map_err(|e| Error::Storage(format!("wal truncate tmp: {e}")))?;
-        out.write_all(&encode_wal_header(horizon))
-            .and_then(|()| out.write_all(&suffix))
-            .and_then(|()| durable_sync(&out, File::sync_all))
-            .map_err(|e| Error::Storage(format!("wal truncate write: {e}")))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| Error::Storage(format!("wal truncate rename: {e}")))?;
-        // The rename is what makes the truncation visible after a crash,
-        // so fsync the directory too (best-effort), then point the live
-        // handle at the new inode.
-        if let Some(dir) = path.parent() {
-            if let Ok(d) = File::open(dir) {
-                let _ = durable_sync(&d, File::sync_all);
+        let (mut image, entries) = {
+            let mut redo = Vec::new();
+            let mut blocks = BlockAssembler::default();
+            let mut at = old_base;
+            while at < horizon {
+                let from = at;
+                let records = self.read_records(at, usize::MAX, true)?;
+                for t in records.into_iter().take_while(|t| t.next_lsn <= horizon) {
+                    at = t.next_lsn;
+                    if let Some(block) = blocks.push(t.record, at) {
+                        redo.extend(block.writes);
+                    }
+                }
+                if at == from {
+                    return Err(Error::Storage(format!(
+                        "wal checkpoint: no intact record from {at} to the durable tail {horizon}"
+                    )));
+                }
+            }
+            let folded = fold(&redo);
+            (encode_image(&folded), folded.len())
+        };
+        let image_bytes = image.len() as u64;
+        let base = horizon.checked_sub(image_bytes).filter(|b| *b >= old_base).ok_or_else(|| {
+            Error::Internal(format!(
+                "wal checkpoint: a {image_bytes}-byte image outgrows the {}-byte prefix it folds",
+                horizon - old_base
+            ))
+        })?;
+        let at_ms = SystemTime::now().duration_since(UNIX_EPOCH).map_or(1, |d| d.as_millis() as u64);
+        let header = Header { base, horizon, at_ms };
+        match &self.path {
+            Some(path) => self.rewrite_file(path, header, &image)?,
+            None => {
+                let mut inner = self.inner.lock();
+                mmdb_fault::fail_point!("ckpt.wal_rewrite", |msg| Error::Storage(format!(
+                    "wal checkpoint: {msg}"
+                )));
+                let from = inner.physical(horizon) as usize;
+                if let WalBackend::Memory(v) = &mut inner.backend {
+                    image.extend_from_slice(&v[from..]);
+                    *v = image;
+                }
+                inner.header = header;
             }
         }
-        let file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| Error::Storage(format!("wal truncate reopen: {e}")))?;
-        inner.backend = WalBackend::File(file);
-        inner.base_lsn = horizon;
-        inner.data_start = WAL_HEADER_LEN;
-        Ok(reclaimed)
+        Ok(FoldedPrefix { horizon, entries, image_bytes, reclaimed: base - old_base })
     }
+
+    /// The file backend's rewrite: write the tmp and fsync it, then catch
+    /// up, fsync again and rename under the lock.
+    fn rewrite_file(&self, path: &Path, header: Header, image: &[u8]) -> Result<()> {
+        let io = |e: std::io::Error| Error::Storage(format!("wal checkpoint: {e}"));
+        let tmp = tmp_path(path);
+        let _ = std::fs::remove_file(&tmp);
+        let mut out =
+            OpenOptions::new().read(true).append(true).create_new(true).open(&tmp).map_err(io)?;
+        let (suffix, copied) = {
+            let inner = self.inner.lock();
+            (inner.read_bytes(header.horizon, inner.next_lsn)?, inner.next_lsn)
+        };
+        for part in [&header.encode()[..], image, &suffix] {
+            out.write_all(part).map_err(io)?;
+        }
+        durable_sync(&out, File::sync_all).map_err(io)?;
+        drop(suffix);
+
+        let mut inner = self.inner.lock();
+        let arrived = inner.read_bytes(copied, inner.next_lsn)?;
+        out.write_all(&arrived).and_then(|()| durable_sync(&out, File::sync_data)).map_err(io)?;
+        // Failpoint `ckpt.wal_rewrite`: the new log is complete and
+        // durable but never published — reopen must read the old one and
+        // drop the tmp.
+        mmdb_fault::fail_point!("ckpt.wal_rewrite", |msg| Error::Storage(format!(
+            "wal checkpoint: {msg}"
+        )));
+        std::fs::rename(&tmp, path).map_err(io)?;
+        inner.backend = WalBackend::File(out);
+        inner.header = header;
+        inner.data_start = WAL_HEADER_LEN;
+        // Appends now land in the new file, so the rename must be
+        // durable: were it lost to a crash, the old file would come back
+        // without them. A failed directory fsync fails the log like a
+        // failed sync does.
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+        if let Err(e) = File::open(dir).and_then(|d| durable_sync(&d, File::sync_all)) {
+            inner.sync_failure = Some(format!("directory fsync after a checkpoint's rename: {e}"));
+            return inner.check_synced();
+        }
+        Ok(())
+    }
+}
+
+/// The image block for `writes`: `Begin{0} Write{0,…}* Commit{0}`, framed;
+/// nothing for an empty fold.
+fn encode_image(writes: &[&LoggedWrite]) -> Vec<u8> {
+    let mut image = Vec::new();
+    if writes.is_empty() {
+        return image;
+    }
+    frame(&mut image, &WalRecord::Begin { txid: 0 }.encode());
+    let mut payload = Vec::new();
+    for w in writes {
+        payload.clear();
+        encode_write(&mut payload, 0, &w.domain, &w.key, w.value.as_deref());
+        frame(&mut image, &payload);
+    }
+    frame(&mut image, &WalRecord::Commit { txid: 0 }.encode());
+    image
 }
 
 /// One record surfaced by [`Wal::read_records_from`], with its position.
@@ -656,9 +806,9 @@ pub struct TailedRecord {
     pub record: WalRecord,
 }
 
-/// One logged write: the *encoded* shape of a write, as the WAL, the
-/// snapshot file and the replication stream all carry it. Its decoded
-/// twin is `mmdb_txn::CommittedWrite` (DESIGN.md "A transaction's road").
+/// One logged write: the *encoded* shape of a write, as the WAL and the
+/// replication stream carry it. Its decoded twin is
+/// `mmdb_txn::CommittedWrite` (DESIGN.md "A transaction's road").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoggedWrite {
     /// Model routing tag, e.g. `"doc/orders"`.
@@ -674,7 +824,8 @@ pub struct LoggedWrite {
 pub struct CommittedBlock {
     /// The transaction id the block was logged under. Not unique across
     /// restarts (the counter restarts at 1 on every open), so it names a
-    /// block only while that block is open.
+    /// block only while that block is open. A checkpoint's image block is
+    /// `txid 0`.
     pub txid: TxId,
     /// LSN just past the block's `Commit` record — a safe resume point.
     pub end_lsn: Lsn,
@@ -684,7 +835,7 @@ pub struct CommittedBlock {
 
 /// Turns a record stream back into committed transactions. This is the
 /// one statement of what "committed" means in the log, shared by
-/// recovery, the replica apply loop and the CDC feed:
+/// recovery, the checkpoint, the replica apply loop and the CDC feed:
 ///
 /// A block is `Begin{t} Write{t}* Commit{t}`, and it is committed iff its
 /// own `Commit` follows its `Begin` with no other `Begin` between. Blocks
@@ -727,30 +878,68 @@ impl BlockAssembler {
     }
 }
 
+/// Load order of a domain's writes when a whole state is applied at once:
+/// container definitions first (a table before its rows), then data,
+/// then graph edges (edges need their endpoint vertices), then index
+/// definitions (each built once, from the loaded view). Deletes go in
+/// the reverse order.
+pub fn load_class(domain: &str) -> u8 {
+    if domain == "ddl/index" {
+        3
+    } else if domain.starts_with("ddl/") {
+        0
+    } else if domain.contains("/e/") {
+        2
+    } else {
+        1
+    }
+}
+
+/// The state a run of committed writes leaves, as one list — what
+/// recovery installs and what a checkpoint's image holds:
+///
+/// - each `(domain, key)` keeps only its **last** write, at the position
+///   of its **first**, so keys come out in the order they first appeared;
+/// - a key whose last write is a delete is dropped: the state is applied
+///   to an empty store, where the tombstone has nothing to remove;
+/// - the survivors are stable-sorted by [`load_class`].
+///
+/// The result borrows from `writes`; nothing is copied.
+pub fn fold(writes: &[LoggedWrite]) -> Vec<&LoggedWrite> {
+    let mut folded: Vec<&LoggedWrite> = Vec::new();
+    {
+        let mut slot: HashMap<(&str, &[u8]), usize> = HashMap::with_capacity(writes.len());
+        for w in writes {
+            match slot.entry((w.domain.as_str(), w.key.as_slice())) {
+                Entry::Occupied(first) => folded[*first.get()] = w,
+                Entry::Vacant(first) => {
+                    first.insert(folded.len());
+                    folded.push(w);
+                }
+            }
+        }
+    }
+    folded.retain(|w| w.value.is_some());
+    folded.sort_by_cached_key(|w| load_class(&w.domain));
+    folded
+}
+
 /// Outcome of scanning a log for recovery.
 #[derive(Debug, Default)]
 pub struct Recovery {
-    /// Writes of committed transactions (see [`BlockAssembler`]), in log
-    /// order, starting at the last checkpoint.
+    /// Writes of every committed block in the log (see
+    /// [`BlockAssembler`]), the image block first, in log order; [`fold`]
+    /// turns them into the state to install.
     pub redo: Vec<LoggedWrite>,
     /// Records dropped because the log ended mid-record (torn write).
     pub torn_tail: bool,
-    /// *Physical* byte length of the valid log prefix (v2 header
-    /// included). When `torn_tail` is set the caller should truncate the
-    /// log file to this length before appending, or later appends would
-    /// hide behind the corruption and be lost by the next recovery.
+    /// Byte length of the valid record prefix, header excluded: where
+    /// [`Wal::recover`] cuts a torn tail off.
     pub valid_len: u64,
-    /// The file's truncation horizon: logical LSN of its first record
-    /// (0 for never-truncated logs). A base above 0 means a checkpoint
-    /// snapshot must exist — the prefix it replaced is gone.
-    pub base_lsn: Lsn,
 }
 
-/// Scan record bytes (no file header) whose first byte sits at logical
-/// LSN `base`, skipping committed blocks that end at or below `min_lsn` —
-/// those are already captured by the snapshot the caller loaded.
-/// `valid_len` in the result counts only the bytes of `data`.
-fn recover_scan(data: &[u8], base: Lsn, min_lsn: Lsn) -> Recovery {
+/// Scan raw headerless log bytes and compute the redo set.
+pub fn recover_from_bytes(data: &[u8]) -> Recovery {
     let mut blocks = BlockAssembler::default();
     let mut redo = Vec::new();
     let mut torn = false;
@@ -771,52 +960,15 @@ fn recover_scan(data: &[u8], base: Lsn, min_lsn: Lsn) -> Recovery {
             break;
         };
         valid_len += 8 + len as u64;
-        // Replay starts at the last checkpoint marker.
-        if matches!(record, WalRecord::Checkpoint { .. }) {
-            redo.clear();
-        }
-        // Skip blocks the snapshot already reflects: replay is not
-        // idempotent for every model (graph edges accumulate). Blocks are
-        // appended whole and a checkpoint quiesces commits, so a block
-        // never straddles the snapshot LSN.
-        if let Some(block) = blocks.push(record, base + valid_len) {
-            if block.end_lsn > min_lsn {
-                redo.extend(block.writes);
-            }
+        if let Some(block) = blocks.push(record, valid_len) {
+            redo.extend(block.writes);
         }
         rest = &rest[8 + len..];
     }
     if !rest.is_empty() && rest.len() < 8 {
         torn = true;
     }
-    Recovery { redo, torn_tail: torn, valid_len, base_lsn: base }
-}
-
-/// Scan raw headerless log bytes and compute the redo set.
-pub fn recover_from_bytes(full: &[u8]) -> Recovery {
-    recover_scan(full, 0, 0)
-}
-
-/// Recover from a file-backed log, skipping committed writes at or below
-/// `min_lsn` (the loaded snapshot's LSN; pass 0 without a snapshot). The
-/// file may be a legacy headerless log or a truncated v2 log.
-pub fn recover_from_file_after(path: impl AsRef<Path>, min_lsn: Lsn) -> Result<Recovery> {
-    let mut data = Vec::new();
-    match File::open(path.as_ref()) {
-        Ok(mut f) => {
-            f.read_to_end(&mut data)
-                .map_err(|e| Error::Storage(format!("read wal: {e}")))?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(Error::Storage(format!("open wal: {e}"))),
-    }
-    let (body, base, header_len) = match parse_wal_header(&data) {
-        Some(base) => (&data[WAL_HEADER_LEN as usize..], base, WAL_HEADER_LEN),
-        None => (&data[..], 0, 0),
-    };
-    let mut rec = recover_scan(body, base, min_lsn);
-    rec.valid_len += header_len;
-    Ok(rec)
+    Recovery { redo, torn_tail: torn, valid_len }
 }
 
 #[cfg(test)]
@@ -830,6 +982,14 @@ mod tests {
             key: key.as_bytes().to_vec(),
             value: val.map(|v| v.as_bytes().to_vec()),
         }
+    }
+
+    fn temp_wal(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mmdb-wal-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("mmdb.wal");
+        let _ = std::fs::remove_file(&path);
+        path
     }
 
     #[test]
@@ -916,7 +1076,9 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_truncates_replay() {
+    fn a_checkpoint_marker_does_not_cut_replay() {
+        // Recovery is every committed block in the file: the marker is a
+        // cue for replicas, not a place replay starts.
         let wal = Wal::in_memory();
         wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
         wal.append(&w(1, "old", Some("x"))).unwrap();
@@ -926,8 +1088,29 @@ mod tests {
         wal.append(&w(2, "new", Some("y"))).unwrap();
         wal.append(&WalRecord::Commit { txid: 2 }).unwrap();
         let rec = recover_from_bytes(&wal.snapshot_bytes());
-        assert_eq!(rec.redo.len(), 1);
-        assert_eq!(rec.redo[0].key, b"new");
+        let keys: Vec<&[u8]> = rec.redo.iter().map(|r| r.key.as_slice()).collect();
+        assert_eq!(keys, [b"old".as_slice(), b"new".as_slice()]);
+    }
+
+    #[test]
+    fn the_fold_keeps_each_keys_last_write_at_its_first_place_by_load_class() {
+        let lw = |domain: &str, key: &str, value: Option<&str>| LoggedWrite {
+            domain: domain.into(),
+            key: key.as_bytes().to_vec(),
+            value: value.map(|v| v.as_bytes().to_vec()),
+        };
+        let history = [
+            lw("kv/cart", "a", Some("1")),
+            lw("graph/g/e/knows", "e", Some("edge")),
+            lw("ddl/bucket", "cart", Some("{}")),
+            lw("kv/cart", "b", Some("1")),
+            lw("ddl/index", "gin/o", Some("{}")),
+            lw("kv/cart", "a", Some("2")),
+            lw("kv/cart", "b", None),
+            lw("kv/cart", "c", None),
+        ];
+        let folded = fold(&history);
+        assert_eq!(folded, [&history[2], &history[5], &history[1], &history[4]]);
     }
 
     #[test]
@@ -967,40 +1150,32 @@ mod tests {
     }
 
     #[test]
-    fn file_backed_wal_survives_reopen() {
-        let dir = std::env::temp_dir().join(format!("mmdb-wal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("test.wal");
-        let _ = std::fs::remove_file(&path);
-        {
-            let wal = Wal::open(&path).unwrap();
-            wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
-            wal.append(&w(1, "persist", Some("yes"))).unwrap();
-            wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
-            wal.sync().unwrap();
-        }
-        let rec = recover_from_file_after(&path, 0).unwrap();
+    fn file_backed_wal_survives_reopen_and_loses_only_a_torn_tail() {
+        let path = temp_wal("reopen");
+        let (wal, rec) = Wal::recover(&path).unwrap();
+        assert!(rec.redo.is_empty() && !rec.torn_tail, "a missing file is an empty log");
+        wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
+        wal.append(&w(1, "persist", Some("yes"))).unwrap();
+        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        // A crash mid-record: recovery cuts the torn bytes off, so the
+        // appends after the reopen extend the valid prefix.
+        let good = std::fs::metadata(&path).unwrap().len();
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&[20, 0, 0, 0, 0xAA]).unwrap();
+        let (wal, rec) = Wal::recover(&path).unwrap();
+        assert!(rec.torn_tail);
         assert_eq!(rec.redo.len(), 1);
         assert_eq!(rec.redo[0].domain, "doc/orders");
-        // Appending after reopen extends, not truncates.
-        {
-            let wal = Wal::open(&path).unwrap();
-            assert!(wal.tail_lsn() > 0);
-            wal.append(&WalRecord::Begin { txid: 2 }).unwrap();
-            wal.append(&w(2, "more", Some("data"))).unwrap();
-            wal.append(&WalRecord::Commit { txid: 2 }).unwrap();
-            wal.sync().unwrap();
-        }
-        let rec = recover_from_file_after(&path, 0).unwrap();
-        assert_eq!(rec.redo.len(), 2);
+        assert_eq!((std::fs::metadata(&path).unwrap().len(), wal.tail_lsn()), (good, good));
+        wal.append(&WalRecord::Begin { txid: 2 }).unwrap();
+        wal.append(&w(2, "more", Some("data"))).unwrap();
+        wal.append(&WalRecord::Commit { txid: 2 }).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        assert_eq!(Wal::recover(&path).unwrap().1.redo.len(), 2);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn recovery_of_missing_file_is_empty() {
-        let rec = recover_from_file_after("/nonexistent/path/to.wal", 0).unwrap();
-        assert!(rec.redo.is_empty());
-        assert!(!rec.torn_tail);
     }
 
     #[test]
@@ -1098,23 +1273,6 @@ mod tests {
         assert_eq!(wal.durable_lsn(), wal.tail_lsn());
     }
 
-    #[test]
-    fn reopened_wal_treats_existing_content_as_durable() {
-        let dir = std::env::temp_dir().join(format!("mmdb-wal-durable-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("durable.wal");
-        let _ = std::fs::remove_file(&path);
-        {
-            let wal = Wal::open(&path).unwrap();
-            wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
-            wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
-            wal.sync().unwrap();
-        }
-        let wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.durable_lsn(), wal.tail_lsn(), "recovered prefix is durable history");
-        let _ = std::fs::remove_file(&path);
-    }
-
     #[cfg(feature = "failpoints")]
     #[test]
     fn batch_append_failures_are_atomic_or_tear_like_serial_appends() {
@@ -1154,10 +1312,7 @@ mod tests {
 
     #[test]
     fn tailing_works_on_a_file_backed_wal() {
-        let dir = std::env::temp_dir().join(format!("mmdb-wal-tail-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tail.wal");
-        let _ = std::fs::remove_file(&path);
+        let path = temp_wal("tail");
         let wal = Wal::open(&path).unwrap();
         wal.append(&WalRecord::Begin { txid: 5 }).unwrap();
         wal.append(&w(5, "k", Some("v"))).unwrap();
@@ -1177,90 +1332,105 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// Append a committed txn and return the logical tail afterwards.
-    fn commit_one(wal: &Wal, txid: TxId, key: &str) -> Lsn {
+    /// Append a committed txn writing `key` and return the logical tail
+    /// afterwards.
+    fn commit_one(wal: &Wal, txid: TxId, key: &str, value: Option<&str>) -> Lsn {
         wal.append(&WalRecord::Begin { txid }).unwrap();
-        wal.append(&w(txid, key, Some("v"))).unwrap();
+        wal.append(&w(txid, key, value)).unwrap();
         wal.append(&WalRecord::Commit { txid }).unwrap();
         wal.sync().unwrap();
         wal.tail_lsn()
     }
 
+    /// A history with an overwrite and a delete, checkpointed at `h`,
+    /// then one more commit: returns `h` and the tail.
+    fn checkpointed_history(wal: &Wal) -> (Lsn, Lsn) {
+        commit_one(wal, 1, "a", Some("1"));
+        commit_one(wal, 2, "gone", Some("x"));
+        commit_one(wal, 3, "a", Some("2"));
+        let h = commit_one(wal, 4, "gone", None);
+        let folded = wal.fold_prefix().unwrap();
+        assert_eq!(folded.horizon, h);
+        assert_eq!(folded.entries, 1, "one live key");
+        assert_eq!(folded.reclaimed + folded.image_bytes, h, "the prefix is image + dropped bytes");
+        let tail = commit_one(wal, 5, "new", Some("y"));
+        (h, tail)
+    }
+
+    /// What the block assembler releases reading from `from` to the tail.
+    fn blocks_from(wal: &Wal, from: Lsn) -> Vec<CommittedBlock> {
+        let mut blocks = BlockAssembler::default();
+        let tailed = wal.read_records_from(from, usize::MAX).unwrap();
+        tailed.into_iter().filter_map(|t| blocks.push(t.record, t.next_lsn)).collect()
+    }
+
     #[test]
-    fn truncate_keeps_lsns_stable_in_memory() {
+    fn a_checkpointed_log_is_its_image_then_the_records_past_the_horizon() {
         let wal = Wal::in_memory();
-        let h = commit_one(&wal, 1, "old");
-        let tail = commit_one(&wal, 2, "new");
-        let before = wal.read_records_from(h, usize::MAX).unwrap();
-        let reclaimed = wal.truncate_below(h).unwrap();
-        assert_eq!(reclaimed, h);
+        let (h, tail) = checkpointed_history(&wal);
         assert_eq!(wal.truncated_lsn(), h);
-        assert_eq!(wal.tail_lsn(), tail, "logical tail is unchanged");
-        // Reads at or past the horizon are byte-identical to before.
-        assert_eq!(wal.read_records_from(h, usize::MAX).unwrap(), before);
-        // Reads below it are a typed error.
-        assert!(matches!(
-            wal.read_records_from(0, usize::MAX),
-            Err(Error::LogTruncated(_))
-        ));
-        // Truncating at or below the horizon is a no-op.
-        assert_eq!(wal.truncate_below(h).unwrap(), 0);
+        assert_eq!(wal.tail_lsn(), tail, "the logical tail is unchanged");
+        assert!(wal.checkpointed_at().is_some());
+        let base = wal.base_lsn();
+        assert!(0 < base && base < h);
+
+        // Reading from B yields exactly the image block, ending at T, and
+        // then the records past T as they were.
+        let blocks = blocks_from(&wal, base);
+        assert_eq!(blocks.len(), 2);
+        assert_eq!((blocks[0].txid, blocks[0].end_lsn), (0, h));
+        let image: Vec<(&[u8], Option<&[u8]>)> =
+            blocks[0].writes.iter().map(|w| (w.key.as_slice(), w.value.as_deref())).collect();
+        assert_eq!(image, [(b"a".as_slice(), Some(b"2".as_slice()))]);
+        assert_eq!(blocks[1].writes[0].key, b"new");
+
+        // Below B the history is gone; inside the image no LSN names a
+        // record of it. Both are typed errors; T and past still read.
+        for inside in [0, base - 1, base + 1, h - 1] {
+            assert!(
+                matches!(wal.read_records_from(inside, usize::MAX), Err(Error::LogTruncated(_))),
+                "{inside}"
+            );
+        }
+        assert_eq!(blocks_from(&wal, h).len(), 1);
+
+        // Recovery: the image, then the suffix.
+        let rec = recover_from_bytes(&wal.snapshot_bytes());
+        let keys: Vec<&[u8]> = rec.redo.iter().map(|r| r.key.as_slice()).collect();
+        assert_eq!(keys, [b"a".as_slice(), b"new".as_slice()]);
     }
 
     #[test]
-    fn truncated_file_reopens_with_stable_lsns() {
-        let dir = std::env::temp_dir().join(format!("mmdb-wal-trunc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mmdb.wal");
-        let _ = std::fs::remove_file(&path);
-        let (h, tail, suffix) = {
+    fn a_checkpointed_file_reopens_with_stable_lsns() {
+        let path = temp_wal("ckpt");
+        let (h, tail, base, suffix) = {
             let wal = Wal::open(&path).unwrap();
-            let h = commit_one(&wal, 1, "old");
-            let tail = commit_one(&wal, 2, "new");
-            let size_before = wal.size_bytes();
-            assert_eq!(wal.truncate_below(h).unwrap(), h);
-            assert!(wal.size_bytes() < size_before, "the file shrank");
-            (h, tail, wal.read_records_from(h, usize::MAX).unwrap())
+            let (h, tail) = checkpointed_history(&wal);
+            wal.append_checkpoint(h).unwrap();
+            (h, tail, wal.base_lsn(), wal.read_records_from(h, usize::MAX).unwrap())
         };
-        // Reopen: header restores the base, logical LSNs keep counting.
+        assert!(!tmp_path(&path).exists(), "the tmp was renamed over the log");
         let wal = Wal::open(&path).unwrap();
-        assert_eq!(wal.truncated_lsn(), h);
-        assert_eq!(wal.tail_lsn(), tail);
-        assert_eq!(wal.durable_lsn(), tail);
+        assert_eq!((wal.base_lsn(), wal.truncated_lsn()), (base, h));
+        assert!(wal.tail_lsn() > tail);
+        assert_eq!(wal.durable_lsn(), wal.tail_lsn());
+        assert!(wal.checkpointed_at().is_some(), "the header dates the checkpoint");
         assert_eq!(wal.read_records_from(h, usize::MAX).unwrap(), suffix);
-        // Appends after reopen continue the logical sequence and the
-        // recovery scan reports the base.
-        let tail2 = commit_one(&wal, 3, "more");
-        assert!(tail2 > tail);
-        let rec = recover_from_file_after(&path, 0).unwrap();
-        assert_eq!(rec.base_lsn, h);
-        assert_eq!(rec.redo.len(), 2, "only records past the horizon remain");
-        assert_eq!(rec.valid_len, wal.size_bytes());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn recovery_filters_redo_below_the_snapshot_lsn() {
-        let dir = std::env::temp_dir().join(format!("mmdb-wal-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("mmdb.wal");
-        let _ = std::fs::remove_file(&path);
-        let wal = Wal::open(&path).unwrap();
-        let s = commit_one(&wal, 1, "snapshotted");
-        commit_one(&wal, 2, "replayed");
-        // Snapshot at `s`, but no marker and no truncation (the crash
-        // windows between snapshot rename and marker append): recovery
-        // must skip everything the snapshot already holds.
-        let rec = recover_from_file_after(&path, s).unwrap();
-        assert_eq!(rec.redo.len(), 1);
-        assert_eq!(rec.redo[0].key, b"replayed");
+        // Appends continue the logical sequence, and recovery reads the
+        // image and everything after it.
+        let tail2 = commit_one(&wal, 7, "more", Some("z"));
+        drop(wal);
+        let (wal, rec) = Wal::recover(&path).unwrap();
+        let keys: Vec<&[u8]> = rec.redo.iter().map(|r| r.key.as_slice()).collect();
+        assert_eq!(keys, [b"a".as_slice(), b"new".as_slice(), b"more".as_slice()]);
+        assert_eq!(wal.tail_lsn(), tail2);
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn append_checkpoint_is_durable_and_carries_the_lsn() {
         let wal = Wal::in_memory();
-        let s = commit_one(&wal, 1, "a");
+        let s = commit_one(&wal, 1, "a", Some("v"));
         wal.append_checkpoint(s).unwrap();
         assert_eq!(wal.durable_lsn(), wal.tail_lsn(), "marker is synced");
         let tailed = wal.read_records_from(s, usize::MAX).unwrap();

@@ -1,13 +1,12 @@
 //! Property tests for the storage substrate: slotted pages and the LSM
-//! engine against shadow models, WAL recovery invariants, and the
-//! checksum against a bytewise reference.
+//! engine against shadow models, WAL recovery and checkpoint invariants,
+//! and the checksum against a bytewise reference.
 
 use proptest::prelude::*;
 
 use mmdb_storage::lsm::{LsmConfig, LsmTree};
 use mmdb_storage::page::SlottedPage;
-use mmdb_storage::snapshot;
-use mmdb_storage::wal::{crc32, recover_from_bytes, LoggedWrite, Wal, WalRecord};
+use mmdb_storage::wal::{crc32, fold, recover_from_bytes, Wal, WalRecord};
 
 #[derive(Debug, Clone)]
 enum PageOp {
@@ -165,7 +164,62 @@ proptest! {
             }
         }
     }
+
+    /// A checkpoint changes what the log holds, never what it recovers:
+    /// for any history of overwrites and deletes, some of it never
+    /// committed, folded at its durable tail and then extended and folded
+    /// again, the log recovers the state the never-folded history does,
+    /// the image never outgrows the prefix it replaces, and the base only
+    /// moves forward.
+    #[test]
+    fn a_checkpoint_keeps_the_state_the_log_recovers(
+        before in arb_history(),
+        after in arb_history(),
+    ) {
+        let folded = Wal::in_memory();
+        let whole = Wal::in_memory();
+        let mut base = 0;
+        for (part, history) in [before, after].iter().enumerate() {
+            for wal in [&folded, &whole] {
+                for (t, (commit, writes)) in history.iter().enumerate() {
+                    let txid = (part * 100 + t + 1) as u64;
+                    let mut block = vec![WalRecord::Begin { txid }];
+                    block.extend(writes.iter().map(|&(key, value)| {
+                        let (key, value) = (vec![key], value.map(|v| vec![v]));
+                        WalRecord::Write { txid, domain: "kv/cart".into(), key, value }
+                    }));
+                    block.extend(commit.then_some(WalRecord::Commit { txid }));
+                    wal.append_batch(&block).unwrap();
+                }
+                wal.sync().unwrap();
+            }
+            let done = folded.fold_prefix().unwrap();
+            prop_assert_eq!(done.horizon, folded.tail_lsn());
+            prop_assert!(folded.base_lsn() >= base);
+            prop_assert_eq!(done.reclaimed, folded.base_lsn() - base);
+            prop_assert_eq!(done.image_bytes, done.horizon - folded.base_lsn());
+            base = folded.base_lsn();
+            folded.append_checkpoint(done.horizon).unwrap();
+        }
+        let state = |wal: &Wal| {
+            let rec = recover_from_bytes(&wal.snapshot_bytes());
+            let mut live: Vec<(Vec<u8>, Option<Vec<u8>>)> =
+                fold(&rec.redo).into_iter().map(|w| (w.key.clone(), w.value.clone())).collect();
+            live.sort();
+            live
+        };
+        prop_assert_eq!(state(&folded), state(&whole));
+    }
 }
+
+/// Transactions over four keys: whether each commits, and its writes
+/// (`None` a delete).
+fn arb_history() -> impl Strategy<Value = History> {
+    let write = (0u8..4, any::<bool>(), any::<u8>()).prop_map(|(k, live, v)| (k, live.then_some(v)));
+    prop::collection::vec((any::<bool>(), prop::collection::vec(write, 1..4)), 0..8)
+}
+
+type History = Vec<(bool, Vec<(u8, Option<u8>)>)>;
 
 /// The bytewise CRC-32 (IEEE 802.3, reflected, one bit per step): the
 /// oracle `crc32` is checked against.
@@ -184,12 +238,11 @@ fn crc32_bytewise(data: &[u8]) -> u32 {
     !crc
 }
 
-/// Checksum values are the reference's, so a log or snapshot written
-/// before `crc32` changed shape still opens: every frame of a log and the
-/// snapshot header carry the reference checksum of their bytes, and both
-/// read back whole.
+/// Checksum values are the reference's, so a log written before `crc32`
+/// changed shape still opens: every frame of a log carries the reference
+/// checksum of its bytes, and the log reads back whole.
 #[test]
-fn logs_and_snapshots_carry_the_reference_checksum() {
+fn logs_carry_the_reference_checksum() {
     let wal = Wal::in_memory();
     wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
     for (i, value) in [
@@ -221,19 +274,4 @@ fn logs_and_snapshots_carry_the_reference_checksum() {
     }
     assert_eq!(frames, 5);
     assert_eq!(recover_from_bytes(&bytes).redo.len(), 3);
-
-    let dir = std::env::temp_dir().join(format!("mmdb-prop-crc-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let entries = vec![LoggedWrite {
-        domain: "doc/orders".into(),
-        key: b"o1".to_vec(),
-        value: Some(vec![1, 2, 3]),
-    }];
-    snapshot::write_snapshot(&dir, 42, &entries).unwrap();
-    let file = std::fs::read(dir.join(snapshot::SNAPSHOT_FILE)).unwrap();
-    let crc = u32::from_le_bytes(file[8..12].try_into().unwrap());
-    assert_eq!(crc, crc32_bytewise(&file[12..]));
-    assert_eq!(snapshot::read_snapshot(&dir).unwrap(), Some((42, entries)));
-    let _ = std::fs::remove_dir_all(&dir);
 }

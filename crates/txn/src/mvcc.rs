@@ -30,14 +30,13 @@
 //! them (DESIGN.md "A transaction's road").
 
 use std::cell::RefCell;
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use mmdb_storage::wal::{self, LoggedWrite, Lsn, Wal, WalRecord};
+use mmdb_storage::wal::{self, load_class, LoggedWrite, Lsn, Wal, WalRecord};
 use mmdb_types::codec::{value_from_bytes, value_to_bytes};
 use mmdb_types::{lock_rank, Error, Result, Value};
 
@@ -64,8 +63,8 @@ struct Version {
 
 /// One write in its *decoded* shape: what a transaction stages, what the
 /// version store installs and what commit hooks are handed. Its encoded
-/// twin — in the WAL, the snapshot file and the replication stream — is
-/// [`LoggedWrite`] (DESIGN.md "A transaction's road").
+/// twin — in the WAL and the replication stream — is [`LoggedWrite`]
+/// (DESIGN.md "A transaction's road").
 #[derive(Debug, Clone)]
 pub struct CommittedWrite {
     /// Model domain, e.g. `"doc/orders"`.
@@ -77,27 +76,10 @@ pub struct CommittedWrite {
 }
 
 impl CommittedWrite {
-    /// Decode a write read back from the log, a snapshot or the stream.
+    /// Decode a write read back from the log or the stream.
     pub fn decode(w: &LoggedWrite) -> Result<CommittedWrite> {
         let value = w.value.as_deref().map(value_from_bytes).transpose()?;
         Ok(CommittedWrite { domain: w.domain.clone(), key: w.key.clone(), value })
-    }
-}
-
-/// Load order of a domain's writes when a whole state is applied at once:
-/// container definitions first (a table before its rows), then data,
-/// then graph edges (edges need their endpoint vertices), then index
-/// definitions (each built once, from the loaded view). Deletes go in
-/// the reverse order.
-fn load_class(domain: &str) -> u8 {
-    if domain == "ddl/index" {
-        3
-    } else if domain.starts_with("ddl/") {
-        0
-    } else if domain.contains("/e/") {
-        2
-    } else {
-        1
     }
 }
 
@@ -741,47 +723,6 @@ impl MvccStore {
         self.inner.snapshot_ts.load(Ordering::SeqCst)
     }
 
-    /// Run `f` with commits quiesced: the commit mutex is held, so no
-    /// group-commit batch can sequence and no replicated transaction can
-    /// apply while `f` runs. This is the checkpoint window — between two
-    /// commits the WAL tail and the version store agree exactly, so
-    /// state extracted inside `f` is consistent with the tail LSN read
-    /// inside `f`. The commit hooks of installed commits may still be
-    /// running, so `f` reads the version store, not the model stores.
-    pub fn quiesce_commits<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _guard = self.inner.commit_mutex.lock();
-        f()
-    }
-
-    /// The newest committed live value of every key, encoded (deletes are
-    /// absent — a snapshot has no tombstones): what a checkpoint writes
-    /// to the snapshot file and what a stale replica is bootstrapped
-    /// from. Call inside [`MvccStore::quiesce_commits`] so the result is
-    /// consistent with [`Wal::tail_lsn`].
-    ///
-    /// Ordering matters because a snapshot is replayed through the same
-    /// apply path as recovery: [`load_class`] order, and (domain, key)
-    /// within each class for determinism.
-    pub fn latest_committed_writes(&self) -> Vec<LoggedWrite> {
-        let versions = self.inner.versions.read();
-        let mut out: Vec<LoggedWrite> = versions
-            .iter()
-            .filter_map(|((domain, key), chain)| {
-                let live = chain.last()?.value.as_ref()?;
-                Some(LoggedWrite {
-                    domain: domain.clone(),
-                    key: key.clone(),
-                    value: Some(value_to_bytes(live)),
-                })
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            (load_class(&a.domain), &a.domain, &a.key)
-                .cmp(&(load_class(&b.domain), &b.domain, &b.key))
-        });
-        out
-    }
-
     /// WAL position just past the most recently durable commit record —
     /// the replication watermark (0 before any commit). A session that
     /// reads this right after its own commit holds a read-your-writes
@@ -822,16 +763,16 @@ impl MvccStore {
         Ok(commit_ts)
     }
 
-    /// Install a snapshot bootstrap as a full state *replace* — the
+    /// Install a checkpoint image as a full state *replace* — the
     /// stale-replica twin of [`MvccStore::apply_replicated`]. `writes`
-    /// is the primary's complete live state (snapshots carry no
-    /// tombstones), so any key live in this store but absent from the
-    /// snapshot was deleted on the primary inside the truncated log gap:
-    /// a tombstone is synthesized for it and the combined set applies as
-    /// one replicated transaction. Running the deletes through the
-    /// ordinary apply path means commit hooks evict the keys from the
-    /// model stores and this store's own WAL records the deletes, so a
-    /// replica restart replays them too. A fresh (empty) store diffs to
+    /// is the primary's image block: its complete live state at the
+    /// checkpoint horizon (a fold carries no tombstones), so any key live
+    /// in this store but absent from the image was deleted on the primary
+    /// inside the folded history: a tombstone is synthesized for it and
+    /// the combined set applies as one replicated transaction. Running
+    /// the deletes through the ordinary apply path means commit hooks
+    /// evict the keys from the model stores and this store's own WAL
+    /// records the deletes, so a replica restart replays them too. A fresh (empty) store diffs to
     /// nothing and behaves exactly like `apply_replicated`.
     pub fn apply_snapshot_replace(&self, writes: &[CommittedWrite]) -> Result<u64> {
         let mut doomed: Vec<CommittedWrite> = Vec::new();
@@ -852,7 +793,7 @@ impl MvccStore {
         }
         // Deletes first, in reverse load order (index definitions, edges
         // before their vertices, container definitions last), then the
-        // snapshot upserts.
+        // image's upserts.
         doomed.sort_by(|a, b| {
             (std::cmp::Reverse(load_class(&a.domain)), &a.domain, &a.key)
                 .cmp(&(std::cmp::Reverse(load_class(&b.domain)), &b.domain, &b.key))
@@ -863,47 +804,21 @@ impl MvccStore {
     }
 
     /// Apply WAL recovery output at startup, into a store that is still
-    /// empty. The redo set (snapshot state first when the caller prepended
-    /// it, then the log suffix) is folded before anything is decoded:
-    ///
-    /// - each `(domain, key)` keeps only its **last** write, at the
-    ///   position of its **first**, so keys reach the model stores in the
-    ///   order they first appeared;
-    /// - a key whose last write is a delete is dropped: the store starts
-    ///   empty, so the tombstone has nothing to remove. A container whose
-    ///   every key was deleted still comes back, from its definition;
-    /// - the survivors are stable-sorted by load class (container
-    ///   definitions, then rows, documents, keys and vertices, then edges,
-    ///   then index definitions).
-    ///
-    /// They are then decoded, installed and applied as one commit, so
-    /// each commit hook sees every live key once — the same keys a checkpoint
-    /// snapshot holds ([`MvccStore::latest_committed_writes`]). Cascades
-    /// the model stores ran on the history are not re-run: a raw
-    /// `ddl/table` delete leaves the table's rows live, and an edge whose
-    /// vertex a raw transaction deleted reaches the hook without it (it
-    /// fails `add_edge` and latches the store read-only, as it does on
-    /// snapshot load). Sessions can drop neither a table nor a vertex, so
-    /// only raw [`MvccStore::begin`] writes reach either case. Nothing is
-    /// logged — it came from the log. Returns the number of distinct live
-    /// keys installed.
+    /// empty: the redo set — every committed block of the log, a
+    /// checkpoint's image block first — goes through [`wal::fold`], the
+    /// fold a checkpoint writes its image with, before anything is
+    /// decoded. The survivors are decoded, installed and applied as one
+    /// commit, so each commit hook sees every live key once, in
+    /// load-class order. Cascades the model stores ran on the history are
+    /// not re-run: a raw `ddl/table` delete leaves the table's rows live,
+    /// and an edge whose vertex a raw transaction deleted reaches the hook
+    /// without it (it fails `add_edge` and latches the store read-only).
+    /// Sessions can drop neither a table nor a vertex, so only raw
+    /// [`MvccStore::begin`] writes reach either case. Nothing is logged —
+    /// it came from the log. Returns the number of distinct live keys
+    /// installed.
     pub fn recover(&self, recovery: &wal::Recovery) -> Result<usize> {
-        let mut folded: Vec<&LoggedWrite> = Vec::new();
-        {
-            let mut slot: HashMap<(&str, &[u8]), usize> =
-                HashMap::with_capacity(recovery.redo.len());
-            for w in &recovery.redo {
-                match slot.entry((w.domain.as_str(), w.key.as_slice())) {
-                    Entry::Occupied(first) => folded[*first.get()] = w,
-                    Entry::Vacant(first) => {
-                        first.insert(folded.len());
-                        folded.push(w);
-                    }
-                }
-            }
-        }
-        folded.retain(|w| w.value.is_some());
-        folded.sort_by_cached_key(|w| load_class(&w.domain));
+        let folded = wal::fold(&recovery.redo);
         let writes = folded.into_iter().map(CommittedWrite::decode).collect::<Result<Vec<_>>>()?;
         let commit_ts = {
             let _guard = self.inner.commit_mutex.lock();

@@ -42,10 +42,11 @@ pub const SERVER_SESSION: Rank = Rank::new(20, "server.session");
 
 // ---- core: checkpointing ---------------------------------------------------
 
-/// `Database::checkpoint`'s one-at-a-time lock. Strictly outside the txn
-/// hierarchy: the holder quiesces commits through `commit_mutex` to pick
-/// the snapshot LSN, syncs and truncates the WAL, vacuums `versions` and
-/// stamps `last_at` before it lets go.
+/// `Database::checkpoint`'s one-at-a-time lock. The holder reads and
+/// rewrites the WAL's prefix (`Wal::fold_prefix`, under `WAL_INNER` for
+/// the rename), syncs the marker, vacuums `versions` and stamps `last_at`
+/// before it lets go. It never takes `commit_mutex`: commits run beside
+/// a checkpoint.
 pub const CHECKPOINT_SERIAL: Rank = Rank::new(30, "core.checkpoint.serial").held_across_waits();
 
 // ---- txn: the commit pipeline ----------------------------------------------
@@ -60,10 +61,10 @@ pub const CHECKPOINT_SERIAL: Rank = Rank::new(30, "core.checkpoint.serial").held
 /// turn (`applied`, waited for before this is taken) is a leaf.
 pub const TXN_HOOKS: Rank = Rank::new(35, "txn.hooks");
 
-/// Held by the group-commit leader for a whole batch (and by
-/// `apply_replicated` / `recover` / `quiesce_commits`): validate under
-/// `versions`, append and sync the WAL, latch `degraded_reason` on a
-/// post-append failure, install into `versions`. The sequencer's queue
+/// Held by the group-commit leader for a whole batch, by
+/// `apply_replicated` and by `recover` — nothing outside `mvcc.rs` takes
+/// it: validate under `versions`, append and sync the WAL, latch
+/// `degraded_reason` on a post-append failure, install into `versions`. The sequencer's queue
 /// (`group`) and the committers' `result` slots are leaves released
 /// before this is taken; so are `versions` and `degraded_reason`. Held
 /// across the batch's fsync.

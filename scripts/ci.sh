@@ -34,9 +34,10 @@ echo "==> cargo test -q --workspace"
 # backpressure, legacy frames, the reader's inline path); mmdb-fault's
 # own tests (failpoints stay a no-op when the feature is off); the query
 # cancellation scaffolding, whose deadline checks ride the same feature
-# and must run as free no-ops; and the checkpoint/snapshot unit tests of
-# mmdb-core and mmdb-storage (the ckpt.* sites ride it too: a default
-# build must checkpoint with the failpoint scaffolding compiled out).
+# and must run as free no-ops; and the checkpoint unit tests of
+# mmdb-core and mmdb-storage, which rewrite the log's prefix as its
+# fold (the ckpt.* sites ride the feature too: a default build must
+# checkpoint with the failpoint scaffolding compiled out).
 cargo test -q --workspace
 
 echo "==> both witnesses compile out of release builds"
@@ -55,23 +56,28 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> torture suites (--features failpoints)"
 # Crash recovery at every rostered site, request lifecycle, replication
 # failover, the group-commit torture & property suite and checkpoints;
-# plus the durability suite, because the fold in MvccStore::recover and
-# the logged catalog (live = log reopen = checkpoint reopen = replica)
-# must stay clean with the failpoint scaffolding compiled in, as every
-# torture suite's reopen relies on them.
+# plus the durability suite, because the one fold (wal::fold, which
+# MvccStore::recover and a checkpoint's image share) and the logged
+# catalog (live = log reopen = checkpoint reopen = replica) must stay
+# clean with the failpoint scaffolding compiled in, as every torture
+# suite's reopen relies on them.
 cargo test -q --features failpoints \
   --test crash_recovery --test durability --test lifecycle_torture \
   --test replication --test group_commit --test checkpoint
 
-echo "==> ordered apply, optimized build, and mmdb-txn's failpoint unit tests"
-# The ordered-apply test ran above with the lock witness armed; the
-# optimized build is where its commits race tightly enough for a hook
-# run out of commit order, or a commit returning before its hooks, to
-# show. The mvcc unit tests run again with failpoints compiled in, on one
-# thread because failpoints are process-global: a failed or crashed log
-# step must allocate no commit timestamp.
+echo "==> ordered apply and checkpoint races, optimized build, and mmdb-txn's failpoint unit tests"
+# The ordered-apply test and the checkpoint race ran above with the lock
+# witness armed; the optimized build is where their commits race tightly
+# enough to show a hook run out of commit order, a commit returning
+# before its hooks, or an append landing in the old log file after a
+# checkpoint's rename (four writers and a tailing replica beside a
+# checkpoint loop). The mvcc unit tests run again with failpoints
+# compiled in, on one thread because failpoints are process-global: a
+# failed or crashed log step must allocate no commit timestamp.
 cargo test -q --release --features failpoints --test group_commit \
   concurrent_writers_read_their_own_commits_from_every_model_view
+cargo test -q --release --features failpoints --test checkpoint \
+  checkpoints_in_a_loop_beside_four_writers_and_a_replica_lose_nothing
 cargo test -q -p mmdb-txn --features failpoints --lib -- --test-threads=1
 
 echo "==> the read path's allocation budget and mmdb-types, optimized build"

@@ -22,7 +22,8 @@
 //!   --slow-query-ms N      slow-query log threshold in ms (default 250; 0 logs everything)
 //!   --slow-query-log-size N  slow-query log ring capacity (default 128; 0 disables)
 //!   --checkpoint-wal-bytes N checkpoint automatically once the WAL grows
-//!                          past N bytes (default: manual via ADMIN CHECKPOINT)
+//!                          N bytes past the last checkpoint (default:
+//!                          manual via ADMIN CHECKPOINT)
 //!   --demo                 preload the paper's demo data set (`mmdb::paper`;
 //!                          already present in --data-dir is fine)
 //!

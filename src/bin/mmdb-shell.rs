@@ -297,7 +297,7 @@ Remote-only commands (--connect mode):
   .slowlog reset         clear the slow-query log (ADMIN SLOWLOG RESET)
   .health                server health: ok | degraded | replica (ADMIN HEALTH)
   .repl                  replication status: role, LSNs, lag (ADMIN REPL)
-  .checkpoint            snapshot + truncate the WAL now (ADMIN CHECKPOINT)
+  .checkpoint            fold the WAL's prefix into its image now (ADMIN CHECKPOINT)
   .subscribe [lsn]       follow the change feed (committed writes; default: from now)
   .pipe <n> <mmql>       run a query n times pipelined vs serial and compare
   .ping                  liveness check

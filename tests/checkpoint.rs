@@ -1,26 +1,32 @@
 //! Checkpoint torture suite. Built only with `--features failpoints`
 //! (see the `[[test]]` entry in Cargo.toml); `scripts/ci.sh` runs it.
 //!
-//! A checkpoint is pure maintenance: it snapshots the live state at a
-//! quiesced LSN, appends a marker, truncates the WAL prefix, and
-//! vacuums dead MVCC versions — it must never change what a reopen
-//! recovers. This suite proves that by crashing the engine at every
-//! `ckpt.*` failpoint site mid-checkpoint and asserting the reopened
-//! database answers the five-model probes byte-identically to an oracle
-//! that never checkpointed at all. It also proves the operational
-//! claims: the WAL file measurably shrinks under a multi-writer
-//! workload, a replica whose resume LSN predates the truncation horizon
-//! bootstraps from a snapshot and converges byte-for-byte, and the
-//! size-triggered server loop checkpoints without being asked.
+//! A checkpoint is pure maintenance: it rewrites the WAL's prefix below
+//! its durable tail as one image block holding the prefix's fold,
+//! appends a marker, and vacuums dead MVCC versions — it must never
+//! change what a reopen recovers. This suite proves that by crashing the
+//! engine at every `ckpt.*` failpoint site mid-checkpoint and asserting
+//! the reopened database answers the five-model probes byte-identically
+//! to an oracle that never checkpointed at all, and by checkpointing in
+//! a loop beside four writers and a replica. It also proves the
+//! operational claims: the WAL file measurably shrinks under a
+//! multi-writer workload, a replica whose resume LSN predates the
+//! checkpoint horizon bootstraps by tailing the log from its base and
+//! converges byte-for-byte, a failed fsync stays failed, and the
+//! growth-triggered server loop checkpoints without being asked — and
+//! only when the log grew.
 
+use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use mmdb::paper::RECOMMENDATION;
 use mmdb::substrate::relational::{ColumnDef, DataType, Schema};
 use mmdb::substrate::repl::{ReplicaOptions, ReplicaRunner};
+use mmdb::substrate::storage::wal::{Wal, WalRecord};
 use mmdb::substrate::txn::IsolationLevel;
 use mmdb::{fault, Database, Value};
 use mmdb_client::{Client, ClientConfig};
@@ -62,7 +68,11 @@ fn ckpt_sites() -> Vec<&'static str> {
         .filter(|s| s.starts_with("ckpt."))
         .collect();
     sites.sort_unstable();
-    assert_eq!(sites.len(), 4, "expected the four checkpoint failpoint sites: {sites:?}");
+    assert_eq!(
+        sites,
+        ["ckpt.marker_append", "ckpt.wal_rewrite"],
+        "expected the two checkpoint failpoint sites"
+    );
     sites
 }
 
@@ -176,12 +186,12 @@ fn crash_at_every_ckpt_site_reopens_byte_identical_to_the_oracle() {
         fault::clear_all();
         drop(db);
 
-        // What survived on disk differs per site — no snapshot at all,
-        // a stale tmp, a published snapshot without its marker, or a
-        // marker without the truncation — but reopen must not care.
+        // What survived on disk differs per site — the old log beside a
+        // complete but unpublished tmp, or the rewritten log without its
+        // marker — but reopen must not care, and it drops the tmp.
         let db = Database::open(&dir).unwrap();
         assert_eq!(probes(&db), oracle, "site {site}: state diverged after recovery");
-        let _ = std::fs::remove_file(dir.join("mmdb.snapshot.tmp"));
+        assert!(!dir.join("mmdb.wal.tmp").exists(), "site {site}: the reopen left the tmp");
 
         // The recovered engine accepts new writes, a full checkpoint now
         // succeeds, and the state still matches after yet another reopen.
@@ -221,18 +231,22 @@ fn checkpoint_shrinks_the_wal_under_multi_writer_load() {
     }
 
     let wal_path = dir.join("mmdb.wal");
-    let before = std::fs::metadata(&wal_path).unwrap().len();
+    let wal = db.wal().unwrap();
+    // Bytes of records the log holds, below and past the horizon.
+    let held = || wal.tail_lsn() - wal.base_lsn();
+    let (before, file_before) = (held(), std::fs::metadata(&wal_path).unwrap().len());
     let summary = db.checkpoint().unwrap();
-    let after = std::fs::metadata(&wal_path).unwrap().len();
-    assert!(
-        after < before / 2,
-        "checkpoint did not measurably shrink the WAL file: {before} -> {after} bytes"
-    );
-    assert!(summary.wal_bytes_reclaimed > 0);
-    assert_eq!(summary.entries, 201, "one live snapshot entry per key, and the bucket's");
+    // The marker is all that arrived past the horizon.
+    let after = held() - (wal.tail_lsn() - summary.snapshot_lsn);
+    let file_after = std::fs::metadata(&wal_path).unwrap().len();
+    assert!(after < before, "checkpoint did not shrink the log: {before} -> {after} bytes");
+    assert!(file_after < file_before, "the file did not shrink: {file_before} -> {file_after}");
+    assert_eq!(summary.wal_bytes_reclaimed, before - after);
+    assert_eq!(summary.snapshot_bytes, after, "what the log keeps below the horizon is the image");
+    assert_eq!(summary.entries, 201, "one image entry per live key, and the bucket's");
 
-    // Writers keep going against the truncated log, and everything —
-    // snapshot state and post-checkpoint commits — survives a reopen.
+    // Writers keep going against the rewritten log, and everything — the
+    // image and post-checkpoint commits — survives a reopen.
     db.kv_put("cart", "after", Value::int(1)).unwrap();
     drop(db);
     let db = Database::open(&dir).unwrap();
@@ -258,6 +272,23 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
+/// Wait until the replica has applied the primary's whole log.
+fn wait_caught_up(runner: &ReplicaRunner, primary: &Database, what: &str) {
+    let tail = primary.wal().unwrap().tail_lsn();
+    wait_until(what, || runner.status().is_connected() && runner.status().applied_lsn() >= tail);
+}
+
+/// Replica options that notice a dead stream quickly.
+fn replica_opts() -> ReplicaOptions {
+    ReplicaOptions {
+        reconnect_delay: Duration::from_millis(25),
+        client: ClientConfig {
+            read_timeout: Some(Duration::from_secs(2)),
+            ..ClientConfig::default()
+        },
+    }
+}
+
 #[test]
 fn replica_below_the_horizon_bootstraps_from_a_snapshot_and_converges() {
     let _serial = lock();
@@ -266,34 +297,23 @@ fn replica_below_the_horizon_bootstraps_from_a_snapshot_and_converges() {
     let server = Server::start(Arc::clone(&db), server_config()).unwrap();
     let addr = server.local_addr().to_string();
 
-    // Seed, then checkpoint: the whole seed prefix vanishes below the
-    // truncation horizon, so a replica joining from LSN 0 cannot be fed
-    // from the log at all — only the snapshot path can serve it.
+    // Seed, then checkpoint: the whole seed history is folded below the
+    // horizon, so a replica joining from LSN 0 is fed by tailing the log
+    // from its base — the image block first.
     seed(&db);
     let summary = db.checkpoint().unwrap();
     assert!(summary.snapshot_lsn > 0);
     assert_eq!(db.wal().unwrap().truncated_lsn(), summary.snapshot_lsn);
 
     let replica_db = Arc::new(Database::in_memory());
-    let opts = ReplicaOptions {
-        reconnect_delay: Duration::from_millis(25),
-        client: ClientConfig {
-            read_timeout: Some(Duration::from_secs(2)),
-            ..ClientConfig::default()
-        },
-    };
-    let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr.clone(), opts).unwrap();
-    let tail = db.wal().unwrap().tail_lsn();
-    wait_until("snapshot bootstrap", || {
-        runner.status().is_connected() && runner.status().applied_lsn() >= tail
-    });
+    let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr, replica_opts()).unwrap();
+    wait_caught_up(&runner, &db, "bootstrap from the base");
     assert_eq!(probes(&replica_db), probes(&db), "bootstrapped replica diverged");
 
     // The stream seamlessly continues past the bootstrap: a live commit
     // on the primary reaches the replica through the ordinary tail.
     db.kv_put("cart", "live", Value::str("after-bootstrap")).unwrap();
-    let tail = db.wal().unwrap().tail_lsn();
-    wait_until("live tail after bootstrap", || runner.status().applied_lsn() >= tail);
+    wait_caught_up(&runner, &db, "live tail after bootstrap");
     assert_eq!(
         replica_db.kv().get("cart", "live").unwrap(),
         Some(Value::str("after-bootstrap"))
@@ -316,11 +336,11 @@ fn a_stale_nonempty_replica_converges_through_a_snapshot_bootstrap() {
     assert!(summary.snapshot_lsn > 0);
 
     // The replica is NOT empty: it holds state the primary never had —
-    // ghost kv keys, a ghost order, a ghost person and edge. A snapshot
-    // bootstrap is a full state *replace*, so all of it must vanish;
-    // merely applying the snapshot as writes would leave ghosts behind
-    // and the replica would diverge forever (it reads below the
-    // truncation horizon, there is no log left to correct it).
+    // ghost kv keys, a ghost order, a ghost person and edge. The image
+    // block applies as a full state *replace*, so all of it must vanish;
+    // merely applying the image as writes would leave ghosts behind and
+    // the replica would diverge forever (it resumes below the horizon,
+    // there is no history left to correct it).
     let replica_db = Arc::new(Database::in_memory());
     replica_db.create_bucket("cart").unwrap();
     replica_db.create_collection("orders").unwrap();
@@ -344,18 +364,8 @@ fn a_stale_nonempty_replica_converges_through_a_snapshot_bootstrap() {
         })
         .unwrap();
 
-    let opts = ReplicaOptions {
-        reconnect_delay: Duration::from_millis(25),
-        client: ClientConfig {
-            read_timeout: Some(Duration::from_secs(2)),
-            ..ClientConfig::default()
-        },
-    };
-    let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr.clone(), opts).unwrap();
-    let tail = db.wal().unwrap().tail_lsn();
-    wait_until("stale replica snapshot bootstrap", || {
-        runner.status().is_connected() && runner.status().applied_lsn() >= tail
-    });
+    let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr, replica_opts()).unwrap();
+    wait_caught_up(&runner, &db, "stale replica bootstrap from the base");
 
     // Byte-identical to the primary, ghosts and all.
     assert_eq!(probes(&replica_db), probes(&db), "stale replica diverged after bootstrap");
@@ -375,8 +385,7 @@ fn a_stale_nonempty_replica_converges_through_a_snapshot_bootstrap() {
 
     // And the stream continues normally past the bootstrap.
     db.kv_put("cart", "live", Value::str("after-replace")).unwrap();
-    let tail = db.wal().unwrap().tail_lsn();
-    wait_until("live tail after stale bootstrap", || runner.status().applied_lsn() >= tail);
+    wait_caught_up(&runner, &db, "live tail after stale bootstrap");
     assert_eq!(
         replica_db.kv().get("cart", "live").unwrap(),
         Some(Value::str("after-replace"))
@@ -398,7 +407,7 @@ fn seconds_since_checkpoint_survives_a_process_restart() {
     db.checkpoint().unwrap();
     assert!(db.seconds_since_checkpoint().unwrap() < 60);
 
-    // Reopen: the age must come back from the snapshot file's mtime,
+    // Reopen: the age must come back from the time in the log's header,
     // not reset to "never" — a freshly restarted server that reports
     // `null` here looks like it has unbounded recovery debt and pages
     // an operator for nothing.
@@ -456,22 +465,186 @@ fn wal_size_threshold_triggers_checkpoints_automatically() {
     let dir = fresh_dir("auto");
     let db = Arc::new(Database::open(&dir).unwrap());
     db.create_bucket("cart").unwrap();
-    let config = ServerConfig {
-        checkpoint_wal_bytes: Some(2048),
-        ..server_config()
+    let write = |from: i64| {
+        for i in from..from + 200 {
+            db.kv_put("cart", &format!("auto-{i}"), Value::int(i)).unwrap();
+        }
     };
+    // The log is well past the threshold before the loop's first poll.
+    write(0);
+    let config = ServerConfig { checkpoint_wal_bytes: Some(2048), ..server_config() };
     let server = Server::start(Arc::clone(&db), config).unwrap();
+    wait_until("automatic checkpoint", || db.checkpoint_stats().0 > 0);
 
-    // Push the WAL well past the threshold; the background loop must
-    // bring it back down without any ADMIN CHECKPOINT.
-    for i in 0..200 {
-        db.kv_put("cart", &format!("auto-{i}"), Value::int(i)).unwrap();
-    }
-    wait_until("automatic checkpoint", || {
-        let (count, _, _) = db.checkpoint_stats();
-        count > 0 && db.wal_size_bytes() < 2048
+    // The trigger counts growth past the horizon, not the file size: the
+    // image alone outsizes the threshold, so a trigger that read the size
+    // would checkpoint on every poll. An idle log does not grow.
+    std::thread::sleep(Duration::from_millis(400));
+    assert!(db.wal_size_bytes() > 2048, "the live state must outsize the threshold");
+    assert_eq!(db.checkpoint_stats().0, 1, "an idle log was checkpointed again");
+
+    // Growth past the threshold brings the loop back, unasked.
+    write(200);
+    wait_until("another automatic checkpoint", || {
+        db.checkpoint_stats().0 > 1 && db.wal().unwrap().bytes_since_checkpoint() < 2048
     });
 
     server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every key of the `cart` bucket with its value, serialized.
+fn cart(db: &Database) -> String {
+    mmdb::to_json(&Value::Array(db.query("FOR k IN cart SORT k._key RETURN k").unwrap()))
+}
+
+#[test]
+fn checkpoints_in_a_loop_beside_four_writers_and_a_replica_lose_nothing() {
+    let _serial = lock();
+    let dir = fresh_dir("race");
+    let db = Arc::new(Database::open(&dir).unwrap());
+    let server = Server::start(Arc::clone(&db), server_config()).unwrap();
+    let replica_db = Arc::new(Database::in_memory());
+    let addr = server.local_addr().to_string();
+    let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr, replica_opts()).unwrap();
+    db.create_bucket("cart").unwrap();
+
+    // Four writers overwrite and delete their own keys through group
+    // commit while a fifth thread checkpoints as fast as it can: the
+    // rewrite's rename races the leaders' appends and syncs, and the
+    // replica's stream races the rewrite.
+    let writing = Arc::new(AtomicBool::new(true));
+    let checkpointer = {
+        let (db, writing) = (Arc::clone(&db), Arc::clone(&writing));
+        std::thread::spawn(move || {
+            let mut taken = 0;
+            while writing.load(Ordering::SeqCst) {
+                db.checkpoint().unwrap();
+                taken += 1;
+            }
+            taken
+        })
+    };
+    let writers: Vec<_> = (0..4)
+        .map(|w| {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || {
+                let mut acked = BTreeMap::new();
+                for i in 0..150 {
+                    let key = format!("w{w}-{}", i % 10);
+                    if i % 7 == 6 {
+                        db.transact(IsolationLevel::Snapshot, 3, |s| s.kv_delete("cart", &key))
+                            .unwrap();
+                        acked.insert(key, None);
+                    } else {
+                        db.kv_put("cart", &key, Value::int(i)).unwrap();
+                        acked.insert(key, Some(Value::int(i)));
+                    }
+                }
+                acked
+            })
+        })
+        .collect();
+    let mut acked = BTreeMap::new();
+    for h in writers {
+        acked.extend(h.join().unwrap());
+    }
+    writing.store(false, Ordering::SeqCst);
+    assert!(checkpointer.join().unwrap() > 0, "the checkpointer never ran");
+
+    wait_caught_up(&runner, &db, "the replica catching up");
+    assert_eq!(cart(&replica_db), cart(&db), "the replica diverged from its primary");
+    runner.stop();
+    server.shutdown().unwrap();
+    let live = cart(&db);
+    drop(db);
+
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(cart(&db), live, "the reopen diverged from the live database");
+    for (key, value) in &acked {
+        assert_eq!(&db.kv().get("cart", key).unwrap(), value, "{key}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_replica_whose_cursor_lands_inside_the_image_rebootstraps_from_the_base() {
+    let _serial = lock();
+    let dir = fresh_dir("inside-image");
+    let db = Arc::new(Database::open(&dir).unwrap());
+    // The stream sleeps 200 ms between idle polls, so two checkpoints in
+    // a row usually both land while it sleeps.
+    let config = ServerConfig { poll_interval: Duration::from_millis(200), ..server_config() };
+    let server = Server::start(Arc::clone(&db), config).unwrap();
+    seed(&db);
+    let replica_db = Arc::new(Database::in_memory());
+    let addr = server.local_addr().to_string();
+    let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr, replica_opts()).unwrap();
+
+    // The stream's cursor sits at the tail T1. The first checkpoint
+    // folds everything below T1 and appends its marker; the second
+    // refolds that image with the marker, so its base moves up by one
+    // marker and T1 falls inside the new image. The stream's next read
+    // from T1 is `log_truncated`; the replica reconnects from T1, which
+    // is below the horizon, and starts over from the base.
+    for attempt in 0.. {
+        assert!(attempt < 20, "the stream never read from inside an image");
+        wait_caught_up(&runner, &db, "the replica catching up");
+        let connects = runner.status().connects();
+        let first = db.checkpoint().unwrap().snapshot_lsn;
+        db.checkpoint().unwrap();
+        assert!(db.wal().unwrap().base_lsn() < first, "T1 lies inside the second image");
+        wait_caught_up(&runner, &db, "the replica catching up again");
+        if runner.status().connects() > connects {
+            break;
+        }
+    }
+    assert_eq!(probes(&replica_db), probes(&db), "the re-bootstrapped replica diverged");
+    db.kv_put("cart", "live", Value::str("after")).unwrap();
+    wait_caught_up(&runner, &db, "the live tail");
+    assert_eq!(replica_db.kv().get("cart", "live").unwrap(), Some(Value::str("after")));
+
+    runner.stop();
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_failed_sync_stays_failed_until_the_log_is_reopened() {
+    let _serial = lock();
+    let dir = fresh_dir("sticky-sync");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("mmdb.wal");
+    {
+        let wal = Wal::open(&path).unwrap();
+        wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
+        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
+        wal.sync().unwrap();
+        fault::set("wal.sync", "error").unwrap();
+        assert_eq!(wal.sync().unwrap_err().kind(), "storage");
+        fault::clear_all();
+        // The kernel may have dropped the pages the failed fsync covered:
+        // a later fsync that succeeds would acknowledge them anyway.
+        let err = wal.sync().unwrap_err();
+        assert!(err.to_string().contains("an earlier sync failed"), "{err}");
+        assert!(wal.fold_prefix().is_err(), "a failed log is not rewritten");
+    }
+    let wal = Wal::open(&path).unwrap();
+    wal.sync().unwrap();
+    drop(wal);
+
+    // Through the engine: the checkpoint's marker sync fails, and the
+    // next commit is refused instead of acknowledged by a later fsync.
+    let db = Database::open(dir.join("db")).unwrap();
+    db.create_bucket("cart").unwrap();
+    db.kv_put("cart", "1", Value::int(1)).unwrap();
+    fault::set("wal.sync", "error").unwrap();
+    assert!(db.checkpoint().is_err());
+    fault::clear_all();
+    assert!(db.kv_put("cart", "2", Value::int(2)).is_err(), "a commit after a failed sync was acked");
+    drop(db);
+    let db = Database::open(dir.join("db")).unwrap();
+    assert_eq!(db.kv().get("cart", "1").unwrap(), Some(Value::int(1)));
+    db.kv_put("cart", "2", Value::int(2)).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }

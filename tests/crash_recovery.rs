@@ -244,11 +244,11 @@ fn doomed_op(db: &Database, site: &str) -> mmdb::Result<()> {
         // query crosses it many times. Queries write nothing, so a crash
         // here must leave no marks at all.
         "query.eval_tick" => db.query(RECOMMENDATION).map(|_| ()),
-        // Checkpoint-path sites: a manual checkpoint quiesces commits,
-        // snapshots live state, appends the marker, truncates the log.
-        // Checkpoints write no logical state, so whichever step crashes,
-        // reopen must land on the oracle. The deeper per-step assertions
-        // (snapshot presence, WAL base) live in tests/checkpoint.rs.
+        // Checkpoint-path sites: a manual checkpoint rewrites the log's
+        // prefix as its fold, then appends the marker. Checkpoints write
+        // no logical state, so whichever step crashes, reopen must land
+        // on the oracle. The deeper per-step assertions (the tmp, the
+        // log's base) live in tests/checkpoint.rs.
         s if s.starts_with("ckpt.") => db.checkpoint().map(|_| ()),
         other => panic!(
             "failpoint site '{other}' has no doomed operation in the torture harness — \

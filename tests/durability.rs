@@ -250,7 +250,7 @@ fn rewrite_history(db: &Database) {
 
 #[test]
 fn folded_replay_matches_live_and_snapshot_state() {
-    use mmdb::substrate::storage::wal;
+    use mmdb::substrate::storage::wal::Wal;
     use mmdb::substrate::txn::MvccStore;
     use std::collections::HashSet;
     use std::sync::{Arc, Mutex};
@@ -264,7 +264,7 @@ fn folded_replay_matches_live_and_snapshot_state() {
 
     // What the commit hook sees on replay: every live key once, no
     // tombstone — although the log holds overwrites and deletes.
-    let recovery = wal::recover_from_file_after(dir.join("mmdb.wal"), 0).unwrap();
+    let (_, recovery) = Wal::recover(dir.join("mmdb.wal")).unwrap();
     let seen = Arc::new(Mutex::new(Vec::new()));
     let store = MvccStore::new(None);
     let hook = Arc::clone(&seen);
@@ -286,9 +286,10 @@ fn folded_replay_matches_live_and_snapshot_state() {
     assert_eq!(fold_probes(&db), live, "log replay diverged from the live database");
     db.checkpoint().unwrap();
     drop(db);
-    // Reopened from a checkpoint snapshot: the same image.
+    // Reopened from the checkpointed log, its image block first: the
+    // same answers.
     let db = Database::open(&dir).unwrap();
-    assert_eq!(fold_probes(&db), live, "snapshot load diverged from the live database");
+    assert_eq!(fold_probes(&db), live, "checkpointed reopen diverged from the live database");
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -510,7 +511,7 @@ fn every_definition_survives_reopen_checkpoint_and_replication() {
     db.checkpoint().unwrap();
     drop(db);
     let db = Database::open(&dir).unwrap();
-    assert_eq!(catalog_probes(&db), live, "snapshot load diverged from the live database");
+    assert_eq!(catalog_probes(&db), live, "checkpointed reopen diverged from the live database");
     assert!(!db.is_degraded(), "{:?}", db.degraded_reason());
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
