@@ -459,11 +459,13 @@ impl Client {
 
     // ---- streaming ---------------------------------------------------------
 
-    /// Switch this connection into the raw WAL replica stream, resuming
-    /// at `from_lsn` (0 = from the start of the log). After this call
-    /// the only valid operation is [`Client::next_change`].
-    pub fn replica_hello(&mut self, from_lsn: u64) -> Result<()> {
-        self.enter_stream(&Request::ReplicaHello { from_lsn })
+    /// Switch this connection into the raw WAL replica stream for a
+    /// replica whose own log has id `log_id` and ends at `tail`: the
+    /// server resumes there when that log is its own, and sends a `reset`
+    /// frame first when it is not. After this call the only valid
+    /// operation is [`Client::next_change`].
+    pub fn replica_hello(&mut self, log_id: u64, tail: u64) -> Result<()> {
+        self.enter_stream(&Request::ReplicaHello { log_id, tail })
     }
 
     /// Switch this connection into the `SUBSCRIBE` change feed: decoded

@@ -110,7 +110,8 @@ impl Database {
     /// write-ahead log. The log is what replication ships, so a primary
     /// must have one even when durability is not wanted — demos and tests
     /// use this to serve `SUBSCRIBE` and replica streams without a data
-    /// directory.
+    /// directory — and a replica without a directory keeps its copy of
+    /// its primary's log here.
     pub fn in_memory_logged() -> Database {
         Self::build(Some(Arc::new(Wal::in_memory())))
     }
@@ -134,10 +135,7 @@ impl Database {
         if let Some(at) = checkpointed_at {
             *db.ckpt.last_at.lock() = Some((Instant::now(), at.elapsed().unwrap_or_default()));
         }
-        db.mvcc.recover(&recovery)?;
-        // Replication watermark: everything up to the recovered tail is
-        // committed history a replica may resume from.
-        db.mvcc.note_commit_lsn(tail);
+        db.mvcc.recover(&recovery, tail)?;
         Ok(db)
     }
 
@@ -191,11 +189,11 @@ impl Database {
         self.wal.as_ref()
     }
 
-    /// WAL position just past the most recent durable commit — the
-    /// replication watermark. On a primary this tracks local commits; on a
-    /// replica the apply loop advances it to the primary offsets it has
-    /// applied, so the same accessor answers "how far along is this node"
-    /// on both ends.
+    /// The log position just past the last installed commit. On a primary
+    /// this tracks local commits; a replica's log is its primary's, so
+    /// there it is how far the replica has applied, in the primary's log,
+    /// and the same accessor answers "how far along is this node" on both
+    /// ends.
     pub fn last_commit_lsn(&self) -> u64 {
         self.mvcc.last_commit_lsn()
     }
@@ -451,13 +449,37 @@ impl Database {
     /// log's lock. A crash at any point leaves the old log or the new
     /// one, and both recover the same state. In-memory logged databases
     /// rewrite their memory log the same way.
+    ///
+    /// A read-only store's log takes no local append, so its checkpoint
+    /// is a `read_only` error: a replica folds only at its primary's
+    /// markers ([`Database::checkpoint_at`]), and its positions stay its
+    /// primary's.
     pub fn checkpoint(&self) -> Result<CheckpointSummary> {
+        if let Some(reason) = self.mvcc.degraded_reason() {
+            return Err(Error::ReadOnly(format!("no checkpoint on a read-only store: {reason}")));
+        }
+        self.fold_log(None)
+    }
+
+    /// A replica's checkpoint, cued by a marker it streamed and appended:
+    /// fold the log at `horizon`, the marker's `snapshot_lsn` — the `T`
+    /// its primary folded at, so both write the same image over the same
+    /// bytes — append no marker, and vacuum.
+    pub fn checkpoint_at(&self, horizon: Lsn) -> Result<CheckpointSummary> {
+        self.fold_log(Some(horizon))
+    }
+
+    /// Fold the log at `horizon`, or at the durable tail and then append
+    /// a marker; vacuum; count.
+    fn fold_log(&self, horizon: Option<Lsn>) -> Result<CheckpointSummary> {
         let _one_at_a_time = self.ckpt.serial.lock();
         let started = Instant::now();
         let mut summary = CheckpointSummary::default();
         if let Some(wal) = &self.wal {
-            let folded = wal.fold_prefix()?;
-            wal.append_checkpoint(folded.horizon)?;
+            let folded = wal.fold_prefix(horizon.unwrap_or_else(|| wal.durable_lsn()))?;
+            if horizon.is_none() {
+                wal.append_checkpoint(folded.horizon)?;
+            }
             summary.snapshot_lsn = folded.horizon;
             summary.entries = folded.entries;
             summary.snapshot_bytes = folded.image_bytes;

@@ -78,12 +78,15 @@ pub enum Request {
     Ddl(DdlOp),
     /// An administrative command, e.g. `STATS`.
     Admin { command: String },
-    /// `REPLICA HELLO <lsn>`: switch this connection into a replication
-    /// stream. The server first sends every WAL record from `from_lsn`
-    /// (catch-up), then tails the log live, pushing one [`Response::Change`]
-    /// frame per record plus periodic heartbeats. The connection never
-    /// returns to request/response mode.
-    ReplicaHello { from_lsn: u64 },
+    /// `REPLICA HELLO <log_id> <tail>`: switch this connection into a
+    /// replication stream. The replica names its own log's id and tail.
+    /// When that log is the server's and `tail` lies between its horizon
+    /// and its durable tail, the server streams from `tail`; otherwise it
+    /// first sends a `reset` frame with its log's header and streams from
+    /// its base, image block first. Either way it then tails the log live,
+    /// pushing one [`Response::Change`] frame per record plus periodic
+    /// heartbeats. The connection never returns to request/response mode.
+    ReplicaHello { log_id: u64, tail: u64 },
     /// `SUBSCRIBE <lsn>`: the same stream for ordinary clients, as a
     /// change-data-capture feed. Only the writes of *committed*
     /// transactions are pushed (one frame per write, buffered until the
@@ -340,9 +343,10 @@ impl Request {
             Request::Op(op) => tagged("op", vec![op.to_value()]),
             Request::Ddl(op) => tagged("ddl", vec![op.to_value()]),
             Request::Admin { command } => tagged("admin", vec![Value::str(command)]),
-            Request::ReplicaHello { from_lsn } => {
-                tagged("replica_hello", vec![Value::int(*from_lsn as i64)])
-            }
+            Request::ReplicaHello { log_id, tail } => tagged(
+                "replica_hello",
+                vec![Value::int(*log_id as i64), Value::int(*tail as i64)],
+            ),
             Request::Subscribe { from_lsn } => {
                 tagged("subscribe", vec![Value::int(*from_lsn as i64)])
             }
@@ -373,7 +377,10 @@ impl Request {
             "op" => Request::Op(SessionOp::from_value(field(rest, 0, tag)?)?),
             "ddl" => Request::Ddl(DdlOp::from_value(field(rest, 0, tag)?)?),
             "admin" => Request::Admin { command: str_field(rest, 0, tag)? },
-            "replica_hello" => Request::ReplicaHello { from_lsn: lsn_field(rest, 0, tag)? },
+            "replica_hello" => Request::ReplicaHello {
+                log_id: lsn_field(rest, 0, tag)?,
+                tail: lsn_field(rest, 1, tag)?,
+            },
             "subscribe" => Request::Subscribe { from_lsn: lsn_field(rest, 0, tag)? },
             other => return Err(Error::Protocol(format!("unknown request tag '{other}'"))),
         })
@@ -738,8 +745,8 @@ mod tests {
                 field: "text".into(),
             }),
             Request::Admin { command: "STATS".into() },
-            Request::ReplicaHello { from_lsn: 0 },
-            Request::ReplicaHello { from_lsn: 123_456 },
+            Request::ReplicaHello { log_id: 1, tail: 0 },
+            Request::ReplicaHello { log_id: (1 << 63) - 1, tail: 123_456 },
             Request::Subscribe { from_lsn: 0 },
             Request::Subscribe { from_lsn: 987 },
         ];
@@ -869,6 +876,10 @@ mod tests {
             let bad = value_to_bytes(&Value::Array(vec![Value::str(tag), Value::int(-7)]));
             assert_eq!(Request::decode(&bad).unwrap_err().kind(), "protocol", "{tag}");
         }
+        // A hello names its log and its tail: the one-position form, with
+        // no log id, is refused.
+        let no_id = value_to_bytes(&Value::Array(vec![Value::str("replica_hello"), Value::int(7)]));
+        assert_eq!(Request::decode(&no_id).unwrap_err().kind(), "protocol");
     }
 
     #[test]

@@ -10,12 +10,16 @@
 //! * `"heartbeat"` — the primary's current WAL tail LSN; sent when
 //!   the stream is idle so replicas can measure staleness and confirm
 //!   they are caught up.
+//! * `"reset"` — the primary's log header (`log_id`, `base`, `horizon`,
+//!   `at_ms`), sent first to a replica whose log cannot continue the
+//!   primary's: the replica's log becomes that header and the image block
+//!   the stream carries next.
 //! * `"write"` — one committed write, decoded for human consumption
 //!   (`SUBSCRIBE` change feed). Aborted transactions never produce
 //!   `"write"` events; [`CdcBuffer`] holds writes back until their
 //!   commit record arrives.
 
-use mmdb_storage::wal::{BlockAssembler, LoggedWrite, Lsn, TailedRecord, WalRecord};
+use mmdb_storage::wal::{BlockAssembler, Header, LoggedWrite, Lsn, TailedRecord, WalRecord};
 use mmdb_types::codec::value_from_bytes;
 use mmdb_types::{Error, Result, Value};
 
@@ -29,6 +33,9 @@ pub enum Frame {
         /// The primary's `Wal::tail_lsn()` at send time.
         tail_lsn: Lsn,
     },
+    /// The primary's log header: the replica resets onto the primary's
+    /// log, whose image block `[B, T)` the stream carries next.
+    Reset(Header),
 }
 
 /// Encode one tailed WAL record as a stream frame.
@@ -76,6 +83,17 @@ pub fn heartbeat_frame(tail_lsn: Lsn) -> Value {
     ])
 }
 
+/// Encode the reset frame carrying the primary's log header.
+pub fn reset_frame(header: &Header) -> Value {
+    Value::object([
+        ("type", Value::str("reset")),
+        ("log_id", Value::int(header.log_id as i64)),
+        ("base", Value::int(header.base as i64)),
+        ("horizon", Value::int(header.horizon as i64)),
+        ("at_ms", Value::int(header.at_ms as i64)),
+    ])
+}
+
 fn field_u64(v: &Value, name: &str) -> Result<u64> {
     let i = v.get_field(name).as_int().map_err(|_| bad_frame(name, v))?;
     u64::try_from(i).map_err(|_| bad_frame(name, v))
@@ -103,6 +121,12 @@ fn bad_frame(field: &str, v: &Value) -> Error {
 pub fn parse_frame(v: &Value) -> Result<Frame> {
     match v.get_field("type").as_str().unwrap_or("") {
         "heartbeat" => Ok(Frame::Heartbeat { tail_lsn: field_u64(v, "tail_lsn")? }),
+        "reset" => Ok(Frame::Reset(Header {
+            log_id: field_u64(v, "log_id")?,
+            base: field_u64(v, "base")?,
+            horizon: field_u64(v, "horizon")?,
+            at_ms: field_u64(v, "at_ms")?,
+        })),
         "record" => {
             let lsn = field_u64(v, "lsn")?;
             let next_lsn = field_u64(v, "next_lsn")?;
@@ -219,6 +243,8 @@ mod tests {
         }
         let hb = heartbeat_frame(424242);
         assert_eq!(parse_frame(&hb).unwrap(), Frame::Heartbeat { tail_lsn: 424242 });
+        let header = Header { log_id: (1 << 63) - 1, base: 1_700, horizon: 3_870, at_ms: 1 };
+        assert_eq!(parse_frame(&reset_frame(&header)).unwrap(), Frame::Reset(header));
     }
 
     #[test]

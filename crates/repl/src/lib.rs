@@ -5,27 +5,29 @@
 //! Three pieces:
 //!
 //! * [`feed`] — the wire shapes of the stream: raw WAL record frames
-//!   (for replicas), heartbeats carrying the primary's tail LSN, and
-//!   decoded committed-write CDC events (for `SUBSCRIBE` clients),
-//!   plus [`feed::CdcBuffer`] which turns a record stream into
-//!   committed-only events.
+//!   (for replicas), heartbeats carrying the primary's tail LSN, the
+//!   reset frame carrying its log header, and decoded committed-write
+//!   CDC events (for `SUBSCRIBE` clients), plus [`feed::CdcBuffer`]
+//!   which turns a record stream into committed-only events.
 //! * [`status`] — [`ReplStatus`], the lock-free lag/health snapshot a
 //!   replica exposes through `ADMIN HEALTH` and `ADMIN REPL`.
 //! * [`replica`] — [`ReplicaRunner`], the background thread that
-//!   connects to a primary with `REPLICA HELLO <lsn>`, applies
-//!   streamed transactions through [`mmdb_txn::MvccStore::apply_replicated`]
-//!   (the same install path crash recovery uses, so replica state is
-//!   byte-identical to a reopened primary), and reconnects with
-//!   backoff when the primary goes away. A replica that loses its
+//!   connects to a primary with `REPLICA HELLO <log_id> <tail>` and
+//!   takes the stream through a [`Follower`], which appends it to the
+//!   replica's own log verbatim and installs each committed block
+//!   through [`mmdb_txn::MvccStore::apply_replicated`]; it reconnects
+//!   with backoff when the primary goes away. A replica that loses its
 //!   primary keeps serving reads — the store is latched read-only for
 //!   the life of the process — and reports growing staleness.
 //!
-//! Resume correctness: a replica's `applied_lsn` only ever advances
-//! past *complete* transactions — it moves only while the log's
+//! Resume correctness: a replica's log is a byte-for-byte copy of its
+//! primary's from the primary's base on, and it only ever ends at a block
+//! boundary — a run lands once the log's
 //! [`mmdb_storage::wal::BlockAssembler`], the same one recovery and the
-//! CDC feed read the stream through, is between blocks — so reconnecting
-//! with `REPLICA HELLO <applied_lsn>` never re-applies a half-seen
-//! transaction and never skips one.
+//! CDC feed read the stream through, is between blocks. So its tail is a
+//! position in the primary's log, and `REPLICA HELLO` from it, after a
+//! reconnect or a restart, never re-applies a half-seen transaction and
+//! never skips one.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 
@@ -33,14 +35,15 @@ pub mod feed;
 pub mod replica;
 pub mod status;
 
-pub use feed::{heartbeat_frame, parse_frame, record_frame, CdcBuffer, Frame};
-pub use replica::{ReplicaOptions, ReplicaRunner};
+pub use feed::{heartbeat_frame, parse_frame, record_frame, reset_frame, CdcBuffer, Frame};
+pub use replica::{Follower, ReplicaOptions, ReplicaRunner};
 pub use status::ReplStatus;
 
 /// Failpoint sites registered by this crate (active with the
 /// `failpoints` feature; see `mmdb-fault`).
 ///
-/// * `repl.apply` — evaluated on the replica just before a streamed
-///   transaction is installed. `error` makes the replica drop the
-///   connection and retry from its last applied LSN.
+/// * `repl.apply` — evaluated on the replica just before a streamed run
+///   lands in its log (or a reset rewrites it). `error` makes the replica
+///   drop the connection and retry from its log's tail, which the failure
+///   left where it was.
 pub const FAILPOINT_SITES: &[&str] = &["repl.apply"];

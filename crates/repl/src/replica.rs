@@ -7,9 +7,9 @@ use std::time::Duration;
 
 use mmdb_client::{Client, ClientConfig};
 use mmdb_core::Database;
-use mmdb_storage::wal::{BlockAssembler, TailedRecord, WalRecord};
+use mmdb_storage::wal::{BlockAssembler, Header, LoggedWrite, Lsn, TailedRecord, Wal, WalRecord};
 use mmdb_txn::CommittedWrite;
-use mmdb_types::{Error, Result, Value};
+use mmdb_types::{Error, Result};
 
 use crate::feed::{parse_frame, Frame};
 use crate::status::ReplStatus;
@@ -38,12 +38,13 @@ impl Default for ReplicaOptions {
 /// Drives one replica database from a primary's WAL stream.
 ///
 /// On `start` the local store is latched read-only and a background
-/// thread loops: connect, `REPLICA HELLO <applied_lsn>`, apply streamed
-/// transactions via [`mmdb_txn::MvccStore::apply_replicated`], and on
-/// any failure reconnect after [`ReplicaOptions::reconnect_delay`],
-/// resuming from the last fully-applied transaction boundary. While
-/// disconnected the replica keeps serving reads from its latest
-/// applied state.
+/// thread loops: connect, `REPLICA HELLO <log_id> <tail>` with its own
+/// log's id and tail, take the stream through a [`Follower`], and on any
+/// failure reconnect after [`ReplicaOptions::reconnect_delay`]. The
+/// replica's log is a copy of its primary's, so its tail is where it
+/// resumes, after a reconnect and after a restart alike. While
+/// disconnected the replica keeps serving reads from its latest applied
+/// state.
 pub struct ReplicaRunner {
     status: Arc<ReplStatus>,
     stop: Arc<AtomicBool>,
@@ -53,23 +54,25 @@ pub struct ReplicaRunner {
 impl ReplicaRunner {
     /// Latch `db` read-only and start replicating from `primary_addr`.
     ///
-    /// Fails with a typed `startup` error when the OS refuses the
-    /// replica thread. The read-only latch has no unlatch by design, so
-    /// on failure `db` stays read-only — reopen it to write locally, or
-    /// retry `start` to keep it a replica.
+    /// `db` must keep a log (`Database::open` or
+    /// `Database::in_memory_logged`), which becomes its copy of the
+    /// primary's: a database without one is an `unsupported` error, and
+    /// is left unlatched. Fails with a typed `startup` error when the OS
+    /// refuses the replica thread. The read-only latch has no unlatch by
+    /// design, so then `db` stays read-only — reopen it to write locally,
+    /// or retry `start` to keep it a replica.
     pub fn start(
         db: Arc<Database>,
         primary_addr: impl Into<String>,
         opts: ReplicaOptions,
     ) -> Result<ReplicaRunner> {
         let primary_addr = primary_addr.into();
+        if db.wal().is_none() {
+            return Err(no_log());
+        }
         db.mvcc()
             .latch_read_only(&format!("read-only replica of {primary_addr}"));
-        let status = Arc::new(ReplStatus::new(primary_addr.clone()));
-        // Resume from the database's own replication watermark, not LSN 0:
-        // a runner restarted over an already-fed replica must not replay
-        // (and double-apply) transactions the store has already absorbed.
-        status.advance_applied(db.last_commit_lsn());
+        let status = Arc::new(ReplStatus::new(primary_addr.clone(), db.mvcc().clone()));
         let stop = Arc::new(AtomicBool::new(false));
         let worker = Worker {
             db,
@@ -112,6 +115,15 @@ impl Drop for ReplicaRunner {
     }
 }
 
+/// A replica without a log has nowhere to keep its primary's.
+fn no_log() -> Error {
+    Error::Unsupported(
+        "a replica keeps a copy of its primary's log, and this database has no log: \
+         open it with Database::open or Database::in_memory_logged"
+            .into(),
+    )
+}
+
 struct Worker {
     db: Arc<Database>,
     addr: String,
@@ -128,7 +140,7 @@ impl Worker {
     fn run(&self) {
         while !self.stopped() {
             // Any error just ends this connection: the next one resumes
-            // from the last applied transaction boundary.
+            // from the log's tail.
             let _ = self.stream_once();
             self.status.set_connected(false);
             if self.stopped() {
@@ -138,124 +150,185 @@ impl Worker {
         }
     }
 
-    /// One connection lifetime: hello, then apply frames until an error
+    /// One connection lifetime: hello, then take frames until an error
     /// or shutdown. Returns `Ok(())` only on shutdown.
     fn stream_once(&self) -> Result<()> {
+        let mut follower = Follower::new(&self.db)?;
         let mut client = Client::connect_with(&*self.addr, self.opts.client.clone())?;
-        client.replica_hello(self.status.applied_lsn())?;
+        let (log_id, tail) = follower.position();
+        client.replica_hello(log_id, tail)?;
         self.status.set_connected(true);
-
-        // Per connection: a reconnect resumes at a block boundary.
-        let mut blocks = BlockAssembler::default();
         while !self.stopped() {
-            let frame = client.next_change()?;
+            let frame = parse_frame(&client.next_change()?)?;
             self.status.note_contact();
-            match parse_frame(&frame)? {
-                Frame::Heartbeat { tail_lsn } => self.status.observe_tail(tail_lsn),
-                Frame::Record(rec) => apply_record(&self.db, &self.status, &mut blocks, rec)?,
+            match &frame {
+                Frame::Heartbeat { tail_lsn } => self.status.observe_tail(*tail_lsn),
+                Frame::Record(rec) => self.status.observe_tail(rec.next_lsn),
+                Frame::Reset(_) => {}
             }
+            let applied = follower.take(frame)?;
+            self.status.note_applied(applied);
         }
         Ok(())
     }
 }
 
-/// Take one streamed record: feed it to the log's block assembler (so a
-/// block a fresh `Begin` superseded is ignored here exactly as primary
-/// recovery ignores it), apply the transaction it commits, if any, and
-/// advance the resume watermark when the stream is between blocks.
-fn apply_record(
-    db: &Database,
-    status: &ReplStatus,
-    blocks: &mut BlockAssembler,
-    rec: TailedRecord,
-) -> Result<()> {
-    status.observe_tail(rec.next_lsn);
-    if matches!(rec.record, WalRecord::Checkpoint { .. }) {
-        // The primary checkpointed its log; do the same locally so
-        // replica logs stay bounded too. A checkpoint is not a
-        // commit, so the read-only latch doesn't apply; failure is
-        // non-fatal (worst case the local log keeps growing until the
-        // next marker).
-        let _ = db.checkpoint();
-    }
-    if let Some(block) = blocks.push(rec.record, rec.next_lsn) {
-        // Dropping the connection here (error/crash) is safe: applied_lsn
-        // hasn't advanced, so the reconnect replays the block and the
-        // apply repeats idempotently onto newer versions.
-        mmdb_fault::fail_point!("repl.apply", |msg| {
-            mmdb_types::Error::Storage(format!("replica apply: {msg}"))
-        });
-        let writes =
-            block.writes.iter().map(CommittedWrite::decode).collect::<Result<Vec<_>>>()?;
-        if block.txid == 0 {
-            // Txid 0 is the primary's checkpoint image: its complete live
-            // state at the horizon, reached by tailing from the log's
-            // first byte. Apply it as a full replace so keys this replica
-            // still holds from the folded history — including ones the
-            // primary deleted there — don't survive as ghosts.
-            db.mvcc().apply_snapshot_replace(&writes)?;
-        } else {
-            db.mvcc().apply_replicated(&writes)?;
-        }
-        status.note_txn_applied();
-    }
-    // Only a transaction boundary is a safe resume point: `REPLICA HELLO`
-    // replays whole records, and a Begin or Write we've buffered but not
-    // applied must be streamed again if this connection dies.
-    if !blocks.is_open() {
-        status.advance_applied(rec.next_lsn);
-        // Mirror the watermark into the store so
-        // `Database::last_commit_lsn` answers "how far along is this
-        // node" on a replica too — and a future runner on this database
-        // resumes here.
-        db.mvcc().note_commit_lsn(rec.next_lsn);
-    }
-    Ok(())
+/// One stream connection's apply state on a replica, which keeps the
+/// replica's log a byte-for-byte copy of its primary's:
+///
+/// - records are buffered as a *run* until a block commits, or until a
+///   checkpoint marker arrives while no block is open. The run then
+///   lands verbatim ([`Wal::append_verbatim`]: the primary's txids and
+///   bytes, at the primary's LSNs) with one sync, and its block is
+///   installed and applied ([`mmdb_txn::MvccStore::apply_replicated`]).
+///   An orphan a later `Begin` superseded lands with its run, so both
+///   logs hold it, and the block rule skips it on both. The log only ever
+///   ends at a block boundary, so its tail is a resume point;
+/// - a marker, once landed, makes the replica fold its own log at the
+///   marker's `snapshot_lsn` ([`Database::checkpoint_at`]): the primary's
+///   `T`, so both folds read the same bytes and write the same image;
+/// - a reset frame — the primary's answer to a log it cannot continue —
+///   announces the primary's header. Once the image block `[B, T)` it
+///   starts has arrived (at once, for an empty fold), the log becomes
+///   that header and image ([`Wal::reset`]) and the state is replaced
+///   through the load recovery uses ([`mmdb_txn::MvccStore::load`]).
+///
+/// Failpoint `repl.apply` fires before each landing, so a failure leaves
+/// the log and the store as they were.
+pub struct Follower<'a> {
+    db: &'a Database,
+    wal: &'a Wal,
+    run: Vec<TailedRecord>,
+    blocks: BlockAssembler,
+    /// The primary's header, from its reset frame until the image lands.
+    reset: Option<Header>,
 }
 
-/// Convenience for tests and tools: dump a database's current change
-/// feed cursor, i.e. the LSN a fresh `SUBSCRIBE` should start from to
-/// see only future commits. Uses the *durable* watermark — with group
-/// commit, bytes past it are appended but not yet fsynced, and the
-/// stream never ships them.
-pub fn current_cursor(db: &Database) -> Value {
-    Value::int(db.wal().map(|w| w.durable_lsn()).unwrap_or(0) as i64)
+impl<'a> Follower<'a> {
+    /// A follower for `db`, which must keep a log.
+    pub fn new(db: &'a Database) -> Result<Follower<'a>> {
+        let wal = db.wal().ok_or_else(no_log)?;
+        Ok(Follower { db, wal, run: Vec::new(), blocks: BlockAssembler::default(), reset: None })
+    }
+
+    /// What `REPLICA HELLO` carries: the log's id and its tail.
+    pub fn position(&self) -> (u64, Lsn) {
+        (self.wal.header().log_id, self.wal.tail_lsn())
+    }
+
+    /// Take one frame of the stream; returns how many transactions it
+    /// applied.
+    pub fn take(&mut self, frame: Frame) -> Result<u64> {
+        match frame {
+            Frame::Heartbeat { .. } => Ok(0),
+            Frame::Reset(header) => {
+                self.run.clear();
+                self.blocks = BlockAssembler::default();
+                self.reset = Some(header);
+                if header.base == header.horizon {
+                    // An empty fold: no image block will come.
+                    return self.land(None);
+                }
+                Ok(0)
+            }
+            Frame::Record(rec) => {
+                let marker = matches!(rec.record, WalRecord::Checkpoint { .. });
+                let block = self.blocks.push(rec.record.clone(), rec.next_lsn);
+                self.run.push(rec);
+                if block.is_some() || (marker && !self.blocks.is_open()) {
+                    return self.land(block.map(|b| b.writes));
+                }
+                Ok(0)
+            }
+        }
+    }
+
+    /// Land the buffered run — or, after a reset frame, the image — and
+    /// install and apply the block it commits.
+    fn land(&mut self, block: Option<Vec<LoggedWrite>>) -> Result<u64> {
+        mmdb_fault::fail_point!("repl.apply", |msg| Error::Storage(format!(
+            "replica apply: {msg}"
+        )));
+        let run = std::mem::take(&mut self.run);
+        let applied = u64::from(block.is_some());
+        let writes = block
+            .unwrap_or_default()
+            .iter()
+            .map(CommittedWrite::decode)
+            .collect::<Result<Vec<_>>>()?;
+        if let Some(header) = self.reset.take() {
+            self.wal.reset(header, &run)?;
+            self.db.mvcc().load(writes, header.horizon);
+            return Ok(applied);
+        }
+        let end = self.wal.append_verbatim(&run)?;
+        self.wal.sync()?;
+        let marker = run.iter().rev().find_map(|t| match t.record {
+            WalRecord::Checkpoint { snapshot_lsn } => Some(snapshot_lsn),
+            _ => None,
+        });
+        if let Some(horizon) = marker {
+            // Maintenance: a fold that fails leaves a longer log that is
+            // still the primary's, and the next marker folds it.
+            let _ = self.db.checkpoint_at(horizon);
+        }
+        self.db.mvcc().apply_replicated(&writes, end);
+        Ok(applied)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmdb_types::codec::value_to_bytes;
+    use mmdb_types::Value;
 
     #[test]
-    fn the_apply_loop_ignores_a_superseded_block_and_the_watermark_still_advances() {
-        let db = Database::in_memory();
-        let status = ReplStatus::new("primary:0");
-        let mut blocks = BlockAssembler::default();
+    fn a_followers_log_is_its_primarys_bytes_superseded_block_and_all() {
+        // The primary's log: `Begin{1} Write{1}` orphaned by a torn batch,
+        // then a later incarnation's own txid 1.
+        let primary = Wal::in_memory();
         let write = |key: &str| WalRecord::Write {
             txid: 1,
             domain: "kv/cart".into(),
             key: key.as_bytes().to_vec(),
             value: Some(value_to_bytes(&Value::int(1))),
         };
-        // `Begin{1} Write{1}` orphaned on the primary by a torn batch,
-        // then a later incarnation's own txid 1.
-        let records = [
-            WalRecord::Begin { txid: 1 },
-            write("orphan"),
-            WalRecord::Begin { txid: 1 },
-            write("real"),
-            WalRecord::Commit { txid: 1 },
-        ];
-        for (i, record) in records.into_iter().enumerate() {
-            let (lsn, next_lsn) = (i as u64 * 10, i as u64 * 10 + 10);
-            apply_record(&db, &status, &mut blocks, TailedRecord { lsn, next_lsn, record }).unwrap();
-            // Mid-block is never a resume point, orphan or not.
-            assert_eq!(status.applied_lsn(), if next_lsn == 50 { 50 } else { 0 });
+        primary
+            .append_batch(&[
+                WalRecord::Begin { txid: 1 },
+                write("orphan"),
+                WalRecord::Begin { txid: 1 },
+                write("real"),
+                WalRecord::Commit { txid: 1 },
+            ])
+            .unwrap();
+        let tail = primary.tail_lsn();
+
+        let db = Database::in_memory_logged();
+        let mut follower = Follower::new(&db).unwrap();
+        assert_ne!(follower.position().0, primary.header().log_id);
+        // A fresh primary's fold is empty: the reset lands at once.
+        assert_eq!(follower.take(Frame::Reset(primary.header())).unwrap(), 0);
+        assert_eq!(follower.position(), (primary.header().log_id, 0));
+        for t in primary.read_records_from(0, usize::MAX).unwrap() {
+            let next = t.next_lsn;
+            let applied = follower.take(Frame::Record(t)).unwrap();
+            // Mid-block is never landed, orphan or not.
+            assert_eq!(follower.position().1, if next == tail { tail } else { 0 });
+            assert_eq!(applied, u64::from(next == tail));
         }
+        assert_eq!(db.wal().unwrap().snapshot_bytes(), primary.snapshot_bytes());
         assert_eq!(db.mvcc().get_latest("kv/cart", b"orphan"), None);
         assert_eq!(db.mvcc().get_latest("kv/cart", b"real"), Some(Value::int(1)));
-        assert_eq!(status.txns_applied(), 1);
-        assert_eq!(db.last_commit_lsn(), 50);
+        assert_eq!(db.last_commit_lsn(), tail);
+    }
+
+    #[test]
+    fn a_replica_without_a_log_is_refused_and_left_unlatched() {
+        let db = Arc::new(Database::in_memory());
+        let refused = ReplicaRunner::start(Arc::clone(&db), "127.0.0.1:1", ReplicaOptions::default());
+        assert_eq!(refused.err().map(|e| e.kind()), Some("unsupported"));
+        assert!(!db.is_degraded());
     }
 }

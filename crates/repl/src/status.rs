@@ -4,6 +4,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use mmdb_storage::wal::Lsn;
+use mmdb_txn::MvccStore;
 use mmdb_types::Value;
 
 fn epoch_ms() -> u64 {
@@ -26,13 +27,13 @@ fn epoch_ms() -> u64 {
 ///   it was caught up (applied LSN == advertised tail). This keeps
 ///   growing after a disconnect even though `lag_bytes` freezes,
 ///   which is what bounded-staleness reads need.
-#[derive(Debug)]
 pub struct ReplStatus {
     primary_addr: String,
     connected: AtomicBool,
-    /// Everything below `applied_lsn` (in the *primary's* LSN space)
-    /// has been applied locally as complete transactions.
-    applied_lsn: AtomicU64,
+    /// The replica's store, whose watermark (`last_commit_lsn`) is the
+    /// applied LSN: a position in the primary's log, since the replica's
+    /// log is the primary's.
+    store: MvccStore,
     /// The primary's WAL tail as of the last frame we saw.
     primary_tail_lsn: AtomicU64,
     /// Epoch ms of the last frame received from the primary; 0 = never.
@@ -44,12 +45,12 @@ pub struct ReplStatus {
 }
 
 impl ReplStatus {
-    /// A fresh status for a replica of `primary_addr`, starting at LSN 0.
-    pub fn new(primary_addr: impl Into<String>) -> ReplStatus {
+    /// A fresh status for `store`, a replica of `primary_addr`.
+    pub fn new(primary_addr: impl Into<String>, store: MvccStore) -> ReplStatus {
         ReplStatus {
             primary_addr: primary_addr.into(),
             connected: AtomicBool::new(false),
-            applied_lsn: AtomicU64::new(0),
+            store,
             primary_tail_lsn: AtomicU64::new(0),
             last_contact_ms: AtomicU64::new(0),
             caught_up_at_ms: AtomicU64::new(0),
@@ -68,9 +69,10 @@ impl ReplStatus {
         self.connected.load(Ordering::SeqCst)
     }
 
-    /// Primary-space LSN below which all transactions are applied.
+    /// The LSN in the primary's log below which all transactions are
+    /// applied: the store's watermark.
     pub fn applied_lsn(&self) -> Lsn {
-        self.applied_lsn.load(Ordering::SeqCst)
+        self.store.last_commit_lsn()
     }
 
     /// The primary's WAL tail as last advertised.
@@ -121,13 +123,10 @@ impl ReplStatus {
         self.refresh_caught_up();
     }
 
-    pub(crate) fn advance_applied(&self, lsn: Lsn) {
-        self.applied_lsn.fetch_max(lsn, Ordering::SeqCst);
+    /// After the store took a frame that applied `txns` transactions.
+    pub(crate) fn note_applied(&self, txns: u64) {
+        self.txns_applied.fetch_add(txns, Ordering::SeqCst);
         self.refresh_caught_up();
-    }
-
-    pub(crate) fn note_txn_applied(&self) {
-        self.txns_applied.fetch_add(1, Ordering::SeqCst);
     }
 
     fn refresh_caught_up(&self) {
@@ -164,7 +163,8 @@ mod tests {
 
     #[test]
     fn lag_and_staleness_track_the_stream() {
-        let s = ReplStatus::new("127.0.0.1:7777");
+        let store = MvccStore::default();
+        let s = ReplStatus::new("127.0.0.1:7777", store.clone());
         assert_eq!(s.lag_bytes(), 0);
         assert_eq!(s.staleness_ms(), None);
 
@@ -174,8 +174,8 @@ mod tests {
         // Not caught up yet, so still never-fresh.
         assert_eq!(s.staleness_ms(), None);
 
-        s.advance_applied(100);
-        s.note_txn_applied();
+        store.apply_replicated(&[], 100);
+        s.note_applied(1);
         assert_eq!(s.lag_bytes(), 0);
         assert!(s.staleness_ms().is_some());
 
@@ -192,13 +192,13 @@ mod tests {
     }
 
     #[test]
-    fn applied_and_tail_only_move_forward() {
-        let s = ReplStatus::new("p");
+    fn the_tail_only_moves_forward_and_applied_is_the_stores_watermark() {
+        let store = MvccStore::default();
+        let s = ReplStatus::new("p", store.clone());
         s.observe_tail(50);
         s.observe_tail(20);
         assert_eq!(s.primary_tail_lsn(), 50);
-        s.advance_applied(40);
-        s.advance_applied(10);
+        store.apply_replicated(&[], 40);
         assert_eq!(s.applied_lsn(), 40);
     }
 }

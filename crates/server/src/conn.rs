@@ -508,7 +508,7 @@ pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
 
         // Stream requests flip the connection into push mode and never
         // come back; they cannot ride a pipeline.
-        if let Request::ReplicaHello { from_lsn } | Request::Subscribe { from_lsn } = &request {
+        if matches!(request, Request::ReplicaHello { .. } | Request::Subscribe { .. }) {
             if id.is_some() {
                 fatal = Some((
                     id,
@@ -532,12 +532,11 @@ pub(crate) fn conn_reader(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
             }
             conn.streaming.store(true, Ordering::Relaxed); // relaxed: reaper heuristic flag; no synchronization role
             let started = Instant::now();
-            let cdc = matches!(request, Request::Subscribe { .. });
             let result = {
                 // The tail loop reads the WAL under its lock and sleeps —
                 // on a connection that serves nothing else.
                 let _permit = parking_lot::permit_wait("a dedicated push stream to its end");
-                serve_stream(inner, conn, *from_lsn, cdc)
+                serve_stream(inner, conn, &request)
             };
             inner.metrics.record_request(&request, result.is_ok(), started.elapsed());
             if let Err(e) = result {
@@ -835,12 +834,12 @@ fn run_session_request(
 }
 
 /// Serve the push stream after `REPLICA HELLO`/`SUBSCRIBE`: ship WAL
-/// records from `from_lsn` (catch-up), then live-tail the log,
-/// heartbeating the tail LSN when idle. Replicas get raw records;
-/// `SUBSCRIBE` (`cdc`) gets decoded committed writes only. Runs on the
+/// records from the request's position (catch-up), then live-tail the
+/// log, heartbeating the tail LSN when idle. Replicas get raw records;
+/// `SUBSCRIBE` gets decoded committed writes only. Runs on the
 /// connection's reader thread (the pipeline is quiesced first, so the
 /// reader owns the write side) until the peer or the server goes away.
-fn serve_stream(inner: &ServerInner, conn: &ConnHandle, from_lsn: u64, cdc: bool) -> Result<()> {
+fn serve_stream(inner: &ServerInner, conn: &ConnHandle, request: &Request) -> Result<()> {
     const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
     const BATCH: usize = 256;
     let stream = &conn.stream;
@@ -849,30 +848,41 @@ fn serve_stream(inner: &ServerInner, conn: &ConnHandle, from_lsn: u64, cdc: bool
             "this server has no WAL to stream (pure in-memory database)".into(),
         ));
     };
-    let mut cursor = from_lsn;
+    let cdc = matches!(request, Request::Subscribe { .. });
     let mut cdc_buf = CdcBuffer::new();
-    // A cursor below the checkpoint horizon points into history a
-    // checkpoint has folded away; those records cannot be shipped.
-    let horizon = wal.truncated_lsn();
-    if cursor < horizon {
-        if cdc {
+    let mut cursor = match *request {
+        Request::ReplicaHello { log_id, tail } => {
+            let header = wal.header();
+            if log_id == header.log_id && (header.horizon..=wal.durable_lsn()).contains(&tail) {
+                tail
+            } else {
+                // The replica's log cannot continue this one: it is
+                // another log, or it ends inside the image or past what is
+                // durable here. Reset it onto this log — the header, then
+                // the records from the base, image block first. A
+                // checkpoint that rewrites the log under a stream still
+                // inside it makes the next read `log_truncated`, and the
+                // replica reconnects and is reset from the new base.
+                send_change(inner, stream, feed::reset_frame(&header))?;
+                header.base
+            }
+        }
+        Request::Subscribe { from_lsn } => {
             // A change feed cannot be rebuilt from the image — the
             // intermediate writes between the cursor and the horizon are
             // gone — so tell the subscriber instead of silently skipping
             // ahead and dropping events.
-            return Err(Error::LogTruncated(format!(
-                "subscribe cursor {cursor} predates the checkpoint horizon {horizon}; \
-                 resubscribe from the current tail"
-            )));
+            let horizon = wal.truncated_lsn();
+            if from_lsn < horizon {
+                return Err(Error::LogTruncated(format!(
+                    "subscribe cursor {from_lsn} predates the checkpoint horizon {horizon}; \
+                     resubscribe from the current tail"
+                )));
+            }
+            from_lsn
         }
-        // Replica bootstrap is tailing from the log's first byte: the
-        // image block (txid 0), which the replica applies as a full state
-        // replace (see `mmdb_repl::replica`), then the records from the
-        // horizon on. A checkpoint that rewrites the log under a stream
-        // still inside it makes the next read `log_truncated`, and the
-        // replica reconnects and starts over from the new base.
-        cursor = wal.base_lsn();
-    }
+        _ => return Err(Error::Internal("not a stream request".into())),
+    };
     // Immediate first heartbeat: tells the subscriber the current tail
     // even when the cursor starts caught-up. Everything this stream
     // reports or ships is bounded by the *durable* LSN: with group

@@ -20,7 +20,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -150,6 +150,59 @@ fn frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
+/// Frame `records` into one buffer: returns it, each record's end offset
+/// in it, and whether an injected `short` tore it.
+fn frame_records<'a>(
+    records: impl Iterator<Item = &'a WalRecord>,
+) -> Result<(Vec<u8>, Vec<u64>, bool)> {
+    let mut buf = Vec::new();
+    let mut ends = Vec::new();
+    for record in records {
+        let payload = record.encode();
+        // Failpoint `wal.append`, once per record, so crash schedules
+        // (`N:short`) reach mid-batch offsets too: `short` tears the
+        // record mid-frame — the bytes land in the log, so recovery must
+        // detect and truncate the torn tail.
+        match mmdb_fault::eval("wal.append") {
+            mmdb_fault::Decision::Proceed => {}
+            mmdb_fault::Decision::Fail(msg) => {
+                return Err(Error::Storage(format!("wal append: {msg}")))
+            }
+            mmdb_fault::Decision::Short => {
+                // Half the frame lands; the rest of the batch never gets
+                // framed.
+                let frame_start = buf.len();
+                frame(&mut buf, &payload);
+                buf.truncate(frame_start + (payload.len() + 8) / 2);
+                return Ok((buf, ends, true));
+            }
+        }
+        frame(&mut buf, &payload);
+        ends.push(buf.len() as u64);
+    }
+    Ok((buf, ends, false))
+}
+
+/// Whether `run`, framed into a buffer whose record ends are `ends`,
+/// puts each record exactly where it says it is when the buffer starts at
+/// the first record's LSN.
+fn check_positions(run: &[TailedRecord], ends: &[u64]) -> Result<()> {
+    let start = run.first().map_or(0, |t| t.lsn);
+    let mut at = start;
+    for (t, end) in run.iter().zip(ends) {
+        if (t.lsn, t.next_lsn) != (at, start + end) {
+            return Err(Error::Storage(format!(
+                "wal: a copied record claims [{}, {}) but frames to [{at}, {})",
+                t.lsn,
+                t.next_lsn,
+                start + end
+            )));
+        }
+        at = t.next_lsn;
+    }
+    Ok(())
+}
+
 /// Split `len` bytes off the front of `buf`, advancing it.
 fn take<'a>(buf: &mut &'a [u8], len: usize) -> Result<&'a [u8]> {
     if buf.len() < len {
@@ -234,35 +287,54 @@ enum WalBackend {
     Memory(Vec<u8>),
 }
 
-/// Magic opening a checkpointed log. The first four bytes are
-/// `0xFFFFFFFF` — an impossible frame length, so a header can never be
-/// confused with a headerless log whose first record it would otherwise
-/// shadow.
-const WAL_MAGIC: [u8; 8] = [0xFF, 0xFF, 0xFF, 0xFF, b'W', b'A', b'L', b'3'];
+/// Magic opening every log file. The first four bytes are `0xFFFFFFFF`
+/// — an impossible frame length, so a header can never be confused with
+/// a headerless log whose first record it would otherwise shadow.
+const WAL_MAGIC: [u8; 8] = [0xFF, 0xFF, 0xFF, 0xFF, b'W', b'A', b'L', b'4'];
+
+/// Magic of the previous layout: a header without a log id, which only a
+/// checkpointed log had. Such a log, like a headerless one, gets its
+/// header when it is opened.
+const WAL3_MAGIC: [u8; 8] = [0xFF, 0xFF, 0xFF, 0xFF, b'W', b'A', b'L', b'3'];
 
 /// Magic of the retired layout whose prefix lived in `mmdb.snapshot`.
 /// Such a log is refused: this code does not read that file.
 const WAL2_MAGIC: [u8; 8] = [0xFF, 0xFF, 0xFF, 0xFF, b'W', b'A', b'L', b'2'];
 
-/// Size of the header: the magic, then base, horizon and checkpoint
-/// time, each a `u64` little-endian.
-const WAL_HEADER_LEN: u64 = 32;
+/// Size of the header: the magic, then the log id, base, horizon and
+/// checkpoint time, each a `u64` little-endian.
+const WAL_HEADER_LEN: u64 = 40;
 
-/// A checkpointed log's header: the image block's base `B`, the horizon
-/// `T` where the records kept verbatim start, and when the checkpoint
-/// ran (Unix milliseconds). A never-checkpointed log has none; its
-/// `Default` (`B = T = 0`, never) stands in.
-#[derive(Debug, Clone, Copy, Default)]
-struct Header {
-    base: Lsn,
-    horizon: Lsn,
-    at_ms: u64,
+/// A log's header: its identity, the image block's base `B`, the horizon
+/// `T` where the records kept verbatim start, and when the last
+/// checkpoint ran (Unix milliseconds, 0 for never). A never-checkpointed
+/// log has `B = T = 0`. A file starts with it; a memory log keeps it
+/// beside its bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Header {
+    /// A random id, drawn when the log is created and kept across
+    /// checkpoints and reopens. A replica's log carries its primary's, so
+    /// equal ids mean one log: a position in either names the same bytes.
+    pub log_id: u64,
+    /// `B`: the LSN of the log's first record.
+    pub base: Lsn,
+    /// `T`: every committed block below it is in the image `[B, T)`.
+    pub horizon: Lsn,
+    /// When the checkpoint that wrote the image ran.
+    pub at_ms: u64,
 }
 
 impl Header {
-    /// `None` for a headerless log; an `unsupported` error for the
-    /// retired `WAL2` layout.
-    fn parse(data: &[u8]) -> Result<Option<Header>> {
+    /// A new log's header: a fresh id, nothing folded.
+    fn fresh() -> Header {
+        Header { log_id: fresh_log_id(), base: 0, horizon: 0, at_ms: 0 }
+    }
+
+    /// The header `data` starts with, and its length. A headerless or
+    /// `WAL3` log gets a fresh id and keeps its `B`, `T` and time (length
+    /// 0 or 32: [`Wal::recover`] rewrites it); the retired `WAL2` layout
+    /// is an `unsupported` error.
+    fn parse(data: &[u8]) -> Result<(Header, u64)> {
         if data.starts_with(&WAL2_MAGIC) {
             return Err(Error::Unsupported(
                 "the log has the retired WAL2 layout, whose prefix lives in mmdb.snapshot; \
@@ -270,36 +342,78 @@ impl Header {
                     .into(),
             ));
         }
-        if !data.starts_with(&WAL_MAGIC) {
-            return Ok(None);
-        }
         let field = |i: usize| data.get(8 * i..8 * i + 8)?.try_into().ok().map(u64::from_le_bytes);
-        match (field(1), field(2), field(3)) {
-            (Some(base), Some(horizon), Some(at_ms)) => Ok(Some(Header { base, horizon, at_ms })),
-            _ => Err(Error::Corruption("wal: short header".into())),
+        let short = || Error::Corruption("wal: short header".into());
+        if data.starts_with(&WAL3_MAGIC) {
+            let (Some(base), Some(horizon), Some(at_ms)) = (field(1), field(2), field(3)) else {
+                return Err(short());
+            };
+            return Ok((Header { base, horizon, at_ms, ..Header::fresh() }, 32));
+        }
+        if !data.starts_with(&WAL_MAGIC) {
+            return Ok((Header::fresh(), 0));
+        }
+        match (field(1), field(2), field(3), field(4)) {
+            (Some(log_id), Some(base), Some(horizon), Some(at_ms)) => {
+                Ok((Header { log_id, base, horizon, at_ms }, WAL_HEADER_LEN))
+            }
+            _ => Err(short()),
         }
     }
 
     fn encode(&self) -> Vec<u8> {
-        [WAL_MAGIC, self.base.to_le_bytes(), self.horizon.to_le_bytes(), self.at_ms.to_le_bytes()]
-            .concat()
+        let fields = [self.log_id, self.base, self.horizon, self.at_ms];
+        let mut out = WAL_MAGIC.to_vec();
+        out.extend(fields.iter().flat_map(|f| f.to_le_bytes()));
+        out
     }
 }
 
-/// Where a checkpoint writes the new file before renaming it over the log.
+/// A new log's id: std's randomly keyed hasher over the time and the
+/// process id. Never 0 and below 2⁶³, so it travels the wire as a
+/// non-negative integer.
+fn fresh_log_id() -> u64 {
+    use std::hash::{BuildHasher, Hasher};
+    let mut h = std::collections::hash_map::RandomState::new().build_hasher();
+    h.write_u128(SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_nanos()));
+    h.write_u32(std::process::id());
+    (h.finish() >> 1).max(1)
+}
+
+/// Where a rewrite writes the new file before renaming it over the log.
 fn tmp_path(path: &Path) -> PathBuf {
     let mut name = path.as_os_str().to_owned();
     name.push(".tmp");
     PathBuf::from(name)
 }
 
+/// The first half of every rewrite: `parts` written to `<log>.tmp` and
+/// fsynced, opened for appends. The second is a rename over the log and
+/// [`sync_dir`], which appends landing in the new file need.
+fn write_tmp(path: &Path, parts: &[&[u8]]) -> std::io::Result<File> {
+    let tmp = tmp_path(path);
+    let _ = std::fs::remove_file(&tmp);
+    let mut out = OpenOptions::new().read(true).append(true).create_new(true).open(&tmp)?;
+    for part in parts {
+        out.write_all(part)?;
+    }
+    durable_sync(&out, File::sync_all)?;
+    Ok(out)
+}
+
+/// Make a rename inside the log's directory durable.
+fn sync_dir(path: &Path) -> std::io::Result<()> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    File::open(dir).and_then(|d| durable_sync(&d, File::sync_all))
+}
+
 /// The write-ahead log.
 ///
 /// LSNs are *logical*: they keep counting monotonically across
 /// [`Wal::fold_prefix`], which replaces the prefix below a horizon `T`
-/// with its fold. A checkpointed file starts with a header recording its
-/// base `B` and `T`, and `physical offset = header + (lsn - B)`.
-/// Never-checkpointed logs are headerless with `B = T = 0`.
+/// with its fold. A file starts with a [`Header`] recording its id, base
+/// `B` and `T`, and `physical offset = header + (lsn - B)`. A log that
+/// was never checkpointed has `B = T = 0`.
 pub struct Wal {
     inner: Mutex<WalInner>,
     /// The file path for file-backed logs (`None` in memory) — needed by
@@ -316,10 +430,11 @@ struct WalInner {
     backend: WalBackend,
     /// Next logical LSN to be assigned.
     next_lsn: Lsn,
-    /// The last checkpoint's `B`, `T` and time; `[B, T)` is its image.
+    /// The log's id and the last checkpoint's `B`, `T` and time; `[B, T)`
+    /// is its image.
     header: Header,
-    /// Physical offset where record data starts: [`WAL_HEADER_LEN`] for
-    /// checkpointed files, 0 for headerless files and the memory backend.
+    /// Physical offset where record data starts: [`WAL_HEADER_LEN`] for a
+    /// file, 0 for the memory backend.
     data_start: u64,
     /// The first failed sync, kept: every later sync fails with it.
     sync_failure: Option<String>,
@@ -386,26 +501,39 @@ impl Wal {
 
     /// [`Wal::open`], also returning what the file recovers: every
     /// committed block in it (see [`Recovery`]). A torn tail is cut off
-    /// first, so appends extend the valid prefix instead of hiding behind
-    /// garbage that the next recovery would stop at.
+    /// first, and so is a block left open at the end: appends extend a log
+    /// that ends at a block boundary instead of hiding behind bytes the
+    /// next recovery would stop at, and [`Wal::tail_lsn`] is a position a
+    /// replica can resume from. A new, headerless or `WAL3` log gets its
+    /// header here, written through `<log>.tmp` like a checkpoint, so no
+    /// log is ever without an id.
     pub fn recover(path: impl AsRef<Path>) -> Result<(Self, Recovery)> {
         let path = path.as_ref();
         let io = |e: std::io::Error| Error::Storage(format!("open wal {path:?}: {e}"));
-        let mut file =
-            OpenOptions::new().read(true).append(true).create(true).open(path).map_err(io)?;
-        let mut data = Vec::new();
-        file.read_to_end(&mut data).map_err(io)?;
-        let header = Header::parse(&data)?;
-        let data_start = if header.is_some() { WAL_HEADER_LEN } else { 0 };
-        let recovery = recover_from_bytes(&data[data_start as usize..]);
-        if recovery.torn_tail {
-            file.set_len(data_start + recovery.valid_len).map_err(io)?;
-        }
-        // A checkpoint that died before its rename left this behind; the
-        // log it would have replaced is the one just opened.
+        let data = match std::fs::read(path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            read => read.map_err(io)?,
+        };
+        let (header, header_len) = Header::parse(&data)?;
+        let recovery = recover_from_bytes(&data[header_len as usize..]);
+        // A rewrite that died before its rename left this behind; the log
+        // it would have replaced is the one just read.
         let _ = std::fs::remove_file(tmp_path(path));
-        let len = data_start + recovery.valid_len;
-        let inner = WalInner::new(WalBackend::File(file), header.unwrap_or_default(), data_start, len);
+        let kept = header_len + recovery.valid_len;
+        let file = if header_len == WAL_HEADER_LEN {
+            let file = OpenOptions::new().read(true).append(true).open(path).map_err(io)?;
+            if kept < data.len() as u64 {
+                file.set_len(kept).map_err(io)?;
+            }
+            file
+        } else {
+            let records = &data[header_len as usize..kept as usize];
+            let file = write_tmp(path, &[&header.encode(), records]).map_err(io)?;
+            std::fs::rename(tmp_path(path), path).and_then(|()| sync_dir(path)).map_err(io)?;
+            file
+        };
+        let len = WAL_HEADER_LEN + recovery.valid_len;
+        let inner = WalInner::new(WalBackend::File(file), header, WAL_HEADER_LEN, len);
         // Everything left in the file survived a previous run's syncs.
         let durable_lsn = std::sync::atomic::AtomicU64::new(inner.lock().next_lsn);
         Ok((Wal { inner, path: Some(path.to_path_buf()), durable_lsn }, recovery))
@@ -414,7 +542,7 @@ impl Wal {
     /// An in-memory WAL (tests; volatile databases).
     pub fn in_memory() -> Self {
         Wal {
-            inner: WalInner::new(WalBackend::Memory(Vec::new()), Header::default(), 0, 0),
+            inner: WalInner::new(WalBackend::Memory(Vec::new()), Header::fresh(), 0, 0),
             path: None,
             durable_lsn: std::sync::atomic::AtomicU64::new(0),
         }
@@ -444,45 +572,48 @@ impl Wal {
         if records.is_empty() {
             return Ok(Vec::new());
         }
-        let mut buf = Vec::new();
-        let mut ends = Vec::with_capacity(records.len());
-        let mut torn = false;
-        for record in records {
-            let payload = record.encode();
-            // Failpoint `wal.append`, once per record, so crash schedules
-            // (`N:short`) reach mid-batch offsets too: `short` tears the
-            // record mid-frame — the bytes land in the log, so recovery
-            // must detect and truncate the torn tail.
-            match mmdb_fault::eval("wal.append") {
-                mmdb_fault::Decision::Proceed => {}
-                mmdb_fault::Decision::Fail(msg) => {
-                    return Err(Error::Storage(format!("wal append: {msg}")))
-                }
-                mmdb_fault::Decision::Short => torn = true,
-            }
-            let frame_start = buf.len();
-            frame(&mut buf, &payload);
-            if torn {
-                // Half the frame lands; the rest of the batch never gets
-                // framed.
-                buf.truncate(frame_start + (payload.len() + 8) / 2);
-                break;
-            }
-            ends.push(buf.len() as u64);
-        }
+        let (buf, ends, torn) = frame_records(records.iter())?;
+        let base = self.write_run(&buf, None, torn)?;
+        Ok(ends.into_iter().map(|e| base + e).collect())
+    }
+
+    /// Append records another log holds, at the positions they hold
+    /// there: how a replica's log becomes a byte-for-byte copy of its
+    /// primary's. Refused with nothing written unless `run` starts at this
+    /// log's tail and each record's frame spans exactly its
+    /// `next_lsn − lsn`. One write with [`Wal::append_batch`]'s failure
+    /// atomicity; returns the new tail. Not yet durable — call
+    /// [`Wal::sync`].
+    pub fn append_verbatim(&self, run: &[TailedRecord]) -> Result<Lsn> {
+        let Some(first) = run.first() else { return Ok(self.tail_lsn()) };
+        let (buf, ends, torn) = frame_records(run.iter().map(|t| &t.record))?;
+        check_positions(run, &ends)?;
+        self.write_run(&buf, Some(first.lsn), torn)?;
+        Ok(first.lsn + buf.len() as u64)
+    }
+
+    /// Land a framed run in one write at the tail — only if the tail is
+    /// `at`, when given — and return where it landed. A torn run lands
+    /// too, then fails.
+    fn write_run(&self, buf: &[u8], at: Option<Lsn>, torn: bool) -> Result<Lsn> {
         let mut inner = self.inner.lock();
         let base = inner.next_lsn;
+        if let Some(at) = at.filter(|at| *at != base) {
+            return Err(Error::Storage(format!(
+                "wal append: the run starts at {at}, but the log's tail is {base}"
+            )));
+        }
         match &mut inner.backend {
             WalBackend::File(f) => f
-                .write_all(&buf)
+                .write_all(buf)
                 .map_err(|e| Error::Storage(format!("wal append: {e}")))?,
-            WalBackend::Memory(v) => v.extend_from_slice(&buf),
+            WalBackend::Memory(v) => v.extend_from_slice(buf),
         }
         inner.next_lsn += buf.len() as u64;
         if torn {
             return Err(Error::Storage("wal append: torn write (injected)".into()));
         }
-        Ok(ends.into_iter().map(|e| base + e).collect())
+        Ok(base)
     }
 
     /// Durably flush appended records.
@@ -627,6 +758,12 @@ impl Wal {
         inner.data_start + (inner.next_lsn - inner.header.base)
     }
 
+    /// The log's header — its id, `B`, `T` and last checkpoint time —
+    /// read together.
+    pub fn header(&self) -> Header {
+        self.inner.lock().header
+    }
+
     /// The checkpoint horizon `T`: the lowest LSN a change feed can
     /// resume at (0 until the first checkpoint).
     pub fn truncated_lsn(&self) -> Lsn {
@@ -667,23 +804,33 @@ impl Wal {
         Ok(lsn)
     }
 
-    /// Checkpoint the log: replace the prefix below the durable tail `T`
-    /// (a batch edge, so no sync is needed) with one `txid 0` block
-    /// holding its [`fold`], keeping every LSN at or past `T` where it
-    /// was. Each image write is the size of a write it replaces, and the
-    /// prefix held a `Begin`/`Commit` pair for the image's, so the new
-    /// base `T − image` is at least the old one. A file is rewritten to
-    /// `<log>.tmp` and renamed over the log; appends wait only for the
-    /// rename, and a crash on either side of it leaves a complete log of
-    /// the same state (DESIGN.md "Checkpointing"). Callers serialize
-    /// checkpoints (`Database::checkpoint` holds its checkpoint lock).
-    pub fn fold_prefix(&self) -> Result<FoldedPrefix> {
-        let horizon = self.durable_lsn();
-        let old_base = {
+    /// Checkpoint the log at `horizon`: replace the prefix below it with
+    /// one `txid 0` block holding its [`fold`], keeping every LSN at or
+    /// past it where it was. `horizon` is the new `T`: a block edge
+    /// between the last `T` and the durable tail — a primary passes
+    /// [`Wal::durable_lsn`] (a batch edge, so no sync is needed), a
+    /// replica the `snapshot_lsn` of its primary's marker, so both fold the
+    /// same bytes into the same image. Each image write is the size of a
+    /// write it replaces, and the prefix held a `Begin`/`Commit` pair for
+    /// the image's, so the new base `T − image` is at least the old one. A
+    /// file is rewritten to `<log>.tmp` and renamed over the log; appends
+    /// wait only for the rename, and a crash on either side of it leaves a
+    /// complete log of the same state (DESIGN.md "Checkpointing"). Callers
+    /// serialize checkpoints (`Database` holds its checkpoint lock).
+    pub fn fold_prefix(&self, horizon: Lsn) -> Result<FoldedPrefix> {
+        let old = {
             let inner = self.inner.lock();
             inner.check_synced()?;
-            inner.header.base
+            inner.header
         };
+        let durable = self.durable_lsn();
+        if horizon < old.horizon || horizon > durable {
+            return Err(Error::Internal(format!(
+                "wal checkpoint: horizon {horizon} is outside [{}, {durable}]",
+                old.horizon
+            )));
+        }
+        let old_base = old.base;
         let (mut image, entries) = {
             let mut redo = Vec::new();
             let mut blocks = BlockAssembler::default();
@@ -714,7 +861,7 @@ impl Wal {
             ))
         })?;
         let at_ms = SystemTime::now().duration_since(UNIX_EPOCH).map_or(1, |d| d.as_millis() as u64);
-        let header = Header { base, horizon, at_ms };
+        let header = Header { base, horizon, at_ms, ..old };
         match &self.path {
             Some(path) => self.rewrite_file(path, header, &image)?,
             None => {
@@ -737,18 +884,11 @@ impl Wal {
     /// up, fsync again and rename under the lock.
     fn rewrite_file(&self, path: &Path, header: Header, image: &[u8]) -> Result<()> {
         let io = |e: std::io::Error| Error::Storage(format!("wal checkpoint: {e}"));
-        let tmp = tmp_path(path);
-        let _ = std::fs::remove_file(&tmp);
-        let mut out =
-            OpenOptions::new().read(true).append(true).create_new(true).open(&tmp).map_err(io)?;
         let (suffix, copied) = {
             let inner = self.inner.lock();
             (inner.read_bytes(header.horizon, inner.next_lsn)?, inner.next_lsn)
         };
-        for part in [&header.encode()[..], image, &suffix] {
-            out.write_all(part).map_err(io)?;
-        }
-        durable_sync(&out, File::sync_all).map_err(io)?;
+        let mut out = write_tmp(path, &[&header.encode(), image, &suffix]).map_err(io)?;
         drop(suffix);
 
         let mut inner = self.inner.lock();
@@ -760,17 +900,56 @@ impl Wal {
         mmdb_fault::fail_point!("ckpt.wal_rewrite", |msg| Error::Storage(format!(
             "wal checkpoint: {msg}"
         )));
-        std::fs::rename(&tmp, path).map_err(io)?;
+        std::fs::rename(tmp_path(path), path).map_err(io)?;
         inner.backend = WalBackend::File(out);
         inner.header = header;
-        inner.data_start = WAL_HEADER_LEN;
         // Appends now land in the new file, so the rename must be
         // durable: were it lost to a crash, the old file would come back
         // without them. A failed directory fsync fails the log like a
         // failed sync does.
-        let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
-        if let Err(e) = File::open(dir).and_then(|d| durable_sync(&d, File::sync_all)) {
+        if let Err(e) = sync_dir(path) {
             inner.sync_failure = Some(format!("directory fsync after a checkpoint's rename: {e}"));
+            return inner.check_synced();
+        }
+        Ok(())
+    }
+
+    /// Make this log a copy of another log's start: its `header`, then
+    /// `image`, the records that log holds at `[B, T)` (none for an empty
+    /// fold). How a replica whose log cannot continue its primary's takes
+    /// the primary's instead (DESIGN.md "Replication"). A file is
+    /// rewritten through `<log>.tmp` and renamed, so a crash leaves the old
+    /// log or the new one, never half of either.
+    pub fn reset(&self, header: Header, image: &[TailedRecord]) -> Result<()> {
+        let (bytes, ends, torn) = frame_records(image.iter().map(|t| &t.record))?;
+        check_positions(image, &ends)?;
+        let starts_at_base = image.first().is_none_or(|t| t.lsn == header.base);
+        if torn || !starts_at_base || header.base + bytes.len() as u64 != header.horizon {
+            return Err(Error::Storage(format!(
+                "wal reset: the image does not span [{}, {})",
+                header.base, header.horizon
+            )));
+        }
+        let mut inner = self.inner.lock();
+        inner.check_synced()?;
+        let renamed = match &self.path {
+            Some(path) => {
+                let io = |e: std::io::Error| Error::Storage(format!("wal reset: {e}"));
+                let file = write_tmp(path, &[&header.encode(), &bytes]).map_err(io)?;
+                std::fs::rename(tmp_path(path), path).map_err(io)?;
+                inner.backend = WalBackend::File(file);
+                sync_dir(path)
+            }
+            None => {
+                inner.backend = WalBackend::Memory(bytes);
+                Ok(())
+            }
+        };
+        inner.header = header;
+        inner.next_lsn = header.horizon;
+        self.durable_lsn.store(header.horizon, std::sync::atomic::Ordering::SeqCst);
+        if let Err(e) = renamed {
+            inner.sync_failure = Some(format!("directory fsync after a reset's rename: {e}"));
             return inner.check_synced();
         }
         Ok(())
@@ -933,8 +1112,10 @@ pub struct Recovery {
     pub redo: Vec<LoggedWrite>,
     /// Records dropped because the log ended mid-record (torn write).
     pub torn_tail: bool,
-    /// Byte length of the valid record prefix, header excluded: where
-    /// [`Wal::recover`] cuts a torn tail off.
+    /// Byte length of the prefix recovery keeps, header excluded: every
+    /// intact record up to the last one that leaves no block open. Where
+    /// [`Wal::recover`] cuts the log, dropping a torn tail and a block
+    /// left open at the end.
     pub valid_len: u64,
 }
 
@@ -944,6 +1125,7 @@ pub fn recover_from_bytes(data: &[u8]) -> Recovery {
     let mut redo = Vec::new();
     let mut torn = false;
     let mut valid_len = 0u64;
+    let mut end = 0u64;
     let mut rest = data;
     while rest.len() >= 8 {
         let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
@@ -959,9 +1141,12 @@ pub fn recover_from_bytes(data: &[u8]) -> Recovery {
             torn = true;
             break;
         };
-        valid_len += 8 + len as u64;
-        if let Some(block) = blocks.push(record, valid_len) {
+        end += 8 + len as u64;
+        if let Some(block) = blocks.push(record, end) {
             redo.extend(block.writes);
+        }
+        if !blocks.is_open() {
+            valid_len = end;
         }
         rest = &rest[8 + len..];
     }
@@ -1168,7 +1353,8 @@ mod tests {
         assert!(rec.torn_tail);
         assert_eq!(rec.redo.len(), 1);
         assert_eq!(rec.redo[0].domain, "doc/orders");
-        assert_eq!((std::fs::metadata(&path).unwrap().len(), wal.tail_lsn()), (good, good));
+        let len = std::fs::metadata(&path).unwrap().len();
+        assert_eq!((len, wal.tail_lsn()), (good, good - WAL_HEADER_LEN));
         wal.append(&WalRecord::Begin { txid: 2 }).unwrap();
         wal.append(&w(2, "more", Some("data"))).unwrap();
         wal.append(&WalRecord::Commit { txid: 2 }).unwrap();
@@ -1349,7 +1535,7 @@ mod tests {
         commit_one(wal, 2, "gone", Some("x"));
         commit_one(wal, 3, "a", Some("2"));
         let h = commit_one(wal, 4, "gone", None);
-        let folded = wal.fold_prefix().unwrap();
+        let folded = wal.fold_prefix(wal.durable_lsn()).unwrap();
         assert_eq!(folded.horizon, h);
         assert_eq!(folded.entries, 1, "one live key");
         assert_eq!(folded.reclaimed + folded.image_bytes, h, "the prefix is image + dropped bytes");
@@ -1436,5 +1622,112 @@ mod tests {
         let tailed = wal.read_records_from(s, usize::MAX).unwrap();
         assert_eq!(tailed.len(), 1);
         assert_eq!(tailed[0].record, WalRecord::Checkpoint { snapshot_lsn: s });
+    }
+
+    #[test]
+    fn a_log_whose_last_block_is_open_reopens_at_that_blocks_begin() {
+        let path = temp_wal("open-block");
+        let wal = Wal::open(&path).unwrap();
+        let boundary = commit_one(&wal, 1, "a", Some("1"));
+        wal.append_batch(&[WalRecord::Begin { txid: 2 }, w(2, "b", Some("2"))]).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let (wal, rec) = Wal::recover(&path).unwrap();
+        assert_eq!(wal.tail_lsn(), boundary, "the open block is cut at its Begin");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), WAL_HEADER_LEN + boundary);
+        assert_eq!((rec.redo.len(), rec.torn_tail), (1, false));
+        // The next block continues the log, not the cut one.
+        commit_one(&wal, 1, "c", Some("3"));
+        drop(wal);
+        let keys: Vec<Vec<u8>> =
+            Wal::recover(&path).unwrap().1.redo.into_iter().map(|w| w.key).collect();
+        assert_eq!(keys, [b"a".to_vec(), b"c".to_vec()]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_headerless_or_wal3_log_reopens_with_a_fresh_id_and_the_same_records() {
+        let path = temp_wal("legacy");
+        let (header, records, image) = {
+            let wal = Wal::open(&path).unwrap();
+            let (h, _) = checkpointed_history(&wal);
+            let image = wal.read_records_from(wal.base_lsn(), usize::MAX).unwrap();
+            (wal.header(), wal.read_records_from(h, usize::MAX).unwrap(), image)
+        };
+        let bytes = std::fs::read(&path).unwrap();
+        let body = &bytes[WAL_HEADER_LEN as usize..];
+        // The previous layout: the same base, horizon and time, no id.
+        let mut wal3 = WAL3_MAGIC.to_vec();
+        for field in [header.base, header.horizon, header.at_ms] {
+            wal3.extend_from_slice(&field.to_le_bytes());
+        }
+        wal3.extend_from_slice(body);
+        std::fs::write(&path, &wal3).unwrap();
+        let wal = Wal::open(&path).unwrap();
+        let upgraded = wal.header();
+        assert_ne!(upgraded.log_id, header.log_id, "a fresh id");
+        assert_eq!(upgraded, Header { log_id: upgraded.log_id, ..header });
+        assert_eq!(wal.read_records_from(header.horizon, usize::MAX).unwrap(), records);
+        assert_eq!(wal.read_records_from(header.base, usize::MAX).unwrap()[..image.len()], image);
+        drop(wal);
+        assert_eq!(Wal::open(&path).unwrap().header(), upgraded, "the id is written down");
+
+        // A headerless log: never checkpointed, B = T = 0.
+        let plain = temp_wal("headerless");
+        let records = {
+            let wal = Wal::open(&plain).unwrap();
+            commit_one(&wal, 1, "a", Some("1"));
+            wal.read_records_from(0, usize::MAX).unwrap()
+        };
+        let bytes = std::fs::read(&plain).unwrap();
+        std::fs::write(&plain, &bytes[WAL_HEADER_LEN as usize..]).unwrap();
+        let wal = Wal::open(&plain).unwrap();
+        let h = wal.header();
+        assert_eq!((h.base, h.horizon, h.at_ms), (0, 0, 0));
+        assert_eq!(wal.read_records_from(0, usize::MAX).unwrap(), records);
+        assert_eq!(std::fs::read(&plain).unwrap()[..8], WAL_MAGIC, "the file has its header");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&plain);
+    }
+
+    #[test]
+    fn a_reset_log_is_the_other_logs_header_and_image_and_then_takes_its_records() {
+        let source = Wal::in_memory();
+        let (h, _) = checkpointed_history(&source);
+        let header = source.header();
+        let from_base = source.read_records_from(header.base, usize::MAX).unwrap();
+        let split = from_base.iter().position(|t| t.lsn == h).unwrap();
+        let (image, suffix) = from_base.split_at(split);
+
+        let path = temp_wal("reset");
+        let wal = Wal::open(&path).unwrap();
+        commit_one(&wal, 9, "stale", Some("x"));
+        // A record claiming the wrong span, or a run off the tail, is
+        // refused before a byte lands.
+        let mut shifted = suffix.to_vec();
+        shifted[0].next_lsn += 1;
+        assert!(wal.reset(header, &shifted).is_err());
+        assert!(wal.append_verbatim(suffix).is_err());
+        let before = std::fs::read(&path).unwrap();
+
+        wal.reset(header, image).unwrap();
+        assert_eq!(wal.tail_lsn(), h, "after a reset the tail is T");
+        assert_eq!((wal.header(), wal.durable_lsn()), (header, h));
+        assert_ne!(std::fs::read(&path).unwrap(), before);
+        assert_eq!(wal.append_verbatim(suffix).unwrap(), source.tail_lsn());
+        wal.sync().unwrap();
+        drop(wal);
+        let wal = Wal::open(&path).unwrap();
+        assert_eq!(wal.header(), header);
+        assert_eq!(wal.read_records_from(header.base, usize::MAX).unwrap(), from_base);
+        // The file from B on is the source's bytes.
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[WAL_HEADER_LEN as usize..], source.snapshot_bytes());
+
+        // An empty fold resets to the header alone.
+        let fresh = Wal::in_memory();
+        fresh.reset(Header::fresh(), &[]).unwrap();
+        assert_eq!((fresh.tail_lsn(), fresh.snapshot_bytes().len()), (0, 0));
+        let _ = std::fs::remove_file(&path);
     }
 }

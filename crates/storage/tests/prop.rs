@@ -193,7 +193,7 @@ proptest! {
                 }
                 wal.sync().unwrap();
             }
-            let done = folded.fold_prefix().unwrap();
+            let done = folded.fold_prefix(folded.durable_lsn()).unwrap();
             prop_assert_eq!(done.horizon, folded.tail_lsn());
             prop_assert!(folded.base_lsn() >= base);
             prop_assert_eq!(done.reclaimed, folded.base_lsn() - base);

@@ -25,9 +25,10 @@
 //!
 //! Logging, installing and applying are one private step each
 //! ([`StoreInner::log`], [`StoreInner::install`], [`StoreInner::apply`]):
-//! the leader and its committers, a replicated apply and startup
-//! recovery all reach the WAL, the version map and the hooks through
-//! them (DESIGN.md "A transaction's road").
+//! the leader and its committers reach the WAL, the version map and the
+//! hooks through them, and a replicated block and a load (recovery, a
+//! replica's reset), which come from a log already, through the last two
+//! (DESIGN.md "A transaction's road").
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -85,7 +86,8 @@ impl CommittedWrite {
 
 /// One validated transaction on its way into the store: the log step
 /// frames its writes under `txid`, the install step pushes them at the
-/// next commit timestamp.
+/// next commit timestamp. What comes from a log already is never framed
+/// again, and carries txid 0.
 struct Commit<'a> {
     txid: u64,
     writes: &'a [CommittedWrite],
@@ -186,9 +188,9 @@ struct StoreInner {
     /// Signalled whenever `applied` advances.
     turn: Condvar,
     /// Serializes batch sequencing with [`MvccStore::apply_replicated`]
-    /// and guards the validate, log and install critical section. Only
-    /// the group-commit leader takes it, once per batch; nobody holds it
-    /// while hooks run.
+    /// and [`MvccStore::load`], and guards the validate, log and install
+    /// critical section. Only the group-commit leader takes it, once per
+    /// batch; nobody holds it while hooks run.
     commit_mutex: Mutex<()>,
     /// The group-commit sequencer queue (see [`GroupQueue`]).
     group: Mutex<GroupQueue>,
@@ -203,10 +205,14 @@ struct StoreInner {
     /// fsync): the store degrades to read-only. See [`StoreInner::latch_degraded`].
     degraded: AtomicBool,
     degraded_reason: RwLock<Option<String>>,
-    /// WAL position just past the most recently durable commit record —
-    /// the replication watermark. Published after every commit (and bumped
-    /// to the recovered tail at startup) so sessions can take
-    /// read-your-writes tokens and `ADMIN STATS` can report it.
+    /// The log position just past the last commit in the store: on a
+    /// primary the read-your-writes token a session takes after its
+    /// commit, on a replica how far it has applied — a position in its
+    /// primary's log. Stored on every road: by the leader once its batch
+    /// is installed (a committer reads it after its own apply step), and
+    /// by a replicated block and a load once they are applied, so a
+    /// replica's model stores hold everything below it. It follows log
+    /// order; a load replaces it.
     last_commit_lsn: AtomicU64,
 }
 
@@ -351,8 +357,7 @@ impl StoreInner {
         self.group_txns.fetch_add(batch.len() as u64, Ordering::SeqCst);
         self.max_group_size.fetch_max(batch.len() as u64, Ordering::SeqCst);
 
-        // Serializes with `apply_replicated` (and keeps WAL Begin..Commit
-        // blocks contiguous across the two paths).
+        // Serializes with `apply_replicated` and `load`.
         let _commit_guard = self.commit_mutex.lock();
         if self.degraded.load(Ordering::SeqCst) {
             self.aborts.fetch_add(batch.len() as u64, Ordering::SeqCst);
@@ -424,11 +429,11 @@ impl StoreInner {
 
         self.commits.fetch_add(winners.len() as u64, Ordering::SeqCst);
         self.fsyncs_saved.fetch_add(winners.len() as u64 - 1, Ordering::SeqCst);
-        if let Some(lsn) = commit_lsn {
-            self.last_commit_lsn.fetch_max(lsn, Ordering::SeqCst);
-        }
         // Contiguous commit timestamps in batch order.
         let first_ts = self.install(&commits);
+        if let Some(lsn) = commit_lsn {
+            self.last_commit_lsn.store(lsn, Ordering::SeqCst);
+        }
         for (&i, commit_ts) in winners.iter().zip(first_ts..) {
             results[i] = Some(Ok(commit_ts));
         }
@@ -723,110 +728,105 @@ impl MvccStore {
         self.inner.snapshot_ts.load(Ordering::SeqCst)
     }
 
-    /// WAL position just past the most recently durable commit record —
-    /// the replication watermark (0 before any commit). A session that
-    /// reads this right after its own commit holds a read-your-writes
-    /// token: any replica that has applied up to this LSN has the
-    /// session's writes.
+    /// The log position just past the last installed commit (0 before
+    /// any). On a primary, a session that reads this right after its own
+    /// commit holds a read-your-writes token: any replica that has applied
+    /// up to this LSN has the session's writes. On a replica it is how far
+    /// the replica has applied, in its primary's log.
     pub fn last_commit_lsn(&self) -> Lsn {
         self.inner.last_commit_lsn.load(Ordering::SeqCst)
     }
 
-    /// Raise the replication watermark to at least `lsn`. Called at
-    /// startup (recovery leaves the watermark at the recovered log tail)
-    /// and by the replica apply loop as it advances through the primary's
-    /// log.
-    pub fn note_commit_lsn(&self, lsn: Lsn) {
-        self.inner.last_commit_lsn.fetch_max(lsn, Ordering::SeqCst);
-    }
-
-    /// Install one replicated transaction's writes, as they arrive off
-    /// the primary's log stream. Bypasses conflict validation (the primary
-    /// already serialized the log) and the read-only latch, takes a fresh
-    /// local txid, and then travels the same road as a local commit: one
-    /// log step (this store's own WAL, when it has one, gets the block
-    /// whole or not at all), one install step, one apply step.
-    pub fn apply_replicated(&self, writes: &[CommittedWrite]) -> Result<u64> {
-        if writes.is_empty() {
-            return Ok(self.now());
-        }
+    /// Install and apply one transaction a replica has already appended
+    /// to its own log, verbatim at its primary's positions: `end_lsn` is
+    /// the position just past the records it landed with, and becomes the
+    /// watermark once the block is applied. Bypasses conflict validation (the primary already
+    /// serialized the log) and the read-only latch. No log step and no
+    /// txid: the log holds the block already. An empty write set (a run
+    /// that carried only a checkpoint marker) moves the watermark alone.
+    /// Returns the commit timestamp (the current one for an empty set).
+    pub fn apply_replicated(&self, writes: &[CommittedWrite], end_lsn: Lsn) -> u64 {
         let inner = &self.inner;
+        if writes.is_empty() {
+            inner.last_commit_lsn.store(end_lsn, Ordering::SeqCst);
+            return self.now();
+        }
         let commit_ts = {
             let _guard = inner.commit_mutex.lock();
-            let commit =
-                Commit { txid: inner.next_txid.fetch_add(1, Ordering::SeqCst), writes };
-            inner.log(std::slice::from_ref(&commit))?;
             inner.commits.fetch_add(1, Ordering::SeqCst);
-            inner.install(std::slice::from_ref(&commit))
+            inner.install(&[Commit { txid: 0, writes }])
         };
         inner.apply(commit_ts, writes);
-        Ok(commit_ts)
+        inner.last_commit_lsn.store(end_lsn, Ordering::SeqCst);
+        commit_ts
     }
 
-    /// Install a checkpoint image as a full state *replace* — the
-    /// stale-replica twin of [`MvccStore::apply_replicated`]. `writes`
-    /// is the primary's image block: its complete live state at the
-    /// checkpoint horizon (a fold carries no tombstones), so any key live
-    /// in this store but absent from the image was deleted on the primary
-    /// inside the folded history: a tombstone is synthesized for it and
-    /// the combined set applies as one replicated transaction. Running
-    /// the deletes through the ordinary apply path means commit hooks
-    /// evict the keys from the model stores and this store's own WAL
-    /// records the deletes, so a replica restart replays them too. A fresh (empty) store diffs to
-    /// nothing and behaves exactly like `apply_replicated`.
-    pub fn apply_snapshot_replace(&self, writes: &[CommittedWrite]) -> Result<u64> {
-        let mut doomed: Vec<CommittedWrite> = Vec::new();
-        {
-            let incoming: std::collections::HashSet<(&str, &[u8])> =
-                writes.iter().map(|w| (w.domain.as_str(), w.key.as_slice())).collect();
-            let versions = self.inner.versions.read();
-            for ((domain, key), chain) in versions.iter() {
-                let live = chain.last().is_some_and(|v| v.value.is_some());
-                if live && !incoming.contains(&(domain.as_str(), key.as_slice())) {
-                    doomed.push(CommittedWrite {
+    /// Replace this store's state with `state`, a whole folded state —
+    /// what recovery decodes from the log's fold, or the image block a
+    /// replica resets onto — as one install and one apply, so readers see
+    /// the old state until the new one lands whole. Live keys `state`
+    /// lacks get tombstones after `state`'s writes, in reverse load-class
+    /// order (index definitions first, edges before their vertices,
+    /// container definitions last); an empty store (a reopen) has none,
+    /// and the diff is skipped. `lsn`, the log position `state` stands
+    /// for, becomes the watermark once it is applied. Nothing is logged: `state` came from a
+    /// log. Returns the number of keys in `state`.
+    ///
+    /// Cascades the model stores ran on the history are not re-run: a raw
+    /// `ddl/table` delete leaves the table's rows live, and an edge whose
+    /// vertex a raw transaction deleted reaches the hook without it (it
+    /// fails `add_edge` and latches the store read-only). Sessions can
+    /// drop neither a table nor a vertex, so only raw
+    /// [`MvccStore::begin`] writes reach either case.
+    pub fn load(&self, state: Vec<CommittedWrite>, lsn: Lsn) -> usize {
+        let inner = &self.inner;
+        let live = state.len();
+        let (commit_ts, writes) = {
+            let _guard = inner.commit_mutex.lock();
+            let mut writes = state;
+            let versions = inner.versions.read();
+            if !versions.is_empty() {
+                let incoming: std::collections::HashSet<(&str, &[u8])> =
+                    writes.iter().map(|w| (w.domain.as_str(), w.key.as_slice())).collect();
+                let mut doomed: Vec<CommittedWrite> = versions
+                    .iter()
+                    .filter(|((domain, key), chain)| {
+                        chain.last().is_some_and(|v| v.value.is_some())
+                            && !incoming.contains(&(domain.as_str(), key.as_slice()))
+                    })
+                    .map(|((domain, key), _)| CommittedWrite {
                         domain: domain.clone(),
                         key: key.clone(),
                         value: None,
-                    });
-                }
+                    })
+                    .collect();
+                drop(incoming);
+                doomed.sort_by(|a, b| {
+                    (std::cmp::Reverse(load_class(&a.domain)), &a.domain, &a.key)
+                        .cmp(&(std::cmp::Reverse(load_class(&b.domain)), &b.domain, &b.key))
+                });
+                writes.extend(doomed);
             }
-        }
-        // Deletes first, in reverse load order (index definitions, edges
-        // before their vertices, container definitions last), then the
-        // image's upserts.
-        doomed.sort_by(|a, b| {
-            (std::cmp::Reverse(load_class(&a.domain)), &a.domain, &a.key)
-                .cmp(&(std::cmp::Reverse(load_class(&b.domain)), &b.domain, &b.key))
-        });
-        let mut combined = doomed;
-        combined.extend(writes.iter().cloned());
-        self.apply_replicated(&combined)
+            drop(versions);
+            inner.versions.write().reserve(writes.len());
+            (inner.install(&[Commit { txid: 0, writes: &writes }]), writes)
+        };
+        inner.apply(commit_ts, &writes);
+        inner.last_commit_lsn.store(lsn, Ordering::SeqCst);
+        live
     }
 
-    /// Apply WAL recovery output at startup, into a store that is still
-    /// empty: the redo set — every committed block of the log, a
-    /// checkpoint's image block first — goes through [`wal::fold`], the
-    /// fold a checkpoint writes its image with, before anything is
-    /// decoded. The survivors are decoded, installed and applied as one
-    /// commit, so each commit hook sees every live key once, in
-    /// load-class order. Cascades the model stores ran on the history are
-    /// not re-run: a raw `ddl/table` delete leaves the table's rows live,
-    /// and an edge whose vertex a raw transaction deleted reaches the hook
-    /// without it (it fails `add_edge` and latches the store read-only).
-    /// Sessions can drop neither a table nor a vertex, so only raw
-    /// [`MvccStore::begin`] writes reach either case. Nothing is logged —
-    /// it came from the log. Returns the number of distinct live keys
-    /// installed.
-    pub fn recover(&self, recovery: &wal::Recovery) -> Result<usize> {
+    /// Apply WAL recovery output at startup: the redo set — every
+    /// committed block of the log, a checkpoint's image block first —
+    /// goes through [`wal::fold`], the fold a checkpoint writes its image
+    /// with, before anything is decoded; the survivors are decoded and
+    /// [`MvccStore::load`]ed at `tail`, the recovered log's tail. So each
+    /// commit hook sees every live key once, in load-class order. Returns
+    /// the number of distinct live keys installed.
+    pub fn recover(&self, recovery: &wal::Recovery, tail: Lsn) -> Result<usize> {
         let folded = wal::fold(&recovery.redo);
         let writes = folded.into_iter().map(CommittedWrite::decode).collect::<Result<Vec<_>>>()?;
-        let commit_ts = {
-            let _guard = self.inner.commit_mutex.lock();
-            self.inner.versions.write().reserve(writes.len());
-            self.inner.install(&[Commit { txid: 0, writes: &writes }])
-        };
-        self.inner.apply(commit_ts, &writes);
-        Ok(writes.len())
+        Ok(self.load(writes, tail))
     }
 }
 
@@ -1370,7 +1370,7 @@ mod tests {
             let seen = ws.iter().map(|w| (w.domain.clone(), w.key.clone(), w.value.is_some()));
             r2.lock().extend(seen);
         });
-        let n = s2.recover(&recovery).unwrap();
+        let n = s2.recover(&recovery, wal.tail_lsn()).unwrap();
         assert_eq!(n, 2, "two distinct live keys");
         assert_eq!(
             *replayed.lock(),
@@ -1412,7 +1412,7 @@ mod tests {
             let seen = ws.iter().map(|w| (w.domain.clone(), w.key.clone(), w.value.is_some()));
             r2.lock().extend(seen);
         });
-        assert_eq!(s2.recover(&recovery).unwrap(), 1, "one live key");
+        assert_eq!(s2.recover(&recovery, wal.tail_lsn()).unwrap(), 1, "one live key");
         assert_eq!(
             *replayed.lock(),
             vec![("kv/cart".to_string(), b"c1".to_vec(), true)],
@@ -1445,19 +1445,18 @@ mod tests {
         t.put("kv/cart", b"2", Value::str("c")).unwrap();
         t.commit().unwrap();
         assert!(s.last_commit_lsn() > first, "watermark advances monotonically");
+        assert_eq!(s.last_commit_lsn(), wal.tail_lsn());
+    }
 
-        // note_commit_lsn only ever raises it.
-        let high = s.last_commit_lsn();
-        s.note_commit_lsn(3);
-        assert_eq!(s.last_commit_lsn(), high);
-        s.note_commit_lsn(high + 100);
-        assert_eq!(s.last_commit_lsn(), high + 100);
+    fn cw(domain: &str, key: &str, value: Option<i64>) -> CommittedWrite {
+        CommittedWrite { domain: domain.into(), key: key.as_bytes().to_vec(), value: value.map(Value::int) }
     }
 
     #[test]
     fn apply_replicated_matches_a_direct_commit() {
-        // Writes applied off a replication stream must land exactly like
-        // a local commit: visible, counted, hook-visible, re-logged.
+        // A block a replica has landed in its own log installs and applies
+        // like a local commit — visible, counted, hook-visible — and logs
+        // nothing: the log holds the primary's bytes already.
         let wal = Arc::new(Wal::in_memory());
         let s = MvccStore::new(Some(Arc::clone(&wal)));
         let hooked = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
@@ -1465,26 +1464,64 @@ mod tests {
         s.add_commit_hook(move |ws| {
             h.fetch_add(ws.len(), Ordering::SeqCst);
         });
-        let writes = vec![
-            CommittedWrite { domain: "doc/orders".into(), key: b"o1".to_vec(), value: Some(Value::int(7)) },
-            CommittedWrite { domain: "kv/cart".into(), key: b"c1".to_vec(), value: None },
-        ];
-        s.apply_replicated(&writes).unwrap();
+        let writes = vec![cw("doc/orders", "o1", Some(7)), cw("kv/cart", "c1", None)];
+        let ts = s.apply_replicated(&writes, 4242);
+        assert_eq!(ts, s.now());
         assert_eq!(s.get_latest("doc/orders", b"o1"), Some(Value::int(7)));
         assert_eq!(s.get_latest("kv/cart", b"c1"), None, "deletes replicate too");
         assert_eq!(hooked.load(Ordering::SeqCst), 2);
-        assert_eq!(s.stats().0, 1);
-        // The replica re-logged the transaction: a store recovered from the
-        // replica's own WAL sees the same state.
-        let rec = wal::recover_from_bytes(&wal.snapshot_bytes());
-        let s2 = MvccStore::new(None);
-        // The delete of a never-live key folds away: one key installed.
-        assert_eq!(s2.recover(&rec).unwrap(), 1);
-        assert_eq!(s2.get_latest("doc/orders", b"o1"), Some(Value::int(7)));
-        // Empty batches are a cheap no-op.
-        let before = wal.tail_lsn();
-        s.apply_replicated(&[]).unwrap();
-        assert_eq!(wal.tail_lsn(), before);
+        assert_eq!((s.stats().0, s.last_commit_lsn()), (1, 4242));
+        assert!(wal.snapshot_bytes().is_empty(), "a replicated apply logs nothing");
+        // A run that carried only a marker moves the watermark alone.
+        assert_eq!(s.apply_replicated(&[], 5000), ts);
+        assert_eq!((s.now(), s.stats().0, s.last_commit_lsn()), (ts, 1, 5000));
+    }
+
+    #[test]
+    fn a_load_replaces_the_state_whole_and_tombstones_what_it_lacks() {
+        let s = store();
+        let mut t = s.begin(IsolationLevel::Snapshot);
+        for w in [
+            cw("ddl/collection", "gone", Some(0)),
+            cw("ddl/bucket", "cart", Some(0)),
+            cw("kv/cart", "a", Some(1)),
+            cw("kv/cart", "ghost", Some(1)),
+            cw("graph/g/e/knows", "e1", Some(1)),
+            cw("ddl/index", "gin/gone", Some(0)),
+        ] {
+            t.put(&w.domain, &w.key, w.value.unwrap()).unwrap();
+        }
+        t.delete("kv/cart", b"deleted").unwrap();
+        t.commit().unwrap();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let hook = Arc::clone(&seen);
+        s.add_commit_hook(move |ws| {
+            let got = ws.iter().map(|w| (w.domain.clone(), w.value.is_some()));
+            hook.lock().extend(got);
+        });
+        let reader = s.begin(IsolationLevel::Snapshot);
+
+        let state = vec![cw("ddl/bucket", "cart", Some(0)), cw("kv/cart", "a", Some(2))];
+        assert_eq!(s.load(state, 77), 2);
+        let one = |domain: &str, live: bool| (domain.to_string(), live);
+        assert_eq!(
+            *seen.lock(),
+            [
+                one("ddl/bucket", true),
+                one("kv/cart", true),
+                one("ddl/index", false),
+                one("graph/g/e/knows", false),
+                one("kv/cart", false),
+                one("ddl/collection", false),
+            ],
+            "one apply: the state, then its tombstones in reverse load order"
+        );
+        assert_eq!(s.get_latest("kv/cart", b"a"), Some(Value::int(2)));
+        assert_eq!(s.get_latest("kv/cart", b"ghost"), None);
+        assert_eq!(s.get_latest("ddl/collection", b"gone"), None);
+        assert_eq!(s.last_commit_lsn(), 77);
+        assert_eq!(s.stats().0, 1, "a load is not a commit");
+        assert_eq!(reader.get("kv/cart", b"ghost").unwrap(), Some(Value::int(1)), "snapshots hold");
     }
 
     /// A failed log step allocates no commit timestamp, and neither does
@@ -1561,7 +1598,7 @@ mod tests {
         // All 64 transactions are durable and recoverable.
         let rec = wal::recover_from_bytes(&wal.snapshot_bytes());
         let s2 = MvccStore::new(None);
-        assert_eq!(s2.recover(&rec).unwrap(), 64);
+        assert_eq!(s2.recover(&rec, wal.tail_lsn()).unwrap(), 64);
         assert_eq!(s2.get_latest("kv/cart", b"t7-7"), Some(Value::int(7)));
     }
 
@@ -1660,7 +1697,7 @@ mod tests {
         // The loser's block never reached the log.
         let rec = wal::recover_from_bytes(&wal.snapshot_bytes());
         let s2 = MvccStore::new(None);
-        s2.recover(&rec).unwrap();
+        s2.recover(&rec, wal.tail_lsn()).unwrap();
         assert_eq!(s2.get_latest("d", b"k"), Some(Value::int(2)));
     }
 

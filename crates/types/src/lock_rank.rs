@@ -62,7 +62,7 @@ pub const CHECKPOINT_SERIAL: Rank = Rank::new(30, "core.checkpoint.serial").held
 pub const TXN_HOOKS: Rank = Rank::new(35, "txn.hooks");
 
 /// Held by the group-commit leader for a whole batch, by
-/// `apply_replicated` and by `recover` — nothing outside `mvcc.rs` takes
+/// `apply_replicated` and by `load` — nothing outside `mvcc.rs` takes
 /// it: validate under `versions`, append and sync the WAL, latch
 /// `degraded_reason` on a post-append failure, install into `versions`. The sequencer's queue
 /// (`group`) and the committers' `result` slots are leaves released

@@ -71,13 +71,17 @@ echo "==> ordered apply and checkpoint races, optimized build, and mmdb-txn's fa
 # enough to show a hook run out of commit order, a commit returning
 # before its hooks, or an append landing in the old log file after a
 # checkpoint's rename (four writers and a tailing replica beside a
-# checkpoint loop). The mvcc unit tests run again with failpoints
+# checkpoint loop, after which the replica's log must be its primary's
+# byte for byte), and a file-backed replica restarts and resumes from its
+# own log while the primary commits. The mvcc unit tests run again with failpoints
 # compiled in, on one thread because failpoints are process-global: a
 # failed or crashed log step must allocate no commit timestamp.
 cargo test -q --release --features failpoints --test group_commit \
   concurrent_writers_read_their_own_commits_from_every_model_view
 cargo test -q --release --features failpoints --test checkpoint \
   checkpoints_in_a_loop_beside_four_writers_and_a_replica_lose_nothing
+cargo test -q --release --features failpoints --test replication \
+  a_file_backed_replica_of_a_checkpointed_primary_resumes_after_a_restart
 cargo test -q -p mmdb-txn --features failpoints --lib -- --test-threads=1
 
 echo "==> the read path's allocation budget and mmdb-types, optimized build"

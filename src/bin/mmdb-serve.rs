@@ -10,10 +10,11 @@
 //!   --addr HOST:PORT       listen address (default 127.0.0.1:7687; port 0 = ephemeral)
 //!   --data-dir PATH        durable database directory (default: in-memory)
 //!   --replica-of HOST:PORT serve as a read replica of the primary at that
-//!                          address: the database is in-memory, latched
-//!                          read-only, and fed from the primary's WAL
-//!                          stream (mutually exclusive with --data-dir
-//!                          and --demo)
+//!                          address: the database is latched read-only
+//!                          and its log is a copy of the primary's, kept
+//!                          in --data-dir (and resumed from there after a
+//!                          restart) or in memory (mutually exclusive
+//!                          with --demo and --checkpoint-wal-bytes)
 //!   --workers N            executor-pool threads (default 4)
 //!   --max-connections N    connection cap before busy-rejection (default 64)
 //!   --pipeline-depth N     per-connection cap on in-flight pipelined
@@ -91,8 +92,8 @@ fn main() {
         i += 1;
     }
 
-    if replica_of.is_some() && data_dir.is_some() {
-        usage("--replica-of and --data-dir are mutually exclusive (replicas resync from the primary's WAL, not from disk)");
+    if replica_of.is_some() && config.checkpoint_wal_bytes.is_some() {
+        usage("--replica-of and --checkpoint-wal-bytes are mutually exclusive (a replica folds its log at its primary's checkpoints)");
     }
     if replica_of.is_some() && demo {
         usage("--replica-of and --demo are mutually exclusive (a replica is read-only)");
@@ -106,11 +107,7 @@ fn main() {
                 std::process::exit(1);
             }
         },
-        // A primary keeps a WAL even in memory so replicas and SUBSCRIBE
-        // can stream it; a replica is plain in-memory (it re-logs into
-        // nothing and resyncs from LSN 0 on restart).
-        None if replica_of.is_none() => Database::in_memory_logged(),
-        None => Database::in_memory(),
+        None => Database::in_memory_logged(),
     };
     let db = Arc::new(db);
     if demo {

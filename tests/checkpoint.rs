@@ -10,15 +10,16 @@
 //! to an oracle that never checkpointed at all, and by checkpointing in
 //! a loop beside four writers and a replica. It also proves the
 //! operational claims: the WAL file measurably shrinks under a
-//! multi-writer workload, a replica whose resume LSN predates the
-//! checkpoint horizon bootstraps by tailing the log from its base and
-//! converges byte-for-byte, a failed fsync stays failed, and the
+//! multi-writer workload, a replica whose log cannot continue the
+//! primary's is reset onto it from its base and converges byte-for-byte
+//! (a replica that folds at its primary's markers holds the primary's
+//! log bytes), a failed fsync stays failed, and the
 //! growth-triggered server loop checkpoints without being asked — and
 //! only when the log grew.
 
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -305,7 +306,7 @@ fn replica_below_the_horizon_bootstraps_from_a_snapshot_and_converges() {
     assert!(summary.snapshot_lsn > 0);
     assert_eq!(db.wal().unwrap().truncated_lsn(), summary.snapshot_lsn);
 
-    let replica_db = Arc::new(Database::in_memory());
+    let replica_db = Arc::new(Database::in_memory_logged());
     let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr, replica_opts()).unwrap();
     wait_caught_up(&runner, &db, "bootstrap from the base");
     assert_eq!(probes(&replica_db), probes(&db), "bootstrapped replica diverged");
@@ -336,12 +337,12 @@ fn a_stale_nonempty_replica_converges_through_a_snapshot_bootstrap() {
     assert!(summary.snapshot_lsn > 0);
 
     // The replica is NOT empty: it holds state the primary never had —
-    // ghost kv keys, a ghost order, a ghost person and edge. The image
-    // block applies as a full state *replace*, so all of it must vanish;
-    // merely applying the image as writes would leave ghosts behind and
-    // the replica would diverge forever (it resumes below the horizon,
-    // there is no history left to correct it).
-    let replica_db = Arc::new(Database::in_memory());
+    // ghost kv keys, a ghost order, a ghost person and edge. Its log is
+    // not the primary's, so it is reset onto it, and the image replaces
+    // its state: all of it must vanish. Merely applying the image as
+    // writes would leave ghosts behind and the replica would diverge
+    // forever (there is no history left to correct it).
+    let replica_db = Arc::new(Database::in_memory_logged());
     replica_db.create_bucket("cart").unwrap();
     replica_db.create_collection("orders").unwrap();
     replica_db.create_graph("social").unwrap();
@@ -502,9 +503,10 @@ fn cart(db: &Database) -> String {
 fn checkpoints_in_a_loop_beside_four_writers_and_a_replica_lose_nothing() {
     let _serial = lock();
     let dir = fresh_dir("race");
+    let replica_dir = fresh_dir("race-replica");
     let db = Arc::new(Database::open(&dir).unwrap());
     let server = Server::start(Arc::clone(&db), server_config()).unwrap();
-    let replica_db = Arc::new(Database::in_memory());
+    let replica_db = Arc::new(Database::open(&replica_dir).unwrap());
     let addr = server.local_addr().to_string();
     let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr, replica_opts()).unwrap();
     db.create_bucket("cart").unwrap();
@@ -551,9 +553,21 @@ fn checkpoints_in_a_loop_beside_four_writers_and_a_replica_lose_nothing() {
     }
     writing.store(false, Ordering::SeqCst);
     assert!(checkpointer.join().unwrap() > 0, "the checkpointer never ran");
+    // One more, so that both logs end with its marker and both fold at it.
+    db.checkpoint().unwrap();
 
     wait_caught_up(&runner, &db, "the replica catching up");
     assert_eq!(cart(&replica_db), cart(&db), "the replica diverged from its primary");
+    // The replica's log is its primary's: one id, base and horizon, and
+    // the same bytes from the base to the tail.
+    let (primary_wal, replica_wal) = (db.wal().unwrap(), replica_db.wal().unwrap());
+    let (theirs, mine) = (primary_wal.header(), replica_wal.header());
+    assert_eq!((mine.log_id, mine.base, mine.horizon), (theirs.log_id, theirs.base, theirs.horizon));
+    assert_eq!(
+        records_from_base(&replica_dir, replica_wal),
+        records_from_base(&dir, primary_wal),
+        "the replica's log is not its primary's, byte for byte"
+    );
     runner.stop();
     server.shutdown().unwrap();
     let live = cart(&db);
@@ -565,6 +579,14 @@ fn checkpoints_in_a_loop_beside_four_writers_and_a_replica_lose_nothing() {
         assert_eq!(&db.kv().get("cart", key).unwrap(), value, "{key}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&replica_dir);
+}
+
+/// The bytes `dir`'s log holds from its base `B` to its tail.
+fn records_from_base(dir: &Path, wal: &Wal) -> Vec<u8> {
+    let bytes = std::fs::read(dir.join("mmdb.wal")).unwrap();
+    let held = (wal.tail_lsn() - wal.base_lsn()) as usize;
+    bytes[bytes.len() - held..].to_vec()
 }
 
 #[test]
@@ -577,7 +599,7 @@ fn a_replica_whose_cursor_lands_inside_the_image_rebootstraps_from_the_base() {
     let config = ServerConfig { poll_interval: Duration::from_millis(200), ..server_config() };
     let server = Server::start(Arc::clone(&db), config).unwrap();
     seed(&db);
-    let replica_db = Arc::new(Database::in_memory());
+    let replica_db = Arc::new(Database::in_memory_logged());
     let addr = server.local_addr().to_string();
     let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr, replica_opts()).unwrap();
 
@@ -585,8 +607,8 @@ fn a_replica_whose_cursor_lands_inside_the_image_rebootstraps_from_the_base() {
     // folds everything below T1 and appends its marker; the second
     // refolds that image with the marker, so its base moves up by one
     // marker and T1 falls inside the new image. The stream's next read
-    // from T1 is `log_truncated`; the replica reconnects from T1, which
-    // is below the horizon, and starts over from the base.
+    // from T1 is `log_truncated`; the replica says hello from T1, which
+    // is below the horizon, and is reset from the base.
     for attempt in 0.. {
         assert!(attempt < 20, "the stream never read from inside an image");
         wait_caught_up(&runner, &db, "the replica catching up");
@@ -627,7 +649,7 @@ fn a_failed_sync_stays_failed_until_the_log_is_reopened() {
         // a later fsync that succeeds would acknowledge them anyway.
         let err = wal.sync().unwrap_err();
         assert!(err.to_string().contains("an earlier sync failed"), "{err}");
-        assert!(wal.fold_prefix().is_err(), "a failed log is not rewritten");
+        assert!(wal.fold_prefix(wal.durable_lsn()).is_err(), "a failed log is not rewritten");
     }
     let wal = Wal::open(&path).unwrap();
     wal.sync().unwrap();

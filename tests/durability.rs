@@ -273,7 +273,7 @@ fn folded_replay_matches_live_and_snapshot_state() {
             .unwrap()
             .extend(ws.iter().map(|w| (w.domain.clone(), w.key.clone(), w.value.is_some())));
     });
-    let installed = store.recover(&recovery).unwrap();
+    let installed = store.recover(&recovery, 0).unwrap();
     let seen = seen.lock().unwrap();
     assert!(seen.iter().all(|(_, _, live)| *live), "a tombstone reached the hook");
     let distinct: HashSet<_> = seen.iter().map(|(d, k, _)| (d, k)).collect();
@@ -474,7 +474,7 @@ fn every_definition_survives_reopen_checkpoint_and_replication() {
         let db = Arc::new(Database::open(&dir).unwrap());
         let config = ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() };
         let server = Server::start(Arc::clone(&db), config).unwrap();
-        let replica = Arc::new(Database::in_memory());
+        let replica = Arc::new(Database::in_memory_logged());
         let runner = ReplicaRunner::start(
             Arc::clone(&replica),
             server.local_addr().to_string(),

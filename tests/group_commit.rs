@@ -466,7 +466,7 @@ fn replicas_converge_byte_for_byte_over_a_group_committed_stream() {
     .unwrap();
     let addr = server.local_addr().to_string();
 
-    let replica_db = Arc::new(Database::in_memory());
+    let replica_db = Arc::new(Database::in_memory_logged());
     let opts = ReplicaOptions {
         reconnect_delay: Duration::from_millis(25),
         client: ClientConfig {
@@ -860,7 +860,7 @@ proptest! {
         let recovery = recover_from_bytes(&wal.snapshot_bytes());
         prop_assert!(!recovery.torn_tail, "a clean run must not leave a torn tail");
         let replayed = MvccStore::new(None);
-        replayed.recover(&recovery).unwrap();
+        replayed.recover(&recovery, wal.tail_lsn()).unwrap();
         for key in 0u8..3 {
             prop_assert_eq!(
                 replayed.get_latest("kv/prop", &[b'k', key]),

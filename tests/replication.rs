@@ -12,17 +12,21 @@
 //!      its cross-model probes are byte-identical to the reopened
 //!      primary — the recovery oracle;
 //!   2. a replica whose apply path fails drops the stream and resumes
-//!      from its last applied transaction boundary, replaying the
-//!      failed block idempotently;
+//!      from its own log's tail, which the failure left where it was;
 //!   3. `Pool` reads under `read_your_writes` never observe a state
 //!      older than the session's own last commit LSN, even while the
 //!      replica is artificially lagged;
 //!   4. `SUBSCRIBE` delivers exactly the committed writes (aborted
 //!      transactions invisible) and resumes from a supplied LSN;
-//!   5. a replicated apply whose log append fails leaves the replica's
-//!      own WAL and version store untouched, and its retry converges;
+//!   5. a replicated run whose log append fails leaves the replica's
+//!      own WAL and version store untouched, and its retry lands the
+//!      primary's bytes once;
 //!   6. the failpoint sites a replicated apply evaluates are exactly
-//!      `repl::FAILPOINT_SITES`.
+//!      `repl::FAILPOINT_SITES`;
+//!   7. a file-backed replica resumes from its own log after a restart,
+//!      and a stale one — of a checkpointed primary, or of one whose fold
+//!      is empty — is reset onto the primary's log, also after a crash
+//!      in the middle of the reset.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -227,7 +231,7 @@ fn every_wal_site_crash_converges_replicas_to_the_recovery_oracle() {
         let addr = server.local_addr().to_string();
 
         // A live replica tails the stream while the primary seeds.
-        let replica_db = Arc::new(Database::in_memory());
+        let replica_db = Arc::new(Database::in_memory_logged());
         let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr.clone(), fast_opts()).unwrap();
         seed(&db);
         wait_caught_up(&runner, db.wal().unwrap().tail_lsn(), "initial catch-up");
@@ -257,8 +261,8 @@ fn every_wal_site_crash_converges_replicas_to_the_recovery_oracle() {
         // Reopen the primary from disk — the recovery oracle — restart
         // serving, and stream the replica up to date again. (The old
         // sockets linger in TIME_WAIT, so the revived primary gets a
-        // fresh port and the replica a fresh stream; `apply_replicated`
-        // replays the log idempotently over the replica's state.)
+        // fresh port and the replica a fresh stream, which resumes at the
+        // replica's own tail: its log is the primary's.)
         let db = Arc::new(Database::open(&dir).unwrap());
         let oracle = probes(&db);
         assert_eq!(
@@ -268,10 +272,7 @@ fn every_wal_site_crash_converges_replicas_to_the_recovery_oracle() {
         let server = Server::start(Arc::clone(&db), server_config()).unwrap();
         let addr = server.local_addr().to_string();
         let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr, fast_opts()).unwrap();
-        // A crash can leave a dangling Begin at the log tail (a valid
-        // frame whose Commit never made it); the stream only passes it
-        // once the next committed block proves it dead. Committing fresh
-        // work is what drags the watermark over it — the probes are
+        // Fresh work after the crash must stream too — the probes are
         // blind to this marker key.
         db.kv_put("cart", "post-recovery", Value::str(site)).unwrap();
         wait_caught_up(&runner, db.wal().unwrap().tail_lsn(), "post-recovery catch-up");
@@ -302,14 +303,14 @@ fn replica_resumes_by_lsn_after_an_apply_failure() {
     let server = Server::start(Arc::clone(&db), server_config()).unwrap();
     let addr = server.local_addr().to_string();
 
-    let replica_db = Arc::new(Database::in_memory());
+    let replica_db = Arc::new(Database::in_memory_logged());
     let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr, fast_opts()).unwrap();
     wait_caught_up(&runner, db.wal().unwrap().tail_lsn(), "initial catch-up");
     let resume_floor = runner.status().applied_lsn();
     let connects_before = runner.status().connects();
 
-    // Poison the apply path: the stream drops mid-block and the runner
-    // reconnects, resuming from the last applied transaction boundary.
+    // Poison the apply path: the stream drops before the run lands and
+    // the runner reconnects, resuming from its log's tail.
     fault::set("repl.apply", "error").unwrap();
     db.kv_put("cart", "x", Value::int(1)).unwrap();
     wait_until("reconnect after apply failure", || {
@@ -320,15 +321,12 @@ fn replica_resumes_by_lsn_after_an_apply_failure() {
         runner.status().applied_lsn() >= resume_floor,
         "resume point regressed below an applied boundary"
     );
-    // Containers materialize on the replica with their first replicated
-    // write, so the failed apply leaves not just the key but the whole
-    // bucket absent.
     assert!(
         !matches!(replica_db.kv().get("cart", "x"), Ok(Some(_))),
         "a failed apply must not leak the transaction"
     );
 
-    // Heal the apply path: the replayed block applies idempotently.
+    // Heal the apply path: the block streams again and applies once.
     fault::clear_all();
     wait_caught_up(&runner, db.wal().unwrap().tail_lsn(), "post-failure catch-up");
     assert_eq!(replica_db.kv().get("cart", "x").unwrap(), Some(Value::int(1)));
@@ -351,7 +349,7 @@ fn a_replicated_apply_evaluates_exactly_the_repl_roster() {
     let db = Arc::new(Database::in_memory_logged());
     db.create_bucket("cart").unwrap();
     let server = Server::start(Arc::clone(&db), server_config()).unwrap();
-    let replica_db = Arc::new(Database::in_memory());
+    let replica_db = Arc::new(Database::in_memory_logged());
     let runner =
         ReplicaRunner::start(Arc::clone(&replica_db), server.local_addr().to_string(), fast_opts())
             .unwrap();
@@ -375,37 +373,47 @@ fn a_replicated_apply_evaluates_exactly_the_repl_roster() {
 
 #[test]
 fn a_replicated_apply_reaches_the_replicas_own_log_whole_or_not_at_all() {
-    use mmdb::substrate::storage::wal::recover_from_bytes;
-    use mmdb::substrate::txn::CommittedWrite;
+    use mmdb::substrate::repl::{Follower, Frame};
 
     let _serial = lock();
-    let db = Database::in_memory_logged();
-    let wal = db.wal().unwrap();
-    let write = |domain: &str, key: &str, value: Value| CommittedWrite {
-        domain: domain.into(),
-        key: key.as_bytes().to_vec(),
-        value: Some(value),
+    let primary = Database::in_memory_logged();
+    primary.create_bucket("cart").unwrap();
+    primary
+        .transact(IsolationLevel::Snapshot, 0, |s| {
+            s.kv_put("cart", "1", Value::str("o1"))?;
+            s.kv_put("cart", "2", Value::str("o1"))
+        })
+        .unwrap();
+    let primary_wal = primary.wal().unwrap();
+    // One connection: the reset onto the primary's (empty) fold, then the
+    // records from its base, until a frame fails.
+    let stream = |follower: &mut Follower| -> mmdb::Result<()> {
+        for record in primary_wal.read_records_from(0, usize::MAX)? {
+            follower.take(Frame::Record(record))?;
+        }
+        Ok(())
     };
-    let writes = [
-        write("ddl/bucket", "cart", Value::Object(Default::default())),
-        write("kv/cart", "1", Value::str("o1")),
-        write("kv/cart", "2", Value::str("o1")),
-    ];
 
-    // Fail the block's second record: record-by-record logging would
-    // already have landed an orphan `Begin`.
-    let tail = wal.tail_lsn();
+    let replica = Database::in_memory_logged();
+    let wal = replica.wal().unwrap();
+    let mut follower = Follower::new(&replica).unwrap();
+    follower.take(Frame::Reset(primary_wal.header())).unwrap();
+    // Fail the first run's second record: nothing of the run may land.
     fault::set("wal.append", &format!("{}:error", fault::hits("wal.append") + 2)).unwrap();
-    assert!(db.mvcc().apply_replicated(&writes).is_err());
+    assert!(stream(&mut follower).is_err());
     fault::clear_all();
-    assert_eq!(wal.tail_lsn(), tail, "a failed apply leaves nothing in the log");
-    assert_eq!(db.mvcc().get_latest("kv/cart", b"1"), None);
-    assert_eq!(db.mvcc().stats().0, 0);
+    assert_eq!(wal.tail_lsn(), 0, "a failed append leaves nothing in the log");
+    assert_eq!(replica.mvcc().get_latest("ddl/bucket", b"cart"), None);
+    assert_eq!((replica.mvcc().stats().0, replica.last_commit_lsn()), (0, 0));
 
-    // The stream replays the same block; this time it lands, once.
-    db.mvcc().apply_replicated(&writes).unwrap();
-    assert_eq!(db.kv().get("cart", "2").unwrap(), Some(Value::str("o1")));
-    assert_eq!(recover_from_bytes(&wal.snapshot_bytes()).redo.len(), 3);
+    // The reconnect resumes at the replica's tail and lands the primary's
+    // bytes, once.
+    let mut follower = Follower::new(&replica).unwrap();
+    assert_eq!(follower.position(), (primary_wal.header().log_id, 0));
+    stream(&mut follower).unwrap();
+    assert_eq!(wal.snapshot_bytes(), primary_wal.snapshot_bytes());
+    assert_eq!(replica.kv().get("cart", "2").unwrap(), Some(Value::str("o1")));
+    assert_eq!(replica.last_commit_lsn(), primary_wal.tail_lsn());
 }
 
 #[test]
@@ -416,7 +424,7 @@ fn read_your_writes_never_reads_below_the_session_commit_lsn() {
     let server = Server::start(Arc::clone(&db), server_config()).unwrap();
     let primary_addr = server.local_addr().to_string();
 
-    let replica_db = Arc::new(Database::in_memory());
+    let replica_db = Arc::new(Database::in_memory_logged());
     let runner = ReplicaRunner::start(Arc::clone(&replica_db), primary_addr.clone(), fast_opts()).unwrap();
     let replica_server = Server::start(Arc::clone(&replica_db), server_config()).unwrap();
     let replica_addr = replica_server.local_addr().to_string();
@@ -489,7 +497,7 @@ fn pipelined_reads_route_through_the_pool_consistency_modes() {
     let server = Server::start(Arc::clone(&db), server_config()).unwrap();
     let primary_addr = server.local_addr().to_string();
 
-    let replica_db = Arc::new(Database::in_memory());
+    let replica_db = Arc::new(Database::in_memory_logged());
     let runner = ReplicaRunner::start(Arc::clone(&replica_db), primary_addr.clone(), fast_opts()).unwrap();
     let replica_server = Server::start(Arc::clone(&replica_db), server_config()).unwrap();
     let replica_addr = replica_server.local_addr().to_string();
@@ -681,8 +689,6 @@ fn replica_applies_a_streamed_checkpoint_and_truncates_its_own_log() {
     let server = Server::start(Arc::clone(&db), server_config()).unwrap();
     let addr = server.local_addr().to_string();
 
-    // The replica keeps its own log (in-memory logged) so the streamed
-    // checkpoint has something to truncate locally.
     let replica_db = Arc::new(Database::in_memory_logged());
     let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr, fast_opts()).unwrap();
     for i in 0..16 {
@@ -690,7 +696,7 @@ fn replica_applies_a_streamed_checkpoint_and_truncates_its_own_log() {
     }
     wait_caught_up(&runner, db.wal().unwrap().tail_lsn(), "pre-checkpoint catch-up");
     let replica_log_before = replica_db.wal_size_bytes();
-    assert!(replica_log_before > 0, "replica re-logs applied transactions");
+    assert!(replica_log_before > 0, "the replica holds its primary's records");
 
     // The primary checkpoints; the marker rides the stream and the
     // replica checkpoints its own store in response.
@@ -719,7 +725,7 @@ fn a_replica_of_a_primary_loaded_with_the_paper_data_set_answers_like_it() {
     let _serial = lock();
     let db = Arc::new(Database::in_memory_logged());
     let server = Server::start(Arc::clone(&db), server_config()).unwrap();
-    let replica_db = Arc::new(Database::in_memory());
+    let replica_db = Arc::new(Database::in_memory_logged());
     let runner =
         ReplicaRunner::start(Arc::clone(&replica_db), server.local_addr().to_string(), fast_opts())
             .unwrap();
@@ -751,7 +757,7 @@ fn admin_endpoints_report_replication_lag() {
     let server = Server::start(Arc::clone(&db), server_config()).unwrap();
     let primary_addr = server.local_addr().to_string();
 
-    let replica_db = Arc::new(Database::in_memory());
+    let replica_db = Arc::new(Database::in_memory_logged());
     let runner = ReplicaRunner::start(Arc::clone(&replica_db), primary_addr.clone(), fast_opts()).unwrap();
     let replica_server = Server::start(Arc::clone(&replica_db), server_config()).unwrap();
     let status = runner.status();
@@ -779,6 +785,14 @@ fn admin_endpoints_report_replication_lag() {
     let h = replica_client.admin_health().unwrap();
     assert_eq!(h.get_field("status").as_str().unwrap(), "replica");
 
+    // A replica's log takes nothing but its primary's records, so it is
+    // not checkpointed on request: its positions stay the primary's.
+    let tail = replica_db.wal().unwrap().tail_lsn();
+    let err = replica_client.admin_checkpoint().unwrap_err();
+    assert_eq!(err.kind(), "read_only", "{err}");
+    assert_eq!(replica_db.wal().unwrap().tail_lsn(), tail);
+    assert_eq!(replica_db.checkpoint_stats().0, 0);
+
     // Kill the primary: the replica flips to disconnected and staleness
     // starts climbing, while reads keep working.
     server.shutdown().unwrap();
@@ -790,4 +804,165 @@ fn admin_endpoints_report_replication_lag() {
 
     runner.stop();
     replica_server.shutdown().unwrap();
+}
+
+/// Every key of the `cart` bucket with its value, serialized (an error,
+/// such as a missing bucket, reads as empty).
+fn cart(db: &Database) -> String {
+    let rows = db.query("FOR k IN cart SORT k._key RETURN k").unwrap_or_default();
+    mmdb::to_json(&Value::Array(rows))
+}
+
+#[test]
+fn a_file_backed_replica_of_a_checkpointed_primary_resumes_after_a_restart() {
+    let _serial = lock();
+    let (primary_dir, replica_dir) = (fresh_dir("restart-primary"), fresh_dir("restart-replica"));
+    let db = Arc::new(Database::open(&primary_dir).unwrap());
+    db.create_bucket("cart").unwrap();
+    for i in 0..50 {
+        db.kv_put("cart", &format!("a{i}"), Value::int(i)).unwrap();
+    }
+    db.checkpoint().unwrap();
+    let server = Server::start(Arc::clone(&db), server_config()).unwrap();
+    let addr = server.local_addr().to_string();
+
+    let replica_db = Arc::new(Database::open(&replica_dir).unwrap());
+    let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr.clone(), fast_opts()).unwrap();
+    for i in 0..200 {
+        db.kv_put("cart", &format!("b{i}"), Value::int(i)).unwrap();
+    }
+    wait_caught_up(&runner, db.wal().unwrap().tail_lsn(), "catch-up before the restart");
+    runner.stop();
+    drop(replica_db);
+
+    // The replica resumes from its own log, which is its primary's.
+    let replica_db = Arc::new(Database::open(&replica_dir).unwrap());
+    let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr, fast_opts()).unwrap();
+    for i in 0..20 {
+        db.kv_put("cart", &format!("c{i}"), Value::int(i)).unwrap();
+    }
+    let durable = db.wal().unwrap().durable_lsn();
+    wait_caught_up(&runner, durable, "catch-up after the restart");
+    for i in 0..20 {
+        assert_eq!(replica_db.kv().get("cart", &format!("c{i}")).unwrap(), Some(Value::int(i)));
+    }
+    assert_eq!(runner.status().applied_lsn(), durable);
+    assert_eq!(cart(&replica_db), cart(&db));
+
+    runner.stop();
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&primary_dir);
+    let _ = std::fs::remove_dir_all(&replica_dir);
+}
+
+#[test]
+fn a_stale_file_backed_replica_converges_and_still_matches_after_its_own_reopen() {
+    let _serial = lock();
+    let (primary_dir, replica_dir) = (fresh_dir("stale-primary"), fresh_dir("stale-replica"));
+    let db = Arc::new(Database::open(&primary_dir).unwrap());
+    seed(&db);
+    db.checkpoint().unwrap();
+    let server = Server::start(Arc::clone(&db), server_config()).unwrap();
+    let addr = server.local_addr().to_string();
+
+    // A replica with a history of its own: a wrong value and ghosts.
+    let replica_db = Arc::new(Database::open(&replica_dir).unwrap());
+    replica_db.create_bucket("cart").unwrap();
+    replica_db.create_collection("orders").unwrap();
+    replica_db.kv_put("cart", "ghost", Value::str("stale")).unwrap();
+    replica_db.kv_put("cart", "1", Value::str("wrong-value")).unwrap();
+    replica_db.insert_json("orders", r#"{"_key":"ghost-order","orderlines":[]}"#).unwrap();
+    let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr.clone(), fast_opts()).unwrap();
+    wait_caught_up(&runner, db.wal().unwrap().tail_lsn(), "the reset");
+    assert_eq!(probes(&replica_db), probes(&db), "the reset replica diverged");
+    assert_eq!(replica_db.kv().get("cart", "ghost").unwrap(), None, "a ghost key survived");
+    assert_eq!(replica_db.get_document("orders", "ghost-order").unwrap(), None);
+    runner.stop();
+    drop(replica_db);
+
+    // Its log is now the primary's: one id, base and horizon.
+    let replica_db = Arc::new(Database::open(&replica_dir).unwrap());
+    let (mine, theirs) = (replica_db.wal().unwrap().header(), db.wal().unwrap().header());
+    assert_eq!((mine.log_id, mine.base, mine.horizon), (theirs.log_id, theirs.base, theirs.horizon));
+    assert_eq!(probes(&replica_db), probes(&db), "the reopened replica diverged");
+    assert_eq!(replica_db.kv().get("cart", "ghost").unwrap(), None);
+    let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr, fast_opts()).unwrap();
+    db.kv_put("cart", "live", Value::str("after-reopen")).unwrap();
+    wait_caught_up(&runner, db.wal().unwrap().tail_lsn(), "the live tail after the reopen");
+    assert_eq!(replica_db.kv().get("cart", "live").unwrap(), Some(Value::str("after-reopen")));
+    assert_eq!(runner.status().connects(), 1, "the reopened replica resumed on its first hello");
+
+    runner.stop();
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&primary_dir);
+    let _ = std::fs::remove_dir_all(&replica_dir);
+}
+
+#[test]
+fn a_stale_replica_of_a_primary_whose_fold_is_empty_loses_its_ghosts() {
+    let _serial = lock();
+    // A fresh primary: nothing is live, so there is no image block.
+    let db = Arc::new(Database::in_memory_logged());
+    let server = Server::start(Arc::clone(&db), server_config()).unwrap();
+    let replica_db = Arc::new(Database::in_memory_logged());
+    replica_db.create_bucket("cart").unwrap();
+    replica_db.kv_put("cart", "ghost", Value::str("stale")).unwrap();
+
+    let runner =
+        ReplicaRunner::start(Arc::clone(&replica_db), server.local_addr().to_string(), fast_opts())
+            .unwrap();
+    wait_until("the reset", || replica_db.kv().get("cart", "ghost").is_ok_and(|v| v.is_none()));
+    assert_eq!(replica_db.mvcc().get_latest("kv/cart", b"ghost"), None, "a ghost key survived");
+    assert_eq!(replica_db.wal().unwrap().header(), db.wal().unwrap().header());
+
+    db.create_bucket("cart").unwrap();
+    db.kv_put("cart", "live", Value::int(1)).unwrap();
+    wait_caught_up(&runner, db.wal().unwrap().tail_lsn(), "the live tail");
+    assert_eq!(cart(&replica_db), cart(&db));
+
+    runner.stop();
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn a_crash_on_a_resets_image_leaves_the_old_log_and_the_reopen_resets_again() {
+    let _serial = lock();
+    let (primary_dir, replica_dir) = (fresh_dir("crash-primary"), fresh_dir("crash-replica"));
+    let db = Arc::new(Database::open(&primary_dir).unwrap());
+    seed(&db);
+    db.checkpoint().unwrap();
+    let server = Server::start(Arc::clone(&db), server_config()).unwrap();
+    let addr = server.local_addr().to_string();
+
+    let replica_db = Arc::new(Database::open(&replica_dir).unwrap());
+    replica_db.create_bucket("cart").unwrap();
+    replica_db.kv_put("cart", "ghost", Value::str("stale")).unwrap();
+    let log = replica_dir.join("mmdb.wal");
+    let old_log = std::fs::read(&log).unwrap();
+
+    // The replica thread dies landing the image: before its log or its
+    // state changed.
+    let hook = panic::take_hook();
+    panic::set_hook(Box::new(|_| {}));
+    fault::set("repl.apply", "panic").unwrap();
+    let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr.clone(), fast_opts()).unwrap();
+    wait_until("the crash", || fault::hits("repl.apply") > 0);
+    runner.stop();
+    fault::clear_all();
+    panic::set_hook(hook);
+    assert_eq!(std::fs::read(&log).unwrap(), old_log, "the crash touched the replica's log");
+    assert_eq!(replica_db.kv().get("cart", "ghost").unwrap(), Some(Value::str("stale")));
+    drop(replica_db);
+
+    let replica_db = Arc::new(Database::open(&replica_dir).unwrap());
+    assert_eq!(replica_db.kv().get("cart", "ghost").unwrap(), Some(Value::str("stale")));
+    let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr, fast_opts()).unwrap();
+    wait_caught_up(&runner, db.wal().unwrap().tail_lsn(), "the second reset");
+    assert_eq!(probes(&replica_db), probes(&db), "the replica diverged after the second reset");
+    assert_eq!(replica_db.kv().get("cart", "ghost").unwrap(), None);
+
+    runner.stop();
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&primary_dir);
+    let _ = std::fs::remove_dir_all(&replica_dir);
 }
