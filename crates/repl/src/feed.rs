@@ -83,7 +83,8 @@ pub fn heartbeat_frame(tail_lsn: Lsn) -> Value {
     ])
 }
 
-/// Encode the reset frame carrying the primary's log header.
+/// Encode the reset frame carrying the primary's log header. It leaves
+/// out [`Header::copy`]: the log it resets becomes a copy.
 pub fn reset_frame(header: &Header) -> Value {
     Value::object([
         ("type", Value::str("reset")),
@@ -123,6 +124,7 @@ pub fn parse_frame(v: &Value) -> Result<Frame> {
         "heartbeat" => Ok(Frame::Heartbeat { tail_lsn: field_u64(v, "tail_lsn")? }),
         "reset" => Ok(Frame::Reset(Header {
             log_id: field_u64(v, "log_id")?,
+            copy: true,
             base: field_u64(v, "base")?,
             horizon: field_u64(v, "horizon")?,
             at_ms: field_u64(v, "at_ms")?,
@@ -243,7 +245,7 @@ mod tests {
         }
         let hb = heartbeat_frame(424242);
         assert_eq!(parse_frame(&hb).unwrap(), Frame::Heartbeat { tail_lsn: 424242 });
-        let header = Header { log_id: (1 << 63) - 1, base: 1_700, horizon: 3_870, at_ms: 1 };
+        let header = Header { log_id: (1 << 63) - 1, copy: true, base: 1_700, horizon: 3_870, at_ms: 1 };
         assert_eq!(parse_frame(&reset_frame(&header)).unwrap(), Frame::Reset(header));
     }
 

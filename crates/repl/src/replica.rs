@@ -42,9 +42,10 @@ impl Default for ReplicaOptions {
 /// log's id and tail, take the stream through a [`Follower`], and on any
 /// failure reconnect after [`ReplicaOptions::reconnect_delay`]. The
 /// replica's log is a copy of its primary's, so its tail is where it
-/// resumes, after a reconnect and after a restart alike. While
-/// disconnected the replica keeps serving reads from its latest applied
-/// state.
+/// resumes, after a reconnect and after a restart alike. A failed sync
+/// fails the log until it is reopened; the thread then stops and
+/// [`ReplStatus::failure`] says why. While disconnected or stopped the
+/// replica keeps serving reads from its latest applied state.
 pub struct ReplicaRunner {
     status: Arc<ReplStatus>,
     stop: Arc<AtomicBool>,
@@ -140,9 +141,15 @@ impl Worker {
     fn run(&self) {
         while !self.stopped() {
             // Any error just ends this connection: the next one resumes
-            // from the log's tail.
+            // from the log's tail — unless the log failed, which takes
+            // nothing until it is reopened, so the runner reports it and
+            // stops instead.
             let _ = self.stream_once();
             self.status.set_connected(false);
+            if let Some(Err(e)) = self.db.wal().map(|wal| wal.check_synced()) {
+                self.status.set_failed(e.to_string());
+                break;
+            }
             if self.stopped() {
                 break;
             }
@@ -267,7 +274,10 @@ impl<'a> Follower<'a> {
             WalRecord::Checkpoint { snapshot_lsn } => Some(snapshot_lsn),
             _ => None,
         });
-        if let Some(horizon) = marker {
+        // A reset lands the image its stream's first marker folded to, so
+        // that marker's horizon is the log's already: folding it again
+        // would rewrite the log into the same bytes.
+        if let Some(horizon) = marker.filter(|h| *h > self.wal.truncated_lsn()) {
             // Maintenance: a fold that fails leaves a longer log that is
             // still the primary's, and the next marker folds it.
             let _ = self.db.checkpoint_at(horizon);

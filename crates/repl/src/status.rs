@@ -1,6 +1,7 @@
 //! Replica lag and health accounting.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use mmdb_storage::wal::Lsn;
@@ -42,6 +43,8 @@ pub struct ReplStatus {
     caught_up_at_ms: AtomicU64,
     txns_applied: AtomicU64,
     connects: AtomicU64,
+    /// Why the runner stopped: its log failed.
+    failure: OnceLock<String>,
 }
 
 impl ReplStatus {
@@ -56,6 +59,7 @@ impl ReplStatus {
             caught_up_at_ms: AtomicU64::new(0),
             txns_applied: AtomicU64::new(0),
             connects: AtomicU64::new(0),
+            failure: OnceLock::new(),
         }
     }
 
@@ -90,6 +94,12 @@ impl ReplStatus {
         self.connects.load(Ordering::SeqCst)
     }
 
+    /// Why the runner stopped replicating, if it did: its log failed a
+    /// sync and takes no record until the replica is reopened.
+    pub fn failure(&self) -> Option<&str> {
+        self.failure.get().map(String::as_str)
+    }
+
     /// Bytes of primary WAL known but not yet applied.
     pub fn lag_bytes(&self) -> u64 {
         self.primary_tail_lsn().saturating_sub(self.applied_lsn())
@@ -112,6 +122,10 @@ impl ReplStatus {
             self.connects.fetch_add(1, Ordering::SeqCst);
         }
         self.connected.store(up, Ordering::SeqCst);
+    }
+
+    pub(crate) fn set_failed(&self, why: String) {
+        let _ = self.failure.set(why);
     }
 
     pub(crate) fn note_contact(&self) {
@@ -153,6 +167,7 @@ impl ReplStatus {
             ),
             ("txns_applied", Value::int(self.txns_applied() as i64)),
             ("connects", Value::int(self.connects() as i64)),
+            ("failure", self.failure().map_or(Value::Null, Value::str)),
         ])
     }
 }

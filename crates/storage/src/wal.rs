@@ -301,8 +301,8 @@ const WAL3_MAGIC: [u8; 8] = [0xFF, 0xFF, 0xFF, 0xFF, b'W', b'A', b'L', b'3'];
 /// Such a log is refused: this code does not read that file.
 const WAL2_MAGIC: [u8; 8] = [0xFF, 0xFF, 0xFF, 0xFF, b'W', b'A', b'L', b'2'];
 
-/// Size of the header: the magic, then the log id, base, horizon and
-/// checkpoint time, each a `u64` little-endian.
+/// Size of the header: the magic, then the log id (its top bit the copy
+/// flag), base, horizon and checkpoint time, each a `u64` little-endian.
 const WAL_HEADER_LEN: u64 = 40;
 
 /// A log's header: its identity, the image block's base `B`, the horizon
@@ -316,6 +316,12 @@ pub struct Header {
     /// checkpoints and reopens. A replica's log carries its primary's, so
     /// equal ids mean one log: a position in either names the same bytes.
     pub log_id: u64,
+    /// Whether the log is a copy of the log `log_id` names: a replica's,
+    /// which [`Wal::reset`] made one. Only the owner of an id writes
+    /// records under it, so the first local append to a copy draws a
+    /// fresh id first. On disk it is the top bit of the id field, which
+    /// an id never sets.
+    pub copy: bool,
     /// `B`: the LSN of the log's first record.
     pub base: Lsn,
     /// `T`: every committed block below it is in the image `[B, T)`.
@@ -327,7 +333,7 @@ pub struct Header {
 impl Header {
     /// A new log's header: a fresh id, nothing folded.
     fn fresh() -> Header {
-        Header { log_id: fresh_log_id(), base: 0, horizon: 0, at_ms: 0 }
+        Header { log_id: fresh_log_id(), copy: false, base: 0, horizon: 0, at_ms: 0 }
     }
 
     /// The header `data` starts with, and its length. A headerless or
@@ -354,20 +360,25 @@ impl Header {
             return Ok((Header::fresh(), 0));
         }
         match (field(1), field(2), field(3), field(4)) {
-            (Some(log_id), Some(base), Some(horizon), Some(at_ms)) => {
-                Ok((Header { log_id, base, horizon, at_ms }, WAL_HEADER_LEN))
+            (Some(id), Some(base), Some(horizon), Some(at_ms)) => {
+                let (log_id, copy) = (id & !COPY_BIT, id & COPY_BIT != 0);
+                Ok((Header { log_id, copy, base, horizon, at_ms }, WAL_HEADER_LEN))
             }
             _ => Err(short()),
         }
     }
 
     fn encode(&self) -> Vec<u8> {
-        let fields = [self.log_id, self.base, self.horizon, self.at_ms];
+        let id = self.log_id | if self.copy { COPY_BIT } else { 0 };
+        let fields = [id, self.base, self.horizon, self.at_ms];
         let mut out = WAL_MAGIC.to_vec();
         out.extend(fields.iter().flat_map(|f| f.to_le_bytes()));
         out
     }
 }
+
+/// The id field's bit that marks a copy ([`Header::copy`]).
+const COPY_BIT: u64 = 1 << 63;
 
 /// A new log's id: std's randomly keyed hasher over the time and the
 /// process id. Never 0 and below 2⁶³, so it travels the wire as a
@@ -595,13 +606,24 @@ impl Wal {
     /// Land a framed run in one write at the tail — only if the tail is
     /// `at`, when given — and return where it landed. A torn run lands
     /// too, then fails.
+    /// A failed log takes no run: what it holds past its last good sync
+    /// is not known to be on disk. A local run (`at` is `None`) on a copy
+    /// first makes the log its own ([`Header::copy`]).
     fn write_run(&self, buf: &[u8], at: Option<Lsn>, torn: bool) -> Result<Lsn> {
         let mut inner = self.inner.lock();
+        inner.check_synced()?;
         let base = inner.next_lsn;
         if let Some(at) = at.filter(|at| *at != base) {
             return Err(Error::Storage(format!(
                 "wal append: the run starts at {at}, but the log's tail is {base}"
             )));
+        }
+        if at.is_none() && inner.header.copy {
+            // Its records diverge from the log whose id it carries here,
+            // so a replica of that log must not resume from it.
+            let header = Header { log_id: fresh_log_id(), copy: false, ..inner.header };
+            let body = inner.read_bytes(header.base, base)?;
+            self.replace(&mut inner, header, body, "append to a copy")?;
         }
         match &mut inner.backend {
             WalBackend::File(f) => f
@@ -644,6 +666,12 @@ impl Wal {
         // concurrent append it did not cover.
         self.durable_lsn.fetch_max(inner.next_lsn, std::sync::atomic::Ordering::SeqCst);
         Ok(())
+    }
+
+    /// Fails once a sync has, with that failure: the log then takes no
+    /// append and no sync until it is reopened.
+    pub fn check_synced(&self) -> Result<()> {
+        self.inner.lock().check_synced()
     }
 
     /// Next LSN to be assigned (== current log length in bytes).
@@ -917,9 +945,10 @@ impl Wal {
     /// Make this log a copy of another log's start: its `header`, then
     /// `image`, the records that log holds at `[B, T)` (none for an empty
     /// fold). How a replica whose log cannot continue its primary's takes
-    /// the primary's instead (DESIGN.md "Replication"). A file is
-    /// rewritten through `<log>.tmp` and renamed, so a crash leaves the old
-    /// log or the new one, never half of either.
+    /// the primary's instead (DESIGN.md "Replication"). The log becomes a
+    /// copy ([`Header::copy`]), so a local append draws it a fresh id. A
+    /// file is rewritten through `<log>.tmp` and renamed, so a crash leaves
+    /// the old log or the new one, never half of either.
     pub fn reset(&self, header: Header, image: &[TailedRecord]) -> Result<()> {
         let (bytes, ends, torn) = frame_records(image.iter().map(|t| &t.record))?;
         check_positions(image, &ends)?;
@@ -932,24 +961,33 @@ impl Wal {
         }
         let mut inner = self.inner.lock();
         inner.check_synced()?;
+        self.replace(&mut inner, Header { copy: true, ..header }, bytes, "reset")
+    }
+
+    /// Replace the whole log with `header` and `body`, the bytes it is to
+    /// hold from `B` on, all of them durable. A file is written to
+    /// `<log>.tmp`, fsynced and renamed over the log; a failed directory
+    /// fsync after the rename fails the log like a failed sync.
+    fn replace(&self, inner: &mut WalInner, header: Header, body: Vec<u8>, what: &str) -> Result<()> {
+        let tail = header.base + body.len() as u64;
         let renamed = match &self.path {
             Some(path) => {
-                let io = |e: std::io::Error| Error::Storage(format!("wal reset: {e}"));
-                let file = write_tmp(path, &[&header.encode(), &bytes]).map_err(io)?;
+                let io = |e: std::io::Error| Error::Storage(format!("wal {what}: {e}"));
+                let file = write_tmp(path, &[&header.encode(), &body]).map_err(io)?;
                 std::fs::rename(tmp_path(path), path).map_err(io)?;
                 inner.backend = WalBackend::File(file);
                 sync_dir(path)
             }
             None => {
-                inner.backend = WalBackend::Memory(bytes);
+                inner.backend = WalBackend::Memory(body);
                 Ok(())
             }
         };
         inner.header = header;
-        inner.next_lsn = header.horizon;
-        self.durable_lsn.store(header.horizon, std::sync::atomic::Ordering::SeqCst);
+        inner.next_lsn = tail;
+        self.durable_lsn.store(tail, std::sync::atomic::Ordering::SeqCst);
         if let Err(e) = renamed {
-            inner.sync_failure = Some(format!("directory fsync after a reset's rename: {e}"));
+            inner.sync_failure = Some(format!("directory fsync after the rename of a {what}: {e}"));
             return inner.check_synced();
         }
         Ok(())
@@ -1712,6 +1750,7 @@ mod tests {
 
         wal.reset(header, image).unwrap();
         assert_eq!(wal.tail_lsn(), h, "after a reset the tail is T");
+        let header = Header { copy: true, ..header };
         assert_eq!((wal.header(), wal.durable_lsn()), (header, h));
         assert_ne!(std::fs::read(&path).unwrap(), before);
         assert_eq!(wal.append_verbatim(suffix).unwrap(), source.tail_lsn());
@@ -1728,6 +1767,51 @@ mod tests {
         let fresh = Wal::in_memory();
         fresh.reset(Header::fresh(), &[]).unwrap();
         assert_eq!((fresh.tail_lsn(), fresh.snapshot_bytes().len()), (0, 0));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_copys_first_local_append_draws_it_a_fresh_id() {
+        let source = Wal::in_memory();
+        let (h, _) = checkpointed_history(&source);
+        let header = source.header();
+        let from_base = source.read_records_from(header.base, usize::MAX).unwrap();
+        let (image, suffix) = from_base.split_at(from_base.iter().position(|t| t.lsn == h).unwrap());
+
+        let path = temp_wal("claim");
+        let wal = Wal::open(&path).unwrap();
+        wal.reset(header, image).unwrap();
+        wal.append_verbatim(suffix).unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        // Reopened, it is still a copy carrying the source's id: the
+        // source's records keep it one.
+        let wal = Wal::open(&path).unwrap();
+        assert_eq!(wal.header(), Header { copy: true, ..header });
+        let tail = wal.tail_lsn();
+        let body = std::fs::read(&path).unwrap()[WAL_HEADER_LEN as usize..].to_vec();
+
+        // A record of its own makes it another log, with the same bytes
+        // before that record.
+        commit_one(&wal, 7, "local", Some("1"));
+        let own = wal.header();
+        assert!(!own.copy);
+        assert_ne!(own.log_id, header.log_id);
+        assert_eq!(own, Header { log_id: own.log_id, copy: false, ..header });
+        drop(wal);
+        let wal = Wal::open(&path).unwrap();
+        assert_eq!(wal.header(), own, "the fresh id is written down");
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[WAL_HEADER_LEN as usize..][..body.len()], body[..]);
+        assert!(wal.tail_lsn() > tail);
+        commit_one(&wal, 8, "again", Some("2"));
+        assert_eq!(wal.header(), own, "only the first local append draws an id");
+
+        // A memory copy is claimed the same way.
+        let mem = Wal::in_memory();
+        mem.reset(header, image).unwrap();
+        commit_one(&mem, 1, "local", Some("1"));
+        assert!(!mem.header().copy && mem.header().log_id != header.log_id);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -650,6 +650,15 @@ fn a_failed_sync_stays_failed_until_the_log_is_reopened() {
         let err = wal.sync().unwrap_err();
         assert!(err.to_string().contains("an earlier sync failed"), "{err}");
         assert!(wal.fold_prefix(wal.durable_lsn()).is_err(), "a failed log is not rewritten");
+        // Nor appended to: a record landing past a failed sync could only
+        // ever be acknowledged by another sync, which fails too.
+        let tail = wal.tail_lsn();
+        let err = wal.append(&WalRecord::Begin { txid: 2 }).unwrap_err();
+        assert!(err.to_string().contains("an earlier sync failed"), "{err}");
+        let run = wal.read_records_from(0, usize::MAX).unwrap();
+        let err = wal.append_verbatim(&run).unwrap_err();
+        assert!(err.to_string().contains("an earlier sync failed"), "{err}");
+        assert_eq!(wal.tail_lsn(), tail);
     }
     let wal = Wal::open(&path).unwrap();
     wal.sync().unwrap();

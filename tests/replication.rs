@@ -24,9 +24,12 @@
 //!   6. the failpoint sites a replicated apply evaluates are exactly
 //!      `repl::FAILPOINT_SITES`;
 //!   7. a file-backed replica resumes from its own log after a restart,
-//!      and a stale one — of a checkpointed primary, or of one whose fold
-//!      is empty — is reset onto the primary's log, also after a crash
-//!      in the middle of the reset.
+//!      and a stale one — of a checkpointed primary, of one whose fold is
+//!      empty, or one that committed on its own while it was not a
+//!      replica — is reset onto the primary's log, also after a crash in
+//!      the middle of the reset;
+//!   8. a replica whose log fails a sync stops and says why, instead of
+//!      landing more of the stream in a log it cannot make durable.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -877,6 +880,9 @@ fn a_stale_file_backed_replica_converges_and_still_matches_after_its_own_reopen(
     assert_eq!(probes(&replica_db), probes(&db), "the reset replica diverged");
     assert_eq!(replica_db.kv().get("cart", "ghost").unwrap(), None, "a ghost key survived");
     assert_eq!(replica_db.get_document("orders", "ghost-order").unwrap(), None);
+    // The stream from the base carries the marker of the checkpoint whose
+    // image the reset landed: its horizon is the log's already.
+    assert_eq!(replica_db.checkpoint_stats().0, 0, "the reset's own marker was folded again");
     runner.stop();
     drop(replica_db);
 
@@ -913,7 +919,8 @@ fn a_stale_replica_of_a_primary_whose_fold_is_empty_loses_its_ghosts() {
             .unwrap();
     wait_until("the reset", || replica_db.kv().get("cart", "ghost").is_ok_and(|v| v.is_none()));
     assert_eq!(replica_db.mvcc().get_latest("kv/cart", b"ghost"), None, "a ghost key survived");
-    assert_eq!(replica_db.wal().unwrap().header(), db.wal().unwrap().header());
+    let (mine, theirs) = (replica_db.wal().unwrap().header(), db.wal().unwrap().header());
+    assert_eq!(mine, mmdb::substrate::storage::wal::Header { copy: true, ..theirs });
 
     db.create_bucket("cart").unwrap();
     db.kv_put("cart", "live", Value::int(1)).unwrap();
@@ -965,4 +972,82 @@ fn a_crash_on_a_resets_image_leaves_the_old_log_and_the_reopen_resets_again() {
     server.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&primary_dir);
     let _ = std::fs::remove_dir_all(&replica_dir);
+}
+
+#[test]
+fn a_replica_that_committed_on_its_own_is_reset_when_it_follows_again() {
+    let _serial = lock();
+    let (primary_dir, replica_dir) = (fresh_dir("local-primary"), fresh_dir("local-replica"));
+    let db = Arc::new(Database::open(&primary_dir).unwrap());
+    db.create_bucket("cart").unwrap();
+    db.kv_put("cart", "shared", Value::int(0)).unwrap();
+    let server = Server::start(Arc::clone(&db), server_config()).unwrap();
+    let addr = server.local_addr().to_string();
+    let replica_db = Arc::new(Database::open(&replica_dir).unwrap());
+    let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr.clone(), fast_opts()).unwrap();
+    wait_caught_up(&runner, db.wal().unwrap().tail_lsn(), "the first catch-up");
+    runner.stop();
+    drop(replica_db);
+    let theirs = db.wal().unwrap().header().log_id;
+
+    // Opened as a database of its own, the replica commits: its log is no
+    // longer a copy of the primary's, so it takes a fresh id. The
+    // primary commits a write of the same size, so both logs end at the
+    // same LSN, on a record boundary of either.
+    let replica_db = Database::open(&replica_dir).unwrap();
+    assert_eq!(replica_db.wal().unwrap().header().log_id, theirs);
+    replica_db.kv_put("cart", "local", Value::int(1)).unwrap();
+    db.kv_put("cart", "remot", Value::int(1)).unwrap();
+    assert_eq!(replica_db.wal().unwrap().tail_lsn(), db.wal().unwrap().tail_lsn());
+    let own = replica_db.wal().unwrap().header();
+    assert!(own.log_id != theirs && !own.copy, "{own:?}");
+    drop(replica_db);
+
+    // Following again, it is reset and converges: its own commit is gone.
+    let replica_db = Arc::new(Database::open(&replica_dir).unwrap());
+    assert_eq!(replica_db.wal().unwrap().header(), own, "the fresh id was not written down");
+    let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr, fast_opts()).unwrap();
+    wait_until("the reset", || replica_db.wal().unwrap().header().log_id == theirs);
+    wait_caught_up(&runner, db.wal().unwrap().durable_lsn(), "the catch-up after the reset");
+    assert_eq!(replica_db.kv().get("cart", "local").unwrap(), None, "the local commit survived");
+    assert_eq!(replica_db.kv().get("cart", "remot").unwrap(), Some(Value::int(1)));
+    assert_eq!(cart(&replica_db), cart(&db));
+
+    runner.stop();
+    server.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&primary_dir);
+    let _ = std::fs::remove_dir_all(&replica_dir);
+}
+
+#[test]
+fn a_replica_whose_log_fails_a_sync_stops_and_reports_it() {
+    let _serial = lock();
+    let db = Arc::new(Database::in_memory_logged());
+    db.create_bucket("cart").unwrap();
+    db.kv_put("cart", "1", Value::int(1)).unwrap();
+    let server = Server::start(Arc::clone(&db), server_config()).unwrap();
+    let replica_db = Arc::new(Database::in_memory_logged());
+
+    // The primary is idle and syncs nothing; the replica's first landing
+    // after its reset does, and fails.
+    fault::set("wal.sync", "error").unwrap();
+    let runner =
+        ReplicaRunner::start(Arc::clone(&replica_db), server.local_addr().to_string(), fast_opts())
+            .unwrap();
+    wait_until("the failure report", || runner.status().failure().is_some());
+    fault::clear_all();
+    let why = runner.status().failure().unwrap().to_string();
+    assert!(why.contains("fsync"), "{why}");
+    assert!(!runner.status().is_connected());
+    let wal = replica_db.wal().unwrap();
+    let tail = wal.tail_lsn();
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(runner.status().connects(), 1, "the runner reconnected to a failed log");
+    assert_eq!(wal.tail_lsn(), tail, "a failed log took another run");
+    assert_eq!(replica_db.last_commit_lsn(), 0, "a run that was never durable was applied");
+    assert_eq!(replica_db.mvcc().get_latest("kv/cart", b"1"), None);
+    assert!(runner.status().to_value().get_field("failure").as_str().is_ok());
+
+    runner.stop();
+    server.shutdown().unwrap();
 }
