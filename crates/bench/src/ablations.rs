@@ -17,7 +17,7 @@ use mmdb_index::{BPlusTree, ExtendibleHashMap, GinIndex, GinMode};
 use mmdb_rdf::sparql::CmpOp;
 use mmdb_rdf::{AccessPaths, SelectQuery, Triple, TriplePattern, TripleStore};
 use mmdb_relational::UniversalRelation;
-use mmdb_storage::wal::BlockAssembler;
+use mmdb_storage::wal::{records, BlockAssembler, Lsn};
 use mmdb_txn::IsolationLevel;
 use mmdb_types::codec::{key_of, value_from_bytes};
 use mmdb_types::{from_json, Result, Value};
@@ -261,10 +261,13 @@ fn e7_log_and_views(scale: f64) -> Result<TextTable> {
     let replay = |key: &str| -> Result<Option<Value>> {
         let (mut blocks, mut from, mut found) = (BlockAssembler::default(), 0, None);
         loop {
-            let records = wal.read_records_from(from, usize::MAX)?;
-            let Some(last) = records.last() else { break };
-            from = last.next_lsn;
-            for r in records {
+            let bytes = wal.read_log(from, Lsn::MAX)?;
+            if bytes.is_empty() {
+                break;
+            }
+            let at = from;
+            from += bytes.len() as u64;
+            for r in records(&bytes, at) {
                 for w in blocks.push(r.record, r.next_lsn).map(|b| b.writes).unwrap_or_default() {
                     if w.domain == "doc/plain" && w.key == key.as_bytes() {
                         found = w.value;

@@ -36,7 +36,7 @@ pub fn create_mmdb_schema(db: &Database) -> Result<()> {
 const LOAD_CHUNK: usize = 64;
 
 /// Load the data set into a multi-model database through `Session`
-/// transactions, [`LOAD_CHUNK`] writes per commit — so the data is logged,
+/// transactions, `LOAD_CHUNK` writes per commit — so the data is logged,
 /// recoverable and replicated like any other write.
 pub fn load_mmdb(db: &Database, data: &Dataset) -> Result<()> {
     let mut l = Loader { db, session: db.begin(IsolationLevel::Snapshot), staged: 0 };

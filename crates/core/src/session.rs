@@ -327,7 +327,7 @@ impl Session {
 
 /// Apply a committed write set to the model stores: the MVCC commit hook,
 /// for a live commit, a replicated transaction, a snapshot load and WAL
-/// replay alike. Its `ddl` arm ([`apply_definition`]) is the only code
+/// replay alike. Its `ddl` arm (`apply_definition`) is the only code
 /// that creates a container or an index. The data arms find their
 /// container or fail: a Session never stages a write to a missing one,
 /// and replay and snapshot load install every definition (load class 0)

@@ -774,7 +774,7 @@ mod tests {
             Response::Text("plan".into()),
             Response::Stats(Value::object([("requests", Value::int(9))])),
             Response::Change(Value::object([
-                ("type", Value::str("record")),
+                ("type", Value::str("log")),
                 ("lsn", Value::int(64)),
             ])),
             Response::Err { kind: "not_found".into(), message: "no such thing".into() },

@@ -19,7 +19,7 @@
 //!    becomes a `HashJoin` when the source is the same for every row, the
 //!    node can see more than one row, and a conjunct equates a path of the
 //!    loop variable with an expression over earlier variables (see
-//!    [`try_hash_join`]). This covers the in-pipeline nested `FOR`, SQL
+//!    `try_hash_join`). This covers the in-pipeline nested `FOR`, SQL
 //!    `JOIN … ON a = b`, and — through rule 2's scope — the
 //!    equi-correlated subquery.
 //!

@@ -4,12 +4,13 @@
 //! `Response::Change(Value)` messages. The payload `Value` is an
 //! object discriminated by its `"type"` field:
 //!
-//! * `"record"` — one raw WAL record with its LSN bounds (replica
-//!   stream). Keys and values travel as [`Value::Bytes`] so replay is
-//!   byte-exact.
-//! * `"heartbeat"` — the primary's current WAL tail LSN; sent when
-//!   the stream is idle so replicas can measure staleness and confirm
-//!   they are caught up.
+//! * `"log"` — the primary's log bytes from an LSN on, whole records
+//!   exactly as its log holds them (replica stream). The replica scans
+//!   them with the log's own scanner, [`mmdb_storage::wal::records`], and
+//!   lands them as they arrived.
+//! * `"heartbeat"` — the primary's durable tail LSN; sent when the
+//!   stream is idle so replicas can measure staleness and confirm they
+//!   are caught up.
 //! * `"reset"` — the primary's log header (`log_id`, `base`, `horizon`,
 //!   `at_ms`), sent first to a replica whose log cannot continue the
 //!   primary's: the replica's log becomes that header and the image block
@@ -19,18 +20,23 @@
 //!   `"write"` events; [`CdcBuffer`] holds writes back until their
 //!   commit record arrives.
 
-use mmdb_storage::wal::{BlockAssembler, Header, LoggedWrite, Lsn, TailedRecord, WalRecord};
+use mmdb_storage::wal::{BlockAssembler, Header, LoggedWrite, Lsn, TailedRecord};
 use mmdb_types::codec::value_from_bytes;
 use mmdb_types::{Error, Result, Value};
 
 /// One parsed frame of the replica stream.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
-    /// A raw WAL record and its LSN bounds.
-    Record(TailedRecord),
-    /// Idle keep-alive carrying the primary's WAL tail.
+    /// The primary's log bytes at `[lsn, lsn + bytes.len())`.
+    Log {
+        /// Where the bytes start in the primary's log.
+        lsn: Lsn,
+        /// Whole records, as the primary's log holds them.
+        bytes: Vec<u8>,
+    },
+    /// Idle keep-alive carrying the primary's durable tail.
     Heartbeat {
-        /// The primary's `Wal::tail_lsn()` at send time.
+        /// The primary's `Wal::durable_lsn()` at send time.
         tail_lsn: Lsn,
     },
     /// The primary's log header: the replica resets onto the primary's
@@ -38,44 +44,17 @@ pub enum Frame {
     Reset(Header),
 }
 
-/// Encode one tailed WAL record as a stream frame.
-pub fn record_frame(t: &TailedRecord) -> Value {
-    let mut fields = vec![
-        ("type", Value::str("record")),
-        ("lsn", Value::int(t.lsn as i64)),
-        ("next_lsn", Value::int(t.next_lsn as i64)),
-    ];
-    match &t.record {
-        WalRecord::Begin { txid } => {
-            fields.push(("kind", Value::str("begin")));
-            fields.push(("txid", Value::int(*txid as i64)));
-        }
-        WalRecord::Write { txid, domain, key, value } => {
-            fields.push(("kind", Value::str("write")));
-            fields.push(("txid", Value::int(*txid as i64)));
-            fields.push(("domain", Value::str(domain.clone())));
-            fields.push(("key", Value::Bytes(key.clone())));
-            fields.push((
-                "value",
-                match value {
-                    Some(v) => Value::Bytes(v.clone()),
-                    None => Value::Null,
-                },
-            ));
-        }
-        WalRecord::Commit { txid } => {
-            fields.push(("kind", Value::str("commit")));
-            fields.push(("txid", Value::int(*txid as i64)));
-        }
-        WalRecord::Checkpoint { snapshot_lsn } => {
-            fields.push(("kind", Value::str("checkpoint")));
-            fields.push(("snapshot_lsn", Value::int(*snapshot_lsn as i64)));
-        }
-    }
-    Value::object(fields)
+/// Encode a run of the primary's log, starting at `lsn`, as a stream
+/// frame.
+pub fn log_frame(lsn: Lsn, bytes: Vec<u8>) -> Value {
+    Value::object([
+        ("type", Value::str("log")),
+        ("lsn", Value::int(lsn as i64)),
+        ("bytes", Value::Bytes(bytes)),
+    ])
 }
 
-/// Encode an idle heartbeat carrying the primary's WAL tail.
+/// Encode an idle heartbeat carrying the primary's durable tail.
 pub fn heartbeat_frame(tail_lsn: Lsn) -> Value {
     Value::object([
         ("type", Value::str("heartbeat")),
@@ -98,10 +77,6 @@ pub fn reset_frame(header: &Header) -> Value {
 fn field_u64(v: &Value, name: &str) -> Result<u64> {
     let i = v.get_field(name).as_int().map_err(|_| bad_frame(name, v))?;
     u64::try_from(i).map_err(|_| bad_frame(name, v))
-}
-
-fn field_str(v: &Value, name: &str) -> Result<String> {
-    Ok(v.get_field(name).as_str().map_err(|_| bad_frame(name, v))?.to_string())
 }
 
 fn field_bytes(v: &Value, name: &str) -> Result<Vec<u8>> {
@@ -129,31 +104,7 @@ pub fn parse_frame(v: &Value) -> Result<Frame> {
             horizon: field_u64(v, "horizon")?,
             at_ms: field_u64(v, "at_ms")?,
         })),
-        "record" => {
-            let lsn = field_u64(v, "lsn")?;
-            let next_lsn = field_u64(v, "next_lsn")?;
-            let record = match v.get_field("kind").as_str().unwrap_or("") {
-                "begin" => WalRecord::Begin { txid: field_u64(v, "txid")? },
-                "write" => WalRecord::Write {
-                    txid: field_u64(v, "txid")?,
-                    domain: field_str(v, "domain")?,
-                    key: field_bytes(v, "key")?,
-                    value: match v.get_field("value") {
-                        Value::Null => None,
-                        Value::Bytes(b) => Some(b.clone()),
-                        _ => return Err(bad_frame("value", v)),
-                    },
-                },
-                "commit" => WalRecord::Commit { txid: field_u64(v, "txid")? },
-                "checkpoint" => WalRecord::Checkpoint { snapshot_lsn: field_u64(v, "snapshot_lsn")? },
-                other => {
-                    return Err(Error::Protocol(format!(
-                        "unknown replication record kind {other:?}"
-                    )))
-                }
-            };
-            Ok(Frame::Record(TailedRecord { lsn, next_lsn, record }))
-        }
+        "log" => Ok(Frame::Log { lsn: field_u64(v, "lsn")?, bytes: field_bytes(v, "bytes")? }),
         other => Err(Error::Protocol(format!("unknown replication frame type {other:?}"))),
     }
 }
@@ -206,43 +157,26 @@ impl CdcBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdb_storage::wal::WalRecord;
     use mmdb_types::codec::value_to_bytes;
 
     fn rec(lsn: Lsn, next: Lsn, record: WalRecord) -> TailedRecord {
         TailedRecord { lsn, next_lsn: next, record }
     }
 
+    fn write(txid: u64, key: &str, value: Option<i64>) -> WalRecord {
+        WalRecord::Write {
+            txid,
+            domain: "kv/cart".into(),
+            key: key.as_bytes().to_vec(),
+            value: value.map(|v| value_to_bytes(&Value::int(v))),
+        }
+    }
+
     #[test]
     fn frames_round_trip_through_values() {
-        let records = vec![
-            rec(0, 17, WalRecord::Begin { txid: 7 }),
-            rec(
-                17,
-                60,
-                WalRecord::Write {
-                    txid: 7,
-                    domain: "kv/cart".into(),
-                    key: vec![0, 159, 255],
-                    value: Some(vec![1, 2, 3]),
-                },
-            ),
-            rec(
-                60,
-                90,
-                WalRecord::Write {
-                    txid: 7,
-                    domain: "doc/orders".into(),
-                    key: b"o1".to_vec(),
-                    value: None,
-                },
-            ),
-            rec(90, 107, WalRecord::Commit { txid: 7 }),
-            rec(107, 116, WalRecord::Checkpoint { snapshot_lsn: 107 }),
-        ];
-        for r in records {
-            let frame = record_frame(&r);
-            assert_eq!(parse_frame(&frame).unwrap(), Frame::Record(r));
-        }
+        let log = log_frame(17, vec![0, 159, 255]);
+        assert_eq!(parse_frame(&log).unwrap(), Frame::Log { lsn: 17, bytes: vec![0, 159, 255] });
         let hb = heartbeat_frame(424242);
         assert_eq!(parse_frame(&hb).unwrap(), Frame::Heartbeat { tail_lsn: 424242 });
         let header = Header { log_id: (1 << 63) - 1, copy: true, base: 1_700, horizon: 3_870, at_ms: 1 };
@@ -253,20 +187,17 @@ mod tests {
     fn malformed_frames_are_rejected() {
         assert!(parse_frame(&Value::str("nope")).is_err());
         assert!(parse_frame(&Value::object([("type", Value::str("mystery"))])).is_err());
+        let log = |lsn: i64, bytes: Value| {
+            Value::object([("type", Value::str("log")), ("lsn", Value::int(lsn)), ("bytes", bytes)])
+        };
+        assert!(parse_frame(&log(-1, Value::Bytes(vec![]))).is_err());
+        assert!(parse_frame(&log(0, Value::str("not bytes"))).is_err());
+        // The retired per-record frame is as unknown as any other.
         assert!(parse_frame(&Value::object([
             ("type", Value::str("record")),
             ("lsn", Value::int(0)),
             ("next_lsn", Value::int(9)),
             ("kind", Value::str("begin")),
-            ("txid", Value::int(-1)),
-        ]))
-        .is_err());
-        // The retired `abort` kind is as unknown as any other.
-        assert!(parse_frame(&Value::object([
-            ("type", Value::str("record")),
-            ("lsn", Value::int(0)),
-            ("next_lsn", Value::int(9)),
-            ("kind", Value::str("abort")),
             ("txid", Value::int(1)),
         ]))
         .is_err());
@@ -275,51 +206,18 @@ mod tests {
     #[test]
     fn cdc_buffer_releases_only_committed_writes() {
         let mut buf = CdcBuffer::new();
-        let payload = value_to_bytes(&Value::int(42));
 
         // An aborted transaction never surfaces: its block never commits,
         // and the next Begin supersedes it.
         assert!(buf.push(rec(0, 10, WalRecord::Begin { txid: 1 })).unwrap().is_empty());
-        assert!(buf
-            .push(rec(
-                10,
-                40,
-                WalRecord::Write {
-                    txid: 1,
-                    domain: "kv/cart".into(),
-                    key: b"ghost".to_vec(),
-                    value: Some(payload.clone()),
-                }
-            ))
-            .unwrap()
-            .is_empty());
+        assert!(buf.push(rec(10, 40, write(1, "ghost", Some(42)))).unwrap().is_empty());
         assert!(buf.blocks.is_open());
 
         // A committed one surfaces decoded, stamped with the commit's
         // next_lsn as the resume cursor.
         buf.push(rec(50, 60, WalRecord::Begin { txid: 2 })).unwrap();
-        buf.push(rec(
-            60,
-            90,
-            WalRecord::Write {
-                txid: 2,
-                domain: "kv/cart".into(),
-                key: b"real".to_vec(),
-                value: Some(payload),
-            },
-        ))
-        .unwrap();
-        buf.push(rec(
-            90,
-            120,
-            WalRecord::Write {
-                txid: 2,
-                domain: "kv/cart".into(),
-                key: b"gone".to_vec(),
-                value: None,
-            },
-        ))
-        .unwrap();
+        buf.push(rec(60, 90, write(2, "real", Some(42)))).unwrap();
+        buf.push(rec(90, 120, write(2, "gone", None))).unwrap();
         let events = buf.push(rec(120, 130, WalRecord::Commit { txid: 2 })).unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].get_field("type").as_str().unwrap(), "write");
@@ -337,16 +235,10 @@ mod tests {
         // `Begin{1} Write{1}` orphaned by a torn batch, then a later
         // incarnation's own txid 1: only the second block's write surfaces.
         let mut buf = CdcBuffer::new();
-        let write = |key: &str| WalRecord::Write {
-            txid: 1,
-            domain: "kv/cart".into(),
-            key: key.as_bytes().to_vec(),
-            value: Some(value_to_bytes(&Value::int(1))),
-        };
         buf.push(rec(0, 10, WalRecord::Begin { txid: 1 })).unwrap();
-        buf.push(rec(10, 40, write("orphan"))).unwrap();
+        buf.push(rec(10, 40, write(1, "orphan", Some(1)))).unwrap();
         buf.push(rec(40, 50, WalRecord::Begin { txid: 1 })).unwrap();
-        buf.push(rec(50, 80, write("real"))).unwrap();
+        buf.push(rec(50, 80, write(1, "real", Some(1)))).unwrap();
         let events = buf.push(rec(80, 90, WalRecord::Commit { txid: 1 })).unwrap();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].get_field("key").as_str().unwrap(), "real");

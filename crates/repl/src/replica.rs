@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use mmdb_client::{Client, ClientConfig};
 use mmdb_core::Database;
-use mmdb_storage::wal::{BlockAssembler, Header, LoggedWrite, Lsn, TailedRecord, Wal, WalRecord};
+use mmdb_storage::wal::{self, BlockAssembler, Header, LoggedWrite, Lsn, Wal, WalRecord};
 use mmdb_txn::CommittedWrite;
 use mmdb_types::{Error, Result};
 
@@ -170,7 +170,7 @@ impl Worker {
             self.status.note_contact();
             match &frame {
                 Frame::Heartbeat { tail_lsn } => self.status.observe_tail(*tail_lsn),
-                Frame::Record(rec) => self.status.observe_tail(rec.next_lsn),
+                Frame::Log { lsn, bytes } => self.status.observe_tail(lsn + bytes.len() as u64),
                 Frame::Reset(_) => {}
             }
             let applied = follower.take(frame)?;
@@ -181,32 +181,36 @@ impl Worker {
 }
 
 /// One stream connection's apply state on a replica, which keeps the
-/// replica's log a byte-for-byte copy of its primary's:
+/// replica's log its primary's bytes (DESIGN.md "Replication"):
 ///
-/// - records are buffered as a *run* until a block commits, or until a
-///   checkpoint marker arrives while no block is open. The run then
-///   lands verbatim ([`Wal::append_verbatim`]: the primary's txids and
-///   bytes, at the primary's LSNs) with one sync, and its block is
-///   installed and applied ([`mmdb_txn::MvccStore::apply_replicated`]).
-///   An orphan a later `Begin` superseded lands with its run, so both
-///   logs hold it, and the block rule skips it on both. The log only ever
-///   ends at a block boundary, so its tail is a resume point;
-/// - a marker, once landed, makes the replica fold its own log at the
-///   marker's `snapshot_lsn` ([`Database::checkpoint_at`]): the primary's
-///   `T`, so both folds read the same bytes and write the same image;
-/// - a reset frame — the primary's answer to a log it cannot continue —
-///   announces the primary's header. Once the image block `[B, T)` it
-///   starts has arrived (at once, for an empty fold), the log becomes
-///   that header and image ([`Wal::reset`]) and the state is replaced
-///   through the load recovery uses ([`mmdb_txn::MvccStore::load`]).
+/// - a log chunk must start where the stream stands and scan as whole
+///   intact records ([`wal::records`]), or it is refused with nothing of
+///   it landed, and the runner reconnects;
+/// - its bytes are buffered as a *run*, which may span chunks, until a
+///   block commits or a checkpoint marker waits while no block is open.
+///   The run then lands exactly as it arrived ([`Wal::append_at`]) with
+///   one sync, and its block is installed and applied
+///   ([`mmdb_txn::MvccStore::apply_replicated`]), so the log only ever
+///   ends at a block boundary: its tail is a resume point;
+/// - a landed marker makes the replica fold its own log at the marker's
+///   `snapshot_lsn`, the primary's `T` ([`Database::checkpoint_at`]);
+/// - after a reset frame, the image block `[B, T)` it announces (none,
+///   for an empty fold) makes the log that header and image
+///   ([`Wal::reset`]), and the state is replaced through the load
+///   recovery uses ([`mmdb_txn::MvccStore::load`]).
 ///
 /// Failpoint `repl.apply` fires before each landing, so a failure leaves
 /// the log and the store as they were.
 pub struct Follower<'a> {
     db: &'a Database,
     wal: &'a Wal,
-    run: Vec<TailedRecord>,
+    /// Where the next chunk must start.
+    next: Lsn,
+    /// The stream's bytes since the last landing: whole records.
+    run: Vec<u8>,
     blocks: BlockAssembler,
+    /// The `snapshot_lsn` of the run's last checkpoint marker.
+    marker: Option<Lsn>,
     /// The primary's header, from its reset frame until the image lands.
     reset: Option<Header>,
 }
@@ -215,7 +219,8 @@ impl<'a> Follower<'a> {
     /// A follower for `db`, which must keep a log.
     pub fn new(db: &'a Database) -> Result<Follower<'a>> {
         let wal = db.wal().ok_or_else(no_log)?;
-        Ok(Follower { db, wal, run: Vec::new(), blocks: BlockAssembler::default(), reset: None })
+        let (blocks, next) = (BlockAssembler::default(), wal.tail_lsn());
+        Ok(Follower { db, wal, next, run: Vec::new(), blocks, marker: None, reset: None })
     }
 
     /// What `REPLICA HELLO` carries: the log's id and its tail.
@@ -226,37 +231,53 @@ impl<'a> Follower<'a> {
     /// Take one frame of the stream; returns how many transactions it
     /// applied.
     pub fn take(&mut self, frame: Frame) -> Result<u64> {
-        match frame {
-            Frame::Heartbeat { .. } => Ok(0),
+        let (lsn, bytes) = match frame {
+            Frame::Heartbeat { .. } => return Ok(0),
             Frame::Reset(header) => {
-                self.run.clear();
-                self.blocks = BlockAssembler::default();
-                self.reset = Some(header);
+                let fresh = Follower::new(self.db)?;
+                *self = Follower { next: header.base, reset: Some(header), ..fresh };
                 if header.base == header.horizon {
                     // An empty fold: no image block will come.
-                    return self.land(None);
+                    return self.land(None, header.base);
                 }
-                Ok(0)
+                return Ok(0);
             }
-            Frame::Record(rec) => {
-                let marker = matches!(rec.record, WalRecord::Checkpoint { .. });
-                let block = self.blocks.push(rec.record.clone(), rec.next_lsn);
-                self.run.push(rec);
-                if block.is_some() || (marker && !self.blocks.is_open()) {
-                    return self.land(block.map(|b| b.writes));
-                }
-                Ok(0)
+            Frame::Log { lsn, bytes } => (lsn, bytes),
+        };
+        let records: Vec<_> = wal::records(&bytes, lsn).collect();
+        let end = lsn + bytes.len() as u64;
+        if lsn != self.next || records.last().map_or(lsn, |t| t.next_lsn) != end {
+            return Err(Error::Protocol(format!(
+                "replica stream: a {}-byte log chunk at {lsn} is not whole records from {}",
+                bytes.len(),
+                self.next
+            )));
+        }
+        self.next = end;
+        let (mut applied, mut landed) = (0, 0);
+        for t in records {
+            if let WalRecord::Checkpoint { snapshot_lsn } = t.record {
+                self.marker = Some(snapshot_lsn);
+            }
+            let block = self.blocks.push(t.record, t.next_lsn);
+            if block.is_some() || (self.marker.is_some() && !self.blocks.is_open()) {
+                let upto = (t.next_lsn - lsn) as usize;
+                self.run.extend_from_slice(&bytes[landed..upto]);
+                landed = upto;
+                applied += self.land(block.map(|b| b.writes), t.next_lsn)?;
             }
         }
+        self.run.extend_from_slice(&bytes[landed..]);
+        Ok(applied)
     }
 
-    /// Land the buffered run — or, after a reset frame, the image — and
-    /// install and apply the block it commits.
-    fn land(&mut self, block: Option<Vec<LoggedWrite>>) -> Result<u64> {
+    /// Land the buffered run, which ends at `end` — or, after a reset
+    /// frame, the image — and install and apply the block it commits.
+    fn land(&mut self, block: Option<Vec<LoggedWrite>>, end: Lsn) -> Result<u64> {
         mmdb_fault::fail_point!("repl.apply", |msg| Error::Storage(format!(
             "replica apply: {msg}"
         )));
-        let run = std::mem::take(&mut self.run);
+        let (run, marker) = (std::mem::take(&mut self.run), self.marker.take());
         let applied = u64::from(block.is_some());
         let writes = block
             .unwrap_or_default()
@@ -268,12 +289,8 @@ impl<'a> Follower<'a> {
             self.db.mvcc().load(writes, header.horizon);
             return Ok(applied);
         }
-        let end = self.wal.append_verbatim(&run)?;
+        self.wal.append_at(end - run.len() as u64, &run)?;
         self.wal.sync()?;
-        let marker = run.iter().rev().find_map(|t| match t.record {
-            WalRecord::Checkpoint { snapshot_lsn } => Some(snapshot_lsn),
-            _ => None,
-        });
         // A reset lands the image its stream's first marker folded to, so
         // that marker's horizon is the log's already: folding it again
         // would rewrite the log into the same bytes.
@@ -296,10 +313,10 @@ mod tests {
     #[test]
     fn a_followers_log_is_its_primarys_bytes_superseded_block_and_all() {
         // The primary's log: `Begin{1} Write{1}` orphaned by a torn batch,
-        // then a later incarnation's own txid 1.
+        // then a later incarnation's own txid 1, then one more block.
         let primary = Wal::in_memory();
-        let write = |key: &str| WalRecord::Write {
-            txid: 1,
+        let write = |txid: u64, key: &str| WalRecord::Write {
+            txid,
             domain: "kv/cart".into(),
             key: key.as_bytes().to_vec(),
             value: Some(value_to_bytes(&Value::int(1))),
@@ -307,31 +324,60 @@ mod tests {
         primary
             .append_batch(&[
                 WalRecord::Begin { txid: 1 },
-                write("orphan"),
+                write(1, "orphan"),
                 WalRecord::Begin { txid: 1 },
-                write("real"),
+                write(1, "real"),
                 WalRecord::Commit { txid: 1 },
+                WalRecord::Begin { txid: 2 },
+                write(2, "next"),
+                WalRecord::Commit { txid: 2 },
             ])
             .unwrap();
-        let tail = primary.tail_lsn();
+        let (bytes, tail) = (primary.snapshot_bytes().unwrap(), primary.tail_lsn());
+        let edges: Vec<Lsn> = wal::records(&bytes, 0).map(|t| t.next_lsn).collect();
+        let commits = [edges[4], edges[7]];
+        let chunk = |from: Lsn, to: Lsn| Frame::Log {
+            lsn: from,
+            bytes: bytes[from as usize..to as usize].to_vec(),
+        };
+        let follows = |db: &Database| {
+            assert_eq!(db.wal().unwrap().snapshot_bytes().unwrap(), bytes);
+            assert_eq!(db.mvcc().get_latest("kv/cart", b"orphan"), None);
+            assert_eq!(db.mvcc().get_latest("kv/cart", b"real"), Some(Value::int(1)));
+            assert_eq!(db.last_commit_lsn(), tail);
+        };
 
-        let db = Database::in_memory_logged();
-        let mut follower = Follower::new(&db).unwrap();
-        assert_ne!(follower.position().0, primary.header().log_id);
-        // A fresh primary's fold is empty: the reset lands at once.
-        assert_eq!(follower.take(Frame::Reset(primary.header())).unwrap(), 0);
-        assert_eq!(follower.position(), (primary.header().log_id, 0));
-        for t in primary.read_records_from(0, usize::MAX).unwrap() {
-            let next = t.next_lsn;
-            let applied = follower.take(Frame::Record(t)).unwrap();
-            // Mid-block is never landed, orphan or not.
-            assert_eq!(follower.position().1, if next == tail { tail } else { 0 });
-            assert_eq!(applied, u64::from(next == tail));
+        // In chunks cut at every record edge, and as one chunk.
+        for cuts in [edges.clone(), vec![tail]] {
+            let db = Database::in_memory_logged();
+            let mut follower = Follower::new(&db).unwrap();
+            assert_ne!(follower.position().0, primary.header().log_id);
+            // A fresh primary's fold is empty: the reset lands at once.
+            assert_eq!(follower.take(Frame::Reset(primary.header())).unwrap(), 0);
+            assert_eq!(follower.position(), (primary.header().log_id, 0));
+            let mut from = 0;
+            for to in cuts {
+                let applied = follower.take(chunk(from, to)).unwrap();
+                // Mid-block is never landed, orphan or not.
+                let landed = commits.iter().filter(|c| **c <= to).max().copied().unwrap_or(0);
+                assert_eq!(follower.position().1, landed);
+                assert_eq!(applied, commits.iter().filter(|c| (from + 1..=to).contains(*c)).count() as u64);
+                from = to;
+            }
+            follows(&db);
         }
-        assert_eq!(db.wal().unwrap().snapshot_bytes(), primary.snapshot_bytes());
-        assert_eq!(db.mvcc().get_latest("kv/cart", b"orphan"), None);
-        assert_eq!(db.mvcc().get_latest("kv/cart", b"real"), Some(Value::int(1)));
-        assert_eq!(db.last_commit_lsn(), tail);
+
+        // A chunk cut mid-record, or with a gap before it, is refused with
+        // nothing of it landed, whole blocks before the cut included.
+        let db = Database::in_memory_logged();
+        Follower::new(&db).unwrap().take(Frame::Reset(primary.header())).unwrap();
+        assert!(Follower::new(&db).unwrap().take(chunk(0, tail - 1)).is_err());
+        assert!(Follower::new(&db).unwrap().take(chunk(edges[0], tail)).is_err());
+        assert_eq!(db.wal().unwrap().tail_lsn(), 0);
+        assert_eq!(db.last_commit_lsn(), 0);
+        // The reconnect lands it exactly once.
+        assert_eq!(Follower::new(&db).unwrap().take(chunk(0, tail)).unwrap(), 2);
+        follows(&db);
     }
 
     #[test]

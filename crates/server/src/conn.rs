@@ -43,6 +43,7 @@ use mmdb_core::Session;
 use mmdb_protocol::frame::{self, FrameReader};
 use mmdb_protocol::{DdlOp, Request, Response, SessionOp, PROTOCOL_VERSION};
 use mmdb_repl::feed::{self, CdcBuffer};
+use mmdb_storage::wal;
 use mmdb_types::{lock_rank, CancelToken, Error, Result, Value};
 use mmdb_txn::IsolationLevel;
 
@@ -841,28 +842,36 @@ fn run_session_request(
 /// reader owns the write side) until the peer or the server goes away.
 fn serve_stream(inner: &ServerInner, conn: &ConnHandle, request: &Request) -> Result<()> {
     const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
-    const BATCH: usize = 256;
     let stream = &conn.stream;
     let Some(wal) = inner.db.wal().cloned() else {
         return Err(Error::Unsupported(
             "this server has no WAL to stream (pure in-memory database)".into(),
         ));
     };
-    let cdc = matches!(request, Request::Subscribe { .. });
-    let mut cdc_buf = CdcBuffer::new();
+    // Everything this stream reports or ships is bounded by the *durable*
+    // LSN: with group commit, a batch sits appended-but-unsynced for a
+    // moment, and shipping (or even advertising) those bytes would let a
+    // replica get ahead of what a primary crash can replay. A cursor
+    // continues the log only if it is `durable` or a record starts there,
+    // and the first heartbeat tells the subscriber where the tail is even
+    // when it starts caught up.
+    let durable = wal.durable_lsn();
+    let starts_a_record =
+        |lsn| -> Result<bool> { Ok(lsn == durable || !wal.read_log(lsn, durable)?.is_empty()) };
+    let mut cdc = matches!(request, Request::Subscribe { .. }).then(CdcBuffer::new);
     let mut cursor = match *request {
         Request::ReplicaHello { log_id, tail } => {
             let header = wal.header();
-            if log_id == header.log_id && (header.horizon..=wal.durable_lsn()).contains(&tail) {
+            let within = log_id == header.log_id && (header.horizon..=durable).contains(&tail);
+            if within && starts_a_record(tail)? {
                 tail
             } else {
                 // The replica's log cannot continue this one: it is
-                // another log, or it ends inside the image or past what is
-                // durable here. Reset it onto this log — the header, then
-                // the records from the base, image block first. A
-                // checkpoint that rewrites the log under a stream still
-                // inside it makes the next read `log_truncated`, and the
-                // replica reconnects and is reset from the new base.
+                // another log, or it ends inside the image, inside a record
+                // or past what is durable here. Reset it onto this log: the
+                // header, then the bytes from the base. A checkpoint that
+                // folds past a stream's cursor makes its next read
+                // `log_truncated`; the replica reconnects and is reset.
                 send_change(inner, stream, feed::reset_frame(&header))?;
                 header.base
             }
@@ -879,50 +888,41 @@ fn serve_stream(inner: &ServerInner, conn: &ConnHandle, request: &Request) -> Re
                      resubscribe from the current tail"
                 )));
             }
+            if !starts_a_record(from_lsn)? {
+                return Err(Error::NotFound(format!(
+                    "no record starts at subscribe cursor {from_lsn}; resume from an event's lsn"
+                )));
+            }
             from_lsn
         }
         _ => return Err(Error::Internal("not a stream request".into())),
     };
-    // Immediate first heartbeat: tells the subscriber the current tail
-    // even when the cursor starts caught-up. Everything this stream
-    // reports or ships is bounded by the *durable* LSN: with group
-    // commit, a batch sits appended-but-unsynced for a moment, and
-    // shipping (or even advertising) those bytes would let a replica get
-    // ahead of what a primary crash can replay.
-    send_change(inner, stream, feed::heartbeat_frame(wal.durable_lsn()))?;
+    send_change(inner, stream, feed::heartbeat_frame(durable))?;
     let mut last_beat = Instant::now();
     loop {
         if inner.shutting_down() {
             return Ok(());
         }
         let durable = wal.durable_lsn();
-        let records = if cursor < durable {
-            wal.read_records_from(cursor, BATCH)?
-        } else {
-            Vec::new()
-        };
-        // `read_records_from` tails the in-memory log, which may already
-        // hold an unsynced batch; cut the run at the durability boundary
-        // (batches land WAL-block-aligned, so `durable` is a record edge).
-        let records: Vec<_> = records.into_iter().take_while(|r| r.next_lsn <= durable).collect();
-        if records.is_empty() {
+        let bytes = if cursor < durable { wal.read_log(cursor, durable)? } else { Vec::new() };
+        if bytes.is_empty() {
             if last_beat.elapsed() >= HEARTBEAT_EVERY {
-                send_change(inner, stream, feed::heartbeat_frame(wal.durable_lsn()))?;
+                send_change(inner, stream, feed::heartbeat_frame(durable))?;
                 last_beat = Instant::now();
             }
             std::thread::sleep(inner.config.poll_interval.min(HEARTBEAT_EVERY));
             continue;
         }
-        for rec in records {
-            let next_lsn = rec.next_lsn;
-            if cdc {
-                for event in cdc_buf.push(rec)? {
+        let at = cursor;
+        cursor += bytes.len() as u64;
+        if let Some(cdc) = &mut cdc {
+            for rec in wal::records(&bytes, at) {
+                for event in cdc.push(rec)? {
                     send_change(inner, stream, event)?;
                 }
-            } else {
-                send_change(inner, stream, feed::record_frame(&rec))?;
             }
-            cursor = next_lsn;
+        } else {
+            send_change(inner, stream, feed::log_frame(at, bytes))?;
         }
         // Records just flowed; the next heartbeat can wait a full period.
         last_beat = Instant::now();

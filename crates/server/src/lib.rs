@@ -1,6 +1,6 @@
 //! # mmdb-server — the networked front-end
 //!
-//! Exposes one [`Database`](mmdb_core::Database) over TCP using the
+//! Exposes one [`mmdb_core::Database`] over TCP using the
 //! `mmdb-protocol` wire format. Deliberately `std::net` only: the
 //! concurrency model is legible and the dependency count is zero.
 //!

@@ -11,7 +11,7 @@ use std::time::Duration;
 use mmdb_protocol::Request;
 use mmdb_types::Value;
 
-/// Commands tracked individually. Indexes into [`Metrics::commands`].
+/// Commands tracked individually. Indexes into `Metrics::commands`.
 /// Kept in sync with `Request::command_label`.
 pub const COMMAND_LABELS: [&str; 13] = [
     "hello", "ping", "query", "sql", "explain", "begin", "commit", "abort", "op", "ddl", "admin",

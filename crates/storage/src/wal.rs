@@ -10,12 +10,17 @@
 //! string (e.g. `"doc/orders"`, `"graph/knows/edge"`) so recovery can route
 //! each write back to the owning model. Recovery replays the writes of
 //! committed transactions in log order and discards uncommitted tails —
-//! including torn final records, which are detected by the CRC. What
-//! "committed" means is stated once, by [`BlockAssembler`], which
-//! recovery, the checkpoint, the replica apply loop and the CDC feed all
-//! read the log through. The log is also its own snapshot: a checkpoint
-//! ([`Wal::fold_prefix`]) rewrites its prefix as one block holding the
-//! prefix's [`fold`], the same fold recovery installs.
+//! including torn final records, which are detected by the CRC. Every
+//! reader takes the log's bytes apart with one scanner, [`records`], and
+//! what "committed" means is stated once, by [`BlockAssembler`]: recovery,
+//! the checkpoint, a tailing read, a replica's landing and the CDC feed
+//! all read the log through both. The bytes themselves are the
+//! replication format: a replica lands its primary's exactly as they
+//! arrive ([`Wal::append_at`]). The log is also its own snapshot: a
+//! checkpoint ([`Wal::fold_prefix`]) rewrites its prefix as one block
+//! holding the prefix's [`fold`], the same fold recovery installs, through
+//! the same rewrite a reset, a copy's first local append and a header
+//! upgrade at open use.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -150,57 +155,40 @@ fn frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-/// Frame `records` into one buffer: returns it, each record's end offset
-/// in it, and whether an injected `short` tore it.
-fn frame_records<'a>(
-    records: impl Iterator<Item = &'a WalRecord>,
-) -> Result<(Vec<u8>, Vec<u64>, bool)> {
+/// Frame `records` into one buffer: returns it and each record's end
+/// offset in it.
+fn frame_records(records: &[WalRecord]) -> (Vec<u8>, Vec<u64>) {
     let mut buf = Vec::new();
-    let mut ends = Vec::new();
-    for record in records {
-        let payload = record.encode();
-        // Failpoint `wal.append`, once per record, so crash schedules
-        // (`N:short`) reach mid-batch offsets too: `short` tears the
-        // record mid-frame — the bytes land in the log, so recovery must
-        // detect and truncate the torn tail.
-        match mmdb_fault::eval("wal.append") {
-            mmdb_fault::Decision::Proceed => {}
-            mmdb_fault::Decision::Fail(msg) => {
-                return Err(Error::Storage(format!("wal append: {msg}")))
-            }
-            mmdb_fault::Decision::Short => {
-                // Half the frame lands; the rest of the batch never gets
-                // framed.
-                let frame_start = buf.len();
-                frame(&mut buf, &payload);
-                buf.truncate(frame_start + (payload.len() + 8) / 2);
-                return Ok((buf, ends, true));
-            }
-        }
-        frame(&mut buf, &payload);
-        ends.push(buf.len() as u64);
-    }
-    Ok((buf, ends, false))
+    let ends = records
+        .iter()
+        .map(|record| {
+            frame(&mut buf, &record.encode());
+            buf.len() as u64
+        })
+        .collect();
+    (buf, ends)
 }
 
-/// Whether `run`, framed into a buffer whose record ends are `ends`,
-/// puts each record exactly where it says it is when the buffer starts at
-/// the first record's LSN.
-fn check_positions(run: &[TailedRecord], ends: &[u64]) -> Result<()> {
-    let start = run.first().map_or(0, |t| t.lsn);
-    let mut at = start;
-    for (t, end) in run.iter().zip(ends) {
-        if (t.lsn, t.next_lsn) != (at, start + end) {
-            return Err(Error::Storage(format!(
-                "wal: a copied record claims [{}, {}) but frames to [{at}, {})",
-                t.lsn,
-                t.next_lsn,
-                start + end
-            )));
+/// The intact records of `bytes`, a run of the log that starts at LSN
+/// `at`, in order: the one frame scanner, which recovery, the checkpoint,
+/// tailing reads, a replica's landing and the CDC feed all read the log
+/// through. It stops at the first frame that is torn (the bytes end
+/// inside it) or corrupt (its CRC or its payload does not check); where
+/// it stopped is the last record's `next_lsn`, or `at` if it yields none.
+pub fn records(bytes: &[u8], at: Lsn) -> impl Iterator<Item = TailedRecord> + '_ {
+    let (mut rest, mut lsn) = (bytes, at);
+    std::iter::from_fn(move || {
+        let (head, tail) = rest.split_first_chunk::<8>()?;
+        let len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
+        let payload = tail.get(..len)?;
+        if crc32(payload) != u32::from_le_bytes([head[4], head[5], head[6], head[7]]) {
+            return None;
         }
-        at = t.next_lsn;
-    }
-    Ok(())
+        let record = WalRecord::decode(payload).ok()?;
+        let t = TailedRecord { lsn, next_lsn: lsn + 8 + len as u64, record };
+        (rest, lsn) = (&tail[len..], t.next_lsn);
+        Some(t)
+    })
 }
 
 /// Split `len` bytes off the front of `buf`, advancing it.
@@ -427,13 +415,15 @@ fn sync_dir(path: &Path) -> std::io::Result<()> {
 /// was never checkpointed has `B = T = 0`.
 pub struct Wal {
     inner: Mutex<WalInner>,
+    /// Held for a whole [`Wal::rewrite`], so two never share `<log>.tmp`.
+    rewriting: Mutex<()>,
     /// The file path for file-backed logs (`None` in memory) — needed by
-    /// [`Wal::fold_prefix`] to rewrite-and-rename in place.
+    /// [`Wal::rewrite`] to rewrite-and-rename in place.
     path: Option<PathBuf>,
     /// Logical LSN up to which the log is known durable: the tail as of
-    /// the last successful [`Wal::sync`]. Replication streams are capped
-    /// here so appended-but-unsynced records (which a crash could still
-    /// erase) never reach a replica or change-feed subscriber.
+    /// the last successful [`Wal::sync`] or rewrite. Replication streams
+    /// are capped here so appended-but-unsynced records (which a crash
+    /// could still erase) never reach a replica or change-feed subscriber.
     durable_lsn: std::sync::atomic::AtomicU64,
 }
 
@@ -445,19 +435,18 @@ struct WalInner {
     /// is its image.
     header: Header,
     /// Physical offset where record data starts: [`WAL_HEADER_LEN`] for a
-    /// file, 0 for the memory backend.
+    /// file (the length of an older header until [`Wal::recover`]
+    /// rewrites it), 0 for the memory backend.
     data_start: u64,
     /// The first failed sync, kept: every later sync fails with it.
     sync_failure: Option<String>,
 }
 
-impl WalInner {
-    fn new(backend: WalBackend, header: Header, data_start: u64, len: u64) -> Mutex<WalInner> {
-        let next_lsn = header.base + len - data_start;
-        let inner = WalInner { backend, next_lsn, header, data_start, sync_failure: None };
-        Mutex::with_rank(lock_rank::WAL_INNER, inner)
-    }
+/// Per-read budget of [`WalInner::read_chunk`]: bounds memory when a
+/// reader is far behind.
+const TAIL_CHUNK: u64 = 1 << 20;
 
+impl WalInner {
     /// Fails once a sync has: with the first failure, which every later
     /// sync returns until the log is reopened.
     fn check_synced(&self) -> Result<()> {
@@ -487,6 +476,24 @@ impl WalInner {
             }
         }
     }
+
+    /// Up to [`TAIL_CHUNK`] bytes from `from`, never past `to` or the
+    /// tail. A record larger than the budget is read whole, so a reader
+    /// always advances.
+    fn read_chunk(&self, from: Lsn, to: Lsn) -> Result<Vec<u8>> {
+        let to = to.min(self.next_lsn);
+        if from >= to {
+            return Ok(Vec::new());
+        }
+        let mut buf = self.read_bytes(from, to.min(from + TAIL_CHUNK))?;
+        if let Some(len) = buf.first_chunk::<4>().map(|l| u32::from_le_bytes(*l) as u64) {
+            let whole = from + 8 + len;
+            if whole > from + buf.len() as u64 && whole <= to {
+                buf = self.read_bytes(from, whole)?;
+            }
+        }
+        Ok(buf)
+    }
 }
 
 /// What one [`Wal::fold_prefix`] did.
@@ -503,6 +510,20 @@ pub struct FoldedPrefix {
 }
 
 impl Wal {
+    /// A log over `backend`, pathless until a file's opener sets it, whose
+    /// records start at physical offset `data_start` and end at `len`;
+    /// all of it counts as durable.
+    fn with_backend(backend: WalBackend, header: Header, data_start: u64, len: u64) -> Wal {
+        let next_lsn = header.base + len - data_start;
+        let inner = WalInner { backend, next_lsn, header, data_start, sync_failure: None };
+        Wal {
+            inner: Mutex::with_rank(lock_rank::WAL_INNER, inner),
+            rewriting: Mutex::with_rank(lock_rank::WAL_REWRITE, ()),
+            path: None,
+            durable_lsn: std::sync::atomic::AtomicU64::new(next_lsn),
+        }
+    }
+
     /// Open (or create) a file-backed WAL, appending after existing
     /// content. A log with the retired `WAL2` header is refused with an
     /// `unsupported` error and left as it is.
@@ -515,9 +536,10 @@ impl Wal {
     /// first, and so is a block left open at the end: appends extend a log
     /// that ends at a block boundary instead of hiding behind bytes the
     /// next recovery would stop at, and [`Wal::tail_lsn`] is a position a
-    /// replica can resume from. A new, headerless or `WAL3` log gets its
-    /// header here, written through `<log>.tmp` like a checkpoint, so no
-    /// log is ever without an id.
+    /// replica can resume from. Everything left in the file survived a
+    /// previous run's syncs, so it is durable. A new, headerless or `WAL3`
+    /// log gets its header here, rewritten like a checkpoint, so no log is
+    /// ever without an id.
     pub fn recover(path: impl AsRef<Path>) -> Result<(Self, Recovery)> {
         let path = path.as_ref();
         let io = |e: std::io::Error| Error::Storage(format!("open wal {path:?}: {e}"));
@@ -530,42 +552,32 @@ impl Wal {
         // A rewrite that died before its rename left this behind; the log
         // it would have replaced is the one just read.
         let _ = std::fs::remove_file(tmp_path(path));
+        let file = OpenOptions::new().read(true).append(true).create(true).open(path).map_err(io)?;
         let kept = header_len + recovery.valid_len;
-        let file = if header_len == WAL_HEADER_LEN {
-            let file = OpenOptions::new().read(true).append(true).open(path).map_err(io)?;
-            if kept < data.len() as u64 {
-                file.set_len(kept).map_err(io)?;
-            }
-            file
-        } else {
-            let records = &data[header_len as usize..kept as usize];
-            let file = write_tmp(path, &[&header.encode(), records]).map_err(io)?;
-            std::fs::rename(tmp_path(path), path).and_then(|()| sync_dir(path)).map_err(io)?;
-            file
+        if header_len == WAL_HEADER_LEN && kept < data.len() as u64 {
+            file.set_len(kept).map_err(io)?;
+        }
+        let wal = Wal {
+            path: Some(path.to_path_buf()),
+            ..Wal::with_backend(WalBackend::File(file), header, header_len, kept)
         };
-        let len = WAL_HEADER_LEN + recovery.valid_len;
-        let inner = WalInner::new(WalBackend::File(file), header, WAL_HEADER_LEN, len);
-        // Everything left in the file survived a previous run's syncs.
-        let durable_lsn = std::sync::atomic::AtomicU64::new(inner.lock().next_lsn);
-        Ok((Wal { inner, path: Some(path.to_path_buf()), durable_lsn }, recovery))
+        if header_len != WAL_HEADER_LEN {
+            wal.rewrite("open", |h| h, &[], true)?;
+        }
+        Ok((wal, recovery))
     }
 
     /// An in-memory WAL (tests; volatile databases).
     pub fn in_memory() -> Self {
-        Wal {
-            inner: WalInner::new(WalBackend::Memory(Vec::new()), Header::fresh(), 0, 0),
-            path: None,
-            durable_lsn: std::sync::atomic::AtomicU64::new(0),
-        }
+        Wal::with_backend(WalBackend::Memory(Vec::new()), Header::fresh(), 0, 0)
     }
 
     /// Append one record, returning its LSN. Not yet durable — call
     /// [`Wal::sync`] (commit does). A batch of one (see
     /// [`Wal::append_batch`]).
     pub fn append(&self, record: &WalRecord) -> Result<Lsn> {
-        let end = self.append_batch(std::slice::from_ref(record))?;
-        let end = end.first().ok_or_else(|| Error::Internal("wal append: no record".into()))?;
-        Ok(end - 8 - record.encode().len() as u64)
+        let (buf, ends) = frame_records(std::slice::from_ref(record));
+        self.write_framed(&buf, &ends, None)
     }
 
     /// Append a run of records as one contiguous write, returning for
@@ -583,24 +595,50 @@ impl Wal {
         if records.is_empty() {
             return Ok(Vec::new());
         }
-        let (buf, ends, torn) = frame_records(records.iter())?;
-        let base = self.write_run(&buf, None, torn)?;
+        let (buf, ends) = frame_records(records);
+        let base = self.write_framed(&buf, &ends, None)?;
         Ok(ends.into_iter().map(|e| base + e).collect())
     }
 
-    /// Append records another log holds, at the positions they hold
-    /// there: how a replica's log becomes a byte-for-byte copy of its
-    /// primary's. Refused with nothing written unless `run` starts at this
-    /// log's tail and each record's frame spans exactly its
-    /// `next_lsn − lsn`. One write with [`Wal::append_batch`]'s failure
-    /// atomicity; returns the new tail. Not yet durable — call
-    /// [`Wal::sync`].
-    pub fn append_verbatim(&self, run: &[TailedRecord]) -> Result<Lsn> {
-        let Some(first) = run.first() else { return Ok(self.tail_lsn()) };
-        let (buf, ends, torn) = frame_records(run.iter().map(|t| &t.record))?;
-        check_positions(run, &ends)?;
-        self.write_run(&buf, Some(first.lsn), torn)?;
-        Ok(first.lsn + buf.len() as u64)
+    /// Land `bytes`, a run of another log that starts at its LSN `lsn`,
+    /// exactly as they are: how a replica's log becomes a byte-for-byte
+    /// copy of its primary's. Refused with nothing written unless `lsn` is
+    /// this log's tail and `bytes` scan as whole intact records. One write
+    /// with [`Wal::append_batch`]'s failure atomicity; returns the new
+    /// tail. Not yet durable — call [`Wal::sync`].
+    pub fn append_at(&self, lsn: Lsn, bytes: &[u8]) -> Result<Lsn> {
+        let ends: Vec<u64> = records(bytes, 0).map(|t| t.next_lsn).collect();
+        if ends.last().map_or(0, |e| *e) != bytes.len() as u64 {
+            return Err(Error::Storage(format!(
+                "wal append: the {}-byte run at {lsn} is not whole intact records",
+                bytes.len()
+            )));
+        }
+        self.write_framed(bytes, &ends, Some(lsn))?;
+        Ok(lsn + bytes.len() as u64)
+    }
+
+    /// [`Wal::write_run`] for a framed run whose records end at `ends`.
+    /// Failpoint `wal.append` is evaluated once per record, so crash
+    /// schedules (`N:short`) reach mid-batch offsets too: `error` rejects
+    /// the run before a byte lands, and `short` tears it at that record —
+    /// half the record's frame lands after the records before it, so
+    /// recovery must detect and truncate the torn tail.
+    fn write_framed(&self, buf: &[u8], ends: &[u64], at: Option<Lsn>) -> Result<Lsn> {
+        let mut start = 0;
+        for &end in ends {
+            match mmdb_fault::eval("wal.append") {
+                mmdb_fault::Decision::Proceed => {}
+                mmdb_fault::Decision::Fail(msg) => {
+                    return Err(Error::Storage(format!("wal append: {msg}")))
+                }
+                mmdb_fault::Decision::Short => {
+                    return self.write_run(&buf[..(start + (end - start) / 2) as usize], at, true)
+                }
+            }
+            start = end;
+        }
+        self.write_run(buf, at, false)
     }
 
     /// Land a framed run in one write at the tail — only if the tail is
@@ -611,19 +649,20 @@ impl Wal {
     /// first makes the log its own ([`Header::copy`]).
     fn write_run(&self, buf: &[u8], at: Option<Lsn>, torn: bool) -> Result<Lsn> {
         let mut inner = self.inner.lock();
+        if at.is_none() && inner.header.copy {
+            // Its records diverge from the log whose id it carries here,
+            // so a replica of that log must not resume from it.
+            drop(inner);
+            let own = |h: Header| Header { log_id: fresh_log_id(), copy: false, ..h };
+            self.rewrite("append to a copy", own, &[], true)?;
+            inner = self.inner.lock();
+        }
         inner.check_synced()?;
         let base = inner.next_lsn;
         if let Some(at) = at.filter(|at| *at != base) {
             return Err(Error::Storage(format!(
                 "wal append: the run starts at {at}, but the log's tail is {base}"
             )));
-        }
-        if at.is_none() && inner.header.copy {
-            // Its records diverge from the log whose id it carries here,
-            // so a replica of that log must not resume from it.
-            let header = Header { log_id: fresh_log_id(), copy: false, ..inner.header };
-            let body = inner.read_bytes(header.base, base)?;
-            self.replace(&mut inner, header, body, "append to a copy")?;
         }
         match &mut inner.backend {
             WalBackend::File(f) => f
@@ -686,98 +725,45 @@ impl Wal {
         self.durable_lsn.load(std::sync::atomic::Ordering::SeqCst)
     }
 
-    /// Read back the whole log (in-memory backend) — test helper.
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
+    /// The log's bytes from its base `B` to its tail, torn ones included,
+    /// whatever its backend — a test helper.
+    pub fn snapshot_bytes(&self) -> Result<Vec<u8>> {
         let inner = self.inner.lock();
-        match &inner.backend {
-            WalBackend::Memory(v) => v.clone(),
-            WalBackend::File(_) => Vec::new(),
-        }
+        inner.read_bytes(inner.header.base, inner.next_lsn)
     }
 
-    /// Tail the log: read up to `max_records` CRC-verified records starting
-    /// at byte offset `from` (an LSN previously returned by [`Wal::append`],
-    /// [`Wal::tail_lsn`] or a prior tail read). This is the replication
-    /// feed — a primary streams the result to replicas and change-feed
-    /// subscribers, who resume from the last `next_lsn` they saw.
+    /// Tail the log: its bytes from `from`, cut at the last intact record
+    /// edge at or below `to` — up to 1 MiB of them, or the record at
+    /// `from` whole when it is larger. This is the replication feed: a
+    /// primary ships them to replicas as they are, and scans them with
+    /// [`records`] for change-feed subscribers; either resumes from `from`
+    /// plus their length.
     ///
     /// `from` must be a record the log still holds: the base `B` (the
     /// image block's `Begin`) or an LSN at or past the horizon `T`. Below
     /// `B` the history is gone, and inside the image every LSN names a
     /// byte of the fold rather than of the history; both are
-    /// [`Error::LogTruncated`].
+    /// [`Error::LogTruncated`]. A `from` that is not a record edge, or at
+    /// or past `to`, reads nothing.
     ///
-    /// The scan stops cleanly (no error) at a torn or partial tail record,
-    /// exactly like recovery: such bytes only exist transiently between a
-    /// failed append and the crash/truncate that follows, and must never be
-    /// shipped. Reads never move the append cursor.
-    pub fn read_records_from(&self, from: Lsn, max_records: usize) -> Result<Vec<TailedRecord>> {
-        self.read_records(from, max_records, false)
-    }
-
-    /// [`Wal::read_records_from`], except that `inside_image` lets `from`
-    /// fall inside the image block: how the checkpoint reads its prefix.
-    fn read_records(
-        &self,
-        from: Lsn,
-        max_records: usize,
-        inside_image: bool,
-    ) -> Result<Vec<TailedRecord>> {
-        /// Per-call read budget: bounds memory when a replica is far
-        /// behind. A record larger than the chunk is re-read at its exact
-        /// size below, so oversized records slow tailing down rather than
-        /// stall it.
-        const TAIL_CHUNK: u64 = 1 << 20;
-
-        let inner = self.inner.lock();
-        let end = inner.next_lsn;
-        if from >= end || max_records == 0 {
-            return Ok(Vec::new());
-        }
-        let Header { base, horizon, .. } = inner.header;
-        if from < base || (from < horizon && from != base && !inside_image) {
-            return Err(Error::LogTruncated(format!(
-                "LSN {from} is below the checkpoint horizon {horizon}; the log restarts at {base}"
-            )));
-        }
-        let mut buf = inner.read_bytes(from, end.min(from + TAIL_CHUNK))?;
-        // A single record can exceed the chunk (one huge value): re-read
-        // with exactly that record's size so the cursor always advances.
-        if buf.len() >= 8 {
-            let first_len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as u64;
-            let whole = from + 8 + first_len;
-            if 8 + first_len > buf.len() as u64 && whole <= end {
-                buf = inner.read_bytes(from, whole)?;
+    /// The cut keeps out a torn or partial tail record, exactly like
+    /// recovery: such bytes only exist transiently between a failed append
+    /// and the crash/truncate that follows, and must never be shipped.
+    /// Reads never move the append cursor.
+    pub fn read_log(&self, from: Lsn, to: Lsn) -> Result<Vec<u8>> {
+        let mut buf = {
+            let inner = self.inner.lock();
+            let Header { base, horizon, .. } = inner.header;
+            if from < base || (from < horizon && from != base) {
+                return Err(Error::LogTruncated(format!(
+                    "LSN {from} is below the checkpoint horizon {horizon}; the log restarts at {base}"
+                )));
             }
-        }
-        drop(inner);
-
-        let mut out = Vec::new();
-        let mut off = 0usize;
-        while out.len() < max_records && buf.len() - off >= 8 {
-            let len = u32::from_le_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
-                as usize;
-            let crc =
-                u32::from_le_bytes([buf[off + 4], buf[off + 5], buf[off + 6], buf[off + 7]]);
-            if buf.len() - off < 8 + len {
-                break; // partial frame: either the chunk boundary or a torn tail
-            }
-            let payload = &buf[off + 8..off + 8 + len];
-            if crc32(payload) != crc {
-                break; // corrupt tail: stop where recovery would
-            }
-            let record = match WalRecord::decode(payload) {
-                Ok(r) => r,
-                Err(_) => break,
-            };
-            out.push(TailedRecord {
-                lsn: from + off as u64,
-                next_lsn: from + (off + 8 + len) as u64,
-                record,
-            });
-            off += 8 + len;
-        }
-        Ok(out)
+            inner.read_chunk(from, to)?
+        };
+        let end = records(&buf, from).last().map_or(from, |t| t.next_lsn);
+        buf.truncate((end - from) as usize);
+        Ok(buf)
     }
 
     /// Physical size of the log in bytes (header and image included).
@@ -840,8 +826,8 @@ impl Wal {
     /// replica the `snapshot_lsn` of its primary's marker, so both fold the
     /// same bytes into the same image. Each image write is the size of a
     /// write it replaces, and the prefix held a `Begin`/`Commit` pair for
-    /// the image's, so the new base `T − image` is at least the old one. A
-    /// file is rewritten to `<log>.tmp` and renamed over the log; appends
+    /// the image's, so the new base `T − image` is at least the old one.
+    /// A file is rewritten to `<log>.tmp` and renamed over the log; appends
     /// wait only for the rename, and a crash on either side of it leaves a
     /// complete log of the same state (DESIGN.md "Checkpointing"). Callers
     /// serialize checkpoints (`Database` holds its checkpoint lock).
@@ -858,15 +844,12 @@ impl Wal {
                 old.horizon
             )));
         }
-        let old_base = old.base;
-        let (mut image, entries) = {
-            let mut redo = Vec::new();
-            let mut blocks = BlockAssembler::default();
-            let mut at = old_base;
+        let (image, entries) = {
+            let (mut redo, mut blocks, mut at) = (Vec::new(), BlockAssembler::default(), old.base);
             while at < horizon {
+                let chunk = self.inner.lock().read_chunk(at, horizon)?;
                 let from = at;
-                let records = self.read_records(at, usize::MAX, true)?;
-                for t in records.into_iter().take_while(|t| t.next_lsn <= horizon) {
+                for t in records(&chunk, from) {
                     at = t.next_lsn;
                     if let Some(block) = blocks.push(t.record, at) {
                         redo.extend(block.writes);
@@ -882,110 +865,100 @@ impl Wal {
             (encode_image(&folded), folded.len())
         };
         let image_bytes = image.len() as u64;
-        let base = horizon.checked_sub(image_bytes).filter(|b| *b >= old_base).ok_or_else(|| {
+        let base = horizon.checked_sub(image_bytes).filter(|b| *b >= old.base).ok_or_else(|| {
             Error::Internal(format!(
                 "wal checkpoint: a {image_bytes}-byte image outgrows the {}-byte prefix it folds",
-                horizon - old_base
+                horizon - old.base
             ))
         })?;
         let at_ms = SystemTime::now().duration_since(UNIX_EPOCH).map_or(1, |d| d.as_millis() as u64);
-        let header = Header { base, horizon, at_ms, ..old };
-        match &self.path {
-            Some(path) => self.rewrite_file(path, header, &image)?,
-            None => {
-                let mut inner = self.inner.lock();
-                mmdb_fault::fail_point!("ckpt.wal_rewrite", |msg| Error::Storage(format!(
-                    "wal checkpoint: {msg}"
-                )));
-                let from = inner.physical(horizon) as usize;
-                if let WalBackend::Memory(v) = &mut inner.backend {
-                    image.extend_from_slice(&v[from..]);
-                    *v = image;
-                }
-                inner.header = header;
-            }
-        }
-        Ok(FoldedPrefix { horizon, entries, image_bytes, reclaimed: base - old_base })
-    }
-
-    /// The file backend's rewrite: write the tmp and fsync it, then catch
-    /// up, fsync again and rename under the lock.
-    fn rewrite_file(&self, path: &Path, header: Header, image: &[u8]) -> Result<()> {
-        let io = |e: std::io::Error| Error::Storage(format!("wal checkpoint: {e}"));
-        let (suffix, copied) = {
-            let inner = self.inner.lock();
-            (inner.read_bytes(header.horizon, inner.next_lsn)?, inner.next_lsn)
-        };
-        let mut out = write_tmp(path, &[&header.encode(), image, &suffix]).map_err(io)?;
-        drop(suffix);
-
-        let mut inner = self.inner.lock();
-        let arrived = inner.read_bytes(copied, inner.next_lsn)?;
-        out.write_all(&arrived).and_then(|()| durable_sync(&out, File::sync_data)).map_err(io)?;
-        // Failpoint `ckpt.wal_rewrite`: the new log is complete and
-        // durable but never published — reopen must read the old one and
-        // drop the tmp.
-        mmdb_fault::fail_point!("ckpt.wal_rewrite", |msg| Error::Storage(format!(
-            "wal checkpoint: {msg}"
-        )));
-        std::fs::rename(tmp_path(path), path).map_err(io)?;
-        inner.backend = WalBackend::File(out);
-        inner.header = header;
-        // Appends now land in the new file, so the rename must be
-        // durable: were it lost to a crash, the old file would come back
-        // without them. A failed directory fsync fails the log like a
-        // failed sync does.
-        if let Err(e) = sync_dir(path) {
-            inner.sync_failure = Some(format!("directory fsync after a checkpoint's rename: {e}"));
-            return inner.check_synced();
-        }
-        Ok(())
+        self.rewrite("checkpoint", |h| Header { base, horizon, at_ms, ..h }, &image, true)?;
+        Ok(FoldedPrefix { horizon, entries, image_bytes, reclaimed: base - old.base })
     }
 
     /// Make this log a copy of another log's start: its `header`, then
-    /// `image`, the records that log holds at `[B, T)` (none for an empty
-    /// fold). How a replica whose log cannot continue its primary's takes
-    /// the primary's instead (DESIGN.md "Replication"). The log becomes a
-    /// copy ([`Header::copy`]), so a local append draws it a fresh id. A
-    /// file is rewritten through `<log>.tmp` and renamed, so a crash leaves
-    /// the old log or the new one, never half of either.
-    pub fn reset(&self, header: Header, image: &[TailedRecord]) -> Result<()> {
-        let (bytes, ends, torn) = frame_records(image.iter().map(|t| &t.record))?;
-        check_positions(image, &ends)?;
-        let starts_at_base = image.first().is_none_or(|t| t.lsn == header.base);
-        if torn || !starts_at_base || header.base + bytes.len() as u64 != header.horizon {
+    /// `image`, the bytes that log holds at `[B, T)` (none for an empty
+    /// fold), refused unless they are exactly that span of whole intact
+    /// records. How a replica whose log cannot continue its primary's
+    /// takes the primary's instead (DESIGN.md "Replication"). The log
+    /// becomes a copy ([`Header::copy`]), so a local append draws it a
+    /// fresh id. A file is rewritten through `<log>.tmp` and renamed, so a
+    /// crash leaves the old log or the new one, never half of either.
+    pub fn reset(&self, header: Header, image: &[u8]) -> Result<()> {
+        let end = records(image, header.base).last().map_or(header.base, |t| t.next_lsn);
+        if header.base + image.len() as u64 != header.horizon || end != header.horizon {
             return Err(Error::Storage(format!(
-                "wal reset: the image does not span [{}, {})",
-                header.base, header.horizon
+                "wal reset: the {}-byte image is not whole records spanning [{}, {})",
+                image.len(),
+                header.base,
+                header.horizon
             )));
         }
-        let mut inner = self.inner.lock();
-        inner.check_synced()?;
-        self.replace(&mut inner, Header { copy: true, ..header }, bytes, "reset")
+        self.rewrite("reset", |_| Header { copy: true, ..header }, image, false)
     }
 
-    /// Replace the whole log with `header` and `body`, the bytes it is to
-    /// hold from `B` on, all of them durable. A file is written to
-    /// `<log>.tmp`, fsynced and renamed over the log; a failed directory
-    /// fsync after the rename fails the log like a failed sync.
-    fn replace(&self, inner: &mut WalInner, header: Header, body: Vec<u8>, what: &str) -> Result<()> {
-        let tail = header.base + body.len() as u64;
-        let renamed = match &self.path {
-            Some(path) => {
-                let io = |e: std::io::Error| Error::Storage(format!("wal {what}: {e}"));
-                let file = write_tmp(path, &[&header.encode(), &body]).map_err(io)?;
+    /// The one rewrite of a log: a checkpoint's fold, a reset, a copy's
+    /// first local append and a header upgrade at open. The new log is the
+    /// header `header` makes of the current one, then `head`, the bytes it
+    /// holds from its `B` on, then — when `keep` — this log's bytes from
+    /// where `head` ends to its tail, at the LSNs they hold now.
+    ///
+    /// A file is written to `<log>.tmp` and fsynced with the log unlocked;
+    /// then, under the lock, the bytes appended meanwhile are copied too
+    /// and fsynced, the tmp is renamed over the log and the directory is
+    /// fsynced. A memory log swaps its bytes. Either way the new log is
+    /// durable to its tail; a failed directory fsync fails the log like a
+    /// failed sync, because appends already land in the new file.
+    fn rewrite(
+        &self,
+        what: &str,
+        header: impl FnOnce(Header) -> Header,
+        head: &[u8],
+        keep: bool,
+    ) -> Result<()> {
+        let _one_at_a_time = self.rewriting.lock();
+        let io = |e: std::io::Error| Error::Storage(format!("wal {what}: {e}"));
+        let (header, kept, copied) = {
+            let inner = self.inner.lock();
+            inner.check_synced()?;
+            let header = header(inner.header);
+            let from = header.base + head.len() as u64;
+            let kept = if keep { inner.read_bytes(from, inner.next_lsn)? } else { Vec::new() };
+            (header, kept, inner.next_lsn)
+        };
+        let tmp = self.path.as_deref().map(|path| {
+            write_tmp(path, &[&header.encode(), head, &kept]).map(|file| (file, path))
+        });
+        let mut tmp = tmp.transpose().map_err(io)?;
+
+        let mut inner = self.inner.lock();
+        let arrived = if keep { inner.read_bytes(copied, inner.next_lsn)? } else { Vec::new() };
+        if let Some((out, _)) = &mut tmp {
+            out.write_all(&arrived).and_then(|()| durable_sync(out, File::sync_data)).map_err(io)?;
+        }
+        if what == "checkpoint" {
+            // Failpoint `ckpt.wal_rewrite`: the new log is complete and
+            // durable but never published — reopen must read the old one
+            // and drop the tmp.
+            mmdb_fault::fail_point!("ckpt.wal_rewrite", |msg| Error::Storage(format!(
+                "wal checkpoint: {msg}"
+            )));
+        }
+        let renamed = match tmp {
+            Some((out, path)) => {
                 std::fs::rename(tmp_path(path), path).map_err(io)?;
-                inner.backend = WalBackend::File(file);
+                inner.backend = WalBackend::File(out);
+                inner.data_start = WAL_HEADER_LEN;
                 sync_dir(path)
             }
             None => {
-                inner.backend = WalBackend::Memory(body);
+                inner.backend = WalBackend::Memory([head, &kept, &arrived].concat());
                 Ok(())
             }
         };
         inner.header = header;
-        inner.next_lsn = tail;
-        self.durable_lsn.store(tail, std::sync::atomic::Ordering::SeqCst);
+        inner.next_lsn = header.base + (head.len() + kept.len() + arrived.len()) as u64;
+        self.durable_lsn.store(inner.next_lsn, std::sync::atomic::Ordering::SeqCst);
         if let Err(e) = renamed {
             inner.sync_failure = Some(format!("directory fsync after the rename of a {what}: {e}"));
             return inner.check_synced();
@@ -1012,7 +985,7 @@ fn encode_image(writes: &[&LoggedWrite]) -> Vec<u8> {
     image
 }
 
-/// One record surfaced by [`Wal::read_records_from`], with its position.
+/// One record [`records`] yields, with its position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TailedRecord {
     /// Byte offset where this record's frame starts.
@@ -1159,39 +1132,17 @@ pub struct Recovery {
 
 /// Scan raw headerless log bytes and compute the redo set.
 pub fn recover_from_bytes(data: &[u8]) -> Recovery {
-    let mut blocks = BlockAssembler::default();
-    let mut redo = Vec::new();
-    let mut torn = false;
-    let mut valid_len = 0u64;
-    let mut end = 0u64;
-    let mut rest = data;
-    while rest.len() >= 8 {
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        let crc = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        if rest.len() < 8 + len {
-            torn = true;
-            break;
-        }
-        let payload = &rest[8..8 + len];
-        let intact = (crc32(payload) == crc).then(|| WalRecord::decode(payload).ok()).flatten();
-        let Some(record) = intact else {
-            // Corrupt record: everything after it is untrustworthy.
-            torn = true;
-            break;
-        };
-        end += 8 + len as u64;
-        if let Some(block) = blocks.push(record, end) {
+    let (mut blocks, mut redo, mut end, mut valid_len) = (BlockAssembler::default(), Vec::new(), 0, 0);
+    for t in records(data, 0) {
+        end = t.next_lsn;
+        if let Some(block) = blocks.push(t.record, end) {
             redo.extend(block.writes);
         }
         if !blocks.is_open() {
             valid_len = end;
         }
-        rest = &rest[8 + len..];
     }
-    if !rest.is_empty() && rest.len() < 8 {
-        torn = true;
-    }
-    Recovery { redo, torn_tail: torn, valid_len }
+    Recovery { redo, torn_tail: end < data.len() as u64, valid_len }
 }
 
 #[cfg(test)]
@@ -1204,6 +1155,20 @@ mod tests {
             domain: "doc/orders".into(),
             key: key.as_bytes().to_vec(),
             value: val.map(|v| v.as_bytes().to_vec()),
+        }
+    }
+
+    /// Every record `wal` holds from `from` to its tail, read the way a
+    /// tailer does: [`Wal::read_log`] chunks, scanned.
+    fn tail_from(wal: &Wal, from: Lsn) -> Vec<TailedRecord> {
+        let (mut out, mut at) = (Vec::new(), from);
+        loop {
+            let chunk = wal.read_log(at, Lsn::MAX).unwrap();
+            if chunk.is_empty() {
+                return out;
+            }
+            out.extend(records(&chunk, at));
+            at += chunk.len() as u64;
         }
     }
 
@@ -1243,13 +1208,11 @@ mod tests {
     #[test]
     fn committed_writes_are_redone_uncommitted_discarded() {
         let wal = Wal::in_memory();
-        wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
-        wal.append(&w(1, "a", Some("1"))).unwrap();
-        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
+        commit_one(&wal, 1, "a", Some("1"));
         wal.append(&WalRecord::Begin { txid: 2 }).unwrap();
         wal.append(&w(2, "b", Some("2"))).unwrap();
         // txn 2 never commits.
-        let rec = recover_from_bytes(&wal.snapshot_bytes());
+        let rec = recover_from_bytes(&wal.snapshot_bytes().unwrap());
         assert_eq!(rec.redo.len(), 1);
         assert_eq!(rec.redo[0].key, b"a");
         assert!(!rec.torn_tail);
@@ -1263,16 +1226,14 @@ mod tests {
         let wal = Wal::in_memory();
         wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
         wal.append(&w(1, "orphan", Some("x"))).unwrap();
-        wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
-        wal.append(&w(1, "real", Some("y"))).unwrap();
-        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
-        let rec = recover_from_bytes(&wal.snapshot_bytes());
+        commit_one(&wal, 1, "real", Some("y"));
+        let rec = recover_from_bytes(&wal.snapshot_bytes().unwrap());
         let keys: Vec<&[u8]> = rec.redo.iter().map(|r| r.key.as_slice()).collect();
         assert_eq!(keys, [b"real".as_slice()]);
 
         // Record by record: what the replica loop and the CDC feed see.
         let mut blocks = BlockAssembler::default();
-        let tailed = wal.read_records_from(0, usize::MAX).unwrap();
+        let tailed = tail_from(&wal, 0);
         let released: Vec<CommittedBlock> =
             tailed.into_iter().filter_map(|t| blocks.push(t.record, t.next_lsn)).collect();
         assert!(!blocks.is_open(), "the Commit closed the block");
@@ -1290,10 +1251,8 @@ mod tests {
         let wal = Wal::in_memory();
         wal.append(&WalRecord::Begin { txid: 3 }).unwrap();
         wal.append(&w(3, "x", Some("v"))).unwrap();
-        wal.append(&WalRecord::Begin { txid: 4 }).unwrap();
-        wal.append(&w(4, "y", Some("v"))).unwrap();
-        wal.append(&WalRecord::Commit { txid: 4 }).unwrap();
-        let rec = recover_from_bytes(&wal.snapshot_bytes());
+        commit_one(&wal, 4, "y", Some("v"));
+        let rec = recover_from_bytes(&wal.snapshot_bytes().unwrap());
         let keys: Vec<&[u8]> = rec.redo.iter().map(|r| r.key.as_slice()).collect();
         assert_eq!(keys, [b"y".as_slice()]);
     }
@@ -1303,14 +1262,10 @@ mod tests {
         // Recovery is every committed block in the file: the marker is a
         // cue for replicas, not a place replay starts.
         let wal = Wal::in_memory();
-        wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
-        wal.append(&w(1, "old", Some("x"))).unwrap();
-        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
+        commit_one(&wal, 1, "old", Some("x"));
         wal.append(&WalRecord::Checkpoint { snapshot_lsn: wal.tail_lsn() }).unwrap();
-        wal.append(&WalRecord::Begin { txid: 2 }).unwrap();
-        wal.append(&w(2, "new", Some("y"))).unwrap();
-        wal.append(&WalRecord::Commit { txid: 2 }).unwrap();
-        let rec = recover_from_bytes(&wal.snapshot_bytes());
+        commit_one(&wal, 2, "new", Some("y"));
+        let rec = recover_from_bytes(&wal.snapshot_bytes().unwrap());
         let keys: Vec<&[u8]> = rec.redo.iter().map(|r| r.key.as_slice()).collect();
         assert_eq!(keys, [b"old".as_slice(), b"new".as_slice()]);
     }
@@ -1339,10 +1294,8 @@ mod tests {
     #[test]
     fn torn_tail_is_detected_and_dropped() {
         let wal = Wal::in_memory();
-        wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
-        wal.append(&w(1, "a", Some("1"))).unwrap();
-        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
-        let mut bytes = wal.snapshot_bytes();
+        commit_one(&wal, 1, "a", Some("1"));
+        let mut bytes = wal.snapshot_bytes().unwrap();
         let full = recover_from_bytes(&bytes);
         assert_eq!(full.redo.len(), 1);
         // Simulate a crash mid-write of a subsequent record.
@@ -1359,10 +1312,8 @@ mod tests {
     #[test]
     fn corrupt_crc_stops_replay_at_corruption() {
         let wal = Wal::in_memory();
-        wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
-        wal.append(&w(1, "a", Some("1"))).unwrap();
-        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
-        let mut bytes = wal.snapshot_bytes();
+        commit_one(&wal, 1, "a", Some("1"));
+        let mut bytes = wal.snapshot_bytes().unwrap();
         // Flip a payload byte of the *middle* record.
         let n = bytes.len();
         bytes[n / 2] ^= 0xFF;
@@ -1377,10 +1328,7 @@ mod tests {
         let path = temp_wal("reopen");
         let (wal, rec) = Wal::recover(&path).unwrap();
         assert!(rec.redo.is_empty() && !rec.torn_tail, "a missing file is an empty log");
-        wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
-        wal.append(&w(1, "persist", Some("yes"))).unwrap();
-        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
-        wal.sync().unwrap();
+        commit_one(&wal, 1, "persist", Some("yes"));
         drop(wal);
         // A crash mid-record: recovery cuts the torn bytes off, so the
         // appends after the reopen extend the valid prefix.
@@ -1393,10 +1341,7 @@ mod tests {
         assert_eq!(rec.redo[0].domain, "doc/orders");
         let len = std::fs::metadata(&path).unwrap().len();
         assert_eq!((len, wal.tail_lsn()), (good, good - WAL_HEADER_LEN));
-        wal.append(&WalRecord::Begin { txid: 2 }).unwrap();
-        wal.append(&w(2, "more", Some("data"))).unwrap();
-        wal.append(&WalRecord::Commit { txid: 2 }).unwrap();
-        wal.sync().unwrap();
+        commit_one(&wal, 2, "more", Some("data"));
         drop(wal);
         assert_eq!(Wal::recover(&path).unwrap().1.redo.len(), 2);
         let _ = std::fs::remove_file(&path);
@@ -1405,53 +1350,38 @@ mod tests {
     #[test]
     fn tailing_reads_records_and_resumes_by_lsn() {
         let wal = Wal::in_memory();
-        let l1 = wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
-        wal.append(&w(1, "a", Some("1"))).unwrap();
-        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
-        assert_eq!(l1, 0);
+        let appended =
+            [WalRecord::Begin { txid: 1 }, w(1, "a", Some("1")), WalRecord::Commit { txid: 1 }];
+        let lsns: Vec<Lsn> = appended.iter().map(|r| wal.append(r).unwrap()).collect();
 
-        let all = wal.read_records_from(0, usize::MAX).unwrap();
-        assert_eq!(all.len(), 3);
+        // Each append returns where its record starts.
+        let all = tail_from(&wal, 0);
+        assert_eq!(all.iter().map(|t| t.lsn).collect::<Vec<_>>(), lsns);
         assert_eq!(all[0].record, WalRecord::Begin { txid: 1 });
         assert_eq!(all[2].record, WalRecord::Commit { txid: 1 });
         assert_eq!(all[2].next_lsn, wal.tail_lsn());
 
         // Resume from a mid-log LSN: only subsequent records arrive.
-        let rest = wal.read_records_from(all[0].next_lsn, usize::MAX).unwrap();
+        let rest = tail_from(&wal, all[0].next_lsn);
         assert_eq!(rest.len(), 2);
         assert_eq!(rest[0].lsn, all[1].lsn);
 
-        // A tail read at the end is empty, not an error.
-        assert!(wal.read_records_from(wal.tail_lsn(), usize::MAX).unwrap().is_empty());
+        // A read at the end, or from inside a record, is empty, not an error.
+        assert!(tail_from(&wal, wal.tail_lsn()).is_empty());
+        assert!(wal.read_log(1, Lsn::MAX).unwrap().is_empty());
 
-        // max_records bounds the batch; next_lsn chains across batches.
-        let one = wal.read_records_from(0, 1).unwrap();
-        assert_eq!(one.len(), 1);
-        let two = wal.read_records_from(one[0].next_lsn, 1).unwrap();
-        assert_eq!(two[0].record, all[1].record);
-    }
+        // `to` cuts at the last record edge at or below it.
+        let bytes = wal.snapshot_bytes().unwrap();
+        let edge = all[1].next_lsn;
+        assert_eq!(wal.read_log(0, edge - 1).unwrap(), bytes[..all[0].next_lsn as usize]);
+        assert_eq!(wal.read_log(0, edge).unwrap(), bytes[..edge as usize]);
 
-    #[cfg(feature = "failpoints")]
-    #[test]
-    fn tailing_stops_cleanly_at_a_torn_tail() {
-        mmdb_fault::clear_all();
-        let wal = Wal::in_memory();
-        wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
-        wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
-
-        // Tear the next record mid-frame: the bytes land in the log, so the
-        // tail scan must stop at them without erroring — exactly where
-        // recovery would truncate.
-        mmdb_fault::set("wal.append", "short").unwrap();
-        assert!(wal.append(&w(1, "torn", Some("x"))).is_err());
-        mmdb_fault::clear_all();
-
-        let tailed = wal.read_records_from(0, usize::MAX).unwrap();
-        assert_eq!(tailed.len(), 2, "only intact records are served");
-        assert!(tailed[1].next_lsn < wal.tail_lsn(), "torn bytes are never shipped");
-        let rec = recover_from_bytes(&wal.snapshot_bytes());
-        assert!(rec.torn_tail);
-        assert_eq!(rec.valid_len, tailed[1].next_lsn, "tail stops where recovery truncates");
+        // A record over the 1 MiB budget is read whole, and alone.
+        let (at, big) = (wal.tail_lsn(), "x".repeat(2 << 20));
+        wal.append_batch(&[w(2, "big", Some(&big)), WalRecord::Commit { txid: 2 }]).unwrap();
+        let chunk = wal.read_log(at, Lsn::MAX).unwrap();
+        let read: Vec<WalRecord> = records(&chunk, at).map(|t| t.record).collect();
+        assert_eq!(read, [w(2, "big", Some(&big))]);
     }
 
     #[test]
@@ -1473,9 +1403,9 @@ mod tests {
         }
         let batched = Wal::in_memory();
         let ends = batched.append_batch(&records).unwrap();
-        assert_eq!(serial.snapshot_bytes(), batched.snapshot_bytes());
+        assert_eq!(serial.snapshot_bytes().unwrap(), batched.snapshot_bytes().unwrap());
         assert_eq!(ends.len(), records.len());
-        let tailed = batched.read_records_from(0, usize::MAX).unwrap();
+        let tailed = tail_from(&batched, 0);
         for (t, end) in tailed.iter().zip(&ends) {
             assert_eq!(t.next_lsn, *end, "per-record end offsets line up with tailing");
         }
@@ -1505,12 +1435,12 @@ mod tests {
         let wal = Wal::in_memory();
         wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
         wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
-        let intact = wal.snapshot_bytes();
+        let intact = wal.snapshot_bytes().unwrap();
         mmdb_fault::set("wal.append", "error").unwrap();
         assert!(wal
             .append_batch(&[WalRecord::Begin { txid: 2 }, WalRecord::Commit { txid: 2 }])
             .is_err());
-        assert_eq!(wal.snapshot_bytes(), intact, "a failed batch leaves no trace");
+        assert_eq!(wal.snapshot_bytes().unwrap(), intact, "a failed batch leaves no trace");
 
         // `short`: the armed record tears mid-frame and the rest of the
         // batch is never framed; recovery and tailing both stop at the
@@ -1524,36 +1454,23 @@ mod tests {
             ])
             .is_err());
         mmdb_fault::clear_all();
-        let rec = recover_from_bytes(&wal.snapshot_bytes());
-        assert!(rec.torn_tail);
-        let tailed = wal.read_records_from(0, usize::MAX).unwrap();
+        let rec = recover_from_bytes(&wal.snapshot_bytes().unwrap());
+        assert!(rec.torn_tail && rec.valid_len < wal.tail_lsn(), "the torn bytes landed");
+        let tailed = tail_from(&wal, 0);
         assert_eq!(
             tailed.last().unwrap().next_lsn,
             rec.valid_len,
-            "tailing stops exactly where recovery truncates"
+            "tailing stops exactly where recovery truncates, so torn bytes are never shipped"
         );
-    }
 
-    #[test]
-    fn tailing_works_on_a_file_backed_wal() {
-        let path = temp_wal("tail");
-        let wal = Wal::open(&path).unwrap();
-        wal.append(&WalRecord::Begin { txid: 5 }).unwrap();
-        wal.append(&w(5, "k", Some("v"))).unwrap();
-        let commit_lsn = wal.append(&WalRecord::Commit { txid: 5 }).unwrap();
-        wal.sync().unwrap();
-
-        let tailed = wal.read_records_from(0, usize::MAX).unwrap();
-        assert_eq!(tailed.len(), 3);
-        assert_eq!(tailed[2].lsn, commit_lsn);
-        assert_eq!(tailed[2].next_lsn, wal.tail_lsn());
-
-        // Tailing does not disturb the append cursor.
-        wal.append(&WalRecord::Checkpoint { snapshot_lsn: 0 }).unwrap();
-        let more = wal.read_records_from(tailed[2].next_lsn, usize::MAX).unwrap();
-        assert_eq!(more.len(), 1);
-        assert_eq!(more[0].record, WalRecord::Checkpoint { snapshot_lsn: 0 });
-        let _ = std::fs::remove_file(&path);
+        // A copied run is evaluated record by record too: `short` on its
+        // second record lands the first and half the second's frame.
+        let copy = Wal::in_memory();
+        let second = format!("{}:short", mmdb_fault::hits("wal.append") + 2);
+        mmdb_fault::set("wal.append", &second).unwrap();
+        assert!(copy.append_at(0, &intact).is_err());
+        mmdb_fault::clear_all();
+        assert_eq!(copy.snapshot_bytes().unwrap(), intact[..17 + 17 / 2]);
     }
 
     /// Append a committed txn writing `key` and return the logical tail
@@ -1584,7 +1501,7 @@ mod tests {
     /// What the block assembler releases reading from `from` to the tail.
     fn blocks_from(wal: &Wal, from: Lsn) -> Vec<CommittedBlock> {
         let mut blocks = BlockAssembler::default();
-        let tailed = wal.read_records_from(from, usize::MAX).unwrap();
+        let tailed = tail_from(wal, from);
         tailed.into_iter().filter_map(|t| blocks.push(t.record, t.next_lsn)).collect()
     }
 
@@ -1612,14 +1529,14 @@ mod tests {
         // record of it. Both are typed errors; T and past still read.
         for inside in [0, base - 1, base + 1, h - 1] {
             assert!(
-                matches!(wal.read_records_from(inside, usize::MAX), Err(Error::LogTruncated(_))),
+                matches!(wal.read_log(inside, Lsn::MAX), Err(Error::LogTruncated(_))),
                 "{inside}"
             );
         }
         assert_eq!(blocks_from(&wal, h).len(), 1);
 
         // Recovery: the image, then the suffix.
-        let rec = recover_from_bytes(&wal.snapshot_bytes());
+        let rec = recover_from_bytes(&wal.snapshot_bytes().unwrap());
         let keys: Vec<&[u8]> = rec.redo.iter().map(|r| r.key.as_slice()).collect();
         assert_eq!(keys, [b"a".as_slice(), b"new".as_slice()]);
     }
@@ -1631,7 +1548,7 @@ mod tests {
             let wal = Wal::open(&path).unwrap();
             let (h, tail) = checkpointed_history(&wal);
             wal.append_checkpoint(h).unwrap();
-            (h, tail, wal.base_lsn(), wal.read_records_from(h, usize::MAX).unwrap())
+            (h, tail, wal.base_lsn(), tail_from(&wal, h))
         };
         assert!(!tmp_path(&path).exists(), "the tmp was renamed over the log");
         let wal = Wal::open(&path).unwrap();
@@ -1639,7 +1556,7 @@ mod tests {
         assert!(wal.tail_lsn() > tail);
         assert_eq!(wal.durable_lsn(), wal.tail_lsn());
         assert!(wal.checkpointed_at().is_some(), "the header dates the checkpoint");
-        assert_eq!(wal.read_records_from(h, usize::MAX).unwrap(), suffix);
+        assert_eq!(tail_from(&wal, h), suffix);
         // Appends continue the logical sequence, and recovery reads the
         // image and everything after it.
         let tail2 = commit_one(&wal, 7, "more", Some("z"));
@@ -1657,7 +1574,7 @@ mod tests {
         let s = commit_one(&wal, 1, "a", Some("v"));
         wal.append_checkpoint(s).unwrap();
         assert_eq!(wal.durable_lsn(), wal.tail_lsn(), "marker is synced");
-        let tailed = wal.read_records_from(s, usize::MAX).unwrap();
+        let tailed = tail_from(&wal, s);
         assert_eq!(tailed.len(), 1);
         assert_eq!(tailed[0].record, WalRecord::Checkpoint { snapshot_lsn: s });
     }
@@ -1689,8 +1606,8 @@ mod tests {
         let (header, records, image) = {
             let wal = Wal::open(&path).unwrap();
             let (h, _) = checkpointed_history(&wal);
-            let image = wal.read_records_from(wal.base_lsn(), usize::MAX).unwrap();
-            (wal.header(), wal.read_records_from(h, usize::MAX).unwrap(), image)
+            let image = tail_from(&wal, wal.base_lsn());
+            (wal.header(), tail_from(&wal, h), image)
         };
         let bytes = std::fs::read(&path).unwrap();
         let body = &bytes[WAL_HEADER_LEN as usize..];
@@ -1705,8 +1622,8 @@ mod tests {
         let upgraded = wal.header();
         assert_ne!(upgraded.log_id, header.log_id, "a fresh id");
         assert_eq!(upgraded, Header { log_id: upgraded.log_id, ..header });
-        assert_eq!(wal.read_records_from(header.horizon, usize::MAX).unwrap(), records);
-        assert_eq!(wal.read_records_from(header.base, usize::MAX).unwrap()[..image.len()], image);
+        assert_eq!(tail_from(&wal, header.horizon), records);
+        assert_eq!(tail_from(&wal, header.base)[..image.len()], image);
         drop(wal);
         assert_eq!(Wal::open(&path).unwrap().header(), upgraded, "the id is written down");
 
@@ -1715,17 +1632,25 @@ mod tests {
         let records = {
             let wal = Wal::open(&plain).unwrap();
             commit_one(&wal, 1, "a", Some("1"));
-            wal.read_records_from(0, usize::MAX).unwrap()
+            tail_from(&wal, 0)
         };
         let bytes = std::fs::read(&plain).unwrap();
         std::fs::write(&plain, &bytes[WAL_HEADER_LEN as usize..]).unwrap();
         let wal = Wal::open(&plain).unwrap();
         let h = wal.header();
         assert_eq!((h.base, h.horizon, h.at_ms), (0, 0, 0));
-        assert_eq!(wal.read_records_from(0, usize::MAX).unwrap(), records);
+        assert_eq!(tail_from(&wal, 0), records);
         assert_eq!(std::fs::read(&plain).unwrap()[..8], WAL_MAGIC, "the file has its header");
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&plain);
+    }
+
+    /// `wal`'s bytes split at its horizon: its image `[B, T)` and the
+    /// records past it.
+    fn image_and_suffix(wal: &Wal) -> (Vec<u8>, Vec<u8>) {
+        let mut image = wal.snapshot_bytes().unwrap();
+        let suffix = image.split_off((wal.truncated_lsn() - wal.base_lsn()) as usize);
+        (image, suffix)
     }
 
     #[test]
@@ -1733,55 +1658,70 @@ mod tests {
         let source = Wal::in_memory();
         let (h, _) = checkpointed_history(&source);
         let header = source.header();
-        let from_base = source.read_records_from(header.base, usize::MAX).unwrap();
-        let split = from_base.iter().position(|t| t.lsn == h).unwrap();
-        let (image, suffix) = from_base.split_at(split);
+        let (image, suffix) = image_and_suffix(&source);
 
         let path = temp_wal("reset");
         let wal = Wal::open(&path).unwrap();
         commit_one(&wal, 9, "stale", Some("x"));
-        // A record claiming the wrong span, or a run off the tail, is
-        // refused before a byte lands.
-        let mut shifted = suffix.to_vec();
-        shifted[0].next_lsn += 1;
-        assert!(wal.reset(header, &shifted).is_err());
-        assert!(wal.append_verbatim(suffix).is_err());
+        // An image cut short or mid-record, bytes that do not check, or a
+        // run off the tail, is refused before a byte lands.
+        let mut corrupt = image.clone();
+        corrupt[10] ^= 0xFF;
+        let short = Header { horizon: h - 1, ..header };
+        assert!(wal.reset(header, &image[..image.len() - 1]).is_err());
+        assert!(wal.reset(short, &image[..image.len() - 1]).is_err());
+        assert!(wal.reset(header, &corrupt).is_err());
+        assert!(wal.append_at(h, &suffix).is_err());
         let before = std::fs::read(&path).unwrap();
 
-        wal.reset(header, image).unwrap();
+        wal.reset(header, &image).unwrap();
         assert_eq!(wal.tail_lsn(), h, "after a reset the tail is T");
         let header = Header { copy: true, ..header };
         assert_eq!((wal.header(), wal.durable_lsn()), (header, h));
         assert_ne!(std::fs::read(&path).unwrap(), before);
-        assert_eq!(wal.append_verbatim(suffix).unwrap(), source.tail_lsn());
+        assert!(wal.append_at(h, &suffix[..suffix.len() - 1]).is_err(), "a cut record lands");
+        assert!(wal.append_at(h + 1, &suffix).is_err(), "a gap lands");
+        assert_eq!(wal.append_at(h, &suffix).unwrap(), source.tail_lsn());
         wal.sync().unwrap();
         drop(wal);
         let wal = Wal::open(&path).unwrap();
         assert_eq!(wal.header(), header);
-        assert_eq!(wal.read_records_from(header.base, usize::MAX).unwrap(), from_base);
+        assert_eq!(tail_from(&wal, header.base), tail_from(&source, header.base));
         // The file from B on is the source's bytes.
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes[WAL_HEADER_LEN as usize..], source.snapshot_bytes());
+        assert_eq!(bytes[WAL_HEADER_LEN as usize..], source.snapshot_bytes().unwrap());
 
         // An empty fold resets to the header alone.
         let fresh = Wal::in_memory();
         fresh.reset(Header::fresh(), &[]).unwrap();
-        assert_eq!((fresh.tail_lsn(), fresh.snapshot_bytes().len()), (0, 0));
+        assert_eq!((fresh.tail_lsn(), fresh.snapshot_bytes().unwrap().len()), (0, 0));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_file_log_reads_back_its_file_past_the_header() {
+        let path = temp_wal("snapshot-bytes");
+        let wal = Wal::open(&path).unwrap();
+        let (h, tail) = checkpointed_history(&wal);
+        let bytes = wal.snapshot_bytes().unwrap();
+        assert!(!bytes.is_empty());
+        assert_eq!(bytes, std::fs::read(&path).unwrap()[WAL_HEADER_LEN as usize..]);
+        let from_h = &bytes[(h - wal.base_lsn()) as usize..];
+        assert_eq!((wal.read_log(h, tail).unwrap(), tail_from(&wal, h).len()), (from_h.to_vec(), 3));
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn a_copys_first_local_append_draws_it_a_fresh_id() {
         let source = Wal::in_memory();
-        let (h, _) = checkpointed_history(&source);
+        checkpointed_history(&source);
         let header = source.header();
-        let from_base = source.read_records_from(header.base, usize::MAX).unwrap();
-        let (image, suffix) = from_base.split_at(from_base.iter().position(|t| t.lsn == h).unwrap());
+        let (image, suffix) = image_and_suffix(&source);
 
         let path = temp_wal("claim");
         let wal = Wal::open(&path).unwrap();
-        wal.reset(header, image).unwrap();
-        wal.append_verbatim(suffix).unwrap();
+        wal.reset(header, &image).unwrap();
+        wal.append_at(header.horizon, &suffix).unwrap();
         wal.sync().unwrap();
         drop(wal);
         // Reopened, it is still a copy carrying the source's id: the
@@ -1809,7 +1749,7 @@ mod tests {
 
         // A memory copy is claimed the same way.
         let mem = Wal::in_memory();
-        mem.reset(header, image).unwrap();
+        mem.reset(header, &image).unwrap();
         commit_one(&mem, 1, "local", Some("1"));
         assert!(!mem.header().copy && mem.header().log_id != header.log_id);
         let _ = std::fs::remove_file(&path);

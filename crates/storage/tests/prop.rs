@@ -135,7 +135,7 @@ proptest! {
                 wal.append(&WalRecord::Commit { txid }).unwrap();
             }
         }
-        let bytes = wal.snapshot_bytes();
+        let bytes = wal.snapshot_bytes().unwrap();
         // Full recovery: exactly the committed writes in order.
         let rec = recover_from_bytes(&bytes);
         let got: Vec<Vec<u8>> = rec.redo.iter().map(|r| r.key.clone()).collect();
@@ -202,7 +202,7 @@ proptest! {
             folded.append_checkpoint(done.horizon).unwrap();
         }
         let state = |wal: &Wal| {
-            let rec = recover_from_bytes(&wal.snapshot_bytes());
+            let rec = recover_from_bytes(&wal.snapshot_bytes().unwrap());
             let mut live: Vec<(Vec<u8>, Option<Vec<u8>>)> =
                 fold(&rec.redo).into_iter().map(|w| (w.key.clone(), w.value.clone())).collect();
             live.sort();
@@ -262,7 +262,7 @@ fn logs_carry_the_reference_checksum() {
         .unwrap();
     }
     wal.append(&WalRecord::Commit { txid: 1 }).unwrap();
-    let bytes = wal.snapshot_bytes();
+    let bytes = wal.snapshot_bytes().unwrap();
     let mut rest = &bytes[..];
     let mut frames = 0;
     while !rest.is_empty() {

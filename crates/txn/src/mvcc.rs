@@ -24,7 +24,7 @@
 //! outside the sequencer's critical section.
 //!
 //! Logging, installing and applying are one private step each
-//! ([`StoreInner::log`], [`StoreInner::install`], [`StoreInner::apply`]):
+//! (`StoreInner::log`, `StoreInner::install`, `StoreInner::apply`):
 //! the leader and its committers reach the WAL, the version map and the
 //! hooks through them, and a replicated block and a load (recovery, a
 //! replica's reset), which come from a log already, through the last two
@@ -933,7 +933,7 @@ impl Transaction {
     /// thread enqueues its write set (and, when serializable, its read
     /// set) and either leads the batch or parks until a leader publishes
     /// the outcome, then runs the commit hooks on its writes in commit
-    /// order (see [`StoreInner::group_commit`]): once this returns, the
+    /// order (see `StoreInner::group_commit`): once this returns, the
     /// model stores hold this commit and every earlier one. A read-only
     /// transaction returns here unvalidated even when serializable: it
     /// read one committed prefix of the commit order, its snapshot.
@@ -1205,10 +1205,10 @@ mod tests {
         assert_eq!(s.get_latest("doc/orders", b"orphan-2"), None);
         let (_, aborts) = s.stats();
         assert_eq!(aborts, 2);
-        assert!(wal.snapshot_bytes().is_empty(), "an abort leaves no WAL trace");
+        assert!(wal.snapshot_bytes().unwrap().is_empty(), "an abort leaves no WAL trace");
         // Read-only drops stay cheap: no WAL record is appended for them.
         drop(s.begin(IsolationLevel::Snapshot));
-        assert!(wal.snapshot_bytes().is_empty());
+        assert!(wal.snapshot_bytes().unwrap().is_empty());
     }
 
     #[test]
@@ -1361,7 +1361,7 @@ mod tests {
         t.commit().unwrap();
 
         // "Crash": rebuild a fresh store from the log.
-        let recovery = wal::recover_from_bytes(&wal.snapshot_bytes());
+        let recovery = wal::recover_from_bytes(&wal.snapshot_bytes().unwrap());
         assert_eq!(recovery.redo.len(), 5);
         let s2 = MvccStore::new(None);
         let replayed = Arc::new(Mutex::new(Vec::new()));
@@ -1404,7 +1404,7 @@ mod tests {
         t.delete("kv/cart", b"c2").unwrap();
         t.commit().unwrap();
 
-        let recovery = wal::recover_from_bytes(&wal.snapshot_bytes());
+        let recovery = wal::recover_from_bytes(&wal.snapshot_bytes().unwrap());
         let s2 = MvccStore::new(None);
         let replayed = Arc::new(Mutex::new(Vec::new()));
         let r2 = Arc::clone(&replayed);
@@ -1471,7 +1471,7 @@ mod tests {
         assert_eq!(s.get_latest("kv/cart", b"c1"), None, "deletes replicate too");
         assert_eq!(hooked.load(Ordering::SeqCst), 2);
         assert_eq!((s.stats().0, s.last_commit_lsn()), (1, 4242));
-        assert!(wal.snapshot_bytes().is_empty(), "a replicated apply logs nothing");
+        assert!(wal.snapshot_bytes().unwrap().is_empty(), "a replicated apply logs nothing");
         // A run that carried only a marker moves the watermark alone.
         assert_eq!(s.apply_replicated(&[], 5000), ts);
         assert_eq!((s.now(), s.stats().0, s.last_commit_lsn()), (ts, 1, 5000));
@@ -1596,7 +1596,7 @@ mod tests {
             "every batch of W winners saves W-1 syncs: {g:?}"
         );
         // All 64 transactions are durable and recoverable.
-        let rec = wal::recover_from_bytes(&wal.snapshot_bytes());
+        let rec = wal::recover_from_bytes(&wal.snapshot_bytes().unwrap());
         let s2 = MvccStore::new(None);
         assert_eq!(s2.recover(&rec, wal.tail_lsn()).unwrap(), 64);
         assert_eq!(s2.get_latest("kv/cart", b"t7-7"), Some(Value::int(7)));
@@ -1695,7 +1695,7 @@ mod tests {
         assert_eq!(loser.commit().unwrap_err().kind(), "txn_conflict");
         assert_eq!(s.get_latest("d", b"k"), Some(Value::int(2)));
         // The loser's block never reached the log.
-        let rec = wal::recover_from_bytes(&wal.snapshot_bytes());
+        let rec = wal::recover_from_bytes(&wal.snapshot_bytes().unwrap());
         let s2 = MvccStore::new(None);
         s2.recover(&rec, wal.tail_lsn()).unwrap();
         assert_eq!(s2.get_latest("d", b"k"), Some(Value::int(2)));

@@ -109,6 +109,13 @@ pub const RELATIONAL_INDEXES: Rank = Rank::new(130, "relational.table.indexes");
 /// pages in the buffer pool (whose page table is a leaf).
 pub const HEAP_STATE: Rank = Rank::new(140, "storage.heap.state");
 
+/// A WAL's rewrite lock, held for the whole of one rewrite (a
+/// checkpoint's fold, a reset, a copy's first local append, a header
+/// upgrade at open), so two never share `<log>.tmp`. It takes
+/// `WAL_INNER` under it to read the log and to rename the new file over
+/// it, and is held across the new file's fsyncs.
+pub const WAL_REWRITE: Rank = Rank::new(150, "storage.wal.rewrite").held_across_waits();
+
 /// The WAL's `inner`. Nothing is taken under it, but it is not an
 /// anonymous leaf: `Wal::sync` holds it across `sync_data` (so that the
 /// durable watermark cannot pass an append the sync did not cover), which

@@ -53,6 +53,12 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings (panic disciplin
 # #[expect] or a stale one (unfulfilled_lint_expectations) an error.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps (doc links resolve)"
+# A doc comment that links to an item which is gone, renamed or private
+# fails here instead of rotting: rustdoc's broken- and private-link lints
+# are warnings, promoted to errors.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> torture suites (--features failpoints)"
 # Crash recovery at every rostered site, request lifecycle, replication
 # failover, the group-commit torture & property suite and checkpoints;

@@ -13,9 +13,9 @@
 //! multi-writer workload, a replica whose log cannot continue the
 //! primary's is reset onto it from its base and converges byte-for-byte
 //! (a replica that folds at its primary's markers holds the primary's
-//! log bytes), a failed fsync stays failed, and the
-//! growth-triggered server loop checkpoints without being asked — and
-//! only when the log grew.
+//! log bytes and header after every marker), a failed fsync stays
+//! failed, and the growth-triggered server loop checkpoints without
+//! being asked — and only when the log grew.
 
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -590,6 +590,57 @@ fn records_from_base(dir: &Path, wal: &Wal) -> Vec<u8> {
 }
 
 #[test]
+fn a_followers_header_is_its_primarys_after_every_marker() {
+    use mmdb::substrate::repl::{Follower, Frame};
+    use std::collections::HashMap;
+
+    let _serial = lock();
+    let primary = Database::in_memory_logged();
+    primary.create_bucket("cart").unwrap();
+    let replica = Database::in_memory_logged();
+    let (primary_wal, replica_wal) = (primary.wal().unwrap(), replica.wal().unwrap());
+    let mut follower = Follower::new(&replica).unwrap();
+    follower.take(Frame::Reset(primary_wal.header())).unwrap();
+
+    // Five checkpoints between batches of commits; `(B, T)` is recorded
+    // by `T` after each. The follower tails what is new, in `read_log`
+    // chunks, after each batch and after each checkpoint.
+    let (mut recorded, mut cursor) = (HashMap::new(), 0);
+    let tail = |follower: &mut Follower, recorded: &HashMap<u64, u64>, mut cursor: u64| loop {
+        let bytes = primary_wal.read_log(cursor, primary_wal.durable_lsn()).unwrap();
+        if bytes.is_empty() {
+            return cursor;
+        }
+        let lsn = cursor;
+        cursor += bytes.len() as u64;
+        follower.take(Frame::Log { lsn, bytes }).unwrap();
+        // Once a marker lands, the replica's pair is the one recorded
+        // for its `T`.
+        let mine = replica_wal.header();
+        assert_eq!(recorded.get(&mine.horizon).copied().unwrap_or(0), mine.base);
+    };
+    for round in 0..5 {
+        for i in 0..40 {
+            let key = format!("k{}", i % 9);
+            if i % 5 == 4 {
+                primary.transact(IsolationLevel::Snapshot, 0, |s| s.kv_delete("cart", &key)).unwrap();
+            } else {
+                primary.kv_put("cart", &key, Value::int(round * 100 + i)).unwrap();
+            }
+        }
+        cursor = tail(&mut follower, &recorded, cursor);
+        primary.checkpoint().unwrap();
+        let header = primary_wal.header();
+        recorded.insert(header.horizon, header.base);
+        cursor = tail(&mut follower, &recorded, cursor);
+        let mine = replica_wal.header();
+        assert_eq!((mine.log_id, mine.base, mine.horizon), (header.log_id, header.base, header.horizon));
+        assert_eq!(replica_wal.snapshot_bytes().unwrap(), primary_wal.snapshot_bytes().unwrap());
+    }
+    assert_eq!(cart(&replica), cart(&primary));
+}
+
+#[test]
 fn a_replica_whose_cursor_lands_inside_the_image_rebootstraps_from_the_base() {
     let _serial = lock();
     let dir = fresh_dir("inside-image");
@@ -655,8 +706,8 @@ fn a_failed_sync_stays_failed_until_the_log_is_reopened() {
         let tail = wal.tail_lsn();
         let err = wal.append(&WalRecord::Begin { txid: 2 }).unwrap_err();
         assert!(err.to_string().contains("an earlier sync failed"), "{err}");
-        let run = wal.read_records_from(0, usize::MAX).unwrap();
-        let err = wal.append_verbatim(&run).unwrap_err();
+        let run = wal.read_log(0, tail).unwrap();
+        let err = wal.append_at(tail, &run).unwrap_err();
         assert!(err.to_string().contains("an earlier sync failed"), "{err}");
         assert_eq!(wal.tail_lsn(), tail);
     }

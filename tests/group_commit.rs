@@ -857,7 +857,7 @@ proptest! {
             prop_assert_eq!(store.get_latest("kv/prop", &[b'k', key]), want.map(Value::int));
         }
         // The group-committed WAL replays to the identical state.
-        let recovery = recover_from_bytes(&wal.snapshot_bytes());
+        let recovery = recover_from_bytes(&wal.snapshot_bytes().unwrap());
         prop_assert!(!recovery.torn_tail, "a clean run must not leave a torn tail");
         let replayed = MvccStore::new(None);
         replayed.recover(&recovery, wal.tail_lsn()).unwrap();

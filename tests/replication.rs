@@ -17,7 +17,8 @@
 //!      older than the session's own last commit LSN, even while the
 //!      replica is artificially lagged;
 //!   4. `SUBSCRIBE` delivers exactly the committed writes (aborted
-//!      transactions invisible) and resumes from a supplied LSN;
+//!      transactions invisible), resumes from a supplied LSN and refuses
+//!      one no record starts at;
 //!   5. a replicated run whose log append fails leaves the replica's
 //!      own WAL and version store untouched, and its retry lands the
 //!      primary's bytes once;
@@ -25,9 +26,9 @@
 //!      `repl::FAILPOINT_SITES`;
 //!   7. a file-backed replica resumes from its own log after a restart,
 //!      and a stale one — of a checkpointed primary, of one whose fold is
-//!      empty, or one that committed on its own while it was not a
-//!      replica — is reset onto the primary's log, also after a crash in
-//!      the middle of the reset;
+//!      empty, one that committed on its own while it was not a replica,
+//!      or one whose tail falls inside a record — is reset onto the
+//!      primary's log, also after a crash in the middle of the reset;
 //!   8. a replica whose log fails a sync stops and says why, instead of
 //!      landing more of the stream in a log it cannot make durable.
 
@@ -388,13 +389,11 @@ fn a_replicated_apply_reaches_the_replicas_own_log_whole_or_not_at_all() {
         })
         .unwrap();
     let primary_wal = primary.wal().unwrap();
-    // One connection: the reset onto the primary's (empty) fold, then the
-    // records from its base, until a frame fails.
-    let stream = |follower: &mut Follower| -> mmdb::Result<()> {
-        for record in primary_wal.read_records_from(0, usize::MAX)? {
-            follower.take(Frame::Record(record))?;
-        }
-        Ok(())
+    // One connection: the reset onto the primary's (empty) fold, then its
+    // log from the base, in one chunk.
+    let stream = |follower: &mut Follower| -> mmdb::Result<u64> {
+        let bytes = primary_wal.read_log(0, primary_wal.durable_lsn())?;
+        follower.take(Frame::Log { lsn: 0, bytes })
     };
 
     let replica = Database::in_memory_logged();
@@ -414,7 +413,7 @@ fn a_replicated_apply_reaches_the_replicas_own_log_whole_or_not_at_all() {
     let mut follower = Follower::new(&replica).unwrap();
     assert_eq!(follower.position(), (primary_wal.header().log_id, 0));
     stream(&mut follower).unwrap();
-    assert_eq!(wal.snapshot_bytes(), primary_wal.snapshot_bytes());
+    assert_eq!(wal.snapshot_bytes().unwrap(), primary_wal.snapshot_bytes().unwrap());
     assert_eq!(replica.kv().get("cart", "2").unwrap(), Some(Value::str("o1")));
     assert_eq!(replica.last_commit_lsn(), primary_wal.tail_lsn());
 }
@@ -681,6 +680,60 @@ fn subscribe_below_the_truncation_horizon_is_a_typed_nonretryable_error() {
     db.kv_put("cart", "fresh", Value::int(99)).unwrap();
     assert_eq!(next_event(&mut ok).get_field("value"), &Value::int(99));
 
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn subscribe_from_inside_a_record_or_past_the_durable_tail_is_a_typed_nonretryable_error() {
+    let _serial = lock();
+    let db = Arc::new(Database::in_memory_logged());
+    db.create_bucket("cart").unwrap();
+    db.kv_put("cart", "a", Value::int(1)).unwrap();
+    let server = Server::start(Arc::clone(&db), server_config()).unwrap();
+    let addr = server.local_addr().to_string();
+
+    // A cursor no record starts at would read nothing forever, and one
+    // past the durable tail names bytes the log does not hold.
+    let durable = db.wal().unwrap().durable_lsn();
+    for cursor in [1, durable + 1] {
+        let mut sub = Client::connect_with(&addr, fast_opts().client).unwrap();
+        sub.subscribe(cursor).unwrap();
+        let err = sub.next_change().unwrap_err();
+        assert_eq!(err.kind(), "not_found", "{err}");
+        assert!(!err.is_retryable(), "{err}");
+        assert!(err.to_string().contains(&format!("cursor {cursor};")), "{err}");
+    }
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn a_replica_hello_from_inside_a_record_of_the_primarys_log_is_reset() {
+    use mmdb::substrate::repl::{parse_frame, Frame};
+    use mmdb::substrate::storage::wal::Header;
+
+    let _serial = lock();
+    let db = Arc::new(Database::in_memory_logged());
+    db.create_bucket("cart").unwrap();
+    db.kv_put("cart", "a", Value::int(1)).unwrap();
+    let server = Server::start(Arc::clone(&db), server_config()).unwrap();
+    let header = db.wal().unwrap().header();
+
+    // The primary's id, and a tail in `[T, durable]` that is not a record
+    // edge: nothing can continue from it, so the replica is reset.
+    let mut replica = Client::connect_with(server.local_addr().to_string(), fast_opts().client).unwrap();
+    replica.replica_hello(header.log_id, header.horizon + 1).unwrap();
+    let mut next = || parse_frame(&replica.next_change().unwrap()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let reset = loop {
+        match next() {
+            Frame::Reset(reset) => break reset,
+            frame => assert!(Instant::now() < deadline, "a mid-record tail was never reset: {frame:?}"),
+        }
+    };
+    assert_eq!(reset, Header { copy: true, ..header });
+    let wal = db.wal().unwrap();
+    assert_eq!(next(), Frame::Heartbeat { tail_lsn: wal.durable_lsn() });
+    assert_eq!(next(), Frame::Log { lsn: 0, bytes: wal.read_log(0, u64::MAX).unwrap() });
     server.shutdown().unwrap();
 }
 
