@@ -10,8 +10,8 @@ use parking_lot::RwLock;
 use mmdb_index::gin::DocId;
 use mmdb_index::{BPlusTree, ExtendibleHashMap, GinIndex, GinMode};
 use mmdb_storage::{BufferPool, HeapFile, RecordId};
-use mmdb_types::codec::{key_of, value_from_bytes, value_to_bytes};
-use mmdb_types::{lock_rank, Error, Path, Result, Value};
+use mmdb_types::codec::{decode_projected, key_of, value_from_bytes, value_to_bytes};
+use mmdb_types::{lock_rank, Error, Path, Projection, Result, Value};
 
 /// The reserved primary-key attribute, as in ArangoDB.
 pub const KEY_FIELD: &str = "_key";
@@ -142,10 +142,20 @@ impl Collection {
         self.heap.get_with(rid, value_from_bytes)?
     }
 
+    /// Decode what `p` keeps of the document at `rid`.
+    fn fetch_projected(&self, rid: RecordId, p: &Projection) -> Result<Value> {
+        self.heap.get_with(rid, |bytes| decode_projected(bytes, p))?
+    }
+
     /// Fetch by `_key`.
     pub fn get(&self, key: &str) -> Result<Option<Value>> {
+        self.get_projected(key, &Projection::ALL)
+    }
+
+    /// Fetch what `p` keeps of the document with this `_key`.
+    pub fn get_projected(&self, key: &str, p: &Projection) -> Result<Option<Value>> {
         let rid = { self.indexes.read().primary.get(key).copied() };
-        rid.map(|r| self.fetch(r)).transpose()
+        rid.map(|r| self.fetch_projected(r, p)).transpose()
     }
 
     /// Whether a document with this `_key` exists: a primary-index probe,
@@ -238,9 +248,14 @@ impl Collection {
 
     /// All documents (unordered).
     pub fn all(&self) -> Result<Vec<Value>> {
+        self.all_projected(&Projection::ALL)
+    }
+
+    /// What `p` keeps of every document (unordered).
+    pub fn all_projected(&self, p: &Projection) -> Result<Vec<Value>> {
         let mut docs = Vec::with_capacity(self.len());
         self.heap.scan_with(|_, bytes| {
-            docs.push(value_from_bytes(bytes)?);
+            docs.push(decode_projected(bytes, p)?);
             Ok(())
         })?;
         Ok(docs)
@@ -297,15 +312,18 @@ impl Collection {
     /// Range query on a path: `lo..=hi`, using the persistent index when
     /// available. Returns `(docs, used_index)`.
     pub fn range(&self, path_text: &str, lo: &Value, hi: &Value) -> Result<(Vec<Value>, bool)> {
-        self.range_bounds(path_text, Bound::Included(lo), Bound::Included(hi))
+        self.range_bounds(path_text, Bound::Included(lo), Bound::Included(hi), &Projection::ALL)
     }
 
-    /// Range query with explicit bounds on each side.
+    /// Range query with explicit bounds on each side, returning what `p`
+    /// keeps of each document. Without an index on the path, each
+    /// document is decoded whole to test the bounds and projected after.
     pub fn range_bounds(
         &self,
         path_text: &str,
         lo: Bound<&Value>,
         hi: Bound<&Value>,
+        p: &Projection,
     ) -> Result<(Vec<Value>, bool)> {
         let path = Path::parse(path_text)?;
         {
@@ -347,7 +365,7 @@ impl Collection {
                 drop(idx);
                 let mut docs = Vec::with_capacity(rids.len());
                 for rid in rids {
-                    docs.push(self.fetch(rid)?);
+                    docs.push(self.fetch_projected(rid, p)?);
                 }
                 return Ok((docs, true));
             }
@@ -366,7 +384,7 @@ impl Collection {
                 Bound::Unbounded => true,
             };
             if above && below {
-                docs.push(doc);
+                docs.push(if p.is_all() { doc } else { p.apply(&doc) });
             }
         }
         Ok((docs, false))

@@ -7,7 +7,7 @@ use parking_lot::RwLock;
 
 use mmdb_document::Collection;
 use mmdb_storage::BufferPool;
-use mmdb_types::{lock_rank, Error, Result, Value};
+use mmdb_types::{lock_rank, Error, Projection, Result, Value};
 
 /// Reserved edge attribute naming the source vertex (`coll/key`).
 pub const FROM_FIELD: &str = "_from";
@@ -157,8 +157,13 @@ impl Graph {
 
     /// Fetch a vertex by handle.
     pub fn vertex(&self, h: &str) -> Result<Option<Value>> {
+        self.vertex_projected(h, &Projection::ALL)
+    }
+
+    /// Fetch what `p` keeps of a vertex, by handle.
+    pub fn vertex_projected(&self, h: &str, p: &Projection) -> Result<Option<Value>> {
         let (coll, key) = split_handle(h)?;
-        self.vertex_collection(coll)?.get(key)
+        self.vertex_collection(coll)?.get_projected(key, p)
     }
 
     /// Whether a vertex with this handle exists, without fetching it.

@@ -7,7 +7,7 @@
 
 use std::borrow::Cow;
 
-use mmdb_types::{Error, Number, Result, Value};
+use mmdb_types::{Error, Number, Projection, Result, Value};
 
 use crate::ast::{BinOp, Expr};
 use crate::exec::{execute_subquery, ExecCtx, Scope};
@@ -73,13 +73,7 @@ pub fn eval_expr<'a>(cx: &ExecCtx, scope: Scope<'a>, expr: &'a Expr) -> Result<C
             Value::Number(Number::Float(f)) => Value::float(-f),
             other => return Err(Error::Type(format!("cannot negate {}", other.type_name()))),
         }),
-        Expr::Call(name, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_expr(cx, scope, a)?);
-            }
-            Cow::Owned(call_function(cx.world, name, &vals)?)
-        }
+        Expr::Call(name, args) => Cow::Owned(eval_call(cx, scope, name, args, &Projection::ALL)?),
         Expr::Array(items) => {
             let mut out = Vec::with_capacity(items.len());
             for i in items {
@@ -108,6 +102,22 @@ pub fn eval_expr<'a>(cx: &ExecCtx, scope: Scope<'a>, expr: &'a Expr) -> Result<C
             }
         }
     })
+}
+
+/// Call the builtin `name`, keeping what `project` keeps of each
+/// document it reads ([`call_function`]).
+pub(crate) fn eval_call(
+    cx: &ExecCtx,
+    scope: Scope<'_>,
+    name: &str,
+    args: &[Expr],
+    project: &Projection,
+) -> Result<Value> {
+    let mut vals = Vec::with_capacity(args.len());
+    for a in args {
+        vals.push(eval_expr(cx, scope, a)?);
+    }
+    call_function(cx.world, name, &vals, project)
 }
 
 /// `base.name` where `base` is not an array: a borrow into a borrowed

@@ -8,11 +8,11 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use mmdb_graph::Direction;
-use mmdb_types::{Error, Key, Result, Value};
+use mmdb_types::{Error, Key, Projection, Result, Value};
 
 use crate::ast::{AggFunc, Expr, Query, SortOrder, TraversalDirection};
 use crate::cancel;
-use crate::eval::eval_expr;
+use crate::eval::{eval_call, eval_expr};
 use crate::plan::{build_plan, line_prefix, Plan, PlanBound, PlanNode};
 use crate::stats::{ExecStats, OpStats};
 use crate::world::World;
@@ -384,15 +384,17 @@ fn join_table(
 }
 
 /// Read a hash join's source as the first probing row sees it — one full
-/// scan when it names a store — and bucket the items by key.
+/// scan, decoding what `project` keeps, when it names a collection — and
+/// bucket the items by key.
 fn build_join_table(
     cx: &ExecCtx,
     env: &Env,
     var: &str,
     source: &str,
     build_key: &Expr,
+    project: &Projection,
 ) -> Result<JoinTable> {
-    let items = resolve_name(cx, env, source)?;
+    let items = resolve_name(cx, env, source, project)?;
     let rows = items.len();
     let mut buckets: HashMap<Value, Vec<Value>> = HashMap::new();
     let outer = Env::new();
@@ -408,10 +410,10 @@ fn build_join_table(
 fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>> {
     let world = cx.world;
     match node {
-        PlanNode::For { var, source } => {
+        PlanNode::For { var, source, project } => {
             let mut out = Vec::new();
             for env in envs {
-                let items = resolve_source(cx, &env, source)?;
+                let items = resolve_source(cx, &env, source, project)?;
                 for item in items {
                     cancel::tick()?;
                     let mut e = env.clone();
@@ -421,14 +423,14 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
             }
             Ok(out)
         }
-        PlanNode::IndexScan { var, source, path, lo, hi, residual } => {
+        PlanNode::IndexScan { var, source, path, lo, hi, residual, project } => {
             let lo_b = plan_bound(lo);
             let hi_b = plan_bound(hi);
             let mut out = Vec::new();
             for env in envs {
                 world.access.note_index_scan();
                 let docs: Vec<Value> = if let Ok(coll) = world.collection(source) {
-                    coll.range_bounds(path, lo_b, hi_b)?.0
+                    coll.range_bounds(path, lo_b, hi_b, project)?.0
                 } else {
                     let table = world.catalog.table(source)?;
                     let rows = table.select_range(path, lo_b, hi_b)?.0;
@@ -441,12 +443,12 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
             }
             Ok(out)
         }
-        PlanNode::HashJoin { var, source, build_key, probe_key, residual, slot } => {
+        PlanNode::HashJoin { var, source, build_key, probe_key, residual, slot, project } => {
             let mut out = Vec::new();
             for env in envs {
                 cancel::tick()?;
                 let table = join_table(cx, *slot, || {
-                    build_join_table(cx, &env, var, source, build_key)
+                    build_join_table(cx, &env, var, source, build_key, project)
                 })?;
                 // Over an empty source the nested loop evaluates nothing.
                 if table.rows == 0 {
@@ -461,7 +463,7 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
             }
             Ok(out)
         }
-        PlanNode::Traverse { var, min_depth, max_depth, direction, start, edges } => {
+        PlanNode::Traverse { var, min_depth, max_depth, direction, start, edges, project } => {
             let dir = match direction {
                 TraversalDirection::Outbound => Direction::Outbound,
                 TraversalDirection::Inbound => Direction::Inbound,
@@ -474,6 +476,7 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                 direction: dir,
                 edge_collection: Some(edges.clone()),
             };
+            let (with_id, with_depth) = (project.reads("_id"), project.reads("_depth"));
             let mut out = Vec::new();
             for env in envs {
                 let start_v = eval_expr(cx, env.scope(), start)?;
@@ -488,11 +491,18 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                 };
                 for visited in mmdb_graph::traverse(&graph, handle, &spec)? {
                     cancel::tick()?;
-                    let Some(mut doc) = graph.vertex(&visited.vertex)? else { continue };
-                    // Attach the handle and depth, like AQL's `_id`.
+                    let Some(mut doc) = graph.vertex_projected(&visited.vertex, project)? else {
+                        continue;
+                    };
+                    // Attach the handle and depth, like AQL's `_id`, when
+                    // the plan reads them.
                     if let Ok(obj) = doc.as_object_mut() {
-                        obj.insert("_id", Value::String(visited.vertex));
-                        obj.insert("_depth", Value::int(visited.depth as i64));
+                        if with_id {
+                            obj.insert("_id", Value::String(visited.vertex));
+                        }
+                        if with_depth {
+                            obj.insert("_depth", Value::int(visited.depth as i64));
+                        }
                     }
                     let mut e = env.clone();
                     e.insert(var, doc);
@@ -511,11 +521,11 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
             }
             Ok(out)
         }
-        PlanNode::Let { var, value } => {
+        PlanNode::Let { var, value, project } => {
             let mut out = Vec::new();
             for env in envs {
                 cancel::tick()?;
-                let v = eval_expr(cx, env.scope(), value)?.into_owned();
+                let v = eval_projected(cx, &env, value, project)?;
                 let mut e = env;
                 e.insert(var, v);
                 out.push(e);
@@ -627,20 +637,29 @@ fn plan_bound(b: &PlanBound) -> Bound<&Value> {
     }
 }
 
-fn resolve_source(cx: &ExecCtx, env: &Env, source: &Expr) -> Result<Vec<Value>> {
+fn resolve_source(cx: &ExecCtx, env: &Env, source: &Expr, project: &Projection) -> Result<Vec<Value>> {
     match source {
-        Expr::Var(name) => resolve_name(cx, env, name),
+        Expr::Var(name) => resolve_name(cx, env, name, project),
         // An array the evaluator made is moved into the rows; one it only
         // borrowed is copied element by element, and nothing around it.
-        _ => as_iterable(eval_expr(cx, env.scope(), source)?.into_owned()),
+        _ => as_iterable(eval_projected(cx, env, source, project)?),
     }
 }
 
-/// A bare identifier: bound variable first, then store name.
-fn resolve_name(cx: &ExecCtx, env: &Env, name: &str) -> Result<Vec<Value>> {
+/// A bare identifier: bound variable first (whole), then store name.
+fn resolve_name(cx: &ExecCtx, env: &Env, name: &str, project: &Projection) -> Result<Vec<Value>> {
     match env.get(name) {
         Some(v) => as_iterable(v.clone()),
-        None => cx.world.scan_source(name),
+        None => cx.world.scan_source(name, project),
+    }
+}
+
+/// Evaluate `e`, owned; a builtin call keeps what `project` keeps of
+/// each document it reads (`DOC`, `FULLTEXT`).
+fn eval_projected(cx: &ExecCtx, env: &Env, e: &Expr, project: &Projection) -> Result<Value> {
+    match e {
+        Expr::Call(name, args) => eval_call(cx, env.scope(), name, args, project),
+        _ => Ok(eval_expr(cx, env.scope(), e)?.into_owned()),
     }
 }
 
@@ -791,14 +810,14 @@ mod tests {
         let w = paper_world();
         let cx = ExecCtx::new(&w);
         let key = Expr::var("o").field("_key");
-        let built = build_join_table(&cx, &Env::new(), "o", "orders", &key).unwrap();
+        let built = build_join_table(&cx, &Env::new(), "o", "orders", &key, &Projection::ALL).unwrap();
         assert_eq!((built.rows, built.buckets.len()), (2, 2));
 
         let token = mmdb_types::CancelToken::with_timeout(std::time::Duration::ZERO);
         std::thread::sleep(std::time::Duration::from_millis(2));
         let _scope = cancel::scope(&token);
         let scans_before = w.access.full_scans();
-        let err = build_join_table(&cx, &Env::new(), "o", "orders", &key)
+        let err = build_join_table(&cx, &Env::new(), "o", "orders", &key, &Projection::ALL)
             .err()
             .expect("the build loop ticks");
         assert_eq!(err.kind(), "deadline_exceeded");

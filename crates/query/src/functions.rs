@@ -9,13 +9,21 @@
 use std::borrow::Cow;
 
 use mmdb_graph::Direction;
-use mmdb_types::{Error, Result, Value};
+use mmdb_types::{Error, Projection, Result, Value};
 
 use crate::world::World;
 
 /// Dispatch a builtin by (uppercased) name. Arguments arrive as the
 /// evaluator produced them, borrowed or owned, and are only read.
-pub fn call_function(world: &World, name: &str, args: &[Cow<'_, Value>]) -> Result<Value> {
+/// `project` is what the caller reads of each document `DOC` and
+/// `FULLTEXT` return (the optimizer's rule 6); every other function
+/// ignores it.
+pub fn call_function(
+    world: &World,
+    name: &str,
+    args: &[Cow<'_, Value>],
+    project: &Projection,
+) -> Result<Value> {
     match name {
         // ---- generic -----------------------------------------------------
         "LENGTH" | "COUNT" => {
@@ -153,7 +161,9 @@ pub fn call_function(world: &World, name: &str, args: &[Cow<'_, Value>]) -> Resu
         "DOC" => {
             let coll = arg(args, 0)?.as_str()?;
             match arg(args, 1)? {
-                Value::String(key) => Ok(world.collection(coll)?.get(key)?.unwrap_or(Value::Null)),
+                Value::String(key) => {
+                    Ok(world.collection(coll)?.get_projected(key, project)?.unwrap_or(Value::Null))
+                }
                 Value::Null => Ok(Value::Null),
                 other => Err(Error::Type(format!("DOC key must be a string, got {}", other.type_name()))),
             }
@@ -255,7 +265,7 @@ pub fn call_function(world: &World, name: &str, args: &[Cow<'_, Value>]) -> Resu
             let coll = world.collection(&idx.collection)?;
             let mut out = Vec::new();
             for key in idx.search(query) {
-                if let Some(doc) = coll.get(&key)? {
+                if let Some(doc) = coll.get_projected(&key, project)? {
                     out.push(doc);
                 }
             }

@@ -17,7 +17,7 @@
 //!
 //! Pipeline: [`lex`] → [`parse`] → [`plan`] (logical operators) →
 //! [`optimize`] (constant folding, subquery planning, index selection,
-//! hash joins) → [`exec`] (bindings interpreter over a [`world::World`]
+//! hash joins, projected document reads) → [`exec`] (bindings interpreter over a [`world::World`]
 //! of model stores).
 //! [`sql`] is a second frontend: a SQL `SELECT` subset compiling onto the
 //! same logical plan, demonstrating the "one algebra, many syntaxes"

@@ -22,11 +22,21 @@
 //!    `try_hash_join`). This covers the in-pipeline nested `FOR`, SQL
 //!    `JOIN … ON a = b`, and — through rule 2's scope — the
 //!    equi-correlated subquery.
+//! 6. **Projection** — a node that binds a variable to a stored document
+//!    (a collection's `For`, `IndexScan` or `HashJoin` build, a
+//!    `Traverse` vertex, `For … IN FULLTEXT(…)`, `LET … = DOC(…)`) gets
+//!    the paths the rest of the plan, subqueries included, reads of that
+//!    variable, and its read decodes only those (see `projection_after`).
+//!    Navigation reads what it reaches, `FOR x IN v.path` and
+//!    `LET x = v.path` read what is read of `x`, comparing `v` with
+//!    `NULL` reads nothing, and any other use reads the whole value.
+//!    Relational rows and kv entries are never projected.
 //!
-//! Every rewrite keeps the rows and their order: a plan straight from
-//! `build_plan` and its optimized form return the same vector.
+//! Every rewrite keeps the rows and their order — a plan straight from
+//! `build_plan` and its optimized form return the same vector — except
+//! that an `IndexScan` returns its rows in index order.
 
-use mmdb_types::Value;
+use mmdb_types::{Path, Projection, Value};
 
 use crate::ast::{BinOp, Expr};
 use crate::eval::like_match;
@@ -121,11 +131,11 @@ fn optimize_in(mut plan: Plan, world: &World, scope: Scope, slots: &mut usize) -
     }
 
     // 4 + 5. Index selection, then hash join, on For+Filter pairs.
-    let mut at = scope;
+    let mut at = scope.clone();
     let mut out: Vec<PlanNode> = Vec::with_capacity(merged.len());
     let mut iter = merged.into_iter().peekable();
     while let Some(mut node) = iter.next() {
-        if let PlanNode::For { var, source: Expr::Var(name) } = &node {
+        if let PlanNode::For { var, source: Expr::Var(name), .. } = &node {
             if let Some(PlanNode::Filter(pred)) = iter.peek() {
                 let rewritten = try_index_scan(world, &at, var, name, pred)
                     .or_else(|| try_hash_join(&at, var, name, pred, slots));
@@ -137,6 +147,17 @@ fn optimize_in(mut plan: Plan, world: &World, scope: Scope, slots: &mut usize) -
         }
         at.enter(&node);
         out.push(node);
+    }
+
+    // 6. Projection: each read of a stored document decodes only what
+    //    the rest of the plan reads of it.
+    let mut at = scope;
+    for i in 0..out.len() {
+        if let Some(var) = document_binding(&out[i], world, &at) {
+            let project = projection_after(&out[i], var, &out[i + 1..], &plan.ret);
+            set_projection(&mut out[i], project);
+        }
+        at.enter(&out[i]);
     }
     plan.nodes = out;
     plan
@@ -212,6 +233,7 @@ fn try_index_scan(
         lo,
         hi,
         residual,
+        project: Projection::ALL,
     })
 }
 
@@ -274,6 +296,7 @@ fn try_hash_join(
         probe_key,
         residual,
         slot,
+        project: Projection::ALL,
     })
 }
 
@@ -351,22 +374,163 @@ fn flip(op: BinOp) -> Option<BinOp> {
     })
 }
 
+/// `e` as a point path of `var`: fields and constant indexes.
 fn path_of(e: &Expr, var: &str) -> Option<String> {
+    path_steps(e, var).filter(Path::is_point).map(|p| p.to_string())
+}
+
+/// `e` as a navigation path of `var`: fields, `[*]` and constant
+/// indexes (a string index is a field).
+fn path_steps(e: &Expr, var: &str) -> Option<Path> {
     match e {
-        Expr::Var(v) if v == var => Some(String::new()),
-        Expr::Field(base, name) => {
-            let p = path_of(base, var)?;
-            Some(if p.is_empty() { name.clone() } else { format!("{p}.{name}") })
-        }
+        Expr::Var(v) if v == var => Some(Path::root()),
+        Expr::Field(base, name) => Some(path_steps(base, var)?.field(name.clone())),
+        Expr::Spread(base) => Some(path_steps(base, var)?.wildcard()),
         Expr::Index(base, idx) => {
-            let p = path_of(base, var)?;
-            if let Expr::Literal(Value::Number(n)) = &**idx {
-                n.as_i64().map(|i| format!("{p}[{i}]"))
-            } else {
-                None
+            let p = path_steps(base, var)?;
+            match &**idx {
+                Expr::Literal(Value::Number(n)) => n.as_i64().map(|i| p.index(i)),
+                Expr::Literal(Value::String(name)) => Some(p.field(name.clone())),
+                _ => None,
             }
         }
         _ => None,
+    }
+}
+
+/// Rule 6's bindings: the variable `node` binds to a stored document —
+/// a collection's scan, index scan or hash-join build, a traversal's
+/// vertex, a `FULLTEXT` match or `DOC`'s document. Relational rows and
+/// kv entries are not documents here (KNOWN_ISSUES.md).
+fn document_binding<'n>(node: &'n PlanNode, world: &World, scope: &Scope) -> Option<&'n str> {
+    let collection = |name: &str| !scope.is_bound(name) && world.collection(name).is_ok();
+    match node {
+        PlanNode::For { var, source: Expr::Var(name), .. } if collection(name) => Some(var),
+        PlanNode::For { var, source: Expr::Call(f, _), .. } if f == "FULLTEXT" => Some(var),
+        PlanNode::IndexScan { var, source, .. } | PlanNode::HashJoin { var, source, .. }
+            if collection(source) =>
+        {
+            Some(var)
+        }
+        PlanNode::Traverse { var, .. } => Some(var),
+        PlanNode::Let { var, value: Expr::Call(f, _), .. } if f == "DOC" => Some(var),
+        _ => None,
+    }
+}
+
+/// What the plan reads of `var`, bound by `node` and followed by `rest`
+/// and `ret`.
+fn projection_after(node: &PlanNode, var: &str, rest: &[PlanNode], ret: &Expr) -> Projection {
+    // An index scan's residual and a hash join's build key and residual
+    // read the item they bind; the other nodes' expressions run before.
+    let own: Vec<&Expr> = match node {
+        PlanNode::IndexScan { residual, .. } => residual.iter().collect(),
+        PlanNode::HashJoin { build_key, residual, .. } => {
+            std::iter::once(build_key).chain(residual).collect()
+        }
+        _ => Vec::new(),
+    };
+    let mut paths = Vec::new();
+    if own.into_iter().all(|e| expr_reads(e, var, &mut paths))
+        && pipeline_reads(rest, ret, var, &mut paths)
+    {
+        Projection::of(paths)
+    } else {
+        Projection::ALL
+    }
+}
+
+fn set_projection(node: &mut PlanNode, p: Projection) {
+    if let PlanNode::For { project, .. }
+    | PlanNode::IndexScan { project, .. }
+    | PlanNode::HashJoin { project, .. }
+    | PlanNode::Traverse { project, .. }
+    | PlanNode::Let { project, .. } = node
+    {
+        *project = p;
+    }
+}
+
+/// Add to `out` the paths of `var` that `nodes`, then `ret`, read —
+/// nested plans included. False when they need the whole value, or a
+/// node rebinds `var`.
+fn pipeline_reads(nodes: &[PlanNode], ret: &Expr, var: &str, out: &mut Vec<Path>) -> bool {
+    for (i, node) in nodes.iter().enumerate() {
+        // `FOR x IN var.path` and `LET x = var.path` read of `var` what
+        // the rest reads of `x`, below `path[*]` and `path`. When that is
+        // no field at all, `path` is still read: how many rows the `FOR`
+        // makes, or whether `x` is `NULL`, depends on its value.
+        let alias = match node {
+            PlanNode::For { var: x, source, .. } => {
+                path_steps(source, var).map(|p| (x, p.wildcard()))
+            }
+            PlanNode::Let { var: x, value, .. } => path_steps(value, var).map(|p| (x, p)),
+            _ => None,
+        };
+        match alias {
+            Some((x, prefix)) if x != var => {
+                let mut below = Vec::new();
+                if pipeline_reads(&nodes[i + 1..], ret, x, &mut below) && !below.is_empty() {
+                    let join = |p: Path| prefix.steps().iter().chain(p.steps()).cloned().collect();
+                    out.extend(below.into_iter().map(|p| Path::from_steps(join(p))));
+                } else {
+                    out.push(prefix);
+                }
+            }
+            _ => {
+                if !node.exprs().into_iter().all(|e| expr_reads(e, var, out)) {
+                    return false;
+                }
+            }
+        }
+        let rebinds = match node {
+            PlanNode::For { var: v, .. }
+            | PlanNode::IndexScan { var: v, .. }
+            | PlanNode::HashJoin { var: v, .. }
+            | PlanNode::Traverse { var: v, .. }
+            | PlanNode::Let { var: v, .. } => v == var,
+            // INTO keeps every binding of a group's rows whole.
+            PlanNode::Collect { into: Some(_), .. } => true,
+            PlanNode::Collect { key, aggregates, .. } => {
+                key.iter().map(|(v, _)| v).chain(aggregates.iter().map(|(v, _, _)| v)).any(|v| v == var)
+            }
+            PlanNode::Filter(_) | PlanNode::Sort(_) | PlanNode::Limit { .. } => false,
+        };
+        if rebinds {
+            return false;
+        }
+    }
+    expr_reads(ret, var, out)
+}
+
+/// Add to `out` the paths of `var` that evaluating `e` reads: a
+/// navigation path reads what it reaches, comparing the bare variable
+/// with `NULL` reads nothing, and any other use of a value reads all of
+/// it. False when that is all of `var` (a subquery not yet planned is
+/// assumed to).
+fn expr_reads(e: &Expr, var: &str, out: &mut Vec<Path>) -> bool {
+    if let Some(p) = path_steps(e, var) {
+        out.push(p);
+        return true;
+    }
+    let mut reads = |x: &Expr| expr_reads(x, var, out);
+    match e {
+        Expr::Binary(BinOp::Eq | BinOp::Ne, l, r)
+            if matches!((&**l, &**r),
+                (Expr::Var(v), Expr::Literal(Value::Null)) | (Expr::Literal(Value::Null), Expr::Var(v))
+                if v == var) =>
+        {
+            true
+        }
+        // Another variable: `var` itself is a path.
+        Expr::Literal(_) | Expr::Var(_) => true,
+        Expr::Field(a, _) | Expr::Spread(a) | Expr::Not(a) | Expr::Neg(a) => reads(a),
+        Expr::Index(a, b) | Expr::Binary(_, a, b) => reads(a) && reads(b),
+        Expr::Ternary(a, b, c) => reads(a) && reads(b) && reads(c),
+        Expr::Call(_, items) | Expr::Array(items) => items.iter().all(reads),
+        Expr::Object(fields) => fields.iter().all(|(_, x)| reads(x)),
+        Expr::SubPlan(p) => pipeline_reads(&p.nodes, &p.ret, var, out),
+        Expr::Subquery(_) => false,
     }
 }
 
@@ -625,7 +789,11 @@ mod tests {
     }
 
     fn optimized(text: &str) -> Plan {
-        optimize(build_plan(&parse_query(text).unwrap()).unwrap(), &World::in_memory())
+        optimized_in(&World::in_memory(), text)
+    }
+
+    fn optimized_in(w: &World, text: &str) -> Plan {
+        optimize(build_plan(&parse_query(text).unwrap()).unwrap(), w)
     }
 
     /// The plan of the first subquery in a `LET`, as the optimizer left it.
@@ -807,27 +975,136 @@ mod tests {
         assert_eq!(crate::run(&w, text).unwrap(), vec![Value::int(7)]);
     }
 
+    /// A world with the benchmark's stores: a `customers` table, an
+    /// `orders` collection and a `cart` bucket.
+    fn shop() -> World {
+        use mmdb_relational::{ColumnDef, DataType, Schema};
+        let w = World::in_memory();
+        let columns = vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("name", DataType::Text)];
+        w.catalog.create_table("customers", Schema::new(columns, "id").unwrap()).unwrap();
+        w.create_collection("orders").unwrap();
+        w.kv.create_bucket("cart").unwrap();
+        w
+    }
+
+    /// Each node's projection, `-` where it decodes everything.
+    fn projections(plan: &Plan) -> Vec<String> {
+        plan.nodes
+            .iter()
+            .map(|n| match n.projection() {
+                Some(p) if !p.is_all() => p.to_string(),
+                _ => "-".to_string(),
+            })
+            .collect()
+    }
+
     #[test]
-    fn the_benchmark_queries_without_an_equi_join_keep_their_plans() {
+    fn the_benchmark_queries_without_an_equi_join_keep_their_nodes_and_project_their_documents() {
         // Q2, Q3 and Q5 of `benchmark/src/data.rs`: none joins a
         // row-invariant source on an equality, so each plan is its clause
-        // list with adjacent filters merged (none are adjacent), as before.
+        // list with adjacent filters merged (none are adjacent), as
+        // before. Rule 6 gives every document read the paths the rest of
+        // the plan reads; the `customers` rows stay whole.
+        let w = shop();
         let q2 = "FOR c IN customers FILTER c.credit_limit > 3000 \
              FOR friend IN 1..1 OUTBOUND CONCAT(\"persons/\", c.id) knows \
              LET order = DOC(\"orders\", KV_GET(\"cart\", friend._key)) FILTER order != NULL \
              FOR line IN order.orderlines RETURN DISTINCT line.product_no";
-        assert_eq!(kinds(&optimized(q2)), ["For", "Filter", "Traverse", "Let", "Filter", "For"]);
+        let plan = optimized_in(&w, q2);
+        assert_eq!(kinds(&plan), ["For", "Filter", "Traverse", "Let", "Filter", "For"]);
+        assert_eq!(projections(&plan), ["-", "-", "_key", "orderlines[*].product_no", "-", "-"]);
         let q3 = "FOR f IN FULLTEXT(\"feedback_text\", \"good\") FILTER f.rating >= 4 \
              LET p = DOC(\"products\", f.product_no) FILTER p.category == \"toys\" \
              RETURN DISTINCT p._key";
-        assert_eq!(kinds(&optimized(q3)), ["For", "Filter", "Let", "Filter"]);
+        let plan = optimized_in(&w, q3);
+        assert_eq!(kinds(&plan), ["For", "Filter", "Let", "Filter"]);
+        assert_eq!(projections(&plan), ["product_no, rating", "-", "_key, category", "-"]);
         let q5 = "FOR friend IN 1..2 ANY \"persons/17\" knows \
              LET order = DOC(\"orders\", KV_GET(\"cart\", friend._key)) FILTER order != NULL \
              FOR line IN order.orderlines RETURN DISTINCT line.product_no";
-        assert_eq!(kinds(&optimized(q5)), ["Traverse", "Let", "Filter", "For"]);
+        let plan = optimized_in(&w, q5);
+        assert_eq!(kinds(&plan), ["Traverse", "Let", "Filter", "For"]);
+        assert_eq!(projections(&plan), ["_key", "orderlines[*].product_no", "-", "-"]);
         for text in [q2, q3, q5] {
             let parsed = build_plan(&parse_query(text).unwrap()).unwrap();
-            assert_eq!(optimized(text), parsed, "nothing to fold, merge or rewrite in {text}");
+            let mut plan = optimized_in(&w, text);
+            plan.nodes.iter_mut().for_each(|n| set_projection(n, Projection::ALL));
+            assert_eq!(plan, parsed, "nothing to fold, merge or rewrite in {text}");
         }
+    }
+
+    #[test]
+    fn the_q4_build_decodes_two_fields_and_explain_says_so() {
+        let plan = optimized_in(&shop(), Q4_NAIVE);
+        assert_eq!(
+            plan.explain(),
+            "For c IN customers\nLet total\n\
+             └ HashJoin o IN orders ON o.customer_id == c.id project(customer_id, total)\n└ Return\nReturn"
+        );
+    }
+
+    /// The projection rule 6 gives `FOR o IN orders` in `text`.
+    fn orders_projection(text: &str) -> String {
+        let plan = optimized_in(&shop(), text);
+        let p = plan.nodes[0].projection().expect("a FOR binds o");
+        if p.is_all() { "*".to_string() } else { format!("({p})") }
+    }
+
+    #[test]
+    fn navigation_is_projected_and_any_other_use_is_whole() {
+        let cases = [
+            ("FOR o IN orders RETURN o.total", "(total)"),
+            ("FOR o IN orders RETURN o.lines[1].price", "(lines[1].price)"),
+            ("FOR o IN orders RETURN o[\"total\"]", "(total)"),
+            ("FOR o IN orders RETURN o.lines[*].p", "(lines[*].p)"),
+            ("FOR o IN orders RETURN LENGTH(o.lines)", "(lines)"),
+            ("FOR o IN orders FILTER o != NULL RETURN 1", "()"),
+            ("FOR o IN orders FILTER NULL == o RETURN o._key", "(_key)"),
+            ("FOR o IN orders FOR l IN o.lines RETURN l.p", "(lines[*].p)"),
+            ("FOR o IN orders LET ls = o.lines RETURN ls[0].p", "(lines[0].p)"),
+            ("FOR o IN orders LET ls = o.lines RETURN ls", "(lines)"),
+            ("FOR o IN orders LET n = (FOR l IN o.lines RETURN l.q) RETURN [o.a, n]", "(a, lines[*].q)"),
+            ("FOR o IN orders SORT o.a RETURN o.b", "(a, b)"),
+            ("FOR o IN orders COLLECT k = o.a AGGREGATE t = SUM(o.t) RETURN [k, t]", "(a, t)"),
+            ("FOR o IN orders LET i = 1 RETURN o.lines[i].p", "(lines)"),
+            // Whole: the value itself is used, not navigated.
+            ("FOR o IN orders RETURN o", "*"),
+            ("FOR o IN orders RETURN MERGE(o, {})", "*"),
+            ("FOR o IN orders RETURN LENGTH(o)", "*"),
+            ("FOR o IN orders FILTER o RETURN 1", "*"),
+            ("FOR o IN orders SORT o RETURN 1", "*"),
+            ("FOR o IN orders FILTER o == {a: 1} RETURN 1", "*"),
+            ("FOR o IN orders FILTER o != 7 RETURN 1", "*"),
+            ("FOR o IN orders COLLECT k = o.a INTO g RETURN k", "*"),
+            ("FOR o IN orders LET x = (FOR o IN orders RETURN 1) RETURN o.a", "*"),
+            ("FOR o IN orders LET o = o.a RETURN o", "*"),
+            ("FOR o IN orders LET ls = o.lines RETURN ls[*]", "(lines[*])"),
+            // An alias read for no field still reads its path's value.
+            ("FOR o IN orders FOR l IN o.lines RETURN o.a", "(a, lines[*])"),
+            ("FOR o IN orders LET ls = o.lines FILTER ls != NULL RETURN 1", "(lines)"),
+        ];
+        for (text, want) in cases {
+            assert_eq!(orders_projection(text), want, "{text}");
+        }
+    }
+
+    #[test]
+    fn only_document_reads_are_projected() {
+        let w = shop();
+        let none = |text: &str| {
+            let plan = optimized_in(&w, text);
+            assert!(!plan.explain().contains("project("), "{text}: {}", plan.explain());
+        };
+        none("FOR c IN customers RETURN c.name");
+        none("FOR e IN cart RETURN e.value");
+        none("LET orders = [{a: 1}] FOR o IN orders RETURN o.a");
+        none("LET v = KV_GET(\"cart\", \"1\") RETURN v.a");
+        none("FOR x IN [{a: 1}] RETURN x.a");
+        // A traversal's vertex and DOC's document are, whatever they read;
+        // `_id` and `_depth` are fields like any other.
+        let plan = optimized_in(&w, "FOR v IN 1..2 OUTBOUND \"p/1\" knows RETURN [v._id, v.name]");
+        assert_eq!(projections(&plan), ["_id, name"]);
+        let plan = optimized_in(&w, "LET d = DOC(\"orders\", \"k\") RETURN d == NULL");
+        assert_eq!(projections(&plan), [""]);
     }
 }

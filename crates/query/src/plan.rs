@@ -2,9 +2,11 @@
 //!
 //! `build_plan` maps AST clauses onto plan nodes 1:1; the optimizer then
 //! rewrites node sequences (`For` + `Filter` into `IndexScan` or
-//! `HashJoin`) and plans every subquery into an [`Expr::SubPlan`].
+//! `HashJoin`), plans every subquery into an [`Expr::SubPlan`], and
+//! gives each read of a stored document the [`Projection`] the rest of
+//! the plan reads of it.
 
-use mmdb_types::{Result, Value};
+use mmdb_types::{Projection, Result, Value};
 
 use crate::ast::{AggFunc, Clause, Expr, Query, SortOrder, TraversalDirection};
 
@@ -30,6 +32,9 @@ pub enum PlanNode {
         var: String,
         /// Source expression.
         source: Expr,
+        /// What to decode of each document a collection scan or
+        /// `FULLTEXT` source reads.
+        project: Projection,
     },
     /// Index-served scan over a named source with a single-path bound,
     /// produced by the optimizer from `For` + `Filter`.
@@ -46,6 +51,8 @@ pub enum PlanNode {
         hi: PlanBound,
         /// Remaining predicate conjuncts, re-checked per row.
         residual: Option<Expr>,
+        /// What to decode of each document (a collection's).
+        project: Projection,
     },
     /// Equi-join of the incoming rows with a row-invariant source,
     /// produced by the optimizer from `For` + `Filter`: the source is read
@@ -65,6 +72,8 @@ pub enum PlanNode {
         residual: Option<Expr>,
         /// Names this node's build table within one execution.
         slot: usize,
+        /// What to decode of each document a collection source holds.
+        project: Projection,
     },
     /// Graph traversal.
     Traverse {
@@ -80,6 +89,9 @@ pub enum PlanNode {
         start: Expr,
         /// Edge collection.
         edges: String,
+        /// What to decode of each visited vertex; `_id` and `_depth` are
+        /// attached only when it keeps them.
+        project: Projection,
     },
     /// Keep rows where the expression is truthy.
     Filter(Expr),
@@ -89,6 +101,8 @@ pub enum PlanNode {
         var: String,
         /// Value expression.
         value: Expr,
+        /// What to decode of the document a `DOC(…)` value reads.
+        project: Projection,
     },
     /// Sort rows by key expressions.
     Sort(Vec<(Expr, SortOrder)>),
@@ -125,9 +139,9 @@ impl PlanNode {
     /// The node's one-line textual form, shared by `EXPLAIN` and the
     /// `EXPLAIN ANALYZE` renderer.
     pub fn describe(&self) -> String {
-        match self {
-            PlanNode::For { var, source } => format!("For {var} IN {source}"),
-            PlanNode::IndexScan { var, source, path, lo, hi, residual } => format!(
+        let mut text = match self {
+            PlanNode::For { var, source, .. } => format!("For {var} IN {source}"),
+            PlanNode::IndexScan { var, source, path, lo, hi, residual, .. } => format!(
                 "IndexScan {var} IN {source} ON {path} [{lo:?}, {hi:?}] residual={}",
                 residual.is_some()
             ),
@@ -147,12 +161,30 @@ impl PlanNode {
                 key.as_ref().map(|(v, _)| v.as_str()).unwrap_or("-"),
                 aggregates.len()
             ),
+        };
+        if let Some(p) = self.projection().filter(|p| !p.is_all()) {
+            text.push_str(&format!(" project({p})"));
+        }
+        text
+    }
+
+    /// What the node decodes of the documents it binds, if it binds any.
+    pub fn projection(&self) -> Option<&Projection> {
+        match self {
+            PlanNode::For { project, .. }
+            | PlanNode::IndexScan { project, .. }
+            | PlanNode::HashJoin { project, .. }
+            | PlanNode::Traverse { project, .. }
+            | PlanNode::Let { project, .. } => Some(project),
+            PlanNode::Filter(_) | PlanNode::Sort(_) | PlanNode::Limit { .. } | PlanNode::Collect { .. } => {
+                None
+            }
         }
     }
 
     /// The expressions the node evaluates (keep in step with
     /// [`PlanNode::exprs_mut`]).
-    fn exprs(&self) -> Vec<&Expr> {
+    pub(crate) fn exprs(&self) -> Vec<&Expr> {
         match self {
             PlanNode::For { source, .. } => vec![source],
             PlanNode::IndexScan { residual, .. } => residual.iter().collect(),
@@ -259,7 +291,11 @@ pub fn build_plan(query: &Query) -> Result<Plan> {
         .clauses
         .iter()
         .map(|c| match c {
-            Clause::For { var, source } => PlanNode::For { var: var.clone(), source: source.clone() },
+            Clause::For { var, source } => PlanNode::For {
+                var: var.clone(),
+                source: source.clone(),
+                project: Projection::ALL,
+            },
             Clause::Traverse { var, min_depth, max_depth, direction, start, edges } => {
                 PlanNode::Traverse {
                     var: var.clone(),
@@ -268,10 +304,15 @@ pub fn build_plan(query: &Query) -> Result<Plan> {
                     direction: *direction,
                     start: (**start).clone(),
                     edges: edges.clone(),
+                    project: Projection::ALL,
                 }
             }
             Clause::Filter(e) => PlanNode::Filter(e.clone()),
-            Clause::Let { var, value } => PlanNode::Let { var: var.clone(), value: value.clone() },
+            Clause::Let { var, value } => PlanNode::Let {
+                var: var.clone(),
+                value: value.clone(),
+                project: Projection::ALL,
+            },
             Clause::Sort(keys) => PlanNode::Sort(keys.clone()),
             Clause::Limit { offset, count } => PlanNode::Limit { offset: *offset, count: *count },
             Clause::Collect { key, into, aggregates } => PlanNode::Collect {

@@ -20,7 +20,7 @@ use mmdb_relational::Catalog;
 use mmdb_storage::BufferPool;
 use mmdb_text::inverted::DocId as TextDocId;
 use mmdb_text::TextIndex;
-use mmdb_types::{lock_rank, Error, Result, Value};
+use mmdb_types::{lock_rank, Error, Projection, Result, Value};
 use mmdb_xml::Tree;
 
 /// A registered full-text index: over one field of one collection.
@@ -267,12 +267,12 @@ impl World {
     }
 
     /// Materialize a bare `FOR x IN name` source as an array of objects:
-    /// documents as-is; relational rows as column objects; kv entries as
-    /// `{_key, value}`.
-    pub fn scan_source(&self, name: &str) -> Result<Vec<Value>> {
+    /// what `project` keeps of each document; relational rows as column
+    /// objects and kv entries as `{_key, value}`, both whole.
+    pub fn scan_source(&self, name: &str, project: &Projection) -> Result<Vec<Value>> {
         if let Ok(coll) = self.collection(name) {
             self.access.note_full_scan();
-            return coll.all();
+            return coll.all_projected(project);
         }
         if let Ok(table) = self.catalog.table(name) {
             self.access.note_full_scan();
@@ -360,7 +360,7 @@ mod tests {
         assert_eq!(w.resolve_source("customers"), Some("relational-table"));
         assert_eq!(w.resolve_source("cart"), Some("kv-bucket"));
         assert_eq!(w.resolve_source("nope"), None);
-        assert!(w.scan_source("nope").is_err());
+        assert!(w.scan_source("nope", &Projection::ALL).is_err());
     }
 
     #[test]
@@ -383,9 +383,10 @@ mod tests {
         w.kv.create_bucket("b").unwrap();
         w.kv.put("b", "k1", Value::int(9)).unwrap();
 
-        assert_eq!(w.scan_source("docs").unwrap()[0].get_field("x"), &Value::int(1));
-        assert_eq!(w.scan_source("t").unwrap()[0].get_field("n"), &Value::str("row"));
-        let kv = w.scan_source("b").unwrap();
+        let scan = |name: &str| w.scan_source(name, &Projection::ALL).unwrap();
+        assert_eq!(scan("docs")[0].get_field("x"), &Value::int(1));
+        assert_eq!(scan("t")[0].get_field("n"), &Value::str("row"));
+        let kv = scan("b");
         assert_eq!(kv[0].get_field("_key"), &Value::str("k1"));
         assert_eq!(kv[0].get_field("value"), &Value::int(9));
     }

@@ -4,12 +4,16 @@
 //!
 //! * [`encode_value`] / [`decode_value`] — a compact tagged encoding used by
 //!   the storage engine to put any value in a page, WAL record or SSTable.
+//!   [`decode_projected`] is the one decoder: it builds the parts of a
+//!   value a [`Projection`] keeps and validates the rest;
+//!   [`value_from_bytes`] is it with the whole value.
 //! * [`encode_key`] — an **order-preserving** ("memcomparable") encoding:
 //!   `encode_key(a) < encode_key(b)` (bytewise) iff `a < b` under the
 //!   cross-model total order. B+-trees and SSTables compare raw bytes, so
 //!   any value can serve as an index key without a custom comparator.
 
 use crate::error::{Error, Result};
+use crate::projection::{Node, Projection};
 use crate::value::{Number, ObjectMap, Value};
 
 // ---- tagged storage encoding ------------------------------------------------
@@ -77,7 +81,7 @@ pub fn value_to_bytes(v: &Value) -> Vec<u8> {
 /// Split `len` bytes off the front of `buf`, advancing it.
 fn take<'a>(buf: &mut &'a [u8], len: usize) -> Result<&'a [u8]> {
     if buf.len() < len {
-        return Err(Error::Storage("corrupt value encoding".into()));
+        return Err(corrupt());
     }
     let (head, rest) = buf.split_at(len);
     *buf = rest;
@@ -87,12 +91,38 @@ fn take<'a>(buf: &mut &'a [u8], len: usize) -> Result<&'a [u8]> {
 /// Split a length-prefixed UTF-8 string off the front of `buf`, in place.
 fn take_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
     let len = get_varint(buf)? as usize;
-    std::str::from_utf8(take(buf, len)?).map_err(|_| Error::Storage("corrupt value encoding".into()))
+    std::str::from_utf8(take(buf, len)?).map_err(|_| corrupt())
 }
 
 /// Decode one value from the front of `buf`, advancing it.
 pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
-    let corrupt = || Error::Storage("corrupt value encoding".into());
+    decode_node(buf, &Node::All)
+}
+
+/// Decode a value from a complete buffer, rejecting trailing bytes.
+pub fn value_from_bytes(buf: &[u8]) -> Result<Value> {
+    decode_projected(buf, &Projection::ALL)
+}
+
+/// Decode the parts of a complete buffer's value that `p` keeps
+/// ([`Projection::apply`] of the whole value, without building the
+/// rest). A skipped value is still walked and validated — tags, lengths,
+/// UTF-8 of strings and names — and trailing bytes are rejected, so a
+/// projected decode fails exactly when a whole one does.
+pub fn decode_projected(mut buf: &[u8], p: &Projection) -> Result<Value> {
+    let v = decode_node(&mut buf, &p.root)?;
+    if !buf.is_empty() {
+        return Err(Error::Storage("trailing bytes after value".into()));
+    }
+    Ok(v)
+}
+
+fn corrupt() -> Error {
+    Error::Storage("corrupt value encoding".into())
+}
+
+/// Decode one value from the front of `buf`, keeping what `node` keeps.
+fn decode_node(buf: &mut &[u8], node: &Node) -> Result<Value> {
     let (&tag, rest) = buf.split_first().ok_or_else(corrupt)?;
     *buf = rest;
     Ok(match tag {
@@ -110,22 +140,33 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
             let len = get_varint(buf)? as usize;
             Value::Bytes(take(buf, len)?.to_vec())
         }
+        // An array's elements get the node itself: field access maps
+        // over arrays.
         TAG_ARRAY => {
             let n = get_varint(buf)? as usize;
             let mut items = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
-                items.push(decode_value(buf)?);
+                items.push(decode_node(buf, node)?);
             }
             Value::Array(items)
         }
         TAG_OBJECT => {
             let n = get_varint(buf)? as usize;
-            let mut obj = ObjectMap::with_capacity(n.min(1024));
+            let kept = match node {
+                Node::All => n,
+                Node::Fields(fields) => n.min(fields.len()),
+            };
+            let mut obj = ObjectMap::with_capacity(kept.min(1024));
             for _ in 0..n {
                 // The name is read in place: a short one lives inline in
                 // its `Key` and costs no allocation.
                 let k = take_str(buf)?;
-                obj.insert(k, decode_value(buf)?);
+                match node.field(k) {
+                    Some(child) => {
+                        obj.insert(k, decode_node(buf, child)?);
+                    }
+                    None => skip_value(buf)?,
+                }
             }
             Value::Object(obj)
         }
@@ -133,13 +174,40 @@ pub fn decode_value(buf: &mut &[u8]) -> Result<Value> {
     })
 }
 
-/// Decode a value from a complete buffer, rejecting trailing bytes.
-pub fn value_from_bytes(mut buf: &[u8]) -> Result<Value> {
-    let v = decode_value(&mut buf)?;
-    if !buf.is_empty() {
-        return Err(Error::Storage("trailing bytes after value".into()));
+/// Walk past one value, validating it as [`decode_node`] would, without
+/// building anything.
+fn skip_value(buf: &mut &[u8]) -> Result<()> {
+    let (&tag, rest) = buf.split_first().ok_or_else(corrupt)?;
+    *buf = rest;
+    match tag {
+        TAG_NULL | TAG_FALSE | TAG_TRUE => {}
+        TAG_INT => {
+            get_varint(buf)?;
+        }
+        TAG_FLOAT => {
+            take(buf, 8)?;
+        }
+        TAG_STRING => {
+            take_str(buf)?;
+        }
+        TAG_BYTES => {
+            let len = get_varint(buf)? as usize;
+            take(buf, len)?;
+        }
+        TAG_ARRAY => {
+            for _ in 0..get_varint(buf)? {
+                skip_value(buf)?;
+            }
+        }
+        TAG_OBJECT => {
+            for _ in 0..get_varint(buf)? {
+                take_str(buf)?;
+                skip_value(buf)?;
+            }
+        }
+        _ => return Err(corrupt()),
     }
-    Ok(v)
+    Ok(())
 }
 
 fn zigzag(i: i64) -> u64 {
@@ -349,6 +417,31 @@ mod tests {
         let mut good = value_to_bytes(&Value::int(3));
         good.push(0);
         assert!(value_from_bytes(&good).is_err());
+    }
+
+    #[test]
+    fn a_projected_decode_fails_where_a_whole_one_does() {
+        let keep = Projection::of([crate::Path::parse("k").unwrap()]);
+        // `{"k": 1, "s": <skipped>}`, encoded by hand.
+        let object = |skipped: &[u8]| {
+            let mut b = vec![TAG_OBJECT, 2, 1, b'k', TAG_INT, 2, 1, b's'];
+            b.extend_from_slice(skipped);
+            b
+        };
+        let good = object(&[TAG_ARRAY, 2, TAG_TRUE, TAG_STRING, 1, b'x']);
+        assert_eq!(decode_projected(&good, &keep).unwrap(), Value::object([("k", Value::int(1))]));
+        let mut trailing = good.clone();
+        trailing.push(TAG_NULL);
+        for (what, bytes) in [
+            ("invalid UTF-8 in a skipped string", object(&[TAG_STRING, 2, b'a', 0xFF])),
+            ("invalid UTF-8 in a skipped name", object(&[TAG_OBJECT, 1, 1, 0xFF, TAG_NULL])),
+            ("a truncated skipped array", object(&[TAG_ARRAY, 3, TAG_TRUE, TAG_NULL])),
+            ("an unknown tag inside a skipped value", object(&[TAG_ARRAY, 1, 0x09])),
+            ("trailing bytes", trailing),
+        ] {
+            assert!(value_from_bytes(&bytes).is_err(), "{what}: whole");
+            assert!(decode_projected(&bytes, &keep).is_err(), "{what}: projected");
+        }
     }
 
     #[test]

@@ -22,6 +22,7 @@ pub mod json;
 pub mod key;
 pub mod lock_rank;
 pub mod path;
+pub mod projection;
 pub mod value;
 
 pub use cancel::CancelToken;
@@ -29,4 +30,5 @@ pub use error::{Error, Result};
 pub use json::{from_json, to_json, to_json_pretty};
 pub use key::Key;
 pub use path::{Path, PathStep};
+pub use projection::Projection;
 pub use value::{Number, Value};

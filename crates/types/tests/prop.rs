@@ -1,8 +1,9 @@
 //! Property-based tests for the open data model: JSON round-trips, codec
-//! round-trips, and order preservation of the key encoding.
+//! round-trips, projected decoding, and order preservation of the key
+//! encoding.
 
-use mmdb_types::codec::{key_of, value_from_bytes, value_to_bytes};
-use mmdb_types::{from_json, to_json, to_json_pretty, Number, Value};
+use mmdb_types::codec::{decode_projected, key_of, value_from_bytes, value_to_bytes};
+use mmdb_types::{from_json, to_json, to_json_pretty, Number, Path, PathStep, Projection, Value};
 use proptest::prelude::*;
 
 /// Strategy generating arbitrary mmdb values (bounded depth/size).
@@ -22,6 +23,41 @@ fn arb_value() -> impl Strategy<Value = Value> {
                 .prop_map(Value::object),
         ]
     })
+}
+
+/// Field names of [`arb_doc`] and [`arb_projection`], few enough that a
+/// projection meets them.
+fn arb_name() -> impl Strategy<Value = &'static str> {
+    prop::sample::select(vec!["a", "b", "c", "d"])
+}
+
+/// Nested documents over [`arb_name`]s, with every scalar kind.
+fn arb_doc() -> impl Strategy<Value = Value> {
+    let leaf = prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        (-3i64..3).prop_map(Value::int),
+        Just(Value::float(0.5)),
+        "[a-c\u{00e9}]{0,3}".prop_map(Value::str),
+        Just(Value::Bytes(vec![0, 255])),
+    ];
+    leaf.prop_recursive(4, 32, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+            prop::collection::vec((arb_name(), inner), 0..5).prop_map(Value::object),
+        ]
+    })
+}
+
+/// Up to four paths of up to three steps: fields, indexes and `[*]`.
+fn arb_projection() -> impl Strategy<Value = Projection> {
+    let step = prop_oneof![
+        arb_name().prop_map(|n| PathStep::Field(n.to_string())),
+        (-2i64..3).prop_map(PathStep::Index),
+        Just(PathStep::Wildcard),
+    ];
+    let path = prop::collection::vec(step, 0..4).prop_map(Path::from_steps);
+    prop::collection::vec(path, 0..5).prop_map(Projection::of)
 }
 
 /// JSON-representable values (no bytes), for JSON round-trips.
@@ -45,6 +81,51 @@ proptest! {
     fn codec_roundtrip(v in arb_value()) {
         let bytes = value_to_bytes(&v);
         prop_assert_eq!(value_from_bytes(&bytes).unwrap(), v);
+    }
+
+    /// A projected decode is the projection of the whole decode.
+    #[test]
+    fn decode_projected_equals_projecting_the_whole_value(v in arb_doc(), p in arb_projection()) {
+        let bytes = value_to_bytes(&v);
+        prop_assert_eq!(decode_projected(&bytes, &p).unwrap(), p.apply(&v));
+        prop_assert_eq!(decode_projected(&bytes, &Projection::ALL).unwrap(), v);
+    }
+
+    /// On damaged bytes — a byte overwritten, the tail cut, a byte
+    /// appended — a projected decode fails exactly when a whole one does,
+    /// however much of the value it skips.
+    #[test]
+    fn decode_projected_gives_the_whole_decodes_verdict(
+        v in arb_doc(),
+        p in arb_projection(),
+        damage in (0u8..3, any::<u64>(), any::<u8>()),
+    ) {
+        let mut bytes = value_to_bytes(&v);
+        let (kind, at, byte) = damage;
+        let at = (at % bytes.len() as u64) as usize;
+        match kind {
+            0 => bytes[at] = byte,
+            1 => bytes.truncate(at),
+            _ => bytes.push(byte),
+        }
+        let whole = value_from_bytes(&bytes);
+        let projected = decode_projected(&bytes, &p);
+        prop_assert_eq!(whole.is_ok(), projected.is_ok(), "damage {:?} on {}", damage, v);
+        if let (Ok(whole), Ok(projected)) = (whole, projected) {
+            prop_assert_eq!(projected, p.apply(&whole));
+        }
+    }
+
+    /// The same, with the damage inside a value the projection skips:
+    /// `{"k": 1, "s": v}` read for `k` only, one byte of `v` overwritten.
+    #[test]
+    fn damage_inside_a_skipped_value_fails_both_decodes(v in arb_doc(), at in any::<u64>(), byte in any::<u8>()) {
+        let skipped = value_to_bytes(&v);
+        let mut bytes = value_to_bytes(&Value::object([("k", Value::int(1)), ("s", v)]));
+        let start = bytes.len() - skipped.len();
+        bytes[start + (at % skipped.len() as u64) as usize] = byte;
+        let keep = Projection::of([Path::parse("k").unwrap()]);
+        prop_assert_eq!(value_from_bytes(&bytes).is_ok(), decode_projected(&bytes, &keep).is_ok());
     }
 
     #[test]

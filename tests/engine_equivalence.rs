@@ -1,6 +1,7 @@
 //! Property-based integration tests: different access paths through the
 //! engine must agree — index scans vs full scans, hash joins vs nested
-//! loops, MMQL vs SQL, documents in vs documents out.
+//! loops, projected vs whole document reads, MMQL vs SQL, documents in vs
+//! documents out.
 
 use proptest::prelude::*;
 
@@ -39,8 +40,122 @@ fn load_join_side(db: &Database, name: &str, docs: &[(Option<Value>, i64)]) {
     .unwrap();
 }
 
+/// A field value of a random order: scalars, arrays and objects nested
+/// three deep, over the names the projection templates navigate.
+fn arb_field() -> impl Strategy<Value = Value> {
+    let leaf = prop_oneof![
+        Just(Value::Null),
+        (0i64..4).prop_map(Value::int),
+        "[a-c]{0,2}".prop_map(Value::str),
+    ];
+    leaf.prop_recursive(3, 24, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+            prop::collection::vec(
+                (prop::sample::select(vec!["price", "product_no", "orderlines"]), inner),
+                0..4,
+            )
+            .prop_map(Value::object),
+        ]
+    })
+}
+
+/// An order's fields: any of four, each any shape (a missing
+/// `orderlines`, a scalar one, lines that are arrays, …).
+fn arb_order() -> impl Strategy<Value = Vec<(&'static str, Value)>> {
+    let name = prop::sample::select(vec!["orderlines", "total", "customer_id", "status"]);
+    prop::collection::vec((name, arb_field()), 0..5)
+}
+
+/// The same documents, each with a `note` of "good" or "bad", as the
+/// `orders` collection (with a persistent index on `total` and a
+/// full-text index on `note`) and as the vertices `v/o0`, `v/o1`, … of a
+/// graph whose `e` edges lead from each to the next two.
+fn load_orders(db: &Database, orders: &[Vec<(&'static str, Value)>]) {
+    db.create_collection("orders").unwrap();
+    db.create_graph("g").unwrap();
+    db.create_vertex_collection("g", "v").unwrap();
+    db.create_edge_collection("g", "e").unwrap();
+    db.transact(IsolationLevel::Snapshot, 3, |s| {
+        for (i, fields) in orders.iter().enumerate() {
+            let mut doc = Value::object(fields.iter().cloned());
+            let obj = doc.as_object_mut()?;
+            obj.insert("_key", Value::str(format!("o{i}")));
+            obj.insert("note", Value::str(if i % 2 == 0 { "good" } else { "bad" }));
+            s.insert_document("orders", doc.clone())?;
+            s.add_vertex("g", "v", doc)?;
+        }
+        for i in 0..orders.len() {
+            for j in [i + 1, i + 2].into_iter().filter(|&j| j < orders.len()) {
+                s.add_edge("g", "e", &format!("v/o{i}"), &format!("v/o{j}"), Value::Object(Default::default()))?;
+            }
+        }
+        Ok(())
+    })
+    .unwrap();
+    db.create_index("orders", "total").unwrap();
+    db.create_fulltext_index("note_text", "orders", "note").unwrap();
+}
+
+/// Queries whose answers depend on what a projected read keeps, each
+/// with whether rule 6 should project a read in it. The whole-value
+/// uses must stay whole; the navigations must find what they navigate.
+const PROJECTION_TEMPLATES: &[(&str, bool)] = &[
+    ("FOR o IN orders RETURN o", false),
+    ("FOR o IN orders RETURN MERGE(o, {})", false),
+    ("FOR o IN orders RETURN LENGTH(o)", false),
+    ("FOR o IN orders FILTER o RETURN 1", false),
+    ("FOR o IN orders SORT o RETURN 1", false),
+    ("FOR o IN orders FILTER o == {_key: \"o0\", note: \"good\"} RETURN 1", false),
+    ("FOR o IN orders COLLECT t = o.total INTO g RETURN [t, g]", false),
+    ("FOR o IN orders LET n = (FOR o IN o.orderlines RETURN o) RETURN [o.total, n]", false),
+    ("FOR o IN orders RETURN o.orderlines[1].price", true),
+    ("FOR o IN orders RETURN o.orderlines[-1].price", true),
+    ("FOR o IN orders RETURN o.orderlines[*].product_no", true),
+    ("FOR o IN orders RETURN o.orderlines.price", true),
+    ("FOR o IN orders RETURN LENGTH(o.orderlines)", true),
+    ("FOR o IN orders FOR l IN o.orderlines RETURN [o._key, l.price]", true),
+    ("FOR o IN orders LET ls = o.orderlines RETURN ls[0]", true),
+    ("FOR o IN orders FOR l IN o.orderlines RETURN o._key", true),
+    ("FOR o IN orders LET ls = o.orderlines FILTER ls != NULL RETURN o._key", true),
+    ("FOR o IN orders FILTER o.total >= 1 SORT o._key RETURN [o._key, o.orderlines]", true),
+    ("FOR c IN orders LET t = (FOR o IN orders FILTER o.customer_id == c.customer_id \
+      RETURN o.total) RETURN [c._key, t]", true),
+    ("FOR o IN orders COLLECT t = o.total AGGREGATE n = COUNT() RETURN [t, n]", true),
+    ("FOR o IN FULLTEXT(\"note_text\", \"good\") SORT o._key RETURN [o._key, o.orderlines[0]]", true),
+    ("LET o = DOC(\"orders\", \"missing\") RETURN [o == NULL, o != NULL, o.total]", true),
+    ("LET o = DOC(\"orders\", \"o0\") RETURN [o == NULL, o.status]", true),
+    ("FOR v IN 1..2 OUTBOUND \"v/o0\" e RETURN [v._id, v.total]", true),
+    ("FOR v IN 1..2 OUTBOUND \"v/o0\" e RETURN [v._depth, v.orderlines[*].price]", true),
+    ("FOR v IN 1..2 OUTBOUND \"v/o0\" e RETURN v", false),
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Rule 6 is exact: a plan whose document reads decode only the
+    /// paths the plan reads returns what the un-rewritten plan (every
+    /// read whole) returns — the same rows in the same order, or the
+    /// same error.
+    #[test]
+    fn projected_reads_equal_whole_reads(orders in prop::collection::vec(arb_order(), 1..8)) {
+        let db = Database::in_memory();
+        load_orders(&db, &orders);
+        let world = db.world();
+        let sql_text = "SELECT o._key, o.total AS t FROM orders o WHERE o.status != NULL ORDER BY o._key";
+        let parsed = PROJECTION_TEMPLATES
+            .iter()
+            .map(|&(text, projects)| (text, projects, parse_query(text).unwrap()))
+            .chain([(sql_text, true, sql::parse_sql(sql_text).unwrap())]);
+        for (text, projects, query) in parsed {
+            let whole = plan::build_plan(&query).unwrap();
+            let projected = optimize::optimize(whole.clone(), world);
+            prop_assert_eq!(projected.explain().contains("project("), projects, "{}", projected.explain());
+            let want = exec::execute_plan(world, &whole).map_err(|e| e.to_string());
+            let got = exec::execute_plan(world, &projected).map_err(|e| e.to_string());
+            prop_assert_eq!(got, want, "{}", text);
+        }
+    }
 
     /// Random documents, random range predicate: indexed and unindexed
     /// evaluation agree.

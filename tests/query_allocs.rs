@@ -1,29 +1,32 @@
-//! Allocation budget for the read path: reading a row pays for its
-//! values, not for names. Referring to a bound document (`o != NULL`,
-//! `o._key`, `order.orderlines`) must not copy it; a field name, a bound
-//! variable's name or a lookup key must not be copied to the heap; a
-//! record is decoded on its page, not copied out first; a traversal
-//! walks the edge index's shared handles.
+//! Allocation budget for the read path: reading a row pays for the
+//! values the query reads, not for names or for the rest of the
+//! document. Referring to a bound document (`o != NULL`, `o._key`,
+//! `order.orderlines`) must not copy it; a read of a stored document must
+//! decode only the fields the plan reads of it (optimizer rule 6); a
+//! field name, a bound variable's name or a lookup key must not be copied
+//! to the heap; a record is decoded on its page, not copied out first; a
+//! traversal walks the edge index's shared handles.
 //!
 //! A timing would flap on a shared box; a count of allocator calls per
 //! examined row repeats exactly, in debug and optimized builds alike.
 //! Each budget sits just above what this tree does, and below the count
 //! with any one of those copies put back:
 //!
-//! | query              | this tree | one copy back | budget | names on the heap |
-//! |--------------------|-----------|---------------|--------|-------------------|
-//! | scan of `orders`   | 9.19      | 9.53          | 9.4    | 17.9              |
-//! | Q2                 | 8.42      | 8.54          | 8.5    | 14.5              |
-//! | Q4 as a hash join  | 13.68     | 13.88         | 13.8   | 24.9              |
-//! | Q5, `1..2 ANY`     | 9.53      | 9.65          | 9.6    | 15.4              |
+//! | query              | this tree | one copy back | budget | decoded whole |
+//! |--------------------|-----------|---------------|--------|---------------|
+//! | scan of `orders`   | 1.94      | 2.27          | 2.0    | 9.19          |
+//! | Q2                 | 5.91      | 6.02          | 5.95   | 8.42          |
+//! | Q4 as a hash join  | 4.57      | 4.77          | 4.6    | 13.68         |
+//! | Q5, `1..2 ANY`     | 7.29      | 7.41          | 7.35   | 9.53          |
 //!
 //! "One copy back" is the smallest count among: binding names as
 //! `String`s, copying records out of the page, `to_string()` on a
-//! document lookup key, cloning a scanned row's values, copying the edge
-//! index's handles, and cloning the `_id` a traversal attaches. The
-//! commit before inline names counted 18.6, 15.7, 25.7 and 16.7; the one
-//! before borrowed evaluation 50.2 and 33.2 for the scan and Q2. When a
-//! change moves a count on purpose, re-measure with `-- --nocapture`.
+//! document lookup key, cloning a scanned row's values, and copying the
+//! edge index's handles. "Decoded whole" is the commit before projected
+//! reads, whose budgets were 9.4, 8.5, 13.8 and 9.6; the commit before
+//! inline names counted 18.6, 15.7, 25.7 and 16.7, the one before
+//! borrowed evaluation 50.2 and 33.2 for the scan and Q2. When a change
+//! moves a count on purpose, re-measure with `-- --nocapture`.
 //!
 //! Its own test binary because of the `#[global_allocator]`; one `#[test]`
 //! so no sibling test allocates on the counted thread.
@@ -159,7 +162,7 @@ fn allocs_per_row(db: &Database, text: &str) -> f64 {
 fn reading_a_row_pays_for_its_values_not_its_names() {
     let db = paper_db();
     let scan = allocs_per_row(&db, "FOR o IN orders FILTER o != NULL RETURN o._key");
-    assert!(scan <= 9.4, "{scan:.2} allocations per examined row: is the scan copying documents or names?");
+    assert!(scan <= 2.0, "{scan:.2} allocations per examined row: is the scan decoding whole documents, or copying names?");
     let q2 = allocs_per_row(
         &db,
         r#"FOR c IN customers FILTER c.credit_limit > 3000
@@ -167,21 +170,22 @@ fn reading_a_row_pays_for_its_values_not_its_names() {
                LET order = DOC("orders", KV_GET("cart", friend._key)) FILTER order != NULL
                FOR line IN order.orderlines RETURN DISTINCT line.product_no"#,
     );
-    assert!(q2 <= 8.5, "{q2:.2} allocations per examined row: is Q2 copying documents or names?");
+    assert!(q2 <= 5.95, "{q2:.2} allocations per examined row: is Q2 decoding whole orders, or copying documents or names?");
     // Q4 unrolled: the optimizer turns the correlated subquery into a
-    // hash join whose build side is one full scan of `orders`.
+    // hash join whose build side is one full scan of `orders`, decoding
+    // `customer_id` and `total` of each.
     let q4 = allocs_per_row(
         &db,
         r#"FOR c IN customers
              LET total = SUM((FOR o IN orders FILTER o.customer_id == c.id RETURN o.total))
              RETURN {name: c.name, total: total}"#,
     );
-    assert!(q4 <= 13.8, "{q4:.2} allocations per examined row: is the hash join copying rows or names?");
+    assert!(q4 <= 4.6, "{q4:.2} allocations per examined row: is the hash join decoding whole orders, or copying rows or names?");
     let q5 = allocs_per_row(
         &db,
         r#"FOR friend IN 1..2 ANY "persons/7" knows
              LET order = DOC("orders", KV_GET("cart", friend._key)) FILTER order != NULL
              FOR line IN order.orderlines RETURN DISTINCT line.product_no"#,
     );
-    assert!(q5 <= 9.6, "{q5:.2} allocations per examined row: is the traversal copying handles or names?");
+    assert!(q5 <= 7.35, "{q5:.2} allocations per examined row: is the traversal copying handles or names?");
 }
