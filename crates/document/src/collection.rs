@@ -137,13 +137,9 @@ impl Collection {
         self.insert(mmdb_types::from_json(json)?)
     }
 
-    /// Decode the document at `rid` straight from its page.
-    fn fetch(&self, rid: RecordId) -> Result<Value> {
-        self.heap.get_with(rid, value_from_bytes)?
-    }
-
-    /// Decode what `p` keeps of the document at `rid`.
-    fn fetch_projected(&self, rid: RecordId, p: &Projection) -> Result<Value> {
+    /// Decode what `p` keeps of the document at `rid`, straight from its
+    /// page.
+    fn fetch(&self, rid: RecordId, p: &Projection) -> Result<Value> {
         self.heap.get_with(rid, |bytes| decode_projected(bytes, p))?
     }
 
@@ -155,7 +151,7 @@ impl Collection {
     /// Fetch what `p` keeps of the document with this `_key`.
     pub fn get_projected(&self, key: &str, p: &Projection) -> Result<Option<Value>> {
         let rid = { self.indexes.read().primary.get(key).copied() };
-        rid.map(|r| self.fetch_projected(r, p)).transpose()
+        rid.map(|r| self.fetch(r, p)).transpose()
     }
 
     /// Whether a document with this `_key` exists: a primary-index probe,
@@ -185,7 +181,7 @@ impl Collection {
                 .copied()
                 .ok_or_else(|| Error::NotFound(format!("document '{key}'")))?
         };
-        let old = self.fetch(rid)?;
+        let old = self.fetch(rid, &Projection::ALL)?;
         let new_rid = self.heap.update(rid, &value_to_bytes(&doc))?;
         let mut idx = self.indexes.write();
         if new_rid != rid {
@@ -229,7 +225,7 @@ impl Collection {
     pub fn remove(&self, key: &str) -> Result<bool> {
         let rid = { self.indexes.read().primary.get(key).copied() };
         let Some(rid) = rid else { return Ok(false) };
-        let old = self.fetch(rid)?;
+        let old = self.fetch(rid, &Projection::ALL)?;
         self.heap.delete(rid)?;
         let mut idx = self.indexes.write();
         idx.primary.remove(key);
@@ -315,9 +311,9 @@ impl Collection {
         self.range_bounds(path_text, Bound::Included(lo), Bound::Included(hi), &Projection::ALL)
     }
 
-    /// Range query with explicit bounds on each side, returning what `p`
-    /// keeps of each document. Without an index on the path, each
-    /// document is decoded whole to test the bounds and projected after.
+    /// Range query with explicit bounds on each side, returning at least
+    /// what `p` keeps of each document. Without an index on the path, each
+    /// document is decoded whole to test the bounds and returned whole.
     pub fn range_bounds(
         &self,
         path_text: &str,
@@ -365,7 +361,7 @@ impl Collection {
                 drop(idx);
                 let mut docs = Vec::with_capacity(rids.len());
                 for rid in rids {
-                    docs.push(self.fetch_projected(rid, p)?);
+                    docs.push(self.fetch(rid, p)?);
                 }
                 return Ok((docs, true));
             }
@@ -384,7 +380,7 @@ impl Collection {
                 Bound::Unbounded => true,
             };
             if above && below {
-                docs.push(if p.is_all() { doc } else { p.apply(&doc) });
+                docs.push(doc);
             }
         }
         Ok((docs, false))

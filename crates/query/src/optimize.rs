@@ -456,6 +456,14 @@ fn set_projection(node: &mut PlanNode, p: Projection) {
 /// node rebinds `var`.
 fn pipeline_reads(nodes: &[PlanNode], ret: &Expr, var: &str, out: &mut Vec<Path>) -> bool {
     for (i, node) in nodes.iter().enumerate() {
+        // A hash join names its source outside its expressions, and
+        // builds from every item of it. (An index scan's source is never
+        // a variable.)
+        if let PlanNode::HashJoin { source, .. } = node {
+            if source == var {
+                return false;
+            }
+        }
         // `FOR x IN var.path` and `LET x = var.path` read of `var` what
         // the rest reads of `x`, below `path[*]` and `path`. When that is
         // no field at all, `path` is still read: how many rows the `FOR`
@@ -1054,14 +1062,14 @@ mod tests {
     fn navigation_is_projected_and_any_other_use_is_whole() {
         let cases = [
             ("FOR o IN orders RETURN o.total", "(total)"),
-            ("FOR o IN orders RETURN o.lines[1].price", "(lines[1].price)"),
+            ("FOR o IN orders RETURN o.lines[1].price", "(lines[*].price)"),
             ("FOR o IN orders RETURN o[\"total\"]", "(total)"),
             ("FOR o IN orders RETURN o.lines[*].p", "(lines[*].p)"),
             ("FOR o IN orders RETURN LENGTH(o.lines)", "(lines)"),
             ("FOR o IN orders FILTER o != NULL RETURN 1", "()"),
             ("FOR o IN orders FILTER NULL == o RETURN o._key", "(_key)"),
             ("FOR o IN orders FOR l IN o.lines RETURN l.p", "(lines[*].p)"),
-            ("FOR o IN orders LET ls = o.lines RETURN ls[0].p", "(lines[0].p)"),
+            ("FOR o IN orders LET ls = o.lines RETURN ls[0].p", "(lines[*].p)"),
             ("FOR o IN orders LET ls = o.lines RETURN ls", "(lines)"),
             ("FOR o IN orders LET n = (FOR l IN o.lines RETURN l.q) RETURN [o.a, n]", "(a, lines[*].q)"),
             ("FOR o IN orders SORT o.a RETURN o.b", "(a, b)"),
@@ -1078,10 +1086,16 @@ mod tests {
             ("FOR o IN orders COLLECT k = o.a INTO g RETURN k", "*"),
             ("FOR o IN orders LET x = (FOR o IN orders RETURN 1) RETURN o.a", "*"),
             ("FOR o IN orders LET o = o.a RETURN o", "*"),
-            ("FOR o IN orders LET ls = o.lines RETURN ls[*]", "(lines[*])"),
+            ("FOR o IN orders LET ls = o.lines RETURN ls[*]", "(lines)"),
             // An alias read for no field still reads its path's value.
-            ("FOR o IN orders FOR l IN o.lines RETURN o.a", "(a, lines[*])"),
+            ("FOR o IN orders FOR l IN o.lines RETURN o.a", "(a, lines)"),
             ("FOR o IN orders LET ls = o.lines FILTER ls != NULL RETURN 1", "(lines)"),
+            // A hash join over an alias builds from all of it.
+            (
+                "LET o = DOC(\"orders\", \"k\") LET ls = o.lines FOR c IN customers \
+                 FOR l IN ls FILTER l.p == c.id RETURN [c.id, ls[0].price]",
+                "(lines)",
+            ),
         ];
         for (text, want) in cases {
             assert_eq!(orders_projection(text), want, "{text}");

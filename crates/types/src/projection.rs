@@ -23,9 +23,6 @@ use crate::value::{ObjectMap, Value};
 /// Which parts of a value to decode; see the [module docs](self).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Projection {
-    /// The paths it was made of, for display: sorted, each one not
-    /// covered by another.
-    paths: Vec<Path>,
     pub(crate) root: Node,
 }
 
@@ -35,51 +32,24 @@ pub(crate) enum Node {
     /// The whole value.
     All,
     /// These fields of an object (sorted by name), and of every object
-    /// an array holds, at any depth.
-    Fields(Vec<(String, Node)>),
+    /// an array holds, at any depth. Each field also records whether a
+    /// path stepped into it as an array, for display.
+    Fields(Vec<(String, bool, Node)>),
 }
 
 impl Projection {
     /// The whole value: what a plain decode produces.
-    pub const ALL: Projection = Projection { paths: Vec::new(), root: Node::All };
+    pub const ALL: Projection = Projection { root: Node::All };
 
     /// The parts of a value that `paths` reach. An empty path, or one
     /// with no field step, is the whole value; no paths at all keeps an
     /// object's shape but none of its fields.
     pub fn of(paths: impl IntoIterator<Item = Path>) -> Projection {
-        let mut paths: Vec<Path> = paths.into_iter().collect();
-        paths.sort();
-        paths.dedup();
         let mut root = Node::Fields(Vec::new());
-        for path in &paths {
+        for path in paths {
             root.add(path.steps());
         }
-        if root == Node::All {
-            return Projection::ALL;
-        }
-        // Display only the paths no other one covers: one whose field
-        // names extend another's reads nothing more of the value.
-        fn names(p: &Path) -> Vec<&str> {
-            p.steps()
-                .iter()
-                .filter_map(|s| match s {
-                    PathStep::Field(name) => Some(name.as_str()),
-                    _ => None,
-                })
-                .collect()
-        }
-        let skeletons: Vec<Vec<&str>> = paths.iter().map(names).collect();
-        let covered: Vec<bool> = skeletons
-            .iter()
-            .enumerate()
-            .map(|(i, mine)| {
-                skeletons.iter().enumerate().any(|(j, other)| {
-                    j != i && mine.starts_with(other) && (other.len() < mine.len() || j < i)
-                })
-            })
-            .collect();
-        let paths = paths.into_iter().zip(covered).filter(|(_, c)| !c).map(|(p, _)| p).collect();
-        Projection { paths, root }
+        Projection { root }
     }
 
     /// Is this the whole value?
@@ -91,7 +61,7 @@ impl Projection {
     pub fn reads(&self, name: &str) -> bool {
         match &self.root {
             Node::All => true,
-            Node::Fields(fields) => fields.iter().any(|(n, _)| n == name),
+            Node::Fields(fields) => fields.iter().any(|(n, _, _)| n == name),
         }
     }
 
@@ -113,21 +83,24 @@ impl Node {
             return;
         };
         let PathStep::Field(name) = &steps[at] else { return };
-        let child = match fields.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-            Ok(i) => &mut fields[i].1,
+        let rest = &steps[at + 1..];
+        let array = rest.first().is_some_and(|s| !matches!(s, PathStep::Field(_)));
+        let i = match fields.binary_search_by(|(n, _, _)| n.as_str().cmp(name)) {
+            Ok(i) => i,
             Err(i) => {
-                fields.insert(i, (name.clone(), Node::Fields(Vec::new())));
-                &mut fields[i].1
+                fields.insert(i, (name.clone(), false, Node::Fields(Vec::new())));
+                i
             }
         };
-        child.add(&steps[at + 1..]);
+        fields[i].1 |= array;
+        fields[i].2.add(rest);
     }
 
     /// The child for field `name`, if this node keeps it.
     pub(crate) fn field(&self, name: &str) -> Option<&Node> {
         match self {
             Node::All => Some(self),
-            Node::Fields(fields) => fields.iter().find(|(n, _)| n == name).map(|(_, c)| c),
+            Node::Fields(fields) => fields.iter().find(|(n, _, _)| n == name).map(|(_, _, c)| c),
         }
     }
 
@@ -149,13 +122,35 @@ impl Node {
     }
 }
 
-/// The paths, comma-separated: `customer_id, total`.
+impl Node {
+    /// The path to each leaf below this node, after `prefix`: `[*]` marks
+    /// a field some path stepped into as an array.
+    fn leaves(&self, prefix: &mut Vec<PathStep>, out: &mut Vec<Path>) {
+        let Node::Fields(fields) = self else {
+            out.push(Path::from_steps(prefix.clone()));
+            return;
+        };
+        for (name, array, child) in fields {
+            let depth = prefix.len();
+            prefix.push(PathStep::Field(name.clone()));
+            if *array && *child != Node::All {
+                prefix.push(PathStep::Wildcard);
+            }
+            child.leaves(prefix, out);
+            prefix.truncate(depth);
+        }
+    }
+}
+
+/// The leaves' paths, comma-separated: `customer_id, total`.
 impl fmt::Display for Projection {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_all() {
             return f.write_str("*");
         }
-        for (i, p) in self.paths.iter().enumerate() {
+        let mut paths = Vec::new();
+        self.root.leaves(&mut Vec::new(), &mut paths);
+        for (i, p) in paths.iter().enumerate() {
             if i > 0 {
                 f.write_str(", ")?;
             }
@@ -175,15 +170,19 @@ mod tests {
     }
 
     #[test]
-    fn paths_compile_to_a_tree_and_display_as_written() {
+    fn paths_compile_to_a_tree_and_display_its_leaves() {
         let p = of(&["total", "customer_id", "total"]);
         assert_eq!(p.to_string(), "customer_id, total");
         assert!(p.reads("total") && !p.reads("status"));
         assert_eq!(of(&["orderlines[*].product_no"]).to_string(), "orderlines[*].product_no");
-        // A path below another adds nothing; so does a second spelling
-        // of the same fields.
+        assert_eq!(of(&["a.b", "a.c.d", "e"]).to_string(), "a.b, a.c.d, e");
+        // A path below another adds nothing; an index keeps the field of
+        // every element.
         assert_eq!(of(&["a", "a[*].b", "a.c"]).to_string(), "a");
-        assert_eq!(of(&["a[0].b", "a.b"]).to_string(), "a.b");
+        assert_eq!(of(&["a[0].b", "a.b"]).to_string(), "a[*].b");
+        assert_eq!(of(&["a[*]"]).to_string(), "a");
+        let dotted = Path::from_steps(vec![PathStep::Field("x.y".into()), PathStep::Field("z".into())]);
+        assert_eq!(Projection::of([dotted]).to_string(), "\"x.y\".z");
         assert!(of(&[]).to_string().is_empty());
         assert!(!of(&[]).is_all());
         // No field step: the whole value.

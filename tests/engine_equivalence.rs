@@ -125,6 +125,9 @@ const PROJECTION_TEMPLATES: &[(&str, bool)] = &[
     ("FOR o IN FULLTEXT(\"note_text\", \"good\") SORT o._key RETURN [o._key, o.orderlines[0]]", true),
     ("LET o = DOC(\"orders\", \"missing\") RETURN [o == NULL, o != NULL, o.total]", true),
     ("LET o = DOC(\"orders\", \"o0\") RETURN [o == NULL, o.status]", true),
+    // A hash join builds from every item of a LET-bound source.
+    ("LET d = DOC(\"orders\", \"o0\") LET ls = d.orderlines FOR c IN orders \
+      FOR l IN ls FILTER l.product_no == c.customer_id RETURN [c._key, ls[0].price]", true),
     ("FOR v IN 1..2 OUTBOUND \"v/o0\" e RETURN [v._id, v.total]", true),
     ("FOR v IN 1..2 OUTBOUND \"v/o0\" e RETURN [v._depth, v.orderlines[*].price]", true),
     ("FOR v IN 1..2 OUTBOUND \"v/o0\" e RETURN v", false),
