@@ -606,7 +606,41 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
             }
             Ok(out)
         }
+        PlanNode::Dedup(vars) => dedup(vars, envs),
     }
+}
+
+/// [`PlanNode::Dedup`]: keep the first row for each combination of the
+/// values of `vars`, in order. A row's key is the storage encoding of
+/// each value in turn — self-delimiting, so the concatenation is too —
+/// not `Value`'s `Eq`, which holds for `1` and `1.0`: equal bytes decode
+/// to the same value, so a dropped row is one nothing downstream can tell
+/// from the row kept before it. The key is built in one reused buffer; a
+/// dropped row allocates nothing, a kept one its key's copy in the set.
+fn dedup(vars: &[String], mut envs: Vec<Env>) -> Result<Vec<Env>> {
+    /// Stands for a variable the row does not bind; no value's encoding
+    /// starts with it.
+    const UNBOUND: u8 = 0xff;
+    let mut seen: HashSet<Vec<u8>> = HashSet::with_capacity(envs.len());
+    let mut key = Vec::new();
+    let mut kept = 0;
+    for i in 0..envs.len() {
+        cancel::tick()?;
+        key.clear();
+        for var in vars {
+            match envs[i].get(var) {
+                Some(v) => mmdb_types::codec::encode_value(v, &mut key),
+                None => key.push(UNBOUND),
+            }
+        }
+        if !seen.contains(key.as_slice()) {
+            seen.insert(key.clone());
+            envs.swap(kept, i);
+            kept += 1;
+        }
+    }
+    envs.truncate(kept);
+    Ok(envs)
 }
 
 /// `env` with `var` bound to `item`, if the residual predicate (when
@@ -1285,6 +1319,38 @@ mod tests {
         // A subquery in the residual runs from an environment that has it too.
         assert!(bound("LENGTH((FOR z IN [x] FILTER z == 2 RETURN z)) == 1").is_some());
         assert_eq!(env.get("x"), Some(&Value::int(1)), "the outer binding is untouched");
+    }
+
+    #[test]
+    fn a_dedup_drops_repeated_friends_and_analyze_counts_them() {
+        // Anne knows John too: Mary and Anne both reach him, and his cart
+        // is read once.
+        let w = paper_world();
+        w.graph("social")
+            .unwrap()
+            .add_edge("knows", "persons/3", "persons/2", mmdb_types::from_json("{}").unwrap())
+            .unwrap();
+        let text = r#"FOR c IN customers FOR friend IN 1..1 OUTBOUND CONCAT("persons/", c.id) knows
+                        LET order = DOC("orders", KV_GET("cart", friend._key))
+                        FOR line IN order.orderlines RETURN DISTINCT line.product_no"#;
+        let (got, stats) = crate::run_traced(&w, text, &mmdb_types::CancelToken::none()).unwrap();
+        assert_eq!(got, vec![Value::str("2724f"), Value::str("3424g"), Value::str("9999x")]);
+        let dedup = stats.ops.iter().find(|o| o.op == "Dedup ON (friend)").expect("a Dedup");
+        assert_eq!((dedup.rows_in, dedup.rows_out), (3, 2), "{}", stats.render());
+        assert!(stats.render().contains("Dedup ON (friend)  rows: 3 -> 2"), "{}", stats.render());
+    }
+
+    #[test]
+    fn a_dedup_keeps_values_that_are_equal_but_not_the_same() {
+        let w = World::in_memory();
+        // `1 == 1.0`, and the two objects are equal; the strings are not.
+        let text = r#"FOR a IN [[1, {x: 1, y: 2}], [1.0, {y: 2, x: 1}], [1, {x: 1, y: 2}]]
+                        FOR v IN a RETURN DISTINCT JSON_STRINGIFY(v)"#;
+        let (got, stats) = crate::run_traced(&w, text, &mmdb_types::CancelToken::none()).unwrap();
+        let dedup = stats.ops.iter().find(|o| o.op == "Dedup ON (v)").expect("a Dedup");
+        assert_eq!((dedup.rows_in, dedup.rows_out), (6, 4), "{}", stats.render());
+        let want = [r#"1"#, r#"{"x":1,"y":2}"#, r#"1.0"#, r#"{"y":2,"x":1}"#];
+        assert_eq!(got, want.map(Value::str).to_vec());
     }
 
     #[test]

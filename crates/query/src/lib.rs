@@ -17,8 +17,9 @@
 //!
 //! Pipeline: [`lex`] → [`parse`] → [`plan`] (logical operators) →
 //! [`optimize`] (constant folding, subquery planning, index selection,
-//! hash joins, projected document reads) → [`exec`] (bindings interpreter over a [`world::World`]
-//! of model stores).
+//! hash joins, projected document reads, early duplicate elimination) →
+//! [`exec`] (bindings interpreter over a [`world::World`] of model
+//! stores).
 //! [`sql`] is a second frontend: a SQL `SELECT` subset compiling onto the
 //! same logical plan, demonstrating the "one algebra, many syntaxes"
 //! architecture the tutorial ascribes to multi-model engines.

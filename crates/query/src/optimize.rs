@@ -31,10 +31,21 @@
 //!    `LET x = v.path` read what is read of `x`, comparing `v` with
 //!    `NULL` reads nothing, and any other use reads the whole value.
 //!    Relational rows and kv entries are never projected.
+//! 7. **Early duplicate elimination** — in a `RETURN DISTINCT` pipeline,
+//!    a [`PlanNode::Dedup`] on the variables still read goes where a
+//!    variable bound by a row-multiplying node (`For`, `IndexScan`,
+//!    `HashJoin`, `Traverse`) is read no more, once a later
+//!    row-multiplying node has run under its rows, when no `Limit` or
+//!    `Collect` follows and per-row work does (see `early_dedup`). Q2's
+//!    customers fan in on their friends: each friend's cart and order is
+//!    then fetched once, not once per customer who knows them.
 //!
-//! Every rewrite keeps the rows and their order — a plan straight from
-//! `build_plan` and its optimized form return the same vector — except
-//! that an `IndexScan` returns its rows in index order.
+//! Every rewrite keeps the result vector — a plan straight from
+//! `build_plan` and its optimized form return the same vector, or the
+//! same first error — except that an `IndexScan` returns its rows in
+//! index order. Rule 7 drops rows, never results: a dropped row binds
+//! what the row kept before it binds, so it would have produced nothing
+//! new, and nothing earlier.
 
 use mmdb_types::{Path, Projection, Value};
 
@@ -93,7 +104,7 @@ impl Scope {
                     .chain(aggregates.iter().map(|(v, _, _)| v));
                 self.bound.extend(vars.map(|v| (v.clone(), false)));
             }
-            PlanNode::Filter(_) | PlanNode::Sort(_) | PlanNode::Limit { .. } => {}
+            PlanNode::Filter(_) | PlanNode::Sort(_) | PlanNode::Limit { .. } | PlanNode::Dedup(_) => {}
         }
     }
 }
@@ -158,6 +169,11 @@ fn optimize_in(mut plan: Plan, world: &World, scope: Scope, slots: &mut usize) -
             set_projection(&mut out[i], project);
         }
         at.enter(&out[i]);
+    }
+
+    // 7. Early duplicate elimination.
+    if plan.distinct {
+        out = early_dedup(out, &plan.ret);
     }
     plan.nodes = out;
     plan
@@ -502,7 +518,9 @@ fn pipeline_reads(nodes: &[PlanNode], ret: &Expr, var: &str, out: &mut Vec<Path>
             PlanNode::Collect { key, aggregates, .. } => {
                 key.iter().map(|(v, _)| v).chain(aggregates.iter().map(|(v, _, _)| v)).any(|v| v == var)
             }
-            PlanNode::Filter(_) | PlanNode::Sort(_) | PlanNode::Limit { .. } => false,
+            PlanNode::Filter(_) | PlanNode::Sort(_) | PlanNode::Limit { .. } | PlanNode::Dedup(_) => {
+                false
+            }
         };
         if rebinds {
             return false;
@@ -539,6 +557,149 @@ fn expr_reads(e: &Expr, var: &str, out: &mut Vec<Path>) -> bool {
         Expr::Object(fields) => fields.iter().all(|(_, x)| reads(x)),
         Expr::SubPlan(p) => pipeline_reads(&p.nodes, &p.ret, var, out),
         Expr::Subquery(_) => false,
+    }
+}
+
+/// Rule 7. Insert a `Dedup` into a `RETURN DISTINCT` pipeline before
+/// node `c` (or before `RETURN`, `c == nodes.len()`) when
+///
+/// * a variable `v` bound by a row-multiplying node is not read by
+///   `nodes[c..]`, `RETURN` or any subquery in them;
+/// * a later row-multiplying node ahead of `c` has run under `v`'s rows,
+///   so rows can repeat once `v` is gone (no `Collect` between: it
+///   starts its groups over);
+/// * no `Limit` or `Collect` is in `nodes[c..]`: both count rows;
+/// * per-row work is left: a node, or a `RETURN` that calls a function
+///   or holds a subquery.
+///
+/// Each such `v` gets the first `c` that qualifies; the `Dedup` keys on
+/// the pipeline's bindings that `nodes[c..]` and `RETURN` read, the
+/// only ones that decide what a row yields (enclosing bindings are the
+/// same for every row; see `live_bindings`). Names are matched as
+/// names, so a variable shadowed later counts as read.
+fn early_dedup(nodes: Vec<PlanNode>, ret: &Expr) -> Vec<PlanNode> {
+    let n = nodes.len();
+    // Cuts must follow every Limit and Collect, and precede per-row work.
+    let first = nodes
+        .iter()
+        .rposition(|n| matches!(n, PlanNode::Limit { .. } | PlanNode::Collect { .. }))
+        .map_or(0, |k| k + 1);
+    let last = if calls_or_subqueries(ret) { n } else { n.saturating_sub(1) };
+    // A Collect starts its groups over: only variables bound after the
+    // last one can repeat at a cut.
+    let start = nodes.iter().rposition(|n| matches!(n, PlanNode::Collect { .. })).map_or(0, |k| k + 1);
+    // Each multiplied variable with the earliest cut the rest allows.
+    let mut candidates = Vec::new();
+    for (b, node) in nodes.iter().enumerate().skip(start) {
+        let Some(v) = multiplied_var(node) else { continue };
+        let Some(j) = nodes[b + 1..].iter().position(|n| multiplied_var(n).is_some()) else { continue };
+        let from = first.max(b + j + 2);
+        if from <= last {
+            candidates.push((v, from));
+        }
+    }
+    if candidates.is_empty() {
+        return nodes;
+    }
+    // What each node, then RETURN, reads; None when it may read every
+    // binding of the row.
+    let mut reads: Vec<Option<Vec<&str>>> = Vec::with_capacity(n + 1);
+    for node in &nodes {
+        let mut names = Vec::new();
+        reads.push(node_names(node, &mut names).then_some(names));
+    }
+    let mut names = Vec::new();
+    reads.push(expr_names(ret, &mut names).then_some(names));
+    let is_live = |c: usize, v: &str| reads[c..].iter().any(|r| r.as_ref().is_none_or(|r| r.contains(&v)));
+    let mut cuts: Vec<usize> = Vec::new();
+    for (v, from) in candidates {
+        let cut = (from..=last).find(|&c| !is_live(c, v));
+        cuts.extend(cut.filter(|c| !cuts.contains(c)));
+    }
+    cuts.sort_unstable();
+    let keys: Vec<Vec<String>> = cuts.iter().map(|&c| live_bindings(&nodes[..c], |v| is_live(c, v))).collect();
+    let mut out = Vec::with_capacity(n + cuts.len());
+    let mut keys = cuts.into_iter().zip(keys).peekable();
+    for (c, node) in nodes.into_iter().enumerate() {
+        if let Some((_, vars)) = keys.next_if(|(cut, _)| *cut == c) {
+            out.push(PlanNode::Dedup(vars));
+        }
+        out.push(node);
+    }
+    out.extend(keys.map(|(_, vars)| PlanNode::Dedup(vars)));
+    out
+}
+
+/// The variable a row-multiplying node binds.
+fn multiplied_var(node: &PlanNode) -> Option<&str> {
+    match node {
+        PlanNode::For { var, .. }
+        | PlanNode::IndexScan { var, .. }
+        | PlanNode::HashJoin { var, .. }
+        | PlanNode::Traverse { var, .. } => Some(var),
+        _ => None,
+    }
+}
+
+/// The bindings a row leaving `nodes` holds that are `live` and can
+/// differ from row to row, in the order they were made. A `Let` ahead of
+/// every row-multiplying node and `Collect` holds one value for all rows,
+/// like an enclosing binding.
+fn live_bindings(nodes: &[PlanNode], live: impl Fn(&str) -> bool) -> Vec<String> {
+    let mut at = Scope::default();
+    nodes.iter().for_each(|n| at.enter(n));
+    let mut vars: Vec<String> = Vec::new();
+    for (v, once) in at.bound {
+        if !once && live(&v) && !vars.contains(&v) {
+            vars.push(v);
+        }
+    }
+    vars
+}
+
+/// Add to `out` every name `node` reads, nested plans included. False
+/// when it may read every binding of the row.
+fn node_names<'n>(node: &'n PlanNode, out: &mut Vec<&'n str>) -> bool {
+    match node {
+        // A hash join and an index scan name their source outside their
+        // expressions.
+        PlanNode::HashJoin { source, .. } | PlanNode::IndexScan { source, .. } => out.push(source),
+        // INTO copies every binding of the row, the enclosing ones too.
+        PlanNode::Collect { into: Some(_), .. } => return false,
+        _ => {}
+    }
+    node.exprs().into_iter().all(|e| expr_names(e, out))
+}
+
+/// [`node_names`] of an expression.
+fn expr_names<'e>(e: &'e Expr, out: &mut Vec<&'e str>) -> bool {
+    let mut names = |x: &'e Expr| expr_names(x, out);
+    match e {
+        Expr::Var(name) => {
+            out.push(name);
+            true
+        }
+        Expr::Literal(_) => true,
+        Expr::Field(a, _) | Expr::Spread(a) | Expr::Not(a) | Expr::Neg(a) => names(a),
+        Expr::Index(a, b) | Expr::Binary(_, a, b) => names(a) && names(b),
+        Expr::Ternary(a, b, c) => names(a) && names(b) && names(c),
+        Expr::Call(_, items) | Expr::Array(items) => items.iter().all(names),
+        Expr::Object(fields) => fields.iter().all(|(_, x)| names(x)),
+        Expr::SubPlan(p) => p.nodes.iter().all(|n| node_names(n, out)) && expr_names(&p.ret, out),
+        Expr::Subquery(_) => false,
+    }
+}
+
+/// Does evaluating `e` call a function or run a subquery?
+fn calls_or_subqueries(e: &Expr) -> bool {
+    match e {
+        Expr::Call(..) | Expr::SubPlan(_) | Expr::Subquery(_) => true,
+        Expr::Literal(_) | Expr::Var(_) => false,
+        Expr::Field(a, _) | Expr::Spread(a) | Expr::Not(a) | Expr::Neg(a) => calls_or_subqueries(a),
+        Expr::Index(a, b) | Expr::Binary(_, a, b) => calls_or_subqueries(a) || calls_or_subqueries(b),
+        Expr::Ternary(a, b, c) => [a, b, c].into_iter().any(|x| calls_or_subqueries(x)),
+        Expr::Array(items) => items.iter().any(calls_or_subqueries),
+        Expr::Object(fields) => fields.iter().any(|(_, x)| calls_or_subqueries(x)),
     }
 }
 
@@ -836,6 +997,7 @@ mod tests {
                 PlanNode::Sort(_) => "Sort",
                 PlanNode::Limit { .. } => "Limit",
                 PlanNode::Collect { .. } => "Collect",
+                PlanNode::Dedup(_) => "Dedup",
             })
             .collect()
     }
@@ -1012,15 +1174,18 @@ mod tests {
         // row-invariant source on an equality, so each plan is its clause
         // list with adjacent filters merged (none are adjacent), as
         // before. Rule 6 gives every document read the paths the rest of
-        // the plan reads; the `customers` rows stay whole.
+        // the plan reads; the `customers` rows stay whole. Rule 7 drops
+        // Q2's repeated friends once `c` is read no more; Q3 has one
+        // row-multiplying node and Q5's comes first, so neither gains one.
         let w = shop();
         let q2 = "FOR c IN customers FILTER c.credit_limit > 3000 \
              FOR friend IN 1..1 OUTBOUND CONCAT(\"persons/\", c.id) knows \
              LET order = DOC(\"orders\", KV_GET(\"cart\", friend._key)) FILTER order != NULL \
              FOR line IN order.orderlines RETURN DISTINCT line.product_no";
         let plan = optimized_in(&w, q2);
-        assert_eq!(kinds(&plan), ["For", "Filter", "Traverse", "Let", "Filter", "For"]);
-        assert_eq!(projections(&plan), ["-", "-", "_key", "orderlines[*].product_no", "-", "-"]);
+        assert_eq!(kinds(&plan), ["For", "Filter", "Traverse", "Dedup", "Let", "Filter", "For"]);
+        assert_eq!(plan.nodes[3].describe(), "Dedup ON (friend)");
+        assert_eq!(projections(&plan), ["-", "-", "_key", "-", "orderlines[*].product_no", "-", "-"]);
         let q3 = "FOR f IN FULLTEXT(\"feedback_text\", \"good\") FILTER f.rating >= 4 \
              LET p = DOC(\"products\", f.product_no) FILTER p.category == \"toys\" \
              RETURN DISTINCT p._key";
@@ -1036,9 +1201,145 @@ mod tests {
         for text in [q2, q3, q5] {
             let parsed = build_plan(&parse_query(text).unwrap()).unwrap();
             let mut plan = optimized_in(&w, text);
+            plan.nodes.retain(|n| !matches!(n, PlanNode::Dedup(_)));
             plan.nodes.iter_mut().for_each(|n| set_projection(n, Projection::ALL));
             assert_eq!(plan, parsed, "nothing to fold, merge or rewrite in {text}");
         }
+    }
+
+    /// The plan's `EXPLAIN` lines, `Dedup ON (…)` included.
+    fn explained(text: &str) -> Vec<String> {
+        optimized_in(&shop(), text).explain().lines().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn a_dedup_goes_where_a_multiplied_variable_is_read_no_more() {
+        // `c` is last read by the traversal, which multiplies its rows.
+        assert_eq!(
+            explained(
+                "FOR c IN customers FOR f IN 1..1 OUTBOUND CONCAT(\"p/\", c.id) knows \
+                 LET o = DOC(\"orders\", f.order) RETURN DISTINCT o.total"
+            ),
+            [
+                "For c IN customers",
+                "Traverse f 1..1 Outbound knows project(order)",
+                "Dedup ON (f)",
+                "Let o project(total)",
+                "Return DISTINCT"
+            ]
+        );
+        // Later than the second FOR when `c` is read after it; the key is
+        // every binding still read, in binding order.
+        assert_eq!(
+            explained(
+                "FOR c IN customers FOR x IN [1, 2] LET y = x * c.id FILTER y > 2 \
+                 FOR z IN [x, y] RETURN DISTINCT [x, z]"
+            ),
+            [
+                "For c IN customers",
+                "For x IN [1, 2]",
+                "Let y",
+                "Dedup ON (x, y)",
+                "Filter",
+                "For z IN [x, y]",
+                "Return DISTINCT"
+            ]
+        );
+        // One per variable that dies, each at its own place.
+        let plan = explained(
+            "FOR a IN [1, 2] FOR b IN [a, 3] FOR c IN [b, 4] FILTER c > 1 \
+             FOR d IN [c] RETURN DISTINCT TO_STRING(d)",
+        );
+        assert_eq!(
+            plan,
+            [
+                "For a IN [1, 2]",
+                "For b IN [a, 3]",
+                "Dedup ON (b)",
+                "For c IN [b, 4]",
+                "Dedup ON (c)",
+                "Filter",
+                "For d IN [c]",
+                "Dedup ON (d)",
+                "Return DISTINCT"
+            ]
+        );
+        // After a LIMIT, which counted the rows before it.
+        assert_eq!(
+            explained(
+                "FOR c IN customers FOR f IN 1..1 OUTBOUND CONCAT(\"p/\", c.id) knows \
+                 SORT f.n LIMIT 3 RETURN DISTINCT UPPER(f.name)"
+            )[2..],
+            ["Sort (1 keys)", "Limit 0,3", "Dedup ON (f)", "Return DISTINCT"]
+        );
+        // A LET ahead of every FOR has one value for all rows: not a key.
+        assert_eq!(
+            explained(
+                "LET all = (FOR o IN orders RETURN o.total) FOR c IN customers \
+                 FOR t IN all FILTER t > c.id LET x = [t, all] RETURN DISTINCT x"
+            )[5..7],
+            ["Filter", "Dedup ON (t)"]
+        );
+        // A `RETURN DISTINCT` subquery gets its own; an outer binding is
+        // the same for all its rows and stays out of the key.
+        let plan = optimized_in(
+            &shop(),
+            "FOR o IN orders LET ps = (FOR c IN customers FOR l IN o.lines \
+               FILTER l.n > c.id RETURN DISTINCT UPPER(l.p)) RETURN ps",
+        );
+        assert_eq!(kinds(let_body(&plan)), ["For", "For", "Filter", "Dedup"]);
+        assert_eq!(let_body(&plan).nodes[3].describe(), "Dedup ON (l)");
+        // SQL `SELECT DISTINCT` compiles onto the same plan.
+        let sql = crate::sql::parse_sql(
+            "SELECT DISTINCT UPPER(o.status) FROM customers c JOIN orders o ON o.customer_id = c.id",
+        )
+        .unwrap();
+        let plan = optimize(build_plan(&sql).unwrap(), &shop());
+        assert_eq!(kinds(&plan), ["For", "HashJoin", "Dedup"]);
+    }
+
+    #[test]
+    fn no_dedup_where_rows_are_told_apart_or_counted_or_nothing_repeats() {
+        let none = |text: &str, why: &str| {
+            let plan = optimized_in(&shop(), text);
+            assert!(!plan.explain().contains("Dedup"), "{why}: {}", plan.explain());
+        };
+        let q = |tail: &str| {
+            format!(
+                "FOR c IN customers FOR f IN 1..1 OUTBOUND CONCAT(\"p/\", c.id) knows \
+                 LET o = DOC(\"orders\", f.order) {tail}"
+            )
+        };
+        none(&q("RETURN o.total"), "without DISTINCT every row is a result");
+        none(&q("RETURN DISTINCT [c.id, o.total]"), "RETURN reads c");
+        none(&q("FILTER o.customer_id != c.id RETURN DISTINCT o.total"), "a later node reads c");
+        none(
+            &q("LET n = (FOR x IN [1] RETURN c.name) RETURN DISTINCT [n, o.total]"),
+            "a subquery reads c",
+        );
+        none(
+            &q("LET g = (FOR x IN [1] COLLECT k = x INTO members RETURN members) RETURN DISTINCT [g, o]"),
+            "COLLECT INTO in a subquery copies every binding, c too",
+        );
+        none(&q("LIMIT 3 RETURN DISTINCT o.total"), "LIMIT counts rows");
+        none(&q("COLLECT t = o.total AGGREGATE n = COUNT() RETURN DISTINCT [t, n]"), "COUNT counts rows");
+        none(
+            "FOR c IN customers FOR f IN 1..1 OUTBOUND CONCAT(\"p/\", c.id) knows RETURN DISTINCT f.name",
+            "no per-row work is left: RETURN DISTINCT does the same",
+        );
+        none(
+            "FOR f IN 1..2 ANY \"p/1\" knows LET o = DOC(\"orders\", f.order) \
+             FILTER o != NULL FOR l IN o.lines RETURN DISTINCT l.p",
+            "the traversal comes first: no row-multiplying node ran under anything it drops",
+        );
+        none(
+            "FOR c IN customers LET o = DOC(\"orders\", c.order) FILTER o != NULL RETURN DISTINCT o.total",
+            "one row-multiplying node: its rows are one per item",
+        );
+        none(
+            "FOR c IN customers FOR x IN [1, 2] COLLECT k = x FILTER k > 0 RETURN DISTINCT UPPER(k)",
+            "a COLLECT starts the rows over: its groups are already distinct",
+        );
     }
 
     #[test]

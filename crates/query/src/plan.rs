@@ -2,9 +2,10 @@
 //!
 //! `build_plan` maps AST clauses onto plan nodes 1:1; the optimizer then
 //! rewrites node sequences (`For` + `Filter` into `IndexScan` or
-//! `HashJoin`), plans every subquery into an [`Expr::SubPlan`], and
-//! gives each read of a stored document the [`Projection`] the rest of
-//! the plan reads of it.
+//! `HashJoin`), plans every subquery into an [`Expr::SubPlan`], gives
+//! each read of a stored document the [`Projection`] the rest of the plan
+//! reads of it, and puts a `Dedup` into a `RETURN DISTINCT` pipeline
+//! where repeated rows can no longer be told apart.
 
 use mmdb_types::{Projection, Result, Value};
 
@@ -122,6 +123,11 @@ pub enum PlanNode {
         /// Aggregates.
         aggregates: Vec<(String, AggFunc, Expr)>,
     },
+    /// Keep the first row for each combination of values of these
+    /// variables and drop later repeats, in input order. Only the
+    /// optimizer makes one (rule 7): nothing after it reads any other
+    /// binding of the pipeline.
+    Dedup(Vec<String>),
 }
 
 /// A complete plan.
@@ -161,6 +167,7 @@ impl PlanNode {
                 key.as_ref().map(|(v, _)| v.as_str()).unwrap_or("-"),
                 aggregates.len()
             ),
+            PlanNode::Dedup(vars) => format!("Dedup ON ({})", vars.join(", ")),
         };
         if let Some(p) = self.projection().filter(|p| !p.is_all()) {
             text.push_str(&format!(" project({p})"));
@@ -176,9 +183,11 @@ impl PlanNode {
             | PlanNode::HashJoin { project, .. }
             | PlanNode::Traverse { project, .. }
             | PlanNode::Let { project, .. } => Some(project),
-            PlanNode::Filter(_) | PlanNode::Sort(_) | PlanNode::Limit { .. } | PlanNode::Collect { .. } => {
-                None
-            }
+            PlanNode::Filter(_)
+            | PlanNode::Sort(_)
+            | PlanNode::Limit { .. }
+            | PlanNode::Collect { .. }
+            | PlanNode::Dedup(_) => None,
         }
     }
 
@@ -195,7 +204,7 @@ impl PlanNode {
             PlanNode::Filter(e) => vec![e],
             PlanNode::Let { value, .. } => vec![value],
             PlanNode::Sort(keys) => keys.iter().map(|(e, _)| e).collect(),
-            PlanNode::Limit { .. } => Vec::new(),
+            PlanNode::Limit { .. } | PlanNode::Dedup(_) => Vec::new(),
             PlanNode::Collect { key, aggregates, .. } => key
                 .iter()
                 .map(|(_, e)| e)
@@ -216,7 +225,7 @@ impl PlanNode {
             PlanNode::Filter(e) => vec![e],
             PlanNode::Let { value, .. } => vec![value],
             PlanNode::Sort(keys) => keys.iter_mut().map(|(e, _)| e).collect(),
-            PlanNode::Limit { .. } => Vec::new(),
+            PlanNode::Limit { .. } | PlanNode::Dedup(_) => Vec::new(),
             PlanNode::Collect { key, aggregates, .. } => key
                 .iter_mut()
                 .map(|(_, e)| e)

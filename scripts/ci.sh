@@ -94,7 +94,7 @@ echo "==> the read path's allocation budget and mmdb-types, optimized build"
 # tests/query_allocs.rs ran in the debug pass above; this is the
 # optimized build, the one the benchmark of record measures. It counts
 # allocator calls per examined row for a scan, Q2, Q4 as a hash join and
-# Q5's traversal (1.94, 5.91, 4.57 and 7.29; before projected document
+# Q5's traversal (1.92, 5.45, 4.55 and 7.21; before projected document
 # reads: 9.19, 8.42, 13.68 and 9.53), with budgets that fail if a whole
 # document decode, a copied document, field name, bound name, lookup
 # key, record or edge handle comes back. mmdb-types runs again optimized

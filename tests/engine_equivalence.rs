@@ -1,7 +1,7 @@
 //! Property-based integration tests: different access paths through the
 //! engine must agree — index scans vs full scans, hash joins vs nested
-//! loops, projected vs whole document reads, MMQL vs SQL, documents in vs
-//! documents out.
+//! loops, projected vs whole document reads, early vs final duplicate
+//! elimination, MMQL vs SQL, documents in vs documents out.
 
 use proptest::prelude::*;
 
@@ -131,6 +131,86 @@ const PROJECTION_TEMPLATES: &[(&str, bool)] = &[
     ("FOR v IN 1..2 OUTBOUND \"v/o0\" e RETURN [v._id, v.total]", true),
     ("FOR v IN 1..2 OUTBOUND \"v/o0\" e RETURN [v._depth, v.orderlines[*].price]", true),
     ("FOR v IN 1..2 OUTBOUND \"v/o0\" e RETURN v", false),
+];
+
+/// A value that equals others of this domain under `==` without being
+/// the same value: `1` and `1.0`, and one object with its keys in either
+/// order; `TO_STRING` and `JSON_STRINGIFY` tell them apart.
+fn arb_tag() -> impl Strategy<Value = Option<Value>> {
+    let object = |keys: [&'static str; 2]| Value::object(keys.map(|k| (k, Value::int(k.len() as i64))));
+    prop::sample::select(vec![
+        Some(Value::int(1)),
+        Some(Value::float(1.0)),
+        Some(object(["a", "bb"])),
+        Some(object(["bb", "a"])),
+        None,
+    ])
+}
+
+/// Queries whose rows fan in (several `orders` reach the same vertex over
+/// `e`, several carts the same order), each with the `Dedup` rule 7
+/// should put in its plan: the start of the line before it and its own
+/// line.
+const DEDUP_TEMPLATES: &[(&str, Option<(&str, &str)>)] = &[
+    // The benchmark's Q2, with a SORT after the cut.
+    (
+        "FOR c IN orders FOR f IN 1..1 OUTBOUND CONCAT(\"v/\", c._key) e \
+         LET o = DOC(\"orders\", KV_GET(\"cart\", f._key)) FILTER o != NULL SORT o.total \
+         FOR l IN o.orderlines RETURN DISTINCT l.product_no",
+        Some(("Traverse f", "Dedup ON (f)")),
+    ),
+    // The outer variable is read to the end.
+    (
+        "FOR c IN orders FOR f IN 1..1 OUTBOUND CONCAT(\"v/\", c._key) e \
+         LET o = DOC(\"orders\", KV_GET(\"cart\", f._key)) RETURN DISTINCT [c._key, o.total]",
+        None,
+    ),
+    // LIMIT and COUNT count the rows after the cut.
+    (
+        "FOR c IN orders FOR f IN 1..1 OUTBOUND CONCAT(\"v/\", c._key) e \
+         LET o = DOC(\"orders\", KV_GET(\"cart\", f._key)) LIMIT 5 RETURN DISTINCT o.total",
+        None,
+    ),
+    (
+        "FOR c IN orders FOR f IN 1..1 OUTBOUND CONCAT(\"v/\", c._key) e \
+         LET o = DOC(\"orders\", KV_GET(\"cart\", f._key)) \
+         COLLECT t = o.total AGGREGATE n = COUNT() RETURN DISTINCT [t, n]",
+        None,
+    ),
+    // A subquery after the cut reads the outer variable.
+    (
+        "FOR c IN orders FOR f IN 1..1 OUTBOUND CONCAT(\"v/\", c._key) e \
+         LET s = (FOR x IN [c.status] RETURN x) RETURN DISTINCT [s, f.total]",
+        None,
+    ),
+    // Equal under `==`, told apart downstream.
+    (
+        "FOR c IN orders FOR f IN 1..2 OUTBOUND CONCAT(\"v/\", c._key) e \
+         LET t = f.tag RETURN DISTINCT [TO_STRING(t), JSON_STRINGIFY(t)]",
+        Some(("Traverse f", "Dedup ON (f)")),
+    ),
+    (
+        "FOR c IN orders FOR p IN [c.tag, c.total] RETURN DISTINCT JSON_STRINGIFY(p)",
+        Some(("For p", "Dedup ON (p)")),
+    ),
+    // A LET ahead of every FOR is the same for all rows: not in the key.
+    (
+        "LET all = (FOR o IN orders RETURN o.tag) FOR c IN orders FOR t IN all \
+         LET y = [t, all] RETURN DISTINCT JSON_STRINGIFY(y)",
+        Some(("For t", "Dedup ON (t)")),
+    ),
+    // The last read of `c` makes the value the key is over.
+    (
+        "LET all = (FOR o IN orders RETURN o.tag) FOR c IN orders FOR t IN all \
+         LET y = [t, all, c.tag == t] RETURN DISTINCT JSON_STRINGIFY(y)",
+        Some(("Let y", "Dedup ON (y)")),
+    ),
+    // Downstream work that can fail: the first error is the same one.
+    (
+        "FOR c IN orders FOR f IN 1..1 OUTBOUND CONCAT(\"v/\", c._key) e \
+         LET x = f.total * 2 RETURN DISTINCT x",
+        Some(("Traverse f", "Dedup ON (f)")),
+    ),
 ];
 
 proptest! {
@@ -311,6 +391,55 @@ proptest! {
                 let got = exec::execute_plan(world, &joined).unwrap();
                 prop_assert_eq!(got, want, "{}", text);
             }
+        }
+    }
+
+    /// Rule 7 is exact: dropping a row whose live bindings repeat an
+    /// earlier row's leaves what a `RETURN DISTINCT` plan returns — the
+    /// same rows in the same order, or the same error — as the plan as
+    /// parsed, which deduplicates only its results.
+    #[test]
+    fn early_dedup_equals_the_plan_as_parsed(
+        orders in prop::collection::vec((arb_order(), arb_tag(), 0usize..9), 1..8),
+    ) {
+        let db = Database::in_memory();
+        let docs: Vec<_> = orders
+            .iter()
+            .map(|(fields, tag, _)| fields.iter().cloned().chain(tag.clone().map(|t| ("tag", t))).collect())
+            .collect();
+        load_orders(&db, &docs);
+        db.create_bucket("cart").unwrap();
+        // Each vertex's cart points at some order, or at none.
+        for (i, (_, _, to)) in orders.iter().enumerate() {
+            let to = to % (orders.len() + 1);
+            if to < orders.len() {
+                db.kv_put("cart", &format!("o{i}"), Value::str(format!("o{to}"))).unwrap();
+            }
+        }
+        let world = db.world();
+        let sql_text = "SELECT DISTINCT TO_STRING(o.status) AS s FROM orders c \
+                        JOIN orders o ON o.customer_id = c.customer_id";
+        let parsed = DEDUP_TEMPLATES
+            .iter()
+            .map(|&(text, dedup)| (text, dedup, parse_query(text).unwrap()))
+            .chain([(sql_text, Some(("HashJoin o", "Dedup ON (o)")), sql::parse_sql(sql_text).unwrap())]);
+        for (text, dedup, query) in parsed {
+            let as_parsed = plan::build_plan(&query).unwrap();
+            let optimized = optimize::optimize(as_parsed.clone(), world);
+            let explain = optimized.explain();
+            let lines: Vec<&str> = explain.lines().collect();
+            let at: Vec<usize> = (0..lines.len()).filter(|&i| lines[i].starts_with("Dedup")).collect();
+            match dedup {
+                None => prop_assert!(at.is_empty(), "{}", explain),
+                Some((before, line)) => {
+                    prop_assert_eq!(at.len(), 1, "{}", explain);
+                    prop_assert_eq!(lines[at[0]], line, "{}", explain);
+                    prop_assert!(lines[at[0] - 1].starts_with(before), "{}", explain);
+                }
+            }
+            let want = exec::execute_plan(world, &as_parsed).map_err(|e| e.to_string());
+            let got = exec::execute_plan(world, &optimized).map_err(|e| e.to_string());
+            prop_assert_eq!(got, want, "{}", text);
         }
     }
 }

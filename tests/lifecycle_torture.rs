@@ -402,6 +402,13 @@ fn tick_cases(node: &PlanNode) -> Vec<(&'static str, &'static str, u64)> {
             FOR_ITEMS,
             N + GROUPS + N,
         )],
+        // N rows, all distinct, checked; the baseline returns the same
+        // rows without DISTINCT, so it plans no Dedup.
+        PlanNode::Dedup(_) => vec![(
+            "FOR x IN items FOR y IN [x.n] RETURN DISTINCT TO_STRING(y)",
+            "FOR x IN items FOR y IN [x.n] RETURN TO_STRING(y)",
+            N,
+        )],
     }
 }
 
@@ -416,21 +423,24 @@ fn every_row_iterating_operator_ticks_per_row() {
         db.query(text).unwrap();
         fault::hits("query.eval_tick") - before
     };
-    // One plan holding every operator picks the cases.
+    // One plan holding every operator picks the cases. The Dedup goes
+    // after the Collect, behind the last row-counting node: the traversal
+    // multiplies the rows of `x` and `y`, and is the last node to read
+    // either.
     let tour = plan(
         &db,
         r#"FOR p IN [-1]
+             SORT p
+             LIMIT 5
+             COLLECT g = p AGGREGATE m = MAX(p)
              FOR x IN items FILTER x.n >= 10
              FOR y IN items FILTER y.n == x.n
-             FOR v IN 1..1 OUTBOUND CONCAT("persons/", x.n) knows
+             FOR v IN 1..1 OUTBOUND CONCAT("persons/", x.n, y.n) knows
              FILTER v != null
-             LET t = (FOR z IN x.tags RETURN z)
-             SORT x.n
-             LIMIT 5
-             COLLECT g = x.grp AGGREGATE m = MAX(x.n)
-             RETURN 1"#,
+             LET t = (FOR z IN v.tags RETURN z)
+             RETURN DISTINCT t"#,
     );
-    assert_eq!(tour.nodes.len(), 9, "one node per operator:\n{}", tour.explain());
+    assert_eq!(tour.nodes.len(), 10, "one node per operator:\n{}", tour.explain());
     for node in &tour.nodes {
         for (query, baseline, rows) in tick_cases(node) {
             let kind = std::mem::discriminant(node);
