@@ -36,7 +36,7 @@ pub fn table_to_collection(db: &Database, table: &str, collection: &str) -> Resu
     for row in &rows {
         let mut doc = schema.object_from_row(row);
         let key = match &row[schema.primary_key()] {
-            Value::String(s) => s.clone(),
+            Value::String(s) => s.to_string(),
             other => other.to_string(),
         };
         doc.as_object_mut()?.insert("_key", Value::str(key));

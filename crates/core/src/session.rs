@@ -132,7 +132,7 @@ impl Session {
         let domain = self.doc_domain(collection)?;
         let obj = doc.as_object_mut()?;
         let key = match obj.get("_key") {
-            Some(Value::String(k)) => k.clone(),
+            Some(Value::String(k)) => k.to_string(),
             Some(other) => {
                 return Err(Error::Schema(format!(
                     "_key must be a string, got {}",
@@ -246,7 +246,7 @@ impl Session {
         let domain = self.graph_domain(graph, "v", collection)?;
         let obj = doc.as_object_mut()?;
         let key = match obj.get("_key") {
-            Some(Value::String(k)) => k.clone(),
+            Some(Value::String(k)) => k.to_string(),
             _ => {
                 self.generated += 1;
                 let k = format!("{}-{}", self.txn.id(), self.generated);

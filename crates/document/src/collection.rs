@@ -92,7 +92,7 @@ impl Collection {
     pub fn insert(&self, mut doc: Value) -> Result<String> {
         let obj = doc.as_object_mut()?;
         let key = match obj.get(KEY_FIELD) {
-            Some(Value::String(k)) => k.clone(),
+            Some(Value::String(k)) => k.to_string(),
             Some(other) => {
                 return Err(Error::Schema(format!(
                     "_key must be a string, got {}",

@@ -4,7 +4,7 @@
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-use mmdb_types::{Result, Value};
+use mmdb_types::{Key, Result, Value};
 
 use crate::store::{Direction, Graph, VertexHandle};
 
@@ -37,8 +37,9 @@ impl TraversalSpec {
 /// One emitted traversal result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Visited {
-    /// Vertex handle.
-    pub vertex: VertexHandle,
+    /// Vertex handle, inline when it is 22 bytes or less, as a string
+    /// value's text is: an executor moves it into the vertex's `_id`.
+    pub vertex: Key,
     /// Depth at which it was first reached.
     pub depth: usize,
 }
@@ -47,7 +48,8 @@ pub struct Visited {
 /// vertex once, at its minimal depth, for depths in `min..=max`.
 ///
 /// The walk holds the edge index's shared handles; a handle is copied
-/// into a `String` only when it is emitted.
+/// into a [`Key`] only when it is emitted, which allocates nothing for a
+/// handle of 22 bytes or less.
 pub fn traverse(graph: &Graph, start: &str, spec: &TraversalSpec) -> Result<Vec<Visited>> {
     let mut out = Vec::new();
     let start: Arc<str> = Arc::from(start);
@@ -55,7 +57,7 @@ pub fn traverse(graph: &Graph, start: &str, spec: &TraversalSpec) -> Result<Vec<
     let mut queue: VecDeque<(Arc<str>, usize)> = VecDeque::from([(start, 0)]);
     while let Some((v, depth)) = queue.pop_front() {
         if depth >= spec.min_depth {
-            out.push(Visited { vertex: String::from(&*v), depth });
+            out.push(Visited { vertex: Key::new(&v), depth });
         }
         if depth == spec.max_depth {
             continue;

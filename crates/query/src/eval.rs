@@ -185,7 +185,7 @@ fn arith(l: &Value, r: &Value, op: BinOp) -> Result<Value> {
     // String + string concatenates (SQL-ish convenience).
     if op == BinOp::Add {
         if let (Value::String(a), Value::String(b)) = (l, r) {
-            return Ok(Value::String(format!("{a}{b}")));
+            return Ok(Value::from(format!("{a}{b}")));
         }
     }
     let (Value::Number(a), Value::Number(b)) = (l, r) else {

@@ -96,10 +96,10 @@ pub fn call_function(
                     other => s.push_str(&other.to_string()),
                 }
             }
-            Ok(Value::String(s))
+            Ok(Value::from(s))
         }
-        "UPPER" => Ok(Value::String(arg(args, 0)?.as_str()?.to_uppercase())),
-        "LOWER" => Ok(Value::String(arg(args, 0)?.as_str()?.to_lowercase())),
+        "UPPER" => Ok(Value::from(arg(args, 0)?.as_str()?.to_uppercase())),
+        "LOWER" => Ok(Value::from(arg(args, 0)?.as_str()?.to_lowercase())),
         "CONTAINS_TEXT" => {
             let hay = arg(args, 0)?.as_str()?;
             let needle = arg(args, 1)?.as_str()?;
@@ -110,10 +110,10 @@ pub fn call_function(
             let sep = arg(args, 1)?.as_str()?;
             Ok(Value::Array(s.split(sep).map(Value::str).collect()))
         }
-        "TO_STRING" => Ok(Value::String(match arg(args, 0)? {
-            Value::String(s) => s.clone(),
-            other => other.to_string(),
-        })),
+        "TO_STRING" => Ok(match arg(args, 0)? {
+            s @ Value::String(_) => s.clone(),
+            other => Value::from(other.to_string()),
+        }),
         "TO_NUMBER" => {
             let v = arg(args, 0)?;
             Ok(match v {
@@ -147,7 +147,7 @@ pub fn call_function(
             Ok(Value::Object(out))
         }
         "JSON_PARSE" => mmdb_types::from_json(arg(args, 0)?.as_str()?),
-        "JSON_STRINGIFY" => Ok(Value::String(mmdb_types::to_json(arg(args, 0)?))),
+        "JSON_STRINGIFY" => Ok(Value::from(mmdb_types::to_json(arg(args, 0)?))),
         // ---- cross-model bridges ------------------------------------------
         "KV_GET" => {
             let bucket = arg(args, 0)?.as_str()?;
@@ -193,7 +193,7 @@ pub fn call_function(
             Ok(Value::Array(
                 g.neighbors(handle, dir, Some(edges))?
                     .into_iter()
-                    .map(Value::String)
+                    .map(Value::from)
                     .collect(),
             ))
         }
@@ -208,7 +208,7 @@ pub fn call_function(
                 Some(p) => Ok(Value::object([
                     (
                         "vertices",
-                        Value::Array(p.vertices.into_iter().map(Value::String).collect()),
+                        Value::Array(p.vertices.into_iter().map(Value::from).collect()),
                     ),
                     ("cost", Value::float(p.cost)),
                 ])),
@@ -232,8 +232,8 @@ pub fn call_function(
             let out: Vec<Value> = candidates
                 .into_iter()
                 .filter(|t| {
-                    s.is_none_or(|sv| matches!(sv, Value::String(x) if *x == t.subject))
-                        && p.is_none_or(|pv| matches!(pv, Value::String(x) if *x == t.predicate))
+                    s.is_none_or(|sv| matches!(sv, Value::String(x) if x.as_str() == t.subject))
+                        && p.is_none_or(|pv| matches!(pv, Value::String(x) if x.as_str() == t.predicate))
                         && o.is_none_or(|ov| *ov == t.object)
                 })
                 .map(|t| {

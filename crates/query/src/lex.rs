@@ -19,12 +19,10 @@ pub enum Token {
 }
 
 impl Token {
-    /// The uppercase form of an identifier token (for keyword matching).
-    pub fn keyword(&self) -> Option<String> {
-        match self {
-            Token::Ident(s) => Some(s.to_uppercase()),
-            _ => None,
-        }
+    /// True when this is an identifier spelling keyword `kw` in any case.
+    /// Identifiers are ASCII, so this compares without allocating.
+    pub fn is_keyword(&self, kw: &str) -> bool {
+        matches!(self, Token::Ident(s) if s.eq_ignore_ascii_case(kw))
     }
 }
 
@@ -67,39 +65,31 @@ pub fn tokenize(text: &str) -> Result<Vec<Spanned>> {
             let start = i;
             i += 1;
             let mut s = String::new();
+            // Walks whole characters, so `i` stays on a character boundary.
             loop {
-                if i >= bytes.len() {
+                let Some(ch) = text[i..].chars().next() else {
                     return Err(Error::Parse(format!(
                         "mmql: unterminated string starting at {start}"
                     )));
-                }
-                let b = bytes[i];
-                if b == quote {
-                    i += 1;
+                };
+                i += ch.len_utf8();
+                if ch == char::from(quote) {
                     break;
                 }
-                if b == b'\\' {
-                    i += 1;
-                    match bytes.get(i) {
-                        Some(b'n') => s.push('\n'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(&q) if q == quote => s.push(q as char),
-                        Some(&other) => s.push(other as char),
-                        None => {
-                            return Err(Error::Parse("mmql: dangling escape".into()));
-                        }
-                    }
-                    i += 1;
+                if ch == '\\' {
+                    // An escape takes the whole character after the backslash.
+                    let Some(escaped) = text[i..].chars().next() else {
+                        return Err(Error::Parse("mmql: dangling escape".into()));
+                    };
+                    i += escaped.len_utf8();
+                    s.push(match escaped {
+                        'n' => '\n',
+                        't' => '\t',
+                        other => other,
+                    });
                     continue;
                 }
-                // Copy the full UTF-8 character.
-                let ch_len = utf8_len(b);
-                s.push_str(
-                    std::str::from_utf8(&bytes[i..i + ch_len])
-                        .map_err(|_| Error::Parse("mmql: invalid UTF-8".into()))?,
-                );
-                i += ch_len;
+                s.push(ch);
             }
             out.push(Spanned { token: Token::Str(s), offset: start });
             continue;
@@ -171,15 +161,6 @@ pub fn tokenize(text: &str) -> Result<Vec<Spanned>> {
         }
     }
     Ok(out)
-}
-
-fn utf8_len(lead: u8) -> usize {
-    match lead {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
 }
 
 #[cfg(test)]
@@ -257,5 +238,23 @@ mod tests {
     #[test]
     fn unicode_in_strings() {
         assert_eq!(toks("\"héllo 😀\""), vec![Token::Str("héllo 😀".into())]);
+    }
+
+    #[test]
+    fn an_escape_takes_the_whole_multibyte_character() {
+        let ret = || Token::Ident("RETURN".into());
+        assert_eq!(toks(r#"RETURN "\é""#), vec![ret(), Token::Str("é".into())]);
+        assert_eq!(toks(r#"RETURN "a\€b""#), vec![ret(), Token::Str("a€b".into())]);
+        assert_eq!(toks(r#"'\😀\'\\'"#), vec![Token::Str("😀'\\".into())]);
+        assert!(tokenize(r#""\"#).is_err(), "a dangling escape is an error");
+    }
+
+    #[test]
+    fn keywords_match_in_any_case() {
+        let ident = |s: &str| Token::Ident(s.into());
+        assert!(ident("return").is_keyword("RETURN"));
+        assert!(ident("ReTuRn").is_keyword("RETURN"));
+        assert!(!ident("returns").is_keyword("RETURN"));
+        assert!(!Token::Str("RETURN".into()).is_keyword("RETURN"));
     }
 }

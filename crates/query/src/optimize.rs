@@ -406,7 +406,7 @@ fn path_steps(e: &Expr, var: &str) -> Option<Path> {
             let p = path_steps(base, var)?;
             match &**idx {
                 Expr::Literal(Value::Number(n)) => n.as_i64().map(|i| p.index(i)),
-                Expr::Literal(Value::String(name)) => Some(p.field(name.clone())),
+                Expr::Literal(Value::String(name)) => Some(p.field(name.as_str())),
                 _ => None,
             }
         }

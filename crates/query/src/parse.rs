@@ -61,7 +61,7 @@ impl Parser {
 
     /// Consume a case-insensitive keyword.
     pub(crate) fn eat_kw(&mut self, kw: &str) -> bool {
-        if self.peek().and_then(Token::keyword).as_deref() == Some(kw) {
+        if self.peek_kw(kw) {
             self.pos += 1;
             true
         } else {
@@ -70,7 +70,7 @@ impl Parser {
     }
 
     fn peek_kw(&self, kw: &str) -> bool {
-        self.peek().and_then(Token::keyword).as_deref() == Some(kw)
+        self.peek().is_some_and(|t| t.is_keyword(kw))
     }
 
     pub(crate) fn eat_punct(&mut self, p: &str) -> bool {
@@ -377,15 +377,14 @@ impl Parser {
             }
             Some(Token::Str(s)) => {
                 self.pos += 1;
-                Ok(Expr::Literal(Value::String(s)))
+                Ok(Expr::Literal(Value::from(s)))
             }
             Some(Token::Punct("(")) => {
                 self.pos += 1;
                 // Subquery or parenthesized expression?
-                let is_subquery = matches!(
-                    self.peek().and_then(Token::keyword).as_deref(),
-                    Some("FOR" | "LET" | "RETURN" | "COLLECT")
-                );
+                let is_subquery = ["FOR", "LET", "RETURN", "COLLECT"]
+                    .iter()
+                    .any(|kw| self.peek_kw(kw));
                 if is_subquery {
                     let q = self.parse_query()?;
                     self.expect_punct(")")?;

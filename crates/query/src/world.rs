@@ -298,7 +298,7 @@ impl FulltextIndex {
     fn index_document(&mut self, doc: &Value) {
         let Ok(key) = doc.get_field("_key").as_str() else { return };
         let text = match doc.get_field(&self.field) {
-            Value::String(s) => s.clone(),
+            Value::String(s) => s.to_string(),
             Value::Null => return self.remove_document(key),
             other => other.to_string(),
         };

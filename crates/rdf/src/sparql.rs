@@ -241,7 +241,7 @@ fn extend(store: &TripleStore, bindings: &[Binding], p: &TriplePattern) -> Resul
         let p_val = resolve(&p.predicate, b);
         let o_val = resolve(&p.object, b);
         let pred_str = match &p_val {
-            Some(Value::String(s)) => Some(s.clone()),
+            Some(Value::String(s)) => Some(s.as_str()),
             Some(_) => {
                 return Err(Error::Query("predicates must be IRIs (strings)".into()));
             }
@@ -258,14 +258,14 @@ fn extend(store: &TripleStore, bindings: &[Binding], p: &TriplePattern) -> Resul
         for t in candidates {
             // Verify constants / bound vars, bind free vars.
             if let Some(Value::String(s)) = &s_val {
-                if &t.subject != s {
+                if t.subject != s.as_str() {
                     continue;
                 }
             } else if s_val.is_some() {
                 continue; // non-string subject constant can never match
             }
             if let Some(pp) = &pred_str {
-                if &t.predicate != pp {
+                if t.predicate != *pp {
                     continue;
                 }
             }

@@ -3,7 +3,10 @@
 //!
 //! Every transactional key is `(domain, key-bytes)`; domains name model
 //! collections (`"doc/orders"`, `"kv/cart"`, …), so one transaction spans
-//! every data model — the tutorial's "cross-model transaction".
+//! every data model — the tutorial's "cross-model transaction". The
+//! version store is two levels, domain → key → version chain: a domain's
+//! name is kept once, not once per key, and a lookup borrows
+//! `(&str, &[u8])` instead of building an owned key.
 //!
 //! Protocol: a transaction reads the latest version with
 //! `commit_ts <= start_ts` (its snapshot) and buffers writes locally; a
@@ -53,8 +56,20 @@ pub enum IsolationLevel {
     Serializable,
 }
 
-/// A transactional key.
+/// A transactional key, owned: what a serializable transaction records
+/// for each read. The version store itself never builds one.
 pub type TxnKey = (String, Vec<u8>);
+
+/// One domain's version chains, by key bytes.
+type Chains = HashMap<Vec<u8>, Vec<Version>>;
+
+/// The version store: domain → key → chain, oldest version first.
+type Versions = HashMap<String, Chains>;
+
+/// The chain of `(domain, key)`, looked up without allocating.
+fn chain<'a>(versions: &'a Versions, domain: &str, key: &[u8]) -> Option<&'a [Version]> {
+    versions.get(domain)?.get(key).map(Vec::as_slice)
+}
 
 #[derive(Debug, Clone)]
 struct Version {
@@ -169,7 +184,10 @@ pub struct GroupCommitStats {
 }
 
 struct StoreInner {
-    versions: RwLock<HashMap<TxnKey, Vec<Version>>>,
+    /// Every key's version chain, under its domain (see [`Versions`]).
+    /// A domain enters with its first installed write and leaves when
+    /// [`MvccStore::vacuum`] empties it.
+    versions: RwLock<Versions>,
     /// The commit clock and the visibility watermark in one: the highest
     /// commit timestamp whose versions are installed. `begin` snapshots
     /// read it; [`StoreInner::install`] hands out the next timestamps
@@ -378,9 +396,8 @@ impl StoreInner {
             for (i, req) in batch.iter().enumerate() {
                 let stale = |domain: &str, key: &[u8]| {
                     claimed.contains(&(domain, key))
-                        || versions
-                            .get(&(domain.to_string(), key.to_vec()))
-                            .and_then(|chain| chain.last())
+                        || chain(&versions, domain, key)
+                            .and_then(<[Version]>::last)
                             .is_some_and(|last| last.commit_ts > req.start_ts)
                 };
                 let conflict = req
@@ -488,16 +505,23 @@ impl StoreInner {
     /// it contiguously. The caller holds `commit_mutex` and is past the
     /// log step, so timestamps follow log order and every one allocated
     /// is installed; it must hand each one to [`StoreInner::apply`].
+    /// A domain's name and a key's bytes are copied only when they start
+    /// a new domain or chain.
     fn install(&self, commits: &[Commit]) -> u64 {
         let first_ts = self.snapshot_ts.load(Ordering::SeqCst) + 1;
         {
             let mut versions = self.versions.write();
             for (commit_ts, c) in (first_ts..).zip(commits) {
                 for w in c.writes {
-                    versions
-                        .entry((w.domain.clone(), w.key.clone()))
-                        .or_default()
-                        .push(Version { commit_ts, value: w.value.clone() });
+                    let version = Version { commit_ts, value: w.value.clone() };
+                    match versions.get_mut(w.domain.as_str()) {
+                        Some(chains) => push_version(chains, &w.key, version),
+                        None => {
+                            let mut chains = Chains::new();
+                            push_version(&mut chains, &w.key, version);
+                            versions.insert(w.domain.clone(), chains);
+                        }
+                    }
                 }
             }
         }
@@ -538,6 +562,31 @@ impl StoreInner {
         let _turn = Turn { store: self, commit_ts };
         for hook in self.hooks.read().iter() {
             hook(writes);
+        }
+    }
+}
+
+/// Make room in each domain for the keys a load brings: a run of
+/// `writes` in one domain reserves its length there (a load's writes come
+/// grouped by domain).
+fn reserve_chains(versions: &mut Versions, writes: &[CommittedWrite]) {
+    for run in writes.chunk_by(|a, b| a.domain == b.domain) {
+        let domain = &run[0].domain;
+        match versions.get_mut(domain.as_str()) {
+            Some(chains) => chains.reserve(run.len()),
+            None => {
+                versions.insert(domain.clone(), Chains::with_capacity(run.len()));
+            }
+        }
+    }
+}
+
+/// Append `version` to `key`'s chain, starting the chain if need be.
+fn push_version(chains: &mut Chains, key: &[u8], version: Version) {
+    match chains.get_mut(key) {
+        Some(chain) => chain.push(version),
+        None => {
+            chains.insert(key.to_vec(), vec![version]);
         }
     }
 }
@@ -632,9 +681,8 @@ impl MvccStore {
     /// Latest committed value (outside any transaction).
     pub fn get_latest(&self, domain: &str, key: &[u8]) -> Option<Value> {
         let versions = self.inner.versions.read();
-        versions
-            .get(&(domain.to_string(), key.to_vec()))
-            .and_then(|chain| chain.last())
+        chain(&versions, domain, key)
+            .and_then(<[Version]>::last)
             .and_then(|v| v.value.clone())
     }
 
@@ -701,23 +749,26 @@ impl MvccStore {
     }
 
     /// Drop versions no live snapshot can see (all but the newest version
-    /// with `commit_ts <= horizon`).
+    /// with `commit_ts <= horizon`), and a domain left with no chain.
     pub fn vacuum(&self, horizon: u64) -> usize {
         let mut versions = self.inner.versions.write();
         let mut dropped = 0;
-        versions.retain(|_, chain| {
-            // Keep the newest version at-or-before the horizon plus
-            // everything after it.
-            if let Some(keep_from) = chain.iter().rposition(|v| v.commit_ts <= horizon) {
-                dropped += keep_from;
-                chain.drain(..keep_from);
-            }
-            // Fully-deleted, single-tombstone chains can go entirely.
-            if chain.len() == 1 && chain[0].value.is_none() && chain[0].commit_ts <= horizon {
-                dropped += 1;
-                return false;
-            }
-            true
+        versions.retain(|_, chains| {
+            chains.retain(|_, chain| {
+                // Keep the newest version at-or-before the horizon plus
+                // everything after it.
+                if let Some(keep_from) = chain.iter().rposition(|v| v.commit_ts <= horizon) {
+                    dropped += keep_from;
+                    chain.drain(..keep_from);
+                }
+                // Fully-deleted, single-tombstone chains can go entirely.
+                if chain.len() == 1 && chain[0].value.is_none() && chain[0].commit_ts <= horizon {
+                    dropped += 1;
+                    return false;
+                }
+                true
+            });
+            !chains.is_empty()
         });
         dropped
     }
@@ -790,11 +841,14 @@ impl MvccStore {
                     writes.iter().map(|w| (w.domain.as_str(), w.key.as_slice())).collect();
                 let mut doomed: Vec<CommittedWrite> = versions
                     .iter()
-                    .filter(|((domain, key), chain)| {
+                    .flat_map(|(domain, chains)| {
+                        chains.iter().map(move |(key, c)| (domain, key, c))
+                    })
+                    .filter(|(domain, key, chain)| {
                         chain.last().is_some_and(|v| v.value.is_some())
                             && !incoming.contains(&(domain.as_str(), key.as_slice()))
                     })
-                    .map(|((domain, key), _)| CommittedWrite {
+                    .map(|(domain, key, _)| CommittedWrite {
                         domain: domain.clone(),
                         key: key.clone(),
                         value: None,
@@ -808,7 +862,7 @@ impl MvccStore {
                 writes.extend(doomed);
             }
             drop(versions);
-            inner.versions.write().reserve(writes.len());
+            reserve_chains(&mut inner.versions.write(), &writes);
             (inner.install(&[Commit { txid: 0, writes: &writes }]), writes)
         };
         inner.apply(commit_ts, &writes);
@@ -869,16 +923,11 @@ impl Transaction {
         if let Some(w) = self.own_write(domain, key) {
             return Ok(w.value.clone());
         }
-        let tkey: TxnKey = (domain.to_string(), key.to_vec());
-        let value = self
-            .store
-            .versions
-            .read()
-            .get(&tkey)
+        let value = chain(&self.store.versions.read(), domain, key)
             .and_then(|c| c.iter().rev().find(|v| v.commit_ts <= self.start_ts))
             .and_then(|v| v.value.clone());
         if let Some(reads) = &self.reads {
-            reads.borrow_mut().push(tkey);
+            reads.borrow_mut().push((domain.to_string(), key.to_vec()));
         }
         Ok(value)
     }
@@ -894,8 +943,8 @@ impl Transaction {
             return Ok(w.value.is_some());
         }
         let versions = self.store.versions.read();
-        let chain = versions.get(&(domain.to_string(), key.to_vec()));
-        Ok(chain.and_then(|c| c.last()).is_some_and(|v| v.value.is_some()))
+        let last = chain(&versions, domain, key).and_then(<[Version]>::last);
+        Ok(last.is_some_and(|v| v.value.is_some()))
     }
 
     fn own_write(&self, domain: &str, key: &[u8]) -> Option<&CommittedWrite> {
@@ -1699,6 +1748,113 @@ mod tests {
         let s2 = MvccStore::new(None);
         s2.recover(&rec, wal.tail_lsn()).unwrap();
         assert_eq!(s2.get_latest("d", b"k"), Some(Value::int(2)));
+    }
+
+    #[test]
+    fn two_domains_holding_one_key_stay_apart() {
+        let s = store();
+        let mut t = s.begin(IsolationLevel::Snapshot);
+        t.put("kv/a", b"k", Value::int(1)).unwrap();
+        t.put("kv/b", b"k", Value::int(2)).unwrap();
+        t.commit().unwrap();
+        assert_eq!(s.get_latest("kv/a", b"k"), Some(Value::int(1)));
+        assert_eq!(s.get_latest("kv/b", b"k"), Some(Value::int(2)));
+        assert_eq!(s.get_latest("kv/c", b"k"), None);
+
+        // Validation: a write to one domain's key conflicts with nothing
+        // in the other's.
+        let mut only_b = s.begin(IsolationLevel::Snapshot);
+        let mut also_a = s.begin(IsolationLevel::Snapshot);
+        let reads_b = s.begin(IsolationLevel::Serializable);
+        assert_eq!(reads_b.get("kv/b", b"k").unwrap(), Some(Value::int(2)));
+        let mut t = s.begin(IsolationLevel::Snapshot);
+        t.delete("kv/a", b"k").unwrap();
+        t.commit().unwrap();
+        only_b.put("kv/b", b"k", Value::int(3)).unwrap();
+        only_b.commit().unwrap();
+        also_a.put("kv/a", b"k", Value::int(4)).unwrap();
+        assert_eq!(also_a.commit().unwrap_err().kind(), "txn_conflict");
+        let mut reads_b = reads_b;
+        reads_b.put("kv/c", b"k", Value::int(5)).unwrap();
+        let err = reads_b.commit().unwrap_err();
+        assert!(err.to_string().contains("read-write conflict on kv/b/"), "{err}");
+
+        let r = s.begin(IsolationLevel::Snapshot);
+        assert_eq!(r.get("kv/a", b"k").unwrap(), None);
+        assert_eq!(r.get("kv/b", b"k").unwrap(), Some(Value::int(3)));
+        assert!(!r.exists_latest("kv/a", b"k").unwrap());
+        assert!(r.exists_latest("kv/b", b"k").unwrap());
+
+        // Vacuum drops kv/a's tombstone, and kv/a with it; kv/b keeps its
+        // newest version.
+        assert_eq!(s.vacuum(s.now()), 3, "kv/a's two versions, kv/b's old one");
+        assert!(!s.inner.versions.read().contains_key("kv/a"));
+        assert_eq!(s.get_latest("kv/b", b"k"), Some(Value::int(3)));
+
+        // A load tombstones the key it lacks in one domain only.
+        let mut t = s.begin(IsolationLevel::Snapshot);
+        t.put("kv/a", b"k", Value::int(6)).unwrap();
+        t.commit().unwrap();
+        assert_eq!(s.load(vec![cw("kv/b", "k", Some(7))], 9), 1);
+        assert_eq!(s.get_latest("kv/a", b"k"), None, "kv/a/k is not in the state");
+        assert_eq!(s.get_latest("kv/b", b"k"), Some(Value::int(7)));
+    }
+
+    #[test]
+    fn vacuum_removes_an_emptied_domain() {
+        let s = store();
+        let mut t = s.begin(IsolationLevel::Snapshot);
+        for domain in ["kv/gone", "kv/kept"] {
+            t.put(domain, b"a", Value::int(1)).unwrap();
+            t.put(domain, b"b", Value::int(1)).unwrap();
+        }
+        t.commit().unwrap();
+        let mut t = s.begin(IsolationLevel::Snapshot);
+        t.delete("kv/gone", b"a").unwrap();
+        t.delete("kv/gone", b"b").unwrap();
+        t.delete("kv/kept", b"a").unwrap();
+        t.commit().unwrap();
+        let horizon = s.now();
+        // A tombstone past the horizon keeps its domain.
+        let mut t = s.begin(IsolationLevel::Snapshot);
+        t.delete("kv/late", b"a").unwrap();
+        t.commit().unwrap();
+
+        s.vacuum(horizon);
+        let domains = |s: &MvccStore| {
+            let mut names: Vec<String> = s.inner.versions.read().keys().cloned().collect();
+            names.sort();
+            names
+        };
+        assert_eq!(domains(&s), ["kv/kept", "kv/late"]);
+        assert_eq!(s.get_latest("kv/kept", b"b"), Some(Value::int(1)));
+        s.vacuum(s.now());
+        assert_eq!(domains(&s), ["kv/kept"]);
+    }
+
+    #[test]
+    fn a_serializable_transaction_records_each_read_it_makes_of_the_store() {
+        let s = store();
+        let t = s.begin(IsolationLevel::Serializable);
+        let mut w = s.begin(IsolationLevel::Snapshot);
+        w.put("kv/a", b"own", Value::int(1)).unwrap();
+        assert_eq!(t.get("kv/a", b"k").unwrap(), None);
+        assert_eq!(t.get("kv/b", b"k").unwrap(), None);
+        let recorded = t.reads.as_ref().map(|r| r.borrow().clone());
+        let owned = |d: &str| (d.to_string(), b"k".to_vec());
+        assert_eq!(recorded, Some(vec![owned("kv/a"), owned("kv/b")]));
+        // A snapshot transaction records nothing.
+        assert_eq!(w.get("kv/a", b"k").unwrap(), None);
+        assert!(w.reads.is_none());
+        w.commit().unwrap();
+        // The recorded read of kv/b/k is validated: a commit there after
+        // the snapshot fails the reader's commit.
+        let mut t = t;
+        t.put("kv/c", b"x", Value::int(1)).unwrap();
+        let mut later = s.begin(IsolationLevel::Snapshot);
+        later.put("kv/b", b"k", Value::int(2)).unwrap();
+        later.commit().unwrap();
+        assert_eq!(t.commit().unwrap_err().kind(), "txn_conflict");
     }
 
     #[test]

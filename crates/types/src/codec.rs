@@ -135,7 +135,7 @@ fn decode_node(buf: &mut &[u8], node: &Node) -> Result<Value> {
             raw.copy_from_slice(take(buf, 8)?);
             Value::Number(Number::Float(f64::from_bits(u64::from_be_bytes(raw))))
         }
-        TAG_STRING => Value::String(take_str(buf)?.to_string()),
+        TAG_STRING => Value::str(take_str(buf)?),
         TAG_BYTES => {
             let len = get_varint(buf)? as usize;
             Value::Bytes(take(buf, len)?.to_vec())

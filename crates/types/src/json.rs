@@ -99,7 +99,7 @@ impl<'a> Parser<'a> {
         let v = match self.peek() {
             Some(b'{') => self.parse_object(),
             Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
+            Some(b'"') => Ok(Value::from(self.parse_string()?)),
             Some(b't') => self.parse_lit("true", Value::Bool(true)),
             Some(b'f') => self.parse_lit("false", Value::Bool(false)),
             Some(b'n') => self.parse_lit("null", Value::Null),

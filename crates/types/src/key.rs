@@ -1,30 +1,33 @@
-//! [`Key`]: the name of an object field.
+//! [`Key`]: the engine's inline string — the name of an object field and
+//! the text of a string value ([`Value::String`](crate::Value::String)).
 //!
-//! Field names are short — `_key`, `customer_id`, `orderlines` — and a
-//! decoded document carries one per field, so a heap `String` per name
-//! would be most of what reading a document allocates. A `Key` is 24
-//! bytes, the size of a `String`: names of up to 22 bytes live inline in
-//! it, longer ones in a `Box<str>`. It derefs to `&str`, and compares,
-//! orders and hashes exactly as its text does, so where a name is stored
-//! (inline or on the heap) is never observable.
+//! Field names are short — `_key`, `customer_id`, `orderlines` — and so
+//! are most string values — a customer id, a vertex handle, a gender, a
+//! date. A decoded document carries one name per field and often a string
+//! per field, so a heap `String` each would be most of what reading a
+//! document, or keeping it in memory, allocates. A `Key` is 24 bytes, the
+//! size of a `String`: text of up to 22 bytes lives inline in it, longer
+//! text in a `Box<str>`. It derefs to `&str`, and compares, orders and
+//! hashes exactly as its text does, so where a string is stored (inline
+//! or on the heap) is never observable.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 
-/// Longest name stored inline.
+/// Longest text stored inline.
 const INLINE: usize = 22;
 
-/// An object field name; see the [module docs](self).
+/// A field name or a string value's text; see the [module docs](self).
 #[derive(Clone)]
 pub struct Key(Repr);
 
 #[derive(Clone)]
 enum Repr {
-    /// `bytes[..len]` is the name.
+    /// `bytes[..len]` is the text.
     Inline { len: u8, bytes: [u8; INLINE] },
-    /// A name longer than [`INLINE`] bytes.
+    /// Text longer than [`INLINE`] bytes.
     Heap(Box<str>),
 }
 
@@ -41,7 +44,7 @@ impl Key {
         Key(Repr::Inline { len: name.len() as u8, bytes })
     }
 
-    /// The name.
+    /// The text.
     pub fn as_str(&self) -> &str {
         match &self.0 {
             Repr::Inline { len, bytes } => {
@@ -56,7 +59,7 @@ impl Key {
         }
     }
 
-    /// True when the name lives inline.
+    /// True when the text lives inline.
     #[cfg(test)]
     pub(crate) fn is_inline(&self) -> bool {
         matches!(self.0, Repr::Inline { .. })
@@ -76,6 +79,18 @@ impl PartialEq for Key {
     }
 }
 impl Eq for Key {}
+
+impl PartialEq<str> for Key {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for Key {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
 
 impl PartialOrd for Key {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
@@ -114,13 +129,19 @@ impl From<&String> for Key {
 }
 
 impl From<String> for Key {
-    /// A long name keeps the string's buffer.
+    /// Long text keeps the string's buffer.
     fn from(name: String) -> Key {
         if name.len() > INLINE {
             Key(Repr::Heap(name.into_boxed_str()))
         } else {
             Key::new(&name)
         }
+    }
+}
+
+impl fmt::Display for Key {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
     }
 }
 

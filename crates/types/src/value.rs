@@ -151,8 +151,9 @@ pub enum Value {
     Bool(bool),
     /// Numeric (integer or float).
     Number(Number),
-    /// UTF-8 string.
-    String(String),
+    /// UTF-8 string, in a [`Key`]: 22 bytes or less inline, so a short
+    /// string costs no allocation of its own.
+    String(Key),
     /// Raw bytes (BLOBs; not expressible in JSON — serialized as base64-ish hex).
     Bytes(Vec<u8>),
     /// Ordered list of values.
@@ -161,7 +162,8 @@ pub enum Value {
     Object(ObjectMap),
 }
 
-// Field names moved from `String` to `Key` without growing a value.
+// Field names and string values are 24-byte `Key`s, the size of the
+// `String` they share a slot with; a value must not grow past 32 bytes.
 const _: () = assert!(std::mem::size_of::<Value>() == 32);
 
 /// Insertion-ordered string-keyed map used for [`Value::Object`].
@@ -314,8 +316,8 @@ impl Value {
         }
     }
 
-    /// String helper.
-    pub fn str(s: impl Into<String>) -> Value {
+    /// String helper; allocates only past 22 bytes (see [`Key`]).
+    pub fn str(s: impl Into<Key>) -> Value {
         Value::String(s.into())
     }
 
@@ -560,7 +562,7 @@ impl From<&str> for Value {
 }
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::String(s)
+        Value::String(s.into())
     }
 }
 impl<V: Into<Value>> From<Vec<V>> for Value {
@@ -704,6 +706,48 @@ mod tests {
         assert!(only_long < only_short);
         assert_ne!(h(&only_long), h(&only_short));
         assert_eq!(decoded.get_field(long), &Value::int(1));
+    }
+
+    #[test]
+    fn where_a_string_value_is_stored_never_shows() {
+        use crate::codec::{decode_projected, encode_value, value_to_bytes};
+        use crate::{from_json, to_json, Path, Projection};
+        use std::collections::HashMap;
+        let ascii = |len: usize| "abcdefghijklmnopqrstuvwxyz0123456789".repeat(2)[..len].to_string();
+        // 0/21/22/23/64 ASCII bytes; 21 ASCII + 'é' ends at 23 bytes, past
+        // the inline limit, and 20 + 'é' at 22, inside it.
+        let mut texts: Vec<String> = [0, 21, 22, 23, 64].into_iter().map(ascii).collect();
+        texts.extend([format!("{}é", ascii(21)), format!("{}é", ascii(20))]);
+        let only_s = Projection::of([Path::parse("s").unwrap()]);
+        let mut seen: HashMap<Value, usize> = HashMap::new();
+        for (i, text) in texts.iter().enumerate() {
+            let (borrowed, owned) = (Value::str(text.as_str()), Value::from(text.clone()));
+            let Value::String(key) = &borrowed else { unreachable!() };
+            assert_eq!(key.is_inline(), text.len() <= 22, "{text:?}: {} bytes", text.len());
+            assert_eq!(borrowed, owned, "{text:?}");
+            assert_eq!(borrowed.cmp(&owned), Ordering::Equal, "{text:?}");
+            assert_eq!(seen.insert(borrowed.clone(), i), None, "{text:?} is new");
+            assert_eq!(seen.get(&owned), Some(&i), "{text:?} as the other build");
+
+            let mut bytes = Vec::new();
+            encode_value(&owned, &mut bytes);
+            let mut before = vec![0x05, text.len() as u8];
+            before.extend_from_slice(text.as_bytes());
+            assert_eq!(bytes, before, "{text:?} encodes as a heap string did");
+            assert_eq!(decode_projected(&bytes, &Projection::ALL).unwrap(), borrowed);
+            let doc = value_to_bytes(&Value::object([("s", owned.clone()), ("n", Value::int(1))]));
+            let projected = decode_projected(&doc, &only_s).unwrap();
+            assert_eq!(projected, Value::object([("s", borrowed.clone())]));
+
+            let json = to_json(&borrowed);
+            assert_eq!(json, format!("\"{text}\""));
+            assert_eq!(from_json(&json).unwrap(), owned);
+        }
+        // Values sort as their texts do, whichever side of the limit.
+        let mut values: Vec<Value> = texts.iter().map(|t| Value::str(t.as_str())).collect();
+        values.sort();
+        texts.sort();
+        assert_eq!(values, texts.into_iter().map(Value::from).collect::<Vec<_>>());
     }
 
     #[test]

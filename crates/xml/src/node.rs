@@ -134,7 +134,7 @@ impl Tree {
                     None => parent,
                 };
                 let leaf = match scalar {
-                    Value::String(s) => NodeKind::Text(s.clone()),
+                    Value::String(s) => NodeKind::Text(s.to_string()),
                     other => NodeKind::Scalar(other.clone()),
                 };
                 self.append_child(holder, leaf);
@@ -186,13 +186,13 @@ impl Tree {
     pub fn typed_value(&self, id: NodeId) -> Value {
         let node = &self.nodes[id];
         match &node.kind {
-            NodeKind::Text(t) => return Value::str(t.clone()),
+            NodeKind::Text(t) => return Value::str(t),
             NodeKind::Scalar(v) => return v.clone(),
             _ => {}
         }
         if node.children.len() == 1 {
             match &self.nodes[node.children[0]].kind {
-                NodeKind::Text(t) => return Value::str(t.clone()),
+                NodeKind::Text(t) => return Value::str(t),
                 NodeKind::Scalar(v) => return v.clone(),
                 _ => {}
             }

@@ -94,12 +94,14 @@ echo "==> the read path's allocation budget and mmdb-types, optimized build"
 # tests/query_allocs.rs ran in the debug pass above; this is the
 # optimized build, the one the benchmark of record measures. It counts
 # allocator calls per examined row for a scan, Q2, Q4 as a hash join and
-# Q5's traversal (1.92, 5.45, 4.55 and 7.21; before projected document
-# reads: 9.19, 8.42, 13.68 and 9.53), with budgets that fail if a whole
-# document decode, a copied document, field name, bound name, lookup
-# key, record or edge handle comes back. mmdb-types runs again optimized
-# because its inline `Key` reads names with `from_utf8_unchecked`, and
-# the optimized build is where a wrong `unsafe` would show.
+# Q5's traversal (1.12, 3.72, 3.99 and 4.88; with heap strings: 1.92,
+# 5.45, 4.55 and 7.21; before projected document reads: 9.19, 8.42,
+# 13.68 and 9.53), with budgets that fail if a whole document decode, a
+# copied document, field name, string value, bound name, lookup key,
+# record or edge handle comes back. mmdb-types runs again optimized
+# because its inline `Key` reads names and string values with
+# `from_utf8_unchecked`, and the optimized build is where a wrong
+# `unsafe` would show.
 cargo test -q --release --test query_allocs
 cargo test -q --release -p mmdb-types
 
