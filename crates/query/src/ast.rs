@@ -91,6 +91,23 @@ impl Expr {
     pub fn field(self, name: &str) -> Expr {
         Expr::Field(Box::new(self), name.to_string())
     }
+
+    /// The expression's direct subexpressions, left to right. A subquery,
+    /// planned or not, has none: its clauses are not expressions of this
+    /// one.
+    pub fn children(&self) -> impl Iterator<Item = &Expr> {
+        let (boxed, items, fields) = match self {
+            Expr::Literal(_) | Expr::Var(_) | Expr::Subquery(_) | Expr::SubPlan(_) => ([None; 3], &[][..], &[][..]),
+            Expr::Field(a, _) | Expr::Spread(a) | Expr::Not(a) | Expr::Neg(a) => {
+                ([Some(&**a), None, None], &[][..], &[][..])
+            }
+            Expr::Index(a, b) | Expr::Binary(_, a, b) => ([Some(&**a), Some(&**b), None], &[][..], &[][..]),
+            Expr::Ternary(a, b, c) => ([Some(&**a), Some(&**b), Some(&**c)], &[][..], &[][..]),
+            Expr::Call(_, items) | Expr::Array(items) => ([None; 3], items.as_slice(), &[][..]),
+            Expr::Object(fields) => ([None; 3], &[][..], fields.as_slice()),
+        };
+        boxed.into_iter().flatten().chain(items).chain(fields.iter().map(|(_, e)| e))
+    }
 }
 
 impl fmt::Display for BinOp {

@@ -11,10 +11,11 @@
 //!    one predicate.
 //! 4. **Index selection** — a `For` over a named source immediately
 //!    followed by a `Filter` whose conjuncts include `var.path op literal`
-//!    becomes an `IndexScan` when the source has a matching persistent
-//!    (document) or secondary (relational) index; leftover conjuncts stay
-//!    as the scan's residual predicate. This is the tutorial's
-//!    "query optimization = pick the right index" story in miniature.
+//!    (`op` one of `==`, `<`, `<=`, `>`, `>=`) becomes an `IndexScan` when
+//!    the source has a matching persistent (document) or secondary
+//!    (relational) index; leftover conjuncts stay as the scan's residual
+//!    predicate. This is the tutorial's "query optimization = pick the
+//!    right index" story in miniature.
 //! 5. **Hash join** — a `For` + `Filter` pair that rule 4 left alone
 //!    becomes a `HashJoin` when the source is the same for every row, the
 //!    node can see more than one row, and a conjunct equates a path of the
@@ -24,21 +25,26 @@
 //!    equi-correlated subquery.
 //! 6. **Projection** — a node that binds a variable to a stored document
 //!    (a collection's `For`, `IndexScan` or `HashJoin` build, a
-//!    `Traverse` vertex, `For … IN FULLTEXT(…)`, `LET … = DOC(…)`) gets
-//!    the paths the rest of the plan, subqueries included, reads of that
-//!    variable, and its read decodes only those (see `projection_after`).
-//!    Navigation reads what it reaches, `FOR x IN v.path` and
-//!    `LET x = v.path` read what is read of `x`, comparing `v` with
-//!    `NULL` reads nothing, and any other use reads the whole value.
-//!    Relational rows and kv entries are never projected.
+//!    `Traverse` vertex, `For … IN FULLTEXT(…)`, `LET … = DOC(…)`)
+//!    decodes only what the read analysis finds read of it after the
+//!    node, its own residual or build key included. Relational rows and
+//!    kv entries are never projected.
 //! 7. **Early duplicate elimination** — in a `RETURN DISTINCT` pipeline,
-//!    a [`PlanNode::Dedup`] on the variables still read goes where a
-//!    variable bound by a row-multiplying node (`For`, `IndexScan`,
-//!    `HashJoin`, `Traverse`) is read no more, once a later
-//!    row-multiplying node has run under its rows, when no `Limit` or
-//!    `Collect` follows and per-row work does (see `early_dedup`). Q2's
-//!    customers fan in on their friends: each friend's cart and order is
-//!    then fetched once, not once per customer who knows them.
+//!    a [`PlanNode::Dedup`] on the variables still read goes where the
+//!    read analysis finds a variable bound by a row-multiplying node read
+//!    no more (see `dedup_candidates`). Q2's customers fan in on their
+//!    friends: each friend's cart and order is then fetched once, not
+//!    once per customer who knows them.
+//!
+//! **The read analysis** (`Reads`) is what rules 5–7 know of reads. Like
+//! a liveness analysis it walks a pipeline once, from `RETURN` back, and
+//! gives what the rest of the pipeline, subqueries included, reads of
+//! each name: nothing, some paths (none: `v == NULL`), or all of it.
+//! Navigation reads the path it reaches; `FOR x IN v.path` and `LET x =
+//! v.path` read of `v` what is read of `x` below `path`; a hash join's
+//! source and any other use read the value whole. A later binding of a
+//! name, here or in a subquery, reads the earlier binding whole.
+//! `COLLECT … INTO` and a subquery not yet planned read everything.
 //!
 //! Every rewrite keeps the result vector — a plan straight from
 //! `build_plan` and its optimized form return the same vector, or the
@@ -46,6 +52,8 @@
 //! index order. Rule 7 drops rows, never results: a dropped row binds
 //! what the row kept before it binds, so it would have produced nothing
 //! new, and nothing earlier.
+
+use std::ops::RangeInclusive;
 
 use mmdb_types::{Path, Projection, Value};
 
@@ -84,28 +92,14 @@ impl Scope {
 
     /// Move past `node`: record what it binds.
     fn enter(&mut self, node: &PlanNode) {
-        match node {
-            PlanNode::For { var, .. }
-            | PlanNode::IndexScan { var, .. }
-            | PlanNode::HashJoin { var, .. }
-            | PlanNode::Traverse { var, .. } => {
-                self.multiplied = true;
-                self.bound.push((var.clone(), false));
-            }
-            PlanNode::Let { var, .. } => self.bound.push((var.clone(), !self.multiplied)),
-            // COLLECT starts its groups from an empty environment.
-            PlanNode::Collect { key, into, aggregates } => {
-                self.multiplied = true;
-                self.bound.clear();
-                let vars = key
-                    .iter()
-                    .map(|(v, _)| v)
-                    .chain(into)
-                    .chain(aggregates.iter().map(|(v, _, _)| v));
-                self.bound.extend(vars.map(|v| (v.clone(), false)));
-            }
-            PlanNode::Filter(_) | PlanNode::Sort(_) | PlanNode::Limit { .. } | PlanNode::Dedup(_) => {}
+        let (names, multiplies) = node.binds();
+        // COLLECT starts its groups from an empty environment.
+        if let PlanNode::Collect { .. } = node {
+            self.bound.clear();
         }
+        let once = !multiplies && !self.multiplied;
+        self.bound.extend(names.map(|v| (v.to_string(), once)));
+        self.multiplied |= multiplies;
     }
 }
 
@@ -141,9 +135,11 @@ fn optimize_in(mut plan: Plan, world: &World, scope: Scope, slots: &mut usize) -
         }
     }
 
-    // 4 + 5. Index selection, then hash join, on For+Filter pairs.
-    let mut at = scope.clone();
+    // 4 + 5. Index selection, then hash join, on For+Filter pairs; and
+    //    the nodes rule 6 projects.
+    let mut at = scope;
     let mut out: Vec<PlanNode> = Vec::with_capacity(merged.len());
+    let mut documents = Vec::new();
     let mut iter = merged.into_iter().peekable();
     while let Some(mut node) = iter.next() {
         if let PlanNode::For { var, source: Expr::Var(name), .. } = &node {
@@ -156,24 +152,30 @@ fn optimize_in(mut plan: Plan, world: &World, scope: Scope, slots: &mut usize) -
                 }
             }
         }
+        if binds_document(&node, world, &at) {
+            documents.push(out.len());
+        }
         at.enter(&node);
         out.push(node);
     }
 
-    // 6. Projection: each read of a stored document decodes only what
-    //    the rest of the plan reads of it.
-    let mut at = scope;
-    for i in 0..out.len() {
-        if let Some(var) = document_binding(&out[i], world, &at) {
-            let project = projection_after(&out[i], var, &out[i + 1..], &plan.ret);
-            set_projection(&mut out[i], project);
+    // 6 + 7. Projection and early duplicate elimination, from one read
+    //    analysis of the rewritten pipeline.
+    let candidates = if plan.distinct { dedup_candidates(&out, &plan.ret) } else { Vec::new() };
+    if !documents.is_empty() || !candidates.is_empty() {
+        let (mut bound, live) = analyse(&out, &plan.ret, !candidates.is_empty());
+        let projections: Vec<(usize, Projection)> =
+            documents.into_iter().map(|i| (i, projection(bound[i].take()))).collect();
+        let cuts = dedup_cuts(&out, candidates, &live);
+        for (i, p) in projections {
+            if let Some(project) = out[i].projection_mut() {
+                *project = p;
+            }
         }
-        at.enter(&out[i]);
-    }
-
-    // 7. Early duplicate elimination.
-    if plan.distinct {
-        out = early_dedup(out, &plan.ret);
+        // Each cut goes in before the node it names, the last ones first.
+        for (c, vars) in cuts.into_iter().rev() {
+            out.insert(c, PlanNode::Dedup(vars));
+        }
     }
     plan.nodes = out;
     plan
@@ -188,13 +190,6 @@ fn plan_subquery(e: &mut Expr, world: &World, scope: &Scope, slots: &mut usize) 
             *e = Expr::SubPlan(Box::new(optimize_in(plan, world, scope.clone(), slots)));
         }
     }
-}
-
-/// A single extracted comparison `var.path op literal`.
-struct PathCmp {
-    path: String,
-    op: BinOp,
-    value: Value,
 }
 
 fn try_index_scan(
@@ -222,33 +217,16 @@ fn try_index_scan(
     }
     let mut conjuncts = Vec::new();
     split_conjuncts(pred, &mut conjuncts);
-    // Find the first conjunct whose path has an index.
-    let mut chosen: Option<(usize, PathCmp)> = None;
-    for (i, c) in conjuncts.iter().enumerate() {
-        if let Some(pc) = extract_path_cmp(c, var) {
-            if indexed_paths.contains(&pc.path) {
-                chosen = Some((i, pc));
-                break;
-            }
-        }
-    }
-    let (idx, pc) = chosen?;
-    let (lo, hi) = match pc.op {
-        BinOp::Eq => (PlanBound::Included(pc.value.clone()), PlanBound::Included(pc.value)),
-        BinOp::Lt => (PlanBound::Unbounded, PlanBound::Excluded(pc.value)),
-        BinOp::Le => (PlanBound::Unbounded, PlanBound::Included(pc.value)),
-        BinOp::Gt => (PlanBound::Excluded(pc.value), PlanBound::Unbounded),
-        BinOp::Ge => (PlanBound::Included(pc.value), PlanBound::Unbounded),
-        _ => return None,
-    };
-    let residual = conjoin_except(&conjuncts, idx);
+    let (idx, (path, lo, hi)) = conjuncts.iter().enumerate().find_map(|(i, c)| {
+        path_range(c, var).filter(|(path, ..)| indexed_paths.contains(path)).map(|range| (i, range))
+    })?;
     Some(PlanNode::IndexScan {
         var: var.to_string(),
         source: source.to_string(),
-        path: pc.path,
+        path,
         lo,
         hi,
-        residual,
+        residual: conjoin_except(&conjuncts, idx),
         project: Projection::ALL,
     })
 }
@@ -262,9 +240,10 @@ fn try_index_scan(
 ///   is a path of `var` and `probe` reads earlier variables, at least
 ///   one, and never `var`;
 /// * both keys, and every conjunct ahead of that one, cannot fail
-///   ([`infallible`]): the join evaluates keys for rows the nested loop's
-///   short-circuit `&&` might never have reached, and the conjuncts ahead
-///   only for matching pairs, so neither may be able to raise an error.
+///   ([`infallible`]) and read only bound names: the join evaluates keys
+///   for rows the nested loop's short-circuit `&&` might never have
+///   reached, and the conjuncts ahead only for matching pairs, so neither
+///   may be able to raise an error.
 ///
 /// The other conjuncts become the residual, in their original order.
 fn try_hash_join(
@@ -279,25 +258,21 @@ fn try_hash_join(
     }
     let mut conjuncts = Vec::new();
     split_conjuncts(pred, &mut conjuncts);
-    let inner = |name: &str| name == var || scope.is_bound(name);
     let mut chosen = None;
     for (i, c) in conjuncts.iter().enumerate() {
         if let Expr::Binary(BinOp::Eq, l, r) = c {
             let keys = [(l, r), (r, l)].into_iter().find(|(build, probe)| {
-                let reads_outer = std::cell::Cell::new(false);
                 path_of(build, var).is_some()
-                    && infallible(probe, &|name| {
-                        reads_outer.set(true);
-                        name != var && scope.is_bound(name)
+                    && safe_reads(probe).is_some_and(|names| {
+                        !names.is_empty() && names.iter().all(|(n, _)| *n != var && scope.is_bound(n))
                     })
-                    && reads_outer.get()
             });
             if let Some((build, probe)) = keys {
                 chosen = Some((i, (**build).clone(), (**probe).clone()));
                 break;
             }
         }
-        if !infallible(c, &inner) {
+        if !safe_reads(c).is_some_and(|names| names.iter().all(|(n, _)| *n == var || scope.is_bound(n))) {
             return None;
         }
     }
@@ -316,33 +291,24 @@ fn try_hash_join(
     })
 }
 
-/// Can evaluating `e` never return an error, given that every variable
-/// it reads satisfies `bound`? Navigation, comparisons and boolean
-/// operators cannot fail; arithmetic, negation, calls, computed indexes
-/// and subqueries can.
-fn infallible(e: &Expr, bound: &dyn Fn(&str) -> bool) -> bool {
-    match e {
-        Expr::Literal(_) => true,
-        Expr::Var(name) => bound(name),
-        Expr::Field(a, _) | Expr::Spread(a) | Expr::Not(a) => infallible(a, bound),
-        Expr::Index(a, idx) => {
-            infallible(a, bound)
-                && match &**idx {
-                    Expr::Literal(Value::Number(n)) => n.as_i64().is_some(),
-                    Expr::Literal(Value::String(_)) => true,
-                    _ => false,
-                }
-        }
-        Expr::Binary(op, l, r) => {
+/// The names `e` reads, when evaluating it cannot fail.
+fn safe_reads(e: &Expr) -> Option<Vec<(&str, Read<'_>)>> {
+    infallible(e).then(|| Reads::of(e).names)
+}
+
+/// Can evaluating `e` never return an error, whatever its variables hold?
+/// Navigation, comparisons and boolean operators cannot fail; arithmetic,
+/// negation, calls, computed indexes and subqueries can.
+fn infallible(e: &Expr) -> bool {
+    let this = match e {
+        Expr::Index(_, idx) => is_constant_index(idx),
+        Expr::Binary(op, ..) => {
             !matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod)
-                && infallible(l, bound)
-                && infallible(r, bound)
         }
-        Expr::Ternary(c, a, b) => [c, a, b].into_iter().all(|x| infallible(x, bound)),
-        Expr::Array(items) => items.iter().all(|x| infallible(x, bound)),
-        Expr::Object(fields) => fields.iter().all(|(_, x)| infallible(x, bound)),
         Expr::Neg(_) | Expr::Call(..) | Expr::Subquery(_) | Expr::SubPlan(_) => false,
-    }
+        _ => true,
+    };
+    this && e.children().all(infallible)
 }
 
 /// The residual predicate: every conjunct but the one a rewrite consumed,
@@ -365,280 +331,312 @@ fn split_conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
     }
 }
 
-/// Match `var.path op literal` (or reversed) where path is a chain of
-/// field/constant-index accesses rooted at `var`.
-fn extract_path_cmp(e: &Expr, var: &str) -> Option<PathCmp> {
+/// Match `var.path op literal` (or reversed), where `op` is `==`, `<`,
+/// `<=`, `>` or `>=` and path is a chain of field/constant-index accesses
+/// rooted at `var`: the path, and the bounds it puts on its value.
+fn path_range(e: &Expr, var: &str) -> Option<(String, PlanBound, PlanBound)> {
     let Expr::Binary(op, l, r) = e else { return None };
-    let (path_side, lit_side, op) = match (&**l, &**r) {
-        (_, Expr::Literal(_)) => (l, r, *op),
-        (Expr::Literal(_), _) => (r, l, flip(*op)?),
+    let (path_side, value, reversed) = match (&**l, &**r) {
+        (_, Expr::Literal(v)) => (l, v, false),
+        (Expr::Literal(v), _) => (r, v, true),
         _ => return None,
     };
-    let Expr::Literal(value) = &**lit_side else { return None };
     let path = path_of(path_side, var)?;
-    Some(PathCmp { path, op, value: value.clone() })
-}
-
-fn flip(op: BinOp) -> Option<BinOp> {
-    Some(match op {
-        BinOp::Eq => BinOp::Eq,
-        BinOp::Lt => BinOp::Gt,
-        BinOp::Le => BinOp::Ge,
-        BinOp::Gt => BinOp::Lt,
-        BinOp::Ge => BinOp::Le,
+    let v = || value.clone();
+    let (lo, hi) = match (op, reversed) {
+        (BinOp::Eq, _) => (PlanBound::Included(v()), PlanBound::Included(v())),
+        (BinOp::Lt, false) | (BinOp::Gt, true) => (PlanBound::Unbounded, PlanBound::Excluded(v())),
+        (BinOp::Le, false) | (BinOp::Ge, true) => (PlanBound::Unbounded, PlanBound::Included(v())),
+        (BinOp::Gt, false) | (BinOp::Lt, true) => (PlanBound::Excluded(v()), PlanBound::Unbounded),
+        (BinOp::Ge, false) | (BinOp::Le, true) => (PlanBound::Included(v()), PlanBound::Unbounded),
         _ => return None,
-    })
+    };
+    Some((path, lo, hi))
 }
 
 /// `e` as a point path of `var`: fields and constant indexes.
 fn path_of(e: &Expr, var: &str) -> Option<String> {
-    path_steps(e, var).filter(Path::is_point).map(|p| p.to_string())
+    (nav_root(e)? == var).then(|| nav_path(e)).filter(Path::is_point).map(|p| p.to_string())
 }
 
-/// `e` as a navigation path of `var`: fields, `[*]` and constant
-/// indexes (a string index is a field).
-fn path_steps(e: &Expr, var: &str) -> Option<Path> {
+/// The variable `e` navigates from, when `e` is a navigation path: a
+/// variable, then fields, `[*]` and constant indexes.
+fn nav_root(e: &Expr) -> Option<&str> {
     match e {
-        Expr::Var(v) if v == var => Some(Path::root()),
-        Expr::Field(base, name) => Some(path_steps(base, var)?.field(name.clone())),
-        Expr::Spread(base) => Some(path_steps(base, var)?.wildcard()),
-        Expr::Index(base, idx) => {
-            let p = path_steps(base, var)?;
-            match &**idx {
-                Expr::Literal(Value::Number(n)) => n.as_i64().map(|i| p.index(i)),
-                Expr::Literal(Value::String(name)) => Some(p.field(name.as_str())),
-                _ => None,
-            }
-        }
+        Expr::Var(v) => Some(v),
+        Expr::Field(base, _) | Expr::Spread(base) => nav_root(base),
+        Expr::Index(base, idx) if is_constant_index(idx) => nav_root(base),
         _ => None,
     }
 }
 
-/// Rule 6's bindings: the variable `node` binds to a stored document —
-/// a collection's scan, index scan or hash-join build, a traversal's
-/// vertex, a `FULLTEXT` match or `DOC`'s document. Relational rows and
-/// kv entries are not documents here (KNOWN_ISSUES.md).
-fn document_binding<'n>(node: &'n PlanNode, world: &World, scope: &Scope) -> Option<&'n str> {
+/// An integer or a string (a field name) literal.
+fn is_constant_index(idx: &Expr) -> bool {
+    matches!(idx, Expr::Literal(Value::Number(n)) if n.as_i64().is_some()) || matches!(idx, Expr::Literal(Value::String(_)))
+}
+
+/// The path a navigation path ([`nav_root`]) reaches from its variable
+/// (a string index is a field).
+fn nav_path(e: &Expr) -> Path {
+    match e {
+        Expr::Field(base, name) => nav_path(base).field(name.clone()),
+        Expr::Spread(base) => nav_path(base).wildcard(),
+        Expr::Index(base, idx) => match &**idx {
+            Expr::Literal(Value::Number(n)) => nav_path(base).index(n.as_i64().unwrap_or_default()),
+            Expr::Literal(Value::String(name)) => nav_path(base).field(name.as_str()),
+            _ => nav_path(base),
+        },
+        _ => Path::root(),
+    }
+}
+
+/// Rule 6's bindings: does `node` bind its variable to a stored document?
+/// Relational rows and kv entries are not documents here (KNOWN_ISSUES.md).
+fn binds_document(node: &PlanNode, world: &World, scope: &Scope) -> bool {
     let collection = |name: &str| !scope.is_bound(name) && world.collection(name).is_ok();
     match node {
-        PlanNode::For { var, source: Expr::Var(name), .. } if collection(name) => Some(var),
-        PlanNode::For { var, source: Expr::Call(f, _), .. } if f == "FULLTEXT" => Some(var),
-        PlanNode::IndexScan { var, source, .. } | PlanNode::HashJoin { var, source, .. }
-            if collection(source) =>
-        {
-            Some(var)
+        PlanNode::For { source: Expr::Var(name), .. } => collection(name),
+        PlanNode::For { source: Expr::Call(f, _), .. } => f == "FULLTEXT",
+        PlanNode::IndexScan { source, .. } | PlanNode::HashJoin { source, .. } => collection(source),
+        PlanNode::Traverse { .. } => true,
+        PlanNode::Let { value: Expr::Call(f, _), .. } => f == "DOC",
+        _ => false,
+    }
+}
+
+/// The read analysis of one pipeline: per node, what is read of the name
+/// it binds; with `live`, per position `c`, what `nodes[c..]` and
+/// `RETURN` read.
+fn analyse<'p>(nodes: &'p [PlanNode], ret: &'p Expr, live: bool) -> (Vec<Option<Read<'p>>>, Vec<Live<'p>>) {
+    let mut at = Reads::of(ret);
+    let (mut bound, mut names) = (Vec::with_capacity(nodes.len()), Vec::new());
+    for node in nodes.iter().rev() {
+        names.extend(live.then(|| at.live()));
+        bound.push(at.node(node));
+    }
+    names.extend(live.then(|| at.live()));
+    bound.reverse();
+    names.reverse();
+    (bound, names)
+}
+
+/// The names read from a position on, each with "only because a later
+/// binding shadows it"; `None` when every binding is read.
+type Live<'p> = Option<Vec<(&'p str, bool)>>;
+
+/// What part of a plan reads of each name.
+#[derive(Default)]
+struct Reads<'p> {
+    names: Vec<(&'p str, Read<'p>)>,
+    /// Is every binding read whole?
+    all: bool,
+}
+
+/// What is read of one name.
+enum Read<'p> {
+    /// These paths of it, possibly none.
+    Paths(Vec<PathRead<'p>>),
+    /// All of it.
+    Whole,
+    /// All of it, only because a later binding of the name shadows it.
+    Shadowed,
+}
+
+/// One path read of a name: the path a navigation of it reaches, then
+/// `[*]` when set, then (through `FOR x IN v.path` or `LET x = v.path`)
+/// the path read of `x`.
+#[derive(Clone)]
+struct PathRead<'p>(&'p Expr, bool, Option<Box<PathRead<'p>>>);
+
+impl PathRead<'_> {
+    fn path(&self) -> Path {
+        let path = if self.1 { nav_path(self.0).wildcard() } else { nav_path(self.0) };
+        match &self.2 {
+            Some(below) => Path::from_steps(path.steps().iter().chain(below.path().steps()).cloned().collect()),
+            None => path,
         }
-        PlanNode::Traverse { var, .. } => Some(var),
-        PlanNode::Let { var, value: Expr::Call(f, _), .. } if f == "DOC" => Some(var),
-        _ => None,
     }
 }
 
-/// What the plan reads of `var`, bound by `node` and followed by `rest`
-/// and `ret`.
-fn projection_after(node: &PlanNode, var: &str, rest: &[PlanNode], ret: &Expr) -> Projection {
-    // An index scan's residual and a hash join's build key and residual
-    // read the item they bind; the other nodes' expressions run before.
-    let own: Vec<&Expr> = match node {
-        PlanNode::IndexScan { residual, .. } => residual.iter().collect(),
-        PlanNode::HashJoin { build_key, residual, .. } => {
-            std::iter::once(build_key).chain(residual).collect()
+impl<'p> Reads<'p> {
+    /// What evaluating `e` reads.
+    fn of(e: &'p Expr) -> Reads<'p> {
+        let mut reads = Reads::default();
+        reads.expr(e);
+        reads
+    }
+
+    /// [`Live`] here.
+    fn live(&self) -> Live<'p> {
+        (!self.all).then(|| self.names.iter().map(|(n, read)| (*n, matches!(read, Read::Shadowed))).collect())
+    }
+
+    /// Record that `paths` of `name` are read (none: whether it is
+    /// `NULL`, or how many items it holds).
+    fn add(&mut self, name: &'p str, paths: impl IntoIterator<Item = PathRead<'p>>) {
+        match self.names.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, Read::Paths(read))) => read.extend(paths),
+            // Read here, not only shadowed later.
+            Some((_, read)) => *read = Read::Whole,
+            None => self.names.push((name, Read::Paths(paths.into_iter().collect()))),
         }
-        _ => Vec::new(),
-    };
-    let mut paths = Vec::new();
-    if own.into_iter().all(|e| expr_reads(e, var, &mut paths))
-        && pipeline_reads(rest, ret, var, &mut paths)
-    {
-        Projection::of(paths)
-    } else {
-        Projection::ALL
     }
-}
 
-fn set_projection(node: &mut PlanNode, p: Projection) {
-    if let PlanNode::For { project, .. }
-    | PlanNode::IndexScan { project, .. }
-    | PlanNode::HashJoin { project, .. }
-    | PlanNode::Traverse { project, .. }
-    | PlanNode::Let { project, .. } = node
-    {
-        *project = p;
+    /// Record `name` as read whole or shadowed; returns the old record.
+    fn set(&mut self, name: &'p str, read: Read<'p>) -> Option<Read<'p>> {
+        let old = self.names.iter().position(|(n, _)| *n == name).map(|i| self.names.swap_remove(i).1);
+        self.names.push((name, read));
+        old
     }
-}
 
-/// Add to `out` the paths of `var` that `nodes`, then `ret`, read —
-/// nested plans included. False when they need the whole value, or a
-/// node rebinds `var`.
-fn pipeline_reads(nodes: &[PlanNode], ret: &Expr, var: &str, out: &mut Vec<Path>) -> bool {
-    for (i, node) in nodes.iter().enumerate() {
-        // A hash join names its source outside its expressions, and
-        // builds from every item of it. (An index scan's source is never
-        // a variable.)
-        if let PlanNode::HashJoin { source, .. } = node {
-            if source == var {
-                return false;
+    /// Add what evaluating `e` reads.
+    fn expr(&mut self, e: &'p Expr) {
+        if let Some(name) = nav_root(e) {
+            return self.add(name, [PathRead(e, false, None)]);
+        }
+        match e {
+            Expr::SubPlan(p) => {
+                let mut sub = Reads::of(&p.ret);
+                for node in p.nodes.iter().rev() {
+                    sub.node(node);
+                }
+                self.all |= sub.all;
+                for (name, read) in sub.names {
+                    match read {
+                        Read::Paths(paths) => self.add(name, paths),
+                        // What the subquery shadows may still be read
+                        // after it.
+                        Read::Shadowed if self.names.iter().all(|(n, _)| *n != name) => {
+                            self.names.push((name, Read::Shadowed));
+                        }
+                        _ => {
+                            self.set(name, Read::Whole);
+                        }
+                    }
+                }
             }
+            Expr::Subquery(_) => self.all = true,
+            Expr::Binary(BinOp::Eq | BinOp::Ne, l, r) => match (&**l, &**r) {
+                // Whether a value is `NULL` reads none of its fields.
+                (Expr::Var(v), Expr::Literal(Value::Null)) | (Expr::Literal(Value::Null), Expr::Var(v)) => {
+                    self.add(v, [])
+                }
+                _ => e.children().for_each(|c| self.expr(c)),
+            },
+            _ => e.children().for_each(|c| self.expr(c)),
         }
-        // `FOR x IN var.path` and `LET x = var.path` read of `var` what
-        // the rest reads of `x`, below `path[*]` and `path`. When that is
-        // no field at all, `path` is still read: how many rows the `FOR`
-        // makes, or whether `x` is `NULL`, depends on its value.
+    }
+
+    /// Move back over `node`: from what the nodes after it read to what
+    /// it and they read. Returns what the nodes after it, and its own
+    /// residual or build key, read of the name it binds.
+    fn node(&mut self, node: &'p PlanNode) -> Option<Read<'p>> {
+        // An index scan's residual and a hash join's build key and
+        // residual read the item the node binds; the rest run before.
+        match node {
+            PlanNode::IndexScan { residual, .. } => residual.iter().for_each(|e| self.expr(e)),
+            PlanNode::HashJoin { build_key, residual, .. } => {
+                std::iter::once(build_key).chain(residual).for_each(|e| self.expr(e))
+            }
+            _ => {}
+        }
+        // A binding reads the one it shadows whole; a hash join builds
+        // from every item of its source; INTO copies every binding.
+        let mut bound = None;
+        for name in node.binds().0 {
+            bound = self.set(name, Read::Shadowed);
+        }
+        if self.all {
+            bound = Some(Read::Whole);
+        }
+        match node {
+            PlanNode::HashJoin { source, .. } => {
+                self.set(source, Read::Whole);
+            }
+            PlanNode::Collect { into: Some(_), .. } => self.all = true,
+            _ => {}
+        }
+        // `FOR x IN v.path` and `LET x = v.path` read of `v` what is read
+        // of `x`, below `path[*]` and `path`. When that is no field at
+        // all, `path` is still read: how many rows the `FOR` makes, or
+        // whether `x` is `NULL`, depends on its value.
         let alias = match node {
-            PlanNode::For { var: x, source, .. } => {
-                path_steps(source, var).map(|p| (x, p.wildcard()))
-            }
-            PlanNode::Let { var: x, value, .. } => path_steps(value, var).map(|p| (x, p)),
+            PlanNode::For { var, source, .. } => Some((var, source, true)),
+            PlanNode::Let { var, value, .. } => Some((var, value, false)),
             _ => None,
         };
-        match alias {
-            Some((x, prefix)) if x != var => {
-                let mut below = Vec::new();
-                if pipeline_reads(&nodes[i + 1..], ret, x, &mut below) && !below.is_empty() {
-                    let join = |p: Path| prefix.steps().iter().chain(p.steps()).cloned().collect();
-                    out.extend(below.into_iter().map(|p| Path::from_steps(join(p))));
-                } else {
-                    out.push(prefix);
-                }
+        match alias.and_then(|(x, e, each)| Some((nav_root(e).filter(|v| v != x)?, e, each))) {
+            Some((v, prefix, each)) => {
+                let paths = match &bound {
+                    Some(Read::Paths(below)) if !below.is_empty() => {
+                        below.iter().map(|p| PathRead(prefix, each, Some(Box::new(p.clone())))).collect()
+                    }
+                    _ => vec![PathRead(prefix, each, None)],
+                };
+                self.add(v, paths);
             }
-            _ => {
-                if !node.exprs().into_iter().all(|e| expr_reads(e, var, out)) {
-                    return false;
-                }
-            }
+            None => match node {
+                PlanNode::IndexScan { .. } => {}
+                PlanNode::HashJoin { probe_key, .. } => self.expr(probe_key),
+                _ => node.exprs().for_each(|e| self.expr(e)),
+            },
         }
-        let rebinds = match node {
-            PlanNode::For { var: v, .. }
-            | PlanNode::IndexScan { var: v, .. }
-            | PlanNode::HashJoin { var: v, .. }
-            | PlanNode::Traverse { var: v, .. }
-            | PlanNode::Let { var: v, .. } => v == var,
-            // INTO keeps every binding of a group's rows whole.
-            PlanNode::Collect { into: Some(_), .. } => true,
-            PlanNode::Collect { key, aggregates, .. } => {
-                key.iter().map(|(v, _)| v).chain(aggregates.iter().map(|(v, _, _)| v)).any(|v| v == var)
-            }
-            PlanNode::Filter(_) | PlanNode::Sort(_) | PlanNode::Limit { .. } | PlanNode::Dedup(_) => {
-                false
-            }
-        };
-        if rebinds {
-            return false;
-        }
-    }
-    expr_reads(ret, var, out)
-}
-
-/// Add to `out` the paths of `var` that evaluating `e` reads: a
-/// navigation path reads what it reaches, comparing the bare variable
-/// with `NULL` reads nothing, and any other use of a value reads all of
-/// it. False when that is all of `var` (a subquery not yet planned is
-/// assumed to).
-fn expr_reads(e: &Expr, var: &str, out: &mut Vec<Path>) -> bool {
-    if let Some(p) = path_steps(e, var) {
-        out.push(p);
-        return true;
-    }
-    let mut reads = |x: &Expr| expr_reads(x, var, out);
-    match e {
-        Expr::Binary(BinOp::Eq | BinOp::Ne, l, r)
-            if matches!((&**l, &**r),
-                (Expr::Var(v), Expr::Literal(Value::Null)) | (Expr::Literal(Value::Null), Expr::Var(v))
-                if v == var) =>
-        {
-            true
-        }
-        // Another variable: `var` itself is a path.
-        Expr::Literal(_) | Expr::Var(_) => true,
-        Expr::Field(a, _) | Expr::Spread(a) | Expr::Not(a) | Expr::Neg(a) => reads(a),
-        Expr::Index(a, b) | Expr::Binary(_, a, b) => reads(a) && reads(b),
-        Expr::Ternary(a, b, c) => reads(a) && reads(b) && reads(c),
-        Expr::Call(_, items) | Expr::Array(items) => items.iter().all(reads),
-        Expr::Object(fields) => fields.iter().all(|(_, x)| reads(x)),
-        Expr::SubPlan(p) => pipeline_reads(&p.nodes, &p.ret, var, out),
-        Expr::Subquery(_) => false,
+        bound
     }
 }
 
-/// Rule 7. Insert a `Dedup` into a `RETURN DISTINCT` pipeline before
-/// node `c` (or before `RETURN`, `c == nodes.len()`) when
-///
-/// * a variable `v` bound by a row-multiplying node is not read by
-///   `nodes[c..]`, `RETURN` or any subquery in them;
-/// * a later row-multiplying node ahead of `c` has run under `v`'s rows,
-///   so rows can repeat once `v` is gone (no `Collect` between: it
-///   starts its groups over);
-/// * no `Limit` or `Collect` is in `nodes[c..]`: both count rows;
-/// * per-row work is left: a node, or a `RETURN` that calls a function
-///   or holds a subquery.
-///
-/// Each such `v` gets the first `c` that qualifies; the `Dedup` keys on
-/// the pipeline's bindings that `nodes[c..]` and `RETURN` read, the
-/// only ones that decide what a row yields (enclosing bindings are the
-/// same for every row; see `live_bindings`). Names are matched as
-/// names, so a variable shadowed later counts as read.
-fn early_dedup(nodes: Vec<PlanNode>, ret: &Expr) -> Vec<PlanNode> {
-    let n = nodes.len();
+/// What to decode of a document of which `read` is read.
+fn projection(read: Option<Read>) -> Projection {
+    match read {
+        None => Projection::of([]),
+        Some(Read::Paths(paths)) => Projection::of(paths.iter().map(PathRead::path)),
+        Some(Read::Whole | Read::Shadowed) => Projection::ALL,
+    }
+}
+
+/// Rule 7's candidates: each variable `v` a row-multiplying node binds,
+/// with the places `c` a `Dedup` for it may go before (`RETURN` at
+/// `nodes.len()`): after a later row-multiplying node has run under `v`'s
+/// rows, with no `Limit` or `Collect` (both count rows) from `c` on, and
+/// per-row work left (a node, or a `RETURN` that calls or subqueries).
+fn dedup_candidates<'n>(nodes: &'n [PlanNode], ret: &Expr) -> Vec<(&'n str, RangeInclusive<usize>)> {
     // Cuts must follow every Limit and Collect, and precede per-row work.
     let first = nodes
         .iter()
         .rposition(|n| matches!(n, PlanNode::Limit { .. } | PlanNode::Collect { .. }))
         .map_or(0, |k| k + 1);
-    let last = if calls_or_subqueries(ret) { n } else { n.saturating_sub(1) };
+    let last = if calls_or_subqueries(ret) { nodes.len() } else { nodes.len().saturating_sub(1) };
     // A Collect starts its groups over: only variables bound after the
     // last one can repeat at a cut.
     let start = nodes.iter().rposition(|n| matches!(n, PlanNode::Collect { .. })).map_or(0, |k| k + 1);
-    // Each multiplied variable with the earliest cut the rest allows.
     let mut candidates = Vec::new();
     for (b, node) in nodes.iter().enumerate().skip(start) {
-        let Some(v) = multiplied_var(node) else { continue };
-        let Some(j) = nodes[b + 1..].iter().position(|n| multiplied_var(n).is_some()) else { continue };
+        let (mut names, true) = node.binds() else { continue };
+        let Some(v) = names.next() else { continue };
+        let Some(j) = nodes[b + 1..].iter().position(|n| n.binds().1) else { continue };
         let from = first.max(b + j + 2);
         if from <= last {
-            candidates.push((v, from));
+            candidates.push((v, from..=last));
         }
     }
-    if candidates.is_empty() {
-        return nodes;
-    }
-    // What each node, then RETURN, reads; None when it may read every
-    // binding of the row.
-    let mut reads: Vec<Option<Vec<&str>>> = Vec::with_capacity(n + 1);
-    for node in &nodes {
-        let mut names = Vec::new();
-        reads.push(node_names(node, &mut names).then_some(names));
-    }
-    let mut names = Vec::new();
-    reads.push(expr_names(ret, &mut names).then_some(names));
-    let is_live = |c: usize, v: &str| reads[c..].iter().any(|r| r.as_ref().is_none_or(|r| r.contains(&v)));
+    candidates
+}
+
+/// Rule 7. Each candidate gets a `Dedup` at the first of its places where
+/// `live` has it read no more, keyed on the bindings still read there —
+/// unless the node before only shadows it: its binding died earlier than
+/// the analysis can tell, so it gets none rather than a late one.
+fn dedup_cuts(nodes: &[PlanNode], candidates: Vec<(&str, RangeInclusive<usize>)>, live: &[Live]) -> Vec<(usize, Vec<String>)> {
+    let read = |c: usize, v: &str| live[c].as_ref().is_none_or(|names| names.iter().any(|(n, _)| *n == v));
+    let shadowed = |c: usize, v: &str| live[c].as_ref().is_some_and(|names| names.contains(&(v, true)));
     let mut cuts: Vec<usize> = Vec::new();
-    for (v, from) in candidates {
-        let cut = (from..=last).find(|&c| !is_live(c, v));
+    for (v, places) in candidates {
+        let from = *places.start();
+        let cut = places.into_iter().find(|&c| !read(c, v)).filter(|&c| c == from || !shadowed(c - 1, v));
         cuts.extend(cut.filter(|c| !cuts.contains(c)));
     }
     cuts.sort_unstable();
-    let keys: Vec<Vec<String>> = cuts.iter().map(|&c| live_bindings(&nodes[..c], |v| is_live(c, v))).collect();
-    let mut out = Vec::with_capacity(n + cuts.len());
-    let mut keys = cuts.into_iter().zip(keys).peekable();
-    for (c, node) in nodes.into_iter().enumerate() {
-        if let Some((_, vars)) = keys.next_if(|(cut, _)| *cut == c) {
-            out.push(PlanNode::Dedup(vars));
-        }
-        out.push(node);
-    }
-    out.extend(keys.map(|(_, vars)| PlanNode::Dedup(vars)));
-    out
-}
-
-/// The variable a row-multiplying node binds.
-fn multiplied_var(node: &PlanNode) -> Option<&str> {
-    match node {
-        PlanNode::For { var, .. }
-        | PlanNode::IndexScan { var, .. }
-        | PlanNode::HashJoin { var, .. }
-        | PlanNode::Traverse { var, .. } => Some(var),
-        _ => None,
-    }
+    cuts.into_iter().map(|c| (c, live_bindings(&nodes[..c], |v| read(c, v)))).collect()
 }
 
 /// The bindings a row leaving `nodes` holds that are `live` and can
@@ -657,50 +655,9 @@ fn live_bindings(nodes: &[PlanNode], live: impl Fn(&str) -> bool) -> Vec<String>
     vars
 }
 
-/// Add to `out` every name `node` reads, nested plans included. False
-/// when it may read every binding of the row.
-fn node_names<'n>(node: &'n PlanNode, out: &mut Vec<&'n str>) -> bool {
-    match node {
-        // A hash join and an index scan name their source outside their
-        // expressions.
-        PlanNode::HashJoin { source, .. } | PlanNode::IndexScan { source, .. } => out.push(source),
-        // INTO copies every binding of the row, the enclosing ones too.
-        PlanNode::Collect { into: Some(_), .. } => return false,
-        _ => {}
-    }
-    node.exprs().into_iter().all(|e| expr_names(e, out))
-}
-
-/// [`node_names`] of an expression.
-fn expr_names<'e>(e: &'e Expr, out: &mut Vec<&'e str>) -> bool {
-    let mut names = |x: &'e Expr| expr_names(x, out);
-    match e {
-        Expr::Var(name) => {
-            out.push(name);
-            true
-        }
-        Expr::Literal(_) => true,
-        Expr::Field(a, _) | Expr::Spread(a) | Expr::Not(a) | Expr::Neg(a) => names(a),
-        Expr::Index(a, b) | Expr::Binary(_, a, b) => names(a) && names(b),
-        Expr::Ternary(a, b, c) => names(a) && names(b) && names(c),
-        Expr::Call(_, items) | Expr::Array(items) => items.iter().all(names),
-        Expr::Object(fields) => fields.iter().all(|(_, x)| names(x)),
-        Expr::SubPlan(p) => p.nodes.iter().all(|n| node_names(n, out)) && expr_names(&p.ret, out),
-        Expr::Subquery(_) => false,
-    }
-}
-
 /// Does evaluating `e` call a function or run a subquery?
 fn calls_or_subqueries(e: &Expr) -> bool {
-    match e {
-        Expr::Call(..) | Expr::SubPlan(_) | Expr::Subquery(_) => true,
-        Expr::Literal(_) | Expr::Var(_) => false,
-        Expr::Field(a, _) | Expr::Spread(a) | Expr::Not(a) | Expr::Neg(a) => calls_or_subqueries(a),
-        Expr::Index(a, b) | Expr::Binary(_, a, b) => calls_or_subqueries(a) || calls_or_subqueries(b),
-        Expr::Ternary(a, b, c) => [a, b, c].into_iter().any(|x| calls_or_subqueries(x)),
-        Expr::Array(items) => items.iter().any(calls_or_subqueries),
-        Expr::Object(fields) => fields.iter().any(|(_, x)| calls_or_subqueries(x)),
-    }
+    matches!(e, Expr::Call(..) | Expr::SubPlan(_) | Expr::Subquery(_)) || e.children().any(calls_or_subqueries)
 }
 
 /// Fold constant subexpressions in place.
@@ -855,6 +812,34 @@ mod tests {
                 assert!(residual.is_some(), "the < 8 conjunct survives as residual");
             }
             other => panic!("expected IndexScan, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_unusable_conjunct_on_an_indexed_path_does_not_hide_a_range() {
+        // `!=` and `LIKE` bound no range, whichever side the literal is
+        // on: the range conjunct after them is the one scanned, and they
+        // stay in the residual.
+        let w = World::in_memory();
+        let c = w.create_collection("products").unwrap();
+        for i in 0..10 {
+            c.insert_json(&format!(r#"{{"_key":"p{i}","price":{i},"tag":"t{}"}}"#, i % 3)).unwrap();
+        }
+        c.create_persistent_index("price").unwrap();
+        c.create_persistent_index("tag").unwrap();
+        for text in [
+            "FOR p IN products FILTER p.price != 7 && p.price > 5 RETURN p._key",
+            "FOR p IN products FILTER 7 != p.price && p.price > 5 RETURN p._key",
+            "FOR p IN products FILTER p.tag LIKE \"t0%\" && p.price > 5 RETURN p._key",
+        ] {
+            let parsed = build_plan(&parse_query(text).unwrap()).unwrap();
+            let plan = optimize(parsed.clone(), &w);
+            assert_eq!(kinds(&plan), ["IndexScan"], "{text}");
+            let PlanNode::IndexScan { path, lo, hi, residual, .. } = &plan.nodes[0] else { unreachable!() };
+            assert_eq!((path.as_str(), lo, hi), ("price", &PlanBound::Excluded(Value::int(5)), &PlanBound::Unbounded));
+            assert!(residual.is_some(), "{text}");
+            let want = crate::exec::execute_plan(&w, &parsed).unwrap();
+            assert_eq!(crate::exec::execute_plan(&w, &plan).unwrap(), want, "{text}");
         }
     }
 
@@ -1202,7 +1187,7 @@ mod tests {
             let parsed = build_plan(&parse_query(text).unwrap()).unwrap();
             let mut plan = optimized_in(&w, text);
             plan.nodes.retain(|n| !matches!(n, PlanNode::Dedup(_)));
-            plan.nodes.iter_mut().for_each(|n| set_projection(n, Projection::ALL));
+            plan.nodes.iter_mut().filter_map(PlanNode::projection_mut).for_each(|p| *p = Projection::ALL);
             assert_eq!(plan, parsed, "nothing to fold, merge or rewrite in {text}");
         }
     }

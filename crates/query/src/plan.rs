@@ -191,26 +191,61 @@ impl PlanNode {
         }
     }
 
+    /// [`PlanNode::projection`], for the optimizer to set.
+    pub(crate) fn projection_mut(&mut self) -> Option<&mut Projection> {
+        match self {
+            PlanNode::For { project, .. }
+            | PlanNode::IndexScan { project, .. }
+            | PlanNode::HashJoin { project, .. }
+            | PlanNode::Traverse { project, .. }
+            | PlanNode::Let { project, .. } => Some(project),
+            PlanNode::Filter(_)
+            | PlanNode::Sort(_)
+            | PlanNode::Limit { .. }
+            | PlanNode::Collect { .. }
+            | PlanNode::Dedup(_) => None,
+        }
+    }
+
+    /// The names the node binds, and whether its rows are new ones, not
+    /// its input rows extended: true for a loop (`For`, `IndexScan`,
+    /// `HashJoin`, `Traverse`; one name) and for `Collect`'s groups.
+    pub(crate) fn binds(&self) -> (impl Iterator<Item = &str>, bool) {
+        let (names, aggregates, multiplies) = match self {
+            PlanNode::For { var, .. }
+            | PlanNode::IndexScan { var, .. }
+            | PlanNode::HashJoin { var, .. }
+            | PlanNode::Traverse { var, .. } => ([Some(var), None], &[][..], true),
+            PlanNode::Let { var, .. } => ([Some(var), None], &[][..], false),
+            PlanNode::Collect { key, into, aggregates } => {
+                ([key.as_ref().map(|(v, _)| v), into.as_ref()], aggregates.as_slice(), true)
+            }
+            PlanNode::Filter(_) | PlanNode::Sort(_) | PlanNode::Limit { .. } | PlanNode::Dedup(_) => {
+                ([None, None], &[][..], false)
+            }
+        };
+        (names.into_iter().flatten().chain(aggregates.iter().map(|(v, _, _)| v)).map(String::as_str), multiplies)
+    }
+
     /// The expressions the node evaluates (keep in step with
     /// [`PlanNode::exprs_mut`]).
-    pub(crate) fn exprs(&self) -> Vec<&Expr> {
-        match self {
-            PlanNode::For { source, .. } => vec![source],
-            PlanNode::IndexScan { residual, .. } => residual.iter().collect(),
+    pub(crate) fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        let (fixed, sort, aggregates) = match self {
+            PlanNode::For { source: e, .. }
+            | PlanNode::Traverse { start: e, .. }
+            | PlanNode::Filter(e)
+            | PlanNode::Let { value: e, .. } => ([Some(e), None, None], &[][..], &[][..]),
+            PlanNode::IndexScan { residual, .. } => ([residual.as_ref(), None, None], &[][..], &[][..]),
             PlanNode::HashJoin { build_key, probe_key, residual, .. } => {
-                [build_key, probe_key].into_iter().chain(residual).collect()
+                ([Some(build_key), Some(probe_key), residual.as_ref()], &[][..], &[][..])
             }
-            PlanNode::Traverse { start, .. } => vec![start],
-            PlanNode::Filter(e) => vec![e],
-            PlanNode::Let { value, .. } => vec![value],
-            PlanNode::Sort(keys) => keys.iter().map(|(e, _)| e).collect(),
-            PlanNode::Limit { .. } | PlanNode::Dedup(_) => Vec::new(),
-            PlanNode::Collect { key, aggregates, .. } => key
-                .iter()
-                .map(|(_, e)| e)
-                .chain(aggregates.iter().map(|(_, _, e)| e))
-                .collect(),
-        }
+            PlanNode::Sort(keys) => ([None; 3], keys.as_slice(), &[][..]),
+            PlanNode::Limit { .. } | PlanNode::Dedup(_) => ([None; 3], &[][..], &[][..]),
+            PlanNode::Collect { key, aggregates, .. } => {
+                ([key.as_ref().map(|(_, e)| e), None, None], &[][..], aggregates.as_slice())
+            }
+        };
+        fixed.into_iter().flatten().chain(sort.iter().map(|(e, _)| e)).chain(aggregates.iter().map(|(_, _, e)| e))
     }
 
     /// [`PlanNode::exprs`], for the optimizer to rewrite in place.
@@ -246,22 +281,10 @@ pub(crate) fn line_prefix(depth: usize) -> String {
 
 /// Append the planned subqueries inside `e`, outermost first.
 fn sub_plans<'e>(e: &'e Expr, out: &mut Vec<&'e Plan>) {
-    match e {
-        Expr::SubPlan(p) => out.push(p),
-        Expr::Literal(_) | Expr::Var(_) | Expr::Subquery(_) => {}
-        Expr::Field(a, _) | Expr::Spread(a) | Expr::Not(a) | Expr::Neg(a) => sub_plans(a, out),
-        Expr::Index(a, b) | Expr::Binary(_, a, b) => {
-            sub_plans(a, out);
-            sub_plans(b, out);
-        }
-        Expr::Ternary(a, b, c) => {
-            sub_plans(a, out);
-            sub_plans(b, out);
-            sub_plans(c, out);
-        }
-        Expr::Call(_, items) | Expr::Array(items) => items.iter().for_each(|i| sub_plans(i, out)),
-        Expr::Object(fields) => fields.iter().for_each(|(_, v)| sub_plans(v, out)),
+    if let Expr::SubPlan(p) = e {
+        out.push(p);
     }
+    e.children().for_each(|c| sub_plans(c, out));
 }
 
 impl Plan {
@@ -288,7 +311,7 @@ impl Plan {
             subs.into_iter().for_each(|p| p.explain_into(depth + 1, lines));
         };
         for n in &self.nodes {
-            emit(n.describe(), n.exprs());
+            emit(n.describe(), n.exprs().collect());
         }
         emit(self.describe_return(), vec![&self.ret]);
     }
@@ -337,7 +360,7 @@ pub fn build_plan(query: &Query) -> Result<Plan> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parse::parse_query;
+    use crate::parse::{parse_expr, parse_query};
 
     #[test]
     fn lowering_is_one_to_one() {
@@ -346,11 +369,58 @@ mod tests {
         )
         .unwrap();
         let p = build_plan(&q).unwrap();
-        assert_eq!(p.nodes.len(), 4);
         assert!(p.distinct);
-        let text = p.explain();
-        assert!(text.contains("For c"));
-        assert!(text.contains("Limit 0,3"));
-        assert!(text.contains("RETURN DISTINCT".to_uppercase().as_str()) || text.contains("Return DISTINCT"));
+        assert_eq!(p.explain(), "For c IN customers\nFilter\nSort (1 keys)\nLimit 0,3\nReturn DISTINCT");
+    }
+
+    #[test]
+    fn exprs_and_exprs_mut_yield_the_same_expressions_in_the_same_order() {
+        let e = |text: &str| parse_expr(text).unwrap();
+        let nodes = [
+            PlanNode::For { var: "x".into(), source: e("xs"), project: Projection::ALL },
+            PlanNode::IndexScan {
+                var: "x".into(),
+                source: "xs".into(),
+                path: "a".into(),
+                lo: PlanBound::Unbounded,
+                hi: PlanBound::Unbounded,
+                residual: Some(e("x.b > 1")),
+                project: Projection::ALL,
+            },
+            PlanNode::HashJoin {
+                var: "x".into(),
+                source: "xs".into(),
+                build_key: e("x.k"),
+                probe_key: e("y.k"),
+                residual: Some(e("x.b > y.b")),
+                slot: 0,
+                project: Projection::ALL,
+            },
+            PlanNode::Traverse {
+                var: "v".into(),
+                min_depth: 1,
+                max_depth: 2,
+                direction: TraversalDirection::Any,
+                start: e("\"p/1\""),
+                edges: "knows".into(),
+                project: Projection::ALL,
+            },
+            PlanNode::Filter(e("x.b")),
+            PlanNode::Let { var: "y".into(), value: e("x.c"), project: Projection::ALL },
+            PlanNode::Sort(vec![(e("x.d"), SortOrder::Asc), (e("x.e"), SortOrder::Desc)]),
+            PlanNode::Limit { offset: 1, count: 2 },
+            PlanNode::Collect {
+                key: Some(("k".into(), e("x.f"))),
+                into: None,
+                aggregates: vec![("n".into(), AggFunc::Count, e("1")), ("t".into(), AggFunc::Sum, e("x.g"))],
+            },
+            PlanNode::Dedup(vec!["x".into()]),
+        ];
+        for node in nodes {
+            let read: Vec<Expr> = node.exprs().cloned().collect();
+            let mut copy = node.clone();
+            let written: Vec<Expr> = copy.exprs_mut().into_iter().map(|e| e.clone()).collect();
+            assert_eq!(read, written, "{}", node.describe());
+        }
     }
 }

@@ -205,6 +205,20 @@ const DEDUP_TEMPLATES: &[(&str, Option<(&str, &str)>)] = &[
          LET y = [t, all, c.tag == t] RETURN DISTINCT JSON_STRINGIFY(y)",
         Some(("Let y", "Dedup ON (y)")),
     ),
+    // A subquery that reads the outer `c`, then binds a `c` of its own:
+    // the outer one is read there, and dies after it.
+    (
+        "FOR c IN orders FOR f IN 1..1 OUTBOUND CONCAT(\"v/\", c._key) e \
+         LET s = (FOR x IN [c.status] FOR c IN [x, f.tag] RETURN c) RETURN DISTINCT JSON_STRINGIFY(s)",
+        Some(("└ Return", "Dedup ON (s)")),
+    ),
+    // A later LET rebinds `c`: the new `c` is read to the FILTER, and
+    // only then are rows told apart by `f` alone.
+    (
+        "FOR c IN orders FOR f IN 1..1 OUTBOUND CONCAT(\"v/\", c._key) e \
+         LET c = f.tag FILTER c != NULL RETURN DISTINCT JSON_STRINGIFY(f.total)",
+        Some(("Filter", "Dedup ON (f)")),
+    ),
     // Downstream work that can fail: the first error is the same one.
     (
         "FOR c IN orders FOR f IN 1..1 OUTBOUND CONCAT(\"v/\", c._key) e \
