@@ -281,7 +281,7 @@ fn e7_log_and_views(scale: f64) -> Result<TextTable> {
     for i in (0..n).step_by((n / 16).max(1)) {
         let (key, expected) = (format!("r{i}"), Some(record(i)));
         assert_eq!(replay(&key)?, expected, "WAL replay of {key}");
-        assert_eq!(latest(&key), expected, "version store read of {key}");
+        assert_eq!(latest(&key)?, expected, "version store read of {key}");
         assert_eq!(plain.get(&key)?, expected, "collection read of {key}");
     }
     let (lo, hi) = (Value::int(100), Value::int(110));

@@ -214,7 +214,7 @@ impl Database {
     fn define(&self, domain: &str, key: &str, rival: Option<&str>, value: Value) -> Result<()> {
         self.mvcc.run(IsolationLevel::Serializable, 3, |txn| {
             for k in std::iter::once(key).chain(rival) {
-                if txn.get(domain, k.as_bytes())?.is_some() {
+                if txn.contains(domain, k.as_bytes())? {
                     let what = domain.trim_start_matches("ddl/");
                     return Err(Error::AlreadyExists(format!("{what} '{k}'")));
                 }
@@ -587,8 +587,8 @@ mod tests {
         db.insert_json("c", r#"{"_key":"k","v":1}"#).unwrap();
         // The version store holds the document too (snapshot source), and
         // the collection's definition.
-        assert!(db.mvcc().get_latest("doc/c", b"k").is_some());
-        assert!(db.mvcc().get_latest("ddl/collection", b"c").is_some());
+        assert!(db.mvcc().get_latest("doc/c", b"k").unwrap().is_some());
+        assert!(db.mvcc().get_latest("ddl/collection", b"c").unwrap().is_some());
         let (commits, _) = db.mvcc().stats();
         assert_eq!(commits, 2);
     }

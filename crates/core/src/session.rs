@@ -146,7 +146,7 @@ impl Session {
                 k
             }
         };
-        if self.txn.get(&domain, key.as_bytes())?.is_some() {
+        if self.txn.contains(&domain, key.as_bytes())? {
             return Err(Error::AlreadyExists(format!("document '{key}' in '{collection}'")));
         }
         self.txn.put(&domain, key.as_bytes(), doc)?;
@@ -156,7 +156,7 @@ impl Session {
     /// Stage a wholesale document update.
     pub fn update_document(&mut self, collection: &str, key: &str, mut doc: Value) -> Result<()> {
         let domain = self.doc_domain(collection)?;
-        if self.txn.get(&domain, key.as_bytes())?.is_none() {
+        if !self.txn.contains(&domain, key.as_bytes())? {
             return Err(Error::NotFound(format!("document '{key}' in '{collection}'")));
         }
         doc.as_object_mut()?.insert("_key", Value::str(key));
@@ -213,7 +213,7 @@ impl Session {
         t.schema().validate(&mut row)?;
         let (key, pk) = self.row_key(table, &row_object)?;
         let domain = format!("rel/{table}");
-        if self.txn.get(&domain, &key)?.is_some() {
+        if self.txn.contains(&domain, &key)? {
             return Err(Error::AlreadyExists(format!("primary key {pk} in '{table}'")));
         }
         self.txn.put(&domain, &key, t.schema().object_from_row(row))
@@ -290,7 +290,7 @@ impl Session {
             }
         }
         let key = properties.get_field("_key").as_str()?.to_string();
-        if self.txn.get(&domain, key.as_bytes())?.is_some() {
+        if self.txn.contains(&domain, key.as_bytes())? {
             return Err(Error::AlreadyExists(format!("edge '{key}' in '{collection}'")));
         }
         self.txn.put(&domain, key.as_bytes(), properties)?;

@@ -6,7 +6,7 @@
 //! format gets the full `Value` domain — nested documents, bytes,
 //! floats — for free, and one codec is fuzzed instead of two.
 
-use mmdb_types::codec::{value_from_bytes, value_to_bytes};
+use mmdb_types::codec::{encode_array_header, encode_value, value_from_bytes, value_to_bytes};
 use mmdb_types::{Error, Result, Value};
 
 /// Version of the wire protocol. The server refuses a `Hello` carrying a
@@ -205,6 +205,12 @@ fn tagged(tag: &str, fields: Vec<Value>) -> Value {
     let mut items = vec![Value::str(tag)];
     items.extend(fields);
     Value::Array(items)
+}
+
+/// Encode the head of `tagged(tag, fields)` with `fields` items to come.
+fn tagged_head(tag: &str, fields: usize, out: &mut Vec<u8>) {
+    encode_array_header(fields + 1, out);
+    encode_value(&Value::str(tag), out);
 }
 
 fn parts(v: &Value) -> Result<(&str, &[Value])> {
@@ -595,7 +601,7 @@ impl DdlOp {
 impl Response {
     /// Encode to a wire payload (to be framed by the caller).
     pub fn encode(&self) -> Vec<u8> {
-        value_to_bytes(&self.to_value())
+        self.encode_with_id(None)
     }
 
     /// Decode from a wire payload.
@@ -609,10 +615,35 @@ impl Response {
     /// exactly the bytes of [`Response::encode`] (the reply shape for
     /// id-less requests).
     pub fn encode_with_id(&self, id: Option<u64>) -> Vec<u8> {
-        match id {
-            None => self.encode(),
-            Some(id) => value_to_bytes(&envelope(id, self.to_value())),
+        let mut out = Vec::new();
+        if let Some(id) = id {
+            // The head of `envelope(id, …)`; the message is its last item.
+            tagged_head(ID_TAG, 2, &mut out);
+            encode_value(&Value::int(id as i64), &mut out);
         }
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the bytes of `value_to_bytes(&self.to_value())` to `out`,
+    /// encoding rows and payload values where they lie instead of cloning
+    /// them into a message tree first.
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        let (tag, payload) = match self {
+            Response::Rows(rows) => {
+                tagged_head("rows", 1, out);
+                encode_array_header(rows.len(), out);
+                rows.iter().for_each(|row| encode_value(row, out));
+                return;
+            }
+            Response::Maybe(Some(v)) => ("maybe", v),
+            Response::Stats(v) => ("stats", v),
+            Response::Change(v) => ("change", v),
+            // Small messages: their tree holds no borrowed value to copy.
+            _ => return encode_value(&self.to_value(), out),
+        };
+        tagged_head(tag, 1, out);
+        encode_value(payload, out);
     }
 
     /// Decode a wire payload that may carry the pipelining id envelope.
@@ -763,6 +794,7 @@ mod tests {
             Response::Pong,
             Response::Hello { version: PROTOCOL_VERSION, server: "mmdb".into() },
             Response::Rows(vec![Value::int(1), Value::str("x")]),
+            Response::Rows(vec![]),
             Response::Maybe(None),
             Response::Maybe(Some(Value::Null)),
             Response::Maybe(Some(Value::object([("a", Value::int(1))]))),
@@ -782,6 +814,13 @@ mod tests {
         for resp in cases {
             let bytes = resp.encode();
             assert_eq!(Response::decode(&bytes).unwrap(), resp, "{resp:?}");
+            // Encoded in place, the frames are the message tree's bytes.
+            assert_eq!(bytes, value_to_bytes(&resp.to_value()), "{resp:?}");
+            assert_eq!(resp.encode_with_id(None), bytes, "{resp:?}");
+            for id in [0, 7, u64::MAX >> 1] {
+                let tree = value_to_bytes(&envelope(id, resp.to_value()));
+                assert_eq!(resp.encode_with_id(Some(id)), tree, "{resp:?} with id {id}");
+            }
         }
     }
 

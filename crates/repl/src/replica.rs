@@ -8,7 +8,7 @@ use std::time::Duration;
 use mmdb_client::{Client, ClientConfig};
 use mmdb_core::Database;
 use mmdb_storage::wal::{self, BlockAssembler, Header, LoggedWrite, Lsn, Wal, WalRecord};
-use mmdb_txn::CommittedWrite;
+use mmdb_txn::WriteSet;
 use mmdb_types::{Error, Result};
 
 use crate::feed::{parse_frame, Frame};
@@ -279,11 +279,7 @@ impl<'a> Follower<'a> {
         )));
         let (run, marker) = (std::mem::take(&mut self.run), self.marker.take());
         let applied = u64::from(block.is_some());
-        let writes = block
-            .unwrap_or_default()
-            .iter()
-            .map(CommittedWrite::decode)
-            .collect::<Result<Vec<_>>>()?;
+        let writes = WriteSet::decode(block.iter().flatten())?;
         if let Some(header) = self.reset.take() {
             self.wal.reset(header, &run)?;
             self.db.mvcc().load(writes, header.horizon);
@@ -299,7 +295,7 @@ impl<'a> Follower<'a> {
             // still the primary's, and the next marker folds it.
             let _ = self.db.checkpoint_at(horizon);
         }
-        self.db.mvcc().apply_replicated(&writes, end);
+        self.db.mvcc().apply_replicated(writes, end);
         Ok(applied)
     }
 }
@@ -342,8 +338,8 @@ mod tests {
         };
         let follows = |db: &Database| {
             assert_eq!(db.wal().unwrap().snapshot_bytes().unwrap(), bytes);
-            assert_eq!(db.mvcc().get_latest("kv/cart", b"orphan"), None);
-            assert_eq!(db.mvcc().get_latest("kv/cart", b"real"), Some(Value::int(1)));
+            assert_eq!(db.mvcc().get_latest("kv/cart", b"orphan").unwrap(), None);
+            assert_eq!(db.mvcc().get_latest("kv/cart", b"real").unwrap(), Some(Value::int(1)));
             assert_eq!(db.last_commit_lsn(), tail);
         };
 

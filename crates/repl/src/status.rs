@@ -175,6 +175,7 @@ impl ReplStatus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdb_txn::WriteSet;
 
     #[test]
     fn lag_and_staleness_track_the_stream() {
@@ -189,7 +190,7 @@ mod tests {
         // Not caught up yet, so still never-fresh.
         assert_eq!(s.staleness_ms(), None);
 
-        store.apply_replicated(&[], 100);
+        store.apply_replicated(WriteSet::default(), 100);
         s.note_applied(1);
         assert_eq!(s.lag_bytes(), 0);
         assert!(s.staleness_ms().is_some());
@@ -213,7 +214,7 @@ mod tests {
         s.observe_tail(50);
         s.observe_tail(20);
         assert_eq!(s.primary_tail_lsn(), 50);
-        store.apply_replicated(&[], 40);
+        store.apply_replicated(WriteSet::default(), 40);
         assert_eq!(s.applied_lsn(), 40);
     }
 }

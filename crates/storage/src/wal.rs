@@ -41,6 +41,10 @@ pub type Lsn = u64;
 /// Transaction identifier as recorded in the log.
 pub type TxId = u64;
 
+/// A `Write` record's parts, borrowed: domain, encoded key, and encoded
+/// value (`None` is a delete). What [`Wal::append_blocks`] frames.
+pub type WriteParts<'a> = (&'a str, &'a [u8], Option<&'a [u8]>);
+
 /// A single WAL record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
@@ -153,6 +157,28 @@ fn frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
+}
+
+/// Frame one transaction onto `out` as `Begin{txid} Write{txid,…}*
+/// Commit{txid}` from borrowed parts, pushing each record's end offset in
+/// `out` onto `ends`.
+fn frame_block<'a>(
+    out: &mut Vec<u8>,
+    ends: &mut Vec<u64>,
+    txid: TxId,
+    writes: impl IntoIterator<Item = WriteParts<'a>>,
+) {
+    let mut payload = Vec::new();
+    frame(out, &WalRecord::Begin { txid }.encode());
+    ends.push(out.len() as u64);
+    for (domain, key, value) in writes {
+        payload.clear();
+        encode_write(&mut payload, txid, domain, key, value);
+        frame(out, &payload);
+        ends.push(out.len() as u64);
+    }
+    frame(out, &WalRecord::Commit { txid }.encode());
+    ends.push(out.len() as u64);
 }
 
 /// Frame `records` into one buffer: returns it and each record's end
@@ -600,6 +626,27 @@ impl Wal {
         Ok(ends.into_iter().map(|e| base + e).collect())
     }
 
+    /// Append transactions as `Begin..Commit` blocks, each `(txid,
+    /// writes)` framed straight from its writes' borrowed parts: the
+    /// commit path's log step, whose values are encoded already. One
+    /// contiguous write with [`Wal::append_batch`]'s failure atomicity;
+    /// returns the LSN just past the last `Commit` (the tail, for no
+    /// blocks).
+    pub fn append_blocks<'a, W>(&self, blocks: impl IntoIterator<Item = (TxId, W)>) -> Result<Lsn>
+    where
+        W: IntoIterator<Item = WriteParts<'a>>,
+    {
+        let (mut buf, mut ends) = (Vec::new(), Vec::new());
+        for (txid, writes) in blocks {
+            frame_block(&mut buf, &mut ends, txid, writes);
+        }
+        if ends.is_empty() {
+            return Ok(self.tail_lsn());
+        }
+        let base = self.write_framed(&buf, &ends, None)?;
+        Ok(base + buf.len() as u64)
+    }
+
     /// Land `bytes`, a run of another log that starts at its LSN `lsn`,
     /// exactly as they are: how a replica's log becomes a byte-for-byte
     /// copy of its primary's. Refused with nothing written unless `lsn` is
@@ -974,14 +1021,8 @@ fn encode_image(writes: &[&LoggedWrite]) -> Vec<u8> {
     if writes.is_empty() {
         return image;
     }
-    frame(&mut image, &WalRecord::Begin { txid: 0 }.encode());
-    let mut payload = Vec::new();
-    for w in writes {
-        payload.clear();
-        encode_write(&mut payload, 0, &w.domain, &w.key, w.value.as_deref());
-        frame(&mut image, &payload);
-    }
-    frame(&mut image, &WalRecord::Commit { txid: 0 }.encode());
+    let parts = writes.iter().map(|w| (w.domain.as_str(), w.key.as_slice(), w.value.as_deref()));
+    frame_block(&mut image, &mut Vec::new(), 0, parts);
     image
 }
 
@@ -997,8 +1038,9 @@ pub struct TailedRecord {
 }
 
 /// One logged write: the *encoded* shape of a write, as the WAL and the
-/// replication stream carry it. Its decoded twin is
-/// `mmdb_txn::CommittedWrite` (DESIGN.md "A transaction's road").
+/// replication stream carry it. Its decoded shape is
+/// `mmdb_txn::CommittedWrite`; the version store keeps the encoded value
+/// (DESIGN.md "A transaction's road").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoggedWrite {
     /// Model routing tag, e.g. `"doc/orders"`.
@@ -1411,6 +1453,16 @@ mod tests {
         }
         assert_eq!(*ends.last().unwrap(), batched.tail_lsn());
         assert!(batched.append_batch(&[]).unwrap().is_empty());
+
+        // Blocks framed from borrowed parts are the same bytes again.
+        let blocked = Wal::in_memory();
+        let a: WriteParts = ("doc/orders", b"a", Some(b"1"));
+        let b: WriteParts = ("doc/orders", b"b", None);
+        let end = blocked.append_blocks([(1, vec![a]), (2, vec![b])]).unwrap();
+        assert_eq!(blocked.snapshot_bytes().unwrap(), batched.snapshot_bytes().unwrap());
+        assert_eq!(end, blocked.tail_lsn());
+        let none: [(TxId, Vec<WriteParts>); 0] = [];
+        assert_eq!(blocked.append_blocks(none).unwrap(), end);
     }
 
     #[test]

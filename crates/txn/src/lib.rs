@@ -25,6 +25,7 @@ pub mod mvcc;
 
 pub use mvcc::{
     CommittedWrite, GroupCommitStats, IsolationLevel, MvccStore, Transaction, WeakMvccStore,
+    WriteSet,
 };
 
 /// Every failpoint site this crate declares (see `mmdb-fault`). The

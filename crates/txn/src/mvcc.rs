@@ -6,7 +6,9 @@
 //! every data model — the tutorial's "cross-model transaction". The
 //! version store is two levels, domain → key → version chain: a domain's
 //! name is kept once, not once per key, and a lookup borrows
-//! `(&str, &[u8])` instead of building an owned key.
+//! `(&str, &[u8])` instead of building an owned key. A version holds its
+//! value in the log's encoding — the very bytes of its WAL record, shared
+//! — and a read decodes it on the way out.
 //!
 //! Protocol: a transaction reads the latest version with
 //! `commit_ts <= start_ts` (its snapshot) and buffers writes locally; a
@@ -40,8 +42,8 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use mmdb_storage::wal::{self, load_class, LoggedWrite, Lsn, Wal, WalRecord};
-use mmdb_types::codec::{value_from_bytes, value_to_bytes};
+use mmdb_storage::wal::{self, load_class, LoggedWrite, Lsn, Wal, WriteParts};
+use mmdb_types::codec::{encode_value, value_from_bytes};
 use mmdb_types::{lock_rank, Error, Result, Value};
 
 /// Isolation levels offered per transaction.
@@ -74,13 +76,15 @@ fn chain<'a>(versions: &'a Versions, domain: &str, key: &[u8]) -> Option<&'a [Ve
 #[derive(Debug, Clone)]
 struct Version {
     commit_ts: u64,
-    value: Option<Value>,
+    /// The value in the log's encoding (`None` is a delete): the bytes
+    /// its WAL record carries, not a copy of them.
+    value: Option<Arc<[u8]>>,
 }
 
-/// One write in its *decoded* shape: what a transaction stages, what the
-/// version store installs and what commit hooks are handed. Its encoded
-/// twin — in the WAL and the replication stream — is [`LoggedWrite`]
-/// (DESIGN.md "A transaction's road").
+/// One write in its *decoded* shape: what a transaction stages and what
+/// commit hooks are handed. The WAL and the replication stream carry it
+/// encoded, as a [`LoggedWrite`], and the version store keeps only that
+/// encoding of its value (DESIGN.md "A transaction's road").
 #[derive(Debug, Clone)]
 pub struct CommittedWrite {
     /// Model domain, e.g. `"doc/orders"`.
@@ -91,11 +95,53 @@ pub struct CommittedWrite {
     pub value: Option<Value>,
 }
 
-impl CommittedWrite {
-    /// Decode a write read back from the log or the stream.
-    pub fn decode(w: &LoggedWrite) -> Result<CommittedWrite> {
-        let value = w.value.as_deref().map(value_from_bytes).transpose()?;
-        Ok(CommittedWrite { domain: w.domain.clone(), key: w.key.clone(), value })
+/// A write set on its way into the store: the decoded writes, which
+/// commit hooks receive, and each one's value in the log's encoding,
+/// which the log step frames and the install step keeps. A commit
+/// encodes its writes once, on the committer's thread; a load or a
+/// replicated block keeps the bytes it read from a log.
+#[derive(Debug, Default)]
+pub struct WriteSet {
+    writes: Vec<CommittedWrite>,
+    values: Vec<Option<Arc<[u8]>>>,
+}
+
+impl WriteSet {
+    /// Encode a transaction's staged writes.
+    fn encode(writes: Vec<CommittedWrite>) -> WriteSet {
+        let mut buf = Vec::new();
+        let values = writes
+            .iter()
+            .map(|w| {
+                buf.clear();
+                encode_value(w.value.as_ref()?, &mut buf);
+                Some(Arc::from(buf.as_slice()))
+            })
+            .collect();
+        WriteSet { writes, values }
+    }
+
+    /// Decode writes read back from a log or the replication stream for
+    /// the hooks, keeping their bytes for the version store.
+    pub fn decode<'a>(logged: impl IntoIterator<Item = &'a LoggedWrite>) -> Result<WriteSet> {
+        let mut set = WriteSet::default();
+        for w in logged {
+            let value = w.value.as_deref().map(value_from_bytes).transpose()?;
+            let write = CommittedWrite { domain: w.domain.clone(), key: w.key.clone(), value };
+            set.push(write, w.value.as_deref().map(Arc::from));
+        }
+        Ok(set)
+    }
+
+    fn push(&mut self, write: CommittedWrite, value: Option<Arc<[u8]>>) {
+        self.writes.push(write);
+        self.values.push(value);
+    }
+
+    /// Each write's parts as its WAL record carries them.
+    fn parts(&self) -> impl Iterator<Item = WriteParts<'_>> {
+        let values = self.values.iter().map(Option::as_deref);
+        self.writes.iter().zip(values).map(|(w, v)| (w.domain.as_str(), w.key.as_slice(), v))
     }
 }
 
@@ -105,7 +151,7 @@ impl CommittedWrite {
 /// again, and carries txid 0.
 struct Commit<'a> {
     txid: u64,
-    writes: &'a [CommittedWrite],
+    set: &'a WriteSet,
 }
 
 type CommitHook = Box<dyn Fn(&[CommittedWrite]) + Send + Sync>;
@@ -117,7 +163,7 @@ enum Wake {
     Lead,
     /// This committer's outcome; a winner gets its commit timestamp and
     /// its write set back, for its own apply step.
-    Done(Result<(u64, Vec<CommittedWrite>)>),
+    Done(Result<(u64, WriteSet)>),
 }
 
 /// A committer's parking slot: the group-commit leader publishes the
@@ -149,7 +195,7 @@ impl CommitSlot {
 struct CommitRequest {
     txid: u64,
     start_ts: u64,
-    writes: Vec<CommittedWrite>,
+    set: WriteSet,
     /// The keys a serializable transaction read from the
     /// store (empty for a snapshot one); validated like written keys.
     reads: Vec<TxnKey>,
@@ -283,26 +329,26 @@ impl StoreInner {
         &self,
         txid: u64,
         start_ts: u64,
-        writes: Vec<CommittedWrite>,
+        set: WriteSet,
         reads: Vec<TxnKey>,
     ) -> Result<u64> {
         let slot = Arc::new(CommitSlot::default());
         let lead = {
             let mut q = self.group.lock();
-            let req = CommitRequest { txid, start_ts, writes, reads, slot: Arc::clone(&slot) };
+            let req = CommitRequest { txid, start_ts, set, reads, slot: Arc::clone(&slot) };
             q.pending.push(req);
             !std::mem::replace(&mut q.leader_active, true)
         };
         if lead {
             self.lead_batch();
         }
-        let (commit_ts, writes) = loop {
+        let (commit_ts, set) = loop {
             match slot.wait() {
                 Wake::Lead => self.lead_batch(),
                 Wake::Done(outcome) => break outcome?,
             }
         };
-        self.apply(commit_ts, &writes);
+        self.apply(commit_ts, &set.writes);
         Ok(commit_ts)
     }
 
@@ -362,7 +408,7 @@ impl StoreInner {
         // defuse the guard and publish for real.
         unwind.slots = None;
         for (req, outcome) in batch.into_iter().zip(outcomes) {
-            req.slot.publish(Wake::Done(outcome.map(|commit_ts| (commit_ts, req.writes))));
+            req.slot.publish(Wake::Done(outcome.map(|commit_ts| (commit_ts, req.set))));
         }
     }
 
@@ -401,6 +447,7 @@ impl StoreInner {
                             .is_some_and(|last| last.commit_ts > req.start_ts)
                 };
                 let conflict = req
+                    .set
                     .writes
                     .iter()
                     .find(|w| stale(&w.domain, &w.key))
@@ -412,7 +459,8 @@ impl StoreInner {
                 match conflict {
                     Some(msg) => results[i] = Some(Err(Error::TxnConflict(msg))),
                     None => {
-                        let written = req.writes.iter().map(|w| (w.domain.as_str(), w.key.as_slice()));
+                        let written =
+                            req.set.writes.iter().map(|w| (w.domain.as_str(), w.key.as_slice()));
                         claimed.extend(written);
                         winners.push(i);
                     }
@@ -429,7 +477,7 @@ impl StoreInner {
 
         let commits: Vec<Commit> = winners
             .iter()
-            .map(|&i| Commit { txid: batch[i].txid, writes: &batch[i].writes })
+            .map(|&i| Commit { txid: batch[i].txid, set: &batch[i].set })
             .collect();
         let commit_lsn = match self.log(&commits) {
             Ok(lsn) => lsn,
@@ -458,10 +506,10 @@ impl StoreInner {
     }
 
     /// The log step — the only way a transaction reaches the WAL. Frames
-    /// every commit as a `Begin..Commit` block, lands all of them with one
-    /// contiguous batch append and makes them durable with exactly one
-    /// sync. Returns the LSN just past the last `Commit` record (`None`
-    /// without a WAL).
+    /// every commit as a `Begin..Commit` block from the bytes its
+    /// committer encoded, lands all of them with one contiguous batch
+    /// append and makes them durable with exactly one sync. Returns the
+    /// LSN just past the last `Commit` record (`None` without a WAL).
     ///
     /// A failed append rejects every block cleanly (nothing ambiguous
     /// reached the log — the batch append is atomic on failure); anything
@@ -470,18 +518,7 @@ impl StoreInner {
     /// the store latches degraded.
     fn log(&self, commits: &[Commit]) -> Result<Option<Lsn>> {
         let Some(wal) = &self.wal else { return Ok(None) };
-        let mut records = Vec::new();
-        for c in commits {
-            records.push(WalRecord::Begin { txid: c.txid });
-            records.extend(c.writes.iter().map(|w| WalRecord::Write {
-                txid: c.txid,
-                domain: w.domain.clone(),
-                key: w.key.clone(),
-                value: w.value.as_ref().map(value_to_bytes),
-            }));
-            records.push(WalRecord::Commit { txid: c.txid });
-        }
-        let ends = wal.append_batch(&records)?;
+        let end = wal.append_blocks(commits.iter().map(|c| (c.txid, c.set.parts())))?;
         // Failpoint `txn.group_commit.before_sync`: the batch is in the
         // log but not yet durable — crash here and recovery replays it
         // (the appended bytes are in the file); error here and durability
@@ -494,7 +531,7 @@ impl StoreInner {
             self.latch_degraded(&e.to_string());
             return Err(e);
         }
-        Ok(ends.last().copied())
+        Ok(Some(end))
     }
 
     /// The install step — the only way versions enter the store and the
@@ -505,15 +542,15 @@ impl StoreInner {
     /// it contiguously. The caller holds `commit_mutex` and is past the
     /// log step, so timestamps follow log order and every one allocated
     /// is installed; it must hand each one to [`StoreInner::apply`].
-    /// A domain's name and a key's bytes are copied only when they start
-    /// a new domain or chain.
+    /// A version shares its write's encoded value; a domain's name and a
+    /// key's bytes are copied only when they start a new domain or chain.
     fn install(&self, commits: &[Commit]) -> u64 {
         let first_ts = self.snapshot_ts.load(Ordering::SeqCst) + 1;
         {
             let mut versions = self.versions.write();
             for (commit_ts, c) in (first_ts..).zip(commits) {
-                for w in c.writes {
-                    let version = Version { commit_ts, value: w.value.clone() };
+                for (w, value) in c.set.writes.iter().zip(&c.set.values) {
+                    let version = Version { commit_ts, value: value.clone() };
                     match versions.get_mut(w.domain.as_str()) {
                         Some(chains) => push_version(chains, &w.key, version),
                         None => {
@@ -678,12 +715,13 @@ impl MvccStore {
         }
     }
 
-    /// Latest committed value (outside any transaction).
-    pub fn get_latest(&self, domain: &str, key: &[u8]) -> Option<Value> {
-        let versions = self.inner.versions.read();
-        chain(&versions, domain, key)
+    /// Latest committed value (outside any transaction), decoded after
+    /// the version store's lock is released.
+    pub fn get_latest(&self, domain: &str, key: &[u8]) -> Result<Option<Value>> {
+        let bytes = chain(&self.inner.versions.read(), domain, key)
             .and_then(<[Version]>::last)
-            .and_then(|v| v.value.clone())
+            .and_then(|v| v.value.clone());
+        bytes.as_deref().map(value_from_bytes).transpose()
     }
 
     /// Run `f` inside a transaction, retrying on conflict up to
@@ -793,21 +831,22 @@ impl MvccStore {
     /// the position just past the records it landed with, and becomes the
     /// watermark once the block is applied. Bypasses conflict validation (the primary already
     /// serialized the log) and the read-only latch. No log step and no
-    /// txid: the log holds the block already. An empty write set (a run
+    /// txid: the log holds the block already, and its bytes are what the
+    /// versions keep ([`WriteSet::decode`]). An empty write set (a run
     /// that carried only a checkpoint marker) moves the watermark alone.
     /// Returns the commit timestamp (the current one for an empty set).
-    pub fn apply_replicated(&self, writes: &[CommittedWrite], end_lsn: Lsn) -> u64 {
+    pub fn apply_replicated(&self, writes: WriteSet, end_lsn: Lsn) -> u64 {
         let inner = &self.inner;
-        if writes.is_empty() {
+        if writes.writes.is_empty() {
             inner.last_commit_lsn.store(end_lsn, Ordering::SeqCst);
             return self.now();
         }
         let commit_ts = {
             let _guard = inner.commit_mutex.lock();
             inner.commits.fetch_add(1, Ordering::SeqCst);
-            inner.install(&[Commit { txid: 0, writes }])
+            inner.install(&[Commit { txid: 0, set: &writes }])
         };
-        inner.apply(commit_ts, writes);
+        inner.apply(commit_ts, &writes.writes);
         inner.last_commit_lsn.store(end_lsn, Ordering::SeqCst);
         commit_ts
     }
@@ -821,7 +860,7 @@ impl MvccStore {
     /// container definitions last); an empty store (a reopen) has none,
     /// and the diff is skipped. `lsn`, the log position `state` stands
     /// for, becomes the watermark once it is applied. Nothing is logged: `state` came from a
-    /// log. Returns the number of keys in `state`.
+    /// log, and the versions keep its bytes. Returns the number of keys in `state`.
     ///
     /// Cascades the model stores ran on the history are not re-run: a raw
     /// `ddl/table` delete leaves the table's rows live, and an edge whose
@@ -829,16 +868,16 @@ impl MvccStore {
     /// fails `add_edge` and latches the store read-only). Sessions can
     /// drop neither a table nor a vertex, so only raw
     /// [`MvccStore::begin`] writes reach either case.
-    pub fn load(&self, state: Vec<CommittedWrite>, lsn: Lsn) -> usize {
+    pub fn load(&self, state: WriteSet, lsn: Lsn) -> usize {
         let inner = &self.inner;
-        let live = state.len();
+        let live = state.writes.len();
         let (commit_ts, writes) = {
             let _guard = inner.commit_mutex.lock();
             let mut writes = state;
             let versions = inner.versions.read();
             if !versions.is_empty() {
                 let incoming: std::collections::HashSet<(&str, &[u8])> =
-                    writes.iter().map(|w| (w.domain.as_str(), w.key.as_slice())).collect();
+                    writes.writes.iter().map(|w| (w.domain.as_str(), w.key.as_slice())).collect();
                 let mut doomed: Vec<CommittedWrite> = versions
                     .iter()
                     .flat_map(|(domain, chains)| {
@@ -859,13 +898,15 @@ impl MvccStore {
                     (std::cmp::Reverse(load_class(&a.domain)), &a.domain, &a.key)
                         .cmp(&(std::cmp::Reverse(load_class(&b.domain)), &b.domain, &b.key))
                 });
-                writes.extend(doomed);
+                for w in doomed {
+                    writes.push(w, None);
+                }
             }
             drop(versions);
-            reserve_chains(&mut inner.versions.write(), &writes);
-            (inner.install(&[Commit { txid: 0, writes: &writes }]), writes)
+            reserve_chains(&mut inner.versions.write(), &writes.writes);
+            (inner.install(&[Commit { txid: 0, set: &writes }]), writes)
         };
-        inner.apply(commit_ts, &writes);
+        inner.apply(commit_ts, &writes.writes);
         inner.last_commit_lsn.store(lsn, Ordering::SeqCst);
         live
     }
@@ -873,14 +914,14 @@ impl MvccStore {
     /// Apply WAL recovery output at startup: the redo set — every
     /// committed block of the log, a checkpoint's image block first —
     /// goes through [`wal::fold`], the fold a checkpoint writes its image
-    /// with, before anything is decoded; the survivors are decoded and
-    /// [`MvccStore::load`]ed at `tail`, the recovered log's tail. So each
+    /// with, before anything is decoded; the survivors are decoded for the
+    /// hooks and [`MvccStore::load`]ed, their bytes as they are, at `tail`,
+    /// the recovered log's tail. So each
     /// commit hook sees every live key once, in load-class order. Returns
     /// the number of distinct live keys installed.
     pub fn recover(&self, recovery: &wal::Recovery, tail: Lsn) -> Result<usize> {
         let folded = wal::fold(&recovery.redo);
-        let writes = folded.into_iter().map(CommittedWrite::decode).collect::<Result<Vec<_>>>()?;
-        Ok(self.load(writes, tail))
+        Ok(self.load(WriteSet::decode(folded)?, tail))
     }
 }
 
@@ -915,21 +956,44 @@ impl Transaction {
         Ok(())
     }
 
-    /// Read a key: own writes first, then the snapshot. A serializable
-    /// transaction records every key it reads here for validation at
-    /// commit.
+    /// Read a key: own writes first, then the snapshot, decoded after the
+    /// version store's lock is released. A serializable transaction
+    /// records every key it reads of the store for validation at commit.
     pub fn get(&self, domain: &str, key: &[u8]) -> Result<Option<Value>> {
         self.check_open()?;
         if let Some(w) = self.own_write(domain, key) {
             return Ok(w.value.clone());
         }
-        let value = chain(&self.store.versions.read(), domain, key)
+        let bytes = self.read_snapshot(domain, key, |v| v.value.clone()).flatten();
+        bytes.as_deref().map(value_from_bytes).transpose()
+    }
+
+    /// Whether [`Transaction::get`] would return a value, without decoding
+    /// it: the same visibility, and the same read recorded.
+    pub fn contains(&self, domain: &str, key: &[u8]) -> Result<bool> {
+        self.check_open()?;
+        if let Some(w) = self.own_write(domain, key) {
+            return Ok(w.value.is_some());
+        }
+        Ok(self.read_snapshot(domain, key, |v| v.value.is_some()).unwrap_or(false))
+    }
+
+    /// `f` of the newest version of a key this snapshot sees, under the
+    /// version store's read lock; a serializable transaction records the
+    /// read.
+    fn read_snapshot<T>(
+        &self,
+        domain: &str,
+        key: &[u8],
+        f: impl FnOnce(&Version) -> T,
+    ) -> Option<T> {
+        let seen = chain(&self.store.versions.read(), domain, key)
             .and_then(|c| c.iter().rev().find(|v| v.commit_ts <= self.start_ts))
-            .and_then(|v| v.value.clone());
+            .map(f);
         if let Some(reads) = &self.reads {
             reads.borrow_mut().push((domain.to_string(), key.to_vec()));
         }
-        Ok(value)
+        seen
     }
 
     /// Whether a key holds a value: in this transaction's own writes,
@@ -1005,11 +1069,13 @@ impl Transaction {
             self.store.aborts.fetch_add(1, Ordering::SeqCst);
             return Err(Error::Storage(format!("commit enqueue: {msg}")));
         }
-        let writes = std::mem::take(&mut self.writes);
+        // Encoded here, on the committer's thread, so the sequencer's
+        // serial section only frames and installs bytes.
+        let set = WriteSet::encode(std::mem::take(&mut self.writes));
         let mut reads = self.reads.take().map(RefCell::into_inner).unwrap_or_default();
         reads.sort_unstable();
         reads.dedup();
-        self.store.group_commit(self.txid, self.start_ts, writes, reads)
+        self.store.group_commit(self.txid, self.start_ts, set, reads)
     }
 
     /// Abort: discard buffered writes.
@@ -1043,6 +1109,7 @@ impl Drop for Transaction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdb_types::codec::value_to_bytes;
 
     fn store() -> MvccStore {
         MvccStore::new(None)
@@ -1125,7 +1192,7 @@ mod tests {
         // The straddling transaction cannot sneak its staged writes in.
         assert_eq!(straddler.commit().unwrap_err().kind(), "read_only");
         // Reads keep serving, both latest-committed and transactional.
-        assert_eq!(s.get_latest("kv/cart", b"1"), Some(Value::str("before")));
+        assert_eq!(s.get_latest("kv/cart", b"1").unwrap(), Some(Value::str("before")));
         let r = s.begin(IsolationLevel::Snapshot);
         assert_eq!(r.get("kv/cart", b"1").unwrap(), Some(Value::str("before")));
         // Read-only transactions still commit (nothing to make durable).
@@ -1141,9 +1208,9 @@ mod tests {
         let mut t = s.begin(IsolationLevel::Snapshot);
         t.put("kv/cart", b"1", Value::str("34e5e759")).unwrap();
         assert_eq!(t.get("kv/cart", b"1").unwrap(), Some(Value::str("34e5e759")));
-        assert_eq!(s.get_latest("kv/cart", b"1"), None, "uncommitted is invisible");
+        assert_eq!(s.get_latest("kv/cart", b"1").unwrap(), None, "uncommitted is invisible");
         t.commit().unwrap();
-        assert_eq!(s.get_latest("kv/cart", b"1"), Some(Value::str("34e5e759")));
+        assert_eq!(s.get_latest("kv/cart", b"1").unwrap(), Some(Value::str("34e5e759")));
     }
 
     #[test]
@@ -1162,7 +1229,7 @@ mod tests {
 
         // The old snapshot still sees 1.
         assert_eq!(reader.get("d", b"k").unwrap(), Some(Value::int(1)));
-        assert_eq!(s.get_latest("d", b"k"), Some(Value::int(2)));
+        assert_eq!(s.get_latest("d", b"k").unwrap(), Some(Value::int(2)));
     }
 
     #[test]
@@ -1175,7 +1242,7 @@ mod tests {
         t1.commit().unwrap();
         let e = t2.commit().unwrap_err();
         assert!(e.is_retryable());
-        assert_eq!(s.get_latest("d", b"k"), Some(Value::int(1)));
+        assert_eq!(s.get_latest("d", b"k").unwrap(), Some(Value::int(1)));
         let (commits, aborts) = s.stats();
         assert_eq!((commits, aborts), (1, 1));
     }
@@ -1196,14 +1263,14 @@ mod tests {
             ("doc/orders", b"o1"),
             ("graph/ordered", b"1->o1"),
         ] {
-            assert!(s.get_latest(d, k).is_some(), "{d} missing");
+            assert!(s.get_latest(d, k).unwrap().is_some(), "{d} missing");
         }
         // And an aborted txn leaves nothing anywhere.
         let mut t = s.begin(IsolationLevel::Snapshot);
         t.put("rel/customers", b"2", Value::int(1)).unwrap();
         t.put("doc/orders", b"o2", Value::Null).unwrap();
         t.abort();
-        assert_eq!(s.get_latest("rel/customers", b"2"), None);
+        assert_eq!(s.get_latest("rel/customers", b"2").unwrap(), None);
     }
 
     #[test]
@@ -1216,7 +1283,7 @@ mod tests {
         let mut t = s.begin(IsolationLevel::Snapshot);
         t.delete("d", b"k").unwrap();
         t.commit().unwrap();
-        assert_eq!(s.get_latest("d", b"k"), None);
+        assert_eq!(s.get_latest("d", b"k").unwrap(), None);
         assert_eq!(old_reader.get("d", b"k").unwrap(), Some(Value::int(1)));
     }
 
@@ -1250,8 +1317,8 @@ mod tests {
         let mut t = s.begin(IsolationLevel::Serializable);
         t.put("doc/orders", b"orphan-2", Value::int(1)).unwrap();
         t.abort();
-        assert_eq!(s.get_latest("doc/orders", b"orphan"), None);
-        assert_eq!(s.get_latest("doc/orders", b"orphan-2"), None);
+        assert_eq!(s.get_latest("doc/orders", b"orphan").unwrap(), None);
+        assert_eq!(s.get_latest("doc/orders", b"orphan-2").unwrap(), None);
         let (_, aborts) = s.stats();
         assert_eq!(aborts, 2);
         assert!(wal.snapshot_bytes().unwrap().is_empty(), "an abort leaves no WAL trace");
@@ -1281,7 +1348,7 @@ mod tests {
             Ok(())
         });
         result.unwrap();
-        assert_eq!(s.get_latest("d", b"counter"), Some(Value::int(101)));
+        assert_eq!(s.get_latest("d", b"counter").unwrap(), Some(Value::int(101)));
     }
 
     #[test]
@@ -1361,8 +1428,8 @@ mod tests {
         });
         h1.join().unwrap().unwrap();
         h2.join().unwrap().unwrap();
-        let a = s.get_latest("d", b"A").unwrap().as_int().unwrap();
-        let b = s.get_latest("d", b"B").unwrap().as_int().unwrap();
+        let a = s.get_latest("d", b"A").unwrap().unwrap().as_int().unwrap();
+        let b = s.get_latest("d", b"B").unwrap().unwrap().as_int().unwrap();
         // The serial orders are t1;t2 → (-1,0) and t2;t1 → (0,-1); write
         // skew would give (0,0).
         assert!(
@@ -1430,11 +1497,11 @@ mod tests {
             "the hook sees each key once, at its first position, and no delete"
         );
         assert_eq!(
-            s2.get_latest("doc/orders", b"o1").unwrap().get_field("n"),
+            s2.get_latest("doc/orders", b"o1").unwrap().unwrap().get_field("n"),
             &Value::int(2)
         );
-        assert_eq!(s2.get_latest("kv/cart", b"c1"), Some(Value::str("o1")));
-        assert_eq!(s2.get_latest("doc/orders", b"o2"), None, "aborted txn not replayed");
+        assert_eq!(s2.get_latest("kv/cart", b"c1").unwrap(), Some(Value::str("o1")));
+        assert_eq!(s2.get_latest("doc/orders", b"o2").unwrap(), None, "aborted txn not replayed");
     }
 
     #[test]
@@ -1467,8 +1534,8 @@ mod tests {
             vec![("kv/cart".to_string(), b"c1".to_vec(), true)],
             "every tombstone folds away, the emptied domain's too"
         );
-        assert_eq!(s2.get_latest("kv/emptied", b"a"), None);
-        assert_eq!(s2.get_latest("kv/cart", b"c2"), None);
+        assert_eq!(s2.get_latest("kv/emptied", b"a").unwrap(), None);
+        assert_eq!(s2.get_latest("kv/cart", b"c2").unwrap(), None);
     }
 
     #[test]
@@ -1514,15 +1581,15 @@ mod tests {
             h.fetch_add(ws.len(), Ordering::SeqCst);
         });
         let writes = vec![cw("doc/orders", "o1", Some(7)), cw("kv/cart", "c1", None)];
-        let ts = s.apply_replicated(&writes, 4242);
+        let ts = s.apply_replicated(WriteSet::encode(writes), 4242);
         assert_eq!(ts, s.now());
-        assert_eq!(s.get_latest("doc/orders", b"o1"), Some(Value::int(7)));
-        assert_eq!(s.get_latest("kv/cart", b"c1"), None, "deletes replicate too");
+        assert_eq!(s.get_latest("doc/orders", b"o1").unwrap(), Some(Value::int(7)));
+        assert_eq!(s.get_latest("kv/cart", b"c1").unwrap(), None, "deletes replicate too");
         assert_eq!(hooked.load(Ordering::SeqCst), 2);
         assert_eq!((s.stats().0, s.last_commit_lsn()), (1, 4242));
         assert!(wal.snapshot_bytes().unwrap().is_empty(), "a replicated apply logs nothing");
         // A run that carried only a marker moves the watermark alone.
-        assert_eq!(s.apply_replicated(&[], 5000), ts);
+        assert_eq!(s.apply_replicated(WriteSet::default(), 5000), ts);
         assert_eq!((s.now(), s.stats().0, s.last_commit_lsn()), (ts, 1, 5000));
     }
 
@@ -1551,7 +1618,7 @@ mod tests {
         let reader = s.begin(IsolationLevel::Snapshot);
 
         let state = vec![cw("ddl/bucket", "cart", Some(0)), cw("kv/cart", "a", Some(2))];
-        assert_eq!(s.load(state, 77), 2);
+        assert_eq!(s.load(WriteSet::encode(state), 77), 2);
         let one = |domain: &str, live: bool| (domain.to_string(), live);
         assert_eq!(
             *seen.lock(),
@@ -1565,9 +1632,9 @@ mod tests {
             ],
             "one apply: the state, then its tombstones in reverse load order"
         );
-        assert_eq!(s.get_latest("kv/cart", b"a"), Some(Value::int(2)));
-        assert_eq!(s.get_latest("kv/cart", b"ghost"), None);
-        assert_eq!(s.get_latest("ddl/collection", b"gone"), None);
+        assert_eq!(s.get_latest("kv/cart", b"a").unwrap(), Some(Value::int(2)));
+        assert_eq!(s.get_latest("kv/cart", b"ghost").unwrap(), None);
+        assert_eq!(s.get_latest("ddl/collection", b"gone").unwrap(), None);
         assert_eq!(s.last_commit_lsn(), 77);
         assert_eq!(s.stats().0, 1, "a load is not a commit");
         assert_eq!(reader.get("kv/cart", b"ghost").unwrap(), Some(Value::int(1)), "snapshots hold");
@@ -1606,7 +1673,7 @@ mod tests {
         let next = commit(4).unwrap();
         assert_eq!(next, first + 1);
         assert_eq!(s.now(), next);
-        assert_eq!(s.get_latest("kv/cart", b"1"), Some(Value::int(4)));
+        assert_eq!(s.get_latest("kv/cart", b"1").unwrap(), Some(Value::int(4)));
     }
 
     #[test]
@@ -1648,7 +1715,7 @@ mod tests {
         let rec = wal::recover_from_bytes(&wal.snapshot_bytes().unwrap());
         let s2 = MvccStore::new(None);
         assert_eq!(s2.recover(&rec, wal.tail_lsn()).unwrap(), 64);
-        assert_eq!(s2.get_latest("kv/cart", b"t7-7"), Some(Value::int(7)));
+        assert_eq!(s2.get_latest("kv/cart", b"t7-7").unwrap(), Some(Value::int(7)));
     }
 
     #[test]
@@ -1742,12 +1809,12 @@ mod tests {
         seed2.commit().unwrap();
         loser.put("d", b"k", Value::int(99)).unwrap();
         assert_eq!(loser.commit().unwrap_err().kind(), "txn_conflict");
-        assert_eq!(s.get_latest("d", b"k"), Some(Value::int(2)));
+        assert_eq!(s.get_latest("d", b"k").unwrap(), Some(Value::int(2)));
         // The loser's block never reached the log.
         let rec = wal::recover_from_bytes(&wal.snapshot_bytes().unwrap());
         let s2 = MvccStore::new(None);
         s2.recover(&rec, wal.tail_lsn()).unwrap();
-        assert_eq!(s2.get_latest("d", b"k"), Some(Value::int(2)));
+        assert_eq!(s2.get_latest("d", b"k").unwrap(), Some(Value::int(2)));
     }
 
     #[test]
@@ -1757,9 +1824,9 @@ mod tests {
         t.put("kv/a", b"k", Value::int(1)).unwrap();
         t.put("kv/b", b"k", Value::int(2)).unwrap();
         t.commit().unwrap();
-        assert_eq!(s.get_latest("kv/a", b"k"), Some(Value::int(1)));
-        assert_eq!(s.get_latest("kv/b", b"k"), Some(Value::int(2)));
-        assert_eq!(s.get_latest("kv/c", b"k"), None);
+        assert_eq!(s.get_latest("kv/a", b"k").unwrap(), Some(Value::int(1)));
+        assert_eq!(s.get_latest("kv/b", b"k").unwrap(), Some(Value::int(2)));
+        assert_eq!(s.get_latest("kv/c", b"k").unwrap(), None);
 
         // Validation: a write to one domain's key conflicts with nothing
         // in the other's.
@@ -1789,15 +1856,15 @@ mod tests {
         // newest version.
         assert_eq!(s.vacuum(s.now()), 3, "kv/a's two versions, kv/b's old one");
         assert!(!s.inner.versions.read().contains_key("kv/a"));
-        assert_eq!(s.get_latest("kv/b", b"k"), Some(Value::int(3)));
+        assert_eq!(s.get_latest("kv/b", b"k").unwrap(), Some(Value::int(3)));
 
         // A load tombstones the key it lacks in one domain only.
         let mut t = s.begin(IsolationLevel::Snapshot);
         t.put("kv/a", b"k", Value::int(6)).unwrap();
         t.commit().unwrap();
-        assert_eq!(s.load(vec![cw("kv/b", "k", Some(7))], 9), 1);
-        assert_eq!(s.get_latest("kv/a", b"k"), None, "kv/a/k is not in the state");
-        assert_eq!(s.get_latest("kv/b", b"k"), Some(Value::int(7)));
+        assert_eq!(s.load(WriteSet::encode(vec![cw("kv/b", "k", Some(7))]), 9), 1);
+        assert_eq!(s.get_latest("kv/a", b"k").unwrap(), None, "kv/a/k is not in the state");
+        assert_eq!(s.get_latest("kv/b", b"k").unwrap(), Some(Value::int(7)));
     }
 
     #[test]
@@ -1827,7 +1894,7 @@ mod tests {
             names
         };
         assert_eq!(domains(&s), ["kv/kept", "kv/late"]);
-        assert_eq!(s.get_latest("kv/kept", b"b"), Some(Value::int(1)));
+        assert_eq!(s.get_latest("kv/kept", b"b").unwrap(), Some(Value::int(1)));
         s.vacuum(s.now());
         assert_eq!(domains(&s), ["kv/kept"]);
     }
@@ -1867,12 +1934,125 @@ mod tests {
         }
         let dropped = s.vacuum(s.now());
         assert_eq!(dropped, 9, "nine superseded versions reclaimed");
-        assert_eq!(s.get_latest("d", b"k"), Some(Value::int(9)));
+        assert_eq!(s.get_latest("d", b"k").unwrap(), Some(Value::int(9)));
         // Deleted keys vanish entirely.
         let mut t = s.begin(IsolationLevel::Snapshot);
         t.delete("d", b"k").unwrap();
         t.commit().unwrap();
         s.vacuum(s.now());
-        assert_eq!(s.get_latest("d", b"k"), None);
+        assert_eq!(s.get_latest("d", b"k").unwrap(), None);
+    }
+
+    #[test]
+    fn contains_answers_like_get_without_decoding() {
+        let s = store();
+        let mut setup = s.begin(IsolationLevel::Snapshot);
+        setup.put("d", b"before", Value::int(1)).unwrap();
+        setup.put("d", b"own_delete", Value::int(2)).unwrap();
+        setup.commit().unwrap();
+        let mut t = s.begin(IsolationLevel::Serializable);
+        let mut later = s.begin(IsolationLevel::Snapshot);
+        later.put("d", b"after", Value::int(3)).unwrap();
+        later.commit().unwrap();
+        t.put("d", b"own_put", Value::int(4)).unwrap();
+        t.delete("d", b"own_delete").unwrap();
+
+        let cases: [(&[u8], bool); 5] = [
+            (b"own_put", true),
+            (b"own_delete", false),
+            (b"before", true),
+            (b"after", false),
+            (b"never", false),
+        ];
+        for (key, present) in cases {
+            assert_eq!(t.contains("d", key).unwrap(), present, "{key:?}");
+            assert_eq!(t.get("d", key).unwrap().is_some(), present, "{key:?}");
+        }
+        // Each asks of the store only for a key not staged here, and
+        // records it as often as `get` does.
+        let recorded = t.reads.as_ref().map(|r| r.borrow().clone()).unwrap();
+        let owned = |k: &[u8]| ("d".to_string(), k.to_vec());
+        let each_twice = [b"before".as_slice(), b"after", b"never"]
+            .into_iter()
+            .flat_map(|k| [owned(k), owned(k)])
+            .collect::<Vec<_>>();
+        assert_eq!(recorded, each_twice);
+        // The recorded read of `after` is validated like a `get`'s.
+        assert_eq!(t.commit().unwrap_err().kind(), "txn_conflict");
+        let t = s.begin(IsolationLevel::Serializable);
+        assert!(t.contains("d", b"after").unwrap());
+        assert_eq!(t.reads.as_ref().map(|r| r.borrow().len()), Some(1));
+    }
+
+    /// The log step frames the bytes its committer encoded, and every road
+    /// into the version store — a leader's commit, a replicated block, a
+    /// recovery — keeps those same bytes, which read back as the value
+    /// staged: a float's sign and NaN payload, a float beside an equal
+    /// int, bytes, empty containers and strings on both sides of the
+    /// inline limit.
+    #[test]
+    fn every_road_installs_the_logs_bytes_and_reads_back_the_staged_value() {
+        use mmdb_types::Number;
+        let staged: Vec<(&[u8], Option<Value>)> = vec![
+            (b"neg_zero", Some(Value::float(-0.0))),
+            (b"nan", Some(Value::Number(Number::Float(f64::NAN)))),
+            (b"float_one", Some(Value::float(1.0))),
+            (b"int_one", Some(Value::int(1))),
+            (b"bytes", Some(Value::Bytes(vec![0, 255, 7]))),
+            (b"empty_array", Some(Value::array([]))),
+            (b"empty_object", Some(Value::Object(Default::default()))),
+            (b"str22", Some(Value::str("s".repeat(22)))),
+            (b"str23", Some(Value::str("s".repeat(23)))),
+            (b"gone", None),
+        ];
+        let encoded = |v: &Option<Value>| v.as_ref().map(value_to_bytes);
+        let wal = Arc::new(Wal::in_memory());
+        let leader = MvccStore::new(Some(Arc::clone(&wal)));
+        let mut t = leader.begin(IsolationLevel::Snapshot);
+        for (key, value) in &staged {
+            t.put("d", key, value.clone().unwrap_or(Value::int(0))).unwrap();
+        }
+        t.commit().unwrap();
+        let mut t = leader.begin(IsolationLevel::Snapshot);
+        t.delete("d", b"gone").unwrap();
+        t.commit().unwrap();
+
+        let bytes = wal.snapshot_bytes().unwrap();
+        let mut logged = HashMap::new();
+        let mut blocks = wal::BlockAssembler::default();
+        let replica = store();
+        for r in wal::records(&bytes, 0) {
+            if let Some(block) = blocks.push(r.record, r.next_lsn) {
+                logged.extend(block.writes.iter().map(|w| (w.key.clone(), w.value.clone())));
+                replica.apply_replicated(WriteSet::decode(&block.writes).unwrap(), block.end_lsn);
+            }
+        }
+        assert_eq!(logged.len(), staged.len());
+        let recovered = store();
+        recovered.recover(&wal::recover_from_bytes(&bytes), wal.tail_lsn()).unwrap();
+
+        for (road, s) in [("leader", &leader), ("replica", &replica), ("recovery", &recovered)] {
+            let installed = |key: &[u8]| {
+                let versions = s.inner.versions.read();
+                let last = chain(&versions, "d", key).and_then(<[Version]>::last);
+                last.and_then(|v| v.value.as_deref().map(<[u8]>::to_vec))
+            };
+            for (key, want) in &staged {
+                assert_eq!(installed(key), logged[*key], "{road}: {key:?} holds the log's bytes");
+                assert_eq!(logged[*key], encoded(want), "{road}: {key:?} was logged as staged");
+                let latest = s.get_latest("d", key).unwrap();
+                assert_eq!(encoded(&latest), encoded(want), "{road}: get_latest of {key:?}");
+            }
+            let old = s.begin(IsolationLevel::Snapshot);
+            let mut t = s.begin(IsolationLevel::Snapshot);
+            for (key, _) in &staged {
+                t.put("d", key, Value::Null).unwrap();
+            }
+            t.commit().unwrap();
+            for (key, want) in &staged {
+                let seen = old.get("d", key).unwrap();
+                assert_eq!(encoded(&seen), encoded(want), "{road}: an older snapshot's {key:?}");
+            }
+        }
     }
 }

@@ -48,6 +48,7 @@ fn concurrent_increments_are_exact_once() {
             .map(|k| {
                 store
                     .get_latest("counters", &[b'c', k])
+                    .unwrap()
                     .map(|v| v.as_int().unwrap())
                     .unwrap_or(0)
             })
@@ -103,7 +104,7 @@ fn random_transfers_conserve_total() {
     }
     let total = |s: &MvccStore| -> i64 {
         (0..ACCOUNTS)
-            .map(|a| s.get_latest("acct", &[a]).unwrap().as_int().unwrap())
+            .map(|a| s.get_latest("acct", &[a]).unwrap().unwrap().as_int().unwrap())
             .sum()
     };
     assert_eq!(total(&store), ACCOUNTS as i64 * INITIAL);
@@ -132,7 +133,7 @@ fn aborts_leave_no_residue_under_interleaving() {
         }
     }
     for (key, want) in expected {
-        assert_eq!(store.get_latest("d", &[key]), Some(Value::int(want)));
+        assert_eq!(store.get_latest("d", &[key]).unwrap(), Some(Value::int(want)));
     }
     let (commits, aborts) = store.stats();
     assert!(commits > 0 && aborts > 0);

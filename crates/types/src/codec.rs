@@ -53,8 +53,7 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
             out.extend_from_slice(b);
         }
         Value::Array(items) => {
-            out.push(TAG_ARRAY);
-            put_varint(out, items.len() as u64);
+            encode_array_header(items.len(), out);
             for item in items {
                 encode_value(item, out);
             }
@@ -69,6 +68,14 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
             }
         }
     }
+}
+
+/// Encode the head of an array of `len` items into `out`: followed by
+/// each item's [`encode_value`], the bytes of the whole array's, without
+/// building the array.
+pub fn encode_array_header(len: usize, out: &mut Vec<u8>) {
+    out.push(TAG_ARRAY);
+    put_varint(out, len as u64);
 }
 
 /// Encode a value to a fresh buffer.

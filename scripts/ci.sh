@@ -90,7 +90,7 @@ cargo test -q --release --features failpoints --test replication \
   a_file_backed_replica_of_a_checkpointed_primary_resumes_after_a_restart
 cargo test -q -p mmdb-txn --features failpoints --lib -- --test-threads=1
 
-echo "==> the read path's allocation budget and mmdb-types, optimized build"
+echo "==> the read path's allocation budget, the version store's footprint and mmdb-types, optimized build"
 # tests/query_allocs.rs ran in the debug pass above; this is the
 # optimized build, the one the benchmark of record measures. It counts
 # allocator calls per examined row for a scan, Q2, Q4 as a hash join and
@@ -98,11 +98,15 @@ echo "==> the read path's allocation budget and mmdb-types, optimized build"
 # 5.45, 4.55 and 7.21; before projected document reads: 9.19, 8.42,
 # 13.68 and 9.53), with budgets that fail if a whole document decode, a
 # copied document, field name, string value, bound name, lookup key,
-# record or edge handle comes back. mmdb-types runs again optimized
+# record or edge handle comes back. tests/version_bytes.rs holds the
+# version store to its footprint: live heap per committed new-order
+# write (163.4 bytes with the log's bytes kept once; 315.8 with decoded
+# versions), under a budget of 170. mmdb-types runs again optimized
 # because its inline `Key` reads names and string values with
 # `from_utf8_unchecked`, and the optimized build is where a wrong
 # `unsafe` would show.
 cargo test -q --release --test query_allocs
+cargo test -q --release --test version_bytes
 cargo test -q --release -p mmdb-types
 
 echo "==> cargo clippy --features failpoints (torture suites + feature-gated #[expect]s)"

@@ -279,7 +279,7 @@ fn snapshots_never_cover_a_commit_parked_in_the_sync_window() {
         });
     });
     fault::clear_all();
-    assert_eq!(store.get_latest("kv/counters", b"c"), Some(Value::int(COMMITS - 1)));
+    assert_eq!(store.get_latest("kv/counters", b"c").unwrap(), Some(Value::int(COMMITS - 1)));
 }
 
 /// What a committer thread observed for its transaction.
@@ -618,22 +618,22 @@ fn concurrent_writers_read_their_own_commits_from_every_model_view() {
     let graph = db.world().graph("social").unwrap();
     for i in 0..KEYS {
         let k = format!("k{i}");
-        assert_eq!(db.get_document("orders", &k).unwrap(), mvcc.get_latest("doc/orders", k.as_bytes()));
-        assert_eq!(db.kv().get("cart", &k).unwrap(), mvcc.get_latest("kv/cart", k.as_bytes()));
+        assert_eq!(db.get_document("orders", &k).unwrap(), mvcc.get_latest("doc/orders", k.as_bytes()).unwrap());
+        assert_eq!(db.kv().get("cart", &k).unwrap(), mvcc.get_latest("kv/cart", k.as_bytes()).unwrap());
         let row = db.query(&format!("FOR r IN accounts FILTER r.id == {i} RETURN r")).unwrap();
-        assert_eq!(row.first().cloned(), mvcc.get_latest("rel/accounts", &key_of(&Value::int(i))));
+        assert_eq!(row.first().cloned(), mvcc.get_latest("rel/accounts", &key_of(&Value::int(i))).unwrap());
         let last = row[0].get_field("n").as_int().unwrap();
         for n in 1..=last {
             let (v, e) = (format!("v{i}-{n}"), format!("e{i}-{n}"));
             let view_vertex = graph.vertex(&format!("persons/{v}")).unwrap();
-            assert_eq!(view_vertex, mvcc.get_latest("graph/social/v/persons", v.as_bytes()));
+            assert_eq!(view_vertex, mvcc.get_latest("graph/social/v/persons", v.as_bytes()).unwrap());
             let view_edge = graph.edge(&format!("knows/{e}")).unwrap();
-            assert_eq!(view_edge, mvcc.get_latest("graph/social/e/knows", e.as_bytes()));
+            assert_eq!(view_edge, mvcc.get_latest("graph/social/e/knows", e.as_bytes()).unwrap());
         }
-        assert!(mvcc.get_latest("graph/social/e/knows", format!("e{i}-{}", last + 1).as_bytes()).is_none());
+        assert!(mvcc.get_latest("graph/social/e/knows", format!("e{i}-{}", last + 1).as_bytes()).unwrap().is_none());
     }
     let total: i64 = (0..KEYS)
-        .map(|i| mvcc.get_latest("kv/cart", format!("k{i}").as_bytes()).unwrap().get_field("n").as_int().unwrap())
+        .map(|i| mvcc.get_latest("kv/cart", format!("k{i}").as_bytes()).unwrap().unwrap().get_field("n").as_int().unwrap())
         .sum();
     assert_eq!(total, WRITERS * TXNS_EACH, "every acknowledged commit counted once");
     drop(db);
@@ -854,7 +854,7 @@ proptest! {
         // state is the model's, key by key.
         for key in 0u8..3 {
             let want = committed.get(&key).and_then(|h| h.last()?.1);
-            prop_assert_eq!(store.get_latest("kv/prop", &[b'k', key]), want.map(Value::int));
+            prop_assert_eq!(store.get_latest("kv/prop", &[b'k', key]).unwrap(), want.map(Value::int));
         }
         // The group-committed WAL replays to the identical state.
         let recovery = recover_from_bytes(&wal.snapshot_bytes().unwrap());
@@ -863,8 +863,8 @@ proptest! {
         replayed.recover(&recovery, wal.tail_lsn()).unwrap();
         for key in 0u8..3 {
             prop_assert_eq!(
-                replayed.get_latest("kv/prop", &[b'k', key]),
-                store.get_latest("kv/prop", &[b'k', key]),
+                replayed.get_latest("kv/prop", &[b'k', key]).unwrap(),
+                store.get_latest("kv/prop", &[b'k', key]).unwrap(),
                 "WAL replay diverged on key {}", key
             );
         }
@@ -902,6 +902,6 @@ proptest! {
         let (commits, aborts) = store.stats();
         prop_assert_eq!(commits, u64::from(winner.is_some()));
         prop_assert_eq!(aborts as usize, decisions.len() - usize::from(winner.is_some()));
-        prop_assert_eq!(store.get_latest("kv/hot", b"key"), winner.map(Value::int));
+        prop_assert_eq!(store.get_latest("kv/hot", b"key").unwrap(), winner.map(Value::int));
     }
 }

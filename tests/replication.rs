@@ -405,7 +405,7 @@ fn a_replicated_apply_reaches_the_replicas_own_log_whole_or_not_at_all() {
     assert!(stream(&mut follower).is_err());
     fault::clear_all();
     assert_eq!(wal.tail_lsn(), 0, "a failed append leaves nothing in the log");
-    assert_eq!(replica.mvcc().get_latest("ddl/bucket", b"cart"), None);
+    assert_eq!(replica.mvcc().get_latest("ddl/bucket", b"cart").unwrap(), None);
     assert_eq!((replica.mvcc().stats().0, replica.last_commit_lsn()), (0, 0));
 
     // The reconnect resumes at the replica's tail and lands the primary's
@@ -971,7 +971,7 @@ fn a_stale_replica_of_a_primary_whose_fold_is_empty_loses_its_ghosts() {
         ReplicaRunner::start(Arc::clone(&replica_db), server.local_addr().to_string(), fast_opts())
             .unwrap();
     wait_until("the reset", || replica_db.kv().get("cart", "ghost").is_ok_and(|v| v.is_none()));
-    assert_eq!(replica_db.mvcc().get_latest("kv/cart", b"ghost"), None, "a ghost key survived");
+    assert_eq!(replica_db.mvcc().get_latest("kv/cart", b"ghost").unwrap(), None, "a ghost key survived");
     let (mine, theirs) = (replica_db.wal().unwrap().header(), db.wal().unwrap().header());
     assert_eq!(mine, mmdb::substrate::storage::wal::Header { copy: true, ..theirs });
 
@@ -1098,7 +1098,7 @@ fn a_replica_whose_log_fails_a_sync_stops_and_reports_it() {
     assert_eq!(runner.status().connects(), 1, "the runner reconnected to a failed log");
     assert_eq!(wal.tail_lsn(), tail, "a failed log took another run");
     assert_eq!(replica_db.last_commit_lsn(), 0, "a run that was never durable was applied");
-    assert_eq!(replica_db.mvcc().get_latest("kv/cart", b"1"), None);
+    assert_eq!(replica_db.mvcc().get_latest("kv/cart", b"1").unwrap(), None);
     assert!(runner.status().to_value().get_field("failure").as_str().is_ok());
 
     runner.stop();
