@@ -212,7 +212,7 @@ impl PolyglotStores {
         if let Some(mut row) = self.customers.get(&Value::int(customer_id))? {
             let cur = row[3].as_int()?;
             row[3] = Value::int(cur - total);
-            self.customers.update(&Value::int(customer_id), row)?;
+            self.customers.put(row)?;
         }
         Ok(true)
     }

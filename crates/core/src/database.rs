@@ -2,7 +2,7 @@
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -70,6 +70,8 @@ pub struct Database {
     mvcc: MvccStore,
     wal: Option<Arc<Wal>>,
     ckpt: CheckpointState,
+    /// Why the commit hook first failed to apply a write set, if it has.
+    hook_failure: Arc<OnceLock<String>>,
     /// Declared last: fields drop in declaration order, so this runs
     /// once the stores above have freed their memory.
     _release: ReleaseOnDrop,
@@ -146,12 +148,18 @@ impl Database {
         // The store owns its hooks, so the hook reaches back through a
         // weak handle (a strong one would keep the store alive forever).
         let latch = mvcc.downgrade();
+        let hook_failure = Arc::new(OnceLock::new());
+        let first_failure = Arc::clone(&hook_failure);
         mvcc.add_commit_hook(move |writes| {
             // The write set is committed and durable by now. If the model
             // stores cannot take it they no longer agree with the version
             // store, and every later write would widen the gap: stop
-            // accepting writes and say why. Reads keep serving.
+            // accepting writes and say why. Reads keep serving. The
+            // reason is kept apart from the latch too, whose own reason
+            // on a replica is that it is one.
             if let Err(e) = apply_committed(&hook_world, writes) {
+                // Only the first failure is kept.
+                let _ = first_failure.set(e.to_string());
                 if let Some(store) = latch.upgrade() {
                     store.latch_read_only(&format!("commit hook failed: {e}"));
                 }
@@ -162,6 +170,7 @@ impl Database {
             mvcc,
             wal,
             ckpt: CheckpointState::default(),
+            hook_failure,
             _release: ReleaseOnDrop,
         }
     }
@@ -536,6 +545,15 @@ impl Database {
         self.mvcc.degraded_reason()
     }
 
+    /// Why the commit hook first failed to apply a committed write set to
+    /// the model stores, if it ever has (`ADMIN HEALTH`'s
+    /// `hook_failure`). Such a failure latches the store read-only, but a
+    /// replica is latched from the start and its latch keeps that first
+    /// reason, so this is where a replica's hook failure shows.
+    pub fn hook_failure(&self) -> Option<String> {
+        self.hook_failure.get().cloned()
+    }
+
     /// EXPLAIN: the optimized logical plan of an MMQL query.
     pub fn explain(&self, text: &str) -> Result<String> {
         let q = mmdb_query::parse_query(text)?;
@@ -608,15 +626,18 @@ mod tests {
         // Straight through the version store, past `Session`'s checks: a
         // row value the table cannot decode. The commit itself succeeds
         // (validated, logged, installed) and then the hook cannot apply it.
+        // The write after it in the same set is applied all the same.
         let mut txn = db.mvcc().begin(IsolationLevel::Snapshot);
         txn.put("rel/t", b"k", Value::int(7)).unwrap();
+        txn.put("kv/cart", b"1", Value::str("o1-v2")).unwrap();
         txn.commit().unwrap();
 
         assert!(db.is_degraded());
         let reason = db.degraded_reason().expect("a reason is recorded");
-        assert!(reason.starts_with("commit hook failed: "), "{reason}");
+        let failure = db.hook_failure().expect("the hook's failure is recorded");
+        assert_eq!(reason, format!("commit hook failed: {failure}"));
         // Reads still serve; the next write fails fast.
-        assert_eq!(db.kv().get("cart", "1").unwrap(), Some(Value::str("o1")));
+        assert_eq!(db.kv().get("cart", "1").unwrap(), Some(Value::str("o1-v2")));
         assert_eq!(db.query("FOR r IN t RETURN r").unwrap(), Vec::<Value>::new());
         let err = db.kv_put("cart", "2", Value::str("o2")).unwrap_err();
         assert_eq!(err.kind(), "read_only");

@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use mmdb_graph::store::split_handle;
+use mmdb_graph::store::{handle, split_handle};
 use mmdb_query::World;
 use mmdb_relational::Schema;
 use mmdb_txn::{CommittedWrite, Transaction};
@@ -327,156 +327,116 @@ impl Session {
 
 /// Apply a committed write set to the model stores: the MVCC commit hook,
 /// for a live commit, a replicated transaction, a snapshot load and WAL
-/// replay alike. Its `ddl` arm (`apply_definition`) is the only code
-/// that creates a container or an index. The data arms find their
-/// container or fail: a Session never stages a write to a missing one,
-/// and replay and snapshot load install every definition (load class 0)
-/// ahead of the data, and index definitions (class 3) after it.
+/// replay alike. The log has two verbs and so does every store: each
+/// write is one call that puts (creates or replaces) or deletes its
+/// store's record — `Collection::put`/`remove`, `Table::put`/
+/// `delete_by_key`, `Graph::put_vertex`/`remove_vertex`,
+/// `Graph::put_edge`/`remove_edge`, `KvStore::put`/`delete` — except
+/// that the `rdf` arm skips a triple it already holds.
+///
+/// Every write of the set is applied and the first failure is returned,
+/// so a write the views cannot take keeps none of the rest of its set
+/// out of them; the hook `Database` installs latches the store read-only
+/// with that failure and keeps it as `Database::hook_failure`.
+///
+/// The `ddl` arm (`apply_definition`) is the only code that creates a
+/// container or an index. The data arms find their container or fail: a
+/// Session never stages a write to a missing one, and replay and
+/// snapshot load install every definition (load class 0) ahead of the
+/// data, and index definitions (class 3) after it.
 pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
-    for w in writes {
-        let mut parts = w.domain.splitn(2, '/');
-        let model = parts.next().unwrap_or_default();
-        let rest = parts.next().unwrap_or_default();
-        match model {
-            "ddl" => apply_definition(world, rest, &w.key, w.value.as_ref())?,
-            "doc" => {
-                let coll = world.collection(rest)?;
-                let key = std::str::from_utf8(&w.key)
-                    .map_err(|_| Error::Internal("non-utf8 doc key".into()))?;
-                match &w.value {
-                    Some(doc) => {
-                        if coll.contains_key(key) {
-                            coll.update(key, doc.clone())?;
-                        } else {
-                            coll.insert(doc.clone())?;
-                        }
-                        world.fulltext_touch(rest, doc);
-                    }
-                    None => {
-                        coll.remove(key)?;
-                        world.fulltext_remove(rest, key);
-                    }
-                }
-            }
-            "kv" => {
-                let key = std::str::from_utf8(&w.key)
-                    .map_err(|_| Error::Internal("non-utf8 kv key".into()))?;
-                match &w.value {
-                    Some(v) => world.kv.put(rest, key, v.clone())?,
-                    None => {
-                        world.kv.delete(rest, key)?;
-                    }
-                }
-            }
-            "rel" => {
-                let Ok(table) = world.catalog.table(rest) else {
-                    // Unknown table: its ddl/table record installs ahead
-                    // of its rows, so this only happens for rows whose
-                    // table was later dropped — nothing to apply.
-                    continue;
-                };
-                match &w.value {
-                    Some(obj) => {
-                        let row = table.schema().row_from_object(obj)?;
-                        let pk = row[table.schema().primary_key()].clone();
-                        if table.contains_key(&pk) {
-                            table.update(&pk, row)?;
-                        } else {
-                            table.insert(row)?;
-                        }
-                    }
-                    None => {
-                        // `delete_row` staged `key_of(pk)`: the primary
-                        // index's own key.
-                        table.delete_by_key(&w.key)?;
-                    }
-                }
-            }
-            "graph" => {
-                let mut seg = rest.splitn(3, '/');
-                let gname = seg.next().unwrap_or_default();
-                let kind = seg.next().unwrap_or_default();
-                let coll = seg.next().unwrap_or_default();
-                let graph = world.graph(gname)?;
-                match kind {
-                    "v" => {
-                        let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
-                        let exists = graph.has_vertex(&handle)?;
-                        match &w.value {
-                            Some(doc) => {
-                                if exists {
-                                    // Vertex docs update in place via the
-                                    // underlying collection semantics: remove
-                                    // + re-add keeps edges (no cascade here).
-                                    graph.update_vertex(&handle, doc.clone())?;
-                                } else {
-                                    graph.add_vertex(coll, doc.clone())?;
-                                }
-                            }
-                            None => {
-                                graph.remove_vertex(&handle)?;
-                            }
-                        }
-                    }
-                    "e" => match &w.value {
-                        Some(doc) => {
-                            let from = doc.get_field("_from").as_str()?.to_string();
-                            let to = doc.get_field("_to").as_str()?.to_string();
-                            graph.add_edge(coll, &from, &to, doc.clone())?;
-                        }
-                        None => {
-                            let handle = format!("{coll}/{}", String::from_utf8_lossy(&w.key));
-                            graph.remove_edge(&handle)?;
-                        }
-                    },
-                    other => {
-                        return Err(Error::Internal(format!("bad graph domain kind '{other}'")))
-                    }
-                }
-            }
-            "rdf" => {
-                let mut store = world.rdf.write();
-                match &w.value {
-                    Some(t) => {
-                        let triple = mmdb_rdf::Triple {
-                            subject: t.get_field("s").as_str()?.to_string(),
-                            predicate: t.get_field("p").as_str()?.to_string(),
-                            object: t.get_field("o").clone(),
-                            graph: None,
-                        };
-                        // The key is the triple, so a put of a key the
-                        // store already holds (a replica applying a
-                        // checkpoint image over its own state) adds nothing.
-                        if !store.contains(&triple) {
-                            store.insert(triple)?;
-                        }
-                    }
-                    None => {
-                        // Without the value we can't know (s,p,o); rdf_remove
-                        // is therefore modeled as put-of-nothing: scan-free
-                        // removal needs the original triple, which the key
-                        // encodes — but decoding composite keys is lossy for
-                        // strings; accept the scan for this rare path.
-                        // (The session API keeps deletes rare.)
-                        let all: Vec<mmdb_rdf::Triple> =
-                            store.all(None).into_iter().cloned().collect();
-                        for t in all {
-                            let key = encode_composite_key(&[
-                                Value::str(&t.subject),
-                                Value::str(&t.predicate),
-                                t.object.clone(),
-                            ]);
-                            if key == w.key {
-                                store.remove(&t.subject, &t.predicate, &t.object);
-                            }
-                        }
-                    }
-                }
-            }
-            other => return Err(Error::Internal(format!("unknown model domain '{other}'"))),
+    // A fold, not `try_for_each`: it applies every write and keeps the
+    // first error.
+    writes.iter().map(|w| apply_write(world, w)).fold(Ok(()), Result::and)
+}
+
+/// One write of a committed set, routed to its store.
+fn apply_write(world: &World, w: &CommittedWrite) -> Result<()> {
+    let (model, rest) = w.domain.split_once('/').unwrap_or((&w.domain, ""));
+    let utf8_key = || {
+        std::str::from_utf8(&w.key).map_err(|_| Error::Internal(format!("non-utf8 {model} key")))
+    };
+    match (model, &w.value) {
+        ("ddl", def) => apply_definition(world, rest, &w.key, def.as_ref()),
+        ("doc", Some(doc)) => {
+            world.collection(rest)?.put(utf8_key()?, doc.clone())?;
+            world.fulltext_touch(rest, doc);
+            Ok(())
         }
+        ("doc", None) => {
+            let key = utf8_key()?;
+            world.collection(rest)?.remove(key)?;
+            world.fulltext_remove(rest, key);
+            Ok(())
+        }
+        ("kv", Some(v)) => world.kv.put(rest, utf8_key()?, v.clone()),
+        ("kv", None) => world.kv.delete(rest, utf8_key()?).map(drop),
+        ("rel", value) => {
+            let Ok(table) = world.catalog.table(rest) else {
+                // Unknown table: its ddl/table record installs ahead of
+                // its rows, so this only happens for rows whose table was
+                // later dropped — nothing to apply.
+                return Ok(());
+            };
+            match value {
+                Some(obj) => table.put(table.schema().row_from_object(obj)?),
+                // `delete_row` staged `key_of(pk)`: the primary index's
+                // own key.
+                None => table.delete_by_key(&w.key).map(drop),
+            }
+        }
+        ("graph", value) => {
+            let mut seg = rest.splitn(3, '/');
+            let (Some(graph), Some(kind), Some(coll)) = (seg.next(), seg.next(), seg.next()) else {
+                return Err(Error::Internal(format!("bad graph domain '{rest}'")));
+            };
+            let graph = world.graph(graph)?;
+            let key = utf8_key()?;
+            match (kind, value) {
+                ("v", Some(doc)) => graph.put_vertex(coll, key, doc.clone()),
+                ("v", None) => graph.remove_vertex(&handle(coll, key)).map(drop),
+                ("e", Some(doc)) => graph.put_edge(coll, key, doc.clone()),
+                ("e", None) => graph.remove_edge(&handle(coll, key)).map(drop),
+                (other, _) => Err(Error::Internal(format!("bad graph domain kind '{other}'"))),
+            }
+        }
+        ("rdf", Some(t)) => {
+            let triple = mmdb_rdf::Triple {
+                subject: t.get_field("s").as_str()?.to_string(),
+                predicate: t.get_field("p").as_str()?.to_string(),
+                object: t.get_field("o").clone(),
+                graph: None,
+            };
+            // The key is the triple, so a put of a key the store already
+            // holds (a replica applying a checkpoint image over its own
+            // state) adds nothing.
+            let mut store = world.rdf.write();
+            if !store.contains(&triple) {
+                store.insert(triple)?;
+            }
+            Ok(())
+        }
+        ("rdf", None) => {
+            // A delete carries only the key, which encodes (s, p, o) but
+            // does not decode back losslessly for strings: find the triple
+            // by re-encoding each one (the session API keeps deletes rare).
+            let mut store = world.rdf.write();
+            let doomed: Vec<mmdb_rdf::Triple> = store
+                .all(None)
+                .into_iter()
+                .filter(|t| {
+                    let parts = [Value::str(&t.subject), Value::str(&t.predicate), t.object.clone()];
+                    encode_composite_key(&parts) == w.key
+                })
+                .cloned()
+                .collect();
+            for t in doomed {
+                store.remove(&t.subject, &t.predicate, &t.object);
+            }
+            Ok(())
+        }
+        (other, _) => Err(Error::Internal(format!("unknown model domain '{other}'"))),
     }
-    Ok(())
 }
 
 /// The hook's `ddl` arm: a definition's put creates its container, index

@@ -87,11 +87,20 @@ impl Collection {
         self.heap.is_empty()
     }
 
-    /// Insert a document (must be an object). A missing `_key` gets an
-    /// auto-generated one; the (possibly generated) key is returned.
-    pub fn insert(&self, mut doc: Value) -> Result<String> {
-        let obj = doc.as_object_mut()?;
-        let key = match obj.get(KEY_FIELD) {
+    /// Insert a document (must be an object) under a key no document
+    /// holds: its `_key`, or a generated one when it has none. Returns the
+    /// key.
+    pub fn insert(&self, doc: Value) -> Result<String> {
+        let key = self.insert_key(&doc)?;
+        self.put(&key, doc)?;
+        Ok(key)
+    }
+
+    /// The key an [`insert`](Self::insert) of `doc` takes: its `_key`, or a
+    /// generated one when it has none. `AlreadyExists` when a document
+    /// holds it.
+    pub fn insert_key(&self, doc: &Value) -> Result<String> {
+        let key = match doc.as_object()?.get(KEY_FIELD) {
             Some(Value::String(k)) => k.to_string(),
             Some(other) => {
                 return Err(Error::Schema(format!(
@@ -99,37 +108,82 @@ impl Collection {
                     other.type_name()
                 )))
             }
-            None => {
-                let k = self.next_key.fetch_add(1, Ordering::SeqCst).to_string();
-                obj.insert(KEY_FIELD, Value::str(&k));
-                k
-            }
+            None => self.next_key.fetch_add(1, Ordering::SeqCst).to_string(),
         };
-        {
-            let idx = self.indexes.read();
-            if idx.primary.get(&key).is_some() {
-                return Err(Error::AlreadyExists(format!(
-                    "document '{key}' in collection '{}'",
-                    self.name
-                )));
-            }
-        }
-        let rid = self.heap.insert(&value_to_bytes(&doc))?;
-        let mut idx = self.indexes.write();
-        idx.primary.insert(key.clone(), rid);
-        for (path_text, tree) in idx.persistent.iter_mut() {
-            let path = Path::parse(path_text)?;
-            tree.insert(sec_key(path.eval_point(&doc)?, &key), rid);
-        }
-        if let Some(gin) = &mut idx.gin {
-            // GIN doc ids must never be reused, so draw them from the same
-            // monotone counter as generated keys.
-            let id: DocId = self.next_key.fetch_add(1, Ordering::SeqCst);
-            gin.index.insert(id, &doc);
-            gin.by_key.insert(key.clone(), id);
-            gin.by_id.insert(id, key.clone());
+        if self.contains_key(&key) {
+            return Err(Error::AlreadyExists(format!(
+                "document '{key}' in collection '{}'",
+                self.name
+            )));
         }
         Ok(key)
+    }
+
+    /// Create or replace the document with this `_key`: the one body that
+    /// writes a document and keeps the primary, persistent and GIN
+    /// indexes in step. The document's `_key`, if present, must be `key`;
+    /// a missing one is set. The old document is fetched only when a
+    /// persistent or GIN index has entries of it to move.
+    pub fn put(&self, key: &str, mut doc: Value) -> Result<()> {
+        {
+            let obj = doc.as_object_mut()?;
+            match obj.get(KEY_FIELD) {
+                None => {
+                    obj.insert(KEY_FIELD, Value::str(key));
+                }
+                Some(Value::String(k)) if k == key => {}
+                Some(_) => {
+                    return Err(Error::Schema(format!("_key of document '{key}' does not match")))
+                }
+            }
+        }
+        let bytes = value_to_bytes(&doc);
+        // Held throughout, so the set of indexes cannot change between
+        // deciding whether the old document is needed and using it.
+        let mut idx = self.indexes.write();
+        let old_rid = idx.primary.get(key).copied();
+        let old = match old_rid {
+            Some(rid) if !idx.persistent.is_empty() || idx.gin.is_some() => {
+                Some(self.fetch(rid, &Projection::ALL)?)
+            }
+            _ => None,
+        };
+        let rid = match old_rid {
+            Some(rid) => self.heap.update(rid, &bytes)?,
+            None => self.heap.insert(&bytes)?,
+        };
+        if old_rid != Some(rid) {
+            idx.primary.insert(key.to_string(), rid);
+        }
+        for (path_text, tree) in idx.persistent.iter_mut() {
+            let path = Path::parse(path_text)?;
+            let new = path.eval_point(&doc)?;
+            if let Some(old) = &old {
+                let old = path.eval_point(old)?;
+                if old == new && old_rid == Some(rid) {
+                    continue;
+                }
+                tree.remove(&sec_key(old, key));
+            }
+            tree.insert(sec_key(new, key), rid);
+        }
+        if let Some(gin) = &mut idx.gin {
+            match (gin.by_key.get(key), &old) {
+                (Some(&id), Some(old)) => {
+                    gin.index.remove(id, old);
+                    gin.index.insert(id, &doc);
+                }
+                _ => {
+                    // GIN doc ids must never be reused, so draw them from
+                    // the same monotone counter as generated keys.
+                    let id: DocId = self.next_key.fetch_add(1, Ordering::SeqCst);
+                    gin.index.insert(id, &doc);
+                    gin.by_key.insert(key.to_string(), id);
+                    gin.by_id.insert(id, key.to_string());
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Insert from JSON text.
@@ -160,74 +214,17 @@ impl Collection {
         self.indexes.read().primary.get(key).is_some()
     }
 
-    /// Replace a document wholesale (the `_key` in `doc`, if present, must
-    /// match).
-    pub fn update(&self, key: &str, mut doc: Value) -> Result<()> {
-        {
-            let obj = doc.as_object_mut()?;
-            match obj.get(KEY_FIELD) {
-                None => {
-                    obj.insert(KEY_FIELD, Value::str(key));
-                }
-                Some(Value::String(k)) if k == key => {}
-                Some(_) => return Err(Error::Schema("_key mismatch in update".into())),
-            }
-        }
-        let rid = {
-            self.indexes
-                .read()
-                .primary
-                .get(key)
-                .copied()
-                .ok_or_else(|| Error::NotFound(format!("document '{key}'")))?
-        };
-        let old = self.fetch(rid, &Projection::ALL)?;
-        let new_rid = self.heap.update(rid, &value_to_bytes(&doc))?;
-        let mut idx = self.indexes.write();
-        if new_rid != rid {
-            idx.primary.insert(key.to_string(), new_rid);
-        }
-        for (path_text, tree) in idx.persistent.iter_mut() {
-            let path = Path::parse(path_text)?;
-            let (ov, nv) = (path.eval_point(&old)?, path.eval_point(&doc)?);
-            if ov != nv || new_rid != rid {
-                tree.remove(&sec_key(ov, key));
-                tree.insert(sec_key(nv, key), new_rid);
-            }
-        }
-        if let Some(gin) = &mut idx.gin {
-            if let Some(&id) = gin.by_key.get(key) {
-                gin.index.remove(id, &old);
-                gin.index.insert(id, &doc);
-            }
-        }
-        Ok(())
-    }
-
-    /// Merge-patch: set the given top-level fields, keep the rest.
-    pub fn patch(&self, key: &str, patch: &Value) -> Result<()> {
-        let mut doc = self
-            .get(key)?
-            .ok_or_else(|| Error::NotFound(format!("document '{key}'")))?;
-        {
-            let obj = doc.as_object_mut()?;
-            for (k, v) in patch.as_object()?.iter() {
-                if k == KEY_FIELD {
-                    continue;
-                }
-                obj.insert(k, v.clone());
-            }
-        }
-        self.update(key, doc)
-    }
-
-    /// Remove by `_key`; returns whether it existed.
+    /// Remove by `_key`; returns whether it existed. Like [`put`](Self::put),
+    /// it fetches the old document only when an index has entries of it.
     pub fn remove(&self, key: &str) -> Result<bool> {
-        let rid = { self.indexes.read().primary.get(key).copied() };
-        let Some(rid) = rid else { return Ok(false) };
-        let old = self.fetch(rid, &Projection::ALL)?;
-        self.heap.delete(rid)?;
         let mut idx = self.indexes.write();
+        let Some(rid) = idx.primary.get(key).copied() else { return Ok(false) };
+        let old = if idx.persistent.is_empty() && idx.gin.is_none() {
+            Value::Null
+        } else {
+            self.fetch(rid, &Projection::ALL)?
+        };
+        self.heap.delete(rid)?;
         idx.primary.remove(key);
         for (path_text, tree) in idx.persistent.iter_mut() {
             let path = Path::parse(path_text)?;
@@ -491,18 +488,18 @@ mod tests {
     }
 
     #[test]
-    fn update_and_patch() {
+    fn put_creates_and_replaces() {
         let c = coll();
-        c.insert_json(r#"{"_key":"k","status":"new","total":10}"#).unwrap();
-        c.update("k", from_json(r#"{"status":"paid"}"#).unwrap()).unwrap();
+        c.put("k", from_json(r#"{"status":"new","total":10}"#).unwrap()).unwrap();
+        assert_eq!(c.get("k").unwrap().unwrap().get_field("_key"), &Value::str("k"));
+        c.put("k", from_json(r#"{"_key":"k","status":"paid"}"#).unwrap()).unwrap();
         let doc = c.get("k").unwrap().unwrap();
         assert_eq!(doc.get_field("status"), &Value::str("paid"));
-        assert_eq!(doc.get_field("total"), &Value::Null, "update replaces wholesale");
-        c.patch("k", &from_json(r#"{"total":20}"#).unwrap()).unwrap();
-        let doc = c.get("k").unwrap().unwrap();
-        assert_eq!(doc.get_field("status"), &Value::str("paid"));
-        assert_eq!(doc.get_field("total"), &Value::int(20));
-        assert!(c.update("missing", from_json("{}").unwrap()).is_err());
+        assert_eq!(doc.get_field("total"), &Value::Null, "put replaces wholesale");
+        assert_eq!(c.len(), 1);
+        let mismatch = c.put("k", from_json(r#"{"_key":"other"}"#).unwrap());
+        assert!(matches!(mismatch, Err(Error::Schema(_))));
+        assert!(matches!(c.insert(from_json(r#"{"_key":"k"}"#).unwrap()), Err(Error::AlreadyExists(_))));
     }
 
     #[test]
@@ -529,8 +526,8 @@ mod tests {
         assert_eq!(docs2.len(), 10);
         assert!(c.create_persistent_index("price").is_err());
         assert_eq!(c.indexed_paths(), vec!["price".to_string()]);
-        // Index maintenance across update and remove.
-        c.update("d15", from_json(r#"{"price":5000}"#).unwrap()).unwrap();
+        // Index maintenance across a re-put and a remove.
+        c.put("d15", from_json(r#"{"price":5000}"#).unwrap()).unwrap();
         c.remove("d12").unwrap();
         let (docs3, _) = c.range("price", &Value::int(100), &Value::int(190)).unwrap();
         assert_eq!(docs3.len(), 8);
@@ -576,8 +573,8 @@ mod tests {
         assert_eq!(c.with_key("tags").unwrap().len(), 1);
         c.remove("a").unwrap();
         assert!(c.with_key("tags").unwrap().is_empty());
-        // Update re-indexes.
-        c.update("b", from_json(r#"{"tags":["y"]}"#).unwrap()).unwrap();
+        // A re-put re-indexes.
+        c.put("b", from_json(r#"{"tags":["y"]}"#).unwrap()).unwrap();
         assert_eq!(c.with_key("tags").unwrap().len(), 1);
         assert!(c.create_gin_index(GinMode::JsonbOps).is_err());
     }

@@ -77,6 +77,29 @@ impl EdgeIndex {
         let inn = if dir == Direction::Outbound { None } else { self.inn.get(vertex) };
         out.into_iter().chain(inn).flatten()
     }
+
+    /// File `edge` under `from`'s outbound and `to`'s inbound entries.
+    fn link(&mut self, edge: &str, from: &str, to: &str) {
+        let (from, to) = (self.vertex_handle(from), self.vertex_handle(to));
+        let edge: Arc<str> = Arc::from(edge);
+        self.out.entry(Arc::clone(&from)).or_default().push((Arc::clone(&edge), Arc::clone(&to)));
+        self.inn.entry(to).or_default().push((edge, from));
+    }
+
+    /// Drop `edge`'s entries under `from` and `to`.
+    fn unlink(&mut self, edge: &str, from: &str, to: &str) {
+        if let Some(v) = self.out.get_mut(from) {
+            v.retain(|(e, _)| &**e != edge);
+        }
+        if let Some(v) = self.inn.get_mut(to) {
+            v.retain(|(e, _)| &**e != edge);
+        }
+    }
+}
+
+/// An edge document's `(_from, _to)`.
+fn endpoints(edge: &Value) -> Result<(&str, &str)> {
+    Ok((edge.get_field(FROM_FIELD).as_str()?, edge.get_field(TO_FIELD).as_str()?))
 }
 
 /// A named property graph.
@@ -173,14 +196,14 @@ impl Graph {
         Ok(self.vertex_collection(coll)?.contains_key(key))
     }
 
-    /// Replace a vertex document wholesale (edges are untouched).
-    pub fn update_vertex(&self, h: &str, doc: Value) -> Result<()> {
-        let (coll, key) = split_handle(h)?;
-        self.vertex_collection(coll)?.update(key, doc)
+    /// Create or replace the vertex `collection/key`; its edges are
+    /// untouched.
+    pub fn put_vertex(&self, collection: &str, key: &str, doc: Value) -> Result<()> {
+        self.vertex_collection(collection)?.put(key, doc)
     }
 
-    /// Insert an edge `from → to` with properties; returns its handle.
-    /// Both endpoints must exist.
+    /// Insert an edge `from → to` with properties under a key no edge
+    /// holds; returns its handle. Both endpoints must exist.
     pub fn add_edge(
         &self,
         collection: &str,
@@ -193,20 +216,39 @@ impl Graph {
                 return Err(Error::NotFound(format!("vertex '{endpoint}'")));
             }
         }
-        let coll = self.edge_collection(collection)?;
         {
             let obj = properties.as_object_mut()?;
             obj.insert(FROM_FIELD, Value::str(from));
             obj.insert(TO_FIELD, Value::str(to));
         }
-        let key = coll.insert(properties)?;
-        let eh = handle(collection, &key);
+        let key = self.edge_collection(collection)?.insert_key(&properties)?;
+        self.put_edge(collection, &key, properties)?;
+        Ok(handle(collection, &key))
+    }
+
+    /// Create or replace the edge `collection/key`, whose `_from` and `_to`
+    /// name its endpoints: the one body that writes an edge and keeps the
+    /// edge index in step. A re-put that moves an endpoint moves the
+    /// edge's entries. The endpoints are not looked up: the hook's view
+    /// takes the edge the log holds, and [`add_edge`](Self::add_edge)
+    /// refuses a missing one.
+    pub fn put_edge(&self, collection: &str, key: &str, doc: Value) -> Result<()> {
+        let (from, to) = endpoints(&doc)?;
+        let (from, to) = (from.to_string(), to.to_string());
+        let coll = self.edge_collection(collection)?;
+        let old = coll.get(key)?;
+        coll.put(key, doc)?;
+        let edge = handle(collection, key);
         let mut idx = self.edge_index.write();
-        let (from, to) = (idx.vertex_handle(from), idx.vertex_handle(to));
-        let edge: Arc<str> = Arc::from(eh.as_str());
-        idx.out.entry(Arc::clone(&from)).or_default().push((Arc::clone(&edge), Arc::clone(&to)));
-        idx.inn.entry(to).or_default().push((edge, from));
-        Ok(eh)
+        if let Some(old) = &old {
+            let (old_from, old_to) = endpoints(old)?;
+            if (old_from, old_to) == (from.as_str(), to.as_str()) {
+                return Ok(());
+            }
+            idx.unlink(&edge, old_from, old_to);
+        }
+        idx.link(&edge, &from, &to);
+        Ok(())
     }
 
     /// Fetch an edge document by handle.
@@ -215,22 +257,14 @@ impl Graph {
         self.edge_collection(coll)?.get(key)
     }
 
-    /// Remove an edge.
+    /// Remove an edge; returns whether it existed.
     pub fn remove_edge(&self, h: &str) -> Result<bool> {
-        let Some(doc) = self.edge(h)? else { return Ok(false) };
         let (coll, key) = split_handle(h)?;
-        self.edge_collection(coll)?.remove(key)?;
-        let mut idx = self.edge_index.write();
-        if let Ok(from) = doc.get_field(FROM_FIELD).as_str() {
-            if let Some(v) = idx.out.get_mut(from) {
-                v.retain(|(e, _)| &**e != h);
-            }
-        }
-        if let Ok(to) = doc.get_field(TO_FIELD).as_str() {
-            if let Some(v) = idx.inn.get_mut(to) {
-                v.retain(|(e, _)| &**e != h);
-            }
-        }
+        let coll = self.edge_collection(coll)?;
+        let Some(doc) = coll.get(key)? else { return Ok(false) };
+        let (from, to) = endpoints(&doc)?;
+        coll.remove(key)?;
+        self.edge_index.write().unlink(h, from, to);
         Ok(true)
     }
 
@@ -409,6 +443,28 @@ pub(crate) mod tests {
         let edge = g.edge(&eh).unwrap().unwrap();
         assert_eq!(edge.get_field("since"), &Value::int(2015));
         assert_eq!(edge.get_field("_from"), &Value::str("customers/2"));
+    }
+
+    #[test]
+    fn put_edge_creates_replaces_and_moves_its_entries() {
+        let g = paper_graph();
+        let edge = |json: &str| from_json(json).unwrap();
+        g.put_edge("knows", "e9", edge(r#"{"_from":"customers/2","_to":"customers/3"}"#)).unwrap();
+        assert_eq!(g.neighbors("customers/3", Direction::Inbound, None).unwrap(), vec!["customers/2"]);
+        // A re-put that moves `_to` moves the edge's entries.
+        g.put_edge("knows", "e9", edge(r#"{"_from":"customers/2","_to":"customers/1","w":1}"#))
+            .unwrap();
+        assert!(g.neighbors("customers/3", Direction::Inbound, None).unwrap().is_empty());
+        assert_eq!(
+            g.neighbors("customers/1", Direction::Inbound, None).unwrap(),
+            vec!["customers/2", "customers/3"]
+        );
+        assert_eq!(g.edge("knows/e9").unwrap().unwrap().get_field("w"), &Value::int(1));
+        assert_eq!(g.edge_count(), 3);
+        // An edge names both endpoints; `add_edge` takes no key twice.
+        assert!(g.put_edge("knows", "e10", edge(r#"{"_from":"customers/2"}"#)).is_err());
+        let again = g.add_edge("knows", "customers/1", "customers/2", edge(r#"{"_key":"e9"}"#));
+        assert!(matches!(again, Err(Error::AlreadyExists(_))));
     }
 
     #[test]

@@ -16,6 +16,9 @@ const EDGE_COLLECTIONS: [&str; 2] = ["knows", "likes"];
 #[derive(Debug, Clone)]
 enum Op {
     AddEdge { coll: usize, from: usize, to: usize },
+    /// Re-put the i-th edge ever added between other vertices (it may be
+    /// gone already, and then comes back).
+    MoveEdge { edge: usize, from: usize, to: usize },
     /// Remove the i-th edge ever added (it may be gone already).
     RemoveEdge(usize),
     RemoveVertex(usize),
@@ -30,6 +33,8 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
                 .prop_map(|(coll, from, to)| Op::AddEdge { coll, from, to }),
             (0..EDGE_COLLECTIONS.len(), 0..VERTICES, 0..VERTICES)
                 .prop_map(|(coll, from, to)| Op::AddEdge { coll, from, to }),
+            (0usize..40, 0..VERTICES, 0..VERTICES)
+                .prop_map(|(edge, from, to)| Op::MoveEdge { edge, from, to }),
             (0usize..40).prop_map(Op::RemoveEdge),
             (0..VERTICES).prop_map(Op::RemoveVertex),
             (0..VERTICES).prop_map(Op::AddVertex),
@@ -88,6 +93,15 @@ proptest! {
                     let added = g.add_edge(EDGE_COLLECTIONS[coll], &vertex(from), &vertex(to), from_json("{}").unwrap());
                     prop_assert_eq!(added.is_ok(), alive[from] && alive[to], "dangling edges are refused");
                     created.extend(added);
+                }
+                Op::MoveEdge { edge, from, to } => {
+                    // Only between live vertices: `put_edge` does not look
+                    // its endpoints up.
+                    if let (Some(handle), true) = (created.get(edge), alive[from] && alive[to]) {
+                        let (coll, key) = handle.split_once('/').unwrap();
+                        let doc = format!(r#"{{"_from":"{}","_to":"{}"}}"#, vertex(from), vertex(to));
+                        g.put_edge(coll, key, from_json(&doc).unwrap()).unwrap();
+                    }
                 }
                 Op::RemoveEdge(i) => {
                     if let Some(handle) = created.get(i) {

@@ -130,23 +130,49 @@ impl Table {
     /// Insert an ordered row. Fails on duplicate primary key.
     pub fn insert(&self, mut row: Vec<Value>) -> Result<()> {
         self.schema.validate(&mut row)?;
-        let pk_value = row[self.schema.primary_key()].clone();
-        let pk_key = key_of(&pk_value);
-        {
-            let idx = self.indexes.read();
-            if idx.primary.contains_key(&pk_key) {
-                return Err(Error::AlreadyExists(format!(
-                    "primary key {pk_value} in table '{}'",
-                    self.name
-                )));
-            }
+        let pk = &row[self.schema.primary_key()];
+        if self.contains_key(pk) {
+            return Err(Error::AlreadyExists(format!(
+                "primary key {pk} in table '{}'",
+                self.name
+            )));
         }
-        let rid = self.heap.insert(&value_to_bytes(&Value::Array(row.clone())))?;
+        self.put(row)
+    }
+
+    /// Create or replace the row with this row's primary key: the one
+    /// body that writes a row and keeps the primary and column indexes in
+    /// step. The old row is fetched only when a column index has entries
+    /// of it to move.
+    pub fn put(&self, mut row: Vec<Value>) -> Result<()> {
+        self.schema.validate(&mut row)?;
+        let pk = &row[self.schema.primary_key()];
+        let pk_key = key_of(pk);
+        let bytes = value_to_bytes(&Value::Array(row.clone()));
+        // Held throughout, so the set of column indexes cannot change
+        // between deciding whether the old row is needed and using it.
         let mut idx = self.indexes.write();
-        idx.primary.insert(pk_key, rid);
+        let old_rid = idx.primary.get(&pk_key).copied();
+        let old = match old_rid {
+            Some(rid) if !idx.secondary.is_empty() => Some(self.fetch(rid)?),
+            _ => None,
+        };
+        let rid = match old_rid {
+            Some(rid) => self.heap.update(rid, &bytes)?,
+            None => self.heap.insert(&bytes)?,
+        };
+        if old_rid != Some(rid) {
+            idx.primary.insert(pk_key, rid);
+        }
         for (col, tree) in idx.secondary.iter_mut() {
             let ci = self.schema.column_index(col)?;
-            tree.insert(sec_key(&row[ci], &pk_value), rid);
+            if let Some(old) = &old {
+                if old[ci] == row[ci] && old_rid == Some(rid) {
+                    continue;
+                }
+                tree.remove(&sec_key(&old[ci], pk));
+            }
+            tree.insert(sec_key(&row[ci], pk), rid);
         }
         Ok(())
     }
@@ -181,7 +207,7 @@ impl Table {
     /// `key_of(pk)` — all a replayed commit knows a deleted row by.
     pub fn delete_by_key(&self, pk_key: &[u8]) -> Result<bool> {
         let pk_key = pk_key.to_vec();
-        // Held throughout, like `update`'s.
+        // Held throughout, like `put`'s.
         let mut idx = self.indexes.write();
         let Some(rid) = idx.primary.get(&pk_key).copied() else { return Ok(false) };
         // Only a secondary index needs the old row's values.
@@ -193,37 +219,6 @@ impl Table {
             tree.remove(&sec_key(&row[ci], &row[self.schema.primary_key()]));
         }
         Ok(true)
-    }
-
-    /// Update the row with the given primary key to a new full row (same pk).
-    pub fn update(&self, pk: &Value, mut new_row: Vec<Value>) -> Result<()> {
-        self.schema.validate(&mut new_row)?;
-        if &new_row[self.schema.primary_key()] != pk {
-            return Err(Error::Schema("update must not change the primary key".into()));
-        }
-        let pk_key = key_of(pk);
-        // Held throughout, so the set of secondary indexes cannot change
-        // between deciding whether the old row is needed and using it.
-        let mut idx = self.indexes.write();
-        let rid = idx
-            .primary
-            .get(&pk_key)
-            .copied()
-            .ok_or_else(|| Error::NotFound(format!("primary key {pk} in '{}'", self.name)))?;
-        // Only a secondary index needs the old row's values.
-        let old_row = if idx.secondary.is_empty() { Vec::new() } else { self.fetch(rid)? };
-        let new_rid = self.heap.update(rid, &value_to_bytes(&Value::Array(new_row.clone())))?;
-        if new_rid != rid {
-            idx.primary.insert(pk_key, new_rid);
-        }
-        for (col, tree) in idx.secondary.iter_mut() {
-            let ci = self.schema.column_index(col)?;
-            if old_row[ci] != new_row[ci] || new_rid != rid {
-                tree.remove(&sec_key(&old_row[ci], pk));
-                tree.insert(sec_key(&new_row[ci], pk), new_rid);
-            }
-        }
-        Ok(())
     }
 
     /// Create a secondary B+-tree index on a column, backfilling it.
@@ -485,21 +480,24 @@ mod tests {
     }
 
     #[test]
-    fn update_maintains_indexes() {
+    fn put_creates_replaces_and_maintains_indexes() {
         let t = customers_table();
         t.create_index("credit_limit").unwrap();
-        t.update(&Value::int(3), vec![Value::int(3), Value::str("Anne"), Value::int(9000)]).unwrap();
+        t.put(vec![Value::int(3), Value::str("Anne"), Value::int(9000)]).unwrap();
         let (rows, used) = t.select(&Predicate::Gt("credit_limit".into(), Value::int(3000))).unwrap();
         assert!(used);
         assert_eq!(rows.len(), 2);
         // The old index entry is gone.
         let (rows, _) = t.select(&Predicate::Eq("credit_limit".into(), Value::int(2000))).unwrap();
         assert!(rows.is_empty());
-        // PK change is rejected.
-        let e = t.update(&Value::int(3), vec![Value::int(4), Value::str("A"), Value::Null]);
-        assert!(e.is_err());
-        // Updating a missing row errors.
-        assert!(t.update(&Value::int(77), vec![Value::int(77), Value::str("x"), Value::Null]).is_err());
+        // A put of a new primary key creates the row.
+        t.put(vec![Value::int(77), Value::str("x"), Value::int(9000)]).unwrap();
+        assert_eq!(t.len(), 4);
+        let (rows, _) = t.select(&Predicate::Eq("credit_limit".into(), Value::int(9000))).unwrap();
+        assert_eq!(rows.len(), 2);
+        // A row the schema refuses changes nothing.
+        assert!(t.put(vec![Value::int(3), Value::Null, Value::Null]).is_err());
+        assert_eq!(t.get(&Value::int(3)).unwrap().unwrap()[1], Value::str("Anne"));
     }
 
     #[test]

@@ -1137,11 +1137,17 @@ fn run_admin(inner: &ServerInner, command: &str) -> Result<Response> {
         // A read replica reports `replica` plus its lag figures — it is
         // intentionally read-only, not degraded, even when its primary is
         // unreachable (it keeps serving reads and its staleness grows).
+        // Both report `hook_failure`: why the commit hook first failed to
+        // apply a committed write set to the model stores (null when it
+        // never has) — on a replica, whose latch keeps its first reason,
+        // the only place that shows.
         "HEALTH" => {
+            let hook_failure = inner.db.hook_failure().map_or(Value::Null, Value::str);
             if let Some(provider) = inner.replica_status.get() {
                 let mut status = provider();
                 if let Ok(obj) = status.as_object_mut() {
                     obj.insert("status", Value::str("replica"));
+                    obj.insert("hook_failure", hook_failure);
                 }
                 return Ok(Response::Stats(status));
             }
@@ -1153,6 +1159,7 @@ fn run_admin(inner: &ServerInner, command: &str) -> Result<Response> {
             if let Some(reason) = inner.db.degraded_reason() {
                 fields.push(("reason".to_string(), Value::str(&reason)));
             }
+            fields.push(("hook_failure".to_string(), hook_failure));
             // How stale the last checkpoint is; Null until the first one
             // runs (the stamp survives restarts via the time in the log's
             // header). Operators alert on this growing unbounded while

@@ -864,10 +864,10 @@ impl MvccStore {
     ///
     /// Cascades the model stores ran on the history are not re-run: a raw
     /// `ddl/table` delete leaves the table's rows live, and an edge whose
-    /// vertex a raw transaction deleted reaches the hook without it (it
-    /// fails `add_edge` and latches the store read-only). Sessions can
-    /// drop neither a table nor a vertex, so only raw
-    /// [`MvccStore::begin`] writes reach either case.
+    /// vertex a raw transaction deleted reaches the hook without it (the
+    /// view takes it, dangling, as the log holds it). Sessions can drop
+    /// neither a table nor a vertex, so only raw [`MvccStore::begin`]
+    /// writes reach either case.
     pub fn load(&self, state: WriteSet, lsn: Lsn) -> usize {
         let inner = &self.inner;
         let live = state.writes.len();

@@ -368,8 +368,11 @@ fn a_stale_nonempty_replica_converges_through_a_snapshot_bootstrap() {
     let runner = ReplicaRunner::start(Arc::clone(&replica_db), addr, replica_opts()).unwrap();
     wait_caught_up(&runner, &db, "stale replica bootstrap from the base");
 
-    // Byte-identical to the primary, ghosts and all.
+    // Byte-identical to the primary, ghosts and all, and every write of
+    // the image applied: a replica's latch keeps its first reason, so a
+    // hook failure shows only here.
     assert_eq!(probes(&replica_db), probes(&db), "stale replica diverged after bootstrap");
+    assert_eq!(replica_db.hook_failure(), None);
     assert_eq!(replica_db.kv().get("cart", "ghost").unwrap(), None, "ghost kv key survived");
     assert_eq!(
         replica_db.get_document("orders", "ghost-order").unwrap(),
@@ -673,6 +676,8 @@ fn a_replica_whose_cursor_lands_inside_the_image_rebootstraps_from_the_base() {
         }
     }
     assert_eq!(probes(&replica_db), probes(&db), "the re-bootstrapped replica diverged");
+    // The image re-puts every vertex and edge the replica holds already.
+    assert_eq!(replica_db.hook_failure(), None);
     db.kv_put("cart", "live", Value::str("after")).unwrap();
     wait_caught_up(&runner, &db, "the live tail");
     assert_eq!(replica_db.kv().get("cart", "live").unwrap(), Some(Value::str("after")));

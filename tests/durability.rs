@@ -1,8 +1,10 @@
 //! Integration test: one WAL, all models — crash recovery of cross-model
-//! transactions, torn-tail handling, and checkpoint behaviour.
+//! transactions, torn-tail handling, checkpoint behaviour, and model
+//! stores that follow the version store through loads and raw writes.
 
 use mmdb::{Database, Value};
 use mmdb_txn::IsolationLevel;
+use proptest::prelude::*;
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("mmdb-it-{tag}-{}", std::process::id()));
@@ -515,4 +517,332 @@ fn every_definition_survives_reopen_checkpoint_and_replication() {
     assert!(!db.is_degraded(), "{:?}", db.degraded_reason());
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Load `primary`'s log, folded as a checkpoint folds it, into `db`:
+/// what a replica's reset does to its state.
+fn load_fold_of(primary: &Database, db: &Database) {
+    use mmdb::substrate::storage::wal;
+    use mmdb::substrate::txn::WriteSet;
+    let log = primary.wal().unwrap();
+    let redo = wal::recover_from_bytes(&log.snapshot_bytes().unwrap()).redo;
+    db.mvcc().load(WriteSet::decode(wal::fold(&redo)).unwrap(), log.tail_lsn());
+}
+
+/// `rewrite_history`'s end state, held by a database of its own, plus a
+/// ghost order the primary never had.
+fn a_store_that_holds_the_fold_and_a_ghost() -> Database {
+    let db = Database::in_memory_logged();
+    rewrite_history(&db);
+    db.insert_json("orders", r#"{"_key":"ghost","total":99}"#).unwrap();
+    db
+}
+
+fn order_keys(db: &Database) -> Vec<Value> {
+    db.query("FOR o IN orders SORT o._key RETURN o._key").unwrap()
+}
+
+#[test]
+fn loading_a_fold_over_a_store_that_holds_its_edges_leaves_no_ghost() {
+    let primary = Database::in_memory_logged();
+    rewrite_history(&primary);
+    let db = a_store_that_holds_the_fold_and_a_ghost();
+
+    // Every vertex, edge, row, document and key the fold puts is live in
+    // `db` already: each one is a re-put, and the ghost a tombstone.
+    load_fold_of(&primary, &db);
+    assert_eq!(db.degraded_reason(), None);
+    assert_eq!(db.hook_failure(), None);
+    assert_eq!(order_keys(&db), order_keys(&primary), "the ghost order survived");
+    assert_eq!(db.mvcc().get_latest("doc/orders", b"ghost").unwrap(), None);
+    assert_eq!(fold_probes(&db), fold_probes(&primary));
+}
+
+#[test]
+fn a_load_whose_index_drop_fails_still_removes_the_ghost() {
+    let primary = Database::in_memory_logged();
+    rewrite_history(&primary);
+    let db = a_store_that_holds_the_fold_and_a_ghost();
+    // A definition the primary never had: the hook cannot drop an index,
+    // and its tombstone sorts ahead of the ghost order's.
+    db.create_index("orders", "total").unwrap();
+
+    load_fold_of(&primary, &db);
+    let reason = db.degraded_reason().expect("the failed drop latches the store");
+    assert!(reason.contains("dropping index 'persistent/orders/total'"), "{reason}");
+    assert_eq!(reason, format!("commit hook failed: {}", db.hook_failure().unwrap()));
+    assert_eq!(order_keys(&db), order_keys(&primary), "the ghost order survived");
+    assert_eq!(fold_probes(&db), fold_probes(&primary));
+}
+
+#[test]
+fn a_raw_reput_of_a_live_edge_moves_it() {
+    let db = Database::in_memory_logged();
+    db.create_graph("social").unwrap();
+    db.create_vertex_collection("social", "persons").unwrap();
+    db.create_edge_collection("social", "knows").unwrap();
+    let json = |s: &str| mmdb::from_json(s).unwrap();
+    db.transact(IsolationLevel::Snapshot, 3, |s| {
+        for key in ["1", "2", "3"] {
+            s.add_vertex("social", "persons", json(&format!(r#"{{"_key":"{key}"}}"#)))?;
+        }
+        s.add_edge("social", "knows", "persons/1", "persons/2", json(r#"{"_key":"e1","since":2020}"#))
+            .map(drop)
+    })
+    .unwrap();
+
+    // Straight through the version store: the same edge, `_to` moved.
+    let mut t = db.mvcc().begin(IsolationLevel::Snapshot);
+    let moved = r#"{"_key":"e1","_from":"persons/1","_to":"persons/3","since":2021}"#;
+    t.put("graph/social/e/knows", b"e1", json(moved)).unwrap();
+    t.commit().unwrap();
+
+    assert_eq!(db.degraded_reason(), None);
+    let keys = |q: &str| db.query(q).unwrap();
+    let none = Vec::<Value>::new();
+    assert_eq!(keys(r#"FOR p IN 1..1 INBOUND "persons/2" knows RETURN p._key"#), none);
+    assert_eq!(keys(r#"FOR p IN 1..1 OUTBOUND "persons/2" knows RETURN p._key"#), none);
+    assert_eq!(keys(r#"FOR p IN 1..1 INBOUND "persons/3" knows RETURN p._key"#), vec![Value::str("1")]);
+    assert_eq!(keys(r#"FOR p IN 1..1 OUTBOUND "persons/1" knows RETURN p._key"#), vec![Value::str("3")]);
+    let edge = db.world().graph("social").unwrap().edge("knows/e1").unwrap();
+    assert_eq!(edge, db.mvcc().get_latest("graph/social/e/knows", b"e1").unwrap());
+}
+
+/// Keys per domain in the property test below: few, so that write sets
+/// re-put and delete the same keys.
+const KEYS: usize = 4;
+
+/// One raw write of the property test: a key of a domain and its new
+/// value, `None` for a delete.
+#[derive(Debug, Clone)]
+enum RawWrite {
+    Doc(usize, Option<i64>),
+    Kv(usize, Option<i64>),
+    Row(usize, Option<i64>),
+    Vertex(usize, Option<i64>),
+    /// `(from, to, n)`: vertex keys and a property.
+    Edge(usize, Option<(usize, usize, i64)>),
+}
+
+fn arb_raw_write() -> impl Strategy<Value = RawWrite> {
+    // Two puts to a delete.
+    let n = || prop_oneof![(0..100i64).prop_map(Some), (0..100i64).prop_map(Some), Just(None)];
+    let edge = prop_oneof![
+        (0..KEYS, 0..KEYS, 0..100i64).prop_map(Some),
+        (0..KEYS, 0..KEYS, 0..100i64).prop_map(Some),
+        Just(None),
+    ];
+    prop_oneof![
+        (0..KEYS, n()).prop_map(|(k, n)| RawWrite::Doc(k, n)),
+        (0..KEYS, n()).prop_map(|(k, n)| RawWrite::Kv(k, n)),
+        (0..KEYS, n()).prop_map(|(k, n)| RawWrite::Row(k, n)),
+        (0..KEYS, n()).prop_map(|(k, n)| RawWrite::Vertex(k, n)),
+        (0..KEYS, edge).prop_map(|(k, e)| RawWrite::Edge(k, e)),
+    ]
+}
+
+/// The domain, key and value a raw write stages.
+fn staged(w: &RawWrite) -> (&'static str, Vec<u8>, Option<Value>) {
+    use mmdb::substrate::types::codec::key_of;
+    let doc = |key: String, fields: Vec<(&str, Value)>| {
+        Value::object([("_key", Value::str(key))].into_iter().chain(fields))
+    };
+    match *w {
+        RawWrite::Doc(k, n) => {
+            let value = n.map(|n| doc(format!("d{k}"), vec![("n", Value::int(n))]));
+            ("doc/orders", format!("d{k}").into_bytes(), value)
+        }
+        RawWrite::Kv(k, n) => ("kv/cart", format!("k{k}").into_bytes(), n.map(Value::int)),
+        RawWrite::Row(k, n) => {
+            let id = Value::int(k as i64);
+            let value = n.map(|n| Value::object([("id", id.clone()), ("n", Value::int(n))]));
+            ("rel/customers", key_of(&id), value)
+        }
+        RawWrite::Vertex(k, n) => {
+            let value = n.map(|n| doc(k.to_string(), vec![("n", Value::int(n))]));
+            ("graph/social/v/persons", k.to_string().into_bytes(), value)
+        }
+        RawWrite::Edge(k, e) => {
+            let value = e.map(|(from, to, n)| {
+                doc(
+                    format!("e{k}"),
+                    vec![
+                        ("_from", Value::str(format!("persons/{from}"))),
+                        ("_to", Value::str(format!("persons/{to}"))),
+                        ("n", Value::int(n)),
+                    ],
+                )
+            });
+            ("graph/social/e/knows", format!("e{k}").into_bytes(), value)
+        }
+    }
+}
+
+/// A database with one container per domain the property test writes,
+/// an index on `n` in the collection and the table, and no data.
+fn views_store() -> Database {
+    use mmdb::substrate::relational::{ColumnDef, DataType, Schema};
+    let db = Database::in_memory_logged();
+    db.create_collection("orders").unwrap();
+    db.create_index("orders", "n").unwrap();
+    db.create_bucket("cart").unwrap();
+    let columns = vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("n", DataType::Int)];
+    db.create_table("customers", Schema::new(columns, "id").unwrap()).unwrap();
+    db.create_index("customers", "n").unwrap();
+    db.create_graph("social").unwrap();
+    db.create_vertex_collection("social", "persons").unwrap();
+    db.create_edge_collection("social", "knows").unwrap();
+    db
+}
+
+/// Commit `writes` straight through the version store.
+fn commit_raw(db: &Database, writes: &[RawWrite]) {
+    let mut t = db.mvcc().begin(IsolationLevel::Snapshot);
+    for w in writes {
+        match staged(w) {
+            (domain, key, Some(value)) => t.put(domain, &key, value).unwrap(),
+            (domain, key, None) => t.delete(domain, &key).unwrap(),
+        }
+    }
+    t.commit().unwrap();
+}
+
+/// The edges `(key, from, to)` the version store holds.
+fn latest_edges(db: &Database) -> Vec<(usize, String, String)> {
+    let mut edges = Vec::new();
+    for k in 0..KEYS {
+        let latest = db.mvcc().get_latest("graph/social/e/knows", format!("e{k}").as_bytes());
+        if let Some(edge) = latest.unwrap() {
+            let end = |field: &str| edge.get_field(field).as_str().unwrap().to_string();
+            edges.push((k, end("_from"), end("_to")));
+        }
+    }
+    edges
+}
+
+/// Every view answers every key of every domain the way `get_latest`
+/// does — the indexes on `n` and the edge index included — and the
+/// store is not latched.
+fn views_follow_the_version_store(db: &Database) -> Result<(), String> {
+    use mmdb::substrate::graph::Direction;
+    use mmdb::substrate::relational::Predicate;
+    prop_assert_eq!(db.degraded_reason(), None);
+    prop_assert_eq!(db.hook_failure(), None);
+    let world = db.world();
+    let orders = world.collection("orders").unwrap();
+    let customers = world.catalog.table("customers").unwrap();
+    let graph = world.graph("social").unwrap();
+    let (mut live_docs, mut live_rows) = (Vec::new(), Vec::new());
+    for k in 0..KEYS {
+        let writes = [
+            RawWrite::Doc(k, None),
+            RawWrite::Kv(k, None),
+            RawWrite::Row(k, None),
+            RawWrite::Vertex(k, None),
+            RawWrite::Edge(k, None),
+        ];
+        for w in writes {
+            let (domain, key, _) = staged(&w);
+            let latest = db.mvcc().get_latest(domain, &key).unwrap();
+            let view = match w {
+                RawWrite::Doc(..) => orders.get(&format!("d{k}")).unwrap(),
+                RawWrite::Kv(..) => db.kv().get("cart", &format!("k{k}")).unwrap(),
+                RawWrite::Row(..) => {
+                    let row = customers.get(&Value::int(k as i64)).unwrap();
+                    row.map(|row| customers.schema().object_from_row(row))
+                }
+                RawWrite::Vertex(..) => graph.vertex(&format!("persons/{k}")).unwrap(),
+                RawWrite::Edge(..) => graph.edge(&format!("knows/e{k}")).unwrap(),
+            };
+            match (&w, latest.is_some()) {
+                (RawWrite::Doc(..), true) => live_docs.push(Value::str(format!("d{k}"))),
+                (RawWrite::Row(..), true) => live_rows.push(Value::int(k as i64)),
+                _ => {}
+            }
+            prop_assert_eq!(view, latest, "{:?}", w);
+        }
+    }
+    let (docs, used) = orders.range("n", &Value::int(0), &Value::int(100)).unwrap();
+    prop_assert!(used, "the collection's index on n went unused");
+    let mut indexed: Vec<Value> = docs.iter().map(|d| d.get_field("_key").clone()).collect();
+    indexed.sort();
+    prop_assert_eq!(indexed, live_docs, "the collection's index on n");
+    let between = Predicate::Between("n".into(), Value::int(0), Value::int(100));
+    let (rows, used) = customers.select(&between).unwrap();
+    prop_assert!(used, "the table's index on n went unused");
+    let mut indexed: Vec<Value> = rows.iter().map(|r| r[0].clone()).collect();
+    indexed.sort();
+    prop_assert_eq!(indexed, live_rows, "the table's index on n");
+    let edges = latest_edges(db);
+    for v in (0..KEYS).map(|k| format!("persons/{k}")) {
+        for dir in [Direction::Outbound, Direction::Inbound] {
+            let mut far: Vec<String> = edges
+                .iter()
+                .filter_map(|(_, from, to)| match dir {
+                    Direction::Outbound => (*from == v).then(|| to.clone()),
+                    _ => (*to == v).then(|| from.clone()),
+                })
+                .collect();
+            far.sort();
+            far.dedup();
+            prop_assert_eq!(graph.neighbors(&v, dir, Some("knows")).unwrap(), far, "{} {:?}", v, dir);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The model stores follow the version store through raw write sets
+    /// that re-put live keys, delete absent ones and move edges, and
+    /// through a load of their fold over a store that holds other state.
+    /// An edge joins live vertices and a vertex is deleted only once it
+    /// has no edges: the view's vertex-delete cascade is not the log's.
+    #[test]
+    fn the_views_follow_the_version_store(
+        sets in prop::collection::vec(prop::collection::vec(arb_raw_write(), 1..6), 1..8)
+    ) {
+        let db = views_store();
+        let (mut vertices, mut edges) = (vec![false; KEYS], vec![None; KEYS]);
+        for set in &sets {
+            let mut kept = Vec::new();
+            for w in set {
+                match *w {
+                    RawWrite::Vertex(k, None)
+                        if edges.iter().flatten().any(|&(from, to)| from == k || to == k) => continue,
+                    RawWrite::Vertex(k, n) => vertices[k] = n.is_some(),
+                    RawWrite::Edge(_, Some((from, to, _))) if !vertices[from] || !vertices[to] => continue,
+                    RawWrite::Edge(k, e) => edges[k] = e.map(|(from, to, _)| (from, to)),
+                    _ => {}
+                }
+                kept.push(w.clone());
+            }
+            commit_raw(&db, &kept);
+            views_follow_the_version_store(&db)?;
+        }
+
+        // A second store that holds a value under every key, each edge
+        // between other vertices than the first store's.
+        let other = views_store();
+        let everything: Vec<RawWrite> = (0..KEYS)
+            .flat_map(|k| {
+                [
+                    RawWrite::Doc(k, Some(-1)),
+                    RawWrite::Kv(k, Some(-1)),
+                    RawWrite::Row(k, Some(-1)),
+                    RawWrite::Vertex(k, Some(-1)),
+                ]
+            })
+            .chain((0..KEYS).map(|k| RawWrite::Edge(k, Some((k, (k + 1) % KEYS, -1)))))
+            .collect();
+        commit_raw(&other, &everything);
+        load_fold_of(&db, &other);
+        views_follow_the_version_store(&other)?;
+        for w in &everything {
+            let (domain, key, _) = staged(w);
+            let latest = |db: &Database| db.mvcc().get_latest(domain, &key).unwrap();
+            prop_assert_eq!(latest(&other), latest(&db), "{:?} after the load", w);
+        }
+    }
 }

@@ -840,6 +840,7 @@ fn admin_endpoints_report_replication_lag() {
     // `ADMIN HEALTH` on a replica carries the replication block too.
     let h = replica_client.admin_health().unwrap();
     assert_eq!(h.get_field("status").as_str().unwrap(), "replica");
+    assert_eq!(h.get_field("hook_failure"), &Value::Null);
 
     // A replica's log takes nothing but its primary's records, so it is
     // not checkpointed on request: its positions stay the primary's.

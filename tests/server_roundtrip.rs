@@ -118,10 +118,31 @@ fn an_edge_to_a_missing_vertex_is_not_found_and_the_server_stays_writable() {
     let edge = Value::Object(Default::default());
     let err = client.add_edge("social", "knows", "persons/nobody", "persons/ghost", edge).unwrap_err();
     assert_eq!(err.kind(), "not_found", "{err}");
-    assert_eq!(client.admin_health().unwrap().get_field("status"), &Value::str("ok"));
+    let health = client.admin_health().unwrap();
+    assert_eq!(health.get_field("status"), &Value::str("ok"));
+    assert_eq!(health.get_field("hook_failure"), &Value::Null);
     client.kv_put("cart", "3", Value::str("34e5e759")).unwrap();
     let answer = client.query(RECOMMENDATION).unwrap();
     assert_eq!(answer, vec![Value::str("2724f"), Value::str("3424g")]);
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn admin_health_reports_why_the_commit_hook_failed() {
+    let db = Arc::new(Database::in_memory());
+    let config = ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() };
+    let server = Server::start(Arc::clone(&db), config).unwrap();
+    let mut client = Client::connect(server.local_addr().to_string()).unwrap();
+    // A raw write to a bucket nobody defined: committed, then refused by
+    // the hook, which latches the store.
+    let mut txn = db.mvcc().begin(mmdb_txn::IsolationLevel::Snapshot);
+    txn.put("kv/nosuch", b"k", Value::int(1)).unwrap();
+    txn.commit().unwrap();
+    let health = client.admin_health().unwrap();
+    assert_eq!(health.get_field("status"), &Value::str("degraded"));
+    let failure = db.hook_failure().expect("the hook failed");
+    assert_eq!(health.get_field("hook_failure"), &Value::str(&failure));
+    assert_eq!(health.get_field("reason"), &Value::str(format!("commit hook failed: {failure}")));
     server.shutdown().unwrap();
 }
 
