@@ -160,7 +160,8 @@ impl Client {
             ));
         }
         let result = (|| {
-            frame::write_frame(&mut self.stream, &req.encode(), self.config.max_frame_len)?;
+            self.buffer_frame(None, req)?;
+            self.flush()?;
             let payload = self.frames.read_frame(&mut self.stream, self.config.max_frame_len)?;
             Response::decode(payload)
         })();
@@ -206,15 +207,23 @@ impl Client {
         }
         let id = self.next_id;
         self.next_id += 1;
-        // An oversized payload errors before buffering anything, so the
-        // connection stays clean.
-        frame::write_frame(
-            &mut self.send_buf,
-            &req.encode_with_id(Some(id)),
-            self.config.max_frame_len,
-        )?;
+        self.buffer_frame(Some(id), req)?;
         self.pending.insert(id);
         Ok(id)
+    }
+
+    /// Encode `req` (tagged with `id` when present) straight into the
+    /// send buffer as one frame. An oversized request is cut back off
+    /// before it counts, so the buffer holds whole frames only and the
+    /// connection stays clean.
+    fn buffer_frame(&mut self, id: Option<u64>, req: &Request) -> Result<()> {
+        let max = self.config.max_frame_len;
+        frame::append_frame(&mut self.send_buf, max, |out| req.encode_with_id_into(id, out))
+            .map_err(|len| {
+                Error::Protocol(format!(
+                    "outgoing frame of {len} bytes exceeds the {max} byte limit"
+                ))
+            })
     }
 
     /// Push all buffered [`Client::submit`] frames to the server in one

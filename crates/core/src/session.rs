@@ -174,6 +174,13 @@ impl Session {
         self.txn.get(&format!("doc/{collection}"), key.as_bytes())
     }
 
+    /// [`Session::get_document`] in the log's encoding: a committed
+    /// version's shared bytes, not decoded (see
+    /// [`Transaction::get_encoded`]).
+    pub fn get_document_encoded(&self, collection: &str, key: &str) -> Result<Option<Arc<[u8]>>> {
+        self.txn.get_encoded(&format!("doc/{collection}"), key.as_bytes())
+    }
+
     // ---- key/value ----------------------------------------------------------
 
     /// Stage a key/value put.
@@ -191,6 +198,11 @@ impl Session {
     /// Snapshot read of a key.
     pub fn kv_get(&self, bucket: &str, key: &str) -> Result<Option<Value>> {
         self.txn.get(&format!("kv/{bucket}"), key.as_bytes())
+    }
+
+    /// [`Session::kv_get`] in the log's encoding.
+    pub fn kv_get_encoded(&self, bucket: &str, key: &str) -> Result<Option<Arc<[u8]>>> {
+        self.txn.get_encoded(&format!("kv/{bucket}"), key.as_bytes())
     }
 
     // ---- relational ----------------------------------------------------------
@@ -237,6 +249,11 @@ impl Session {
     /// Snapshot read of a row by primary key (as an object).
     pub fn get_row(&self, table: &str, pk: &Value) -> Result<Option<Value>> {
         self.txn.get(&format!("rel/{table}"), &key_of(pk))
+    }
+
+    /// [`Session::get_row`] in the log's encoding.
+    pub fn get_row_encoded(&self, table: &str, pk: &Value) -> Result<Option<Arc<[u8]>>> {
+        self.txn.get_encoded(&format!("rel/{table}"), &key_of(pk))
     }
 
     // ---- graph -----------------------------------------------------------------
@@ -591,6 +608,36 @@ mod tests {
             &Value::int(5)
         );
         assert_eq!(s.kv_get("cart", "1").unwrap(), Some(Value::str("o1")));
+        s.abort();
+    }
+
+    #[test]
+    fn encoded_point_reads_decode_to_the_point_reads() {
+        let db = db_with_stores();
+        db.kv_put("cart", "1", Value::str("o1")).unwrap();
+        let row = mmdb_types::from_json(r#"{"id":1,"name":"Mary","credit_limit":5000}"#).unwrap();
+        db.insert_row("customers", &row).unwrap();
+        let mut s = db.begin(IsolationLevel::Snapshot);
+        s.insert_document("orders", mmdb_types::from_json(r#"{"_key":"o1","total":5}"#).unwrap())
+            .unwrap();
+        let decode = |b: Option<Arc<[u8]>>| {
+            b.as_deref().map(mmdb_types::codec::value_from_bytes).transpose().unwrap()
+        };
+        for key in ["o1", "o2"] {
+            let doc = s.get_document("orders", key).unwrap();
+            assert_eq!(doc.is_some(), key == "o1", "own staged write");
+            assert_eq!(decode(s.get_document_encoded("orders", key).unwrap()), doc);
+        }
+        for key in ["1", "2"] {
+            let value = s.kv_get("cart", key).unwrap();
+            assert_eq!(value.is_some(), key == "1", "committed");
+            assert_eq!(decode(s.kv_get_encoded("cart", key).unwrap()), value);
+        }
+        for pk in [Value::int(1), Value::int(2)] {
+            let row = s.get_row("customers", &pk).unwrap();
+            assert_eq!(row.is_some(), pk == Value::int(1), "committed");
+            assert_eq!(decode(s.get_row_encoded("customers", &pk).unwrap()), row);
+        }
         s.abort();
     }
 

@@ -13,6 +13,10 @@
 //! response calls and the change-stream reads all use it. The free
 //! [`read_frame`] reads exactly one frame and never a byte beyond it; it
 //! is for one-shot callers (tests, probes) that own no buffer.
+//!
+//! Frames are written two ways: [`write_frame`] sends a finished payload,
+//! and [`append_frame`] encodes one in place at the end of a send buffer
+//! (the server's replies, the client's requests).
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
@@ -54,6 +58,28 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8], max_len: u32) -> Result<(
     // only takes the first slice): the rest goes the ordinary way.
     w.write_all(&payload[sent - HEADER_LEN..])?;
     w.flush()?;
+    Ok(())
+}
+
+/// Append one frame to `buf`, its payload written in place by `encode`:
+/// the header is reserved first and filled in once the payload's length
+/// is known, so a message is encoded straight into a send buffer and
+/// never copied. A payload longer than `max_len` is cut back off, which
+/// leaves `buf` as it was, and its length is the `Err`.
+pub fn append_frame(
+    buf: &mut Vec<u8>,
+    max_len: u32,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> std::result::Result<(), usize> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; HEADER_LEN]);
+    encode(buf);
+    let len = buf.len() - start - HEADER_LEN;
+    if len > max_len as usize {
+        buf.truncate(start);
+        return Err(len);
+    }
+    buf[start..start + HEADER_LEN].copy_from_slice(&(len as u32).to_be_bytes());
     Ok(())
 }
 
@@ -304,6 +330,19 @@ mod tests {
         let err = write_frame(&mut buf, &[0u8; 32], 16).unwrap_err();
         assert_eq!(err.kind(), "protocol");
         assert!(buf.is_empty(), "nothing written for a rejected frame");
+    }
+
+    #[test]
+    fn a_frame_appended_in_place_is_the_written_frame_and_an_oversized_one_is_cut_back() {
+        let mut written = b"earlier".to_vec();
+        write_frame(&mut written, b"payload", 16).unwrap();
+        let mut buf = b"earlier".to_vec();
+        append_frame(&mut buf, 16, |out| out.extend_from_slice(b"payload")).unwrap();
+        assert_eq!(buf, written);
+        assert_eq!(append_frame(&mut buf, 16, |out| out.extend_from_slice(&[7; 17])), Err(17));
+        assert_eq!(buf, written, "a refused frame leaves nothing behind");
+        append_frame(&mut buf, 16, |_| {}).unwrap();
+        assert_eq!(&buf[written.len()..], &[0; HEADER_LEN]);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Property-based tests for the wire protocol: frame round-trips,
-//! request/response codec round-trips, and the robustness half of the
+//! request/response codec round-trips, a point read's reply built from
+//! its encoded value, and the robustness half of the
 //! contract — truncated or random bytes must come back as errors, never
 //! as panics or hangs.
 
 use mmdb_protocol::frame::{self, FrameReader};
 use mmdb_protocol::{DdlOp, Request, Response, SessionOp};
 use mmdb_types::codec::{value_from_bytes, value_to_bytes};
-use mmdb_types::Value;
+use mmdb_types::{Number, Value};
 use proptest::prelude::*;
 
 /// Arbitrary mmdb values (bounded depth/size), as in `mmdb-types`' own
@@ -25,6 +26,40 @@ fn arb_value() -> impl Strategy<Value = Value> {
             prop::collection::vec(("[a-z]{1,6}", inner), 0..5).prop_map(Value::object),
         ]
     })
+}
+
+/// Values whose bytes a value comparison alone would not pin: −0.0
+/// (equal to 0.0), NaN, `1` and `1.0` (equal to each other), strings at
+/// the inline limit (22 bytes) and just past it (23), bytes, and empty
+/// arrays and objects.
+fn arb_edge_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::float(-0.0)),
+        Just(Value::Number(Number::Float(f64::NAN))),
+        Just(Value::int(1)),
+        Just(Value::float(1.0)),
+        Just(Value::str("v".repeat(22))),
+        Just(Value::str("w".repeat(23))),
+        prop::collection::vec(any::<u8>(), 0..8).prop_map(Value::Bytes),
+        Just(Value::Array(vec![])),
+        Just(Value::object(Vec::<(String, Value)>::new())),
+    ]
+}
+
+/// A point read's value: an edge value, an arbitrary one, or an array
+/// mixing both.
+fn arb_read_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        arb_edge_value(),
+        arb_value(),
+        prop::collection::vec(prop_oneof![arb_edge_value(), arb_value()], 0..4)
+            .prop_map(Value::Array),
+    ]
+}
+
+/// A pipelining id, or none: ids ride the wire as non-negative ints.
+fn arb_id() -> impl Strategy<Value = Option<u64>> {
+    prop_oneof![Just(None), any::<u64>().prop_map(|id| Some(id >> 1))]
 }
 
 fn arb_request() -> impl Strategy<Value = Request> {
@@ -197,6 +232,20 @@ proptest! {
     #[test]
     fn response_roundtrip(resp in arb_response()) {
         prop_assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+    }
+
+    #[test]
+    fn an_encoded_point_read_is_the_bytes_of_maybe_of_its_decode(
+        v in arb_read_value(),
+        id in arb_id(),
+    ) {
+        let bytes = Response::MaybeEncoded(Some(value_to_bytes(&v).into())).encode_with_id(id);
+        prop_assert_eq!(&bytes, &Response::Maybe(Some(v.clone())).encode_with_id(id));
+        let (got, decoded) = Response::decode_with_id(&bytes).unwrap();
+        prop_assert_eq!(got, id);
+        prop_assert_eq!(&decoded, &Response::Maybe(Some(v)));
+        // `1 == 1.0` and `-0.0 == 0.0` as values; the bytes tell them apart.
+        prop_assert_eq!(decoded.encode_with_id(id), bytes);
     }
 
     #[test]

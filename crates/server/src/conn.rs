@@ -220,22 +220,18 @@ impl ConnHandle {
 }
 
 /// Append `resp` (tagged with `id` when present) to `buf` as one wire
-/// frame. A response too large for the frame limit degrades to a framed
-/// error — the request id is preserved so a pipelining client still
-/// gets its answer.
+/// frame, encoded straight into it. A response too large for the frame
+/// limit is cut back off and degrades to a framed error — the request
+/// id is preserved so a pipelining client still gets its answer.
 fn append_frame(inner: &ServerInner, buf: &mut Vec<u8>, id: Option<u64>, resp: &Response) {
     let max = inner.config.max_frame_len;
-    let payload = resp.encode_with_id(id);
-    // An oversized payload is refused before a byte of it is appended.
-    if frame::write_frame(buf, &payload, max).is_ok() {
+    let Err(len) = frame::append_frame(buf, max, |out| resp.encode_with_id_into(id, out)) else {
         return;
-    }
+    };
     let err = Response::from_error(&Error::Protocol(format!(
-        "response of {} bytes exceeds the {} byte frame limit",
-        payload.len(),
-        max
+        "response of {len} bytes exceeds the {max} byte frame limit"
     )));
-    let _ = frame::write_frame(buf, &err.encode_with_id(id), max);
+    let _ = frame::append_frame(buf, max, |out| err.encode_with_id_into(id, out));
 }
 
 fn encode_frame(inner: &ServerInner, id: Option<u64>, resp: &Response) -> Vec<u8> {
@@ -934,6 +930,9 @@ fn send_change(inner: &ServerInner, stream: &TcpStream, event: Value) -> Result<
     frame::write_frame(&mut w, &Response::Change(event).encode(), inner.config.max_frame_len)
 }
 
+/// Run one typed operation in `s`. A point read replies with the value
+/// as the version store keeps it, in the log's bytes: nothing decodes it
+/// here, and its reply frame copies the bytes as they are.
 fn apply_op(s: &mut Session, op: &SessionOp) -> Result<Response> {
     Ok(match op {
         SessionOp::InsertDocument { collection, doc } => {
@@ -948,7 +947,7 @@ fn apply_op(s: &mut Session, op: &SessionOp) -> Result<Response> {
             Response::Ok
         }
         SessionOp::GetDocument { collection, key } => {
-            Response::Maybe(s.get_document(collection, key)?)
+            Response::MaybeEncoded(s.get_document_encoded(collection, key)?)
         }
         SessionOp::KvPut { bucket, key, value } => {
             s.kv_put(bucket, key, value.clone())?;
@@ -958,7 +957,7 @@ fn apply_op(s: &mut Session, op: &SessionOp) -> Result<Response> {
             s.kv_delete(bucket, key)?;
             Response::Ok
         }
-        SessionOp::KvGet { bucket, key } => Response::Maybe(s.kv_get(bucket, key)?),
+        SessionOp::KvGet { bucket, key } => Response::MaybeEncoded(s.kv_get_encoded(bucket, key)?),
         SessionOp::InsertRow { table, row } => {
             s.insert_row(table, row.clone())?;
             Response::Ok
@@ -971,7 +970,7 @@ fn apply_op(s: &mut Session, op: &SessionOp) -> Result<Response> {
             s.delete_row(table, pk)?;
             Response::Ok
         }
-        SessionOp::GetRow { table, pk } => Response::Maybe(s.get_row(table, pk)?),
+        SessionOp::GetRow { table, pk } => Response::MaybeEncoded(s.get_row_encoded(table, pk)?),
         SessionOp::AddVertex { graph, collection, doc } => {
             Response::Key(s.add_vertex(graph, collection, doc.clone())?)
         }

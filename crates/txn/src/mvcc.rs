@@ -43,7 +43,7 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use mmdb_storage::wal::{self, load_class, LoggedWrite, Lsn, Wal, WriteParts};
-use mmdb_types::codec::{encode_value, value_from_bytes};
+use mmdb_types::codec::{encode_value, value_from_bytes, value_to_bytes};
 use mmdb_types::{lock_rank, Error, Result, Value};
 
 /// Isolation levels offered per transaction.
@@ -956,16 +956,22 @@ impl Transaction {
         Ok(())
     }
 
-    /// Read a key: own writes first, then the snapshot, decoded after the
-    /// version store's lock is released. A serializable transaction
+    /// Read a key in the log's encoding: own writes first, encoded on the
+    /// way out, then the snapshot's version, whose shared bytes come back
+    /// as they are — no copy, no decode. A serializable transaction
     /// records every key it reads of the store for validation at commit.
-    pub fn get(&self, domain: &str, key: &[u8]) -> Result<Option<Value>> {
+    pub fn get_encoded(&self, domain: &str, key: &[u8]) -> Result<Option<Arc<[u8]>>> {
         self.check_open()?;
         if let Some(w) = self.own_write(domain, key) {
-            return Ok(w.value.clone());
+            return Ok(w.value.as_ref().map(|v| value_to_bytes(v).into()));
         }
-        let bytes = self.read_snapshot(domain, key, |v| v.value.clone()).flatten();
-        bytes.as_deref().map(value_from_bytes).transpose()
+        Ok(self.read_snapshot(domain, key, |v| v.value.clone()).flatten())
+    }
+
+    /// Read a key: [`Transaction::get_encoded`], decoded after the version
+    /// store's lock is released.
+    pub fn get(&self, domain: &str, key: &[u8]) -> Result<Option<Value>> {
+        self.get_encoded(domain, key)?.as_deref().map(value_from_bytes).transpose()
     }
 
     /// Whether [`Transaction::get`] would return a value, without decoding
@@ -1109,7 +1115,6 @@ impl Drop for Transaction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb_types::codec::value_to_bytes;
 
     fn store() -> MvccStore {
         MvccStore::new(None)
@@ -1922,6 +1927,30 @@ mod tests {
         later.put("kv/b", b"k", Value::int(2)).unwrap();
         later.commit().unwrap();
         assert_eq!(t.commit().unwrap_err().kind(), "txn_conflict");
+    }
+
+    #[test]
+    fn an_encoded_read_shares_the_versions_bytes_and_encodes_an_own_write() {
+        let s = store();
+        let mut t = s.begin(IsolationLevel::Snapshot);
+        t.put("d", b"k", Value::int(1)).unwrap();
+        t.commit().unwrap();
+        let installed = chain(&s.inner.versions.read(), "d", b"k")
+            .and_then(<[Version]>::last)
+            .and_then(|v| v.value.clone())
+            .unwrap();
+        let r = s.begin(IsolationLevel::Snapshot);
+        let read = r.get_encoded("d", b"k").unwrap().unwrap();
+        assert!(Arc::ptr_eq(&read, &installed), "the version's bytes, not a copy");
+        assert_eq!(r.get("d", b"k").unwrap(), Some(Value::int(1)));
+
+        let mut w = s.begin(IsolationLevel::Snapshot);
+        w.put("d", b"k", Value::float(1.0)).unwrap();
+        let own = w.get_encoded("d", b"k").unwrap();
+        assert_eq!(own.as_deref(), Some(&value_to_bytes(&Value::float(1.0))[..]));
+        w.delete("d", b"k").unwrap();
+        assert_eq!(w.get_encoded("d", b"k").unwrap(), None);
+        assert_eq!(r.get_encoded("d", b"missing").unwrap(), None);
     }
 
     #[test]

@@ -42,11 +42,7 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
             out.push(TAG_FLOAT);
             out.extend_from_slice(&f.to_bits().to_be_bytes());
         }
-        Value::String(s) => {
-            out.push(TAG_STRING);
-            put_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
+        Value::String(s) => encode_str(s, out),
         Value::Bytes(b) => {
             out.push(TAG_BYTES);
             put_varint(out, b.len() as u64);
@@ -76,6 +72,14 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
 pub fn encode_array_header(len: usize, out: &mut Vec<u8>) {
     out.push(TAG_ARRAY);
     put_varint(out, len as u64);
+}
+
+/// Encode a string value's text into `out`: the bytes of
+/// `encode_value(&Value::str(s), out)`, without building the value.
+pub fn encode_str(s: &str, out: &mut Vec<u8>) {
+    out.push(TAG_STRING);
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
 }
 
 /// Encode a value to a fresh buffer.

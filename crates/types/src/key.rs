@@ -139,6 +139,17 @@ impl From<String> for Key {
     }
 }
 
+impl From<Key> for String {
+    /// Long text gives up its buffer: a decoded string moves out of a
+    /// value without a copy.
+    fn from(key: Key) -> String {
+        match key.0 {
+            Repr::Heap(text) => text.into_string(),
+            inline => Key(inline).as_str().to_owned(),
+        }
+    }
+}
+
 impl fmt::Display for Key {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Display::fmt(self.as_str(), f)
@@ -164,8 +175,17 @@ mod tests {
                 assert_eq!(key.as_str(), name, "{len} bytes");
                 assert_eq!(key.is_inline(), len <= INLINE, "{len} bytes");
                 assert_eq!(hash_of(&key), hash_of(name.as_str()));
+                assert_eq!(String::from(key), name, "{len} bytes");
             }
         }
+    }
+
+    #[test]
+    fn a_long_key_gives_its_buffer_to_the_string_it_becomes() {
+        let key = Key::new(&"n".repeat(40));
+        let text = key.as_str().as_ptr();
+        let string = String::from(key);
+        assert_eq!(string.as_ptr(), text);
     }
 
     #[test]

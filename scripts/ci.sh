@@ -90,7 +90,7 @@ cargo test -q --release --features failpoints --test replication \
   a_file_backed_replica_of_a_checkpointed_primary_resumes_after_a_restart
 cargo test -q -p mmdb-txn --features failpoints --lib -- --test-threads=1
 
-echo "==> the read path's allocation budget, the version store's footprint and mmdb-types, optimized build"
+echo "==> the read path's and a wire point read's allocation budgets, the version store's footprint and mmdb-types, optimized build"
 # tests/query_allocs.rs ran in the debug pass above; this is the
 # optimized build, the one the benchmark of record measures. It counts
 # allocator calls per examined row for a scan, Q2, Q4 as a hash join and
@@ -101,12 +101,17 @@ echo "==> the read path's allocation budget, the version store's footprint and m
 # record or edge handle comes back. tests/version_bytes.rs holds the
 # version store to its footprint: live heap per committed new-order
 # write (163.4 bytes with the log's bytes kept once; 315.8 with decoded
-# versions), under a budget of 170. mmdb-types runs again optimized
-# because its inline `Key` reads names and string values with
-# `from_utf8_unchecked`, and the optimized build is where a wrong
-# `unsafe` would show.
+# versions), under a budget of 170. tests/wire_allocs.rs counts a point
+# read over the wire: the request's encode, the server's reply into a
+# warm buffer and the reply's decode (5, 2 and 11 calls; 15, 19 and 20
+# when each message went through a `Value` tree), with the reply's
+# decode held to its tree alone, so a clone out of it fails. mmdb-types
+# runs again optimized because its inline `Key` reads names and string
+# values with `from_utf8_unchecked`, and the optimized build is where a
+# wrong `unsafe` would show.
 cargo test -q --release --test query_allocs
 cargo test -q --release --test version_bytes
+cargo test -q --release --test wire_allocs
 cargo test -q --release -p mmdb-types
 
 echo "==> cargo clippy --features failpoints (torture suites + feature-gated #[expect]s)"

@@ -3,7 +3,12 @@
 //! wire. Replies are the bytes and the order the serial lane would have
 //! produced; the read deadline still only runs while a frame is
 //! half-arrived; a peer that stops reading is still disconnected; and
-//! requests the reader ran are counted like any other.
+//! requests the reader ran are counted like any other. Point reads,
+//! which reply with a version's log bytes, keep the transaction's
+//! semantics: own staged writes and deletes, the snapshot, and the read
+//! a serializable commit validates. A reply or a request too large for
+//! its frame is refused without leaving a byte behind in the buffer it
+//! was encoded into.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -11,8 +16,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mmdb::substrate::relational::{ColumnDef, DataType, Schema};
 use mmdb::{Database, Value};
-use mmdb_client::Client;
+use mmdb_client::{Client, ClientConfig};
 use mmdb_protocol::{frame, Request, Response, SessionOp, PROTOCOL_VERSION};
 use mmdb_server::{Server, ServerConfig};
 
@@ -432,4 +438,165 @@ fn the_reader_aborts_a_session_with_staged_writes_while_another_connection_fsync
     assert_eq!(client.kv_get("cart", "staged").unwrap(), None);
     server.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `start_server`'s data plus a `customers` table holding rows 1 and 2,
+/// so every model's point read has something to find.
+fn start_server_with_customers(config: ServerConfig) -> (Arc<Database>, Server, String) {
+    let (db, server, addr) = start_server(config);
+    let columns = vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("name", DataType::Text)];
+    db.create_table("customers", Schema::new(columns, "id").unwrap()).unwrap();
+    for id in 1..=2 {
+        db.insert_row("customers", &customer(id, &format!("customer {id}"))).unwrap();
+    }
+    (db, server, addr)
+}
+
+fn customer(id: i64, name: &str) -> Value {
+    Value::object([("id", Value::int(id)), ("name", Value::str(name))])
+}
+
+fn item(key: &str, n: i64) -> Value {
+    Value::object([("_key", Value::str(key)), ("n", Value::int(n))])
+}
+
+#[test]
+fn point_reads_in_a_transaction_see_its_staged_writes_and_not_later_commits() {
+    let (db, server, addr) = start_server_with_customers(ServerConfig::default());
+    db.kv_put("cart", "gone", Value::int(9)).unwrap();
+    let mut txn = Client::connect(&addr).unwrap();
+    let mut other = Client::connect(&addr).unwrap();
+    txn.begin(false).unwrap();
+
+    // Own staged puts, one per model, read back inside the transaction.
+    txn.update_document("items", "i1", item("i1", 101)).unwrap();
+    txn.kv_put("cart", "seed", Value::str("staged")).unwrap();
+    txn.update_row("customers", customer(1, "staged")).unwrap();
+    assert_eq!(txn.get_document("items", "i1").unwrap(), Some(item("i1", 101)));
+    assert_eq!(txn.kv_get("cart", "seed").unwrap(), Some(Value::str("staged")));
+    assert_eq!(txn.get_row("customers", Value::int(1)).unwrap(), Some(customer(1, "staged")));
+
+    // Own staged deletes read as absent: `Maybe(None)` on the wire.
+    txn.remove_document("items", "i2").unwrap();
+    txn.kv_delete("cart", "gone").unwrap();
+    txn.delete_row("customers", Value::int(2)).unwrap();
+    let mut raw = Vec::new();
+    for req in [
+        Request::Op(SessionOp::GetDocument { collection: "items".into(), key: "i2".into() }),
+        kv_get("gone"),
+        Request::Op(SessionOp::GetRow { table: "customers".into(), pk: Value::int(2) }),
+    ] {
+        raw.push(txn.call(&req).unwrap());
+    }
+    assert_eq!(raw, vec![Response::Maybe(None); 3]);
+
+    // Commits another connection makes after `begin` stay invisible.
+    other.update_document("items", "i3", item("i3", 303)).unwrap();
+    other.kv_put("cart", "late", Value::int(1)).unwrap();
+    other.insert_row("customers", customer(3, "late")).unwrap();
+    assert_eq!(other.get_document("items", "i3").unwrap(), Some(item("i3", 303)));
+    assert_eq!(txn.get_document("items", "i3").unwrap(), Some(item("i3", 3)));
+    assert_eq!(txn.kv_get("cart", "late").unwrap(), None);
+    assert_eq!(txn.get_row("customers", Value::int(3)).unwrap(), None);
+    txn.abort().unwrap();
+
+    // Aborted, the staged writes never were; the later commits are seen.
+    assert_eq!(txn.get_document("items", "i1").unwrap(), Some(item("i1", 1)));
+    assert_eq!(txn.kv_get("cart", "gone").unwrap(), Some(Value::int(9)));
+    assert_eq!(txn.get_row("customers", Value::int(3)).unwrap(), Some(customer(3, "late")));
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn a_serializable_point_read_over_the_wire_conflicts_with_a_later_write_of_its_key() {
+    let (_db, server, addr) = start_server_with_customers(ServerConfig::default());
+    let mut reader = Client::connect(&addr).unwrap();
+    let mut writer = Client::connect(&addr).unwrap();
+    let reads = [
+        Request::Op(SessionOp::GetDocument { collection: "items".into(), key: "i4".into() }),
+        kv_get("seed"),
+        Request::Op(SessionOp::GetRow { table: "customers".into(), pk: Value::int(1) }),
+    ];
+    for (round, read) in reads.iter().enumerate() {
+        reader.begin(true).unwrap();
+        assert!(matches!(reader.call(read).unwrap(), Response::Maybe(Some(_))), "{read:?}");
+        // The reader writes a key nobody else touches, so only its read
+        // can conflict.
+        reader.kv_put("cart", &format!("mine-{round}"), Value::int(1)).unwrap();
+        match read {
+            Request::Op(SessionOp::GetDocument { .. }) => {
+                writer.update_document("items", "i4", item("i4", 40 + round as i64)).unwrap()
+            }
+            Request::Op(SessionOp::KvGet { .. }) => {
+                writer.kv_put("cart", "seed", Value::int(round as i64)).unwrap()
+            }
+            _ => writer.update_row("customers", customer(1, "changed")).unwrap(),
+        }
+        let err = reader.commit().unwrap_err();
+        assert_eq!(err.kind(), "txn_conflict", "{read:?}: {err}");
+    }
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn an_oversized_reply_is_a_framed_protocol_error_and_the_pipeline_goes_on() {
+    let (db, server, addr) =
+        start_server(ServerConfig { max_frame_len: 512, ..ServerConfig::default() });
+    db.kv_put("cart", "big", Value::str("z".repeat(600))).unwrap();
+    let mut raw = raw_handshake(&addr);
+    // A query whose rows exceed the limit goes to the pool; a point read
+    // of a value past it runs on the reader, between two replies that
+    // share its reply buffer.
+    let query = Request::Query { text: "FOR x IN items RETURN x".into(), deadline_ms: None };
+    let mut batch = Vec::new();
+    for (id, req) in [(1, Request::Ping), (2, kv_get("big")), (3, Request::Ping)] {
+        frame::write_frame(&mut batch, &req.encode_with_id(Some(id)), MAX).unwrap();
+    }
+    raw.write_all(&batch).unwrap();
+    let mut replies: Vec<(Option<u64>, Response)> = (0..3)
+        .map(|_| Response::decode_with_id(&frame::read_frame(&mut raw, MAX).unwrap()).unwrap())
+        .collect();
+    assert_eq!(replies[0], (Some(1), Response::Pong));
+    assert!(
+        matches!(&replies[1], (Some(2), Response::Err { kind, .. }) if kind == "protocol"),
+        "{:?}",
+        replies[1]
+    );
+    assert_eq!(replies[2], (Some(3), Response::Pong));
+
+    let mut batch = Vec::new();
+    for (id, req) in [(4, query), (5, kv_get("seed"))] {
+        frame::write_frame(&mut batch, &req.encode_with_id(Some(id)), MAX).unwrap();
+    }
+    raw.write_all(&batch).unwrap();
+    replies = (0..2)
+        .map(|_| Response::decode_with_id(&frame::read_frame(&mut raw, MAX).unwrap()).unwrap())
+        .collect();
+    replies.sort_by_key(|(id, _)| *id);
+    assert!(
+        matches!(&replies[0], (Some(4), Response::Err { kind, message })
+            if kind == "protocol" && message.contains("512 byte frame limit")),
+        "{:?}",
+        replies[0]
+    );
+    assert_eq!(replies[1], (Some(5), Response::Maybe(Some(Value::str("0c6df508")))));
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn an_oversized_submit_errors_and_leaves_the_connection_clean() {
+    let (_db, server, addr) = start_server(ServerConfig::default());
+    let config = ClientConfig { max_frame_len: 256, ..ClientConfig::default() };
+    let mut client = Client::connect_with(&addr, config).unwrap();
+    let ping = client.submit(&Request::Ping).unwrap();
+    let huge = Request::Query { text: "x".repeat(300), deadline_ms: None };
+    let err = client.submit(&huge).unwrap_err();
+    assert_eq!(err.kind(), "protocol", "{err}");
+    assert!(!client.is_poisoned());
+    assert_eq!(client.in_flight(), 1);
+    let read = client.submit(&kv_get("seed")).unwrap();
+    assert_eq!(client.receive(read).unwrap(), Response::Maybe(Some(Value::str("0c6df508"))));
+    assert_eq!(client.receive(ping).unwrap(), Response::Pong);
+    assert_eq!(client.kv_get("cart", "seed").unwrap(), Some(Value::str("0c6df508")));
+    server.shutdown().unwrap();
 }
