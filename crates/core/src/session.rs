@@ -46,12 +46,11 @@ pub struct Session {
     world: Arc<World>,
     txn: Transaction,
     generated: u64,
-    cancel: CancelToken,
 }
 
 impl Session {
     pub(crate) fn new(world: Arc<World>, txn: Transaction) -> Session {
-        Session { world, txn, generated: 0, cancel: CancelToken::none() }
+        Session { world, txn, generated: 0 }
     }
 
     /// The underlying transaction id.
@@ -59,23 +58,11 @@ impl Session {
         self.txn.id()
     }
 
-    /// Attach a cancellation token; [`Session::query`] runs under it. The
-    /// server installs one per request so a client-supplied deadline
-    /// reaches the executor's cooperative checkpoints.
-    pub fn set_cancel_token(&mut self, cancel: CancelToken) {
-        self.cancel = cancel;
-    }
-
-    /// The session's current cancellation token.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
-    /// Run an MMQL query under this session's cancellation token. Queries
-    /// read the latest committed model stores (they do not see this
-    /// session's staged, uncommitted writes).
+    /// Run an MMQL query with no deadline and no cancellation
+    /// ([`CancelToken::none`]). Queries read the latest committed model
+    /// stores (they do not see this session's staged, uncommitted writes).
     pub fn query(&self, text: &str) -> Result<Vec<Value>> {
-        mmdb_query::run_with(&self.world, text, &self.cancel)
+        mmdb_query::run_with(&self.world, text, &CancelToken::none())
     }
 
     /// Commit the transaction; returns the commit timestamp.

@@ -19,8 +19,9 @@ pub const KEY_FIELD: &str = "_key";
 struct CollectionIndexes {
     /// `_key` → record id (ArangoDB's primary *hash* index).
     primary: ExtendibleHashMap<String, RecordId>,
-    /// Persistent (B+-tree) indexes: path → (encoded value ++ key) → rid.
-    persistent: HashMap<String, BPlusTree<Vec<u8>, RecordId>>,
+    /// Persistent (B+-tree) indexes: path text → the parsed path and its
+    /// tree, (encoded value ++ key) → rid.
+    persistent: HashMap<String, (Path, BPlusTree<Vec<u8>, RecordId>)>,
     /// Optional GIN index with its docid bookkeeping.
     gin: Option<GinState>,
 }
@@ -59,7 +60,7 @@ impl Collection {
     pub fn create(name: &str, pool: Arc<BufferPool>) -> Result<Collection> {
         Ok(Collection {
             name: name.to_string(),
-            heap: HeapFile::create(pool)?,
+            heap: HeapFile::new(pool),
             indexes: RwLock::with_rank(
                 lock_rank::DOCUMENT_INDEXES,
                 CollectionIndexes {
@@ -149,18 +150,21 @@ impl Collection {
             _ => None,
         };
         let rid = match old_rid {
-            Some(rid) => self.heap.update(rid, &bytes)?,
-            None => self.heap.insert(&bytes)?,
+            Some(rid) => {
+                self.heap.replace(rid, bytes)?;
+                rid
+            }
+            None => {
+                let rid = self.heap.insert(bytes)?;
+                idx.primary.insert(key.to_string(), rid);
+                rid
+            }
         };
-        if old_rid != Some(rid) {
-            idx.primary.insert(key.to_string(), rid);
-        }
-        for (path_text, tree) in idx.persistent.iter_mut() {
-            let path = Path::parse(path_text)?;
+        for (path, tree) in idx.persistent.values_mut() {
             let new = path.eval_point(&doc)?;
             if let Some(old) = &old {
                 let old = path.eval_point(old)?;
-                if old == new && old_rid == Some(rid) {
+                if old == new {
                     continue;
                 }
                 tree.remove(&sec_key(old, key));
@@ -192,7 +196,7 @@ impl Collection {
     }
 
     /// Decode what `p` keeps of the document at `rid`, straight from its
-    /// page.
+    /// record.
     fn fetch(&self, rid: RecordId, p: &Projection) -> Result<Value> {
         self.heap.get_with(rid, |bytes| decode_projected(bytes, p))?
     }
@@ -226,8 +230,7 @@ impl Collection {
         };
         self.heap.delete(rid)?;
         idx.primary.remove(key);
-        for (path_text, tree) in idx.persistent.iter_mut() {
-            let path = Path::parse(path_text)?;
+        for (path, tree) in idx.persistent.values_mut() {
             tree.remove(&sec_key(path.eval_point(&old)?, key));
         }
         if let Some(gin) = &mut idx.gin {
@@ -271,7 +274,7 @@ impl Collection {
             tree.insert(sec_key(path.eval_point(&doc)?, key), rid);
             Ok(())
         })?;
-        idx.persistent.insert(path_text.to_string(), tree);
+        idx.persistent.insert(path_text.to_string(), (path, tree));
         Ok(())
     }
 
@@ -321,7 +324,7 @@ impl Collection {
         let path = Path::parse(path_text)?;
         {
             let idx = self.indexes.read();
-            if let Some(tree) = idx.persistent.get(path_text) {
+            if let Some((_, tree)) = idx.persistent.get(path_text) {
                 // Secondary keys are `key_of(value) ++ 0 ++ doc_key`; a 0x00
                 // suffix covers the value's smallest entry and 0xFF its
                 // largest, turning value bounds into byte bounds.

@@ -121,7 +121,7 @@ impl World {
         }
     }
 
-    /// The shared buffer pool.
+    /// The record-access counter every heap of this world shares.
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
     }

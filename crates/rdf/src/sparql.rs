@@ -58,12 +58,6 @@ impl TriplePattern {
         };
         TriplePattern { subject: term(s), predicate: term(p), object: term(o) }
     }
-
-    /// Replace the object with a typed constant.
-    pub fn with_object(mut self, v: Value) -> TriplePattern {
-        self.object = TermPattern::Const(v);
-        self
-    }
 }
 
 /// A set of variable bindings.

@@ -9,7 +9,7 @@ use parking_lot::RwLock;
 
 use mmdb_index::BPlusTree;
 use mmdb_storage::{BufferPool, HeapFile, RecordId};
-use mmdb_types::codec::{key_of, value_from_bytes, value_to_bytes};
+use mmdb_types::codec::{encode_array_header, encode_value, key_of, value_from_bytes};
 use mmdb_types::{lock_rank, Error, Result, Value};
 
 use crate::schema::Schema;
@@ -78,7 +78,7 @@ pub struct Table {
     indexes: RwLock<Indexes>,
 }
 
-/// Decode a heap record into a row, straight from the page.
+/// Decode a heap record into a row, straight from the heap.
 fn decode_row(bytes: &[u8]) -> Result<Vec<Value>> {
     match value_from_bytes(bytes)? {
         Value::Array(row) => Ok(row),
@@ -99,7 +99,7 @@ impl Table {
         Ok(Table {
             name: name.to_string(),
             schema,
-            heap: HeapFile::create(pool)?,
+            heap: HeapFile::new(pool),
             indexes: RwLock::with_rank(
                 lock_rank::RELATIONAL_INDEXES,
                 Indexes { primary: BPlusTree::new(), secondary: HashMap::new() },
@@ -148,7 +148,11 @@ impl Table {
         self.schema.validate(&mut row)?;
         let pk = &row[self.schema.primary_key()];
         let pk_key = key_of(pk);
-        let bytes = value_to_bytes(&Value::Array(row.clone()));
+        let mut bytes = Vec::new();
+        encode_array_header(row.len(), &mut bytes);
+        for v in &row {
+            encode_value(v, &mut bytes);
+        }
         // Held throughout, so the set of column indexes cannot change
         // between deciding whether the old row is needed and using it.
         let mut idx = self.indexes.write();
@@ -158,16 +162,20 @@ impl Table {
             _ => None,
         };
         let rid = match old_rid {
-            Some(rid) => self.heap.update(rid, &bytes)?,
-            None => self.heap.insert(&bytes)?,
+            Some(rid) => {
+                self.heap.replace(rid, bytes)?;
+                rid
+            }
+            None => {
+                let rid = self.heap.insert(bytes)?;
+                idx.primary.insert(pk_key, rid);
+                rid
+            }
         };
-        if old_rid != Some(rid) {
-            idx.primary.insert(pk_key, rid);
-        }
         for (col, tree) in idx.secondary.iter_mut() {
             let ci = self.schema.column_index(col)?;
             if let Some(old) = &old {
-                if old[ci] == row[ci] && old_rid == Some(rid) {
+                if old[ci] == row[ci] {
                     continue;
                 }
                 tree.remove(&sec_key(&old[ci], pk));

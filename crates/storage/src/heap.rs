@@ -1,64 +1,60 @@
 //! Heap record files: an unordered collection of variable-length records
-//! spread over slotted pages, addressed by stable [`RecordId`]s.
+//! addressed by stable [`RecordId`]s.
 //!
-//! This is the storage shape under every PostgreSQL table — and, per the
-//! tutorial's survey, under the JSON/XML columns those tables carry. The
-//! heap keeps a simple free-space map (pages with room) so inserts don't
-//! rescan the file.
+//! A heap is a slot table: slot `i` holds record `i` as its own boxed
+//! slice, or nothing once the record is deleted, and a free list hands
+//! deleted slots to later inserts. A record of any size fits, and a
+//! replace never moves a record, so an id stays valid until its record is
+//! deleted. The write-ahead log is the engine's only durable copy of the
+//! data; the heaps are views the commit hook rebuilds from it on open.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::buffer::BufferPool;
-use crate::page::{PageId, SlottedPage};
-use mmdb_types::{lock_rank, Error, Result};
+use mmdb_types::{Error, Result};
 
-/// Stable address of a record: page number plus slot within the page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct RecordId {
-    /// Page the record lives on.
-    pub page: PageId,
-    /// Slot within that page.
-    pub slot: u16,
-}
-
-impl std::fmt::Display for RecordId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "({},{})", self.page, self.slot)
-    }
-}
+/// Stable address of a record: its slot in the heap's slot table.
+pub type RecordId = u32;
 
 /// A heap file of records.
 pub struct HeapFile {
     pool: Arc<BufferPool>,
-    state: Mutex<HeapState>,
+    /// A leaf lock: readers decode records under it, and take nothing.
+    slots: Mutex<Slots>,
 }
 
-struct HeapState {
-    /// All pages of this heap, in allocation order.
-    pages: Vec<PageId>,
-    /// Pages believed to have free space (approximate; validated on use).
-    free_pages: Vec<PageId>,
-    /// Live record count.
-    len: usize,
+#[derive(Default)]
+struct Slots {
+    records: Vec<Option<Box<[u8]>>>,
+    /// Slots whose record was deleted, reused last-freed first.
+    free: Vec<RecordId>,
+}
+
+impl Slots {
+    fn live_mut(&mut self, id: RecordId) -> Result<&mut Option<Box<[u8]>>> {
+        match self.records.get_mut(id as usize) {
+            Some(slot @ Some(_)) => Ok(slot),
+            _ => Err(no_record(id)),
+        }
+    }
+}
+
+fn no_record(id: RecordId) -> Error {
+    Error::Storage(format!("no record in slot {id}"))
 }
 
 impl HeapFile {
-    /// Create an empty heap over the given pool.
-    pub fn create(pool: Arc<BufferPool>) -> Result<Self> {
-        let state = HeapState { pages: Vec::new(), free_pages: Vec::new(), len: 0 };
-        Ok(HeapFile { pool, state: Mutex::with_rank(lock_rank::HEAP_STATE, state) })
-    }
-
-    /// Pages owned by this heap, in allocation order.
-    pub fn pages(&self) -> Vec<PageId> {
-        self.state.lock().pages.clone()
+    /// An empty heap whose accesses count in `pool`.
+    pub fn new(pool: Arc<BufferPool>) -> HeapFile {
+        HeapFile { pool, slots: Mutex::new(Slots::default()) }
     }
 
     /// Number of live records.
     pub fn len(&self) -> usize {
-        self.state.lock().len
+        let slots = self.slots.lock();
+        slots.records.len() - slots.free.len()
     }
 
     /// True when no live records exist.
@@ -66,86 +62,68 @@ impl HeapFile {
         self.len() == 0
     }
 
-    /// Insert a record, returning its id.
-    pub fn insert(&self, record: &[u8]) -> Result<RecordId> {
-        let mut state = self.state.lock();
-        // Try pages from the free list, last first (most recently added).
-        while let Some(&pid) = state.free_pages.last() {
-            let slot = self.pool.with_page_mut(pid, |p| {
-                if p.fits(record.len()) {
-                    p.insert(record).map(Some)
-                } else {
-                    Ok(None)
-                }
-            })??;
-            match slot {
-                Some(slot) => {
-                    state.len += 1;
-                    return Ok(RecordId { page: pid, slot });
-                }
-                None => {
-                    state.free_pages.pop();
-                }
-            }
+    /// Insert a record, taking its bytes, and return its id.
+    pub fn insert(&self, record: Vec<u8>) -> Result<RecordId> {
+        let record = Some(record.into_boxed_slice());
+        let mut slots = self.slots.lock();
+        self.pool.hit();
+        if let Some(id) = slots.free.pop() {
+            slots.records[id as usize] = record;
+            return Ok(id);
         }
-        // No page had room: allocate a new one.
-        let pid = self.pool.allocate_page();
-        let slot = self.pool.with_page_mut(pid, |p| p.insert(record))??;
-        state.pages.push(pid);
-        state.free_pages.push(pid);
-        state.len += 1;
-        Ok(RecordId { page: pid, slot })
+        let id = RecordId::try_from(slots.records.len())
+            .map_err(|_| Error::Storage("heap slot table is full".into()))?;
+        slots.records.push(record);
+        Ok(id)
     }
 
-    /// Read a record by id in place: `read` gets the record's bytes on
-    /// the page, under the pool's lock, a leaf, so `read` takes no lock.
-    /// Callers decode here instead of copying the bytes out first.
-    pub fn get_with<R>(&self, id: RecordId, read: impl FnOnce(&[u8]) -> R) -> Result<R> {
-        self.pool.with_page(id.page, |p| p.get(id.slot).map(read))?
-    }
-
-    /// Delete a record by id.
-    pub fn delete(&self, id: RecordId) -> Result<()> {
-        self.pool.with_page_mut(id.page, |p| p.delete(id.slot))??;
-        let mut state = self.state.lock();
-        state.len -= 1;
-        if !state.free_pages.contains(&id.page) {
-            state.free_pages.push(id.page);
-        }
+    /// Replace the record at `id` with `record`, taking its bytes; the id
+    /// stays the record's.
+    pub fn replace(&self, id: RecordId, record: Vec<u8>) -> Result<()> {
+        let record = record.into_boxed_slice();
+        let mut slots = self.slots.lock();
+        self.pool.hit();
+        *slots.live_mut(id)? = Some(record);
         Ok(())
     }
 
-    /// Update a record in place when possible; relocates to another page
-    /// when the new payload no longer fits, returning the (possibly new) id.
-    pub fn update(&self, id: RecordId, record: &[u8]) -> Result<RecordId> {
-        let in_place = self.pool.with_page_mut(id.page, |p| match p.update(id.slot, record) {
-            Ok(()) => Ok(true),
-            Err(Error::Storage(msg)) if msg == "page full" => Ok(false),
-            Err(e) => Err(e),
-        })??;
-        if in_place {
-            return Ok(id);
+    /// Read a record by id in place: `read` gets the record's bytes under
+    /// the heap's lock, a leaf, so `read` takes no lock. Callers decode
+    /// here instead of copying the bytes out first.
+    pub fn get_with<R>(&self, id: RecordId, read: impl FnOnce(&[u8]) -> R) -> Result<R> {
+        let slots = self.slots.lock();
+        self.pool.hit();
+        match slots.records.get(id as usize) {
+            Some(Some(record)) => Ok(read(record)),
+            _ => Err(no_record(id)),
         }
-        self.delete(id)?;
-        self.insert(record)
+    }
+
+    /// Delete a record by id; its slot goes to a later insert.
+    pub fn delete(&self, id: RecordId) -> Result<()> {
+        let mut slots = self.slots.lock();
+        self.pool.hit();
+        *slots.live_mut(id)? = None;
+        slots.free.push(id);
+        Ok(())
     }
 
     /// Full scan in place: `visit` gets each live record's id and bytes,
-    /// in page and slot order, under the pool's lock, a leaf, so `visit`
-    /// takes no lock. The lock is taken once per record, not per page, so
-    /// a scan holds it for one record's decode at a time.
+    /// in slot order, under the heap's lock, a leaf, so `visit` takes no
+    /// lock. The lock is taken once per record, so a scan holds it for
+    /// one record's decode at a time.
     pub fn scan_with(&self, mut visit: impl FnMut(RecordId, &[u8]) -> Result<()>) -> Result<()> {
-        let pages = self.state.lock().pages.clone();
-        for page in pages {
-            let slots = self.pool.with_page(page, SlottedPage::slots)?;
-            for slot in 0..slots {
-                self.pool.with_page(page, |p| match p.live(slot) {
-                    Some(rec) => visit(RecordId { page, slot }, rec),
-                    None => Ok(()),
-                })??;
-            }
+        let mut next = 0;
+        loop {
+            let slots = self.slots.lock();
+            let mut live = slots.records.iter().enumerate().skip(next);
+            let Some((at, record)) = live.find_map(|(at, r)| Some((at, r.as_deref()?))) else {
+                return Ok(());
+            };
+            self.pool.hit();
+            visit(at as RecordId, record)?;
+            next = at + 1;
         }
-        Ok(())
     }
 }
 
@@ -154,38 +132,54 @@ mod tests {
     use super::*;
 
     fn heap() -> HeapFile {
-        HeapFile::create(Arc::default()).unwrap()
+        HeapFile::new(Arc::default())
+    }
+
+    fn ids(h: &HeapFile) -> Vec<RecordId> {
+        let mut ids = Vec::new();
+        h.scan_with(|id, _| {
+            ids.push(id);
+            Ok(())
+        })
+        .unwrap();
+        ids
     }
 
     #[test]
     fn insert_get_delete() {
         let h = heap();
-        let id = h.insert(b"record one").unwrap();
+        let id = h.insert(b"record one".to_vec()).unwrap();
         assert_eq!(h.get_with(id, <[u8]>::to_vec).unwrap(), b"record one");
         assert_eq!(h.len(), 1);
         h.delete(id).unwrap();
-        assert!(h.get_with(id, <[u8]>::to_vec).is_err());
+        assert_eq!(h.get_with(id, <[u8]>::to_vec).unwrap_err().kind(), "storage");
+        assert_eq!(h.delete(id).unwrap_err().kind(), "storage");
+        assert_eq!(h.replace(id, b"x".to_vec()).unwrap_err().kind(), "storage");
         assert!(h.is_empty());
     }
 
     #[test]
-    fn spans_many_pages() {
+    fn a_record_of_a_mebibyte_round_trips_and_keeps_its_id() {
         let h = heap();
-        let big = vec![5u8; 3000]; // ~2 per page
-        let ids: Vec<_> = (0..20).map(|_| h.insert(&big).unwrap()).collect();
-        assert!(h.pages().len() >= 8, "3000B records should spread over pages");
-        for id in &ids {
-            assert_eq!(h.get_with(*id, <[u8]>::len).unwrap(), 3000);
-        }
-        assert_eq!(h.len(), 20);
+        let small = h.insert(b"small".to_vec()).unwrap();
+        let big: Vec<u8> = (0..1 << 20).map(|i| (i % 251) as u8).collect();
+        let id = h.insert(big.clone()).unwrap();
+        assert_eq!(h.get_with(id, <[u8]>::to_vec).unwrap(), big);
+        // Growing and shrinking a record leave it, and its neighbour, where
+        // they are.
+        h.replace(small, vec![3u8; 1 << 20]).unwrap();
+        h.replace(id, b"tiny".to_vec()).unwrap();
+        assert_eq!(h.get_with(small, <[u8]>::len).unwrap(), 1 << 20);
+        assert_eq!(h.get_with(id, <[u8]>::to_vec).unwrap(), b"tiny");
+        assert_eq!((h.len(), ids(&h)), (2, vec![small, id]));
     }
 
     #[test]
-    fn scan_returns_all_live_records() {
+    fn scan_returns_all_live_records_in_slot_order() {
         let h = heap();
-        let a = h.insert(b"a").unwrap();
-        let b = h.insert(b"b").unwrap();
-        let c = h.insert(b"c").unwrap();
+        let a = h.insert(b"a".to_vec()).unwrap();
+        let b = h.insert(b"b".to_vec()).unwrap();
+        let c = h.insert(b"c".to_vec()).unwrap();
         h.delete(b).unwrap();
         let mut got = Vec::new();
         h.scan_with(|id, rec| {
@@ -204,35 +198,28 @@ mod tests {
     }
 
     #[test]
-    fn update_in_place_and_relocating() {
+    fn deleted_slots_are_reused() {
         let h = heap();
-        let id = h.insert(&vec![1u8; 4000]).unwrap();
-        // Fill the id's page so a grow must relocate.
-        while h
-            .pool
-            .with_page(id.page, |p| p.fits(1000))
-            .unwrap()
-        {
-            h.insert(&vec![2u8; 1000]).unwrap();
+        let first: Vec<_> = (0..10).map(|i| h.insert(vec![i; 700]).unwrap()).collect();
+        for &id in &first {
+            h.delete(id).unwrap();
         }
-        let shrunk = h.update(id, b"tiny").unwrap();
-        assert_eq!(shrunk, id, "shrinking update stays in place");
-        let grown = h.update(shrunk, &vec![3u8; 7000]).unwrap();
-        assert_ne!(grown.page, id.page, "growing update must relocate");
-        assert_eq!(h.get_with(grown, <[u8]>::to_vec).unwrap(), vec![3u8; 7000]);
+        let mut again: Vec<_> = (0..10).map(|i| h.insert(vec![i; 700]).unwrap()).collect();
+        again.sort_unstable();
+        assert_eq!(again, first, "reinserts take the freed slots");
+        assert_eq!(h.insert(b"new".to_vec()).unwrap(), 10);
     }
 
     #[test]
-    fn deleted_space_is_reused() {
-        let h = heap();
-        let ids: Vec<_> = (0..10).map(|_| h.insert(&vec![9u8; 700]).unwrap()).collect();
-        let pages_before = h.pages().len();
-        for id in ids {
-            h.delete(id).unwrap();
-        }
-        for _ in 0..10 {
-            h.insert(&vec![8u8; 700]).unwrap();
-        }
-        assert_eq!(h.pages().len(), pages_before, "reinserts should reuse freed pages");
+    fn every_access_counts_in_the_pool() {
+        let pool = Arc::new(BufferPool::default());
+        let h = HeapFile::new(Arc::clone(&pool));
+        let id = h.insert(b"x".to_vec()).unwrap();
+        h.insert(b"y".to_vec()).unwrap();
+        h.get_with(id, |_| ()).unwrap();
+        h.replace(id, b"z".to_vec()).unwrap();
+        h.delete(id).unwrap();
+        h.scan_with(|_, _| Ok(())).unwrap();
+        assert_eq!((pool.stats().hits, pool.stats().misses), (6, 0));
     }
 }

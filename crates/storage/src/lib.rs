@@ -2,12 +2,11 @@
 //!
 //! Every storage strategy the EDBT 2017 tutorial surveys lives here:
 //!
-//! * [`page`] / [`buffer`] / [`heap`] — the classical relational-style
-//!   record layout: 8 KiB slotted pages, held once in the buffer pool's
-//!   page table (never evicted or written to a page file: the WAL is the
-//!   durable copy), and heap record files addressed by
-//!   [`heap::RecordId`]. PostgreSQL, Oracle and DB2 store their relational
-//!   *and* their JSON/XML payloads this way, so every mmdb model can too.
+//! * [`heap`] — heap record files: a slot table of records of any size,
+//!   addressed by [`heap::RecordId`], the slot's index, and held in
+//!   memory only (the WAL is the durable copy). Every mmdb model that
+//!   keeps records keeps them this way. [`buffer`] is the access counter
+//!   the heaps of one store share.
 //! * [`wal`] — a redo-only write-ahead log with CRC-checked records and
 //!   crash recovery, shared by all models (the tutorial's "one system
 //!   implements fault tolerance" argument for multi-model databases).
@@ -24,12 +23,10 @@ use std::fs::File;
 pub mod buffer;
 pub mod heap;
 pub mod lsm;
-pub mod page;
 pub mod wal;
 
 pub use buffer::BufferPool;
 pub use heap::{HeapFile, RecordId};
-pub use page::{PageId, PAGE_SIZE};
 pub use wal::{LoggedWrite, Lsn, TailedRecord, Wal, WalRecord};
 
 /// The storage layer's one way to fsync; `sync` is `File::sync_data`

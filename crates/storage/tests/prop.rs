@@ -1,27 +1,37 @@
-//! Property tests for the storage substrate: slotted pages and the LSM
+//! Property tests for the storage substrate: heap files and the LSM
 //! engine against shadow models, WAL recovery and checkpoint invariants,
 //! and the checksum against a bytewise reference.
+
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use mmdb_storage::lsm::{LsmConfig, LsmTree};
-use mmdb_storage::page::SlottedPage;
 use mmdb_storage::wal::{crc32, fold, recover_from_bytes, Wal, WalRecord};
+use mmdb_storage::{HeapFile, RecordId};
 
 #[derive(Debug, Clone)]
-enum PageOp {
+enum HeapOp {
     Insert(Vec<u8>),
     Delete(usize),
-    Update(usize, Vec<u8>),
+    Replace(usize, Vec<u8>),
+    Scan,
 }
 
-fn arb_page_ops() -> impl Strategy<Value = Vec<PageOp>> {
+/// A record of 1 B to 20 KiB: a run from a random first byte.
+fn arb_record() -> impl Strategy<Value = Vec<u8>> {
+    (1usize..=20 * 1024, any::<u8>())
+        .prop_map(|(len, first)| (0..len).map(|i| first.wrapping_add(i as u8)).collect())
+}
+
+fn arb_heap_ops() -> impl Strategy<Value = Vec<HeapOp>> {
     prop::collection::vec(
         prop_oneof![
-            prop::collection::vec(any::<u8>(), 1..300).prop_map(PageOp::Insert),
-            (0usize..40).prop_map(PageOp::Delete),
-            ((0usize..40), prop::collection::vec(any::<u8>(), 1..300))
-                .prop_map(|(i, d)| PageOp::Update(i, d)),
+            arb_record().prop_map(HeapOp::Insert),
+            (0usize..40).prop_map(HeapOp::Delete),
+            ((0usize..40), arb_record()).prop_map(|(i, d)| HeapOp::Replace(i, d)),
+            Just(HeapOp::Scan),
         ],
         0..80,
     )
@@ -30,45 +40,70 @@ fn arb_page_ops() -> impl Strategy<Value = Vec<PageOp>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A slotted page behaves like a map slot → bytes, across inserts,
-    /// deletes, updates and compactions.
+    /// A heap file behaves like a map id → bytes across inserts, deletes,
+    /// replaces and scans: a replace keeps the id, an insert takes a freed
+    /// slot while there is one, a scan visits the live records in
+    /// ascending slot order, and `len` counts them.
     #[test]
-    fn slotted_page_matches_shadow(ops in arb_page_ops()) {
-        let mut page = SlottedPage::new();
-        let mut shadow: std::collections::HashMap<u16, Vec<u8>> = Default::default();
-        let mut slots: Vec<u16> = Vec::new();
+    fn heap_file_matches_shadow(ops in arb_heap_ops()) {
+        let heap = HeapFile::new(Arc::default());
+        let mut shadow: HashMap<RecordId, Vec<u8>> = HashMap::new();
+        let mut freed: BTreeSet<RecordId> = BTreeSet::new();
+        // Every id the heap handed out, live or not, oldest first.
+        let mut ids: Vec<RecordId> = Vec::new();
         for op in ops {
             match op {
-                PageOp::Insert(data) => {
-                    if let Ok(slot) = page.insert(&data) {
-                        shadow.insert(slot, data);
-                        if !slots.contains(&slot) {
-                            slots.push(slot);
+                HeapOp::Insert(data) => {
+                    let id = heap.insert(data.clone()).unwrap();
+                    prop_assert!(!shadow.contains_key(&id), "id {} is live", id);
+                    if freed.is_empty() {
+                        prop_assert_eq!(id as usize, shadow.len(), "a new slot goes at the end");
+                    } else {
+                        prop_assert!(freed.remove(&id), "id {} is not a freed slot", id);
+                    }
+                    shadow.insert(id, data);
+                    ids.push(id);
+                }
+                HeapOp::Delete(i) => {
+                    if let Some(&id) = ids.get(i) {
+                        let live = shadow.remove(&id).is_some();
+                        prop_assert_eq!(heap.delete(id).is_ok(), live);
+                        if live {
+                            freed.insert(id);
                         }
                     }
                 }
-                PageOp::Delete(i) => {
-                    if let Some(&slot) = slots.get(i) {
-                        let expected = shadow.remove(&slot);
-                        prop_assert_eq!(page.delete(slot).is_ok(), expected.is_some());
+                HeapOp::Replace(i, data) => {
+                    if let Some(&id) = ids.get(i) {
+                        let live = shadow.contains_key(&id);
+                        prop_assert_eq!(heap.replace(id, data.clone()).is_ok(), live);
+                        if live {
+                            prop_assert_eq!(heap.get_with(id, <[u8]>::to_vec).unwrap(), data.clone());
+                            shadow.insert(id, data);
+                        }
                     }
                 }
-                PageOp::Update(i, data) => {
-                    if let Some(&slot) = slots.get(i) {
-                        if shadow.contains_key(&slot)
-                            && page.update(slot, &data).is_ok() {
-                                shadow.insert(slot, data);
-                            }
-                            // A failed (page-full) update must preserve the
-                            // old record — checked below via the shadow.
-                    }
+                HeapOp::Scan => {
+                    let mut seen: Vec<(RecordId, Vec<u8>)> = Vec::new();
+                    heap.scan_with(|id, bytes| {
+                        seen.push((id, bytes.to_vec()));
+                        Ok(())
+                    })
+                    .unwrap();
+                    let mut want: Vec<(RecordId, Vec<u8>)> =
+                        shadow.iter().map(|(&id, data)| (id, data.clone())).collect();
+                    want.sort();
+                    prop_assert_eq!(seen, want);
                 }
             }
+            prop_assert_eq!(heap.len(), shadow.len());
         }
-        for (&slot, data) in &shadow {
-            prop_assert_eq!(page.get(slot).unwrap(), &data[..]);
+        for (&id, data) in &shadow {
+            prop_assert_eq!(heap.get_with(id, <[u8]>::to_vec).unwrap(), data.clone());
         }
-        prop_assert_eq!(page.iter().count(), shadow.len());
+        for &id in &freed {
+            prop_assert!(heap.get_with(id, <[u8]>::len).is_err());
+        }
     }
 
     /// The LSM tree equals a BTreeMap under random put/delete/scan,

@@ -84,11 +84,6 @@ impl TextIndex {
         self.doc_len.len()
     }
 
-    /// Number of distinct terms.
-    pub fn term_count(&self) -> usize {
-        self.terms.len()
-    }
-
     /// Average document length (tokens).
     pub fn avg_doc_len(&self) -> f64 {
         if self.doc_len.is_empty() {
@@ -124,11 +119,6 @@ impl TextIndex {
     /// Document frequency of a term.
     pub fn doc_freq(&self, term: &str) -> usize {
         self.terms.get(term).map(BTreeMap::len).unwrap_or(0)
-    }
-
-    /// All doc ids (sorted).
-    pub fn all_docs(&self) -> Vec<DocId> {
-        self.doc_len.keys().copied().collect()
     }
 }
 

@@ -15,7 +15,7 @@
 //! engine call may checkpoint, or commit — the leader takes the commit
 //! mutex, then the committer, with the mutex released, runs the commit
 //! hooks; and the hooks apply the write set to the model stores, which
-//! sit on heap files on the buffer pool.
+//! keep their records in heap files (each behind a leaf lock).
 //!
 //! A rank marked `.held_across_waits()` is a lock its holders keep
 //! through an fsync or a park, so taking it can last that long. The same
@@ -104,10 +104,6 @@ pub const DOCUMENT_INDEXES: Rank = Rank::new(120, "document.collection.indexes")
 pub const RELATIONAL_INDEXES: Rank = Rank::new(130, "relational.table.indexes");
 
 // ---- storage -------------------------------------------------------------------
-
-/// A heap file's allocator state, held while it reads and writes its
-/// pages in the buffer pool (whose page table is a leaf).
-pub const HEAP_STATE: Rank = Rank::new(140, "storage.heap.state");
 
 /// A WAL's rewrite lock, held for the whole of one rewrite (a
 /// checkpoint's fold, a reset, a copy's first local append, a header

@@ -4,8 +4,8 @@
 //! `order.orderlines`) must not copy it; a read of a stored document must
 //! decode only the fields the plan reads of it (optimizer rule 6); a
 //! field name, a short string value, a bound variable's name or a lookup
-//! key must not be copied to the heap; a record is decoded on its page,
-//! not copied out first; a traversal walks the edge index's shared
+//! key must not be copied to the heap; a record is decoded where its heap
+//! keeps it, not copied out first; a traversal walks the edge index's shared
 //! handles and emits a short handle inline.
 //!
 //! A timing would flap on a shared box; a count of allocator calls per
