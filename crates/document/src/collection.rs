@@ -321,7 +321,6 @@ impl Collection {
         hi: Bound<&Value>,
         p: &Projection,
     ) -> Result<(Vec<Value>, bool)> {
-        let path = Path::parse(path_text)?;
         {
             let idx = self.indexes.read();
             if let Some((_, tree)) = idx.persistent.get(path_text) {
@@ -366,6 +365,7 @@ impl Collection {
                 return Ok((docs, true));
             }
         }
+        let path = Path::parse(path_text)?;
         let mut docs = Vec::new();
         for doc in self.all()? {
             let v = path.eval_point(&doc)?;

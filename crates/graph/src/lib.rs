@@ -10,11 +10,9 @@
 //! [`mod@traverse`] implements the AQL traversal the paper's recommendation
 //! query uses (`FOR v IN 1..1 OUTBOUND c knows`): bounded-depth BFS in
 //! either or both directions, plus unweighted and weighted shortest paths.
-//! [`pattern`] adds a small subgraph pattern matcher.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 
-pub mod pattern;
 pub mod store;
 pub mod traverse;
 

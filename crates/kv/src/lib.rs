@@ -48,15 +48,6 @@ impl KvStore {
         Ok(())
     }
 
-    /// Drop a bucket and its contents.
-    pub fn drop_bucket(&self, name: &str) -> Result<()> {
-        self.buckets
-            .write()
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| Error::NotFound(format!("bucket '{name}'")))
-    }
-
     /// Whether a bucket of this name exists.
     pub fn has_bucket(&self, name: &str) -> bool {
         self.buckets.read().contains_key(name)
@@ -101,18 +92,6 @@ impl KvStore {
             let existed = tree.get(key.as_bytes()).is_some();
             tree.delete(key.as_bytes().to_vec())?;
             Ok(existed)
-        })?
-    }
-
-    /// Apply several writes to one bucket at once (single lock hold — the
-    /// "simple API" batch operation of DynamoDB's flavour).
-    pub fn put_batch(&self, bucket: &str, entries: Vec<(String, Value)>) -> Result<()> {
-        self.with_bucket(bucket, |b| {
-            let mut tree = b.write();
-            for (k, v) in entries {
-                tree.put(k.into_bytes(), value_to_bytes(&v))?;
-            }
-            Ok(())
         })?
     }
 
@@ -196,9 +175,7 @@ mod tests {
         s.create_bucket("sessions").unwrap();
         assert_eq!(s.buckets(), vec!["cart", "sessions"]);
         assert!(s.has_bucket("cart") && !s.has_bucket("nope"));
-        s.drop_bucket("sessions").unwrap();
-        assert!(s.drop_bucket("sessions").is_err());
-        assert!(s.put("sessions", "k", Value::Null).is_err());
+        assert!(s.put("nope", "k", Value::Null).is_err());
         assert!(matches!(s.get("nope", "k"), Err(Error::NotFound(_))));
     }
 
@@ -254,15 +231,9 @@ mod tests {
     #[test]
     fn prefix_scans() {
         let s = store();
-        s.put_batch(
-            "cart",
-            vec![
-                ("user:1".into(), Value::int(1)),
-                ("user:2".into(), Value::int(2)),
-                ("order:9".into(), Value::int(9)),
-            ],
-        )
-        .unwrap();
+        for (k, v) in [("user:1", 1), ("user:2", 2), ("order:9", 9)] {
+            s.put("cart", k, Value::int(v)).unwrap();
+        }
         let users = s.scan_prefix("cart", "user:").unwrap();
         assert_eq!(users.len(), 2);
         assert_eq!(users[0].0, "user:1");

@@ -10,7 +10,7 @@ use std::borrow::Cow;
 use mmdb_types::{Error, Number, Projection, Result, Value};
 
 use crate::ast::{BinOp, Expr};
-use crate::exec::{execute_subquery, ExecCtx, Scope};
+use crate::exec::{run_pipeline, ExecCtx, Scope};
 use crate::functions::call_function;
 use crate::plan::build_plan;
 
@@ -88,11 +88,11 @@ pub fn eval_expr<'a>(cx: &ExecCtx, scope: Scope<'a>, expr: &'a Expr) -> Result<C
             }
             Cow::Owned(Value::Object(obj))
         }
-        Expr::SubPlan(plan) => Cow::Owned(Value::Array(execute_subquery(cx, plan, scope.to_env())?)),
+        Expr::SubPlan(plan) => Cow::Owned(Value::Array(run_pipeline(cx, plan, scope.to_env())?)),
         // Only a plan that never went through `optimize` still holds a
         // parsed subquery; it runs as parsed, every FOR a nested loop.
         Expr::Subquery(q) => {
-            Cow::Owned(Value::Array(execute_subquery(cx, &build_plan(q)?, scope.to_env())?))
+            Cow::Owned(Value::Array(run_pipeline(cx, &build_plan(q)?, scope.to_env())?))
         }
         Expr::Ternary(c, a, b) => {
             if eval_expr(cx, scope, c)?.is_truthy() {

@@ -10,10 +10,10 @@ use std::time::Instant;
 use mmdb_graph::Direction;
 use mmdb_types::{Error, Key, Projection, Result, Value};
 
-use crate::ast::{AggFunc, Expr, Query, SortOrder, TraversalDirection};
+use crate::ast::{AggFunc, Expr, SortOrder, TraversalDirection};
 use crate::cancel;
 use crate::eval::{eval_call, eval_expr};
-use crate::plan::{build_plan, line_prefix, Plan, PlanBound, PlanNode};
+use crate::plan::{OpId, Plan, PlanBound, PlanNode};
 use crate::stats::{ExecStats, OpStats};
 use crate::world::World;
 
@@ -127,7 +127,7 @@ impl<'a> Scope<'a> {
 }
 
 /// The state of one top-level execution: the world, the hash joins'
-/// build tables and, when tracing, the subquery operator profile. Each
+/// build tables and, when tracing, what each operator did. Each
 /// `execute_plan*` entry point creates one and drops it on return, so
 /// nothing a query built is visible to the next.
 pub struct ExecCtx<'w> {
@@ -136,8 +136,9 @@ pub struct ExecCtx<'w> {
     /// by every later one — including every re-evaluation of the subquery
     /// that holds the join.
     joins: RefCell<HashMap<usize, Rc<JoinTable>>>,
-    /// Present for [`execute_plan_traced`] only.
-    trace: Option<RefCell<SubTrace>>,
+    /// Present for [`execute_plan_traced`] only: per operator, its counts
+    /// summed over every evaluation of its pipeline (`op` is left empty).
+    trace: Option<RefCell<HashMap<OpId, OpStats>>>,
 }
 
 impl<'w> ExecCtx<'w> {
@@ -157,145 +158,60 @@ struct JoinTable {
     probes: Cell<usize>,
 }
 
-/// Operator stats of the subqueries evaluated since the traced executor
-/// last drained them; it splices them into the profile right below the
-/// operator that evaluated them.
-#[derive(Default)]
-struct SubTrace {
-    /// Current subquery nesting depth (0 = the traced top-level plan).
-    depth: usize,
-    entries: Vec<OpStats>,
+/// Execute an already-optimized plan.
+pub fn execute_plan(world: &World, plan: &Plan) -> Result<Vec<Value>> {
+    run_pipeline(&ExecCtx::new(world), plan, Env::new())
 }
 
-/// Execute a parsed query (plans and optimizes it first).
-pub fn execute_query(world: &World, query: &Query) -> Result<Vec<Value>> {
-    execute_plan(world, &crate::optimize::optimize(build_plan(query)?, world))
-}
-
-/// Evaluate a subquery's plan (a `LET x = (FOR ...)` body or a
-/// parenthesized pipeline in expression position) from the enclosing
-/// row's environment. Inside [`execute_plan_traced`] the subquery
-/// pipeline is profiled too: its operators are aggregated across per-row
-/// evaluations, indented one level per nesting depth, and spliced into
-/// the parent's profile right after the operator that evaluated them —
-/// so EXPLAIN ANALYZE does not hide subquery work inside the parent
-/// operator's elapsed time.
-pub(crate) fn execute_subquery(cx: &ExecCtx, plan: &Plan, env: Env) -> Result<Vec<Value>> {
-    let Some(trace) = &cx.trace else {
-        return run_pipeline(cx, plan, env);
-    };
-    let depth = {
-        let mut t = trace.borrow_mut();
-        t.depth += 1;
-        t.depth
-    };
-    let result = run_pipeline_traced_sub(cx, plan, env, depth);
-    trace.borrow_mut().depth -= 1;
-    result
-}
-
-/// Take the subquery operator stats accumulated since the last drain.
-fn drain_sub_trace(cx: &ExecCtx) -> Vec<OpStats> {
-    cx.trace.as_ref().map(|t| std::mem::take(&mut t.borrow_mut().entries)).unwrap_or_default()
-}
-
-/// Record one subquery operator evaluation, merging repeats: a `LET`
-/// body re-evaluated for every parent row shows up as one line with
-/// summed rows and elapsed time, not N lines. The access path is the
-/// latest one: a hash join's probe count grows with every evaluation.
-fn record_sub_op(cx: &ExecCtx, new: OpStats) {
-    let Some(trace) = &cx.trace else { return };
-    let entries = &mut trace.borrow_mut().entries;
-    if let Some(existing) = entries.iter_mut().find(|e| e.op == new.op) {
-        existing.rows_in += new.rows_in;
-        existing.rows_out += new.rows_out;
-        existing.elapsed += new.elapsed;
-        if new.access_path.is_some() {
-            existing.access_path = new.access_path;
-        }
-    } else {
-        entries.push(new);
-    }
-}
-
-/// Apply one node and describe what it did.
-fn apply_node_traced(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<(Vec<Env>, OpStats)> {
-    let rows_in = envs.len();
-    let first = envs.first().cloned();
-    let started = Instant::now();
-    let out = apply_node(cx, node, envs)?;
-    let stats = OpStats {
-        op: node.describe(),
-        rows_in,
-        rows_out: out.len(),
-        elapsed: started.elapsed(),
-        access_path: describe_access_path(cx, node, first.as_ref()),
-    };
-    Ok((out, stats))
-}
-
-/// [`project_return`], described.
-fn project_return_traced(cx: &ExecCtx, plan: &Plan, envs: &[Env]) -> Result<(Vec<Value>, OpStats)> {
-    let started = Instant::now();
-    let out = project_return(cx, plan, envs)?;
-    let stats = OpStats {
-        op: plan.describe_return(),
-        rows_in: envs.len(),
-        rows_out: out.len(),
-        elapsed: started.elapsed(),
-        access_path: None,
-    };
-    Ok((out, stats))
-}
-
-/// The traced executor for subquery plans: same shape as the top-level
-/// traced loop, but operator stats go to the context's sink (indented by
-/// nesting depth) instead of a local `ops` vector.
-fn run_pipeline_traced_sub(cx: &ExecCtx, plan: &Plan, env: Env, depth: usize) -> Result<Vec<Value>> {
-    let prefix = line_prefix(depth);
-    let record = |mut stats: OpStats| {
-        stats.op.insert_str(0, &prefix);
-        record_sub_op(cx, stats);
-    };
+/// Run one pipeline from `env`: the top-level plan, or a subquery's (a
+/// `LET x = (FOR ...)` body or a parenthesized pipeline in expression
+/// position) from the enclosing row's environment. A traced context adds
+/// each operator's rows, time and access path to its counts; an untraced
+/// one does nothing of that.
+pub(crate) fn run_pipeline(cx: &ExecCtx, plan: &Plan, env: Env) -> Result<Vec<Value>> {
     let mut envs = vec![env];
     for node in &plan.nodes {
-        let (out, stats) = apply_node_traced(cx, node, envs)?;
-        envs = out;
-        record(stats);
+        let first = if cx.trace.is_some() { envs.first().cloned() } else { None };
+        envs = counted(cx, OpId::Node(node), envs.len(), || apply_node(cx, node, envs), || {
+            describe_access_path(cx, node, first.as_ref())
+        })?;
         if envs.is_empty() {
             break;
         }
     }
-    let (out, stats) = project_return_traced(cx, plan, &envs)?;
-    record(stats);
+    counted(cx, OpId::Return(plan), envs.len(), || project_return(cx, plan, &envs), || None)
+}
+
+/// Run one operator; in a traced context, add its rows, wall time and
+/// access path (the latest one: a hash join's probe count grows with
+/// every evaluation) to its counts.
+fn counted<T>(
+    cx: &ExecCtx,
+    id: OpId,
+    rows_in: usize,
+    run: impl FnOnce() -> Result<Vec<T>>,
+    access_path: impl FnOnce() -> Option<String>,
+) -> Result<Vec<T>> {
+    let Some(trace) = &cx.trace else { return run() };
+    let started = Instant::now();
+    // No borrow of the counts is held while the operator runs: it may
+    // evaluate subqueries, which count their own operators.
+    let out = run()?;
+    let elapsed = started.elapsed();
+    let path = access_path();
+    let mut counts = trace.borrow_mut();
+    let stats = counts.entry(id).or_default();
+    stats.rows_in += rows_in;
+    stats.rows_out += out.len();
+    stats.elapsed += elapsed;
+    if path.is_some() {
+        stats.access_path = path;
+    }
     Ok(out)
 }
 
-/// Execute an already-optimized plan.
-pub fn execute_plan(world: &World, plan: &Plan) -> Result<Vec<Value>> {
-    execute_plan_with_env(world, plan, Env::new())
-}
-
-/// Execute a plan from an initial environment.
-pub fn execute_plan_with_env(world: &World, plan: &Plan, env: Env) -> Result<Vec<Value>> {
-    run_pipeline(&ExecCtx::new(world), plan, env)
-}
-
-/// Run one pipeline — the top-level plan or a subquery's — untraced.
-fn run_pipeline(cx: &ExecCtx, plan: &Plan, env: Env) -> Result<Vec<Value>> {
-    let mut envs = vec![env];
-    for node in &plan.nodes {
-        envs = apply_node(cx, node, envs)?;
-        if envs.is_empty() {
-            break;
-        }
-    }
-    project_return(cx, plan, &envs)
-}
-
 /// Evaluate the RETURN expression over the surviving environments and
-/// apply DISTINCT (the pipeline's final step, shared by the plain and
-/// traced executors).
+/// apply DISTINCT (the pipeline's final step).
 fn project_return(cx: &ExecCtx, plan: &Plan, envs: &[Env]) -> Result<Vec<Value>> {
     let mut out = Vec::with_capacity(envs.len());
     for env in envs {
@@ -311,32 +227,25 @@ fn project_return(cx: &ExecCtx, plan: &Plan, envs: &[Env]) -> Result<Vec<Value>>
     Ok(out)
 }
 
-/// Execute a plan while collecting an [`ExecStats`] profile: per node,
-/// rows in/out, wall time, and the access path taken. The overhead is
-/// O(plan nodes) — two clock reads and one struct push per operator —
-/// so tracing every server-side query is affordable; the untraced
-/// [`execute_plan_with_env`] path does none of it.
-pub fn execute_plan_traced(world: &World, plan: &Plan, env: Env) -> Result<(Vec<Value>, ExecStats)> {
-    let cx = &ExecCtx { trace: Some(RefCell::default()), ..ExecCtx::new(world) };
+/// Execute a plan while collecting an [`ExecStats`] profile: per
+/// operator, rows in/out, wall time, and the access path taken. The run
+/// is [`execute_plan`]'s, counting as it goes. The profile then lists the
+/// operators as `Plan::walk` visits them — the walk [`Plan::explain`]
+/// prints — so it has `EXPLAIN`'s layout; a subquery's operator shows
+/// once, its counts summed over every evaluation, and one that never ran
+/// reads `0 -> 0`. The walk reaches every operator that ran because the
+/// optimizer plans every subquery into the plan it returns (`build_plan`
+/// is total); a parsed subquery, which only an unoptimized plan holds,
+/// runs uncounted.
+pub fn execute_plan_traced(world: &World, plan: &Plan) -> Result<(Vec<Value>, ExecStats)> {
+    let cx = ExecCtx { trace: Some(RefCell::default()), ..ExecCtx::new(world) };
     let started = Instant::now();
-    let mut envs = vec![env];
-    let mut ops: Vec<OpStats> = Vec::with_capacity(plan.nodes.len() + 1);
-    for node in &plan.nodes {
-        let (out, stats) = apply_node_traced(cx, node, envs)?;
-        envs = out;
-        ops.push(stats);
-        // Subqueries evaluated while this node ran (LET bodies, inline
-        // pipelines) traced themselves into the sink; splice their
-        // operators in right below the node that evaluated them.
-        ops.extend(drain_sub_trace(cx));
-        if envs.is_empty() {
-            break;
-        }
-    }
-    let (out, stats) = project_return_traced(cx, plan, &envs)?;
-    ops.push(stats);
-    ops.extend(drain_sub_trace(cx));
-    let stats = ExecStats { ops, rows_returned: out.len(), total: started.elapsed() };
+    let out = run_pipeline(&cx, plan, Env::new())?;
+    let total = started.elapsed();
+    let mut counts = cx.trace.map(RefCell::into_inner).unwrap_or_default();
+    let mut ops = Vec::new();
+    plan.walk(0, &mut |op, id| ops.push(OpStats { op, ..counts.remove(&id).unwrap_or_default() }));
+    let stats = ExecStats { ops, rows_returned: out.len(), total };
     Ok((out, stats))
 }
 

@@ -40,7 +40,6 @@ pub mod stats;
 pub mod world;
 
 pub use cancel::FAILPOINT_SITES;
-pub use exec::execute_query;
 pub use parse::parse_query;
 pub use stats::{ExecStats, OpStats};
 pub use world::World;
@@ -57,10 +56,7 @@ pub fn run(world: &World, text: &str) -> Result<Vec<Value>> {
 /// retryable `deadline_exceeded` error once it trips.
 pub fn run_with(world: &World, text: &str, cancel: &CancelToken) -> Result<Vec<Value>> {
     let _scope = cancel::scope(cancel);
-    let query = parse_query(text)?;
-    let plan = plan::build_plan(&query)?;
-    let plan = optimize::optimize(plan, world);
-    exec::execute_plan(world, &plan)
+    exec::execute_plan(world, &optimized(world, text, parse_query)?)
 }
 
 /// Parse and run a SQL SELECT against a world.
@@ -71,10 +67,7 @@ pub fn run_sql(world: &World, text: &str) -> Result<Vec<Value>> {
 /// Like [`run_sql`], under a cancellation token.
 pub fn run_sql_with(world: &World, text: &str, cancel: &CancelToken) -> Result<Vec<Value>> {
     let _scope = cancel::scope(cancel);
-    let query = sql::parse_sql(text)?;
-    let plan = plan::build_plan(&query)?;
-    let plan = optimize::optimize(plan, world);
-    exec::execute_plan(world, &plan)
+    exec::execute_plan(world, &optimized(world, text, sql::parse_sql)?)
 }
 
 /// Like [`run_with`], but collect an [`ExecStats`] runtime profile —
@@ -86,9 +79,7 @@ pub fn run_traced(
     cancel: &CancelToken,
 ) -> Result<(Vec<Value>, ExecStats)> {
     let _scope = cancel::scope(cancel);
-    let query = parse_query(text)?;
-    let plan = optimize::optimize(plan::build_plan(&query)?, world);
-    exec::execute_plan_traced(world, &plan, exec::Env::new())
+    exec::execute_plan_traced(world, &optimized(world, text, parse_query)?)
 }
 
 /// Like [`run_sql_with`], with an [`ExecStats`] runtime profile.
@@ -98,7 +89,10 @@ pub fn run_sql_traced(
     cancel: &CancelToken,
 ) -> Result<(Vec<Value>, ExecStats)> {
     let _scope = cancel::scope(cancel);
-    let query = sql::parse_sql(text)?;
-    let plan = optimize::optimize(plan::build_plan(&query)?, world);
-    exec::execute_plan_traced(world, &plan, exec::Env::new())
+    exec::execute_plan_traced(world, &optimized(world, text, sql::parse_sql)?)
+}
+
+/// Parse `text` with `parse` (MMQL or SQL), then plan and optimize it.
+fn optimized(world: &World, text: &str, parse: fn(&str) -> Result<ast::Query>) -> Result<plan::Plan> {
+    Ok(optimize::optimize(plan::build_plan(&parse(text)?)?, world))
 }

@@ -270,13 +270,15 @@ impl PlanNode {
     }
 }
 
-/// The prefix of an operator line at subquery nesting `depth` (0 = the
-/// top-level pipeline), shared by `EXPLAIN` and the traced executor.
-pub(crate) fn line_prefix(depth: usize) -> String {
-    match depth {
-        0 => String::new(),
-        d => format!("{}└ ", "  ".repeat(d - 1)),
-    }
+/// An operator of a plan, by identity: one of its nodes, or the RETURN
+/// that ends its pipeline. The traced executor keys what each operator
+/// did by it, and [`Plan::walk`] hands it out beside the operator's line.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum OpId {
+    /// A node of some pipeline.
+    Node(*const PlanNode),
+    /// The RETURN of a pipeline.
+    Return(*const Plan),
 }
 
 /// Append the planned subqueries inside `e`, outermost first.
@@ -293,27 +295,33 @@ impl Plan {
         if self.distinct { "Return DISTINCT".to_string() } else { "Return".to_string() }
     }
 
-    /// One-line-per-node textual form (EXPLAIN). A planned subquery's
-    /// operators follow the operator that evaluates it, one `└` level
-    /// deeper — the layout `EXPLAIN ANALYZE` uses.
+    /// One-line-per-operator textual form (EXPLAIN), in the order and
+    /// layout of `Plan::walk`, which `EXPLAIN ANALYZE` prints too.
     pub fn explain(&self) -> String {
         let mut lines = Vec::new();
-        self.explain_into(0, &mut lines);
+        self.walk(0, &mut |line, _| lines.push(line));
         lines.join("\n")
     }
 
-    fn explain_into(&self, depth: usize, lines: &mut Vec<String>) {
-        let prefix = line_prefix(depth);
-        let mut emit = |text: String, exprs: Vec<&Expr>| {
-            lines.push(format!("{prefix}{text}"));
+    /// Visit every operator of the plan, `depth` subqueries deep, with
+    /// its line: each node of the pipeline, then its RETURN, and a planned
+    /// subquery's operators right after the operator that evaluates it,
+    /// one `└` level deeper.
+    pub(crate) fn walk(&self, depth: usize, visit: &mut dyn FnMut(String, OpId)) {
+        let prefix = match depth {
+            0 => String::new(),
+            d => format!("{}└ ", "  ".repeat(d - 1)),
+        };
+        let mut emit = |id: OpId, text: String, exprs: Vec<&Expr>| {
+            visit(format!("{prefix}{text}"), id);
             let mut subs = Vec::new();
             exprs.into_iter().for_each(|e| sub_plans(e, &mut subs));
-            subs.into_iter().for_each(|p| p.explain_into(depth + 1, lines));
+            subs.into_iter().for_each(|p| p.walk(depth + 1, visit));
         };
         for n in &self.nodes {
-            emit(n.describe(), n.exprs().collect());
+            emit(OpId::Node(n), n.describe(), n.exprs().collect());
         }
-        emit(self.describe_return(), vec![&self.ret]);
+        emit(OpId::Return(self), self.describe_return(), vec![&self.ret]);
     }
 }
 

@@ -1,11 +1,15 @@
 //! Per-operator runtime statistics (the `EXPLAIN ANALYZE` payload).
 //!
-//! The traced executor ([`crate::exec::execute_plan_traced`]) records one
-//! [`OpStats`] per plan node it applies — rows in, rows out, wall time,
-//! and the access path actually taken (named index vs full scan). The
-//! collection cost is O(plan nodes), not O(rows): two `Instant` reads and
-//! one small struct push per operator, nothing per binding. The untraced
-//! executor does none of this, so plain `query` keeps its exact cost.
+//! The traced executor ([`crate::exec::execute_plan_traced`]) runs the
+//! same pipeline loop as the untraced one and counts, per plan operator,
+//! rows in, rows out, wall time, and the access path actually taken
+//! (named index vs full scan), summed over every evaluation of the
+//! operator's pipeline. The profile lists one [`OpStats`] per operator in
+//! `EXPLAIN`'s order and layout ([`crate::plan::Plan::explain`]). The
+//! collection cost is O(operator applications), not O(rows): two
+//! `Instant` reads and one map update each, nothing per binding. The
+//! untraced executor does none of this, so plain `query` keeps its exact
+//! cost.
 //!
 //! [`ExecStats::render`] produces the human-readable `EXPLAIN ANALYZE`
 //! text; [`ExecStats::to_value`] the structured form the server's
@@ -16,7 +20,7 @@ use std::time::Duration;
 use mmdb_types::Value;
 
 /// Runtime statistics for one executed plan operator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OpStats {
     /// The operator's one-line plan description (same text as `EXPLAIN`).
     pub op: String,
@@ -35,8 +39,9 @@ pub struct OpStats {
 /// The full runtime profile of one executed query.
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
-    /// Per-operator stats, in pipeline order; the final entry is the
-    /// RETURN projection.
+    /// Per-operator stats, one per operator of the plan in `EXPLAIN`'s
+    /// order: each pipeline's nodes then its RETURN projection, with a
+    /// subquery's operators right after the operator that evaluates it.
     pub ops: Vec<OpStats>,
     /// Rows in the query result.
     pub rows_returned: usize,

@@ -94,7 +94,7 @@ echo "==> the read path's and a wire point read's allocation budgets, the versio
 # tests/query_allocs.rs ran in the debug pass above; this is the
 # optimized build, the one the benchmark of record measures. It counts
 # allocator calls per examined row for a scan, Q2, Q4 as a hash join and
-# Q5's traversal (1.12, 3.72, 3.99 and 4.88; with heap strings: 1.92,
+# Q5's traversal (1.14, 3.71, 3.98 and 4.84; with heap strings: 1.92,
 # 5.45, 4.55 and 7.21; before projected document reads: 9.19, 8.42,
 # 13.68 and 9.53), with budgets that fail if a whole document decode, a
 # copied document, field name, string value, bound name, lookup key,

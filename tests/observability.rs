@@ -258,3 +258,50 @@ fn slowlog_size_zero_disables_recording() {
 
     server.shutdown().unwrap();
 }
+
+/// EXPLAIN ANALYZE's operator lines of `text`, each split into the
+/// operator's text, its `[…]` annotation stripped, and its rows in/out.
+fn analyzed(db: &Database, text: &str) -> Vec<(String, String)> {
+    let report = db.explain_analyze(text).unwrap();
+    report
+        .lines()
+        .filter(|l| !l.starts_with("total: "))
+        .map(|l| {
+            let (op, counts) = l.split_once("  rows: ").unwrap_or_else(|| panic!("no rows in {l:?}"));
+            let op = match op.rfind("  [") {
+                Some(i) if op.ends_with(']') => &op[..i],
+                _ => op,
+            };
+            let rows = counts.split("  time: ").next().unwrap_or_default();
+            (op.to_string(), rows.to_string())
+        })
+        .collect()
+}
+
+#[test]
+fn explain_analyze_prints_explains_lines_in_explains_order() {
+    let db = paper_db();
+    for (i, cid) in [1, 1, 2, 1, 9].into_iter().enumerate() {
+        db.insert_json("orders", &format!(r#"{{"_key":"o{i}","customer_id":{cid},"total":10}}"#))
+            .unwrap();
+    }
+    db.create_collection("cs").unwrap();
+    for i in 1..=3 {
+        db.insert_json("cs", &format!(r#"{{"_key":"{i}"}}"#)).unwrap();
+    }
+    let nested = "FOR c IN cs LET a = (FOR x IN [1,2] LET b = (FOR y IN [x] RETURN y) RETURN b) RETURN a";
+    let twins = "FOR c IN cs RETURN [(FOR x IN [1] RETURN x), (FOR x IN [1] RETURN x)]";
+    let any = r#"FOR friend IN 1..2 ANY "persons/1" knows
+                   LET order = DOC("orders", KV_GET("cart", friend._key)) FILTER order != NULL
+                   FOR line IN order.orderlines RETURN DISTINCT line.product_no"#;
+    for text in [nested, twins, RECOMMENDATION, Q4_NAIVE, any] {
+        let plan = db.explain(text).unwrap();
+        let ops: Vec<String> = analyzed(&db, text).into_iter().map(|(op, _)| op).collect();
+        assert_eq!(ops, plan.lines().collect::<Vec<_>>(), "{text}\n{}", db.explain_analyze(text).unwrap());
+    }
+    // Two subqueries of the same text are two operators, each run once per
+    // document of `cs`.
+    let loops: Vec<String> =
+        analyzed(&db, twins).into_iter().filter(|(op, _)| op == "└ For x IN [1]").map(|(_, rows)| rows).collect();
+    assert_eq!(loops, ["3 -> 3", "3 -> 3"]);
+}

@@ -15,10 +15,10 @@
 //!
 //! | query              | this tree | one copy back | budget | heap strings | decoded whole |
 //! |--------------------|-----------|---------------|--------|--------------|---------------|
-//! | scan of `orders`   | 1.12      | 1.46          | 1.2    | 1.92         | 9.19          |
-//! | Q2                 | 3.72      | 3.82          | 3.75   | 5.45         | 8.42          |
-//! | Q4 as a hash join  | 3.99      | 4.19          | 4.05   | 4.55         | 13.68         |
-//! | Q5, `1..2 ANY`     | 4.88      | 5.00          | 4.95   | 7.21         | 9.53          |
+//! | scan of `orders`   | 1.14      | 1.46          | 1.2    | 1.92         | 9.19          |
+//! | Q2                 | 3.71      | 3.82          | 3.75   | 5.45         | 8.42          |
+//! | Q4 as a hash join  | 3.98      | 4.19          | 4.05   | 4.55         | 13.68         |
+//! | Q5, `1..2 ANY`     | 4.84      | 5.00          | 4.95   | 7.21         | 9.53          |
 //!
 //! "One copy back" is the smallest count, among the copies that move it
 //! at all, of: binding names as `String`s, copying records out of the
