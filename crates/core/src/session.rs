@@ -336,7 +336,9 @@ impl Session {
 /// store's record — `Collection::put`/`remove`, `Table::put`/
 /// `delete_by_key`, `Graph::put_vertex`/`remove_vertex`,
 /// `Graph::put_edge`/`remove_edge`, `KvStore::put`/`delete` — except
-/// that the `rdf` arm skips a triple it already holds.
+/// that the `rdf` arm skips a triple it already holds. A store's put and
+/// delete keep its own indexes in step (a collection's full-text indexes
+/// among them), so no arm touches a second store.
 ///
 /// Every write of the set is applied and the first failure is returned,
 /// so a write the views cannot take keeps none of the rest of its set
@@ -362,17 +364,8 @@ fn apply_write(world: &World, w: &CommittedWrite) -> Result<()> {
     };
     match (model, &w.value) {
         ("ddl", def) => apply_definition(world, rest, &w.key, def.as_ref()),
-        ("doc", Some(doc)) => {
-            world.collection(rest)?.put(utf8_key()?, doc.clone())?;
-            world.fulltext_touch(rest, doc);
-            Ok(())
-        }
-        ("doc", None) => {
-            let key = utf8_key()?;
-            world.collection(rest)?.remove(key)?;
-            world.fulltext_remove(rest, key);
-            Ok(())
-        }
+        ("doc", Some(doc)) => world.collection(rest)?.put(utf8_key()?, doc.clone()),
+        ("doc", None) => world.collection(rest)?.remove(utf8_key()?).map(drop),
         ("kv", Some(v)) => world.kv.put(rest, utf8_key()?, v.clone()),
         ("kv", None) => world.kv.delete(rest, utf8_key()?).map(drop),
         ("rel", value) => {
@@ -485,7 +478,7 @@ fn apply_definition(world: &World, kind: &str, key: &[u8], def: Option<&Value>) 
                     .create_gin_index(mmdb_index::GinMode::from_name(arg("mode")?)?),
                 "fulltext" => {
                     let index = name.strip_prefix("fulltext/").unwrap_or(name);
-                    world.create_fulltext_index(index, source, arg("field")?)
+                    world.collection(source)?.create_fulltext_index(index, arg("field")?)
                 }
                 other => return Err(Error::Internal(format!("unknown index kind '{other}'"))),
             }

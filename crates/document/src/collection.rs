@@ -1,5 +1,6 @@
 //! Document collections: heap-stored JSON documents with `_key` identity.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -7,32 +8,42 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
-use mmdb_index::gin::DocId;
 use mmdb_index::{BPlusTree, ExtendibleHashMap, GinIndex, GinMode};
 use mmdb_storage::{BufferPool, HeapFile, RecordId};
+use mmdb_text::{score::bm25_search, TextIndex, TextQuery};
 use mmdb_types::codec::{decode_projected, key_of, value_from_bytes, value_to_bytes};
 use mmdb_types::{lock_rank, Error, Path, Projection, Result, Value};
 
 /// The reserved primary-key attribute, as in ArangoDB.
 pub const KEY_FIELD: &str = "_key";
 
+/// Every index of a collection, behind its one lock. The secondary
+/// indexes name a document by its heap [`RecordId`]: a replace keeps the
+/// id, and a slot is freed, for a later insert to reuse, only with this
+/// lock write-held and the document's entries removed.
 struct CollectionIndexes {
     /// `_key` → record id (ArangoDB's primary *hash* index).
     primary: ExtendibleHashMap<String, RecordId>,
     /// Persistent (B+-tree) indexes: path text → the parsed path and its
     /// tree, (encoded value ++ key) → rid.
     persistent: HashMap<String, (Path, BPlusTree<Vec<u8>, RecordId>)>,
-    /// Optional GIN index with its docid bookkeeping.
-    gin: Option<GinState>,
+    /// Optional GIN index.
+    gin: Option<GinIndex>,
+    /// Full-text indexes by name: the indexed top-level field and the
+    /// inverted index over its text.
+    fulltext: HashMap<String, (String, TextIndex)>,
 }
 
-struct GinState {
-    index: GinIndex,
-    by_key: HashMap<String, DocId>,
-    by_id: HashMap<DocId, String>,
+impl CollectionIndexes {
+    /// Whether an index besides the primary one holds entries of a
+    /// document, which a put or remove must move.
+    fn has_secondary(&self) -> bool {
+        !self.persistent.is_empty() || self.gin.is_some() || !self.fulltext.is_empty()
+    }
 }
 
-/// A document collection.
+/// A document collection, with its primary, persistent, GIN and full-text
+/// indexes kept in step by [`put`](Self::put) and [`remove`](Self::remove).
 pub struct Collection {
     name: String,
     heap: HeapFile,
@@ -55,6 +66,16 @@ fn sec_key(value: &Value, doc_key: &str) -> Vec<u8> {
     k
 }
 
+/// The text a full-text index on `field` takes from `doc`: a string as
+/// it is, any other value as its text, nothing for a missing field.
+fn field_text<'a>(doc: &'a Value, field: &str) -> Option<Cow<'a, str>> {
+    match doc.get_field(field) {
+        Value::String(s) => Some(Cow::Borrowed(s)),
+        Value::Null => None,
+        other => Some(Cow::Owned(other.to_string())),
+    }
+}
+
 impl Collection {
     /// Create an empty collection on a buffer pool.
     pub fn create(name: &str, pool: Arc<BufferPool>) -> Result<Collection> {
@@ -67,6 +88,7 @@ impl Collection {
                     primary: ExtendibleHashMap::new(),
                     persistent: HashMap::new(),
                     gin: None,
+                    fulltext: HashMap::new(),
                 },
             ),
             next_key: AtomicU64::new(1),
@@ -121,10 +143,10 @@ impl Collection {
     }
 
     /// Create or replace the document with this `_key`: the one body that
-    /// writes a document and keeps the primary, persistent and GIN
-    /// indexes in step. The document's `_key`, if present, must be `key`;
-    /// a missing one is set. The old document is fetched only when a
-    /// persistent or GIN index has entries of it to move.
+    /// writes a document and keeps the primary, persistent, GIN and
+    /// full-text indexes in step. The document's `_key`, if present, must
+    /// be `key`; a missing one is set. The old document is fetched only
+    /// when a secondary index has entries of it to move.
     pub fn put(&self, key: &str, mut doc: Value) -> Result<()> {
         {
             let obj = doc.as_object_mut()?;
@@ -144,9 +166,7 @@ impl Collection {
         let mut idx = self.indexes.write();
         let old_rid = idx.primary.get(key).copied();
         let old = match old_rid {
-            Some(rid) if !idx.persistent.is_empty() || idx.gin.is_some() => {
-                Some(self.fetch(rid, &Projection::ALL)?)
-            }
+            Some(rid) if idx.has_secondary() => Some(self.fetch(rid, &Projection::ALL)?),
             _ => None,
         };
         let rid = match old_rid {
@@ -172,19 +192,22 @@ impl Collection {
             tree.insert(sec_key(new, key), rid);
         }
         if let Some(gin) = &mut idx.gin {
-            match (gin.by_key.get(key), &old) {
-                (Some(&id), Some(old)) => {
-                    gin.index.remove(id, old);
-                    gin.index.insert(id, &doc);
-                }
-                _ => {
-                    // GIN doc ids must never be reused, so draw them from
-                    // the same monotone counter as generated keys.
-                    let id: DocId = self.next_key.fetch_add(1, Ordering::SeqCst);
-                    gin.index.insert(id, &doc);
-                    gin.by_key.insert(key.to_string(), id);
-                    gin.by_id.insert(id, key.to_string());
-                }
+            if let Some(old) = &old {
+                gin.remove(rid, old);
+            }
+            gin.insert(rid, &doc);
+        }
+        for (field, text) in idx.fulltext.values_mut() {
+            let new = field_text(&doc, field);
+            let old = old.as_ref().and_then(|old| field_text(old, field));
+            if old == new {
+                continue;
+            }
+            if let Some(old) = old {
+                text.remove(rid, &old);
+            }
+            if let Some(new) = new {
+                text.index(rid, &new);
             }
         }
         Ok(())
@@ -199,6 +222,23 @@ impl Collection {
     /// record.
     fn fetch(&self, rid: RecordId, p: &Projection) -> Result<Value> {
         self.heap.get_with(rid, |bytes| decode_projected(bytes, p))?
+    }
+
+    /// What `p` keeps of a document an index named, fetched with the index
+    /// lock released: `None` for a slot freed since, and a slot reused
+    /// since gives its new document, as a concurrent put may change any
+    /// answer read from the live view.
+    fn fetch_hit(&self, rid: RecordId, p: &Projection) -> Result<Option<Value>> {
+        self.heap.try_get_with(rid, |bytes| decode_projected(bytes, p)).transpose()
+    }
+
+    /// [`fetch_hit`](Self::fetch_hit) for each id, skipping freed slots.
+    fn fetch_hits(&self, rids: Vec<RecordId>, p: &Projection) -> Result<Vec<Value>> {
+        let mut docs = Vec::with_capacity(rids.len());
+        for rid in rids {
+            docs.extend(self.fetch_hit(rid, p)?);
+        }
+        Ok(docs)
     }
 
     /// Fetch by `_key`.
@@ -223,20 +263,18 @@ impl Collection {
     pub fn remove(&self, key: &str) -> Result<bool> {
         let mut idx = self.indexes.write();
         let Some(rid) = idx.primary.get(key).copied() else { return Ok(false) };
-        let old = if idx.persistent.is_empty() && idx.gin.is_none() {
-            Value::Null
-        } else {
-            self.fetch(rid, &Projection::ALL)?
-        };
+        let old = if idx.has_secondary() { self.fetch(rid, &Projection::ALL)? } else { Value::Null };
         self.heap.delete(rid)?;
         idx.primary.remove(key);
         for (path, tree) in idx.persistent.values_mut() {
             tree.remove(&sec_key(path.eval_point(&old)?, key));
         }
         if let Some(gin) = &mut idx.gin {
-            if let Some(id) = gin.by_key.remove(key) {
-                gin.by_id.remove(&id);
-                gin.index.remove(id, &old);
+            gin.remove(rid, &old);
+        }
+        for (field, text) in idx.fulltext.values_mut() {
+            if let Some(old) = field_text(&old, field) {
+                text.remove(rid, &old);
             }
         }
         Ok(true)
@@ -284,18 +322,66 @@ impl Collection {
         if idx.gin.is_some() {
             return Err(Error::AlreadyExists("gin index".into()));
         }
-        let mut gin = GinState { index: GinIndex::new(mode), by_key: HashMap::new(), by_id: HashMap::new() };
-        self.heap.scan_with(|_, bytes| {
-            let doc = value_from_bytes(bytes)?;
-            let key = doc.get_field(KEY_FIELD).as_str().unwrap_or("").to_string();
-            let id: DocId = self.next_key.fetch_add(1, Ordering::SeqCst);
-            gin.index.insert(id, &doc);
-            gin.by_key.insert(key.clone(), id);
-            gin.by_id.insert(id, key);
+        let mut gin = GinIndex::new(mode);
+        self.heap.scan_with(|rid, bytes| {
+            gin.insert(rid, &value_from_bytes(bytes)?);
             Ok(())
         })?;
         idx.gin = Some(gin);
         Ok(())
+    }
+
+    /// Create a full-text index named `name` on the top-level `field`,
+    /// backfilling.
+    pub fn create_fulltext_index(&self, name: &str, field: &str) -> Result<()> {
+        let mut idx = self.indexes.write();
+        if idx.fulltext.contains_key(name) {
+            return Err(Error::AlreadyExists(format!("fulltext index '{name}'")));
+        }
+        let mut text = TextIndex::default();
+        self.heap.scan_with(|rid, bytes| {
+            if let Some(t) = field_text(&value_from_bytes(bytes)?, field) {
+                text.index(rid, &t);
+            }
+            Ok(())
+        })?;
+        idx.fulltext.insert(name.to_string(), (field.to_string(), text));
+        Ok(())
+    }
+
+    /// Whether this collection has a full-text index named `name`.
+    pub fn has_fulltext_index(&self, name: &str) -> bool {
+        self.indexes.read().fulltext.contains_key(name)
+    }
+
+    /// Run `search` over the full-text index `name` under the index lock.
+    fn search_fulltext<R>(&self, name: &str, search: impl FnOnce(&TextIndex) -> R) -> Result<R> {
+        let idx = self.indexes.read();
+        let (_, text) = idx
+            .fulltext
+            .get(name)
+            .ok_or_else(|| Error::NotFound(format!("fulltext index '{name}'")))?;
+        Ok(search(text))
+    }
+
+    /// What `p` keeps of each document the full-text index `name` matches
+    /// for `query` (a [`TextQuery::parse`] string), in record id order.
+    pub fn fulltext(&self, name: &str, query: &str, p: &Projection) -> Result<Vec<Value>> {
+        let rids = self.search_fulltext(name, |text| TextQuery::parse(query).eval(text))?;
+        self.fetch_hits(rids, p)
+    }
+
+    /// The `limit` best BM25 hits of `query` in the full-text index
+    /// `name`: each document with its score, best first.
+    pub fn fulltext_ranked(&self, name: &str, query: &str, limit: usize) -> Result<Vec<(Value, f64)>> {
+        let hits = self.search_fulltext(name, |text| bm25_search(text, query, limit))?;
+        let mut out = Vec::with_capacity(hits.len());
+        for hit in hits {
+            if let Some(doc) = self.fetch_hit(hit.doc, &Projection::ALL)? {
+                out.push((doc, hit.score));
+            }
+        }
+        Ok(out)
     }
 
     /// Indexed paths (sorted).
@@ -358,11 +444,7 @@ impl Collection {
                     .map(|(_, rid)| *rid)
                     .collect();
                 drop(idx);
-                let mut docs = Vec::with_capacity(rids.len());
-                for rid in rids {
-                    docs.push(self.fetch(rid, p)?);
-                }
-                return Ok((docs, true));
+                return Ok((self.fetch_hits(rids, p)?, true));
             }
         }
         let path = Path::parse(path_text)?;
@@ -393,20 +475,10 @@ impl Collection {
         {
             let idx = self.indexes.read();
             if let Some(gin) = &idx.gin {
-                if let Ok(candidates) = gin.index.contains_candidates(pattern) {
-                    let keys: Vec<String> = candidates
-                        .iter()
-                        .filter_map(|id| gin.by_id.get(id).cloned())
-                        .collect();
+                if let Ok(candidates) = gin.contains_candidates(pattern) {
                     drop(idx);
-                    let mut docs = Vec::new();
-                    for key in keys {
-                        if let Some(doc) = self.get(&key)? {
-                            if doc.contains(pattern) {
-                                docs.push(doc);
-                            }
-                        }
-                    }
+                    let mut docs = self.fetch_hits(candidates, &Projection::ALL)?;
+                    docs.retain(|doc| doc.contains(pattern));
                     return Ok((docs, true));
                 }
             }
@@ -427,16 +499,9 @@ impl Collection {
             .gin
             .as_ref()
             .ok_or_else(|| Error::Unsupported("key-exists needs a GIN index".into()))?;
-        let ids = gin.index.key_exists(field)?;
-        let keys: Vec<String> = ids.iter().filter_map(|id| gin.by_id.get(id).cloned()).collect();
+        let rids = gin.key_exists(field)?;
         drop(idx);
-        let mut docs = Vec::new();
-        for key in keys {
-            if let Some(doc) = self.get(&key)? {
-                docs.push(doc);
-            }
-        }
-        Ok(docs)
+        self.fetch_hits(rids, &Projection::ALL)
     }
 }
 
@@ -580,6 +645,69 @@ mod tests {
         c.put("b", from_json(r#"{"tags":["y"]}"#).unwrap()).unwrap();
         assert_eq!(c.with_key("tags").unwrap().len(), 1);
         assert!(c.create_gin_index(GinMode::JsonbOps).is_err());
+    }
+
+    fn keys(docs: Vec<Value>) -> Vec<String> {
+        docs.iter().map(|d| d.get_field(KEY_FIELD).as_str().unwrap().to_string()).collect()
+    }
+
+    #[test]
+    fn fulltext_index_lifecycle() {
+        let c = coll();
+        c.insert_json(r#"{"_key":"p1","description":"a wooden toy train"}"#).unwrap();
+        c.insert_json(r#"{"_key":"p2","description":"a paperback book"}"#).unwrap();
+        c.create_fulltext_index("product_text", "description").unwrap();
+        assert!(c.has_fulltext_index("product_text"));
+        let search = |q: &str| keys(c.fulltext("product_text", q, &Projection::ALL).unwrap());
+        assert_eq!(search("toy"), vec!["p1"]);
+        assert_eq!(search("paperback book"), vec!["p2"]);
+        assert!(search("bicycle").is_empty());
+        assert_eq!(c.fulltext_ranked("product_text", "book toy", 10).unwrap().len(), 2);
+        assert!(matches!(c.create_fulltext_index("product_text", "x"), Err(Error::AlreadyExists(_))));
+        assert!(matches!(c.fulltext("nope", "toy", &Projection::ALL), Err(Error::NotFound(_))));
+        // A put reaches the index.
+        c.insert_json(r#"{"_key":"p3","description":"toy robot"}"#).unwrap();
+        assert_eq!(search("robot"), vec!["p3"]);
+        assert_eq!(search("toy"), vec!["p1", "p3"]);
+    }
+
+    #[test]
+    fn a_replace_moves_its_postings_and_keeps_its_record_id() {
+        let c = coll();
+        c.insert_json(r#"{"_key":"p1","description":"a wooden toy train"}"#).unwrap();
+        c.insert_json(r#"{"_key":"p2","description":"a paperback book"}"#).unwrap();
+        c.create_fulltext_index("product_text", "description").unwrap();
+        let rid = |key: &str| c.indexes.read().primary.get(key).copied().unwrap();
+        let before = rid("p1");
+        c.put("p1", from_json(r#"{"description":"a steel robot"}"#).unwrap()).unwrap();
+        assert_eq!(rid("p1"), before);
+        let search = |q: &str| keys(c.fulltext("product_text", q, &Projection::ALL).unwrap());
+        assert_eq!(search("robot"), vec!["p1"]);
+        assert!(search("toy").is_empty(), "the old postings are gone");
+        assert!(search("train").is_empty());
+        assert_eq!(search("book"), vec!["p2"]);
+        let idx = c.indexes.read();
+        assert_eq!(idx.fulltext["product_text"].1.doc_count(), 2);
+    }
+
+    #[test]
+    fn a_removed_document_or_field_leaves_no_postings() {
+        let c = coll();
+        for (key, text) in [("p1", "a wooden toy"), ("p2", "a toy train"), ("p3", "a book")] {
+            c.insert(Value::object([("_key", Value::str(key)), ("description", Value::str(text))]))
+                .unwrap();
+        }
+        c.create_fulltext_index("product_text", "description").unwrap();
+        c.remove("p1").unwrap();
+        c.put("p2", Value::object([("other", Value::int(1))])).unwrap();
+        assert_eq!(c.indexes.read().fulltext["product_text"].1.doc_count(), 1);
+        let search = |q: &str| keys(c.fulltext("product_text", q, &Projection::ALL).unwrap());
+        assert!(search("toy").is_empty());
+        assert_eq!(search("book"), vec!["p3"]);
+        // p4 takes p1's freed slot, and only its own text finds it.
+        c.insert_json(r#"{"_key":"p4","description":"a kite"}"#).unwrap();
+        assert_eq!(search("kite"), vec!["p4"]);
+        assert!(search("wooden").is_empty());
     }
 
     #[test]

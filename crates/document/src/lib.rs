@@ -6,8 +6,9 @@
 //! of all documents in a collection"); without secondary indexes a
 //! collection *is* a key/value store; with them it is a queryable document
 //! store. Persistent (B+-tree) indexes serve path range queries; a GIN
-//! index serves containment and key-exists queries; query-by-example does
-//! what Arango's `byExample` does.
+//! index serves containment and key-exists queries; named full-text
+//! indexes over a field serve `FULLTEXT`; query-by-example does what
+//! Arango's `byExample` does.
 //!
 //! [`flex`] adds HPE Vertica's flex tables for schemaless CSV/JSON ingest
 //! with virtual → real column promotion.

@@ -21,8 +21,9 @@ use std::collections::BTreeMap;
 use mmdb_types::codec::key_of;
 use mmdb_types::{Error, Result, Value};
 
-/// Identifier of an indexed document.
-pub type DocId = u64;
+/// Identifier of an indexed document: a collection's index names its
+/// documents by their heap record ids.
+pub type DocId = u32;
 
 /// Which operator class the index uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

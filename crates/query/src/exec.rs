@@ -1013,7 +1013,7 @@ mod tests {
         let c = w.create_collection("reviews").unwrap();
         c.insert_json(r#"{"_key":"r1","text":"great wooden toy"}"#).unwrap();
         c.insert_json(r#"{"_key":"r2","text":"awful book"}"#).unwrap();
-        w.create_fulltext_index("review_text", "reviews", "text").unwrap();
+        c.create_fulltext_index("review_text", "text").unwrap();
         let got = run(&w, r#"FOR r IN FULLTEXT("review_text", "toy") RETURN r._key"#).unwrap();
         assert_eq!(got, vec![Value::str("r1")]);
         // Graph helper functions.

@@ -258,36 +258,21 @@ pub fn call_function(
             // FULLTEXT(index_name, query) → array of matching documents.
             let name = arg(args, 0)?.as_str()?;
             let query = arg(args, 1)?.as_str()?;
-            let ft = world.fulltext.read();
-            let idx = ft
-                .get(name)
-                .ok_or_else(|| Error::NotFound(format!("fulltext index '{name}'")))?;
-            let coll = world.collection(&idx.collection)?;
-            let mut out = Vec::new();
-            for key in idx.search(query) {
-                if let Some(doc) = coll.get_projected(&key, project)? {
-                    out.push(doc);
-                }
-            }
-            Ok(Value::Array(out))
+            let coll = world.collection_with_fulltext(name)?;
+            Ok(Value::Array(coll.fulltext(name, query, project)?))
         }
         "FULLTEXT_RANKED" => {
             // FULLTEXT_RANKED(index, query, limit) → [{doc, score}].
             let name = arg(args, 0)?.as_str()?;
             let query = arg(args, 1)?.as_str()?;
             let limit = arg(args, 2)?.as_int()? as usize;
-            let ft = world.fulltext.read();
-            let idx = ft
-                .get(name)
-                .ok_or_else(|| Error::NotFound(format!("fulltext index '{name}'")))?;
-            let coll = world.collection(&idx.collection)?;
-            let mut out = Vec::new();
-            for (key, score) in idx.search_ranked(query, limit) {
-                if let Some(doc) = coll.get(&key)? {
-                    out.push(Value::object([("doc", doc), ("score", Value::float(score))]));
-                }
-            }
-            Ok(Value::Array(out))
+            let coll = world.collection_with_fulltext(name)?;
+            let hits = coll.fulltext_ranked(name, query, limit)?;
+            Ok(Value::Array(
+                hits.into_iter()
+                    .map(|(doc, score)| Value::object([("doc", doc), ("score", Value::float(score))]))
+                    .collect(),
+            ))
         }
         "GEO_WITHIN" => {
             // GEO_WITHIN(index, x1, y1, x2, y2) → payloads in the window.

@@ -3,9 +3,9 @@
 //! One `World` is the "single, integrated backend" of the multi-model
 //! definition — MMQL names resolve against it in order: document
 //! collection, relational table, key/value bucket. Graphs, the triple
-//! store, registered XML documents and full-text indexes are reached
-//! through cross-model functions (`DOC`, `KV_GET`, `TRIPLES`, `XPATH`,
-//! `FULLTEXT`, `SHORTEST_PATH`, …).
+//! store, registered XML documents and full-text indexes (which live in
+//! their collections) are reached through cross-model functions (`DOC`,
+//! `KV_GET`, `TRIPLES`, `XPATH`, `FULLTEXT`, `SHORTEST_PATH`, …).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,26 +18,8 @@ use mmdb_kv::KvStore;
 use mmdb_rdf::TripleStore;
 use mmdb_relational::Catalog;
 use mmdb_storage::BufferPool;
-use mmdb_text::inverted::DocId as TextDocId;
-use mmdb_text::TextIndex;
 use mmdb_types::{lock_rank, Error, Projection, Result, Value};
 use mmdb_xml::Tree;
-
-/// A registered full-text index: over one field of one collection.
-pub struct FulltextIndex {
-    /// Source document collection.
-    pub collection: String,
-    /// Indexed (top-level) field.
-    pub field: String,
-    /// The inverted index.
-    pub index: TextIndex,
-    /// Text doc id → document `_key`.
-    pub keys: HashMap<TextDocId, String>,
-    /// Document `_key` → text doc id, the inverse of `keys`: re-indexing
-    /// a document finds its id here instead of searching `keys`.
-    ids: HashMap<String, TextDocId>,
-    next_id: TextDocId,
-}
 
 /// Global access-path counters: how often the executor served a named
 /// source from an index versus falling back to a full store scan. Fed by
@@ -72,7 +54,9 @@ impl AccessStats {
     }
 }
 
-/// All reachable model stores.
+/// All reachable model stores. Each collection keeps its own indexes,
+/// full-text ones included; the spatial R-trees are the one index kind
+/// held here.
 pub struct World {
     pool: Arc<BufferPool>,
     /// Relational tables.
@@ -88,8 +72,6 @@ pub struct World {
     pub rdf: RwLock<TripleStore>,
     /// Registered XML/JSON trees by name (the `XPATH` function's targets).
     pub xml_docs: RwLock<HashMap<String, Arc<Tree>>>,
-    /// Full-text indexes by name.
-    pub fulltext: RwLock<HashMap<String, FulltextIndex>>,
     /// Spatial indexes by name: R-trees over `(rect, payload)` entries
     /// (the `GEO_WITHIN` / `GEO_NEAREST` functions' targets).
     pub spatial: RwLock<HashMap<String, mmdb_index::rtree::RTree<Value>>>,
@@ -115,7 +97,6 @@ impl World {
             kv: KvStore::default(),
             rdf: RwLock::new(TripleStore::default()),
             xml_docs: RwLock::new(HashMap::new()),
-            fulltext: RwLock::with_rank(lock_rank::WORLD_FULLTEXT, HashMap::new()),
             spatial: RwLock::new(HashMap::new()),
             access: AccessStats::default(),
         }
@@ -166,6 +147,17 @@ impl World {
             .ok_or_else(|| Error::NotFound(format!("graph '{name}'")))
     }
 
+    /// Find the collection owning a full-text index (`FULLTEXT` names only
+    /// the index). `collections` is a leaf lock, so the collections are
+    /// cloned out of it before each one's index lock is taken.
+    pub fn collection_with_fulltext(&self, index: &str) -> Result<Arc<Collection>> {
+        let colls: Vec<Arc<Collection>> = self.collections.read().values().cloned().collect();
+        colls
+            .into_iter()
+            .find(|c| c.has_fulltext_index(index))
+            .ok_or_else(|| Error::NotFound(format!("fulltext index '{index}'")))
+    }
+
     /// Find the graph owning an edge collection (MMQL traversal clauses
     /// name only the edge collection, as AQL does).
     pub fn graph_with_edges(&self, edge_collection: &str) -> Result<Arc<Graph>> {
@@ -189,48 +181,6 @@ impl World {
             .get(name)
             .cloned()
             .ok_or_else(|| Error::NotFound(format!("xml document '{name}'")))
-    }
-
-    /// Create (and backfill) a full-text index over `collection.field`.
-    pub fn create_fulltext_index(&self, name: &str, collection: &str, field: &str) -> Result<()> {
-        let coll = self.collection(collection)?;
-        let mut ft = self.fulltext.write();
-        if ft.contains_key(name) {
-            return Err(Error::AlreadyExists(format!("fulltext index '{name}'")));
-        }
-        let mut idx = FulltextIndex {
-            collection: collection.to_string(),
-            field: field.to_string(),
-            index: TextIndex::default(),
-            keys: HashMap::new(),
-            ids: HashMap::new(),
-            next_id: 0,
-        };
-        for doc in coll.all()? {
-            idx.index_document(&doc);
-        }
-        ft.insert(name.to_string(), idx);
-        Ok(())
-    }
-
-    /// Notify full-text indexes about a (re)indexed document.
-    pub fn fulltext_touch(&self, collection: &str, doc: &Value) {
-        let mut ft = self.fulltext.write();
-        for idx in ft.values_mut() {
-            if idx.collection == collection {
-                idx.index_document(doc);
-            }
-        }
-    }
-
-    /// Drop a removed document from its collection's full-text indexes.
-    pub fn fulltext_remove(&self, collection: &str, key: &str) {
-        let mut ft = self.fulltext.write();
-        for idx in ft.values_mut() {
-            if idx.collection == collection {
-                idx.remove_document(key);
-            }
-        }
     }
 
     /// Create an empty named spatial index.
@@ -294,52 +244,6 @@ impl World {
     }
 }
 
-impl FulltextIndex {
-    fn index_document(&mut self, doc: &Value) {
-        let Ok(key) = doc.get_field("_key").as_str() else { return };
-        let text = match doc.get_field(&self.field) {
-            Value::String(s) => s.to_string(),
-            Value::Null => return self.remove_document(key),
-            other => other.to_string(),
-        };
-        // Reuse the id when re-indexing the same key.
-        let id = match self.ids.get(key) {
-            Some(&id) => id,
-            None => {
-                self.next_id += 1;
-                self.ids.insert(key.to_string(), self.next_id);
-                self.keys.insert(self.next_id, key.to_string());
-                self.next_id
-            }
-        };
-        self.index.index(id, &text);
-    }
-
-    fn remove_document(&mut self, key: &str) {
-        if let Some(id) = self.ids.remove(key) {
-            self.keys.remove(&id);
-            self.index.remove(id);
-        }
-    }
-
-    /// Matching document keys for a text query string.
-    pub fn search(&self, query: &str) -> Vec<String> {
-        mmdb_text::TextQuery::parse(query)
-            .eval(&self.index)
-            .into_iter()
-            .filter_map(|id| self.keys.get(&id).cloned())
-            .collect()
-    }
-
-    /// BM25-ranked `(key, score)` hits.
-    pub fn search_ranked(&self, query: &str, limit: usize) -> Vec<(String, f64)> {
-        mmdb_text::score::bm25_search(&self.index, query, limit)
-            .into_iter()
-            .filter_map(|h| self.keys.get(&h.doc).map(|k| (k.clone(), h.score)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,73 +296,12 @@ mod tests {
     }
 
     #[test]
-    fn fulltext_index_lifecycle() {
+    fn fulltext_finds_the_collection_that_owns_the_index() {
         let w = World::in_memory();
+        w.create_collection("orders").unwrap();
         let c = w.create_collection("products").unwrap();
-        c.insert_json(r#"{"_key":"p1","description":"a wooden toy train"}"#).unwrap();
-        c.insert_json(r#"{"_key":"p2","description":"a paperback book"}"#).unwrap();
-        w.create_fulltext_index("product_text", "products", "description").unwrap();
-        let ft = w.fulltext.read();
-        let idx = ft.get("product_text").unwrap();
-        assert_eq!(idx.search("toy"), vec!["p1"]);
-        assert_eq!(idx.search("paperback book"), vec!["p2"]);
-        assert!(idx.search("bicycle").is_empty());
-        let ranked = idx.search_ranked("book toy", 10);
-        assert_eq!(ranked.len(), 2);
-        drop(ft);
-        assert!(w.create_fulltext_index("product_text", "products", "description").is_err());
-        // New documents reach the index via fulltext_touch.
-        let doc = mmdb_types::from_json(r#"{"_key":"p3","description":"toy robot"}"#).unwrap();
-        c.insert(doc.clone()).unwrap();
-        w.fulltext_touch("products", &doc);
-        let ft = w.fulltext.read();
-        assert_eq!(ft.get("product_text").unwrap().search("robot"), vec!["p3"]);
-    }
-
-    #[test]
-    fn reindexing_a_key_reuses_its_id_and_replaces_its_postings() {
-        let w = World::in_memory();
-        let c = w.create_collection("products").unwrap();
-        c.insert_json(r#"{"_key":"p1","description":"a wooden toy train"}"#).unwrap();
-        c.insert_json(r#"{"_key":"p2","description":"a paperback book"}"#).unwrap();
-        w.create_fulltext_index("product_text", "products", "description").unwrap();
-        let id_of = |key: &str| {
-            let ft = w.fulltext.read();
-            let idx = ft.get("product_text").unwrap();
-            let ids: Vec<TextDocId> =
-                idx.keys.iter().filter(|(_, k)| k.as_str() == key).map(|(&id, _)| id).collect();
-            assert_eq!(ids.len(), 1, "one id per key, got {ids:?} for {key}");
-            assert_eq!(idx.ids.get(key), Some(&ids[0]), "both maps agree");
-            ids[0]
-        };
-        let before = id_of("p1");
-        let doc = mmdb_types::from_json(r#"{"_key":"p1","description":"a steel robot"}"#).unwrap();
-        w.fulltext_touch("products", &doc);
-        assert_eq!(id_of("p1"), before);
-        let ft = w.fulltext.read();
-        let idx = ft.get("product_text").unwrap();
-        assert_eq!((idx.keys.len(), idx.ids.len(), idx.index.doc_count()), (2, 2, 2));
-        assert_eq!(idx.search("robot"), vec!["p1"]);
-        assert!(idx.search("toy").is_empty(), "the old postings are gone");
-        assert!(idx.search("train").is_empty());
-        assert_eq!(idx.search("book"), vec!["p2"]);
-    }
-
-    #[test]
-    fn a_removed_document_or_field_leaves_no_postings() {
-        let w = World::in_memory();
-        let c = w.create_collection("products").unwrap();
-        for (key, text) in [("p1", "a wooden toy"), ("p2", "a toy train"), ("p3", "a book")] {
-            c.insert(Value::object([("_key", Value::str(key)), ("description", Value::str(text))]))
-                .unwrap();
-        }
-        w.create_fulltext_index("product_text", "products", "description").unwrap();
-        w.fulltext_remove("products", "p1");
-        w.fulltext_touch("products", &Value::object([("_key", Value::str("p2"))]));
-        let ft = w.fulltext.read();
-        let idx = ft.get("product_text").unwrap();
-        assert_eq!((idx.keys.len(), idx.ids.len(), idx.index.doc_count()), (1, 1, 1));
-        assert!(idx.search("toy").is_empty());
-        assert_eq!(idx.search("book"), vec!["p3"]);
+        c.create_fulltext_index("product_text", "description").unwrap();
+        assert_eq!(w.collection_with_fulltext("product_text").unwrap().name(), "products");
+        assert_eq!(w.collection_with_fulltext("nope").err().unwrap().kind(), "not_found");
     }
 }

@@ -91,12 +91,15 @@ impl HeapFile {
     /// the heap's lock, a leaf, so `read` takes no lock. Callers decode
     /// here instead of copying the bytes out first.
     pub fn get_with<R>(&self, id: RecordId, read: impl FnOnce(&[u8]) -> R) -> Result<R> {
+        self.try_get_with(id, read).ok_or_else(|| no_record(id))
+    }
+
+    /// As [`get_with`](Self::get_with), but `None` when slot `id` holds
+    /// no record: for an id read under a lock that no longer covers it.
+    pub fn try_get_with<R>(&self, id: RecordId, read: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let slots = self.slots.lock();
         self.pool.hit();
-        match slots.records.get(id as usize) {
-            Some(Some(record)) => Ok(read(record)),
-            _ => Err(no_record(id)),
-        }
+        slots.records.get(id as usize)?.as_deref().map(read)
     }
 
     /// Delete a record by id; its slot goes to a later insert.

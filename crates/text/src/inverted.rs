@@ -4,8 +4,9 @@ use std::collections::BTreeMap;
 
 use crate::tokenize::Tokenizer;
 
-/// Document identifier within a text index.
-pub type DocId = u64;
+/// Document identifier within a text index: a collection's index names
+/// its documents by their heap record ids.
+pub type DocId = u32;
 
 /// Postings of one term in one document.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -47,12 +48,9 @@ impl TextIndex {
         &self.tokenizer
     }
 
-    /// Index a document's text under `doc`. Re-indexing a doc id replaces
-    /// its previous content.
+    /// Index a document's text under `doc`, which holds no text here: to
+    /// re-index a document, [`remove`](Self::remove) its old text first.
     pub fn index(&mut self, doc: DocId, text: &str) {
-        if self.doc_len.contains_key(&doc) {
-            self.remove(doc);
-        }
         let tokens = self.tokenizer.tokenize(text);
         for t in &tokens {
             self.terms
@@ -68,15 +66,20 @@ impl TextIndex {
         self.total_len += n as u64;
     }
 
-    /// Remove a document from the index.
-    pub fn remove(&mut self, doc: DocId) {
+    /// Remove a document, given the text it was indexed with: only that
+    /// text's terms are touched, and a term left with no postings goes.
+    pub fn remove(&mut self, doc: DocId, text: &str) {
         if let Some(n) = self.doc_len.remove(&doc) {
             self.total_len -= n as u64;
         }
-        self.terms.retain(|_, postings| {
-            postings.remove(&doc);
-            !postings.is_empty()
-        });
+        for t in self.tokenizer.tokenize(text) {
+            if let Some(postings) = self.terms.get_mut(&t.term) {
+                postings.remove(&doc);
+                if postings.is_empty() {
+                    self.terms.remove(&t.term);
+                }
+            }
+        }
     }
 
     /// Number of indexed documents.
@@ -158,6 +161,7 @@ mod tests {
     #[test]
     fn reindex_replaces() {
         let mut i = idx();
+        i.remove(1, "the king's speech");
         i.index(1, "entirely new words");
         assert!(i.postings("king").unwrap().get(&1).is_none());
         assert!(i.postings("entirely").unwrap().contains_key(&1));
@@ -167,9 +171,21 @@ mod tests {
     #[test]
     fn remove_purges_terms() {
         let mut i = idx();
-        i.remove(3);
+        i.remove(3, "cooking for kings");
         assert_eq!(i.doc_count(), 2);
         assert!(i.postings("cooking").is_none(), "orphan terms are dropped");
+    }
+
+    #[test]
+    fn removing_a_document_leaves_the_others_exact() {
+        let mut i = idx();
+        i.remove(2, "the queen's speech to the king");
+        let mut only = TextIndex::default();
+        only.index(1, "the king's speech");
+        only.index(3, "cooking for kings");
+        assert_eq!(i.terms, only.terms, "every other posting, positions included");
+        assert_eq!((i.doc_count(), i.avg_doc_len()), (2, 3.5));
+        assert_eq!((i.doc_len(1), i.doc_len(2), i.doc_len(3)), (4, 0, 3));
     }
 
     #[test]

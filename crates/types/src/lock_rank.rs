@@ -72,11 +72,6 @@ pub const TXN_COMMIT: Rank = Rank::new(40, "txn.commit_mutex").held_across_waits
 
 // ---- the model stores --------------------------------------------------------
 
-/// `World::fulltext`. `FULLTEXT()` fetches the matching documents, and
-/// index creation backfills from the collection, with the index map held:
-/// above `collections` (a leaf) and the collection's own locks.
-pub const WORLD_FULLTEXT: Rank = Rank::new(70, "query.world.fulltext");
-
 /// `World::graphs`. Resolving a traversal's edge collection probes each
 /// graph's `edges` under it.
 pub const WORLD_GRAPHS: Rank = Rank::new(80, "query.world.graphs");
@@ -95,8 +90,12 @@ pub const GRAPH_EDGES: Rank = Rank::new(100, "graph.edges");
 /// read or written.
 pub const KV_BUCKETS: Rank = Rank::new(110, "kv.buckets");
 
-/// A document collection's index set, write-held while an index is
-/// backfilled from the heap.
+/// A document collection's index set — primary, persistent, GIN and
+/// full-text — write-held across a put's or remove's heap write, so a
+/// slot is freed only with every entry naming it gone, and while an
+/// index is backfilled from the heap. Index reads (`FULLTEXT`, ranges,
+/// GIN probes) take their record ids under it and fetch the documents
+/// (the heap's leaf lock) after releasing it.
 pub const DOCUMENT_INDEXES: Rank = Rank::new(120, "document.collection.indexes");
 
 /// A relational table's index set, likewise. (`Catalog::tables` is a

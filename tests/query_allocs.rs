@@ -6,7 +6,8 @@
 //! field name, a short string value, a bound variable's name or a lookup
 //! key must not be copied to the heap; a record is decoded where its heap
 //! keeps it, not copied out first; a traversal walks the edge index's shared
-//! handles and emits a short handle inline.
+//! handles and emits a short handle inline; a full-text hit is fetched by
+//! its record id, not through a copy of its key.
 //!
 //! A timing would flap on a shared box; a count of allocator calls per
 //! examined row repeats exactly, in debug and optimized builds alike.
@@ -19,12 +20,16 @@
 //! | Q2                 | 3.71      | 3.82          | 3.75   | 5.45         | 8.42          |
 //! | Q4 as a hash join  | 3.98      | 4.19          | 4.05   | 4.55         | 13.68         |
 //! | Q5, `1..2 ANY`     | 4.84      | 5.00          | 4.95   | 7.21         | 9.53          |
+//! | `FULLTEXT`, rated  | 2.17      | 2.83          | 2.25   | —            | —             |
 //!
 //! "One copy back" is the smallest count, among the copies that move it
 //! at all, of: binding names as `String`s, copying records out of the
 //! page, `to_string()` on a document lookup key, cloning a scanned row's
 //! values, copying the edge index's handles, and a string value cloned
-//! to the heap (decoded through a `String`). "Heap strings" is the
+//! to the heap (decoded through a `String`); for `FULLTEXT` it is a hit
+//! naming its document by a cloned `_key` instead of its record id, as
+//! the commit before full-text indexes moved into their collections did.
+//! "Heap strings" is the
 //! commit before string values and traversal handles went inline (its
 //! budgets were 2.0, 5.5, 4.6 and 7.25). "Decoded whole" is the commit
 //! before projected reads, whose budgets were 9.4, 8.5, 13.8 and 9.6;
@@ -140,6 +145,20 @@ fn paper_db() -> Database {
         )
         .unwrap();
     }
+    db.create_collection("reviews").unwrap();
+    for id in 0..CUSTOMERS {
+        let text = if id % 3 == 0 { "a good toy, would buy again" } else { "good value for the price" };
+        db.insert_json(
+            "reviews",
+            &format!(
+                r#"{{"_key":"review-{id}","product_no":"p{}","rating":{},"author":"customer {id}","text":"{text}"}}"#,
+                id % 17,
+                id % 5 + 1
+            ),
+        )
+        .unwrap();
+    }
+    db.create_fulltext_index("review_text", "reviews", "text").unwrap();
     for id in 0..CUSTOMERS {
         for step in [1, 2] {
             let (from, to) = (format!("persons/{id}"), format!("persons/{}", (id + step) % CUSTOMERS));
@@ -197,4 +216,9 @@ fn reading_a_row_pays_for_its_values_not_its_names() {
              FOR line IN order.orderlines RETURN DISTINCT line.product_no"#,
     );
     assert!(q5 <= 4.95, "{q5:.2} allocations per examined row: is the traversal copying handles, names or strings?");
+    let text = allocs_per_row(
+        &db,
+        r#"FOR r IN FULLTEXT("review_text", "good") FILTER r.rating >= 4 RETURN r.product_no"#,
+    );
+    assert!(text <= 2.25, "{text:.2} allocations per examined row: is a full-text hit copying its key, or decoding whole reviews?");
 }

@@ -7,6 +7,7 @@
 //! multi-statement cross-model transaction.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use mmdb::paper::{self, customer_schema, RECOMMENDATION};
 use mmdb::{Database, Value};
@@ -107,6 +108,21 @@ fn wire_loaded_data_answers_byte_identically_to_embedded() {
     let plan = client.explain("FOR c IN customers FILTER c.credit_limit > 3000 RETURN c").unwrap();
     assert_eq!(plan, reference.explain("FOR c IN customers FILTER c.credit_limit > 3000 RETURN c").unwrap());
 
+    server.shutdown().unwrap();
+}
+
+#[test]
+fn a_sql_query_keeps_its_deadline_over_the_wire() {
+    let (server, addr) = start_server();
+    let mut client = Client::connect(&addr).unwrap();
+    load_over_the_wire(&mut client);
+    // A zero budget has expired by the executor's first tick.
+    let err = client.query_sql_with_deadline(SQL_QUERY, Duration::ZERO).unwrap_err();
+    assert_eq!(err.kind(), "deadline_exceeded", "{err}");
+    assert!(err.is_retryable(), "deadline_exceeded must invite a retry");
+    let rows = client.query_sql_with_deadline(SQL_QUERY, Duration::from_secs(60)).unwrap();
+    assert_eq!(rows, embedded_reference().query_sql(SQL_QUERY).unwrap());
+    assert_eq!(rows.len(), 2);
     server.shutdown().unwrap();
 }
 
