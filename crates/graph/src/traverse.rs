@@ -1,7 +1,7 @@
 //! Graph traversals: bounded-depth BFS (AQL `FOR v IN min..max DIR start
 //! edges`), unweighted and weighted shortest paths.
 
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::Arc;
 
 use mmdb_types::{Key, Result, Value};
@@ -47,26 +47,42 @@ pub struct Visited {
 /// Breadth-first bounded traversal from `start`, emitting each reachable
 /// vertex once, at its minimal depth, for depths in `min..=max`.
 ///
+/// The walk goes level by level, in the order a FIFO queue would visit:
+/// each level is the new neighbours of the one before, each vertex's in
+/// the sorted order [`Graph::neighbors`] gives them. A `seen` set is kept
+/// only when `max > 1`: one vertex's neighbours are already distinct, so
+/// a walk of one hop needs only to leave out the start.
 /// The walk holds the edge index's shared handles; a handle is copied
 /// into a [`Key`] only when it is emitted, which allocates nothing for a
 /// handle of 22 bytes or less.
 pub fn traverse(graph: &Graph, start: &str, spec: &TraversalSpec) -> Result<Vec<Visited>> {
     let mut out = Vec::new();
-    let start: Arc<str> = Arc::from(start);
-    let mut seen: HashSet<Arc<str>> = HashSet::from([Arc::clone(&start)]);
-    let mut queue: VecDeque<(Arc<str>, usize)> = VecDeque::from([(start, 0)]);
-    while let Some((v, depth)) = queue.pop_front() {
+    if spec.min_depth == 0 {
+        out.push(Visited { vertex: Key::new(start), depth: 0 });
+    }
+    if spec.max_depth == 0 {
+        return Ok(out);
+    }
+    let neighbors = |v: &str| graph.neighbor_handles(v, spec.direction, spec.edge_collection.as_deref());
+    let mut level = neighbors(start);
+    level.retain(|n| **n != *start);
+    let mut seen: HashSet<Arc<str>> = HashSet::new();
+    if spec.max_depth > 1 {
+        seen.insert(Arc::from(start));
+        seen.extend(level.iter().cloned());
+    }
+    for depth in 1..=spec.max_depth {
         if depth >= spec.min_depth {
-            out.push(Visited { vertex: Key::new(&v), depth });
+            out.extend(level.iter().map(|v| Visited { vertex: Key::new(v), depth }));
         }
-        if depth == spec.max_depth {
-            continue;
+        if depth == spec.max_depth || level.is_empty() {
+            break;
         }
-        for n in graph.neighbor_handles(&v, spec.direction, spec.edge_collection.as_deref()) {
-            if seen.insert(Arc::clone(&n)) {
-                queue.push_back((n, depth + 1));
-            }
+        let mut next = Vec::new();
+        for v in &level {
+            next.extend(neighbors(v).into_iter().filter(|n| seen.insert(Arc::clone(n))));
         }
+        level = next;
     }
     Ok(out)
 }

@@ -1,14 +1,17 @@
-//! Property test for the edge index: it stores each edge's far endpoint,
-//! so `neighbors` never reads an edge document — and must therefore be
-//! held to the documents by something that does.
+//! Property tests for the edge index and the traversal over it. The
+//! index stores each edge's far endpoint, so `neighbors` never reads an
+//! edge document — and must therefore be held to the documents by
+//! something that does. `traverse` walks the index level by level and
+//! keeps no `seen` set for one hop, so it is held to a plain queue BFS.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use mmdb_graph::{Direction, Graph};
-use mmdb_types::from_json;
+use mmdb_graph::traverse::Visited;
+use mmdb_graph::{traverse, Direction, Graph, TraversalSpec};
+use mmdb_types::{from_json, Key};
 
 const VERTICES: usize = 5;
 const EDGE_COLLECTIONS: [&str; 2] = ["knows", "likes"];
@@ -141,4 +144,78 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn traverse_equals_a_queue_bfs(
+        edges in prop::collection::vec((0..EDGE_COLLECTIONS.len(), 0..VERTICES, 0..VERTICES), 0..16),
+        start in 0..VERTICES,
+        dir in prop::sample::select(vec![Direction::Outbound, Direction::Inbound, Direction::Any]),
+        filter in prop::sample::select(vec![None, Some("knows"), Some("likes")]),
+        min_depth in 0usize..3,
+        max_depth in 0usize..3,
+    ) {
+        // Self-loops and parallel edges come up as they are drawn.
+        let g = Graph::create("g", Arc::default());
+        g.create_vertex_collection("p").unwrap();
+        for ec in EDGE_COLLECTIONS {
+            g.create_edge_collection(ec).unwrap();
+        }
+        for i in 0..VERTICES {
+            prop_assert!(add_vertex(&g, i));
+        }
+        for &(coll, from, to) in &edges {
+            g.add_edge(EDGE_COLLECTIONS[coll], &vertex(from), &vertex(to), from_json("{}").unwrap()).unwrap();
+        }
+        let spec = TraversalSpec {
+            min_depth,
+            max_depth,
+            direction: dir,
+            edge_collection: filter.map(str::to_string),
+        };
+        prop_assert_eq!(
+            traverse(&g, &vertex(start), &spec).unwrap(),
+            queue_bfs(&edges, &vertex(start), &spec),
+            "{:?}", spec
+        );
+    }
+}
+
+/// The traversal as a FIFO queue BFS over the drawn edges: a `seen` set
+/// that starts with the start vertex, each vertex's neighbours sorted and
+/// deduplicated, every vertex emitted at its first depth in
+/// `min..=max`.
+fn queue_bfs(edges: &[(usize, usize, usize)], start: &str, spec: &TraversalSpec) -> Vec<Visited> {
+    let neighbors = |v: &str| {
+        let mut far = BTreeSet::new();
+        for &(coll, from, to) in edges {
+            if spec.edge_collection.as_deref().is_some_and(|ec| ec != EDGE_COLLECTIONS[coll]) {
+                continue;
+            }
+            let (from, to) = (vertex(from), vertex(to));
+            if spec.direction != Direction::Inbound && from == v {
+                far.insert(to.clone());
+            }
+            if spec.direction != Direction::Outbound && to == v {
+                far.insert(from);
+            }
+        }
+        far
+    };
+    let mut out = Vec::new();
+    let mut seen = HashSet::from([start.to_string()]);
+    let mut queue = VecDeque::from([(start.to_string(), 0)]);
+    while let Some((v, depth)) = queue.pop_front() {
+        if depth >= spec.min_depth {
+            out.push(Visited { vertex: Key::new(&v), depth });
+        }
+        if depth == spec.max_depth {
+            continue;
+        }
+        for n in neighbors(&v) {
+            if seen.insert(n.clone()) {
+                queue.push_back((n, depth + 1));
+            }
+        }
+    }
+    out
 }

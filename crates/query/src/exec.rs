@@ -7,7 +7,9 @@ use std::ops::Bound;
 use std::rc::Rc;
 use std::time::Instant;
 
+use mmdb_graph::store::split_handle;
 use mmdb_graph::Direction;
+use mmdb_types::value::ObjectMap;
 use mmdb_types::{Error, Key, Projection, Result, Value};
 
 use crate::ast::{AggFunc, Expr, SortOrder, TraversalDirection};
@@ -319,15 +321,16 @@ fn build_join_table(
 fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>> {
     let world = cx.world;
     match node {
-        PlanNode::For { var, source, project } => {
+        PlanNode::For { var, source, residual, project } => {
             let mut out = Vec::new();
             for env in envs {
                 let items = resolve_source(cx, &env, source, project)?;
+                if residual.is_none() {
+                    out.reserve(items.len());
+                }
                 for item in items {
                     cancel::tick()?;
-                    let mut e = env.clone();
-                    e.insert(var, item);
-                    out.push(e);
+                    out.extend(bind_if(cx, &env, var, Cow::Owned(item), residual)?);
                 }
             }
             Ok(out)
@@ -341,9 +344,7 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                 let docs: Vec<Value> = if let Ok(coll) = world.collection(source) {
                     coll.range_bounds(path, lo_b, hi_b, project)?.0
                 } else {
-                    let table = world.catalog.table(source)?;
-                    let rows = table.select_range(path, lo_b, hi_b)?.0;
-                    rows.into_iter().map(|row| table.schema().object_from_row(row)).collect()
+                    world.catalog.table(source)?.range_projected(path, lo_b, hi_b, project)?.0
                 };
                 for doc in docs {
                     cancel::tick()?;
@@ -386,6 +387,13 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                 edge_collection: Some(edges.clone()),
             };
             let (with_id, with_depth) = (project.reads("_id"), project.reads("_depth"));
+            // A vertex read for no stored field but `_key` is answered
+            // from its handle once the primary index has it: exact,
+            // because `Collection::put` keeps `_key` equal to the key the
+            // handle names.
+            let from_handle = project.reads_only(&["_key", "_id", "_depth"]);
+            let with_key = project.reads("_key");
+            let fields = [with_key, with_id, with_depth].into_iter().filter(|f| *f).count();
             let mut out = Vec::new();
             for env in envs {
                 let start_v = eval_expr(cx, env.scope(), start)?;
@@ -400,8 +408,20 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                 };
                 for visited in mmdb_graph::traverse(&graph, handle, &spec)? {
                     cancel::tick()?;
-                    let Some(mut doc) = graph.vertex_projected(&visited.vertex, project)? else {
-                        continue;
+                    let mut doc = if from_handle {
+                        if !graph.has_vertex(&visited.vertex)? {
+                            continue;
+                        }
+                        let mut obj = ObjectMap::with_capacity(fields);
+                        if with_key {
+                            obj.insert("_key", Value::str(split_handle(&visited.vertex)?.1));
+                        }
+                        Value::Object(obj)
+                    } else {
+                        match graph.vertex_projected(&visited.vertex, project)? {
+                            Some(doc) => doc,
+                            None => continue,
+                        }
                     };
                     // Attach the handle and depth, like AQL's `_id`, when
                     // the plan reads them.
@@ -843,8 +863,8 @@ mod tests {
             stats.ops.iter().map(|o| &o.op).collect::<Vec<_>>()
         );
         assert!(
-            sub_ops.iter().any(|o| o.op.contains("Filter")),
-            "expected the subquery FILTER among {:?}",
+            sub_ops.iter().any(|o| o.op.contains("For c") && o.op.contains("residual=true")),
+            "expected the subquery FILTER, as its scan's residual, among {:?}",
             stats.ops.iter().map(|o| &o.op).collect::<Vec<_>>()
         );
         // And the parent pipeline is still fully present.

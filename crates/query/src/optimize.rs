@@ -22,13 +22,17 @@
 //!    loop variable with an expression over earlier variables (see
 //!    `try_hash_join`). This covers the in-pipeline nested `FOR`, SQL
 //!    `JOIN … ON a = b`, and — through rule 2's scope — the
-//!    equi-correlated subquery.
+//!    equi-correlated subquery. A pair left alone by both whose `For`
+//!    scans a named collection or table keeps the `Filter` as the `For`'s
+//!    residual, so a rejected item never becomes a row (see
+//!    `filter_in_scan`).
 //! 6. **Projection** — a node that binds a variable to a stored document
-//!    (a collection's `For`, `IndexScan` or `HashJoin` build, a
-//!    `Traverse` vertex, `For … IN FULLTEXT(…)`, `LET … = DOC(…)`)
-//!    decodes only what the read analysis finds read of it after the
-//!    node, its own residual or build key included. Relational rows and
-//!    kv entries are never projected.
+//!    or row (a collection's or table's `For`, `IndexScan` or `HashJoin`
+//!    build, a `Traverse` vertex, `For … IN FULLTEXT(…)`, `LET … =
+//!    DOC(…)`) decodes only what the read analysis finds read of it after
+//!    the node, its own residual or build key included. A row keeps the
+//!    columns whose names are read, each whole; kv entries are never
+//!    projected.
 //! 7. **Early duplicate elimination** — in a `RETURN DISTINCT` pipeline,
 //!    a [`PlanNode::Dedup`] on the variables still read goes where the
 //!    read analysis finds a variable bound by a row-multiplying node read
@@ -135,25 +139,29 @@ fn optimize_in(mut plan: Plan, world: &World, scope: Scope, slots: &mut usize) -
         }
     }
 
-    // 4 + 5. Index selection, then hash join, on For+Filter pairs; and
-    //    the nodes rule 6 projects.
+    // 4 + 5. Index selection, then hash join, then the scan filter, on
+    //    For+Filter pairs; and the nodes rule 6 projects.
     let mut at = scope;
     let mut out: Vec<PlanNode> = Vec::with_capacity(merged.len());
-    let mut documents = Vec::new();
+    let mut stored = Vec::new();
     let mut iter = merged.into_iter().peekable();
     while let Some(mut node) = iter.next() {
-        if let PlanNode::For { var, source: Expr::Var(name), .. } = &node {
+        if let PlanNode::For { var, source: Expr::Var(name), residual, .. } = &mut node {
             if let Some(PlanNode::Filter(pred)) = iter.peek() {
                 let rewritten = try_index_scan(world, &at, var, name, pred)
                     .or_else(|| try_hash_join(&at, var, name, pred, slots));
                 if let Some(join) = rewritten {
                     iter.next(); // consume the filter
                     node = join;
+                } else if filter_in_scan(world, &at, name) {
+                    if let Some(PlanNode::Filter(pred)) = iter.next() {
+                        *residual = Some(pred);
+                    }
                 }
             }
         }
-        if binds_document(&node, world, &at) {
-            documents.push(out.len());
+        if let Some(kind) = binds_stored(&node, world, &at) {
+            stored.push((out.len(), kind));
         }
         at.enter(&node);
         out.push(node);
@@ -162,10 +170,15 @@ fn optimize_in(mut plan: Plan, world: &World, scope: Scope, slots: &mut usize) -
     // 6 + 7. Projection and early duplicate elimination, from one read
     //    analysis of the rewritten pipeline.
     let candidates = if plan.distinct { dedup_candidates(&out, &plan.ret) } else { Vec::new() };
-    if !documents.is_empty() || !candidates.is_empty() {
+    if !stored.is_empty() || !candidates.is_empty() {
         let (mut bound, live) = analyse(&out, &plan.ret, !candidates.is_empty());
-        let projections: Vec<(usize, Projection)> =
-            documents.into_iter().map(|i| (i, projection(bound[i].take()))).collect();
+        let projections: Vec<(usize, Projection)> = stored
+            .into_iter()
+            .map(|(i, kind)| {
+                let p = projection(bound[i].take());
+                (i, if kind == Stored::Row { p.top_level() } else { p })
+            })
+            .collect();
         let cuts = dedup_cuts(&out, candidates, &live);
         for (i, p) in projections {
             if let Some(project) = out[i].projection_mut() {
@@ -291,6 +304,21 @@ fn try_hash_join(
     })
 }
 
+/// The scan filter, after rules 4 and 5: `For var IN name` + `Filter
+/// pred` becomes a `For` with `pred` as its residual when `name` is a
+/// collection or table no binding shadows, so a rejected item is never
+/// bound. The rows, their order and the first error stay the filter's:
+/// the residual sees each item in the scope the filter saw its row in,
+/// and meets the items in the order the filter met the rows (each
+/// incoming row's items in scan order, row after row). Only the scan for
+/// a later incoming row now runs after the predicate has run on earlier
+/// rows' items; it reads the same store for every incoming row, so had
+/// it failed for a later row it would have failed for the first, before
+/// any predicate ran.
+fn filter_in_scan(world: &World, scope: &Scope, name: &str) -> bool {
+    store(world, scope, name).is_some()
+}
+
 /// The names `e` reads, when evaluating it cannot fail.
 fn safe_reads(e: &Expr) -> Option<Vec<(&str, Read<'_>)>> {
     infallible(e).then(|| Reads::of(e).names)
@@ -390,17 +418,36 @@ fn nav_path(e: &Expr) -> Path {
     }
 }
 
-/// Rule 6's bindings: does `node` bind its variable to a stored document?
-/// Relational rows and kv entries are not documents here (KNOWN_ISSUES.md).
-fn binds_document(node: &PlanNode, world: &World, scope: &Scope) -> bool {
-    let collection = |name: &str| !scope.is_bound(name) && world.collection(name).is_ok();
+/// What rule 6 projects: a stored document, or a table's row, which is
+/// decoded column by column and so keeps whole top-level fields.
+#[derive(Clone, Copy, PartialEq)]
+enum Stored {
+    Document,
+    Row,
+}
+
+/// What a scan of `name` reads, when it names a collection or a table no
+/// binding shadows. A kv bucket's entries are read whole.
+fn store(world: &World, scope: &Scope, name: &str) -> Option<Stored> {
+    if scope.is_bound(name) {
+        None
+    } else if world.collections.read().contains_key(name) {
+        Some(Stored::Document)
+    } else {
+        world.catalog.table(name).is_ok().then_some(Stored::Row)
+    }
+}
+
+/// Rule 6's bindings: what `node` binds its variable to, when that is a
+/// stored document or row.
+fn binds_stored(node: &PlanNode, world: &World, scope: &Scope) -> Option<Stored> {
     match node {
-        PlanNode::For { source: Expr::Var(name), .. } => collection(name),
-        PlanNode::For { source: Expr::Call(f, _), .. } => f == "FULLTEXT",
-        PlanNode::IndexScan { source, .. } | PlanNode::HashJoin { source, .. } => collection(source),
-        PlanNode::Traverse { .. } => true,
-        PlanNode::Let { value: Expr::Call(f, _), .. } => f == "DOC",
-        _ => false,
+        PlanNode::For { source: Expr::Var(name), .. } => store(world, scope, name),
+        PlanNode::IndexScan { source, .. } | PlanNode::HashJoin { source, .. } => store(world, scope, source),
+        PlanNode::For { source: Expr::Call(f, _), .. } if f == "FULLTEXT" => Some(Stored::Document),
+        PlanNode::Let { value: Expr::Call(f, _), .. } if f == "DOC" => Some(Stored::Document),
+        PlanNode::Traverse { .. } => Some(Stored::Document),
+        _ => None,
     }
 }
 
@@ -531,10 +578,12 @@ impl<'p> Reads<'p> {
     /// it and they read. Returns what the nodes after it, and its own
     /// residual or build key, read of the name it binds.
     fn node(&mut self, node: &'p PlanNode) -> Option<Read<'p>> {
-        // An index scan's residual and a hash join's build key and
-        // residual read the item the node binds; the rest run before.
+        // A scan's residual and a hash join's build key and residual read
+        // the item the node binds; the rest run before.
         match node {
-            PlanNode::IndexScan { residual, .. } => residual.iter().for_each(|e| self.expr(e)),
+            PlanNode::For { residual, .. } | PlanNode::IndexScan { residual, .. } => {
+                residual.iter().for_each(|e| self.expr(e))
+            }
             PlanNode::HashJoin { build_key, residual, .. } => {
                 std::iter::once(build_key).chain(residual).for_each(|e| self.expr(e))
             }
@@ -577,6 +626,7 @@ impl<'p> Reads<'p> {
             }
             None => match node {
                 PlanNode::IndexScan { .. } => {}
+                PlanNode::For { source, .. } => self.expr(source),
                 PlanNode::HashJoin { probe_key, .. } => self.expr(probe_key),
                 _ => node.exprs().for_each(|e| self.expr(e)),
             },
@@ -845,12 +895,15 @@ mod tests {
 
     #[test]
     fn no_index_no_rewrite() {
+        // Without an index the scan stays a `For`, which takes the filter
+        // as its residual.
         let w = World::in_memory();
         w.create_collection("products").unwrap();
         let q = parse_query("FOR p IN products FILTER p.price > 5 RETURN p").unwrap();
         let plan = optimize(build_plan(&q).unwrap(), &w);
-        assert_eq!(plan.nodes.len(), 2);
-        assert!(matches!(plan.nodes[0], PlanNode::For { .. }));
+        assert_eq!(plan.nodes.len(), 1);
+        assert!(matches!(&plan.nodes[0], PlanNode::For { residual: Some(_), .. }));
+        assert_eq!(plan.explain(), "For p IN products residual=true\nReturn");
     }
 
     #[test]
@@ -1154,13 +1207,14 @@ mod tests {
     }
 
     #[test]
-    fn the_benchmark_queries_without_an_equi_join_keep_their_nodes_and_project_their_documents() {
+    fn the_benchmark_queries_without_an_equi_join_filter_their_scans_and_project_their_reads() {
         // Q2, Q3 and Q5 of `benchmark/src/data.rs`: none joins a
         // row-invariant source on an equality, so each plan is its clause
-        // list with adjacent filters merged (none are adjacent), as
-        // before. Rule 6 gives every document read the paths the rest of
-        // the plan reads; the `customers` rows stay whole. Rule 7 drops
-        // Q2's repeated friends once `c` is read no more; Q3 has one
+        // list with adjacent filters merged (none are adjacent), and Q2's
+        // filter on the `customers` scan moved into it as its residual.
+        // Rule 6 gives every document read the paths the rest of the plan
+        // reads, and the `customers` rows the columns it reads. Rule 7
+        // drops Q2's repeated friends once `c` is read no more; Q3 has one
         // row-multiplying node and Q5's comes first, so neither gains one.
         let w = shop();
         let q2 = "FOR c IN customers FILTER c.credit_limit > 3000 \
@@ -1168,9 +1222,10 @@ mod tests {
              LET order = DOC(\"orders\", KV_GET(\"cart\", friend._key)) FILTER order != NULL \
              FOR line IN order.orderlines RETURN DISTINCT line.product_no";
         let plan = optimized_in(&w, q2);
-        assert_eq!(kinds(&plan), ["For", "Filter", "Traverse", "Dedup", "Let", "Filter", "For"]);
-        assert_eq!(plan.nodes[3].describe(), "Dedup ON (friend)");
-        assert_eq!(projections(&plan), ["-", "-", "_key", "-", "orderlines[*].product_no", "-", "-"]);
+        assert_eq!(kinds(&plan), ["For", "Traverse", "Dedup", "Let", "Filter", "For"]);
+        assert_eq!(plan.nodes[0].describe(), "For c IN customers residual=true project(credit_limit, id)");
+        assert_eq!(plan.nodes[2].describe(), "Dedup ON (friend)");
+        assert_eq!(projections(&plan), ["credit_limit, id", "_key", "-", "orderlines[*].product_no", "-", "-"]);
         let q3 = "FOR f IN FULLTEXT(\"feedback_text\", \"good\") FILTER f.rating >= 4 \
              LET p = DOC(\"products\", f.product_no) FILTER p.category == \"toys\" \
              RETURN DISTINCT p._key";
@@ -1188,7 +1243,17 @@ mod tests {
             let mut plan = optimized_in(&w, text);
             plan.nodes.retain(|n| !matches!(n, PlanNode::Dedup(_)));
             plan.nodes.iter_mut().filter_map(PlanNode::projection_mut).for_each(|p| *p = Projection::ALL);
-            assert_eq!(plan, parsed, "nothing to fold, merge or rewrite in {text}");
+            let mut nodes = Vec::new();
+            for mut node in plan.nodes {
+                let residual = match &mut node {
+                    PlanNode::For { residual, .. } => residual.take(),
+                    _ => None,
+                };
+                nodes.push(node);
+                nodes.extend(residual.map(PlanNode::Filter));
+            }
+            plan.nodes = nodes;
+            assert_eq!(plan, parsed, "nothing but the scan filter to fold, merge or rewrite in {text}");
         }
     }
 
@@ -1206,7 +1271,7 @@ mod tests {
                  LET o = DOC(\"orders\", f.order) RETURN DISTINCT o.total"
             ),
             [
-                "For c IN customers",
+                "For c IN customers project(id)",
                 "Traverse f 1..1 Outbound knows project(order)",
                 "Dedup ON (f)",
                 "Let o project(total)",
@@ -1221,7 +1286,7 @@ mod tests {
                  FOR z IN [x, y] RETURN DISTINCT [x, z]"
             ),
             [
-                "For c IN customers",
+                "For c IN customers project(id)",
                 "For x IN [1, 2]",
                 "Let y",
                 "Dedup ON (x, y)",
@@ -1332,7 +1397,7 @@ mod tests {
         let plan = optimized_in(&shop(), Q4_NAIVE);
         assert_eq!(
             plan.explain(),
-            "For c IN customers\nLet total\n\
+            "For c IN customers project(id, name)\nLet total\n\
              └ HashJoin o IN orders ON o.customer_id == c.id project(customer_id, total)\n└ Return\nReturn"
         );
     }
@@ -1389,17 +1454,25 @@ mod tests {
     }
 
     #[test]
-    fn only_document_reads_are_projected() {
+    fn document_and_row_reads_are_projected_and_kv_entries_are_not() {
         let w = shop();
         let none = |text: &str| {
             let plan = optimized_in(&w, text);
             assert!(!plan.explain().contains("project("), "{text}: {}", plan.explain());
         };
-        none("FOR c IN customers RETURN c.name");
         none("FOR e IN cart RETURN e.value");
         none("LET orders = [{a: 1}] FOR o IN orders RETURN o.a");
         none("LET v = KV_GET(\"cart\", \"1\") RETURN v.a");
         none("FOR x IN [{a: 1}] RETURN x.a");
+        // A row keeps the columns read, each whole; a whole-row use keeps
+        // every column.
+        let row = |text: &str| optimized_in(&w, text).nodes[0].describe();
+        assert_eq!(row("FOR c IN customers RETURN c.name"), "For c IN customers project(name)");
+        assert_eq!(row("FOR c IN customers RETURN c.name.first[0]"), "For c IN customers project(name)");
+        assert_eq!(row("FOR c IN customers FILTER c != NULL RETURN 1"), "For c IN customers residual=true project()");
+        for whole in ["RETURN c", "RETURN LENGTH(c)", "RETURN MERGE(c, {})"] {
+            assert_eq!(row(&format!("FOR c IN customers {whole}")), "For c IN customers", "{whole}");
+        }
         // A traversal's vertex and DOC's document are, whatever they read;
         // `_id` and `_depth` are fields like any other.
         let plan = optimized_in(&w, "FOR v IN 1..2 OUTBOUND \"p/1\" knows RETURN [v._id, v.name]");

@@ -1,11 +1,12 @@
 //! The logical plan: a pipeline of operators over binding environments.
 //!
 //! `build_plan` maps AST clauses onto plan nodes 1:1; the optimizer then
-//! rewrites node sequences (`For` + `Filter` into `IndexScan` or
-//! `HashJoin`), plans every subquery into an [`Expr::SubPlan`], gives
-//! each read of a stored document the [`Projection`] the rest of the plan
-//! reads of it, and puts a `Dedup` into a `RETURN DISTINCT` pipeline
-//! where repeated rows can no longer be told apart.
+//! rewrites node sequences (`For` + `Filter` into `IndexScan`, `HashJoin`
+//! or a `For` that filters its own scan), plans every subquery into an
+//! [`Expr::SubPlan`], gives each read of a stored document or row the
+//! [`Projection`] the rest of the plan reads of it, and puts a `Dedup`
+//! into a `RETURN DISTINCT` pipeline where repeated rows can no longer be
+//! told apart.
 
 use mmdb_types::{Projection, Result, Value};
 
@@ -33,8 +34,11 @@ pub enum PlanNode {
         var: String,
         /// Source expression.
         source: Expr,
+        /// The predicate of a `Filter` the optimizer moved into a scan of
+        /// a named store, checked per item before it becomes a row.
+        residual: Option<Expr>,
         /// What to decode of each document a collection scan or
-        /// `FULLTEXT` source reads.
+        /// `FULLTEXT` source reads, and of each row a table scan reads.
         project: Projection,
     },
     /// Index-served scan over a named source with a single-path bound,
@@ -52,7 +56,7 @@ pub enum PlanNode {
         hi: PlanBound,
         /// Remaining predicate conjuncts, re-checked per row.
         residual: Option<Expr>,
-        /// What to decode of each document (a collection's).
+        /// What to decode of each document or row.
         project: Projection,
     },
     /// Equi-join of the incoming rows with a row-invariant source,
@@ -73,7 +77,8 @@ pub enum PlanNode {
         residual: Option<Expr>,
         /// Names this node's build table within one execution.
         slot: usize,
-        /// What to decode of each document a collection source holds.
+        /// What to decode of each document or row a collection or table
+        /// source holds.
         project: Projection,
     },
     /// Graph traversal.
@@ -146,7 +151,9 @@ impl PlanNode {
     /// `EXPLAIN ANALYZE` renderer.
     pub fn describe(&self) -> String {
         let mut text = match self {
-            PlanNode::For { var, source, .. } => format!("For {var} IN {source}"),
+            PlanNode::For { var, source, residual, .. } => {
+                format!("For {var} IN {source}{}", if residual.is_some() { " residual=true" } else { "" })
+            }
             PlanNode::IndexScan { var, source, path, lo, hi, residual, .. } => format!(
                 "IndexScan {var} IN {source} ON {path} [{lo:?}, {hi:?}] residual={}",
                 residual.is_some()
@@ -231,8 +238,8 @@ impl PlanNode {
     /// [`PlanNode::exprs_mut`]).
     pub(crate) fn exprs(&self) -> impl Iterator<Item = &Expr> {
         let (fixed, sort, aggregates) = match self {
-            PlanNode::For { source: e, .. }
-            | PlanNode::Traverse { start: e, .. }
+            PlanNode::For { source, residual, .. } => ([Some(source), residual.as_ref(), None], &[][..], &[][..]),
+            PlanNode::Traverse { start: e, .. }
             | PlanNode::Filter(e)
             | PlanNode::Let { value: e, .. } => ([Some(e), None, None], &[][..], &[][..]),
             PlanNode::IndexScan { residual, .. } => ([residual.as_ref(), None, None], &[][..], &[][..]),
@@ -251,7 +258,7 @@ impl PlanNode {
     /// [`PlanNode::exprs`], for the optimizer to rewrite in place.
     pub(crate) fn exprs_mut(&mut self) -> Vec<&mut Expr> {
         match self {
-            PlanNode::For { source, .. } => vec![source],
+            PlanNode::For { source, residual, .. } => std::iter::once(source).chain(residual).collect(),
             PlanNode::IndexScan { residual, .. } => residual.iter_mut().collect(),
             PlanNode::HashJoin { build_key, probe_key, residual, .. } => {
                 [build_key, probe_key].into_iter().chain(residual).collect()
@@ -334,6 +341,7 @@ pub fn build_plan(query: &Query) -> Result<Plan> {
             Clause::For { var, source } => PlanNode::For {
                 var: var.clone(),
                 source: source.clone(),
+                residual: None,
                 project: Projection::ALL,
             },
             Clause::Traverse { var, min_depth, max_depth, direction, start, edges } => {
@@ -385,7 +393,7 @@ mod tests {
     fn exprs_and_exprs_mut_yield_the_same_expressions_in_the_same_order() {
         let e = |text: &str| parse_expr(text).unwrap();
         let nodes = [
-            PlanNode::For { var: "x".into(), source: e("xs"), project: Projection::ALL },
+            PlanNode::For { var: "x".into(), source: e("xs"), residual: Some(e("x.b > 1")), project: Projection::ALL },
             PlanNode::IndexScan {
                 var: "x".into(),
                 source: "xs".into(),

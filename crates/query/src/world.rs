@@ -217,8 +217,9 @@ impl World {
     }
 
     /// Materialize a bare `FOR x IN name` source as an array of objects:
-    /// what `project` keeps of each document; relational rows as column
-    /// objects and kv entries as `{_key, value}`, both whole.
+    /// what `project` keeps of each document, each relational row as an
+    /// object of the columns `project` reads, and kv entries whole, as
+    /// `{_key, value}`.
     pub fn scan_source(&self, name: &str, project: &Projection) -> Result<Vec<Value>> {
         if let Ok(coll) = self.collection(name) {
             self.access.note_full_scan();
@@ -226,8 +227,7 @@ impl World {
         }
         if let Ok(table) = self.catalog.table(name) {
             self.access.note_full_scan();
-            let rows = table.scan()?;
-            return Ok(rows.into_iter().map(|row| table.schema().object_from_row(row)).collect());
+            return table.scan_projected(project);
         }
         if self.kv.has_bucket(name) {
             self.access.note_full_scan();

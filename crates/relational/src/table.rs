@@ -9,8 +9,9 @@ use parking_lot::RwLock;
 
 use mmdb_index::BPlusTree;
 use mmdb_storage::{BufferPool, HeapFile, RecordId};
-use mmdb_types::codec::{encode_array_header, encode_value, key_of, value_from_bytes};
-use mmdb_types::{lock_rank, Error, Result, Value};
+use mmdb_types::codec::{decode_items, encode_array_header, encode_value, key_of};
+use mmdb_types::value::ObjectMap;
+use mmdb_types::{lock_rank, Error, Projection, Result, Value};
 
 use crate::schema::Schema;
 
@@ -78,12 +79,19 @@ pub struct Table {
     indexes: RwLock<Indexes>,
 }
 
-/// Decode a heap record into a row, straight from the heap.
-fn decode_row(bytes: &[u8]) -> Result<Vec<Value>> {
-    match value_from_bytes(bytes)? {
-        Value::Array(row) => Ok(row),
-        _ => Err(Error::Internal("table record is not a row".into())),
-    }
+/// Is `v` within `lo..hi`?
+fn within(v: &Value, lo: Bound<&Value>, hi: Bound<&Value>) -> bool {
+    let above = match lo {
+        Bound::Included(l) => v >= l,
+        Bound::Excluded(l) => v > l,
+        Bound::Unbounded => true,
+    };
+    let below = match hi {
+        Bound::Included(h) => v <= h,
+        Bound::Excluded(h) => v < h,
+        Bound::Unbounded => true,
+    };
+    above && below
 }
 
 fn sec_key(value: &Value, pk: &Value) -> Vec<u8> {
@@ -191,7 +199,35 @@ impl Table {
     }
 
     fn fetch(&self, rid: RecordId) -> Result<Vec<Value>> {
-        self.heap.get_with(rid, decode_row)?
+        self.heap.get_with(rid, |bytes| self.row(bytes))?
+    }
+
+    /// A record as a whole row, decoded straight from the heap. This and
+    /// [`Table::object`] are the one row decoder, [`decode_items`] over
+    /// the record's columns in order: a column read is built, any other
+    /// is walked and validated without being built, so a read of some
+    /// columns fails exactly when a read of the whole row does.
+    fn row(&self, bytes: &[u8]) -> Result<Vec<Value>> {
+        let mut row = Vec::with_capacity(self.schema.columns().len());
+        decode_items(bytes, |_| true, |_, v| row.push(v))?;
+        Ok(row)
+    }
+
+    /// Which columns `project` reads: one flag per column, whether it
+    /// keeps the column's name. Made once per read, not once per row.
+    fn keep(&self, project: &Projection) -> Vec<bool> {
+        self.schema.columns().iter().map(|c| project.reads(&c.name)).collect()
+    }
+
+    /// A record as an object of the columns `keep` marks, named by the
+    /// schema, in column order.
+    fn object(&self, bytes: &[u8], keep: &[bool]) -> Result<Value> {
+        let columns = self.schema.columns();
+        let mut obj = ObjectMap::with_capacity(keep.iter().filter(|k| **k).count());
+        decode_items(bytes, |i| keep.get(i) == Some(&true), |i, v| {
+            obj.insert(columns[i].name.as_str(), v);
+        })?;
+        Ok(Value::Object(obj))
     }
 
     /// Point lookup by primary key.
@@ -240,7 +276,7 @@ impl Table {
         let ci = self.schema.column_index(column)?;
         let pk_i = self.schema.primary_key();
         self.heap.scan_with(|rid, bytes| {
-            let row = decode_row(bytes)?;
+            let row = self.row(bytes)?;
             tree.insert(sec_key(&row[ci], &row[pk_i]), rid);
             Ok(())
         })?;
@@ -255,66 +291,49 @@ impl Table {
         cols
     }
 
+    /// The record ids of the rows whose `column` lies within `lo..hi`, in
+    /// index order; `None` when the column has no index.
+    fn index_rids(&self, column: &str, lo: Bound<&Value>, hi: Bound<&Value>) -> Option<Vec<RecordId>> {
+        let idx = self.indexes.read();
+        let tree = idx.secondary.get(column)?;
+        // Keys are value ++ 0 ++ pk: a value's key with 0xFF appended
+        // sorts after every pk of that value.
+        let past = |v: &Value| {
+            let mut k = key_of(v);
+            k.push(0xFF);
+            k
+        };
+        let lo = match lo {
+            Bound::Included(v) => Bound::Included(key_of(v)),
+            Bound::Excluded(v) => Bound::Included(past(v)),
+            Bound::Unbounded => Bound::Unbounded,
+        };
+        let hi = match hi {
+            Bound::Included(v) => Bound::Included(past(v)),
+            Bound::Excluded(v) => Bound::Excluded(key_of(v)),
+            Bound::Unbounded => Bound::Unbounded,
+        };
+        Some(tree.range(lo.as_ref(), hi.as_ref()).map(|(_, rid)| *rid).collect())
+    }
+
     /// Scan with a predicate, using a secondary index when one matches the
     /// predicate's column (returns `(rows, used_index)` so callers/benches
     /// can observe plan choice).
     pub fn select(&self, pred: &Predicate) -> Result<(Vec<Vec<Value>>, bool)> {
-        // Index-served cases.
-        if let Some((column, lo, hi)) = index_range(pred) {
-            let idx = self.indexes.read();
-            if let Some(tree) = idx.secondary.get(column) {
-                let lo_key = match &lo {
-                    Bound::Included(v) => Bound::Included(key_of(v)),
-                    Bound::Excluded(v) => {
-                        // Excluded lower bound over composite keys: everything
-                        // for this value sorts as value||0||pk, so exclude by
-                        // appending 0xFF to skip all pks of the value.
-                        let mut k = key_of(v);
-                        k.push(0xFF);
-                        Bound::Included(k)
-                    }
-                    Bound::Unbounded => Bound::Unbounded,
-                };
-                let hi_key = match &hi {
-                    Bound::Included(v) => {
-                        let mut k = key_of(v);
-                        k.push(0xFF);
-                        Bound::Included(k)
-                    }
-                    Bound::Excluded(v) => Bound::Excluded(key_of(v)),
-                    Bound::Unbounded => Bound::Unbounded,
-                };
-                let rids: Vec<RecordId> = tree
-                    .range(
-                        match &lo_key {
-                            Bound::Included(k) => Bound::Included(k),
-                            Bound::Excluded(k) => Bound::Excluded(k),
-                            Bound::Unbounded => Bound::Unbounded,
-                        },
-                        match &hi_key {
-                            Bound::Included(k) => Bound::Included(k),
-                            Bound::Excluded(k) => Bound::Excluded(k),
-                            Bound::Unbounded => Bound::Unbounded,
-                        },
-                    )
-                    .map(|(_, rid)| *rid)
-                    .collect();
-                drop(idx);
-                let mut rows = Vec::with_capacity(rids.len());
-                for rid in rids {
-                    let row = self.fetch(rid)?;
-                    // Recheck (cheap) to keep semantics exact.
-                    if pred.matches(&self.schema, &row) {
-                        rows.push(row);
-                    }
+        if let Some(rids) = index_range(pred).and_then(|(column, lo, hi)| self.index_rids(column, lo, hi)) {
+            let mut rows = Vec::with_capacity(rids.len());
+            for rid in rids {
+                let row = self.fetch(rid)?;
+                // Recheck (cheap) to keep semantics exact.
+                if pred.matches(&self.schema, &row) {
+                    rows.push(row);
                 }
-                return Ok((rows, true));
             }
+            return Ok((rows, true));
         }
-        // Fallback: full scan.
         let mut rows = Vec::new();
         self.heap.scan_with(|_, bytes| {
-            let row = decode_row(bytes)?;
+            let row = self.row(bytes)?;
             if pred.matches(&self.schema, &row) {
                 rows.push(row);
             }
@@ -328,71 +347,45 @@ impl Table {
         Ok(self.select(&Predicate::True)?.0)
     }
 
-    /// Range select with explicit per-side bounds on one column, using the
-    /// column's secondary index when present. Returns `(rows, used_index)`.
-    pub fn select_range(
+    /// Every row as an object of the columns `project` reads (the
+    /// top-level names it keeps), in heap order.
+    pub fn scan_projected(&self, project: &Projection) -> Result<Vec<Value>> {
+        let keep = self.keep(project);
+        let mut rows = Vec::with_capacity(self.len());
+        self.heap.scan_with(|_, bytes| {
+            rows.push(self.object(bytes, &keep)?);
+            Ok(())
+        })?;
+        Ok(rows)
+    }
+
+    /// The rows whose `column` lies within `lo..hi`, each as an object of
+    /// the columns `project` reads: through the column's index when it
+    /// has one (in index order), else a full scan. Returns `(rows,
+    /// used_index)`.
+    pub fn range_projected(
         &self,
         column: &str,
         lo: Bound<&Value>,
         hi: Bound<&Value>,
-    ) -> Result<(Vec<Vec<Value>>, bool)> {
+        project: &Projection,
+    ) -> Result<(Vec<Value>, bool)> {
         let ci = self.schema.column_index(column)?;
-        {
-            let idx = self.indexes.read();
-            if let Some(tree) = idx.secondary.get(column) {
-                // See `select`: composite keys are value ++ 0 ++ pk, so the
-                // 0xFF suffix covers all pks of a value.
-                let lo_key = match lo {
-                    Bound::Included(v) => Bound::Included(key_of(v)),
-                    Bound::Excluded(v) => {
-                        let mut k = key_of(v);
-                        k.push(0xFF);
-                        Bound::Included(k)
-                    }
-                    Bound::Unbounded => Bound::Unbounded,
-                };
-                let hi_key = match hi {
-                    Bound::Included(v) => {
-                        let mut k = key_of(v);
-                        k.push(0xFF);
-                        Bound::Included(k)
-                    }
-                    Bound::Excluded(v) => Bound::Excluded(key_of(v)),
-                    Bound::Unbounded => Bound::Unbounded,
-                };
-                fn reb(b: &Bound<Vec<u8>>) -> Bound<&Vec<u8>> {
-                    match b {
-                        Bound::Included(k) => Bound::Included(k),
-                        Bound::Excluded(k) => Bound::Excluded(k),
-                        Bound::Unbounded => Bound::Unbounded,
-                    }
-                }
-                let rids: Vec<RecordId> =
-                    tree.range(reb(&lo_key), reb(&hi_key)).map(|(_, rid)| *rid).collect();
-                drop(idx);
-                let mut rows = Vec::with_capacity(rids.len());
-                for rid in rids {
-                    rows.push(self.fetch(rid)?);
-                }
-                return Ok((rows, true));
+        let keep = self.keep(project);
+        if let Some(rids) = self.index_rids(column, lo, hi) {
+            let mut rows = Vec::with_capacity(rids.len());
+            for rid in rids {
+                rows.push(self.heap.get_with(rid, |bytes| self.object(bytes, &keep))??);
             }
+            return Ok((rows, true));
         }
+        let names = self.schema.columns().iter().map(|c| c.name.as_str());
         let mut rows = Vec::new();
         self.heap.scan_with(|_, bytes| {
-            let row = decode_row(bytes)?;
-            let v = &row[ci];
-            let above = match lo {
-                Bound::Included(l) => v >= l,
-                Bound::Excluded(l) => v > l,
-                Bound::Unbounded => true,
-            };
-            let below = match hi {
-                Bound::Included(h) => v <= h,
-                Bound::Excluded(h) => v < h,
-                Bound::Unbounded => true,
-            };
-            if above && below {
-                rows.push(row);
+            let row = self.row(bytes)?;
+            if row.get(ci).is_some_and(|v| within(v, lo, hi)) {
+                let kept = names.clone().zip(row).zip(&keep).filter(|(_, k)| **k).map(|(column, _)| column);
+                rows.push(Value::object(kept));
             }
             Ok(())
         })?;
@@ -528,6 +521,36 @@ mod tests {
         assert_eq!(all.len(), 4);
         let petra = t.get(&Value::int(4)).unwrap().unwrap();
         assert_eq!(petra[2], Value::Null);
+    }
+
+    #[test]
+    fn projected_reads_keep_the_columns_read_and_still_validate_the_rest() {
+        let t = customers_table();
+        let of = |paths: &[&str]| Projection::of(paths.iter().map(|p| mmdb_types::Path::parse(p).unwrap()));
+        let limit = |l: i64| Value::object([("credit_limit", Value::int(l))]);
+        // A name no column has keeps nothing; a path keeps its column.
+        let keep = of(&["credit_limit.x", "nope"]);
+        assert_eq!(t.scan_projected(&keep).unwrap(), [limit(5000), limit(3000), limit(2000)]);
+        let whole: Vec<Value> = t.scan().unwrap().into_iter().map(|row| t.schema().object_from_row(row)).collect();
+        assert_eq!(t.scan_projected(&Projection::ALL).unwrap(), whole);
+        assert_eq!(t.scan_projected(&of(&[])).unwrap(), vec![Value::Object(ObjectMap::new()); 3]);
+        // A range reads the same rows through a full scan and an index,
+        // the range's column decoded or not.
+        let above = |p: &Projection| t.range_projected("credit_limit", Bound::Excluded(&Value::int(2000)), Bound::Unbounded, p).unwrap();
+        let names = of(&["name"]);
+        let (scanned, used) = above(&names);
+        assert!(!used);
+        assert_eq!(scanned, [Value::object([("name", Value::str("Mary"))]), Value::object([("name", Value::str("John"))])]);
+        t.create_index("credit_limit").unwrap();
+        let (indexed, used) = above(&names);
+        assert!(used);
+        assert_eq!(indexed, [Value::object([("name", Value::str("John"))]), Value::object([("name", Value::str("Mary"))])]);
+        assert_eq!(above(&keep).0, [limit(3000), limit(5000)]);
+        // A record whose skipped column is corrupt fails a projected read
+        // as it fails a whole one.
+        t.heap.insert(vec![0x07, 3, 0x03, 8, 0x05, 1, 0xFF, 0x03, 2]).unwrap();
+        assert!(t.scan().is_err());
+        assert!(t.scan_projected(&keep).is_err());
     }
 
     #[test]

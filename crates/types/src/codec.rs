@@ -128,6 +128,29 @@ pub fn decode_projected(mut buf: &[u8], p: &Projection) -> Result<Value> {
     Ok(v)
 }
 
+/// Decode a complete buffer that holds an array, item by item: an item
+/// `keep` marks is decoded and handed to `item` with its position, any
+/// other is walked and validated without being built, as
+/// [`decode_projected`] skips a field. It fails where a whole decode
+/// fails, and on a value that is not an array.
+pub fn decode_items(mut buf: &[u8], keep: impl Fn(usize) -> bool, mut item: impl FnMut(usize, Value)) -> Result<()> {
+    let Some((&TAG_ARRAY, rest)) = buf.split_first() else {
+        return Err(Error::Storage("value is not an array".into()));
+    };
+    buf = rest;
+    for i in 0..get_varint(&mut buf)? as usize {
+        if keep(i) {
+            item(i, decode_node(&mut buf, &Node::All)?);
+        } else {
+            skip_value(&mut buf)?;
+        }
+    }
+    if !buf.is_empty() {
+        return Err(Error::Storage("trailing bytes after value".into()));
+    }
+    Ok(())
+}
+
 fn corrupt() -> Error {
     Error::Storage("corrupt value encoding".into())
 }
@@ -428,6 +451,22 @@ mod tests {
         let mut good = value_to_bytes(&Value::int(3));
         good.push(0);
         assert!(value_from_bytes(&good).is_err());
+    }
+
+    #[test]
+    fn decode_items_builds_the_kept_items_and_validates_the_rest() {
+        let row = value_to_bytes(&Value::array([Value::int(1), Value::str("skipped"), Value::Null]));
+        let mut got = Vec::new();
+        decode_items(&row, |i| i != 1, |i, v| got.push((i, v))).unwrap();
+        assert_eq!(got, [(0, Value::int(1)), (2, Value::Null)]);
+        // A skipped item that is corrupt fails the decode, as it fails a
+        // whole one; so do trailing bytes and a value that is no array.
+        let bad_utf8 = [TAG_ARRAY, 2, TAG_INT, 2, TAG_STRING, 1, 0xFF];
+        let mut trailing = row.clone();
+        trailing.push(TAG_NULL);
+        for bytes in [&bad_utf8[..], &trailing, &value_to_bytes(&Value::int(1))] {
+            assert!(decode_items(bytes, |i| i == 0, |_, _| {}).is_err(), "{bytes:?}");
+        }
     }
 
     #[test]

@@ -65,6 +65,25 @@ impl Projection {
         }
     }
 
+    /// Its top-level fields, each kept whole: what a reader that decodes
+    /// whole fields (a table's columns) keeps.
+    pub fn top_level(&self) -> Projection {
+        match &self.root {
+            Node::All => Projection::ALL,
+            Node::Fields(fields) => Projection {
+                root: Node::Fields(fields.iter().map(|(n, _, _)| (n.clone(), false, Node::All)).collect()),
+            },
+        }
+    }
+
+    /// Does it keep some fields, each of them one of `names`?
+    pub fn reads_only(&self, names: &[&str]) -> bool {
+        match &self.root {
+            Node::All => false,
+            Node::Fields(fields) => fields.iter().all(|(n, _, _)| names.contains(&n.as_str())),
+        }
+    }
+
     /// The projection of an already decoded value: what
     /// [`decode_projected`](crate::codec::decode_projected) returns for
     /// its encoding.
@@ -189,6 +208,17 @@ mod tests {
         assert!(of(&["[*]"]).is_all());
         assert!(Projection::of([Path::root()]).is_all());
         assert_eq!(Projection::ALL.to_string(), "*");
+    }
+
+    #[test]
+    fn top_level_keeps_whole_fields_and_reads_only_names_them() {
+        assert_eq!(of(&["a.b", "c[*].d", "e"]).top_level().to_string(), "a, c, e");
+        assert!(of(&["[*]"]).top_level().is_all());
+        assert!(of(&[]).top_level().to_string().is_empty());
+        assert!(of(&["_key", "_id"]).reads_only(&["_key", "_id", "_depth"]));
+        assert!(of(&[]).reads_only(&["_key"]));
+        assert!(!of(&["_key", "name"]).reads_only(&["_key", "_id"]));
+        assert!(!Projection::ALL.reads_only(&["_key"]));
     }
 
     #[test]

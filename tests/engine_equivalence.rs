@@ -70,7 +70,8 @@ fn arb_order() -> impl Strategy<Value = Vec<(&'static str, Value)>> {
 /// The same documents, each with a `note` of "good" or "bad", as the
 /// `orders` collection (with a persistent index on `total` and a
 /// full-text index on `note`) and as the vertices `v/o0`, `v/o1`, … of a
-/// graph whose `e` edges lead from each to the next two.
+/// graph whose `e` edges lead from each to the next two. `v/o0` also has
+/// an edge to itself and one to a vertex that does not exist.
 fn load_orders(db: &Database, orders: &[Vec<(&'static str, Value)>]) {
     db.create_collection("orders").unwrap();
     db.create_graph("g").unwrap();
@@ -90,11 +91,51 @@ fn load_orders(db: &Database, orders: &[Vec<(&'static str, Value)>]) {
                 s.add_edge("g", "e", &format!("v/o{i}"), &format!("v/o{j}"), Value::Object(Default::default()))?;
             }
         }
+        s.add_edge("g", "e", "v/o0", "v/o0", Value::Object(Default::default())).map(drop)
+    })
+    .unwrap();
+    // Written raw: the session's `add_edge` refuses a missing endpoint.
+    let mut t = db.mvcc().begin(IsolationLevel::Snapshot);
+    let dangling = r#"{"_key":"dangling","_from":"v/o0","_to":"v/missing"}"#;
+    t.put("graph/g/e/e", b"dangling", mmdb::from_json(dangling).unwrap()).unwrap();
+    t.commit().unwrap();
+    db.create_index("orders", "total").unwrap();
+    db.create_fulltext_index("note_text", "orders", "note").unwrap();
+}
+
+/// A person's `score` (nullable INT) and `note` (nullable TEXT).
+fn arb_person() -> impl Strategy<Value = (Option<i64>, Option<&'static str>)> {
+    let score = (0u8..4).prop_map(|n| n.checked_sub(1).map(i64::from));
+    (score, prop::sample::select(vec![None, Some("a"), Some("bb"), Some("")]))
+}
+
+/// The table `people (id INT, name TEXT NOT NULL, score INT, note
+/// TEXT)`, with a column index on `score`: person `i` is named `n<i>`.
+fn load_people(db: &Database, people: &[(Option<i64>, Option<&'static str>)]) {
+    use mmdb::substrate::relational::{ColumnDef, DataType, Schema};
+    let columns = vec![
+        ColumnDef::new("id", DataType::Int),
+        ColumnDef::new("name", DataType::Text).not_null(),
+        ColumnDef::new("score", DataType::Int),
+        ColumnDef::new("note", DataType::Text),
+    ];
+    db.create_table("people", Schema::new(columns, "id").unwrap()).unwrap();
+    db.transact(IsolationLevel::Snapshot, 3, |s| {
+        for (i, (score, note)) in people.iter().enumerate() {
+            s.insert_row(
+                "people",
+                Value::object([
+                    ("id", Value::int(i as i64)),
+                    ("name", Value::str(format!("n{i}"))),
+                    ("score", score.map_or(Value::Null, Value::int)),
+                    ("note", note.map_or(Value::Null, Value::str)),
+                ]),
+            )?;
+        }
         Ok(())
     })
     .unwrap();
-    db.create_index("orders", "total").unwrap();
-    db.create_fulltext_index("note_text", "orders", "note").unwrap();
+    db.create_index("people", "score").unwrap();
 }
 
 /// Queries whose answers depend on what a projected read keeps, each
@@ -131,6 +172,34 @@ const PROJECTION_TEMPLATES: &[(&str, bool)] = &[
     ("FOR v IN 1..2 OUTBOUND \"v/o0\" e RETURN [v._id, v.total]", true),
     ("FOR v IN 1..2 OUTBOUND \"v/o0\" e RETURN [v._depth, v.orderlines[*].price]", true),
     ("FOR v IN 1..2 OUTBOUND \"v/o0\" e RETURN v", false),
+    // A traversal that reads no stored field but `_key` fetches no vertex;
+    // the self-loop's start and the dangling edge's target stay out.
+    ("FOR v IN 0..1 OUTBOUND \"v/o0\" e RETURN v._key", true),
+    ("FOR v IN 0..1 OUTBOUND \"v/o0\" e RETURN [v._id, v._key, v._depth]", true),
+    ("FOR v IN 0..1 OUTBOUND \"v/o0\" e RETURN 1", true),
+    ("FOR v IN 1..1 OUTBOUND \"v/o0\" e RETURN v._key", true),
+    ("FOR v IN 1..1 OUTBOUND \"v/o0\" e RETURN [v._id, v._key, v._depth]", true),
+    ("FOR v IN 1..1 OUTBOUND \"v/o0\" e RETURN 1", true),
+    ("FOR v IN 1..2 ANY \"v/o1\" e RETURN v._key", true),
+    ("FOR v IN 1..2 ANY \"v/o1\" e RETURN [v._id, v._key, v._depth]", true),
+    ("FOR v IN 1..2 ANY \"v/o1\" e RETURN 1", true),
+    // A table's rows keep the columns read; whole-row uses keep all.
+    ("FOR p IN people RETURN p.name", true),
+    ("FOR p IN people RETURN [p.id, p.score, p.nope]", true),
+    ("FOR p IN people FILTER p.score != NULL RETURN [p.note, p.score]", true),
+    ("FOR p IN people FILTER p != NULL RETURN 1", true),
+    ("FOR p IN people RETURN p", false),
+    ("FOR p IN people RETURN LENGTH(p)", false),
+    ("FOR p IN people RETURN MERGE(p, {})", false),
+    // An index scan over the column index, with a residual.
+    ("FOR p IN people FILTER p.score >= 1 && p.note != \"a\" SORT p.id RETURN [p.id, p.note]", true),
+    // A hash join built over the table.
+    ("FOR o IN orders FOR p IN people FILTER p.id == o.customer_id RETURN [o._key, p.name]", true),
+    // Scan filters that fail on some rows (a text or NULL divisor,
+    // division by zero), one of them under several incoming rows: the
+    // first error is the one the filter after the scan met first.
+    ("FOR p IN people FILTER 10 / (p.score == NULL ? p.note : p.score) > 1 RETURN p.id", true),
+    ("FOR x IN [1, 2] FOR p IN people FILTER 10 / (p.score - x) > 0 RETURN [x, p.id]", true),
 ];
 
 /// A value that equals others of this domain under `==` without being
@@ -235,9 +304,13 @@ proptest! {
     /// read whole) returns — the same rows in the same order, or the
     /// same error.
     #[test]
-    fn projected_reads_equal_whole_reads(orders in prop::collection::vec(arb_order(), 1..8)) {
+    fn projected_reads_equal_whole_reads(
+        orders in prop::collection::vec(arb_order(), 1..8),
+        people in prop::collection::vec(arb_person(), 0..6),
+    ) {
         let db = Database::in_memory();
         load_orders(&db, &orders);
+        load_people(&db, &people);
         let world = db.world();
         let sql_text = "SELECT o._key, o.total AS t FROM orders o WHERE o.status != NULL ORDER BY o._key";
         let parsed = PROJECTION_TEMPLATES

@@ -361,7 +361,11 @@ fn plan(db: &Database, text: &str) -> Plan {
 /// An exhaustive match: a new operator does not compile without a case.
 fn tick_cases(node: &PlanNode) -> Vec<(&'static str, &'static str, u64)> {
     match node {
-        PlanNode::For { .. } => vec![(FOR_ITEMS, "LIMIT 0 RETURN 1", N)],
+        // A scan, and a scan that filters its items in place.
+        PlanNode::For { .. } => vec![
+            (FOR_ITEMS, "LIMIT 0 RETURN 1", N),
+            ("FOR x IN items FILTER x.grp >= 0 LIMIT 0 RETURN 1", "LIMIT 0 RETURN 1", N),
+        ],
         PlanNode::IndexScan { .. } => {
             vec![("FOR x IN items FILTER x.n >= 10 LIMIT 0 RETURN 1", "LIMIT 0 RETURN 1", N - 10)]
         }
@@ -384,9 +388,12 @@ fn tick_cases(node: &PlanNode) -> Vec<(&'static str, &'static str, u64)> {
             FOR_ITEMS,
             2 * N,
         )],
-        PlanNode::Filter(_) => {
-            vec![("FOR x IN items FILTER x.grp >= 0 LIMIT 0 RETURN 1", FOR_ITEMS, N)]
-        }
+        // After a LET: a filter right after a scan moves into it.
+        PlanNode::Filter(_) => vec![(
+            "FOR x IN items LET g = x.grp FILTER g >= 0 LIMIT 0 RETURN 1",
+            "FOR x IN items LET g = x.grp LIMIT 0 RETURN 1",
+            N,
+        )],
         // N rows, each running a subquery that scans and returns 2 tags.
         PlanNode::Let { .. } => vec![(
             "FOR x IN items LET t = (FOR y IN x.tags RETURN y) LIMIT 0 RETURN 1",
