@@ -246,7 +246,7 @@ fn e7_log_and_views(scale: f64) -> Result<TextTable> {
     db.create_index("viewed", "price")?;
     db.create_gin_index("viewed", GinMode::JsonbPathOps)?;
     db.create_fulltext_index("viewed_note", "viewed", "note")?;
-    let (plain, viewed) = (db.world().collection("plain")?, db.world().collection("viewed")?);
+    let (plain, viewed) = (db.world().catalog.collection("plain")?, db.world().catalog.collection("viewed")?);
     for coll in ["plain", "viewed"] {
         for start in (0..n).step_by(64) {
             db.transact(IsolationLevel::Snapshot, 0, |s| {

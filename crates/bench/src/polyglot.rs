@@ -17,7 +17,7 @@ use std::sync::Arc;
 use mmdb_document::Collection;
 use mmdb_graph::{Direction, Graph};
 use mmdb_kv::KvStore;
-use mmdb_relational::{Catalog, ColumnDef, DataType, Predicate, Schema, Table};
+use mmdb_relational::{ColumnDef, DataType, Predicate, Schema, Table};
 use mmdb_storage::BufferPool;
 use mmdb_types::{Result, Value};
 
@@ -35,8 +35,6 @@ pub struct PolyglotStores {
     pub cart: KvStore,
     /// "Neo4j": the social graph.
     pub social: Graph,
-    #[allow(dead_code)]
-    catalog: Catalog,
 }
 
 impl PolyglotStores {
@@ -47,8 +45,7 @@ impl PolyglotStores {
         let rel_pool = Arc::new(BufferPool::default());
         let doc_pool = Arc::new(BufferPool::default());
         let graph_pool = Arc::new(BufferPool::default());
-        let catalog = Catalog::new(rel_pool);
-        let customers = catalog.create_table(
+        let customers = Arc::new(Table::create(
             "customers",
             Schema::new(
                 vec![
@@ -59,7 +56,8 @@ impl PolyglotStores {
                 ],
                 "id",
             )?,
-        )?;
+            rel_pool,
+        )?);
         let orders = Arc::new(Collection::create("orders", Arc::clone(&doc_pool))?);
         let products = Arc::new(Collection::create("products", doc_pool)?);
         let cart = KvStore::default();
@@ -68,7 +66,7 @@ impl PolyglotStores {
         social.create_vertex_collection("persons")?;
         social.create_edge_collection("knows")?;
         social.create_edge_collection("bought")?;
-        Ok(PolyglotStores { customers, orders, products, cart, social, catalog })
+        Ok(PolyglotStores { customers, orders, products, cart, social })
     }
 
     /// Bulk-load the generated data set.

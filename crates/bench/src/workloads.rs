@@ -100,13 +100,13 @@ pub fn workload_a_read(db: &Database, data: &Dataset, i: usize) -> Result<usize>
     if world.catalog.table("customers")?.get(&Value::int(c.id))?.is_some() {
         checksum += 1;
     }
-    if world.collection("orders")?.get(&o.order_no)?.is_some() {
+    if world.catalog.collection("orders")?.get(&o.order_no)?.is_some() {
         checksum += 1;
     }
     if world.kv.get("cart", &c.id.to_string())?.is_some() {
         checksum += 1;
     }
-    if world.graph("social")?.vertex(&format!("persons/{}", c.id))?.is_some() {
+    if world.catalog.graph("social")?.vertex(&format!("persons/{}", c.id))?.is_some() {
         checksum += 1;
     }
     Ok(checksum)

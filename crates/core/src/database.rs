@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 
 use mmdb_index::GinMode;
 use mmdb_kv::KvStore;
-use mmdb_query::World;
+use mmdb_query::{Container, World};
 use mmdb_relational::Schema;
 use mmdb_storage::wal::{Lsn, Wal};
 use mmdb_txn::{IsolationLevel, MvccStore};
@@ -215,16 +215,26 @@ impl Database {
     // the catalog survives a reopen and a checkpoint and reaches replicas.
     // Each method first checks what the hook would fail on.
 
-    /// Commit one definition: `value` at `key` in `domain`. It is
-    /// `AlreadyExists` if `key`, or its `rival` (a definition it would
-    /// clash with), is already defined. The reads are serializable, so a
-    /// concurrent definer of either key makes one of the two retry and
-    /// see the other.
-    fn define(&self, domain: &str, key: &str, rival: Option<&str>, value: Value) -> Result<()> {
+    /// Commit one definition: `value` at `key` in `domain`, claiming the
+    /// catalog name `name` when it is a container, a graph's collection or
+    /// a full-text index. It is `AlreadyExists` if `key` is already
+    /// defined, or if `name` is held: in the catalog, or by a container
+    /// definition of any kind. The reads are serializable, so of two
+    /// concurrent definers of one container name one retries and sees the
+    /// other. (A definition that slips past this — a raw write, or a race
+    /// of two graph collections or full-text indexes — fails in the hook,
+    /// which latches the store and keeps the first definition.)
+    fn define(&self, domain: &str, key: &str, name: Option<&str>, value: Value) -> Result<()> {
+        if let Some(name) = name {
+            if let Some(held) = self.world.catalog.get(name) {
+                return Err(Error::AlreadyExists(format!("{} '{name}'", held.kind())));
+            }
+        }
+        let claims = name.into_iter().flat_map(|n| CONTAINER_DOMAINS.map(|d| (d, n)));
         self.mvcc.run(IsolationLevel::Serializable, 3, |txn| {
-            for k in std::iter::once(key).chain(rival) {
-                if txn.contains(domain, k.as_bytes())? {
-                    let what = domain.trim_start_matches("ddl/");
+            for (d, k) in std::iter::once((domain, key)).chain(claims.clone()) {
+                if txn.contains(d, k.as_bytes())? {
+                    let what = d.trim_start_matches("ddl/");
                     return Err(Error::AlreadyExists(format!("{what} '{k}'")));
                 }
             }
@@ -234,18 +244,18 @@ impl Database {
 
     /// Create a document collection.
     pub fn create_collection(&self, name: &str) -> Result<()> {
-        self.define("ddl/collection", name, None, no_params())
+        self.define("ddl/collection", name, Some(name), no_params())
     }
 
     /// Create a relational table. The definition holds the schema, so
     /// the table comes back, constraints included, before its rows do.
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<()> {
-        self.define("ddl/table", name, None, schema.to_value())
+        self.define("ddl/table", name, Some(name), schema.to_value())
     }
 
     /// Create a key/value bucket.
     pub fn create_bucket(&self, name: &str) -> Result<()> {
-        self.define("ddl/bucket", name, None, no_params())
+        self.define("ddl/bucket", name, Some(name), no_params())
     }
 
     /// Create a property graph. Its name may not contain `/`, which
@@ -254,32 +264,23 @@ impl Database {
         if name.contains('/') {
             return Err(Error::Schema(format!("graph name '{name}' contains '/'")));
         }
-        self.define("ddl/graph", name, None, no_params())
+        self.define("ddl/graph", name, Some(name), no_params())
     }
 
-    /// Create a vertex collection in a graph. No edge collection of the
-    /// graph may have its name.
+    /// Create a vertex collection in a graph.
     pub fn create_vertex_collection(&self, graph: &str, name: &str) -> Result<()> {
-        self.define_graph_collection(graph, ["v", "e"], name)
+        self.define_graph_collection(graph, "v", name)
     }
 
-    /// Create an edge collection in a graph. No vertex collection of the
-    /// graph may have its name.
+    /// Create an edge collection in a graph.
     pub fn create_edge_collection(&self, graph: &str, name: &str) -> Result<()> {
-        self.define_graph_collection(graph, ["e", "v"], name)
+        self.define_graph_collection(graph, "e", name)
     }
 
-    /// Define `<graph>/<kind>/<name>` in an existing graph, unless
-    /// `<graph>/<rival>/<name>` is defined.
-    fn define_graph_collection(
-        &self,
-        graph: &str,
-        [kind, rival]: [&str; 2],
-        name: &str,
-    ) -> Result<()> {
-        self.world.graph(graph)?;
-        let key = |k: &str| format!("{graph}/{k}/{name}");
-        self.define("ddl/graph", &key(kind), Some(&key(rival)), no_params())
+    /// Define `<graph>/<kind>/<name>` in an existing graph.
+    fn define_graph_collection(&self, graph: &str, kind: &str, name: &str) -> Result<()> {
+        self.world.catalog.graph(graph)?;
+        self.define("ddl/graph", &format!("{graph}/{kind}/{name}"), Some(name), no_params())
     }
 
     /// Create a secondary index on `path` of `source`, built from the
@@ -287,16 +288,18 @@ impl Database {
     /// document collection, whose `path` must name one value (no `[*]`),
     /// and a column index when it is a table, whose `path` is a column.
     pub fn create_index(&self, source: &str, path: &str) -> Result<()> {
-        let kind = if self.world.collection(source).is_ok() {
-            if !mmdb_types::Path::parse(path)?.is_point() {
-                return Err(Error::Unsupported("wildcard paths cannot be indexed yet".into()));
+        let kind = match self.world.catalog.get(source) {
+            Some(Container::Collection(_)) => {
+                if !mmdb_types::Path::parse(path)?.is_point() {
+                    return Err(Error::Unsupported("wildcard paths cannot be indexed yet".into()));
+                }
+                "persistent"
             }
-            "persistent"
-        } else if let Ok(table) = self.world.catalog.table(source) {
-            table.schema().column_index(path)?;
-            "column"
-        } else {
-            return Err(Error::NotFound(format!("'{source}' is not a collection or table")));
+            Some(Container::Table(table)) => {
+                table.schema().column_index(path)?;
+                "column"
+            }
+            _ => return Err(Error::NotFound(format!("'{source}' is not a collection or table"))),
         };
         let def = Value::object([
             ("kind", Value::str(kind)),
@@ -309,7 +312,7 @@ impl Database {
     /// Create a collection's GIN index (one per collection), built from
     /// its current documents.
     pub fn create_gin_index(&self, collection: &str, mode: GinMode) -> Result<()> {
-        self.world.collection(collection)?;
+        self.world.catalog.collection(collection)?;
         let def = Value::object([
             ("kind", Value::str("gin")),
             ("source", Value::str(collection)),
@@ -321,26 +324,26 @@ impl Database {
     /// Create a full-text index named `name` over a collection field,
     /// built from the collection's current documents.
     pub fn create_fulltext_index(&self, name: &str, collection: &str, field: &str) -> Result<()> {
-        self.world.collection(collection)?;
+        self.world.catalog.collection(collection)?;
         let def = Value::object([
             ("kind", Value::str("fulltext")),
             ("source", Value::str(collection)),
             ("field", Value::str(field)),
         ]);
-        self.define("ddl/index", &format!("fulltext/{name}"), None, def)
+        self.define("ddl/index", &format!("fulltext/{name}"), Some(name), def)
     }
 
     /// Register an XML document under a name, for `XPATH`. The text is
     /// parsed here, so a malformed one is refused before it is logged.
     pub fn register_xml(&self, name: &str, xml_text: &str) -> Result<()> {
         mmdb_xml::parse_xml(xml_text)?;
-        self.define("ddl/tree", name, None, Value::object([("xml", Value::str(xml_text))]))
+        self.define("ddl/tree", name, Some(name), Value::object([("xml", Value::str(xml_text))]))
     }
 
     /// Register a JSON document as a queryable tree under a name.
     pub fn register_json_tree(&self, name: &str, json_text: &str) -> Result<()> {
         let json = mmdb_types::from_json(json_text)?;
-        self.define("ddl/tree", name, None, Value::object([("json", json)]))
+        self.define("ddl/tree", name, Some(name), Value::object([("json", json)]))
     }
 
     /// The key/value store, as a read view (see [`Database::world`]).
@@ -383,7 +386,7 @@ impl Database {
 
     /// Fetch a document by key (latest committed).
     pub fn get_document(&self, collection: &str, key: &str) -> Result<Option<Value>> {
-        self.world.collection(collection)?.get(key)
+        self.world.catalog.collection(collection)?.get(key)
     }
 
     /// Put a key/value pair (auto-commit).
@@ -574,6 +577,11 @@ impl Database {
         Ok(stats.render())
     }
 }
+
+/// The definition domains of the containers: a name is defined in at
+/// most one of them.
+const CONTAINER_DOMAINS: [&str; 5] =
+    ["ddl/collection", "ddl/table", "ddl/bucket", "ddl/graph", "ddl/tree"];
 
 /// The value of a definition that is nothing but its name: a collection,
 /// a bucket, a graph, a vertex or edge collection.

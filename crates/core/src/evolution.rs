@@ -8,8 +8,8 @@
 //! * [`table_to_collection`] — rows become documents (`pk` → `_key`).
 //! * [`collection_to_table`] — documents become rows under an inferred
 //!   schema (the reverse migration).
-//! * [`collection_to_graph`] — reference fields (`"coll/key"` handles)
-//!   become edges; documents become vertices.
+//! * [`collection_to_graph`] — documents become vertices and reference
+//!   fields become edges.
 //! * [`table_to_rdf`] — rows become `(row-iri, column, value)` triples,
 //!   the classic "direct mapping".
 //!
@@ -51,7 +51,7 @@ pub fn table_to_collection(db: &Database, table: &str, collection: &str) -> Resu
 /// with fields the inferred schema cannot hold are skipped, not lost
 /// (they stay in the collection).
 pub fn collection_to_table(db: &Database, collection: &str, table: &str) -> Result<(usize, usize)> {
-    let docs = db.world().collection(collection)?.all()?;
+    let docs = db.world().catalog.collection(collection)?.all()?;
     let inferred = infer_schema(&docs)?;
     db.create_table(table, inferred.schema)?;
     let mut s = db.begin(IsolationLevel::Snapshot);
@@ -67,34 +67,35 @@ pub fn collection_to_table(db: &Database, collection: &str, table: &str) -> Resu
 }
 
 /// Build a graph from a collection: each document becomes a vertex in
-/// `vertex_coll`; each `ref_field` value of the form `"label"` referencing
-/// another document's `_key` becomes an edge in `edge_coll`. A reference
-/// to no document of the collection is skipped.
+/// `<collection>_vertices` (a name is one container, so the vertices
+/// cannot take the collection's), and each `ref_field` value referencing
+/// another document's `_key` becomes an edge in `<ref_field>_edges`. A
+/// reference to no document of the collection is skipped.
 pub fn collection_to_graph(
     db: &Database,
     collection: &str,
     graph: &str,
     ref_field: &str,
 ) -> Result<(usize, usize)> {
-    let docs = db.world().collection(collection)?.all()?;
-    let edge_coll = format!("{ref_field}_edges");
+    let docs = db.world().catalog.collection(collection)?.all()?;
+    let (vertex_coll, edge_coll) = (format!("{collection}_vertices"), format!("{ref_field}_edges"));
     db.create_graph(graph)?;
-    db.create_vertex_collection(graph, collection)?;
+    db.create_vertex_collection(graph, &vertex_coll)?;
     db.create_edge_collection(graph, &edge_coll)?;
     let mut s = db.begin(IsolationLevel::Snapshot);
     for doc in &docs {
-        s.add_vertex(graph, collection, doc.clone())?;
+        s.add_vertex(graph, &vertex_coll, doc.clone())?;
     }
     let mut edges = 0;
     for doc in &docs {
-        let from = format!("{collection}/{}", doc.get_field("_key").as_str()?);
+        let from = format!("{vertex_coll}/{}", doc.get_field("_key").as_str()?);
         let refs: Vec<&str> = match doc.get_field(ref_field) {
             Value::String(s) => vec![s.as_str()],
             Value::Array(items) => items.iter().filter_map(|v| v.as_str().ok()).collect(),
             _ => continue,
         };
         for r in refs {
-            let to = format!("{collection}/{r}");
+            let to = format!("{vertex_coll}/{r}");
             match s.add_edge(graph, &edge_coll, &from, &to, Value::Object(Default::default())) {
                 Ok(_) => edges += 1,
                 // A dangling reference: its target is no staged vertex.
@@ -196,7 +197,7 @@ mod tests {
         let (v, e) = collection_to_graph(&db, "people", "social", "knows").unwrap();
         assert_eq!((v, e), (3, 2));
         let got = db
-            .query(r#"FOR f IN 1..2 OUTBOUND "people/1" knows_edges SORT f._depth RETURN f.name"#)
+            .query(r#"FOR f IN 1..2 OUTBOUND "people_vertices/1" knows_edges SORT f._depth RETURN f.name"#)
             .unwrap();
         assert_eq!(got, vec![Value::str("John"), Value::str("Anne")]);
     }

@@ -28,7 +28,7 @@
 use std::sync::Arc;
 
 use mmdb_graph::store::{handle, split_handle};
-use mmdb_query::World;
+use mmdb_query::{Container, World};
 use mmdb_relational::Schema;
 use mmdb_txn::{CommittedWrite, Transaction};
 use mmdb_types::codec::{encode_composite_key, key_of};
@@ -84,32 +84,30 @@ impl Session {
 
     /// `doc/<collection>`, once the collection is found.
     fn doc_domain(&self, collection: &str) -> Result<String> {
-        self.world.collection(collection)?;
+        self.world.catalog.collection(collection)?;
         Ok(format!("doc/{collection}"))
     }
 
     /// `kv/<bucket>`, once the bucket is found.
     fn kv_domain(&self, bucket: &str) -> Result<String> {
-        if !self.world.kv.has_bucket(bucket) {
+        if !matches!(self.world.catalog.get(bucket), Some(Container::Bucket)) {
             return Err(Error::NotFound(format!("bucket '{bucket}'")));
         }
         Ok(format!("kv/{bucket}"))
     }
 
-    /// `graph/<graph>/<kind>/<collection>`, once the graph is found with a
-    /// vertex (`kind` `v`) or edge (`e`) collection of that name.
+    /// `graph/<graph>/<kind>/<collection>`, once the catalog names
+    /// `collection` a vertex (`kind` `v`) or edge (`e`) collection of `graph`.
     fn graph_domain(&self, graph: &str, kind: &str, collection: &str) -> Result<String> {
-        let g = self.world.graph(graph)?;
-        let (found, what) = match kind {
-            "v" => (g.vertex_collection_exists(collection), "vertex"),
-            _ => (g.edge_collection_exists(collection), "edge"),
-        };
-        if !found {
-            return Err(Error::NotFound(format!(
-                "{what} collection '{collection}' in graph '{graph}'"
-            )));
+        match (kind, self.world.catalog.get(collection)) {
+            ("v", Some(Container::Vertices(g))) | ("e", Some(Container::Edges(g))) if g.name() == graph => {
+                Ok(format!("graph/{graph}/{kind}/{collection}"))
+            }
+            _ => {
+                let what = if kind == "v" { "vertex" } else { "edge" };
+                Err(Error::NotFound(format!("{what} collection '{collection}' in graph '{graph}'")))
+            }
         }
-        Ok(format!("graph/{graph}/{kind}/{collection}"))
     }
 
     // ---- documents ---------------------------------------------------------
@@ -194,37 +192,36 @@ impl Session {
 
     // ---- relational ----------------------------------------------------------
 
-    fn row_key(&self, table: &str, row_object: &Value) -> Result<(Vec<u8>, Value)> {
+    /// A row object checked against `table`'s schema, so errors surface
+    /// in the transaction: its primary index key, its primary key and the
+    /// row to stage.
+    fn checked_row(&self, table: &str, row_object: &Value) -> Result<(Vec<u8>, Value, Value)> {
         let t = self.world.catalog.table(table)?;
-        let pk_name = t.schema().primary_key_name().to_string();
-        let pk = row_object.get_field(&pk_name).clone();
+        let schema = t.schema();
+        let mut row = schema.row_from_object(row_object)?;
+        schema.validate(&mut row)?;
+        let pk = row_object.get_field(schema.primary_key_name()).clone();
         if pk.is_null() {
+            let pk_name = schema.primary_key_name();
             return Err(Error::Schema(format!("row is missing primary key '{pk_name}'")));
         }
-        Ok((key_of(&pk), pk))
+        Ok((key_of(&pk), pk, schema.object_from_row(row)))
     }
 
     /// Stage a relational insert (object keyed by column names).
     pub fn insert_row(&mut self, table: &str, row_object: Value) -> Result<()> {
-        // Validate the shape eagerly so errors surface in the transaction.
-        let t = self.world.catalog.table(table)?;
-        let mut row = t.schema().row_from_object(&row_object)?;
-        t.schema().validate(&mut row)?;
-        let (key, pk) = self.row_key(table, &row_object)?;
+        let (key, pk, row) = self.checked_row(table, &row_object)?;
         let domain = format!("rel/{table}");
         if self.txn.contains(&domain, &key)? {
             return Err(Error::AlreadyExists(format!("primary key {pk} in '{table}'")));
         }
-        self.txn.put(&domain, &key, t.schema().object_from_row(row))
+        self.txn.put(&domain, &key, row)
     }
 
     /// Stage a relational update (full row object; pk identifies the row).
     pub fn update_row(&mut self, table: &str, row_object: Value) -> Result<()> {
-        let t = self.world.catalog.table(table)?;
-        let mut row = t.schema().row_from_object(&row_object)?;
-        t.schema().validate(&mut row)?;
-        let (key, _) = self.row_key(table, &row_object)?;
-        self.txn.put(&format!("rel/{table}"), &key, t.schema().object_from_row(row))
+        let (key, _, row) = self.checked_row(table, &row_object)?;
+        self.txn.put(&format!("rel/{table}"), &key, row)
     }
 
     /// Stage a relational delete by primary key.
@@ -364,12 +361,12 @@ fn apply_write(world: &World, w: &CommittedWrite) -> Result<()> {
     };
     match (model, &w.value) {
         ("ddl", def) => apply_definition(world, rest, &w.key, def.as_ref()),
-        ("doc", Some(doc)) => world.collection(rest)?.put(utf8_key()?, doc.clone()),
-        ("doc", None) => world.collection(rest)?.remove(utf8_key()?).map(drop),
+        ("doc", Some(doc)) => world.catalog.collection(rest)?.put(utf8_key()?, doc.clone()),
+        ("doc", None) => world.catalog.collection(rest)?.remove(utf8_key()?).map(drop),
         ("kv", Some(v)) => world.kv.put(rest, utf8_key()?, v.clone()),
         ("kv", None) => world.kv.delete(rest, utf8_key()?).map(drop),
         ("rel", value) => {
-            let Ok(table) = world.catalog.table(rest) else {
+            let Some(Container::Table(table)) = world.catalog.get(rest) else {
                 // Unknown table: its ddl/table record installs ahead of
                 // its rows, so this only happens for rows whose table was
                 // later dropped — nothing to apply.
@@ -387,7 +384,7 @@ fn apply_write(world: &World, w: &CommittedWrite) -> Result<()> {
             let (Some(graph), Some(kind), Some(coll)) = (seg.next(), seg.next(), seg.next()) else {
                 return Err(Error::Internal(format!("bad graph domain '{rest}'")));
             };
-            let graph = world.graph(graph)?;
+            let graph = world.catalog.graph(graph)?;
             let key = utf8_key()?;
             match (kind, value) {
                 ("v", Some(doc)) => graph.put_vertex(coll, key, doc.clone()),
@@ -437,57 +434,69 @@ fn apply_write(world: &World, w: &CommittedWrite) -> Result<()> {
 }
 
 /// The hook's `ddl` arm: a definition's put creates its container, index
-/// or tree, and a `ddl/table` delete drops the table (no other definition
-/// is ever deleted). A definition already in place is applied: a stale
-/// replica's snapshot replace hands over every definition it holds.
+/// or tree, and a container definition's delete drops the container with
+/// its parts (no other definition is ever deleted, but the tombstones of
+/// a loaded state drop a graph's collections with their graph). A
+/// definition already in place is applied: a stale replica's snapshot
+/// replace hands over every definition it holds. One whose name another
+/// kind holds is `AlreadyExists` and leaves the name as it is.
 fn apply_definition(world: &World, kind: &str, key: &[u8], def: Option<&Value>) -> Result<()> {
     let name = std::str::from_utf8(key)
         .map_err(|_| Error::Internal(format!("non-utf8 {kind} definition")))?;
+    let parts: Vec<&str> = name.splitn(3, '/').collect();
     let Some(def) = def else {
-        return match kind {
-            "table" => world.catalog.drop_table(name).or(Ok(())),
+        return match (kind, &parts[..]) {
+            // A graph's collection goes with its graph, and only with it.
+            ("graph", [graph, _, _]) => match world.catalog.get(graph) {
+                Some(Container::Graph(_)) => Err(Error::Unsupported(format!("dropping graph '{name}'"))),
+                _ => Ok(()),
+            },
+            ("collection" | "table" | "bucket" | "graph" | "tree", _) => {
+                world.drop_container(kind, name);
+                Ok(())
+            }
             _ => Err(Error::Unsupported(format!("dropping {kind} '{name}'"))),
         };
     };
-    let created = match kind {
-        "table" => world.catalog.create_table(name, Schema::from_value(def)?).map(drop),
-        "collection" => world.create_collection(name).map(drop),
-        "bucket" => world.kv.create_bucket(name),
-        "graph" => match name.splitn(3, '/').collect::<Vec<_>>()[..] {
-            [graph] => world.create_graph(graph).map(drop),
-            [graph, "v", coll] => world.graph(graph)?.create_vertex_collection(coll),
-            [graph, "e", coll] => world.graph(graph)?.create_edge_collection(coll),
-            _ => return Err(Error::Internal(format!("bad graph definition '{name}'"))),
+    let catalog = &world.catalog;
+    match kind {
+        "table" => catalog.create_table(name, Schema::from_value(def)?).map(drop),
+        "collection" => catalog.create_collection(name).map(drop),
+        "bucket" => world.create_bucket(name),
+        "graph" => match parts[..] {
+            [graph] => catalog.create_graph(graph).map(drop),
+            [graph, "v", coll] => catalog.create_vertex_collection(graph, coll),
+            [graph, "e", coll] => catalog.create_edge_collection(graph, coll),
+            _ => Err(Error::Internal(format!("bad graph definition '{name}'"))),
         },
         "tree" => {
             let tree = match (def.get_field("xml"), def.get_field("json")) {
                 (Value::String(xml), _) => mmdb_xml::parse_xml(xml)?,
                 (_, json) => mmdb_xml::Tree::from_json(json),
             };
-            world.register_xml(name, tree);
-            Ok(())
+            catalog.create_tree(name, tree).map(drop)
         }
         "index" => {
             let source = def.get_field("source").as_str()?;
             let arg = |field: &str| def.get_field(field).as_str();
-            match def.get_field("kind").as_str()? {
-                "persistent" => world.collection(source)?.create_persistent_index(arg("path")?),
-                "column" => world.catalog.table(source)?.create_index(arg("path")?),
-                "gin" => world
+            let built = match def.get_field("kind").as_str()? {
+                "persistent" => catalog.collection(source)?.create_persistent_index(arg("path")?),
+                "column" => catalog.table(source)?.create_index(arg("path")?),
+                "gin" => catalog
                     .collection(source)?
                     .create_gin_index(mmdb_index::GinMode::from_name(arg("mode")?)?),
                 "fulltext" => {
                     let index = name.strip_prefix("fulltext/").unwrap_or(name);
-                    world.collection(source)?.create_fulltext_index(index, arg("field")?)
+                    return catalog.create_fulltext_index(index, source, arg("field")?);
                 }
                 other => return Err(Error::Internal(format!("unknown index kind '{other}'"))),
+            };
+            match built {
+                Err(Error::AlreadyExists(_)) => Ok(()),
+                built => built,
             }
         }
-        other => return Err(Error::Internal(format!("unknown ddl domain '{other}'"))),
-    };
-    match created {
-        Err(Error::AlreadyExists(_)) => Ok(()),
-        created => created,
+        other => Err(Error::Internal(format!("unknown ddl domain '{other}'"))),
     }
 }
 
@@ -543,7 +552,7 @@ mod tests {
         assert!(db.get_document("orders", "o1").unwrap().is_some());
         assert_eq!(db.query("FOR c IN customers RETURN c.name").unwrap(), vec![Value::str("Mary")]);
         assert_eq!(db.kv().get("cart", "1").unwrap(), Some(Value::str("o1")));
-        assert_eq!(db.world().graph("social").unwrap().vertex_count(), 1);
+        assert_eq!(db.world().catalog.graph("social").unwrap().vertex_count(), 1);
     }
 
     #[test]
@@ -881,7 +890,7 @@ mod tests {
         }
         assert_eq!(tail(), before, "nothing reached the log");
         assert!(!db.is_degraded(), "{:?}", db.degraded_reason());
-        assert!(db.world().xml_doc("bad").is_err());
+        assert!(db.world().catalog.tree("bad").is_err());
     }
 
     #[test]

@@ -48,6 +48,15 @@ impl KvStore {
         Ok(())
     }
 
+    /// Drop a bucket and its contents.
+    pub fn drop_bucket(&self, name: &str) -> Result<()> {
+        self.buckets
+            .write()
+            .remove(name)
+            .map(|_| ())
+            .ok_or_else(|| Error::NotFound(format!("bucket '{name}'")))
+    }
+
     /// Whether a bucket of this name exists.
     pub fn has_bucket(&self, name: &str) -> bool {
         self.buckets.read().contains_key(name)
@@ -175,7 +184,9 @@ mod tests {
         s.create_bucket("sessions").unwrap();
         assert_eq!(s.buckets(), vec!["cart", "sessions"]);
         assert!(s.has_bucket("cart") && !s.has_bucket("nope"));
-        assert!(s.put("nope", "k", Value::Null).is_err());
+        s.drop_bucket("sessions").unwrap();
+        assert!(s.drop_bucket("sessions").is_err());
+        assert!(s.put("sessions", "k", Value::Null).is_err());
         assert!(matches!(s.get("nope", "k"), Err(Error::NotFound(_))));
     }
 

@@ -17,7 +17,7 @@ use crate::cancel;
 use crate::eval::{eval_call, eval_expr};
 use crate::plan::{OpId, Plan, PlanBound, PlanNode};
 use crate::stats::{ExecStats, OpStats};
-use crate::world::World;
+use crate::world::{Container, World};
 
 /// A binding environment: variable → value.
 ///
@@ -259,7 +259,7 @@ fn describe_access_path(cx: &ExecCtx, node: &PlanNode, env: Option<&Env>) -> Opt
             if env.is_some_and(|e| e.get(name).is_some()) {
                 Some(format!("bound variable '{name}'"))
             } else {
-                cx.world.resolve_source(name).map(|kind| format!("full scan ({kind} '{name}')"))
+                cx.world.catalog.get(name).map(|c| format!("full scan ({} '{name}')", c.kind()))
             }
         }
         PlanNode::For { .. } => Some("expression".to_string()),
@@ -341,10 +341,10 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
             let mut out = Vec::new();
             for env in envs {
                 world.access.note_index_scan();
-                let docs: Vec<Value> = if let Ok(coll) = world.collection(source) {
-                    coll.range_bounds(path, lo_b, hi_b, project)?.0
-                } else {
-                    world.catalog.table(source)?.range_projected(path, lo_b, hi_b, project)?.0
+                let docs = match world.catalog.get(source) {
+                    Some(Container::Collection(c)) => c.range_bounds(path, lo_b, hi_b, project)?.0,
+                    Some(Container::Table(t)) => t.range_projected(path, lo_b, hi_b, project)?.0,
+                    _ => return Err(Error::NotFound(format!("'{source}' is not a collection or table"))),
                 };
                 for doc in docs {
                     cancel::tick()?;
@@ -379,7 +379,7 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
                 TraversalDirection::Inbound => Direction::Inbound,
                 TraversalDirection::Any => Direction::Any,
             };
-            let graph = world.graph_with_edges(edges)?;
+            let graph = world.catalog.edges(edges)?;
             let spec = mmdb_graph::TraversalSpec {
                 min_depth: *min_depth as usize,
                 max_depth: *max_depth as usize,
@@ -690,9 +690,9 @@ mod tests {
             t.insert(vec![Value::int(id), Value::str(name), Value::int(limit)]).unwrap();
         }
         // Social graph: Mary knows John; Anne knows Mary.
-        let g = w.create_graph("social").unwrap();
-        g.create_vertex_collection("persons").unwrap();
-        g.create_edge_collection("knows").unwrap();
+        let g = w.catalog.create_graph("social").unwrap();
+        w.catalog.create_vertex_collection("social", "persons").unwrap();
+        w.catalog.create_edge_collection("social", "knows").unwrap();
         for id in 1..=3 {
             g.add_vertex(
                 "persons",
@@ -705,11 +705,11 @@ mod tests {
         g.add_edge("knows", "persons/3", "persons/1", mmdb_types::from_json("{}").unwrap())
             .unwrap();
         // Shopping cart (kv).
-        w.kv.create_bucket("cart").unwrap();
+        w.create_bucket("cart").unwrap();
         w.kv.put("cart", "1", Value::str("34e5e759")).unwrap();
         w.kv.put("cart", "2", Value::str("0c6df508")).unwrap();
         // Orders (documents).
-        let orders = w.create_collection("orders").unwrap();
+        let orders = w.catalog.create_collection("orders").unwrap();
         orders
             .insert_json(
                 r#"{"_key":"0c6df508","orderlines":[
@@ -917,7 +917,7 @@ mod tests {
     #[test]
     fn collect_group_and_aggregate() {
         let w = World::in_memory();
-        let c = w.create_collection("sales").unwrap();
+        let c = w.catalog.create_collection("sales").unwrap();
         for (grp, amount) in [("a", 10), ("b", 5), ("a", 20), ("b", 7), ("a", 30)] {
             c.insert_json(&format!(r#"{{"grp":"{grp}","amount":{amount}}}"#)).unwrap();
         }
@@ -940,7 +940,7 @@ mod tests {
     #[test]
     fn collect_into_groups() {
         let w = World::in_memory();
-        let c = w.create_collection("sales").unwrap();
+        let c = w.catalog.create_collection("sales").unwrap();
         for (grp, amount) in [("a", 10), ("b", 5), ("a", 20)] {
             c.insert_json(&format!(r#"{{"grp":"{grp}","amount":{amount}}}"#)).unwrap();
         }
@@ -980,7 +980,7 @@ mod tests {
     #[test]
     fn index_scan_agrees_with_full_scan() {
         let w = World::in_memory();
-        let c = w.create_collection("products").unwrap();
+        let c = w.catalog.create_collection("products").unwrap();
         for i in 0..200 {
             c.insert_json(&format!(r#"{{"_key":"p{i}","price":{},"cat":{}}}"#, i % 50, i % 3))
                 .unwrap();
@@ -1022,18 +1022,20 @@ mod tests {
         let got = run(&w, r#"FOR t IN TRIPLES("mary", NULL, NULL) RETURN t.p"#).unwrap();
         assert_eq!(got, vec![Value::str("likes")]);
         // XML.
-        w.register_xml(
-            "catalog",
-            mmdb_xml::parse_xml(r#"<catalog><product no="1"><name>Toy</name></product></catalog>"#)
-                .unwrap(),
-        );
+        w.catalog
+            .create_tree(
+                "catalog",
+                mmdb_xml::parse_xml(r#"<catalog><product no="1"><name>Toy</name></product></catalog>"#)
+                    .unwrap(),
+            )
+            .unwrap();
         let got = run(&w, r#"RETURN XPATH("catalog", "/catalog/product/name")"#).unwrap();
         assert_eq!(got, vec![Value::array([Value::str("Toy")])]);
         // Fulltext.
-        let c = w.create_collection("reviews").unwrap();
+        let c = w.catalog.create_collection("reviews").unwrap();
         c.insert_json(r#"{"_key":"r1","text":"great wooden toy"}"#).unwrap();
         c.insert_json(r#"{"_key":"r2","text":"awful book"}"#).unwrap();
-        c.create_fulltext_index("review_text", "text").unwrap();
+        w.catalog.create_fulltext_index("review_text", "reviews", "text").unwrap();
         let got = run(&w, r#"FOR r IN FULLTEXT("review_text", "toy") RETURN r._key"#).unwrap();
         assert_eq!(got, vec![Value::str("r1")]);
         // Graph helper functions.
@@ -1255,7 +1257,7 @@ mod tests {
         // Anne knows John too: Mary and Anne both reach him, and his cart
         // is read once.
         let w = paper_world();
-        w.graph("social")
+        w.catalog.graph("social")
             .unwrap()
             .add_edge("knows", "persons/3", "persons/2", mmdb_types::from_json("{}").unwrap())
             .unwrap();

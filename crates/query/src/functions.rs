@@ -8,10 +8,11 @@
 
 use std::borrow::Cow;
 
+use mmdb_graph::store::split_handle;
 use mmdb_graph::Direction;
 use mmdb_types::{Error, Projection, Result, Value};
 
-use crate::world::World;
+use crate::world::{Container, World};
 
 /// Dispatch a builtin by (uppercased) name. Arguments arrive as the
 /// evaluator produced them, borrowed or owned, and are only read.
@@ -162,34 +163,32 @@ pub fn call_function(
             let coll = arg(args, 0)?.as_str()?;
             match arg(args, 1)? {
                 Value::String(key) => {
-                    Ok(world.collection(coll)?.get_projected(key, project)?.unwrap_or(Value::Null))
+                    Ok(world.catalog.collection(coll)?.get_projected(key, project)?.unwrap_or(Value::Null))
                 }
                 Value::Null => Ok(Value::Null),
                 other => Err(Error::Type(format!("DOC key must be a string, got {}", other.type_name()))),
             }
         }
         "VERTEX" => {
-            // VERTEX("graph", "coll/key") or VERTEX("coll/key") searching
-            // all graphs.
+            // VERTEX("graph", "coll/key"), or VERTEX("coll/key") in the
+            // graph whose vertex collection `coll` is.
             let handle = arg(args, args.len() - 1)?.as_str()?;
-            if args.len() == 2 {
-                let g = world.graph(arg(args, 0)?.as_str()?)?;
-                Ok(g.vertex(handle)?.unwrap_or(Value::Null))
+            let g = if args.len() == 2 {
+                world.catalog.graph(arg(args, 0)?.as_str()?)?
             } else {
-                for g in world.graphs.read().values() {
-                    if let Ok(Some(v)) = g.vertex(handle) {
-                        return Ok(v);
-                    }
+                match split_handle(handle).ok().and_then(|(coll, _)| world.catalog.get(coll)) {
+                    Some(Container::Vertices(g)) => g,
+                    _ => return Ok(Value::Null),
                 }
-                Ok(Value::Null)
-            }
+            };
+            Ok(g.vertex(handle)?.unwrap_or(Value::Null))
         }
         "NEIGHBORS" => {
             // NEIGHBORS(handle, edge_collection, direction?)
             let handle = arg(args, 0)?.as_str()?;
             let edges = arg(args, 1)?.as_str()?;
             let dir = direction_arg(args, 2)?;
-            let g = world.graph_with_edges(edges)?;
+            let g = world.catalog.edges(edges)?;
             Ok(Value::Array(
                 g.neighbors(handle, dir, Some(edges))?
                     .into_iter()
@@ -203,7 +202,7 @@ pub fn call_function(
             let to = arg(args, 1)?.as_str()?;
             let edges = arg(args, 2)?.as_str()?;
             let weight = args.get(3).and_then(|v| v.as_str().ok());
-            let g = world.graph_with_edges(edges)?;
+            let g = world.catalog.edges(edges)?;
             match mmdb_graph::shortest_path(&g, from, to, Direction::Outbound, Some(edges), weight)? {
                 Some(p) => Ok(Value::object([
                     (
@@ -250,7 +249,7 @@ pub fn call_function(
             // XPATH(doc_name, xpath) → array of values.
             let name = arg(args, 0)?.as_str()?;
             let xp = arg(args, 1)?.as_str()?;
-            let tree = world.xml_doc(name)?;
+            let tree = world.catalog.tree(name)?;
             let path = mmdb_xml::XPath::parse(xp)?;
             Ok(Value::Array(path.values(&tree, tree.root())?))
         }
@@ -258,7 +257,7 @@ pub fn call_function(
             // FULLTEXT(index_name, query) → array of matching documents.
             let name = arg(args, 0)?.as_str()?;
             let query = arg(args, 1)?.as_str()?;
-            let coll = world.collection_with_fulltext(name)?;
+            let coll = world.catalog.fulltext(name)?;
             Ok(Value::Array(coll.fulltext(name, query, project)?))
         }
         "FULLTEXT_RANKED" => {
@@ -266,7 +265,7 @@ pub fn call_function(
             let name = arg(args, 0)?.as_str()?;
             let query = arg(args, 1)?.as_str()?;
             let limit = arg(args, 2)?.as_int()? as usize;
-            let coll = world.collection_with_fulltext(name)?;
+            let coll = world.catalog.fulltext(name)?;
             let hits = coll.fulltext_ranked(name, query, limit)?;
             Ok(Value::Array(
                 hits.into_iter()

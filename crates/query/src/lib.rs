@@ -42,7 +42,7 @@ pub mod world;
 pub use cancel::FAILPOINT_SITES;
 pub use parse::parse_query;
 pub use stats::{ExecStats, OpStats};
-pub use world::World;
+pub use world::{Catalog, Container, World};
 
 use mmdb_types::{CancelToken, Result, Value};
 

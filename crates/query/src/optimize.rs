@@ -64,7 +64,7 @@ use mmdb_types::{Path, Projection, Value};
 use crate::ast::{BinOp, Expr};
 use crate::eval::like_match;
 use crate::plan::{build_plan, Plan, PlanBound, PlanNode};
-use crate::world::World;
+use crate::world::{Container, World};
 
 /// Optimize a plan against a world (index metadata lookups only).
 pub fn optimize(plan: Plan, world: &World) -> Plan {
@@ -218,12 +218,10 @@ fn try_index_scan(
     if scope.is_bound(source) {
         return None;
     }
-    let indexed_paths: Vec<String> = if let Ok(coll) = world.collection(source) {
-        coll.indexed_paths()
-    } else if let Ok(table) = world.catalog.table(source) {
-        table.indexed_columns()
-    } else {
-        return None;
+    let indexed_paths = match world.catalog.get(source)? {
+        Container::Collection(c) => c.indexed_paths(),
+        Container::Table(t) => t.indexed_columns(),
+        _ => return None,
     };
     if indexed_paths.is_empty() {
         return None;
@@ -430,11 +428,12 @@ enum Stored {
 /// binding shadows. A kv bucket's entries are read whole.
 fn store(world: &World, scope: &Scope, name: &str) -> Option<Stored> {
     if scope.is_bound(name) {
-        None
-    } else if world.collections.read().contains_key(name) {
-        Some(Stored::Document)
-    } else {
-        world.catalog.table(name).is_ok().then_some(Stored::Row)
+        return None;
+    }
+    match world.catalog.get(name)? {
+        Container::Collection(_) => Some(Stored::Document),
+        Container::Table(_) => Some(Stored::Row),
+        _ => None,
     }
 }
 
@@ -846,7 +845,7 @@ mod tests {
     #[test]
     fn index_selection_rewrites_for_filter() {
         let w = World::in_memory();
-        let c = w.create_collection("products").unwrap();
+        let c = w.catalog.create_collection("products").unwrap();
         for i in 0..10 {
             c.insert_json(&format!(r#"{{"_key":"p{i}","price":{i}}}"#)).unwrap();
         }
@@ -871,7 +870,7 @@ mod tests {
         // on: the range conjunct after them is the one scanned, and they
         // stay in the residual.
         let w = World::in_memory();
-        let c = w.create_collection("products").unwrap();
+        let c = w.catalog.create_collection("products").unwrap();
         for i in 0..10 {
             c.insert_json(&format!(r#"{{"_key":"p{i}","price":{i},"tag":"t{}"}}"#, i % 3)).unwrap();
         }
@@ -898,7 +897,7 @@ mod tests {
         // Without an index the scan stays a `For`, which takes the filter
         // as its residual.
         let w = World::in_memory();
-        w.create_collection("products").unwrap();
+        w.catalog.create_collection("products").unwrap();
         let q = parse_query("FOR p IN products FILTER p.price > 5 RETURN p").unwrap();
         let plan = optimize(build_plan(&q).unwrap(), &w);
         assert_eq!(plan.nodes.len(), 1);
@@ -909,7 +908,7 @@ mod tests {
     #[test]
     fn reversed_literal_comparisons_flip() {
         let w = World::in_memory();
-        let c = w.create_collection("products").unwrap();
+        let c = w.catalog.create_collection("products").unwrap();
         c.insert_json(r#"{"_key":"a","price":5}"#).unwrap();
         c.create_persistent_index("price").unwrap();
         let q = parse_query("FOR p IN products FILTER 5 <= p.price RETURN p").unwrap();
@@ -1174,7 +1173,7 @@ mod tests {
     #[test]
     fn a_shadowed_store_name_is_not_index_scanned() {
         let w = World::in_memory();
-        let c = w.create_collection("products").unwrap();
+        let c = w.catalog.create_collection("products").unwrap();
         c.insert_json(r#"{"_key":"a","price":9}"#).unwrap();
         c.create_persistent_index("price").unwrap();
         let text = "LET products = [{price: 7}] FOR p IN products FILTER p.price > 5 RETURN p.price";
@@ -1190,8 +1189,8 @@ mod tests {
         let w = World::in_memory();
         let columns = vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("name", DataType::Text)];
         w.catalog.create_table("customers", Schema::new(columns, "id").unwrap()).unwrap();
-        w.create_collection("orders").unwrap();
-        w.kv.create_bucket("cart").unwrap();
+        w.catalog.create_collection("orders").unwrap();
+        w.create_bucket("cart").unwrap();
         w
     }
 

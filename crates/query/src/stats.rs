@@ -31,8 +31,8 @@ pub struct OpStats {
     /// Wall-clock time spent applying it.
     pub elapsed: Duration,
     /// The access path actually taken, when the operator reads a store:
-    /// `index 'price' on 'products'`, `full scan (document-collection
-    /// 'orders')`, `graph traversal via edge collection 'knows'`, …
+    /// `index 'price' on 'products'`, `full scan (collection 'orders')`,
+    /// `graph traversal via edge collection 'knows'`, …
     pub access_path: Option<String>,
 }
 
@@ -131,7 +131,7 @@ mod tests {
                     rows_in: 1,
                     rows_out: 3,
                     elapsed: Duration::from_micros(42),
-                    access_path: Some("full scan (relational-table 'customers')".into()),
+                    access_path: Some("full scan (table 'customers')".into()),
                 },
                 OpStats {
                     op: "Return".into(),

@@ -1,11 +1,15 @@
 //! The [`World`]: every model store a query can reach.
 //!
 //! One `World` is the "single, integrated backend" of the multi-model
-//! definition — MMQL names resolve against it in order: document
-//! collection, relational table, key/value bucket. Graphs, the triple
-//! store, registered XML documents and full-text indexes (which live in
-//! their collections) are reached through cross-model functions (`DOC`,
-//! `KV_GET`, `TRIPLES`, `XPATH`, `FULLTEXT`, `SHORTEST_PATH`, …).
+//! definition, and its [`Catalog`] is one namespace across the models: a
+//! name is one container — a document collection, relational table,
+//! key/value bucket, property graph or registered XML/JSON tree — and a
+//! graph's vertex and edge collections and a collection's full-text
+//! indexes take their names from the same space. So `FOR x IN name`,
+//! `DOC`, `FULLTEXT`, `XPATH` and a traversal's edge collection each
+//! resolve with one probe of the catalog, and no name can mean two
+//! things. The triple store and the spatial R-trees sit beside the
+//! catalog: the first has no name, the second is a process-local fixture.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -16,9 +20,9 @@ use mmdb_document::Collection;
 use mmdb_graph::Graph;
 use mmdb_kv::KvStore;
 use mmdb_rdf::TripleStore;
-use mmdb_relational::Catalog;
+use mmdb_relational::{Schema, Table};
 use mmdb_storage::BufferPool;
-use mmdb_types::{lock_rank, Error, Projection, Result, Value};
+use mmdb_types::{Error, Projection, Result, Value};
 use mmdb_xml::Tree;
 
 /// Global access-path counters: how often the executor served a named
@@ -54,24 +58,232 @@ impl AccessStats {
     }
 }
 
+/// What a catalog name holds.
+#[derive(Clone)]
+pub enum Container {
+    /// A document collection.
+    Collection(Arc<Collection>),
+    /// A relational table.
+    Table(Arc<Table>),
+    /// A key/value bucket. The entry only claims the name: the entries
+    /// live in [`World::kv`].
+    Bucket,
+    /// A property graph.
+    Graph(Arc<Graph>),
+    /// A registered XML/JSON tree (`XPATH`'s target).
+    Tree(Arc<Tree>),
+    /// A vertex collection of the graph.
+    Vertices(Arc<Graph>),
+    /// An edge collection of the graph.
+    Edges(Arc<Graph>),
+    /// A full-text index of the collection.
+    Fulltext(Arc<Collection>),
+}
+
+impl Container {
+    /// The kind's name. A top-level container's is its definition
+    /// domain's (`ddl/<kind>`).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Container::Collection(_) => "collection",
+            Container::Table(_) => "table",
+            Container::Bucket => "bucket",
+            Container::Graph(_) => "graph",
+            Container::Tree(_) => "tree",
+            Container::Vertices(_) => "vertex collection",
+            Container::Edges(_) => "edge collection",
+            Container::Fulltext(_) => "fulltext index",
+        }
+    }
+
+    /// The name of the graph or collection this is a part of.
+    fn owner(&self) -> Option<&str> {
+        match self {
+            Container::Vertices(g) | Container::Edges(g) => Some(g.name()),
+            Container::Fulltext(c) => Some(c.name()),
+            _ => None,
+        }
+    }
+}
+
+/// The one namespace: `name → Container`, behind one leaf lock. A handle
+/// is built before the lock is taken and cloned out before it is used,
+/// so nothing is ever acquired under it.
+pub struct Catalog {
+    pool: Arc<BufferPool>,
+    entries: RwLock<HashMap<String, Container>>,
+}
+
+/// `NotFound` for a `want` lookup of `name`, which holds `held`.
+fn missing(want: &str, name: &str, held: Option<Container>) -> Error {
+    match held {
+        None => Error::NotFound(format!("{want} '{name}'")),
+        Some(c) => Error::NotFound(format!("{want} '{name}': the name is a {}", c.kind())),
+    }
+}
+
+/// A create of something that already exists is a re-applied definition.
+fn done_if_exists(created: Result<()>) -> Result<()> {
+    match created {
+        Err(Error::AlreadyExists(_)) => Ok(()),
+        created => created,
+    }
+}
+
+impl Catalog {
+    /// What `name` holds: the one probe every lookup makes.
+    pub fn get(&self, name: &str) -> Option<Container> {
+        self.entries.read().get(name).cloned()
+    }
+
+    /// Every name with its kind, sorted by name.
+    pub fn names(&self) -> Vec<(String, &'static str)> {
+        let mut names: Vec<_> = self.entries.read().iter().map(|(n, c)| (n.clone(), c.kind())).collect();
+        names.sort();
+        names
+    }
+
+    /// Put `container` under `name`. A name that already holds the same
+    /// definition — the same kind and, for a part, the same owner — keeps
+    /// it: a re-applied definition is done. One that holds anything else
+    /// is `AlreadyExists`, naming both kinds.
+    fn insert(&self, name: &str, container: Container) -> Result<()> {
+        let mut entries = self.entries.write();
+        let Some(held) = entries.get(name) else {
+            entries.insert(name.to_string(), container);
+            return Ok(());
+        };
+        if held.kind() == container.kind() && held.owner() == container.owner() {
+            return Ok(());
+        }
+        let (kind, held) = (container.kind(), held.kind());
+        Err(Error::AlreadyExists(format!("{kind} '{name}': the name is a {held}")))
+    }
+
+    /// Remove `name` if it holds a container of `kind`, together with the
+    /// names of its parts (a graph's vertex and edge collections, a
+    /// collection's full-text indexes). Returns what it held.
+    pub fn remove(&self, kind: &str, name: &str) -> Option<Container> {
+        let mut entries = self.entries.write();
+        if entries.get(name)?.kind() != kind {
+            return None;
+        }
+        let held = entries.remove(name)?;
+        // A part shares its owner's handle, which `held` keeps alive past
+        // the guard: no handle's last reference is dropped under the lock.
+        entries.retain(|_, c| c.owner() != Some(name));
+        Some(held)
+    }
+
+    /// Create a document collection.
+    pub fn create_collection(&self, name: &str) -> Result<Arc<Collection>> {
+        let made = Collection::create(name, Arc::clone(&self.pool))?;
+        self.insert(name, Container::Collection(Arc::new(made)))?;
+        self.collection(name)
+    }
+
+    /// Create a relational table.
+    pub fn create_table(&self, name: &str, schema: Schema) -> Result<Arc<Table>> {
+        let made = Table::create(name, schema, Arc::clone(&self.pool))?;
+        self.insert(name, Container::Table(Arc::new(made)))?;
+        self.table(name)
+    }
+
+    /// Create a property graph.
+    pub fn create_graph(&self, name: &str) -> Result<Arc<Graph>> {
+        let made = Graph::create(name, Arc::clone(&self.pool));
+        self.insert(name, Container::Graph(Arc::new(made)))?;
+        self.graph(name)
+    }
+
+    /// Create a vertex collection `name` in `graph`.
+    pub fn create_vertex_collection(&self, graph: &str, name: &str) -> Result<()> {
+        let g = self.graph(graph)?;
+        self.insert(name, Container::Vertices(Arc::clone(&g)))?;
+        done_if_exists(g.create_vertex_collection(name))
+    }
+
+    /// Create an edge collection `name` in `graph`.
+    pub fn create_edge_collection(&self, graph: &str, name: &str) -> Result<()> {
+        let g = self.graph(graph)?;
+        self.insert(name, Container::Edges(Arc::clone(&g)))?;
+        done_if_exists(g.create_edge_collection(name))
+    }
+
+    /// Create the full-text index `name` over `field` of `collection`,
+    /// built from its current documents.
+    pub fn create_fulltext_index(&self, name: &str, collection: &str, field: &str) -> Result<()> {
+        let c = self.collection(collection)?;
+        self.insert(name, Container::Fulltext(Arc::clone(&c)))?;
+        done_if_exists(c.create_fulltext_index(name, field))
+    }
+
+    /// Register an XML/JSON tree under a name.
+    pub fn create_tree(&self, name: &str, tree: Tree) -> Result<()> {
+        self.insert(name, Container::Tree(Arc::new(tree)))
+    }
+
+    /// Look up a document collection.
+    pub fn collection(&self, name: &str) -> Result<Arc<Collection>> {
+        match self.get(name) {
+            Some(Container::Collection(c)) => Ok(c),
+            held => Err(missing("collection", name, held)),
+        }
+    }
+
+    /// Look up a table.
+    pub fn table(&self, name: &str) -> Result<Arc<Table>> {
+        match self.get(name) {
+            Some(Container::Table(t)) => Ok(t),
+            held => Err(missing("table", name, held)),
+        }
+    }
+
+    /// Look up a graph.
+    pub fn graph(&self, name: &str) -> Result<Arc<Graph>> {
+        match self.get(name) {
+            Some(Container::Graph(g)) => Ok(g),
+            held => Err(missing("graph", name, held)),
+        }
+    }
+
+    /// The graph owning an edge collection (MMQL traversal clauses name
+    /// only the edge collection, as AQL does).
+    pub fn edges(&self, name: &str) -> Result<Arc<Graph>> {
+        match self.get(name) {
+            Some(Container::Edges(g)) => Ok(g),
+            held => Err(missing("edge collection", name, held)),
+        }
+    }
+
+    /// The collection owning a full-text index (`FULLTEXT` names only the
+    /// index).
+    pub fn fulltext(&self, name: &str) -> Result<Arc<Collection>> {
+        match self.get(name) {
+            Some(Container::Fulltext(c)) => Ok(c),
+            held => Err(missing("fulltext index", name, held)),
+        }
+    }
+
+    /// Look up a registered tree.
+    pub fn tree(&self, name: &str) -> Result<Arc<Tree>> {
+        match self.get(name) {
+            Some(Container::Tree(t)) => Ok(t),
+            held => Err(missing("tree", name, held)),
+        }
+    }
+}
+
 /// All reachable model stores. Each collection keeps its own indexes,
 /// full-text ones included; the spatial R-trees are the one index kind
 /// held here.
 pub struct World {
-    pool: Arc<BufferPool>,
-    /// Relational tables.
+    /// Every named container, across the models.
     pub catalog: Catalog,
-    /// Document collections by name.
-    pub collections: RwLock<HashMap<String, Arc<Collection>>>,
-    /// Property graphs by name; MMQL traversals search all graphs for the
-    /// named edge collection.
-    pub graphs: RwLock<HashMap<String, Arc<Graph>>>,
-    /// The key/value store.
+    /// The key/value store: the entries of every bucket the catalog names.
     pub kv: KvStore,
     /// The RDF triple store.
     pub rdf: RwLock<TripleStore>,
-    /// Registered XML/JSON trees by name (the `XPATH` function's targets).
-    pub xml_docs: RwLock<HashMap<String, Arc<Tree>>>,
     /// Spatial indexes by name: R-trees over `(rect, payload)` entries
     /// (the `GEO_WITHIN` / `GEO_NEAREST` functions' targets).
     pub spatial: RwLock<HashMap<String, mmdb_index::rtree::RTree<Value>>>,
@@ -88,15 +300,10 @@ impl Default for World {
 impl World {
     /// A fully in-memory world.
     pub fn in_memory() -> World {
-        let pool = Arc::new(BufferPool::default());
         World {
-            catalog: Catalog::new(Arc::clone(&pool)),
-            pool,
-            collections: RwLock::new(HashMap::new()),
-            graphs: RwLock::with_rank(lock_rank::WORLD_GRAPHS, HashMap::new()),
+            catalog: Catalog { pool: Arc::default(), entries: RwLock::new(HashMap::new()) },
             kv: KvStore::default(),
             rdf: RwLock::new(TripleStore::default()),
-            xml_docs: RwLock::new(HashMap::new()),
             spatial: RwLock::new(HashMap::new()),
             access: AccessStats::default(),
         }
@@ -104,83 +311,23 @@ impl World {
 
     /// The record-access counter every heap of this world shares.
     pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
+        &self.catalog.pool
     }
 
-    /// Create a document collection.
-    pub fn create_collection(&self, name: &str) -> Result<Arc<Collection>> {
-        let mut colls = self.collections.write();
-        if colls.contains_key(name) {
-            return Err(Error::AlreadyExists(format!("collection '{name}'")));
+    /// Create a key/value bucket: its name in the catalog, its entries in
+    /// [`World::kv`].
+    pub fn create_bucket(&self, name: &str) -> Result<()> {
+        self.catalog.insert(name, Container::Bucket)?;
+        done_if_exists(self.kv.create_bucket(name))
+    }
+
+    /// Drop `name` with everything it holds, if it is a container of
+    /// `kind`; anything else under the name stays.
+    pub fn drop_container(&self, kind: &str, name: &str) {
+        if let Some(Container::Bucket) = self.catalog.remove(kind, name) {
+            // The catalog's entry was the bucket's only claim.
+            let _ = self.kv.drop_bucket(name);
         }
-        let c = Arc::new(Collection::create(name, Arc::clone(&self.pool))?);
-        colls.insert(name.to_string(), Arc::clone(&c));
-        Ok(c)
-    }
-
-    /// Look up a document collection.
-    pub fn collection(&self, name: &str) -> Result<Arc<Collection>> {
-        self.collections
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("collection '{name}'")))
-    }
-
-    /// Create a property graph.
-    pub fn create_graph(&self, name: &str) -> Result<Arc<Graph>> {
-        let mut graphs = self.graphs.write();
-        if graphs.contains_key(name) {
-            return Err(Error::AlreadyExists(format!("graph '{name}'")));
-        }
-        let g = Arc::new(Graph::create(name, Arc::clone(&self.pool)));
-        graphs.insert(name.to_string(), Arc::clone(&g));
-        Ok(g)
-    }
-
-    /// Look up a graph.
-    pub fn graph(&self, name: &str) -> Result<Arc<Graph>> {
-        self.graphs
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("graph '{name}'")))
-    }
-
-    /// Find the collection owning a full-text index (`FULLTEXT` names only
-    /// the index). `collections` is a leaf lock, so the collections are
-    /// cloned out of it before each one's index lock is taken.
-    pub fn collection_with_fulltext(&self, index: &str) -> Result<Arc<Collection>> {
-        let colls: Vec<Arc<Collection>> = self.collections.read().values().cloned().collect();
-        colls
-            .into_iter()
-            .find(|c| c.has_fulltext_index(index))
-            .ok_or_else(|| Error::NotFound(format!("fulltext index '{index}'")))
-    }
-
-    /// Find the graph owning an edge collection (MMQL traversal clauses
-    /// name only the edge collection, as AQL does).
-    pub fn graph_with_edges(&self, edge_collection: &str) -> Result<Arc<Graph>> {
-        for g in self.graphs.read().values() {
-            if g.edge_collection_exists(edge_collection) {
-                return Ok(Arc::clone(g));
-            }
-        }
-        Err(Error::NotFound(format!("edge collection '{edge_collection}'")))
-    }
-
-    /// Register an XML/JSON tree under a name.
-    pub fn register_xml(&self, name: &str, tree: Tree) {
-        self.xml_docs.write().insert(name.to_string(), Arc::new(tree));
-    }
-
-    /// Fetch a registered tree.
-    pub fn xml_doc(&self, name: &str) -> Result<Arc<Tree>> {
-        self.xml_docs
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("xml document '{name}'")))
     }
 
     /// Create an empty named spatial index.
@@ -203,74 +350,96 @@ impl World {
         Ok(())
     }
 
-    /// How a bare name resolves (for EXPLAIN-style output and tests).
-    pub fn resolve_source(&self, name: &str) -> Option<&'static str> {
-        if self.collections.read().contains_key(name) {
-            Some("document-collection")
-        } else if self.catalog.table(name).is_ok() {
-            Some("relational-table")
-        } else if self.kv.has_bucket(name) {
-            Some("kv-bucket")
-        } else {
-            None
-        }
-    }
-
     /// Materialize a bare `FOR x IN name` source as an array of objects:
     /// what `project` keeps of each document, each relational row as an
     /// object of the columns `project` reads, and kv entries whole, as
     /// `{_key, value}`.
     pub fn scan_source(&self, name: &str, project: &Projection) -> Result<Vec<Value>> {
-        if let Ok(coll) = self.collection(name) {
-            self.access.note_full_scan();
-            return coll.all_projected(project);
-        }
-        if let Ok(table) = self.catalog.table(name) {
-            self.access.note_full_scan();
-            return table.scan_projected(project);
-        }
-        if self.kv.has_bucket(name) {
-            self.access.note_full_scan();
-            return Ok(self
+        let items = match self.catalog.get(name) {
+            Some(Container::Collection(coll)) => coll.all_projected(project)?,
+            Some(Container::Table(table)) => table.scan_projected(project)?,
+            Some(Container::Bucket) => self
                 .kv
                 .scan_all(name)?
                 .into_iter()
                 .map(|(k, v)| Value::object([("_key", Value::str(k)), ("value", v)]))
-                .collect());
-        }
-        Err(Error::NotFound(format!(
-            "'{name}' is not a collection, table or bucket"
-        )))
+                .collect(),
+            held => return Err(missing("collection, table or bucket", name, held)),
+        };
+        self.access.note_full_scan();
+        Ok(items)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmdb_relational::{ColumnDef, DataType, Schema};
+    use mmdb_relational::{ColumnDef, DataType};
+
+    fn schema() -> Schema {
+        Schema::new(vec![ColumnDef::new("id", DataType::Int)], "id").unwrap()
+    }
 
     #[test]
-    fn source_resolution_order() {
+    fn a_name_is_one_container() {
         let w = World::in_memory();
-        w.create_collection("orders").unwrap();
-        w.catalog
-            .create_table(
-                "customers",
-                Schema::new(vec![ColumnDef::new("id", DataType::Int)], "id").unwrap(),
-            )
-            .unwrap();
-        w.kv.create_bucket("cart").unwrap();
-        assert_eq!(w.resolve_source("orders"), Some("document-collection"));
-        assert_eq!(w.resolve_source("customers"), Some("relational-table"));
-        assert_eq!(w.resolve_source("cart"), Some("kv-bucket"));
-        assert_eq!(w.resolve_source("nope"), None);
-        assert!(w.scan_source("nope", &Projection::ALL).is_err());
+        w.catalog.create_collection("orders").unwrap();
+        w.catalog.create_table("customers", schema()).unwrap();
+        w.create_bucket("cart").unwrap();
+        let kinds = |name: &str| w.catalog.get(name).map(|c| c.kind());
+        assert_eq!(kinds("orders"), Some("collection"));
+        assert_eq!(kinds("customers"), Some("table"));
+        assert_eq!(kinds("cart"), Some("bucket"));
+        assert_eq!(kinds("nope"), None);
+        assert_eq!(w.scan_source("nope", &Projection::ALL).err().unwrap().kind(), "not_found");
+
+        // Another kind under a used name is refused, naming both; the
+        // same definition again is done and keeps what is there.
+        let e = w.catalog.create_table("orders", schema()).err().unwrap();
+        assert_eq!(e.kind(), "already_exists");
+        assert!(e.to_string().contains("table 'orders': the name is a collection"), "{e}");
+        assert!(w.create_bucket("customers").is_err());
+        assert!(w.catalog.create_graph("cart").is_err());
+        let again = w.catalog.create_collection("orders").unwrap();
+        assert!(Arc::ptr_eq(&again, &w.catalog.collection("orders").unwrap()));
+        assert!(w.catalog.table("orders").err().unwrap().to_string().contains("is a collection"));
+    }
+
+    #[test]
+    fn parts_share_the_namespace_and_go_with_their_owner() {
+        let w = World::in_memory();
+        let c = w.catalog.create_collection("products").unwrap();
+        w.catalog.create_collection("orders").unwrap();
+        w.catalog.create_fulltext_index("product_text", "products", "description").unwrap();
+        w.catalog.create_graph("social").unwrap();
+        w.catalog.create_vertex_collection("social", "persons").unwrap();
+        w.catalog.create_edge_collection("social", "knows").unwrap();
+        assert!(Arc::ptr_eq(&w.catalog.fulltext("product_text").unwrap(), &c));
+        assert_eq!(w.catalog.edges("knows").unwrap().name(), "social");
+        assert_eq!(w.catalog.fulltext("nope").err().unwrap().kind(), "not_found");
+
+        // A second graph cannot take a name the first one's parts hold,
+        // nor can a full-text index of another collection.
+        w.catalog.create_graph("other").unwrap();
+        assert!(w.catalog.create_edge_collection("other", "knows").is_err());
+        assert!(w.catalog.create_vertex_collection("other", "persons").is_err());
+        assert!(w.catalog.create_edge_collection("social", "persons").is_err());
+        assert!(w.catalog.create_fulltext_index("product_text", "orders", "x").is_err());
+        w.catalog.create_edge_collection("social", "knows").unwrap();
+
+        // A remove of another kind leaves the name; the owner's takes its
+        // parts along.
+        assert!(w.catalog.remove("table", "social").is_none());
+        assert!(w.catalog.remove("graph", "social").is_some());
+        assert!(w.catalog.remove("collection", "products").is_some());
+        let names: Vec<String> = w.catalog.names().into_iter().map(|(n, _)| n).collect();
+        assert_eq!(names, ["orders", "other"]);
     }
 
     #[test]
     fn scan_source_shapes() {
         let w = World::in_memory();
-        let c = w.create_collection("docs").unwrap();
+        let c = w.catalog.create_collection("docs").unwrap();
         c.insert_json(r#"{"_key":"a","x":1}"#).unwrap();
         let t = w
             .catalog
@@ -284,7 +453,7 @@ mod tests {
             )
             .unwrap();
         t.insert(vec![Value::int(1), Value::str("row")]).unwrap();
-        w.kv.create_bucket("b").unwrap();
+        w.create_bucket("b").unwrap();
         w.kv.put("b", "k1", Value::int(9)).unwrap();
 
         let scan = |name: &str| w.scan_source(name, &Projection::ALL).unwrap();
@@ -293,15 +462,8 @@ mod tests {
         let kv = scan("b");
         assert_eq!(kv[0].get_field("_key"), &Value::str("k1"));
         assert_eq!(kv[0].get_field("value"), &Value::int(9));
-    }
 
-    #[test]
-    fn fulltext_finds_the_collection_that_owns_the_index() {
-        let w = World::in_memory();
-        w.create_collection("orders").unwrap();
-        let c = w.create_collection("products").unwrap();
-        c.create_fulltext_index("product_text", "description").unwrap();
-        assert_eq!(w.collection_with_fulltext("product_text").unwrap().name(), "products");
-        assert_eq!(w.collection_with_fulltext("nope").err().unwrap().kind(), "not_found");
+        w.drop_container("bucket", "b");
+        assert!(w.catalog.get("b").is_none() && !w.kv.has_bucket("b"));
     }
 }

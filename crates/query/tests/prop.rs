@@ -8,7 +8,7 @@ use mmdb_types::Value;
 
 fn world_with(values: &[i64]) -> World {
     let w = World::in_memory();
-    let c = w.create_collection("nums").unwrap();
+    let c = w.catalog.create_collection("nums").unwrap();
     for (i, v) in values.iter().enumerate() {
         c.insert(Value::object([
             ("_key", Value::str(format!("k{i:04}"))),

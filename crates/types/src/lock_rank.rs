@@ -72,10 +72,6 @@ pub const TXN_COMMIT: Rank = Rank::new(40, "txn.commit_mutex").held_across_waits
 
 // ---- the model stores --------------------------------------------------------
 
-/// `World::graphs`. Resolving a traversal's edge collection probes each
-/// graph's `edges` under it.
-pub const WORLD_GRAPHS: Rank = Rank::new(80, "query.world.graphs");
-
 /// `Graph::vertices`. Collection DDL checks vertices before edges
 /// (`create_vertex_collection` probes `edges` under it; the reverse
 /// order never occurs), and counting or listing vertices reads the
@@ -98,8 +94,8 @@ pub const KV_BUCKETS: Rank = Rank::new(110, "kv.buckets");
 /// (the heap's leaf lock) after releasing it.
 pub const DOCUMENT_INDEXES: Rank = Rank::new(120, "document.collection.indexes");
 
-/// A relational table's index set, likewise. (`Catalog::tables` is a
-/// leaf: a table is cloned out of it before it is used.)
+/// A relational table's index set, likewise. (The query catalog's map is
+/// a leaf: a handle is cloned out of it before it is used.)
 pub const RELATIONAL_INDEXES: Rank = Rank::new(130, "relational.table.indexes");
 
 // ---- storage -------------------------------------------------------------------

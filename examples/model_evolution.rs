@@ -43,7 +43,7 @@ fn main() -> Result<()> {
     )?;
 
     // 2. Schema extraction over the open-schema collection.
-    let docs = db.world().collection("customer_docs")?.all()?;
+    let docs = db.world().catalog.collection("customer_docs")?.all()?;
     let inferred = infer_schema(&docs)?;
     println!("inferred schema (pk = {}):", inferred.schema.primary_key_name());
     for c in inferred.schema.columns() {
@@ -63,7 +63,7 @@ fn main() -> Result<()> {
     db.insert_json("people", r#"{"_key":"3","name":"Anne"}"#)?;
     let (v, e) = evolution::collection_to_graph(&db, "people", "social", "knows")?;
     println!("collection → graph: {v} vertices, {e} edges");
-    let reach = db.query(r#"FOR p IN 1..2 OUTBOUND "people/1" knows_edges RETURN p.name"#)?;
+    let reach = db.query(r#"FOR p IN 1..2 OUTBOUND "people_vertices/1" knows_edges RETURN p.name"#)?;
     println!("2-hop reach from Mary: {reach:?}");
 
     // 5. Relation → RDF: the direct mapping.

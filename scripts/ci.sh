@@ -95,7 +95,7 @@ echo "==> the read path's and a wire point read's allocation budgets, the versio
 # optimized build, the one the benchmark of record measures. It counts
 # allocator calls per examined row for a scan, Q2, Q4 as a hash join,
 # Q5's traversal, a filtered table scan and a rated `FULLTEXT` read
-# (1.10, 3.35, 3.85, 4.81, 1.55 and 2.12; before table scans were
+# (1.10, 3.34, 3.85, 4.81, 1.51 and 2.11; before table scans were
 # projected and filtered in place: 1.14, 3.71, 3.98, 4.84, 2.19 and
 # 2.17; with heap strings: 1.92, 5.45, 4.55 and 7.21; before projected
 # document reads: 9.19, 8.42, 13.68 and 9.53; `FULLTEXT` 2.83 while its

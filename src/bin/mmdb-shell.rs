@@ -108,13 +108,10 @@ fn dispatch(db: &Database, line: &str) -> mmdb::Result<Reply> {
             "explain" => Ok(Reply::Text(db.explain(arg)?)),
             "analyze" => Ok(Reply::Text(db.explain_analyze(arg)?)),
             "collections" => {
-                let mut names: Vec<String> = db.world().collections.read().keys().cloned().collect();
-                names.sort();
-                Ok(Reply::Text(format!(
-                    "collections: {names:?}\ntables: {:?}\nbuckets: {:?}",
-                    db.world().catalog.table_names(),
-                    db.world().kv.buckets()
-                )))
+                let names = db.world().catalog.names();
+                let lines: Vec<String> =
+                    names.iter().map(|(name, kind)| format!("{name}  {kind}")).collect();
+                Ok(Reply::Text(lines.join("\n")))
             }
             "create" => {
                 db.create_collection(arg.trim())?;
@@ -284,7 +281,7 @@ Commands:
   .analyze <mmql>      EXPLAIN ANALYZE: run it, show actual rows/timings/access paths
   .create <name>       create a document collection
   .insert <coll> <json>  insert one document
-  .collections         list collections / tables / buckets
+  .collections         list every name with its kind
   .help  .quit
 "#;
 

@@ -196,7 +196,7 @@ fn assert_big_values(db: &Database, generation: u8) {
     assert_eq!(row.get_field("body"), &text);
     s.abort();
     assert_eq!(db.get_document("blobs", "big").unwrap().unwrap().get_field("blob"), &text);
-    let graph = db.world().graph("g").unwrap();
+    let graph = db.world().catalog.graph("g").unwrap();
     assert_eq!(graph.vertex("nodes/big").unwrap().unwrap().get_field("blob"), &text);
     for g in 0..=generation {
         let edge = graph.edge(&format!("links/e{g}")).unwrap().unwrap();
@@ -425,7 +425,7 @@ fn every_migration_survives_reopen() {
     const QUERIES: [&str; 4] = [
         "FOR c IN cust_docs SORT c._key RETURN [c._key, c.name, c.credit_limit]",
         "FOR r IN customers2 SORT r.id RETURN [r.id, r.name, r.credit_limit]",
-        r#"FOR f IN 1..2 OUTBOUND "people/1" knows_edges SORT f._depth RETURN f.name"#,
+        r#"FOR f IN 1..2 OUTBOUND "people_vertices/1" knows_edges SORT f._depth RETURN f.name"#,
         "FOR t IN TRIPLES(NULL, NULL, NULL) SORT t.s, t.p RETURN [t.s, t.p, t.o]",
     ];
     let answers = |db: &Database| -> Vec<Vec<Value>> {
@@ -564,7 +564,7 @@ fn catalog_probes(db: &Database) -> String {
         out.push(Value::str(db.explain(q).unwrap()));
         out.push(Value::Array(db.query(q).unwrap()));
     }
-    let orders = db.world().collection("orders").unwrap();
+    let orders = db.world().catalog.collection("orders").unwrap();
     let (docs, used_gin) = orders.by_example(&mmdb::from_json(r#"{"total":40}"#).unwrap()).unwrap();
     out.push(Value::Array(docs));
     out.push(Value::Bool(used_gin));
@@ -683,6 +683,40 @@ fn a_load_whose_index_drop_fails_still_removes_the_ghost() {
 }
 
 #[test]
+fn a_load_drops_every_ghost_container() {
+    let primary = Database::in_memory_logged();
+    rewrite_history(&primary);
+    let db = a_store_that_holds_the_fold_and_a_ghost();
+    // Containers the primary never had, one of each kind, with data.
+    db.create_bucket("ghost_bucket").unwrap();
+    db.kv_put("ghost_bucket", "k", Value::int(1)).unwrap();
+    db.create_collection("ghost_docs").unwrap();
+    db.insert_json("ghost_docs", r#"{"_key":"d"}"#).unwrap();
+    db.create_graph("ghost_graph").unwrap();
+    db.create_vertex_collection("ghost_graph", "ghost_people").unwrap();
+    db.create_edge_collection("ghost_graph", "ghost_knows").unwrap();
+    db.register_xml("ghost_tree", "<a><b>1</b></a>").unwrap();
+
+    load_fold_of(&primary, &db);
+    assert_eq!(db.hook_failure(), None);
+    assert_eq!(db.degraded_reason(), None);
+    assert!(!db.kv().has_bucket("ghost_bucket"));
+    for gone in [
+        "FOR d IN ghost_docs RETURN d",
+        "FOR k IN ghost_bucket RETURN k",
+        r#"FOR p IN 1..1 OUTBOUND "ghost_people/a" ghost_knows RETURN p"#,
+        r#"RETURN XPATH("ghost_tree", "/a/b")"#,
+    ] {
+        assert_eq!(db.query(gone).unwrap_err().kind(), "not_found", "{gone}");
+    }
+    assert_eq!(order_keys(&db), order_keys(&primary), "the ghost order survived");
+    assert_eq!(fold_probes(&db), fold_probes(&primary));
+    // Each name is free again, for any kind.
+    db.create_bucket("ghost_docs").unwrap();
+    db.create_collection("ghost_knows").unwrap();
+}
+
+#[test]
 fn a_raw_reput_of_a_live_edge_moves_it() {
     let db = Database::in_memory_logged();
     db.create_graph("social").unwrap();
@@ -711,7 +745,7 @@ fn a_raw_reput_of_a_live_edge_moves_it() {
     assert_eq!(keys(r#"FOR p IN 1..1 OUTBOUND "persons/2" knows RETURN p._key"#), none);
     assert_eq!(keys(r#"FOR p IN 1..1 INBOUND "persons/3" knows RETURN p._key"#), vec![Value::str("1")]);
     assert_eq!(keys(r#"FOR p IN 1..1 OUTBOUND "persons/1" knows RETURN p._key"#), vec![Value::str("3")]);
-    let edge = db.world().graph("social").unwrap().edge("knows/e1").unwrap();
+    let edge = db.world().catalog.graph("social").unwrap().edge("knows/e1").unwrap();
     assert_eq!(edge, db.mvcc().get_latest("graph/social/e/knows", b"e1").unwrap());
 }
 
@@ -836,9 +870,9 @@ fn views_follow_the_version_store(db: &Database) -> Result<(), String> {
     prop_assert_eq!(db.degraded_reason(), None);
     prop_assert_eq!(db.hook_failure(), None);
     let world = db.world();
-    let orders = world.collection("orders").unwrap();
+    let orders = world.catalog.collection("orders").unwrap();
     let customers = world.catalog.table("customers").unwrap();
-    let graph = world.graph("social").unwrap();
+    let graph = world.catalog.graph("social").unwrap();
     let (mut live_docs, mut live_rows) = (Vec::new(), Vec::new());
     for k in 0..KEYS {
         let writes = [

@@ -615,7 +615,7 @@ fn concurrent_writers_read_their_own_commits_from_every_model_view() {
 
     // The views end equal to the version store, key by key.
     let mvcc = db.mvcc();
-    let graph = db.world().graph("social").unwrap();
+    let graph = db.world().catalog.graph("social").unwrap();
     for i in 0..KEYS {
         let k = format!("k{i}");
         assert_eq!(db.get_document("orders", &k).unwrap(), mvcc.get_latest("doc/orders", k.as_bytes()).unwrap());

@@ -65,7 +65,7 @@ fn explain_analyze_reports_rows_timings_and_access_paths() {
     // customer scan reports its access path.
     assert!(report.contains("rows:"), "{report}");
     assert!(report.contains("time:"), "{report}");
-    assert!(report.contains("full scan"), "{report}");
+    assert!(report.contains("full scan (collection 'customers')"), "{report}");
     assert!(report.contains("rows returned: 2"), "{report}");
     assert!(report.contains("Traverse"), "{report}");
 
@@ -74,7 +74,7 @@ fn explain_analyze_reports_rows_timings_and_access_paths() {
     db.create_index("customers", "credit_limit").unwrap();
     let report = client.explain_analyze(RECOMMENDATION).unwrap();
     assert!(report.contains("index 'credit_limit'"), "{report}");
-    assert!(!report.contains("full scan (document-collection 'customers')"), "{report}");
+    assert!(!report.contains("full scan (collection 'customers')"), "{report}");
     assert!(report.contains("rows returned: 2"), "{report}");
 
     // Plain EXPLAIN still answers and does not carry runtime numbers.

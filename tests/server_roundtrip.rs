@@ -144,6 +144,32 @@ fn an_edge_to_a_missing_vertex_is_not_found_and_the_server_stays_writable() {
 }
 
 #[test]
+fn a_name_another_kind_holds_is_already_exists_over_the_wire() {
+    let (server, addr) = start_server();
+    let mut client = Client::connect(&addr).unwrap();
+    load_over_the_wire(&mut client);
+    // The data set holds a table, a graph with its two collections, a
+    // bucket and a collection; each name refuses every other kind.
+    let schema = customer_schema().unwrap();
+    let refused = [
+        client.create_collection("customers"),
+        client.create_bucket("social"),
+        client.create_table("knows", &schema),
+        client.create_graph("persons"),
+        client.create_vertex_collection("social", "cart"),
+        client.create_edge_collection("social", "orders"),
+    ];
+    for err in refused.into_iter().map(Result::unwrap_err) {
+        assert_eq!(err.kind(), "already_exists", "{err}");
+    }
+    let health = client.admin_health().unwrap();
+    assert_eq!(health.get_field("status"), &Value::str("ok"));
+    let answer = client.query(RECOMMENDATION).unwrap();
+    assert_eq!(answer, vec![Value::str("2724f"), Value::str("3424g")]);
+    server.shutdown().unwrap();
+}
+
+#[test]
 fn admin_health_reports_why_the_commit_hook_failed() {
     let db = Arc::new(Database::in_memory());
     let config = ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() };
