@@ -70,6 +70,9 @@ pub struct Database {
     mvcc: MvccStore,
     wal: Option<Arc<Wal>>,
     ckpt: CheckpointState,
+    /// Held by `define` from its name check until the commit hook has
+    /// put the definition in the catalog.
+    ddl: Mutex<()>,
     /// Why the commit hook first failed to apply a write set, if it has.
     hook_failure: Arc<OnceLock<String>>,
     /// Declared last: fields drop in declaration order, so this runs
@@ -170,6 +173,7 @@ impl Database {
             mvcc,
             wal,
             ckpt: CheckpointState::default(),
+            ddl: Mutex::with_rank(lock_rank::CORE_DDL, ()),
             hook_failure,
             _release: ReleaseOnDrop,
         }
@@ -216,27 +220,19 @@ impl Database {
     // Each method first checks what the hook would fail on.
 
     /// Commit one definition: `value` at `key` in `domain`, claiming the
-    /// catalog name `name` when it is a container, a graph's collection or
-    /// a full-text index. It is `AlreadyExists` if `key` is already
-    /// defined, or if `name` is held: in the catalog, or by a container
-    /// definition of any kind. The reads are serializable, so of two
-    /// concurrent definers of one container name one retries and sees the
-    /// other. (A definition that slips past this — a raw write, or a race
-    /// of two graph collections or full-text indexes — fails in the hook,
-    /// which latches the store and keeps the first definition.)
+    /// catalog name `name` if given. It is `AlreadyExists` if `key` is
+    /// defined or `name` held. Definers take turns from the check until the
+    /// hook has updated the catalog, so only a raw write of a held name
+    /// reaches the hook, which latches the store.
     fn define(&self, domain: &str, key: &str, name: Option<&str>, value: Value) -> Result<()> {
-        if let Some(name) = name {
-            if let Some(held) = self.world.catalog.get(name) {
-                return Err(Error::AlreadyExists(format!("{} '{name}'", held.kind())));
-            }
+        let _turn = self.ddl.lock();
+        if let Some((name, held)) = name.and_then(|n| self.world.catalog.get(n).map(|c| (n, c))) {
+            return Err(Error::AlreadyExists(format!("{} '{name}'", held.kind())));
         }
-        let claims = name.into_iter().flat_map(|n| CONTAINER_DOMAINS.map(|d| (d, n)));
         self.mvcc.run(IsolationLevel::Serializable, 3, |txn| {
-            for (d, k) in std::iter::once((domain, key)).chain(claims.clone()) {
-                if txn.contains(d, k.as_bytes())? {
-                    let what = d.trim_start_matches("ddl/");
-                    return Err(Error::AlreadyExists(format!("{what} '{k}'")));
-                }
+            if txn.contains(domain, key.as_bytes())? {
+                let what = domain.trim_start_matches("ddl/");
+                return Err(Error::AlreadyExists(format!("{what} '{key}'")));
             }
             txn.put(domain, key.as_bytes(), value.clone())
         })
@@ -269,18 +265,14 @@ impl Database {
 
     /// Create a vertex collection in a graph.
     pub fn create_vertex_collection(&self, graph: &str, name: &str) -> Result<()> {
-        self.define_graph_collection(graph, "v", name)
+        self.world.catalog.graph(graph)?;
+        self.define("ddl/graph", &format!("{graph}/v/{name}"), Some(name), no_params())
     }
 
     /// Create an edge collection in a graph.
     pub fn create_edge_collection(&self, graph: &str, name: &str) -> Result<()> {
-        self.define_graph_collection(graph, "e", name)
-    }
-
-    /// Define `<graph>/<kind>/<name>` in an existing graph.
-    fn define_graph_collection(&self, graph: &str, kind: &str, name: &str) -> Result<()> {
         self.world.catalog.graph(graph)?;
-        self.define("ddl/graph", &format!("{graph}/{kind}/{name}"), Some(name), no_params())
+        self.define("ddl/graph", &format!("{graph}/e/{name}"), Some(name), no_params())
     }
 
     /// Create a secondary index on `path` of `source`, built from the
@@ -577,11 +569,6 @@ impl Database {
         Ok(stats.render())
     }
 }
-
-/// The definition domains of the containers: a name is defined in at
-/// most one of them.
-const CONTAINER_DOMAINS: [&str; 5] =
-    ["ddl/collection", "ddl/table", "ddl/bucket", "ddl/graph", "ddl/tree"];
 
 /// The value of a definition that is nothing but its name: a collection,
 /// a bucket, a graph, a vertex or edge collection.

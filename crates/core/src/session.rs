@@ -447,14 +447,10 @@ fn apply_definition(world: &World, kind: &str, key: &[u8], def: Option<&Value>) 
     let Some(def) = def else {
         return match (kind, &parts[..]) {
             // A graph's collection goes with its graph, and only with it.
-            ("graph", [graph, _, _]) => match world.catalog.get(graph) {
-                Some(Container::Graph(_)) => Err(Error::Unsupported(format!("dropping graph '{name}'"))),
-                _ => Ok(()),
-            },
-            ("collection" | "table" | "bucket" | "graph" | "tree", _) => {
-                world.drop_container(kind, name);
-                Ok(())
+            ("graph", [graph, _, _]) if matches!(world.catalog.get(graph), Some(Container::Graph(_))) => {
+                Err(Error::Unsupported(format!("dropping graph '{name}'")))
             }
+            ("collection" | "table" | "bucket" | "graph" | "tree", _) => world.drop_container(kind, name),
             _ => Err(Error::Unsupported(format!("dropping {kind} '{name}'"))),
         };
     };
@@ -474,7 +470,7 @@ fn apply_definition(world: &World, kind: &str, key: &[u8], def: Option<&Value>) 
                 (Value::String(xml), _) => mmdb_xml::parse_xml(xml)?,
                 (_, json) => mmdb_xml::Tree::from_json(json),
             };
-            catalog.create_tree(name, tree).map(drop)
+            catalog.create_tree(name, tree)
         }
         "index" => {
             let source = def.get_field("source").as_str()?;

@@ -349,11 +349,6 @@ impl Collection {
         Ok(())
     }
 
-    /// Whether this collection has a full-text index named `name`.
-    pub fn has_fulltext_index(&self, name: &str) -> bool {
-        self.indexes.read().fulltext.contains_key(name)
-    }
-
     /// Run `search` over the full-text index `name` under the index lock.
     fn search_fulltext<R>(&self, name: &str, search: impl FnOnce(&TextIndex) -> R) -> Result<R> {
         let idx = self.indexes.read();
@@ -657,7 +652,6 @@ mod tests {
         c.insert_json(r#"{"_key":"p1","description":"a wooden toy train"}"#).unwrap();
         c.insert_json(r#"{"_key":"p2","description":"a paperback book"}"#).unwrap();
         c.create_fulltext_index("product_text", "description").unwrap();
-        assert!(c.has_fulltext_index("product_text"));
         let search = |q: &str| keys(c.fulltext("product_text", q, &Projection::ALL).unwrap());
         assert_eq!(search("toy"), vec!["p1"]);
         assert_eq!(search("paperback book"), vec!["p2"]);

@@ -341,16 +341,6 @@ impl Graph {
         far.into_iter().map(Arc::clone).collect()
     }
 
-    /// Whether a vertex collection with this name exists.
-    pub fn vertex_collection_exists(&self, name: &str) -> bool {
-        self.vertices.read().contains_key(name)
-    }
-
-    /// Whether an edge collection with this name exists.
-    pub fn edge_collection_exists(&self, name: &str) -> bool {
-        self.edges.read().contains_key(name)
-    }
-
     /// Count vertices across all vertex collections.
     pub fn vertex_count(&self) -> usize {
         self.vertices.read().values().map(|c| c.len()).sum()

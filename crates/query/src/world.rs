@@ -1,15 +1,10 @@
 //! The [`World`]: every model store a query can reach.
 //!
 //! One `World` is the "single, integrated backend" of the multi-model
-//! definition, and its [`Catalog`] is one namespace across the models: a
-//! name is one container — a document collection, relational table,
-//! key/value bucket, property graph or registered XML/JSON tree — and a
-//! graph's vertex and edge collections and a collection's full-text
-//! indexes take their names from the same space. So `FOR x IN name`,
-//! `DOC`, `FULLTEXT`, `XPATH` and a traversal's edge collection each
-//! resolve with one probe of the catalog, and no name can mean two
-//! things. The triple store and the spatial R-trees sit beside the
-//! catalog: the first has no name, the second is a process-local fixture.
+//! definition. Its [`Catalog`] is one namespace across the models: a name
+//! is one container (collection, table, bucket, graph or tree) or one part
+//! of one (a graph's vertex or edge collection, a collection's full-text
+//! index), and every lookup is one probe of it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -122,12 +117,36 @@ fn missing(want: &str, name: &str, held: Option<Container>) -> Error {
     }
 }
 
-/// A create of something that already exists is a re-applied definition.
-fn done_if_exists(created: Result<()>) -> Result<()> {
-    match created {
-        Err(Error::AlreadyExists(_)) => Ok(()),
-        created => created,
-    }
+/// The typed lookups: each is one probe that wants one kind.
+macro_rules! lookups {
+    ($($(#[$doc:meta])* $lookup:ident: $kind:ident -> $handle:ty, $want:literal;)*) => {
+        impl Catalog {
+            $($(#[$doc])*
+            pub fn $lookup(&self, name: &str) -> Result<Arc<$handle>> {
+                match self.get(name) {
+                    Some(Container::$kind(handle)) => Ok(handle),
+                    held => Err(missing($want, name, held)),
+                }
+            })*
+        }
+    };
+}
+
+lookups! {
+    /// Look up a document collection.
+    collection: Collection -> Collection, "collection";
+    /// Look up a table.
+    table: Table -> Table, "table";
+    /// Look up a graph.
+    graph: Graph -> Graph, "graph";
+    /// The graph owning an edge collection (MMQL traversal clauses name
+    /// only the edge collection, as AQL does).
+    edges: Edges -> Graph, "edge collection";
+    /// The collection owning a full-text index (`FULLTEXT` names only the
+    /// index).
+    fulltext: Fulltext -> Collection, "fulltext index";
+    /// Look up a registered tree.
+    tree: Tree -> Tree, "tree";
 }
 
 impl Catalog {
@@ -143,134 +162,82 @@ impl Catalog {
         names
     }
 
-    /// Put `container` under `name`. A name that already holds the same
-    /// definition — the same kind and, for a part, the same owner — keeps
-    /// it: a re-applied definition is done. One that holds anything else
-    /// is `AlreadyExists`, naming both kinds.
-    fn insert(&self, name: &str, container: Container) -> Result<()> {
+    /// Put `container` under `name` if it is free, and say whether it was.
+    /// A name holding the same kind (and owner, for a part) is a re-applied
+    /// definition, left as it is; any other is `AlreadyExists`.
+    fn claim(&self, name: &str, container: Container) -> Result<bool> {
         let mut entries = self.entries.write();
-        let Some(held) = entries.get(name) else {
-            entries.insert(name.to_string(), container);
-            return Ok(());
-        };
-        if held.kind() == container.kind() && held.owner() == container.owner() {
-            return Ok(());
+        match entries.get(name) {
+            None => {
+                entries.insert(name.to_string(), container);
+                Ok(true)
+            }
+            Some(held) if held.kind() == container.kind() && held.owner() == container.owner() => Ok(false),
+            Some(held) => {
+                let (kind, held) = (container.kind(), held.kind());
+                Err(Error::AlreadyExists(format!("{kind} '{name}': the name is a {held}")))
+            }
         }
-        let (kind, held) = (container.kind(), held.kind());
-        Err(Error::AlreadyExists(format!("{kind} '{name}': the name is a {held}")))
-    }
-
-    /// Remove `name` if it holds a container of `kind`, together with the
-    /// names of its parts (a graph's vertex and edge collections, a
-    /// collection's full-text indexes). Returns what it held.
-    pub fn remove(&self, kind: &str, name: &str) -> Option<Container> {
-        let mut entries = self.entries.write();
-        if entries.get(name)?.kind() != kind {
-            return None;
-        }
-        let held = entries.remove(name)?;
-        // A part shares its owner's handle, which `held` keeps alive past
-        // the guard: no handle's last reference is dropped under the lock.
-        entries.retain(|_, c| c.owner() != Some(name));
-        Some(held)
     }
 
     /// Create a document collection.
     pub fn create_collection(&self, name: &str) -> Result<Arc<Collection>> {
         let made = Collection::create(name, Arc::clone(&self.pool))?;
-        self.insert(name, Container::Collection(Arc::new(made)))?;
+        self.claim(name, Container::Collection(Arc::new(made)))?;
         self.collection(name)
     }
 
     /// Create a relational table.
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<Arc<Table>> {
         let made = Table::create(name, schema, Arc::clone(&self.pool))?;
-        self.insert(name, Container::Table(Arc::new(made)))?;
+        self.claim(name, Container::Table(Arc::new(made)))?;
         self.table(name)
     }
 
     /// Create a property graph.
     pub fn create_graph(&self, name: &str) -> Result<Arc<Graph>> {
         let made = Graph::create(name, Arc::clone(&self.pool));
-        self.insert(name, Container::Graph(Arc::new(made)))?;
+        self.claim(name, Container::Graph(Arc::new(made)))?;
         self.graph(name)
     }
 
     /// Create a vertex collection `name` in `graph`.
     pub fn create_vertex_collection(&self, graph: &str, name: &str) -> Result<()> {
         let g = self.graph(graph)?;
-        self.insert(name, Container::Vertices(Arc::clone(&g)))?;
-        done_if_exists(g.create_vertex_collection(name))
+        if self.claim(name, Container::Vertices(Arc::clone(&g)))? {
+            g.create_vertex_collection(name)?;
+        }
+        Ok(())
     }
 
     /// Create an edge collection `name` in `graph`.
     pub fn create_edge_collection(&self, graph: &str, name: &str) -> Result<()> {
         let g = self.graph(graph)?;
-        self.insert(name, Container::Edges(Arc::clone(&g)))?;
-        done_if_exists(g.create_edge_collection(name))
+        if self.claim(name, Container::Edges(Arc::clone(&g)))? {
+            g.create_edge_collection(name)?;
+        }
+        Ok(())
     }
 
     /// Create the full-text index `name` over `field` of `collection`,
     /// built from its current documents.
     pub fn create_fulltext_index(&self, name: &str, collection: &str, field: &str) -> Result<()> {
         let c = self.collection(collection)?;
-        self.insert(name, Container::Fulltext(Arc::clone(&c)))?;
-        done_if_exists(c.create_fulltext_index(name, field))
+        if self.claim(name, Container::Fulltext(Arc::clone(&c)))? {
+            c.create_fulltext_index(name, field)?;
+        }
+        Ok(())
     }
 
-    /// Register an XML/JSON tree under a name.
+    /// Register an XML/JSON tree under a name. A tree re-applied under its
+    /// name (a reset replica's stale one) may differ, so it replaces the
+    /// tree there, which is dropped past the guard.
     pub fn create_tree(&self, name: &str, tree: Tree) -> Result<()> {
-        self.insert(name, Container::Tree(Arc::new(tree)))
-    }
-
-    /// Look up a document collection.
-    pub fn collection(&self, name: &str) -> Result<Arc<Collection>> {
-        match self.get(name) {
-            Some(Container::Collection(c)) => Ok(c),
-            held => Err(missing("collection", name, held)),
+        let tree = Container::Tree(Arc::new(tree));
+        if !self.claim(name, tree.clone())? {
+            let _stale = self.entries.write().insert(name.to_string(), tree);
         }
-    }
-
-    /// Look up a table.
-    pub fn table(&self, name: &str) -> Result<Arc<Table>> {
-        match self.get(name) {
-            Some(Container::Table(t)) => Ok(t),
-            held => Err(missing("table", name, held)),
-        }
-    }
-
-    /// Look up a graph.
-    pub fn graph(&self, name: &str) -> Result<Arc<Graph>> {
-        match self.get(name) {
-            Some(Container::Graph(g)) => Ok(g),
-            held => Err(missing("graph", name, held)),
-        }
-    }
-
-    /// The graph owning an edge collection (MMQL traversal clauses name
-    /// only the edge collection, as AQL does).
-    pub fn edges(&self, name: &str) -> Result<Arc<Graph>> {
-        match self.get(name) {
-            Some(Container::Edges(g)) => Ok(g),
-            held => Err(missing("edge collection", name, held)),
-        }
-    }
-
-    /// The collection owning a full-text index (`FULLTEXT` names only the
-    /// index).
-    pub fn fulltext(&self, name: &str) -> Result<Arc<Collection>> {
-        match self.get(name) {
-            Some(Container::Fulltext(c)) => Ok(c),
-            held => Err(missing("fulltext index", name, held)),
-        }
-    }
-
-    /// Look up a registered tree.
-    pub fn tree(&self, name: &str) -> Result<Arc<Tree>> {
-        match self.get(name) {
-            Some(Container::Tree(t)) => Ok(t),
-            held => Err(missing("tree", name, held)),
-        }
+        Ok(())
     }
 }
 
@@ -289,12 +256,6 @@ pub struct World {
     pub spatial: RwLock<HashMap<String, mmdb_index::rtree::RTree<Value>>>,
     /// Index-hit vs full-scan counters across all queries.
     pub access: AccessStats,
-}
-
-impl Default for World {
-    fn default() -> Self {
-        Self::in_memory()
-    }
 }
 
 impl World {
@@ -317,16 +278,27 @@ impl World {
     /// Create a key/value bucket: its name in the catalog, its entries in
     /// [`World::kv`].
     pub fn create_bucket(&self, name: &str) -> Result<()> {
-        self.catalog.insert(name, Container::Bucket)?;
-        done_if_exists(self.kv.create_bucket(name))
+        if self.catalog.claim(name, Container::Bucket)? {
+            self.kv.create_bucket(name)?;
+        }
+        Ok(())
     }
 
-    /// Drop `name` with everything it holds, if it is a container of
-    /// `kind`; anything else under the name stays.
-    pub fn drop_container(&self, kind: &str, name: &str) {
-        if let Some(Container::Bucket) = self.catalog.remove(kind, name) {
-            // The catalog's entry was the bucket's only claim.
-            let _ = self.kv.drop_bucket(name);
+    /// Drop `name` with its parts and, for a bucket, its entries, if it is
+    /// a container of `kind`; anything else under the name stays.
+    pub fn drop_container(&self, kind: &str, name: &str) -> Result<()> {
+        let dropped = {
+            let mut entries = self.catalog.entries.write();
+            if !matches!(entries.get(name), Some(c) if c.kind() == kind) {
+                return Ok(());
+            }
+            // The parts go first: the owner's entry keeps their handle alive.
+            entries.retain(|_, c| c.owner() != Some(name));
+            entries.remove(name)
+        };
+        match dropped {
+            Some(Container::Bucket) => self.kv.drop_bucket(name),
+            _ => Ok(()),
         }
     }
 
@@ -427,11 +399,12 @@ mod tests {
         assert!(w.catalog.create_fulltext_index("product_text", "orders", "x").is_err());
         w.catalog.create_edge_collection("social", "knows").unwrap();
 
-        // A remove of another kind leaves the name; the owner's takes its
+        // A drop of another kind leaves the name; the owner's takes its
         // parts along.
-        assert!(w.catalog.remove("table", "social").is_none());
-        assert!(w.catalog.remove("graph", "social").is_some());
-        assert!(w.catalog.remove("collection", "products").is_some());
+        w.drop_container("table", "social").unwrap();
+        assert!(w.catalog.graph("social").is_ok());
+        w.drop_container("graph", "social").unwrap();
+        w.drop_container("collection", "products").unwrap();
         let names: Vec<String> = w.catalog.names().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["orders", "other"]);
     }
@@ -463,7 +436,7 @@ mod tests {
         assert_eq!(kv[0].get_field("_key"), &Value::str("k1"));
         assert_eq!(kv[0].get_field("value"), &Value::int(9));
 
-        w.drop_container("bucket", "b");
+        w.drop_container("bucket", "b").unwrap();
         assert!(w.catalog.get("b").is_none() && !w.kv.has_bucket("b"));
     }
 }

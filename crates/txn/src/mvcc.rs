@@ -855,10 +855,11 @@ impl MvccStore {
     /// what recovery decodes from the log's fold, or the image block a
     /// replica resets onto — as one install and one apply, so readers see
     /// the old state until the new one lands whole. Live keys `state`
-    /// lacks get tombstones after `state`'s writes, in reverse load-class
-    /// order (index definitions first, edges before their vertices,
-    /// container definitions last); an empty store (a reopen) has none,
-    /// and the diff is skipped. `lsn`, the log position `state` stands
+    /// lacks get tombstones ahead of `state`'s writes, in reverse
+    /// load-class order (index definitions first, edges before their
+    /// vertices, container definitions last), so a ghost container is
+    /// gone before `state` defines its name, maybe as another kind; an
+    /// empty store (a reopen) has none, and the diff is skipped. `lsn`, the log position `state` stands
     /// for, becomes the watermark once it is applied. Nothing is logged: `state` came from a
     /// log, and the versions keep its bytes. Returns the number of keys in `state`.
     ///
@@ -898,9 +899,8 @@ impl MvccStore {
                     (std::cmp::Reverse(load_class(&a.domain)), &a.domain, &a.key)
                         .cmp(&(std::cmp::Reverse(load_class(&b.domain)), &b.domain, &b.key))
                 });
-                for w in doomed {
-                    writes.push(w, None);
-                }
+                writes.values.splice(0..0, std::iter::repeat_n(None, doomed.len()));
+                writes.writes.splice(0..0, doomed);
             }
             drop(versions);
             reserve_chains(&mut inner.versions.write(), &writes.writes);
@@ -1628,14 +1628,14 @@ mod tests {
         assert_eq!(
             *seen.lock(),
             [
-                one("ddl/bucket", true),
-                one("kv/cart", true),
                 one("ddl/index", false),
                 one("graph/g/e/knows", false),
                 one("kv/cart", false),
                 one("ddl/collection", false),
+                one("ddl/bucket", true),
+                one("kv/cart", true),
             ],
-            "one apply: the state, then its tombstones in reverse load order"
+            "one apply: the tombstones in reverse load order, then the state"
         );
         assert_eq!(s.get_latest("kv/cart", b"a").unwrap(), Some(Value::int(2)));
         assert_eq!(s.get_latest("kv/cart", b"ghost").unwrap(), None);

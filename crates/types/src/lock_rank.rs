@@ -12,7 +12,8 @@
 //!
 //! Read top to bottom, these are the paths a request can take: a lane
 //! executor holds its connection's session across the engine call; the
-//! engine call may checkpoint, or commit — the leader takes the commit
+//! engine call may define (and commit under the DDL turn), checkpoint, or
+//! commit — the leader takes the commit
 //! mutex, then the committer, with the mutex released, runs the commit
 //! hooks; and the hooks apply the write set to the model stores, which
 //! keep their records in heap files (each behind a leaf lock).
@@ -39,6 +40,15 @@ pub const SERVER_REGISTRY: Rank = Rank::new(10, "server.registry");
 /// it sits above everything the engine can touch. Serial per connection,
 /// hence uncontended; never take it while any engine lock is held.
 pub const SERVER_SESSION: Rank = Rank::new(20, "server.session");
+
+// ---- core: definitions -----------------------------------------------------
+
+/// `Database::define`'s turn: held from the check that a name is free
+/// until the commit hook has put the definition in the catalog, so two
+/// definers of one name take turns. The commit runs under it (the commit
+/// mutex, the hooks and the model stores), so it is held across the
+/// commit's fsync.
+pub const CORE_DDL: Rank = Rank::new(25, "core.ddl").held_across_waits();
 
 // ---- core: checkpointing ---------------------------------------------------
 

@@ -134,3 +134,42 @@ fn a_logged_definition_of_a_held_name_latches_live_and_at_open() {
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn racing_definers_of_one_name_take_turns() {
+    // Pairs whose definitions share no key in the log, so only the
+    // catalog check, taken in turn, keeps the second out of it: a vertex
+    // and an edge collection of one graph, a part and a container, two
+    // containers of different kinds.
+    let kind = |name: &str| KINDS.iter().find(|(k, _)| *k == name).unwrap().1;
+    let pairs = [
+        ("vertex collection", "edge collection"),
+        ("vertex collection", "collection"),
+        ("fulltext index", "table"),
+        ("collection", "table"),
+        ("graph", "graph"),
+    ];
+    for (first, second) in pairs {
+        for _ in 0..20 {
+            let db = Database::in_memory_logged();
+            db.create_graph("g").unwrap();
+            db.create_collection("docs").unwrap();
+            let start = std::sync::Barrier::new(2);
+            let outcomes: Vec<Result<()>> = std::thread::scope(|s| {
+                let racers = [kind(first), kind(second)].map(|define| {
+                    let (db, start) = (&db, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        define(db, "x")
+                    })
+                });
+                racers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            let refused: Vec<_> = outcomes.into_iter().filter_map(Result::err).collect();
+            assert_eq!(refused.len(), 1, "{first} and {second}: {refused:?}");
+            assert_eq!(refused[0].kind(), "already_exists", "{first} and {second}");
+            assert_eq!(db.hook_failure(), None, "{first} and {second}");
+            assert!(!db.is_degraded(), "{first} and {second}");
+        }
+    }
+}

@@ -717,6 +717,38 @@ fn a_load_drops_every_ghost_container() {
 }
 
 #[test]
+fn a_load_replaces_a_ghost_whose_name_the_primary_gives_another_kind() {
+    use mmdb::substrate::relational::{ColumnDef, DataType, Schema};
+    let schema = || Schema::new(vec![ColumnDef::new("id", DataType::Int)], "id").unwrap();
+    let primary = Database::in_memory_logged();
+    rewrite_history(&primary);
+    primary.create_collection("x").unwrap();
+    primary.insert_json("x", r#"{"_key":"k","v":1}"#).unwrap();
+    primary.create_table("y", schema()).unwrap();
+    primary.insert_row("y", &mmdb::from_json(r#"{"id":7}"#).unwrap()).unwrap();
+    primary.register_xml("t", "<a><b>new</b></a>").unwrap();
+    let db = a_store_that_holds_the_fold_and_a_ghost();
+    // The same names with other containers, and data in them: the
+    // ghosts' definitions and data are tombstoned, the primary's put.
+    db.create_table("x", schema()).unwrap();
+    db.insert_row("x", &mmdb::from_json(r#"{"id":1}"#).unwrap()).unwrap();
+    db.create_collection("y").unwrap();
+    db.insert_json("y", r#"{"_key":"d"}"#).unwrap();
+    db.register_xml("t", "<a><b>stale</b></a>").unwrap();
+
+    load_fold_of(&primary, &db);
+    assert_eq!(db.hook_failure(), None);
+    assert_eq!(db.degraded_reason(), None);
+    let kinds: Vec<_> = ["x", "y", "t"].map(|n| db.world().catalog.get(n).map(|c| c.kind())).into();
+    assert_eq!(kinds, [Some("collection"), Some("table"), Some("tree")]);
+    assert_eq!(db.query("FOR r IN x RETURN r.v").unwrap(), vec![Value::int(1)]);
+    assert_eq!(db.query("FOR r IN y RETURN r.id").unwrap(), vec![Value::int(7)]);
+    let tree = r#"RETURN XPATH("t", "/a/b")"#;
+    assert_eq!(db.query(tree).unwrap(), primary.query(tree).unwrap());
+    assert_eq!(fold_probes(&db), fold_probes(&primary));
+}
+
+#[test]
 fn a_raw_reput_of_a_live_edge_moves_it() {
     let db = Database::in_memory_logged();
     db.create_graph("social").unwrap();
