@@ -112,25 +112,28 @@ impl Session {
 
     // ---- documents ---------------------------------------------------------
 
-    /// Stage a document insert; returns the (possibly generated) `_key`.
-    pub fn insert_document(&mut self, collection: &str, mut doc: Value) -> Result<String> {
-        let domain = self.doc_domain(collection)?;
+    /// The `_key` of a document, vertex or edge about to be staged: its
+    /// own, which must be a string, or a generated one written into it.
+    fn key_for(&mut self, doc: &mut Value) -> Result<String> {
         let obj = doc.as_object_mut()?;
-        let key = match obj.get("_key") {
-            Some(Value::String(k)) => k.to_string(),
+        match obj.get("_key") {
+            Some(Value::String(k)) => Ok(k.to_string()),
             Some(other) => {
-                return Err(Error::Schema(format!(
-                    "_key must be a string, got {}",
-                    other.type_name()
-                )))
+                Err(Error::Schema(format!("_key must be a string, got {}", other.type_name())))
             }
             None => {
                 self.generated += 1;
                 let k = format!("{}-{}", self.txn.id(), self.generated);
                 obj.insert("_key", Value::str(&k));
-                k
+                Ok(k)
             }
-        };
+        }
+    }
+
+    /// Stage a document insert; returns the (possibly generated) `_key`.
+    pub fn insert_document(&mut self, collection: &str, mut doc: Value) -> Result<String> {
+        let domain = self.doc_domain(collection)?;
+        let key = self.key_for(&mut doc)?;
         if self.txn.contains(&domain, key.as_bytes())? {
             return Err(Error::AlreadyExists(format!("document '{key}' in '{collection}'")));
         }
@@ -245,16 +248,7 @@ impl Session {
     /// Stage a vertex insert; returns the vertex handle.
     pub fn add_vertex(&mut self, graph: &str, collection: &str, mut doc: Value) -> Result<String> {
         let domain = self.graph_domain(graph, "v", collection)?;
-        let obj = doc.as_object_mut()?;
-        let key = match obj.get("_key") {
-            Some(Value::String(k)) => k.to_string(),
-            _ => {
-                self.generated += 1;
-                let k = format!("{}-{}", self.txn.id(), self.generated);
-                obj.insert("_key", Value::str(&k));
-                k
-            }
-        };
+        let key = self.key_for(&mut doc)?;
         self.txn.put(&domain, key.as_bytes(), doc)?;
         Ok(format!("{collection}/{key}"))
     }
@@ -280,17 +274,10 @@ impl Session {
                 return Err(Error::NotFound(format!("vertex '{endpoint}'")));
             }
         }
-        {
-            let obj = properties.as_object_mut()?;
-            obj.insert("_from", Value::str(from));
-            obj.insert("_to", Value::str(to));
-            if !obj.contains_key("_key") {
-                self.generated += 1;
-                let k = format!("{}-{}", self.txn.id(), self.generated);
-                obj.insert("_key", Value::str(k));
-            }
-        }
-        let key = properties.get_field("_key").as_str()?.to_string();
+        let obj = properties.as_object_mut()?;
+        obj.insert("_from", Value::str(from));
+        obj.insert("_to", Value::str(to));
+        let key = self.key_for(&mut properties)?;
         if self.txn.contains(&domain, key.as_bytes())? {
             return Err(Error::AlreadyExists(format!("edge '{key}' in '{collection}'")));
         }
@@ -776,6 +763,29 @@ mod tests {
         db.kv_put("cart", "1", Value::str("o1")).unwrap();
         let got = db.query(r#"FOR v IN 1..1 OUTBOUND "persons/1" knows RETURN v._key"#).unwrap();
         assert_eq!(got, vec![Value::str("2"), Value::str("3")]);
+    }
+
+    #[test]
+    fn a_key_that_is_not_a_string_is_refused_before_it_is_staged() {
+        let db = db_with_stores();
+        let keyed = |k: &str| mmdb_types::from_json(&format!(r#"{{"_key":{k}}}"#)).unwrap();
+        db.transact(IsolationLevel::Snapshot, 3, |s| {
+            s.add_vertex("social", "persons", keyed(r#""1""#)).map(drop)
+        })
+        .unwrap();
+        let mut s = db.begin(IsolationLevel::Snapshot);
+        for key in ["7", "null", "[1]"] {
+            let errs = [
+                s.insert_document("orders", keyed(key)).unwrap_err(),
+                s.add_vertex("social", "persons", keyed(key)).unwrap_err(),
+                s.add_edge("social", "knows", "persons/1", "persons/1", keyed(key)).unwrap_err(),
+            ];
+            for err in errs {
+                assert_eq!(err.kind(), "schema", "{key}: {err}");
+                assert!(err.to_string().contains("_key must be a string"), "{key}: {err}");
+            }
+        }
+        assert_eq!(s.write_count(), 0, "nothing staged");
     }
 
     #[test]

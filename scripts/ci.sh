@@ -90,6 +90,13 @@ cargo test -q --release --features failpoints --test replication \
   a_file_backed_replica_of_a_checkpointed_primary_resumes_after_a_restart
 cargo test -q -p mmdb-txn --features failpoints --lib -- --test-threads=1
 
+echo "==> mmdb-fault's registry tests (--features failpoints)"
+# The workspace pass above builds mmdb-fault without the feature, where
+# only the no-op checks exist; the registry's own unit tests (spec
+# grammar, hit counts, actions, the macro forms) and tests/env.rs
+# (MMDB_FAILPOINTS arms sites on first use) compile only with it.
+cargo test -q -p mmdb-fault --features failpoints
+
 echo "==> the read path's and a wire point read's allocation budgets, the version store's footprint and mmdb-types, optimized build"
 # tests/query_allocs.rs ran in the debug pass above; this is the
 # optimized build, the one the benchmark of record measures. It counts
@@ -119,8 +126,8 @@ cargo test -q --release --test wire_allocs
 cargo test -q --release -p mmdb-types
 
 echo "==> cargo clippy --features failpoints (torture suites + feature-gated #[expect]s)"
-# The only pass that compiles mmdb-fault's registry, so the only one that
-# sees (and checks) its two feature-gated #[expect]s.
+# The only clippy pass that compiles mmdb-fault's registry, so the only
+# one that sees (and checks) its two feature-gated #[expect]s.
 cargo clippy -p mmdb --all-targets --features failpoints -- -D warnings
 
 echo "==> examples run end to end"

@@ -9,13 +9,20 @@
 //!
 //! Differences from real proptest, deliberately accepted:
 //!
-//! * **Simplified shrinking.** Failing cases are minimized by greedy
-//!   halving (integers: toward the range start) and truncation (vectors:
-//!   toward the minimum length), re-running the body one swapped argument
-//!   at a time to a fixpoint. This finds the same minimal counterexamples
-//!   as real proptest for monotone properties but does not replay the
-//!   full generation tree, so map/union/string outputs are reported
-//!   unminimized.
+//! * **One shrinker for every strategy.** Strategies only generate;
+//!   every value is built from the draws of a [`test_runner::TestRng`],
+//!   which records each draw with its bound. A failing case is minimized
+//!   by replaying the test on an edited record: each draw in turn is set
+//!   to 0, to half its value or to one less, or removed; a draw past the
+//!   record's end, or whose bound differs from the one recorded at its
+//!   position, reads 0. An edit that still fails becomes the new
+//!   baseline, to a fixpoint under a fixed run cap, and a candidate that
+//!   panics counts as passing. So maps, unions, strings, collections and
+//!   recursion shrink alike, toward the values their strategies make
+//!   from zero draws. The limit: a filter can stall it, since an edit its
+//!   predicate rejects is redrawn from zeros. With the property
+//!   `v < 100`, `(0..1000).prop_filter(even)` can stop at an even value
+//!   whose half and predecessor are odd: the self-test stops at 150.
 //! * **Deterministic seeds.** Cases derive from a hash of the test name
 //!   and the case index, so runs are reproducible by construction; there
 //!   is no `PROPTEST_CASES`/persistence machinery.
@@ -28,6 +35,8 @@ use std::ops::{Range, RangeInclusive};
 use std::sync::Arc;
 
 pub mod test_runner {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
     /// Per-test configuration. Only `cases` is honoured.
     #[derive(Clone, Debug)]
     pub struct ProptestConfig {
@@ -46,10 +55,21 @@ pub mod test_runner {
         }
     }
 
-    /// Deterministic splitmix64 RNG used to drive all strategies.
+    /// One draw: its result and the bound it is below (0: any `u64`).
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Draw {
+        value: u64,
+        bound: u64,
+    }
+
+    /// The source of every generated value: a deterministic splitmix64
+    /// generator that records each draw, or a replay of edited draws.
     #[derive(Clone, Debug)]
     pub struct TestRng {
         state: u64,
+        /// Draws to hand out instead of fresh ones.
+        replay: Option<Vec<Draw>>,
+        record: Vec<Draw>,
     }
 
     impl TestRng {
@@ -60,26 +80,113 @@ pub mod test_runner {
                 h ^= b as u64;
                 h = h.wrapping_mul(0x100_0000_01b3);
             }
-            TestRng { state: h ^ ((case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)) }
+            let state = h ^ ((case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            TestRng { state, replay: None, record: Vec::new() }
+        }
+
+        fn replaying(draws: Vec<Draw>) -> TestRng {
+            TestRng { state: 0, replay: Some(draws), record: Vec::new() }
+        }
+
+        /// A result below `bound` (0: any `u64`). A replay hands out the
+        /// draw recorded at this position if its bound is the same, and 0
+        /// otherwise.
+        pub(crate) fn draw(&mut self, bound: u64) -> u64 {
+            let value = match &self.replay {
+                Some(draws) => match draws.get(self.record.len()) {
+                    Some(d) if d.bound == bound => d.value,
+                    _ => 0,
+                },
+                None => {
+                    self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                    let mut z = self.state;
+                    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                    z ^= z >> 31;
+                    z.checked_rem(bound).unwrap_or(z)
+                }
+            };
+            self.record.push(Draw { value, bound });
+            value
         }
 
         pub fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            self.draw(0)
         }
 
         /// Uniform usize in `[0, bound)`; `bound` must be nonzero.
         pub fn below(&mut self, bound: usize) -> usize {
-            (self.next_u64() % bound as u64) as usize
+            self.draw(bound as u64) as usize
         }
 
         /// Uniform in `[0, 1)`.
         pub fn unit_f64(&mut self) -> f64 {
             (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
         }
+    }
+
+    /// A property's first failing case, minimized.
+    pub struct Failure {
+        pub case: u32,
+        pub message: String,
+        /// Edits that were kept while shrinking.
+        pub steps: u32,
+        draws: Vec<Draw>,
+    }
+
+    impl Failure {
+        /// A generator that replays the minimized case's draws.
+        pub fn replay(&self) -> TestRng {
+            TestRng::replaying(self.draws.clone())
+        }
+    }
+
+    /// Test runs a shrink may spend.
+    const SHRINK_RUNS: u32 = 4096;
+
+    /// Run `test` on cases `0..cases` of `name`, stop at the first that
+    /// fails and shrink it. A panic in a case propagates unshrunk.
+    pub fn run<F>(name: &str, cases: u32, mut test: F) -> Option<Failure>
+    where
+        F: FnMut(&mut TestRng) -> Result<(), String>,
+    {
+        let mut best = (0..cases).find_map(|case| {
+            let mut rng = TestRng::for_case(name, case);
+            let message = test(&mut rng).err()?;
+            Some(Failure { case, message, steps: 0, draws: rng.record })
+        })?;
+        let (mut runs, mut progress) = (0, true);
+        while progress && runs < SHRINK_RUNS {
+            progress = false;
+            let mut i = 0;
+            while i < best.draws.len() && runs < SHRINK_RUNS {
+                // Set draw `i` to 0, half or one less (`Some`), or remove it.
+                let v = best.draws[i].value;
+                let mut edits: Vec<_> =
+                    [0, v / 2, v.saturating_sub(1)].into_iter().filter(|e| *e < v).map(Some).collect();
+                edits.dedup();
+                edits.push(None);
+                let kept = edits.into_iter().find_map(|edit| {
+                    let mut draws = best.draws.clone();
+                    match edit {
+                        Some(e) => draws[i].value = e,
+                        None => _ = draws.remove(i),
+                    }
+                    runs += 1;
+                    let mut rng = TestRng::replaying(draws);
+                    let Ok(Err(message)) = catch_unwind(AssertUnwindSafe(|| test(&mut rng))) else {
+                        return None;
+                    };
+                    let (steps, draws) = (best.steps + 1, rng.record);
+                    (draws != best.draws).then_some(Failure { case: best.case, message, steps, draws })
+                });
+                match kept {
+                    Some(failure) => (best, progress) = (failure, true),
+                    None => i += 1,
+                }
+            }
+        }
+        Some(best)
     }
 }
 
@@ -90,21 +197,12 @@ use test_runner::TestRng;
 pub mod strategy {
     use super::*;
 
-    /// A recipe for generating values of one type.
+    /// A recipe for generating values of one type from a [`TestRng`]'s
+    /// draws. Strategies do not shrink: the runner shrinks the draws.
     pub trait Strategy {
         type Value;
 
         fn generate(&self, rng: &mut TestRng) -> Self::Value;
-
-        /// Candidate simpler values for `value`, best first. The
-        /// `proptest!` runner calls this on a failing case and greedily
-        /// re-runs the body on each candidate, walking toward a minimal
-        /// counterexample. Strategies that can't meaningfully simplify
-        /// (maps, unions, strings) return nothing and the original
-        /// failing value is reported as-is.
-        fn shrink(&self, _value: &Self::Value) -> Vec<Self::Value> {
-            Vec::new()
-        }
 
         fn prop_map<U, F>(self, f: F) -> Map<Self, F>
         where
@@ -151,22 +249,8 @@ pub mod strategy {
         }
     }
 
-    trait DynStrategy<T> {
-        fn generate_dyn(&self, rng: &mut TestRng) -> T;
-        fn shrink_dyn(&self, value: &T) -> Vec<T>;
-    }
-
-    impl<S: Strategy> DynStrategy<S::Value> for S {
-        fn generate_dyn(&self, rng: &mut TestRng) -> S::Value {
-            self.generate(rng)
-        }
-        fn shrink_dyn(&self, value: &S::Value) -> Vec<S::Value> {
-            self.shrink(value)
-        }
-    }
-
     /// A type-erased, cheaply clonable strategy.
-    pub struct BoxedStrategy<T>(Arc<dyn DynStrategy<T>>);
+    pub struct BoxedStrategy<T>(Arc<dyn Strategy<Value = T>>);
 
     impl<T> Clone for BoxedStrategy<T> {
         fn clone(&self) -> Self {
@@ -177,10 +261,7 @@ pub mod strategy {
     impl<T> Strategy for BoxedStrategy<T> {
         type Value = T;
         fn generate(&self, rng: &mut TestRng) -> T {
-            self.0.generate_dyn(rng)
-        }
-        fn shrink(&self, value: &T) -> Vec<T> {
-            self.0.shrink_dyn(value)
+            self.0.generate(rng)
         }
     }
 
@@ -228,12 +309,6 @@ pub mod strategy {
             }
             panic!("prop_filter '{}' rejected 1000 candidates in a row", self.reason)
         }
-        fn shrink(&self, value: &S::Value) -> Vec<S::Value> {
-            // Shrunk candidates must still satisfy the filter, or the
-            // runner would "minimize" onto an input the strategy could
-            // never have produced.
-            self.inner.shrink(value).into_iter().filter(|v| (self.f)(v)).collect()
-        }
     }
 
     /// `prop_recursive` combinator: bounded structural recursion.
@@ -241,16 +316,6 @@ pub mod strategy {
         pub(crate) leaf: BoxedStrategy<T>,
         pub(crate) recurse: Arc<dyn Fn(BoxedStrategy<T>) -> BoxedStrategy<T>>,
         pub(crate) depth: u32,
-    }
-
-    impl<T> Clone for Recursive<T> {
-        fn clone(&self) -> Self {
-            Recursive {
-                leaf: self.leaf.clone(),
-                recurse: Arc::clone(&self.recurse),
-                depth: self.depth,
-            }
-        }
     }
 
     impl<T: 'static> Strategy for Recursive<T> {
@@ -280,12 +345,6 @@ pub mod strategy {
         }
     }
 
-    impl<T> Clone for Union<T> {
-        fn clone(&self) -> Self {
-            Union { options: self.options.clone() }
-        }
-    }
-
     impl<T> Strategy for Union<T> {
         type Value = T;
         fn generate(&self, rng: &mut TestRng) -> T {
@@ -296,37 +355,16 @@ pub mod strategy {
 
     // ---- numeric range strategies ------------------------------------------
 
-    /// Halving shrink candidates for an integer drawn from
-    /// `[start, start+span)`: the range start (simplest possible), the
-    /// halfway point between start and the value (binary search toward
-    /// the smallest failing input), and the predecessor (final linear
-    /// steps once halving overshoots).
-    fn int_shrink_candidates(start: i128, value: i128) -> Vec<i128> {
-        let mut out = Vec::new();
-        for cand in [start, start + (value - start) / 2, value - 1] {
-            if cand != value && cand >= start && !out.contains(&cand) {
-                out.push(cand);
-            }
-        }
-        out
-    }
-
+    // One draw below the span: a span of 2^64 (a full-width inclusive
+    // range) truncates to bound 0, a draw over all of `u64`.
     macro_rules! impl_int_range_strategy {
         ($($t:ty),*) => {$(
             impl Strategy for Range<$t> {
                 type Value = $t;
                 fn generate(&self, rng: &mut TestRng) -> $t {
                     assert!(self.start < self.end, "empty range strategy");
-                    let span = (self.end as i128 - self.start as i128) as u128;
-                    let v = ((rng.next_u64() as u128) % span) as i128;
-                    (self.start as i128 + v) as $t
-                }
-                fn shrink(&self, value: &$t) -> Vec<$t> {
-                    int_shrink_candidates(self.start as i128, *value as i128)
-                        .into_iter()
-                        .filter(|c| *c < self.end as i128)
-                        .map(|c| c as $t)
-                        .collect()
+                    let span = self.end as i128 - self.start as i128;
+                    (self.start as i128 + rng.draw(span as u64) as i128) as $t
                 }
             }
             impl Strategy for RangeInclusive<$t> {
@@ -334,16 +372,8 @@ pub mod strategy {
                 fn generate(&self, rng: &mut TestRng) -> $t {
                     let (start, end) = (*self.start(), *self.end());
                     assert!(start <= end, "empty range strategy");
-                    let span = (end as i128 - start as i128) as u128 + 1;
-                    let v = ((rng.next_u64() as u128) % span) as i128;
-                    (start as i128 + v) as $t
-                }
-                fn shrink(&self, value: &$t) -> Vec<$t> {
-                    int_shrink_candidates(*self.start() as i128, *value as i128)
-                        .into_iter()
-                        .filter(|c| *c <= *self.end() as i128)
-                        .map(|c| c as $t)
-                        .collect()
+                    let span = end as i128 - start as i128 + 1;
+                    (start as i128 + rng.draw(span as u64) as i128) as $t
                 }
             }
         )*};
@@ -397,41 +427,28 @@ pub use strategy::{BoxedStrategy, Just, Strategy, Union};
 pub mod arbitrary {
     use super::*;
 
-    /// Types with a canonical "anything" strategy.
-    pub trait Arbitrary: Sized {
-        fn arbitrary(rng: &mut TestRng) -> Self;
-    }
-
-    /// The strategy returned by [`any`].
+    /// The strategy returned by [`any`]: a canonical "anything" strategy.
     pub struct Any<T>(PhantomData<T>);
 
-    impl<T> Clone for Any<T> {
-        fn clone(&self) -> Self {
-            Any(PhantomData)
-        }
-    }
-
-    pub fn any<T: Arbitrary>() -> Any<T> {
+    pub fn any<T>() -> Any<T>
+    where
+        Any<T>: Strategy<Value = T>,
+    {
         Any(PhantomData)
     }
 
-    impl<T: Arbitrary> Strategy for Any<T> {
-        type Value = T;
-        fn generate(&self, rng: &mut TestRng) -> T {
-            T::arbitrary(rng)
-        }
-    }
-
-    impl Arbitrary for bool {
-        fn arbitrary(rng: &mut TestRng) -> bool {
+    impl Strategy for Any<bool> {
+        type Value = bool;
+        fn generate(&self, rng: &mut TestRng) -> bool {
             rng.next_u64() & 1 == 1
         }
     }
 
     macro_rules! impl_arbitrary_int {
         ($($t:ty),*) => {$(
-            impl Arbitrary for $t {
-                fn arbitrary(rng: &mut TestRng) -> $t {
+            impl Strategy for Any<$t> {
+                type Value = $t;
+                fn generate(&self, rng: &mut TestRng) -> $t {
                     // Bias towards boundary values, as real proptest does.
                     if rng.below(8) == 0 {
                         const EDGES: [i128; 5] = [0, 1, -1, <$t>::MAX as i128, <$t>::MIN as i128];
@@ -446,8 +463,9 @@ pub mod arbitrary {
 
     impl_arbitrary_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-    impl Arbitrary for f64 {
-        fn arbitrary(rng: &mut TestRng) -> f64 {
+    impl Strategy for Any<f64> {
+        type Value = f64;
+        fn generate(&self, rng: &mut TestRng) -> f64 {
             match rng.below(16) {
                 0 => f64::NAN,
                 1 => f64::INFINITY,
@@ -463,12 +481,6 @@ pub mod arbitrary {
                     m * 10f64.powi(e)
                 }
             }
-        }
-    }
-
-    impl Arbitrary for char {
-        fn arbitrary(rng: &mut TestRng) -> char {
-            char::from_u32((rng.next_u64() % 0xD800_u64) as u32).unwrap_or('a')
         }
     }
 }
@@ -497,12 +509,6 @@ impl From<RangeInclusive<usize>> for SizeRange {
     }
 }
 
-impl From<usize> for SizeRange {
-    fn from(n: usize) -> SizeRange {
-        SizeRange { min: n, max_exclusive: n + 1 }
-    }
-}
-
 impl SizeRange {
     fn pick(&self, rng: &mut TestRng) -> usize {
         self.min + rng.below(self.max_exclusive - self.min)
@@ -523,72 +529,27 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    impl<S: Strategy> Strategy for VecStrategy<S>
-    where
-        S::Value: Clone,
-    {
+    impl<S: Strategy> Strategy for VecStrategy<S> {
         type Value = Vec<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
             let n = self.size.pick(rng);
             (0..n).map(|_| self.element.generate(rng)).collect()
         }
-        fn shrink(&self, value: &Vec<S::Value>) -> Vec<Vec<S::Value>> {
-            let len = value.len();
-            let min = self.size.min;
-            let mut out: Vec<Vec<S::Value>> = Vec::new();
-            // Truncations first — structure dominates: the shortest legal
-            // prefix, the halfway prefix, then one-off-the-end.
-            for target in [min, min + (len - min) / 2, len.saturating_sub(1)] {
-                if target < len && target >= min && !out.iter().any(|v| v.len() == target) {
-                    out.push(value[..target].to_vec());
-                }
-            }
-            // Then simplify elements in place, one candidate per slot.
-            for (i, el) in value.iter().enumerate() {
-                if let Some(cand) = self.element.shrink(el).into_iter().next() {
-                    let mut v = value.clone();
-                    v[i] = cand;
-                    out.push(v);
-                }
-            }
-            out
-        }
     }
 
-    /// Strategy for `BTreeSet`. Sets deduplicate, so the requested minimum
-    /// is best-effort: we draw extra candidates before giving up.
-    #[derive(Clone)]
-    pub struct BTreeSetStrategy<S> {
+    /// Strategy for `BTreeSet`: the keys of a [`btree_map`] to `()`.
+    pub fn btree_set<S: Strategy>(
         element: S,
-        size: SizeRange,
-    }
-
-    pub fn btree_set<S: Strategy>(element: S, size: impl Into<SizeRange>) -> BTreeSetStrategy<S>
+        size: impl Into<SizeRange>,
+    ) -> impl Strategy<Value = BTreeSet<S::Value>>
     where
         S::Value: Ord,
     {
-        BTreeSetStrategy { element, size: size.into() }
+        btree_map(element, Just(()), size).prop_map(|m| m.into_keys().collect())
     }
 
-    impl<S: Strategy> Strategy for BTreeSetStrategy<S>
-    where
-        S::Value: Ord,
-    {
-        type Value = BTreeSet<S::Value>;
-        fn generate(&self, rng: &mut TestRng) -> BTreeSet<S::Value> {
-            let target = self.size.pick(rng);
-            let mut out = BTreeSet::new();
-            for _ in 0..target.saturating_mul(4).max(8) {
-                if out.len() >= target {
-                    break;
-                }
-                out.insert(self.element.generate(rng));
-            }
-            out
-        }
-    }
-
-    /// Strategy for `BTreeMap`, same dedup caveat as sets.
+    /// Strategy for `BTreeMap`. Maps deduplicate keys, so the requested
+    /// minimum is best-effort: we draw extra entries before giving up.
     #[derive(Clone)]
     pub struct BTreeMapStrategy<K, V> {
         key: K,
@@ -659,7 +620,6 @@ pub mod prop {
 pub mod string {
     use super::test_runner::TestRng;
 
-    #[derive(Debug, Clone)]
     enum CharSet {
         /// Inclusive char ranges.
         Ranges(Vec<(char, char)>),
@@ -667,27 +627,15 @@ pub mod string {
         Printable,
     }
 
-    #[derive(Debug, Clone)]
-    struct Element {
-        set: CharSet,
-        min: usize,
-        max_inclusive: usize,
-    }
-
-    /// Generate a string matching a small regex subset: literal chars,
-    /// `[...]` classes with ranges and `\`-escapes, `\PC`, and `{n}` /
-    /// `{m,n}` / `{m,}` repetition. This covers every pattern used in
-    /// mmdb's property tests; anything else panics loudly.
+    /// Generate a string matching one of three regex forms: `[class]{m,n}`,
+    /// `[class]{n}` or `\PC{m,n}`, where a class lists chars, `a-z` ranges
+    /// and `\`-escaped chars. This covers every pattern used in mmdb's
+    /// property tests; anything else panics loudly.
     pub fn generate_from_pattern(pattern: &str, rng: &mut TestRng) -> String {
-        let elements = parse(pattern);
-        let mut out = String::new();
-        for el in &elements {
-            let n = el.min + rng.below(el.max_inclusive - el.min + 1);
-            for _ in 0..n {
-                out.push(pick(&el.set, rng));
-            }
-        }
-        out
+        let (set, min, max) = parse(pattern)
+            .unwrap_or_else(|| panic!("unsupported pattern {pattern:?}: expected [class]{{m,n}}, [class]{{n}} or \\PC{{m,n}}"));
+        let n = min + rng.below(max - min + 1);
+        (0..n).map(|_| pick(&set, rng)).collect()
     }
 
     fn pick(set: &CharSet, rng: &mut TestRng) -> char {
@@ -716,126 +664,42 @@ pub mod string {
         }
     }
 
-    fn parse(pattern: &str) -> Vec<Element> {
-        let mut chars = pattern.chars().peekable();
-        let mut out = Vec::new();
-        while let Some(c) = chars.next() {
-            let set = match c {
-                '[' => parse_class(&mut chars, pattern),
-                '\\' => match chars.next() {
-                    Some('P') => {
-                        match chars.next() {
-                            Some('C') => {}
-                            other => {
-                                panic!("unsupported regex category \\P{other:?} in {pattern:?}")
-                            }
-                        }
-                        CharSet::Printable
-                    }
-                    Some(esc) => CharSet::Ranges(vec![(unescape(esc), unescape(esc))]),
-                    None => panic!("dangling backslash in {pattern:?}"),
-                },
-                lit => CharSet::Ranges(vec![(lit, lit)]),
-            };
-            let (min, max_inclusive) = parse_repeat(&mut chars, pattern);
-            out.push(Element { set, min, max_inclusive });
-        }
-        out
+    /// The char set and the inclusive repeat bounds of `pattern`.
+    fn parse(pattern: &str) -> Option<(CharSet, usize, usize)> {
+        let (set, repeat) = match pattern.strip_prefix("\\PC") {
+            Some(repeat) => (CharSet::Printable, repeat),
+            None => {
+                let (class, repeat) = pattern.strip_prefix('[')?.split_once(']')?;
+                (CharSet::Ranges(parse_class(class)?), repeat)
+            }
+        };
+        let spec = repeat.strip_prefix('{')?.strip_suffix('}')?;
+        let (min, max) = spec.split_once(',').unwrap_or((spec, spec));
+        let (min, max) = (min.trim().parse().ok()?, max.trim().parse().ok()?);
+        (min <= max).then_some((set, min, max))
     }
 
-    fn unescape(c: char) -> char {
-        match c {
-            'n' => '\n',
-            'r' => '\r',
-            't' => '\t',
-            other => other,
-        }
-    }
-
-    fn parse_class(
-        chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-        pattern: &str,
-    ) -> CharSet {
+    fn parse_class(class: &str) -> Option<Vec<(char, char)>> {
+        let chars: Vec<char> = class.chars().collect();
         let mut ranges = Vec::new();
-        let mut pending: Option<char> = None;
-        loop {
-            let c = chars.next().unwrap_or_else(|| panic!("unclosed [ in {pattern:?}"));
-            match c {
-                ']' => {
-                    if let Some(p) = pending {
-                        ranges.push((p, p));
-                    }
-                    if ranges.is_empty() {
-                        panic!("empty char class in {pattern:?}");
-                    }
-                    return CharSet::Ranges(ranges);
+        let mut i = 0;
+        while i < chars.len() {
+            if chars[i] == '\\' {
+                i += 1;
+            }
+            let lo = *chars.get(i)?;
+            match chars.get(i + 1..i + 3) {
+                Some(['-', hi]) if lo <= *hi => {
+                    ranges.push((lo, *hi));
+                    i += 3;
                 }
-                '\\' => {
-                    let esc = chars
-                        .next()
-                        .unwrap_or_else(|| panic!("dangling backslash in {pattern:?}"));
-                    if let Some(p) = pending.take() {
-                        ranges.push((p, p));
-                    }
-                    pending = Some(unescape(esc));
-                }
-                '-' if pending.is_some() && chars.peek() != Some(&']') => {
-                    let lo = pending.take().unwrap();
-                    let hi = chars.next().unwrap();
-                    let hi = if hi == '\\' {
-                        unescape(chars.next().unwrap_or_else(|| {
-                            panic!("dangling backslash in {pattern:?}")
-                        }))
-                    } else {
-                        hi
-                    };
-                    assert!(lo <= hi, "inverted range {lo}-{hi} in {pattern:?}");
-                    ranges.push((lo, hi));
-                }
-                other => {
-                    if let Some(p) = pending.take() {
-                        ranges.push((p, p));
-                    }
-                    pending = Some(other);
+                _ => {
+                    ranges.push((lo, lo));
+                    i += 1;
                 }
             }
         }
-    }
-
-    fn parse_repeat(
-        chars: &mut std::iter::Peekable<std::str::Chars<'_>>,
-        pattern: &str,
-    ) -> (usize, usize) {
-        if chars.peek() != Some(&'{') {
-            return (1, 1);
-        }
-        chars.next();
-        let mut spec = String::new();
-        loop {
-            match chars.next() {
-                Some('}') => break,
-                Some(c) => spec.push(c),
-                None => panic!("unclosed {{ in {pattern:?}"),
-            }
-        }
-        if let Some((lo, hi)) = spec.split_once(',') {
-            let min: usize = lo.trim().parse().unwrap_or_else(|_| {
-                panic!("bad repeat '{{{spec}}}' in {pattern:?}")
-            });
-            if hi.trim().is_empty() {
-                (min, min + 8)
-            } else {
-                let max: usize = hi.trim().parse().unwrap_or_else(|_| {
-                    panic!("bad repeat '{{{spec}}}' in {pattern:?}")
-                });
-                (min, max)
-            }
-        } else {
-            let n: usize = spec.trim().parse().unwrap_or_else(|_| {
-                panic!("bad repeat '{{{spec}}}' in {pattern:?}")
-            });
-            (n, n)
-        }
+        (!ranges.is_empty()).then_some(ranges)
     }
 }
 
@@ -845,13 +709,9 @@ pub mod string {
 /// with freshly generated inputs. `prop_assert*` failures report the case
 /// number; re-running is deterministic (seeds derive from the test name).
 ///
-/// On failure the runner **shrinks**: each argument's strategy proposes
-/// simpler candidates (halved integers, truncated vectors), the body is
-/// re-run with one argument swapped at a time, and any candidate that
-/// still fails becomes the new baseline. The loop repeats to a fixpoint
-/// (bounded at 256 accepted steps) and the panic reports the minimized
-/// inputs alongside the original case number. Argument types must be
-/// `Clone + Debug` for this re-run/report machinery.
+/// On failure [`test_runner::run`] shrinks the case's recorded draws (see
+/// the crate docs), and the panic reports the minimized inputs, which is
+/// why argument types must be `Debug`.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -866,56 +726,22 @@ macro_rules! proptest {
             $(#[doc = $doc])*
             #[test]
             fn $name() {
-                let cases: u32 = $cases;
                 let full_name = concat!(module_path!(), "::", stringify!($name));
-                for case in 0..cases {
-                    let mut proptest_rng = $crate::test_runner::TestRng::for_case(full_name, case);
-                    // Current inputs live in RefCells so the body can be
-                    // re-run with one argument swapped during shrinking.
-                    $(let $arg = ::std::cell::RefCell::new(
-                        $crate::strategy::Strategy::generate(&($strat), &mut proptest_rng));)+
-                    let run = || -> ::std::result::Result<(), ::std::string::String> {
-                        $(let $arg = ::std::clone::Clone::clone(&*$arg.borrow());)+
-                        { $body }
-                        ::std::result::Result::Ok(())
-                    };
-                    if let ::std::result::Result::Err(mut message) = run() {
-                        // Greedy shrink to a fixpoint: per argument, adopt
-                        // the first candidate that still fails, restart.
-                        let mut steps = 0usize;
-                        let mut progress = true;
-                        while progress && steps < 256 {
-                            progress = false;
-                            $(
-                                let current = ::std::clone::Clone::clone(&*$arg.borrow());
-                                for cand in $crate::strategy::Strategy::shrink(&($strat), &current)
-                                {
-                                    let prev = $arg.replace(cand);
-                                    match run() {
-                                        ::std::result::Result::Err(m) => {
-                                            message = m;
-                                            progress = true;
-                                            steps += 1;
-                                            break;
-                                        }
-                                        ::std::result::Result::Ok(()) => {
-                                            let _ = $arg.replace(prev);
-                                        }
-                                    }
-                                }
-                            )+
-                        }
-                        let shrunk = if steps > 0 {
-                            format!(" (shrunk {steps} steps)")
-                        } else {
-                            ::std::string::String::new()
-                        };
-                        panic!(
-                            "proptest {full_name} failed at case {case}{shrunk}: {message}\n  \
-                             minimized inputs: {:?}",
-                            ($(&*$arg.borrow(),)+)
-                        );
-                    }
+                let failure = $crate::test_runner::run(full_name, $cases, |proptest_rng| {
+                    $(let $arg = $crate::strategy::Strategy::generate(&($strat), proptest_rng);)+
+                    { $body }
+                    ::std::result::Result::Ok(())
+                });
+                if let ::std::option::Option::Some(failure) = failure {
+                    let proptest_rng = &mut failure.replay();
+                    panic!(
+                        "proptest {full_name} failed at case {} (shrunk {} steps): {}\n  \
+                         minimized inputs: {:?}",
+                        failure.case,
+                        failure.steps,
+                        failure.message,
+                        ($($crate::strategy::Strategy::generate(&($strat), proptest_rng),)+)
+                    );
                 }
             }
         )*
@@ -971,30 +797,18 @@ macro_rules! prop_assert_eq {
     }};
 }
 
-/// Check inequality inside a proptest body.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (left, right) = (&$left, &$right);
-        if *left == *right {
-            return ::std::result::Result::Err(format!(
-                "assertion failed: `{:?}` == `{:?}`", left, right));
-        }
-    }};
-}
-
 pub mod prelude {
     pub use crate::arbitrary::any;
     pub use crate::prop;
     pub use crate::strategy::{BoxedStrategy, Just, Strategy, Union};
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 }
 
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
-    use crate::test_runner::TestRng;
+    use crate::test_runner::{run, TestRng};
 
     #[test]
     fn ranges_strings_and_collections_generate_in_bounds() {
@@ -1021,22 +835,98 @@ mod tests {
             let v = Strategy::generate(&strat, &mut rng);
             assert!(v == 1 || (20..40).contains(&v));
         }
-        #[derive(Debug, Clone, PartialEq)]
-        enum T {
-            Leaf(i64),
-            Node(Vec<T>),
-        }
-        let tree = Just(0i64).prop_map(T::Leaf).prop_recursive(3, 16, 4, |inner| {
-            prop::collection::vec(inner, 0..4).prop_map(T::Node)
+        let tree = Just(0i64).prop_map(Tree::Leaf).prop_recursive(3, 16, 4, |inner| {
+            prop::collection::vec(inner, 0..4).prop_map(Tree::Node)
         });
         let mut saw_node = false;
         for case in 0..64 {
             let mut rng = TestRng::for_case("shim::tree", case);
-            if matches!(Strategy::generate(&tree, &mut rng), T::Node(_)) {
+            if matches!(Strategy::generate(&tree, &mut rng), Tree::Node(_)) {
                 saw_node = true;
             }
         }
         assert!(saw_node, "recursion never recursed");
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Tree {
+        Leaf(i64),
+        Node(Vec<Tree>),
+    }
+
+    /// Every suite's cases rest on generation staying put: one composite
+    /// draw at a fixed seed, pinned to its text.
+    #[test]
+    fn a_composite_draw_at_a_fixed_seed_is_pinned() {
+        let strat = (
+            (0u32..1000, "[a-z0-9_\\-]{1,6}", "\\PC{0,8}"),
+            prop_oneof![Just(-1i64), 10i64..20, any::<i64>()],
+            any::<i64>(),
+            prop::collection::btree_map("[a-c]{1}", any::<bool>(), 0..4),
+            (0i64..10).prop_map(Tree::Leaf).prop_recursive(3, 16, 4, |inner| {
+                prop::collection::vec(inner, 1..3).prop_map(Tree::Node)
+            }),
+        );
+        let mut rng = TestRng::for_case("shim::golden", 6);
+        assert_eq!(
+            format!("{:?}", Strategy::generate(&strat, &mut rng)),
+            "((673, \"0jszc\", \"Vé*d\"), 2811075765912211769, 4530734331368307473, \
+             {\"a\": false, \"b\": false, \"c\": true}, Node([Node([Leaf(0), Leaf(3)])]))"
+        );
+    }
+
+    /// The value `strat` makes from the runner's minimized failure of
+    /// the property "`fails` is false".
+    fn minimal<S: Strategy>(strat: S, fails: impl Fn(&S::Value) -> bool) -> S::Value
+    where
+        S::Value: std::fmt::Debug,
+    {
+        let failure = run("shim::minimal", 256, |rng| {
+            let v = strat.generate(rng);
+            if fails(&v) {
+                Err(format!("{v:?}"))
+            } else {
+                Ok(())
+            }
+        })
+        .expect("some case fails");
+        let v = strat.generate(&mut failure.replay());
+        assert_eq!(format!("{v:?}"), failure.message, "the replay is the failure");
+        v
+    }
+
+    #[test]
+    fn maps_unions_and_strings_shrink_to_their_minima() {
+        assert_eq!(minimal((0i64..1000).prop_map(|v| v * 3), |v| *v >= 30), 30);
+        assert_eq!(minimal(prop_oneof![Just(-1i64), 0i64..1000], |v| *v >= 7), 7);
+        assert_eq!(minimal("[a-c]{0,8}", |s| s.contains('c')), "c");
+    }
+
+    #[test]
+    fn ints_and_vecs_shrink_to_their_minima() {
+        assert_eq!(minimal(0i64..1000, |v| *v >= 10), 10);
+        assert_eq!(minimal(prop::collection::vec(0u8..100, 1..20), |v| v.len() >= 3), [0, 0, 0]);
+    }
+
+    #[test]
+    fn a_shrunk_filtered_value_still_satisfies_its_filter() {
+        let even = (0i64..1000).prop_filter("even", |v| v % 2 == 0);
+        let v = minimal(even, |v| *v >= 100);
+        assert!(v % 2 == 0 && v >= 100, "{v}");
+    }
+
+    #[test]
+    fn a_panicking_candidate_does_not_hide_the_failure() {
+        // Once a case has failed, every value that would pass panics
+        // instead: shrinking must step over those candidates rather than
+        // take them for failures (which would shrink to 0).
+        let failed = std::cell::Cell::new(false);
+        let v = minimal(0i64..1000, |v| {
+            assert!(*v >= 600 || !failed.get(), "a panicking candidate");
+            failed.set(failed.get() || *v >= 600);
+            *v >= 600
+        });
+        assert_eq!(v, 600);
     }
 
     proptest! {
@@ -1047,78 +937,12 @@ mod tests {
         fn macro_smoke(a in 0i64..100, b in prop::sample::select(vec![1i64, 2, 3])) {
             prop_assert!(a >= 0, "a was {}", a);
             prop_assert_eq!(b, b);
-            prop_assert_ne!(b, 4);
         }
 
-        /// Vec strategies keep working through the macro (now that
-        /// shrinking demands Clone elements).
+        /// Vec strategies keep working through the macro.
         #[test]
         fn macro_vec_args(v in prop::collection::vec(0u8..10, 0..6)) {
             prop_assert!(v.len() < 6);
         }
-    }
-
-    #[test]
-    fn int_shrink_proposes_start_half_and_predecessor() {
-        let c = Strategy::shrink(&(0i64..100), &80);
-        assert_eq!(c, vec![0, 40, 79]);
-        let c = Strategy::shrink(&(10u32..=90), &10);
-        assert!(c.is_empty(), "the range start cannot shrink further, got {c:?}");
-        // Candidates never leave the range.
-        let c = Strategy::shrink(&(5i64..100), &6);
-        assert!(c.iter().all(|v| (5..100).contains(v)), "{c:?}");
-    }
-
-    #[test]
-    fn int_shrink_fixpoint_finds_the_minimal_counterexample() {
-        // Property "v < 10" first fails at 10: greedy shrinking from any
-        // failing start must land exactly there.
-        let strat = 0i64..1000;
-        let fails = |v: i64| v >= 10;
-        for start in [995i64, 10, 11, 500] {
-            let mut v = start;
-            while let Some(n) =
-                Strategy::shrink(&strat, &v).into_iter().find(|c| fails(*c))
-            {
-                v = n;
-            }
-            assert_eq!(v, 10, "from {start}");
-        }
-    }
-
-    #[test]
-    fn vec_shrink_truncates_toward_the_minimum_length() {
-        let strat = prop::collection::vec(0u8..100, 1..20);
-        let v: Vec<u8> = vec![9; 10];
-        let c = Strategy::shrink(&strat, &v);
-        let lens: Vec<usize> = c.iter().map(Vec::len).collect();
-        assert!(lens.contains(&1) && lens.contains(&5) && lens.contains(&9), "{lens:?}");
-        // All candidates are prefixes or single-element simplifications.
-        assert!(c.iter().all(|cv| cv.len() <= v.len()));
-        // Fixpoint: property "len >= 3" minimizes to exactly 3 elements.
-        let fails = |v: &Vec<u8>| v.len() >= 3;
-        let mut cur = v;
-        while let Some(n) =
-            Strategy::shrink(&strat, &cur).into_iter().find(|c| fails(c))
-        {
-            cur = n;
-        }
-        assert_eq!(cur.len(), 3);
-        // Elements shrink too (second phase of the candidate list).
-        assert!(cur.iter().all(|e| *e < 9), "elements minimized: {cur:?}");
-    }
-
-    #[test]
-    fn filter_shrink_respects_the_predicate() {
-        let strat = (0i64..100).prop_filter("even", |v| v % 2 == 0);
-        let c = Strategy::shrink(&strat, &80);
-        assert!(!c.is_empty());
-        assert!(c.iter().all(|v| v % 2 == 0), "{c:?}");
-    }
-
-    #[test]
-    fn boxed_strategies_forward_shrink() {
-        let strat = (0i64..100).boxed();
-        assert_eq!(Strategy::shrink(&strat, &80), vec![0, 40, 79]);
     }
 }
