@@ -199,17 +199,29 @@ mod registry {
     }
 
     pub fn eval(site: &str) -> Decision {
-        let action = {
-            let mut map = sites();
-            let s = map.entry(site.to_string()).or_default();
-            s.hits += 1;
-            match s.spec {
-                Some(spec) if s.hits >= spec.from_hit => spec.action,
-                _ => Action::Off,
-            }
-        };
-        // The registry lock is released before acting: Action::Panic must
-        // not take the registry down with it.
+        act(site, fire(site))
+    }
+
+    pub fn eval_unit(site: &str) -> bool {
+        let action = fire(site);
+        act(site, action);
+        action != Action::Off
+    }
+
+    /// Count a hit of `site` and return the action it takes at this hit.
+    fn fire(site: &str) -> Action {
+        let mut map = sites();
+        let s = map.entry(site.to_string()).or_default();
+        s.hits += 1;
+        match s.spec {
+            Some(spec) if s.hits >= spec.from_hit => spec.action,
+            _ => Action::Off,
+        }
+    }
+
+    /// Take `action` at `site`. The registry lock is released by now:
+    /// Action::Panic must not take the registry down with it.
+    fn act(site: &str, action: Action) -> Decision {
         match action {
             Action::Off => Decision::Proceed,
             Action::Error => Decision::Fail(format!("injected failure at {site}")),
@@ -255,10 +267,19 @@ pub fn eval_to_error(site: &str) -> Option<String> {
 /// [`eval`] for call sites with nothing to return: only `panic` and
 /// `delay` actions are meaningful; `error`/`short` act as `off`. Used at
 /// crash-only sites such as `txn.group_commit.after_sync`, where the operation
-/// is already durable and "fail" would be a lie.
-#[inline]
-pub fn eval_unit(site: &str) {
-    let _ = eval(site);
+/// is already durable and "fail" would be a lie. Returns whether the site
+/// fired (it is armed and past its hit count; a `delay` has slept), so a
+/// caller that checks a clock only now and then can check it at once.
+#[cfg(feature = "failpoints")]
+pub fn eval_unit(site: &str) -> bool {
+    registry::eval_unit(site)
+}
+
+/// [`eval_unit`] (no-op build: never fires).
+#[cfg(not(feature = "failpoints"))]
+#[inline(always)]
+pub fn eval_unit(_site: &str) -> bool {
+    false
 }
 
 /// Apply a whole spec string (`site=action;site=action…`), as from

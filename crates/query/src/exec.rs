@@ -138,9 +138,18 @@ pub struct ExecCtx<'w> {
     /// by every later one — including every re-evaluation of the subquery
     /// that holds the join.
     joins: RefCell<HashMap<usize, Rc<JoinTable>>>,
-    /// Present for [`execute_plan_traced`] only: per operator, its counts
-    /// summed over every evaluation of its pipeline (`op` is left empty).
-    trace: Option<RefCell<HashMap<OpId, OpStats>>>,
+    /// Present for [`execute_plan_traced`] only: per operator of the plan,
+    /// in `Plan::walk`'s order, what its evaluations did.
+    trace: Option<RefCell<Vec<Traced>>>,
+}
+
+/// One operator's counts in a traced execution, summed over every
+/// evaluation (`stats.op` is left empty), and whether the latest
+/// evaluation's first row bound the name a `For` iterates.
+struct Traced {
+    id: OpId,
+    stats: OpStats,
+    bound: bool,
 }
 
 impl<'w> ExecCtx<'w> {
@@ -173,26 +182,27 @@ pub fn execute_plan(world: &World, plan: &Plan) -> Result<Vec<Value>> {
 pub(crate) fn run_pipeline(cx: &ExecCtx, plan: &Plan, env: Env) -> Result<Vec<Value>> {
     let mut envs = vec![env];
     for node in &plan.nodes {
-        let first = if cx.trace.is_some() { envs.first().cloned() } else { None };
-        envs = counted(cx, OpId::Node(node), envs.len(), || apply_node(cx, node, envs), || {
-            describe_access_path(cx, node, first.as_ref())
-        })?;
+        // Whether a `For` over a name reads a variable (else the store of
+        // that name): the one access-path fact that depends on a row.
+        let bound = cx.trace.is_some()
+            && matches!(node, PlanNode::For { source: Expr::Var(name), .. }
+                if envs.first().is_some_and(|e| e.get(name).is_some()));
+        envs = counted(cx, OpId::Node(node), envs.len(), bound, || apply_node(cx, node, envs))?;
         if envs.is_empty() {
             break;
         }
     }
-    counted(cx, OpId::Return(plan), envs.len(), || project_return(cx, plan, &envs), || None)
+    counted(cx, OpId::Return(plan), envs.len(), false, || project_return(cx, plan, &envs))
 }
 
-/// Run one operator; in a traced context, add its rows, wall time and
-/// access path (the latest one: a hash join's probe count grows with
-/// every evaluation) to its counts.
+/// Run one operator; in a traced context, add its rows and wall time to
+/// its counts and keep `bound`. Nothing is formatted, hashed or cloned.
 fn counted<T>(
     cx: &ExecCtx,
     id: OpId,
     rows_in: usize,
+    bound: bool,
     run: impl FnOnce() -> Result<Vec<T>>,
-    access_path: impl FnOnce() -> Option<String>,
 ) -> Result<Vec<T>> {
     let Some(trace) = &cx.trace else { return run() };
     let started = Instant::now();
@@ -200,14 +210,11 @@ fn counted<T>(
     // evaluate subqueries, which count their own operators.
     let out = run()?;
     let elapsed = started.elapsed();
-    let path = access_path();
-    let mut counts = trace.borrow_mut();
-    let stats = counts.entry(id).or_default();
-    stats.rows_in += rows_in;
-    stats.rows_out += out.len();
-    stats.elapsed += elapsed;
-    if path.is_some() {
-        stats.access_path = path;
+    if let Some(t) = trace.borrow_mut().iter_mut().find(|t| t.id == id) {
+        t.stats.rows_in += rows_in;
+        t.stats.rows_out += out.len();
+        t.stats.elapsed += elapsed;
+        t.bound = bound;
     }
     Ok(out)
 }
@@ -231,32 +238,42 @@ fn project_return(cx: &ExecCtx, plan: &Plan, envs: &[Env]) -> Result<Vec<Value>>
 
 /// Execute a plan while collecting an [`ExecStats`] profile: per
 /// operator, rows in/out, wall time, and the access path taken. The run
-/// is [`execute_plan`]'s, counting as it goes. The profile then lists the
-/// operators as `Plan::walk` visits them — the walk [`Plan::explain`]
-/// prints — so it has `EXPLAIN`'s layout; a subquery's operator shows
-/// once, its counts summed over every evaluation, and one that never ran
-/// reads `0 -> 0`. The walk reaches every operator that ran because the
-/// optimizer plans every subquery into the plan it returns (`build_plan`
-/// is total); a parsed subquery, which only an unoptimized plan holds,
-/// runs uncounted.
+/// is [`execute_plan`]'s, counting as it goes into one slot per operator
+/// that `Plan::walk` visits — the walk [`Plan::explain`] prints — so the
+/// profile has `EXPLAIN`'s layout; a subquery's operator shows once, its
+/// counts summed over every evaluation, and one that never ran reads
+/// `0 -> 0`. Access paths are described once, after the run. The walk
+/// reaches every operator that ran because the optimizer plans every
+/// subquery into the plan it returns (`build_plan` is total); a parsed
+/// subquery, which only an unoptimized plan holds, runs uncounted.
 pub fn execute_plan_traced(world: &World, plan: &Plan) -> Result<(Vec<Value>, ExecStats)> {
-    let cx = ExecCtx { trace: Some(RefCell::default()), ..ExecCtx::new(world) };
+    let (mut ops, mut slots) = (Vec::new(), Vec::new());
+    plan.walk(0, &mut |line, id, node| {
+        ops.push((line, node));
+        slots.push(Traced { id, stats: OpStats::default(), bound: false });
+    });
+    let cx = ExecCtx { trace: Some(RefCell::new(slots)), ..ExecCtx::new(world) };
     let started = Instant::now();
     let out = run_pipeline(&cx, plan, Env::new())?;
     let total = started.elapsed();
-    let mut counts = cx.trace.map(RefCell::into_inner).unwrap_or_default();
-    let mut ops = Vec::new();
-    plan.walk(0, &mut |op, id| ops.push(OpStats { op, ..counts.remove(&id).unwrap_or_default() }));
-    let stats = ExecStats { ops, rows_returned: out.len(), total };
+    let slots = cx.trace.as_ref().map(RefCell::take).unwrap_or_default();
+    let ops = ops.into_iter().zip(slots).map(|((op, node), t)| {
+        // A node runs only on a non-empty input: no rows in, never ran.
+        let ran = node.filter(|_| t.stats.rows_in > 0);
+        let access_path = ran.and_then(|node| describe_access_path(&cx, node, t.bound));
+        OpStats { op, access_path, ..t.stats }
+    });
+    let stats = ExecStats { ops: ops.collect(), rows_returned: out.len(), total };
     Ok((out, stats))
 }
 
-/// How a node read its source, resolved against the world and the first
-/// incoming environment — the "which path actually ran" annotation.
-fn describe_access_path(cx: &ExecCtx, node: &PlanNode, env: Option<&Env>) -> Option<String> {
+/// How a node read its source, resolved against the world, the hash
+/// joins' final counts and whether a `For`'s name was `bound` — the
+/// "which path actually ran" annotation.
+fn describe_access_path(cx: &ExecCtx, node: &PlanNode, bound: bool) -> Option<String> {
     match node {
         PlanNode::For { source: Expr::Var(name), .. } => {
-            if env.is_some_and(|e| e.get(name).is_some()) {
+            if bound {
                 Some(format!("bound variable '{name}'"))
             } else {
                 cx.world.catalog.get(name).map(|c| format!("full scan ({} '{name}')", c.kind()))
@@ -266,9 +283,8 @@ fn describe_access_path(cx: &ExecCtx, node: &PlanNode, env: Option<&Env>) -> Opt
         PlanNode::IndexScan { source, path, .. } => {
             Some(format!("index '{path}' on '{source}'"))
         }
-        PlanNode::HashJoin { slot, .. } => Some(match cx.joins.borrow().get(slot) {
-            Some(t) => format!("hash build: {} rows once, {} probes", t.rows, t.probes.get()),
-            None => "hash build: none, no row to probe with".to_string(),
+        PlanNode::HashJoin { slot, .. } => cx.joins.borrow().get(slot).map(|t| {
+            format!("hash build: {} rows once, {} probes", t.rows, t.probes.get())
         }),
         PlanNode::Traverse { edges, .. } => {
             Some(format!("graph traversal via edge collection '{edges}'"))

@@ -278,9 +278,9 @@ impl PlanNode {
 }
 
 /// An operator of a plan, by identity: one of its nodes, or the RETURN
-/// that ends its pipeline. The traced executor keys what each operator
+/// that ends its pipeline. The traced executor finds what each operator
 /// did by it, and [`Plan::walk`] hands it out beside the operator's line.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum OpId {
     /// A node of some pipeline.
     Node(*const PlanNode),
@@ -306,29 +306,29 @@ impl Plan {
     /// layout of `Plan::walk`, which `EXPLAIN ANALYZE` prints too.
     pub fn explain(&self) -> String {
         let mut lines = Vec::new();
-        self.walk(0, &mut |line, _| lines.push(line));
+        self.walk(0, &mut |line, _, _| lines.push(line));
         lines.join("\n")
     }
 
     /// Visit every operator of the plan, `depth` subqueries deep, with
-    /// its line: each node of the pipeline, then its RETURN, and a planned
-    /// subquery's operators right after the operator that evaluates it,
-    /// one `└` level deeper.
-    pub(crate) fn walk(&self, depth: usize, visit: &mut dyn FnMut(String, OpId)) {
+    /// its line and, for a node, the node: each node of the pipeline, then
+    /// its RETURN, and a planned subquery's operators right after the
+    /// operator that evaluates it, one `└` level deeper.
+    pub(crate) fn walk<'p>(&'p self, depth: usize, visit: &mut dyn FnMut(String, OpId, Option<&'p PlanNode>)) {
         let prefix = match depth {
             0 => String::new(),
             d => format!("{}└ ", "  ".repeat(d - 1)),
         };
-        let mut emit = |id: OpId, text: String, exprs: Vec<&Expr>| {
-            visit(format!("{prefix}{text}"), id);
+        let mut emit = |id: OpId, node: Option<&'p PlanNode>, text: String, exprs: Vec<&'p Expr>| {
+            visit(format!("{prefix}{text}"), id, node);
             let mut subs = Vec::new();
             exprs.into_iter().for_each(|e| sub_plans(e, &mut subs));
             subs.into_iter().for_each(|p| p.walk(depth + 1, visit));
         };
         for n in &self.nodes {
-            emit(OpId::Node(n), n.describe(), n.exprs().collect());
+            emit(OpId::Node(n), Some(n), n.describe(), n.exprs().collect());
         }
-        emit(OpId::Return(self), self.describe_return(), vec![&self.ret]);
+        emit(OpId::Return(self), None, self.describe_return(), vec![&self.ret]);
     }
 }
 

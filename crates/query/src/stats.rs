@@ -5,11 +5,11 @@
 //! rows in, rows out, wall time, and the access path actually taken
 //! (named index vs full scan), summed over every evaluation of the
 //! operator's pipeline. The profile lists one [`OpStats`] per operator in
-//! `EXPLAIN`'s order and layout ([`crate::plan::Plan::explain`]). The
-//! collection cost is O(operator applications), not O(rows): two
-//! `Instant` reads and one map update each, nothing per binding. The
-//! untraced executor does none of this, so plain `query` keeps its exact
-//! cost.
+//! `EXPLAIN`'s order and layout ([`crate::plan::Plan::explain`]). It costs
+//! one walk of the plan per query (each operator's line, and its access
+//! path once after the run) plus two `Instant` reads and one slot update
+//! per operator application, nothing per row. The untraced executor does
+//! none of this, so plain `query` keeps its exact cost.
 //!
 //! [`ExecStats::render`] produces the human-readable `EXPLAIN ANALYZE`
 //! text; [`ExecStats::to_value`] the structured form the server's

@@ -695,9 +695,12 @@ fn run_stateless(
             Response::Hello { version: PROTOCOL_VERSION, server: SERVER_NAME.into() }
         }
         Request::Ping => Response::Pong,
-        // Every query runs traced: the per-operator overhead is two clock
-        // reads and one small struct per plan node — negligible next to
-        // the operator's own work — and it feeds the slow-query log.
+        // Every query runs traced, under a deadline token, and the trace
+        // feeds the slow-query log. Tracing costs one walk of the plan per
+        // query (each operator's line and, after the run, its access
+        // path) plus two clock reads and a slot update per operator
+        // evaluation, nothing per row. The token's clock is read on the
+        // query's first executor tick and then on every 64th.
         Request::Query { text, .. } => {
             let (rows, stats) = db.query_traced_with(text, &budget(inner))?;
             note_slow_query(inner, "mmql", text, &stats);

@@ -7,7 +7,9 @@
 //!
 //! The default token ([`CancelToken::none`]) allocates nothing and its
 //! `check` is a branch on a `None` — threading it through hot execution
-//! loops costs effectively nothing when no deadline is set.
+//! loops costs effectively nothing when no deadline is set. A token with
+//! a deadline reads the clock on every `check`, so a per-row loop checks
+//! it only now and then (the query executor: on every 64th row).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -34,7 +36,7 @@ pub struct CancelToken {
 
 impl CancelToken {
     /// A token that never cancels and never expires. Free to check.
-    pub fn none() -> CancelToken {
+    pub const fn none() -> CancelToken {
         CancelToken { inner: None }
     }
 

@@ -109,7 +109,12 @@ echo "==> the read path's and a wire point read's allocation budgets, the versio
 # hits named documents by a cloned `_key`), with budgets that fail if a
 # whole document or row decode, a copied document, field name, string
 # value, bound name, lookup key, record, edge handle or hit key comes
-# back. tests/version_bytes.rs holds the
+# back. It also counts what a traced run (the path every served query
+# takes) allocates beyond an untraced one, over 24 and 48 outer rows:
+# 48 and 48 calls for Q4 as a hash join, 68 and 68 for Q4-grouped's
+# join over `totals` (71 / 95 and 92 / 116 while a profile formatted an
+# access path per operator evaluation), and fails if the extra grows
+# with the rows. tests/version_bytes.rs holds the
 # version store to its footprint: live heap per committed new-order
 # write (163.4 bytes with the log's bytes kept once; 315.8 with decoded
 # versions), under a budget of 170. tests/wire_allocs.rs counts a point

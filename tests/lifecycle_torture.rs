@@ -21,17 +21,22 @@
 //!      [`PoolStats`].
 //!
 //! Leg 1 holds only if every operator that iterates rows ticks per row;
-//! `every_row_iterating_operator_ticks_per_row` counts the ticks.
+//! `every_row_iterating_operator_ticks_per_row` counts the ticks. A tick
+//! checks the token on a query's first tick, on every 64th after it and
+//! whenever its failpoint fired: `an_expired_token_fails_the_first_tick`
+//! and `a_delayed_tick_is_checked_at_once` hold it to that.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 use mmdb::paper::RECOMMENDATION;
+use mmdb::substrate::query::exec::execute_plan;
 use mmdb::substrate::query::optimize::optimize;
 use mmdb::substrate::query::parse_query;
 use mmdb::substrate::query::plan::{build_plan, Plan, PlanNode};
 use mmdb::substrate::txn::IsolationLevel;
+use mmdb::substrate::types::CancelToken;
 use mmdb::{fault, Database, Value};
 use mmdb_client::{Client, Pool, PoolConfig, RetryPolicy};
 use mmdb_server::{Server, ServerConfig};
@@ -169,6 +174,52 @@ fn the_server_cap_bounds_queries_that_carry_no_deadline() {
     fault::clear_all();
     assert_eq!(err.kind(), "deadline_exceeded", "{err}");
     assert_eq!(err2.kind(), "deadline_exceeded", "{err2}");
+    server.shutdown().unwrap();
+}
+
+/// The executor checks its token on the first tick of a query, then on
+/// every 64th: an expired token fails a query that ticks once, even
+/// after ticks that left the countdown between checks (a plan run
+/// through `exec::execute_plan`, outside any scope).
+#[test]
+fn an_expired_token_fails_the_first_tick() {
+    let _serial = lock();
+    let db = Database::in_memory();
+    let unscoped = plan(&db, "FOR x IN [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] RETURN x");
+    assert_eq!(execute_plan(db.world(), &unscoped).unwrap().len(), 10);
+    let expired = CancelToken::with_timeout(Duration::ZERO);
+    let before = fault::hits("query.eval_tick");
+    let err = db.query_with("RETURN 1", &expired).expect_err("an expired token must fail the query");
+    assert_eq!(fault::hits("query.eval_tick") - before, 1, "the query ticks once");
+    assert_eq!(err.kind(), "deadline_exceeded", "{err}");
+    let err = db
+        .query_traced_with("RETURN 1", &expired)
+        .expect_err("an expired token must fail the traced query");
+    assert_eq!(err.kind(), "deadline_exceeded", "{err}");
+}
+
+/// A tick whose failpoint fired checks the token at once, so a slowed
+/// query fails within a few delays of its deadline instead of at the
+/// 65th tick, the next one the countdown checks.
+#[test]
+fn a_delayed_tick_is_checked_at_once() {
+    let _serial = lock();
+    let db = Arc::new(tick_db());
+    let server = Server::start(Arc::clone(&db), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr().to_string()).unwrap();
+    // 2 * N ticks: more than 64, so the countdown alone would check again
+    // only after 64 delays of 25ms.
+    let text = "FOR x IN items RETURN x.n";
+    assert_eq!(client.query(text).unwrap().len() as u64, N);
+    fault::set("query.eval_tick", "delay(25)").unwrap();
+    let before = fault::hits("query.eval_tick");
+    let err = client
+        .query_with_deadline(text, Duration::from_millis(100))
+        .expect_err("the deadline must abort the slowed query");
+    let hits = fault::hits("query.eval_tick") - before;
+    fault::clear_all();
+    assert_eq!(err.kind(), "deadline_exceeded", "{err}");
+    assert!(hits <= 8, "{hits} delayed ticks before a 100ms deadline was seen");
     server.shutdown().unwrap();
 }
 

@@ -305,3 +305,78 @@ fn explain_analyze_prints_explains_lines_in_explains_order() {
         analyzed(&db, twins).into_iter().filter(|(op, _)| op == "└ For x IN [1]").map(|(_, rows)| rows).collect();
     assert_eq!(loops, ["3 -> 3", "3 -> 3"]);
 }
+
+/// Q4-grouped of `benchmark/src/data.rs`.
+const Q4_GROUPED: &str = "LET totals = (FOR o IN orders \
+     COLLECT cid = o.customer_id AGGREGATE t = SUM(o.total) RETURN {cid: cid, t: t}) \
+     FOR c IN customers LET hit = (FOR x IN totals FILTER x.cid == c.id RETURN x.t) \
+     RETURN {name: c.name, total: LENGTH(hit) > 0 ? hit[0] : 0}";
+
+/// EXPLAIN ANALYZE's text of `text` with every time masked as `_`.
+fn analyzed_untimed(db: &Database, text: &str) -> String {
+    let report = db.explain_analyze(text).unwrap();
+    let lines: Vec<String> = report
+        .lines()
+        .map(|l| match (l.split_once("time: "), l.split_once("  rows returned: ")) {
+            (Some((head, _)), _) => format!("{head}time: _"),
+            (None, Some((_, rows))) => format!("total: _  rows returned: {rows}"),
+            (None, None) => panic!("no time in {l:?}"),
+        })
+        .collect();
+    lines.join("\n")
+}
+
+/// The whole profile of both Q4 forms, and of Q4-grouped with a range
+/// instead of its equality (no hash join: a `For` over the bound
+/// `totals`, once per customer), times masked. Each operator's access
+/// path is worked out once, after the run, from what the run left: the
+/// hash join's final build and probe counts, and whether a `For` over a
+/// name read a bound variable or scanned a store.
+#[test]
+fn explain_analyze_prints_both_q4_forms_exactly() {
+    let db = paper_db();
+    for (i, cid) in [1, 1, 2, 1, 9].into_iter().enumerate() {
+        db.insert_json("orders", &format!(r#"{{"_key":"o{i}","customer_id":{cid},"total":10}}"#))
+            .unwrap();
+    }
+    let customers = "For c IN customers project(id, name)  [full scan (collection 'customers')]  rows: 1 -> 3  time: _";
+    let grouped = "Let totals  rows: 1 -> 1  time: _
+└ For o IN orders project(customer_id, total)  [full scan (collection 'orders')]  rows: 1 -> 6  time: _
+└ Collect key=cid aggs=1  rows: 6 -> 4  time: _
+└ Return  rows: 4 -> 4  time: _";
+    let end = "Return  rows: 3 -> 3  time: _
+total: _  rows returned: 3";
+    assert_eq!(
+        analyzed_untimed(&db, Q4_NAIVE),
+        format!(
+            "{customers}
+Let total  rows: 3 -> 3  time: _
+└ HashJoin o IN orders ON o.customer_id == c.id project(customer_id, total)  [hash build: 6 rows once, 3 probes]  rows: 3 -> 4  time: _
+└ Return  rows: 4 -> 4  time: _
+{end}"
+        )
+    );
+    assert_eq!(
+        analyzed_untimed(&db, Q4_GROUPED),
+        format!(
+            "{grouped}
+{customers}
+Let hit  rows: 3 -> 3  time: _
+└ HashJoin x IN totals ON x.cid == c.id  [hash build: 4 rows once, 3 probes]  rows: 3 -> 2  time: _
+└ Return  rows: 2 -> 2  time: _
+{end}"
+        )
+    );
+    assert_eq!(
+        analyzed_untimed(&db, &Q4_GROUPED.replace("x.cid == c.id", "x.cid >= c.id")),
+        format!(
+            "{grouped}
+{customers}
+Let hit  rows: 3 -> 3  time: _
+└ For x IN totals  [bound variable 'totals']  rows: 3 -> 12  time: _
+└ Filter  rows: 12 -> 6  time: _
+└ Return  rows: 6 -> 6  time: _
+{end}"
+        )
+    );
+}

@@ -52,6 +52,22 @@
 //! (budget 1.6), Q2 3.35 and `FULLTEXT` 2.12 while a name was resolved
 //! by probing one registry per model, formatting an error at each miss,
 //! and `FULLTEXT` cloned every collection handle to find its index.
+//!
+//! The traced run every served query takes (`query_traced_with`) costs a
+//! fixed number of allocator calls more than `query`, whatever the rows:
+//! the profile's operator lines, slots and access paths, each described
+//! once per query. Its cases bind 24 and then 48 outer rows, and each
+//! must cost the same extra at both:
+//!
+//! | profile's extra calls       | this tree, 24 / 48 rows | before, 24 / 48 rows |
+//! |-----------------------------|-------------------------|----------------------|
+//! | Q4 as a hash join           | 48 / 48                 | 71 / 95              |
+//! | Q4-grouped, over `totals`   | 68 / 68                 | 92 / 116             |
+//!
+//! "Before" is the commit before access paths were described once per
+//! query: it formatted a path for every evaluation of an operator, one
+//! more allocation per outer row of a correlated subquery.
+//!
 //! When a change moves a count on purpose, re-measure with
 //! `-- --nocapture`.
 //!
@@ -65,6 +81,7 @@ use mmdb::substrate::query::plan::{build_plan, PlanNode};
 use mmdb::substrate::query::{exec, optimize, parse_query};
 use mmdb::substrate::relational::{ColumnDef, DataType, Schema};
 use mmdb::substrate::txn::IsolationLevel;
+use mmdb::substrate::types::CancelToken;
 use mmdb::{Database, Value};
 
 thread_local! {
@@ -216,6 +233,24 @@ fn allocs_per_row(db: &Database, text: &str) -> f64 {
     per_row
 }
 
+/// Allocator calls a traced run of `text` (`query_traced_with`, the path
+/// every served query takes) makes beyond an untraced one: the cost of
+/// the profile alone.
+fn profile_allocs(db: &Database, text: &str) -> u64 {
+    let counted = |run: &dyn Fn() -> Vec<Value>| {
+        let before = ALLOCS.with(Cell::get);
+        let rows = run();
+        (ALLOCS.with(Cell::get) - before, rows)
+    };
+    let (plain, rows) = counted(&|| db.query(text).unwrap());
+    let (traced, traced_rows) =
+        counted(&|| db.query_traced_with(text, &CancelToken::none()).unwrap().0);
+    assert_eq!(rows, traced_rows, "{text}");
+    let extra = traced - plain;
+    eprintln!("{extra} allocations for the profile ({traced} traced, {plain} untraced): {text}");
+    extra
+}
+
 #[test]
 fn reading_a_row_pays_for_its_values_not_its_names() {
     let db = paper_db();
@@ -255,4 +290,29 @@ fn reading_a_row_pays_for_its_values_not_its_names() {
         r#"FOR r IN FULLTEXT("review_text", "good") FILTER r.rating >= 4 RETURN r.product_no"#,
     );
     assert!(text <= 2.2, "{text:.2} allocations per examined row: is a full-text hit copying its key, or decoding whole reviews?");
+    // The profile costs the same whatever the outer scan binds: an
+    // operator's access path is described once per query, not once per
+    // evaluation, so a correlated subquery run per customer adds nothing
+    // per customer. Both subqueries plan as hash joins, over `orders` and
+    // over the bound `totals`.
+    let q4 = |n: usize| {
+        format!(
+            r#"FOR c IN customers FILTER c.id < {n}
+                 LET total = SUM((FOR o IN orders FILTER o.customer_id == c.id RETURN o.total))
+                 RETURN {{name: c.name, total: total}}"#
+        )
+    };
+    let q4_grouped = |n: usize| {
+        format!(
+            r#"LET totals = (FOR o IN orders COLLECT cid = o.customer_id AGGREGATE t = SUM(o.total)
+                             RETURN {{cid: cid, t: t}})
+               FOR c IN customers FILTER c.id < {n}
+                 LET hit = (FOR x IN totals FILTER x.cid == c.id RETURN x.t)
+                 RETURN {{name: c.name, total: LENGTH(hit) > 0 ? hit[0] : 0}}"#
+        )
+    };
+    for (name, text) in [("Q4", &q4 as &dyn Fn(usize) -> String), ("Q4-grouped", &q4_grouped)] {
+        let (half, all) = (profile_allocs(&db, &text(CUSTOMERS / 2)), profile_allocs(&db, &text(CUSTOMERS)));
+        assert_eq!(half, all, "{name}'s profile allocates per outer row: {half} allocations over {} customers, {all} over {CUSTOMERS}", CUSTOMERS / 2);
+    }
 }
