@@ -11,7 +11,7 @@ use std::fmt::Display;
 use std::ops::Bound;
 
 use mmdb_core::Database;
-use mmdb_document::FlexTable;
+use mmdb_document::{Collection, FlexTable};
 use mmdb_index::gin::DocId;
 use mmdb_index::{BPlusTree, ExtendibleHashMap, GinIndex, GinMode};
 use mmdb_rdf::sparql::CmpOp;
@@ -20,7 +20,7 @@ use mmdb_relational::UniversalRelation;
 use mmdb_storage::wal::{records, BlockAssembler, Lsn};
 use mmdb_txn::IsolationLevel;
 use mmdb_types::codec::{key_of, value_from_bytes};
-use mmdb_types::{from_json, Result, Value};
+use mmdb_types::{from_json, Projection, Result, Value};
 use mmdb_xml::{Tree, XPath};
 
 use crate::report::{fmt_duration, time_per_call, TextTable};
@@ -285,11 +285,13 @@ fn e7_log_and_views(scale: f64) -> Result<TextTable> {
         assert_eq!(plain.get(&key)?, expected, "collection read of {key}");
     }
     let (lo, hi) = (Value::int(100), Value::int(110));
+    let (lo, hi) = (Bound::Included(&lo), Bound::Included(&hi));
     let sorted = |(mut docs, _): (Vec<Value>, bool)| {
         docs.sort();
         docs
     };
-    let (scanned, indexed) = (plain.range("price", &lo, &hi)?, viewed.range("price", &lo, &hi)?);
+    let range = |c: &Collection| c.range("price", lo, hi, &Projection::ALL);
+    let (scanned, indexed) = (range(&plain)?, range(&viewed)?);
     assert!(!scanned.1 && indexed.1, "only the viewed collection has a price index");
     let in_range = sorted(scanned);
     assert_eq!(in_range, sorted(indexed), "range by index != range by scan");
@@ -304,8 +306,8 @@ fn e7_log_and_views(scale: f64) -> Result<TextTable> {
     timed(&mut t, "point read", "version store (get_latest)", 1, || latest(&probe()));
     timed(&mut t, "point read", "collection view (Collection::get)", 1, || plain.get(&probe()));
     let op = "range price 100..=110";
-    timed(&mut t, op, "collection scan", in_range.len(), || plain.range("price", &lo, &hi));
-    timed(&mut t, op, "persistent index", in_range.len(), || viewed.range("price", &lo, &hi));
+    timed(&mut t, op, "collection scan", in_range.len(), || range(&plain));
+    timed(&mut t, op, "persistent index", in_range.len(), || range(&viewed));
     let (mut next, op) = (n, format!("{commits} Session commits, 1 doc each"));
     for (coll, config) in
         [("plain", "no secondary views"), ("viewed", "persistent + GIN + full-text")]

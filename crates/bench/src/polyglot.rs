@@ -12,14 +12,15 @@
 //! multi-model [`mmdb_core::Database`]; EXPERIMENTS.md compares them.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Bound;
 use std::sync::Arc;
 
 use mmdb_document::Collection;
 use mmdb_graph::{Direction, Graph};
 use mmdb_kv::KvStore;
-use mmdb_relational::{ColumnDef, DataType, Predicate, Schema, Table};
+use mmdb_relational::{ColumnDef, DataType, Schema, Table};
 use mmdb_storage::BufferPool;
-use mmdb_types::{Result, Value};
+use mmdb_types::{Path, Projection, Result, Value};
 
 use crate::gen::Dataset;
 
@@ -111,13 +112,14 @@ impl PolyglotStores {
     /// three "systems" — exactly the pain the tutorial describes.
     pub fn recommendation_query(&self, credit_threshold: i64) -> Result<Vec<String>> {
         // 1. SQL-ish: qualifying customers.
-        let (rows, _) = self
-            .customers
-            .select(&Predicate::Gt("credit_limit".into(), Value::int(credit_threshold)))?;
+        let id = Projection::of([Path::parse("id")?]);
+        let threshold = Value::int(credit_threshold);
+        let (rows, _) =
+            self.customers.range("credit_limit", Bound::Excluded(&threshold), Bound::Unbounded, &id)?;
         let mut products = Vec::new();
         let mut seen = HashSet::new();
         for row in rows {
-            let id = row[0].as_int()?;
+            let id = row.get_field("id").as_int()?;
             // 2. Graph call: friends.
             let friends = self
                 .social
@@ -148,9 +150,9 @@ impl PolyglotStores {
             *by_customer.entry(cid).or_insert(0) += order.get_field("total").as_int()?;
         }
         let mut out = Vec::new();
-        for row in self.customers.scan()? {
-            let id = row[0].as_int()?;
-            let name = row[1].as_str()?.to_string();
+        for row in self.customers.scan_projected(&Projection::ALL)? {
+            let id = row.get_field("id").as_int()?;
+            let name = row.get_field("name").as_str()?.to_string();
             out.push((name, by_customer.get(&id).copied().unwrap_or(0)));
         }
         out.sort();

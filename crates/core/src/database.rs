@@ -446,7 +446,7 @@ impl Database {
     /// `T` as one image block holding the prefix's fold
     /// ([`Wal::fold_prefix`]), append a durable `Checkpoint` marker — the
     /// cue for replicas to checkpoint too — and vacuum MVCC version chains
-    /// to the visibility horizon.
+    /// below the oldest open snapshot ([`MvccStore::vacuum`]).
     ///
     /// Commits keep going throughout: the rewrite reads a prefix no
     /// commit touches any more, and only its final rename waits for the
@@ -489,10 +489,10 @@ impl Database {
             summary.snapshot_bytes = folded.image_bytes;
             summary.wal_bytes_reclaimed = folded.reclaimed;
         }
-        // Version chains below the current visibility horizon are
-        // redundant with the log's image — trim them (ROADMAP: first step
-        // toward epoch-based reclamation).
-        summary.versions_vacuumed = self.mvcc.vacuum(self.mvcc.now());
+        // Versions below the oldest open snapshot are redundant with the
+        // log's image — trim them (ROADMAP: first step toward epoch-based
+        // reclamation).
+        summary.versions_vacuumed = self.mvcc.vacuum();
         summary.micros = started.elapsed().as_micros() as u64;
         self.ckpt.count.fetch_add(1, Ordering::SeqCst);
         self.ckpt.total_micros.fetch_add(summary.micros, Ordering::SeqCst);
@@ -708,6 +708,24 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_session_open_across_a_checkpoint_reads_its_snapshot() {
+        let db = Database::in_memory_logged();
+        db.create_bucket("cart").unwrap();
+        db.kv_put("cart", "k", Value::int(1)).unwrap();
+        db.kv_put("cart", "gone", Value::int(1)).unwrap();
+        let open = db.begin(IsolationLevel::Snapshot);
+        db.kv_put("cart", "k", Value::int(2)).unwrap();
+        db.transact(IsolationLevel::Snapshot, 0, |s| s.kv_delete("cart", "gone")).unwrap();
+        db.checkpoint().unwrap();
+        assert_eq!(open.kv_get("cart", "k").unwrap(), Some(Value::int(1)));
+        assert_eq!(open.kv_get("cart", "gone").unwrap(), Some(Value::int(1)));
+        drop(open);
+        // Once the session is gone the next checkpoint reclaims them.
+        assert_eq!(db.checkpoint().unwrap().versions_vacuumed, 3);
+        assert_eq!(db.kv().get("cart", "k").unwrap(), Some(Value::int(2)));
     }
 
     #[test]

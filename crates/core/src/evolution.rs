@@ -20,7 +20,7 @@
 //! any other.
 
 use mmdb_txn::IsolationLevel;
-use mmdb_types::{Error, Result, Value};
+use mmdb_types::{Error, Projection, Result, Value};
 
 use crate::database::Database;
 use crate::schema_infer::infer_schema;
@@ -29,13 +29,13 @@ use crate::schema_infer::infer_schema;
 /// number of documents created. The primary key becomes `_key` (stringified).
 pub fn table_to_collection(db: &Database, table: &str, collection: &str) -> Result<usize> {
     let t = db.world().catalog.table(table)?;
-    let schema = t.schema().clone();
-    let rows = t.scan()?;
+    let pk = t.schema().primary_key_name();
+    let docs = t.scan_projected(&Projection::ALL)?;
+    let n = docs.len();
     db.create_collection(collection)?;
     let mut s = db.begin(IsolationLevel::Snapshot);
-    for row in &rows {
-        let mut doc = schema.object_from_row(row);
-        let key = match &row[schema.primary_key()] {
+    for mut doc in docs {
+        let key = match doc.get_field(pk) {
             Value::String(s) => s.to_string(),
             other => other.to_string(),
         };
@@ -43,7 +43,7 @@ pub fn table_to_collection(db: &Database, table: &str, collection: &str) -> Resu
         s.insert_document(collection, doc)?;
     }
     s.commit()?;
-    Ok(rows.len())
+    Ok(n)
 }
 
 /// Migrate a document collection into a (new) relational table with an
@@ -113,16 +113,16 @@ pub fn collection_to_graph(
 /// the number of triples inserted.
 pub fn table_to_rdf(db: &Database, table: &str) -> Result<usize> {
     let t = db.world().catalog.table(table)?;
-    let schema = t.schema().clone();
+    let pk = t.schema().primary_key_name();
     let mut s = db.begin(IsolationLevel::Snapshot);
     let mut n = 0;
-    for row in t.scan()? {
-        let subject = format!("{table}:{}", row[schema.primary_key()]);
-        for (col, value) in schema.columns().iter().zip(row) {
+    for row in t.scan_projected(&Projection::ALL)? {
+        let subject = format!("{table}:{}", row.get_field(pk));
+        for (col, value) in row.as_object()?.iter() {
             if value.is_null() {
                 continue;
             }
-            s.rdf_insert(&subject, &col.name, value)?;
+            s.rdf_insert(&subject, col, value.clone())?;
             n += 1;
         }
     }

@@ -489,6 +489,8 @@ mod tests {
     use crate::Database;
     use mmdb_relational::{ColumnDef, DataType, Schema};
     use mmdb_txn::IsolationLevel;
+    use mmdb_types::Projection;
+    use std::ops::Bound;
 
     fn db_with_stores() -> Database {
         let db = Database::in_memory_logged();
@@ -703,8 +705,6 @@ mod tests {
 
     #[test]
     fn delete_row_leaves_both_indexes_and_spares_the_other_rows() {
-        use mmdb_relational::Predicate;
-
         let db = db_with_stores();
         db.create_index("customers", "credit_limit").unwrap();
         let customers = db.world().catalog.table("customers").unwrap();
@@ -719,10 +719,13 @@ mod tests {
         assert_eq!(customers.get(&Value::int(1)).unwrap(), None);
         // ...and from the secondary one, which still serves the row that
         // shares the deleted row's value.
-        let (rows, used_index) =
-            customers.select(&Predicate::Eq("credit_limit".into(), Value::int(5000))).unwrap();
+        let limit = Value::int(5000);
+        let (rows, used_index) = customers
+            .range("credit_limit", Bound::Included(&limit), Bound::Included(&limit), &Projection::ALL)
+            .unwrap();
         assert!(used_index);
-        assert_eq!(rows, vec![vec![Value::int(3), Value::str("Anne"), Value::int(5000)]]);
+        let anne = r#"{"id":3,"name":"Anne","credit_limit":5000}"#;
+        assert_eq!(rows, vec![mmdb_types::from_json(anne).unwrap()]);
         assert_eq!(customers.len(), 2);
         assert!(customers.get(&Value::int(2)).unwrap().is_some());
         // Deleting a row that is not there is not an error.

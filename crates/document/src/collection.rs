@@ -8,10 +8,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
-use mmdb_index::{BPlusTree, ExtendibleHashMap, GinIndex, GinMode};
+use mmdb_index::value::within;
+use mmdb_index::{ExtendibleHashMap, GinIndex, GinMode, ValueIndex};
 use mmdb_storage::{BufferPool, HeapFile, RecordId};
 use mmdb_text::{score::bm25_search, TextIndex, TextQuery};
-use mmdb_types::codec::{decode_projected, key_of, value_from_bytes, value_to_bytes};
+use mmdb_types::codec::{decode_projected, value_from_bytes, value_to_bytes};
 use mmdb_types::{lock_rank, Error, Path, Projection, Result, Value};
 
 /// The reserved primary-key attribute, as in ArangoDB.
@@ -24,9 +25,9 @@ pub const KEY_FIELD: &str = "_key";
 struct CollectionIndexes {
     /// `_key` → record id (ArangoDB's primary *hash* index).
     primary: ExtendibleHashMap<String, RecordId>,
-    /// Persistent (B+-tree) indexes: path text → the parsed path and its
-    /// tree, (encoded value ++ key) → rid.
-    persistent: HashMap<String, (Path, BPlusTree<Vec<u8>, RecordId>)>,
+    /// Persistent indexes: path text → the parsed path and its index,
+    /// each document filed under its `_key`.
+    persistent: HashMap<String, (Path, ValueIndex)>,
     /// Optional GIN index.
     gin: Option<GinIndex>,
     /// Full-text indexes by name: the indexed top-level field and the
@@ -49,21 +50,6 @@ pub struct Collection {
     heap: HeapFile,
     indexes: RwLock<CollectionIndexes>,
     next_key: AtomicU64,
-}
-
-fn as_ref_bound(b: &Bound<Vec<u8>>) -> Bound<&Vec<u8>> {
-    match b {
-        Bound::Included(k) => Bound::Included(k),
-        Bound::Excluded(k) => Bound::Excluded(k),
-        Bound::Unbounded => Bound::Unbounded,
-    }
-}
-
-fn sec_key(value: &Value, doc_key: &str) -> Vec<u8> {
-    let mut k = key_of(value);
-    k.push(0);
-    k.extend_from_slice(doc_key.as_bytes());
-    k
 }
 
 /// The text a full-text index on `field` takes from `doc`: a string as
@@ -180,16 +166,9 @@ impl Collection {
                 rid
             }
         };
-        for (path, tree) in idx.persistent.values_mut() {
-            let new = path.eval_point(&doc)?;
-            if let Some(old) = &old {
-                let old = path.eval_point(old)?;
-                if old == new {
-                    continue;
-                }
-                tree.remove(&sec_key(old, key));
-            }
-            tree.insert(sec_key(new, key), rid);
+        for (path, index) in idx.persistent.values_mut() {
+            let old = old.as_ref().map(|old| path.eval_point(old)).transpose()?;
+            index.update(old, path.eval_point(&doc)?, key.as_bytes(), rid);
         }
         if let Some(gin) = &mut idx.gin {
             if let Some(old) = &old {
@@ -266,8 +245,8 @@ impl Collection {
         let old = if idx.has_secondary() { self.fetch(rid, &Projection::ALL)? } else { Value::Null };
         self.heap.delete(rid)?;
         idx.primary.remove(key);
-        for (path, tree) in idx.persistent.values_mut() {
-            tree.remove(&sec_key(path.eval_point(&old)?, key));
+        for (path, index) in idx.persistent.values_mut() {
+            index.remove(path.eval_point(&old)?, key.as_bytes());
         }
         if let Some(gin) = &mut idx.gin {
             gin.remove(rid, &old);
@@ -295,7 +274,7 @@ impl Collection {
         Ok(docs)
     }
 
-    /// Create a persistent (B+-tree) index on a path, backfilling.
+    /// Create a persistent index on a path, backfilling.
     pub fn create_persistent_index(&self, path_text: &str) -> Result<()> {
         let path = Path::parse(path_text)?;
         if !path.is_point() {
@@ -305,14 +284,14 @@ impl Collection {
         if idx.persistent.contains_key(path_text) {
             return Err(Error::AlreadyExists(format!("index on '{path_text}'")));
         }
-        let mut tree = BPlusTree::new();
+        let mut index = ValueIndex::new();
         self.heap.scan_with(|rid, bytes| {
             let doc = value_from_bytes(bytes)?;
             let key = doc.get_field(KEY_FIELD).as_str().unwrap_or("");
-            tree.insert(sec_key(path.eval_point(&doc)?, key), rid);
+            index.insert(path.eval_point(&doc)?, key.as_bytes(), rid);
             Ok(())
         })?;
-        idx.persistent.insert(path_text.to_string(), (path, tree));
+        idx.persistent.insert(path_text.to_string(), (path, index));
         Ok(())
     }
 
@@ -386,77 +365,26 @@ impl Collection {
         v
     }
 
-    /// Range query on a path: `lo..=hi`, using the persistent index when
-    /// available. Returns `(docs, used_index)`.
-    pub fn range(&self, path_text: &str, lo: &Value, hi: &Value) -> Result<(Vec<Value>, bool)> {
-        self.range_bounds(path_text, Bound::Included(lo), Bound::Included(hi), &Projection::ALL)
-    }
-
-    /// Range query with explicit bounds on each side, returning at least
-    /// what `p` keeps of each document. Without an index on the path, each
-    /// document is decoded whole to test the bounds and returned whole.
-    pub fn range_bounds(
+    /// The documents whose value at `path_text` lies within `lo..hi`,
+    /// each with at least what `p` keeps: through the path's persistent
+    /// index when it has one (in index order), else a scan that decodes
+    /// each document whole to test it and returns it whole. Returns
+    /// `(docs, used_index)`.
+    pub fn range(
         &self,
         path_text: &str,
         lo: Bound<&Value>,
         hi: Bound<&Value>,
         p: &Projection,
     ) -> Result<(Vec<Value>, bool)> {
-        {
-            let idx = self.indexes.read();
-            if let Some((_, tree)) = idx.persistent.get(path_text) {
-                // Secondary keys are `key_of(value) ++ 0 ++ doc_key`; a 0x00
-                // suffix covers the value's smallest entry and 0xFF its
-                // largest, turning value bounds into byte bounds.
-                let lo_key = match lo {
-                    Bound::Included(v) => {
-                        let mut k = key_of(v);
-                        k.push(0);
-                        Bound::Included(k)
-                    }
-                    Bound::Excluded(v) => {
-                        let mut k = key_of(v);
-                        k.push(0xFF);
-                        Bound::Included(k)
-                    }
-                    Bound::Unbounded => Bound::Unbounded,
-                };
-                let hi_key = match hi {
-                    Bound::Included(v) => {
-                        let mut k = key_of(v);
-                        k.push(0xFF);
-                        Bound::Included(k)
-                    }
-                    Bound::Excluded(v) => {
-                        let mut k = key_of(v);
-                        k.push(0);
-                        Bound::Excluded(k)
-                    }
-                    Bound::Unbounded => Bound::Unbounded,
-                };
-                let rids: Vec<RecordId> = tree
-                    .range(as_ref_bound(&lo_key), as_ref_bound(&hi_key))
-                    .map(|(_, rid)| *rid)
-                    .collect();
-                drop(idx);
-                return Ok((self.fetch_hits(rids, p)?, true));
-            }
+        let rids = self.indexes.read().persistent.get(path_text).map(|(_, index)| index.range(lo, hi));
+        if let Some(rids) = rids {
+            return Ok((self.fetch_hits(rids, p)?, true));
         }
         let path = Path::parse(path_text)?;
         let mut docs = Vec::new();
         for doc in self.all()? {
-            let v = path.eval_point(&doc)?;
-            let above = match lo {
-                Bound::Included(l) => v >= l,
-                Bound::Excluded(l) => v > l,
-                Bound::Unbounded => true,
-            };
-            let below = match hi {
-                Bound::Included(h) => v <= h,
-                Bound::Excluded(h) => v < h,
-                Bound::Unbounded => true,
-            };
-            if above && below {
+            if within(path.eval_point(&doc)?, lo, hi) {
                 docs.push(doc);
             }
         }
@@ -507,6 +435,13 @@ mod tests {
 
     fn coll() -> Collection {
         Collection::create("orders", Arc::default()).unwrap()
+    }
+
+    /// The documents whose `path` lies within `lo..=hi`, and whether the
+    /// read used an index.
+    fn between(c: &Collection, path: &str, lo: i64, hi: i64) -> (Vec<Value>, bool) {
+        let (lo, hi) = (Value::int(lo), Value::int(hi));
+        c.range(path, Bound::Included(&lo), Bound::Included(&hi), &Projection::ALL).unwrap()
     }
 
     fn paper_order() -> Value {
@@ -575,25 +510,32 @@ mod tests {
     }
 
     #[test]
-    fn persistent_index_range_queries() {
+    fn persistent_index_serves_ranges() {
         let c = coll();
         for i in 0..100 {
             c.insert_json(&format!(r#"{{"_key":"d{i}","price":{}}}"#, i * 10)).unwrap();
         }
-        let (docs, used) = c.range("price", &Value::int(100), &Value::int(190)).unwrap();
+        let (docs, used) = between(&c, "price", 100, 190);
         assert!(!used);
         assert_eq!(docs.len(), 10);
         c.create_persistent_index("price").unwrap();
-        let (docs2, used) = c.range("price", &Value::int(100), &Value::int(190)).unwrap();
+        let (docs2, used) = between(&c, "price", 100, 190);
         assert!(used);
-        assert_eq!(docs2.len(), 10);
+        assert_eq!(keys(docs2), keys(docs), "index order is price order, as the heap's here");
         assert!(c.create_persistent_index("price").is_err());
         assert_eq!(c.indexed_paths(), vec!["price".to_string()]);
         // Index maintenance across a re-put and a remove.
         c.put("d15", from_json(r#"{"price":5000}"#).unwrap()).unwrap();
         c.remove("d12").unwrap();
-        let (docs3, _) = c.range("price", &Value::int(100), &Value::int(190)).unwrap();
+        let (docs3, _) = between(&c, "price", 100, 190);
         assert_eq!(docs3.len(), 8);
+        // Open bounds, and a projection the index read keeps to.
+        let nine_ninety = Value::int(990);
+        let price = Projection::of([Path::parse("price").unwrap()]);
+        let (above, _) = c.range("price", Bound::Excluded(&nine_ninety), Bound::Unbounded, &price).unwrap();
+        assert_eq!(above, [Value::object([("price", Value::int(5000))])]);
+        let (below, _) = c.range("price", Bound::Unbounded, Bound::Excluded(&Value::int(20)), &price).unwrap();
+        assert_eq!(below.len(), 2);
     }
 
     #[test]
@@ -602,9 +544,7 @@ mod tests {
         c.insert(paper_order()).unwrap();
         c.insert_json(r#"{"_key":"x","orderlines":[{"price":10}]}"#).unwrap();
         c.create_persistent_index("orderlines[0].price").unwrap();
-        let (docs, used) = c
-            .range("orderlines[0].price", &Value::int(50), &Value::int(100))
-            .unwrap();
+        let (docs, used) = between(&c, "orderlines[0].price", 50, 100);
         assert!(used);
         assert_eq!(docs.len(), 1);
         assert!(c.create_persistent_index("orderlines[*].price").is_err());

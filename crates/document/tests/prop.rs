@@ -4,6 +4,7 @@
 //! and persistent-index answer equals a scan of the collection.
 
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -122,7 +123,8 @@ fn indexes_match_a_scan(c: &Collection) -> Result<(), String> {
         let got = c.with_key(field).unwrap();
         prop_assert_eq!(sorted_keys(&got), sorted_keys(&want), "with_key {}", field);
     }
-    let (got, used) = c.range("meta.n", &Value::int(1), &Value::int(2)).unwrap();
+    let (one, two) = (Value::int(1), Value::int(2));
+    let (got, used) = c.range("meta.n", Bound::Included(&one), Bound::Included(&two), &Projection::ALL).unwrap();
     prop_assert!(used);
     let in_range = |d: &&Value| {
         let n = d.get_field("meta").get_field("n");

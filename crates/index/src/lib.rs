@@ -18,6 +18,9 @@
 //!   numbering schema"). Ablation E8.
 //! * [`rtree`] — an R-tree for the spatial model (MySQL "spatial data
 //!   R-trees").
+//! * [`value`] — the value index over a B+-tree that document collections
+//!   (a path) and tables (a column) share: one key layout, one range read,
+//!   one bound test for the scans without it.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::allow_attributes, clippy::allow_attributes_without_reason))]
 
@@ -27,8 +30,10 @@ pub mod exthash;
 pub mod gin;
 pub mod ordpath;
 pub mod rtree;
+pub mod value;
 
 pub use btree::BPlusTree;
 pub use exthash::ExtendibleHashMap;
 pub use gin::{GinIndex, GinMode};
 pub use ordpath::OrdPath;
+pub use value::ValueIndex;

@@ -358,8 +358,8 @@ fn apply_node(cx: &ExecCtx, node: &PlanNode, envs: Vec<Env>) -> Result<Vec<Env>>
             for env in envs {
                 world.access.note_index_scan();
                 let docs = match world.catalog.get(source) {
-                    Some(Container::Collection(c)) => c.range_bounds(path, lo_b, hi_b, project)?.0,
-                    Some(Container::Table(t)) => t.range_projected(path, lo_b, hi_b, project)?.0,
+                    Some(Container::Collection(c)) => c.range(path, lo_b, hi_b, project)?.0,
+                    Some(Container::Table(t)) => t.range(path, lo_b, hi_b, project)?.0,
                     _ => return Err(Error::NotFound(format!("'{source}' is not a collection or table"))),
                 };
                 for doc in docs {

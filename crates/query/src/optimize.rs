@@ -220,7 +220,7 @@ fn try_index_scan(
     }
     let indexed_paths = match world.catalog.get(source)? {
         Container::Collection(c) => c.indexed_paths(),
-        Container::Table(t) => t.indexed_columns(),
+        Container::Table(t) => t.indexed_paths(),
         _ => return None,
     };
     if indexed_paths.is_empty() {

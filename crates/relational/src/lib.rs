@@ -18,5 +18,5 @@ pub mod table;
 pub mod universal;
 
 pub use schema::{ColumnDef, DataType, Schema};
-pub use table::{Predicate, Table};
+pub use table::Table;
 pub use universal::UniversalRelation;

@@ -1,5 +1,5 @@
-//! Heap-backed tables with a primary-key index and optional secondary
-//! B+-tree indexes.
+//! Heap-backed tables with a primary-key index and optional column
+//! indexes ([`ValueIndex`]es).
 
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use mmdb_index::BPlusTree;
+use mmdb_index::value::within;
+use mmdb_index::{BPlusTree, ValueIndex};
 use mmdb_storage::{BufferPool, HeapFile, RecordId};
 use mmdb_types::codec::{decode_items, encode_array_header, encode_value, key_of};
 use mmdb_types::value::ObjectMap;
@@ -15,60 +16,12 @@ use mmdb_types::{lock_rank, Error, Projection, Result, Value};
 
 use crate::schema::Schema;
 
-/// A simple predicate language for table scans; the full expression
-/// language lives in `mmdb-query`, which compiles down to these where an
-/// index can serve them.
-#[derive(Debug, Clone)]
-pub enum Predicate {
-    /// Column = value.
-    Eq(String, Value),
-    /// lo <= column <= hi.
-    Between(String, Value, Value),
-    /// Column < value.
-    Lt(String, Value),
-    /// Column > value.
-    Gt(String, Value),
-    /// Both hold.
-    And(Box<Predicate>, Box<Predicate>),
-    /// Either holds.
-    Or(Box<Predicate>, Box<Predicate>),
-    /// Always true (full scan).
-    True,
-}
-
-impl Predicate {
-    /// Evaluate against a row.
-    pub fn matches(&self, schema: &Schema, row: &[Value]) -> bool {
-        match self {
-            Predicate::True => true,
-            Predicate::Eq(c, v) => schema
-                .column_index(c)
-                .map(|i| &row[i] == v)
-                .unwrap_or(false),
-            Predicate::Between(c, lo, hi) => schema
-                .column_index(c)
-                .map(|i| &row[i] >= lo && &row[i] <= hi)
-                .unwrap_or(false),
-            Predicate::Lt(c, v) => schema
-                .column_index(c)
-                .map(|i| !row[i].is_null() && &row[i] < v)
-                .unwrap_or(false),
-            Predicate::Gt(c, v) => schema
-                .column_index(c)
-                .map(|i| !row[i].is_null() && &row[i] > v)
-                .unwrap_or(false),
-            Predicate::And(a, b) => a.matches(schema, row) && b.matches(schema, row),
-            Predicate::Or(a, b) => a.matches(schema, row) || b.matches(schema, row),
-        }
-    }
-}
-
 struct Indexes {
     /// Primary key → record id.
     primary: BPlusTree<Vec<u8>, RecordId>,
-    /// Secondary: column name → (encoded value ++ encoded pk) → record id.
-    /// Including the pk in the key makes duplicate column values unique.
-    secondary: HashMap<String, BPlusTree<Vec<u8>, RecordId>>,
+    /// Column indexes by column name: the column's position and its
+    /// index, each row filed under its encoded primary key.
+    secondary: HashMap<String, (usize, ValueIndex)>,
 }
 
 /// A relational table.
@@ -77,28 +30,6 @@ pub struct Table {
     schema: Schema,
     heap: HeapFile,
     indexes: RwLock<Indexes>,
-}
-
-/// Is `v` within `lo..hi`?
-fn within(v: &Value, lo: Bound<&Value>, hi: Bound<&Value>) -> bool {
-    let above = match lo {
-        Bound::Included(l) => v >= l,
-        Bound::Excluded(l) => v > l,
-        Bound::Unbounded => true,
-    };
-    let below = match hi {
-        Bound::Included(h) => v <= h,
-        Bound::Excluded(h) => v < h,
-        Bound::Unbounded => true,
-    };
-    above && below
-}
-
-fn sec_key(value: &Value, pk: &Value) -> Vec<u8> {
-    let mut k = key_of(value);
-    k.push(0);
-    k.extend(key_of(pk));
-    k
 }
 
 impl Table {
@@ -174,21 +105,13 @@ impl Table {
                 self.heap.replace(rid, bytes)?;
                 rid
             }
-            None => {
-                let rid = self.heap.insert(bytes)?;
-                idx.primary.insert(pk_key, rid);
-                rid
-            }
+            None => self.heap.insert(bytes)?,
         };
-        for (col, tree) in idx.secondary.iter_mut() {
-            let ci = self.schema.column_index(col)?;
-            if let Some(old) = &old {
-                if old[ci] == row[ci] {
-                    continue;
-                }
-                tree.remove(&sec_key(&old[ci], pk));
-            }
-            tree.insert(sec_key(&row[ci], pk), rid);
+        for (ci, index) in idx.secondary.values_mut() {
+            index.update(old.as_ref().map(|old| &old[*ci]), &row[*ci], &pk_key, rid);
+        }
+        if old_rid.is_none() {
+            idx.primary.insert(pk_key, rid);
         }
         Ok(())
     }
@@ -258,93 +181,35 @@ impl Table {
         let row = if idx.secondary.is_empty() { Vec::new() } else { self.fetch(rid)? };
         self.heap.delete(rid)?;
         idx.primary.remove(&pk_key);
-        for (col, tree) in idx.secondary.iter_mut() {
-            let ci = self.schema.column_index(col)?;
-            tree.remove(&sec_key(&row[ci], &row[self.schema.primary_key()]));
+        for (ci, index) in idx.secondary.values_mut() {
+            index.remove(&row[*ci], &pk_key);
         }
         Ok(true)
     }
 
-    /// Create a secondary B+-tree index on a column, backfilling it.
+    /// Create an index on a column, backfilling it.
     pub fn create_index(&self, column: &str) -> Result<()> {
-        self.schema.column_index(column)?;
+        let ci = self.schema.column_index(column)?;
         let mut idx = self.indexes.write();
         if idx.secondary.contains_key(column) {
             return Err(Error::AlreadyExists(format!("index on '{column}'")));
         }
-        let mut tree = BPlusTree::new();
-        let ci = self.schema.column_index(column)?;
+        let mut index = ValueIndex::new();
         let pk_i = self.schema.primary_key();
         self.heap.scan_with(|rid, bytes| {
             let row = self.row(bytes)?;
-            tree.insert(sec_key(&row[ci], &row[pk_i]), rid);
+            index.insert(&row[ci], &key_of(&row[pk_i]), rid);
             Ok(())
         })?;
-        idx.secondary.insert(column.to_string(), tree);
+        idx.secondary.insert(column.to_string(), (ci, index));
         Ok(())
     }
 
-    /// Which columns have secondary indexes.
-    pub fn indexed_columns(&self) -> Vec<String> {
+    /// The indexed columns (sorted).
+    pub fn indexed_paths(&self) -> Vec<String> {
         let mut cols: Vec<String> = self.indexes.read().secondary.keys().cloned().collect();
         cols.sort();
         cols
-    }
-
-    /// The record ids of the rows whose `column` lies within `lo..hi`, in
-    /// index order; `None` when the column has no index.
-    fn index_rids(&self, column: &str, lo: Bound<&Value>, hi: Bound<&Value>) -> Option<Vec<RecordId>> {
-        let idx = self.indexes.read();
-        let tree = idx.secondary.get(column)?;
-        // Keys are value ++ 0 ++ pk: a value's key with 0xFF appended
-        // sorts after every pk of that value.
-        let past = |v: &Value| {
-            let mut k = key_of(v);
-            k.push(0xFF);
-            k
-        };
-        let lo = match lo {
-            Bound::Included(v) => Bound::Included(key_of(v)),
-            Bound::Excluded(v) => Bound::Included(past(v)),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        let hi = match hi {
-            Bound::Included(v) => Bound::Included(past(v)),
-            Bound::Excluded(v) => Bound::Excluded(key_of(v)),
-            Bound::Unbounded => Bound::Unbounded,
-        };
-        Some(tree.range(lo.as_ref(), hi.as_ref()).map(|(_, rid)| *rid).collect())
-    }
-
-    /// Scan with a predicate, using a secondary index when one matches the
-    /// predicate's column (returns `(rows, used_index)` so callers/benches
-    /// can observe plan choice).
-    pub fn select(&self, pred: &Predicate) -> Result<(Vec<Vec<Value>>, bool)> {
-        if let Some(rids) = index_range(pred).and_then(|(column, lo, hi)| self.index_rids(column, lo, hi)) {
-            let mut rows = Vec::with_capacity(rids.len());
-            for rid in rids {
-                let row = self.fetch(rid)?;
-                // Recheck (cheap) to keep semantics exact.
-                if pred.matches(&self.schema, &row) {
-                    rows.push(row);
-                }
-            }
-            return Ok((rows, true));
-        }
-        let mut rows = Vec::new();
-        self.heap.scan_with(|_, bytes| {
-            let row = self.row(bytes)?;
-            if pred.matches(&self.schema, &row) {
-                rows.push(row);
-            }
-            Ok(())
-        })?;
-        Ok((rows, false))
-    }
-
-    /// All rows.
-    pub fn scan(&self) -> Result<Vec<Vec<Value>>> {
-        Ok(self.select(&Predicate::True)?.0)
     }
 
     /// Every row as an object of the columns `project` reads (the
@@ -363,7 +228,7 @@ impl Table {
     /// the columns `project` reads: through the column's index when it
     /// has one (in index order), else a full scan. Returns `(rows,
     /// used_index)`.
-    pub fn range_projected(
+    pub fn range(
         &self,
         column: &str,
         lo: Bound<&Value>,
@@ -372,7 +237,8 @@ impl Table {
     ) -> Result<(Vec<Value>, bool)> {
         let ci = self.schema.column_index(column)?;
         let keep = self.keep(project);
-        if let Some(rids) = self.index_rids(column, lo, hi) {
+        let rids = self.indexes.read().secondary.get(column).map(|(_, index)| index.range(lo, hi));
+        if let Some(rids) = rids {
             let mut rows = Vec::with_capacity(rids.len());
             for rid in rids {
                 rows.push(self.heap.get_with(rid, |bytes| self.object(bytes, &keep))??);
@@ -390,17 +256,6 @@ impl Table {
             Ok(())
         })?;
         Ok((rows, false))
-    }
-}
-
-/// If the predicate is a single-column range/eq, return its bounds.
-fn index_range(pred: &Predicate) -> Option<(&str, Bound<&Value>, Bound<&Value>)> {
-    match pred {
-        Predicate::Eq(c, v) => Some((c, Bound::Included(v), Bound::Included(v))),
-        Predicate::Between(c, lo, hi) => Some((c, Bound::Included(lo), Bound::Included(hi))),
-        Predicate::Lt(c, v) => Some((c, Bound::Unbounded, Bound::Excluded(v))),
-        Predicate::Gt(c, v) => Some((c, Bound::Excluded(v), Bound::Unbounded)),
-        _ => None,
     }
 }
 
@@ -443,18 +298,28 @@ mod tests {
         assert_eq!(e.kind(), "already_exists");
     }
 
+    /// `column`'s value of each row `range` reads within `lo..hi`, and
+    /// whether it read the column's index.
+    fn range_of(t: &Table, column: &str, lo: Bound<&Value>, hi: Bound<&Value>) -> (Vec<Value>, bool) {
+        let (rows, used) = t.range(column, lo, hi, &Projection::ALL).unwrap();
+        (rows.iter().map(|r| r.get_field(column).clone()).collect(), used)
+    }
+
     #[test]
     fn paper_filter_credit_limit_gt_3000() {
         let t = customers_table();
-        let (rows, used_index) = t.select(&Predicate::Gt("credit_limit".into(), Value::int(3000))).unwrap();
+        let above = |t: &Table| t.range("credit_limit", Bound::Excluded(&Value::int(3000)), Bound::Unbounded, &Projection::ALL).unwrap();
+        let (rows, used_index) = above(&t);
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0][1], Value::str("Mary"));
+        assert_eq!(rows[0].get_field("name"), &Value::str("Mary"));
         assert!(!used_index);
         // Same query through an index.
         t.create_index("credit_limit").unwrap();
-        let (rows, used_index) = t.select(&Predicate::Gt("credit_limit".into(), Value::int(3000))).unwrap();
+        let (rows, used_index) = above(&t);
         assert_eq!(rows.len(), 1);
         assert!(used_index);
+        assert_eq!(t.indexed_paths(), ["credit_limit"]);
+        assert!(matches!(t.create_index("credit_limit"), Err(Error::AlreadyExists(_))));
     }
 
     #[test]
@@ -469,15 +334,15 @@ mod tests {
             t.insert(vec![Value::int(i), Value::int(i % 5)]).unwrap();
         }
         t.create_index("grp").unwrap();
-        let (rows, used) = t.select(&Predicate::Eq("grp".into(), Value::int(3))).unwrap();
+        let (one, two, three) = (Value::int(1), Value::int(2), Value::int(3));
+        let (rows, used) = range_of(&t, "grp", Bound::Included(&three), Bound::Included(&three));
         assert!(used);
-        assert_eq!(rows.len(), 20);
-        let (rows, _) = t
-            .select(&Predicate::Between("grp".into(), Value::int(1), Value::int(2)))
-            .unwrap();
+        assert_eq!(rows, vec![three.clone(); 20]);
+        let (rows, _) = range_of(&t, "grp", Bound::Included(&one), Bound::Included(&two));
         assert_eq!(rows.len(), 40);
-        let (rows, _) = t.select(&Predicate::Lt("grp".into(), Value::int(1))).unwrap();
-        assert_eq!(rows.len(), 20);
+        assert!(rows.is_sorted(), "index order");
+        let (rows, _) = range_of(&t, "grp", Bound::Unbounded, Bound::Excluded(&one));
+        assert_eq!(rows, vec![Value::int(0); 20]);
     }
 
     #[test]
@@ -485,17 +350,18 @@ mod tests {
         let t = customers_table();
         t.create_index("credit_limit").unwrap();
         t.put(vec![Value::int(3), Value::str("Anne"), Value::int(9000)]).unwrap();
-        let (rows, used) = t.select(&Predicate::Gt("credit_limit".into(), Value::int(3000))).unwrap();
+        let limit = |l: i64| Value::int(l);
+        let (rows, used) = range_of(&t, "credit_limit", Bound::Excluded(&limit(3000)), Bound::Unbounded);
         assert!(used);
-        assert_eq!(rows.len(), 2);
+        assert_eq!(rows, [limit(5000), limit(9000)]);
         // The old index entry is gone.
-        let (rows, _) = t.select(&Predicate::Eq("credit_limit".into(), Value::int(2000))).unwrap();
-        assert!(rows.is_empty());
+        let two = limit(2000);
+        assert!(range_of(&t, "credit_limit", Bound::Included(&two), Bound::Included(&two)).0.is_empty());
         // A put of a new primary key creates the row.
         t.put(vec![Value::int(77), Value::str("x"), Value::int(9000)]).unwrap();
         assert_eq!(t.len(), 4);
-        let (rows, _) = t.select(&Predicate::Eq("credit_limit".into(), Value::int(9000))).unwrap();
-        assert_eq!(rows.len(), 2);
+        let nine = limit(9000);
+        assert_eq!(range_of(&t, "credit_limit", Bound::Included(&nine), Bound::Included(&nine)).0.len(), 2);
         // A row the schema refuses changes nothing.
         assert!(t.put(vec![Value::int(3), Value::Null, Value::Null]).is_err());
         assert_eq!(t.get(&Value::int(3)).unwrap().unwrap()[1], Value::str("Anne"));
@@ -508,19 +374,23 @@ mod tests {
         assert!(t.delete(&Value::int(2)).unwrap());
         assert!(!t.delete(&Value::int(2)).unwrap());
         assert_eq!(t.len(), 2);
-        let (rows, used) = t.select(&Predicate::Eq("name".into(), Value::str("John"))).unwrap();
+        let john = Value::str("John");
+        let (rows, used) = range_of(&t, "name", Bound::Included(&john), Bound::Included(&john));
         assert!(used);
         assert!(rows.is_empty());
+        let (rows, _) = range_of(&t, "name", Bound::Unbounded, Bound::Unbounded);
+        assert_eq!(rows, [Value::str("Anne"), Value::str("Mary")]);
     }
 
     #[test]
     fn insert_object_and_scan() {
         let t = customers_table();
         t.insert_object(&mmdb_types::from_json(r#"{"id":4,"name":"Petra"}"#).unwrap()).unwrap();
-        let all = t.scan().unwrap();
+        let all = t.scan_projected(&Projection::ALL).unwrap();
         assert_eq!(all.len(), 4);
         let petra = t.get(&Value::int(4)).unwrap().unwrap();
         assert_eq!(petra[2], Value::Null);
+        assert_eq!(all[3], t.schema().object_from_row(petra));
     }
 
     #[test]
@@ -531,12 +401,12 @@ mod tests {
         // A name no column has keeps nothing; a path keeps its column.
         let keep = of(&["credit_limit.x", "nope"]);
         assert_eq!(t.scan_projected(&keep).unwrap(), [limit(5000), limit(3000), limit(2000)]);
-        let whole: Vec<Value> = t.scan().unwrap().into_iter().map(|row| t.schema().object_from_row(row)).collect();
+        let whole: Vec<Value> = (1..=3).map(|id| t.schema().object_from_row(t.get(&Value::int(id)).unwrap().unwrap())).collect();
         assert_eq!(t.scan_projected(&Projection::ALL).unwrap(), whole);
         assert_eq!(t.scan_projected(&of(&[])).unwrap(), vec![Value::Object(ObjectMap::new()); 3]);
         // A range reads the same rows through a full scan and an index,
         // the range's column decoded or not.
-        let above = |p: &Projection| t.range_projected("credit_limit", Bound::Excluded(&Value::int(2000)), Bound::Unbounded, p).unwrap();
+        let above = |p: &Projection| t.range("credit_limit", Bound::Excluded(&Value::int(2000)), Bound::Unbounded, p).unwrap();
         let names = of(&["name"]);
         let (scanned, used) = above(&names);
         assert!(!used);
@@ -549,24 +419,7 @@ mod tests {
         // A record whose skipped column is corrupt fails a projected read
         // as it fails a whole one.
         t.heap.insert(vec![0x07, 3, 0x03, 8, 0x05, 1, 0xFF, 0x03, 2]).unwrap();
-        assert!(t.scan().is_err());
+        assert!(t.scan_projected(&Projection::ALL).is_err());
         assert!(t.scan_projected(&keep).is_err());
-    }
-
-    #[test]
-    fn compound_predicates() {
-        let t = customers_table();
-        let p = Predicate::And(
-            Box::new(Predicate::Gt("credit_limit".into(), Value::int(1000))),
-            Box::new(Predicate::Lt("credit_limit".into(), Value::int(4000))),
-        );
-        let (rows, _) = t.select(&p).unwrap();
-        assert_eq!(rows.len(), 2); // John 3000, Anne 2000
-        let p = Predicate::Or(
-            Box::new(Predicate::Eq("name".into(), Value::str("Mary"))),
-            Box::new(Predicate::Eq("name".into(), Value::str("Anne"))),
-        );
-        let (rows, _) = t.select(&p).unwrap();
-        assert_eq!(rows.len(), 2);
     }
 }

@@ -37,7 +37,7 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -229,6 +229,83 @@ pub struct GroupCommitStats {
     pub max_group_size: u64,
 }
 
+/// How many snapshot timestamps [`Snapshots`] tells apart at once.
+const SNAPSHOT_SLOTS: usize = 64;
+
+/// The open snapshots: a queue of `(start_ts, count)` entries in start
+/// order, one a timestamp, in a ring of fixed slots, so opening one
+/// never allocates. A snapshot opens under the queue's lock, reading its
+/// timestamp there, so the queue is monotone and [`Snapshots::oldest`],
+/// which reads the front under the same lock, misses none opened before
+/// it. It closes with one decrement of its entry's count, taking no
+/// lock; entries that reached zero leave from the front. When every slot
+/// is taken, a new snapshot joins the newest entry, whose older
+/// timestamp only holds the vacuum horizon further back.
+struct Snapshots {
+    counts: [AtomicU32; SNAPSHOT_SLOTS],
+    /// A leaf: nothing is taken under it.
+    queue: Mutex<SnapshotQueue>,
+}
+
+/// The entries `head..tail`, by sequence number: entry `i` is in slot
+/// `i % SNAPSHOT_SLOTS` of `start_ts` and of [`Snapshots::counts`].
+struct SnapshotQueue {
+    head: u64,
+    tail: u64,
+    start_ts: [u64; SNAPSHOT_SLOTS],
+}
+
+fn slot(entry: u64) -> usize {
+    (entry % SNAPSHOT_SLOTS as u64) as usize
+}
+
+impl Snapshots {
+    fn new() -> Snapshots {
+        Snapshots {
+            counts: std::array::from_fn(|_| AtomicU32::new(0)),
+            queue: Mutex::new(SnapshotQueue { head: 0, tail: 0, start_ts: [0; SNAPSHOT_SLOTS] }),
+        }
+    }
+
+    /// Open a snapshot at the timestamp `now` reads: the timestamp, and
+    /// the entry that counts it until [`Snapshots::close`].
+    fn open(&self, now: impl FnOnce() -> u64) -> (u64, u64) {
+        let mut q = self.queue.lock();
+        let ts = now();
+        self.pop_closed(&mut q);
+        let len = q.tail - q.head;
+        if len == 0 || (q.start_ts[slot(q.tail - 1)] != ts && len < SNAPSHOT_SLOTS as u64) {
+            let tail = q.tail;
+            q.start_ts[slot(tail)] = ts;
+            q.tail += 1;
+        }
+        let entry = q.tail - 1;
+        self.counts[slot(entry)].fetch_add(1, Ordering::SeqCst);
+        (ts, entry)
+    }
+
+    fn close(&self, entry: u64) {
+        self.counts[slot(entry)].fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// The oldest open snapshot's timestamp; with none open, `now`.
+    fn oldest(&self, now: impl FnOnce() -> u64) -> u64 {
+        let mut q = self.queue.lock();
+        self.pop_closed(&mut q);
+        if q.head < q.tail {
+            q.start_ts[slot(q.head)]
+        } else {
+            now()
+        }
+    }
+
+    fn pop_closed(&self, q: &mut SnapshotQueue) {
+        while q.head < q.tail && self.counts[slot(q.head)].load(Ordering::SeqCst) == 0 {
+            q.head += 1;
+        }
+    }
+}
+
 struct StoreInner {
     /// Every key's version chain, under its domain (see [`Versions`]).
     /// A domain enters with its first installed write and leaves when
@@ -242,6 +319,8 @@ struct StoreInner {
     /// a snapshot never covers an uninstalled commit, and a failed or
     /// crashed log step allocates no timestamp.
     snapshot_ts: AtomicU64,
+    /// The open snapshots, which [`MvccStore::vacuum`] keeps visible.
+    snapshots: Snapshots,
     next_txid: AtomicU64,
     wal: Option<Arc<Wal>>,
     hooks: RwLock<Vec<CommitHook>>,
@@ -669,6 +748,7 @@ impl MvccStore {
             inner: Arc::new(StoreInner {
                 versions: RwLock::new(HashMap::new()),
                 snapshot_ts: AtomicU64::new(1),
+                snapshots: Snapshots::new(),
                 next_txid: AtomicU64::new(1),
                 wal,
                 hooks: RwLock::with_rank(lock_rank::TXN_HOOKS, Vec::new()),
@@ -705,10 +785,12 @@ impl MvccStore {
 
     /// Begin a transaction.
     pub fn begin(&self, isolation: IsolationLevel) -> Transaction {
+        let (start_ts, snapshot) = self.inner.snapshots.open(|| self.now());
         Transaction {
             store: self.inner.clone(),
             txid: self.inner.next_txid.fetch_add(1, Ordering::SeqCst),
-            start_ts: self.inner.snapshot_ts.load(Ordering::SeqCst),
+            start_ts,
+            snapshot,
             reads: (isolation == IsolationLevel::Serializable).then(RefCell::default),
             writes: Vec::new(),
             closed: false,
@@ -786,9 +868,13 @@ impl MvccStore {
         )
     }
 
-    /// Drop versions no live snapshot can see (all but the newest version
-    /// with `commit_ts <= horizon`), and a domain left with no chain.
-    pub fn vacuum(&self, horizon: u64) -> usize {
+    /// Drop versions no open snapshot can see, and a domain left with no
+    /// chain: of each chain, every version older than the newest one at
+    /// or before the horizon — the oldest open snapshot's timestamp, or
+    /// [`MvccStore::now`] with none open — and a lone tombstone at or
+    /// before it.
+    pub fn vacuum(&self) -> usize {
+        let horizon = self.inner.snapshots.oldest(|| self.now());
         let mut versions = self.inner.versions.write();
         let mut dropped = 0;
         versions.retain(|_, chains| {
@@ -811,8 +897,8 @@ impl MvccStore {
         dropped
     }
 
-    /// Current visible logical time (usable as a vacuum horizon): the
-    /// highest commit timestamp whose versions are fully installed.
+    /// Current visible logical time: the highest commit timestamp whose
+    /// versions are fully installed.
     pub fn now(&self) -> u64 {
         self.inner.snapshot_ts.load(Ordering::SeqCst)
     }
@@ -930,6 +1016,8 @@ pub struct Transaction {
     store: Arc<StoreInner>,
     txid: u64,
     start_ts: u64,
+    /// The entry of [`StoreInner::snapshots`] that counts this snapshot.
+    snapshot: u64,
     /// `Some` for a serializable transaction: the keys it
     /// read from the store, validated at commit. A `RefCell` because
     /// reads take `&self`.
@@ -1109,6 +1197,7 @@ impl Transaction {
 impl Drop for Transaction {
     fn drop(&mut self) {
         self.abort_in_place();
+        self.store.snapshots.close(self.snapshot);
     }
 }
 
@@ -1859,7 +1948,7 @@ mod tests {
 
         // Vacuum drops kv/a's tombstone, and kv/a with it; kv/b keeps its
         // newest version.
-        assert_eq!(s.vacuum(s.now()), 3, "kv/a's two versions, kv/b's old one");
+        assert_eq!(s.vacuum(), 3, "kv/a's two versions, kv/b's old one");
         assert!(!s.inner.versions.read().contains_key("kv/a"));
         assert_eq!(s.get_latest("kv/b", b"k").unwrap(), Some(Value::int(3)));
 
@@ -1886,13 +1975,13 @@ mod tests {
         t.delete("kv/gone", b"b").unwrap();
         t.delete("kv/kept", b"a").unwrap();
         t.commit().unwrap();
-        let horizon = s.now();
-        // A tombstone past the horizon keeps its domain.
+        let held = s.begin(IsolationLevel::Snapshot);
+        // A tombstone past the oldest open snapshot keeps its domain.
         let mut t = s.begin(IsolationLevel::Snapshot);
         t.delete("kv/late", b"a").unwrap();
         t.commit().unwrap();
 
-        s.vacuum(horizon);
+        s.vacuum();
         let domains = |s: &MvccStore| {
             let mut names: Vec<String> = s.inner.versions.read().keys().cloned().collect();
             names.sort();
@@ -1900,7 +1989,8 @@ mod tests {
         };
         assert_eq!(domains(&s), ["kv/kept", "kv/late"]);
         assert_eq!(s.get_latest("kv/kept", b"b").unwrap(), Some(Value::int(1)));
-        s.vacuum(s.now());
+        drop(held);
+        s.vacuum();
         assert_eq!(domains(&s), ["kv/kept"]);
     }
 
@@ -1961,15 +2051,78 @@ mod tests {
             t.put("d", b"k", Value::int(i)).unwrap();
             t.commit().unwrap();
         }
-        let dropped = s.vacuum(s.now());
+        let dropped = s.vacuum();
         assert_eq!(dropped, 9, "nine superseded versions reclaimed");
         assert_eq!(s.get_latest("d", b"k").unwrap(), Some(Value::int(9)));
         // Deleted keys vanish entirely.
         let mut t = s.begin(IsolationLevel::Snapshot);
         t.delete("d", b"k").unwrap();
         t.commit().unwrap();
-        s.vacuum(s.now());
+        s.vacuum();
         assert_eq!(s.get_latest("d", b"k").unwrap(), None);
+    }
+
+    #[test]
+    fn vacuum_keeps_every_version_an_open_snapshot_sees() {
+        let s = store();
+        let write = |key: &[u8], value: Option<i64>| {
+            let mut t = s.begin(IsolationLevel::Snapshot);
+            match value {
+                Some(v) => t.put("d", key, Value::int(v)).unwrap(),
+                None => t.delete("d", key).unwrap(),
+            }
+            t.commit().unwrap();
+        };
+        write(b"k", Some(1));
+        write(b"gone", Some(1));
+        // Two snapshots at one timestamp, a third after a commit.
+        let (first, second) = (s.begin(IsolationLevel::Snapshot), s.begin(IsolationLevel::Snapshot));
+        write(b"k", Some(2));
+        let third = s.begin(IsolationLevel::Snapshot);
+        write(b"k", Some(3));
+        write(b"gone", None);
+
+        assert_eq!(s.vacuum(), 0, "the oldest snapshot sees the first version of each");
+        for t in [&first, &second] {
+            assert_eq!(t.get("d", b"k").unwrap(), Some(Value::int(1)));
+            assert_eq!(t.get("d", b"gone").unwrap(), Some(Value::int(1)));
+        }
+        drop(first);
+        assert_eq!(s.vacuum(), 0, "its twin still holds them");
+        assert_eq!(second.get("d", b"k").unwrap(), Some(Value::int(1)));
+        drop(second);
+        assert_eq!(s.vacuum(), 1, "k's first version goes; gone's value stays for the third");
+        assert_eq!(third.get("d", b"k").unwrap(), Some(Value::int(2)));
+        assert_eq!(third.get("d", b"gone").unwrap(), Some(Value::int(1)));
+        drop(third);
+        assert_eq!(s.vacuum(), 3, "k's second version, gone's value and its tombstone");
+        assert_eq!(s.get_latest("d", b"k").unwrap(), Some(Value::int(3)));
+        assert_eq!(s.inner.snapshots.oldest(|| 0), 0, "commits and drops close their snapshots");
+    }
+
+    #[test]
+    fn more_snapshot_timestamps_than_slots_keep_their_versions() {
+        let s = store();
+        let mut open = Vec::new();
+        for i in 0..SNAPSHOT_SLOTS as i64 + 8 {
+            let mut t = s.begin(IsolationLevel::Snapshot);
+            t.put("d", b"k", Value::int(i)).unwrap();
+            t.commit().unwrap();
+            open.push((i, s.begin(IsolationLevel::Snapshot)));
+        }
+        // Closed entries behind an open one keep their slots.
+        open.retain(|(i, _)| i % 2 == 0);
+        s.vacuum();
+        for (i, t) in &open {
+            assert_eq!(t.get("d", b"k").unwrap(), Some(Value::int(*i)));
+        }
+        let (last, newest) = open.pop().unwrap();
+        drop(open);
+        s.vacuum();
+        assert_eq!(newest.get("d", b"k").unwrap(), Some(Value::int(last)));
+        drop(newest);
+        s.vacuum();
+        assert_eq!(chain(&s.inner.versions.read(), "d", b"k").map(<[Version]>::len), Some(1));
     }
 
     #[test]

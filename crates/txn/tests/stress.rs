@@ -108,7 +108,7 @@ fn random_transfers_conserve_total() {
             .sum()
     };
     assert_eq!(total(&store), ACCOUNTS as i64 * INITIAL);
-    let dropped = store.vacuum(store.now());
+    let dropped = store.vacuum();
     assert!(dropped > 0, "contended history should have dead versions");
     assert_eq!(total(&store), ACCOUNTS as i64 * INITIAL, "vacuum is invisible");
 }

@@ -898,7 +898,8 @@ fn latest_edges(db: &Database) -> Vec<(usize, String, String)> {
 /// store is not latched.
 fn views_follow_the_version_store(db: &Database) -> Result<(), String> {
     use mmdb::substrate::graph::Direction;
-    use mmdb::substrate::relational::Predicate;
+    use mmdb::substrate::types::Projection;
+    use std::ops::Bound;
     prop_assert_eq!(db.degraded_reason(), None);
     prop_assert_eq!(db.hook_failure(), None);
     let world = db.world();
@@ -935,15 +936,16 @@ fn views_follow_the_version_store(db: &Database) -> Result<(), String> {
             prop_assert_eq!(view, latest, "{:?}", w);
         }
     }
-    let (docs, used) = orders.range("n", &Value::int(0), &Value::int(100)).unwrap();
+    let (lo, hi) = (Value::int(0), Value::int(100));
+    let (lo, hi) = (Bound::Included(&lo), Bound::Included(&hi));
+    let (docs, used) = orders.range("n", lo, hi, &Projection::ALL).unwrap();
     prop_assert!(used, "the collection's index on n went unused");
     let mut indexed: Vec<Value> = docs.iter().map(|d| d.get_field("_key").clone()).collect();
     indexed.sort();
     prop_assert_eq!(indexed, live_docs, "the collection's index on n");
-    let between = Predicate::Between("n".into(), Value::int(0), Value::int(100));
-    let (rows, used) = customers.select(&between).unwrap();
+    let (rows, used) = customers.range("n", lo, hi, &Projection::ALL).unwrap();
     prop_assert!(used, "the table's index on n went unused");
-    let mut indexed: Vec<Value> = rows.iter().map(|r| r[0].clone()).collect();
+    let mut indexed: Vec<Value> = rows.iter().map(|r| r.get_field("id").clone()).collect();
     indexed.sort();
     prop_assert_eq!(indexed, live_rows, "the table's index on n");
     let edges = latest_edges(db);

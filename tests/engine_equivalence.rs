@@ -13,6 +13,22 @@ fn arb_doc() -> impl Strategy<Value = (String, i64, String)> {
     ("[a-z]{1,8}", -1000i64..1000, "[a-c]{1}")
 }
 
+/// A value for an indexed field from a small domain of every scalar
+/// type, so that values collide within and across types: an int, the
+/// same number as a float, a fraction, a string, a bool, NULL, or no
+/// field at all.
+fn arb_indexed() -> impl Strategy<Value = Option<Value>> {
+    (0u8..7, -2i64..3).prop_map(|(kind, n)| match kind {
+        0 => Some(Value::int(n)),
+        1 => Some(Value::float(n as f64)),
+        2 => Some(Value::float(n as f64 + 0.5)),
+        3 => Some(Value::str(["", "a", "b"][n.rem_euclid(3) as usize])),
+        4 => Some(Value::Bool(n > 0)),
+        5 => Some(Value::Null),
+        _ => None,
+    })
+}
+
 /// A join key from a small domain, so that keys collide within and
 /// across types: an int, the same number as a float, its digits as a
 /// string, NULL, or no field at all.
@@ -327,35 +343,60 @@ proptest! {
         }
     }
 
-    /// Random documents, random range predicate: indexed and unindexed
-    /// evaluation agree.
+    /// Random values of every scalar type, NULL and a missing field
+    /// among them; a random comparison, one- or two-sided, either way
+    /// round: a read through a collection's persistent index and through
+    /// a table's column index returns what the full scan returns.
     #[test]
     fn index_scan_equals_full_scan(
-        docs in prop::collection::vec(arb_doc(), 1..60),
-        lo in -1000i64..1000,
-        width in 0i64..500,
+        prices in prop::collection::vec(arb_indexed(), 1..100),
+        op in 0u8..7,
+        flip in any::<bool>(),
+        lo in arb_indexed(),
+        hi in arb_indexed(),
     ) {
         let db = Database::in_memory();
         db.create_collection("d").unwrap();
+        use mmdb::substrate::relational::{ColumnDef, DataType, Schema};
+        let columns = vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("price", DataType::Json)];
+        db.create_table("t", Schema::new(columns, "id").unwrap()).unwrap();
         db.transact(IsolationLevel::Snapshot, 3, |s| {
-            for (i, (name, price, cat)) in docs.iter().enumerate() {
-                s.insert_document("d", Value::object([
-                    ("_key", Value::str(format!("k{i}"))),
-                    ("name", Value::str(name.clone())),
-                    ("price", Value::int(*price)),
-                    ("cat", Value::str(cat.clone())),
-                ]))?;
+            for (i, price) in prices.iter().enumerate() {
+                let mut doc = Value::object([("_key", Value::str(format!("k{i:03}")))]);
+                let mut row = Value::object([("id", Value::int(i as i64))]);
+                if let Some(price) = price {
+                    doc.as_object_mut()?.insert("price", price.clone());
+                    row.as_object_mut()?.insert("price", price.clone());
+                }
+                s.insert_document("d", doc)?;
+                s.insert_row("t", row)?;
             }
             Ok(())
         }).unwrap();
-        let hi = lo + width;
-        let q = format!(
-            "FOR x IN d FILTER x.price >= {lo} && x.price <= {hi} SORT x._key RETURN x._key"
-        );
-        let unindexed = db.query(&q).unwrap();
-        db.create_index("d", "price").unwrap();
-        let indexed = db.query(&q).unwrap();
-        prop_assert_eq!(unindexed, indexed);
+        let literal = |v: &Option<Value>| match v {
+            None | Some(Value::Null) => "null".to_string(),
+            Some(Value::String(s)) => format!("\"{s}\""),
+            Some(v) => v.to_string(),
+        };
+        let (lo, hi) = (literal(&lo), literal(&hi));
+        let one_sided = |op: &str, mirror: &str| if flip { format!("{lo} {mirror} x.price") } else { format!("x.price {op} {lo}") };
+        let filter = match op {
+            0 => one_sided("<", ">"),
+            1 => one_sided("<=", ">="),
+            2 => one_sided(">", "<"),
+            3 => one_sided(">=", "<="),
+            4 => one_sided("==", "=="),
+            5 => format!("x.price >= {lo} && x.price <= {hi}"),
+            _ => format!("x.price > {lo} && x.price < {hi}"),
+        };
+        for (source, key) in [("d", "_key"), ("t", "id")] {
+            let q = format!("FOR x IN {source} FILTER {filter} SORT x.{key} RETURN x.{key}");
+            let unindexed = db.query(&q).unwrap();
+            db.create_index(source, "price").unwrap();
+            prop_assert!(db.explain(&q).unwrap().contains("IndexScan"), "{}", q);
+            let indexed = db.query(&q).unwrap();
+            prop_assert_eq!(unindexed, indexed, "{}", q);
+        }
     }
 
     /// The SQL frontend and MMQL agree on equivalent filters/sorts.
