@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use mmdb_document::Collection;
 use mmdb_graph::{Direction, Graph};
-use mmdb_kv::KvStore;
+use mmdb_kv::Bucket;
 use mmdb_relational::{ColumnDef, DataType, Schema, Table};
 use mmdb_storage::BufferPool;
 use mmdb_types::{Path, Projection, Result, Value};
@@ -33,7 +33,7 @@ pub struct PolyglotStores {
     /// "MongoDB": product catalog.
     pub products: Arc<Collection>,
     /// "Redis": the shopping cart.
-    pub cart: KvStore,
+    pub cart: Bucket,
     /// "Neo4j": the social graph.
     pub social: Graph,
 }
@@ -61,8 +61,7 @@ impl PolyglotStores {
         )?);
         let orders = Arc::new(Collection::create("orders", Arc::clone(&doc_pool))?);
         let products = Arc::new(Collection::create("products", doc_pool)?);
-        let cart = KvStore::default();
-        cart.create_bucket("cart")?;
+        let cart = Bucket::default();
         let social = Graph::create("social", graph_pool);
         social.create_vertex_collection("persons")?;
         social.create_edge_collection("knows")?;
@@ -99,7 +98,7 @@ impl PolyglotStores {
             self.orders.insert(o.to_document())?;
         }
         for (cid, order_no) in &data.carts {
-            self.cart.put("cart", &cid.to_string(), Value::str(order_no))?;
+            self.cart.put(&cid.to_string(), Value::str(order_no))?;
         }
         Ok(())
     }
@@ -127,7 +126,7 @@ impl PolyglotStores {
             for f in friends {
                 let fid = f.split('/').nth(1).unwrap_or_default();
                 // 3. Redis call: the friend's cart.
-                let Some(order_no) = self.cart.get("cart", fid)? else { continue };
+                let Some(order_no) = self.cart.get(fid)? else { continue };
                 // 4. Mongo call: the order document.
                 let Some(order) = self.orders.get(order_no.as_str()?)? else { continue };
                 for line in order.get_field("orderlines").as_array()? {
@@ -183,7 +182,7 @@ impl PolyglotStores {
             !crashed
         };
         // 1. Cart pointer (the app updates the fast path first).
-        self.cart.put("cart", &customer_id.to_string(), Value::str(&order_no))?;
+        self.cart.put(&customer_id.to_string(), Value::str(&order_no))?;
         if !bump(&mut step) {
             return Ok(false);
         }
@@ -222,7 +221,7 @@ impl PolyglotStores {
     /// states a crashed non-atomic write sequence leaves behind.
     pub fn count_inconsistencies(&self) -> Result<usize> {
         let mut bad = 0;
-        for (cid, v) in self.cart.scan_all("cart")? {
+        for (cid, v) in self.cart.scan_all()? {
             let Ok(order_no) = v.as_str() else { continue };
             if self.orders.get(order_no)?.is_none() {
                 bad += 1;

@@ -103,7 +103,7 @@ pub fn workload_a_read(db: &Database, data: &Dataset, i: usize) -> Result<usize>
     if world.catalog.collection("orders")?.get(&o.order_no)?.is_some() {
         checksum += 1;
     }
-    if world.kv.get("cart", &c.id.to_string())?.is_some() {
+    if world.catalog.bucket("cart")?.get(&c.id.to_string())?.is_some() {
         checksum += 1;
     }
     if world.catalog.graph("social")?.vertex(&format!("persons/{}", c.id))?.is_some() {

@@ -8,9 +8,9 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use mmdb_index::GinMode;
-use mmdb_kv::KvStore;
-use mmdb_query::{Container, World};
+use mmdb_query::{Catalog, Container, World};
 use mmdb_relational::Schema;
+use mmdb_storage::lsm::LsmStats;
 use mmdb_storage::wal::{Lsn, Wal};
 use mmdb_txn::{IsolationLevel, MvccStore};
 use mmdb_types::{lock_rank, CancelToken, Error, Result, Value};
@@ -62,6 +62,33 @@ pub struct CheckpointSummary {
     pub versions_vacuumed: usize,
     /// Wall time of the whole checkpoint.
     pub micros: u64,
+}
+
+/// The key/value reads of [`Database::kv`]: each call finds its bucket
+/// in the catalog and reads its tree.
+#[derive(Clone, Copy)]
+pub struct KvView<'a>(&'a Catalog);
+
+impl KvView<'_> {
+    /// Fetch a value.
+    pub fn get(self, bucket: &str, key: &str) -> Result<Option<Value>> {
+        self.0.bucket(bucket)?.get(key)
+    }
+
+    /// The bucket's LSM engine counters.
+    pub fn stats(self, bucket: &str) -> Result<LsmStats> {
+        Ok(self.0.bucket(bucket)?.stats())
+    }
+
+    /// Whether a bucket of this name exists.
+    pub fn has_bucket(self, bucket: &str) -> bool {
+        self.0.bucket(bucket).is_ok()
+    }
+
+    /// Force-compact the bucket's tree.
+    pub fn compact(self, bucket: &str) -> Result<()> {
+        self.0.bucket(bucket)?.compact()
+    }
 }
 
 /// The multi-model database: every model, one backend.
@@ -338,9 +365,9 @@ impl Database {
         self.define("ddl/tree", name, Some(name), Value::object([("json", json)]))
     }
 
-    /// The key/value store, as a read view (see [`Database::world`]).
-    pub fn kv(&self) -> &KvStore {
-        &self.world.kv
+    /// The key/value buckets, as a read view (see [`Database::world`]).
+    pub fn kv(&self) -> KvView<'_> {
+        KvView(&self.world.catalog)
     }
 
     // ---- transactions ------------------------------------------------------
@@ -658,6 +685,30 @@ mod tests {
                 db.get_document("orders", "o1").unwrap().unwrap().get_field("total"),
                 &Value::int(66)
             );
+            assert_eq!(db.kv().get("cart", "1").unwrap(), Some(Value::str("o1")));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_empty_kv_key_is_refused_and_the_store_stays_writable() {
+        let dir = std::env::temp_dir().join(format!("mmdb-empty-key-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let db = Database::open(&dir).unwrap();
+            db.create_bucket("cart").unwrap();
+            let err = db.kv_put("cart", "", Value::str("o1")).unwrap_err();
+            assert_eq!(err.kind(), "schema", "{err}");
+            let err = db.transact(IsolationLevel::Snapshot, 0, |s| s.kv_delete("cart", "")).unwrap_err();
+            assert_eq!(err.kind(), "schema", "{err}");
+            db.kv_put("cart", "1", Value::str("o1")).unwrap();
+            assert!(!db.is_degraded(), "{:?}", db.degraded_reason());
+        }
+        {
+            let db = Database::open(&dir).unwrap();
+            assert!(!db.is_degraded(), "{:?}", db.degraded_reason());
+            db.kv_put("cart", "2", Value::str("o2")).unwrap();
+            db.create_collection("orders").unwrap();
             assert_eq!(db.kv().get("cart", "1").unwrap(), Some(Value::str("o1")));
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -22,6 +22,6 @@ pub mod evolution;
 pub mod schema_infer;
 pub mod session;
 
-pub use database::Database;
+pub use database::{Database, KvView};
 pub use mmdb_query::{ExecStats, OpStats};
 pub use session::Session;

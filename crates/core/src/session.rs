@@ -88,10 +88,12 @@ impl Session {
         Ok(format!("doc/{collection}"))
     }
 
-    /// `kv/<bucket>`, once the bucket is found.
-    fn kv_domain(&self, bucket: &str) -> Result<String> {
-        if !matches!(self.world.catalog.get(bucket), Some(Container::Bucket)) {
-            return Err(Error::NotFound(format!("bucket '{bucket}'")));
+    /// `kv/<bucket>`, once the bucket is found and `key` is one its tree
+    /// can hold (not empty).
+    fn kv_domain(&self, bucket: &str, key: &str) -> Result<String> {
+        self.world.catalog.bucket(bucket)?;
+        if key.is_empty() {
+            return Err(Error::Schema(format!("an empty key in bucket '{bucket}'")));
         }
         Ok(format!("kv/{bucket}"))
     }
@@ -173,13 +175,13 @@ impl Session {
 
     /// Stage a key/value put.
     pub fn kv_put(&mut self, bucket: &str, key: &str, value: Value) -> Result<()> {
-        let domain = self.kv_domain(bucket)?;
+        let domain = self.kv_domain(bucket, key)?;
         self.txn.put(&domain, key.as_bytes(), value)
     }
 
     /// Stage a key/value delete.
     pub fn kv_delete(&mut self, bucket: &str, key: &str) -> Result<()> {
-        let domain = self.kv_domain(bucket)?;
+        let domain = self.kv_domain(bucket, key)?;
         self.txn.delete(&domain, key.as_bytes())
     }
 
@@ -319,7 +321,7 @@ impl Session {
 /// write is one call that puts (creates or replaces) or deletes its
 /// store's record — `Collection::put`/`remove`, `Table::put`/
 /// `delete_by_key`, `Graph::put_vertex`/`remove_vertex`,
-/// `Graph::put_edge`/`remove_edge`, `KvStore::put`/`delete` — except
+/// `Graph::put_edge`/`remove_edge`, `Bucket::put`/`delete` — except
 /// that the `rdf` arm skips a triple it already holds. A store's put and
 /// delete keep its own indexes in step (a collection's full-text indexes
 /// among them), so no arm touches a second store.
@@ -330,10 +332,12 @@ impl Session {
 /// with that failure and keeps it as `Database::hook_failure`.
 ///
 /// The `ddl` arm (`apply_definition`) is the only code that creates a
-/// container or an index. The data arms find their container or fail: a
-/// Session never stages a write to a missing one, and replay and
-/// snapshot load install every definition (load class 0) ahead of the
-/// data, and index definitions (class 3) after it.
+/// container or an index, and the catalog is the one registry it writes:
+/// a container's entry holds its store (a bucket's tree, a graph with its
+/// one map of collections). The data arms find their container with one
+/// catalog probe or fail: a Session never stages a write to a missing
+/// one, and replay and snapshot load install every definition (load
+/// class 0) ahead of the data, and index definitions (class 3) after it.
 pub fn apply_committed(world: &World, writes: &[CommittedWrite]) -> Result<()> {
     // A fold, not `try_for_each`: it applies every write and keeps the
     // first error.
@@ -350,8 +354,8 @@ fn apply_write(world: &World, w: &CommittedWrite) -> Result<()> {
         ("ddl", def) => apply_definition(world, rest, &w.key, def.as_ref()),
         ("doc", Some(doc)) => world.catalog.collection(rest)?.put(utf8_key()?, doc.clone()),
         ("doc", None) => world.catalog.collection(rest)?.remove(utf8_key()?).map(drop),
-        ("kv", Some(v)) => world.kv.put(rest, utf8_key()?, v.clone()),
-        ("kv", None) => world.kv.delete(rest, utf8_key()?).map(drop),
+        ("kv", Some(v)) => world.catalog.bucket(rest)?.put(utf8_key()?, v.clone()),
+        ("kv", None) => world.catalog.bucket(rest)?.delete(utf8_key()?),
         ("rel", value) => {
             let Some(Container::Table(table)) = world.catalog.get(rest) else {
                 // Unknown table: its ddl/table record installs ahead of
@@ -437,7 +441,10 @@ fn apply_definition(world: &World, kind: &str, key: &[u8], def: Option<&Value>) 
             ("graph", [graph, _, _]) if matches!(world.catalog.get(graph), Some(Container::Graph(_))) => {
                 Err(Error::Unsupported(format!("dropping graph '{name}'")))
             }
-            ("collection" | "table" | "bucket" | "graph" | "tree", _) => world.drop_container(kind, name),
+            ("collection" | "table" | "bucket" | "graph" | "tree", _) => {
+                world.catalog.drop_container(kind, name);
+                Ok(())
+            }
             _ => Err(Error::Unsupported(format!("dropping {kind} '{name}'"))),
         };
     };
@@ -445,7 +452,7 @@ fn apply_definition(world: &World, kind: &str, key: &[u8], def: Option<&Value>) 
     match kind {
         "table" => catalog.create_table(name, Schema::from_value(def)?).map(drop),
         "collection" => catalog.create_collection(name).map(drop),
-        "bucket" => world.create_bucket(name),
+        "bucket" => catalog.create_bucket(name).map(drop),
         "graph" => match parts[..] {
             [graph] => catalog.create_graph(graph).map(drop),
             [graph, "v", coll] => catalog.create_vertex_collection(graph, coll),
@@ -834,6 +841,7 @@ mod tests {
             ("remove_document", s.remove_document("nowhere", "k")),
             ("kv_put", s.kv_put("nowhere", "k", Value::int(1))),
             ("kv_delete", s.kv_delete("nowhere", "k")),
+            ("kv_put, a collection", s.kv_put("orders", "k", Value::int(1))),
             ("insert_row", s.insert_row("nowhere", row())),
             ("update_row", s.update_row("nowhere", row())),
             ("delete_row", s.delete_row("nowhere", &Value::int(1))),
@@ -856,6 +864,9 @@ mod tests {
         for (write, outcome) in refused {
             let err = outcome.expect_err(write);
             assert_eq!(err.kind(), "not_found", "{write}: {err}");
+            if write == "kv_put, a collection" {
+                assert!(err.to_string().contains("bucket 'orders': the name is a collection"), "{err}");
+            }
         }
         assert_eq!(s.write_count(), 0, "nothing staged");
         s.commit().unwrap();

@@ -1,5 +1,6 @@
 //! The graph store: vertex/edge documents plus the edge (adjacency) index.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -7,7 +8,7 @@ use parking_lot::RwLock;
 
 use mmdb_document::Collection;
 use mmdb_storage::BufferPool;
-use mmdb_types::{lock_rank, Error, Projection, Result, Value};
+use mmdb_types::{Error, Projection, Result, Value};
 
 /// Reserved edge attribute naming the source vertex (`coll/key`).
 pub const FROM_FIELD: &str = "_from";
@@ -86,13 +87,16 @@ impl EdgeIndex {
         self.inn.entry(to).or_default().push((edge, from));
     }
 
-    /// Drop `edge`'s entries under `from` and `to`.
+    /// Drop `edge`'s entries under `from` and `to`, and a vertex's key
+    /// once it has no entries left.
     fn unlink(&mut self, edge: &str, from: &str, to: &str) {
-        if let Some(v) = self.out.get_mut(from) {
-            v.retain(|(e, _)| &**e != edge);
-        }
-        if let Some(v) = self.inn.get_mut(to) {
-            v.retain(|(e, _)| &**e != edge);
+        for (map, vertex) in [(&mut self.out, from), (&mut self.inn, to)] {
+            if let Some(v) = map.get_mut(vertex) {
+                v.retain(|(e, _)| &**e != edge);
+                if v.is_empty() {
+                    map.remove(vertex);
+                }
+            }
         }
     }
 }
@@ -102,12 +106,20 @@ fn endpoints(edge: &Value) -> Result<(&str, &str)> {
     Ok((edge.get_field(FROM_FIELD).as_str()?, edge.get_field(TO_FIELD).as_str()?))
 }
 
+/// What a collection of a graph holds.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Part {
+    Vertices,
+    Edges,
+}
+
 /// A named property graph.
 pub struct Graph {
     name: String,
     pool: Arc<BufferPool>,
-    vertices: RwLock<HashMap<String, Arc<Collection>>>,
-    edges: RwLock<HashMap<String, Arc<Collection>>>,
+    /// Every collection by name, vertex and edge ones alike. A leaf: a
+    /// handle is cloned out of it before its heap is read.
+    collections: RwLock<HashMap<String, (Part, Arc<Collection>)>>,
     edge_index: RwLock<EdgeIndex>,
 }
 
@@ -117,8 +129,7 @@ impl Graph {
         Graph {
             name: name.to_string(),
             pool,
-            vertices: RwLock::with_rank(lock_rank::GRAPH_VERTICES, HashMap::new()),
-            edges: RwLock::with_rank(lock_rank::GRAPH_EDGES, HashMap::new()),
+            collections: RwLock::new(HashMap::new()),
             edge_index: RwLock::new(EdgeIndex::default()),
         }
     }
@@ -130,50 +141,45 @@ impl Graph {
 
     /// Add a vertex collection.
     pub fn create_vertex_collection(&self, name: &str) -> Result<()> {
-        let mut vs = self.vertices.write();
-        if vs.contains_key(name) || self.edges.read().contains_key(name) {
-            return Err(Error::AlreadyExists(format!("collection '{name}'")));
-        }
-        vs.insert(name.to_string(), Arc::new(Collection::create(name, Arc::clone(&self.pool))?));
-        Ok(())
+        self.create_collection(name, Part::Vertices)
     }
 
     /// Add an edge collection.
     pub fn create_edge_collection(&self, name: &str) -> Result<()> {
-        // Check `vertices` with a temporary guard before taking `edges`:
-        // holding `edges` while reading `vertices` would nest opposite
-        // to `create_vertex_collection` (declared order: vertices before
-        // edges) and risk an AB/BA deadlock.
-        if self.vertices.read().contains_key(name) {
-            return Err(Error::AlreadyExists(format!("collection '{name}'")));
-        }
-        let mut es = self.edges.write();
-        if es.contains_key(name) {
-            return Err(Error::AlreadyExists(format!("collection '{name}'")));
-        }
-        es.insert(name.to_string(), Arc::new(Collection::create(name, Arc::clone(&self.pool))?));
-        Ok(())
+        self.create_collection(name, Part::Edges)
     }
 
-    fn vertex_collection(&self, name: &str) -> Result<Arc<Collection>> {
-        self.vertices
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("vertex collection '{name}'")))
+    fn create_collection(&self, name: &str, part: Part) -> Result<()> {
+        let made = Arc::new(Collection::create(name, Arc::clone(&self.pool))?);
+        match self.collections.write().entry(name.to_string()) {
+            Entry::Occupied(_) => Err(Error::AlreadyExists(format!("collection '{name}'"))),
+            Entry::Vacant(slot) => {
+                slot.insert((part, made));
+                Ok(())
+            }
+        }
     }
 
-    fn edge_collection(&self, name: &str) -> Result<Arc<Collection>> {
-        self.edges
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("edge collection '{name}'")))
+    /// The collection `name`, if it holds `part`.
+    fn collection(&self, name: &str, part: Part) -> Result<Arc<Collection>> {
+        match self.collections.read().get(name) {
+            Some((held, coll)) if *held == part => Ok(Arc::clone(coll)),
+            _ => {
+                let kind = if part == Part::Vertices { "vertex" } else { "edge" };
+                Err(Error::NotFound(format!("{kind} collection '{name}'")))
+            }
+        }
+    }
+
+    /// Every collection that holds `part`, cloned out of the map.
+    fn collections(&self, part: Part) -> Vec<Arc<Collection>> {
+        let colls = self.collections.read();
+        colls.values().filter(|(held, _)| *held == part).map(|(_, coll)| Arc::clone(coll)).collect()
     }
 
     /// Insert a vertex document; returns its handle.
     pub fn add_vertex(&self, collection: &str, doc: Value) -> Result<VertexHandle> {
-        let coll = self.vertex_collection(collection)?;
+        let coll = self.collection(collection, Part::Vertices)?;
         let key = coll.insert(doc)?;
         Ok(handle(collection, &key))
     }
@@ -186,20 +192,20 @@ impl Graph {
     /// Fetch what `p` keeps of a vertex, by handle.
     pub fn vertex_projected(&self, h: &str, p: &Projection) -> Result<Option<Value>> {
         let (coll, key) = split_handle(h)?;
-        self.vertex_collection(coll)?.get_projected(key, p)
+        self.collection(coll, Part::Vertices)?.get_projected(key, p)
     }
 
     /// Whether a vertex with this handle exists, without fetching it.
     /// Errors like [`vertex`](Self::vertex) on an unknown collection.
     pub fn has_vertex(&self, h: &str) -> Result<bool> {
         let (coll, key) = split_handle(h)?;
-        Ok(self.vertex_collection(coll)?.contains_key(key))
+        Ok(self.collection(coll, Part::Vertices)?.contains_key(key))
     }
 
     /// Create or replace the vertex `collection/key`; its edges are
     /// untouched.
     pub fn put_vertex(&self, collection: &str, key: &str, doc: Value) -> Result<()> {
-        self.vertex_collection(collection)?.put(key, doc)
+        self.collection(collection, Part::Vertices)?.put(key, doc)
     }
 
     /// Insert an edge `from → to` with properties under a key no edge
@@ -221,7 +227,7 @@ impl Graph {
             obj.insert(FROM_FIELD, Value::str(from));
             obj.insert(TO_FIELD, Value::str(to));
         }
-        let key = self.edge_collection(collection)?.insert_key(&properties)?;
+        let key = self.collection(collection, Part::Edges)?.insert_key(&properties)?;
         self.put_edge(collection, &key, properties)?;
         Ok(handle(collection, &key))
     }
@@ -235,7 +241,7 @@ impl Graph {
     pub fn put_edge(&self, collection: &str, key: &str, doc: Value) -> Result<()> {
         let (from, to) = endpoints(&doc)?;
         let (from, to) = (from.to_string(), to.to_string());
-        let coll = self.edge_collection(collection)?;
+        let coll = self.collection(collection, Part::Edges)?;
         let old = coll.get(key)?;
         coll.put(key, doc)?;
         let edge = handle(collection, key);
@@ -254,13 +260,13 @@ impl Graph {
     /// Fetch an edge document by handle.
     pub fn edge(&self, h: &str) -> Result<Option<Value>> {
         let (coll, key) = split_handle(h)?;
-        self.edge_collection(coll)?.get(key)
+        self.collection(coll, Part::Edges)?.get(key)
     }
 
     /// Remove an edge; returns whether it existed.
     pub fn remove_edge(&self, h: &str) -> Result<bool> {
         let (coll, key) = split_handle(h)?;
-        let coll = self.edge_collection(coll)?;
+        let coll = self.collection(coll, Part::Edges)?;
         let Some(doc) = coll.get(key)? else { return Ok(false) };
         let (from, to) = endpoints(&doc)?;
         coll.remove(key)?;
@@ -272,7 +278,7 @@ impl Graph {
     /// modules do).
     pub fn remove_vertex(&self, h: &str) -> Result<bool> {
         let (coll, key) = split_handle(h)?;
-        let existed = self.vertex_collection(coll)?.remove(key)?;
+        let existed = self.collection(coll, Part::Vertices)?.remove(key)?;
         if existed {
             let incident: Vec<EdgeHandle> = {
                 let idx = self.edge_index.read();
@@ -343,20 +349,20 @@ impl Graph {
 
     /// Count vertices across all vertex collections.
     pub fn vertex_count(&self) -> usize {
-        self.vertices.read().values().map(|c| c.len()).sum()
+        self.collections(Part::Vertices).iter().map(|c| c.len()).sum()
     }
 
     /// Count edges across all edge collections.
     pub fn edge_count(&self) -> usize {
-        self.edges.read().values().map(|c| c.len()).sum()
+        self.collections(Part::Edges).iter().map(|c| c.len()).sum()
     }
 
     /// All vertex handles (sorted) — small graphs/tests only.
     pub fn all_vertices(&self) -> Result<Vec<VertexHandle>> {
         let mut out = Vec::new();
-        for (name, coll) in self.vertices.read().iter() {
+        for coll in self.collections(Part::Vertices) {
             for doc in coll.all()? {
-                out.push(handle(name, doc.get_field("_key").as_str()?));
+                out.push(handle(coll.name(), doc.get_field("_key").as_str()?));
             }
         }
         out.sort();
@@ -475,6 +481,16 @@ pub(crate) mod tests {
         assert_eq!(g.vertex_count(), 2);
         assert_eq!(g.edge_count(), 0, "both incident edges removed");
         assert!(g.neighbors("customers/3", Direction::Outbound, None).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_vertex_whose_last_edge_goes_leaves_no_key_in_the_edge_index() {
+        let g = paper_graph();
+        assert!(g.remove_vertex("customers/1").unwrap());
+        let idx = g.edge_index.read();
+        assert!(!idx.out.contains_key("customers/1") && !idx.inn.contains_key("customers/1"));
+        // Both edges named customers/1, so no vertex keeps a key.
+        assert!(idx.out.is_empty() && idx.inn.is_empty());
     }
 
     #[test]

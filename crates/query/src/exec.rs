@@ -721,9 +721,9 @@ mod tests {
         g.add_edge("knows", "persons/3", "persons/1", mmdb_types::from_json("{}").unwrap())
             .unwrap();
         // Shopping cart (kv).
-        w.create_bucket("cart").unwrap();
-        w.kv.put("cart", "1", Value::str("34e5e759")).unwrap();
-        w.kv.put("cart", "2", Value::str("0c6df508")).unwrap();
+        let cart = w.catalog.create_bucket("cart").unwrap();
+        cart.put("1", Value::str("34e5e759")).unwrap();
+        cart.put("2", Value::str("0c6df508")).unwrap();
         // Orders (documents).
         let orders = w.catalog.create_collection("orders").unwrap();
         orders

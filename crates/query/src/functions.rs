@@ -157,7 +157,7 @@ pub fn call_function(
                 Value::String(s) => Cow::Borrowed(s.as_str()),
                 other => Cow::Owned(other.to_string()),
             };
-            Ok(world.kv.get(bucket, &key_str)?.unwrap_or(Value::Null))
+            Ok(world.catalog.bucket(bucket)?.get(&key_str)?.unwrap_or(Value::Null))
         }
         "DOC" => {
             let coll = arg(args, 0)?.as_str()?;

@@ -1190,7 +1190,7 @@ mod tests {
         let columns = vec![ColumnDef::new("id", DataType::Int), ColumnDef::new("name", DataType::Text)];
         w.catalog.create_table("customers", Schema::new(columns, "id").unwrap()).unwrap();
         w.catalog.create_collection("orders").unwrap();
-        w.create_bucket("cart").unwrap();
+        w.catalog.create_bucket("cart").unwrap();
         w
     }
 

@@ -13,7 +13,7 @@ use parking_lot::RwLock;
 
 use mmdb_document::Collection;
 use mmdb_graph::Graph;
-use mmdb_kv::KvStore;
+use mmdb_kv::Bucket;
 use mmdb_rdf::TripleStore;
 use mmdb_relational::{Schema, Table};
 use mmdb_storage::BufferPool;
@@ -60,9 +60,8 @@ pub enum Container {
     Collection(Arc<Collection>),
     /// A relational table.
     Table(Arc<Table>),
-    /// A key/value bucket. The entry only claims the name: the entries
-    /// live in [`World::kv`].
-    Bucket,
+    /// A key/value bucket.
+    Bucket(Arc<Bucket>),
     /// A property graph.
     Graph(Arc<Graph>),
     /// A registered XML/JSON tree (`XPATH`'s target).
@@ -82,7 +81,7 @@ impl Container {
         match self {
             Container::Collection(_) => "collection",
             Container::Table(_) => "table",
-            Container::Bucket => "bucket",
+            Container::Bucket(_) => "bucket",
             Container::Graph(_) => "graph",
             Container::Tree(_) => "tree",
             Container::Vertices(_) => "vertex collection",
@@ -137,6 +136,8 @@ lookups! {
     collection: Collection -> Collection, "collection";
     /// Look up a table.
     table: Table -> Table, "table";
+    /// Look up a key/value bucket.
+    bucket: Bucket -> Bucket, "bucket";
     /// Look up a graph.
     graph: Graph -> Graph, "graph";
     /// The graph owning an edge collection (MMQL traversal clauses name
@@ -194,6 +195,12 @@ impl Catalog {
         self.table(name)
     }
 
+    /// Create a key/value bucket.
+    pub fn create_bucket(&self, name: &str) -> Result<Arc<Bucket>> {
+        self.claim(name, Container::Bucket(Arc::default()))?;
+        self.bucket(name)
+    }
+
     /// Create a property graph.
     pub fn create_graph(&self, name: &str) -> Result<Arc<Graph>> {
         let made = Graph::create(name, Arc::clone(&self.pool));
@@ -239,6 +246,20 @@ impl Catalog {
         }
         Ok(())
     }
+
+    /// Drop `name` with its parts, if it is a container of `kind`; anything
+    /// else under the name stays. What goes is dropped past the guard.
+    pub fn drop_container(&self, kind: &str, name: &str) {
+        let _dropped = {
+            let mut entries = self.entries.write();
+            if !matches!(entries.get(name), Some(c) if c.kind() == kind) {
+                return;
+            }
+            // The parts go first: the owner's entry keeps their handle alive.
+            entries.retain(|_, c| c.owner() != Some(name));
+            entries.remove(name)
+        };
+    }
 }
 
 /// All reachable model stores. Each collection keeps its own indexes,
@@ -247,8 +268,6 @@ impl Catalog {
 pub struct World {
     /// Every named container, across the models.
     pub catalog: Catalog,
-    /// The key/value store: the entries of every bucket the catalog names.
-    pub kv: KvStore,
     /// The RDF triple store.
     pub rdf: RwLock<TripleStore>,
     /// Spatial indexes by name: R-trees over `(rect, payload)` entries
@@ -263,7 +282,6 @@ impl World {
     pub fn in_memory() -> World {
         World {
             catalog: Catalog { pool: Arc::default(), entries: RwLock::new(HashMap::new()) },
-            kv: KvStore::default(),
             rdf: RwLock::new(TripleStore::default()),
             spatial: RwLock::new(HashMap::new()),
             access: AccessStats::default(),
@@ -273,33 +291,6 @@ impl World {
     /// The record-access counter every heap of this world shares.
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.catalog.pool
-    }
-
-    /// Create a key/value bucket: its name in the catalog, its entries in
-    /// [`World::kv`].
-    pub fn create_bucket(&self, name: &str) -> Result<()> {
-        if self.catalog.claim(name, Container::Bucket)? {
-            self.kv.create_bucket(name)?;
-        }
-        Ok(())
-    }
-
-    /// Drop `name` with its parts and, for a bucket, its entries, if it is
-    /// a container of `kind`; anything else under the name stays.
-    pub fn drop_container(&self, kind: &str, name: &str) -> Result<()> {
-        let dropped = {
-            let mut entries = self.catalog.entries.write();
-            if !matches!(entries.get(name), Some(c) if c.kind() == kind) {
-                return Ok(());
-            }
-            // The parts go first: the owner's entry keeps their handle alive.
-            entries.retain(|_, c| c.owner() != Some(name));
-            entries.remove(name)
-        };
-        match dropped {
-            Some(Container::Bucket) => self.kv.drop_bucket(name),
-            _ => Ok(()),
-        }
     }
 
     /// Create an empty named spatial index.
@@ -330,9 +321,8 @@ impl World {
         let items = match self.catalog.get(name) {
             Some(Container::Collection(coll)) => coll.all_projected(project)?,
             Some(Container::Table(table)) => table.scan_projected(project)?,
-            Some(Container::Bucket) => self
-                .kv
-                .scan_all(name)?
+            Some(Container::Bucket(bucket)) => bucket
+                .scan_all()?
                 .into_iter()
                 .map(|(k, v)| Value::object([("_key", Value::str(k)), ("value", v)]))
                 .collect(),
@@ -357,7 +347,7 @@ mod tests {
         let w = World::in_memory();
         w.catalog.create_collection("orders").unwrap();
         w.catalog.create_table("customers", schema()).unwrap();
-        w.create_bucket("cart").unwrap();
+        w.catalog.create_bucket("cart").unwrap();
         let kinds = |name: &str| w.catalog.get(name).map(|c| c.kind());
         assert_eq!(kinds("orders"), Some("collection"));
         assert_eq!(kinds("customers"), Some("table"));
@@ -370,11 +360,16 @@ mod tests {
         let e = w.catalog.create_table("orders", schema()).err().unwrap();
         assert_eq!(e.kind(), "already_exists");
         assert!(e.to_string().contains("table 'orders': the name is a collection"), "{e}");
-        assert!(w.create_bucket("customers").is_err());
+        assert!(w.catalog.create_bucket("customers").is_err());
         assert!(w.catalog.create_graph("cart").is_err());
         let again = w.catalog.create_collection("orders").unwrap();
         assert!(Arc::ptr_eq(&again, &w.catalog.collection("orders").unwrap()));
         assert!(w.catalog.table("orders").err().unwrap().to_string().contains("is a collection"));
+
+        // A kv read of a name another kind holds says what holds it.
+        let e = crate::run(&w, r#"RETURN KV_GET("orders", "1")"#).unwrap_err();
+        assert_eq!(e.kind(), "not_found");
+        assert!(e.to_string().contains("bucket 'orders': the name is a collection"), "{e}");
     }
 
     #[test]
@@ -401,10 +396,10 @@ mod tests {
 
         // A drop of another kind leaves the name; the owner's takes its
         // parts along.
-        w.drop_container("table", "social").unwrap();
+        w.catalog.drop_container("table", "social");
         assert!(w.catalog.graph("social").is_ok());
-        w.drop_container("graph", "social").unwrap();
-        w.drop_container("collection", "products").unwrap();
+        w.catalog.drop_container("graph", "social");
+        w.catalog.drop_container("collection", "products");
         let names: Vec<String> = w.catalog.names().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, ["orders", "other"]);
     }
@@ -426,8 +421,7 @@ mod tests {
             )
             .unwrap();
         t.insert(vec![Value::int(1), Value::str("row")]).unwrap();
-        w.create_bucket("b").unwrap();
-        w.kv.put("b", "k1", Value::int(9)).unwrap();
+        w.catalog.create_bucket("b").unwrap().put("k1", Value::int(9)).unwrap();
 
         let scan = |name: &str| w.scan_source(name, &Projection::ALL).unwrap();
         assert_eq!(scan("docs")[0].get_field("x"), &Value::int(1));
@@ -436,7 +430,7 @@ mod tests {
         assert_eq!(kv[0].get_field("_key"), &Value::str("k1"));
         assert_eq!(kv[0].get_field("value"), &Value::int(9));
 
-        w.drop_container("bucket", "b").unwrap();
-        assert!(w.catalog.get("b").is_none() && !w.kv.has_bucket("b"));
+        w.catalog.drop_container("bucket", "b");
+        assert!(w.catalog.get("b").is_none());
     }
 }

@@ -82,20 +82,6 @@ pub const TXN_COMMIT: Rank = Rank::new(40, "txn.commit_mutex").held_across_waits
 
 // ---- the model stores --------------------------------------------------------
 
-/// `Graph::vertices`. Collection DDL checks vertices before edges
-/// (`create_vertex_collection` probes `edges` under it; the reverse
-/// order never occurs), and counting or listing vertices reads the
-/// collections' heaps under it.
-pub const GRAPH_VERTICES: Rank = Rank::new(90, "graph.vertices");
-
-/// `Graph::edges`; counting edges reads the collections' heaps under it.
-/// (`Graph::edge_index` is a leaf.)
-pub const GRAPH_EDGES: Rank = Rank::new(100, "graph.edges");
-
-/// `KvStore::buckets`, read-held while one bucket's LSM tree (a leaf) is
-/// read or written.
-pub const KV_BUCKETS: Rank = Rank::new(110, "kv.buckets");
-
 /// A document collection's index set — primary, persistent, GIN and
 /// full-text — write-held across a put's or remove's heap write, so a
 /// slot is freed only with every entry naming it gone, and while an
@@ -104,8 +90,10 @@ pub const KV_BUCKETS: Rank = Rank::new(110, "kv.buckets");
 /// (the heap's leaf lock) after releasing it.
 pub const DOCUMENT_INDEXES: Rank = Rank::new(120, "document.collection.indexes");
 
-/// A relational table's index set, likewise. (The query catalog's map is
-/// a leaf: a handle is cloned out of it before it is used.)
+/// A relational table's index set, likewise. (Every other map on the way
+/// to a record is a leaf that a handle is cloned out of before use: the
+/// query catalog's, whose entry for a bucket holds the bucket's LSM tree
+/// behind a leaf of its own, and a graph's map of its collections.)
 pub const RELATIONAL_INDEXES: Rank = Rank::new(130, "relational.table.indexes");
 
 // ---- storage -------------------------------------------------------------------

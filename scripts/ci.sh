@@ -21,8 +21,9 @@ cargo build --release
 
 echo "==> cargo test -q --workspace"
 # Every member's suites, not just the root package's: crate-level tests
-# gate a PR too, and so does tests/relaxed_atomics.rs, the source scan
-# behind the `Ordering::Relaxed` policy. These are debug
+# gate a PR too, and so do tests/relaxed_atomics.rs, the source scan
+# behind the `Ordering::Relaxed` policy, and tests/lock_chain.rs, which
+# holds DESIGN.md's lock chain to the rank table. These are debug
 # builds, so every suite here and every --features failpoints suite
 # below runs with both witnesses armed (shims/parking_lot, DESIGN.md
 # "Lock hierarchy"): a lock taken out of rank order panics (rank
