@@ -12,7 +12,7 @@ use mmdb_query::{Catalog, Container, World};
 use mmdb_relational::Schema;
 use mmdb_storage::lsm::LsmStats;
 use mmdb_storage::wal::{Lsn, Wal};
-use mmdb_txn::{IsolationLevel, MvccStore};
+use mmdb_txn::{IsolationLevel, MvccStore, WriteSet};
 use mmdb_types::{lock_rank, CancelToken, Error, Result, Value};
 
 use crate::session::{apply_committed, Session};
@@ -158,7 +158,7 @@ impl Database {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)
             .map_err(|e| Error::Storage(format!("create {dir:?}: {e}")))?;
-        let (wal, recovery) = Wal::recover(dir.join("mmdb.wal"))?;
+        let (wal, state) = Wal::recover(dir.join("mmdb.wal"))?;
         let (checkpointed_at, tail) = (wal.checkpointed_at(), wal.tail_lsn());
         let db = Self::build(Some(Arc::new(wal)));
         // The header of a checkpointed log dates the checkpoint, so
@@ -167,7 +167,7 @@ impl Database {
         if let Some(at) = checkpointed_at {
             *db.ckpt.last_at.lock() = Some((Instant::now(), at.elapsed().unwrap_or_default()));
         }
-        db.mvcc.recover(&recovery, tail)?;
+        db.mvcc.load(WriteSet::decode(state)?, tail);
         Ok(db)
     }
 

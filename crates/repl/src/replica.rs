@@ -279,7 +279,7 @@ impl<'a> Follower<'a> {
         )));
         let (run, marker) = (std::mem::take(&mut self.run), self.marker.take());
         let applied = u64::from(block.is_some());
-        let writes = WriteSet::decode(block.iter().flatten())?;
+        let writes = WriteSet::decode(block.into_iter().flatten())?;
         if let Some(header) = self.reset.take() {
             self.wal.reset(header, &run)?;
             self.db.mvcc().load(writes, header.horizon);

@@ -20,7 +20,9 @@
 //!   requests: stateless tagged requests in parallel, everything
 //!   touching session state (and every untagged request, to preserve
 //!   legacy request/response ordering) on the connection's *serial
-//!   lane* — a queue drained by at most one pool job at a time;
+//!   lane* — a queue drained by at most one pool job at a time. A
+//!   request that panics there is answered `internal` and fails alone
+//!   (a lane request's panic also aborts the connection's session);
 //! * a lazily-spawned **writer** thread that batches completed
 //!   responses off the outbound queue and writes them with one syscall
 //!   per batch. Connections whose requests all ran on the reader (idle
@@ -34,6 +36,7 @@
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -644,11 +647,17 @@ pub(crate) fn run_direct(
     token: Option<CancelToken>,
     enqueued: Instant,
 ) {
-    let resp = match run_stateless(inner, req, token) {
-        Ok(resp) => resp,
-        Err(e) => Response::from_error(&e),
-    };
+    let run = catch_unwind(AssertUnwindSafe(|| run_stateless(inner, req, token)));
+    let resp = run.unwrap_or_else(|_| Err(panicked())).unwrap_or_else(|e| Response::from_error(&e));
     finish(inner, conn, id, req, resp, enqueued);
+}
+
+/// What a pooled request that panicked answers. The panic is caught
+/// around the request alone, after the default hook printed it, so the
+/// request is finished like any other and its executor thread takes the
+/// next job.
+fn panicked() -> Error {
+    Error::Internal("the request panicked; the server's log has the panic".into())
 }
 
 /// Drain one connection's serial lane: run queued jobs in order until
@@ -669,10 +678,16 @@ pub(crate) fn run_lane(inner: &Arc<ServerInner>, conn: &Arc<ConnHandle>) {
         };
         let resp = {
             let mut session = conn.session.lock();
-            match run_session_request(inner, &mut session, &job.req, job.token) {
-                Ok(resp) => resp,
-                Err(e) => Response::from_error(&e),
-            }
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                run_session_request(inner, &mut session, &job.req, job.token)
+            }));
+            let result = run.unwrap_or_else(|_| {
+                // The request may have left its session half-changed:
+                // abort it, so later requests find no transaction open.
+                drop(session.take());
+                Err(panicked())
+            });
+            result.unwrap_or_else(|e| Response::from_error(&e))
         };
         finish(inner, conn, job.id, &job.req, resp, job.enqueued);
     }

@@ -8,24 +8,25 @@
 //! The log is a sequence of records, each framed as
 //! `len: u32 | crc32: u32 | payload`. Write records carry a *domain*
 //! string (e.g. `"doc/orders"`, `"graph/knows/edge"`) so recovery can route
-//! each write back to the owning model. Recovery replays the writes of
+//! each write back to the owning model. Recovery folds the writes of
 //! committed transactions in log order and discards uncommitted tails —
 //! including torn final records, which are detected by the CRC. Every
 //! reader takes the log's bytes apart with one scanner, [`records`], and
 //! what "committed" means is stated once, by [`BlockAssembler`]: recovery,
 //! the checkpoint, a tailing read, a replica's landing and the CDC feed
-//! all read the log through both. The bytes themselves are the
-//! replication format: a replica lands its primary's exactly as they
-//! arrive ([`Wal::append_at`]). The log is also its own snapshot: a
+//! all read the log through both. Recovery and the checkpoint share one
+//! more step: one chunked read of the log into one [`Fold`], which keeps
+//! each key's newest write and never the history. The bytes themselves
+//! are the replication format: a replica lands its primary's exactly as
+//! they arrive ([`Wal::append_at`]). The log is also its own snapshot: a
 //! checkpoint ([`Wal::fold_prefix`]) rewrites its prefix as one block
-//! holding the prefix's [`fold`], the same fold recovery installs, through
-//! the same rewrite a reset, a copy's first local append and a header
-//! upgrade at open use.
+//! holding the prefix's fold, the state recovery installs, through the
+//! same rewrite a reset, a copy's first local append and a header upgrade
+//! at open use.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
@@ -469,7 +470,7 @@ struct WalInner {
 }
 
 /// Per-read budget of [`WalInner::read_chunk`]: bounds memory when a
-/// reader is far behind.
+/// reader is far behind, and when recovery or a checkpoint reads the log.
 const TAIL_CHUNK: u64 = 1 << 20;
 
 impl WalInner {
@@ -557,40 +558,44 @@ impl Wal {
         Ok(Wal::recover(path)?.0)
     }
 
-    /// [`Wal::open`], also returning what the file recovers: every
-    /// committed block in it (see [`Recovery`]). A torn tail is cut off
-    /// first, and so is a block left open at the end: appends extend a log
-    /// that ends at a block boundary instead of hiding behind bytes the
-    /// next recovery would stop at, and [`Wal::tail_lsn`] is a position a
-    /// replica can resume from. Everything left in the file survived a
-    /// previous run's syncs, so it is durable. A new, headerless or `WAL3`
-    /// log gets its header here, rewritten like a checkpoint, so no log is
-    /// ever without an id.
-    pub fn recover(path: impl AsRef<Path>) -> Result<(Self, Recovery)> {
+    /// [`Wal::open`], also returning the state the file's committed
+    /// blocks leave: their [`Fold`], read a chunk at a time. The log is
+    /// cut where that read stopped, dropping a torn or corrupt tail and a
+    /// block left open at the end: appends extend a log that ends at a
+    /// block boundary instead of hiding behind bytes the next recovery
+    /// would stop at, and [`Wal::tail_lsn`] is a position a replica can
+    /// resume from. Everything left in the file survived a previous run's
+    /// syncs, so it is durable. A new, headerless or `WAL3` log gets its
+    /// header here, rewritten like a checkpoint, so no log is ever without
+    /// an id.
+    pub fn recover(path: impl AsRef<Path>) -> Result<(Self, Vec<LoggedWrite>)> {
         let path = path.as_ref();
         let io = |e: std::io::Error| Error::Storage(format!("open wal {path:?}: {e}"));
-        let data = match std::fs::read(path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            read => read.map_err(io)?,
-        };
-        let (header, header_len) = Header::parse(&data)?;
-        let recovery = recover_from_bytes(&data[header_len as usize..]);
         // A rewrite that died before its rename left this behind; the log
-        // it would have replaced is the one just read.
+        // it would have replaced is the one opened here.
         let _ = std::fs::remove_file(tmp_path(path));
         let file = OpenOptions::new().read(true).append(true).create(true).open(path).map_err(io)?;
-        let kept = header_len + recovery.valid_len;
-        if header_len == WAL_HEADER_LEN && kept < data.len() as u64 {
-            file.set_len(kept).map_err(io)?;
-        }
+        let mut head = Vec::new();
+        (&file).take(WAL_HEADER_LEN).read_to_end(&mut head).map_err(io)?;
+        let (header, header_len) = Header::parse(&head)?;
+        let len = file.metadata().map_err(io)?.len();
         let wal = Wal {
             path: Some(path.to_path_buf()),
-            ..Wal::with_backend(WalBackend::File(file), header, header_len, kept)
+            ..Wal::with_backend(WalBackend::File(file), header, header_len, len)
         };
+        let mut state = Fold::default();
+        let (_, end) = wal.fold_blocks(header.base, Lsn::MAX, &mut state)?;
+        let mut inner = wal.inner.lock();
+        if let (WalBackend::File(f), true) = (&inner.backend, end < inner.next_lsn) {
+            f.set_len(inner.physical(end)).map_err(io)?;
+        }
+        inner.next_lsn = end;
+        wal.durable_lsn.store(end, std::sync::atomic::Ordering::SeqCst);
+        drop(inner);
         if header_len != WAL_HEADER_LEN {
             wal.rewrite("open", |h| h, &[], true)?;
         }
-        Ok((wal, recovery))
+        Ok((wal, state.into_writes()))
     }
 
     /// An in-memory WAL (tests; volatile databases).
@@ -866,7 +871,7 @@ impl Wal {
     }
 
     /// Checkpoint the log at `horizon`: replace the prefix below it with
-    /// one `txid 0` block holding its [`fold`], keeping every LSN at or
+    /// one `txid 0` block holding its [`Fold`], keeping every LSN at or
     /// past it where it was. `horizon` is the new `T`: a block edge
     /// between the last `T` and the durable tail — a primary passes
     /// [`Wal::durable_lsn`] (a batch edge, so no sync is needed), a
@@ -891,26 +896,15 @@ impl Wal {
                 old.horizon
             )));
         }
-        let (image, entries) = {
-            let (mut redo, mut blocks, mut at) = (Vec::new(), BlockAssembler::default(), old.base);
-            while at < horizon {
-                let chunk = self.inner.lock().read_chunk(at, horizon)?;
-                let from = at;
-                for t in records(&chunk, from) {
-                    at = t.next_lsn;
-                    if let Some(block) = blocks.push(t.record, at) {
-                        redo.extend(block.writes);
-                    }
-                }
-                if at == from {
-                    return Err(Error::Storage(format!(
-                        "wal checkpoint: no intact record from {at} to the durable tail {horizon}"
-                    )));
-                }
-            }
-            let folded = fold(&redo);
-            (encode_image(&folded), folded.len())
-        };
+        let mut state = Fold::default();
+        let (end, _) = self.fold_blocks(old.base, horizon, &mut state)?;
+        if end != horizon {
+            return Err(Error::Storage(format!(
+                "wal checkpoint: no intact record from {end} to the durable tail {horizon}"
+            )));
+        }
+        let folded = state.into_writes();
+        let (image, entries) = (encode_image(&folded), folded.len());
         let image_bytes = image.len() as u64;
         let base = horizon.checked_sub(image_bytes).filter(|b| *b >= old.base).ok_or_else(|| {
             Error::Internal(format!(
@@ -921,6 +915,32 @@ impl Wal {
         let at_ms = SystemTime::now().duration_since(UNIX_EPOCH).map_or(1, |d| d.as_millis() as u64);
         self.rewrite("checkpoint", |h| Header { base, horizon, at_ms, ..h }, &image, true)?;
         Ok(FoldedPrefix { horizon, entries, image_bytes, reclaimed: base - old.base })
+    }
+
+    /// The one reader of a log's committed blocks, which recovery and the
+    /// checkpoint share: scans the records from `from` up to `to` (or the
+    /// tail), read [`TAIL_CHUNK`] at a time, and folds the writes of every
+    /// block that commits into `state`. Returns where the scan stopped —
+    /// `to`, unless a torn or corrupt record stopped it first — and the
+    /// end of the last record before that which leaves no block open.
+    fn fold_blocks(&self, from: Lsn, to: Lsn, state: &mut Fold) -> Result<(Lsn, Lsn)> {
+        let (mut blocks, mut at, mut edge) = (BlockAssembler::default(), from, from);
+        loop {
+            let chunk = self.inner.lock().read_chunk(at, to)?;
+            let start = at;
+            for t in records(&chunk, start) {
+                at = t.next_lsn;
+                if let Some(block) = blocks.push(t.record, at) {
+                    block.writes.into_iter().for_each(|w| state.push(w));
+                }
+                if !blocks.is_open() {
+                    edge = at;
+                }
+            }
+            if at == start {
+                return Ok((at, edge));
+            }
+        }
     }
 
     /// Make this log a copy of another log's start: its `header`, then
@@ -1016,7 +1036,7 @@ impl Wal {
 
 /// The image block for `writes`: `Begin{0} Write{0,…}* Commit{0}`, framed;
 /// nothing for an empty fold.
-fn encode_image(writes: &[&LoggedWrite]) -> Vec<u8> {
+fn encode_image(writes: &[LoggedWrite]) -> Vec<u8> {
     let mut image = Vec::new();
     if writes.is_empty() {
         return image;
@@ -1127,64 +1147,46 @@ pub fn load_class(domain: &str) -> u8 {
     }
 }
 
-/// The state a run of committed writes leaves, as one list — what
-/// recovery installs and what a checkpoint's image holds:
+/// The state a run of committed writes leaves, folded one write at a
+/// time — what recovery installs and what a checkpoint's image holds.
+/// [`Fold::into_writes`] lists it:
 ///
-/// - each `(domain, key)` keeps only its **last** write, at the position
+/// - each `(domain, key)` keeps only its **newest** write, at the place
 ///   of its **first**, so keys come out in the order they first appeared;
-/// - a key whose last write is a delete is dropped: the state is applied
+/// - a key whose newest write is a delete is dropped: the state is applied
 ///   to an empty store, where the tombstone has nothing to remove;
 /// - the survivors are stable-sorted by [`load_class`].
 ///
-/// The result borrows from `writes`; nothing is copied.
-pub fn fold(writes: &[LoggedWrite]) -> Vec<&LoggedWrite> {
-    let mut folded: Vec<&LoggedWrite> = Vec::new();
-    {
-        let mut slot: HashMap<(&str, &[u8]), usize> = HashMap::with_capacity(writes.len());
-        for w in writes {
-            match slot.entry((w.domain.as_str(), w.key.as_slice())) {
-                Entry::Occupied(first) => folded[*first.get()] = w,
-                Entry::Vacant(first) => {
-                    first.insert(folded.len());
-                    folded.push(w);
-                }
-            }
-        }
-    }
-    folded.retain(|w| w.value.is_some());
-    folded.sort_by_cached_key(|w| load_class(&w.domain));
-    folded
-}
-
-/// Outcome of scanning a log for recovery.
+/// It holds one entry per key the run wrote, deleted ones included (a key
+/// written again after its delete keeps its first place), never the run.
 #[derive(Debug, Default)]
-pub struct Recovery {
-    /// Writes of every committed block in the log (see
-    /// [`BlockAssembler`]), the image block first, in log order; [`fold`]
-    /// turns them into the state to install.
-    pub redo: Vec<LoggedWrite>,
-    /// Records dropped because the log ended mid-record (torn write).
-    pub torn_tail: bool,
-    /// Byte length of the prefix recovery keeps, header excluded: every
-    /// intact record up to the last one that leaves no block open. Where
-    /// [`Wal::recover`] cuts the log, dropping a torn tail and a block
-    /// left open at the end.
-    pub valid_len: u64,
+pub struct Fold {
+    /// Each key's first place and newest value (`None`: deleted).
+    newest: HashMap<WriteKey, (usize, Option<Vec<u8>>)>,
 }
 
-/// Scan raw headerless log bytes and compute the redo set.
-pub fn recover_from_bytes(data: &[u8]) -> Recovery {
-    let (mut blocks, mut redo, mut end, mut valid_len) = (BlockAssembler::default(), Vec::new(), 0, 0);
-    for t in records(data, 0) {
-        end = t.next_lsn;
-        if let Some(block) = blocks.push(t.record, end) {
-            redo.extend(block.writes);
-        }
-        if !blocks.is_open() {
-            valid_len = end;
-        }
+/// A logged write's key: its domain and its encoded key.
+type WriteKey = (String, Vec<u8>);
+
+impl Fold {
+    /// Fold in the run's next write.
+    pub fn push(&mut self, write: LoggedWrite) {
+        let first = self.newest.len();
+        self.newest.entry((write.domain, write.key)).or_insert((first, None)).1 = write.value;
     }
-    Recovery { redo, torn_tail: end < data.len() as u64, valid_len }
+
+    /// The folded state, as one list in load order.
+    pub fn into_writes(self) -> Vec<LoggedWrite> {
+        let mut live: Vec<(u8, usize, LoggedWrite)> = self
+            .newest
+            .into_iter()
+            .filter_map(|((domain, key), (first, value))| {
+                Some((load_class(&domain), first, LoggedWrite { domain, key, value: Some(value?) }))
+            })
+            .collect();
+        live.sort_unstable_by_key(|(class, first, _)| (*class, *first));
+        live.into_iter().map(|(_, _, write)| write).collect()
+    }
 }
 
 #[cfg(test)]
@@ -1212,6 +1214,29 @@ mod tests {
             out.extend(records(&chunk, at));
             at += chunk.len() as u64;
         }
+    }
+
+    /// The writes of every committed block in `bytes`, a run of the log,
+    /// in log order.
+    fn committed(bytes: &[u8]) -> Vec<LoggedWrite> {
+        let mut blocks = BlockAssembler::default();
+        let released = records(bytes, 0).filter_map(|t| blocks.push(t.record, t.next_lsn));
+        released.flat_map(|block| block.writes).collect()
+    }
+
+    fn keys(writes: &[LoggedWrite]) -> Vec<&[u8]> {
+        writes.iter().map(|w| w.key.as_slice()).collect()
+    }
+
+    /// `bytes`, a headerless run of the log from LSN 0, reopened from a
+    /// file: the log's tail is where recovery cut it, and the state is its
+    /// fold.
+    fn reopened(tag: &str, bytes: &[u8]) -> (Wal, Vec<LoggedWrite>) {
+        let path = temp_wal(tag);
+        std::fs::write(&path, bytes).unwrap();
+        let reopened = Wal::recover(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        reopened
     }
 
     fn temp_wal(tag: &str) -> PathBuf {
@@ -1254,10 +1279,11 @@ mod tests {
         wal.append(&WalRecord::Begin { txid: 2 }).unwrap();
         wal.append(&w(2, "b", Some("2"))).unwrap();
         // txn 2 never commits.
-        let rec = recover_from_bytes(&wal.snapshot_bytes().unwrap());
-        assert_eq!(rec.redo.len(), 1);
-        assert_eq!(rec.redo[0].key, b"a");
-        assert!(!rec.torn_tail);
+        let bytes = wal.snapshot_bytes().unwrap();
+        assert_eq!(keys(&committed(&bytes)), [b"a".as_slice()]);
+        let (reopened, state) = reopened("uncommitted", &bytes);
+        assert_eq!(keys(&state), [b"a".as_slice()]);
+        assert!(reopened.tail_lsn() < bytes.len() as u64, "the open block is cut");
     }
 
     #[test]
@@ -1269,9 +1295,8 @@ mod tests {
         wal.append(&WalRecord::Begin { txid: 1 }).unwrap();
         wal.append(&w(1, "orphan", Some("x"))).unwrap();
         commit_one(&wal, 1, "real", Some("y"));
-        let rec = recover_from_bytes(&wal.snapshot_bytes().unwrap());
-        let keys: Vec<&[u8]> = rec.redo.iter().map(|r| r.key.as_slice()).collect();
-        assert_eq!(keys, [b"real".as_slice()]);
+        let (_, state) = reopened("orphan", &wal.snapshot_bytes().unwrap());
+        assert_eq!(keys(&state), [b"real".as_slice()]);
 
         // Record by record: what the replica loop and the CDC feed see.
         let mut blocks = BlockAssembler::default();
@@ -1281,7 +1306,7 @@ mod tests {
         assert!(!blocks.is_open(), "the Commit closed the block");
         assert_eq!(released.len(), 1);
         assert_eq!(released[0].end_lsn, wal.tail_lsn());
-        assert_eq!(released[0].writes, rec.redo);
+        assert_eq!(released[0].writes, state);
         // A Commit nobody opened a block for releases nothing.
         assert_eq!(blocks.push(WalRecord::Commit { txid: 1 }, 0), None);
     }
@@ -1294,9 +1319,7 @@ mod tests {
         wal.append(&WalRecord::Begin { txid: 3 }).unwrap();
         wal.append(&w(3, "x", Some("v"))).unwrap();
         commit_one(&wal, 4, "y", Some("v"));
-        let rec = recover_from_bytes(&wal.snapshot_bytes().unwrap());
-        let keys: Vec<&[u8]> = rec.redo.iter().map(|r| r.key.as_slice()).collect();
-        assert_eq!(keys, [b"y".as_slice()]);
+        assert_eq!(keys(&committed(&wal.snapshot_bytes().unwrap())), [b"y".as_slice()]);
     }
 
     #[test]
@@ -1307,9 +1330,8 @@ mod tests {
         commit_one(&wal, 1, "old", Some("x"));
         wal.append(&WalRecord::Checkpoint { snapshot_lsn: wal.tail_lsn() }).unwrap();
         commit_one(&wal, 2, "new", Some("y"));
-        let rec = recover_from_bytes(&wal.snapshot_bytes().unwrap());
-        let keys: Vec<&[u8]> = rec.redo.iter().map(|r| r.key.as_slice()).collect();
-        assert_eq!(keys, [b"old".as_slice(), b"new".as_slice()]);
+        let (_, state) = reopened("marker", &wal.snapshot_bytes().unwrap());
+        assert_eq!(keys(&state), [b"old".as_slice(), b"new".as_slice()]);
     }
 
     #[test]
@@ -1328,9 +1350,13 @@ mod tests {
             lw("kv/cart", "a", Some("2")),
             lw("kv/cart", "b", None),
             lw("kv/cart", "c", None),
+            lw("ddl/bucket", "cart", None),
+            lw("ddl/bucket", "cart", Some("{2}")),
         ];
-        let folded = fold(&history);
-        assert_eq!(folded, [&history[2], &history[5], &history[1], &history[4]]);
+        let mut fold = Fold::default();
+        history.iter().cloned().for_each(|w| fold.push(w));
+        let want = [&history[9], &history[5], &history[1], &history[4]];
+        assert_eq!(fold.into_writes().iter().collect::<Vec<_>>(), want);
     }
 
     #[test]
@@ -1338,17 +1364,13 @@ mod tests {
         let wal = Wal::in_memory();
         commit_one(&wal, 1, "a", Some("1"));
         let mut bytes = wal.snapshot_bytes().unwrap();
-        let full = recover_from_bytes(&bytes);
-        assert_eq!(full.redo.len(), 1);
-        // Simulate a crash mid-write of a subsequent record.
         let good_len = bytes.len() as u64;
+        // Simulate a crash mid-write of a subsequent record.
         bytes.extend_from_slice(&[20, 0, 0, 0, 0xAA, 0xBB]);
-        let rec = recover_from_bytes(&bytes);
-        assert!(rec.torn_tail);
-        assert_eq!(rec.redo.len(), 1, "prefix remains recoverable");
-        assert_eq!(rec.valid_len, good_len, "valid_len marks the truncation point");
-        assert!(!full.torn_tail);
-        assert_eq!(full.valid_len, good_len);
+        assert_eq!(records(&bytes, 0).last().map(|t| t.next_lsn), Some(good_len));
+        let (reopened, state) = reopened("torn", &bytes);
+        assert_eq!(keys(&state), [b"a".as_slice()], "the prefix remains recoverable");
+        assert_eq!(reopened.tail_lsn(), good_len, "the reopened log ends where the torn bytes began");
     }
 
     #[test]
@@ -1359,17 +1381,18 @@ mod tests {
         // Flip a payload byte of the *middle* record.
         let n = bytes.len();
         bytes[n / 2] ^= 0xFF;
-        let rec = recover_from_bytes(&bytes);
-        assert!(rec.torn_tail);
+        assert!(records(&bytes, 0).last().map_or(0, |t| t.next_lsn) < n as u64);
         // The commit follows the corruption, so nothing can be redone.
-        assert!(rec.redo.is_empty());
+        let (reopened, state) = reopened("corrupt", &bytes);
+        assert!(state.is_empty());
+        assert_eq!(reopened.tail_lsn(), 0, "the block the corruption is in is cut");
     }
 
     #[test]
     fn file_backed_wal_survives_reopen_and_loses_only_a_torn_tail() {
         let path = temp_wal("reopen");
-        let (wal, rec) = Wal::recover(&path).unwrap();
-        assert!(rec.redo.is_empty() && !rec.torn_tail, "a missing file is an empty log");
+        let (wal, state) = Wal::recover(&path).unwrap();
+        assert!(state.is_empty() && wal.tail_lsn() == 0, "a missing file is an empty log");
         commit_one(&wal, 1, "persist", Some("yes"));
         drop(wal);
         // A crash mid-record: recovery cuts the torn bytes off, so the
@@ -1377,15 +1400,14 @@ mod tests {
         let good = std::fs::metadata(&path).unwrap().len();
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&[20, 0, 0, 0, 0xAA]).unwrap();
-        let (wal, rec) = Wal::recover(&path).unwrap();
-        assert!(rec.torn_tail);
-        assert_eq!(rec.redo.len(), 1);
-        assert_eq!(rec.redo[0].domain, "doc/orders");
+        let (wal, state) = Wal::recover(&path).unwrap();
+        assert_eq!(state.len(), 1);
+        assert_eq!(state[0].domain, "doc/orders");
         let len = std::fs::metadata(&path).unwrap().len();
         assert_eq!((len, wal.tail_lsn()), (good, good - WAL_HEADER_LEN));
         commit_one(&wal, 2, "more", Some("data"));
         drop(wal);
-        assert_eq!(Wal::recover(&path).unwrap().1.redo.len(), 2);
+        assert_eq!(Wal::recover(&path).unwrap().1.len(), 2);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1506,12 +1528,12 @@ mod tests {
             ])
             .is_err());
         mmdb_fault::clear_all();
-        let rec = recover_from_bytes(&wal.snapshot_bytes().unwrap());
-        assert!(rec.torn_tail && rec.valid_len < wal.tail_lsn(), "the torn bytes landed");
+        let (reopened, _) = reopened("torn-batch", &wal.snapshot_bytes().unwrap());
+        assert!(reopened.tail_lsn() < wal.tail_lsn(), "the torn bytes landed");
         let tailed = tail_from(&wal, 0);
         assert_eq!(
             tailed.last().unwrap().next_lsn,
-            rec.valid_len,
+            reopened.tail_lsn(),
             "tailing stops exactly where recovery truncates, so torn bytes are never shipped"
         );
 
@@ -1588,9 +1610,8 @@ mod tests {
         assert_eq!(blocks_from(&wal, h).len(), 1);
 
         // Recovery: the image, then the suffix.
-        let rec = recover_from_bytes(&wal.snapshot_bytes().unwrap());
-        let keys: Vec<&[u8]> = rec.redo.iter().map(|r| r.key.as_slice()).collect();
-        assert_eq!(keys, [b"a".as_slice(), b"new".as_slice()]);
+        let writes = committed(&wal.snapshot_bytes().unwrap());
+        assert_eq!(keys(&writes), [b"a".as_slice(), b"new".as_slice()]);
     }
 
     #[test]
@@ -1613,9 +1634,8 @@ mod tests {
         // image and everything after it.
         let tail2 = commit_one(&wal, 7, "more", Some("z"));
         drop(wal);
-        let (wal, rec) = Wal::recover(&path).unwrap();
-        let keys: Vec<&[u8]> = rec.redo.iter().map(|r| r.key.as_slice()).collect();
-        assert_eq!(keys, [b"a".as_slice(), b"new".as_slice(), b"more".as_slice()]);
+        let (wal, state) = Wal::recover(&path).unwrap();
+        assert_eq!(keys(&state), [b"a".as_slice(), b"new".as_slice(), b"more".as_slice()]);
         assert_eq!(wal.tail_lsn(), tail2);
         let _ = std::fs::remove_file(&path);
     }
@@ -1639,16 +1659,14 @@ mod tests {
         wal.append_batch(&[WalRecord::Begin { txid: 2 }, w(2, "b", Some("2"))]).unwrap();
         wal.sync().unwrap();
         drop(wal);
-        let (wal, rec) = Wal::recover(&path).unwrap();
+        let (wal, state) = Wal::recover(&path).unwrap();
         assert_eq!(wal.tail_lsn(), boundary, "the open block is cut at its Begin");
         assert_eq!(std::fs::metadata(&path).unwrap().len(), WAL_HEADER_LEN + boundary);
-        assert_eq!((rec.redo.len(), rec.torn_tail), (1, false));
+        assert_eq!(keys(&state), [b"a".as_slice()]);
         // The next block continues the log, not the cut one.
         commit_one(&wal, 1, "c", Some("3"));
         drop(wal);
-        let keys: Vec<Vec<u8>> =
-            Wal::recover(&path).unwrap().1.redo.into_iter().map(|w| w.key).collect();
-        assert_eq!(keys, [b"a".to_vec(), b"c".to_vec()]);
+        assert_eq!(keys(&Wal::recover(&path).unwrap().1), [b"a".as_slice(), b"c".as_slice()]);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -2,13 +2,15 @@
 //! engine against shadow models, WAL recovery and checkpoint invariants,
 //! and the checksum against a bytewise reference.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use mmdb_storage::lsm::{LsmConfig, LsmTree};
-use mmdb_storage::wal::{crc32, fold, recover_from_bytes, Wal, WalRecord};
+use mmdb_storage::wal::{
+    crc32, load_class, records, BlockAssembler, LoggedWrite, Lsn, Wal, WalRecord,
+};
 use mmdb_storage::{HeapFile, RecordId};
 
 #[derive(Debug, Clone)]
@@ -140,48 +142,48 @@ proptest! {
         prop_assert_eq!(lsm.scan(None, None), want);
     }
 
-    /// Recovery replays exactly the committed writes, in order, regardless
-    /// of which blocks around them never committed — even ones whose txid
-    /// a committed block reuses (the counter restarts on every open); any
-    /// byte-suffix truncation of the log yields a prefix of the committed
-    /// history.
+    /// Reopening a log installs the fold of its committed blocks and
+    /// nothing else: for any history of overwrites and deletes across the
+    /// load classes, some of its blocks never committed (orphans, even
+    /// ones whose txid a committed block reuses, as the counter restarts
+    /// on every open), cut at any byte (a torn tail), the reopened log
+    /// ends at the last `Commit` wholly before the cut, and its state is
+    /// the reference fold of the blocks committed before it.
     #[test]
-    fn wal_recovery_is_prefix_consistent(
-        txns in prop::collection::vec((any::<bool>(), 1usize..5, 1u64..=3), 1..10),
+    fn a_reopened_log_is_the_fold_of_its_committed_blocks(
+        history in arb_history(),
+        txids in prop::collection::vec(1u64..=3, 8..=8),
         cut in 0usize..2000,
     ) {
         let wal = Wal::in_memory();
-        let mut committed_writes = Vec::new();
-        for (t, &(commit, n_writes, txid)) in txns.iter().enumerate() {
-            wal.append(&WalRecord::Begin { txid }).unwrap();
-            for w in 0..n_writes {
-                let key = format!("{t}-{w}").into_bytes();
-                wal.append(&WalRecord::Write {
-                    txid,
-                    domain: "d".into(),
-                    key: key.clone(),
-                    value: Some(vec![w as u8]),
-                }).unwrap();
-                if commit {
-                    committed_writes.push(key);
-                }
-            }
-            if commit {
-                wal.append(&WalRecord::Commit { txid }).unwrap();
+        // Each committed block's writes and the end of its `Commit`.
+        let mut commits: Vec<(Vec<LoggedWrite>, Lsn)> = Vec::new();
+        for ((commit, writes), &txid) in history.iter().zip(&txids) {
+            let writes: Vec<LoggedWrite> = writes.iter().map(|&(k, v)| write(k, v)).collect();
+            let mut block = vec![WalRecord::Begin { txid }];
+            block.extend(writes.iter().map(|w| WalRecord::Write {
+                txid,
+                domain: w.domain.clone(),
+                key: w.key.clone(),
+                value: w.value.clone(),
+            }));
+            block.extend(commit.then_some(WalRecord::Commit { txid }));
+            let end = *wal.append_batch(&block).unwrap().last().unwrap();
+            if *commit {
+                commits.push((writes, end));
             }
         }
         let bytes = wal.snapshot_bytes().unwrap();
-        // Full recovery: exactly the committed writes in order.
-        let rec = recover_from_bytes(&bytes);
-        let got: Vec<Vec<u8>> = rec.redo.iter().map(|r| r.key.clone()).collect();
-        prop_assert_eq!(&got, &committed_writes);
-        // Truncated recovery: a prefix of the committed history (whole
-        // transactions only).
         let cut = cut.min(bytes.len());
-        let rec = recover_from_bytes(&bytes[..cut]);
-        let got: Vec<Vec<u8>> = rec.redo.iter().map(|r| r.key.clone()).collect();
-        prop_assert!(got.len() <= committed_writes.len());
-        prop_assert_eq!(&got[..], &committed_writes[..got.len()]);
+        let kept: Vec<&(Vec<LoggedWrite>, Lsn)> =
+            commits.iter().filter(|(_, end)| *end <= cut as Lsn).collect();
+        let path = std::env::temp_dir().join(format!("mmdb-prop-reopen-{}.wal", std::process::id()));
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+        let (reopened, state) = Wal::recover(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        prop_assert_eq!(reopened.tail_lsn(), kept.last().map_or(0, |(_, end)| *end));
+        let history: Vec<LoggedWrite> = kept.into_iter().flat_map(|(w, _)| w.clone()).collect();
+        prop_assert_eq!(state, reference_fold(&history));
     }
 
     /// Slice-by-8 `crc32` equals the bytewise reference on every slice
@@ -237,9 +239,9 @@ proptest! {
             folded.append_checkpoint(done.horizon).unwrap();
         }
         let state = |wal: &Wal| {
-            let rec = recover_from_bytes(&wal.snapshot_bytes().unwrap());
+            let folded = reference_fold(&committed(&wal.snapshot_bytes().unwrap()));
             let mut live: Vec<(Vec<u8>, Option<Vec<u8>>)> =
-                fold(&rec.redo).into_iter().map(|w| (w.key.clone(), w.value.clone())).collect();
+                folded.into_iter().map(|w| (w.key, w.value)).collect();
             live.sort();
             live
         };
@@ -255,6 +257,85 @@ fn arb_history() -> impl Strategy<Value = History> {
 }
 
 type History = Vec<(bool, Vec<(u8, Option<u8>)>)>;
+
+/// The write of a history's `(key, value)`: keys 0 and 3 are kv data, 1 a
+/// graph edge and 2 a container definition, so a fold orders them by
+/// load class and, within one, by first place.
+fn write(key: u8, value: Option<u8>) -> LoggedWrite {
+    let domain = ["kv/cart", "graph/social/e/knows", "ddl/collection", "kv/cart"][key as usize % 4];
+    LoggedWrite { domain: domain.into(), key: vec![key], value: value.map(|v| vec![v]) }
+}
+
+/// The writes of every committed block in `bytes`, a run of the log, in
+/// log order: the scanner and the block assembler every reader shares.
+fn committed(bytes: &[u8]) -> Vec<LoggedWrite> {
+    let mut blocks = BlockAssembler::default();
+    let released = records(bytes, 0).filter_map(|t| blocks.push(t.record, t.next_lsn));
+    released.flat_map(|block| block.writes).collect()
+}
+
+/// The fold, stated plainly as the reference the engine's is held to:
+/// one map insert per write, keyed by the write's load class and the
+/// place its key first appeared, so a later write of a key replaces the
+/// earlier one in place; deletes are dropped at the end.
+fn reference_fold(writes: &[LoggedWrite]) -> Vec<LoggedWrite> {
+    let mut first: HashMap<(&str, &[u8]), usize> = HashMap::new();
+    let mut state: BTreeMap<(u8, usize), &LoggedWrite> = BTreeMap::new();
+    for (i, w) in writes.iter().enumerate() {
+        let place = *first.entry((&w.domain, &w.key)).or_insert(i);
+        state.insert((load_class(&w.domain), place), w);
+    }
+    state.into_values().filter(|w| w.value.is_some()).cloned().collect()
+}
+
+/// A checkpoint's image is the framing of the reference fold: one `txid
+/// 0` block holding it, byte for byte. The history touches all four load
+/// classes out of their order, overwrites a key, deletes one and writes
+/// another again after its delete, and leaves a block uncommitted.
+#[test]
+fn a_checkpoint_image_is_the_framing_of_the_reference_fold() {
+    let lw = |domain: &str, key: &str, value: Option<&str>| LoggedWrite {
+        domain: domain.into(),
+        key: key.as_bytes().to_vec(),
+        value: value.map(|v| v.as_bytes().to_vec()),
+    };
+    let blocks: Vec<(bool, Vec<LoggedWrite>)> = vec![
+        (true, vec![lw("kv/cart", "a", Some("1")), lw("graph/g/e/knows", "e", Some("edge"))]),
+        (true, vec![lw("ddl/bucket", "cart", Some("{}")), lw("kv/cart", "b", Some("1"))]),
+        (false, vec![lw("kv/cart", "orphan", Some("x"))]),
+        (true, vec![lw("ddl/index", "gin/o", Some("{}")), lw("kv/cart", "a", Some("2"))]),
+        (true, vec![lw("kv/cart", "b", None), lw("ddl/bucket", "cart", None)]),
+        (true, vec![lw("ddl/bucket", "cart", Some("{\"v\":2}")), lw("kv/cart", "c", None)]),
+    ];
+    let wal = Wal::in_memory();
+    let mut history = Vec::new();
+    for (txid, (commit, writes)) in (1..).zip(&blocks) {
+        let mut block = vec![WalRecord::Begin { txid }];
+        block.extend(writes.iter().map(|w| WalRecord::Write {
+            txid,
+            domain: w.domain.clone(),
+            key: w.key.clone(),
+            value: w.value.clone(),
+        }));
+        block.extend(commit.then_some(WalRecord::Commit { txid }));
+        wal.append_batch(&block).unwrap();
+        if *commit {
+            history.extend(writes.iter().cloned());
+        }
+    }
+    wal.sync().unwrap();
+    let want = reference_fold(&history);
+    let keys: Vec<&[u8]> = want.iter().map(|w| w.key.as_slice()).collect();
+    assert_eq!(keys, [b"cart".as_slice(), b"a", b"e", b"gin/o"], "one live key of each class");
+
+    let done = wal.fold_prefix(wal.durable_lsn()).unwrap();
+    assert_eq!(done.entries, want.len());
+    let image = &wal.snapshot_bytes().unwrap()[..done.image_bytes as usize];
+    let framed = Wal::in_memory();
+    let parts = want.iter().map(|w| (w.domain.as_str(), w.key.as_slice(), w.value.as_deref()));
+    framed.append_blocks([(0, parts)]).unwrap();
+    assert_eq!(image, framed.snapshot_bytes().unwrap());
+}
 
 /// The bytewise CRC-32 (IEEE 802.3, reflected, one bit per step): the
 /// oracle `crc32` is checked against.
@@ -308,5 +389,5 @@ fn logs_carry_the_reference_checksum() {
         frames += 1;
     }
     assert_eq!(frames, 5);
-    assert_eq!(recover_from_bytes(&bytes).redo.len(), 3);
+    assert_eq!(committed(&bytes).len(), 3);
 }

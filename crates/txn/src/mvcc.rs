@@ -31,9 +31,9 @@
 //! Logging, installing and applying are one private step each
 //! (`StoreInner::log`, `StoreInner::install`, `StoreInner::apply`):
 //! the leader and its committers reach the WAL, the version map and the
-//! hooks through them, and a replicated block and a load (recovery, a
-//! replica's reset), which come from a log already, through the last two
-//! (DESIGN.md "A transaction's road").
+//! hooks through them, and a replicated block and a load (the fold
+//! `Wal::recover` reads at open, a replica's reset), which come from a
+//! log already, through the last two (DESIGN.md "A transaction's road").
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use mmdb_storage::wal::{self, load_class, LoggedWrite, Lsn, Wal, WriteParts};
+use mmdb_storage::wal::{load_class, LoggedWrite, Lsn, Wal, WriteParts};
 use mmdb_types::codec::{encode_value, value_from_bytes, value_to_bytes};
 use mmdb_types::{lock_rank, Error, Result, Value};
 
@@ -123,12 +123,12 @@ impl WriteSet {
 
     /// Decode writes read back from a log or the replication stream for
     /// the hooks, keeping their bytes for the version store.
-    pub fn decode<'a>(logged: impl IntoIterator<Item = &'a LoggedWrite>) -> Result<WriteSet> {
+    pub fn decode(logged: impl IntoIterator<Item = LoggedWrite>) -> Result<WriteSet> {
         let mut set = WriteSet::default();
         for w in logged {
             let value = w.value.as_deref().map(value_from_bytes).transpose()?;
-            let write = CommittedWrite { domain: w.domain.clone(), key: w.key.clone(), value };
-            set.push(write, w.value.as_deref().map(Arc::from));
+            let bytes = w.value.as_deref().map(Arc::from);
+            set.push(CommittedWrite { domain: w.domain, key: w.key, value }, bytes);
         }
         Ok(set)
     }
@@ -996,19 +996,6 @@ impl MvccStore {
         inner.last_commit_lsn.store(lsn, Ordering::SeqCst);
         live
     }
-
-    /// Apply WAL recovery output at startup: the redo set — every
-    /// committed block of the log, a checkpoint's image block first —
-    /// goes through [`wal::fold`], the fold a checkpoint writes its image
-    /// with, before anything is decoded; the survivors are decoded for the
-    /// hooks and [`MvccStore::load`]ed, their bytes as they are, at `tail`,
-    /// the recovered log's tail. So each
-    /// commit hook sees every live key once, in load-class order. Returns
-    /// the number of distinct live keys installed.
-    pub fn recover(&self, recovery: &wal::Recovery, tail: Lsn) -> Result<usize> {
-        let folded = wal::fold(&recovery.redo);
-        Ok(self.load(WriteSet::decode(folded)?, tail))
-    }
 }
 
 /// An open transaction.
@@ -1204,9 +1191,26 @@ impl Drop for Transaction {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmdb_storage::wal;
 
     fn store() -> MvccStore {
         MvccStore::new(None)
+    }
+
+    /// Every committed block `wal` holds, read record by record.
+    fn committed_blocks(wal: &Wal) -> Vec<wal::CommittedBlock> {
+        let bytes = wal.snapshot_bytes().unwrap();
+        let mut blocks = wal::BlockAssembler::default();
+        wal::records(&bytes, 0).filter_map(|t| blocks.push(t.record, t.next_lsn)).collect()
+    }
+
+    /// Load `wal`'s committed blocks into `s` the way `Database::open`
+    /// loads a reopened log: folded, decoded, at the tail. Returns the
+    /// number of live keys.
+    fn reload(s: &MvccStore, wal: &Wal) -> usize {
+        let mut state = wal::Fold::default();
+        committed_blocks(wal).into_iter().flat_map(|b| b.writes).for_each(|w| state.push(w));
+        s.load(WriteSet::decode(state.into_writes()).unwrap(), wal.tail_lsn())
     }
 
     /// The lock-rank witness (`mmdb_types::lock_rank`) is live on the
@@ -1571,8 +1575,8 @@ mod tests {
         t.commit().unwrap();
 
         // "Crash": rebuild a fresh store from the log.
-        let recovery = wal::recover_from_bytes(&wal.snapshot_bytes().unwrap());
-        assert_eq!(recovery.redo.len(), 5);
+        let logged: usize = committed_blocks(&wal).iter().map(|b| b.writes.len()).sum();
+        assert_eq!(logged, 5);
         let s2 = MvccStore::new(None);
         let replayed = Arc::new(Mutex::new(Vec::new()));
         let r2 = Arc::clone(&replayed);
@@ -1580,7 +1584,7 @@ mod tests {
             let seen = ws.iter().map(|w| (w.domain.clone(), w.key.clone(), w.value.is_some()));
             r2.lock().extend(seen);
         });
-        let n = s2.recover(&recovery, wal.tail_lsn()).unwrap();
+        let n = reload(&s2, &wal);
         assert_eq!(n, 2, "two distinct live keys");
         assert_eq!(
             *replayed.lock(),
@@ -1614,7 +1618,6 @@ mod tests {
         t.delete("kv/cart", b"c2").unwrap();
         t.commit().unwrap();
 
-        let recovery = wal::recover_from_bytes(&wal.snapshot_bytes().unwrap());
         let s2 = MvccStore::new(None);
         let replayed = Arc::new(Mutex::new(Vec::new()));
         let r2 = Arc::clone(&replayed);
@@ -1622,7 +1625,7 @@ mod tests {
             let seen = ws.iter().map(|w| (w.domain.clone(), w.key.clone(), w.value.is_some()));
             r2.lock().extend(seen);
         });
-        assert_eq!(s2.recover(&recovery, wal.tail_lsn()).unwrap(), 1, "one live key");
+        assert_eq!(reload(&s2, &wal), 1, "one live key");
         assert_eq!(
             *replayed.lock(),
             vec![("kv/cart".to_string(), b"c1".to_vec(), true)],
@@ -1806,9 +1809,8 @@ mod tests {
             "every batch of W winners saves W-1 syncs: {g:?}"
         );
         // All 64 transactions are durable and recoverable.
-        let rec = wal::recover_from_bytes(&wal.snapshot_bytes().unwrap());
         let s2 = MvccStore::new(None);
-        assert_eq!(s2.recover(&rec, wal.tail_lsn()).unwrap(), 64);
+        assert_eq!(reload(&s2, &wal), 64);
         assert_eq!(s2.get_latest("kv/cart", b"t7-7").unwrap(), Some(Value::int(7)));
     }
 
@@ -1905,9 +1907,8 @@ mod tests {
         assert_eq!(loser.commit().unwrap_err().kind(), "txn_conflict");
         assert_eq!(s.get_latest("d", b"k").unwrap(), Some(Value::int(2)));
         // The loser's block never reached the log.
-        let rec = wal::recover_from_bytes(&wal.snapshot_bytes().unwrap());
         let s2 = MvccStore::new(None);
-        s2.recover(&rec, wal.tail_lsn()).unwrap();
+        reload(&s2, &wal);
         assert_eq!(s2.get_latest("d", b"k").unwrap(), Some(Value::int(2)));
     }
 
@@ -2199,19 +2200,15 @@ mod tests {
         t.delete("d", b"gone").unwrap();
         t.commit().unwrap();
 
-        let bytes = wal.snapshot_bytes().unwrap();
         let mut logged = HashMap::new();
-        let mut blocks = wal::BlockAssembler::default();
         let replica = store();
-        for r in wal::records(&bytes, 0) {
-            if let Some(block) = blocks.push(r.record, r.next_lsn) {
-                logged.extend(block.writes.iter().map(|w| (w.key.clone(), w.value.clone())));
-                replica.apply_replicated(WriteSet::decode(&block.writes).unwrap(), block.end_lsn);
-            }
+        for block in committed_blocks(&wal) {
+            logged.extend(block.writes.iter().map(|w| (w.key.clone(), w.value.clone())));
+            replica.apply_replicated(WriteSet::decode(block.writes).unwrap(), block.end_lsn);
         }
         assert_eq!(logged.len(), staged.len());
         let recovered = store();
-        recovered.recover(&wal::recover_from_bytes(&bytes), wal.tail_lsn()).unwrap();
+        reload(&recovered, &wal);
 
         for (road, s) in [("leader", &leader), ("replica", &replica), ("recovery", &recovered)] {
             let installed = |key: &[u8]| {

@@ -61,13 +61,14 @@ echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps (doc link
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> torture suites (--features failpoints)"
-# Crash recovery at every rostered site, request lifecycle, replication
-# failover, the group-commit torture & property suite and checkpoints;
-# plus the durability suite, because the one fold (wal::fold, which
-# MvccStore::recover and a checkpoint's image share) and the logged
-# catalog (live = log reopen = checkpoint reopen = replica) must stay
-# clean with the failpoint scaffolding compiled in, as every torture
-# suite's reopen relies on them.
+# Crash recovery at every rostered site, request lifecycle (a panicking
+# pooled request among it), replication failover, the group-commit
+# torture & property suite and checkpoints; plus the durability suite,
+# because the one fold (wal::Fold, fed by the one chunked reader that
+# Wal::recover and a checkpoint's image share) and the logged catalog
+# (live = log reopen = checkpoint reopen = replica) must stay clean with
+# the failpoint scaffolding compiled in, as every torture suite's reopen
+# relies on them.
 cargo test -q --features failpoints \
   --test crash_recovery --test durability --test lifecycle_torture \
   --test replication --test group_commit --test checkpoint
@@ -98,7 +99,7 @@ echo "==> mmdb-fault's registry tests (--features failpoints)"
 # (MMDB_FAILPOINTS arms sites on first use) compile only with it.
 cargo test -q -p mmdb-fault --features failpoints
 
-echo "==> the read path's and a wire point read's allocation budgets, the version store's footprint and mmdb-types, optimized build"
+echo "==> the read path's and a wire point read's allocation budgets, the version store's and the fold's footprints and mmdb-types, optimized build"
 # tests/query_allocs.rs ran in the debug pass above; this is the
 # optimized build, the one the benchmark of record measures. It counts
 # allocator calls per examined row for a scan, Q2, Q4 as a hash join,
@@ -118,7 +119,12 @@ echo "==> the read path's and a wire point read's allocation budgets, the versio
 # with the rows. tests/version_bytes.rs holds the
 # version store to its footprint: live heap per committed new-order
 # write (163.4 bytes with the log's bytes kept once; 315.8 with decoded
-# versions), under a budget of 170. tests/wire_allocs.rs counts a point
+# versions), under a budget of 170. tests/fold_heap.rs holds reopening
+# and checkpointing a log to its state, not its history: the peak extra
+# heap of each at eight generations of 20 000 documents over one
+# generation (1.00 and 1.00; 2.61 and 6.31 when recovery read the whole
+# file and both collected every committed write before folding), under
+# a bound of 1.5. tests/wire_allocs.rs counts a point
 # read over the wire: the request's encode, the server's reply into a
 # warm buffer and the reply's decode (5, 2 and 11 calls; 15, 19 and 20
 # when each message went through a `Value` tree), with the reply's
@@ -128,6 +134,7 @@ echo "==> the read path's and a wire point read's allocation budgets, the versio
 # wrong `unsafe` would show.
 cargo test -q --release --test query_allocs
 cargo test -q --release --test version_bytes
+cargo test -q --release --test fold_heap
 cargo test -q --release --test wire_allocs
 cargo test -q --release -p mmdb-types
 

@@ -359,8 +359,8 @@ fn rewrite_history(db: &Database) {
 
 #[test]
 fn folded_replay_matches_live_and_snapshot_state() {
-    use mmdb::substrate::storage::wal::Wal;
-    use mmdb::substrate::txn::MvccStore;
+    use mmdb::substrate::storage::wal::{records, BlockAssembler, Wal};
+    use mmdb::substrate::txn::{MvccStore, WriteSet};
     use std::collections::HashSet;
     use std::sync::{Arc, Mutex};
 
@@ -373,7 +373,12 @@ fn folded_replay_matches_live_and_snapshot_state() {
 
     // What the commit hook sees on replay: every live key once, no
     // tombstone — although the log holds overwrites and deletes.
-    let (_, recovery) = Wal::recover(dir.join("mmdb.wal")).unwrap();
+    let (wal, state) = Wal::recover(dir.join("mmdb.wal")).unwrap();
+    let mut blocks = BlockAssembler::default();
+    let bytes = wal.snapshot_bytes().unwrap();
+    let released = records(&bytes, 0).filter_map(|t| blocks.push(t.record, t.next_lsn));
+    let logged: usize = released.map(|block| block.writes.len()).sum();
+    drop(wal);
     let seen = Arc::new(Mutex::new(Vec::new()));
     let store = MvccStore::new(None);
     let hook = Arc::clone(&seen);
@@ -382,13 +387,13 @@ fn folded_replay_matches_live_and_snapshot_state() {
             .unwrap()
             .extend(ws.iter().map(|w| (w.domain.clone(), w.key.clone(), w.value.is_some())));
     });
-    let installed = store.recover(&recovery, 0).unwrap();
+    let installed = store.load(WriteSet::decode(state).unwrap(), 0);
     let seen = seen.lock().unwrap();
     assert!(seen.iter().all(|(_, _, live)| *live), "a tombstone reached the hook");
     let distinct: HashSet<_> = seen.iter().map(|(d, k, _)| (d, k)).collect();
     assert_eq!(distinct.len(), seen.len(), "the hook saw a key twice");
     assert_eq!(installed, seen.len());
-    assert!(recovery.redo.len() > installed, "the history folds");
+    assert!(logged > installed, "the history folds");
 
     // Reopened from the log: the live answers, byte for byte.
     let db = Database::open(&dir).unwrap();
@@ -632,8 +637,14 @@ fn load_fold_of(primary: &Database, db: &Database) {
     use mmdb::substrate::storage::wal;
     use mmdb::substrate::txn::WriteSet;
     let log = primary.wal().unwrap();
-    let redo = wal::recover_from_bytes(&log.snapshot_bytes().unwrap()).redo;
-    db.mvcc().load(WriteSet::decode(wal::fold(&redo)).unwrap(), log.tail_lsn());
+    let bytes = log.snapshot_bytes().unwrap();
+    let (mut blocks, mut state) = (wal::BlockAssembler::default(), wal::Fold::default());
+    for t in wal::records(&bytes, 0) {
+        if let Some(block) = blocks.push(t.record, t.next_lsn) {
+            block.writes.into_iter().for_each(|w| state.push(w));
+        }
+    }
+    db.mvcc().load(WriteSet::decode(state.into_writes()).unwrap(), log.tail_lsn());
 }
 
 /// `rewrite_history`'s end state, held by a database of its own, plus a

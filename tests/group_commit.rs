@@ -46,9 +46,9 @@ use proptest::prelude::*;
 
 use mmdb::substrate::relational::{ColumnDef, DataType, Schema};
 use mmdb::substrate::repl::{ReplicaOptions, ReplicaRunner};
-use mmdb::substrate::storage::wal::recover_from_bytes;
+use mmdb::substrate::storage::wal::{records, BlockAssembler, Fold};
 use mmdb::substrate::storage::Wal;
-use mmdb::substrate::txn::{IsolationLevel, MvccStore};
+use mmdb::substrate::txn::{self, IsolationLevel, MvccStore};
 use mmdb::substrate::types::codec::key_of;
 use mmdb::{fault, Database, Value};
 use mmdb_client::ClientConfig;
@@ -857,10 +857,18 @@ proptest! {
             prop_assert_eq!(store.get_latest("kv/prop", &[b'k', key]).unwrap(), want.map(Value::int));
         }
         // The group-committed WAL replays to the identical state.
-        let recovery = recover_from_bytes(&wal.snapshot_bytes().unwrap());
-        prop_assert!(!recovery.torn_tail, "a clean run must not leave a torn tail");
+        let bytes = wal.snapshot_bytes().unwrap();
+        let (mut blocks, mut state) = (BlockAssembler::default(), Fold::default());
+        let mut end = 0;
+        for t in records(&bytes, 0) {
+            end = t.next_lsn;
+            if let Some(block) = blocks.push(t.record, end) {
+                block.writes.into_iter().for_each(|w| state.push(w));
+            }
+        }
+        prop_assert_eq!(end, bytes.len() as u64, "a clean run must not leave a torn tail");
         let replayed = MvccStore::new(None);
-        replayed.recover(&recovery, wal.tail_lsn()).unwrap();
+        replayed.load(txn::WriteSet::decode(state.into_writes()).unwrap(), wal.tail_lsn());
         for key in 0u8..3 {
             prop_assert_eq!(
                 replayed.get_latest("kv/prop", &[b'k', key]).unwrap(),

@@ -38,7 +38,8 @@ use mmdb::substrate::query::plan::{build_plan, Plan, PlanNode};
 use mmdb::substrate::txn::IsolationLevel;
 use mmdb::substrate::types::CancelToken;
 use mmdb::{fault, Database, Value};
-use mmdb_client::{Client, Pool, PoolConfig, RetryPolicy};
+use mmdb_client::{Client, ClientConfig, Pool, PoolConfig, RetryPolicy};
+use mmdb_protocol::Request;
 use mmdb_server::{Server, ServerConfig};
 
 /// Failpoints are process-global, so the tests in this binary serialize
@@ -220,6 +221,43 @@ fn a_delayed_tick_is_checked_at_once() {
     fault::clear_all();
     assert_eq!(err.kind(), "deadline_exceeded", "{err}");
     assert!(hits <= 8, "{hits} delayed ticks before a 100ms deadline was seen");
+    server.shutdown().unwrap();
+}
+
+/// A request that panics on the executor pool fails alone: a tagged
+/// query (the direct path) and an untagged one (the connection's lane)
+/// are each answered `internal`, the lane's panic aborts the
+/// transaction open on the connection, no worker is lost (a query still
+/// answers after more panicking ones than there are workers), and the
+/// server shuts down cleanly.
+#[test]
+fn a_panicking_pooled_request_is_answered_internal_and_the_pool_lives_on() {
+    let _serial = lock();
+    let db = Arc::new(Database::in_memory());
+    seed(&db);
+    let config = ServerConfig::default();
+    let workers = config.workers;
+    let server = Server::start(Arc::clone(&db), config).unwrap();
+    // A request nobody answers fails the test in seconds, not minutes.
+    let timeout = ClientConfig { read_timeout: Some(Duration::from_secs(5)), ..Default::default() };
+    let mut client = Client::connect_with(server.local_addr().to_string(), timeout).unwrap();
+    let query = Request::Query { text: RECOMMENDATION.into(), deadline_ms: None };
+
+    fault::set("query.eval_tick", "panic").unwrap();
+    let id = client.submit(&query).unwrap();
+    let err = client.receive(id).expect_err("a tagged query that panics");
+    assert_eq!(err.kind(), "internal", "{err}");
+    client.begin(false).unwrap();
+    let err = client.call(&query).expect_err("an untagged query that panics");
+    assert_eq!(err.kind(), "internal", "{err}");
+    for _ in 0..workers + 1 {
+        assert_eq!(client.call(&query).expect_err("a panicking query").kind(), "internal");
+    }
+    fault::clear_all();
+
+    let err = client.commit().expect_err("the lane's panic aborted the transaction");
+    assert_eq!(err.kind(), "txn_closed", "{err}");
+    assert_eq!(client.query(RECOMMENDATION).unwrap(), oracle());
     server.shutdown().unwrap();
 }
 
